@@ -111,6 +111,8 @@ class _QueryState:
     #: GROUP-BY only: the latest round's per-group results, refreshed by
     #: every step_grouped and packaged by finalise_grouped
     grouped_results: dict[float, "ApproximateResult"] | None = None
+    #: distinct_support_indices memo: (per-sample lengths, read-only indices)
+    _drawn: tuple | None = field(default=None, repr=False)
 
     @property
     def total_draws(self) -> int:
@@ -118,10 +120,21 @@ class _QueryState:
         return int(sum(len(sample) for sample in self.little_samples))
 
     def distinct_support_indices(self) -> np.ndarray:
-        """Sorted unique support indices present in the draws."""
-        if not self.little_samples:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(self.little_samples))
+        """Sorted unique support indices present in the draws.
+
+        A drawn-mask over the support instead of a sort over every draw,
+        computed once per growth: little samples only ever grow by
+        appending, so their lengths identify the draw set.
+        """
+        lengths = tuple(len(sample) for sample in self.little_samples)
+        if self._drawn is None or self._drawn[0] != lengths:
+            mask = np.zeros(self.joint.support_size, dtype=bool)
+            for sample in self.little_samples:
+                mask[sample] = True
+            indices = np.flatnonzero(mask)
+            indices.setflags(write=False)
+            self._drawn = (lengths, indices)
+        return self._drawn[1]
 
 
 @dataclass(frozen=True)
@@ -1515,7 +1528,8 @@ class QueryExecutor:
         values = state.support_value[draws]
 
         grouped: dict[float, EstimationSample] = {}
-        present = np.unique(draw_keys[~np.isnan(draw_keys)])
+        drawn_keys = keys[state.distinct_support_indices()]
+        present = np.unique(drawn_keys[~np.isnan(drawn_keys)])
         for key in present:
             mask = draw_keys == key
             grouped[float(key)] = EstimationSample(

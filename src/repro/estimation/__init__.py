@@ -3,8 +3,8 @@
 * :mod:`repro.estimation.estimators` — Eq. 7-9: unbiased COUNT/SUM and the
   consistent ratio AVG over the non-uniform sample, plus guarantee-free
   MAX/MIN.
-* :mod:`repro.estimation.bootstrap` — the classical bootstrap and the Bag
-  of Little Bootstraps used to estimate the estimator's sigma.
+* :mod:`repro.estimation.bootstrap` — the Bag of Little Bootstraps used to
+  estimate the estimator's sigma, over one blocked resampling kernel.
 * :mod:`repro.estimation.confidence` — CLT confidence intervals (Eq. 10-11).
 * :mod:`repro.estimation.accuracy` — Theorem 2 termination and the Eq. 12
   error-based sample-size configuration.
@@ -17,11 +17,7 @@ from repro.estimation.accuracy import (
     moe_target,
     satisfies_error_bound,
 )
-from repro.estimation.bootstrap import (
-    BlbConfig,
-    bag_of_little_bootstraps,
-    bootstrap_sigma,
-)
+from repro.estimation.bootstrap import BlbConfig, bootstrap_sigma
 from repro.estimation.confidence import ConfidenceInterval, normal_critical_value
 from repro.estimation.estimators import (
     EstimationSample,
@@ -52,7 +48,6 @@ __all__ = [
     "estimate_extreme_evt",
     "fit_gpd_pwm",
     "BlbConfig",
-    "bag_of_little_bootstraps",
     "bootstrap_sigma",
     "ConfidenceInterval",
     "normal_critical_value",

@@ -4,12 +4,17 @@ The paper estimates sigma_hat of the point estimator with BLB (Kleiner et
 al., 2014): the sample S_A is the union of ``t`` little samples; each
 little sample is bootstrapped ``B`` times (resample size |S_A|, per the
 paper's text), giving a per-little-sample MoE; the final MoE is their mean.
+
+One production path, :func:`fast_bootstrap_sigma` over the blocked
+:func:`_resampled_sums` kernel (every BLB bag, every GROUP-BY group; no
+``(B, |S_A|)`` index matrix), plus one same-seed oracle for the tests,
+the closure-driven :func:`bootstrap_sigma`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -83,6 +88,36 @@ def bootstrap_sigma(
     return float(np.sqrt(variance))
 
 
+#: indices drawn (and reduced) per kernel block: 1 MB of int64, so a block
+#: and the columns gathered through it stay cache-resident
+_BLOCK_INDICES = 1 << 17
+
+
+def _resampled_sums(
+    columns: Sequence[np.ndarray],
+    num_resamples: int,
+    resample_size: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-resample sums of each column: shape ``(len(columns), B)``.
+
+    Bit-identical to gathering every column through one
+    ``rng.integers(0, b, size=(B, resample_size))`` matrix and summing
+    ``axis=1`` — consecutive row blocks consume the generator exactly as
+    the single call does, and each row is still one contiguous pairwise
+    sum — but only ``_BLOCK_INDICES`` indices exist at a time.
+    """
+    population = len(columns[0])
+    rows_per_block = max(1, _BLOCK_INDICES // resample_size)
+    sums = np.empty((len(columns), num_resamples), dtype=np.float64)
+    for start in range(0, num_resamples, rows_per_block):
+        stop = min(start + rows_per_block, num_resamples)
+        block = rng.integers(0, population, size=(stop - start, resample_size))
+        for position, column in enumerate(columns):
+            sums[position, start:stop] = column.take(block).sum(axis=1)
+    return sums
+
+
 def fast_bootstrap_sigma(
     sample: EstimationSample,
     function: "AggregateFunction",
@@ -94,43 +129,38 @@ def fast_bootstrap_sigma(
 ) -> float:
     """Vectorised bootstrap sigma for the three standard estimators.
 
-    Statistically identical to :func:`bootstrap_sigma` with the matching
-    estimator closure, but draws all resamples as one index matrix and
-    reduces with numpy — the difference between milliseconds and seconds
-    once |S_A| reaches the thousands.
+    Same resamples, same skipped (zero-denominator) resamples and — up to
+    summation order — same estimates as :func:`bootstrap_sigma` fed the
+    matching estimator closure and a generator of the same seed, but
+    reduced by :func:`_resampled_sums` instead of ``B`` Python-level
+    subsets.  COUNT/SUM under SAMPLE normalisation are a mean of one
+    column; AVG and the PAPER normalisation are a ratio of two.
     """
     from repro.query.aggregate import AggregateFunction
 
     if sample.total_draws == 0:
         raise EstimationError("cannot bootstrap an empty sample")
-    indexes = rng.integers(
-        0, sample.total_draws, size=(num_resamples, resample_size)
-    )
+    if function is AggregateFunction.COUNT:
+        numerators = sample.count_contributions()
+    else:
+        numerators = sample.sum_contributions()
     if function is AggregateFunction.AVG:
-        numerator = sample.sum_contributions()[indexes].sum(axis=1)
-        denominator = sample.count_contributions()[indexes].sum(axis=1)
+        columns = (numerators, sample.count_contributions())
+    elif normalization is Normalization.SAMPLE:
+        columns = (numerators,)
+    else:
+        columns = (numerators, sample.correct.astype(np.float64))
+    sums = _resampled_sums(columns, num_resamples, resample_size, rng)
+    if len(columns) == 1:
+        estimates = sums[0] / resample_size
+    else:
+        numerator, denominator = sums
         usable = denominator > 0
         if int(usable.sum()) < 2:
             raise EstimationError(
                 "too few usable bootstrap resamples to estimate sigma"
             )
         estimates = numerator[usable] / denominator[usable]
-    else:
-        if function is AggregateFunction.COUNT:
-            contributions = sample.count_contributions()
-        else:
-            contributions = sample.sum_contributions()
-        picked = contributions[indexes]
-        if normalization is Normalization.SAMPLE:
-            estimates = picked.mean(axis=1)
-        else:
-            correct_counts = sample.correct[indexes].sum(axis=1)
-            usable = correct_counts > 0
-            if int(usable.sum()) < 2:
-                raise EstimationError(
-                    "too few usable bootstrap resamples to estimate sigma"
-                )
-            estimates = picked.sum(axis=1)[usable] / correct_counts[usable]
     return float(np.std(estimates, ddof=1))
 
 
@@ -174,7 +204,9 @@ def blb_confidence_interval(
     """BLB over little samples (Eq. 10-11).
 
     Mean-shaped estimators (COUNT/SUM under SAMPLE normalisation) use the
-    closed-form sigma; everything else uses the vectorised bootstrap.
+    closed-form sigma; everything else uses the vectorised bootstrap, the
+    bags drawing on one generator in turn.  ``resample_size`` defaults to
+    |S_A| (the paper's choice); bags that break the estimator are skipped.
     """
     from repro.query.aggregate import AggregateFunction
 
@@ -209,54 +241,6 @@ def blb_confidence_interval(
                 )
         except EstimationError:
             continue
-        moes.append(critical * sigma)
-    if not moes:
-        raise EstimationError("no little sample produced a usable bootstrap sigma")
-    return ConfidenceInterval(
-        estimate=estimate,
-        moe=float(np.mean(moes)),
-        confidence_level=confidence_level,
-    )
-
-
-def bag_of_little_bootstraps(
-    estimator: EstimatorFn,
-    little_samples: list[EstimationSample],
-    *,
-    estimate: float,
-    confidence_level: float,
-    config: BlbConfig | None = None,
-    resample_size: int | None = None,
-    seed: int | np.random.Generator | None = 0,
-) -> ConfidenceInterval:
-    """Aggregate per-little-sample bootstrap MoEs into the final CI.
-
-    ``resample_size`` defaults to the combined size of all little samples
-    (= |S_A|, the paper's choice).  Little samples whose correct subset is
-    empty are skipped; if all are empty an :class:`EstimationError` rises.
-    """
-    config = config or BlbConfig()
-    rng = ensure_rng(seed)
-    usable = [sample for sample in little_samples if sample.total_draws > 0]
-    if not usable:
-        raise EstimationError("every little sample is empty; cannot build a CI")
-    if resample_size is None:
-        # The paper: "each resample contains |S_A| answers".
-        resample_size = sum(sample.total_draws for sample in usable)
-    critical = normal_critical_value(confidence_level)
-
-    moes = []
-    for sample in usable:
-        try:
-            sigma = bootstrap_sigma(
-                estimator,
-                sample,
-                num_resamples=config.num_resamples,
-                resample_size=resample_size,
-                rng=rng,
-            )
-        except EstimationError:
-            continue  # this little sample cannot support the estimator yet
         moes.append(critical * sigma)
     if not moes:
         raise EstimationError("no little sample produced a usable bootstrap sigma")

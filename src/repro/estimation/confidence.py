@@ -9,6 +9,7 @@ from the (bag-of-little-)bootstrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from scipy import stats
 
@@ -25,6 +26,12 @@ def normal_critical_value(confidence_level: float) -> float:
         raise EstimationError(
             f"confidence level must be in (0, 1), got {confidence_level}"
         )
+    return _critical_value(confidence_level)
+
+
+@lru_cache(maxsize=64)
+def _critical_value(confidence_level: float) -> float:
+    """``norm.ppf`` (~0.2 ms), once per level instead of 2+ times per round."""
     alpha = 1.0 - confidence_level
     return float(stats.norm.ppf(1.0 - alpha / 2.0))
 

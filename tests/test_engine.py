@@ -47,6 +47,21 @@ class TestSimpleQueries:
         assert set(result.stage_ms) >= {"sampling", "estimation"}
         assert result.num_rounds == len(result.rounds)
 
+    def test_distinct_support_indices_follow_growth(self, toy, engine):
+        """The drawn-mask memo equals ``np.unique`` over every draw and is
+        recomputed exactly when the (append-only) little samples grow."""
+        state = engine._initialise(toy.avg_query(), seed=5)
+
+        def oracle() -> np.ndarray:
+            return np.unique(np.concatenate(state.little_samples))
+
+        first = state.distinct_support_indices()
+        assert first.dtype == np.int64 and np.array_equal(first, oracle())
+        assert state.distinct_support_indices() is first
+        engine.executor.grow_extreme(state)  # doubles every little sample
+        grown = state.distinct_support_indices()
+        assert grown is not first and np.array_equal(grown, oracle())
+
     def test_rounds_trace_monotone_draws(self, toy, engine):
         result = engine.execute(toy.count_query())
         draws = [trace.total_draws for trace in result.rounds]

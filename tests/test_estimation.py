@@ -12,7 +12,6 @@ from repro.estimation import (
     EstimationSample,
     Normalization,
     additional_sample_size,
-    bag_of_little_bootstraps,
     bootstrap_sigma,
     estimate,
     estimate_avg,
@@ -24,6 +23,7 @@ from repro.estimation import (
     satisfies_error_bound,
 )
 from repro.estimation.bootstrap import (
+    _BLOCK_INDICES,
     blb_confidence_interval,
     fast_bootstrap_sigma,
     mean_estimator_sigma,
@@ -179,6 +179,16 @@ class TestConfidence:
         with pytest.raises(EstimationError):
             normal_critical_value(1.5)
 
+    def test_memoised_critical_value_is_the_ppf_and_still_validates(self):
+        from scipy import stats
+
+        expected = float(stats.norm.ppf(1.0 - (1.0 - 0.9) / 2.0))
+        for _ in range(2):  # the miss, then the hit
+            assert normal_critical_value(0.9) == expected
+            for invalid in (0.0, 1.0, float("nan")):
+                with pytest.raises(EstimationError):
+                    normal_critical_value(invalid)
+
     def test_interval_fields(self):
         interval = ConfidenceInterval(estimate=10.0, moe=2.0, confidence_level=0.95)
         assert interval.lower == 8.0
@@ -295,16 +305,6 @@ class TestBootstrap:
         with pytest.raises(EstimationError):
             config.little_sample_size(0)
 
-    def test_bag_of_little_bootstraps_generic(self, mixed_sample):
-        interval = bag_of_little_bootstraps(
-            estimate_count,
-            [mixed_sample],
-            estimate=estimate_count(mixed_sample),
-            confidence_level=0.95,
-            seed=0,
-        )
-        assert interval.moe > 0
-
     def test_empty_littles_rejected(self):
         with pytest.raises(EstimationError):
             blb_confidence_interval(
@@ -314,6 +314,130 @@ class TestBootstrap:
                 estimate=0.0,
                 confidence_level=0.95,
             )
+
+
+def _oracle_estimator(function, normalization):
+    """The closure :func:`bootstrap_sigma` needs for one estimator shape."""
+    return lambda sample: estimate(function, sample, normalization)
+
+
+class TestResamplingKernel:
+    """`fast_bootstrap_sigma` against its same-seed oracle, block by block."""
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        """600 draws over a skewed support, about a quarter incorrect."""
+        rng = np.random.default_rng(11)
+        probabilities = rng.dirichlet(np.ones(40))
+        picks = rng.choice(40, size=600, p=probabilities)
+        return make_sample(
+            rng.lognormal(3.0, 1.0, size=40)[picks],
+            probabilities[picks],
+            (rng.random(40) < 0.75)[picks],
+        )
+
+    @pytest.mark.parametrize(
+        "function",
+        [AggregateFunction.AVG, AggregateFunction.COUNT, AggregateFunction.SUM],
+    )
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    @pytest.mark.parametrize(
+        "resample_size, num_resamples",
+        [
+            (_BLOCK_INDICES // 5 - 7, 13),  # 5 rows per block, 13 = 5 + 5 + 3
+            (_BLOCK_INDICES, 3),  # exactly one row per block
+            (_BLOCK_INDICES + 1, 3),  # a row larger than a block
+        ],
+    )
+    def test_same_seed_oracle_equality(
+        self, population, function, normalization, resample_size, num_resamples
+    ):
+        fast = fast_bootstrap_sigma(
+            population, function, normalization,
+            num_resamples=num_resamples, resample_size=resample_size,
+            rng=np.random.default_rng(5),
+        )
+        oracle = bootstrap_sigma(
+            _oracle_estimator(function, normalization), population,
+            num_resamples=num_resamples, resample_size=resample_size,
+            rng=np.random.default_rng(5),
+        )
+        assert fast == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "function, normalization",
+        [
+            (AggregateFunction.AVG, Normalization.SAMPLE),
+            (AggregateFunction.COUNT, Normalization.PAPER),
+            (AggregateFunction.SUM, Normalization.PAPER),
+        ],
+    )
+    def test_zero_denominator_resamples_are_skipped_like_the_oracle(
+        self, function, normalization
+    ):
+        """One correct draw in 30: most 12-draw resamples hold none."""
+        rng = np.random.default_rng(3)
+        sample = make_sample(
+            rng.lognormal(3.0, 1.0, size=30), np.full(30, 1 / 30), np.arange(30) == 4
+        )
+        kwargs = dict(num_resamples=200, resample_size=12)
+        indexes = np.random.default_rng(9).integers(0, 30, size=(200, 12))
+        usable = int((indexes == 4).any(axis=1).sum())
+        assert 2 <= usable < 200  # the case under test exists at this seed
+        fast = fast_bootstrap_sigma(
+            sample, function, normalization, rng=np.random.default_rng(9), **kwargs
+        )
+        oracle = bootstrap_sigma(
+            _oracle_estimator(function, normalization), sample,
+            rng=np.random.default_rng(9), **kwargs,
+        )
+        assert fast == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "resample_size, num_resamples",
+        [(1001, 7), (_BLOCK_INDICES // 3, 50), (_BLOCK_INDICES + 1, 2)],
+    )
+    def test_generator_stream_matches_one_matrix_call(
+        self, population, resample_size, num_resamples
+    ):
+        """Bags and groups share one generator: the kernel must leave it
+        exactly where the single ``(B, n)`` index matrix left it."""
+        blocked, matrix = np.random.default_rng(21), np.random.default_rng(21)
+        fast_bootstrap_sigma(
+            population, AggregateFunction.AVG, Normalization.SAMPLE,
+            num_resamples=num_resamples, resample_size=resample_size, rng=blocked,
+        )
+        matrix.integers(0, population.total_draws, size=(num_resamples, resample_size))
+        # the state carries the buffered half of a 64-bit word, which an odd
+        # number of 32-bit draws (1001 x 7) leaves behind
+        assert blocked.bit_generator.state == matrix.bit_generator.state
+        assert blocked.integers(0, 600, size=9).tolist() == (
+            matrix.integers(0, 600, size=9).tolist()
+        )
+
+    def test_no_index_matrix_is_allocated(self):
+        """b = 25k, n = 77k, B = 50: the parent peaked at ~62 MB (the index
+        matrix plus one gathered matrix); the blocked kernel stays under 8."""
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        sample = make_sample(
+            rng.lognormal(3.0, 1.0, size=25_000),
+            np.full(25_000, 1 / 25_000),
+            rng.random(25_000) < 0.8,
+        )
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            fast_bootstrap_sigma(
+                sample, AggregateFunction.AVG, Normalization.SAMPLE,
+                num_resamples=50, resample_size=77_000, rng=rng,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * 1024 * 1024
 
 
 class TestAccuracy:
