@@ -4,7 +4,7 @@ Execution of ``AQ_G = (Q, f_a)`` is a pipeline of three layers:
 
 1. **Planning (S1)** — :mod:`repro.core.planner` builds one immutable
    :class:`~repro.core.plan.QueryPlan` per query component (scope,
-   Eq. 5 transition, Eq. 6 stationary distribution, Theorem-1 answer
+   closed-form Eq. 5/6 stationary distribution, Theorem-1 answer
    restriction, validator handle) and shares it through the process-wide
    :class:`~repro.core.plan.PlanCache`, so concurrent engines and sessions
    over the same graph reuse plans instead of rebuilding them.

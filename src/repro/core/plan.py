@@ -1,7 +1,7 @@
 """Immutable per-component query plans and the process-wide plan cache.
 
-S1 of Algorithm 2 — scope BFS, Eq. 5 transition assembly, Eq. 6 power
-iteration, candidate restriction — is pure preparation: for a fixed graph
+S1 of Algorithm 2 — scope BFS, the Eq. 5/6 stationary distribution (in
+closed form), candidate restriction — is pure preparation: for a fixed graph
 structure, predicate space and configuration, a component's sampling
 artefacts never change.  This module names that artefact bundle
 :class:`QueryPlan` and shares it across engines through a single
@@ -153,6 +153,12 @@ def plan_from_artifacts(
     )
 
 
+#: revision of the algorithm behind a plan's arrays (1 = capped power
+#: iteration, 2 = closed-form node strengths); part of ``config_token``, so
+#: a catalog never maps an older algorithm's artefact beside fresh plans
+S1_REVISION = 2
+
+
 def plan_fingerprint(config: EngineConfig) -> tuple:
     """The configuration facets a plan's content depends on.
 
@@ -162,9 +168,10 @@ def plan_fingerprint(config: EngineConfig) -> tuple:
     under different thresholds must not share a memo.  The RNG seed only
     matters for the node2vec baseline (the semantic and CNARW walks are
     deterministic), so it joins the fingerprint only there — engines with
-    different seeds still share semantic plans.
+    different seeds still share semantic plans.  :data:`S1_REVISION` leads.
     """
     fingerprint: tuple = (
+        S1_REVISION,
         config.sampler,
         config.n_bound,
         config.self_loop_weight,
@@ -215,8 +222,8 @@ class PlanCache:
     """Process-wide store of S1 plans, shared by every engine on a graph.
 
     Thread-safe; lookups and stores are O(1) dict operations under one
-    lock.  Plan *construction* happens outside the lock (it runs power
-    iteration) — when two engines race to build the same plan, the first
+    lock.  Plan *construction* happens outside the lock (it runs the S1
+    stage) — when two engines race to build the same plan, the first
     stored one wins and the loser adopts it, so a key always resolves to
     one shared object.  A plan built against a structure version that
     moved during construction is returned to its builder but never

@@ -1,16 +1,18 @@
 """The planning layer: S1 preparation producing shared :class:`QueryPlan`s.
 
 A :class:`QueryPlanner` turns one query component into its immutable
-sampling artefacts — scope, Eq. 5 transition, Eq. 6 stationary
-distribution, Theorem-1 answer restriction and the greedy validator — and
-publishes the result in the process-wide :class:`~repro.core.plan.PlanCache`
-so that every engine and session over the same graph, predicate space and
-configuration reuses one plan instead of rebuilding it.  The executor
-(:mod:`repro.core.executor`) consumes plans; the engine facade
-(:mod:`repro.core.engine`) only wires the two together.
+sampling artefacts — scope, closed-form Eq. 5/6 stationary distribution
+(only the CNARW ablation iterates), Theorem-1 answer restriction and the
+greedy validator — and publishes the result in the process-wide
+:class:`~repro.core.plan.PlanCache` so that every engine and session over
+the same graph, predicate space and configuration reuses one plan instead
+of rebuilding it.  The executor (:mod:`repro.core.executor`) consumes
+plans; the engine facade (:mod:`repro.core.engine`) only wires the two.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.core.config import EngineConfig, SamplerKind
 from repro.core.plan import (
@@ -28,11 +30,11 @@ from repro.sampling.chain import ChainSampler
 from repro.sampling.collector import restrict_to_answers
 from repro.sampling.scope import build_scope, resolve_mapping_node
 from repro.sampling.stationary import dense_visiting_array, stationary_distribution
+from repro.sampling.strength import stage_distribution
 from repro.sampling.topology import (
     cnarw_transition_model,
     node2vec_visit_distribution,
 )
-from repro.sampling.transition import TransitionModel
 from repro.semantics.validation import CorrectnessValidator
 from repro.utils.rng import derive_seed
 
@@ -94,6 +96,18 @@ class QueryPlanner:
         self.catalog_hits = 0
         #: unreadable catalog entries encountered (rebuilt + overwritten)
         self.catalog_errors = 0
+        #: CNARW walks out of step budget (``repro_plan_unconverged_walks``)
+        self.unconverged_walks = 0
+        #: the closed-form S1 stage ``(source, predicate, node_types)`` of every
+        #: semantic build: simple plans, chain stages, chain ``visiting`` maps
+        self._stage = partial(
+            stage_distribution,
+            kg,
+            space,
+            n_bound=config.n_bound,
+            self_loop_weight=config.self_loop_weight,
+            similarity_floor=config.similarity_floor,
+        )
 
     @property
     def cache(self) -> PlanCache:
@@ -167,99 +181,81 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # Plan construction (S1)
     # ------------------------------------------------------------------
-    def _build(self, component: PathQuery) -> QueryPlan:
-        if component.is_simple:
-            return self._build_simple(component)
-        return self._build_chain(component)
-
     def _validator(self) -> CorrectnessValidator:
         return build_validator(self._kg, self._space, self.config)
 
-    def _build_simple(self, component: PathQuery) -> QueryPlan:
-        config = self.config
+    def _build(self, component: PathQuery) -> QueryPlan:
         source = resolve_mapping_node(
             self._kg, component.specific_name, component.specific_types
         )
+        if component.is_simple:
+            return self._build_simple(component, source)
+        return self._build_chain(component, source)
+
+    def _build_simple(self, component: PathQuery, source: int) -> QueryPlan:
+        config = self.config
         predicate, target_types = component.hops[0]
-        scope = build_scope(self._kg, source, config.n_bound, target_types)
-        if scope.num_candidates == 0:
-            raise SamplingError(
-                f"no candidate of types {sorted(target_types)} within "
-                f"{config.n_bound} hops of {component.specific_name!r}"
+        iterations = 0  # the paper's N_ws; 0 = closed form, no walk iterated
+        if config.sampler is SamplerKind.SEMANTIC:
+            scope, probabilities, distribution = self._stage(
+                source, predicate, target_types
             )
-        if config.sampler is SamplerKind.NODE2VEC:
-            probabilities = node2vec_visit_distribution(
-                self._kg, scope, seed=derive_seed(config.seed, "node2vec", source)
-            )
-            iterations = 0
         else:
-            if config.sampler is SamplerKind.CNARW:
-                transition = cnarw_transition_model(
-                    self._kg, scope, use_kernels=config.compiled_kernels
+            # The Fig. 5(a) topology ablations ignore predicates, so they
+            # must not ask the embedding to cover the scope's edges.
+            scope = build_scope(self._kg, source, config.n_bound, target_types)
+            if scope.num_candidates == 0:
+                raise SamplingError(
+                    f"no candidate of types {sorted(target_types)} within "
+                    f"{config.n_bound} hops of {component.specific_name!r}"
+                )
+            if config.sampler is SamplerKind.NODE2VEC:
+                probabilities = node2vec_visit_distribution(
+                    self._kg, scope, seed=derive_seed(config.seed, "node2vec", source)
                 )
             else:
-                transition = TransitionModel(
-                    self._kg,
-                    scope,
-                    self._space,
-                    predicate,
-                    self_loop_weight=config.self_loop_weight,
-                    similarity_floor=config.similarity_floor,
+                # CNARW's weights are not symmetric, so its walk has no
+                # closed form: the ablation keeps the power iteration
+                stationary = stationary_distribution(
+                    cnarw_transition_model(
+                        self._kg, scope, use_kernels=config.compiled_kernels
+                    )
                 )
-            stationary = stationary_distribution(transition)
-            probabilities = stationary.probabilities
-            iterations = stationary.iterations
-        distribution = restrict_to_answers(scope, probabilities)
-        visiting = dense_visiting_array(
-            scope.nodes, probabilities, self._kg.num_nodes
-        )
+                self.unconverged_walks += not stationary.converged
+                probabilities = stationary.probabilities
+                iterations = stationary.iterations
+            distribution = restrict_to_answers(scope, probabilities)
         return QueryPlan(
             component=component,
             source=source,
             distribution=distribution,
-            visiting=visiting,
+            visiting=dense_visiting_array(
+                scope.nodes, probabilities, self._kg.num_nodes
+            ),
             walk_iterations=iterations,
             num_candidates=scope.num_candidates,
             validator=self._validator(),
         )
 
-    def _build_chain(self, component: PathQuery) -> QueryPlan:
-        config = self.config
-        sampler = ChainSampler(
-            self._kg,
-            self._space,
-            n_bound=config.n_bound,
-            max_intermediates=config.max_intermediates,
-            self_loop_weight=config.self_loop_weight,
-            similarity_floor=config.similarity_floor,
-        )
-        chain = sampler.build(component)
-        source = resolve_mapping_node(
-            self._kg, component.specific_name, component.specific_types
-        )
+    def _build_chain(self, component: PathQuery, source: int) -> QueryPlan:
         # Chain validation runs lazily per sampled answer (§V-B): the
         # answer-side legs are enumerated from the answer (whose
         # neighbourhood is small), while the hub-side leg reuses the greedy
-        # r-path validator guided by the first hop's stationary map.
-        first_predicate, first_types = component.hops[0]
-        first_scope = build_scope(self._kg, source, config.n_bound, first_types)
-        first_transition = TransitionModel(
+        # r-path validator guided by the first hop's stationary map, so
+        # ``visiting`` is the first hop's.
+        scope, probabilities, first_stage = self._stage(source, *component.hops[0])
+        chain = ChainSampler(
             self._kg,
-            first_scope,
-            self._space,
-            first_predicate,
-            self_loop_weight=config.self_loop_weight,
-            similarity_floor=config.similarity_floor,
-        )
-        first_stationary = stationary_distribution(first_transition)
-        visiting = dense_visiting_array(
-            first_scope.nodes, first_stationary.probabilities, self._kg.num_nodes
-        )
+            self._stage,
+            max_intermediates=self.config.max_intermediates,
+        ).build(component, first_stage)
         return QueryPlan(
             component=component,
             source=source,
             distribution=chain.distribution,
-            visiting=visiting,
+            visiting=dense_visiting_array(
+                scope.nodes, probabilities, self._kg.num_nodes
+            ),
             walk_iterations=chain.expanded_intermediates,
             num_candidates=chain.distribution.support_size,
             chain=chain,

@@ -47,7 +47,8 @@ class ApproximateResult:
     correct_draws: int
     #: milliseconds per stage: sampling / estimation / guarantee (Table XII)
     stage_ms: Mapping[str, float] = field(default_factory=dict)
-    #: power-iteration steps until stationarity (the paper's N_ws)
+    #: power-iteration steps of S1 (the paper's N_ws); 0 = closed form, as
+    #: in every semantic simple plan; chain plans: expanded intermediates
     walk_iterations: int = 0
     #: candidate answer count |A| in the sampling scope
     num_candidates: int = 0

@@ -620,6 +620,10 @@ class AggregateQueryService:
             "catalog_hits", "Plans adopted from a snapshot catalog"
         ).set_function(lambda: self._planner.catalog_hits)
         plan.gauge(
+            "unconverged_walks",
+            "CNARW power iterations that ran out of steps unconverged",
+        ).set_function(lambda: self._planner.unconverged_walks)
+        plan.gauge(
             "cache_hits",
             "Plan-cache hits (process-wide cache, process-lifetime total)",
         ).set_function(lambda: self._planner.cache.hits)

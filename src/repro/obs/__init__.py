@@ -17,6 +17,7 @@ metric                                         type       meaning
 =============================================  =========  ====================================
 ``repro_plan_builds``                          gauge      S1 plans built by this planner
 ``repro_plan_catalog_hits``                    gauge      plans loaded from a snapshot catalog
+``repro_plan_unconverged_walks``               gauge      CNARW walks out of step budget
 ``repro_plan_cache_hits`` / ``_misses``        gauge      plan-cache lookups (process-wide
                                                           cache, process-lifetime totals)
 ``repro_exec_validated_entries_total``         counter    S2 candidate answers validated

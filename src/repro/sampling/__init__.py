@@ -1,12 +1,12 @@
 """Semantic-aware random-walk sampling (paper §IV-A) plus baselines.
 
 Pipeline: :class:`SamplingScope` bounds the walk to the n-hop neighbourhood
-of the mapping node; :class:`TransitionModel` builds the Eq. 5 transition
-probabilities from predicate similarities; :func:`stationary_distribution`
-runs Eq. 6 (power iteration) to convergence; :class:`AnswerCollector` draws
-the i.i.d. answer sample of Theorem 1.  :mod:`~repro.sampling.topology`
-contributes the CNARW / Node2Vec comparison samplers of Fig. 5(a), and
-:mod:`~repro.sampling.chain` the two-stage sampler for chain queries (§V-B).
+of the mapping node; :mod:`~repro.sampling.strength` takes the Eq. 5 walk's
+stationary distribution in closed form (production S1; its oracle is
+:class:`TransitionModel` + :func:`stationary_distribution`, Eq. 6 power
+iteration); :class:`AnswerCollector` draws the i.i.d. answer sample of
+Theorem 1.  :mod:`~repro.sampling.topology` contributes the CNARW / Node2Vec
+samplers of Fig. 5(a), :mod:`~repro.sampling.chain` chain queries (§V-B).
 """
 
 from repro.sampling.chain import ChainSampler

@@ -14,17 +14,17 @@ recorded so experiments can report it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import SamplingError
 from repro.kg.graph import KnowledgeGraph
 from repro.query.answer import SampledAnswer
 from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerDistribution
-from repro.sampling.scope import build_scope, resolve_mapping_node
+from repro.sampling.scope import SamplingScope, resolve_mapping_node
 from repro.utils.rng import ensure_rng
 
 
@@ -49,55 +49,31 @@ class ChainSampler:
     def __init__(
         self,
         kg: KnowledgeGraph,
-        space: PredicateVectorSpace,
+        stage: Callable[
+            [int, str, frozenset[str]],
+            tuple[SamplingScope, np.ndarray, AnswerDistribution],
+        ],
         *,
-        n_bound: int = 3,
         max_intermediates: int = 64,
-        self_loop_weight: float = 0.001,
-        similarity_floor: float = 1e-3,
     ) -> None:
         if max_intermediates < 1:
             raise SamplingError("max_intermediates must be >= 1")
         self._kg = kg
-        self._space = space
-        self.n_bound = n_bound
+        #: one hop's walk ``(source, predicate, node_types)``:
+        #: :func:`~repro.sampling.strength.stage_distribution` bound to its
+        #: graph, space and walk parameters, the same one the planner's
+        #: simple plans use
+        self._stage = stage
         self.max_intermediates = max_intermediates
-        self.self_loop_weight = self_loop_weight
-        self.similarity_floor = similarity_floor
-        from repro.sampling.strength import PredicateEdgeWeights
 
-        self._edge_weights = PredicateEdgeWeights(kg, space, floor=similarity_floor)
+    def build(
+        self, component: PathQuery, first_stage: AnswerDistribution | None = None
+    ) -> ChainDistribution:
+        """Compose the per-hop distributions along ``component``.
 
-    # ------------------------------------------------------------------
-    def _stage_distribution(
-        self, source: int, predicate: str, node_types: frozenset[str]
-    ) -> AnswerDistribution:
-        """Stationary answer distribution of one hop's walk from ``source``.
-
-        Uses the closed-form strength distribution (the walk is reversible;
-        see :mod:`repro.sampling.strength`) so that chains with many
-        intermediates stay affordable — one edge pass per stage instead of
-        one power iteration per intermediate.
+        ``first_stage`` is the first hop's answer distribution when the
+        caller has already walked it (the planner does, for ``visiting``).
         """
-        from repro.sampling.collector import restrict_to_answers
-        from repro.sampling.strength import strength_distribution
-
-        scope = build_scope(self._kg, source, self.n_bound, node_types)
-        if scope.num_candidates == 0:
-            raise SamplingError(
-                f"no candidates of types {sorted(node_types)} within "
-                f"{self.n_bound} hops of node {source}"
-            )
-        probabilities = strength_distribution(
-            self._kg,
-            scope,
-            self._edge_weights.weights(predicate),
-            self_loop_weight=self.self_loop_weight,
-        )
-        return restrict_to_answers(scope, probabilities)
-
-    def build(self, component: PathQuery) -> ChainDistribution:
-        """Compose the per-hop distributions along ``component``."""
         source = resolve_mapping_node(
             self._kg, component.specific_name, component.specific_types
         )
@@ -119,8 +95,10 @@ class ChainSampler:
                 raise SamplingError("chain sampling lost all probability mass")
             for route, probability in kept:
                 start = route[-1] if route else source
+                stage = None if route else first_stage
                 try:
-                    stage = self._stage_distribution(start, predicate, node_types)
+                    if stage is None:
+                        _, _, stage = self._stage(start, predicate, node_types)
                 except SamplingError:
                     continue  # this intermediate reaches no next-hop candidate
                 expanded += 1

@@ -64,22 +64,24 @@ def restrict_to_answers(
     stationary probability is exactly zero are dropped from the support
     (they can never be visited, hence never sampled).
     """
-    index = scope.index_of()
-    answers: list[int] = []
-    raw: list[float] = []
-    for node in scope.candidate_answers:
-        probability = float(stationary[index[node]])
-        if probability > 0.0:
-            answers.append(node)
-            raw.append(probability)
-    if not answers:
+    nodes = np.asarray(scope.nodes, dtype=np.int64)
+    candidates = np.asarray(scope.candidate_answers, dtype=np.int64)
+    # node id -> index within ``scope.nodes``, -1 for ids outside the scope
+    largest = max(nodes.max(), candidates.max(initial=0))
+    positions = np.full(int(largest) + 1, -1, dtype=np.int64)
+    positions[nodes] = np.arange(len(nodes), dtype=np.int64)
+    where = positions[candidates]
+    if (where < 0).any():
+        raise SamplingError("a candidate answer lies outside the scope's nodes")
+    raw = np.asarray(stationary, dtype=np.float64)[where]
+    reachable = raw > 0.0
+    if not reachable.any():
         raise SamplingError(
             "the stationary distribution assigns zero mass to every candidate"
         )
-    probabilities = np.asarray(raw, dtype=np.float64)
-    probabilities = probabilities / probabilities.sum()
+    raw = raw[reachable]
     return AnswerDistribution(
-        answers=np.asarray(answers, dtype=np.int64), probabilities=probabilities
+        answers=candidates[reachable], probabilities=raw / raw.sum()
     )
 
 

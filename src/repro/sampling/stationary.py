@@ -5,6 +5,11 @@ distribution on the mapping node *is* power iteration on the row-stochastic
 matrix P; Lemmas 1-2 (irreducibility + aperiodicity) guarantee convergence
 to the unique stationary distribution.  The iteration count doubles as the
 paper's walk-step statistic N_ws (reported <= 500 in §IV-D).
+
+No semantic plan build runs this: the Eq. 5 walk is reversible, so
+production S1 takes pi in closed form (:mod:`repro.sampling.strength`).
+The iteration stays as that closed form's test oracle and as the solver of
+the CNARW ablation, whose asymmetric weights have no closed form.
 """
 
 from __future__ import annotations
@@ -22,11 +27,13 @@ DEFAULT_MAX_ITERATIONS = 1000
 
 @dataclass(frozen=True)
 class StationaryResult:
-    """The converged distribution and how hard it was to reach."""
+    """The last iterate and how hard it was to reach."""
 
     probabilities: np.ndarray  # aligned with scope.nodes
     iterations: int
     residual: float
+    #: residual < tolerance; False = the step budget ran out first
+    converged: bool
 
     def as_mapping(self, scope_nodes: tuple[int, ...]) -> dict[int, float]:
         """node id -> stationary probability (skips exact zeros)."""
@@ -68,18 +75,15 @@ def stationary_distribution(
 
     Stops when the L1 change between successive iterates drops below
     ``tolerance``.  With ``require_convergence`` the caller opts into a
-    :class:`ConvergenceError` on budget exhaustion; by default the best
-    iterate is returned (the sampler only needs approximate stationarity).
+    :class:`ConvergenceError` on budget exhaustion; by default the last
+    iterate is returned with ``converged=False`` for the caller to count.
     """
     # Row-vector iteration pi <- pi P is computed as P^T @ pi with the
     # transpose materialised once; csr matrix-vector products avoid the
     # per-iteration wrapper objects of ``ndarray @ csr``.
     matrix_t = transition.to_sparse().transpose().tocsr()
-    size = transition.size
-    source_index = transition.scope.index_of()[transition.scope.source]
-
-    pi = np.zeros(size, dtype=np.float64)
-    pi[source_index] = 1.0
+    pi = np.zeros(transition.size, dtype=np.float64)
+    pi[transition.scope.nodes.index(transition.scope.source)] = 1.0
 
     residual = np.inf
     iterations = 0
@@ -99,11 +103,10 @@ def stationary_distribution(
         pi = updated
         if residual < tolerance:
             break
-    else:
-        if require_convergence:
-            raise ConvergenceError(
-                f"power iteration did not converge in {max_iterations} steps "
-                f"(residual {residual:.3e})"
-            )
-
-    return StationaryResult(probabilities=pi, iterations=iterations, residual=residual)
+    converged = residual < tolerance
+    if require_convergence and not converged:
+        raise ConvergenceError(
+            f"power iteration did not converge in {max_iterations} steps "
+            f"(residual {residual:.3e})"
+        )
+    return StationaryResult(pi, iterations, residual, converged)

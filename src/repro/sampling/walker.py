@@ -1,12 +1,12 @@
 """Step-by-step random walker with the walking-with-rejection policy.
 
-The engine computes stationary probabilities by power iteration (see
-:mod:`repro.sampling.stationary`); this module implements the paper's
-literal §IV-A2(2) walker — pick a uniformly random neighbour, accept it
-with probability proportional to its transition weight, repeat — so that
-tests can confirm the two views agree (visit frequencies converge to the
-power-iteration distribution) and experiments can report empirical
-walk-step counts.
+The engine takes stationary probabilities in closed form and tests check
+them against power iteration (:mod:`repro.sampling.stationary`); this
+module implements the paper's literal §IV-A2(2) walker — pick a uniformly
+random neighbour, accept it with probability proportional to its
+transition weight, repeat — so that tests can confirm the views agree
+(visit frequencies converge to the stationary distribution) and
+experiments can report empirical walk-step counts.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class RandomWalker:
         """
         transition = self._transition
         if start_index is None:
-            start_index = transition.scope.index_of()[transition.scope.source]
+            start_index = transition.scope.nodes.index(transition.scope.source)
         visits = np.zeros(transition.size, dtype=np.int64)
         rejections = 0
         current = start_index

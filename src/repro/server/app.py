@@ -119,7 +119,9 @@ def encode_result(
     ``timings=False`` drops every wall-clock field (``stage_ms``, round
     ``seconds``), leaving only value-like content — that is the payload
     equivalence gates compare byte-for-byte against direct in-process
-    execution, where timings legitimately differ.
+    execution, where timings legitimately differ.  ``walk_iterations`` is
+    the paper's N_ws (power-iteration steps of S1); 0 means the plan took
+    pi in closed form, which every semantic simple plan does.
     """
     if isinstance(result, GroupedResult):
         payload = {

@@ -1,5 +1,7 @@
 """Tests for the two-stage chain sampler (§V-B) and chain queries end-to-end."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,13 @@ from repro import (
 from repro.errors import SamplingError
 from repro.query.graph import PathQuery
 from repro.sampling import ChainSampler
+from repro.sampling.strength import stage_distribution
+
+
+@pytest.fixture(scope="module")
+def toy_stage(toy):
+    """One hop's closed-form walk on the toy graph, as a planner binds it."""
+    return partial(stage_distribution, toy.kg, toy.space)
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +35,8 @@ def chain_component(toy) -> PathQuery:
 
 
 @pytest.fixture(scope="module")
-def chain_distribution(toy, chain_component):
-    sampler = ChainSampler(toy.kg, toy.space)
+def chain_distribution(toy, toy_stage, chain_component):
+    sampler = ChainSampler(toy.kg, toy_stage)
     return sampler.build(chain_component)
 
 
@@ -46,29 +55,29 @@ class TestChainSampler:
                 for node in intermediates:
                     assert toy.kg.node(node).has_type("Person")
 
-    def test_collect_draws_with_routes(self, toy, chain_component, chain_distribution):
-        sampler = ChainSampler(toy.kg, toy.space)
+    def test_collect_draws_with_routes(self, toy, toy_stage, chain_distribution):
+        sampler = ChainSampler(toy.kg, toy_stage)
         draws = sampler.collect(chain_distribution, 50, seed=1)
         assert len(draws) == 50
         for draw in draws:
             assert draw.probability > 0
 
-    def test_truncation_flag(self, toy, chain_component):
-        sampler = ChainSampler(toy.kg, toy.space, max_intermediates=2)
+    def test_truncation_flag(self, toy, toy_stage, chain_component):
+        sampler = ChainSampler(toy.kg, toy_stage, max_intermediates=2)
         distribution = sampler.build(chain_component)
         assert distribution.truncated
 
-    def test_invalid_max_intermediates(self, toy):
+    def test_invalid_max_intermediates(self, toy, toy_stage):
         with pytest.raises(SamplingError):
-            ChainSampler(toy.kg, toy.space, max_intermediates=0)
+            ChainSampler(toy.kg, toy_stage, max_intermediates=0)
 
-    def test_impossible_chain_raises(self, toy):
+    def test_impossible_chain_raises(self, toy, toy_stage):
         component = QueryGraph.chain(
             "Germany",
             ["Country"],
             [("nationality", ["Spaceship"]), ("designer", ["Automobile"])],
         ).components[0]
-        sampler = ChainSampler(toy.kg, toy.space)
+        sampler = ChainSampler(toy.kg, toy_stage)
         with pytest.raises(SamplingError):
             sampler.build(component)
 

@@ -24,8 +24,9 @@ from repro.sampling.reference import (
 )
 from repro.sampling.scope import build_scope
 from repro.sampling.stationary import stationary_distribution
-from repro.sampling.strength import PredicateEdgeWeights, strength_distribution
+from repro.sampling.strength import strength_distribution
 from repro.sampling.transition import TransitionModel
+from repro.semantics.similarity import SIMILARITY_FLOOR
 
 TYPE_POOL = ("Car", "Person", "City", "Club", "Thing")
 PREDICATE_POOL = ("product", "assembly", "designer", "country", "misc", "rare")
@@ -107,9 +108,12 @@ class TestEquivalence:
     def test_strength_distribution(self, seed):
         kg, space = random_world(seed)
         scope = build_scope(kg, seed % kg.num_nodes, 3, frozenset(("Car",)))
-        edge_weights = PredicateEdgeWeights(kg, space).weights("product")
+        per_predicate = np.clip(
+            space.known_similarity_row("product", kg.predicates), SIMILARITY_FLOOR, 1.0
+        )
+        edge_weights = per_predicate[kg.edge_predicate_ids()]
         np.testing.assert_allclose(
-            strength_distribution(kg, scope, edge_weights),
+            strength_distribution(kg, space, scope, "product"),
             strength_distribution_python(kg, scope, edge_weights),
             rtol=0.0,
             atol=1e-12,
@@ -180,6 +184,36 @@ class TestPartialEmbedding:
         scope = build_scope(kg, hub, 1, frozenset(("Car",)))
         with pytest.raises(EmbeddingError):
             TransitionModel(kg, scope, space, "knows")
+
+    def test_planner_only_checks_the_scopes_edges(self):
+        """The closed-form S1 stage keeps the contract end to end: an
+        uncovered predicate anywhere else in the graph fails no plan."""
+        from repro import EngineConfig
+        from repro.core.plan import PlanCache
+        from repro.core.planner import QueryPlanner
+        from repro.errors import EmbeddingError
+        from repro.query.graph import QueryGraph
+
+        kg = KnowledgeGraph()
+        hub = kg.add_node("hub", ["Hub"])
+        near = kg.add_node("near", ["Car"])
+        far = kg.add_node("far", ["Car"])
+        kg.add_edge(near, "knows", hub)
+        kg.add_edge(far, "rare_pred", near)  # outside the 1-hop scope
+        space = PredicateVectorSpace(
+            LookupEmbedding({"knows": np.array([1.0, 0.0])})
+        )
+        simple = QueryGraph.simple("hub", ["Hub"], "knows", ["Car"]).components[0]
+
+        def plan(n_bound):
+            planner = QueryPlanner(
+                kg, space, EngineConfig(n_bound=n_bound), cache=PlanCache()
+            )
+            return planner.plan_for(simple)
+
+        assert plan(1).distribution.answers.tolist() == [near]
+        with pytest.raises(EmbeddingError, match="rare_pred"):
+            plan(2)  # now the rare_pred edge is inside the scope
 
     def test_validator_skips_unreached_unknown_predicate(self):
         from repro.semantics.validation import CorrectnessValidator

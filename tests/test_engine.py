@@ -43,7 +43,7 @@ class TestSimpleQueries:
         assert result.total_draws > 0
         assert result.distinct_answers > 0
         assert result.num_candidates >= 80  # 60 correct + 20 near-miss
-        assert result.walk_iterations > 0
+        assert result.walk_iterations == 0  # closed-form S1: no walk iterated
         assert set(result.stage_ms) >= {"sampling", "estimation"}
         assert result.num_rounds == len(result.rounds)
 
@@ -212,6 +212,32 @@ class TestAblationConfigs:
         engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         assert result.total_draws > 0
+        # the ablation's walk has no closed form: it iterates, and says so
+        assert result.walk_iterations > 0
+        assert engine.planner.unconverged_walks == 0
+
+    def test_cnarw_counts_walks_that_run_out_of_steps(self, toy, monkeypatch):
+        from repro.core import planner as planner_module
+        from repro.core.plan import PlanCache
+        from repro.core.service import AggregateQueryService
+        from repro.sampling.stationary import stationary_distribution
+
+        monkeypatch.setattr(
+            planner_module,
+            "stationary_distribution",
+            lambda transition: stationary_distribution(transition, max_iterations=3),
+        )
+        config = EngineConfig(seed=7, sampler=SamplerKind.CNARW, max_rounds=2)
+        planner = planner_module.QueryPlanner(
+            toy.kg, toy.space, config, cache=PlanCache()
+        )
+        with AggregateQueryService(
+            toy.kg, toy.space, config, planner=planner
+        ) as service:
+            plan = planner.plan_for(toy.count_query().query.components[0])
+            exposition = service.registry.render_prometheus()
+        assert (plan.walk_iterations, planner.unconverged_walks) == (3, 1)
+        assert "repro_plan_unconverged_walks 1" in exposition
 
     def test_node2vec_sampler_runs(self, toy):
         config = EngineConfig(seed=7, sampler=SamplerKind.NODE2VEC, max_rounds=3)

@@ -1,19 +1,23 @@
 """Fixed-seed golden results: bit-identity over time as a tier-1 assertion.
 
-``tests/data/golden_fixed_seed.json`` was generated from the parent of the
-PR that replaced the bootstrap's ``(B, |S_A|)`` index matrix with the
-blocked ``_resampled_sums`` kernel, *before* the kernel landed.  Every
-float is stored as ``float.hex()``, so a refactor of S3 (or anything
-upstream of it) that changes one bit of a fixed-seed answer fails here
-instead of in a scratch comparison.  Regenerate only when a change is
-*meant* to move fixed-seed results::
+``tests/data/golden_fixed_seed.json`` stores every float as
+``float.hex()``, so a refactor of S3 (or anything upstream of it) that
+changes one bit of a fixed-seed answer fails here instead of in a scratch
+comparison.  It was last regenerated on purpose by the PR that made the
+closed-form stationary distribution the production S1 path (``plain_avg``,
+``count_paper`` and ``group_by_avg`` moved from the unconverged power
+iterate to the exact pi; ``chain_avg`` was closed-form already and did
+not).  Regenerate only when a change is *meant* to move fixed-seed
+results, and review the move first::
 
-    PYTHONPATH=src python tests/test_golden_fixed_seed.py
+    PYTHONPATH=src python tests/test_golden_fixed_seed.py --diff   # prints, writes nothing
+    PYTHONPATH=src python tests/test_golden_fixed_seed.py          # rewrites the file
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,7 +87,55 @@ def test_fixed_seed_result_is_bit_identical_to_golden(name):
     assert compute(name) == golden[name]
 
 
+def _relative_change(old_hex: str, new_hex: str) -> str:
+    old, new = float.fromhex(old_hex), float.fromhex(new_hex)
+    if old == new:
+        return "equal"
+    return f"{(new - old) / abs(old):+.3e}" if old else f"{old!r} -> {new!r}"
+
+
+def diff_against_golden() -> list[str]:
+    """Per case, which golden fields a fresh run moves and by how much."""
+    golden = json.loads(GOLDEN.read_text())
+    lines = []
+    for name in sorted(CASES):
+        old, new = golden.get(name), compute(name)
+        if old == new:
+            lines.append(f"{name}: unchanged")
+            continue
+        if old is None:
+            lines.append(f"{name}: new case")
+            continue
+        draws = (
+            "equal" if old["draws"] == new["draws"]
+            else f"{old['draws']} -> {new['draws']}"
+        )
+        lines.append(
+            f"{name}: draws {draws}, rounds {len(old['rounds'])} -> {len(new['rounds'])}"
+        )
+        if "estimate" in new:
+            lines.append(
+                f"  estimate {_relative_change(old['estimate'], new['estimate'])}, "
+                f"moe {_relative_change(old['moe'], new['moe'])}, "
+                f"distinct_answers {old['distinct_answers']} -> {new['distinct_answers']}"
+            )
+        for key in sorted(set(old.get("groups", {})) | set(new.get("groups", {}))):
+            before, after = old["groups"].get(key), new["groups"].get(key)
+            if before is None or after is None:
+                lines.append(f"  group {key}: {'added' if before is None else 'removed'}")
+            elif before != after:
+                lines.append(
+                    f"  group {key}: value {_relative_change(before[0], after[0])}, "
+                    f"moe {_relative_change(before[1], after[1])}, "
+                    f"correct_draws {before[2]} -> {after[2]}"
+                )
+    return lines
+
+
 if __name__ == "__main__":
+    if "--diff" in sys.argv[1:]:
+        print("\n".join(diff_against_golden()))
+        sys.exit(0)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(
         json.dumps({name: compute(name) for name in sorted(CASES)}, indent=1) + "\n"

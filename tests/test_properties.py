@@ -202,18 +202,19 @@ class TestWalkProperties:
     def test_stationary_matches_strength_form(self, walk_space, kg):
         """Reversibility: power iteration == strength-proportional closed form."""
         from repro.sampling import build_scope, stationary_distribution
-        from repro.sampling.strength import (
-            PredicateEdgeWeights,
-            strength_distribution,
-        )
+        from repro.sampling.strength import strength_distribution
         from repro.sampling.transition import TransitionModel
 
         scope = build_scope(kg, 0, 3, frozenset({"T"}))
         transition = TransitionModel(kg, scope, walk_space, "query")
-        iterated = stationary_distribution(transition).probabilities
-        weights = PredicateEdgeWeights(kg, walk_space).weights("query")
-        closed = strength_distribution(kg, scope, weights)
-        np.testing.assert_allclose(iterated, closed, atol=1e-5)
+        iterated = stationary_distribution(
+            transition,
+            tolerance=1e-13,
+            max_iterations=20_000,
+            require_convergence=True,
+        ).probabilities
+        closed = strength_distribution(kg, walk_space, scope, "query")
+        np.testing.assert_allclose(iterated, closed, rtol=1e-8, atol=1e-15)
 
 
 class TestMatchingProperties:

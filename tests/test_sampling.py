@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import MappingNodeNotFoundError, SamplingError
+from repro.errors import ConvergenceError, MappingNodeNotFoundError, SamplingError
 from repro.sampling import (
     AnswerCollector,
     RandomWalker,
@@ -11,14 +11,23 @@ from repro.sampling import (
     stationary_distribution,
 )
 from repro.sampling.collector import AnswerDistribution, restrict_to_answers
-from repro.sampling.scope import resolve_mapping_node
-from repro.sampling.strength import PredicateEdgeWeights, strength_distribution
+from repro.sampling.scope import SamplingScope, resolve_mapping_node
+from repro.sampling.strength import strength_distribution
 from repro.sampling.topology import (
     cnarw_transition_model,
     node2vec_visit_distribution,
     uniform_transition_model,
 )
 from repro.sampling.transition import TransitionModel
+
+
+def converged_oracle(transition):
+    """The power iteration run until it really is the fix-point (the
+    default budget stops at residual 1e-10 or 1000 steps, whichever
+    comes first — too loose for an ``rtol`` of 1e-8 on small masses)."""
+    return stationary_distribution(
+        transition, tolerance=1e-13, max_iterations=20_000, require_convergence=True
+    )
 
 
 @pytest.fixture(scope="module")
@@ -122,10 +131,56 @@ class TestStationary:
 
     def test_matches_strength_closed_form(self, toy, toy_scope, toy_transition):
         """Reversible walk: stationary == strength-proportional distribution."""
-        result = stationary_distribution(toy_transition)
-        weights = PredicateEdgeWeights(toy.kg, toy.space).weights("product")
-        closed_form = strength_distribution(toy.kg, toy_scope, weights)
-        np.testing.assert_allclose(result.probabilities, closed_form, atol=1e-6)
+        result = converged_oracle(toy_transition)
+        closed_form = strength_distribution(toy.kg, toy.space, toy_scope, "product")
+        np.testing.assert_allclose(result.probabilities, closed_form, rtol=1e-8)
+
+    def test_closed_form_counts_the_mapping_nodes_self_loop(self, toy, toy_scope):
+        """A heavy Lemma-2 self-loop moves the source's mass in both forms."""
+        transition = TransitionModel(
+            toy.kg, toy_scope, toy.space, "product", self_loop_weight=5.0
+        )
+        heavy = strength_distribution(
+            toy.kg, toy.space, toy_scope, "product", self_loop_weight=5.0
+        )
+        light = strength_distribution(toy.kg, toy.space, toy_scope, "product")
+        assert toy_scope.nodes[0] == toy_scope.source
+        assert heavy[0] > 1.05 * light[0]
+        np.testing.assert_allclose(
+            converged_oracle(transition).probabilities, heavy, rtol=1e-8
+        )
+
+    def test_isolated_scope_node_has_mass_zero_in_both_forms(self, toy_world_factory):
+        """A scope node with no in-scope edge is never reached from the
+        source: 0 under iteration, strength 0 in closed form, and dropped
+        from the answer support."""
+        world = toy_world_factory()
+        island = world.kg.add_node("Island_Car", ["Automobile"])
+        reached = build_scope(world.kg, world.germany, 3, frozenset({"Automobile"}))
+        assert island not in reached.nodes
+        scope = SamplingScope(
+            source=reached.source,
+            n_bound=reached.n_bound,
+            distances={**reached.distances, island: 3},
+            nodes=reached.nodes + (island,),
+            candidate_answers=reached.candidate_answers + (island,),
+        )
+        closed_form = strength_distribution(world.kg, world.space, scope, "product")
+        iterated = converged_oracle(
+            TransitionModel(world.kg, scope, world.space, "product")
+        ).probabilities
+        assert closed_form[-1] == 0.0 and iterated[-1] == 0.0
+        np.testing.assert_allclose(iterated, closed_form, rtol=1e-8)
+        assert island not in restrict_to_answers(scope, closed_form).answers
+
+    def test_unconverged_iterate_is_flagged_or_refused(self, toy_transition):
+        starved = stationary_distribution(toy_transition, max_iterations=3)
+        assert not starved.converged and starved.residual >= 1e-10
+        assert stationary_distribution(toy_transition).converged
+        with pytest.raises(ConvergenceError):
+            stationary_distribution(
+                toy_transition, max_iterations=3, require_convergence=True
+            )
 
     def test_as_mapping_drops_zeros(self, toy_transition):
         result = stationary_distribution(toy_transition)
@@ -145,12 +200,86 @@ class TestStationary:
         )
 
 
+class TestClosedFormIsProduction:
+    """S1 of every semantic plan is the closed form; the iteration is its oracle."""
+
+    @pytest.mark.parametrize(
+        "hub, hub_type, predicate, target",
+        [
+            ("Spain", "Country", "bornIn", "SoccerPlayer"),
+            # the default 1000-step budget leaves this scope unconverged
+            ("FC_Barcelona", "SoccerClub", "playsFor", "SoccerPlayer"),
+            ("FC_Barcelona", "SoccerClub", "academy", "Academy"),
+        ],
+    )
+    def test_matches_converged_iteration_on_yago2_scopes(
+        self, hub, hub_type, predicate, target
+    ):
+        from repro.datasets import ALL_PRESETS
+        from repro.embedding.predicate_space import PredicateVectorSpace
+
+        bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+        space = PredicateVectorSpace(bundle.embedding)
+        source = resolve_mapping_node(bundle.kg, hub, frozenset({hub_type}))
+        scope = build_scope(bundle.kg, source, 3, frozenset({target}))
+        closed_form = strength_distribution(bundle.kg, space, scope, predicate)
+        oracle = converged_oracle(TransitionModel(bundle.kg, scope, space, predicate))
+        np.testing.assert_allclose(oracle.probabilities, closed_form, rtol=1e-8)
+
+    def test_semantic_plan_builds_never_iterate(self, toy, monkeypatch):
+        """Simple and chain ``plan_for`` assemble no transition matrix and
+        run no power iteration (the CNARW ablation still may)."""
+        from repro import EngineConfig
+        from repro.core import planner as planner_module
+        from repro.core.plan import PlanCache
+        from repro.query.graph import QueryGraph
+
+        calls = []
+        for holder, name in (
+            (planner_module, "stationary_distribution"),
+            (TransitionModel, "__init__"),
+            (TransitionModel, "to_sparse"),
+        ):
+            monkeypatch.setattr(
+                holder, name, lambda *a, _name=name, **k: calls.append(_name)
+            )
+        planner = planner_module.QueryPlanner(
+            toy.kg, toy.space, EngineConfig(seed=7), cache=PlanCache()
+        )
+        chain = QueryGraph.chain(
+            "Germany",
+            ["Country"],
+            [("nationality", ["Person"]), ("designer", ["Automobile"])],
+        ).components[0]
+        simple = planner.plan_for(toy.count_query().query.components[0])
+        chained = planner.plan_for(chain)
+        assert planner.build_count == 2 and calls == []
+        assert simple.walk_iterations == 0 and chained.chain is not None
+        assert simple.visiting[toy.germany] > 0 and chained.visiting[toy.germany] > 0
+
+
 class TestAnswerDistribution:
     def test_restrict_to_answers(self, toy, toy_scope, toy_transition):
         result = stationary_distribution(toy_transition)
         distribution = restrict_to_answers(toy_scope, result.probabilities)
         assert distribution.probabilities.sum() == pytest.approx(1.0)
         assert set(distribution.answers) <= set(toy_scope.candidate_answers)
+
+    def test_candidate_outside_the_scope_is_refused(self, toy_scope):
+        """A hand-built scope whose candidate is not one of its nodes must
+        not read another node's probability."""
+        stray = max(toy_scope.nodes) + 5
+        for candidates in ((stray,), toy_scope.candidate_answers + (stray,)):
+            broken = SamplingScope(
+                source=toy_scope.source,
+                n_bound=toy_scope.n_bound,
+                distances=toy_scope.distances,
+                nodes=toy_scope.nodes[:-1],
+                candidate_answers=candidates,
+            )
+            uniform = np.full(len(broken.nodes), 1.0 / len(broken.nodes))
+            with pytest.raises(SamplingError, match="outside the scope"):
+                restrict_to_answers(broken, uniform)
 
     def test_correct_cars_have_higher_mass(self, toy, toy_scope, toy_transition):
         """Semantic-aware sampling prefers semantically similar answers."""

@@ -278,6 +278,39 @@ class TestPlanCatalog:
         assert (other.build_count, other.catalog_hits) == (1, 0)
         assert catalog.stored_plan_count(world.kg) == 2
 
+    def test_plan_of_an_older_s1_algorithm_is_refused(
+        self, world, tmp_path, monkeypatch
+    ):
+        """An artefact the power iteration built is never mapped beside
+        closed-form plans: ``S1_REVISION`` is part of ``config_token``."""
+        from repro.core import plan as plan_module
+
+        catalog = SnapshotCatalog(tmp_path / "catalog")
+        config = EngineConfig(seed=7)
+        component = world.count_query().query.components[0]
+
+        def planner():
+            return QueryPlanner(
+                world.kg, world.space, config, cache=PlanCache(), catalog=catalog
+            )
+
+        current_revision = plan_module.S1_REVISION
+        monkeypatch.setattr(plan_module, "S1_REVISION", current_revision - 1)
+        planner().plan_for(component)
+        stale = catalog.plan_path(world.kg, world.space, config, component)
+        monkeypatch.setattr(plan_module, "S1_REVISION", current_revision)
+
+        assert stale.is_file()
+        with pytest.raises(StoreError, match="config_token"):
+            load_plan_artifacts(stale, world.kg, world.space, config)
+        rebuilt = planner()
+        rebuilt.plan_for(component)
+        assert (rebuilt.build_count, rebuilt.catalog_hits) == (1, 0)
+        # ...and saved back under the current revision
+        reloaded = planner()
+        reloaded.plan_for(component)
+        assert (reloaded.build_count, reloaded.catalog_hits) == (0, 1)
+
     def test_corrupt_catalog_entry_rebuilds_instead_of_failing(self, world, tmp_path):
         """An unreadable plan file must self-heal, not take queries down."""
         catalog = SnapshotCatalog(tmp_path / "catalog")
