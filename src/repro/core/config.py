@@ -89,18 +89,6 @@ class EngineConfig:
     max_intermediates: int = 64
     # Validation search budget
     validation_expansions: int = 120
-    #: route each round's pending answers through the validation service's
-    #: batched pass; off = the seed's per-answer loop (equivalent outcomes,
-    #: kept for the validation benchmark and equivalence tests)
-    batched_validation: bool = True
-    #: run validation searches, shared-trace replay, chain-prefix batches
-    #: and CNARW weights over the array-compiled kernels
-    #: (:mod:`repro.semantics.kernels`); off = the dict/heap reference
-    #: paths (outcome-identical, kept for equivalence tests and benches)
-    compiled_kernels: bool = True
-    #: use the optional numba ``njit`` search kernel when numba is
-    #: importable; silently falls back to pure numpy otherwise
-    kernel_jit: bool = False
     # GROUP-BY: groups smaller than this many observed draws do not gate
     # termination (their CIs are reported as-is)
     min_group_draws: int = 8

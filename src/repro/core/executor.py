@@ -20,12 +20,10 @@ the one-shot path for a fixed seed.
 
 Validation is **batched**: each round's pending support entries are
 validated in one :meth:`CorrectnessValidator.validate_batch` pass per
-component over the validator's shared expansion cache, with verdicts
-memoised on the plan — refinement rounds and interactive sessions never
-revalidate an answer.  The per-answer fallback
-(``EngineConfig.batched_validation = False``) keeps the seed's
-entry-at-a-time loop alive for equivalence tests and the validation
-benchmark.  Validation time is attributed to its own ``"validation"``
+component over the validator's shared expansion trace (chain components
+resolve their prefix levels through the same pass), with verdicts memoised
+on the plan — refinement rounds and interactive sessions never revalidate
+an answer.  Validation time is attributed to its own ``"validation"``
 stage bucket (the paper's Table XII folds it into S2).
 """
 
@@ -49,10 +47,12 @@ from repro.estimation.bootstrap import blb_confidence_interval, fast_bootstrap_s
 from repro.estimation.confidence import ConfidenceInterval
 from repro.estimation.estimators import EstimationSample, estimate, estimate_extreme
 from repro.estimation.extreme import estimate_extreme_evt
+from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
 from repro.query.aggregate import AggregateQuery
 from repro.sampling.collector import AnswerCollector, AnswerDistribution
+from repro.semantics import kernels
 from repro.utils.rng import derive_seed, ensure_rng
 from repro.utils.timing import StageTimer, Timer
 
@@ -563,15 +563,12 @@ class QueryExecutor:
         """Compiled chain-enumeration context for one query predicate.
 
         Built once per ``(predicate, structure version)`` from the shared
-        CSR snapshot; every batched chain-prefix resolution over the same
+        CSR snapshot; every chain-prefix resolution over the same
         predicate then enumerates through plain-list adjacency with
         memoised per-predicate edge logs instead of re-paying the
         ``neighbors``/``predicate_of``/``similarity`` call chain per path
         extension.
         """
-        from repro.kg.csr import csr_snapshot
-        from repro.semantics import kernels
-
         if self._chain_context_version != self._kg.structure_version:
             self._chain_context_cache.clear()
             self._chain_context_version = self._kg.structure_version
@@ -690,87 +687,31 @@ class QueryExecutor:
     ) -> tuple[float, int] | None:
         """Best (log-similarity sum, edge count) for source ->hops[:level]-> node.
 
-        Level 1 uses the greedy r-path validator on the first hop's
-        stationary map; deeper levels enumerate backwards from ``node_id``
-        with a capped DFS (the answer-side neighbourhood is small) and
-        recurse over typed intermediates, memoised per (level, node).
+        A read of the plan's ``(level, node)`` memo; a miss (a single
+        answer asked for on a cold plan) resolves through
+        :meth:`_chain_prefix_batch`.
         """
-        from repro.semantics.matching import best_matches_iterative
-
+        memo = plan.chain_prefix_memo
         key = (level, node_id)
-        if key in plan.chain_prefix_memo:
-            return plan.chain_prefix_memo[key]
-        component = plan.component
-        config = self.config
-        predicate = component.predicates[level - 1]
-
-        result: tuple[float, int] | None = None
-        if level == 1:
-            assert plan.validator is not None
-            outcome = plan.validator.validate(
-                plan.source,
-                node_id,
-                predicate,
-                plan.visiting,
-                stop_threshold=1.0,
-            )
-            if outcome.paths_found:
-                result = (
-                    outcome.best_length * math.log(max(outcome.similarity, 1e-12)),
-                    outcome.best_length,
-                )
-        else:
-            required_types = component.hops[level - 2][1]
-            typed_nodes = self._typed_nodes(required_types)
-            matches = best_matches_iterative(
-                self._kg,
-                self._space,
-                predicate,
-                node_id,
-                config.n_bound,
-                targets=typed_nodes,
-                floor=config.similarity_floor,
-                budget_per_level=config.validation_expansions * 5,
-            )
-            best_mean = 0.0
-            for endpoint, match in matches.items():
-                prefix = self._chain_prefix(plan, level - 1, endpoint)
-                if prefix is None:
-                    continue
-                log_sum = prefix[0] + match.length * math.log(
-                    max(match.similarity, 1e-12)
-                )
-                length = prefix[1] + match.length
-                mean = math.exp(log_sum / length)
-                if mean > best_mean:
-                    best_mean = mean
-                    result = (log_sum, length)
-        plan.chain_prefix_memo[key] = result
-        return result
+        if key not in memo:
+            self._chain_prefix_batch(plan, level, [node_id])
+        return memo[key]
 
     def _chain_prefix_batch(
         self, plan: QueryPlan, level: int, node_ids: list[int]
     ) -> None:
         """Resolve ``(level, node)`` chain prefixes for many endpoints at once.
 
-        The recursive :meth:`_chain_prefix` resolves one endpoint chain at
-        a time, so every level-1 leaf runs its own private validator
-        search.  Driven by arrays of endpoints instead, each level's whole
-        endpoint set resolves together: level 1 goes through one
+        Each level's whole endpoint set resolves together.  Level 1 uses
+        the greedy r-path validator on the first hop's stationary map: one
         :meth:`CorrectnessValidator.validate_batch` pass over the shared
-        compiled trace, deeper levels enumerate their answer-side matches
-        and batch the union of their endpoints one level down.  The
-        arithmetic per endpoint is exactly :meth:`_chain_prefix`'s, and
-        the memo rows written are the same ``(level, node) -> result``
-        entries, so the two drivers are interchangeable mid-query.
-
-        With compiled kernels on, the answer-side enumeration runs
-        through :func:`repro.semantics.kernels.chain_matches` over a
-        cached :class:`~repro.semantics.kernels.ChainContext` — same
-        matches, same order, list-indexed instead of call-chained.
+        trace.  Deeper levels enumerate backwards from each endpoint with
+        a capped DFS (the answer-side neighbourhood is small) —
+        :func:`repro.semantics.kernels.chain_matches` over a cached
+        :class:`~repro.semantics.kernels.ChainContext` — batch the union
+        of the typed intermediates they reach one level down, and keep the
+        best geometric mean per endpoint, memoised per ``(level, node)``.
         """
-        from repro.semantics.matching import best_matches_iterative
-
         memo = plan.chain_prefix_memo
         frontier = [
             node_id
@@ -802,39 +743,18 @@ class QueryExecutor:
                     )
                 memo[(1, node_id)] = result
             return
-        required_types = component.hops[level - 2][1]
-        typed_nodes = self._typed_nodes(required_types)
-        if config.compiled_kernels:
-            from repro.semantics import kernels
-
-            context = self._chain_context(predicate)
-            matches_of = {
-                node_id: kernels.chain_matches(
-                    context,
-                    node_id,
-                    config.n_bound,
-                    typed_nodes,
-                    config.validation_expansions * 5,
-                )
-                for node_id in frontier
-            }
-        else:
-            matches_of = {
-                node_id: {
-                    endpoint: (match.similarity, match.length)
-                    for endpoint, match in best_matches_iterative(
-                        self._kg,
-                        self._space,
-                        predicate,
-                        node_id,
-                        config.n_bound,
-                        targets=typed_nodes,
-                        floor=config.similarity_floor,
-                        budget_per_level=config.validation_expansions * 5,
-                    ).items()
-                }
-                for node_id in frontier
-            }
+        typed_nodes = self._typed_nodes(component.hops[level - 2][1])
+        context = self._chain_context(predicate)
+        matches_of = {
+            node_id: kernels.chain_matches(
+                context,
+                node_id,
+                config.n_bound,
+                typed_nodes,
+                config.validation_expansions * 5,
+            )
+            for node_id in frontier
+        }
         endpoints = [
             endpoint
             for matches in matches_of.values()
@@ -845,7 +765,7 @@ class QueryExecutor:
             best_mean = 0.0
             result = None
             for endpoint, (similarity, match_length) in matches.items():
-                prefix = self._chain_prefix(plan, level - 1, endpoint)
+                prefix = memo[(level - 1, endpoint)]
                 if prefix is None:
                     continue
                 log_sum = prefix[0] + match_length * math.log(
@@ -884,13 +804,11 @@ class QueryExecutor:
     ) -> None:
         """Fill every component's verdict memo for ``node_ids`` in bulk.
 
-        Simple components go through the validation service's batched pass
-        (one shared expansion cache per round); chain components keep their
-        per-answer backwards enumeration, which is already memoised at the
-        prefix level.  With ``batched_validation`` off, everything falls
-        back to the seed's one-answer-at-a-time loop.
+        Simple components go through the validator's batched pass (one
+        shared expansion trace per plan); chain components resolve the
+        whole batch's prefix levels together, so the per-node similarity
+        reads that follow run on warm memos.
         """
-        batched = self.config.batched_validation
         for plan in components:
             missing = [
                 node_id
@@ -899,7 +817,8 @@ class QueryExecutor:
             ]
             if not missing:
                 continue
-            if plan.chain is None and plan.validator is not None and batched:
+            if plan.chain is None:
+                assert plan.validator is not None
                 outcomes = plan.validator.validate_batch(
                     plan.source,
                     missing,
@@ -910,16 +829,7 @@ class QueryExecutor:
                 for node_id, outcome in outcomes.items():
                     plan.similarity_cache[node_id] = outcome.similarity
             else:
-                if (
-                    plan.chain is not None
-                    and batched
-                    and self.config.compiled_kernels
-                ):
-                    # resolve the whole batch's prefix levels together;
-                    # the per-node loop below then runs on warm memos
-                    self._chain_prefix_batch(
-                        plan, plan.component.num_hops, missing
-                    )
+                self._chain_prefix_batch(plan, plan.component.num_hops, missing)
                 for node_id in missing:
                     self._component_similarity(plan, node_id)
 

@@ -55,8 +55,6 @@ def build_validator(
         max_length=config.n_bound,
         floor=config.similarity_floor,
         expansion_budget=config.validation_expansions,
-        use_kernels=config.compiled_kernels,
-        use_jit=config.kernel_jit,
     )
 
 
@@ -217,9 +215,7 @@ class QueryPlanner:
                 # CNARW's weights are not symmetric, so its walk has no
                 # closed form: the ablation keeps the power iteration
                 stationary = stationary_distribution(
-                    cnarw_transition_model(
-                        self._kg, scope, use_kernels=config.compiled_kernels
-                    )
+                    cnarw_transition_model(self._kg, scope)
                 )
                 self.unconverged_walks += not stationary.converged
                 probabilities = stationary.probabilities

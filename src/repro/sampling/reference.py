@@ -5,7 +5,8 @@ over ``kg.neighbors`` tuples and string-keyed similarity lookups.  They are
 no longer called by the engine; they exist so that
 
 * the equivalence tests can pin the vectorised kernels (scope BFS, Eq. 5
-  transition assembly, strength closed form) to the original semantics, and
+  transition assembly, strength closed form, CNARW weights) to the
+  original semantics, and
 * ``benchmarks/bench_perf_hotpath.py`` can report honest before/after
   timings against the exact seed implementation.
 """
@@ -20,6 +21,7 @@ from scipy import sparse
 
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import SamplingError
+from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.sampling.scope import SamplingScope
 from repro.semantics.similarity import SIMILARITY_FLOOR, clamp_similarity
@@ -198,3 +200,32 @@ def strength_distribution_python(
     if total_strength <= 0.0:
         raise SamplingError("scope has no positively weighted edges")
     return strengths / total_strength
+
+
+def cnarw_weights_python(
+    kg: KnowledgeGraph, scope: SamplingScope, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """CNARW weight ``max(1 - |N(u) ∩ N(v)| / min(d(u), d(v)), 0.05)`` per entry.
+
+    The per-entry set-intersection loop :func:`repro.semantics.kernels.cnarw_weights`
+    must reproduce byte for byte; ``rows``/``cols`` index ``scope.nodes``.
+    """
+    snapshot = csr_snapshot(kg)
+    nodes = scope.nodes
+    neighbour_sets: dict[int, set[int]] = {}
+
+    def neighbours_of(node: int) -> set[int]:
+        cached = neighbour_sets.get(node)
+        if cached is None:
+            cached = set(snapshot.neighbors(node)[1].tolist())
+            neighbour_sets[node] = cached
+        return cached
+
+    weights = np.empty(len(rows), dtype=np.float64)
+    for position in range(len(rows)):
+        left = neighbours_of(nodes[int(rows[position])])
+        right = neighbours_of(nodes[int(cols[position])])
+        common = len(left & right)
+        denominator = max(1, min(len(left), len(right)))
+        weights[position] = max(1.0 - common / denominator, 0.05)
+    return weights

@@ -37,10 +37,14 @@ def uniform_transition_model(
 
 
 def cnarw_transition_model(
-    kg: KnowledgeGraph, scope: SamplingScope, *, use_kernels: bool = True
+    kg: KnowledgeGraph, scope: SamplingScope
 ) -> "SimpleTransitionModel":
-    """CNARW-style walk: weight 1 - |N(u) ∩ N(v)| / min(d(u), d(v))."""
-    return SimpleTransitionModel(kg, scope, mode="cnarw", use_kernels=use_kernels)
+    """CNARW-style walk: weight 1 - |N(u) ∩ N(v)| / min(d(u), d(v)).
+
+    Prefers neighbours sharing few common neighbours; the weights' 0.05
+    floor keeps the chain irreducible.
+    """
+    return SimpleTransitionModel(kg, scope, mode="cnarw")
 
 
 class SimpleTransitionModel(TransitionModel):
@@ -50,18 +54,10 @@ class SimpleTransitionModel(TransitionModel):
     plumbing but replaces the Eq. 5 semantic weights with structural ones.
     """
 
-    def __init__(
-        self,
-        kg: KnowledgeGraph,
-        scope: SamplingScope,
-        mode: str,
-        *,
-        use_kernels: bool = True,
-    ) -> None:
+    def __init__(self, kg: KnowledgeGraph, scope: SamplingScope, mode: str) -> None:
         if mode not in ("uniform", "cnarw"):
             raise SamplingError(f"unknown topology mode {mode!r}")
         self._mode = mode
-        self._use_kernels = use_kernels
         # Note: we bypass TransitionModel.__init__ and build rows directly —
         # the semantic constructor requires an embedding space we do not use.
         self.scope = scope
@@ -72,12 +68,10 @@ class SimpleTransitionModel(TransitionModel):
         source_index, rows, cols, edge_ids = self._gather_scope_entries(kg)
         if self._mode == "uniform":
             weights = np.ones(len(rows), dtype=np.float64)
-        elif self._use_kernels:
+        else:
             weights = kernels.cnarw_weights(
                 csr_snapshot(kg), np.asarray(self.scope.nodes), rows, cols
             )
-        else:
-            weights = self._cnarw_weights(kg, rows, cols)
         self._install_rows(
             len(self.scope.nodes),
             source_index,
@@ -87,37 +81,6 @@ class SimpleTransitionModel(TransitionModel):
             edge_ids,
             DEFAULT_SELF_LOOP_WEIGHT,
         )
-
-    def _cnarw_weights(
-        self, kg: KnowledgeGraph, rows: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """CNARW weight 1 - |N(u) ∩ N(v)| / min(d(u), d(v)) per entry.
-
-        Prefers neighbours sharing few common neighbours; the 0.05 floor
-        keeps the chain irreducible.  This is the per-entry Python
-        reference; the default build uses the byte-identical sorted-merge
-        kernel (:func:`repro.semantics.kernels.cnarw_weights`) — this loop
-        stays as the equivalence oracle and the ``use_kernels=False`` path.
-        """
-        snapshot = csr_snapshot(kg)
-        nodes = self.scope.nodes
-        neighbour_sets: dict[int, set[int]] = {}
-
-        def neighbours_of(node: int) -> set[int]:
-            cached = neighbour_sets.get(node)
-            if cached is None:
-                cached = set(snapshot.neighbors(node)[1].tolist())
-                neighbour_sets[node] = cached
-            return cached
-
-        weights = np.empty(len(rows), dtype=np.float64)
-        for position in range(len(rows)):
-            left = neighbours_of(nodes[int(rows[position])])
-            right = neighbours_of(nodes[int(cols[position])])
-            common = len(left & right)
-            denominator = max(1, min(len(left), len(right)))
-            weights[position] = max(1.0 - common / denominator, 0.05)
-        return weights
 
 
 def node2vec_visit_distribution(

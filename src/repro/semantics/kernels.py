@@ -1,39 +1,37 @@
-"""Array-compiled validation kernels (the per-pop Python residue, lowered).
+"""Array-compiled S2 kernels: the one production path per algorithm.
 
-PR 2 batched S2 validation behind a shared expansion trace, but the paths
-the ROADMAP kept flagging as interpreter-bound survived it: the private
-fallback best-first searches, the per-answer trace replay, chain-prefix
-enumeration and the CNARW structural weights all still walked tuples,
-dicts and heaps one entry at a time.  This module compiles that residue
-into array programs, outcome-identical to the dict-based implementations
-in :mod:`repro.semantics.validation` and :mod:`repro.sampling.topology`:
+Everything S2 runs per answer — the greedy r-path search, the shared-trace
+replay, chain-prefix enumeration — and CNARW's structural weights are
+array programs over the CSR snapshot here.  Each is outcome-identical to a
+plain-Python oracle that only tests call
+(:class:`repro.semantics.reference.ReferenceValidator`,
+:func:`repro.semantics.matching.best_matches_iterative`,
+:func:`repro.sampling.reference.cnarw_weights_python`):
 
 * :class:`CompiledContext` — per ``(query predicate, visiting)`` context,
   the whole in-scope neighbourhood is gathered **once** into pruned
   CSR-style arrays: deduplicated per-node adjacency with max
   log-similarity per neighbour (the goal-shortcut table) and the
-  probability-ordered, branch-capped successor beam, in exactly the order
-  ``CorrectnessValidator._expand`` would have produced node by node.
-* :func:`search` — the flat-array best-first search over a compiled
-  context: parent-pointer paths instead of tuple concatenation, heap
-  entries reduced to ``(priority, tiebreak, slot)`` scalars, and an
-  optional :mod:`numba` ``njit`` fast path (see :func:`jit_available`)
-  with this pure-Python/numpy implementation as the always-present
-  fallback — the dependency stays optional.
+  probability-ordered, branch-capped successor beam, in exactly the
+  ``(probability desc, id asc)`` order the seed validator sorts node by node.
+* :func:`search` — the best-first search over a compiled context:
+  parent-pointer paths instead of tuple concatenation, heap entries
+  reduced to ``(priority, tiebreak, slot)`` scalars.
 * :class:`SharedTrace` / :func:`replay` — the answer-independent pop
   sequence compiled to arrays with *inverted* goal and beam-membership
   tables sorted by neighbour id: replaying one answer touches only the
   pops whose node is actually adjacent to it (two ``searchsorted`` calls)
   instead of scanning all ``budget`` pops per answer.
-* :func:`cnarw_weights` — CNARW's per-entry Python set intersections
-  replaced by one sorted-key merge count over the pairs' CSR
-  neighbourhoods.
+* :func:`cnarw_weights` — CNARW's per-entry set intersections as one
+  sorted-key merge count over the pairs' CSR neighbourhoods.
+* :class:`ChainContext` / :func:`chain_matches` — the backwards
+  chain-prefix enumeration (§V-B) over list-unpacked adjacency.
 
-Exactness notes.  All similarity arithmetic keeps the reference
-implementation's operation order and uses scalar :func:`math.exp` (numpy's
-SIMD ``exp`` may differ in the last ulp), so outcomes are byte-identical,
-not merely close.  NaN log-similarities (predicates the embedding does not
-cover) stay lazy: a per-node flag raises through
+Exactness notes.  All similarity arithmetic keeps the oracles' operation
+order and uses scalar :func:`math.exp` (numpy's SIMD ``exp`` may differ in
+the last ulp), so outcomes are byte-identical, not merely close.  NaN
+log-similarities (predicates the embedding does not cover) stay lazy: a
+per-node flag raises through
 :func:`~repro.semantics.similarity.require_known_predicates` only when the
 search actually expands an offending node, matching the seed's per-edge
 lookup failure timing.
@@ -41,9 +39,7 @@ lookup failure timing.
 
 from __future__ import annotations
 
-import heapq
 import math
-import warnings
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -60,269 +56,9 @@ __all__ = [
     "build_trace",
     "chain_matches",
     "cnarw_weights",
-    "jit_available",
     "replay",
     "search",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Optional numba fast path
-# ---------------------------------------------------------------------------
-_JIT_SEARCH = None
-_JIT_STATE = "unprobed"  # "unprobed" | "ready" | "missing" | "failed"
-
-
-def jit_available() -> bool:
-    """True when numba is importable and the search kernel compiled.
-
-    numba is an *optional* dependency: when absent (or when its compile
-    fails) every caller transparently uses the pure-numpy implementations,
-    which are the equivalence-tested source of truth either way.
-    """
-    return _ensure_jit() is not None
-
-
-def _ensure_jit():
-    global _JIT_SEARCH, _JIT_STATE
-    if _JIT_STATE == "unprobed":
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            _JIT_STATE = "missing"
-        else:
-            try:
-                _JIT_SEARCH = _compile_jit_search()
-                _JIT_STATE = "ready"
-            except Exception as error:  # pragma: no cover - numba-specific
-                _JIT_STATE = "failed"
-                warnings.warn(
-                    f"numba present but the search kernel failed to compile "
-                    f"({error!r}); using the pure-numpy fallback",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return _JIT_SEARCH
-
-
-def _compile_jit_search():  # pragma: no cover - requires numba
-    """Compile the flat-array best-first search with numba.
-
-    The kernel mirrors :func:`_python_search` statement for statement over
-    the same compiled arrays: a manual binary heap on ``(priority,
-    tiebreak)`` keyed slots, parent-pointer path reconstruction, and
-    scalar ``math.exp`` for path similarities.  It returns
-    ``(similarity, paths_found, expansions, best_length, bad_node)`` where
-    ``bad_node >= 0`` signals an expanded node with NaN edges — the Python
-    wrapper then raises exactly like the interpreter path.
-    """
-    from numba import njit
-
-    @njit(cache=False)
-    def _jit_search(
-        adj_indptr,
-        adj_nbr,
-        adj_log,
-        beam_indptr,
-        beam_child,
-        beam_log,
-        beam_priority,
-        node_row,
-        nan_flag,
-        visiting,
-        source,
-        answer,
-        repeat_factor,
-        max_length,
-        budget,
-        stop_threshold,
-        use_stop,
-        branch_cap,
-    ):
-        capacity = budget * branch_cap + 2
-        slot_node = np.empty(capacity, dtype=np.int64)
-        slot_log = np.empty(capacity, dtype=np.float64)
-        slot_parent = np.empty(capacity, dtype=np.int64)
-        slot_depth = np.empty(capacity, dtype=np.int64)
-        heap_priority = np.empty(capacity, dtype=np.float64)
-        heap_tiebreak = np.empty(capacity, dtype=np.int64)
-        heap_slot = np.empty(capacity, dtype=np.int64)
-
-        source_probability = 0.0
-        if source < visiting.shape[0]:
-            source_probability = visiting[source]
-        if source_probability <= 0.0:
-            source_probability = 1.0
-        slot_node[0] = source
-        slot_log[0] = 0.0
-        slot_parent[0] = -1
-        slot_depth[0] = 0
-        slots = 1
-        heap_priority[0] = -source_probability
-        heap_tiebreak[0] = 0
-        heap_slot[0] = 0
-        heap_size = 1
-        tiebreak = 1
-
-        best_similarity = 0.0
-        best_length = 0
-        paths_found = 0
-        expansions = 0
-        done = False
-        path = np.empty(max_length + 2, dtype=np.int64)
-
-        while heap_size > 0 and not done and expansions < budget:
-            # heappop: take the root, move the last entry down.
-            top_priority = heap_priority[0]
-            top_tiebreak = heap_tiebreak[0]
-            top_slot = heap_slot[0]
-            heap_size -= 1
-            if heap_size > 0:
-                move_priority = heap_priority[heap_size]
-                move_tiebreak = heap_tiebreak[heap_size]
-                move_slot = heap_slot[heap_size]
-                position = 0
-                while True:
-                    child = 2 * position + 1
-                    if child >= heap_size:
-                        break
-                    right = child + 1
-                    if right < heap_size and (
-                        heap_priority[right] < heap_priority[child]
-                        or (
-                            heap_priority[right] == heap_priority[child]
-                            and heap_tiebreak[right] < heap_tiebreak[child]
-                        )
-                    ):
-                        child = right
-                    if heap_priority[child] < move_priority or (
-                        heap_priority[child] == move_priority
-                        and heap_tiebreak[child] < move_tiebreak
-                    ):
-                        heap_priority[position] = heap_priority[child]
-                        heap_tiebreak[position] = heap_tiebreak[child]
-                        heap_slot[position] = heap_slot[child]
-                        position = child
-                    else:
-                        break
-                heap_priority[position] = move_priority
-                heap_tiebreak[position] = move_tiebreak
-                heap_slot[position] = move_slot
-            _ = top_priority
-            _ = top_tiebreak
-
-            node = slot_node[top_slot]
-            log_sum = slot_log[top_slot]
-            depth = slot_depth[top_slot]
-            expansions += 1
-            if depth >= max_length:
-                continue
-            row = -1
-            if node < node_row.shape[0]:
-                row = node_row[node]
-            if row < 0:
-                # out-of-scope node (only ever the source): the Python
-                # wrapper pre-checks this, but guard anyway
-                return (best_similarity, paths_found, expansions, best_length, -2)
-            if nan_flag[row]:
-                return (best_similarity, paths_found, expansions, best_length, node)
-
-            # reconstruct the on-path node set via parent pointers
-            path_length = 0
-            cursor = top_slot
-            while cursor != -1:
-                path[path_length] = slot_node[cursor]
-                path_length += 1
-                cursor = slot_parent[cursor]
-
-            lo = adj_indptr[row]
-            hi = adj_indptr[row + 1]
-            goal_position = lo + np.searchsorted(adj_nbr[lo:hi], answer)
-            if goal_position < hi and adj_nbr[goal_position] == answer:
-                answer_on_path = False
-                for index in range(path_length):
-                    if path[index] == answer:
-                        answer_on_path = True
-                        break
-                if not answer_on_path:
-                    similarity = math.exp(
-                        (log_sum + adj_log[goal_position]) / (depth + 1)
-                    )
-                    paths_found += 1
-                    if similarity > best_similarity:
-                        best_similarity = similarity
-                        best_length = depth + 1
-                    if paths_found >= repeat_factor or (
-                        use_stop and best_similarity >= stop_threshold
-                    ):
-                        done = True
-                        continue
-
-            for position in range(beam_indptr[row], beam_indptr[row + 1]):
-                child_node = beam_child[position]
-                if child_node == answer:
-                    continue
-                skip = False
-                for index in range(path_length):
-                    if path[index] == child_node:
-                        skip = True
-                        break
-                if skip:
-                    continue
-                slot_node[slots] = child_node
-                slot_log[slots] = log_sum + beam_log[position]
-                slot_parent[slots] = top_slot
-                slot_depth[slots] = depth + 1
-                # heappush: append then bubble up
-                entry_priority = beam_priority[position]
-                entry_tiebreak = tiebreak
-                tiebreak += 1
-                index = heap_size
-                heap_size += 1
-                while index > 0:
-                    parent = (index - 1) // 2
-                    if entry_priority < heap_priority[parent] or (
-                        entry_priority == heap_priority[parent]
-                        and entry_tiebreak < heap_tiebreak[parent]
-                    ):
-                        heap_priority[index] = heap_priority[parent]
-                        heap_tiebreak[index] = heap_tiebreak[parent]
-                        heap_slot[index] = heap_slot[parent]
-                        index = parent
-                    else:
-                        break
-                heap_priority[index] = entry_priority
-                heap_tiebreak[index] = entry_tiebreak
-                heap_slot[index] = slots
-                slots += 1
-
-        return (best_similarity, paths_found, expansions, best_length, -1)
-
-    # Force one compilation now so a broken kernel fails at probe time
-    # (and falls back) instead of mid-query.
-    empty_i = np.zeros(1, dtype=np.int64)
-    empty_f = np.zeros(1, dtype=np.float64)
-    _jit_search(
-        np.zeros(2, dtype=np.int64),
-        empty_i,
-        empty_f,
-        np.zeros(2, dtype=np.int64),
-        empty_i,
-        empty_f,
-        empty_f,
-        np.zeros(1, dtype=np.int64),
-        np.zeros(1, dtype=np.bool_),
-        np.ones(1, dtype=np.float64),
-        0,
-        0,
-        1,
-        1,
-        1,
-        0.0,
-        False,
-        1,
-    )
-    return _jit_search
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +72,7 @@ class CompiledContext:
     context holds the deduplicated adjacency (ascending neighbour id, max
     log-similarity per neighbour — the goal-shortcut table) and the
     probability-ordered branch-capped beam, entry-for-entry identical to
-    what ``CorrectnessValidator._expand`` computes per node.  Out-of-scope
+    what the seed validator's per-node expansion computes.  Out-of-scope
     search sources (the mapping node can sit outside its own scope) are
     expanded lazily into ``extra`` with the same per-node math.
     """
@@ -349,7 +85,6 @@ class CompiledContext:
     branch_cap: int
     num_nodes: int
     node_row: np.ndarray  # node id -> row index, -1 outside the scope
-    row_node: np.ndarray  # row index -> node id
     adj_indptr: np.ndarray
     adj_nbr: np.ndarray  # ascending within each row
     adj_log: np.ndarray  # max log-similarity per (row, neighbour)
@@ -359,7 +94,7 @@ class CompiledContext:
     beam_priority: np.ndarray  # negated visiting probability
     nan_flag: np.ndarray  # per row: some incident edge has a NaN log-sim
     #: lazily expanded out-of-scope nodes: node -> (sorted neighbour ids,
-    #: log-sims, beam list, beam child set)
+    #: log-sims, beam list)
     extra: dict = field(default_factory=dict)
     #: per-node beam lists materialised for the scalar search loop
     _beam_lists: dict = field(default_factory=dict)
@@ -390,20 +125,6 @@ class CompiledContext:
         self._beam_lists[node] = beam
         return beam
 
-    def goal_log(self, node: int, answer: int) -> float | None:
-        """Max log-similarity of a direct ``node -> answer`` edge, if any."""
-        row = int(self.node_row[node]) if node < self.num_nodes else -1
-        if row < 0:
-            nbr, logs, _beam, _beam_set = self._expand_extra(node)
-        else:
-            start, end = int(self.adj_indptr[row]), int(self.adj_indptr[row + 1])
-            nbr = self.adj_nbr[start:end]
-            logs = self.adj_log[start:end]
-        position = int(np.searchsorted(nbr, answer))
-        if position < len(nbr) and int(nbr[position]) == answer:
-            return float(logs[position])
-        return None
-
     def goal_map(self, node: int) -> dict:
         """``{neighbour: max log-similarity}`` for one (expanded) node."""
         cached = self._goal_maps.get(node)
@@ -417,7 +138,7 @@ class CompiledContext:
         """``(sorted neighbour ids, log-sims)`` for one (expanded) node."""
         row = int(self.node_row[node]) if node < self.num_nodes else -1
         if row < 0:
-            nbr, logs, _beam, _beam_set = self._expand_extra(node)
+            nbr, logs, _beam = self._expand_extra(node)
             return nbr, logs
         start, end = int(self.adj_indptr[row]), int(self.adj_indptr[row + 1])
         return self.adj_nbr[start:end], self.adj_log[start:end]
@@ -446,7 +167,7 @@ class CompiledContext:
             (-float(probabilities[index]), int(distinct[index]), float(best[index]))
             for index in order
         ]
-        entry = (distinct, best, beam, frozenset(child for _, child, _ in beam))
+        entry = (distinct, best, beam)
         self.extra[node] = entry
         return entry
 
@@ -471,11 +192,11 @@ def build_context(
 ) -> CompiledContext:
     """Compile one visiting context into a :class:`CompiledContext`.
 
-    One vectorised gather over every in-scope node replaces the per-node
-    ``_expand`` calls: dedup by ``row * num_nodes + neighbour`` keys, max
-    log-similarity via ``np.maximum.at``, and the beam order via one
-    stable ``lexsort`` on ``(row, -probability, adjacency position)`` —
-    the exact ``(probability desc, id asc)`` order the dict path produces.
+    One vectorised gather over every in-scope node: dedup by
+    ``row * num_nodes + neighbour`` keys, max log-similarity via
+    ``np.maximum.at``, and the beam order via one stable ``lexsort`` on
+    ``(row, -probability, adjacency position)`` — the exact
+    ``(probability desc, id asc)`` order the seed's tuple sort produces.
     """
     num_nodes = int(snapshot.num_nodes)
     dense = visiting
@@ -540,7 +261,6 @@ def build_context(
         branch_cap=branch_cap,
         num_nodes=num_nodes,
         node_row=node_row,
-        row_node=in_scope,
         adj_indptr=adj_indptr,
         adj_nbr=adj_nbr,
         adj_log=best,
@@ -563,64 +283,14 @@ def search(
     max_length: int,
     budget: int,
     stop_threshold: float | None,
-    use_jit: bool = False,
 ) -> tuple[float, int, int, int]:
     """One best-first search; returns ``(similarity, paths, expansions, length)``.
 
-    Pop-for-pop identical to ``CorrectnessValidator._search``: the heap
+    Pop-for-pop identical to ``ReferenceValidator.validate``: the heap
     carries ``(priority, tiebreak, slot)`` with parent-pointer paths, so
     comparisons never reach beyond the unique tiebreak and the pop order
     matches the reference tuple heap exactly.
     """
-    if use_jit:
-        jit = _ensure_jit()
-        row = (
-            int(context.node_row[source])
-            if source < context.num_nodes
-            else -1
-        )
-        if jit is not None and row >= 0:
-            result = jit(
-                context.adj_indptr,
-                context.adj_nbr,
-                context.adj_log,
-                context.beam_indptr,
-                context.beam_child,
-                context.beam_log,
-                context.beam_priority,
-                context.node_row,
-                context.nan_flag,
-                context.visiting,
-                source,
-                answer,
-                repeat_factor,
-                max_length,
-                budget,
-                0.0 if stop_threshold is None else float(stop_threshold),
-                stop_threshold is not None,
-                context.branch_cap,
-            )
-            similarity, paths_found, expansions, best_length, bad_node = result
-            if bad_node == -1:
-                return float(similarity), int(paths_found), int(expansions), int(best_length)
-            if bad_node >= 0:
-                context._raise_unknown(int(bad_node))
-            # bad_node == -2: unexpected out-of-scope pop — fall through to
-            # the Python implementation, which handles it
-    return _python_search(
-        context, source, answer, repeat_factor, max_length, budget, stop_threshold
-    )
-
-
-def _python_search(
-    context: CompiledContext,
-    source: int,
-    answer: int,
-    repeat_factor: int,
-    max_length: int,
-    budget: int,
-    stop_threshold: float | None,
-) -> tuple[float, int, int, int]:
     visiting = context.visiting
     source_probability = float(visiting[source]) if source < len(visiting) else 0.0
     if source_probability <= 0.0:
@@ -644,7 +314,7 @@ def _python_search(
         expansions += 1
         if depth >= max_length:
             continue
-        beam = context_beam(node)  # raises on NaN edges, like _expand
+        beam = context_beam(node)  # raises on NaN edges
         # on-path nodes via the parent chain (depth is at most max_length)
         path = [node]
         cursor = parent
@@ -682,7 +352,7 @@ def _python_search(
 class SharedTrace:
     """The answer-independent pop sequence, compiled for sparse replay.
 
-    The legacy replay walks every recorded pop per answer; here the goal
+    A naive replay would walk every recorded pop per answer; here the goal
     and divergence conditions are *inverted* into neighbour-sorted tables
     (``goal_nbr``/``beam_nbr``), so one answer resolves to the handful of
     pops whose node is actually adjacent to it.  Pops that never mention
@@ -706,7 +376,15 @@ class SharedTrace:
 def build_trace(
     context: CompiledContext, source: int, max_length: int, budget: int
 ) -> SharedTrace:
-    """Record the no-goal budgeted pop sequence (``_shared_pops`` compiled)."""
+    """Record the answer-independent budgeted pop sequence from ``source``.
+
+    Runs the best-first search once with *no* goal: no goal shortcut, no
+    answer-push skip, no termination.  A per-answer search only deviates
+    from this sequence where its answer appears in a popped node's beam
+    (the one push the real search skips), so the trace is a sound shared
+    prefix for every answer: :func:`replay` walks it instead of re-running
+    the heap, and reports the first would-be deviation.
+    """
     visiting = context.visiting
     source_probability = float(visiting[source]) if source < len(visiting) else 0.0
     if source_probability <= 0.0:
@@ -742,7 +420,7 @@ def build_trace(
         pop_depth.append(depth)
         pop_path.append(tuple(path))
         if depth >= max_length:
-            continue  # counted but not expanded, like the legacy trace
+            continue  # counted but not expanded
         beam = context.beam(node)  # raises on NaN edges
         pops_of.setdefault(node, []).append(index)
         expanded_order.setdefault(node, None)
@@ -818,11 +496,13 @@ def replay(
 ) -> tuple[float, int, int, int] | None:
     """Replay the shared trace for one answer; ``None`` means must search.
 
-    Semantics match ``CorrectnessValidator._replay`` exactly — the goal
-    shortcut fires off the recorded adjacency, termination counts the
-    same expansions, and the first pop whose beam contains the answer
-    while off-path aborts the replay — but only the pops whose node is
-    adjacent to the answer (goal or beam table hit) are visited.
+    Mirrors :func:`search` pop for pop — the goal shortcut fires off the
+    recorded adjacency, termination counts the same expansions — visiting
+    only the pops whose node is adjacent to the answer (goal or beam table
+    hit).  Returns ``None`` at the first pop whose beam contains the
+    answer while it is off-path: from there the real heap (which skips
+    answer pushes) diverges from the shared one, so the caller runs the
+    private search.  Every returned outcome is exactly :func:`search`'s.
     """
     lo = int(np.searchsorted(trace.goal_nbr, answer, side="left"))
     hi = int(np.searchsorted(trace.goal_nbr, answer, side="right"))
@@ -903,7 +583,7 @@ def cnarw_weights(
     keys resolved by binary search against one global sorted dedup
     adjacency table.  The arithmetic replays the reference expression
     operation for operation, so the weights are byte-identical to
-    :meth:`SimpleTransitionModel._cnarw_weights`'s loop.
+    :func:`repro.sampling.reference.cnarw_weights_python`'s loop.
     """
     scope_nodes = np.asarray(scope_nodes, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)

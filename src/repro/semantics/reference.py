@@ -1,15 +1,20 @@
-"""The seed per-answer validator, preserved as an equivalence oracle.
+"""The seed S2 implementations, preserved as equivalence oracles.
 
-PR 2 moved correctness validation behind the batched validation service
-(:meth:`repro.semantics.validation.CorrectnessValidator.validate_batch`)
-with array-valued visiting probabilities.  This module keeps the seed's
-dict-probing implementation — per-neighbour ``in`` tests and probability
-lookups against the ``{node_id: probability}`` mapping, a tuple-sorted
-successor beam — exactly as the engine's ``_ensure_validated`` drove it one
-entry at a time.  It is the "before" side of
-``benchmarks/bench_perf_validation.py`` and the oracle for the batch
-equivalence tests: for identical inputs the two implementations must
-return identical :class:`ValidationOutcome`\\ s.
+Production S2 runs over the array-compiled kernels
+(:mod:`repro.semantics.kernels`); nothing here is reachable from an engine
+option — only tests call it.
+
+* :class:`ReferenceValidator` keeps the seed's dict-probing search —
+  per-neighbour ``in`` tests and probability lookups against the
+  ``{node_id: probability}`` mapping, a tuple-sorted successor beam —
+  exactly as the engine's ``_ensure_validated`` drove it one entry at a
+  time.  For identical inputs it and
+  :class:`~repro.semantics.validation.CorrectnessValidator` (``validate``
+  and ``validate_batch``) must return identical
+  :class:`ValidationOutcome`\\ s.
+* :func:`chain_prefixes_recursive` keeps the one-endpoint-at-a-time
+  chain-prefix recursion (§V-B) that ``QueryExecutor._chain_prefix_batch``
+  must reproduce memo row for memo row.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
+from repro.semantics.matching import best_matches_iterative
 from repro.semantics.similarity import SIMILARITY_FLOOR, require_known_predicates
 from repro.semantics.validation import (
     DEFAULT_BRANCH_CAP,
@@ -171,3 +177,79 @@ class ReferenceValidator:
             expansions=expansions,
             best_length=best_length,
         )
+
+
+def chain_prefixes_recursive(
+    kg: KnowledgeGraph, space: PredicateVectorSpace, config, plan, node_ids
+) -> dict[tuple[int, int], tuple[float, int] | None]:
+    """The seed's recursive chain-prefix resolution for ``node_ids``.
+
+    Returns ``{(level, node): (log-similarity sum, edge count) | None}`` for
+    ``source ->hops[:level]-> node``: level 1 is one private
+    :class:`ReferenceValidator` search per endpoint on the first hop's
+    stationary map, deeper levels enumerate backwards from the node with
+    :func:`~repro.semantics.matching.best_matches_iterative` and recurse
+    over the typed intermediates one endpoint at a time.  ``config`` and
+    ``plan`` are the engine's ``EngineConfig`` and chain ``QueryPlan``.
+    """
+    component = plan.component
+    visiting = {
+        node: float(probability)
+        for node, probability in enumerate(plan.visiting)
+        if probability > 0.0
+    }
+    validator = ReferenceValidator(
+        kg,
+        space,
+        repeat_factor=config.repeat_factor,
+        max_length=config.n_bound,
+        floor=config.similarity_floor,
+        expansion_budget=config.validation_expansions,
+    )
+    memo: dict[tuple[int, int], tuple[float, int] | None] = {}
+
+    def prefix(level: int, node_id: int) -> tuple[float, int] | None:
+        key = (level, node_id)
+        if key in memo:
+            return memo[key]
+        predicate = component.predicates[level - 1]
+        result: tuple[float, int] | None = None
+        if level == 1:
+            outcome = validator.validate(
+                plan.source, node_id, predicate, visiting, stop_threshold=1.0
+            )
+            if outcome.paths_found:
+                result = (
+                    outcome.best_length * math.log(max(outcome.similarity, 1e-12)),
+                    outcome.best_length,
+                )
+        else:
+            matches = best_matches_iterative(
+                kg,
+                space,
+                predicate,
+                node_id,
+                config.n_bound,
+                targets=kg.nodes_with_any_type(component.hops[level - 2][1]),
+                floor=config.similarity_floor,
+                budget_per_level=config.validation_expansions * 5,
+            )
+            best_mean = 0.0
+            for endpoint, match in matches.items():
+                below = prefix(level - 1, endpoint)
+                if below is None:
+                    continue
+                log_sum = below[0] + match.length * math.log(
+                    max(match.similarity, 1e-12)
+                )
+                length = below[1] + match.length
+                mean = math.exp(log_sum / length)
+                if mean > best_mean:
+                    best_mean = mean
+                    result = (log_sum, length)
+        memo[key] = result
+        return result
+
+    for node_id in node_ids:
+        prefix(component.num_hops, int(node_id))
+    return memo

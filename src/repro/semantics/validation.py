@@ -14,30 +14,31 @@ Properties (paper's effectiveness analysis):
   a better chance of hitting the answer's optimal match.
 
 Implementation notes.  A validator instance is bound to one query component
-and caches, per node, (a) a probability-sorted, branch-capped successor
-list with precomputed log-similarities, and (b) the full adjacency map used
-for the goal shortcut: whenever the expanded node has a direct edge to the
-answer, that path is recorded immediately instead of competing in the heap.
-This keeps one validation at O(budget * branch_cap) heap operations even
-around hubs with thousands of neighbours.  Per-edge log-similarities come
-from one dense log-clamped similarity row indexed by predicate id over the
-CSR snapshot's adjacency slices — no per-edge string lookups.
+and compiles, once per (query predicate, visiting) context, the whole
+in-scope neighbourhood into a :class:`~repro.semantics.kernels.CompiledContext`:
+a deduplicated adjacency table with the max log-similarity per neighbour
+(the goal shortcut: whenever the expanded node has a direct edge to the
+answer, that path is recorded immediately instead of competing in the heap)
+and a probability-sorted, branch-capped successor beam.  This keeps one
+validation at O(budget * branch_cap) heap operations even around hubs with
+thousands of neighbours.  Per-edge log-similarities come from one dense
+log-clamped similarity row indexed by predicate id over the CSR snapshot's
+adjacency slices — no per-edge string lookups.
 
-Visiting probabilities are **array-valued**: callers may pass either the
-legacy ``{node_id: probability}`` mapping or a dense float array over node
-ids (zero = outside the scope).  Mappings are densified once per
-(query predicate, visiting) context, so membership tests and probability
-lookups inside the search are numpy fancy-indexing, not dict probes.
-:meth:`CorrectnessValidator.validate_batch` is the engine's batched entry
-point: it validates a whole round's pending answers in one pass over the
-shared expansion cache.
+Visiting probabilities are **array-valued**: callers may pass either a
+``{node_id: probability}`` mapping or a dense float array over node ids
+(zero = outside the scope).  Mappings are densified once per context.
+:meth:`CorrectnessValidator.validate_batch` is the engine's entry point: it
+records the answer-independent pop sequence once per (context, source),
+replays it per answer (:func:`repro.semantics.kernels.replay`) and runs a
+private :func:`repro.semantics.kernels.search` only for the answers whose
+presence would have altered the frontier.  The seed's dict-probing search
+survives as :class:`repro.semantics.reference.ReferenceValidator`, the
+oracle the tests compare both entry points with.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -47,7 +48,7 @@ from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.semantics import kernels
-from repro.semantics.similarity import SIMILARITY_FLOOR, require_known_predicates
+from repro.semantics.similarity import SIMILARITY_FLOOR
 
 #: default cap on queue pops per validation; bounds worst-case latency.
 DEFAULT_EXPANSION_BUDGET = 120
@@ -58,18 +59,6 @@ DEFAULT_BRANCH_CAP = 16
 #: visiting probabilities: ``{node_id: probability}`` or a dense array over
 #: node ids where zero marks nodes outside the sampling scope.
 VisitingProbabilities = Union[Mapping[int, float], np.ndarray]
-
-#: one recorded pop of the shared (answer-independent) expansion trace:
-#: ``(node, log_sum, on_path, depth, adjacency, beam_children)``; the last
-#: two are None for depth-capped pops that were counted but not expanded.
-_TracedPop = tuple[
-    int,
-    float,
-    tuple[int, ...],
-    int,
-    "dict[int, float] | None",
-    "frozenset[int] | None",
-]
 
 
 @dataclass(frozen=True)
@@ -101,8 +90,6 @@ class CorrectnessValidator:
         floor: float = SIMILARITY_FLOOR,
         expansion_budget: int = DEFAULT_EXPANSION_BUDGET,
         branch_cap: int = DEFAULT_BRANCH_CAP,
-        use_kernels: bool = True,
-        use_jit: bool = False,
     ) -> None:
         if repeat_factor < 1:
             raise ValueError("repeat_factor must be >= 1")
@@ -117,8 +104,6 @@ class CorrectnessValidator:
         self.floor = floor
         self.expansion_budget = expansion_budget
         self.branch_cap = branch_cap
-        self.use_kernels = use_kernels
-        self.use_jit = use_jit
         # caches are (query predicate, visiting context) specific; they
         # reset when the validator is reused for a different context
         self._cache_predicate: str | None = None
@@ -129,126 +114,80 @@ class CorrectnessValidator:
         #: monotone context counter — a stable identity token for the
         #: current cache generation, unaffected by address reuse
         self._context_token = 0
-        self._children: dict[int, list[tuple[float, int, float]]] = {}
-        self._beam_children: dict[int, frozenset[int]] = {}
-        self._adjacency: dict[int, dict[int, float]] = {}
-        self._log_row: np.ndarray | None = None
-        self._visiting: np.ndarray | None = None
-        #: per-source shared expansion traces (see :meth:`_shared_pops`)
-        self._traces: dict[int, list[_TracedPop]] = {}
-        #: compiled-kernel state for the current context
         self._compiled: kernels.CompiledContext | None = None
-        self._kernel_traces: dict[int, kernels.SharedTrace] = {}
+        #: per-source shared (answer-independent) expansion traces
+        self._traces: dict[int, kernels.SharedTrace] = {}
 
     # ------------------------------------------------------------------
-    def _reset_cache(
+    def _context(
         self,
         query_predicate: str,
         visiting_probabilities: VisitingProbabilities,
-    ) -> None:
+    ) -> kernels.CompiledContext:
+        """The compiled context for ``(predicate, visiting)``; built once.
+
+        Reused until the validator is called with a different predicate or
+        visiting object.  Concurrent builders (the serving layer's thread
+        backend shares validators) produce identical contexts, so the last
+        write winning is benign.
+        """
         if (
-            self._context_ref is visiting_probabilities
-            and self._cache_predicate == query_predicate
+            self._context_ref is not visiting_probabilities
+            or self._cache_predicate != query_predicate
         ):
-            return
-        self._cache_predicate = query_predicate
-        self._context_ref = visiting_probabilities
-        self._context_token += 1
-        self._children.clear()
-        self._beam_children.clear()
-        self._adjacency.clear()
-        self._log_row = None
-        self._visiting = None
-        self._traces.clear()
-        self._compiled = None
-        self._kernel_traces.clear()
+            self._cache_predicate = query_predicate
+            self._context_ref = visiting_probabilities
+            self._context_token += 1
+            self._compiled = None
+            self._traces.clear()
+        context = self._compiled
+        if context is None:
+            context = kernels.build_context(
+                self._kg,
+                self._space,
+                csr_snapshot(self._kg),
+                self._log_similarities(query_predicate),
+                self._visiting_array(visiting_probabilities),
+                self.branch_cap,
+            )
+            self._compiled = context
+        return context
 
     def _visiting_array(
         self, visiting_probabilities: VisitingProbabilities
     ) -> np.ndarray:
-        """Dense per-node probability array for the current context.
+        """Dense per-node probability array; arrays pass through untouched.
 
-        Mappings are densified once per cache context; arrays pass through
-        untouched.  A node participates in the search iff its entry is
-        positive — exactly the legacy mapping's membership semantics, since
-        those mappings only ever held strictly positive probabilities.
+        A node participates in the search iff its entry is positive —
+        exactly a mapping's membership semantics, since those mappings only
+        ever hold strictly positive probabilities.
         """
-        if self._visiting is None:
-            if isinstance(visiting_probabilities, np.ndarray):
-                self._visiting = visiting_probabilities
-            else:
-                dense = np.zeros(self._kg.num_nodes, dtype=np.float64)
-                if visiting_probabilities:
-                    nodes = np.fromiter(
-                        visiting_probabilities.keys(),
-                        dtype=np.int64,
-                        count=len(visiting_probabilities),
-                    )
-                    dense[nodes] = np.fromiter(
-                        visiting_probabilities.values(),
-                        dtype=np.float64,
-                        count=len(visiting_probabilities),
-                    )
-                self._visiting = dense
-        return self._visiting
+        if isinstance(visiting_probabilities, np.ndarray):
+            return visiting_probabilities
+        dense = np.zeros(self._kg.num_nodes, dtype=np.float64)
+        if visiting_probabilities:
+            nodes = np.fromiter(
+                visiting_probabilities.keys(),
+                dtype=np.int64,
+                count=len(visiting_probabilities),
+            )
+            dense[nodes] = np.fromiter(
+                visiting_probabilities.values(),
+                dtype=np.float64,
+                count=len(visiting_probabilities),
+            )
+        return dense
 
     def _log_similarities(self, query_predicate: str) -> np.ndarray:
-        """Dense log-clamped similarity per predicate id (cached per query).
+        """Dense log-clamped similarity per predicate id.
 
         Predicates the embedding does not cover hold NaN; like the seed's
-        lazy per-edge lookups, they only raise when an expansion actually
-        touches one of their edges (see :meth:`_expand`).
+        lazy per-edge lookups, they only raise when a search actually
+        expands a node with one of their edges.
         """
-        if self._log_row is None:
-            row = self._space.known_similarity_row(
-                query_predicate, self._kg.predicates
-            )
-            with np.errstate(invalid="ignore"):
-                self._log_row = np.log(np.clip(row, self.floor, 1.0))
-        return self._log_row
-
-    def _expand(
-        self, node: int, query_predicate: str, visiting: np.ndarray
-    ) -> tuple[list[tuple[float, int, float]], dict[int, float]]:
-        """Cached ``(sorted successor beam, full adjacency log-sims)``."""
-        children = self._children.get(node)
-        if children is not None:
-            return children, self._adjacency[node]
-        snapshot = csr_snapshot(self._kg)
-        edge_ids, neighbours = snapshot.neighbors(node)
-        predicate_ids = snapshot.edge_predicate_ids[edge_ids]
-        log_similarities = self._log_similarities(query_predicate)[predicate_ids]
-        # Same failure mode as the seed's per-edge lookup: expanding a node
-        # whose edge predicate the embedding does not know raises.
-        require_known_predicates(
-            self._kg, self._space, predicate_ids, log_similarities
-        )
-        # Best (max) log-similarity per distinct neighbour, vectorised.
-        distinct, inverse = np.unique(neighbours, return_inverse=True)
-        best = np.full(len(distinct), -np.inf, dtype=np.float64)
-        np.maximum.at(best, inverse, log_similarities)
-        adjacency = dict(zip(distinct.tolist(), best.tolist()))
-        # Beam: in-scope successors ordered by (probability desc, id asc).
-        # ``distinct`` is ascending, so a stable sort on the negated
-        # probabilities reproduces the legacy tuple-sort order exactly.
-        probabilities = visiting[distinct]
-        kept = np.flatnonzero(probabilities > 0.0)
-        order = kept[np.argsort(-probabilities[kept], kind="stable")]
-        order = order[: self.branch_cap]
-        beam = [
-            (-float(probabilities[index]), int(distinct[index]), float(best[index]))
-            for index in order
-        ]
-        # Publication order matters when a shared validator is driven by
-        # the serving layer's thread backend: concurrent callers treat a
-        # ``_children`` hit as "this node is fully cached" (the read path
-        # at the top of this method and ``_shared_pops``), so the sibling
-        # dicts must be visible before ``_children`` is — writes of
-        # identical deterministic values are otherwise benign.
-        self._adjacency[node] = adjacency
-        self._beam_children[node] = frozenset(child for _, child, _ in beam)
-        self._children[node] = beam
-        return beam, adjacency
+        row = self._space.known_similarity_row(query_predicate, self._kg.predicates)
+        with np.errstate(invalid="ignore"):
+            return np.log(np.clip(row, self.floor, 1.0))
 
     # ------------------------------------------------------------------
     def validate(
@@ -272,11 +211,10 @@ class CorrectnessValidator:
         found path reaches the threshold the >= tau verdict cannot change
         and the remaining repeat-factor paths are skipped.
         """
-        self._reset_cache(query_predicate, visiting_probabilities)
-        visiting = self._visiting_array(visiting_probabilities)
-        if self.use_kernels:
-            context = self._compiled_context(query_predicate, visiting)
-            similarity, paths_found, expansions, best_length = kernels.search(
+        context = self._context(query_predicate, visiting_probabilities)
+        return ValidationOutcome(
+            answer,
+            *kernels.search(
                 context,
                 source,
                 answer,
@@ -284,205 +222,7 @@ class CorrectnessValidator:
                 self.max_length,
                 self.expansion_budget,
                 stop_threshold,
-                use_jit=self.use_jit,
-            )
-            return ValidationOutcome(
-                answer=answer,
-                similarity=similarity,
-                paths_found=paths_found,
-                expansions=expansions,
-                best_length=best_length,
-            )
-        return self._search(source, answer, query_predicate, visiting, stop_threshold)
-
-    def _compiled_context(
-        self, query_predicate: str, visiting: np.ndarray
-    ) -> kernels.CompiledContext:
-        """Compile the current context once; reused until the next reset.
-
-        Concurrent builders (the serving layer's thread backend shares
-        validators) produce identical contexts, so the last write winning
-        is benign — same reasoning as :meth:`_expand`'s publication note.
-        """
-        context = self._compiled
-        if context is None:
-            context = kernels.build_context(
-                self._kg,
-                self._space,
-                csr_snapshot(self._kg),
-                self._log_similarities(query_predicate),
-                visiting,
-                self.branch_cap,
-            )
-            self._compiled = context
-        return context
-
-    def _search(
-        self,
-        source: int,
-        answer: int,
-        query_predicate: str,
-        visiting: np.ndarray,
-        stop_threshold: float | None,
-    ) -> ValidationOutcome:
-        """One best-first search over the (already normalised) context."""
-        best_similarity = 0.0
-        best_length = 0
-        paths_found = 0
-        expansions = 0
-        tie_breaker = itertools.count()
-
-        source_probability = float(visiting[source]) if source < len(visiting) else 0.0
-        if source_probability <= 0.0:
-            source_probability = 1.0
-        # Heap entries: (-probability, tiebreak, node, log_sim, on_path).
-        heap: list[tuple[float, int, int, float, tuple[int, ...]]] = [
-            (-source_probability, next(tie_breaker), source, 0.0, (source,))
-        ]
-        done = False
-        while heap and not done and expansions < self.expansion_budget:
-            _, _, node, log_sum, on_path = heapq.heappop(heap)
-            depth = len(on_path) - 1
-            expansions += 1
-            if depth >= self.max_length:
-                continue
-            beam, adjacency = self._expand(node, query_predicate, visiting)
-            # Goal shortcut: a direct edge from the expanded node to the
-            # answer completes a path right away.
-            goal_log = adjacency.get(answer)
-            if goal_log is not None and answer not in on_path:
-                similarity = math.exp((log_sum + goal_log) / (depth + 1))
-                paths_found += 1
-                if similarity > best_similarity:
-                    best_similarity = similarity
-                    best_length = depth + 1
-                if paths_found >= self.repeat_factor or (
-                    stop_threshold is not None
-                    and best_similarity >= stop_threshold
-                ):
-                    done = True
-                    continue
-            for priority, child, log_similarity in beam:
-                if child == answer or child in on_path:
-                    continue
-                heapq.heappush(
-                    heap,
-                    (
-                        priority,
-                        next(tie_breaker),
-                        child,
-                        log_sum + log_similarity,
-                        on_path + (child,),
-                    ),
-                )
-        return ValidationOutcome(
-            answer=answer,
-            similarity=best_similarity,
-            paths_found=paths_found,
-            expansions=expansions,
-            best_length=best_length,
-        )
-
-    def _shared_pops(
-        self, source: int, query_predicate: str, visiting: np.ndarray
-    ) -> list[_TracedPop]:
-        """The answer-independent expansion trace from ``source`` (cached).
-
-        Runs the best-first search once with *no* goal: no goal shortcut,
-        no answer-push skip, no termination — just the budgeted pop
-        sequence with each pop's partial-path state, adjacency and beam
-        children.  Because a per-answer search only deviates from this
-        sequence where its answer appears in a popped node's beam (the one
-        push the real search skips), the trace is a sound shared prefix for
-        every answer: :meth:`_replay` walks it instead of re-running the
-        heap, and falls back to a private search exactly at the first
-        would-be deviation.
-        """
-        cached = self._traces.get(source)
-        if cached is not None:
-            return cached
-        pops: list[_TracedPop] = []
-        tie_breaker = itertools.count()
-        source_probability = float(visiting[source]) if source < len(visiting) else 0.0
-        if source_probability <= 0.0:
-            source_probability = 1.0
-        heap: list[tuple[float, int, int, float, tuple[int, ...]]] = [
-            (-source_probability, next(tie_breaker), source, 0.0, (source,))
-        ]
-        expansions = 0
-        while heap and expansions < self.expansion_budget:
-            _, _, node, log_sum, on_path = heapq.heappop(heap)
-            depth = len(on_path) - 1
-            expansions += 1
-            if depth >= self.max_length:
-                pops.append((node, log_sum, on_path, depth, None, None))
-                continue
-            beam, adjacency = self._expand(node, query_predicate, visiting)
-            pops.append(
-                (node, log_sum, on_path, depth, adjacency, self._beam_children[node])
-            )
-            for priority, child, log_similarity in beam:
-                if child in on_path:
-                    continue
-                heapq.heappush(
-                    heap,
-                    (
-                        priority,
-                        next(tie_breaker),
-                        child,
-                        log_sum + log_similarity,
-                        on_path + (child,),
-                    ),
-                )
-        self._traces[source] = pops
-        return pops
-
-    def _replay(
-        self,
-        pops: list[_TracedPop],
-        answer: int,
-        stop_threshold: float | None,
-    ) -> ValidationOutcome | None:
-        """Replay the shared trace for one answer; None = must search.
-
-        Mirrors :meth:`_search` pop for pop: the goal shortcut fires off
-        the recorded adjacency, termination counts the same expansions.
-        Returns None at the first pop whose beam contains the answer while
-        the search would continue — from there the real heap (which skips
-        answer pushes) diverges from the shared one, so the caller runs the
-        private search instead.  Every returned outcome is exactly what
-        :meth:`validate` would produce.
-        """
-        best_similarity = 0.0
-        best_length = 0
-        paths_found = 0
-        expansions = 0
-        for node, log_sum, on_path, depth, adjacency, beam_children in pops:
-            expansions += 1
-            if adjacency is None:  # depth-capped pop: counted, not expanded
-                continue
-            goal_log = adjacency.get(answer)
-            answer_on_path = answer in on_path
-            if goal_log is not None and not answer_on_path:
-                similarity = math.exp((log_sum + goal_log) / (depth + 1))
-                paths_found += 1
-                if similarity > best_similarity:
-                    best_similarity = similarity
-                    best_length = depth + 1
-                if paths_found >= self.repeat_factor or (
-                    stop_threshold is not None
-                    and best_similarity >= stop_threshold
-                ):
-                    break
-            assert beam_children is not None
-            if answer in beam_children and not answer_on_path:
-                return None
-        return ValidationOutcome(
-            answer=answer,
-            similarity=best_similarity,
-            paths_found=paths_found,
-            expansions=expansions,
-            best_length=best_length,
+            ),
         )
 
     def validate_batch(
@@ -495,85 +235,34 @@ class CorrectnessValidator:
     ) -> dict[int, ValidationOutcome]:
         """Validate every distinct answer of a round in one shared pass.
 
-        The batched entry point of the validation service: the visiting
-        context is densified once, the log-similarity row is materialised
-        once, and — the actual batching — the budgeted best-first pop
-        sequence is recorded once per context (:meth:`_shared_pops`) and
-        *replayed* per answer with plain dict lookups instead of re-running
-        the heap search, falling back to a private search only for answers
-        whose presence would have altered the frontier.  Outcomes are
-        exactly those of calling :meth:`validate` per answer.
+        The context is compiled once and — the actual batching — the
+        budgeted best-first pop sequence is recorded once per (context,
+        source) and *replayed* per answer instead of re-running the heap
+        search, falling back to a private search only for answers whose
+        presence would have altered the frontier.  Outcomes are exactly
+        those of calling :meth:`validate` per answer.
         """
-        self._reset_cache(query_predicate, visiting_probabilities)
-        visiting = self._visiting_array(visiting_probabilities)
-        self._log_similarities(query_predicate)
+        context = self._context(query_predicate, visiting_probabilities)
+        trace = self._traces.get(source)
+        if trace is None:
+            trace = kernels.build_trace(
+                context, source, self.max_length, self.expansion_budget
+            )
+            self._traces[source] = trace
         outcomes: dict[int, ValidationOutcome] = {}
-        if self.use_kernels:
-            context = self._compiled_context(query_predicate, visiting)
-            trace = self._kernel_traces.get(source)
-            if trace is None:
-                trace = kernels.build_trace(
-                    context, source, self.max_length, self.expansion_budget
-                )
-                self._kernel_traces[source] = trace
-            for answer in answers:
-                answer = int(answer)
-                if answer in outcomes:
-                    continue
-                result = kernels.replay(
-                    trace, answer, self.repeat_factor, stop_threshold
-                )
-                if result is None:
-                    result = kernels.search(
-                        context,
-                        source,
-                        answer,
-                        self.repeat_factor,
-                        self.max_length,
-                        self.expansion_budget,
-                        stop_threshold,
-                        use_jit=self.use_jit,
-                    )
-                similarity, paths_found, expansions, best_length = result
-                outcomes[answer] = ValidationOutcome(
-                    answer=answer,
-                    similarity=similarity,
-                    paths_found=paths_found,
-                    expansions=expansions,
-                    best_length=best_length,
-                )
-            return outcomes
-        pops = self._shared_pops(source, query_predicate, visiting)
         for answer in answers:
             answer = int(answer)
             if answer in outcomes:
                 continue
-            outcome = self._replay(pops, answer, stop_threshold)
-            if outcome is None:
-                outcome = self._search(
-                    source, answer, query_predicate, visiting, stop_threshold
+            result = kernels.replay(trace, answer, self.repeat_factor, stop_threshold)
+            if result is not None:
+                outcomes[answer] = ValidationOutcome(answer, *result)
+            else:
+                outcomes[answer] = self.validate(
+                    source,
+                    answer,
+                    query_predicate,
+                    visiting_probabilities,
+                    stop_threshold,
                 )
-            outcomes[answer] = outcome
         return outcomes
-
-    def validate_many(
-        self,
-        source: int,
-        answers: list[int],
-        query_predicate: str,
-        visiting_probabilities: VisitingProbabilities,
-        stop_threshold: float | None = None,
-    ) -> dict[int, ValidationOutcome]:
-        """Validate each distinct answer once; results keyed by answer id.
-
-        Delegates to :meth:`validate_batch`; ``stop_threshold`` is routed
-        through so the tau short-circuit that :meth:`validate` supports
-        applies to bulk validation too.
-        """
-        return self.validate_batch(
-            source,
-            answers,
-            query_predicate,
-            visiting_probabilities,
-            stop_threshold=stop_threshold,
-        )

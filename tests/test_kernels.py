@@ -1,19 +1,19 @@
-"""Array-compiled validation kernels vs the dict/heap reference paths.
+"""Array-compiled S2 kernels vs their plain-Python oracles.
 
-The compiled kernels (:mod:`repro.semantics.kernels`) are a pure
-performance layer: for identical inputs they must reproduce the seed
-validator (:mod:`repro.semantics.reference`), the kernels-off
-:class:`~repro.semantics.validation.CorrectnessValidator` paths, and the
-per-entry CNARW loop **exactly** — equal outcome dataclasses, byte-equal
-transition arrays, the same lazy unknown-predicate failures.  Randomised
-worlds here include multi-edges, self-loops and out-of-scope sources; the
-jit variant runs automatically when numba is installed and is skipped
-otherwise (the pure-numpy fallback is always exercised).
+The kernels (:mod:`repro.semantics.kernels`) are the one production path
+per S2 algorithm; for identical inputs they must reproduce the oracles
+**exactly** — the seed validator (:mod:`repro.semantics.reference`) for
+search and replay, ``best_matches_iterative`` and the recursive
+chain-prefix resolution for chain enumeration, the per-entry CNARW loop
+(:mod:`repro.sampling.reference`) for the structural weights: equal
+outcome dataclasses, byte-equal transition arrays, the same lazy
+unknown-predicate failures.  Randomised worlds here include multi-edges,
+self-loops and out-of-scope sources.
 
-Also pinned here: the validator cache-identity regression (satellite of
-the kernels PR) — context caches keyed on ``id(visiting)`` could alias a
-dead context after GC address reuse; the fix keys on object identity with
-a strong reference plus a monotone generation token.
+Also pinned here: the validator cache-identity regression — context caches
+keyed on ``id(visiting)`` could alias a dead context after GC address
+reuse; the fix keys on object identity with a strong reference plus a
+monotone generation token.
 """
 
 from __future__ import annotations
@@ -30,23 +30,20 @@ from repro import (
     PredicateVectorSpace,
     QueryGraph,
 )
-from repro.core.plan import plan_fingerprint, shared_plan_cache
+from repro.core.plan import shared_plan_cache
 from repro.errors import EmbeddingError
 from repro.kg import KnowledgeGraph, csr_snapshot
 from repro.sampling.scope import build_scope
 from repro.sampling.stationary import dense_visiting_array, stationary_distribution
-from repro.sampling.topology import SimpleTransitionModel, cnarw_transition_model
+from repro.sampling.reference import cnarw_weights_python
+from repro.sampling.topology import cnarw_transition_model
 from repro.sampling.transition import TransitionModel
 from repro.semantics import kernels
-from repro.semantics.reference import ReferenceValidator
+from repro.semantics.reference import ReferenceValidator, chain_prefixes_recursive
 from repro.semantics.validation import CorrectnessValidator
 
 TYPE_POOL = ("Car", "Person", "City", "Club", "Thing")
 PREDICATE_POOL = ("product", "assembly", "designer", "country", "misc", "rare")
-
-#: jit variants: the numpy fallback always runs; the njit kernel only when
-#: numba is importable (it is an optional dependency, never required).
-JIT_VARIANTS = [False] + ([True] if kernels.jit_available() else [])
 
 
 def random_world(
@@ -109,86 +106,95 @@ def synthetic_context(kg, seed: int):
     return source, visiting, answers
 
 
-def make_validator(kg, space, *, use_kernels: bool, use_jit: bool = False,
-                   **overrides) -> CorrectnessValidator:
-    return CorrectnessValidator(
-        kg, space, use_kernels=use_kernels, use_jit=use_jit, **overrides
-    )
-
-
-@pytest.mark.parametrize("use_jit", JIT_VARIANTS)
 @pytest.mark.parametrize("seed", range(5))
 class TestSearchEquivalence:
-    """kernels.search == seed ReferenceValidator == kernels-off validator."""
+    """validate (kernels.search) and validate_batch (trace replay, private
+    search on divergence) both equal the seed ReferenceValidator."""
 
-    def test_validate_matches_reference(self, seed, use_jit):
+    def test_validate_matches_reference(self, seed):
         kg, space = random_world(seed)
         source, visiting, answers = search_context(kg, space, seed)
         reference = ReferenceValidator(kg, space)
-        legacy = make_validator(kg, space, use_kernels=False)
-        compiled = make_validator(kg, space, use_kernels=True, use_jit=use_jit)
+        compiled = CorrectnessValidator(kg, space)
         for answer in answers:
             for stop in (None, 0.5, 0.9):
-                expected = reference.validate(
-                    source, answer, "product", visiting, stop_threshold=stop
-                )
-                assert legacy.validate(
-                    source, answer, "product", visiting, stop_threshold=stop
-                ) == expected
                 assert compiled.validate(
                     source, answer, "product", visiting, stop_threshold=stop
-                ) == expected
+                ) == reference.validate(
+                    source, answer, "product", visiting, stop_threshold=stop
+                )
 
-    def test_validate_batch_matches_legacy(self, seed, use_jit):
+    @pytest.mark.parametrize("stop", [None, 0.5, 0.9])
+    def test_validate_batch_matches_reference_on_both_branches(
+        self, seed, stop, monkeypatch
+    ):
+        """Every batched outcome equals the oracle's, and the batch really
+        took both branches: answers ``kernels.replay`` settled and answers
+        it handed to the private search (``None``)."""
         kg, space = random_world(seed)
         source, visiting, answers = search_context(kg, space, seed)
-        legacy = make_validator(kg, space, use_kernels=False)
-        compiled = make_validator(kg, space, use_kernels=True, use_jit=use_jit)
-        # duplicate answers exercise the per-answer dedup
-        batch = answers + answers[:3]
-        for stop in (None, 0.75):
-            expected = legacy.validate_batch(
-                source, batch, "product", visiting, stop_threshold=stop
-            )
-            assert compiled.validate_batch(
-                source, batch, "product", visiting, stop_threshold=stop
-            ) == expected
+        # the scope's full candidate list: the first dozen alone can all
+        # replay cleanly; duplicates exercise the per-answer dedup
+        scope = build_scope(kg, source, 3, frozenset(TYPE_POOL))
+        batch = list(scope.candidate_answers) + answers + answers[:3]
+        replayed: dict[int, bool] = {}
+        real_replay = kernels.replay
 
-    def test_tight_budgets_and_caps(self, seed, use_jit):
+        def recording_replay(trace, answer, repeat_factor, stop_threshold):
+            result = real_replay(trace, answer, repeat_factor, stop_threshold)
+            replayed[answer] = result is not None
+            return result
+
+        monkeypatch.setattr(kernels, "replay", recording_replay)
+        got = CorrectnessValidator(kg, space).validate_batch(
+            source, batch, "product", visiting, stop_threshold=stop
+        )
+        reference = ReferenceValidator(kg, space)
+        assert set(got) == set(batch)
+        for answer, outcome in got.items():
+            assert outcome == reference.validate(
+                source, answer, "product", visiting, stop_threshold=stop
+            )
+        assert set(replayed) == set(batch)
+        assert any(replayed.values()), "no answer was settled by the replay"
+        assert not all(replayed.values()), "no answer fell back to the search"
+
+    def test_tight_budgets_and_caps(self, seed):
         """Small budgets/beams magnify any pop-order or tie-break drift."""
         kg, space = random_world(seed)
         source, visiting, answers = search_context(kg, space, seed)
         for budget, cap, max_length in ((5, 2, 1), (17, 3, 2), (40, 16, 3)):
-            legacy = make_validator(
-                kg, space, use_kernels=False,
-                expansion_budget=budget, branch_cap=cap, max_length=max_length,
+            overrides = dict(
+                expansion_budget=budget, branch_cap=cap, max_length=max_length
             )
-            compiled = make_validator(
-                kg, space, use_kernels=True, use_jit=use_jit,
-                expansion_budget=budget, branch_cap=cap, max_length=max_length,
+            reference = ReferenceValidator(kg, space, **overrides)
+            compiled = CorrectnessValidator(kg, space, **overrides)
+            batched = CorrectnessValidator(kg, space, **overrides).validate_batch(
+                source, answers[:8], "product", visiting
             )
             for answer in answers[:8]:
+                expected = reference.validate(source, answer, "product", visiting)
                 assert compiled.validate(
                     source, answer, "product", visiting
-                ) == legacy.validate(source, answer, "product", visiting)
+                ) == expected
+                assert batched[answer] == expected
 
 
-@pytest.mark.parametrize("use_jit", JIT_VARIANTS)
 class TestUnknownPredicateFailures:
     """The lazy NaN raise fires at the same expansions as the seed's."""
 
-    def test_raises_match_legacy(self, use_jit):
+    def test_raises_match_reference(self):
         # "rare" edges exist in the graph but are unknown to the embedding;
         # validation fails only when the search actually expands a node
         # with a "rare" edge — never earlier, never later.
         kg, space = random_world(11, known_predicates=PREDICATE_POOL[:-1])
         source, visiting, answers = synthetic_context(kg, 11)
-        legacy = make_validator(kg, space, use_kernels=False)
-        compiled = make_validator(kg, space, use_kernels=True, use_jit=use_jit)
+        reference = ReferenceValidator(kg, space)
+        compiled = CorrectnessValidator(kg, space)
         failures = 0
         for answer in answers:
             try:
-                expected = legacy.validate(source, answer, "product", visiting)
+                expected = reference.validate(source, answer, "product", visiting)
             except EmbeddingError:
                 failures += 1
                 with pytest.raises(EmbeddingError):
@@ -199,20 +205,20 @@ class TestUnknownPredicateFailures:
                 ) == expected
         assert failures > 0, "world must exercise the unknown-predicate path"
 
-    def test_batch_raises_match_legacy(self, use_jit):
+    def test_batch_raises_when_an_answer_would(self):
+        """A batch holding an answer whose private search hits a "rare"
+        edge raises too: either the shared trace expands the node, or the
+        replay diverges and the private search does."""
         kg, space = random_world(11, known_predicates=PREDICATE_POOL[:-1])
         source, visiting, answers = synthetic_context(kg, 11)
-        legacy = make_validator(kg, space, use_kernels=False)
-        compiled = make_validator(kg, space, use_kernels=True, use_jit=use_jit)
-        try:
-            expected = legacy.validate_batch(source, answers, "product", visiting)
-        except EmbeddingError:
-            with pytest.raises(EmbeddingError):
-                compiled.validate_batch(source, answers, "product", visiting)
-        else:
-            assert compiled.validate_batch(
+        reference = ReferenceValidator(kg, space)
+        with pytest.raises(EmbeddingError):
+            for answer in answers:
+                reference.validate(source, answer, "product", visiting)
+        with pytest.raises(EmbeddingError):
+            CorrectnessValidator(kg, space).validate_batch(
                 source, answers, "product", visiting
-            ) == expected
+            )
 
 
 class TestCnarwEquivalence:
@@ -224,21 +230,21 @@ class TestCnarwEquivalence:
         rng = np.random.default_rng(seed + 9000)
         source = int(rng.integers(0, kg.num_nodes))
         scope = build_scope(kg, source, 3, frozenset(TYPE_POOL))
-        legacy = SimpleTransitionModel(kg, scope, "cnarw", use_kernels=False)
-        compiled = SimpleTransitionModel(kg, scope, "cnarw", use_kernels=True)
-        for name in ("_indptr", "_neighbours", "_probabilities", "_edge_ids"):
-            ours, theirs = getattr(compiled, name), getattr(legacy, name)
-            assert ours.dtype == theirs.dtype
-            assert ours.tobytes() == theirs.tobytes(), name
+        self._assert_weights_match(kg, scope)
 
     def test_kernel_function_matches_reference_loop(self, toy):
         scope = build_scope(toy.kg, toy.germany, 3, frozenset(["Automobile"]))
-        model = cnarw_transition_model(toy.kg, scope)
-        _, rows, cols, _ = model._gather_scope_entries(toy.kg)
-        expected = model._cnarw_weights(toy.kg, rows, cols)
+        self._assert_weights_match(toy.kg, scope)
+
+    @staticmethod
+    def _assert_weights_match(kg, scope):
+        _, rows, cols, _ = cnarw_transition_model(kg, scope)._gather_scope_entries(kg)
+        assert len(rows) > 0
+        expected = cnarw_weights_python(kg, scope, rows, cols)
         got = kernels.cnarw_weights(
-            csr_snapshot(toy.kg), np.asarray(scope.nodes), rows, cols
+            csr_snapshot(kg), np.asarray(scope.nodes), rows, cols
         )
+        assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
     def test_empty_pairs(self, toy):
@@ -255,7 +261,7 @@ class TestContextCacheIdentity:
     """Regression: context caches must never alias via ``id()`` reuse."""
 
     def test_same_object_keeps_cache_generation(self, toy):
-        validator = make_validator(toy.kg, toy.space, use_kernels=True)
+        validator = CorrectnessValidator(toy.kg, toy.space)
         source, visiting, answers = search_context(toy.kg, toy.space, 0)
         validator.validate(source, answers[0], "product", visiting)
         token = validator._context_token
@@ -265,7 +271,7 @@ class TestContextCacheIdentity:
         assert validator._compiled is compiled
 
     def test_equal_but_distinct_object_resets(self, toy):
-        validator = make_validator(toy.kg, toy.space, use_kernels=True)
+        validator = CorrectnessValidator(toy.kg, toy.space)
         source, visiting, answers = search_context(toy.kg, toy.space, 0)
         validator.validate(source, answers[0], "product", visiting)
         token = validator._context_token
@@ -275,19 +281,18 @@ class TestContextCacheIdentity:
     def test_context_pinned_against_collection(self, toy):
         """The cached context object cannot be garbage collected while it
         is the cache key, so a recycled address can never impersonate it."""
-        validator = make_validator(toy.kg, toy.space, use_kernels=True)
+        validator = CorrectnessValidator(toy.kg, toy.space)
         source, visiting, answers = search_context(toy.kg, toy.space, 0)
         validator.validate(source, answers[0], "product", visiting)
         assert validator._context_ref is visiting
 
-    @pytest.mark.parametrize("use_kernels", [False, True])
-    def test_gc_address_reuse_never_serves_stale_caches(self, toy, use_kernels):
+    def test_gc_address_reuse_never_serves_stale_caches(self, toy):
         """The original bug: caches keyed on ``id(visiting)`` survived the
         dict's death; a fresh context allocated at the recycled address
         then reused a dead context's expansions.  Fresh short-lived dicts
         per iteration make CPython recycle addresses aggressively; every
         outcome must match a cold validator's."""
-        shared = make_validator(toy.kg, toy.space, use_kernels=use_kernels)
+        shared = CorrectnessValidator(toy.kg, toy.space)
         source, base_visiting, answers = search_context(toy.kg, toy.space, 0)
         rng = np.random.default_rng(42)
         for trial in range(12):
@@ -298,37 +303,11 @@ class TestContextCacheIdentity:
             }
             got = shared.validate(source, answers[trial % len(answers)],
                                   "product", visiting)
-            cold = make_validator(
-                toy.kg, toy.space, use_kernels=use_kernels
-            ).validate(source, answers[trial % len(answers)], "product", visiting)
+            cold = CorrectnessValidator(toy.kg, toy.space).validate(
+                source, answers[trial % len(answers)], "product", visiting
+            )
             assert got == cold, f"stale cache served on trial {trial}"
             del visiting  # free the dict so the next trial may reuse its address
-
-
-class TestJitFallback:
-    def test_jit_flag_safe_without_numba(self, toy):
-        """use_jit=True must silently fall back when numba is missing."""
-        validator = make_validator(
-            toy.kg, toy.space, use_kernels=True, use_jit=True
-        )
-        reference = ReferenceValidator(toy.kg, toy.space)
-        source, visiting, answers = search_context(toy.kg, toy.space, 3)
-        for answer in answers[:6]:
-            assert validator.validate(
-                source, answer, "product", visiting
-            ) == reference.validate(source, answer, "product", visiting)
-
-    def test_jit_availability_probe_is_stable(self):
-        assert kernels.jit_available() == kernels.jit_available()
-
-
-class TestPlanFingerprintStability:
-    def test_kernel_flags_do_not_split_plans(self, toy):
-        """Outcome-identical flags must share plans, memos and snapshots."""
-        base = EngineConfig(seed=7)
-        for on, jit in ((False, False), (True, False), (True, True)):
-            variant = EngineConfig(seed=7, compiled_kernels=on, kernel_jit=jit)
-            assert plan_fingerprint(variant) == plan_fingerprint(base)
 
 
 def _chain_query() -> AggregateQuery:
@@ -428,52 +407,68 @@ class TestChainKernelEquivalence:
             outcomes.append(expected)
         assert EmbeddingError in outcomes  # the corner case actually fired
 
-    def test_batched_memo_equals_recursive_driver(self, toy):
-        """The bench's equivalence gate, in-tree: same memo rows."""
+    def test_batched_memo_equals_recursive_oracle(self, toy):
+        """``_chain_prefix_batch`` writes the recursion's memo, row for row."""
         from repro.core.executor import QueryExecutor
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
 
         component = _chain_query().query.components[0]
-        num_hops = component.num_hops
+        config = EngineConfig(seed=7)
+        planner = QueryPlanner(toy.kg, toy.space, config, cache=PlanCache())
+        executor = QueryExecutor(toy.kg, toy.space, config, planner)
+        plan = planner.plan_for(component)
+        answers = sorted(plan.distribution.answers.tolist())
 
-        def fill(compiled: bool, batched: bool) -> dict:
-            config = EngineConfig(seed=7, compiled_kernels=compiled)
-            planner = QueryPlanner(toy.kg, toy.space, config, cache=PlanCache())
-            executor = QueryExecutor(toy.kg, toy.space, config, planner)
-            plan = planner.plan_for(component)
-            answers = sorted(plan.distribution.answers.tolist())
-            if batched:
-                executor._chain_prefix_batch(plan, num_hops, answers)
-            else:
-                for answer in answers:
-                    executor._chain_prefix(plan, num_hops, answer)
-            return plan.chain_prefix_memo
-
-        baseline = fill(compiled=False, batched=False)
-        assert baseline  # non-trivial workload
-        assert fill(compiled=True, batched=True) == baseline
-        assert fill(compiled=False, batched=True) == baseline
+        expected = chain_prefixes_recursive(
+            toy.kg, toy.space, config, plan, answers
+        )
+        assert any(row is not None for row in expected.values())
+        assert {level for level, _ in expected} == {1, 2}
+        executor._chain_prefix_batch(plan, component.num_hops, answers)
+        assert plan.chain_prefix_memo == expected
 
 
 class TestEngineLevelEquivalence:
-    """Kernels on/off is invisible to fixed-seed engine results."""
-
     @pytest.mark.parametrize("query_name", ["count", "chain"])
-    def test_kernel_flag_does_not_change_results(self, toy, query_name):
+    def test_cold_answer_similarity_equals_executed_plan(
+        self, toy_world_factory, query_name
+    ):
+        """``answer_similarity`` on a cold memo (one answer at a time:
+        ``validate`` for a simple plan, a one-element chain-prefix batch
+        for a chain) equals what a full ``execute`` memoised in bulk."""
         from repro import ApproximateAggregateEngine
 
-        query = toy.count_query() if query_name == "count" else _chain_query()
-        fingerprints = []
-        for on in (False, True):
-            shared_plan_cache().clear()
-            config = EngineConfig(seed=7, max_rounds=8, compiled_kernels=on)
-            engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
-            fingerprints.append(_result_fingerprint(engine.execute(query)))
-        assert fingerprints[0] == fingerprints[1]
+        world = toy_world_factory()
+        query = world.count_query() if query_name == "count" else _chain_query()
+        component = query.query.components[0]
+        config = EngineConfig(seed=7, max_rounds=8)
 
-    def test_cross_backend_byte_identity_with_kernels(self, toy_world_factory):
-        """The parallel acceptance gate holds with the kernels enabled."""
+        shared_plan_cache().clear()
+        cold_engine = ApproximateAggregateEngine(world.kg, world.embedding, config)
+        cold_plan = cold_engine.planner.plan_for(component)
+        assert not cold_plan.similarity_cache
+        assert not cold_plan.chain_prefix_memo
+        cold = {
+            answer: cold_engine.answer_similarity([cold_plan], answer)
+            for answer in cold_plan.distribution.answers.tolist()
+        }
+
+        shared_plan_cache().clear()
+        engine = ApproximateAggregateEngine(world.kg, world.embedding, config)
+        engine.execute(query)
+        plan = engine.planner.plans[component]
+        assert plan is not cold_plan
+        assert plan.similarity_cache
+        for answer, similarity in plan.similarity_cache.items():
+            assert engine.answer_similarity([plan], answer) == similarity
+            assert cold[answer] == similarity
+        for key, row in plan.chain_prefix_memo.items():
+            assert cold_plan.chain_prefix_memo[key] == row
+        assert bool(plan.chain_prefix_memo) == (query_name == "chain")
+
+    def test_cross_backend_byte_identity_with_chain(self, toy_world_factory):
+        """The parallel acceptance gate holds with a chain query aboard."""
         world = toy_world_factory()
         workload = [
             (world.count_query(), 3),
@@ -483,7 +478,7 @@ class TestEngineLevelEquivalence:
 
         def run(backend: str) -> list[tuple]:
             shared_plan_cache().clear()
-            config = EngineConfig(seed=7, max_rounds=8, compiled_kernels=True)
+            config = EngineConfig(seed=7, max_rounds=8)
             with AggregateQueryService(
                 world.kg, world.embedding, config, backend=backend, workers=2
             ) as service:

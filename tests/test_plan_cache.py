@@ -8,9 +8,8 @@ Covers the architectural contracts of the plan layer:
 * concurrent engines over one graph + embedding share one plan object;
 * the per-plan verdict memo survives refinement rounds — sessions never
   revalidate an answer;
-* ``validate_batch`` / ``validate_many`` produce outcomes identical to
-  per-answer ``validate`` over a real sampled workload, and the engine's
-  results are identical with batched validation on and off.
+* ``validate_batch`` produces outcomes identical to per-answer
+  ``validate`` over a real sampled workload.
 """
 
 from __future__ import annotations
@@ -316,16 +315,16 @@ class TestBatchedValidationEquivalence:
         )
         assert via_array == via_mapping
 
-    def test_validate_many_routes_stop_threshold(self, world):
+    def test_validate_batch_routes_stop_threshold(self, world):
         engine = _engine(world)
         plan, answers = self._sampled_workload(world, engine)
         predicate = plan.component.predicates[0]
         full = CorrectnessValidator(
             world.kg, world.space, repeat_factor=5
-        ).validate_many(plan.source, answers, predicate, plan.visiting)
+        ).validate_batch(plan.source, answers, predicate, plan.visiting)
         quick = CorrectnessValidator(
             world.kg, world.space, repeat_factor=5
-        ).validate_many(
+        ).validate_batch(
             plan.source, answers, predicate, plan.visiting, stop_threshold=0.5
         )
         assert sum(o.expansions for o in quick.values()) < sum(
@@ -336,21 +335,6 @@ class TestBatchedValidationEquivalence:
             assert (quick[answer].similarity >= 0.5) == (
                 full[answer].similarity >= 0.5
             )
-
-    def test_engine_results_identical_either_mode(self, world):
-        batched = _engine(world, batched_validation=True).execute(
-            world.avg_query()
-        )
-        # drop the shared verdict memo so the fallback mode really validates
-        shared_plan_cache().clear()
-        per_answer = _engine(world, batched_validation=False).execute(
-            world.avg_query()
-        )
-        assert batched.value == per_answer.value
-        assert batched.total_draws == per_answer.total_draws
-        assert [trace.estimate for trace in batched.rounds] == [
-            trace.estimate for trace in per_answer.rounds
-        ]
 
     def test_validation_stage_is_reported(self, world):
         result = _engine(world).execute(world.count_query())

@@ -219,10 +219,10 @@ class TestCorrectnessValidator:
             results.append(outcome.similarity)
         assert results[0] <= results[1] <= results[2]
 
-    def test_validate_many_dedupes(self, toy, visiting):
+    def test_validate_batch_dedupes(self, toy, visiting):
         validator = CorrectnessValidator(toy.kg, toy.space)
         answers = [toy.correct_cars[0], toy.correct_cars[0], toy.correct_cars[2]]
-        outcomes = validator.validate_many(toy.germany, answers, "product", visiting)
+        outcomes = validator.validate_batch(toy.germany, answers, "product", visiting)
         assert set(outcomes) == {toy.correct_cars[0], toy.correct_cars[2]}
 
     def test_invalid_parameters(self, toy):
