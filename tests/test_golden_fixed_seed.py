@@ -7,31 +7,60 @@ comparison.  It was last regenerated on purpose by the PR that made the
 closed-form stationary distribution the production S1 path (``plain_avg``,
 ``count_paper`` and ``group_by_avg`` moved from the unconverged power
 iterate to the exact pi; ``chain_avg`` was closed-form already and did
-not).  Regenerate only when a change is *meant* to move fixed-seed
-results, and review the move first::
+not).  The multi-component cases (``star_count``, ``flower_count``,
+``cycle_sum``) were added on unchanged code ahead of the lazy S2
+conjunction, which must not move them.  Regenerate only when a change is
+*meant* to move fixed-seed results, and review the move first::
 
-    PYTHONPATH=src python tests/test_golden_fixed_seed.py --diff   # prints, writes nothing
+    PYTHONPATH=src python tests/test_golden_fixed_seed.py --diff   # prints, writes nothing;
+                                                                   # exits 1 if a case moved or is new
     PYTHONPATH=src python tests/test_golden_fixed_seed.py          # rewrites the file
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro import ApproximateAggregateEngine, EngineConfig
+from repro import AggregateFunction, ApproximateAggregateEngine, EngineConfig
 from repro.core.result import GroupedResult
-from repro.datasets import ALL_PRESETS
+from repro.datasets import ALL_PRESETS, standard_workload
 from repro.estimation import Normalization
+from repro.query.parser import format_query
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fixed_seed.json"
 
 _SOCCER = "(FC_Barcelona:SoccerClub)-[playsFor]->(x:SoccerPlayer)"
-#: name -> (AQL, normalisation).  The plain AVG's last round holds more
-#: draws than one kernel block; the chain AVG's fit in one.
+
+
+def _bundle():
+    return ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+
+
+def _workload_aql(shape: str, function: AggregateFunction) -> str:
+    """The standard workload's ``shape`` query of the preset, as ``function``.
+
+    The workload states each composite as COUNT and as AVG; SUM reuses the
+    AVG query's graph and attribute.
+    """
+    count = AggregateFunction.COUNT
+    stated = count if function is count else AggregateFunction.AVG
+    query = next(
+        query.aggregate_query
+        for query in standard_workload(_bundle())
+        if query.shape.value == shape and query.function is stated
+    )
+    return format_query(dataclasses.replace(query, function=function))
+
+
+#: name -> (AQL or a callable returning it, normalisation).  The plain
+#: AVG's last round holds more draws than one kernel block; the chain
+#: AVG's fit in one.  The star and the flower mix simple and chain
+#: components, the cycle has two simple ones.
 CASES = {
     "plain_avg": (f"AVG(transfer_value) MATCH {_SOCCER}", Normalization.SAMPLE),
     "count_paper": (
@@ -47,6 +76,18 @@ CASES = {
         "(n1:Academy)-[trained]->(x:SoccerPlayer)",
         Normalization.SAMPLE,
     ),
+    "star_count": (
+        lambda: _workload_aql("star", AggregateFunction.COUNT),
+        Normalization.SAMPLE,
+    ),
+    "flower_count": (
+        lambda: _workload_aql("flower", AggregateFunction.COUNT),
+        Normalization.SAMPLE,
+    ),
+    "cycle_sum": (
+        lambda: _workload_aql("cycle", AggregateFunction.SUM),
+        Normalization.SAMPLE,
+    ),
 }
 
 
@@ -60,7 +101,9 @@ def _trace(rounds) -> list:
 def compute(name: str) -> dict:
     """Run one golden case on a fresh engine and flatten its result."""
     aql, normalization = CASES[name]
-    bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+    if callable(aql):
+        aql = aql()
+    bundle = _bundle()
     engine = ApproximateAggregateEngine(
         bundle.kg, bundle.embedding, EngineConfig(seed=0, normalization=normalization)
     )
@@ -134,8 +177,9 @@ def diff_against_golden() -> list[str]:
 
 if __name__ == "__main__":
     if "--diff" in sys.argv[1:]:
-        print("\n".join(diff_against_golden()))
-        sys.exit(0)
+        report = diff_against_golden()
+        print("\n".join(report))
+        sys.exit(0 if all(line.endswith(": unchanged") for line in report) else 1)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(
         json.dumps({name: compute(name) for name in sorted(CASES)}, indent=1) + "\n"
