@@ -113,6 +113,16 @@ class _QueryState:
     grouped_results: dict[float, "ApproximateResult"] | None = None
     #: distinct_support_indices memo: (per-sample lengths, read-only indices)
     _drawn: tuple | None = field(default=None, repr=False)
+    #: ``components`` in the order S2 validates them: simple components
+    #: (one shared-trace pass per batch) before chain components (an
+    #: enumeration per answer per level), ties in plan order.  Fixed once
+    #: per query so the lazy conjunction never sorts per entry.
+    validation_order: tuple[QueryPlan, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.validation_order = tuple(
+            sorted(self.components, key=lambda plan: plan.chain is not None)
+        )
 
     @property
     def total_draws(self) -> int:
@@ -799,39 +809,66 @@ class QueryExecutor:
             self._component_similarity(plan, node_id) for plan in components
         )
 
-    def _batch_similarities(
-        self, components: list[QueryPlan], node_ids: list[int]
-    ) -> None:
-        """Fill every component's verdict memo for ``node_ids`` in bulk.
+    def _fill_similarities(self, plan: QueryPlan, node_ids: list[int]) -> None:
+        """Fill one component's verdict memo for ``node_ids`` in bulk.
 
-        Simple components go through the validator's batched pass (one
-        shared expansion trace per plan); chain components resolve the
-        whole batch's prefix levels together, so the per-node similarity
-        reads that follow run on warm memos.
+        A simple component goes through the validator's batched pass (one
+        shared expansion trace); a chain component resolves the whole
+        batch's prefix levels together, so the per-node similarity reads
+        that follow run on warm memos.
         """
-        for plan in components:
-            missing = [
-                node_id
-                for node_id in dict.fromkeys(node_ids)
-                if node_id not in plan.similarity_cache
-            ]
-            if not missing:
-                continue
-            if plan.chain is None:
-                assert plan.validator is not None
-                outcomes = plan.validator.validate_batch(
-                    plan.source,
-                    missing,
-                    plan.component.predicates[0],
-                    plan.visiting,
-                    stop_threshold=self.config.tau,
+        missing = [
+            node_id
+            for node_id in dict.fromkeys(node_ids)
+            if node_id not in plan.similarity_cache
+        ]
+        if not missing:
+            return
+        if plan.chain is None:
+            assert plan.validator is not None
+            outcomes = plan.validator.validate_batch(
+                plan.source,
+                missing,
+                plan.component.predicates[0],
+                plan.visiting,
+                stop_threshold=self.config.tau,
+            )
+            for node_id, outcome in outcomes.items():
+                plan.similarity_cache[node_id] = outcome.similarity
+        else:
+            self._chain_prefix_batch(plan, plan.component.num_hops, missing)
+            for node_id in missing:
+                self._component_similarity(plan, node_id)
+
+    def _batch_similarities(
+        self, order: tuple[QueryPlan, ...], node_ids: list[int]
+    ) -> int:
+        """Lazy conjunction: fill the memos a verdict on ``node_ids`` reads.
+
+        An answer is correct only when *every* component keeps it at
+        ``>= tau``, so each component of ``order`` (a state's
+        ``validation_order``) is handed only the answers every earlier
+        one kept.  Memo values are per answer — independent of the batch
+        they were computed in — so every verdict equals the eager one.
+        Returns the answer x component searches an earlier rejection saved.
+        """
+        tau = self.config.tau
+        kept = node_ids
+        rejected: list[int] = []
+        skips = 0
+        for plan in order:
+            cache = plan.similarity_cache
+            skips += sum(1 for node_id in rejected if node_id not in cache)
+            self._fill_similarities(plan, kept)
+            if plan is order[-1]:
+                break
+            survivors = [node_id for node_id in kept if cache[node_id] >= tau]
+            if len(survivors) < len(kept):
+                rejected.extend(
+                    node_id for node_id in kept if cache[node_id] < tau
                 )
-                for node_id, outcome in outcomes.items():
-                    plan.similarity_cache[node_id] = outcome.similarity
-            else:
-                self._chain_prefix_batch(plan, plan.component.num_hops, missing)
-                for node_id in missing:
-                    self._component_similarity(plan, node_id)
+                kept = survivors
+        return skips
 
     @staticmethod
     def _screen_entry(aggregate_query: AggregateQuery, node) -> tuple[bool, float]:
@@ -881,9 +918,11 @@ class QueryExecutor:
         deterministic per answer regardless of batch composition, so
         pre-warming a shared plan's memo with the union of several queries'
         pending answers leaves every query's results byte-identical while
-        collapsing their validation into one pass.
+        collapsing their validation into one pass.  Eager: every component
+        gets every answer (the scheduler hands over one shared plan).
         """
-        self._batch_similarities(components, node_ids)
+        for plan in components:
+            self._fill_similarities(plan, node_ids)
 
     def _validate_entries(self, state: _QueryState, pending: np.ndarray) -> None:
         """Fill verdicts and values for ``pending`` support entries.
@@ -911,9 +950,16 @@ class QueryExecutor:
 
         if not deferred:
             return
-        self._batch_similarities(state.components, [entry[1] for entry in deferred])
+        order = state.validation_order
+        skips = self._batch_similarities(order, [entry[1] for entry in deferred])
+        if skips and self.obs_metrics is not None:
+            self.obs_metrics["conjunction_skips"].inc(skips)
         for index, node_id, value in deferred:
-            correct = self.answer_similarity(state, node_id) >= config.tau
+            # the same ordered short-circuit: a skipped component is never read
+            correct = all(
+                self._component_similarity(plan, node_id) >= config.tau
+                for plan in order
+            )
             state.support_known[index] = True
             state.support_correct[index] = correct
             state.support_value[index] = value if correct else 0.0

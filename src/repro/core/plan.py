@@ -90,21 +90,28 @@ class PlanArtifacts:
     walk_iterations: int
     num_candidates: int
     is_chain: bool
-    #: per-answer route decomposition of a chain plan ({} for simple plans)
-    chain_routes: dict = field(default_factory=dict)
+    #: a chain plan's composed routes (``ChainDistribution.route_nodes`` /
+    #: ``.route_probability``); ``None`` for simple plans
+    route_nodes: np.ndarray | None = None
+    route_probability: np.ndarray | None = None
     chain_truncated: bool = False
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The array segments, keyed the way the store formats them."""
-        return {
+        arrays = {
             "answers": self.answers,
             "probabilities": self.probabilities,
             "visiting": self.visiting,
         }
+        if self.is_chain:
+            arrays["route_nodes"] = self.route_nodes
+            arrays["route_probability"] = self.route_probability
+        return arrays
 
 
 def extract_artifacts(plan: QueryPlan) -> PlanArtifacts:
     """Strip ``plan`` down to its persistable artefacts (no copies)."""
+    chain = plan.chain
     return PlanArtifacts(
         component=plan.component,
         source=plan.source,
@@ -113,9 +120,10 @@ def extract_artifacts(plan: QueryPlan) -> PlanArtifacts:
         visiting=plan.visiting,
         walk_iterations=plan.walk_iterations,
         num_candidates=plan.num_candidates,
-        is_chain=plan.chain is not None,
-        chain_routes=plan.chain.routes if plan.chain is not None else {},
-        chain_truncated=plan.chain.truncated if plan.chain is not None else False,
+        is_chain=chain is not None,
+        route_nodes=chain.route_nodes if chain is not None else None,
+        route_probability=chain.route_probability if chain is not None else None,
+        chain_truncated=chain.truncated if chain is not None else False,
     )
 
 
@@ -137,7 +145,8 @@ def plan_from_artifacts(
     if artifacts.is_chain:
         chain = ChainDistribution(
             distribution=distribution,
-            routes=dict(artifacts.chain_routes),
+            route_nodes=artifacts.route_nodes,
+            route_probability=artifacts.route_probability,
             expanded_intermediates=artifacts.walk_iterations,
             truncated=artifacts.chain_truncated,
         )
@@ -153,10 +162,12 @@ def plan_from_artifacts(
     )
 
 
-#: revision of the algorithm behind a plan's arrays (1 = capped power
-#: iteration, 2 = closed-form node strengths); part of ``config_token``, so
-#: a catalog never maps an older algorithm's artefact beside fresh plans
-S1_REVISION = 2
+#: revision of a plan's arrays (1 = capped power iteration, 2 = closed-form
+#: node strengths, 3 = the same values with chain routes as
+#: ``route_nodes``/``route_probability`` segments instead of header JSON);
+#: part of ``config_token``, so a catalog never maps an older revision's
+#: artefact beside fresh plans
+S1_REVISION = 3
 
 
 def plan_fingerprint(config: EngineConfig) -> tuple:

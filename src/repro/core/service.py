@@ -644,6 +644,11 @@ class AggregateQueryService:
                     buckets=(1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0,
                              250.0, 500.0, 1000.0),
                 ),
+                "conjunction_skips": execution.counter(
+                    "conjunction_skips",
+                    "Answer x component searches not run because an "
+                    "earlier component rejected the answer (S2)",
+                ),
             }
         else:
             # keep the instrumentation-off hot path at one attribute check

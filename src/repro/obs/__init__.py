@@ -22,6 +22,8 @@ metric                                         type       meaning
                                                           cache, process-lifetime totals)
 ``repro_exec_validated_entries_total``         counter    S2 candidate answers validated
 ``repro_exec_validate_batch_pending``          histogram  batch sizes handed to the S2 kernels
+``repro_exec_conjunction_skips``               counter    answer x component searches an
+                                                          earlier component's rejection saved
 ``repro_scheduler_queries_submitted_total``    counter    accepted submissions
 ``repro_scheduler_queries_settled_total``      counter    settlements, ``status`` label
 ``repro_scheduler_rounds_total``               counter    anytime rounds completed (S3)

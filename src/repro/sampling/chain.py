@@ -32,15 +32,34 @@ from repro.utils.rng import ensure_rng
 class ChainDistribution:
     """Joint answer distribution of a chain query.
 
-    ``routes`` maps each answer to its per-route components: a tuple of
-    ``(intermediate_path, probability)`` pairs; ``distribution`` is the
-    accumulated marginal the estimators consume.
+    The composed routes are two aligned arrays in composition order —
+    ``route_nodes[r]`` holds route ``r``'s nodes after the specific one
+    (one column per hop, the answer last) and ``route_probability[r]`` its
+    probability; ``distribution`` is the accumulated marginal the
+    estimators consume.
     """
 
     distribution: AnswerDistribution
-    routes: dict[int, tuple[tuple[tuple[int, ...], float], ...]]
+    route_nodes: np.ndarray  # (routes, hops) int64
+    route_probability: np.ndarray  # (routes,) float64
     expanded_intermediates: int
     truncated: bool
+
+    @property
+    def routes(self) -> dict[int, tuple[tuple[tuple[int, ...], float], ...]]:
+        """Answer -> its ``(intermediate_path, probability)`` pairs, most
+        probable first — materialised from the arrays on every read."""
+        grouped: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+        for nodes, probability in zip(
+            self.route_nodes.tolist(), self.route_probability.tolist()
+        ):
+            grouped.setdefault(nodes[-1], []).append(
+                (tuple(nodes[:-1]), probability)
+            )
+        return {
+            answer: tuple(sorted(pairs, key=lambda pair: -pair[1]))
+            for answer, pairs in grouped.items()
+        }
 
 
 class ChainSampler:
@@ -77,63 +96,69 @@ class ChainSampler:
         source = resolve_mapping_node(
             self._kg, component.specific_name, component.specific_types
         )
-        # frontier: partial route (nodes after the specific one) -> probability
-        frontier: dict[tuple[int, ...], float] = {(): 1.0}
+        # frontier: one row per partial route (nodes after the specific one)
+        route_nodes = np.empty((1, 0), dtype=np.int64)
+        route_probability = np.ones(1, dtype=np.float64)
         truncated = False
         expanded = 0
 
-        for predicate, node_types in component.hops:
-            next_frontier: dict[tuple[int, ...], float] = {}
+        for hop, (predicate, node_types) in enumerate(component.hops):
             # Expand only the most probable routes, keeping the cap global
             # per hop so deep chains stay tractable.
-            ranked = sorted(frontier.items(), key=lambda item: -item[1])
+            ranked = np.argsort(-route_probability, kind="stable")
             kept = ranked[: self.max_intermediates]
-            if len(ranked) > len(kept):
+            if len(kept) < len(ranked):
                 truncated = True
-            kept_mass = sum(probability for _, probability in kept)
+            kept_probability = route_probability[kept].tolist()
+            # left to right over Python floats, like the oracle's ``sum``
+            kept_mass = sum(kept_probability)
             if kept_mass <= 0:
                 raise SamplingError("chain sampling lost all probability mass")
-            for route, probability in kept:
-                start = route[-1] if route else source
-                stage = None if route else first_stage
+            parents: list[int] = []
+            stages: list[AnswerDistribution] = []
+            extended_probability: list[np.ndarray] = []
+            for row, probability in zip(kept.tolist(), kept_probability):
+                start = int(route_nodes[row, -1]) if hop else source
+                stage = None if hop else first_stage
                 try:
                     if stage is None:
                         _, _, stage = self._stage(start, predicate, node_types)
                 except SamplingError:
                     continue  # this intermediate reaches no next-hop candidate
-                expanded += 1
-                renormalised = probability / kept_mass
-                for node, node_probability in zip(stage.answers, stage.probabilities):
-                    extended = route + (int(node),)
-                    contribution = renormalised * float(node_probability)
-                    next_frontier[extended] = next_frontier.get(extended, 0.0) + contribution
-            if not next_frontier:
+                parents.append(row)
+                stages.append(stage)
+                extended_probability.append(
+                    (probability / kept_mass) * stage.probabilities
+                )
+            if not stages:
                 raise SamplingError(
                     f"chain hop with predicate {predicate!r} produced no candidates"
                 )
-            frontier = next_frontier
+            expanded += len(stages)
+            fan_out = [stage.support_size for stage in stages]
+            route_nodes = np.column_stack(
+                [
+                    route_nodes[np.repeat(parents, fan_out)],
+                    np.concatenate([stage.answers for stage in stages]),
+                ]
+            )
+            route_probability = np.concatenate(extended_probability)
 
-        # Accumulate route probabilities per final answer (the paper's rule).
-        marginal: dict[int, float] = {}
-        routes: dict[int, list[tuple[tuple[int, ...], float]]] = {}
-        for route, probability in frontier.items():
-            answer = route[-1]
-            marginal[answer] = marginal.get(answer, 0.0) + probability
-            routes.setdefault(answer, []).append((route[:-1], probability))
-
-        answers = np.asarray(sorted(marginal), dtype=np.int64)
-        probabilities = np.asarray(
-            [marginal[int(answer)] for answer in answers], dtype=np.float64
+        # Accumulate route probabilities per final answer (the paper's
+        # rule), in route order.
+        answers, answer_of_route = np.unique(
+            route_nodes[:, -1], return_inverse=True
+        )
+        probabilities = np.bincount(
+            answer_of_route, weights=route_probability, minlength=len(answers)
         )
         probabilities = probabilities / probabilities.sum()
-        distribution = AnswerDistribution(answers=answers, probabilities=probabilities)
-        frozen_routes = {
-            answer: tuple(sorted(pairs, key=lambda pair: -pair[1]))
-            for answer, pairs in routes.items()
-        }
         return ChainDistribution(
-            distribution=distribution,
-            routes=frozen_routes,
+            distribution=AnswerDistribution(
+                answers=answers, probabilities=probabilities
+            ),
+            route_nodes=route_nodes,
+            route_probability=route_probability,
             expanded_intermediates=expanded,
             truncated=truncated,
         )
@@ -152,15 +177,16 @@ class ChainSampler:
         picks = rng.choice(
             len(distribution.answers), size=sample_size, p=distribution.probabilities
         )
-        sampled = []
-        for pick in picks:
-            node = int(distribution.answers[pick])
-            best_route = chain.routes[node][0][0] if chain.routes.get(node) else ()
-            sampled.append(
-                SampledAnswer(
-                    node_id=node,
-                    probability=float(distribution.probabilities[pick]),
-                    route=best_route,
-                )
+        # each answer's most probable route (the earliest composed on a
+        # tie); ``np.unique`` sorts like ``distribution.answers``
+        ranked = np.argsort(-chain.route_probability, kind="stable")
+        _, first = np.unique(chain.route_nodes[ranked, -1], return_index=True)
+        best_route = chain.route_nodes[ranked[first], :-1]
+        return [
+            SampledAnswer(
+                node_id=int(distribution.answers[pick]),
+                probability=float(distribution.probabilities[pick]),
+                route=tuple(best_route[pick].tolist()),
             )
-        return sampled
+            for pick in picks
+        ]

@@ -5,8 +5,8 @@ over ``kg.neighbors`` tuples and string-keyed similarity lookups.  They are
 no longer called by the engine; they exist so that
 
 * the equivalence tests can pin the vectorised kernels (scope BFS, Eq. 5
-  transition assembly, strength closed form, CNARW weights) to the
-  original semantics, and
+  transition assembly, strength closed form, CNARW weights, chain route
+  composition) to the original semantics, and
 * ``benchmarks/bench_perf_hotpath.py`` can report honest before/after
   timings against the exact seed implementation.
 """
@@ -23,7 +23,9 @@ from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import SamplingError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
-from repro.sampling.scope import SamplingScope
+from repro.query.graph import PathQuery
+from repro.sampling.collector import AnswerDistribution
+from repro.sampling.scope import SamplingScope, resolve_mapping_node
 from repro.semantics.similarity import SIMILARITY_FLOOR, clamp_similarity
 
 
@@ -229,3 +231,81 @@ def cnarw_weights_python(
         denominator = max(1, min(len(left), len(right)))
         weights[position] = max(1.0 - common / denominator, 0.05)
     return weights
+
+
+def compose_routes_python(
+    kg: KnowledgeGraph,
+    stage_of,
+    component: PathQuery,
+    max_intermediates: int,
+    first_stage: AnswerDistribution | None = None,
+) -> tuple[AnswerDistribution, dict, int, bool]:
+    """Seed chain composition (§V-B): a dict of route tuples per hop.
+
+    The loop :meth:`repro.sampling.chain.ChainSampler.build` must reproduce
+    byte for byte — ``stage_of`` is the sampler's ``stage`` callable.
+    Returns ``(distribution, routes, expanded intermediates, truncated)``
+    with ``routes`` as :attr:`ChainDistribution.routes` states them.
+    """
+    source = resolve_mapping_node(
+        kg, component.specific_name, component.specific_types
+    )
+    # frontier: partial route (nodes after the specific one) -> probability
+    frontier: dict[tuple[int, ...], float] = {(): 1.0}
+    truncated = False
+    expanded = 0
+
+    for predicate, node_types in component.hops:
+        next_frontier: dict[tuple[int, ...], float] = {}
+        ranked = sorted(frontier.items(), key=lambda item: -item[1])
+        kept = ranked[:max_intermediates]
+        if len(ranked) > len(kept):
+            truncated = True
+        kept_mass = sum(probability for _, probability in kept)
+        if kept_mass <= 0:
+            raise SamplingError("chain sampling lost all probability mass")
+        for route, probability in kept:
+            start = route[-1] if route else source
+            stage = None if route else first_stage
+            try:
+                if stage is None:
+                    _, _, stage = stage_of(start, predicate, node_types)
+            except SamplingError:
+                continue  # this intermediate reaches no next-hop candidate
+            expanded += 1
+            renormalised = probability / kept_mass
+            for node, node_probability in zip(stage.answers, stage.probabilities):
+                extended = route + (int(node),)
+                contribution = renormalised * float(node_probability)
+                next_frontier[extended] = (
+                    next_frontier.get(extended, 0.0) + contribution
+                )
+        if not next_frontier:
+            raise SamplingError(
+                f"chain hop with predicate {predicate!r} produced no candidates"
+            )
+        frontier = next_frontier
+
+    # Accumulate route probabilities per final answer (the paper's rule).
+    marginal: dict[int, float] = {}
+    routes: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+    for route, probability in frontier.items():
+        answer = route[-1]
+        marginal[answer] = marginal.get(answer, 0.0) + probability
+        routes.setdefault(answer, []).append((route[:-1], probability))
+
+    answers = np.asarray(sorted(marginal), dtype=np.int64)
+    probabilities = np.asarray(
+        [marginal[int(answer)] for answer in answers], dtype=np.float64
+    )
+    probabilities = probabilities / probabilities.sum()
+    frozen_routes = {
+        answer: tuple(sorted(pairs, key=lambda pair: -pair[1]))
+        for answer, pairs in routes.items()
+    }
+    return (
+        AnswerDistribution(answers=answers, probabilities=probabilities),
+        frozen_routes,
+        expanded,
+        truncated,
+    )

@@ -751,13 +751,21 @@ def _chain_level(
     target_set,
     max_expansions: int,
 ) -> dict:
-    """One budgeted depth-limited DFS pass, statement-for-statement equal
-    to :func:`repro.semantics.matching.best_matches_from` (minus the path
-    tuples, which chain-prefix callers never read)."""
+    """One budgeted depth-limited DFS pass, equal to
+    :func:`repro.semantics.matching.best_matches_from` in visit order, float
+    sequence and budget accounting (minus the path tuples, which
+    chain-prefix callers never read).
+
+    A frame at ``depth == max_length - 1`` only has leaves below it: its
+    neighbours are scanned in a tight loop that adds and removes each edge
+    log in the reference's order (``t = log_sum + x`` ... ``log_sum = t - x``)
+    without touching the stacks.
+    """
     indptr = context.indptr
     neighbours = context.neighbours
     entry_log = context.entry_log
     exp = math.exp
+    leaf_parent_depth = max_length - 1
 
     best: dict = {}
     expansions = 0
@@ -774,6 +782,25 @@ def _chain_level(
     end = indptr[source + 1]
 
     while True:
+        if depth == leaf_parent_depth:
+            for entry in range(index, end):
+                if expansions >= max_expansions:
+                    break
+                neighbour = neighbours[entry]
+                if neighbour in on_path:
+                    continue
+                expansions += 1
+                log_similarity = entry_log[entry]
+                if log_similarity is None:
+                    log_similarity = _resolve_entry(context, entry)
+                extended = log_sum + log_similarity
+                if target_set is None or neighbour in target_set:
+                    similarity = exp(extended / max_length)
+                    current = best.get(neighbour)
+                    if current is None or similarity > current[0]:
+                        best[neighbour] = (similarity, max_length)
+                log_sum = extended - log_similarity
+            index = end
         if index >= end or expansions >= max_expansions:
             if depth:
                 depth -= 1
@@ -802,17 +829,14 @@ def _chain_level(
             current = best.get(neighbour)
             if current is None or similarity > current[0]:
                 best[neighbour] = (similarity, depth)
-        if depth < max_length:
-            on_path.add(neighbour)
-            node_stack.append(node)
-            index_stack.append(index)
-            end_stack.append(end)
-            node = neighbour
-            index = indptr[neighbour]
-            end = indptr[neighbour + 1]
-        else:
-            depth -= 1
-            log_sum -= log_stack.pop()
+        # depth < max_length here: leaves are only reached from leaf frames
+        on_path.add(neighbour)
+        node_stack.append(node)
+        index_stack.append(index)
+        end_stack.append(end)
+        node = neighbour
+        index = indptr[neighbour]
+        end = indptr[neighbour + 1]
     return best
 
 

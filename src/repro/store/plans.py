@@ -1,9 +1,9 @@
 """Plan-artifact persistence: S1 results as store files.
 
 A plan file holds one component's :class:`~repro.core.plan.PlanArtifacts`
-— the answer distribution, the dense visiting array and the chain route
-table — under the same key discipline as the in-process
-:class:`~repro.core.plan.PlanCache`::
+— the answer distribution, the dense visiting array and a chain plan's
+route arrays, all as memory-mappable segments — under the same key
+discipline as the in-process :class:`~repro.core.plan.PlanCache`::
 
     (graph structure, embedding identity, config fingerprint, component)
 
@@ -95,23 +95,6 @@ def config_token(config: EngineConfig) -> str:
     return repr(plan_fingerprint(config))
 
 
-def _routes_to_json(routes: dict) -> list:
-    return [
-        [int(answer), [[list(path), float(probability)] for path, probability in entries]]
-        for answer, entries in routes.items()
-    ]
-
-
-def _routes_from_json(payload: list) -> dict:
-    return {
-        int(answer): tuple(
-            (tuple(int(node) for node in path), float(probability))
-            for path, probability in entries
-        )
-        for answer, entries in payload
-    }
-
-
 def plan_metadata(
     kg: KnowledgeGraph,
     space: PredicateVectorSpace,
@@ -137,7 +120,6 @@ def plan_metadata(
         "walk_iterations": int(artifacts.walk_iterations),
         "num_candidates": int(artifacts.num_candidates),
         "is_chain": bool(artifacts.is_chain),
-        "chain_routes": _routes_to_json(artifacts.chain_routes),
         "chain_truncated": bool(artifacts.chain_truncated),
     }
 
@@ -204,6 +186,7 @@ def load_plan_artifacts(
                 f"{facet} was {stored!r} at save time but is {current!r} now"
             )
     try:
+        is_chain = bool(metadata["is_chain"])
         return PlanArtifacts(
             component=_component_from_metadata(metadata),
             source=int(metadata["source"]),
@@ -212,8 +195,9 @@ def load_plan_artifacts(
             visiting=arrays["visiting"],
             walk_iterations=int(metadata["walk_iterations"]),
             num_candidates=int(metadata["num_candidates"]),
-            is_chain=bool(metadata["is_chain"]),
-            chain_routes=_routes_from_json(metadata.get("chain_routes", [])),
+            is_chain=is_chain,
+            route_nodes=arrays["route_nodes"] if is_chain else None,
+            route_probability=arrays["route_probability"] if is_chain else None,
             chain_truncated=bool(metadata.get("chain_truncated", False)),
         )
     except KeyError as exc:

@@ -150,7 +150,8 @@ class _WorkerContext:
             walk_iterations=spec["walk_iterations"],
             num_candidates=spec["num_candidates"],
             is_chain=spec["is_chain"],
-            chain_routes={},  # routes are sampling-side; workers only validate
+            route_nodes=attached.arrays.get("route_nodes"),
+            route_probability=attached.arrays.get("route_probability"),
             chain_truncated=spec["chain_truncated"],
         )
         plan = plan_from_artifacts(

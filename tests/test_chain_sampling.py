@@ -12,9 +12,13 @@ from repro import (
     EngineConfig,
     QueryGraph,
 )
+from repro.datasets import ALL_PRESETS
 from repro.errors import SamplingError
 from repro.query.graph import PathQuery
 from repro.sampling import ChainSampler
+from repro.sampling.collector import AnswerDistribution
+from repro.sampling.reference import compose_routes_python
+from repro.sampling.scope import resolve_mapping_node
 from repro.sampling.strength import stage_distribution
 
 
@@ -80,6 +84,104 @@ class TestChainSampler:
         sampler = ChainSampler(toy.kg, toy_stage)
         with pytest.raises(SamplingError):
             sampler.build(component)
+
+
+def _assert_equals_oracle(
+    kg, stage, component, max_intermediates, first_stage=None
+):
+    """The array composition against the dict-of-tuples oracle, exactly."""
+    built = ChainSampler(kg, stage, max_intermediates=max_intermediates).build(
+        component, first_stage
+    )
+    distribution, routes, expanded, truncated = compose_routes_python(
+        kg, stage, component, max_intermediates, first_stage
+    )
+    assert built.distribution.answers.tobytes() == distribution.answers.tobytes()
+    assert (
+        built.distribution.probabilities.tobytes()
+        == distribution.probabilities.tobytes()
+    )
+    # equal as mappings, per-answer route order and key order included
+    assert list(built.routes.items()) == list(routes.items())
+    assert (built.expanded_intermediates, built.truncated) == (expanded, truncated)
+    return built
+
+
+class TestRouteCompositionOracle:
+    """``ChainSampler.build`` (arrays) == ``compose_routes_python`` (seed loop)."""
+
+    @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
+    @pytest.mark.parametrize("num_hops", (2, 3))
+    @pytest.mark.parametrize("max_intermediates", (64, 3))
+    def test_presets_match_oracle(self, preset, num_hops, max_intermediates):
+        bundle = ALL_PRESETS[preset](seed=0)
+        hub = next(hub for hub in bundle.spec.hubs if hub.chain is not None)
+        hops = [
+            (hub.chain.predicates[0], [hub.chain.intermediate_type]),
+            (hub.chain.predicates[1], [hub.target_type]),
+        ]
+        if num_hops == 3:  # and back to the intermediates
+            hops.append((hub.chain.predicates[1], [hub.chain.intermediate_type]))
+        component = QueryGraph.chain(hub.hub_name, hub.hub_types, hops).components[0]
+        stage = partial(stage_distribution, bundle.kg, bundle.space())
+        built = _assert_equals_oracle(bundle.kg, stage, component, max_intermediates)
+        assert built.route_nodes.shape == (len(built.route_probability), num_hops)
+        if max_intermediates == 3:
+            assert built.truncated
+        # the planner's hand-over of an already-walked first hop
+        source = resolve_mapping_node(
+            bundle.kg, component.specific_name, component.specific_types
+        )
+        _, _, first_stage = stage(source, *component.hops[0])
+        _assert_equals_oracle(
+            bundle.kg, stage, component, max_intermediates, first_stage
+        )
+
+    def test_ties_at_the_cut_and_dead_intermediates(self, toy):
+        """Tied routes straddling ``max_intermediates`` keep composition
+        order; an intermediate whose stage raises is skipped, not fatal."""
+        component = QueryGraph.chain(
+            "Germany",
+            ["Country"],
+            [("a", ["A"]), ("b", ["B"]), ("c", ["C"])],
+        ).components[0]
+        source = resolve_mapping_node(
+            toy.kg, component.specific_name, component.specific_types
+        )
+        table = {
+            source: ([1001, 1002, 1003, 1004], [0.25, 0.25, 0.25, 0.25]),
+            1001: ([2001, 2002], [0.5, 0.5]),
+            # 1002 is a dead end; 1003 ties with 1001's routes
+            1003: ([2002, 2003], [0.5, 0.5]),
+            1004: ([2004], [1.0]),
+            2001: ([3001, 3002], [0.5, 0.5]),
+            2002: ([3001], [1.0]),
+            2003: ([3002, 3003], [0.125, 0.875]),
+        }
+        walked = []
+
+        def stage(start, _predicate, _node_types):
+            walked.append(start)
+            if start not in table:
+                raise SamplingError(f"no candidate from {start}")
+            answers, probabilities = table[start]
+            return None, None, AnswerDistribution(
+                answers=np.asarray(answers, dtype=np.int64),
+                probabilities=np.asarray(probabilities, dtype=np.float64),
+            )
+
+        for max_intermediates in (1, 2, 3, 64):
+            _assert_equals_oracle(toy.kg, stage, component, max_intermediates)
+        assert 1002 in walked  # the dead intermediate was actually tried
+
+    def test_collect_carries_the_most_probable_route(
+        self, toy, toy_stage, chain_component
+    ):
+        sampler = ChainSampler(toy.kg, toy_stage)
+        chain = sampler.build(chain_component)
+        routes = chain.routes
+        for draw in sampler.collect(chain, 200, seed=3):
+            assert draw.route == routes[draw.node_id][0][0]
 
 
 class TestChainQueriesEndToEnd:

@@ -276,6 +276,49 @@ class TestAblationConfigs:
         assert len(engine._prepared_cache) == cache_size
 
 
+class TestLazyConjunction:
+    """S2 validates cheapest-first and stops at the first rejection."""
+
+    def test_star_verdicts_equal_the_eager_minimum(self, dbpedia_bundle, fast_config):
+        from repro.core.plan import shared_plan_cache
+        from repro.datasets import standard_workload
+
+        star = next(
+            query.aggregate_query
+            for query in standard_workload(dbpedia_bundle)
+            if query.shape.value == "star"
+            and query.function is AggregateFunction.COUNT
+        )
+        shared_plan_cache().clear()
+        engine = ApproximateAggregateEngine(
+            dbpedia_bundle.kg, dbpedia_bundle.embedding, fast_config
+        )
+        state = engine._initialise(star, 3)
+        engine._executor._ensure_validated(state)
+
+        # simple components first, ties in plan order
+        order = state.validation_order
+        assert [plan.chain is not None for plan in order] == [False, False, True]
+        assert [plan for plan in state.components if plan.chain is None] == list(
+            order[:2]
+        )
+        # each component saw only what every earlier one kept
+        sizes = [len(plan.similarity_cache) for plan in order]
+        assert sizes[0] > sizes[1] >= sizes[2] > 0
+
+        # the public similarity is still the minimum over *all* components;
+        # asking for it computes whatever the conjunction skipped
+        validated = np.flatnonzero(state.support_known)
+        assert len(validated) == sizes[0]
+        for index in validated:
+            node_id = int(state.joint.answers[index])
+            similarity = engine.answer_similarity(state, node_id)
+            assert similarity == min(
+                plan.similarity_cache[node_id] for plan in state.components
+            )
+            assert (similarity >= fast_config.tau) == state.support_correct[index]
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -416,6 +416,29 @@ class TestExecMetrics:
             samples = _parse_prometheus(service.registry.render_prometheus())
         assert samples["repro_exec_validated_entries_total"] > 0
         assert samples["repro_exec_validate_batch_pending_count"] > 0
+        # one component: nothing for the lazy conjunction to skip
+        assert samples["repro_exec_conjunction_skips"] == 0
+
+    def test_star_query_ticks_the_conjunction_skips(self):
+        """The golden ``star_count`` case: answers a simple component put
+        below tau never reach the chain component's search."""
+        from repro import AggregateFunction
+        from repro.datasets import ALL_PRESETS, standard_workload
+
+        bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+        star = next(
+            query.aggregate_query
+            for query in standard_workload(bundle)
+            if query.shape.value == "star"
+            and query.function is AggregateFunction.COUNT
+        )
+        shared_plan_cache().clear()
+        with AggregateQueryService(
+            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+        ) as service:
+            service.submit(star).result(timeout=60.0)
+            samples = _parse_prometheus(service.registry.render_prometheus())
+        assert samples["repro_exec_conjunction_skips"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -109,13 +109,24 @@ def _workload(world) -> list[tuple[AggregateQuery, int]]:
     ]
 
 
-def _run_backend(world, backend: str) -> list[tuple]:
+def _composite_workload(bundle) -> list[tuple[AggregateQuery, int]]:
+    """The preset's star and flower COUNT queries: simple + chain components."""
+    from repro.datasets import standard_workload
+
+    counts = {}
+    for query in standard_workload(bundle):
+        if query.function is AggregateFunction.COUNT:
+            counts.setdefault(query.shape.value, query.aggregate_query)
+    return [(counts["star"], 3), (counts["flower"], 4)]
+
+
+def _run_backend(world, backend: str, workload=None) -> list[tuple]:
     shared_plan_cache().clear()
     config = EngineConfig(seed=7, max_rounds=8)
     with AggregateQueryService(
         world.kg, world.embedding, config, backend=backend, workers=2
     ) as service:
-        handles = service.submit_batch(_workload(world))
+        handles = service.submit_batch(workload or _workload(world))
         return [_fingerprint(handle.result()) for handle in handles]
 
 
@@ -126,6 +137,37 @@ class TestBackendEquivalence:
             assert _run_backend(world, backend) == baseline, (
                 f"{backend} backend diverged from the cooperative scheduler"
             )
+
+    def test_multi_component_queries_byte_identical(self, dbpedia_bundle):
+        """S2's lazy conjunction hands a chain component only the answers
+        the simple ones kept, so a worker's memo deltas cover a subset of
+        the batch — merged back, every backend still agrees."""
+        workload = _composite_workload(dbpedia_bundle)
+        baseline = _run_backend(dbpedia_bundle, "cooperative", workload)
+        assert all(fingerprint[0] > 0 for fingerprint in baseline)
+        for backend in ("threads", "processes"):
+            assert _run_backend(dbpedia_bundle, backend, workload) == baseline, (
+                f"{backend} backend diverged on a star/flower query"
+            )
+
+    def test_process_rounds_merge_lazy_memos(self, dbpedia_bundle):
+        """Worker-side memos come back through ``apply_round_result``: the
+        parent's chain plan knows fewer answers than its simple plans."""
+        (star, seed), _flower = _composite_workload(dbpedia_bundle)
+        shared_plan_cache().clear()
+        with AggregateQueryService(
+            dbpedia_bundle.kg, dbpedia_bundle.embedding,
+            EngineConfig(seed=7, max_rounds=8), backend="processes", workers=2,
+        ) as service:
+            service.submit(star, seed=seed).result()
+            plans = [
+                service.planner.plan_for(component)
+                for component in star.query.components
+            ]
+        simple = [len(p.similarity_cache) for p in plans if p.chain is None]
+        chained = [len(p.similarity_cache) for p in plans if p.chain is not None]
+        assert simple and chained
+        assert 0 < max(chained) < simple[0]
 
     def test_refine_through_process_backend(self, world):
         def refine_with(backend: str):

@@ -114,6 +114,41 @@ class TestHandleResults:
             assert served.value == direct.value
             assert served.total_draws == direct.total_draws
 
+    def test_cold_batch_of_star_queries_matches_sequential(self, dbpedia_bundle):
+        """Two star queries share every plan, the chain plan included: the
+        scheduler pre-warms it eagerly with both queries' pending answers,
+        each query's own S2 pass then runs the lazy conjunction — values,
+        draws and every round equal the one-at-a-time engine's."""
+        from repro.datasets import standard_workload
+
+        stars = [
+            query.aggregate_query
+            for query in standard_workload(dbpedia_bundle)
+            if query.shape.value == "star"
+        ]
+        assert len(stars) == 2
+        queries = [(stars[0], 3), (stars[1], 4)]
+        shared_plan_cache().clear()
+        with _service(dbpedia_bundle) as service:
+            batched = [
+                handle.result() for handle in service.submit_batch(queries)
+            ]
+        shared_plan_cache().clear()
+        engine = ApproximateAggregateEngine(
+            dbpedia_bundle.kg, dbpedia_bundle.embedding,
+            EngineConfig(seed=7, max_rounds=8),
+        )
+        sequential = [engine.execute(query, seed=seed) for query, seed in queries]
+        for served, direct in zip(batched, sequential):
+            assert served.value == direct.value
+            assert served.moe == direct.moe
+            assert served.total_draws == direct.total_draws
+            assert [
+                (t.total_draws, t.correct_draws, t.estimate) for t in served.rounds
+            ] == [
+                (t.total_draws, t.correct_draws, t.estimate) for t in direct.rounds
+            ]
+
     def test_engine_results_carry_scheduler_stage(self, world):
         engine = ApproximateAggregateEngine(
             world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)

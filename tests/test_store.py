@@ -34,7 +34,7 @@ from repro.store import (
     save_snapshot,
 )
 from repro.store.format import read_arrays, write_arrays
-from repro.store.plans import embedding_fingerprint
+from repro.store.plans import config_token, embedding_fingerprint
 from repro.store.snapshot import cached_graph_fingerprint
 
 
@@ -216,9 +216,66 @@ class TestPlanCatalog:
         assert (cold.build_count, cold.catalog_hits) == (0, 1)
         assert loaded.chain is not None
         assert loaded.chain.routes == built.chain.routes
+        # routes travel as segments, mapped like the answers
+        assert not loaded.chain.route_nodes.flags.writeable
+        assert np.array_equal(loaded.chain.route_nodes, built.chain.route_nodes)
         assert np.array_equal(
             loaded.distribution.probabilities, built.distribution.probabilities
         )
+
+    def test_old_layout_chain_plan_is_a_miss(self, world, tmp_path, monkeypatch):
+        """A file of the routes-as-header-JSON layout never loads: the
+        plan is rebuilt and saved back in the current layout."""
+        from repro import QueryGraph
+        from repro.core import plan as plan_module
+
+        chain = QueryGraph.chain(
+            "Germany",
+            ["Country"],
+            [("nationality", ["Person"]), ("designer", ["Automobile"])],
+        ).components[0]
+        catalog = SnapshotCatalog(tmp_path / "catalog")
+        config = EngineConfig(seed=7)
+
+        def planner():
+            return QueryPlanner(
+                world.kg, world.space, config, cache=PlanCache(), catalog=catalog
+            )
+
+        built = planner().plan_for(chain)
+        path = catalog.plan_path(world.kg, world.space, config, chain)
+        metadata, arrays = read_arrays(path, mmap=False)
+        old_arrays = {
+            name: arrays[name] for name in ("answers", "probabilities", "visiting")
+        }
+        old_metadata = {**metadata, "chain_routes": [[0, [[[1], 1.0]]]]}
+
+        # as the previous revision wrote it: under its own config token,
+        # which is also its own file name
+        current_revision = plan_module.S1_REVISION
+        monkeypatch.setattr(plan_module, "S1_REVISION", current_revision - 1)
+        stale = catalog.plan_path(world.kg, world.space, config, chain)
+        write_arrays(
+            stale, {**old_metadata, "config_token": config_token(config)}, old_arrays
+        )
+        monkeypatch.setattr(plan_module, "S1_REVISION", current_revision)
+        assert stale != path
+        with pytest.raises(StoreError, match="config_token"):
+            load_plan_artifacts(stale, world.kg, world.space, config)
+
+        # and even under the current key the missing segments are an error
+        write_arrays(path, old_metadata, old_arrays)
+        with pytest.raises(StoreError, match="route_nodes"):
+            load_plan_artifacts(path, world.kg, world.space, config)
+        rebuilt = planner()
+        rebuilt.plan_for(chain)
+        assert (rebuilt.build_count, rebuilt.catalog_hits, rebuilt.catalog_errors) == (
+            1, 0, 1,
+        )
+        reloaded = planner()
+        loaded = reloaded.plan_for(chain)
+        assert (reloaded.build_count, reloaded.catalog_hits) == (0, 1)
+        assert loaded.chain.routes == built.chain.routes
 
     def test_reloaded_plans_give_identical_results(self, world, tmp_path):
         from repro import AggregateQueryService
