@@ -23,8 +23,11 @@ validated in one :meth:`CorrectnessValidator.validate_batch` pass per
 component over the validator's shared expansion trace (chain components
 resolve their prefix levels through the same pass), with verdicts memoised
 on the plan — refinement rounds and interactive sessions never revalidate
-an answer.  Validation time is attributed to its own ``"validation"``
-stage bucket (the paper's Table XII folds it into S2).
+an answer.  It is also a **lazy conjunction**: an answer of a composite
+query is correct only when every component keeps it, so components are
+validated cheapest-first (simple before chain) and each one sees only the
+answers every earlier one kept.  Validation time is attributed to its own
+``"validation"`` stage bucket (the paper's Table XII folds it into S2).
 """
 
 from __future__ import annotations
@@ -856,18 +859,13 @@ class QueryExecutor:
         kept = node_ids
         rejected: list[int] = []
         skips = 0
-        for plan in order:
+        for position, plan in enumerate(order):
             cache = plan.similarity_cache
             skips += sum(1 for node_id in rejected if node_id not in cache)
             self._fill_similarities(plan, kept)
-            if plan is order[-1]:
-                break
-            survivors = [node_id for node_id in kept if cache[node_id] >= tau]
-            if len(survivors) < len(kept):
-                rejected.extend(
-                    node_id for node_id in kept if cache[node_id] < tau
-                )
-                kept = survivors
+            if position + 1 < len(order):
+                rejected += [n for n in kept if cache[n] < tau]
+                kept = [n for n in kept if cache[n] >= tau]
         return skips
 
     @staticmethod

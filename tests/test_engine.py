@@ -280,15 +280,14 @@ class TestLazyConjunction:
     """S2 validates cheapest-first and stops at the first rejection."""
 
     def test_star_verdicts_equal_the_eager_minimum(self, dbpedia_bundle, fast_config):
+        from repro import QueryShape
         from repro.core.plan import shared_plan_cache
-        from repro.datasets import standard_workload
+        from repro.datasets import queries_of_shape, standard_workload
 
-        star = next(
-            query.aggregate_query
-            for query in standard_workload(dbpedia_bundle)
-            if query.shape.value == "star"
-            and query.function is AggregateFunction.COUNT
-        )
+        # the workload states each composite as COUNT first, then AVG
+        star = queries_of_shape(
+            standard_workload(dbpedia_bundle), QueryShape.STAR
+        )[0].aggregate_query
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(
             dbpedia_bundle.kg, dbpedia_bundle.embedding, fast_config

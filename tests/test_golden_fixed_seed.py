@@ -12,9 +12,10 @@ not).  The multi-component cases (``star_count``, ``flower_count``,
 conjunction, which must not move them.  Regenerate only when a change is
 *meant* to move fixed-seed results, and review the move first::
 
-    PYTHONPATH=src python tests/test_golden_fixed_seed.py --diff   # prints, writes nothing;
-                                                                   # exits 1 if a case moved or is new
+    PYTHONPATH=src python tests/test_golden_fixed_seed.py --diff   # prints, writes nothing
     PYTHONPATH=src python tests/test_golden_fixed_seed.py          # rewrites the file
+
+``--diff`` exits 1 when any case moved or is new, so CI can gate on it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import AggregateFunction, ApproximateAggregateEngine, EngineConfig
+from repro import (
+    AggregateFunction,
+    ApproximateAggregateEngine,
+    EngineConfig,
+    QueryShape,
+)
 from repro.core.result import GroupedResult
-from repro.datasets import ALL_PRESETS, standard_workload
+from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 from repro.estimation import Normalization
 from repro.query.parser import format_query
 
@@ -41,20 +47,17 @@ def _bundle():
     return ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
 
 
-def _workload_aql(shape: str, function: AggregateFunction) -> str:
+def _workload_aql(shape: QueryShape, function: AggregateFunction) -> str:
     """The standard workload's ``shape`` query of the preset, as ``function``.
 
-    The workload states each composite as COUNT and as AVG; SUM reuses the
-    AVG query's graph and attribute.
+    The workload states each composite as COUNT, then as AVG; SUM reuses
+    the AVG query's graph and attribute.
     """
-    count = AggregateFunction.COUNT
-    stated = count if function is count else AggregateFunction.AVG
-    query = next(
-        query.aggregate_query
-        for query in standard_workload(_bundle())
-        if query.shape.value == shape and query.function is stated
+    count, avg = queries_of_shape(standard_workload(_bundle()), shape)
+    stated = count if function is AggregateFunction.COUNT else avg
+    return format_query(
+        dataclasses.replace(stated.aggregate_query, function=function)
     )
-    return format_query(dataclasses.replace(query, function=function))
 
 
 #: name -> (AQL or a callable returning it, normalisation).  The plain
@@ -77,15 +80,15 @@ CASES = {
         Normalization.SAMPLE,
     ),
     "star_count": (
-        lambda: _workload_aql("star", AggregateFunction.COUNT),
+        lambda: _workload_aql(QueryShape.STAR, AggregateFunction.COUNT),
         Normalization.SAMPLE,
     ),
     "flower_count": (
-        lambda: _workload_aql("flower", AggregateFunction.COUNT),
+        lambda: _workload_aql(QueryShape.FLOWER, AggregateFunction.COUNT),
         Normalization.SAMPLE,
     ),
     "cycle_sum": (
-        lambda: _workload_aql("cycle", AggregateFunction.SUM),
+        lambda: _workload_aql(QueryShape.CYCLE, AggregateFunction.SUM),
         Normalization.SAMPLE,
     ),
 }

@@ -422,16 +422,13 @@ class TestExecMetrics:
     def test_star_query_ticks_the_conjunction_skips(self):
         """The golden ``star_count`` case: answers a simple component put
         below tau never reach the chain component's search."""
-        from repro import AggregateFunction
-        from repro.datasets import ALL_PRESETS, standard_workload
+        from repro import QueryShape
+        from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 
         bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
-        star = next(
-            query.aggregate_query
-            for query in standard_workload(bundle)
-            if query.shape.value == "star"
-            and query.function is AggregateFunction.COUNT
-        )
+        star = queries_of_shape(  # COUNT first, then AVG
+            standard_workload(bundle), QueryShape.STAR
+        )[0].aggregate_query
         shared_plan_cache().clear()
         with AggregateQueryService(
             bundle.kg, bundle.embedding, EngineConfig(seed=0)

@@ -111,13 +111,15 @@ def _workload(world) -> list[tuple[AggregateQuery, int]]:
 
 def _composite_workload(bundle) -> list[tuple[AggregateQuery, int]]:
     """The preset's star and flower COUNT queries: simple + chain components."""
-    from repro.datasets import standard_workload
+    from repro import QueryShape
+    from repro.datasets import queries_of_shape, standard_workload
 
-    counts = {}
-    for query in standard_workload(bundle):
-        if query.function is AggregateFunction.COUNT:
-            counts.setdefault(query.shape.value, query.aggregate_query)
-    return [(counts["star"], 3), (counts["flower"], 4)]
+    workload = standard_workload(bundle)
+    star, flower = (  # the workload states each composite as COUNT first
+        queries_of_shape(workload, shape)[0].aggregate_query
+        for shape in (QueryShape.STAR, QueryShape.FLOWER)
+    )
+    return [(star, 3), (flower, 4)]
 
 
 def _run_backend(world, backend: str, workload=None) -> list[tuple]:

@@ -119,15 +119,13 @@ class TestHandleResults:
         scheduler pre-warms it eagerly with both queries' pending answers,
         each query's own S2 pass then runs the lazy conjunction — values,
         draws and every round equal the one-at-a-time engine's."""
-        from repro.datasets import standard_workload
+        from repro import QueryShape
+        from repro.datasets import queries_of_shape, standard_workload
 
-        stars = [
-            query.aggregate_query
-            for query in standard_workload(dbpedia_bundle)
-            if query.shape.value == "star"
-        ]
-        assert len(stars) == 2
-        queries = [(stars[0], 3), (stars[1], 4)]
+        count, avg = queries_of_shape(
+            standard_workload(dbpedia_bundle), QueryShape.STAR
+        )
+        queries = [(count.aggregate_query, 3), (avg.aggregate_query, 4)]
         shared_plan_cache().clear()
         with _service(dbpedia_bundle) as service:
             batched = [
