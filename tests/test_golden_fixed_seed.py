@@ -9,7 +9,9 @@ closed-form stationary distribution the production S1 path (``plain_avg``,
 iterate to the exact pi; ``chain_avg`` was closed-form already and did
 not).  The multi-component cases (``star_count``, ``flower_count``,
 ``cycle_sum``) were added on unchanged code ahead of the lazy S2
-conjunction, which must not move them.  Regenerate only when a change is
+conjunction, which must not move them; ``filtered_avg``,
+``group_by_count`` and ``max_simple`` likewise ahead of the array S2
+screen.  Regenerate only when a change is
 *meant* to move fixed-seed results, and review the move first::
 
     PYTHONPATH=src python tests/test_golden_fixed_seed.py --diff   # prints, writes nothing
@@ -47,6 +49,17 @@ def _bundle():
     return ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
 
 
+def _first_workload_aql(wanted) -> str:
+    """The preset's first standard-workload query that ``wanted`` accepts."""
+    return format_query(
+        next(
+            stated.aggregate_query
+            for stated in standard_workload(_bundle())
+            if wanted(stated.aggregate_query)
+        )
+    )
+
+
 def _workload_aql(shape: QueryShape, function: AggregateFunction) -> str:
     """The standard workload's ``shape`` query of the preset, as ``function``.
 
@@ -63,7 +76,10 @@ def _workload_aql(shape: QueryShape, function: AggregateFunction) -> str:
 #: name -> (AQL or a callable returning it, normalisation).  The plain
 #: AVG's last round holds more draws than one kernel block; the chain
 #: AVG's fit in one.  The star and the flower mix simple and chain
-#: components, the cycle has two simple ones.
+#: components, the cycle has two simple ones.  The filtered AVG, the
+#: binned GROUP-BY COUNT and the MAX are the workload's first of each:
+#: the S2 attribute/filter screen, the group-key binning and the extreme
+#: round loop.
 CASES = {
     "plain_avg": (f"AVG(transfer_value) MATCH {_SOCCER}", Normalization.SAMPLE),
     "count_paper": (
@@ -89,6 +105,23 @@ CASES = {
     ),
     "cycle_sum": (
         lambda: _workload_aql(QueryShape.CYCLE, AggregateFunction.SUM),
+        Normalization.SAMPLE,
+    ),
+    "filtered_avg": (
+        lambda: _first_workload_aql(lambda query: query.has_filters),
+        Normalization.SAMPLE,
+    ),
+    "group_by_count": (
+        lambda: _first_workload_aql(
+            lambda query: query.group_by is not None
+            and query.function is AggregateFunction.COUNT
+        ),
+        Normalization.SAMPLE,
+    ),
+    "max_simple": (
+        lambda: _first_workload_aql(
+            lambda query: query.function is AggregateFunction.MAX
+        ),
         Normalization.SAMPLE,
     ),
 }
