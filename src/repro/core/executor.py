@@ -44,7 +44,7 @@ from repro.core.plan import QueryPlan
 from repro.core.planner import QueryPlanner
 from repro.core.result import ApproximateResult, GroupedResult, RoundTrace
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import EstimationError, QueryError
+from repro.errors import EstimationError, NodeNotFoundError, QueryError
 from repro.estimation.accuracy import moe_target, satisfies_error_bound
 from repro.estimation.bootstrap import blb_confidence_interval, fast_bootstrap_sigma
 from repro.estimation.confidence import ConfidenceInterval
@@ -602,26 +602,32 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     @staticmethod
     def _joint_distribution(components: list[QueryPlan]) -> AnswerDistribution:
-        """Decomposition-assembly: intersect supports, multiply weights."""
+        """Decomposition-assembly: intersect supports, multiply weights.
+
+        The joint support is the sorted intersection of the components'
+        answers; an answer's weight is the product of its per-component
+        probabilities, multiplied up in plan order, renormalised.
+        """
         if len(components) == 1:
             return components[0].distribution
-        mappings = [plan.distribution.as_mapping() for plan in components]
-        support = set(mappings[0])
-        for mapping in mappings[1:]:
-            support &= set(mapping)
-        if not support:
+        answers = components[0].distribution.answers
+        for plan in components[1:]:
+            answers = np.intersect1d(answers, plan.distribution.answers)
+        if len(answers) == 0:
             raise QueryError(
                 "the query components share no candidate answer; the "
                 "composite query has an empty intersection sample"
             )
-        answers = np.asarray(sorted(support), dtype=np.int64)
-        weights = np.asarray(
-            [
-                math.prod(mapping[int(answer)] for mapping in mappings)
-                for answer in answers
-            ],
-            dtype=np.float64,
-        )
+        weights = None
+        for plan in components:
+            distribution = plan.distribution
+            # ``answers`` is sorted and contained in every support, so the
+            # positions come back aligned with it
+            _, _, where = np.intersect1d(
+                answers, distribution.answers, return_indices=True
+            )
+            gathered = np.asarray(distribution.probabilities[where], np.float64)
+            weights = gathered if weights is None else weights * gathered
         weights = weights / weights.sum()
         return AnswerDistribution(answers=answers, probabilities=weights)
 
@@ -845,15 +851,17 @@ class QueryExecutor:
 
     def _batch_similarities(
         self, order: tuple[QueryPlan, ...], node_ids: list[int]
-    ) -> int:
-        """Lazy conjunction: fill the memos a verdict on ``node_ids`` reads.
+    ) -> list[int]:
+        """Lazy conjunction: the answers of ``node_ids`` every component keeps.
 
         An answer is correct only when *every* component keeps it at
         ``>= tau``, so each component of ``order`` (a state's
         ``validation_order``) is handed only the answers every earlier
-        one kept.  Memo values are per answer — independent of the batch
-        they were computed in — so every verdict equals the eager one.
-        Returns the answer x component searches an earlier rejection saved.
+        one kept, and what the last one keeps is the verdict.  Memo values
+        are per answer — independent of the batch they were computed in —
+        so every verdict equals the eager one.  The answer x component
+        searches an earlier rejection saved are counted on
+        ``conjunction_skips``.
         """
         tau = self.config.tau
         kept = node_ids
@@ -865,47 +873,65 @@ class QueryExecutor:
             self._fill_similarities(plan, kept)
             if position + 1 < len(order):
                 rejected += [n for n in kept if cache[n] < tau]
-                kept = [n for n in kept if cache[n] >= tau]
-        return skips
+            kept = [n for n in kept if cache[n] >= tau]
+        if skips and self.obs_metrics is not None:
+            self.obs_metrics["conjunction_skips"].inc(skips)
+        return kept
 
-    @staticmethod
-    def _screen_entry(aggregate_query: AggregateQuery, node) -> tuple[bool, float]:
-        """Cheap attribute/filter screen: ``(passes, attribute value)``.
+    def _attribute_values(self, name: str, node_ids: np.ndarray) -> np.ndarray:
+        """Attribute ``name`` of ``node_ids`` (NaN = absent), off its column."""
+        if len(node_ids) and not (
+            0 <= node_ids.min() and node_ids.max() < self._kg.num_nodes
+        ):
+            # fancy indexing would wrap a negative id around silently
+            raise NodeNotFoundError("an answer's node id is out of range")
+        return self._kg.attribute_column(name)[node_ids]
 
-        A NaN attribute counts as missing: one NaN draw would poison every
-        estimator sum and the Eq.-12 sizing arithmetic.
+    def _screen(
+        self, aggregate_query: AggregateQuery, node_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cheap attribute/filter screen: ``(passes, values)`` per node id.
+
+        ``values`` is the aggregated attribute (1.0 for COUNT).  An answer
+        passes when it carries that attribute and lies inside every
+        filter's inclusive bounds.  A NaN attribute counts as missing: one
+        NaN draw would poison every estimator sum and the Eq.-12 sizing
+        arithmetic.
         """
         if aggregate_query.function.needs_attribute:
-            attribute_value = node.attribute(aggregate_query.attribute or "")
-            if attribute_value is None or math.isnan(attribute_value):
-                return False, 0.0
-            value = float(attribute_value)
+            values = self._attribute_values(
+                aggregate_query.attribute or "", node_ids
+            )
+            passes = ~np.isnan(values)
         else:
-            value = 1.0
-        if not aggregate_query.passes_filters(node):
-            return False, value
-        return True, value
+            values = np.ones(len(node_ids), dtype=np.float64)
+            passes = np.ones(len(node_ids), dtype=bool)
+        for filter_ in aggregate_query.filters:
+            bounded = self._attribute_values(filter_.attribute, node_ids)
+            passes &= ~np.isnan(bounded)
+            if filter_.lower is not None:
+                passes &= ~(bounded < filter_.lower)
+            if filter_.upper is not None:
+                passes &= ~(bounded > filter_.upper)
+        return passes, values
 
     def pending_validation_nodes(self, state: _QueryState) -> list[int]:
         """Node ids the next validation pass will run correctness searches on.
 
-        Read-only preview of :meth:`_validate_entries`' deferred list: the
-        drawn-but-unverdicted support entries that survive the cheap
-        attribute/filter screen.  The serving scheduler unions these across
-        every live query sharing a plan and pre-warms the plan's verdict
-        memo with one cross-query ``validate_batch`` pass.
+        Read-only preview of what :meth:`_validate_entries` hands the
+        conjunction: the drawn-but-unverdicted support entries that
+        survive the attribute/filter screen.  The serving scheduler unions
+        these across every live query sharing a plan and pre-warms the
+        plan's verdict memo with one cross-query ``validate_batch`` pass.
+        The screen is a handful of column gathers, so previewing it here
+        and running it again inside the step costs next to nothing.
         """
         if not self.config.validate_correctness:
             return []
-        aggregate_query = state.aggregate_query
         drawn = state.distinct_support_indices()
-        pending = drawn[~state.support_known[drawn]]
-        nodes: list[int] = []
-        for raw_index in pending:
-            node_id = int(state.joint.answers[int(raw_index)])
-            if self._screen_entry(aggregate_query, self._kg.node(node_id))[0]:
-                nodes.append(node_id)
-        return nodes
+        node_ids = state.joint.answers[drawn[~state.support_known[drawn]]]
+        passes, _values = self._screen(state.aggregate_query, node_ids)
+        return node_ids[passes].tolist()
 
     def prewarm_similarities(
         self, components: list[QueryPlan], node_ids: list[int]
@@ -925,42 +951,22 @@ class QueryExecutor:
     def _validate_entries(self, state: _QueryState, pending: np.ndarray) -> None:
         """Fill verdicts and values for ``pending`` support entries.
 
-        Attribute and filter checks run per entry (they are cheap dict
-        lookups); the expensive correctness searches for everything that
-        survives them are deferred and executed in one batched pass.
+        The attribute/filter screen runs over the whole batch as array
+        operations; the expensive correctness searches for everything that
+        survives it run in one batched pass, and an answer is correct when
+        the conjunction keeps it.
         """
-        aggregate_query = state.aggregate_query
-        config = self.config
-        #: (support index, node id, attribute value) awaiting a verdict
-        deferred: list[tuple[int, int, float]] = []
-        for raw_index in pending:
-            index = int(raw_index)
-            node_id = int(state.joint.answers[index])
-            node = self._kg.node(node_id)
-
-            correct, value = self._screen_entry(aggregate_query, node)
-            if correct and config.validate_correctness:
-                deferred.append((index, node_id, value))
-                continue
-            state.support_known[index] = True
-            state.support_correct[index] = correct
-            state.support_value[index] = value if correct else 0.0
-
-        if not deferred:
-            return
-        order = state.validation_order
-        skips = self._batch_similarities(order, [entry[1] for entry in deferred])
-        if skips and self.obs_metrics is not None:
-            self.obs_metrics["conjunction_skips"].inc(skips)
-        for index, node_id, value in deferred:
-            # the same ordered short-circuit: a skipped component is never read
-            correct = all(
-                self._component_similarity(plan, node_id) >= config.tau
-                for plan in order
+        node_ids = state.joint.answers[pending]
+        correct, values = self._screen(state.aggregate_query, node_ids)
+        if self.config.validate_correctness and correct.any():
+            kept = self._batch_similarities(
+                state.validation_order, node_ids[correct].tolist()
             )
-            state.support_known[index] = True
-            state.support_correct[index] = correct
-            state.support_value[index] = value if correct else 0.0
+            # a verdict belongs to the answer, not to its position
+            correct = np.isin(node_ids, np.asarray(kept, dtype=np.int64))
+        state.support_known[pending] = True
+        state.support_correct[pending] = correct
+        state.support_value[pending] = np.where(correct, values, 0.0)
 
     def _ensure_validated(self, state: _QueryState) -> None:
         """Validate every support entry present in the current draws."""
@@ -984,18 +990,28 @@ class QueryExecutor:
     ) -> tuple[list[EstimationSample], EstimationSample]:
         """Per-little-sample and combined draw slices with validity masks.
 
-        Callers must have run :meth:`_ensure_validated` first; slicing the
-        verdict arrays is pure numpy fancy-indexing.
+        Callers must have run :meth:`_ensure_validated` first.  The
+        verdict arrays are gathered once over all draws; the little
+        samples are views into that gather.
         """
-        littles = [
-            EstimationSample(
-                values=state.support_value[indexes],
-                probabilities=state.joint.probabilities[indexes],
-                correct=state.support_correct[indexes],
+        draws = np.concatenate(state.little_samples)
+        combined = EstimationSample(
+            values=state.support_value[draws],
+            probabilities=state.joint.probabilities[draws],
+            correct=state.support_correct[draws],
+        )
+        littles = []
+        stop = 0
+        for indexes in state.little_samples:
+            start, stop = stop, stop + len(indexes)
+            littles.append(
+                EstimationSample(
+                    values=combined.values[start:stop],
+                    probabilities=combined.probabilities[start:stop],
+                    correct=combined.correct[start:stop],
+                )
             )
-            for indexes in state.little_samples
-        ]
-        return littles, EstimationSample.concatenate(littles)
+        return littles, combined
 
     # ------------------------------------------------------------------
     # Main loop (S2 + S3), one round at a time
@@ -1454,14 +1470,22 @@ class QueryExecutor:
         assert state.support_group_known is not None
         known = state.support_group_known
         drawn = state.distinct_support_indices()
-        for index in drawn[~known[drawn]]:
-            known[index] = True
-            if not state.support_correct[index]:
-                continue
-            node = self._kg.node(int(state.joint.answers[index]))
-            key = group_by.key_for(node)
-            if key is not None:
-                state.support_group[index] = key
+        pending = drawn[~known[drawn]]
+        known[pending] = True
+        pending = pending[state.support_correct[pending]]
+        # GroupBy.key_for over the attribute column, the same IEEE
+        # operations: an absent or NaN attribute stays NaN (ungrouped)
+        keys = self._attribute_values(
+            group_by.attribute, state.joint.answers[pending]
+        )
+        width = group_by.bin_width
+        if width is not None:
+            values = keys
+            # + 0.0: floor() keeps the sign of a -0.0 quotient, the
+            # integer floor of key_for does not
+            keys = np.floor(values / width) * width + 0.0
+            keys = np.where(keys > values, keys - width, keys)
+        state.support_group[pending] = keys
         return state.support_group
 
     def _grouped_samples(self, state: _QueryState) -> dict[float, EstimationSample]:

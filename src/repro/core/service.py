@@ -609,28 +609,50 @@ class AggregateQueryService:
         self._metric_round_seconds = scheduler.histogram(
             "round_seconds", "Wall-clock seconds per completed round"
         )
-        scheduler.gauge(
-            "live_queries", "Queries not yet settled"
-        ).set_function(self._live_query_count)
         plan = self.registry.scope("plan")
-        plan.gauge(
-            "builds", "S1 plans built by this service's planner"
-        ).set_function(lambda: self._planner.build_count)
-        plan.gauge(
-            "catalog_hits", "Plans adopted from a snapshot catalog"
-        ).set_function(lambda: self._planner.catalog_hits)
-        plan.gauge(
-            "unconverged_walks",
-            "CNARW power iterations that ran out of steps unconverged",
-        ).set_function(lambda: self._planner.unconverged_walks)
-        plan.gauge(
-            "cache_hits",
-            "Plan-cache hits (process-wide cache, process-lifetime total)",
-        ).set_function(lambda: self._planner.cache.hits)
-        plan.gauge(
-            "cache_misses",
-            "Plan-cache misses (process-wide cache, process-lifetime total)",
-        ).set_function(lambda: self._planner.cache.misses)
+        #: (gauge, provider) of every read-through gauge; the providers
+        #: reach back to this service, so close() freezes and drops them
+        self._mirrors = [
+            (
+                scheduler.gauge("live_queries", "Queries not yet settled"),
+                self._live_query_count,
+            ),
+            (
+                plan.gauge(
+                    "builds", "S1 plans built by this service's planner"
+                ),
+                lambda: self._planner.build_count,
+            ),
+            (
+                plan.gauge(
+                    "catalog_hits", "Plans adopted from a snapshot catalog"
+                ),
+                lambda: self._planner.catalog_hits,
+            ),
+            (
+                plan.gauge(
+                    "unconverged_walks",
+                    "CNARW power iterations that ran out of steps unconverged",
+                ),
+                lambda: self._planner.unconverged_walks,
+            ),
+            (
+                plan.gauge(
+                    "cache_hits",
+                    "Plan-cache hits (process-wide cache, process-lifetime total)",
+                ),
+                lambda: self._planner.cache.hits,
+            ),
+            (
+                plan.gauge(
+                    "cache_misses",
+                    "Plan-cache misses (process-wide cache, process-lifetime total)",
+                ),
+                lambda: self._planner.cache.misses,
+            ),
+        ]
+        for gauge, provider in self._mirrors:
+            gauge.set_function(provider)
         if self._obs_enabled:
             execution = self.registry.scope("exec")
             self._exec_metrics = {
@@ -975,6 +997,14 @@ class AggregateQueryService:
             with self._audit_lock:
                 self._audit_sink.close()
                 self._audit_sink = None
+        # a closed service must be plain garbage, not cyclic garbage: the
+        # registry's read-through gauges hold callables that lead back to
+        # it; the joined scheduler thread goes with them
+        with self._condition:
+            mirrors, self._mirrors = self._mirrors, []
+            self._thread = None
+        for gauge, provider in mirrors:
+            gauge.freeze(provider)
 
     def __enter__(self) -> "AggregateQueryService":
         return self
@@ -1278,9 +1308,9 @@ class AggregateQueryService:
         candidates = list(cohort)
         if len(candidates) < 2:
             return
-        # find plans shared by >= 2 queries first — the common single-query
-        # and disjoint-batch cases must not pay the pending-entry screen
-        # twice (it reruns inside each step's validation pass anyway)
+        # find plans shared by >= 2 queries first: only their members'
+        # pending answers are worth collecting — a query sharing no plan
+        # validates its own batch in one pass inside its step
         members: dict[int, tuple[QueryPlan, list[_QueryRecord]]] = {}
         for record in candidates:
             assert record.state is not None

@@ -110,6 +110,10 @@ class KnowledgeGraph:
         # snapshots or evict plans, while structural edits invalidate both.
         self._structure_version = 0
         self._attribute_version = 0
+        # attribute name -> float64 column over node ids (NaN = absent),
+        # built on first read; set_attribute writes through, add_node
+        # drops them all (their length is the node count)
+        self._attribute_columns: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -134,6 +138,7 @@ class KnowledgeGraph:
         self._name_index[name] = node_id
         for type_name in type_set:
             self._type_index.setdefault(type_name, []).append(node_id)
+        self._attribute_columns.clear()
         self._structure_version += 1
         return node_id
 
@@ -155,6 +160,9 @@ class KnowledgeGraph:
         """Set (or overwrite) numeric attribute ``name`` on ``node_id``."""
         self._check_node(node_id)
         self._nodes[node_id].attributes[name] = float(value)
+        column = self._attribute_columns.get(name)
+        if column is not None:
+            column[node_id] = value
         self._attribute_version += 1
 
     def intern_predicate(self, predicate: str) -> int:
@@ -214,6 +222,29 @@ class KnowledgeGraph:
             types=record.types,
             attributes=record.attributes,
         )
+
+    def attribute_column(self, name: str) -> np.ndarray:
+        """Attribute ``name`` of every node as a read-only float64 array.
+
+        Indexed by node id; NaN where the node lacks the attribute.  The
+        array-valued form of :meth:`Node.attribute` for code that screens
+        many answers at once.  Built on first use and then kept current:
+        the returned view shares the column ``set_attribute`` writes
+        through to, so it never shows a value older than the last write.
+        ``add_node`` drops the columns — fetch one per use, do not hold
+        it across structural mutation.
+        """
+        column = self._attribute_columns.get(name)
+        if column is None:
+            column = np.full(len(self._nodes), np.nan, dtype=np.float64)
+            for node_id, record in enumerate(self._nodes):
+                value = record.attributes.get(name)
+                if value is not None:
+                    column[node_id] = value
+            self._attribute_columns[name] = column
+        view = column.view()
+        view.setflags(write=False)
+        return view
 
     def edge(self, edge_id: int) -> Edge:
         """Read-only view of ``edge_id``; raises :class:`EdgeNotFoundError`."""

@@ -141,6 +141,18 @@ class Gauge:
     def set_function(self, provider) -> None:
         self._provider = provider
 
+    def freeze(self, provider) -> None:
+        """Stop mirroring ``provider``: keep its last reading, drop it.
+
+        What an owner shutting down calls, so the registry no longer
+        keeps it alive through the callable while scrapes still answer.
+        A gauge that has since been pointed at another provider (a
+        registry shared by several owners) is left alone.
+        """
+        if self._provider == provider:
+            self.set(provider())
+            self._provider = None
+
     @property
     def value(self) -> float:
         provider = self._provider
@@ -405,6 +417,9 @@ class _NullInstrument:
         pass
 
     def set_function(self, provider) -> None:
+        pass
+
+    def freeze(self, provider) -> None:
         pass
 
     def observe(self, value: float) -> None:

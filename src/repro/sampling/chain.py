@@ -23,9 +23,8 @@ from repro.errors import SamplingError
 from repro.kg.graph import KnowledgeGraph
 from repro.query.answer import SampledAnswer
 from repro.query.graph import PathQuery
-from repro.sampling.collector import AnswerDistribution
+from repro.sampling.collector import AnswerCollector, AnswerDistribution
 from repro.sampling.scope import SamplingScope, resolve_mapping_node
-from repro.utils.rng import ensure_rng
 
 
 @dataclass(frozen=True)
@@ -170,13 +169,8 @@ class ChainSampler:
         seed: int | np.random.Generator | None = None,
     ) -> list[SampledAnswer]:
         """Draw i.i.d. answers; each carries its most likely route."""
-        if sample_size <= 0:
-            raise SamplingError("sample_size must be positive")
-        rng = ensure_rng(seed)
         distribution = chain.distribution
-        picks = rng.choice(
-            len(distribution.answers), size=sample_size, p=distribution.probabilities
-        )
+        picks = AnswerCollector(distribution, seed).collect_indices(sample_size)
         # each answer's most probable route (the earliest composed on a
         # tie); ``np.unique`` sorts like ``distribution.answers``
         ranked = np.argsort(-chain.route_probability, kind="stable")

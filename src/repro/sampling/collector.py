@@ -10,6 +10,7 @@ which the Eq. 7-9 estimators divide by.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,12 @@ class AnswerDistribution:
             raise SamplingError("answers and probabilities must align")
         if len(self.answers) == 0:
             raise SamplingError("no candidate answer has positive probability")
+        # checked once here instead of by the generator on every draw
+        if not (
+            np.isfinite(self.probabilities).all()
+            and (self.probabilities >= 0.0).all()
+        ):
+            raise SamplingError("pi_A must be finite and non-negative")
         total = float(self.probabilities.sum())
         if not np.isclose(total, 1.0, atol=1e-8):
             raise SamplingError(f"pi_A must sum to 1, got {total}")
@@ -47,12 +54,18 @@ class AnswerDistribution:
             return 0.0
         return float(self.probabilities[matches[0]])
 
-    def as_mapping(self) -> dict[int, float]:
-        """Answer id -> probability dict view of the distribution."""
-        return {
-            int(node): float(probability)
-            for node, probability in zip(self.answers, self.probabilities)
-        }
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The normalised cumulative distribution draws are inverted through.
+
+        Built on first use and kept (the dataclass is frozen, the arrays
+        never change): the same ``cumsum`` and division by its last entry
+        that ``Generator.choice(p=...)`` redoes on every call.
+        """
+        cdf = np.asarray(self.probabilities, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf
 
 
 def restrict_to_answers(
@@ -106,15 +119,16 @@ class AnswerCollector:
 
         The engine works in index space: node ids and probabilities are
         recovered by fancy-indexing the distribution's arrays, which keeps
-        the per-draw cost at numpy speed.
+        the per-draw cost at numpy speed.  Inverse-CDF sampling, step for
+        step what ``Generator.choice(n, size, p=pi_A)`` does — one
+        ``random(size)`` call, one right-sided ``searchsorted`` — so the
+        generator stream and every index equal ``choice``'s; only its
+        per-call validation and ``cumsum`` of ``p`` are gone.
         """
         if sample_size <= 0:
             raise SamplingError("sample_size must be positive")
-        return self._rng.choice(
-            len(self._distribution.answers),
-            size=sample_size,
-            p=self._distribution.probabilities,
-        )
+        uniforms = self._rng.random(sample_size)
+        return self._distribution.cdf.searchsorted(uniforms, side="right")
 
     def collect(self, sample_size: int) -> list[SampledAnswer]:
         """Draw ``sample_size`` answers with replacement from pi_A."""

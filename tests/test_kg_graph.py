@@ -65,6 +65,70 @@ class TestNodeConstruction:
         assert len(small_kg) == 3
 
 
+class TestAttributeColumns:
+    """``attribute_column`` is the array form of ``Node.attribute``."""
+
+    @staticmethod
+    def _assert_matches_nodes(kg: KnowledgeGraph, name: str) -> None:
+        column = kg.attribute_column(name)
+        assert column.dtype == np.float64 and len(column) == kg.num_nodes
+        for node_id in kg.nodes():
+            value = kg.node(node_id).attribute(name)
+            if value is None or np.isnan(value):
+                assert np.isnan(column[node_id])
+            else:
+                assert column[node_id] == value
+
+    @pytest.fixture
+    def priced_kg(self) -> KnowledgeGraph:
+        kg = KnowledgeGraph("priced")
+        kg.add_node("plain", ["Thing"])
+        kg.add_node("float", ["Thing"], {"price": 36_000.5})
+        kg.add_node("int", ["Thing"], {"price": 2**53 - 1, "age": 7})
+        kg.add_node("nan", ["Thing"], {"price": float("nan")})
+        kg.add_node("negative", ["Thing"], {"price": -0.0, "age": -3})
+        return kg
+
+    def test_matches_node_attribute_for_every_node(self, priced_kg):
+        for name in ("price", "age", "never_set"):
+            self._assert_matches_nodes(priced_kg, name)
+        price = priced_kg.attribute_column("price")
+        assert np.isnan(price[0]) and np.isnan(price[3])  # absent, stored NaN
+        assert int(price[2]) == 2**53 - 1  # an int-valued attribute is exact
+        assert np.isnan(priced_kg.attribute_column("never_set")).all()
+
+    def test_set_attribute_writes_through(self, priced_kg):
+        held = priced_kg.attribute_column("price")
+        priced_kg.set_attribute(1, "price", 1.25)  # overwrite
+        priced_kg.set_attribute(0, "price", 9)  # a node that lacked it
+        priced_kg.set_attribute(4, "age", float("nan"))  # another column
+        assert held[1] == 1.25 and held[0] == 9.0  # no stale read, even held
+        for name in ("price", "age"):
+            self._assert_matches_nodes(priced_kg, name)
+
+    def test_add_node_drops_the_columns(self, priced_kg):
+        before = priced_kg.attribute_column("price")
+        added = priced_kg.add_node("late", ["Thing"], {"price": 3.0})
+        after = priced_kg.attribute_column("price")
+        assert len(before) == added and len(after) == added + 1
+        assert after[added] == 3.0
+        self._assert_matches_nodes(priced_kg, "price")
+
+    def test_column_is_read_only(self, priced_kg):
+        column = priced_kg.attribute_column("price")
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+        assert not column.flags.writeable
+
+    def test_write_stream_does_not_rebuild(self, priced_kg):
+        """A ``set_attribute`` stream is O(1) per write: one backing array."""
+        backing = priced_kg.attribute_column("price").base
+        for step in range(50):
+            priced_kg.set_attribute(step % 5, "price", float(step))
+            assert priced_kg.attribute_column("price").base is backing
+        self._assert_matches_nodes(priced_kg, "price")
+
+
 class TestEdges:
     def test_edge_view(self, small_kg):
         edge = small_kg.edge(0)

@@ -301,6 +301,15 @@ class TestAnswerDistribution:
         with pytest.raises(SamplingError):
             AnswerDistribution(np.array([1, 2]), np.array([0.7, 0.7]))
 
+    def test_sign_and_finiteness_are_checked_where_pi_is_built(self):
+        """``collect_indices`` no longer goes through ``Generator.choice``,
+        which refused such a vector on every draw — so pi_A refuses it."""
+        with pytest.raises(SamplingError, match="non-negative"):
+            AnswerDistribution(np.array([1, 2, 3]), np.array([0.75, -0.25, 0.5]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SamplingError):
+                AnswerDistribution(np.array([1, 2]), np.array([bad, 1.0]))
+
     def test_probability_of_unknown(self):
         distribution = AnswerDistribution(np.array([5]), np.array([1.0]))
         assert distribution.probability_of(99) == 0.0
@@ -349,6 +358,27 @@ class TestCollector:
         first = AnswerCollector(distribution, seed=9).collect_indices(20)
         second = AnswerCollector(distribution, seed=9).collect_indices(20)
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("support_size", [1, 3, 2_000])
+    def test_collect_indices_is_generator_choice(self, support_size):
+        """The once-built CDF draws what ``Generator.choice(p=pi_A)`` draws:
+        equal indices and an equal generator state after every call."""
+        weights = np.random.default_rng(support_size).random(support_size)
+        if support_size > 7:
+            weights[::7] = 0.0  # zero-mass entries sit on flat CDF steps
+        distribution = AnswerDistribution(
+            answers=np.arange(support_size), probabilities=weights / weights.sum()
+        )
+        ours, reference = np.random.default_rng(11), np.random.default_rng(11)
+        collector = AnswerCollector(distribution, seed=ours)
+        for size in (1, 7, 10_000, 7, 7, 7):
+            drawn = collector.collect_indices(size)
+            expected = reference.choice(
+                support_size, size=size, p=distribution.probabilities
+            )
+            assert drawn.dtype == expected.dtype
+            np.testing.assert_array_equal(drawn, expected)
+            assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestTopologySamplers:

@@ -544,3 +544,110 @@ class TestSharedPlanBuilds:
             "concurrent planners resolved different plan objects"
         )
         assert sum(planner.build_count for planner in planners) == 1
+
+
+def _values(result) -> tuple:
+    """Every value field of a result: estimate, MoE, draws, rounds, groups."""
+    rounds = tuple(
+        (t.total_draws, t.correct_draws, t.estimate, t.moe, t.satisfied)
+        for t in result.rounds
+    )
+    if hasattr(result, "groups"):
+        groups = tuple(
+            (key, _values(group)) for key, group in sorted(result.groups.items())
+        )
+        return (result.total_draws, rounds, groups)
+    return (result.value, result.moe, result.total_draws, rounds)
+
+
+class TestWarmRounds:
+    """A warm S2 round screens over the graph's attribute columns."""
+
+    @staticmethod
+    def _queries(world):
+        return [(world.avg_query(), 1), (_grouped_query(), 2), (_extreme_query(), 3)]
+
+    def test_warm_queries_build_no_node_views(self, world, monkeypatch):
+        """Guaranteed, grouped and extreme rounds, single submits and a
+        batch: once the plans exist, no per-answer ``Node`` is built."""
+        from repro.kg import KnowledgeGraph
+
+        with _service(world) as service:
+            for query, seed in self._queries(world):
+                service.submit(query, seed=seed).result()
+            built: list[int] = []
+            node = KnowledgeGraph.node
+            monkeypatch.setattr(
+                KnowledgeGraph,
+                "node",
+                lambda self, node_id: built.append(node_id) or node(self, node_id),
+            )
+            for query, seed in self._queries(world):
+                assert service.submit(query, seed=seed + 10).result().total_draws
+            batch = [(query, seed + 20) for query, seed in self._queries(world)]
+            for handle in service.submit_batch(batch):
+                assert handle.result().total_draws
+        assert built == []
+
+    def test_set_attribute_between_queries_is_seen_by_the_next_one(
+        self, toy_world_factory
+    ):
+        """One live service, a write stream between two queries: the second
+        equals a fresh service's answer over an equally mutated graph."""
+
+        def mutate(world) -> None:
+            cars = world.correct_cars
+            for step, car in enumerate(cars[:20]):
+                world.kg.set_attribute(car, "price", 10_000.0 + 7.0 * step)
+            world.kg.set_attribute(cars[20], "price", float("nan"))
+            world.kg.set_attribute(cars[21], "weight", 1.0)  # a new attribute
+
+        live = toy_world_factory()
+        with _service(live) as service:
+            before = [
+                _values(service.submit(query, seed=seed).result())
+                for query, seed in self._queries(live)
+            ]
+            mutate(live)
+            after = [
+                _values(service.submit(query, seed=seed).result())
+                for query, seed in self._queries(live)
+            ]
+        fresh = toy_world_factory()
+        mutate(fresh)
+        shared_plan_cache().clear()
+        with _service(fresh) as service:
+            expected = [
+                _values(service.submit(query, seed=seed).result())
+                for query, seed in self._queries(fresh)
+            ]
+        assert after == expected
+        assert all(old != new for old, new in zip(before, after))
+
+
+class TestClosedServiceIsPlainGarbage:
+    def test_close_frees_the_service_without_the_cycle_collector(self, world):
+        """The registry's read-through gauges were the way back from a
+        closed service to itself; ``close()`` freezes them, so dropping the
+        last reference frees the service (executor caches, compiled
+        contexts) at once — and a scrape still answers."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            service = _service(world)
+            service.submit(world.avg_query(), seed=5).result()
+            registry = service.registry
+            builds = service.planner.build_count
+            service.close()
+            alive = weakref.ref(service)
+            del service
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert f"repro_plan_builds {builds}\n" in registry.render_prometheus()
+        snapshot = registry.snapshot()
+        assert snapshot["repro_scheduler_live_queries"]["{}"] == 0
+        assert snapshot["repro_plan_cache_misses"]["{}"] >= 1
