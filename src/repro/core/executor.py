@@ -851,32 +851,35 @@ class QueryExecutor:
 
     def _batch_similarities(
         self, order: tuple[QueryPlan, ...], node_ids: list[int]
-    ) -> list[int]:
-        """Lazy conjunction: the answers of ``node_ids`` every component keeps.
+    ) -> np.ndarray:
+        """Lazy conjunction: which of ``node_ids`` every component keeps.
 
         An answer is correct only when *every* component keeps it at
         ``>= tau``, so each component of ``order`` (a state's
         ``validation_order``) is handed only the answers every earlier
-        one kept, and what the last one keeps is the verdict.  Memo values
-        are per answer — independent of the batch they were computed in —
-        so every verdict equals the eager one.  The answer x component
-        searches an earlier rejection saved are counted on
-        ``conjunction_skips``.
+        one kept, and what the last one keeps is the verdict — returned
+        as a mask over ``node_ids``.  Memo values are per answer —
+        independent of the batch they were computed in — so every verdict
+        equals the eager one.  The answer x component searches an earlier
+        rejection saved are counted on ``conjunction_skips``.
         """
         tau = self.config.tau
-        kept = node_ids
+        alive: "range | list[int]" = range(len(node_ids))
         rejected: list[int] = []
         skips = 0
         for position, plan in enumerate(order):
             cache = plan.similarity_cache
             skips += sum(1 for node_id in rejected if node_id not in cache)
+            kept = [node_ids[index] for index in alive]
             self._fill_similarities(plan, kept)
             if position + 1 < len(order):
                 rejected += [n for n in kept if cache[n] < tau]
-            kept = [n for n in kept if cache[n] >= tau]
+            alive = [index for index, n in zip(alive, kept) if cache[n] >= tau]
         if skips and self.obs_metrics is not None:
             self.obs_metrics["conjunction_skips"].inc(skips)
-        return kept
+        keeps = np.zeros(len(node_ids), dtype=bool)
+        keeps[alive] = True
+        return keeps
 
     def _attribute_values(self, name: str, node_ids: np.ndarray) -> np.ndarray:
         """Attribute ``name`` of ``node_ids`` (NaN = absent), off its column."""
@@ -959,11 +962,10 @@ class QueryExecutor:
         node_ids = state.joint.answers[pending]
         correct, values = self._screen(state.aggregate_query, node_ids)
         if self.config.validate_correctness and correct.any():
-            kept = self._batch_similarities(
+            # the conjunction's verdict on what the screen let through
+            correct[correct] = self._batch_similarities(
                 state.validation_order, node_ids[correct].tolist()
             )
-            # a verdict belongs to the answer, not to its position
-            correct = np.isin(node_ids, np.asarray(kept, dtype=np.int64))
         state.support_known[pending] = True
         state.support_correct[pending] = correct
         state.support_value[pending] = np.where(correct, values, 0.0)
