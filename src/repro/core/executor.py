@@ -18,12 +18,15 @@ the ``run_rounds``/``run_grouped``/``run_extreme`` wrappers are plain
 step loops for single-query drivers, so stepping is byte-identical to
 the one-shot path for a fixed seed.
 
-Validation is **batched**: each round's pending support entries are
-validated in one :meth:`CorrectnessValidator.validate_batch` pass per
-component over the validator's shared expansion trace (chain components
-resolve their prefix levels through the same pass), with verdicts memoised
-on the plan — refinement rounds and interactive sessions never revalidate
-an answer.  It is also a **lazy conjunction**: an answer of a composite
+Validation is **batched**: each round's pending support entries pass one
+array-valued attribute/filter screen over the graph's attribute columns
+(:meth:`KnowledgeGraph.attribute_column` — no per-answer ``Node`` view),
+and the survivors are validated in one
+:meth:`CorrectnessValidator.validate_batch` pass per component over the
+validator's shared expansion trace (chain components resolve their prefix
+levels through the same pass), with verdicts memoised on the plan —
+refinement rounds and interactive sessions never revalidate an answer.
+It is also a **lazy conjunction**: an answer of a composite
 query is correct only when every component keeps it, so components are
 validated cheapest-first (simple before chain) and each one sees only the
 answers every earlier one kept.  Validation time is attributed to its own

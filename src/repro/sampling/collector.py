@@ -123,12 +123,21 @@ class AnswerCollector:
         step what ``Generator.choice(n, size, p=pi_A)`` does — one
         ``random(size)`` call, one right-sided ``searchsorted`` — so the
         generator stream and every index equal ``choice``'s; only its
-        per-call validation and ``cumsum`` of ``p`` are gone.
+        per-call validation and ``cumsum`` of ``p`` are gone.  The keys
+        are looked up in ascending order and the indices scattered back:
+        a binary search per random key mispredicts at every step, in key
+        order ``searchsorted`` walks the CDF once (about half the time
+        from a few thousand draws up).
         """
         if sample_size <= 0:
             raise SamplingError("sample_size must be positive")
         uniforms = self._rng.random(sample_size)
-        return self._distribution.cdf.searchsorted(uniforms, side="right")
+        ascending = np.argsort(uniforms)
+        indices = np.empty(sample_size, dtype=np.int64)
+        indices[ascending] = self._distribution.cdf.searchsorted(
+            uniforms[ascending], side="right"
+        )
+        return indices
 
     def collect(self, sample_size: int) -> list[SampledAnswer]:
         """Draw ``sample_size`` answers with replacement from pi_A."""
