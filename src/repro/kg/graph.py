@@ -138,8 +138,8 @@ class KnowledgeGraph:
         self._name_index[name] = node_id
         for type_name in type_set:
             self._type_index.setdefault(type_name, []).append(node_id)
-        self._attribute_columns.clear()
         self._structure_version += 1
+        self._attribute_columns.clear()  # after the bump: see attribute_column
         return node_id
 
     def add_edge(self, subject: int, predicate: str, obj: int) -> int:
@@ -160,10 +160,11 @@ class KnowledgeGraph:
         """Set (or overwrite) numeric attribute ``name`` on ``node_id``."""
         self._check_node(node_id)
         self._nodes[node_id].attributes[name] = float(value)
+        self._attribute_version += 1
+        # after the bump: see attribute_column
         column = self._attribute_columns.get(name)
         if column is not None:
             column[node_id] = value
-        self._attribute_version += 1
 
     def intern_predicate(self, predicate: str) -> int:
         """Return the dense id for ``predicate``, creating one if needed."""
@@ -233,15 +234,23 @@ class KnowledgeGraph:
         through to, so it never shows a value older than the last write.
         ``add_node`` drops the columns — fetch one per use, do not hold
         it across structural mutation.
+
+        A mutation on another thread may land while a column is being
+        built.  Writers bump their version counter *before* they touch
+        the columns and the build re-reads it *after* publishing, so such
+        a write either finds the published column or forces a rebuild.
         """
         column = self._attribute_columns.get(name)
-        if column is None:
+        while column is None:
+            version = self.version
             column = np.full(len(self._nodes), np.nan, dtype=np.float64)
-            for node_id, record in enumerate(self._nodes):
+            for node_id, record in zip(range(len(column)), self._nodes):
                 value = record.attributes.get(name)
                 if value is not None:
                     column[node_id] = value
             self._attribute_columns[name] = column
+            if version != self.version:
+                column = None
         view = column.view()
         view.setflags(write=False)
         return view

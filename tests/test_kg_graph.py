@@ -120,6 +120,35 @@ class TestAttributeColumns:
             column[0] = 1.0
         assert not column.flags.writeable
 
+    @pytest.mark.parametrize("racing", ["set_attribute", "add_node"])
+    def test_a_write_landing_mid_build_is_not_lost(self, priced_kg, racing):
+        """Another thread's mutation between the build's read of a node and
+        the column's publication must not leave a stale column behind."""
+
+        class WritesWhenRead(dict):
+            """The last node's attributes: reading them is the moment the
+            other thread's mutation lands — after node 1 was read, before
+            the column is published."""
+
+            fired = False
+
+            def get(self, key, default=None):
+                if not self.fired:
+                    self.fired = True
+                    if racing == "set_attribute":
+                        priced_kg.set_attribute(1, "price", 77.0)
+                    else:
+                        priced_kg.add_node("racer", ["Thing"], {"price": 5.0})
+                return super().get(key, default)
+
+        last = priced_kg.num_nodes - 1
+        priced_kg._nodes[last].attributes = WritesWhenRead(
+            priced_kg._nodes[last].attributes
+        )
+        self._assert_matches_nodes(priced_kg, "price")
+        if racing == "set_attribute":
+            assert priced_kg.attribute_column("price")[1] == 77.0
+
     def test_write_stream_does_not_rebuild(self, priced_kg):
         """A ``set_attribute`` stream is O(1) per write: one backing array."""
         backing = priced_kg.attribute_column("price").base
