@@ -621,7 +621,7 @@ class QueryExecutor:
                 "the query components share no candidate answer; the "
                 "composite query has an empty intersection sample"
             )
-        weights = None
+        weights = np.ones(len(answers), dtype=np.float64)
         for plan in components:
             distribution = plan.distribution
             # ``answers`` is sorted and contained in every support, so the
@@ -629,8 +629,7 @@ class QueryExecutor:
             _, _, where = np.intersect1d(
                 answers, distribution.answers, return_indices=True
             )
-            gathered = np.asarray(distribution.probabilities[where], np.float64)
-            weights = gathered if weights is None else weights * gathered
+            weights *= distribution.probabilities[where]
         weights = weights / weights.sum()
         return AnswerDistribution(answers=answers, probabilities=weights)
 
@@ -867,7 +866,7 @@ class QueryExecutor:
         rejection saved are counted on ``conjunction_skips``.
         """
         tau = self.config.tau
-        alive: "range | list[int]" = range(len(node_ids))
+        alive = list(range(len(node_ids)))
         rejected: list[int] = []
         skips = 0
         for position, plan in enumerate(order):
@@ -884,15 +883,6 @@ class QueryExecutor:
         keeps[alive] = True
         return keeps
 
-    def _attribute_values(self, name: str, node_ids: np.ndarray) -> np.ndarray:
-        """Attribute ``name`` of ``node_ids`` (NaN = absent), off its column."""
-        if len(node_ids) and not (
-            0 <= node_ids.min() and node_ids.max() < self._kg.num_nodes
-        ):
-            # fancy indexing would wrap a negative id around silently
-            raise NodeNotFoundError("an answer's node id is out of range")
-        return self._kg.attribute_column(name)[node_ids]
-
     def _screen(
         self, aggregate_query: AggregateQuery, node_ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -904,16 +894,20 @@ class QueryExecutor:
         NaN draw would poison every estimator sum and the Eq.-12 sizing
         arithmetic.
         """
+        kg = self._kg
+        if len(node_ids) and not (
+            0 <= node_ids.min() and node_ids.max() < kg.num_nodes
+        ):
+            # fancy indexing would wrap a negative id around silently
+            raise NodeNotFoundError("an answer's node id is out of range")
         if aggregate_query.function.needs_attribute:
-            values = self._attribute_values(
-                aggregate_query.attribute or "", node_ids
-            )
+            values = kg.attribute_column(aggregate_query.attribute or "")[node_ids]
             passes = ~np.isnan(values)
         else:
             values = np.ones(len(node_ids), dtype=np.float64)
             passes = np.ones(len(node_ids), dtype=bool)
         for filter_ in aggregate_query.filters:
-            bounded = self._attribute_values(filter_.attribute, node_ids)
+            bounded = kg.attribute_column(filter_.attribute)[node_ids]
             passes &= ~np.isnan(bounded)
             if filter_.lower is not None:
                 passes &= ~(bounded < filter_.lower)
@@ -1477,15 +1471,17 @@ class QueryExecutor:
         drawn = state.distinct_support_indices()
         pending = drawn[~known[drawn]]
         known[pending] = True
+        # only correct entries are keyed, and those went through _screen
         pending = pending[state.support_correct[pending]]
         # GroupBy.key_for over the attribute column, the same IEEE
         # operations: an absent or NaN attribute stays NaN (ungrouped)
-        keys = self._attribute_values(
-            group_by.attribute, state.joint.answers[pending]
-        )
+        values = self._kg.attribute_column(group_by.attribute)[
+            state.joint.answers[pending]
+        ]
         width = group_by.bin_width
-        if width is not None:
-            values = keys
+        if width is None:
+            keys = values
+        else:
             # + 0.0: floor() keeps the sign of a -0.0 quotient, the
             # integer floor of key_for does not
             keys = np.floor(values / width) * width + 0.0

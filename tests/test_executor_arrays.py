@@ -50,9 +50,9 @@ def _kg_of(rows) -> KnowledgeGraph:
     return kg
 
 
-def _executor(kg: KnowledgeGraph, **config) -> QueryExecutor:
+def _executor(kg: KnowledgeGraph) -> QueryExecutor:
     """An executor for the methods that only read the graph."""
-    return QueryExecutor(kg, None, EngineConfig(**config), None)
+    return QueryExecutor(kg, None, EngineConfig(), None)
 
 
 # ----------------------------------------------------------------------
