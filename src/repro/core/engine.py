@@ -35,19 +35,13 @@ from repro.core.executor import (
     STAGE_SAMPLING,
     STAGE_VALIDATION,
     QueryExecutor,
-    _QueryState,
 )
-from repro.core.plan import QueryPlan
 from repro.core.planner import QueryPlanner
 from repro.core.result import ApproximateResult, GroupedResult
 from repro.embedding.base import PredicateEmbedding
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.graph import KnowledgeGraph
 from repro.query.aggregate import AggregateQuery
-from repro.query.graph import PathQuery
-
-#: backwards-compatible alias: a "prepared component" is now a shared plan
-_PreparedComponent = QueryPlan
 
 __all__ = [
     "ApproximateAggregateEngine",
@@ -105,11 +99,6 @@ class ApproximateAggregateEngine:
     def executor(self) -> QueryExecutor:
         """The execution layer (S2 + S3) running the rounds."""
         return self._executor
-
-    @property
-    def _prepared_cache(self) -> dict[PathQuery, QueryPlan]:
-        """The engine-local plan view (legacy name kept for callers)."""
-        return self._planner.plans
 
     @property
     def service(self) -> "AggregateQueryService":
@@ -190,20 +179,3 @@ class ApproximateAggregateEngine:
 
             return parse_query(aggregate_query)
         return aggregate_query
-
-    # ------------------------------------------------------------------
-    # Internal entry points kept for sessions and diagnostics
-    # ------------------------------------------------------------------
-    def _initialise(
-        self, aggregate_query: AggregateQuery, seed: int | None
-    ) -> _QueryState:
-        return self._executor.initialise(aggregate_query, seed)
-
-    def _run_rounds(
-        self,
-        state: _QueryState,
-        error_bound: float,
-        *,
-        max_rounds: int | None = None,
-    ) -> ApproximateResult:
-        return self._executor.run_rounds(state, error_bound, max_rounds=max_rounds)

@@ -8,15 +8,15 @@ timers.  The split mirrors the paper's pipeline: the planner owns S1, this
 module owns S2 (validation + Eq. 7-9 estimation) and S3 (BLB confidence,
 Theorem-2 termination, Eq. 12 growth).
 
-Every query kind runs the same incremental lifecycle — per-kind
-``grow*``/``step*``/``finalise*`` methods advanced one round at a time:
-:meth:`QueryExecutor.step` for guaranteed aggregates,
-:meth:`QueryExecutor.step_grouped` for GROUP-BY (§V-A) and
-:meth:`QueryExecutor.step_extreme` for MAX/MIN (§IV-B1).  The serving
-scheduler interleaves these rounds across live queries of all kinds;
-the ``run_rounds``/``run_grouped``/``run_extreme`` wrappers are plain
-step loops for single-query drivers, so stepping is byte-identical to
-the one-shot path for a fixed seed.
+Every query kind runs one round lifecycle — :meth:`QueryExecutor.grow`,
+:meth:`QueryExecutor.step`, :meth:`QueryExecutor.finalise` under
+:meth:`QueryExecutor.round_budget` — advanced one round at a time.  The
+paper's GROUP-BY (§V-A) and MAX/MIN (§IV-B1) extensions change only the
+estimator inside the round, the growth rule before it and what the final
+result packages, so the kind is resolved here (:func:`kind_for`) and
+nowhere else.  This module holds no loop: the serving scheduler's slot
+(:mod:`repro.core.service`) is the only driver, interleaving rounds
+across live queries of all kinds.
 
 Validation is **batched**: each round's pending support entries pass one
 array-valued attribute/filter screen over the graph's attribute columns
@@ -74,13 +74,14 @@ STAGE_SCHEDULER = "scheduler"
 #: the per-round parent wall minus the worker's own stage seconds
 STAGE_IPC = "ipc"
 
-#: How a query's rounds are stepped and finalised.  Every kind runs the
-#: same incremental grow/step/finalise lifecycle — they differ only in
-#: which estimator a step applies and what finalise packages — so the
-#: serving scheduler and the worker protocol treat them uniformly.
-KIND_ROUNDS = "rounds"  # guaranteed aggregates: Theorem-2 step loop
-KIND_GROUPED = "grouped"  # GROUP-BY (§V-A): per-group CI step loop
-KIND_EXTREME = "extreme"  # MAX/MIN (§IV-B1): fixed-round estimator loop
+#: What a query's round estimates, how its sample grows and what its
+#: result packages.  Only :class:`QueryExecutor` branches on these; to the
+#: serving scheduler and the worker protocol a kind is a label.
+KIND_ROUNDS = "rounds"  # guaranteed aggregates: BLB CI + Theorem 2
+KIND_GROUPED = "grouped"  # GROUP-BY (§V-A): one CI per group
+KIND_EXTREME = "extreme"  # MAX/MIN (§IV-B1): sample extremum, no CI
+#: every label :func:`kind_for` can return
+KINDS = (KIND_ROUNDS, KIND_GROUPED, KIND_EXTREME)
 
 
 def kind_for(aggregate_query: AggregateQuery) -> str:
@@ -115,7 +116,7 @@ class _QueryState:
     rounds: list[RoundTrace] = field(default_factory=list)
     timers: StageTimer = field(default_factory=StageTimer)
     #: GROUP-BY only: the latest round's per-group results, refreshed by
-    #: every step_grouped and packaged by finalise_grouped
+    #: every step and packaged by finalise
     grouped_results: dict[float, "ApproximateResult"] | None = None
     #: distinct_support_indices memo: (per-sample lengths, read-only indices)
     _drawn: tuple | None = field(default=None, repr=False)
@@ -157,10 +158,11 @@ class _QueryState:
 class StepOutcome:
     """One S2/S3 round's verdict: the trace plus the loop-control flags.
 
-    ``satisfied`` means Theorem 2 held this round (the run converged);
+    ``satisfied`` means the run converged this round — Theorem 2 held,
+    or every sufficiently-drawn group met the bound; never for MAX/MIN.
     ``exhausted`` means the sample hit ``max_sample_size`` and further
-    growth is pointless.  Drivers — :meth:`QueryExecutor.run_rounds` and
-    the serving scheduler — stop on either flag or on their round budget.
+    growth is pointless.  The serving scheduler's slot stops a run on
+    either flag or on :meth:`QueryExecutor.round_budget`.
     """
 
     trace: RoundTrace
@@ -205,13 +207,6 @@ class RoundWorkItem:
     num_candidates: int
     walk_iterations: int
     prior_rounds: tuple[RoundTrace, ...]
-    #: which step/finalise family executes this round (KIND_* constant)
-    kind: str = KIND_ROUNDS
-    #: GROUP-BY only: group keys of the drawn support, compacted to
-    #: ``support_indices`` like the verdict arrays (None on other kinds
-    #: and before the first grouped round computed any key)
-    support_group: np.ndarray | None = None
-    support_group_known: np.ndarray | None = None
     #: True — ``memos``/``chain_memos`` are full snapshots; the executing
     #: plan replicas are cleared before the overlay.  False — they are
     #: *deltas* (only entries past the receiving worker's known version;
@@ -239,10 +234,6 @@ class RoundWorkResult:
     chain_memo_updates: tuple[dict, ...]
     #: seconds per stage bucket measured in the worker
     stage_seconds: dict
-    #: GROUP-BY only: support indices whose group key was resolved this
-    #: round, plus the keys themselves (NaN = ungrouped/invalid)
-    updated_group_indices: np.ndarray | None = None
-    updated_group_values: np.ndarray | None = None
     #: GROUP-BY only: the round's per-group results (small dataclasses;
     #: the parent installs them as ``state.grouped_results``)
     grouped_results: dict | None = None
@@ -296,7 +287,6 @@ def export_round_item(
     error_bound: float,
     carried_seconds: float,
     config: EngineConfig,
-    kind: str = KIND_ROUNDS,
     memo_floors: "tuple[tuple[int, int], ...] | None" = None,
 ) -> RoundWorkItem:
     """Snapshot ``state`` into a :class:`RoundWorkItem` (parent side).
@@ -307,12 +297,6 @@ def export_round_item(
     overlay becomes update-only (see :attr:`RoundWorkItem.full_memos`).
     """
     indices = state.distinct_support_indices()
-    support_group = None
-    support_group_known = None
-    if kind == KIND_GROUPED and state.support_group is not None:
-        assert state.support_group_known is not None
-        support_group = state.support_group[indices]
-        support_group_known = state.support_group_known[indices]
     if memo_floors is None:
         memos = tuple(dict(plan.similarity_cache) for plan in state.components)
         chain_memos = tuple(
@@ -346,9 +330,6 @@ def export_round_item(
         num_candidates=state.num_candidates,
         walk_iterations=state.walk_iterations,
         prior_rounds=tuple(state.rounds),
-        kind=kind,
-        support_group=support_group,
-        support_group_known=support_group_known,
     )
 
 
@@ -368,7 +349,10 @@ def execute_round_item(
     the full support — undrawn entries are all-false by construction),
     stepped once, and diffed against the shipped arrays — validation
     verdicts are deterministic, so the returned deltas are byte-identical
-    to what an in-process step would have written.
+    to what an in-process step would have written.  GROUP-BY keys do not
+    travel either way: they are a pure function of the attribute column,
+    ``joint.answers`` and the verdicts the step settles first, so the
+    replica rebuilds the keys of its drawn support (one gather).
     """
     for plan, memo, chain_memo in zip(plans, item.memos, item.chain_memos):
         if item.full_memos:
@@ -404,26 +388,9 @@ def execute_round_item(
         support_value=support_value,
         rounds=list(item.prior_rounds),
     )
-    shipped_group_known = np.zeros(support_size, dtype=bool)
-    if item.kind == KIND_GROUPED:
-        support_group = np.full(support_size, np.nan, dtype=np.float64)
-        if item.support_group is not None:
-            assert item.support_group_known is not None
-            support_group[indices] = item.support_group
-            shipped_group_known[indices] = item.support_group_known
-        state.support_group = support_group
-        state.support_group_known = shipped_group_known.copy()
-        outcome = executor.step_grouped(
-            state, item.error_bound, carried_seconds=item.carried_seconds
-        )
-    elif item.kind == KIND_EXTREME:
-        outcome = executor.step_extreme(
-            state, carried_seconds=item.carried_seconds
-        )
-    else:
-        outcome = executor.step(
-            state, item.error_bound, carried_seconds=item.carried_seconds
-        )
+    outcome = executor.step(
+        state, item.error_bound, carried_seconds=item.carried_seconds
+    )
     updated = np.flatnonzero(state.support_known & ~shipped_known)
     memo_updates = tuple(
         memo_delta(plan.similarity_cache, size)
@@ -433,13 +400,6 @@ def execute_round_item(
         memo_delta(plan.chain_prefix_memo, size)
         for plan, size in zip(plans, chain_sizes)
     )
-    updated_group_indices = None
-    updated_group_values = None
-    if item.kind == KIND_GROUPED and state.support_group_known is not None:
-        updated_group_indices = np.flatnonzero(
-            state.support_group_known & ~shipped_group_known
-        )
-        updated_group_values = state.support_group[updated_group_indices]
     return RoundWorkResult(
         trace=outcome.trace,
         satisfied=outcome.satisfied,
@@ -452,8 +412,6 @@ def execute_round_item(
         stage_seconds={
             name: timer.elapsed for name, timer in state.timers.stages.items()
         },
-        updated_group_indices=updated_group_indices,
-        updated_group_values=updated_group_values,
         grouped_results=state.grouped_results,
     )
 
@@ -471,17 +429,6 @@ def apply_round_result(state: _QueryState, result: RoundWorkResult) -> StepOutco
     state.support_known[indices] = True
     state.support_correct[indices] = result.updated_correct
     state.support_value[indices] = result.updated_value
-    if result.updated_group_indices is not None:
-        if state.support_group is None:
-            state.support_group = np.full(
-                state.joint.support_size, np.nan, dtype=np.float64
-            )
-            state.support_group_known = np.zeros(
-                state.joint.support_size, dtype=bool
-            )
-        group_indices = np.asarray(result.updated_group_indices, dtype=np.int64)
-        state.support_group_known[group_indices] = True
-        state.support_group[group_indices] = result.updated_group_values
     if result.grouped_results is not None:
         state.grouped_results = result.grouped_results
     for plan, memo_update, chain_update in zip(
@@ -1013,155 +960,166 @@ class QueryExecutor:
         return littles, combined
 
     # ------------------------------------------------------------------
-    # Main loop (S2 + S3), one round at a time
+    # The round lifecycle (S2 + S3): grow / step / finalise, every kind
     # ------------------------------------------------------------------
-    @staticmethod
-    def _growth_moe(grow_from: RoundTrace) -> float:
-        """The MoE Eq. 12 should size against, from the previous trace.
+    def round_budget(self, state: _QueryState) -> int:
+        """How many rounds a run takes before it is finalised regardless.
 
-        A round without a usable CI stores the 0.0 no-guarantee sentinel
-        (renderable, JSON-safe) instead of the raw infinity; growth must
-        still see "no CI yet" and double the sample, so the infinity is
-        reconstructed here from the ``guaranteed`` flag.
+        ``config.max_rounds`` where a round can end the run by itself;
+        MAX/MIN never converge, so ``config.extreme_rounds`` is their
+        only stop besides sample exhaustion.
         """
-        return grow_from.moe if grow_from.guaranteed else float("inf")
+        if kind_for(state.aggregate_query) == KIND_EXTREME:
+            return self.config.extreme_rounds
+        return self.config.max_rounds
 
     def grow(
-        self, state: _QueryState, grow_from: RoundTrace, error_bound: float
+        self, state: _QueryState, last: RoundTrace, error_bound: float
     ) -> None:
-        """Alg. 2 lines 11-13: enlarge S_A after a failed Theorem-2 check.
+        """Alg. 2 lines 11-13: enlarge S_A before a non-first round.
 
-        Exposed separately from :meth:`step` so the serving scheduler can
-        grow every cohort member first and then batch the cohort's
-        validation across queries; ``step(grow_from=...)`` fuses the two
-        for single-query drivers.  Both paths run the identical
-        ``_grow_sample`` call, so results cannot diverge.
+        ``last`` is the previous round's trace.  Guaranteed aggregates
+        size the top-up against its estimate and MoE (Eq. 12); a round
+        that stored the no-CI sentinel still has to read as "no CI yet",
+        so the infinity is restored from ``last.guaranteed``.  GROUP-BY
+        has no single Eq.-12 target (each group carries its own CI) and
+        runs the delta strategy with an unknown MoE — doubling under
+        ``ERROR_BASED``, the fixed top-up otherwise.  MAX/MIN have no
+        error sensing at all (§VII-B): each round doubles the draw set.
+
+        Growth is the only RNG in a round and runs in whichever slot owns
+        the state, never in a worker process; the slot grows first so the
+        scheduler can batch a cohort's validation across queries.
         """
-        self._grow_sample(
-            state, grow_from.estimate, self._growth_moe(grow_from), error_bound
-        )
+        kind = kind_for(state.aggregate_query)
+        if kind == KIND_EXTREME:
+            with state.timers.measure(STAGE_SAMPLING):
+                for position, sample in enumerate(state.little_samples):
+                    state.little_samples[position] = np.concatenate(
+                        [sample, state.collector.collect_indices(len(sample))]
+                    )
+        elif kind == KIND_GROUPED:
+            self._grow_sample(state, 1.0, float("inf"), error_bound)
+        else:
+            moe = last.moe if last.guaranteed else float("inf")
+            self._grow_sample(state, last.estimate, moe, error_bound)
 
     def step(
         self,
         state: _QueryState,
         error_bound: float,
         *,
-        grow_from: RoundTrace | None = None,
         carried_seconds: float = 0.0,
     ) -> StepOutcome:
-        """Run exactly one S2/S3 round and append its trace.
+        """Run exactly one validate-estimate round and append its trace.
 
-        ``grow_from`` carries the previous round's estimate and MoE into
-        the Eq.-12 growth step (Alg. 2, lines 11-13); pass ``None`` on the
-        first round of a run, where the freshly drawn (or carried-over)
-        sample is estimated as-is.  A caller that already grew the sample
-        itself (via :meth:`grow`) passes the growth's wall-clock as
-        ``carried_seconds`` so the round trace still reports the full
-        round.  The incremental API exists so the serving scheduler can
-        interleave rounds of many live queries; a :meth:`run_rounds` call
-        is exactly a ``step`` loop, so stepping is byte-identical to the
-        one-shot path for a fixed seed.
+        The sample is estimated as it stands: a caller that grew it first
+        (:meth:`grow`) passes the growth's wall-clock as
+        ``carried_seconds`` so the trace still reports the full round.
+        What the round estimates depends on the kind — see
+        :meth:`_estimate_guaranteed`, :meth:`_estimate_worst_group` and
+        :meth:`_estimate_extremum`, each returning ``(estimate, moe or
+        None, correct_draws, satisfied)``.  A round without a CI (no
+        correct draws, a failed bootstrap, any MAX/MIN round) is traced
+        as ``moe=0.0, guaranteed=False`` — never inf or NaN, which break
+        rendering and strict JSON.
         """
-        config = self.config
-        function = state.aggregate_query.function
         step_started = time.perf_counter() - carried_seconds
         round_index = len(state.rounds) + 1
-        if grow_from is not None:
-            # Theorem 2 failed last round: enlarge S_A first (Alg. 2,
-            # lines 11-13), then re-estimate on the grown sample.
-            self._grow_sample(
-                state, grow_from.estimate, self._growth_moe(grow_from),
-                error_bound,
-            )
         self._ensure_validated(state)
-        with state.timers.measure(STAGE_ESTIMATION):
-            littles, combined = self._estimation_samples(state)
-            if combined.correct_draws > 0:
-                point_estimate = estimate(function, combined, config.normalization)
-            else:
-                point_estimate = 0.0
-
-        with state.timers.measure(STAGE_GUARANTEE):
-            if combined.correct_draws > 0:
-                try:
-                    interval = blb_confidence_interval(
-                        littles,
-                        function,
-                        config.normalization,
-                        estimate=point_estimate,
-                        confidence_level=config.confidence_level,
-                        config=config.blb,
-                        seed=derive_seed(config.seed, "blb", round_index),
-                    )
-                    moe = interval.moe
-                except EstimationError:
-                    moe = float("inf")
-            else:
-                moe = float("inf")
-            guard_ok = (
-                round_index >= config.min_rounds
-                and combined.correct_draws >= config.min_correct_for_termination
-            )
-            satisfied = (
-                combined.correct_draws > 0
-                and guard_ok
-                and satisfies_error_bound(moe, point_estimate, error_bound)
-            )
-            # a round without a usable CI (no correct draws, or the BLB
-            # failed) records the no-guarantee sentinel instead of inf:
-            # _growth_moe restores the infinity for Eq.-12 sizing
-            has_ci = math.isfinite(moe)
-            trace = RoundTrace(
-                round_index=round_index,
-                total_draws=state.total_draws,
-                correct_draws=combined.correct_draws,
-                estimate=point_estimate,
-                moe=moe if has_ci else 0.0,
-                satisfied=satisfied,
-                seconds=time.perf_counter() - step_started,
-                guaranteed=has_ci,
-            )
-            state.rounds.append(trace)
+        kind = kind_for(state.aggregate_query)
+        if kind == KIND_GROUPED:
+            round_estimate = self._estimate_worst_group(state, error_bound)
+        elif kind == KIND_EXTREME:
+            round_estimate = self._estimate_extremum(state)
+        else:
+            round_estimate = self._estimate_guaranteed(state, error_bound)
+        point_estimate, moe, correct_draws, satisfied = round_estimate
+        trace = RoundTrace(
+            round_index=round_index,
+            total_draws=state.total_draws,
+            correct_draws=correct_draws,
+            estimate=point_estimate,
+            moe=0.0 if moe is None else moe,
+            satisfied=satisfied,
+            seconds=time.perf_counter() - step_started,
+            guaranteed=moe is not None,
+        )
+        state.rounds.append(trace)
         return StepOutcome(
             trace=trace,
             satisfied=satisfied,
-            exhausted=state.total_draws >= config.max_sample_size,
+            exhausted=state.total_draws >= self.config.max_sample_size,
         )
 
-    def run_rounds(
-        self,
-        state: _QueryState,
-        error_bound: float,
-        *,
-        max_rounds: int | None = None,
-    ) -> ApproximateResult:
-        budget = self.config.max_rounds if max_rounds is None else max_rounds
-        converged = False
-        last: RoundTrace | None = None
-        for loop_index in range(budget):
-            outcome = self.step(
-                state,
-                error_bound,
-                grow_from=last if loop_index > 0 else None,
-            )
-            last = outcome.trace
-            if outcome.satisfied:
-                converged = True
-                break
-            if outcome.exhausted:
-                break
-        return self.finalise(state, last, converged)
-
     def finalise(
-        self,
-        state: _QueryState,
-        last: RoundTrace | None,
-        converged: bool,
-    ) -> ApproximateResult:
-        """Package the current state into a result after a run of steps."""
-        point_estimate = last.estimate if last is not None else 0.0
-        moe = last.moe if last is not None else float("inf")
-        return self._finalise(state, point_estimate, moe, converged)
+        self, state: _QueryState, converged: bool
+    ) -> ApproximateResult | GroupedResult:
+        """Package the state after its run's last step.
+
+        ``converged`` is that step's ``satisfied``.  GROUP-BY packages the
+        latest per-group estimates; everything else the last round's
+        estimate and MoE (``state.rounds[-1]``), which a MAX/MIN query
+        under ``ExtremeMethod.EVT`` first extrapolates past the sample
+        extremum.
+        """
+        config = self.config
+        function = state.aggregate_query.function
+        kind = kind_for(state.aggregate_query)
+        if kind == KIND_GROUPED:
+            group_by = state.aggregate_query.group_by
+            groups = state.grouped_results or {}
+            return GroupedResult(
+                function=function,
+                groups=groups,
+                labels={key: group_by.label_for(key) for key in groups},
+                converged=converged,
+                total_draws=state.total_draws,
+                stage_ms=state.timers.as_dict_ms(),
+                rounds=tuple(state.rounds),
+            )
+        last = state.rounds[-1]
+        value, moe = last.estimate, last.moe
+        if (
+            kind == KIND_EXTREME
+            and config.extreme_method is ExtremeMethod.EVT
+            and last.correct_draws
+        ):
+            # The future-work extension: extrapolate past the sample
+            # extremum with a POT/GPD tail fit (see estimation.extreme).
+            with state.timers.measure(STAGE_GUARANTEE):
+                _littles, combined = self._estimation_samples(state)
+                evt = estimate_extreme_evt(
+                    combined,
+                    function,
+                    exceedance_quantile=config.evt_exceedance_quantile,
+                    confidence_level=config.confidence_level,
+                    bootstrap_rounds=config.evt_bootstrap_rounds,
+                    seed=derive_seed(config.seed, "evt"),
+                )
+            value, moe = evt.value, evt.moe
+        return ApproximateResult(
+            function=function,
+            interval=ConfidenceInterval(
+                estimate=value, moe=moe, confidence_level=config.confidence_level
+            ),
+            converged=converged,
+            rounds=tuple(state.rounds),
+            total_draws=state.total_draws,
+            distinct_answers=int(len(state.distinct_support_indices())),
+            correct_draws=last.correct_draws,
+            stage_ms=state.timers.as_dict_ms(),
+            walk_iterations=state.walk_iterations,
+            num_candidates=state.num_candidates,
+        )
+
+    # The ledger's binding names: benchmarks/ledger/layers.py::_STATE_STEPS
+    # resolves all nine by getattr and rebinds the class attributes, so the
+    # lifecycle above must be called as self.step / executor.grow at call
+    # time.  No src/ caller; they go when _STATE_STEPS is re-pointed.
+    step_grouped = step_extreme = step
+    grow_grouped = grow_extreme = grow
+    finalise_grouped = finalise_extreme = finalise
 
     def _grow_sample(
         self,
@@ -1200,65 +1158,87 @@ class QueryExecutor:
                         [sample, state.collector.collect_indices(per_sample)]
                     )
 
-    def _finalise(
-        self,
-        state: _QueryState,
-        point_estimate: float,
-        moe: float,
-        converged: bool,
-    ) -> ApproximateResult:
-        interval = ConfidenceInterval(
-            estimate=point_estimate,
-            moe=moe if not math.isinf(moe) else 0.0,
-            confidence_level=self.config.confidence_level,
-        )
-        correct_draws = state.rounds[-1].correct_draws if state.rounds else 0
-        return ApproximateResult(
-            function=state.aggregate_query.function,
-            interval=interval,
-            converged=converged,
-            rounds=tuple(state.rounds),
-            total_draws=state.total_draws,
-            distinct_answers=int(len(state.distinct_support_indices())),
-            correct_draws=correct_draws,
-            stage_ms=state.timers.as_dict_ms(),
-            walk_iterations=state.walk_iterations,
-            num_candidates=state.num_candidates,
-        )
-
     # ------------------------------------------------------------------
-    # Extreme functions (MAX/MIN, no guarantee), one round at a time
+    # What one round estimates, per kind
     # ------------------------------------------------------------------
-    def grow_extreme(self, state: _QueryState) -> None:
-        """Double the sample before a non-first extreme round (§VII-B).
-
-        Extremes have no Eq.-12 error sensing — each round simply doubles
-        the draw set.  Like :meth:`grow`, growth is the only RNG and runs
-        in whichever slot owns the state, never in a worker process.
-        """
-        with state.timers.measure(STAGE_SAMPLING):
-            for position, sample in enumerate(state.little_samples):
-                state.little_samples[position] = np.concatenate(
-                    [sample, state.collector.collect_indices(len(sample))]
-                )
-
-    def step_extreme(
-        self, state: _QueryState, *, carried_seconds: float = 0.0
-    ) -> StepOutcome:
-        """One validate-estimate round of the MAX/MIN estimator.
-
-        The trace's ``moe`` is the 0.0 sentinel with ``guaranteed=False``
-        — extremes carry no Theorem-2 interval (§IV-B1 remarks) and a NaN
-        here would poison rendering and JSON serialisation downstream.
-        ``satisfied`` is always False: the round budget
-        (``config.extreme_rounds``) is the only stop condition besides
-        sample exhaustion.
-        """
+    def _estimate_guaranteed(
+        self, state: _QueryState, error_bound: float
+    ) -> tuple[float, float | None, int, bool]:
+        """Eq. 7-9 estimate, BLB interval and the Theorem-2 check."""
         config = self.config
         function = state.aggregate_query.function
-        step_started = time.perf_counter() - carried_seconds
         round_index = len(state.rounds) + 1
-        self._ensure_validated(state)
+        with state.timers.measure(STAGE_ESTIMATION):
+            littles, combined = self._estimation_samples(state)
+            if combined.correct_draws > 0:
+                point_estimate = estimate(function, combined, config.normalization)
+            else:
+                point_estimate = 0.0
+        with state.timers.measure(STAGE_GUARANTEE):
+            moe = float("inf")
+            if combined.correct_draws > 0:
+                try:
+                    moe = blb_confidence_interval(
+                        littles,
+                        function,
+                        config.normalization,
+                        estimate=point_estimate,
+                        confidence_level=config.confidence_level,
+                        config=config.blb,
+                        seed=derive_seed(config.seed, "blb", round_index),
+                    ).moe
+                except EstimationError:
+                    pass
+            guard_ok = (
+                round_index >= config.min_rounds
+                and combined.correct_draws >= config.min_correct_for_termination
+            )
+            satisfied = (
+                combined.correct_draws > 0
+                and guard_ok
+                and satisfies_error_bound(moe, point_estimate, error_bound)
+            )
+        return (
+            point_estimate,
+            moe if math.isfinite(moe) else None,
+            combined.correct_draws,
+            satisfied,
+        )
+
+    def _estimate_worst_group(
+        self, state: _QueryState, error_bound: float
+    ) -> tuple[float, float | None, int, bool]:
+        """Re-estimate every observed group; report the one gating the run.
+
+        The groups land on ``state.grouped_results``; the round carries
+        the *worst* group's estimate and MoE, so the anytime
+        ``progress()`` view is meaningful for grouped queries, and is
+        satisfied when every sufficiently-drawn group met the bound.
+        """
+        with state.timers.measure(STAGE_ESTIMATION):
+            grouped_samples = self._grouped_samples(state)
+        with state.timers.measure(STAGE_GUARANTEE):
+            groups, all_satisfied = self._estimate_groups(
+                state, grouped_samples, error_bound
+            )
+        state.grouped_results = groups
+        correct_draws = sum(result.correct_draws for result in groups.values())
+        satisfied = all_satisfied and bool(groups)
+        worst = self._worst_group(groups)
+        if worst is None:
+            return 0.0, None, correct_draws, satisfied
+        # a failed group bootstrap (NaN sigma) is stored as an unconverged
+        # moe=0.0 interval: no CI exists this round
+        has_ci = not (worst.moe == 0.0 and not worst.converged)
+        return worst.value, worst.moe if has_ci else None, correct_draws, satisfied
+
+    def _estimate_extremum(
+        self, state: _QueryState
+    ) -> tuple[float, None, int, bool]:
+        """The sample extremum: no interval (§IV-B1 remarks), never
+        satisfied — the round budget is the only stop condition besides
+        sample exhaustion."""
+        function = state.aggregate_query.function
         with state.timers.measure(STAGE_ESTIMATION):
             _littles, combined = self._estimation_samples(state)
             if combined.correct_draws:
@@ -1267,139 +1247,7 @@ class QueryExecutor:
                 value = state.rounds[-1].estimate
             else:
                 value = 0.0
-        trace = RoundTrace(
-            round_index=round_index,
-            total_draws=state.total_draws,
-            correct_draws=combined.correct_draws,
-            estimate=value,
-            moe=0.0,
-            satisfied=False,
-            seconds=time.perf_counter() - step_started,
-            guaranteed=False,
-        )
-        state.rounds.append(trace)
-        return StepOutcome(
-            trace=trace,
-            satisfied=False,
-            exhausted=state.total_draws >= config.max_sample_size,
-        )
-
-    def finalise_extreme(self, state: _QueryState) -> ApproximateResult:
-        """Package the extreme estimate (optionally EVT-extrapolated)."""
-        config = self.config
-        function = state.aggregate_query.function
-        last = state.rounds[-1] if state.rounds else None
-        value = last.estimate if last is not None else 0.0
-        correct_draws = last.correct_draws if last is not None else 0
-        moe = 0.0
-        if config.extreme_method is ExtremeMethod.EVT and correct_draws:
-            # The future-work extension: extrapolate past the sample
-            # extremum with a POT/GPD tail fit (see estimation.extreme).
-            with state.timers.measure(STAGE_GUARANTEE):
-                _littles, combined = self._estimation_samples(state)
-                evt = estimate_extreme_evt(
-                    combined,
-                    function,
-                    exceedance_quantile=config.evt_exceedance_quantile,
-                    confidence_level=config.confidence_level,
-                    bootstrap_rounds=config.evt_bootstrap_rounds,
-                    seed=derive_seed(config.seed, "evt"),
-                )
-            value = evt.value
-            moe = evt.moe
-        interval = ConfidenceInterval(
-            estimate=value, moe=moe, confidence_level=config.confidence_level
-        )
-        return ApproximateResult(
-            function=function,
-            interval=interval,
-            converged=False,  # extremes carry no guarantee (§IV-B1 remarks)
-            rounds=tuple(state.rounds),
-            total_draws=state.total_draws,
-            distinct_answers=int(len(state.distinct_support_indices())),
-            correct_draws=correct_draws,
-            stage_ms=state.timers.as_dict_ms(),
-            walk_iterations=state.walk_iterations,
-            num_candidates=state.num_candidates,
-        )
-
-    def run_extreme(self, state: _QueryState) -> ApproximateResult:
-        """Single-driver convenience: a ``step_extreme`` loop + finalise."""
-        for loop_index in range(self.config.extreme_rounds):
-            grow_started = time.perf_counter()
-            if loop_index > 0:
-                self.grow_extreme(state)
-            outcome = self.step_extreme(
-                state, carried_seconds=time.perf_counter() - grow_started
-            )
-            if outcome.exhausted:
-                break
-        return self.finalise_extreme(state)
-
-    # ------------------------------------------------------------------
-    # GROUP-BY (§V-A), one round at a time
-    # ------------------------------------------------------------------
-    def grow_grouped(self, state: _QueryState, error_bound: float) -> None:
-        """Enlarge the sample before a non-first grouped round.
-
-        GROUP-BY has no single Eq.-12 target (each group carries its own
-        CI), so growth runs the configured delta strategy with an unknown
-        MoE — doubling under ``ERROR_BASED``, the fixed top-up otherwise.
-        """
-        self._grow_sample(state, 1.0, float("inf"), error_bound)
-
-    def step_grouped(
-        self,
-        state: _QueryState,
-        error_bound: float,
-        *,
-        carried_seconds: float = 0.0,
-    ) -> StepOutcome:
-        """One grow-validate-estimate round of the GROUP-BY extension.
-
-        Every round re-estimates all observed groups and stores them on
-        ``state.grouped_results``; the appended trace carries the *worst*
-        group's estimate and MoE (the group gating convergence), so the
-        anytime ``progress()`` view is meaningful for grouped queries.
-        ``satisfied`` means every sufficiently-drawn group met the error
-        bound this round.
-        """
-        config = self.config
-        step_started = time.perf_counter() - carried_seconds
-        round_index = len(state.rounds) + 1
-        self._ensure_validated(state)
-        with state.timers.measure(STAGE_ESTIMATION):
-            grouped_samples = self._grouped_samples(state)
-        with state.timers.measure(STAGE_GUARANTEE):
-            groups, all_satisfied = self._estimate_groups(
-                state, grouped_samples, error_bound
-            )
-        state.grouped_results = groups
-        satisfied = all_satisfied and bool(groups)
-        worst = self._worst_group(groups)
-        # no groups observed, or the worst group's bootstrap failed (its
-        # NaN sigma is stored as an unconverged moe=0.0 interval): no CI
-        # exists this round — record the no-guarantee sentinel (0.0,
-        # never inf/NaN — both break rendering and strict JSON)
-        has_ci = worst is not None and not (
-            worst.moe == 0.0 and not worst.converged
-        )
-        trace = RoundTrace(
-            round_index=round_index,
-            total_draws=state.total_draws,
-            correct_draws=sum(result.correct_draws for result in groups.values()),
-            estimate=worst.value if worst is not None else 0.0,
-            moe=worst.moe if worst is not None else 0.0,
-            satisfied=satisfied,
-            seconds=time.perf_counter() - step_started,
-            guaranteed=has_ci,
-        )
-        state.rounds.append(trace)
-        return StepOutcome(
-            trace=trace,
-            satisfied=satisfied,
-            exhausted=state.total_draws >= config.max_sample_size,
-        )
+        return value, None, combined.correct_draws, False
 
     @staticmethod
     def _worst_group(
@@ -1417,43 +1265,6 @@ class QueryExecutor:
             if worst is None or rank > worst[0]:
                 worst = (rank, result)
         return worst[1] if worst is not None else None
-
-    def finalise_grouped(
-        self, state: _QueryState, converged: bool
-    ) -> GroupedResult:
-        """Package the latest per-group estimates into a GroupedResult."""
-        group_by = state.aggregate_query.group_by
-        assert group_by is not None
-        groups = state.grouped_results or {}
-        labels = {key: group_by.label_for(key) for key in groups}
-        return GroupedResult(
-            function=state.aggregate_query.function,
-            groups=groups,
-            labels=labels,
-            converged=converged,
-            total_draws=state.total_draws,
-            stage_ms=state.timers.as_dict_ms(),
-            rounds=tuple(state.rounds),
-        )
-
-    def run_grouped(self, state: _QueryState, error_bound: float) -> GroupedResult:
-        """Single-driver convenience: a ``step_grouped`` loop + finalise."""
-        converged = False
-        for loop_index in range(self.config.max_rounds):
-            grow_started = time.perf_counter()
-            if loop_index > 0:
-                self.grow_grouped(state, error_bound)
-            outcome = self.step_grouped(
-                state,
-                error_bound,
-                carried_seconds=time.perf_counter() - grow_started,
-            )
-            if outcome.satisfied:
-                converged = True
-                break
-            if outcome.exhausted:
-                break
-        return self.finalise_grouped(state, converged)
 
     def _group_keys(self, state: _QueryState) -> np.ndarray:
         """Per-support group keys (NaN where ungrouped), built lazily."""

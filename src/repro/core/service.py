@@ -26,11 +26,13 @@ What makes a *batch* cheaper than a loop over ``execute``:
 * **Round interleaving** — the scheduler is round-robin with
   budget-aware priority (queries with the fewest completed rounds step
   first), so a batch of queries makes even progress and early
-  convergers free their slot immediately.  GROUP-BY and MAX/MIN queries
-  are first-class citizens of this loop: their executions are the same
-  incremental grow/step/finalise lifecycle as guaranteed aggregates, so
-  they interleave with plain queries, observe cancellation between
-  rounds, and expose a non-empty anytime trace.
+  convergers free their slot immediately.  The scheduler slot —
+  ``_grow_for_run`` → :meth:`QueryExecutor.step` → ``_finish_slot`` — is
+  the only driver of the executor's one grow/step/finalise lifecycle,
+  and it never asks what kind of query it is stepping (``kind`` is a
+  label for metrics, ``/healthz`` and the audit line), so GROUP-BY and
+  MAX/MIN queries interleave with plain ones, observe cancellation
+  between rounds, and expose a non-empty anytime trace.
 
 Everything mutable about one query lives in its
 :class:`~repro.core.executor._QueryState`; exactly one execution slot
@@ -72,9 +74,8 @@ from dataclasses import dataclass, field
 
 from repro.core.config import EngineConfig
 from repro.core.executor import (
-    KIND_EXTREME as _KIND_EXTREME,
-    KIND_GROUPED as _KIND_GROUPED,
-    KIND_ROUNDS as _KIND_ROUNDS,
+    KIND_ROUNDS,
+    KINDS,
     STAGE_SCHEDULER,
     STAGE_VALIDATION,
     QueryExecutor,
@@ -138,7 +139,6 @@ class _Run:
     error_bound: float
     max_rounds: int | None = None
     steps_taken: int = 0
-    last: RoundTrace | None = None
 
 
 @dataclass(eq=False)  # identity semantics: records live in the scheduler list
@@ -815,7 +815,7 @@ class AggregateQueryService:
         endpoint.
         """
         with self._condition:
-            live_by_kind = {kind: 0 for kind in ("rounds", "grouped", "extreme")}
+            live_by_kind = dict.fromkeys(KINDS, 0)
             for record in self._records:
                 if record.status not in _TERMINAL:
                     live_by_kind[record.kind] += 1
@@ -1047,7 +1047,7 @@ class AggregateQueryService:
         error_bound: float,
         max_rounds: int | None,
     ) -> QueryHandle:
-        if record.kind is not _KIND_ROUNDS:
+        if record.kind != KIND_ROUNDS:
             raise ServiceError(
                 "refine() needs a guaranteed ungrouped aggregate "
                 "(COUNT, SUM or AVG without GROUP BY)"
@@ -1383,43 +1383,26 @@ class AggregateQueryService:
         parent process, in whichever slot owns the state this pass —
         worker *processes* receive the already-grown sample, which is
         what keeps fixed-seed draw sequences identical across backends.
-        Each kind grows its own way: Eq. 12 error sensing for guaranteed
-        rounds, delta-strategy doubling for GROUP-BY, sample doubling for
-        extremes.
+        How a sample grows from the previous round's trace is the
+        executor's business (:meth:`QueryExecutor.grow`).
         """
         if run.steps_taken == 0:
             return 0.0
         grow_started = time.perf_counter()
-        if record.kind is _KIND_GROUPED:
-            record.executor.grow_grouped(state, run.error_bound)
-        elif record.kind is _KIND_EXTREME:
-            record.executor.grow_extreme(state)
-        else:
-            assert run.last is not None
-            record.executor.grow(state, run.last, run.error_bound)
+        record.executor.grow(state, state.rounds[-1], run.error_bound)
         return time.perf_counter() - grow_started
-
-    def _run_budget(self, record: _QueryRecord, run: _Run) -> int:
-        """How many rounds this run may take before it is finalised."""
-        if run.max_rounds is not None:
-            return run.max_rounds
-        config = record.executor.config
-        if record.kind is _KIND_EXTREME:
-            return config.extreme_rounds
-        return config.max_rounds
 
     def _finish_slot(
         self, record: _QueryRecord, run: _Run, state, outcome
     ) -> None:
         """Apply one round's outcome to the run's completion bookkeeping.
 
-        Uniform across kinds: a run completes when its round satisfied
-        the stop condition (Theorem 2 / every group within bound; never
-        for extremes), when the sample is exhausted, or when the round
-        budget is spent — and each kind finalises with its own packager.
+        A run completes when its round satisfied the stop condition,
+        when the sample is exhausted, or when the round budget — the
+        run's own ``max_rounds``, else :meth:`QueryExecutor.round_budget`
+        — is spent; :meth:`QueryExecutor.finalise` then packages it.
         """
         run.steps_taken += 1
-        run.last = outcome.trace
         self._metric_rounds.inc()
         self._metric_round_seconds.observe(outcome.trace.seconds)
         # push the fresh anytime trace entry to subscribers (SSE streams)
@@ -1428,25 +1411,20 @@ class AggregateQueryService:
         self._notify(
             record, "round", (len(state.rounds) - 1, outcome.trace)
         )
-        budget = self._run_budget(record, run)
-        if not (
+        budget = (
+            run.max_rounds
+            if run.max_rounds is not None
+            else record.executor.round_budget(state)
+        )
+        if (
             outcome.satisfied
             or outcome.exhausted
             or run.steps_taken >= budget
         ):
-            return
-        executor = record.executor
-        if record.kind is _KIND_GROUPED:
-            result = executor.finalise_grouped(
-                state, converged=outcome.satisfied
+            self._complete_run(
+                record,
+                record.executor.finalise(state, converged=outcome.satisfied),
             )
-        elif record.kind is _KIND_EXTREME:
-            result = executor.finalise_extreme(state)
-        else:
-            result = executor.finalise(
-                state, run.last, converged=outcome.satisfied
-            )
-        self._complete_run(record, result)
 
     def _fail_record(self, record: _QueryRecord, exc: BaseException) -> None:
         """Fail one record (backend-facing wrapper taking the lock)."""
@@ -1464,16 +1442,16 @@ class AggregateQueryService:
     def _step_record(self, record: _QueryRecord) -> None:
         """Advance one record by exactly one round, in this thread.
 
-        Every kind — guaranteed aggregates, GROUP-BY, MAX/MIN — runs the
-        same one-round slot, so grouped and extreme queries interleave
-        with plain aggregates, observe cancellation between rounds, and
-        grow their anytime trace like every other query.
+        The slot — grow, step, finish — is the one driver of the
+        executor's round lifecycle, the same for every kind, so grouped
+        and extreme queries interleave with plain aggregates, observe
+        cancellation between rounds, and grow their anytime trace like
+        every other query.
         """
         slot = self._begin_slot(record)
         if slot is None:
             return
         run, state = slot
-        executor = record.executor
         fault_plan = self._backend.fault_plan
         if fault_plan is not None:
             fault_plan.fire(
@@ -1486,18 +1464,9 @@ class AggregateQueryService:
             "round", kind=record.kind, round_index=run.steps_taken + 1
         ):
             grow_seconds = self._grow_for_run(record, run, state)
-            if record.kind is _KIND_GROUPED:
-                outcome = executor.step_grouped(
-                    state, run.error_bound, carried_seconds=grow_seconds
-                )
-            elif record.kind is _KIND_EXTREME:
-                outcome = executor.step_extreme(
-                    state, carried_seconds=grow_seconds
-                )
-            else:
-                outcome = executor.step(
-                    state, run.error_bound, carried_seconds=grow_seconds
-                )
+            outcome = record.executor.step(
+                state, run.error_bound, carried_seconds=grow_seconds
+            )
         self._finish_slot(record, run, state, outcome)
 
     def _complete_run(self, record: _QueryRecord, result) -> None:

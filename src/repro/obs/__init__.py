@@ -90,11 +90,13 @@ settles again and is audited again — one line per settlement.
 Overhead contract
 -----------------
 
-Instruments are on by default; ``benchmarks/bench_perf_obs.py`` gates
-the instrumentation tax on the 8-query serving workload at < 3% against
-the same workload with ``registry=NULL_REGISTRY``, with byte-identical
-fixed-seed results (instrumentation performs no RNG draws and never
-touches memo insertion order).
+Instruments are on by default.  Fixed-seed results are byte-identical
+with ``registry=NULL_REGISTRY`` and equal to sequential ``execute``
+(instrumentation performs no RNG draws and never touches memo insertion
+order; ``tests/test_obs.py`` asserts it on the cooperative and processes
+backends), and every ledger workload (``BENCHMARK.json``) runs
+instrumented, so an instrumentation tax shows there as a latency
+regression against the parent commit.
 """
 
 from repro.obs.metrics import (

@@ -771,7 +771,6 @@ class ProcessBackend(ExecutionBackend):
                     run.error_bound,
                     grow_seconds,
                     record.executor.config,
-                    kind=record.kind,
                     memo_floors=memo_floors,
                 )
                 if memo_floors is None:

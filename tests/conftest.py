@@ -154,6 +154,29 @@ def toy_world_factory():
     return build_toy_world
 
 
+def _drive_lifecycle(executor, aggregate_query, seed, error_bound, max_rounds=None):
+    """Hand-drive ``initialise`` -> (``grow`` ->) ``step`` -> ``finalise``.
+
+    What the scheduler slot does for one run, without a service; returns
+    ``(state, result)``.
+    """
+    state = executor.initialise(aggregate_query, seed)
+    budget = executor.round_budget(state) if max_rounds is None else max_rounds
+    for taken in range(budget):
+        if taken:
+            executor.grow(state, state.rounds[-1], error_bound)
+        outcome = executor.step(state, error_bound)
+        if outcome.satisfied or outcome.exhausted:
+            break
+    return state, executor.finalise(state, converged=outcome.satisfied)
+
+
+@pytest.fixture(scope="session")
+def drive_lifecycle():
+    """The executor's round lifecycle, hand-driven (no service)."""
+    return _drive_lifecycle
+
+
 @pytest.fixture(scope="session")
 def fast_config() -> EngineConfig:
     """Engine config tuned for quick, deterministic tests."""

@@ -50,15 +50,16 @@ class TestSimpleQueries:
     def test_distinct_support_indices_follow_growth(self, toy, engine):
         """The drawn-mask memo equals ``np.unique`` over every draw and is
         recomputed exactly when the (append-only) little samples grow."""
-        state = engine._initialise(toy.avg_query(), seed=5)
+        state = engine.executor.initialise(toy.avg_query(), seed=5)
 
         def oracle() -> np.ndarray:
             return np.unique(np.concatenate(state.little_samples))
 
         first = state.distinct_support_indices()
         assert first.dtype == np.int64 and np.array_equal(first, oracle())
+        outcome = engine.executor.step(state, 0.001)
         assert state.distinct_support_indices() is first
-        engine.executor.grow_extreme(state)  # doubles every little sample
+        engine.executor.grow(state, outcome.trace, 0.001)  # Eq. 12 top-up
         grown = state.distinct_support_indices()
         assert grown is not first and np.array_equal(grown, oracle())
 
@@ -271,9 +272,9 @@ class TestAblationConfigs:
     def test_component_cache_reused(self, toy, fast_config):
         engine = ApproximateAggregateEngine(toy.kg, toy.embedding, fast_config)
         engine.execute(toy.count_query())
-        cache_size = len(engine._prepared_cache)
+        cache_size = len(engine.planner.plans)
         engine.execute(toy.avg_query())  # same component
-        assert len(engine._prepared_cache) == cache_size
+        assert len(engine.planner.plans) == cache_size
 
 
 class TestLazyConjunction:
@@ -292,7 +293,7 @@ class TestLazyConjunction:
         engine = ApproximateAggregateEngine(
             dbpedia_bundle.kg, dbpedia_bundle.embedding, fast_config
         )
-        state = engine._initialise(star, 3)
+        state = engine.executor.initialise(star, 3)
         engine._executor._ensure_validated(state)
 
         # simple components first, ties in plan order

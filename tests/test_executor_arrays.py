@@ -115,7 +115,7 @@ def test_screen_refuses_an_out_of_range_node_id():
 
 
 @pytest.mark.parametrize("validate", [True, False])
-def test_round_verdicts_are_screen_and_similarity(toy, validate):
+def test_round_verdicts_are_screen_and_similarity(toy, drive_lifecycle, validate):
     """``_validate_entries``: correct = screen, and (when S2 validates) the
     composite similarity at ``>= tau``; the value is kept only for correct
     answers."""
@@ -127,8 +127,7 @@ def test_round_verdicts_are_screen_and_similarity(toy, validate):
         attribute="price",
         filters=(Filter("price", 31_000.0, 91_000.0),),
     )
-    state = engine.executor.initialise(query, 3)
-    engine.executor.run_rounds(state, 0.001, max_rounds=5)
+    state, _result = drive_lifecycle(engine.executor, query, 3, 0.001, max_rounds=5)
     verdicts = set()
     for index in np.flatnonzero(state.support_known):
         node_id = int(state.joint.answers[index])

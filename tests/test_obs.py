@@ -3,7 +3,7 @@
 Observability is load-bearing serving surface here, so it gets the same
 treatment as results: exact schemas, byte-compatible ``health()`` key
 names, and determinism (instrumentation must never perturb fixed-seed
-results — that part is gated by ``benchmarks/bench_perf_obs.py``).
+results: instrumented == ``NULL_REGISTRY`` == sequential ``execute``).
 
 Covered:
 
@@ -26,9 +26,11 @@ Covered:
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -36,13 +38,16 @@ from repro import (
     AggregateFunction,
     AggregateQuery,
     AggregateQueryService,
+    ApproximateAggregateEngine,
     EngineConfig,
     FaultPlan,
     FaultSpec,
     GroupBy,
     QueryGraph,
 )
+from repro.core.executor import KINDS
 from repro.core.plan import shared_plan_cache
+from repro.core.result import GroupedResult
 from repro.errors import ServiceError
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.server import ReproClient, serve_in_thread
@@ -72,6 +77,19 @@ def _grouped_query() -> AggregateQuery:
         function=AggregateFunction.COUNT,
         group_by=GroupBy("price", bin_width=1000.0),
     )
+
+
+def _value_fingerprint(result) -> tuple:
+    """Estimate, MoE, draws and the round trace (timings excluded)."""
+    if isinstance(result, GroupedResult):
+        estimates = tuple(
+            (key, group.value, group.moe, group.correct_draws)
+            for key, group in sorted(result.groups.items())
+        )
+    else:
+        estimates = (result.value, result.moe)
+    rounds = tuple(replace(entry, seconds=0.0) for entry in result.rounds)
+    return estimates, result.converged, result.total_draws, rounds
 
 
 def _service(world, **kwargs) -> AggregateQueryService:
@@ -159,16 +177,37 @@ class TestRegistrySemantics:
             )
             assert fresh.value == 0
 
-    def test_null_registry_disables_everything(self, world):
+    @pytest.mark.parametrize("backend", ("cooperative", "processes"))
+    def test_null_registry_disables_everything(self, world, backend):
         assert NULL_REGISTRY.enabled is False
         noop = NULL_REGISTRY.scope("t").counter("x_total")
         noop.inc()
         assert noop.value == 0
         assert NULL_REGISTRY.render_prometheus() == ""
-        with _service(world, registry=NULL_REGISTRY) as service:
-            handle = service.submit(COUNT_AQL, seed=3)
-            handle.result(timeout=30.0)
-            assert handle.trace() is None
+        # ... and instrumentation moves no result: it draws no random
+        # number and touches no memo, so instrumented == NULL_REGISTRY ==
+        # sequential ``execute`` for a fixed seed, one query per kind
+        workload = [
+            (world.count_query(), 3), (_grouped_query(), 4), (_extreme_query(), 5)
+        ]
+        shared_plan_cache().clear()
+        engine = ApproximateAggregateEngine(
+            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)
+        )
+        sequential = [
+            _value_fingerprint(engine.execute(query, seed=seed))
+            for query, seed in workload
+        ]
+        for arm in ({"audit_log": io.StringIO()}, {"registry": NULL_REGISTRY}):
+            with _service(world, backend=backend, workers=2, **arm) as service:
+                handles = service.submit_batch(workload)
+                served = [
+                    _value_fingerprint(handle.result(timeout=60.0))
+                    for handle in handles
+                ]
+                for handle in handles:
+                    assert (handle.trace() is None) == ("registry" in arm)
+            assert served == sequential
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +332,6 @@ class TestAuditLog:
         assert "Atlantis" in line["error"]
 
     def test_file_like_sink_is_not_closed_by_the_service(self, world):
-        import io
-
         sink = io.StringIO()
         with _service(world, audit_log=sink) as service:
             service.submit(world.count_query(), seed=3).result(timeout=30.0)
@@ -452,6 +489,7 @@ class TestHealthKeyCompat:
         with _service(world) as service:
             health = service.health()
         assert set(health) == self.SERVICE_KEYS | {"backend"}
+        assert set(health["live_by_kind"]) == set(KINDS)
         assert health["sheds"] == 0
         assert health["deadline_expiries"] == 0
 

@@ -171,6 +171,51 @@ class TestBackendEquivalence:
         assert simple and chained
         assert 0 < max(chained) < simple[0]
 
+    def test_grouped_round_trip_ships_no_group_keys(self, world):
+        """``export_round_item`` -> ``execute_round_item`` ->
+        ``apply_round_result`` on a GROUP-BY state equals the in-process
+        ``step``, though no group key travels either way: the replica
+        keys its drawn support itself and the parent never keys any."""
+        import pickle
+        from dataclasses import replace
+
+        import numpy as np
+
+        from repro import ApproximateAggregateEngine
+        from repro.core.executor import (
+            apply_round_result,
+            execute_round_item,
+            export_round_item,
+        )
+
+        grouped, seed = _workload(world)[3]
+        config = EngineConfig(seed=7, max_rounds=8, min_group_draws=1)
+        executor = ApproximateAggregateEngine(
+            world.kg, world.embedding, config
+        ).executor
+        shipped = executor.initialise(grouped, seed)
+        stepped = executor.initialise(grouped, seed)
+        for round_index in range(2):
+            if round_index:
+                for state in (shipped, stepped):
+                    executor.grow(state, state.rounds[-1], 0.001)
+            item = pickle.loads(
+                pickle.dumps(export_round_item(shipped, 0.001, 0.0, config))
+            )
+            result = execute_round_item(
+                item, shipped.components, shipped.joint, executor
+            )
+            remote = apply_round_result(shipped, pickle.loads(pickle.dumps(result)))
+            local = executor.step(stepped, 0.001)
+            assert replace(remote, trace=replace(remote.trace, seconds=0.0)) == (
+                replace(local, trace=replace(local.trace, seconds=0.0))
+            )
+            assert shipped.grouped_results == stepped.grouped_results
+            assert len(stepped.grouped_results) > 1
+            for name in ("support_known", "support_correct", "support_value"):
+                assert np.array_equal(getattr(shipped, name), getattr(stepped, name))
+        assert shipped.support_group is None and stepped.support_group is not None
+
     def test_refine_through_process_backend(self, world):
         def refine_with(backend: str):
             shared_plan_cache().clear()

@@ -49,7 +49,7 @@ class TestVersionCounters:
         plans_before = cache.num_plans(world.kg)
         assert plans_before >= 1
         component = world.count_query().query.components[0]
-        plan_before = engine._prepared_cache[component]
+        plan_before = engine.planner.plans[component]
 
         world.kg.set_attribute(world.correct_cars[0], "price", 99_999.0)
 
@@ -57,7 +57,7 @@ class TestVersionCounters:
         assert cache.num_plans(world.kg) == plans_before
         fresh = _engine(world)
         fresh.execute(world.count_query())
-        assert fresh._prepared_cache[component] is plan_before
+        assert fresh.planner.plans[component] is plan_before
 
     def test_structural_mutation_evicts_snapshot_and_plans(self, world):
         engine = _engine(world)
@@ -66,7 +66,7 @@ class TestVersionCounters:
         cache = shared_plan_cache()
         assert cache.num_plans(world.kg) >= 1
         component = world.count_query().query.components[0]
-        plan_before = engine._prepared_cache[component]
+        plan_before = engine.planner.plans[component]
 
         late_car = world.kg.add_node(
             "LateCar", ["Automobile"], {"price": 45_000.0}
@@ -78,7 +78,7 @@ class TestVersionCounters:
         # the next execution replans against the new structure — including
         # the engine that planned before the mutation
         engine.execute(world.count_query())
-        assert engine._prepared_cache[component] is not plan_before
+        assert engine.planner.plans[component] is not plan_before
         assert cache.num_plans(world.kg) >= 1
 
     def test_typed_nodes_cache_follows_structure(self, world):
@@ -97,7 +97,7 @@ class TestVersionCounters:
         engine.execute(world.count_query())
         cache = shared_plan_cache()
         component = world.count_query().query.components[0]
-        plan = engine._prepared_cache[component]
+        plan = engine.planner.plans[component]
         key = plan_key(component, engine.space, engine.config)
         stale_version = world.kg.structure_version
         world.kg.add_node("MidBuild", ["Thing"])  # mutation during a "build"
@@ -146,15 +146,15 @@ class TestPlanSharing:
         second.execute(world.avg_query())  # same component, different query
         component = world.count_query().query.components[0]
         assert (
-            first._prepared_cache[component]
-            is second._prepared_cache[component]
+            first.planner.plans[component]
+            is second.planner.plans[component]
         )
 
     def test_shared_plan_skips_rebuild_and_revalidation(self, world):
         first = _engine(world)
         first.execute(world.count_query())
         component = world.count_query().query.components[0]
-        plan = first._prepared_cache[component]
+        plan = first.planner.plans[component]
         memo_size = len(plan.similarity_cache)
         assert memo_size > 0
 
@@ -176,7 +176,7 @@ class TestPlanSharing:
         # every answer the second engine drew was already in the shared
         # memo, so the validation service was never asked again
         assert calls == []
-        assert second._prepared_cache[component] is plan
+        assert second.planner.plans[component] is plan
 
     def test_different_tau_means_different_plan(self, world):
         first = _engine(world)
@@ -185,8 +185,8 @@ class TestPlanSharing:
         second.execute(world.count_query())
         component = world.count_query().query.components[0]
         assert (
-            first._prepared_cache[component]
-            is not second._prepared_cache[component]
+            first.planner.plans[component]
+            is not second.planner.plans[component]
         )
 
     def test_seed_is_not_part_of_semantic_fingerprint(self):
@@ -256,7 +256,7 @@ class TestValidationMemo:
 class TestBatchedValidationEquivalence:
     def _sampled_workload(self, world, engine) -> tuple:
         """The engine's real workload: plan + the distinct sampled answers."""
-        state = engine._initialise(world.count_query(), seed=5)
+        state = engine.executor.initialise(world.count_query(), seed=5)
         plan = state.components[0]
         answers = [
             int(state.joint.answers[index])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -32,6 +32,7 @@ from repro import (
     QueryGraph,
     QueryStatus,
 )
+from repro.core.config import ExtremeMethod
 from repro.core.plan import PlanCache, shared_plan_cache
 from repro.core.planner import QueryPlanner
 from repro.errors import (
@@ -252,8 +253,8 @@ class TestGroupedAndExtremeSlots:
             handle = service.submit(_grouped_query(), seed=5)
             result = handle.result()
         progress = handle.progress()
-        # regression: run_grouped never appended RoundTraces, so
-        # progress() stayed () forever for GROUP-BY queries
+        # regression: GROUP-BY rounds never appended RoundTraces, so
+        # progress() stayed () forever for grouped queries
         assert len(progress) >= 2
         assert [t.round_index for t in progress] == list(
             range(1, len(progress) + 1)
@@ -360,38 +361,50 @@ class TestGroupedAndExtremeSlots:
         finally:
             service.close()
 
-    def test_direct_executor_wrappers_match_served_results(self, world):
-        """run_grouped/run_extreme (the single-driver step loops) return
-        value-identical results to the scheduler path for a fixed seed."""
-        config = EngineConfig(seed=7, max_rounds=8)
+    @pytest.mark.parametrize(
+        "make_query, overrides",
+        [
+            (lambda world: world.avg_query(), {}),
+            (lambda world: _grouped_query(), {"min_group_draws": 1}),
+            (lambda world: _extreme_query(), {}),
+            (lambda world: _extreme_query(), {"extreme_method": ExtremeMethod.EVT}),
+        ],
+        ids=["guaranteed", "grouped", "extreme", "extreme-evt"],
+    )
+    def test_hand_driven_lifecycle_equals_the_served_result(
+        self, world, drive_lifecycle, make_query, overrides
+    ):
+        """``initialise`` -> (``grow`` ->) ``step`` -> ``finalise`` under
+        ``round_budget`` — the slot's loop with no service around it —
+        equals ``engine.execute`` at the same seed bit for bit."""
+        config = EngineConfig(seed=7, max_rounds=8, error_bound=0.001, **overrides)
         engine = ApproximateAggregateEngine(world.kg, world.embedding, config)
-        served_grouped = engine.execute(_grouped_query(), seed=5)
-        served_extreme = engine.execute(_extreme_query(), seed=6)
-
-        grouped_state = engine._initialise(_grouped_query(), 5)
-        direct_grouped = engine.executor.run_grouped(
-            grouped_state, config.error_bound
+        query = make_query(world)
+        served = engine.execute(query, seed=5)
+        _state, direct = drive_lifecycle(
+            engine.executor, query, 5, config.error_bound
         )
-        assert direct_grouped.converged == served_grouped.converged
-        assert direct_grouped.total_draws == served_grouped.total_draws
-        assert {
-            key: (group.value, group.moe, group.correct_draws)
-            for key, group in direct_grouped.groups.items()
-        } == {
-            key: (group.value, group.moe, group.correct_draws)
-            for key, group in served_grouped.groups.items()
-        }
-        assert [t.estimate for t in direct_grouped.rounds] == [
-            t.estimate for t in served_grouped.rounds
-        ]
 
-        extreme_state = engine._initialise(_extreme_query(), 6)
-        direct_extreme = engine.executor.run_extreme(extreme_state)
-        assert direct_extreme.value == served_extreme.value
-        assert direct_extreme.total_draws == served_extreme.total_draws
-        assert [t.estimate for t in direct_extreme.rounds] == [
-            t.estimate for t in served_extreme.rounds
-        ]
+        def trace(result):
+            return [replace(entry, seconds=0.0) for entry in result.rounds]
+
+        assert len(served.rounds) >= 2  # grow ran, not only the first step
+        assert trace(direct) == trace(served)
+        assert direct.converged == served.converged
+        assert direct.total_draws == served.total_draws
+        if query.group_by is None:
+            assert (direct.value, direct.moe) == (served.value, served.moe)
+            assert direct.correct_draws == served.correct_draws
+            if config.extreme_method is ExtremeMethod.EVT:
+                assert served.moe > 0.0  # the tail fit ran: no sentinel
+        else:
+            assert served.groups and {
+                key: (group.value, group.moe, group.correct_draws)
+                for key, group in direct.groups.items()
+            } == {
+                key: (group.value, group.moe, group.correct_draws)
+                for key, group in served.groups.items()
+            }
 
     def test_mixed_batch_interleaves_kinds_in_one_pass(self, world):
         """The scheduler steps grouped/extreme records in the same cohort
