@@ -11,7 +11,8 @@ not).  The multi-component cases (``star_count``, ``flower_count``,
 ``cycle_sum``) were added on unchanged code ahead of the lazy S2
 conjunction, which must not move them; ``filtered_avg``,
 ``group_by_count`` and ``max_simple`` likewise ahead of the array S2
-screen.  Regenerate only when a change is
+screen, and ``chain_count`` (the cold path's tail query) ahead of the
+chain DFS's shared tours.  Regenerate only when a change is
 *meant* to move fixed-seed results, and review the move first::
 
     PYTHONPATH=src python tests/test_golden_fixed_seed.py --diff   # prints, writes nothing
@@ -79,7 +80,8 @@ def _workload_aql(shape: QueryShape, function: AggregateFunction) -> str:
 #: components, the cycle has two simple ones.  The filtered AVG, the
 #: binned GROUP-BY COUNT and the MAX are the workload's first of each:
 #: the S2 attribute/filter screen, the group-key binning and the extreme
-#: round loop.
+#: round loop.  The chain COUNT is the workload's first single-component
+#: chain query: every answer's verdict comes from the budgeted chain DFS.
 CASES = {
     "plain_avg": (f"AVG(transfer_value) MATCH {_SOCCER}", Normalization.SAMPLE),
     "count_paper": (
@@ -93,6 +95,13 @@ CASES = {
     "chain_avg": (
         "AVG(transfer_value) MATCH (FC_Barcelona:SoccerClub)-[academy]->"
         "(n1:Academy)-[trained]->(x:SoccerPlayer)",
+        Normalization.SAMPLE,
+    ),
+    "chain_count": (
+        lambda: _first_workload_aql(
+            lambda query: query.query.shape is QueryShape.CHAIN
+            and query.function is AggregateFunction.COUNT
+        ),
         Normalization.SAMPLE,
     ),
     "star_count": (
