@@ -679,6 +679,11 @@ class QueryExecutor:
         :class:`~repro.semantics.kernels.ChainContext` — batch the union
         of the typed intermediates they reach one level down, and keep the
         best geometric mean per endpoint, memoised per ``(level, node)``.
+
+        A level with misses is one ``chain_prefix`` span (the level below
+        nests in it) and feeds the ``chain_*`` counters from a tally this
+        call owns, so the numbers stay exact when the ``threads`` backend
+        runs two batches over one shared context.
         """
         memo = plan.chain_prefix_memo
         frontier = [
@@ -688,6 +693,29 @@ class QueryExecutor:
         ]
         if not frontier:
             return
+        with child_span("chain_prefix", level=level, frontier=len(frontier)) as span:
+            tallies = dict.fromkeys(kernels.CHAIN_TALLIES, 0)
+            self._resolve_chain_level(plan, level, frontier, tallies)
+            if span is not None:
+                span.annotate(
+                    replayed=tallies["chain_expansions_replayed"],
+                    live=tallies["chain_expansions_live"],
+                )
+        metrics = self.obs_metrics
+        if metrics is not None:
+            for name, count in tallies.items():
+                if count:
+                    metrics[name].inc(count)
+
+    def _resolve_chain_level(
+        self, plan: QueryPlan, level: int, frontier: list[int], tallies: dict
+    ) -> None:
+        """Fill the ``(level, node)`` memo rows of ``frontier`` (all misses).
+
+        ``tallies`` takes what the level's own chain DFS walked, replayed
+        and recorded; the levels below report theirs separately.
+        """
+        memo = plan.chain_prefix_memo
         component = plan.component
         config = self.config
         predicate = component.predicates[level - 1]
@@ -720,6 +748,7 @@ class QueryExecutor:
                 config.n_bound,
                 typed_nodes,
                 config.validation_expansions * 5,
+                tallies,
             )
             for node_id in frontier
         }

@@ -671,6 +671,30 @@ class AggregateQueryService:
                     "Answer x component searches not run because an "
                     "earlier component rejected the answer (S2)",
                 ),
+                "chain_expansions_live": execution.counter(
+                    "chain_expansions_live",
+                    "Chain-DFS path extensions the loop walked, tour "
+                    "recordings included (S2)",
+                ),
+                "chain_expansions_replayed": execution.counter(
+                    "chain_expansions_replayed",
+                    "Chain-DFS path extensions settled from a shared hub "
+                    "tour instead of walked (S2)",
+                ),
+                "chain_tour_replays": execution.counter(
+                    "chain_tour_replays",
+                    "Hub frames of the chain DFS settled from a tour (S2)",
+                ),
+                "chain_tour_records": execution.counter(
+                    "chain_tour_records",
+                    "Hub traversals of the chain DFS recorded as tours (S2)",
+                ),
+                "chain_tour_fallbacks": execution.counter(
+                    "chain_tour_fallbacks",
+                    "Hub frames that had a tour and were walked anyway: a "
+                    "deleted on-path node was not float-neutral, or the "
+                    "tour was shorter than the budget (S2)",
+                ),
             }
         else:
             # keep the instrumentation-off hot path at one attribute check

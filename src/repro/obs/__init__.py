@@ -24,6 +24,12 @@ metric                                         type       meaning
 ``repro_exec_validate_batch_pending``          histogram  batch sizes handed to the S2 kernels
 ``repro_exec_conjunction_skips``               counter    answer x component searches an
                                                           earlier component's rejection saved
+``repro_exec_chain_expansions_live``           counter    chain-DFS path extensions walked
+                                                          (tour recordings included)
+``repro_exec_chain_expansions_replayed``       counter    ... settled from a shared hub tour
+``repro_exec_chain_tour_replays``              counter    hub frames settled from a tour
+``repro_exec_chain_tour_records``              counter    hub traversals recorded as tours
+``repro_exec_chain_tour_fallbacks``            counter    hub frames with a tour walked anyway
 ``repro_scheduler_queries_submitted_total``    counter    accepted submissions
 ``repro_scheduler_queries_settled_total``      counter    settlements, ``status`` label
 ``repro_scheduler_rounds_total``               counter    anytime rounds completed (S3)
@@ -60,7 +66,10 @@ and activates it around every slot the query holds.  Children:
   ``plan_build`` children for plans not already cached;
 * ``round`` — one S3 anytime round (``round_index``, ``kind``); on the
   cooperative/threads backends it nests ``validate_batch`` spans (S2,
-  attribute ``pending``); on the processes backend it covers export →
+  attribute ``pending``), and under those one ``chain_prefix`` span per
+  chain-prefix level resolved (``level``, ``frontier``, and the chain
+  DFS's ``replayed`` / ``live`` expansions; level ``k`` nests level
+  ``k - 1``; none on simple queries); on the processes backend it covers export →
   apply and nests a synthetic ``worker_round`` child rebuilt from the
   worker's ``stage_seconds`` (``worker_pid``, ``attempts``) — worker
   processes themselves never carry spans;

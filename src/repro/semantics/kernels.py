@@ -20,12 +20,19 @@ plain-Python oracle that only tests call
 * :class:`SharedTrace` / :func:`replay` — the answer-independent pop
   sequence compiled to arrays with *inverted* goal and beam-membership
   tables sorted by neighbour id: replaying one answer touches only the
-  pops whose node is actually adjacent to it (two ``searchsorted`` calls)
+  pops whose node is actually adjacent to it (its slices of the two
+  tables, :func:`replay_bounds` — one vectorised lookup per batch)
   instead of scanning all ``budget`` pops per answer.
 * :func:`cnarw_weights` — CNARW's per-entry set intersections as one
   sorted-key merge count over the pairs' CSR neighbourhoods.
 * :class:`ChainContext` / :func:`chain_matches` — the backwards
-  chain-prefix enumeration (§V-B) over list-unpacked adjacency.
+  chain-prefix enumeration (§V-B) over list-unpacked adjacency.  The
+  budgeted DFS walks small frames itself and settles a frame entered on
+  a hub from a *tour*: the traversal below that node, recorded once per
+  context by the same loop and replayed for every later answer with the
+  answer's own on-path nodes deleted and its remaining budget applied.
+  The work is shared across answers, not batched across them: nothing
+  is vectorised and no float is computed in a different order.
 
 Exactness notes.  All similarity arithmetic keeps the oracles' operation
 order and uses scalar :func:`math.exp` (numpy's SIMD ``exp`` may differ in
@@ -40,11 +47,14 @@ lookup failure timing.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 import numpy as np
 
+from repro.errors import EmbeddingError
 from repro.semantics.similarity import clamp_similarity, require_known_predicates
 
 __all__ = [
@@ -57,6 +67,7 @@ __all__ = [
     "chain_matches",
     "cnarw_weights",
     "replay",
+    "replay_bounds",
     "search",
 ]
 
@@ -488,11 +499,29 @@ def build_trace(
     )
 
 
+def replay_bounds(trace: SharedTrace, answers) -> list[tuple[int, int, int, int]]:
+    """Per answer, its ``(goal lo, goal hi, beam lo, beam hi)`` table slices.
+
+    Four vectorised ``searchsorted`` calls for a whole batch: per answer
+    they would be four numpy scalar calls, most of a replay's own time.
+    """
+    keys = np.asarray(answers, dtype=np.int64)
+    return list(
+        zip(
+            trace.goal_nbr.searchsorted(keys, side="left").tolist(),
+            trace.goal_nbr.searchsorted(keys, side="right").tolist(),
+            trace.beam_nbr.searchsorted(keys, side="left").tolist(),
+            trace.beam_nbr.searchsorted(keys, side="right").tolist(),
+        )
+    )
+
+
 def replay(
     trace: SharedTrace,
     answer: int,
     repeat_factor: int,
     stop_threshold: float | None,
+    bounds: tuple[int, int, int, int] | None = None,
 ) -> tuple[float, int, int, int] | None:
     """Replay the shared trace for one answer; ``None`` means must search.
 
@@ -503,15 +532,19 @@ def replay(
     answer while it is off-path: from there the real heap (which skips
     answer pushes) diverges from the shared one, so the caller runs the
     private search.  Every returned outcome is exactly :func:`search`'s.
+    ``bounds`` is the answer's entry of :func:`replay_bounds` when the
+    caller computed a batch's at once.
     """
-    lo = int(np.searchsorted(trace.goal_nbr, answer, side="left"))
-    hi = int(np.searchsorted(trace.goal_nbr, answer, side="right"))
-    goal_map: dict[int, float] = {}
-    for position in range(lo, hi):
-        goal_map[int(trace.goal_node[position])] = float(trace.goal_log[position])
-    lo = int(np.searchsorted(trace.beam_nbr, answer, side="left"))
-    hi = int(np.searchsorted(trace.beam_nbr, answer, side="right"))
-    beam_owners = {int(node) for node in trace.beam_node[lo:hi]}
+    if bounds is None:
+        bounds = replay_bounds(trace, [answer])[0]
+    goal_lo, goal_hi, beam_lo, beam_hi = bounds
+    goal_map: dict[int, float] = dict(
+        zip(
+            trace.goal_node[goal_lo:goal_hi].tolist(),
+            trace.goal_log[goal_lo:goal_hi].tolist(),
+        )
+    )
+    beam_owners = set(trace.beam_node[beam_lo:beam_hi].tolist())
 
     relevant_nodes = beam_owners.union(goal_map)
     if not relevant_nodes:
@@ -643,6 +676,80 @@ def cnarw_weights(
 # ---------------------------------------------------------------------------
 # Chain-prefix enumeration
 # ---------------------------------------------------------------------------
+#: A DFS frame entered on a node with at least this many adjacency entries
+#: is settled from a shared tour instead of being walked.  Selected by what
+#: the loop sees in its input; the value sits on a measured plateau (all
+#: chain DFS of the 12 chain-carrying cold ledger queries: 0.48 / 0.45 /
+#: 0.47 s at 16 / 32 / 64, 1.10 s at 8, where thousands of small frames get
+#: recorded for a handful of replays each).
+_TOUR_MIN_ENTRIES = 32
+#: A tour is recorded this many expansions past the pass's budget: the
+#: on-path nodes a replay deletes move its budget cut to the right.
+_TOUR_SLACK = 64
+#: A context stops recording once its tours hold this many expansions
+#: (~25 bytes each plus ~28 per target hit), so memory is bounded on any
+#: graph; a frame without a tour runs live, which is always correct.
+_TOUR_EVENT_CAP = 1 << 18
+
+#: The per-batch tallies :func:`chain_matches` feeds, named like the
+#: ``repro_exec_*`` counters the executor forwards them to.
+CHAIN_TALLIES = (
+    "chain_expansions_live",
+    "chain_expansions_replayed",
+    "chain_tour_replays",
+    "chain_tour_records",
+    "chain_tour_fallbacks",
+)
+
+
+class _Tour:
+    """The traversal below one hub frame, recorded once and replayed.
+
+    :func:`_chain_level` writes the columns while it records — one entry
+    per expansion in visit order, an expansion's *ordinal* being the number
+    of expansions before it — and :meth:`close` turns the visited nodes
+    into the occurrence index.  Nothing writes to a closed tour, so the
+    ``threads`` backend's shared contexts publish it with one dict store.
+    Columnar on purpose: ~25 bytes per expansion where a tuple per event
+    would take ~150.
+    """
+
+    __slots__ = (
+        "node", "neutral", "skip",
+        "hit_ordinal", "hit_node", "hit_similarity", "hit_depth",
+        "occurrence_node", "occurrence_ordinal", "complete", "exit_log",
+    )
+
+    def __init__(self) -> None:
+        #: the expanded node (recording only: :meth:`close` drops it)
+        self.node = array("q")
+        #: ``log_sum`` after the expansion and its whole subtree returned
+        #: equals ``log_sum`` before it: deleting it moves no later float
+        self.neutral = bytearray()
+        #: the ordinal one past the expansion's subtree
+        self.skip = array("q")
+        #: the target hits in visit order, one column per field
+        self.hit_ordinal = array("q")
+        self.hit_node = array("q")
+        self.hit_similarity = array("d")
+        self.hit_depth = array("i")
+
+    def close(self, complete: bool, exit_log: float) -> None:
+        """Seal the recording.
+
+        ``complete``: the traversal ended on its own, not on the recording
+        budget.  ``exit_log``: ``log_sum`` once the frame's last neighbour
+        had returned.  The occurrence index is a node-sorted permutation
+        (stable, so one node's ordinals ascend), probed by bisection.
+        """
+        order = sorted(range(len(self.node)), key=self.node.__getitem__)
+        self.occurrence_node = array("q", [self.node[ordinal] for ordinal in order])
+        self.occurrence_ordinal = array("q", order)
+        self.node = None
+        self.complete = complete
+        self.exit_log = exit_log
+
+
 @dataclass
 class ChainContext:
     """Flattened per-predicate enumeration context for chain prefixes.
@@ -664,6 +771,16 @@ class ChainContext:
     ``KnowledgeGraph.neighbors``, so :func:`chain_matches` visits paths in
     the reference's exact order — which makes its tie-breaks (strict ``>``
     keeps the first-recorded match) and float accumulation identical.
+
+    **Tours.**  The backwards DFS of every answer of a query runs into the
+    same few hubs, and below a hub it does the same work each time: the
+    loop is a deterministic function of the node, the depth, the entering
+    ``log_sum``, the pass's ``max_length`` and the target set.  The first
+    traversal below such a frame is recorded as a :class:`_Tour` under
+    exactly that key and every later frame with the key is *replayed* from
+    it — the answer's own on-path nodes deleted, its remaining budget
+    applied — instead of walked (see :func:`_chain_level`).  Tours live
+    and die with the context, i.e. with the graph's structure version.
     """
 
     query_predicate: str
@@ -681,6 +798,10 @@ class ChainContext:
     _kg: object
     _space: object
     _floor: float
+    #: ``(node, depth, entering log_sum, max_length, target set)`` -> tour
+    tours: dict = field(default_factory=dict)
+    #: expansions held by :attr:`tours`, against ``_TOUR_EVENT_CAP``
+    tour_events: int = 0
 
     def resolve_predicate(self, predicate_id: int) -> float:
         """Compute + memoise one predicate's edge log-similarity.
@@ -724,6 +845,7 @@ def chain_matches(
     max_length: int,
     target_set: frozenset | set | None,
     budget_per_level: int,
+    tallies: dict | None = None,
 ) -> dict:
     """``best_matches_iterative`` over a compiled context.
 
@@ -732,11 +854,19 @@ def chain_matches(
     *insertion order* as the reference (order matters: the caller's
     best-mean scan breaks similarity ties by iteration order).  Iterative
     deepening, per-level budgets and the merge rule are replicated
-    verbatim.
+    verbatim.  ``tallies`` (a dict over :data:`CHAIN_TALLIES`, owned by
+    the caller) is added to: expansions walked and replayed, tours
+    recorded, replays and fallbacks.
     """
+    if tallies is None:
+        tallies = dict.fromkeys(CHAIN_TALLIES, 0)
+    if target_set is not None and not isinstance(target_set, frozenset):
+        target_set = frozenset(target_set)  # tours are keyed by it
     merged: dict = {}
     for depth in range(1, max_length + 1):
-        level = _chain_level(context, source, depth, target_set, budget_per_level)
+        level = _chain_level(
+            context, source, depth, target_set, budget_per_level, tallies
+        )
         for node, entry in level.items():
             current = merged.get(node)
             if current is None or entry[0] > current[0]:
@@ -746,10 +876,14 @@ def chain_matches(
 
 def _chain_level(
     context: ChainContext,
-    source: int,
+    root: int,
     max_length: int,
     target_set,
     max_expansions: int,
+    tallies: dict,
+    depth: int = 0,
+    log_sum: float = 0.0,
+    tape: _Tour | None = None,
 ) -> dict:
     """One budgeted depth-limited DFS pass, equal to
     :func:`repro.semantics.matching.best_matches_from` in visit order, float
@@ -760,26 +894,54 @@ def _chain_level(
     neighbours are scanned in a tight loop that adds and removes each edge
     log in the reference's order (``t = log_sum + x`` ... ``log_sum = t - x``)
     without touching the stacks.
+
+    This loop is the only DFS here.  Called with the defaults it is one
+    pass from the source.  Called with a ``tape`` it *records a tour*: the
+    traversal below ``root`` entered at ``depth`` with ``log_sum``, only
+    ``root`` on the path, every expansion and target hit written to the
+    tape instead of to ``best``, no nested replay.
+
+    A pass from the source hands each frame it enters on a node with
+    ``_TOUR_MIN_ENTRIES`` or more adjacency entries to
+    :func:`_settle_from_tour`, which replays the frame's tour (recording
+    it first if need be).  Every other frame is walked here — *runs live*:
+    the source's own frame, frames on smaller nodes, and a hub frame that
+    function declines because (1) no tour exists and none can be recorded
+    (the context's tours are full, or the recording raised), (2) deleting
+    one of this answer's on-path nodes from the tour would move a later
+    float, or (3) the tour was cut short of what this answer's budget
+    still allows.
     """
     indptr = context.indptr
     neighbours = context.neighbours
     entry_log = context.entry_log
     exp = math.exp
     leaf_parent_depth = max_length - 1
+    recording = tape is not None
+    if recording:
+        tape_node = tape.node.append
+        tape_neutral = tape.neutral
+        tape_skip = tape.skip
+        hit_ordinal = tape.hit_ordinal.append
+        hit_node = tape.hit_node.append
+        hit_similarity = tape.hit_similarity.append
+        hit_depth = tape.hit_depth.append
+        #: (ordinal, log_sum before it) of the expansions still open
+        open_stack: list = []
+    min_entries = _TOUR_MIN_ENTRIES
 
     best: dict = {}
     expansions = 0
-    depth = 0  # == len(edge_path) in the reference
-    log_sum = 0.0
+    replayed = 0
     log_stack: list = []
-    on_path = {source}
+    on_path = {root}
     # the active frame lives in locals; only suspended frames hit the stacks
     node_stack: list = []
     index_stack: list = []
     end_stack: list = []
-    node = source
-    index = indptr[source]
-    end = indptr[source + 1]
+    node = root
+    index = indptr[root]
+    end = indptr[root + 1]
 
     while True:
         if depth == leaf_parent_depth:
@@ -796,19 +958,32 @@ def _chain_level(
                 extended = log_sum + log_similarity
                 if target_set is None or neighbour in target_set:
                     similarity = exp(extended / max_length)
-                    current = best.get(neighbour)
-                    if current is None or similarity > current[0]:
-                        best[neighbour] = (similarity, max_length)
-                log_sum = extended - log_similarity
+                    if recording:
+                        hit_ordinal(expansions - 1)
+                        hit_node(neighbour)
+                        hit_similarity(similarity)
+                        hit_depth(max_length)
+                    else:
+                        current = best.get(neighbour)
+                        if current is None or similarity > current[0]:
+                            best[neighbour] = (similarity, max_length)
+                returned = extended - log_similarity
+                if recording:
+                    tape_node(neighbour)
+                    tape_neutral.append(returned == log_sum)
+                    tape_skip.append(expansions)
+                log_sum = returned
             index = end
         if index >= end or expansions >= max_expansions:
-            if depth:
-                depth -= 1
-                log_sum -= log_stack.pop()
-            if node != source:
-                on_path.discard(node)
             if not node_stack:
                 break
+            depth -= 1
+            log_sum -= log_stack.pop()
+            on_path.discard(node)
+            if recording:
+                ordinal, before = open_stack.pop()
+                tape_neutral[ordinal] = log_sum == before
+                tape_skip[ordinal] = expansions
             node = node_stack.pop()
             index = index_stack.pop()
             end = end_stack.pop()
@@ -817,6 +992,11 @@ def _chain_level(
         index += 1
         if neighbour in on_path:
             continue
+        if recording:
+            open_stack.append((expansions, log_sum))
+            tape_node(neighbour)
+            tape_neutral.append(False)
+            tape_skip.append(0)
         expansions += 1
         log_similarity = entry_log[index - 1]
         if log_similarity is None:
@@ -826,9 +1006,15 @@ def _chain_level(
         depth += 1
         if target_set is None or neighbour in target_set:
             similarity = exp(log_sum / depth)
-            current = best.get(neighbour)
-            if current is None or similarity > current[0]:
-                best[neighbour] = (similarity, depth)
+            if recording:
+                hit_ordinal(expansions - 1)
+                hit_node(neighbour)
+                hit_similarity(similarity)
+                hit_depth(depth)
+            else:
+                current = best.get(neighbour)
+                if current is None or similarity > current[0]:
+                    best[neighbour] = (similarity, depth)
         # depth < max_length here: leaves are only reached from leaf frames
         on_path.add(neighbour)
         node_stack.append(node)
@@ -837,7 +1023,140 @@ def _chain_level(
         node = neighbour
         index = indptr[neighbour]
         end = indptr[neighbour + 1]
+        if (
+            end - index >= min_entries
+            and not recording
+            and expansions < max_expansions
+        ):
+            settled = _settle_from_tour(
+                context, node, depth, log_sum, max_length, target_set,
+                node_stack, max_expansions - expansions, max_expansions,
+                best, tallies,
+            )
+            if settled is not None:
+                # the frame is done; the next iteration pops it
+                consumed, log_sum = settled
+                expansions += consumed
+                replayed += consumed
+                index = end
+    if recording:
+        tape.close(expansions < max_expansions, log_sum)
+    tallies["chain_expansions_live"] += expansions - replayed
+    tallies["chain_expansions_replayed"] += replayed
     return best
+
+
+def _settle_from_tour(
+    context: ChainContext,
+    node: int,
+    depth: int,
+    log_sum: float,
+    max_length: int,
+    target_set,
+    prefix: list,
+    remaining: int,
+    max_expansions: int,
+    best: dict,
+    tallies: dict,
+):
+    """Settle the frame just entered on ``node`` from its tour.
+
+    ``prefix`` is the path above the frame (the source first), ``remaining``
+    the pass's unspent budget.  Returns ``(expansions, exit log_sum)`` after
+    applying the frame's target hits to ``best``, or ``None`` with ``best``
+    untouched when the frame must run live:
+
+    1. no tour exists and none can be recorded — the context's tours are
+       full, or the recording raised: it walks edges this answer's own
+       traversal may never touch, so a lazy unknown-predicate error must
+       come from the live frame, where the reference raises it, or not at
+       all;
+    2. deleting an on-path node's expansion would move a later float (it is
+       not ``neutral``);
+    3. the tour was cut by its recording budget before this answer's budget
+       runs out.
+
+    Why a replay is exact.  The live traversal differs from the recorded
+    one only where a ``prefix`` node occurs among the scanned neighbours —
+    recorded as an expansion with a subtree, skipped live without being
+    counted — and where the budget truncates it.  The loop is a
+    deterministic function of ``(log_sum, adjacency position)``, so
+    deleting an expansion whose subtree returned ``log_sum`` to the value
+    it had before changes no later float.  (``==`` on the two floats is
+    enough: they are finite sums of finite logs, never NaN, and a ``+0.0``
+    standing in for a ``-0.0`` adds and subtracts to the same non-zero
+    floats and to a zero of either sign, whose ``exp`` is 1.0 both ways.)
+    After a budget cut no float is read again, so the returned ``log_sum``
+    only has to be right when the whole tour was consumed.
+    """
+    key = (node, depth, log_sum, max_length, target_set)
+    tour = context.tours.get(key)
+    if tour is None:
+        if context.tour_events >= _TOUR_EVENT_CAP:
+            return None
+        tour = _Tour()
+        try:
+            _chain_level(
+                context, node, max_length, target_set,
+                max_expansions + _TOUR_SLACK, tallies, depth, log_sum, tour,
+            )
+        except EmbeddingError:
+            return None
+        context.tours[key] = tour
+        context.tour_events += len(tour.skip)
+        tallies["chain_tour_records"] += 1
+
+    skip = tour.skip
+    recorded = len(skip)
+    occurrence_node = tour.occurrence_node
+    occurrence_ordinal = tour.occurrence_ordinal
+    occurrences = []
+    for member in prefix:
+        position = bisect_left(occurrence_node, member)
+        while position < recorded and occurrence_node[position] == member:
+            occurrences.append(occurrence_ordinal[position])
+            position += 1
+    if len(prefix) > 1:
+        occurrences.sort()
+    # the removed ordinal ranges, ascending and disjoint
+    ranges = []
+    removed = 0
+    resume = 0
+    for ordinal in occurrences:
+        if ordinal < resume:
+            continue  # inside a subtree that is already gone
+        if ordinal - removed >= remaining:
+            break  # the budget runs out before the traversal gets here
+        if not tour.neutral[ordinal]:
+            tallies["chain_tour_fallbacks"] += 1
+            return None
+        resume = skip[ordinal]
+        ranges.append((ordinal, resume))
+        removed += resume - ordinal
+    cut = remaining + removed
+    if cut > recorded:
+        if not tour.complete:
+            tallies["chain_tour_fallbacks"] += 1
+            return None
+        cut = recorded
+    ranges.append((cut, cut))
+
+    hit_ordinal = tour.hit_ordinal
+    hit_node = tour.hit_node
+    hit_similarity = tour.hit_similarity
+    hit_depth = tour.hit_depth
+    start = 0
+    for lower, upper in ranges:
+        stop = bisect_left(hit_ordinal, lower, start)
+        for target, similarity, length in zip(
+            hit_node[start:stop], hit_similarity[start:stop], hit_depth[start:stop]
+        ):
+            current = best.get(target)
+            if current is None or similarity > current[0]:
+                best[target] = (similarity, length)
+        start = bisect_left(hit_ordinal, upper, stop)
+    tallies["chain_tour_replays"] += 1
+    return cut - removed, tour.exit_log
 
 
 def _resolve_entry(context: ChainContext, entry: int) -> float:

@@ -250,11 +250,11 @@ class CorrectnessValidator:
             )
             self._traces[source] = trace
         outcomes: dict[int, ValidationOutcome] = {}
-        for answer in answers:
-            answer = int(answer)
-            if answer in outcomes:
-                continue
-            result = kernels.replay(trace, answer, self.repeat_factor, stop_threshold)
+        distinct = list(dict.fromkeys(int(answer) for answer in answers))
+        for answer, bounds in zip(distinct, kernels.replay_bounds(trace, distinct)):
+            result = kernels.replay(
+                trace, answer, self.repeat_factor, stop_threshold, bounds
+            )
             if result is not None:
                 outcomes[answer] = ValidationOutcome(answer, *result)
             else:

@@ -18,8 +18,12 @@ monotone generation token.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AggregateFunction,
@@ -39,7 +43,9 @@ from repro.sampling.reference import cnarw_weights_python
 from repro.sampling.topology import cnarw_transition_model
 from repro.sampling.transition import TransitionModel
 from repro.semantics import kernels
+from repro.semantics.matching import best_matches_iterative
 from repro.semantics.reference import ReferenceValidator, chain_prefixes_recursive
+from repro.semantics.similarity import SIMILARITY_FLOOR
 from repro.semantics.validation import CorrectnessValidator
 
 TYPE_POOL = ("Car", "Person", "City", "Club", "Thing")
@@ -140,8 +146,10 @@ class TestSearchEquivalence:
         replayed: dict[int, bool] = {}
         real_replay = kernels.replay
 
-        def recording_replay(trace, answer, repeat_factor, stop_threshold):
-            result = real_replay(trace, answer, repeat_factor, stop_threshold)
+        def recording_replay(trace, answer, *rest):
+            result = real_replay(trace, answer, *rest)
+            # the batch's precomputed table slices change nothing
+            assert result == real_replay(trace, answer, *rest[:2])
             replayed[answer] = result is not None
             return result
 
@@ -337,48 +345,76 @@ def _result_fingerprint(result) -> tuple:
     )
 
 
+def _chain_oracle(kg, space, predicate, source, max_length, targets, budget):
+    """``best_matches_iterative`` reduced to what ``chain_matches`` returns."""
+    return {
+        node: (match.similarity, match.length)
+        for node, match in best_matches_iterative(
+            kg,
+            space,
+            predicate,
+            source,
+            max_length,
+            targets=targets,
+            floor=SIMILARITY_FLOOR,
+            budget_per_level=budget,
+        ).items()
+    }
+
+
+def _new_tallies() -> dict:
+    return dict.fromkeys(kernels.CHAIN_TALLIES, 0)
+
+
 class TestChainKernelEquivalence:
     """kernels.chain_matches == matching.best_matches_iterative, exactly."""
 
+    @pytest.mark.parametrize("tour_min_entries", [None, 1])
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_reference_values_and_order(self, seed):
-        from repro.semantics.matching import best_matches_iterative
-        from repro.semantics.similarity import SIMILARITY_FLOOR
-
+    def test_matches_reference_values_and_order(
+        self, seed, tour_min_entries, monkeypatch
+    ):
+        """At the real hub threshold these 60-node worlds hold no hub and
+        every frame is walked; patched to 1, every frame below the source
+        goes through a tour, and one context serves every source, budget
+        and target set below, so tours recorded under one budget are
+        replayed — or declined — under another."""
+        if tour_min_entries is not None:
+            monkeypatch.setattr(kernels, "_TOUR_MIN_ENTRIES", tour_min_entries)
         kg, space = random_world(seed)
         context = kernels.build_chain_context(
             kg, space, csr_snapshot(kg), "designer", SIMILARITY_FLOOR
         )
         rng = np.random.default_rng(seed + 9000)
-        targets = frozenset(kg.nodes_with_any_type(["Person", "Club"]))
+        typed = frozenset(kg.nodes_with_any_type(["Person", "Club"]))
+        tallies = _new_tallies()
         for source in rng.integers(0, kg.num_nodes, size=6):
             source = int(source)
             for max_length, budget in ((1, 3000), (2, 3000), (3, 3000),
-                                       (3, 37), (2, 5)):
-                expected = {
-                    node: (match.similarity, match.length)
-                    for node, match in best_matches_iterative(
-                        kg,
-                        space,
-                        "designer",
-                        source,
-                        max_length,
-                        targets=targets,
-                        floor=SIMILARITY_FLOOR,
-                        budget_per_level=budget,
-                    ).items()
-                }
-                got = kernels.chain_matches(
-                    context, source, max_length, targets, budget
-                )
-                # same keys, same floats, same *insertion order* (the
-                # chain-prefix best-mean scan tie-breaks by iteration order)
-                assert list(got.items()) == list(expected.items())
+                                       (3, 37), (2, 5), (3, 11), (4, 60)):
+                for targets in (typed, None):
+                    got = kernels.chain_matches(
+                        context, source, max_length, targets, budget, tallies
+                    )
+                    # same keys, same floats, same *insertion order* (the
+                    # chain-prefix best-mean scan tie-breaks by iteration
+                    # order)
+                    assert list(got.items()) == list(
+                        _chain_oracle(
+                            kg, space, "designer", source, max_length, targets, budget
+                        ).items()
+                    )
+        if tour_min_entries is None:
+            assert not context.tours
+            assert tallies["chain_expansions_replayed"] == 0
+        else:
+            assert tallies["chain_tour_replays"] >= 1
+            assert tallies["chain_tour_fallbacks"] >= 1
+            assert tallies["chain_tour_records"] == len(context.tours) >= 1
+            assert tallies["chain_expansions_replayed"] >= 1
+        assert tallies["chain_expansions_live"] >= 1
 
     def test_unknown_predicate_raises_like_reference(self):
-        from repro.semantics.matching import best_matches_iterative
-        from repro.semantics.similarity import SIMILARITY_FLOOR
-
         kg, space = random_world(11, known_predicates=PREDICATE_POOL[:-1])
         # building the context must NOT touch the embedding eagerly
         context = kernels.build_chain_context(
@@ -407,13 +443,22 @@ class TestChainKernelEquivalence:
             outcomes.append(expected)
         assert EmbeddingError in outcomes  # the corner case actually fired
 
-    def test_batched_memo_equals_recursive_oracle(self, toy):
+    @pytest.mark.parametrize(
+        "hops",
+        [
+            [("nationality", ["Person"]), ("designer", ["Automobile"])],
+            [("country", ["Company"]), ("assembly", ["Automobile"]),
+             ("assembly", ["Company"])],
+        ],
+        ids=["two_hops", "three_hops"],
+    )
+    def test_batched_memo_equals_recursive_oracle(self, toy, hops):
         """``_chain_prefix_batch`` writes the recursion's memo, row for row."""
         from repro.core.executor import QueryExecutor
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
 
-        component = _chain_query().query.components[0]
+        component = QueryGraph.chain("Germany", ["Country"], hops).components[0]
         config = EngineConfig(seed=7)
         planner = QueryPlanner(toy.kg, toy.space, config, cache=PlanCache())
         executor = QueryExecutor(toy.kg, toy.space, config, planner)
@@ -424,9 +469,215 @@ class TestChainKernelEquivalence:
             toy.kg, toy.space, config, plan, answers
         )
         assert any(row is not None for row in expected.values())
-        assert {level for level, _ in expected} == {1, 2}
+        assert {level for level, _ in expected} == set(range(1, len(hops) + 1))
         executor._chain_prefix_batch(plan, component.num_hops, answers)
         assert plan.chain_prefix_memo == expected
+
+
+class _TableSpace:
+    """``space.similarity`` read from a table; anything else is uncovered."""
+
+    def __init__(self, table: dict[str, float]) -> None:
+        self._table = table
+
+    def similarity(self, predicate: str, query_predicate: str) -> float:
+        if predicate not in self._table:
+            raise EmbeddingError(f"no vector for predicate {predicate!r}")
+        return self._table[predicate]
+
+
+def _hand_world(num_nodes: int, edges, table: dict[str, float]):
+    """A KG from an edge list (adjacency = insertion order) + a table space."""
+    kg = KnowledgeGraph("hand-built")
+    for index in range(num_nodes):
+        kg.add_node(f"n{index}", ["Thing"])
+    for subject, predicate, obj in edges:
+        kg.add_edge(subject, predicate, obj)
+    space = _TableSpace(table)
+    context = kernels.build_chain_context(
+        kg, space, csr_snapshot(kg), "q", SIMILARITY_FLOOR
+    )
+    return kg, space, context
+
+
+def _hub_edges(leaves: int, b_position: int, leaf_predicate=lambda index: "p"):
+    """Nodes A = 0, B = 1, the hub H = 2 and ``leaves`` leaves from 3 on.
+
+    H's adjacency reads A, then the leaves in order with B slipped in
+    ahead of leaf ``b_position``; A and B reach H over a ``p`` edge each.
+    """
+    edges = [(0, "p", 2)]
+    for index in range(leaves):
+        if index == b_position:
+            edges.append((1, "p", 2))
+        edges.append((2, leaf_predicate(index), 3 + index))
+    return edges
+
+
+#: ``one`` edges have log-similarity 0.0 and so can never move a float
+_TABLE = {"one": 1.0, "p": 0.8, "r": 0.5, "s": 0.9}
+
+
+def _solo(kg, space, context, source, max_length, budget, targets=None) -> dict:
+    """One ``chain_matches`` call checked against the oracle; its tallies."""
+    tallies = _new_tallies()
+    got = kernels.chain_matches(
+        context, source, max_length, targets, budget, tallies
+    )
+    assert list(got.items()) == list(
+        _chain_oracle(kg, space, "q", source, max_length, targets, budget).items()
+    )
+    return tallies
+
+
+class TestChainTours:
+    """Every branch of a tour replay, on graphs small enough to read.
+
+    Each case is compared with ``best_matches_iterative`` (inside
+    :func:`_solo`) and then asked, through the tallies, whether it took the
+    branch it was built for.  The hub has 36 or more leaves, so the real
+    ``_TOUR_MIN_ENTRIES`` applies.
+    """
+
+    def test_source_is_a_leaf_inside_the_tour(self):
+        """At ``max_length`` 2 the hub's frame is a leaf frame and B — on
+        B's own path — is one of its leaves: deleted, not counted."""
+        kg, space, context = _hand_world(39, _hub_edges(36, 3), _TABLE)
+        first = _solo(kg, space, context, 0, 2, 3000)
+        assert first["chain_tour_records"] == 1
+        assert first["chain_tour_replays"] == 1  # A is deleted the same way
+        second = _solo(kg, space, context, 1, 2, 3000)
+        assert second["chain_tour_records"] == 0
+        assert second["chain_tour_replays"] == 1
+        assert second["chain_tour_fallbacks"] == 0
+        # H's 38 neighbours minus B itself
+        assert second["chain_expansions_replayed"] == 37
+
+    def test_source_is_an_interior_node_whose_subtree_goes(self):
+        """At ``max_length`` 3 B is expanded inside the hub's tour with its
+        two other neighbours below it; all three expansions are deleted."""
+        edges = _hub_edges(36, 3) + [(1, "one", 39), (1, "one", 40)]
+        kg, space, context = _hand_world(41, edges, _TABLE)
+        _solo(kg, space, context, 0, 3, 3000)
+        tallies = _solo(kg, space, context, 1, 3, 3000)
+        assert tallies["chain_tour_records"] == 0
+        assert tallies["chain_tour_fallbacks"] == 0
+        assert tallies["chain_tour_replays"] == 2  # the depth-2 and depth-3 pass
+        # depth-2 pass: 38 leaves minus B; depth-3 pass: 40 recorded minus
+        # B and the two nodes below it
+        assert tallies["chain_expansions_replayed"] == 37 + 37
+
+    @pytest.mark.parametrize("b_position", [3, 30], ids=["moved", "plain"])
+    def test_budget_cut_inside_the_tour(self, b_position):
+        """Budget 20: one expansion reaches H, 19 are left for its frame.
+        With B ahead of the cut its deletion moves the cut one leaf to the
+        right (the oracle comparison sees which leaves made it)."""
+        kg, space, context = _hand_world(39, _hub_edges(36, b_position), _TABLE)
+        _solo(kg, space, context, 0, 2, 3000)
+        tallies = _solo(kg, space, context, 1, 2, 20)
+        assert tallies["chain_tour_replays"] == 1
+        assert tallies["chain_tour_fallbacks"] == 0
+        assert tallies["chain_expansions_replayed"] == 19
+
+    @pytest.mark.parametrize("neutral", [True, False])
+    def test_removal_that_moves_a_float_runs_live(self, neutral):
+        """S -a- M -one- H -r- S: the depth-3 pass enters H below M with
+        ``log a`` and meets S across the ``r`` edge.  Deleting that leaf is
+        exact only when ``(log a + log r) - log r == log a``; otherwise the
+        frame is walked."""
+        log_a = math.log(_TABLE["p"])
+        r = 1.0 if neutral else next(
+            value
+            for value in (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.85, 0.9, 0.95)
+            if (log_a + math.log(value)) - math.log(value) != log_a
+        )
+        edges = [(0, "p", 1), (1, "one", 2), (2, "r", 0)]
+        edges += [(2, "one", 3 + index) for index in range(36)]
+        kg, space, context = _hand_world(39, edges, {**_TABLE, "r": r})
+        tallies = _solo(kg, space, context, 0, 3, 3000)
+        assert tallies["chain_tour_replays"] >= 1
+        if neutral:
+            assert tallies["chain_tour_fallbacks"] == 0
+        else:
+            assert tallies["chain_tour_fallbacks"] >= 1
+
+    def test_incomplete_tour_asked_for_more_runs_live(self):
+        """A tour recorded under budget 10 holds 74 of the hub's 122
+        expansions; a later pass with budget to spare cannot use it."""
+        kg, space, context = _hand_world(123, _hub_edges(120, 3), _TABLE)
+        small = _solo(kg, space, context, 1, 2, 10)
+        assert small["chain_tour_records"] == 1
+        assert small["chain_tour_replays"] == 1
+        (tour,) = context.tours.values()
+        assert not tour.complete and len(tour.skip) == 10 + kernels._TOUR_SLACK
+        large = _solo(kg, space, context, 1, 2, 3000)
+        assert large["chain_tour_records"] == 0
+        assert large["chain_tour_replays"] == 0
+        assert large["chain_tour_fallbacks"] == 1
+        assert large["chain_expansions_replayed"] == 0
+
+    def test_parallel_edges_and_a_self_loop_on_the_hub(self):
+        edges = _hub_edges(36, 3) + [
+            (2, "r", 2),  # self-loop: H is always on its own path
+            (1, "s", 2),  # a second B-H edge: B occurs twice in the tour
+            (2, "r", 3),  # a second H-leaf edge
+            (3, "s", 4),
+        ]
+        kg, space, context = _hand_world(39, edges, _TABLE)
+        replays = 0
+        for source in (0, 1, 3, 4):
+            for max_length, budget in ((2, 3000), (3, 3000), (3, 25), (4, 90)):
+                replays += _solo(
+                    kg, space, context, source, max_length, budget
+                )["chain_tour_replays"]
+        assert replays >= 8
+
+    def test_uncovered_predicate_in_the_slack_does_not_raise(self):
+        """The edge to leaf 29 is uncovered.  Budget 20 never reaches it,
+        but a recording (budget 20 + 64) would: it publishes nothing and
+        the frame is walked, silently like the reference.  With budget to
+        reach it, both raise."""
+        edges = _hub_edges(
+            36, 3, lambda index: "uncovered" if index == 29 else "p"
+        )
+        kg, space, context = _hand_world(39, edges, _TABLE)
+        tallies = _solo(kg, space, context, 1, 2, 20)
+        assert not context.tours
+        assert tallies["chain_tour_records"] == 0
+        assert tallies["chain_expansions_replayed"] == 0
+        with pytest.raises(EmbeddingError):
+            _chain_oracle(kg, space, "q", 1, 2, None, 3000)
+        with pytest.raises(EmbeddingError):
+            kernels.chain_matches(context, 1, 2, None, 3000)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        num_nodes=st.integers(2, 7),
+        raw_edges=st.lists(
+            st.tuples(
+                st.integers(0, 6), st.sampled_from(sorted(_TABLE)), st.integers(0, 6)
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        max_length=st.integers(1, 4),
+        budget=st.integers(1, 40),
+        typed=st.none() | st.frozensets(st.integers(0, 6)),
+    )
+    def test_small_multigraphs_match_the_oracle(
+        self, num_nodes, raw_edges, max_length, budget, typed
+    ):
+        """One context over every source in turn, every frame a hub."""
+        edges = [
+            (subject % num_nodes, predicate, obj % num_nodes)
+            for subject, predicate, obj in raw_edges
+        ]
+        kg, space, context = _hand_world(num_nodes, edges, _TABLE)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_TOUR_MIN_ENTRIES", 1)
+            for source in range(num_nodes):
+                _solo(kg, space, context, source, max_length, budget, typed)
+                _solo(kg, space, context, source, max_length, 3000, typed)
 
 
 class TestEngineLevelEquivalence:
@@ -476,6 +727,8 @@ class TestEngineLevelEquivalence:
             (_chain_query(), 5),
         ]
 
+        replays = {}
+
         def run(backend: str) -> list[tuple]:
             shared_plan_cache().clear()
             config = EngineConfig(seed=7, max_rounds=8)
@@ -483,11 +736,21 @@ class TestEngineLevelEquivalence:
                 world.kg, world.embedding, config, backend=backend, workers=2
             ) as service:
                 handles = service.submit_batch(workload)
-                return [_result_fingerprint(h.result()) for h in handles]
+                results = [_result_fingerprint(h.result()) for h in handles]
+                replays[backend] = service.registry.snapshot()[
+                    "repro_exec_chain_tour_replays"
+                ]["{}"]
+                return results
 
         baseline = run("cooperative")
         for backend in ("threads", "processes"):
             assert run(backend) == baseline, f"{backend} diverged"
+        # Germany has more than _TOUR_MIN_ENTRIES neighbours and sits two
+        # hops behind every answer, so the in-process runs replayed tours
+        # (a worker process's counters stay in the worker)
+        assert world.kg.degree(world.germany) >= kernels._TOUR_MIN_ENTRIES
+        assert replays["cooperative"] > 0
+        assert replays["threads"] > 0
 
 
 class TestMemoDeltas:

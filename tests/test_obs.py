@@ -13,7 +13,11 @@ Covered:
 * span trees — every settled query carries a ``query`` root with an
   ``initialise`` child and one ``round`` child per executed round, on
   all three backends; processes rounds carry the synthetic
-  ``worker_round`` child rebuilt from worker-side stage timings;
+  ``worker_round`` child rebuilt from worker-side stage timings; a
+  chain query's ``validate_batch`` spans nest one ``chain_prefix`` span
+  per level resolved, whose ``replayed`` / ``live`` attributes add up to
+  the ``repro_exec_chain_expansions_*`` counters (all zero on a simple
+  query);
 * the audit log — exactly one JSON line per settlement (refines append
   a second), JSON-clean for every kind including the extreme sentinel
   (``guaranteed=False`` / ``moe=0.0``), failures carrying the error;
@@ -57,6 +61,14 @@ BAD_AQL = "COUNT(*) MATCH (Atlantis:Country)-[product]->(x:Automobile)"
 
 BACKENDS = ("cooperative", "threads", "processes")
 
+CHAIN_COUNTERS = (
+    "repro_exec_chain_expansions_live",
+    "repro_exec_chain_expansions_replayed",
+    "repro_exec_chain_tour_replays",
+    "repro_exec_chain_tour_records",
+    "repro_exec_chain_tour_fallbacks",
+)
+
 
 @pytest.fixture
 def world(toy_world_factory):
@@ -76,6 +88,17 @@ def _grouped_query() -> AggregateQuery:
         query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
         function=AggregateFunction.COUNT,
         group_by=GroupBy("price", bin_width=1000.0),
+    )
+
+
+def _chain_query() -> AggregateQuery:
+    return AggregateQuery(
+        query=QueryGraph.chain(
+            "Germany",
+            ["Country"],
+            [("nationality", ["Person"]), ("designer", ["Automobile"])],
+        ),
+        function=AggregateFunction.COUNT,
     )
 
 
@@ -186,9 +209,11 @@ class TestRegistrySemantics:
         assert NULL_REGISTRY.render_prometheus() == ""
         # ... and instrumentation moves no result: it draws no random
         # number and touches no memo, so instrumented == NULL_REGISTRY ==
-        # sequential ``execute`` for a fixed seed, one query per kind
+        # sequential ``execute`` for a fixed seed, one query per kind and a
+        # chain COUNT (the chain_prefix spans and the tour tallies)
         workload = [
-            (world.count_query(), 3), (_grouped_query(), 4), (_extreme_query(), 5)
+            (world.count_query(), 3), (_grouped_query(), 4),
+            (_extreme_query(), 5), (_chain_query(), 6),
         ]
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(
@@ -217,6 +242,16 @@ def _spans_named(node: dict, name: str) -> list[dict]:
     return [child for child in node["children"] if child["name"] == name]
 
 
+def _spans_below(node: dict, name: str) -> list[dict]:
+    """Every span called ``name`` anywhere under ``node``, in tree order."""
+    found = []
+    for child in node["children"]:
+        if child["name"] == name:
+            found.append(child)
+        found.extend(_spans_below(child, name))
+    return found
+
+
 class TestSpanTrees:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", ["rounds", "grouped", "extreme"])
@@ -234,6 +269,7 @@ class TestSpanTrees:
         assert trace["attributes"]["kind"] == kind
         assert trace["duration_ms"] is not None
         assert _spans_named(trace, "initialise"), "missing S1 initialise span"
+        assert not _spans_below(trace, "chain_prefix")  # no chain component
         rounds = _spans_named(trace, "round")
         assert rounds, "no round spans recorded"
         for span in rounds:
@@ -455,6 +491,49 @@ class TestExecMetrics:
         assert samples["repro_exec_validate_batch_pending_count"] > 0
         # one component: nothing for the lazy conjunction to skip
         assert samples["repro_exec_conjunction_skips"] == 0
+        # ... and no chain component: the chain DFS never ran
+        for name in CHAIN_COUNTERS:
+            assert samples[name] == 0
+
+    def test_cold_chain_count_replays_more_than_it_walks(self):
+        """The golden ``chain_count`` case, cold: the hubs behind its
+        answers are walked once and replayed for every later answer, and
+        the ``chain_prefix`` spans say in which level the DFS ran."""
+        from repro import QueryShape
+        from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
+
+        bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+        chain = queries_of_shape(  # COUNT first, then AVG
+            standard_workload(bundle), QueryShape.CHAIN
+        )[0].aggregate_query
+        assert chain.function is AggregateFunction.COUNT
+        shared_plan_cache().clear()
+        with AggregateQueryService(
+            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+        ) as service:
+            handle = service.submit(chain)
+            handle.result(timeout=60.0)
+            samples = _parse_prometheus(service.registry.render_prometheus())
+            trace = handle.trace()
+        replayed = samples["repro_exec_chain_expansions_replayed"]
+        live = samples["repro_exec_chain_expansions_live"]
+        assert replayed > live > 0
+        assert samples["repro_exec_chain_tour_replays"] > (
+            samples["repro_exec_chain_tour_records"]
+        ) > 0
+
+        # the first validating round resolves both levels of the 2-hop
+        # chain (level 1 nested in level 2); the DFS is level 2's alone
+        first = _spans_below(_spans_named(trace, "round")[0], "validate_batch")[0]
+        (outer,) = _spans_named(first, "chain_prefix")
+        (inner,) = _spans_named(outer, "chain_prefix")
+        assert outer["attributes"]["level"] == 2
+        assert inner["attributes"]["level"] == 1
+        assert inner["attributes"]["frontier"] > 0
+        assert inner["attributes"]["replayed"] == inner["attributes"]["live"] == 0
+        spans = _spans_below(trace, "chain_prefix")
+        assert sum(span["attributes"]["replayed"] for span in spans) == replayed
+        assert sum(span["attributes"]["live"] for span in spans) == live
 
     def test_star_query_ticks_the_conjunction_skips(self):
         """The golden ``star_count`` case: answers a simple component put
