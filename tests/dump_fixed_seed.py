@@ -9,6 +9,9 @@ three presets, on the paths the ledger's workloads time::
     PYTHONPATH=src python tests/dump_fixed_seed.py --mode warm --scale 3 --out warm.json
     PYTHONPATH=src python tests/dump_fixed_seed.py --mode cold --scale 3 --out cold.json
 
+Each run also prints the sha256 of the file it wrote, so two CI logs
+compare without downloading either artifact.
+
 ``warm``
     one live service per graph; every plain AVG as a single ``submit``
     and the rest as one ``submit_batch`` per hub (so the scheduler's
@@ -25,6 +28,7 @@ and ``benchmarks.ledger.inputs``, so the same file runs on either tree.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -138,8 +142,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     specs = inputs.generate(inputs.PRESETS, args.scale)
     records = (dump_warm if args.mode == "warm" else dump_cold)(specs, args.scale)
-    args.out.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(records)} results to {args.out}")
+    text = json.dumps(records, indent=1, sort_keys=True) + "\n"
+    args.out.write_text(text)
+    # the digest in a CI log compares two commits without the artifacts
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    print(f"wrote {len(records)} results to {args.out} sha256 {digest}")
     return 0
 
 
