@@ -57,6 +57,17 @@ class ToyWorld:
             function=AggregateFunction.COUNT,
         )
 
+    def chain_count_query(self) -> AggregateQuery:
+        """Germany -> its people -> the cars they designed, counted."""
+        return AggregateQuery(
+            query=QueryGraph.chain(
+                "Germany",
+                ["Country"],
+                [("nationality", ["Person"]), ("designer", ["Automobile"])],
+            ),
+            function=AggregateFunction.COUNT,
+        )
+
     def avg_query(self) -> AggregateQuery:
         return AggregateQuery(
             query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),

@@ -26,8 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    AggregateFunction,
-    AggregateQuery,
     AggregateQueryService,
     EngineConfig,
     LookupEmbedding,
@@ -316,17 +314,6 @@ class TestContextCacheIdentity:
             )
             assert got == cold, f"stale cache served on trial {trial}"
             del visiting  # free the dict so the next trial may reuse its address
-
-
-def _chain_query() -> AggregateQuery:
-    return AggregateQuery(
-        query=QueryGraph.chain(
-            "Germany",
-            ["Country"],
-            [("nationality", ["Person"]), ("designer", ["Automobile"])],
-        ),
-        function=AggregateFunction.COUNT,
-    )
 
 
 def _result_fingerprint(result) -> tuple:
@@ -691,7 +678,7 @@ class TestEngineLevelEquivalence:
         from repro import ApproximateAggregateEngine
 
         world = toy_world_factory()
-        query = world.count_query() if query_name == "count" else _chain_query()
+        query = world.count_query() if query_name == "count" else world.chain_count_query()
         component = query.query.components[0]
         config = EngineConfig(seed=7, max_rounds=8)
 
@@ -724,7 +711,7 @@ class TestEngineLevelEquivalence:
         workload = [
             (world.count_query(), 3),
             (world.avg_query(), 4),
-            (_chain_query(), 5),
+            (world.chain_count_query(), 5),
         ]
 
         replays = {}
@@ -779,7 +766,7 @@ class TestMemoDeltas:
         ) as service:
             handles = service.submit_batch(
                 [(world.count_query(), 3), (world.avg_query(), 4),
-                 (world.sum_query(), 5), (_chain_query(), 6)]
+                 (world.sum_query(), 5), (world.chain_count_query(), 6)]
             )
             fingerprints = [_result_fingerprint(h.result()) for h in handles]
             return fingerprints, backend.health()

@@ -91,17 +91,6 @@ def _grouped_query() -> AggregateQuery:
     )
 
 
-def _chain_query() -> AggregateQuery:
-    return AggregateQuery(
-        query=QueryGraph.chain(
-            "Germany",
-            ["Country"],
-            [("nationality", ["Person"]), ("designer", ["Automobile"])],
-        ),
-        function=AggregateFunction.COUNT,
-    )
-
-
 def _value_fingerprint(result) -> tuple:
     """Estimate, MoE, draws and the round trace (timings excluded)."""
     if isinstance(result, GroupedResult):
@@ -213,7 +202,7 @@ class TestRegistrySemantics:
         # chain COUNT (the chain_prefix spans and the tour tallies)
         workload = [
             (world.count_query(), 3), (_grouped_query(), 4),
-            (_extreme_query(), 5), (_chain_query(), 6),
+            (_extreme_query(), 5), (world.chain_count_query(), 6),
         ]
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(
