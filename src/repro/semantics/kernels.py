@@ -58,6 +58,7 @@ from repro.errors import EmbeddingError
 from repro.semantics.similarity import clamp_similarity, require_known_predicates
 
 __all__ = [
+    "CHAIN_TALLIES",
     "ChainContext",
     "CompiledContext",
     "SharedTrace",
@@ -800,7 +801,9 @@ class ChainContext:
     _floor: float
     #: ``(node, depth, entering log_sum, max_length, target set)`` -> tour
     tours: dict = field(default_factory=dict)
-    #: expansions held by :attr:`tours`, against ``_TOUR_EVENT_CAP``
+    #: expansions held by :attr:`tours`, against ``_TOUR_EVENT_CAP`` (two
+    #: threads recording one key at once count it twice: the cap is a bound
+    #: on memory, not an exact size)
     tour_events: int = 0
 
     def resolve_predicate(self, predicate_id: int) -> float:

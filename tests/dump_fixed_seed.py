@@ -144,7 +144,6 @@ def main(argv=None) -> int:
     records = (dump_warm if args.mode == "warm" else dump_cold)(specs, args.scale)
     text = json.dumps(records, indent=1, sort_keys=True) + "\n"
     args.out.write_text(text)
-    # the digest in a CI log compares two commits without the artifacts
     digest = hashlib.sha256(text.encode()).hexdigest()
     print(f"wrote {len(records)} results to {args.out} sha256 {digest}")
     return 0

@@ -54,6 +54,7 @@ from repro.core.plan import shared_plan_cache
 from repro.core.result import GroupedResult
 from repro.errors import ServiceError
 from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.semantics.kernels import CHAIN_TALLIES
 from repro.server import ReproClient, serve_in_thread
 
 COUNT_AQL = "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)"
@@ -61,13 +62,7 @@ BAD_AQL = "COUNT(*) MATCH (Atlantis:Country)-[product]->(x:Automobile)"
 
 BACKENDS = ("cooperative", "threads", "processes")
 
-CHAIN_COUNTERS = (
-    "repro_exec_chain_expansions_live",
-    "repro_exec_chain_expansions_replayed",
-    "repro_exec_chain_tour_replays",
-    "repro_exec_chain_tour_records",
-    "repro_exec_chain_tour_fallbacks",
-)
+CHAIN_COUNTERS = tuple(f"repro_exec_{name}" for name in CHAIN_TALLIES)
 
 
 @pytest.fixture
