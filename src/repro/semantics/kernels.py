@@ -206,8 +206,8 @@ def build_context(
 
     One vectorised gather over every in-scope node: dedup by
     ``row * num_nodes + neighbour`` keys, max log-similarity via
-    ``np.maximum.at``, and the beam order via one stable ``lexsort`` on
-    ``(row, -probability, adjacency position)`` — the exact
+    ``np.maximum.at``, and the beam order via one stable ``argsort`` on
+    ``row * num_nodes + rank of the neighbour`` — the exact
     ``(probability desc, id asc)`` order the seed's tuple sort produces.
     """
     num_nodes = int(snapshot.num_nodes)
@@ -240,10 +240,17 @@ def build_context(
     probabilities = np.where(adj_nbr < len(dense), dense[np.minimum(adj_nbr, max(len(dense) - 1, 0))], 0.0)
     kept = np.flatnonzero(probabilities > 0.0)
     kept_owner = adj_owner[kept]
-    kept_probability = probabilities[kept]
-    # (row, -probability, adjacency position): ascending neighbour id is
-    # the adjacency position, so ties replicate the stable-sort order.
-    order = np.lexsort((kept, -kept_probability, kept_owner))
+    # (row, -probability, neighbour id).  An entry's probability is its
+    # neighbour's visiting probability, so the in-scope nodes are ranked
+    # once — a stable argsort of ascending ids is the (probability desc,
+    # id asc) total order — and one integer key sorts the entries.
+    rank = np.empty(num_nodes, dtype=np.int64)
+    rank[in_scope[np.argsort(-dense[in_scope], kind="stable")]] = np.arange(
+        rows, dtype=np.int64
+    )
+    order = np.argsort(
+        kept_owner * np.int64(num_nodes) + rank[adj_nbr[kept]], kind="stable"
+    )
     sorted_owner = kept_owner[order]
     # rank within each row, to apply the branch cap
     if len(sorted_owner):
