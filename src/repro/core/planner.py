@@ -1,9 +1,11 @@
 """The planning layer: S1 preparation producing shared :class:`QueryPlan`s.
 
 A :class:`QueryPlanner` turns one query component into its immutable
-sampling artefacts — scope, closed-form Eq. 5/6 stationary distribution
-(only the CNARW ablation iterates), Theorem-1 answer restriction and the
-greedy validator — and publishes the result in the process-wide
+sampling artefacts — scope, closed-form Eq. 5/6 stationary distribution and
+Theorem-1 answer restriction, all three from the batched stage kernel
+(:func:`~repro.sampling.strength.stage_distributions`; only the topology
+ablations build a per-source scope, only CNARW iterates), and the greedy
+validator — and publishes the result in the process-wide
 :class:`~repro.core.plan.PlanCache` so that every engine and session over
 the same graph, predicate space and configuration reuses one plan instead
 of rebuilding it.  The executor (:mod:`repro.core.executor`) consumes
@@ -12,7 +14,7 @@ plans; the engine facade (:mod:`repro.core.engine`) only wires the two.
 
 from __future__ import annotations
 
-from functools import partial
+import numpy as np
 
 from repro.core.config import EngineConfig, SamplerKind
 from repro.core.plan import (
@@ -30,7 +32,7 @@ from repro.sampling.chain import ChainSampler
 from repro.sampling.collector import restrict_to_answers
 from repro.sampling.scope import build_scope, resolve_mapping_node
 from repro.sampling.stationary import dense_visiting_array, stationary_distribution
-from repro.sampling.strength import stage_distribution
+from repro.sampling.strength import Stage, stage_distributions
 from repro.sampling.topology import (
     cnarw_transition_model,
     node2vec_visit_distribution,
@@ -96,16 +98,10 @@ class QueryPlanner:
         self.catalog_errors = 0
         #: CNARW walks out of step budget (``repro_plan_unconverged_walks``)
         self.unconverged_walks = 0
-        #: the closed-form S1 stage ``(source, predicate, node_types)`` of every
-        #: semantic build: simple plans, chain stages, chain ``visiting`` maps
-        self._stage = partial(
-            stage_distribution,
-            kg,
-            space,
-            n_bound=config.n_bound,
-            self_loop_weight=config.self_loop_weight,
-            similarity_floor=config.similarity_floor,
-        )
+        #: calls of the batched S1 stage kernel (``repro_plan_stage_batches``)
+        #: and the walks they settled (``repro_plan_stage_sources``)
+        self.stage_batches = 0
+        self.stage_sources = 0
 
     @property
     def cache(self) -> PlanCache:
@@ -182,6 +178,49 @@ class QueryPlanner:
     def _validator(self) -> CorrectnessValidator:
         return build_validator(self._kg, self._space, self.config)
 
+    def _stage(
+        self,
+        sources: np.ndarray,
+        predicate: str,
+        node_types: frozenset[str],
+        hop: int = 0,
+    ) -> list[Stage | SamplingError]:
+        """The closed-form S1 stage of every semantic build, one kernel call:
+        a simple plan or a chain's first hop (``visiting`` map included) as
+        a batch of one, a later chain hop with all its kept routes."""
+        config = self.config
+        self.stage_batches += 1
+        self.stage_sources += len(sources)
+        with child_span("s1_stage", hop=hop, sources=len(sources)) as span:
+            stages = stage_distributions(
+                self._kg,
+                self._space,
+                sources,
+                predicate,
+                node_types,
+                n_bound=config.n_bound,
+                self_loop_weight=config.self_loop_weight,
+                similarity_floor=config.similarity_floor,
+            )
+            if span is not None:
+                # scope nodes over the sources that have a stage
+                span.annotate(
+                    reached=sum(
+                        len(stage.nodes)
+                        for stage in stages
+                        if not isinstance(stage, SamplingError)
+                    )
+                )
+        return stages
+
+    def _first_stage(
+        self, source: int, predicate: str, node_types: frozenset[str]
+    ) -> Stage:
+        (stage,) = self._stage(np.asarray([source]), predicate, node_types)
+        if isinstance(stage, SamplingError):
+            raise stage
+        return stage
+
     def _build(self, component: PathQuery) -> QueryPlan:
         source = resolve_mapping_node(
             self._kg, component.specific_name, component.specific_types
@@ -195,7 +234,7 @@ class QueryPlanner:
         predicate, target_types = component.hops[0]
         iterations = 0  # the paper's N_ws; 0 = closed form, no walk iterated
         if config.sampler is SamplerKind.SEMANTIC:
-            scope, probabilities, distribution = self._stage(
+            nodes, probabilities, num_candidates, distribution = self._first_stage(
                 source, predicate, target_types
             )
         else:
@@ -221,15 +260,16 @@ class QueryPlanner:
                 probabilities = stationary.probabilities
                 iterations = stationary.iterations
             distribution = restrict_to_answers(scope, probabilities)
+            nodes, num_candidates = scope.nodes, scope.num_candidates
         return QueryPlan(
             component=component,
             source=source,
             distribution=distribution,
             visiting=dense_visiting_array(
-                scope.nodes, probabilities, self._kg.num_nodes
+                nodes, probabilities, self._kg.num_nodes
             ),
             walk_iterations=iterations,
-            num_candidates=scope.num_candidates,
+            num_candidates=num_candidates,
             validator=self._validator(),
         )
 
@@ -239,18 +279,18 @@ class QueryPlanner:
         # neighbourhood is small), while the hub-side leg reuses the greedy
         # r-path validator guided by the first hop's stationary map, so
         # ``visiting`` is the first hop's.
-        scope, probabilities, first_stage = self._stage(source, *component.hops[0])
+        first = self._first_stage(source, *component.hops[0])
         chain = ChainSampler(
             self._kg,
             self._stage,
             max_intermediates=self.config.max_intermediates,
-        ).build(component, first_stage)
+        ).build(component, first.distribution)
         return QueryPlan(
             component=component,
             source=source,
             distribution=chain.distribution,
             visiting=dense_visiting_array(
-                scope.nodes, probabilities, self._kg.num_nodes
+                first.nodes, first.probabilities, self._kg.num_nodes
             ),
             walk_iterations=chain.expanded_intermediates,
             num_candidates=chain.distribution.support_size,

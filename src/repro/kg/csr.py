@@ -28,9 +28,11 @@ attribute data, so attribute-streaming workloads never pay a recompile.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import NodeNotFoundError
 from repro.kg.graph import KnowledgeGraph
@@ -112,6 +114,37 @@ class CSRGraph:
         cols = positions[neighbours]
         keep = cols >= 0
         return positions, rows[keep], cols[keep], edge_ids[keep]
+
+    # ------------------------------------------------------------------
+    # Derived members of the batched S1 stage (repro.sampling.strength)
+    # ------------------------------------------------------------------
+    @cached_property
+    def adjacency_matrix(self) -> sparse.csr_matrix:
+        """The adjacency as a ``(num_nodes, num_nodes)`` matrix of ones.
+
+        Built once per snapshot on first use and never exported
+        (:meth:`export_arrays`): a loaded or shm-attached snapshot rebuilds
+        it lazily.  Nothing canonicalises it — no ``sum_duplicates``, no
+        ``sort_indices`` — so parallel edges and self-loops stay separate
+        entries in adjacency order, which is the order a product
+        accumulates a row in and what the stage kernel's float order
+        rests on.
+        """
+        return sparse.csr_matrix(
+            (
+                np.ones(len(self.neighbor_ids), dtype=np.float64),
+                self.neighbor_ids,
+                self.indptr,
+            ),
+            shape=(self.num_nodes, self.num_nodes),
+        )
+
+    @cached_property
+    def entry_predicate_ids(self) -> np.ndarray:
+        """Dense predicate id per adjacency entry (aligned with ``edge_ids``)."""
+        predicate_ids = self.edge_predicate_ids[self.edge_ids]
+        predicate_ids.setflags(write=False)
+        return predicate_ids
 
     # ------------------------------------------------------------------
     # BFS

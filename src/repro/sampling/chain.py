@@ -2,7 +2,8 @@
 
 Stage 1 runs the semantic-aware walk from the specific entity with the
 first query predicate and keeps intermediate entities of the right type;
-stage 2 runs one walk *per intermediate* with the next predicate.  A final
+stage 2 runs one walk *per intermediate* with the next predicate — all of a
+hop's walks in one call of the batched stage kernel.  A final
 answer reached via intermediate ``ui`` has probability
 ``pi' = pi'_i * pi'_(j|i)`` and duplicated answers accumulate their routes'
 probabilities — exactly the paper's composition rule (their sum is 1).
@@ -24,7 +25,8 @@ from repro.kg.graph import KnowledgeGraph
 from repro.query.answer import SampledAnswer
 from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerCollector, AnswerDistribution
-from repro.sampling.scope import SamplingScope, resolve_mapping_node
+from repro.sampling.scope import resolve_mapping_node
+from repro.sampling.strength import Stage
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ class ChainSampler:
         self,
         kg: KnowledgeGraph,
         stage: Callable[
-            [int, str, frozenset[str]],
-            tuple[SamplingScope, np.ndarray, AnswerDistribution],
+            [np.ndarray, str, frozenset[str], int],
+            list[Stage | SamplingError],
         ],
         *,
         max_intermediates: int = 64,
@@ -77,10 +79,11 @@ class ChainSampler:
         if max_intermediates < 1:
             raise SamplingError("max_intermediates must be >= 1")
         self._kg = kg
-        #: one hop's walk ``(source, predicate, node_types)``:
-        #: :func:`~repro.sampling.strength.stage_distribution` bound to its
-        #: graph, space and walk parameters, the same one the planner's
-        #: simple plans use
+        #: one hop's walks ``(sources, predicate, node_types, hop)``, an
+        #: entry per source — its stage, or the ``SamplingError`` of a dead
+        #: intermediate: :func:`~repro.sampling.strength.stage_distributions`
+        #: bound to its graph, space and walk parameters, the same one the
+        #: planner's simple plans use (``hop`` only labels its span)
         self._stage = stage
         self.max_intermediates = max_intermediates
 
@@ -113,16 +116,23 @@ class ChainSampler:
             kept_mass = sum(kept_probability)
             if kept_mass <= 0:
                 raise SamplingError("chain sampling lost all probability mass")
+            if hop == 0 and first_stage is not None:
+                walked: list[AnswerDistribution | SamplingError] = [first_stage]
+            else:
+                starts = route_nodes[kept, -1] if hop else np.asarray([source])
+                walked = [
+                    outcome
+                    if isinstance(outcome, SamplingError)
+                    else outcome.distribution
+                    for outcome in self._stage(starts, predicate, node_types, hop)
+                ]
             parents: list[int] = []
             stages: list[AnswerDistribution] = []
             extended_probability: list[np.ndarray] = []
-            for row, probability in zip(kept.tolist(), kept_probability):
-                start = int(route_nodes[row, -1]) if hop else source
-                stage = None if hop else first_stage
-                try:
-                    if stage is None:
-                        _, _, stage = self._stage(start, predicate, node_types)
-                except SamplingError:
+            for row, probability, stage in zip(
+                kept.tolist(), kept_probability, walked
+            ):
+                if isinstance(stage, SamplingError):
                     continue  # this intermediate reaches no next-hop candidate
                 parents.append(row)
                 stages.append(stage)

@@ -9,6 +9,11 @@ no longer called by the engine; they exist so that
   composition) to the original semantics, and
 * ``benchmarks/bench_perf_hotpath.py`` can report honest before/after
   timings against the exact seed implementation.
+
+:func:`stage_distribution_per_source` is of the same kind but one
+generation younger: the per-source S1 stage that production ran until the
+batched kernel (:func:`repro.sampling.strength.stage_distributions`)
+replaced it, kept as that kernel's byte-for-byte oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from repro.errors import SamplingError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
-from repro.sampling.collector import AnswerDistribution
-from repro.sampling.scope import SamplingScope, resolve_mapping_node
+from repro.sampling.collector import AnswerDistribution, restrict_to_answers
+from repro.sampling.scope import SamplingScope, build_scope, resolve_mapping_node
+from repro.sampling.strength import strength_distribution
 from repro.semantics.similarity import SIMILARITY_FLOOR, clamp_similarity
 
 
@@ -202,6 +208,41 @@ def strength_distribution_python(
     if total_strength <= 0.0:
         raise SamplingError("scope has no positively weighted edges")
     return strengths / total_strength
+
+
+def stage_distribution_per_source(
+    kg: KnowledgeGraph,
+    space: PredicateVectorSpace,
+    source: int,
+    predicate: str,
+    node_types: frozenset[str],
+    *,
+    n_bound: int = 3,
+    self_loop_weight: float = 0.001,
+    similarity_floor: float = SIMILARITY_FLOOR,
+) -> tuple[SamplingScope, np.ndarray, AnswerDistribution]:
+    """One hop's walk from one ``source``: its scope, scope-wide pi, answer pi'.
+
+    The composition ``build_scope`` -> ``strength_distribution`` ->
+    ``restrict_to_answers`` — a BFS, an adjacency gather and a position
+    table per source — whose bytes, error classes, messages and
+    precedence the batched stage kernel must reproduce per source.
+    """
+    scope = build_scope(kg, source, n_bound, node_types)
+    if scope.num_candidates == 0:
+        raise SamplingError(
+            f"no candidate of types {sorted(node_types)} within "
+            f"{n_bound} hops of {kg.node(source).name!r}"
+        )
+    probabilities = strength_distribution(
+        kg,
+        space,
+        scope,
+        predicate,
+        self_loop_weight=self_loop_weight,
+        similarity_floor=similarity_floor,
+    )
+    return scope, probabilities, restrict_to_answers(scope, probabilities)
 
 
 def cnarw_weights_python(

@@ -17,15 +17,26 @@ from repro.errors import SamplingError
 from repro.query.graph import PathQuery
 from repro.sampling import ChainSampler
 from repro.sampling.collector import AnswerDistribution
-from repro.sampling.reference import compose_routes_python
+from repro.sampling.reference import (
+    compose_routes_python,
+    stage_distribution_per_source,
+)
 from repro.sampling.scope import resolve_mapping_node
-from repro.sampling.strength import stage_distribution
+from repro.sampling.strength import Stage, stage_distributions
+
+
+def batched_stage(kg, space):
+    """One hop's closed-form walks, as a planner binds the stage kernel."""
+
+    def stage(sources, predicate, node_types, hop=0):
+        return stage_distributions(kg, space, sources, predicate, node_types)
+
+    return stage
 
 
 @pytest.fixture(scope="module")
 def toy_stage(toy):
-    """One hop's closed-form walk on the toy graph, as a planner binds it."""
-    return partial(stage_distribution, toy.kg, toy.space)
+    return batched_stage(toy.kg, toy.space)
 
 
 @pytest.fixture(scope="module")
@@ -87,14 +98,15 @@ class TestChainSampler:
 
 
 def _assert_equals_oracle(
-    kg, stage, component, max_intermediates, first_stage=None
+    kg, stage, stage_of, component, max_intermediates, first_stage=None
 ):
-    """The array composition against the dict-of-tuples oracle, exactly."""
+    """The array composition over the batched ``stage`` against the
+    dict-of-tuples oracle over the per-source ``stage_of``, exactly."""
     built = ChainSampler(kg, stage, max_intermediates=max_intermediates).build(
         component, first_stage
     )
     distribution, routes, expanded, truncated = compose_routes_python(
-        kg, stage, component, max_intermediates, first_stage
+        kg, stage_of, component, max_intermediates, first_stage
     )
     assert built.distribution.answers.tobytes() == distribution.answers.tobytes()
     assert (
@@ -123,8 +135,11 @@ class TestRouteCompositionOracle:
         if num_hops == 3:  # and back to the intermediates
             hops.append((hub.chain.predicates[1], [hub.chain.intermediate_type]))
         component = QueryGraph.chain(hub.hub_name, hub.hub_types, hops).components[0]
-        stage = partial(stage_distribution, bundle.kg, bundle.space())
-        built = _assert_equals_oracle(bundle.kg, stage, component, max_intermediates)
+        stage = batched_stage(bundle.kg, bundle.space())
+        stage_of = partial(stage_distribution_per_source, bundle.kg, bundle.space())
+        built = _assert_equals_oracle(
+            bundle.kg, stage, stage_of, component, max_intermediates
+        )
         assert built.route_nodes.shape == (len(built.route_probability), num_hops)
         if max_intermediates == 3:
             assert built.truncated
@@ -132,9 +147,9 @@ class TestRouteCompositionOracle:
         source = resolve_mapping_node(
             bundle.kg, component.specific_name, component.specific_types
         )
-        _, _, first_stage = stage(source, *component.hops[0])
+        _, _, first_stage = stage_of(source, *component.hops[0])
         _assert_equals_oracle(
-            bundle.kg, stage, component, max_intermediates, first_stage
+            bundle.kg, stage, stage_of, component, max_intermediates, first_stage
         )
 
     def test_ties_at_the_cut_and_dead_intermediates(self, toy):
@@ -160,8 +175,7 @@ class TestRouteCompositionOracle:
         }
         walked = []
 
-        def stage(start, _predicate, _node_types):
-            walked.append(start)
+        def stage_of(start, _predicate, _node_types):
             if start not in table:
                 raise SamplingError(f"no candidate from {start}")
             answers, probabilities = table[start]
@@ -170,9 +184,31 @@ class TestRouteCompositionOracle:
                 probabilities=np.asarray(probabilities, dtype=np.float64),
             )
 
+        def stage(sources, predicate, node_types, hop):
+            """One entry per source: the stage, or the error a dead
+            intermediate's walk raises — returned, as the kernel does."""
+            walked.append((hop, sources.tolist()))
+            outcomes = []
+            for start in sources.tolist():
+                try:
+                    distribution = stage_of(start, predicate, node_types)[-1]
+                except SamplingError as error:
+                    outcomes.append(error)
+                else:
+                    outcomes.append(Stage(None, None, 0, distribution))
+            return outcomes
+
         for max_intermediates in (1, 2, 3, 64):
-            _assert_equals_oracle(toy.kg, stage, component, max_intermediates)
-        assert 1002 in walked  # the dead intermediate was actually tried
+            _assert_equals_oracle(
+                toy.kg, stage, stage_of, component, max_intermediates
+            )
+        # one call per hop with every kept route's end, most probable
+        # first: the dead intermediate is among them, 2002 ends two routes
+        assert walked[-3:] == [
+            (0, [source]),
+            (1, [1001, 1002, 1003, 1004]),
+            (2, [2004, 2001, 2002, 2002, 2003]),
+        ]
 
     def test_collect_carries_the_most_probable_route(
         self, toy, toy_stage, chain_component
