@@ -638,6 +638,22 @@ class AggregateQueryService:
             ),
             (
                 plan.gauge(
+                    "stage_batches",
+                    "Calls of the batched S1 stage kernel (one per chain hop, "
+                    "one per simple plan)",
+                ),
+                lambda: self._planner.stage_batches,
+            ),
+            (
+                plan.gauge(
+                    "stage_sources",
+                    "Walks the S1 stage kernel settled (sources over all "
+                    "its batches)",
+                ),
+                lambda: self._planner.stage_sources,
+            ),
+            (
+                plan.gauge(
                     "cache_hits",
                     "Plan-cache hits (process-wide cache, process-lifetime total)",
                 ),

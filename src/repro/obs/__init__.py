@@ -18,6 +18,8 @@ metric                                         type       meaning
 ``repro_plan_builds``                          gauge      S1 plans built by this planner
 ``repro_plan_catalog_hits``                    gauge      plans loaded from a snapshot catalog
 ``repro_plan_unconverged_walks``               gauge      CNARW walks out of step budget
+``repro_plan_stage_batches``                   gauge      calls of the batched S1 stage kernel
+``repro_plan_stage_sources``                   gauge      walks those calls settled
 ``repro_plan_cache_hits`` / ``_misses``        gauge      plan-cache lookups (process-wide
                                                           cache, process-lifetime totals)
 ``repro_exec_validated_entries_total``         counter    S2 candidate answers validated
@@ -63,7 +65,11 @@ The scheduler opens one root span per query (``query``, attributes:
 and activates it around every slot the query holds.  Children:
 
 * ``initialise`` — S1: plan + collector + little-sample bootstrap, with
-  ``plan_build`` children for plans not already cached;
+  ``plan_build`` children for plans not already cached, and under those
+  one ``s1_stage`` span per call of the batched stage kernel (``hop``,
+  ``sources`` = walks settled together, ``reached`` = scope nodes over
+  the sources that have a stage): one for a simple plan, one per hop for
+  a chain;
 * ``round`` — one S3 anytime round (``round_index``, ``kind``); on the
   cooperative/threads backends it nests ``validate_batch`` spans (S2,
   attribute ``pending``), and under those one ``chain_prefix`` span per

@@ -13,7 +13,10 @@ Covered:
 * span trees — every settled query carries a ``query`` root with an
   ``initialise`` child and one ``round`` child per executed round, on
   all three backends; processes rounds carry the synthetic
-  ``worker_round`` child rebuilt from worker-side stage timings; a
+  ``worker_round`` child rebuilt from worker-side stage timings; a cold
+  plan's ``plan_build`` span nests one ``s1_stage`` span per call of the
+  batched S1 stage kernel, whose ``sources`` add up to the
+  ``repro_plan_stage_sources`` gauge; a
   chain query's ``validate_batch`` spans nest one ``chain_prefix`` span
   per level resolved, whose ``replayed`` / ``live`` attributes add up to
   the ``repro_exec_chain_expansions_*`` counters (all zero on a simple
@@ -194,7 +197,7 @@ class TestRegistrySemantics:
         # ... and instrumentation moves no result: it draws no random
         # number and touches no memo, so instrumented == NULL_REGISTRY ==
         # sequential ``execute`` for a fixed seed, one query per kind and a
-        # chain COUNT (the chain_prefix spans and the tour tallies)
+        # chain COUNT (the s1_stage and chain_prefix spans, the tour tallies)
         workload = [
             (world.count_query(), 3), (_grouped_query(), 4),
             (_extreme_query(), 5), (world.chain_count_query(), 6),
@@ -518,6 +521,47 @@ class TestExecMetrics:
         spans = _spans_below(trace, "chain_prefix")
         assert sum(span["attributes"]["replayed"] for span in spans) == replayed
         assert sum(span["attributes"]["live"] for span in spans) == live
+
+    def test_s1_stage_spans_account_for_every_walk(self):
+        """Cold plans say how S1 ran: one ``s1_stage`` span per call of the
+        batched stage kernel, under ``plan_build`` — one per hop for a chain,
+        one for a simple plan — and the two ``repro_plan_stage_*`` gauges
+        count the same calls and walks."""
+        from repro import QueryShape
+        from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
+
+        bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+        workload = standard_workload(bundle)
+        chain = queries_of_shape(workload, QueryShape.CHAIN)[0].aggregate_query
+        simple = queries_of_shape(workload, QueryShape.SIMPLE)[0].aggregate_query
+        assert len(chain.query.components[0].hops) == 2
+        shared_plan_cache().clear()
+        with AggregateQueryService(
+            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+        ) as service:
+            handle = service.submit(chain)
+            handle.result(timeout=60.0)
+            chain_trace = handle.trace()
+            after_chain = _parse_prometheus(service.registry.render_prometheus())
+            handle = service.submit(simple)
+            handle.result(timeout=60.0)
+            simple_trace = handle.trace()
+            after_both = _parse_prometheus(service.registry.render_prometheus())
+
+        (build,) = _spans_below(chain_trace, "plan_build")
+        stages = _spans_named(build, "s1_stage")
+        assert stages == _spans_below(chain_trace, "s1_stage")
+        first, second = (span["attributes"] for span in stages)
+        assert (first["hop"], first["sources"]) == (0, 1)
+        assert second["hop"] == 1 and second["sources"] > 1
+        assert second["reached"] > first["reached"] > 0
+        assert after_chain["repro_plan_stage_batches"] == 2
+        assert after_chain["repro_plan_stage_sources"] == 1 + second["sources"]
+
+        (stage,) = _spans_below(simple_trace, "s1_stage")
+        assert (stage["attributes"]["hop"], stage["attributes"]["sources"]) == (0, 1)
+        assert after_both["repro_plan_stage_batches"] == 3
+        assert after_both["repro_plan_stage_sources"] == 2 + second["sources"]
 
     def test_star_query_ticks_the_conjunction_skips(self):
         """The golden ``star_count`` case: answers a simple component put
