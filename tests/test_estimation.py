@@ -1,5 +1,8 @@
 """Tests for estimators (Eq. 7-9), bootstrap/BLB, CI and accuracy machinery."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,12 +185,32 @@ class TestConfidence:
     def test_memoised_critical_value_is_the_ppf_and_still_validates(self):
         from scipy import stats
 
-        expected = float(stats.norm.ppf(1.0 - (1.0 - 0.9) / 2.0))
-        for _ in range(2):  # the miss, then the hit
-            assert normal_critical_value(0.9) == expected
-            for invalid in (0.0, 1.0, float("nan")):
-                with pytest.raises(EstimationError):
-                    normal_critical_value(invalid)
+        # the production path evaluates scipy.special.ndtri, which is what
+        # norm.ppf evaluates: the same float, bit for bit
+        for level in (0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999):
+            expected = float(stats.norm.ppf(1.0 - (1.0 - level) / 2.0))
+            for _ in range(2):  # the miss, then the hit
+                assert normal_critical_value(level).hex() == expected.hex()
+        for invalid in (0.0, 1.0, float("nan")):
+            with pytest.raises(EstimationError):
+                normal_critical_value(invalid)
+
+    def test_import_repro_leaves_scipy_stats_out(self):
+        """``scipy.stats`` costs over a second to import; every CLI call,
+        ``repro serve`` start and worker spawn would pay it."""
+        import subprocess
+        import sys
+
+        import repro
+
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import repro, sys; sys.exit('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": source_root},
+            timeout=120,
+        )
+        assert completed.returncode == 0
 
     def test_interval_fields(self):
         interval = ConfidenceInterval(estimate=10.0, moe=2.0, confidence_level=0.95)
