@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -39,6 +39,26 @@ from repro.kg.graph import KnowledgeGraph
 
 #: attribute name under which the (version, snapshot) pair is memoised
 _SNAPSHOT_ATTR = "_csr_snapshot_cache"
+
+
+class DedupAdjacency(NamedTuple):
+    """Every node's *distinct* neighbours, ascending, for the whole graph.
+
+    ``nbr[indptr[u]:indptr[u+1]]`` are the distinct neighbours of ``u``
+    and ``owner`` repeats ``u`` alongside.  The adjacency entries are
+    regrouped so that the parallel edges between one pair of nodes sit
+    together: ``predicate_ids`` lists every entry's predicate in that
+    order and distinct entry ``k`` owns ``predicate_ids[starts[k]:
+    starts[k+1]]`` (the last group runs to the end), so a per-predicate
+    value folds onto the distinct entries with one
+    ``ufunc.reduceat(values[predicate_ids], starts)``.
+    """
+
+    predicate_ids: np.ndarray  # per adjacency entry, grouped by (node, neighbour)
+    starts: np.ndarray  # first position of each distinct entry's group
+    owner: np.ndarray
+    nbr: np.ndarray
+    indptr: np.ndarray  # (num_nodes + 1,)
 
 
 @dataclass(frozen=True)
@@ -116,7 +136,10 @@ class CSRGraph:
         return positions, rows[keep], cols[keep], edge_ids[keep]
 
     # ------------------------------------------------------------------
-    # Derived members of the batched S1 stage (repro.sampling.strength)
+    # Derived members: built once per snapshot on first use, never exported
+    # (a loaded or shm-attached snapshot rebuilds them lazily).  The first
+    # two serve the batched S1 stage (repro.sampling.strength), the third
+    # S2's context compile (repro.semantics.kernels.build_context).
     # ------------------------------------------------------------------
     @cached_property
     def adjacency_matrix(self) -> sparse.csr_matrix:
@@ -145,6 +168,38 @@ class CSRGraph:
         predicate_ids = self.edge_predicate_ids[self.edge_ids]
         predicate_ids.setflags(write=False)
         return predicate_ids
+
+    @cached_property
+    def dedup_adjacency(self) -> DedupAdjacency:
+        """The adjacency with parallel edges grouped (:class:`DedupAdjacency`).
+
+        Everything about S2's per-node goal tables that depends on the
+        graph alone: which adjacency entries collapse onto which distinct
+        ``(node, neighbour)`` pair.  What depends on the query — the max
+        log-similarity per pair — is one ``reduceat`` over this.
+        """
+        num_nodes = np.int64(self.num_nodes)
+        entry_owner = np.repeat(
+            np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr)
+        )
+        keys = entry_owner * num_nodes + self.neighbor_ids
+        perm = np.argsort(keys, kind="stable")
+        keys = keys[perm]
+        fresh = np.ones(len(keys), dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(fresh)
+        distinct = keys[starts]
+        owner = distinct // num_nodes
+        nbr = distinct % num_nodes
+        indptr = np.searchsorted(
+            owner, np.arange(self.num_nodes + 1, dtype=np.int64)
+        )
+        members = DedupAdjacency(
+            self.entry_predicate_ids[perm], starts, owner, nbr, indptr
+        )
+        for member in members:
+            member.setflags(write=False)
+        return members
 
     # ------------------------------------------------------------------
     # BFS

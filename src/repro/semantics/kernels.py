@@ -18,11 +18,14 @@ plain-Python oracle that only tests call
   parent-pointer paths instead of tuple concatenation, heap entries
   reduced to ``(priority, tiebreak, slot)`` scalars.
 * :class:`SharedTrace` / :func:`replay` — the answer-independent pop
-  sequence compiled to arrays with *inverted* goal and beam-membership
-  tables sorted by neighbour id: replaying one answer touches only the
-  pops whose node is actually adjacent to it (its slices of the two
-  tables, :func:`replay_bounds` — one vectorised lookup per batch)
-  instead of scanning all ``budget`` pops per answer.
+  sequence, recorded once per ``(context, source)``.  An answer's private
+  search is that sequence with the pops below the answer's own pushes
+  *deleted* (:func:`build_trace` has the argument), so a replay never
+  re-runs the heap: an inverted goal table sorted by neighbour id
+  (:func:`replay_bounds` — one vectorised lookup per batch) names the few
+  pops whose node is adjacent to the answer, a per-node index names the
+  pops to delete, and an answer left short of its budget by its deletions
+  extends the shared sequence for everyone.
 * :func:`cnarw_weights` — CNARW's per-entry set intersections as one
   sorted-key merge count over the pairs' CSR neighbourhoods.
 * :class:`ChainContext` / :func:`chain_matches` — the backwards
@@ -47,6 +50,7 @@ lookup failure timing.
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -61,6 +65,7 @@ __all__ = [
     "CHAIN_TALLIES",
     "ChainContext",
     "CompiledContext",
+    "REPLAY_TALLIES",
     "SharedTrace",
     "build_chain_context",
     "build_context",
@@ -80,13 +85,15 @@ __all__ = [
 class CompiledContext:
     """One ``(query predicate, visiting)`` context lowered to arrays.
 
-    ``rows`` index the in-scope nodes (``visiting > 0``).  Per row the
-    context holds the deduplicated adjacency (ascending neighbour id, max
-    log-similarity per neighbour — the goal-shortcut table) and the
-    probability-ordered branch-capped beam, entry-for-entry identical to
-    what the seed validator's per-node expansion computes.  Out-of-scope
-    search sources (the mapping node can sit outside its own scope) are
-    expanded lazily into ``extra`` with the same per-node math.
+    Rows are node ids; ``in_scope`` marks the ones with ``visiting > 0``.
+    Per node the context holds the deduplicated adjacency
+    (ascending neighbour id — the snapshot's own arrays — with the max
+    log-similarity per neighbour: the goal-shortcut table) and, for
+    in-scope nodes, the probability-ordered branch-capped beam,
+    entry-for-entry identical to what the seed validator's per-node
+    expansion computes.  Out-of-scope search sources (the mapping node can
+    sit outside its own scope) are expanded lazily into ``extra`` with the
+    same per-node math.
     """
 
     kg: object
@@ -96,15 +103,15 @@ class CompiledContext:
     visiting: np.ndarray
     branch_cap: int
     num_nodes: int
-    node_row: np.ndarray  # node id -> row index, -1 outside the scope
+    in_scope: np.ndarray  # per node: visiting > 0
     adj_indptr: np.ndarray
-    adj_nbr: np.ndarray  # ascending within each row
-    adj_log: np.ndarray  # max log-similarity per (row, neighbour)
+    adj_nbr: np.ndarray  # ascending within each node
+    adj_log: np.ndarray  # max log-similarity per (node, neighbour)
     beam_indptr: np.ndarray
     beam_child: np.ndarray
     beam_log: np.ndarray
     beam_priority: np.ndarray  # negated visiting probability
-    nan_flag: np.ndarray  # per row: some incident edge has a NaN log-sim
+    nan_flag: np.ndarray  # per node: some incident edge has a NaN log-sim
     #: lazily expanded out-of-scope nodes: node -> (sorted neighbour ids,
     #: log-sims, beam list)
     extra: dict = field(default_factory=dict)
@@ -120,11 +127,10 @@ class CompiledContext:
         cached = self._beam_lists.get(node)
         if cached is not None:
             return cached
-        row = int(self.node_row[node]) if node < self.num_nodes else -1
-        if row >= 0:
-            if self.nan_flag[row]:
+        if node < self.num_nodes and self.in_scope[node]:
+            if self.nan_flag[node]:
                 self._raise_unknown(node)
-            start, end = int(self.beam_indptr[row]), int(self.beam_indptr[row + 1])
+            start, end = int(self.beam_indptr[node]), int(self.beam_indptr[node + 1])
             beam = list(
                 zip(
                     self.beam_priority[start:end].tolist(),
@@ -148,11 +154,10 @@ class CompiledContext:
 
     def adjacency_arrays(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """``(sorted neighbour ids, log-sims)`` for one (expanded) node."""
-        row = int(self.node_row[node]) if node < self.num_nodes else -1
-        if row < 0:
+        if not (node < self.num_nodes and self.in_scope[node]):
             nbr, logs, _beam = self._expand_extra(node)
             return nbr, logs
-        start, end = int(self.adj_indptr[row]), int(self.adj_indptr[row + 1])
+        start, end = int(self.adj_indptr[node]), int(self.adj_indptr[node + 1])
         return self.adj_nbr[start:end], self.adj_log[start:end]
 
     def _expand_extra(self, node: int):
@@ -204,55 +209,47 @@ def build_context(
 ) -> CompiledContext:
     """Compile one visiting context into a :class:`CompiledContext`.
 
-    One vectorised gather over every in-scope node: dedup by
-    ``row * num_nodes + neighbour`` keys, max log-similarity via
-    ``np.maximum.at``, and the beam order via one stable ``argsort`` on
-    ``row * num_nodes + rank of the neighbour`` — the exact
-    ``(probability desc, id asc)`` order the seed's tuple sort produces.
+    Which adjacency entries collapse onto which distinct ``(node,
+    neighbour)`` pair is the snapshot's business
+    (:attr:`~repro.kg.csr.CSRGraph.dedup_adjacency`, built once per graph
+    version); a context adds the two things that depend on the query.  The
+    max log-similarity per pair is one ``np.maximum.reduceat`` over the
+    grouped entries — a max has no summation order, and a NaN propagates
+    through it as through the seed's ``np.maximum.at``.  The beams are the
+    pairs with both ends in scope under one stable ``argsort`` on ``node *
+    num_nodes + rank of the neighbour`` — the exact ``(probability desc,
+    id asc)`` order the seed's tuple sort produces.
     """
     num_nodes = int(snapshot.num_nodes)
     dense = visiting
     limit = min(len(dense), num_nodes)
-    in_scope = np.flatnonzero(dense[:limit] > 0.0).astype(np.int64)
-    rows = len(in_scope)
-    node_row = np.full(num_nodes, -1, dtype=np.int64)
-    node_row[in_scope] = np.arange(rows, dtype=np.int64)
+    in_scope = np.zeros(num_nodes, dtype=bool)
+    in_scope[:limit] = dense[:limit] > 0.0
+    scope_nodes = np.flatnonzero(in_scope)
 
-    owner, neighbours, edge_ids = snapshot.gather_neighbors(in_scope)
-    predicate_ids = snapshot.edge_predicate_ids[edge_ids]
-    entry_log = log_row[predicate_ids]
-    entry_nan = np.isnan(entry_log)
-    nan_flag = np.zeros(rows, dtype=bool)
-    if entry_nan.any():
-        nan_flag = np.bincount(owner[entry_nan], minlength=rows) > 0
-
-    keys = owner * np.int64(num_nodes) + neighbours
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    best = np.full(len(unique_keys), -np.inf, dtype=np.float64)
+    predicate_ids, starts, adj_owner, adj_nbr, adj_indptr = snapshot.dedup_adjacency
     # NaN entries (unknown predicates) flow through here on purpose — the
     # lazy raise happens only if their node is actually expanded.
     with np.errstate(invalid="ignore"):
-        np.maximum.at(best, inverse, entry_log)
-    adj_owner = unique_keys // num_nodes
-    adj_nbr = unique_keys % num_nodes
-    adj_indptr = np.searchsorted(adj_owner, np.arange(rows + 1, dtype=np.int64))
+        best = np.maximum.reduceat(log_row[predicate_ids], starts)
+    nan_flag = np.zeros(num_nodes, dtype=bool)
+    nan_flag[adj_owner[np.isnan(best)]] = True
 
-    probabilities = np.where(adj_nbr < len(dense), dense[np.minimum(adj_nbr, max(len(dense) - 1, 0))], 0.0)
-    kept = np.flatnonzero(probabilities > 0.0)
+    kept = np.flatnonzero(in_scope[adj_owner] & in_scope[adj_nbr])
     kept_owner = adj_owner[kept]
-    # (row, -probability, neighbour id).  An entry's probability is its
+    # (node, -probability, neighbour id).  An entry's probability is its
     # neighbour's visiting probability, so the in-scope nodes are ranked
     # once — a stable argsort of ascending ids is the (probability desc,
     # id asc) total order — and one integer key sorts the entries.
     rank = np.empty(num_nodes, dtype=np.int64)
-    rank[in_scope[np.argsort(-dense[in_scope], kind="stable")]] = np.arange(
-        rows, dtype=np.int64
+    rank[scope_nodes[np.argsort(-dense[scope_nodes], kind="stable")]] = np.arange(
+        len(scope_nodes), dtype=np.int64
     )
     order = np.argsort(
         kept_owner * np.int64(num_nodes) + rank[adj_nbr[kept]], kind="stable"
     )
     sorted_owner = kept_owner[order]
-    # rank within each row, to apply the branch cap
+    # rank within each node, to apply the branch cap
     if len(sorted_owner):
         first = np.flatnonzero(
             np.concatenate(([True], sorted_owner[1:] != sorted_owner[:-1]))
@@ -261,15 +258,12 @@ def build_context(
         rank = np.arange(len(sorted_owner), dtype=np.int64) - segment_start
     else:
         rank = np.zeros(0, dtype=np.int64)
-    capped = order[rank < branch_cap]
-    beam_take = kept[capped]
-    beam_owner = adj_owner[beam_take]
-    beam_counts = np.bincount(beam_owner, minlength=rows)
-    beam_indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(beam_counts, out=beam_indptr[1:])
+    beam_take = kept[order[rank < branch_cap]]
+    beam_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(adj_owner[beam_take], minlength=num_nodes), out=beam_indptr[1:]
+    )
     beam_child = adj_nbr[beam_take]
-    beam_log = best[beam_take]
-    beam_priority = -probabilities[beam_take]
 
     return CompiledContext(
         kg=kg,
@@ -279,14 +273,14 @@ def build_context(
         visiting=dense,
         branch_cap=branch_cap,
         num_nodes=num_nodes,
-        node_row=node_row,
+        in_scope=in_scope,
         adj_indptr=adj_indptr,
         adj_nbr=adj_nbr,
         adj_log=best,
         beam_indptr=beam_indptr,
         beam_child=beam_child,
-        beam_log=beam_log,
-        beam_priority=beam_priority,
+        beam_log=best[beam_take],
+        beam_priority=-dense[beam_child],
         nan_flag=nan_flag,
     )
 
@@ -365,31 +359,123 @@ def search(
 
 
 # ---------------------------------------------------------------------------
-# Shared trace + per-answer replay
+# Shared trace + per-answer deletion replay
 # ---------------------------------------------------------------------------
-@dataclass
-class SharedTrace:
-    """The answer-independent pop sequence, compiled for sparse replay.
+#: The per-batch tallies :func:`replay` and
+#: :meth:`CorrectnessValidator.validate_batch` feed, named like the
+#: ``repro_exec_*`` counters the executor forwards them to.
+REPLAY_TALLIES = (
+    "replay_deletions",
+    "trace_extension_pops",
+    "private_searches",
+)
 
-    A naive replay would walk every recorded pop per answer; here the goal
-    and divergence conditions are *inverted* into neighbour-sorted tables
-    (``goal_nbr``/``beam_nbr``), so one answer resolves to the handful of
-    pops whose node is actually adjacent to it.  Pops that never mention
-    the answer only contribute to the expansion count, which the replay
-    recovers from the pop index.
+
+class SharedTrace:
+    """The answer-independent pop sequence of one ``(context, source)``.
+
+    The best-first search run with *no* goal: no goal shortcut, no
+    answer-push skip, no termination.  :func:`build_trace` records its
+    first ``budget`` pops and compiles them for sparse replay — the goal
+    condition *inverted* into a neighbour-sorted table (``goal_nbr``), so
+    one answer resolves to the handful of pops whose node is actually
+    adjacent to it, and ``on_path_of`` naming the pops an answer's own
+    subtree accounts for.  The heap and the slots stay alive: an answer
+    whose deletions leave fewer than ``budget`` survivors *extends* the
+    sequence (:meth:`extend`), for every later answer too.
+
+    ``pops`` is append-only and one record per pop, so a reader under the
+    ``threads`` backend (validators are shared) indexes below a ``len()``
+    it read and never sees a half-written pop; extension itself takes the
+    trace's lock.  The inverted tables cover ``pops[:total_pops]`` and are
+    never written after the build.
     """
 
-    total_pops: int
-    pop_node: list
-    pop_log: list
-    pop_depth: list
-    pop_path: list  # tuple of on-path node ids per pop
-    pops_of: dict  # node -> [pop indices] (expanded pops only)
-    goal_nbr: np.ndarray  # sorted neighbour ids over expanded nodes
-    goal_node: np.ndarray  # owning (expanded) node per entry
-    goal_log: np.ndarray
-    beam_nbr: np.ndarray  # sorted beam-children ids over expanded nodes
-    beam_node: np.ndarray
+    __slots__ = (
+        "context", "source", "max_length", "budget",
+        "pops", "slots", "heap", "tiebreak", "_lock",
+        "total_pops", "pops_of", "on_path_of",
+        "goal_nbr", "goal_node", "goal_log",
+    )
+
+    def __init__(
+        self, context: CompiledContext, source: int, max_length: int, budget: int
+    ) -> None:
+        self.context = context
+        self.source = source
+        self.max_length = max_length
+        self.budget = budget
+        visiting = context.visiting
+        source_probability = (
+            float(visiting[source]) if source < len(visiting) else 0.0
+        )
+        if source_probability <= 0.0:
+            source_probability = 1.0
+        #: ``(node, log_sum, depth, on-path node ids)`` per pop
+        self.pops: list[tuple] = []
+        #: one packed ``(node, log_sum, parent slot, depth)`` record per push
+        self.slots: list[tuple] = [(source, 0.0, -1, 0)]
+        self.heap: list[tuple[float, int, int]] = [(-source_probability, 0, 0)]
+        self.tiebreak = 1
+        self._lock = threading.Lock()
+        #: pops inside the budget: the answer-independent search's own length
+        self.total_pops = 0
+        #: node -> [expanded pop indices]
+        self.pops_of: dict[int, list[int]] = {}
+        #: node -> [pop indices with the node on their path], the source
+        #: left out (it is on every path)
+        self.on_path_of: dict[int, list[int]] = {}
+        # goal_nbr (sorted neighbour ids over the expanded nodes), goal_node
+        # (the owning node per entry) and goal_log: set by build_trace
+
+    def advance(self) -> bool:
+        """Pop the shared heap once more; ``False`` when it is empty.
+
+        The node is expanded *before* it is popped (the tours' rule): a
+        lazy unknown-predicate error leaves heap, slots and pops exactly
+        as they were.
+        """
+        heap = self.heap
+        if not heap:
+            return False
+        slots = self.slots
+        slot = heap[0][2]
+        node, log_sum, parent, depth = slots[slot]
+        expanded = depth < self.max_length
+        if expanded:
+            beam = self.context.beam(node)  # raises on NaN edges
+        heappop(heap)
+        path = [node]
+        cursor = parent
+        while cursor != -1:
+            record = slots[cursor]
+            path.append(record[0])
+            cursor = record[2]
+        if expanded:
+            tiebreak = self.tiebreak
+            child_depth = depth + 1
+            for priority, child, log_similarity in beam:
+                if child in path:
+                    continue
+                slots.append((child, log_sum + log_similarity, slot, child_depth))
+                heappush(heap, (priority, tiebreak, len(slots) - 1))
+                tiebreak += 1
+            self.tiebreak = tiebreak
+        self.pops.append((node, log_sum, depth, tuple(path)))
+        return True
+
+    def extend(self, index: int, tallies: dict) -> bool:
+        """Make ``pops[index]`` exist; ``False`` when the heap ran dry first.
+
+        Raises :class:`EmbeddingError` — publishing nothing — when the next
+        pop's node has an edge the embedding does not cover.
+        """
+        with self._lock:
+            while len(self.pops) <= index:
+                if not self.advance():
+                    return False
+                tallies["trace_extension_pops"] += 1
+        return True
 
 
 def build_trace(
@@ -397,129 +483,63 @@ def build_trace(
 ) -> SharedTrace:
     """Record the answer-independent budgeted pop sequence from ``source``.
 
-    Runs the best-first search once with *no* goal: no goal shortcut, no
-    answer-push skip, no termination.  A per-answer search only deviates
-    from this sequence where its answer appears in a popped node's beam
-    (the one push the real search skips), so the trace is a sound shared
-    prefix for every answer: :func:`replay` walks it instead of re-running
-    the heap, and reports the first would-be deviation.
+    A private search for answer ``a`` differs from this sequence only in
+    never pushing ``a``.  Heap entries are ``(priority, tiebreak, slot)``
+    with ``priority`` a function of the child node alone and ``tiebreak``
+    the push counter, so dropping the pushes of ``a`` — and with them
+    everything pushed below ``a`` — keeps the relative order of every
+    other entry: **the private pop sequence is this one with the pops whose
+    path contains** ``a`` **deleted**, run on past the shared budget by the
+    number of deletions.  :func:`replay` walks exactly that.
     """
-    visiting = context.visiting
-    source_probability = float(visiting[source]) if source < len(visiting) else 0.0
-    if source_probability <= 0.0:
-        source_probability = 1.0
-    slot_node = [source]
-    slot_log = [0.0]
-    slot_parent = [-1]
-    slot_depth = [0]
-    heap: list[tuple[float, int, int]] = [(-source_probability, 0, 0)]
-    tiebreak = 1
+    trace = SharedTrace(context, source, max_length, budget)
+    pops = trace.pops
+    while len(pops) < budget and trace.advance():
+        pass
+    trace.total_pops = len(pops)
 
-    pop_node: list[int] = []
-    pop_log: list[float] = []
-    pop_depth: list[int] = []
-    pop_path: list[tuple] = []
-    pops_of: dict[int, list[int]] = {}
-    expanded_order: dict[int, None] = {}
-    expansions = 0
-    while heap and expansions < budget:
-        _, _, slot = heappop(heap)
-        node = slot_node[slot]
-        log_sum = slot_log[slot]
-        depth = slot_depth[slot]
-        index = expansions
-        expansions += 1
-        path = []
-        cursor = slot
-        while cursor != -1:
-            path.append(slot_node[cursor])
-            cursor = slot_parent[cursor]
-        pop_node.append(node)
-        pop_log.append(log_sum)
-        pop_depth.append(depth)
-        pop_path.append(tuple(path))
-        if depth >= max_length:
-            continue  # counted but not expanded
-        beam = context.beam(node)  # raises on NaN edges
-        pops_of.setdefault(node, []).append(index)
-        expanded_order.setdefault(node, None)
-        for priority, child, log_similarity in beam:
-            if child in path:
-                continue
-            slot_id = len(slot_node)
-            slot_node.append(child)
-            slot_log.append(log_sum + log_similarity)
-            slot_parent.append(slot)
-            slot_depth.append(depth + 1)
-            heappush(heap, (priority, tiebreak, slot_id))
-            tiebreak += 1
+    pops_of = trace.pops_of
+    on_path_of = trace.on_path_of
+    for index, (node, _log_sum, depth, path) in enumerate(pops):
+        for member in path[:-1]:
+            on_path_of.setdefault(member, []).append(index)
+        if depth < max_length:  # counted but not expanded otherwise
+            pops_of.setdefault(node, []).append(index)
 
-    # Invert the expanded nodes' adjacency and beams into neighbour-sorted
-    # lookup tables for O(log) per-answer relevance queries.
+    # Invert the expanded nodes' adjacency into a neighbour-sorted lookup
+    # table for O(log) per-answer relevance queries.
     goal_nbr_parts: list[np.ndarray] = []
     goal_node_parts: list[np.ndarray] = []
     goal_log_parts: list[np.ndarray] = []
-    beam_nbr_parts: list[np.ndarray] = []
-    beam_node_parts: list[np.ndarray] = []
-    for node in expanded_order:
+    for node in pops_of:
         nbr, logs = context.adjacency_arrays(node)
         goal_nbr_parts.append(np.asarray(nbr, dtype=np.int64))
         goal_node_parts.append(np.full(len(nbr), node, dtype=np.int64))
         goal_log_parts.append(np.asarray(logs, dtype=np.float64))
-        children = np.fromiter(
-            (child for _, child, _ in context.beam(node)), dtype=np.int64
-        )
-        beam_nbr_parts.append(children)
-        beam_node_parts.append(np.full(len(children), node, dtype=np.int64))
     if goal_nbr_parts:
         goal_nbr = np.concatenate(goal_nbr_parts)
-        goal_node = np.concatenate(goal_node_parts)
-        goal_logs = np.concatenate(goal_log_parts)
         order = np.argsort(goal_nbr, kind="stable")
-        goal_nbr = goal_nbr[order]
-        goal_node = goal_node[order]
-        goal_logs = goal_logs[order]
+        trace.goal_nbr = goal_nbr[order]
+        trace.goal_node = np.concatenate(goal_node_parts)[order]
+        trace.goal_log = np.concatenate(goal_log_parts)[order]
     else:
-        goal_nbr = np.zeros(0, dtype=np.int64)
-        goal_node = np.zeros(0, dtype=np.int64)
-        goal_logs = np.zeros(0, dtype=np.float64)
-    if beam_nbr_parts:
-        beam_nbr = np.concatenate(beam_nbr_parts)
-        beam_node = np.concatenate(beam_node_parts)
-        order = np.argsort(beam_nbr, kind="stable")
-        beam_nbr = beam_nbr[order]
-        beam_node = beam_node[order]
-    else:
-        beam_nbr = np.zeros(0, dtype=np.int64)
-        beam_node = np.zeros(0, dtype=np.int64)
-    return SharedTrace(
-        total_pops=expansions,
-        pop_node=pop_node,
-        pop_log=pop_log,
-        pop_depth=pop_depth,
-        pop_path=pop_path,
-        pops_of=pops_of,
-        goal_nbr=goal_nbr,
-        goal_node=goal_node,
-        goal_log=goal_logs,
-        beam_nbr=beam_nbr,
-        beam_node=beam_node,
-    )
+        trace.goal_nbr = np.zeros(0, dtype=np.int64)
+        trace.goal_node = np.zeros(0, dtype=np.int64)
+        trace.goal_log = np.zeros(0, dtype=np.float64)
+    return trace
 
 
-def replay_bounds(trace: SharedTrace, answers) -> list[tuple[int, int, int, int]]:
-    """Per answer, its ``(goal lo, goal hi, beam lo, beam hi)`` table slices.
+def replay_bounds(trace: SharedTrace, answers) -> list[tuple[int, int]]:
+    """Per answer, its ``(lo, hi)`` slice of the trace's goal table.
 
-    Four vectorised ``searchsorted`` calls for a whole batch: per answer
-    they would be four numpy scalar calls, most of a replay's own time.
+    Two vectorised ``searchsorted`` calls for a whole batch: per answer
+    they would be two numpy scalar calls, most of a replay's own time.
     """
     keys = np.asarray(answers, dtype=np.int64)
     return list(
         zip(
             trace.goal_nbr.searchsorted(keys, side="left").tolist(),
             trace.goal_nbr.searchsorted(keys, side="right").tolist(),
-            trace.beam_nbr.searchsorted(keys, side="left").tolist(),
-            trace.beam_nbr.searchsorted(keys, side="right").tolist(),
         )
     )
 
@@ -529,67 +549,109 @@ def replay(
     answer: int,
     repeat_factor: int,
     stop_threshold: float | None,
-    bounds: tuple[int, int, int, int] | None = None,
-) -> tuple[float, int, int, int] | None:
-    """Replay the shared trace for one answer; ``None`` means must search.
+    bounds: tuple[int, int] | None = None,
+    tallies: dict | None = None,
+) -> tuple[float, int, int, int]:
+    """:func:`search`'s outcome for one answer, read off the shared trace.
 
-    Mirrors :func:`search` pop for pop — the goal shortcut fires off the
-    recorded adjacency, termination counts the same expansions — visiting
-    only the pops whose node is adjacent to the answer (goal or beam table
-    hit).  Returns ``None`` at the first pop whose beam contains the
-    answer while it is off-path: from there the real heap (which skips
-    answer pushes) diverges from the shared one, so the caller runs the
-    private search.  Every returned outcome is exactly :func:`search`'s.
+    The answer's private pop sequence is the shared one minus the pops
+    with the answer on their path (:func:`build_trace`), so the replay
+    mirrors :func:`search` pop for pop over the *survivors*: the goal
+    shortcut fires off the recorded adjacency, an expansion is a survivor,
+    termination counts the same expansions.  Inside the budget it visits
+    only the pops whose node is adjacent to the answer (the goal table)
+    and counts deletions by bisection; when the deletions leave fewer than
+    ``budget`` survivors it walks — and, where nobody has yet, records —
+    the pops past the budget one by one, reading each node's goal table
+    from the context.
+
+    ``answer == source`` is its own case: the source is on every path, so
+    the goal check can never fire and no push is ever skipped for being
+    the answer — the search pops the shared sequence and finds nothing.
+
     ``bounds`` is the answer's entry of :func:`replay_bounds` when the
-    caller computed a batch's at once.
+    caller computed a batch's at once; ``tallies`` a dict over
+    :data:`REPLAY_TALLIES` the caller owns.  Raises
+    :class:`EmbeddingError` only from an extension (see
+    :meth:`SharedTrace.extend`); the caller then owes the answer a
+    :func:`search`.
     """
+    total_pops = trace.total_pops
+    if answer == trace.source:
+        return 0.0, 0, total_pops, 0
     if bounds is None:
         bounds = replay_bounds(trace, [answer])[0]
-    goal_lo, goal_hi, beam_lo, beam_hi = bounds
+    goal_lo, goal_hi = bounds
+    deleted = trace.on_path_of.get(answer)
+    if goal_lo == goal_hi and deleted is None:
+        return 0.0, 0, total_pops, 0
+    if tallies is None:
+        tallies = dict.fromkeys(REPLAY_TALLIES, 0)
     goal_map: dict[int, float] = dict(
         zip(
             trace.goal_node[goal_lo:goal_hi].tolist(),
             trace.goal_log[goal_lo:goal_hi].tolist(),
         )
     )
-    beam_owners = set(trace.beam_node[beam_lo:beam_hi].tolist())
-
-    relevant_nodes = beam_owners.union(goal_map)
-    if not relevant_nodes:
-        return 0.0, 0, trace.total_pops, 0
     relevant: list[int] = []
     pops_of = trace.pops_of
-    for node in relevant_nodes:
-        indices = pops_of.get(node)
-        if indices:
-            relevant.extend(indices)
+    for node in goal_map:
+        relevant.extend(pops_of[node])
     relevant.sort()
 
     best_similarity = 0.0
     best_length = 0
     paths_found = 0
-    pop_node = trace.pop_node
-    pop_path = trace.pop_path
-    pop_log = trace.pop_log
-    pop_depth = trace.pop_depth
+    pops = trace.pops
     for index in relevant:
-        node = pop_node[index]
-        answer_on_path = answer in pop_path[index]
-        goal_log = goal_map.get(node)
-        if goal_log is not None and not answer_on_path:
-            depth = pop_depth[index]
-            similarity = math.exp((pop_log[index] + goal_log) / (depth + 1))
-            paths_found += 1
-            if similarity > best_similarity:
-                best_similarity = similarity
-                best_length = depth + 1
-            if paths_found >= repeat_factor or (
-                stop_threshold is not None and best_similarity >= stop_threshold
-            ):
-                return best_similarity, paths_found, index + 1, best_length
-        if node in beam_owners and not answer_on_path:
-            return None
-    return best_similarity, paths_found, trace.total_pops, best_length
+        node, log_sum, depth, path = pops[index]
+        if answer in path:
+            continue  # a deleted pop
+        similarity = math.exp((log_sum + goal_map[node]) / (depth + 1))
+        paths_found += 1
+        if similarity > best_similarity:
+            best_similarity = similarity
+            best_length = depth + 1
+        if paths_found >= repeat_factor or (
+            stop_threshold is not None and best_similarity >= stop_threshold
+        ):
+            removed = bisect_left(deleted, index) if deleted is not None else 0
+            if removed:
+                tallies["replay_deletions"] += 1
+            return best_similarity, paths_found, index + 1 - removed, best_length
+    if deleted is None:
+        return best_similarity, paths_found, total_pops, best_length
+
+    # Deletions left the answer short of its budget: on past the shared one.
+    tallies["replay_deletions"] += 1
+    survivors = total_pops - len(deleted)
+    budget = trace.budget
+    max_length = trace.max_length
+    goal_map_of = trace.context.goal_map
+    index = total_pops
+    while survivors < budget:
+        if index >= len(pops) and not trace.extend(index, tallies):
+            break  # the heap ran dry
+        node, log_sum, depth, path = pops[index]
+        index += 1
+        if answer in path:
+            continue
+        survivors += 1
+        if depth >= max_length:
+            continue
+        goal_log = goal_map_of(node).get(answer)
+        if goal_log is None:
+            continue
+        similarity = math.exp((log_sum + goal_log) / (depth + 1))
+        paths_found += 1
+        if similarity > best_similarity:
+            best_similarity = similarity
+            best_length = depth + 1
+        if paths_found >= repeat_factor or (
+            stop_threshold is not None and best_similarity >= stop_threshold
+        ):
+            break
+    return best_similarity, paths_found, survivors, best_length
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,20 @@ adjacency slices — no per-edge string lookups.
 Visiting probabilities are **array-valued**: callers may pass either a
 ``{node_id: probability}`` mapping or a dense float array over node ids
 (zero = outside the scope).  Mappings are densified once per context.
-:meth:`CorrectnessValidator.validate_batch` is the engine's entry point: it
-records the answer-independent pop sequence once per (context, source),
-replays it per answer (:func:`repro.semantics.kernels.replay`) and runs a
-private :func:`repro.semantics.kernels.search` only for the answers whose
-presence would have altered the frontier.  The seed's dict-probing search
+:meth:`CorrectnessValidator.validate_batch` is the engine's entry point:
+context -> trace -> replay.  It records the answer-independent pop sequence
+once per (context, source) and reads every answer's outcome off it
+(:func:`repro.semantics.kernels.replay`): a private search for answer ``a``
+is the shared one with ``a`` never pushed, i.e. the shared pop sequence
+with the pops below ``a`` deleted and run on by as many pops as were
+deleted, so no answer needs a heap of its own.  Three edges keep that
+exact: ``answer == source`` pops the shared sequence and finds nothing; an
+answer whose deletions outrun the recorded pops extends the trace under
+its lock; and an unknown-predicate error met while extending — the
+extension may expand a node this answer's own search never would — sends
+that one answer to :func:`repro.semantics.kernels.search`, which raises
+where the seed raises or not at all.  ``search`` is also :meth:`validate`'s
+path, the single-answer entry point.  The seed's dict-probing search
 survives as :class:`repro.semantics.reference.ReferenceValidator`, the
 oracle the tests compare both entry points with.
 """
@@ -45,6 +54,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from repro.embedding.predicate_space import PredicateVectorSpace
+from repro.errors import EmbeddingError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.semantics import kernels
@@ -232,15 +242,20 @@ class CorrectnessValidator:
         query_predicate: str,
         visiting_probabilities: VisitingProbabilities,
         stop_threshold: float | None = None,
+        tallies: dict | None = None,
     ) -> dict[int, ValidationOutcome]:
         """Validate every distinct answer of a round in one shared pass.
 
         The context is compiled once and — the actual batching — the
         budgeted best-first pop sequence is recorded once per (context,
-        source) and *replayed* per answer instead of re-running the heap
-        search, falling back to a private search only for answers whose
-        presence would have altered the frontier.  Outcomes are exactly
-        those of calling :meth:`validate` per answer.
+        source) and every answer's outcome is *replayed* from it with the
+        answer's own subtree deleted, instead of re-running the heap
+        search.  Outcomes are exactly those of calling :meth:`validate`
+        per answer.  ``tallies`` (a dict over
+        :data:`~repro.semantics.kernels.REPLAY_TALLIES`, owned by the
+        caller) is added to: answers settled with deleted pops, pops the
+        trace was extended by, and private searches — the one fallback,
+        for an answer whose extension met an unknown predicate.
         """
         context = self._context(query_predicate, visiting_probabilities)
         trace = self._traces.get(source)
@@ -249,20 +264,26 @@ class CorrectnessValidator:
                 context, source, self.max_length, self.expansion_budget
             )
             self._traces[source] = trace
+        if tallies is None:
+            tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
         outcomes: dict[int, ValidationOutcome] = {}
         distinct = list(dict.fromkeys(int(answer) for answer in answers))
         for answer, bounds in zip(distinct, kernels.replay_bounds(trace, distinct)):
-            result = kernels.replay(
-                trace, answer, self.repeat_factor, stop_threshold, bounds
-            )
-            if result is not None:
-                outcomes[answer] = ValidationOutcome(answer, *result)
-            else:
-                outcomes[answer] = self.validate(
+            try:
+                result = kernels.replay(
+                    trace, answer, self.repeat_factor, stop_threshold, bounds,
+                    tallies,
+                )
+            except EmbeddingError:
+                tallies["private_searches"] += 1
+                result = kernels.search(
+                    context,
                     source,
                     answer,
-                    query_predicate,
-                    visiting_probabilities,
+                    self.repeat_factor,
+                    self.max_length,
+                    self.expansion_budget,
                     stop_threshold,
                 )
+            outcomes[answer] = ValidationOutcome(answer, *result)
         return outcomes

@@ -3,7 +3,7 @@
 The kernels (:mod:`repro.semantics.kernels`) are the one production path
 per S2 algorithm; for identical inputs they must reproduce the oracles
 **exactly** — the seed validator (:mod:`repro.semantics.reference`) for
-search and replay, ``best_matches_iterative`` and the recursive
+search and the deletion replay, ``best_matches_iterative`` and the recursive
 chain-prefix resolution for chain enumeration, the per-entry CNARW loop
 (:mod:`repro.sampling.reference`) for the structural weights: equal
 outcome dataclasses, byte-equal transition arrays, the same lazy
@@ -112,8 +112,8 @@ def synthetic_context(kg, seed: int):
 
 @pytest.mark.parametrize("seed", range(5))
 class TestSearchEquivalence:
-    """validate (kernels.search) and validate_batch (trace replay, private
-    search on divergence) both equal the seed ReferenceValidator."""
+    """validate (kernels.search) and validate_batch (the deletion replay
+    of the shared trace) both equal the seed ReferenceValidator."""
 
     def test_validate_matches_reference(self, seed):
         kg, space = random_world(seed)
@@ -132,38 +132,63 @@ class TestSearchEquivalence:
     def test_validate_batch_matches_reference_on_both_branches(
         self, seed, stop, monkeypatch
     ):
-        """Every batched outcome equals the oracle's, and the batch really
-        took both branches: answers ``kernels.replay`` settled and answers
-        it handed to the private search (``None``)."""
+        """Every batched outcome equals the oracle's without one private
+        search, and the batch really took both branches of the replay:
+        answers settled with deleted pops inside the recorded trace and
+        answers whose deletions forced a trace extension.  (Budget 30: at
+        the default 120 some of these 60-node worlds run the heap dry
+        first, and a dry heap cannot be extended.)"""
         kg, space = random_world(seed)
         source, visiting, answers = search_context(kg, space, seed)
-        # the scope's full candidate list: the first dozen alone can all
-        # replay cleanly; duplicates exercise the per-answer dedup
+        # the scope's full candidate list plus the corner cases;
+        # duplicates exercise the per-answer dedup
         scope = build_scope(kg, source, 3, frozenset(TYPE_POOL))
         batch = list(scope.candidate_answers) + answers + answers[:3]
-        replayed: dict[int, bool] = {}
+        branch: dict[int, str] = {}
         real_replay = kernels.replay
 
-        def recording_replay(trace, answer, *rest):
-            result = real_replay(trace, answer, *rest)
-            # the batch's precomputed table slices change nothing
-            assert result == real_replay(trace, answer, *rest[:2])
-            replayed[answer] = result is not None
+        def recording_replay(trace, answer, repeat_factor, threshold, bounds, tallies):
+            own = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
+            result = real_replay(
+                trace, answer, repeat_factor, threshold, bounds, own
+            )
+            # the batch's precomputed table slice changes nothing, and
+            # neither does finding the extension already recorded
+            assert result == real_replay(trace, answer, repeat_factor, threshold)
+            if own["trace_extension_pops"]:
+                branch[answer] = "extended"
+            elif own["replay_deletions"]:
+                branch[answer] = "deleted"
+            else:
+                branch[answer] = "clean"
+            for name, count in own.items():
+                tallies[name] += count
             return result
 
+        def no_search(*_args):
+            raise AssertionError("validate_batch ran a private search")
+
         monkeypatch.setattr(kernels, "replay", recording_replay)
-        got = CorrectnessValidator(kg, space).validate_batch(
-            source, batch, "product", visiting, stop_threshold=stop
+        monkeypatch.setattr(kernels, "search", no_search)
+        tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
+        got = CorrectnessValidator(kg, space, expansion_budget=30).validate_batch(
+            source, batch, "product", visiting, stop_threshold=stop,
+            tallies=tallies,
         )
-        reference = ReferenceValidator(kg, space)
-        assert set(got) == set(batch)
+        reference = ReferenceValidator(kg, space, expansion_budget=30)
+        assert set(got) == set(batch) == set(branch)
         for answer, outcome in got.items():
             assert outcome == reference.validate(
                 source, answer, "product", visiting, stop_threshold=stop
             )
-        assert set(replayed) == set(batch)
-        assert any(replayed.values()), "no answer was settled by the replay"
-        assert not all(replayed.values()), "no answer fell back to the search"
+        taken = set(branch.values())
+        assert "deleted" in taken, "no answer was settled with deleted pops"
+        assert "extended" in taken, "no answer forced a trace extension"
+        assert tallies["replay_deletions"] == sum(
+            kind != "clean" for kind in branch.values()
+        )
+        assert tallies["trace_extension_pops"] >= 1
+        assert tallies["private_searches"] == 0
 
     def test_tight_budgets_and_caps(self, seed):
         """Small budgets/beams magnify any pop-order or tie-break drift."""
@@ -213,8 +238,8 @@ class TestUnknownPredicateFailures:
 
     def test_batch_raises_when_an_answer_would(self):
         """A batch holding an answer whose private search hits a "rare"
-        edge raises too: either the shared trace expands the node, or the
-        replay diverges and the private search does."""
+        edge raises too: either the shared trace expands the node, or an
+        extension does and the private search it falls back to does."""
         kg, space = random_world(11, known_predicates=PREDICATE_POOL[:-1])
         source, visiting, answers = synthetic_context(kg, 11)
         reference = ReferenceValidator(kg, space)
@@ -225,6 +250,300 @@ class TestUnknownPredicateFailures:
             CorrectnessValidator(kg, space).validate_batch(
                 source, answers, "product", visiting
             )
+
+
+def _search_world(edges, probabilities, known=("p", "q")):
+    """A hand-built search world: a KG from an edge list, a lookup space
+    knowing ``known``, and ``{node: visiting probability}`` — the heap
+    pops higher probabilities first, so the numbers script the pop order."""
+    kg = KnowledgeGraph("hand-built-search")
+    for index in range(1 + max(max(s, o) for s, _, o in edges)):
+        kg.add_node(f"n{index}", ["Thing"])
+    for subject, predicate, obj in edges:
+        kg.add_edge(subject, predicate, obj)
+    rng = np.random.default_rng(3)
+    space = PredicateVectorSpace(
+        LookupEmbedding({name: rng.normal(size=8) for name in known})
+    )
+    return kg, space, dict(probabilities)
+
+
+#: S = 0 reaches A = 1 and B = 2.  Below A hang eight leaves (3..10), the
+#: first with a grandchild (11); below B two nodes (12, 13) and below 12
+#: one more (14).  B also reaches leaf 3, so leaf 3 has two parents.
+_S, _A, _B = 0, 1, 2
+_SUBTREE_EDGES = (
+    [(_S, "p", _A), (_S, "q", _B)]
+    + [(_A, "p" if leaf % 2 else "q", leaf) for leaf in range(3, 11)]
+    + [(3, "p", 11), (_B, "p", 12), (_B, "q", 13), (12, "p", 14), (_B, "q", 3)]
+)
+#: A and everything below it outrank B and everything below B, so the
+#: shared sequence is S, A, 3, 4, ... 10, 11, B, 12, 13, 14
+_SUBTREE_PROBABILITIES = {
+    _S: 0.30, _A: 0.20, **{leaf: 0.10 - 0.001 * leaf for leaf in range(3, 11)},
+    11: 0.05, _B: 0.02, 12: 0.012, 13: 0.011, 14: 0.010,
+}
+
+
+class TestDeletionReplay:
+    """Every edge of the deletion replay, on a graph small enough to read.
+
+    Each case is compared with ``ReferenceValidator`` and then asked,
+    through the tallies, whether it took the branch it was built for.
+    """
+
+    @staticmethod
+    def _batch(kg, space, visiting, answers, source=_S, **overrides):
+        validator = CorrectnessValidator(kg, space, **overrides)
+        tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
+        got = validator.validate_batch(
+            source, answers, "p", visiting, tallies=tallies
+        )
+        reference = ReferenceValidator(kg, space, **overrides)
+        for answer in answers:
+            assert got[answer] == reference.validate(source, answer, "p", visiting)
+        return got, tallies, validator._traces[source]
+
+    def test_subtree_larger_than_the_remaining_budget(self):
+        """Budget 6 records S, A and four of A's leaves.  For answer A
+        five of those pops go, so its search runs on: through the rest of
+        A's subtree (deleted too), then B and what lies below B — where
+        leaf 3, reached through B this time, is adjacent to A: a path the
+        recorded pops do not hold."""
+        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
+        got, tallies, trace = self._batch(
+            kg, space, visiting, [_A], expansion_budget=6
+        )
+        assert trace.total_pops == 6
+        assert trace.on_path_of[_A] == [1, 2, 3, 4, 5]
+        assert [pop[0] for pop in trace.pops] == [
+            _S, _A, 3, 4, 5, 6,  # recorded
+            7, 8, 9, 10, 11,  # the rest of A's subtree: deleted
+            _B, 3, _A, 11, _B, 12, 13,  # A and B below leaf 3: deleted
+        ]
+        # the survivors: S, B, 3, 11, 12, 13
+        assert got[_A].expansions == 6
+        assert got[_A].paths_found == 2  # from S and from leaf 3
+        assert trace.heap  # 14 is still waiting
+        assert tallies == {
+            "replay_deletions": 1,
+            "trace_extension_pops": 12,
+            "private_searches": 0,
+        }
+
+    def test_extension_is_shared_by_later_answers(self):
+        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
+        _got, first, trace = self._batch(
+            kg, space, visiting, [_A], expansion_budget=6
+        )
+        recorded = len(trace.pops)
+        validator = CorrectnessValidator(kg, space, expansion_budget=6)
+        validator.validate_batch(_S, [_A], "p", visiting)
+        tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
+        validator.validate_batch(_S, [_A, 3, 4], "p", visiting, tallies=tallies)
+        assert first["trace_extension_pops"] == recorded - 6
+        assert tallies["trace_extension_pops"] == 0  # all read, none recorded
+        assert tallies["replay_deletions"] == 3
+
+    def test_answer_is_the_source(self):
+        """The source is on every path: nothing is deleted, the goal
+        check never fires, the recorded pops are the outcome."""
+        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
+        got, tallies, trace = self._batch(
+            kg, space, visiting, [_S], expansion_budget=6
+        )
+        assert got[_S] == type(got[_S])(_S, 0.0, 0, 6, 0)
+        assert len(trace.pops) == trace.total_pops == 6
+        assert not any(tallies.values())
+
+    def test_heap_exhausted_before_the_budget(self):
+        """At budget 3000 the whole graph is recorded and the heap is
+        empty: an answer's deletions just shorten its count."""
+        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
+        answers = list(range(kg.num_nodes))
+        got, tallies, trace = self._batch(
+            kg, space, visiting, answers, expansion_budget=3000
+        )
+        assert not trace.heap and len(trace.pops) == trace.total_pops < 3000
+        assert tallies["trace_extension_pops"] == 0
+        assert tallies["private_searches"] == 0
+        assert tallies["replay_deletions"] >= 1
+        assert got[_B].expansions == trace.total_pops - len(trace.on_path_of[_B])
+
+    @pytest.mark.parametrize(
+        "budget, cap, max_length", [(5, 2, 1), (17, 3, 2), (6, 16, 3), (9, 3, 3)]
+    )
+    def test_tight_budgets_and_caps(self, budget, cap, max_length):
+        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
+        for source in (_S, _B, 3):
+            _got, tallies, _trace = self._batch(
+                kg, space, visiting, list(range(kg.num_nodes)), source=source,
+                expansion_budget=budget, branch_cap=cap, max_length=max_length,
+            )
+            assert tallies["private_searches"] == 0
+
+    def test_uncovered_predicate_below_the_answer_is_never_touched(self):
+        """Leaf 10's edge to 15 is uncovered and leaf 10 is popped only in
+        the extension A's deletions force.  A's own search never goes
+        below A, so it must not raise: the extension publishes nothing and
+        A alone is settled by a private search."""
+        edges = _SUBTREE_EDGES + [(10, "uncovered", 15)]
+        kg, space, visiting = _search_world(
+            edges, {**_SUBTREE_PROBABILITIES, 15: 0.001}
+        )
+        got, tallies, trace = self._batch(
+            kg, space, visiting, [3, _A, _B], expansion_budget=6
+        )
+        assert tallies["private_searches"] == 1
+        assert tallies["replay_deletions"] == 2  # leaf 3 (one pop) and A
+        # leaf 3 needed one pop past the budget; A's extension stopped at
+        # leaf 10 without recording it
+        assert [pop[0] for pop in trace.pops[6:]] == [7, 8, 9]
+        assert trace.slots[trace.heap[0][2]][0] == 10  # still on the heap
+
+    def test_uncovered_predicate_in_the_extension_raises_like_the_reference(self):
+        """Node 12's edge to 14 is uncovered.  The recorded pops never
+        reach 12, A's extension does — and so does A's own search, so the
+        batch raises where the reference raises; leaf 4, one pop short,
+        is settled from leaf 7 and raises nothing."""
+        edges = [
+            (s, "uncovered" if (s, o) == (12, 14) else p, o)
+            for s, p, o in _SUBTREE_EDGES
+        ]
+        kg, space, visiting = _search_world(edges, _SUBTREE_PROBABILITIES)
+        _got, tallies, trace = self._batch(
+            kg, space, visiting, [4, _B, _S], expansion_budget=6
+        )
+        assert tallies["private_searches"] == 0
+        assert len(trace.pops) == 7
+        with pytest.raises(EmbeddingError):
+            ReferenceValidator(kg, space, expansion_budget=6).validate(
+                _S, _A, "p", visiting
+            )
+        validator = CorrectnessValidator(kg, space, expansion_budget=6)
+        tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
+        with pytest.raises(EmbeddingError):
+            validator.validate_batch(_S, [4, _A], "p", visiting, tallies=tallies)
+        assert tallies["private_searches"] == 1
+
+    def test_two_threads_extending_one_trace(self):
+        """The ``threads`` backend shares validators, so two batches can
+        extend one trace at once: every outcome still equals the oracle's
+        and the pops are the ones a single thread records."""
+        import sys
+        import threading
+
+        kg, space = random_world(1, num_nodes=80, num_edges=260)
+        source, visiting, _answers = search_context(kg, space, 1)
+        answers = list(range(kg.num_nodes))
+        overrides = dict(expansion_budget=12)
+        reference = ReferenceValidator(kg, space, **overrides)
+        expected = {
+            answer: reference.validate(source, answer, "product", visiting)
+            for answer in answers
+        }
+        validator = CorrectnessValidator(kg, space, **overrides)
+        validator.validate_batch(source, [source], "product", visiting)
+        trace = validator._traces[source]
+        assert len(trace.pops) == trace.total_pops == 12
+
+        failures: list = []
+        tallies = [dict.fromkeys(kernels.REPLAY_TALLIES, 0) for _ in range(6)]
+
+        def work(position: int) -> None:
+            try:
+                order = answers[position::6] + answers  # six different orders
+                got = validator.validate_batch(
+                    source, order, "product", visiting, tallies=tallies[position]
+                )
+                assert got == expected
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        threads = [threading.Thread(target=work, args=(p,)) for p in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert validator._traces[source] is trace
+        # each extension pop was recorded by exactly one thread ...
+        extension = len(trace.pops) - trace.total_pops
+        assert extension > 0
+        assert sum(t["trace_extension_pops"] for t in tallies) == extension
+        # ... and the sequence is the single-threaded one
+        alone = kernels.build_trace(
+            validator._compiled, source, validator.max_length, 12
+        )
+        assert alone.extend(len(trace.pops) - 1, dict(tallies[0]))
+        assert alone.pops == trace.pops
+
+
+class TestContextCompile:
+    """``build_context`` over the snapshot-wide deduplicated adjacency ==
+    the seed's node-by-node expansion, row for row."""
+
+    @pytest.mark.parametrize("known", [PREDICATE_POOL, PREDICATE_POOL[:-1]],
+                             ids=["covered", "rare_uncovered"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_the_per_node_expansion(self, seed, known):
+        kg, space = random_world(seed, known_predicates=known)
+        source, visiting, _answers = synthetic_context(kg, seed)
+        del visiting[source]  # the mapping node outside its own scope
+        for branch_cap in (16, 2):
+            validator = CorrectnessValidator(kg, space, branch_cap=branch_cap)
+            context = validator._context("product", visiting)
+            reference = ReferenceValidator(kg, space, branch_cap=branch_cap)
+            reference._reset_cache("product", id(visiting))
+            flagged = 0
+            for node in range(kg.num_nodes):
+                in_scope = node in visiting
+                assert bool(context.in_scope[node]) == in_scope
+                try:
+                    beam, adjacency = reference._expand(node, "product", visiting)
+                except EmbeddingError:
+                    flagged += 1
+                    assert not in_scope or context.nan_flag[node]
+                    with pytest.raises(EmbeddingError):
+                        context.beam(node)
+                    continue
+                assert not context.nan_flag[node]
+                nbr, logs = context.adjacency_arrays(node)
+                assert nbr.tolist() == list(adjacency)
+                assert logs.tobytes() == np.array(
+                    list(adjacency.values()), dtype=np.float64
+                ).tobytes()
+                assert context.beam(node) == beam
+                assert context.goal_map(node) == adjacency
+            assert (flagged > 0) == (known is not PREDICATE_POOL)
+            # out-of-scope nodes (the source among them) took the lazy path
+            assert context.extra and not set(context.extra) & set(visiting)
+
+    def test_dedup_adjacency_is_built_once_and_never_exported(self):
+        kg, _space = random_world(0)
+        snapshot = csr_snapshot(kg)
+        dedup = snapshot.dedup_adjacency
+        assert snapshot.dedup_adjacency is dedup
+        _metadata, arrays = snapshot.export_arrays()
+        assert not any(
+            exported is member for exported in arrays.values() for member in dedup
+        )
+        # parallel edges and both directions collapse onto one entry
+        for node in range(kg.num_nodes):
+            start, end = dedup.indptr[node], dedup.indptr[node + 1]
+            assert dedup.nbr[start:end].tolist() == sorted(
+                {neighbour for _edge, neighbour in kg.neighbors(node)}
+            )
+            assert (dedup.owner[start:end] == node).all()
+        assert not any(member.flags.writeable for member in dedup)
+        kg.add_edge(0, "misc", 1)  # a structural write: new snapshot, new member
+        assert csr_snapshot(kg).dedup_adjacency is not dedup
 
 
 class TestCnarwEquivalence:
@@ -704,6 +1023,57 @@ class TestEngineLevelEquivalence:
         for key, row in plan.chain_prefix_memo.items():
             assert cold_plan.chain_prefix_memo[key] == row
         assert bool(plan.chain_prefix_memo) == (query_name == "chain")
+
+    @pytest.mark.parametrize(
+        "preset", ["dbpedia-like", "freebase-like", "yago2-like"]
+    )
+    def test_cold_workload_pass_needs_no_private_search(self, preset, monkeypatch):
+        """One cold pass of the preset's non-AVG workload queries (the
+        ledger's ``cold_shapes``, at scale 1): every ``validate_batch``
+        outcome equals the per-answer ``validate``, and the replay settles
+        every answer drawn — deletions and extensions occur, the private
+        search does not."""
+        from repro import ApproximateAggregateEngine, format_query
+        from repro.datasets import ALL_PRESETS, standard_workload
+
+        real = CorrectnessValidator.validate_batch
+        checked = 0
+
+        def checking(self, source, answers, predicate, visiting,
+                     stop_threshold=None, tallies=None):
+            nonlocal checked
+            outcomes = real(
+                self, source, answers, predicate, visiting, stop_threshold, tallies
+            )
+            for answer, outcome in outcomes.items():
+                assert outcome == self.validate(
+                    source, answer, predicate, visiting, stop_threshold
+                )
+            checked += len(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(CorrectnessValidator, "validate_batch", checking)
+        bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
+        totals = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
+        for index, query in enumerate(standard_workload(bundle)):
+            aggregate = query.aggregate_query
+            if query.function.value == "AVG" and aggregate.group_by is None:
+                continue  # the warm workloads' queries
+            shared_plan_cache().clear()
+            engine = ApproximateAggregateEngine(
+                bundle.kg, bundle.embedding, EngineConfig(seed=0)
+            )
+            try:
+                engine.execute(format_query(aggregate), seed=index)
+                counters = engine.service.registry.snapshot()
+            finally:
+                engine.service.close()
+            for name in totals:
+                totals[name] += counters[f"repro_exec_{name}"]["{}"]
+        assert checked > 1000
+        assert totals["private_searches"] == 0
+        assert totals["replay_deletions"] > 0
+        assert totals["trace_extension_pops"] > 0
 
     def test_cross_backend_byte_identity_with_chain(self, toy_world_factory):
         """The parallel acceptance gate holds with a chain query aboard."""
