@@ -99,6 +99,7 @@ class LintConfig:
         "core/service.py",
         "store/workers.py",
         "obs/metrics.py",
+        "semantics/kernels.py",
     )
     #: modules on the determinism-critical path (kernels, round export,
     #: persistence, wire encoding): set iteration must never feed an

@@ -650,6 +650,37 @@ class QueryExecutor:
         plan.similarity_cache[node_id] = similarity
         return similarity
 
+    def _validate_batch(
+        self,
+        plan: QueryPlan,
+        node_ids: list[int],
+        predicate: str,
+        stop_threshold: float,
+    ) -> dict:
+        """One :meth:`CorrectnessValidator.validate_batch` pass from the
+        plan's source, its replay tallies forwarded to the ``exec`` counters
+        (owned per call, so the ``threads`` backend's numbers stay exact)."""
+        assert plan.validator is not None
+        tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
+        outcomes = plan.validator.validate_batch(
+            plan.source,
+            node_ids,
+            predicate,
+            plan.visiting,
+            stop_threshold=stop_threshold,
+            tallies=tallies,
+        )
+        self._count(tallies)
+        return outcomes
+
+    def _count(self, tallies: dict) -> None:
+        """Add a kernel call's tallies to the like-named ``exec`` counters."""
+        metrics = self.obs_metrics
+        if metrics is not None:
+            for name, count in tallies.items():
+                if count:
+                    metrics[name].inc(count)
+
     def _chain_prefix(
         self, plan: QueryPlan, level: int, node_id: int
     ) -> tuple[float, int] | None:
@@ -701,11 +732,7 @@ class QueryExecutor:
                     replayed=tallies["chain_expansions_replayed"],
                     live=tallies["chain_expansions_live"],
                 )
-        metrics = self.obs_metrics
-        if metrics is not None:
-            for name, count in tallies.items():
-                if count:
-                    metrics[name].inc(count)
+        self._count(tallies)
 
     def _resolve_chain_level(
         self, plan: QueryPlan, level: int, frontier: list[int], tallies: dict
@@ -720,14 +747,7 @@ class QueryExecutor:
         config = self.config
         predicate = component.predicates[level - 1]
         if level == 1:
-            assert plan.validator is not None
-            outcomes = plan.validator.validate_batch(
-                plan.source,
-                frontier,
-                predicate,
-                plan.visiting,
-                stop_threshold=1.0,
-            )
+            outcomes = self._validate_batch(plan, frontier, predicate, 1.0)
             for node_id in frontier:
                 outcome = outcomes[int(node_id)]
                 result: tuple[float, int] | None = None
@@ -812,13 +832,8 @@ class QueryExecutor:
         if not missing:
             return
         if plan.chain is None:
-            assert plan.validator is not None
-            outcomes = plan.validator.validate_batch(
-                plan.source,
-                missing,
-                plan.component.predicates[0],
-                plan.visiting,
-                stop_threshold=self.config.tau,
+            outcomes = self._validate_batch(
+                plan, missing, plan.component.predicates[0], self.config.tau
             )
             for node_id, outcome in outcomes.items():
                 plan.similarity_cache[node_id] = outcome.similarity

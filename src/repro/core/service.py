@@ -687,6 +687,21 @@ class AggregateQueryService:
                     "Answer x component searches not run because an "
                     "earlier component rejected the answer (S2)",
                 ),
+                "replay_deletions": execution.counter(
+                    "replay_deletions",
+                    "Answers the shared-trace replay settled with at least "
+                    "one pop of their own subtree deleted (S2)",
+                ),
+                "trace_extension_pops": execution.counter(
+                    "trace_extension_pops",
+                    "Pops recorded past a shared trace's budget for answers "
+                    "whose deletions left them short of it (S2)",
+                ),
+                "private_searches": execution.counter(
+                    "private_searches",
+                    "Answers validated by a private search because their "
+                    "trace extension met an unknown predicate (S2)",
+                ),
                 "chain_expansions_live": execution.counter(
                     "chain_expansions_live",
                     "Chain-DFS path extensions the loop walked, tour "

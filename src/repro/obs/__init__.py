@@ -26,6 +26,11 @@ metric                                         type       meaning
 ``repro_exec_validate_batch_pending``          histogram  batch sizes handed to the S2 kernels
 ``repro_exec_conjunction_skips``               counter    answer x component searches an
                                                           earlier component's rejection saved
+``repro_exec_replay_deletions``                counter    answers the trace replay settled
+                                                          with >= 1 pop of their own deleted
+``repro_exec_trace_extension_pops``            counter    pops recorded past a trace's budget
+``repro_exec_private_searches``                counter    answers sent to a private search (an
+                                                          extension met an unknown predicate)
 ``repro_exec_chain_expansions_live``           counter    chain-DFS path extensions walked
                                                           (tour recordings included)
 ``repro_exec_chain_expansions_replayed``       counter    ... settled from a shared hub tour

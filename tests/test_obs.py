@@ -481,6 +481,10 @@ class TestExecMetrics:
         # ... and no chain component: the chain DFS never ran
         for name in CHAIN_COUNTERS:
             assert samples[name] == 0
+        # the replay-vs-search split: the shared trace settled every answer
+        assert samples["repro_exec_private_searches"] == 0
+        assert samples["repro_exec_replay_deletions"] >= 0
+        assert samples["repro_exec_trace_extension_pops"] >= 0
 
     def test_cold_chain_count_replays_more_than_it_walks(self):
         """The golden ``chain_count`` case, cold: the hubs behind its
