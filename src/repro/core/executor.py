@@ -45,7 +45,14 @@ import numpy as np
 from repro.core.config import DeltaStrategy, EngineConfig, ExtremeMethod
 from repro.core.plan import QueryPlan
 from repro.core.planner import QueryPlanner
-from repro.core.result import ApproximateResult, GroupedResult, RoundTrace
+from repro.core.result import (
+    STOP_BOUND_MET,
+    STOP_ROUND_BUDGET,
+    STOP_SAMPLE_CAP,
+    ApproximateResult,
+    GroupedResult,
+    RoundTrace,
+)
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import EstimationError, NodeNotFoundError, QueryError
 from repro.estimation.accuracy import moe_target, satisfies_error_bound
@@ -1101,7 +1108,10 @@ class QueryExecutor:
     ) -> ApproximateResult | GroupedResult:
         """Package the state after its run's last step.
 
-        ``converged`` is that step's ``satisfied``.  GROUP-BY packages the
+        ``converged`` is that step's ``satisfied``; with the draw count it
+        also says why the run stopped (``stop_reason``: the bound was met,
+        else the sample cap was reached, else the round budget — the
+        caller's — was spent).  GROUP-BY packages the
         latest per-group estimates; everything else the last round's
         estimate and MoE (``state.rounds[-1]``), which a MAX/MIN query
         under ``ExtremeMethod.EVT`` first extrapolates past the sample
@@ -1110,6 +1120,12 @@ class QueryExecutor:
         config = self.config
         function = state.aggregate_query.function
         kind = kind_for(state.aggregate_query)
+        if converged:
+            stop_reason = STOP_BOUND_MET
+        elif state.total_draws >= config.max_sample_size:
+            stop_reason = STOP_SAMPLE_CAP
+        else:
+            stop_reason = STOP_ROUND_BUDGET
         if kind == KIND_GROUPED:
             group_by = state.aggregate_query.group_by
             groups = state.grouped_results or {}
@@ -1121,6 +1137,7 @@ class QueryExecutor:
                 total_draws=state.total_draws,
                 stage_ms=state.timers.as_dict_ms(),
                 rounds=tuple(state.rounds),
+                stop_reason=stop_reason,
             )
         last = state.rounds[-1]
         value, moe = last.estimate, last.moe
@@ -1155,6 +1172,7 @@ class QueryExecutor:
             stage_ms=state.timers.as_dict_ms(),
             walk_iterations=state.walk_iterations,
             num_candidates=state.num_candidates,
+            stop_reason=stop_reason,
         )
 
     # The ledger's binding names: benchmarks/ledger/layers.py::_STATE_STEPS

@@ -9,6 +9,14 @@ from repro.estimation.confidence import ConfidenceInterval
 from repro.query.aggregate import AggregateFunction
 
 
+#: why a run stopped (``stop_reason`` on a finalised result): its last round
+#: met the stop condition; the sample reached ``max_sample_size``; or the
+#: round budget was spent with neither
+STOP_BOUND_MET = "bound_met"
+STOP_SAMPLE_CAP = "sample_cap"
+STOP_ROUND_BUDGET = "round_budget"
+
+
 @dataclass(frozen=True)
 class RoundTrace:
     """One iteration of the sampling-estimation loop (Table IX rows)."""
@@ -52,6 +60,9 @@ class ApproximateResult:
     walk_iterations: int = 0
     #: candidate answer count |A| in the sampling scope
     num_candidates: int = 0
+    #: one of the ``STOP_*`` reasons; ``None`` on a per-group estimate
+    #: inside a :class:`GroupedResult`, which is not a run of its own
+    stop_reason: str | None = None
 
     @property
     def value(self) -> float:
@@ -102,6 +113,8 @@ class GroupedResult:
     #: anytime trace: one entry per grow-validate-estimate round, carrying
     #: the worst group's estimate/MoE (the group gating convergence)
     rounds: tuple[RoundTrace, ...] = ()
+    #: one of the ``STOP_*`` reasons
+    stop_reason: str | None = None
 
     @property
     def num_groups(self) -> int:

@@ -826,6 +826,7 @@ class AggregateQueryService:
         if isinstance(result, GroupedResult):
             line["groups"] = result.num_groups
             line["converged"] = result.converged
+            line["stop_reason"] = result.stop_reason
         elif isinstance(result, ApproximateResult):
             line["estimate"] = result.value
             # extreme results keep their honest no-CI sentinel: moe 0.0,
@@ -836,6 +837,7 @@ class AggregateQueryService:
                 result.rounds[-1].guaranteed if result.rounds else False
             )
             line["converged"] = result.converged
+            line["stop_reason"] = result.stop_reason
         if status is QueryStatus.FAILED and record.exception is not None:
             error = record.exception
             line["error"] = f"{type(error).__name__}: {error}"

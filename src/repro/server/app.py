@@ -122,12 +122,15 @@ def encode_result(
     execution, where timings legitimately differ.  ``walk_iterations`` is
     the paper's N_ws (power-iteration steps of S1); 0 means the plan took
     pi in closed form, which every semantic simple plan does.
+    ``stop_reason`` is ``bound_met`` / ``sample_cap`` / ``round_budget``
+    (null on the per-group entries of a grouped result).
     """
     if isinstance(result, GroupedResult):
         payload = {
             "type": "grouped",
             "function": result.function.value,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "total_draws": result.total_draws,
             "num_groups": result.num_groups,
             "groups": [
@@ -150,6 +153,7 @@ def encode_result(
             "upper": result.interval.upper,
             "confidence_level": result.interval.confidence_level,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "total_draws": result.total_draws,
             "correct_draws": result.correct_draws,
             "distinct_answers": result.distinct_answers,

@@ -152,6 +152,56 @@ class TestBackendEquivalence:
                 f"{backend} backend diverged on a star/flower query"
             )
 
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            (dict(max_rounds=30), "bound_met"),
+            (dict(max_sample_size=120, error_bound=0.0001), "sample_cap"),
+            (dict(max_rounds=1, error_bound=0.0001), "round_budget"),
+        ],
+    )
+    def test_stop_reason_on_every_kind_and_backend(self, world, overrides, expected):
+        """Why the run stopped is decided once, in ``finalise``, from what
+        the scheduler told it: the same on every backend, carried by the
+        wire payload and the audit line.  MAX/MIN never meet a bound, so
+        the extreme query's reason is never ``bound_met``; the toy
+        GROUP-BY has every sufficiently drawn group inside any bound after
+        one round."""
+        import io
+        import json
+
+        from repro.core.result import GroupedResult
+        from repro.server.app import encode_result
+
+        reasons = {}
+        for backend in ("cooperative", "processes"):
+            shared_plan_cache().clear()
+            sink = io.StringIO()
+            with AggregateQueryService(
+                world.kg, world.embedding, EngineConfig(seed=7, **overrides),
+                backend=backend, workers=2, audit_log=sink,
+            ) as service:
+                handles = service.submit_batch(_workload(world))
+                results = [handle.result(timeout=60.0) for handle in handles]
+            reasons[backend] = [result.stop_reason for result in results]
+            audited = {
+                line["sequence"]: line["stop_reason"]
+                for line in map(json.loads, sink.getvalue().splitlines())
+            }
+            assert [audited[h.sequence] for h in handles] == reasons[backend]
+            for result in results:
+                payload = encode_result(result, timings=False)
+                assert payload["stop_reason"] == result.stop_reason
+                assert (result.stop_reason == "bound_met") == result.converged
+                if isinstance(result, GroupedResult):
+                    # a per-group estimate is not a run of its own
+                    assert {g.stop_reason for g in result.groups.values()} == {None}
+        count, avg, total, grouped, extreme = reasons["cooperative"]
+        assert count == avg == total == expected
+        assert extreme == ("sample_cap" if expected == "sample_cap" else "round_budget")
+        assert grouped == "bound_met"
+        assert reasons["processes"] == reasons["cooperative"]
+
     def test_process_rounds_merge_lazy_memos(self, dbpedia_bundle):
         """Worker-side memos come back through ``apply_round_result``: the
         parent's chain plan knows fewer answers than its simple plans."""
