@@ -393,7 +393,7 @@ class SharedTrace:
 
     __slots__ = (
         "context", "source", "max_length", "budget",
-        "pops", "slots", "heap", "tiebreak", "_lock",
+        "pops", "slots", "heap", "_lock",
         "total_pops", "pops_of", "on_path_of",
         "goal_nbr", "goal_node", "goal_log",
     )
@@ -415,8 +415,9 @@ class SharedTrace:
         self.pops: list[tuple] = []
         #: one packed ``(node, log_sum, parent slot, depth)`` record per push
         self.slots: list[tuple] = [(source, 0.0, -1, 0)]
-        self.heap: list[tuple[float, int, int]] = [(-source_probability, 0, 0)]
-        self.tiebreak = 1
+        #: ``(priority, slot)``: a slot's number is its push's ordinal, so it
+        #: is also the tiebreak :func:`search` carries beside it
+        self.heap: list[tuple[float, int]] = [(-source_probability, 0)]
         self._lock = threading.Lock()
         #: pops inside the budget: the answer-independent search's own length
         self.total_pops = 0
@@ -439,7 +440,7 @@ class SharedTrace:
         if not heap:
             return False
         slots = self.slots
-        slot = heap[0][2]
+        slot = heap[0][1]
         node, log_sum, parent, depth = slots[slot]
         expanded = depth < self.max_length
         if expanded:
@@ -452,15 +453,12 @@ class SharedTrace:
             path.append(record[0])
             cursor = record[2]
         if expanded:
-            tiebreak = self.tiebreak
             child_depth = depth + 1
             for priority, child, log_similarity in beam:
                 if child in path:
                     continue
                 slots.append((child, log_sum + log_similarity, slot, child_depth))
-                heappush(heap, (priority, tiebreak, len(slots) - 1))
-                tiebreak += 1
-            self.tiebreak = tiebreak
+                heappush(heap, (priority, len(slots) - 1))
         self.pops.append((node, log_sum, depth, tuple(path)))
         return True
 

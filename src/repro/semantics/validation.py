@@ -270,20 +270,20 @@ class CorrectnessValidator:
         distinct = list(dict.fromkeys(int(answer) for answer in answers))
         for answer, bounds in zip(distinct, kernels.replay_bounds(trace, distinct)):
             try:
-                result = kernels.replay(
-                    trace, answer, self.repeat_factor, stop_threshold, bounds,
-                    tallies,
+                outcomes[answer] = ValidationOutcome(
+                    answer,
+                    *kernels.replay(
+                        trace, answer, self.repeat_factor, stop_threshold,
+                        bounds, tallies,
+                    ),
                 )
             except EmbeddingError:
                 tallies["private_searches"] += 1
-                result = kernels.search(
-                    context,
+                outcomes[answer] = self.validate(
                     source,
                     answer,
-                    self.repeat_factor,
-                    self.max_length,
-                    self.expansion_budget,
+                    query_predicate,
+                    visiting_probabilities,
                     stop_threshold,
                 )
-            outcomes[answer] = ValidationOutcome(answer, *result)
         return outcomes

@@ -333,17 +333,14 @@ class TestDeletionReplay:
 
     def test_extension_is_shared_by_later_answers(self):
         kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
-        _got, first, trace = self._batch(
-            kg, space, visiting, [_A], expansion_budget=6
-        )
-        recorded = len(trace.pops)
         validator = CorrectnessValidator(kg, space, expansion_budget=6)
         validator.validate_batch(_S, [_A], "p", visiting)
+        recorded = len(validator._traces[_S].pops)
         tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
         validator.validate_batch(_S, [_A, 3, 4], "p", visiting, tallies=tallies)
-        assert first["trace_extension_pops"] == recorded - 6
-        assert tallies["trace_extension_pops"] == 0  # all read, none recorded
         assert tallies["replay_deletions"] == 3
+        assert tallies["trace_extension_pops"] == 0  # all read, none recorded
+        assert len(validator._traces[_S].pops) == recorded == 18
 
     def test_answer_is_the_source(self):
         """The source is on every path: nothing is deleted, the goal
@@ -399,7 +396,7 @@ class TestDeletionReplay:
         # leaf 3 needed one pop past the budget; A's extension stopped at
         # leaf 10 without recording it
         assert [pop[0] for pop in trace.pops[6:]] == [7, 8, 9]
-        assert trace.slots[trace.heap[0][2]][0] == 10  # still on the heap
+        assert trace.slots[trace.heap[0][1]][0] == 10  # still on the heap
 
     def test_uncovered_predicate_in_the_extension_raises_like_the_reference(self):
         """Node 12's edge to 14 is uncovered.  The recorded pops never

@@ -483,8 +483,8 @@ class TestExecMetrics:
             assert samples[name] == 0
         # the replay-vs-search split: the shared trace settled every answer
         assert samples["repro_exec_private_searches"] == 0
-        assert samples["repro_exec_replay_deletions"] >= 0
-        assert samples["repro_exec_trace_extension_pops"] >= 0
+        assert "repro_exec_replay_deletions" in samples
+        assert "repro_exec_trace_extension_pops" in samples
 
     def test_cold_chain_count_replays_more_than_it_walks(self):
         """The golden ``chain_count`` case, cold: the hubs behind its
