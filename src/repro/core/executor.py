@@ -56,14 +56,18 @@ from repro.core.result import (
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import EstimationError, NodeNotFoundError, QueryError
 from repro.estimation.accuracy import moe_target, satisfies_error_bound
-from repro.estimation.bootstrap import blb_confidence_interval, fast_bootstrap_sigma
-from repro.estimation.confidence import ConfidenceInterval
-from repro.estimation.estimators import EstimationSample, estimate, estimate_extreme
+from repro.estimation.bootstrap import blb_moe
+from repro.estimation.confidence import ConfidenceInterval, normal_critical_value
+from repro.estimation.estimators import (
+    EstimationSample,
+    Normalization,
+    estimate_extreme,
+)
 from repro.estimation.extreme import estimate_extreme_evt
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
-from repro.query.aggregate import AggregateQuery
+from repro.query.aggregate import AggregateFunction, AggregateQuery
 from repro.sampling.collector import AnswerCollector, AnswerDistribution
 from repro.semantics import kernels
 from repro.utils.rng import derive_seed, ensure_rng
@@ -987,6 +991,8 @@ class QueryExecutor:
     ) -> tuple[list[EstimationSample], EstimationSample]:
         """Per-little-sample and combined draw slices with validity masks.
 
+        What MAX/MIN rounds and the EVT fit estimate from, and how the
+        tests build the per-draw oracle of :meth:`_contribution_columns`.
         Callers must have run :meth:`_ensure_validated` first.  The
         verdict arrays are gathered once over all draws; the little
         samples are views into that gather.
@@ -1223,47 +1229,120 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # What one round estimates, per kind
     # ------------------------------------------------------------------
+    def _contribution_columns(
+        self, state: _QueryState, draws: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Per-draw ``(numerators, denominators, correct)`` over ``draws``.
+
+        The Eq. 7-9 terms are formed once per support entry —
+        ``1{correct} / pi'`` for COUNT, ``1{correct} * v / pi'`` otherwise,
+        the divisions :class:`EstimationSample` does per draw — and
+        gathered: a lone numerator column is a mean-shaped estimator
+        (COUNT/SUM under ``Normalization.SAMPLE``); AVG divides by the
+        COUNT terms, the PAPER normalisation by the verdict mask.  Callers
+        must have run :meth:`_ensure_validated` first.
+        """
+        function = state.aggregate_query.function
+        probabilities = state.joint.probabilities
+        drawn = probabilities[state.distinct_support_indices()]
+        if np.any(drawn <= 0.0) or np.any(drawn > 1.0):
+            raise EstimationError("probabilities must lie in (0, 1]")
+        correct = state.support_correct
+
+        def terms(values) -> np.ndarray:
+            # an undrawn entry may carry pi' = 0; it is never gathered
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(correct, values / probabilities, 0.0)[draws]
+
+        draw_correct = correct[draws]
+        counted = function is AggregateFunction.COUNT
+        numerators = terms(1.0 if counted else state.support_value)
+        if function is AggregateFunction.AVG:
+            denominators = terms(1.0)
+        elif self.config.normalization is Normalization.SAMPLE:
+            denominators = None
+        else:
+            denominators = draw_correct.astype(np.float64)
+        return numerators, denominators, draw_correct
+
+    @staticmethod
+    def _column_estimate(
+        numerators: np.ndarray, denominators: np.ndarray | None, correct: np.ndarray
+    ) -> float:
+        """Eq. 7-9 off contribution columns.
+
+        ``correct`` (holding at least one draw) drives the compressed
+        pairwise sums — a correct answer may contribute ``0.0`` — exactly
+        as :func:`repro.estimation.estimators.estimate` sums per draw; a
+        lone column divides by |S_A|.
+        """
+        weighted = float(np.sum(numerators[correct]))
+        if denominators is None:
+            return weighted / len(numerators)
+        return weighted / float(np.sum(denominators[correct]))
+
+    def _column_moe(
+        self,
+        numerators: np.ndarray,
+        denominators: np.ndarray | None,
+        bag_stops: list[int],
+        rng: np.random.Generator,
+    ) -> float:
+        """Eq. 10-11 over the contiguous column views ending at
+        ``bag_stops``; inf when no bag yields a sigma."""
+        config = self.config
+        bags = [
+            (
+                numerators[start:stop],
+                None if denominators is None else denominators[start:stop],
+            )
+            for start, stop in zip([0] + bag_stops, bag_stops)
+        ]
+        try:
+            return blb_moe(
+                bags,
+                critical=normal_critical_value(config.confidence_level),
+                num_resamples=config.blb.num_resamples,
+                resample_size=len(numerators),
+                rng=rng,
+            )
+        except EstimationError:
+            return float("inf")
+
     def _estimate_guaranteed(
         self, state: _QueryState, error_bound: float
     ) -> tuple[float, float | None, int, bool]:
         """Eq. 7-9 estimate, BLB interval and the Theorem-2 check."""
         config = self.config
-        function = state.aggregate_query.function
         round_index = len(state.rounds) + 1
+        point_estimate, moe = 0.0, float("inf")
         with state.timers.measure(STAGE_ESTIMATION):
-            littles, combined = self._estimation_samples(state)
-            if combined.correct_draws > 0:
-                point_estimate = estimate(function, combined, config.normalization)
-            else:
-                point_estimate = 0.0
-        with state.timers.measure(STAGE_GUARANTEE):
-            moe = float("inf")
-            if combined.correct_draws > 0:
-                try:
-                    moe = blb_confidence_interval(
-                        littles,
-                        function,
-                        config.normalization,
-                        estimate=point_estimate,
-                        confidence_level=config.confidence_level,
-                        config=config.blb,
-                        seed=derive_seed(config.seed, "blb", round_index),
-                    ).moe
-                except EstimationError:
-                    pass
-            guard_ok = (
-                round_index >= config.min_rounds
-                and combined.correct_draws >= config.min_correct_for_termination
+            numerators, denominators, correct = self._contribution_columns(
+                state, np.concatenate(state.little_samples)
             )
+            correct_draws = int(np.count_nonzero(correct))
+            if correct_draws > 0:
+                point_estimate = self._column_estimate(
+                    numerators, denominators, correct
+                )
+        with state.timers.measure(STAGE_GUARANTEE):
+            if correct_draws > 0:
+                # each little sample is a contiguous view of the gather
+                moe = self._column_moe(
+                    numerators,
+                    denominators,
+                    list(itertools.accumulate(map(len, state.little_samples))),
+                    ensure_rng(derive_seed(config.seed, "blb", round_index)),
+                )
             satisfied = (
-                combined.correct_draws > 0
-                and guard_ok
+                correct_draws >= config.min_correct_for_termination
+                and round_index >= config.min_rounds
                 and satisfies_error_bound(moe, point_estimate, error_bound)
             )
         return (
             point_estimate,
             moe if math.isfinite(moe) else None,
-            combined.correct_draws,
+            correct_draws,
             satisfied,
         )
 
@@ -1278,19 +1357,22 @@ class QueryExecutor:
         satisfied when every sufficiently-drawn group met the bound.
         """
         with state.timers.measure(STAGE_ESTIMATION):
-            grouped_samples = self._grouped_samples(state)
+            keys = self._group_keys(state)
+            draws = np.concatenate(state.little_samples)
+            numerators, denominators, _correct = self._contribution_columns(
+                state, draws
+            )
         with state.timers.measure(STAGE_GUARANTEE):
-            groups, all_satisfied = self._estimate_groups(
-                state, grouped_samples, error_bound
+            groups, satisfied = self._estimate_groups(
+                state, numerators, denominators, keys[draws], error_bound
             )
         state.grouped_results = groups
         correct_draws = sum(result.correct_draws for result in groups.values())
-        satisfied = all_satisfied and bool(groups)
         worst = self._worst_group(groups)
         if worst is None:
-            return 0.0, None, correct_draws, satisfied
-        # a failed group bootstrap (NaN sigma) is stored as an unconverged
-        # moe=0.0 interval: no CI exists this round
+            return 0.0, None, correct_draws, False
+        # a group without a sigma is stored as an unconverged moe=0.0
+        # interval: no CI exists this round
         has_ci = not (worst.moe == 0.0 and not worst.converged)
         return worst.value, worst.moe if has_ci else None, correct_draws, satisfied
 
@@ -1362,82 +1444,55 @@ class QueryExecutor:
         state.support_group[pending] = keys
         return state.support_group
 
-    def _grouped_samples(self, state: _QueryState) -> dict[float, EstimationSample]:
-        """Per-group samples over the full draw set (masked membership).
-
-        Every group's sample spans all draws so the SAMPLE-normalised
-        estimators keep their |S_A| denominator and the bootstrap sees the
-        group-membership mixture variance.
-        """
-        keys = self._group_keys(state)
-        draws = (
-            np.concatenate(state.little_samples)
-            if state.little_samples
-            else np.empty(0, dtype=np.int64)
-        )
-        draw_keys = keys[draws]
-        probabilities = state.joint.probabilities[draws]
-        values = state.support_value[draws]
-
-        grouped: dict[float, EstimationSample] = {}
-        drawn_keys = keys[state.distinct_support_indices()]
-        present = np.unique(drawn_keys[~np.isnan(drawn_keys)])
-        for key in present:
-            mask = draw_keys == key
-            grouped[float(key)] = EstimationSample(
-                values=np.where(mask, values, 0.0),
-                probabilities=probabilities,
-                correct=mask,
-            )
-        return grouped
-
     def _estimate_groups(
         self,
         state: _QueryState,
-        grouped_samples: dict[float, EstimationSample],
+        numerators: np.ndarray,
+        denominators: np.ndarray | None,
+        draw_keys: np.ndarray,
         error_bound: float,
     ) -> tuple[dict[float, ApproximateResult], bool]:
+        """One estimate and CI per group; whether the round is satisfied.
+
+        A group's columns are the round's, zeroed outside the group: they
+        span every draw, so the SAMPLE-normalised estimators keep their
+        |S_A| denominator and the sigma — one bag; closed form when
+        mean-shaped like an ungrouped round, else bootstrapped on one
+        generator in key order — sees the group-membership mixture
+        variance.  The round is satisfied when every group with
+        ``min_group_draws`` correct draws met the bound.
+        """
         config = self.config
-        function = state.aggregate_query.function
         results: dict[float, ApproximateResult] = {}
-        all_satisfied = bool(grouped_samples)
+        all_satisfied = True
         rng = ensure_rng(derive_seed(config.seed, "group-bootstrap", len(state.rounds)))
-        for key, sample in grouped_samples.items():
-            point_estimate = estimate(function, sample, config.normalization)
-            try:
-                sigma = fast_bootstrap_sigma(
-                    sample,
-                    function,
-                    config.normalization,
-                    num_resamples=config.blb.num_resamples,
-                    resample_size=sample.total_draws,
-                    rng=rng,
-                )
-            except EstimationError:
-                sigma = float("nan")
-            if math.isnan(sigma):
-                interval = ConfidenceInterval(
+        drawn_keys = state.support_group[state.distinct_support_indices()]
+        for key in np.unique(drawn_keys[~np.isnan(drawn_keys)]):
+            # only correct entries are keyed, so members are correct draws
+            members = draw_keys == key
+            group = (
+                np.where(members, numerators, 0.0),
+                None if denominators is None else np.where(members, denominators, 0.0),
+            )
+            point_estimate = self._column_estimate(*group, members)
+            moe = self._column_moe(*group, [len(members)], rng)
+            satisfied = math.isfinite(moe) and satisfies_error_bound(
+                moe, point_estimate, error_bound
+            )
+            correct_draws = int(np.count_nonzero(members))
+            if correct_draws >= config.min_group_draws:
+                all_satisfied = all_satisfied and satisfied
+            results[float(key)] = ApproximateResult(
+                function=state.aggregate_query.function,
+                interval=ConfidenceInterval(
                     estimate=point_estimate,
-                    moe=0.0,
+                    moe=moe if math.isfinite(moe) else 0.0,
                     confidence_level=config.confidence_level,
-                )
-                satisfied = False
-            else:
-                interval = ConfidenceInterval.from_sigma(
-                    point_estimate, sigma, config.confidence_level
-                )
-                satisfied = satisfies_error_bound(
-                    interval.moe, point_estimate, error_bound
-                )
-            if sample.correct_draws >= config.min_group_draws and not satisfied:
-                all_satisfied = False
-            results[key] = ApproximateResult(
-                function=function,
-                interval=interval,
+                ),
                 converged=satisfied,
                 rounds=(),
                 total_draws=state.total_draws,
                 distinct_answers=0,
-                correct_draws=sample.correct_draws,
+                correct_draws=correct_draws,
             )
-        return results, all_satisfied
+        return results, all_satisfied and bool(results)

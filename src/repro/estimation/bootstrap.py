@@ -5,10 +5,18 @@ al., 2014): the sample S_A is the union of ``t`` little samples; each
 little sample is bootstrapped ``B`` times (resample size |S_A|, per the
 paper's text), giving a per-little-sample MoE; the final MoE is their mean.
 
-One production path, :func:`fast_bootstrap_sigma` over the blocked
-:func:`_resampled_sums` kernel (every BLB bag, every GROUP-BY group; no
-``(B, |S_A|)`` index matrix), plus one same-seed oracle for the tests,
-the closure-driven :func:`bootstrap_sigma`.
+One implementation per formula, on per-draw contribution columns:
+:func:`column_mean_sigma` (the closed form of a mean-shaped estimator),
+:func:`column_bootstrap_sigma` over the blocked :func:`_resampled_sums`
+kernel (no ``(B, |S_A|)`` index matrix), and :func:`blb_moe` over bags of
+columns.  Production (:mod:`repro.core.executor`) gathers per-support
+columns once per round and calls these — every BLB bag, every GROUP-BY
+group.  The :class:`EstimationSample`-level functions
+(:func:`mean_estimator_sigma`, :func:`fast_bootstrap_sigma`,
+:func:`blb_confidence_interval`) build the same columns per draw and
+delegate: they are the public API and the oracle the executor's array
+path is pinned to (``tests/test_executor_arrays.py``), as the
+closure-driven :func:`bootstrap_sigma` is the kernel's same-seed oracle.
 """
 
 from __future__ import annotations
@@ -118,6 +126,107 @@ def _resampled_sums(
     return sums
 
 
+def column_bootstrap_sigma(
+    numerators: np.ndarray,
+    denominators: np.ndarray | None,
+    *,
+    num_resamples: int,
+    resample_size: int,
+    rng: np.random.Generator,
+) -> float:
+    """Bootstrap sigma of an estimator given as per-draw contribution columns.
+
+    ``sum(numerators) / sum(denominators)`` over each resample — AVG, and
+    COUNT/SUM under the PAPER normalisation; resamples whose denominator
+    is zero are skipped and two usable ones are required — or, with
+    ``denominators`` None, ``sum(numerators) / resample_size``.
+    """
+    if len(numerators) == 0:
+        raise EstimationError("cannot bootstrap an empty sample")
+    if denominators is None:
+        (sums,) = _resampled_sums((numerators,), num_resamples, resample_size, rng)
+        estimates = sums / resample_size
+    else:
+        numerator, denominator = _resampled_sums(
+            (numerators, denominators), num_resamples, resample_size, rng
+        )
+        usable = denominator > 0
+        if int(usable.sum()) < 2:
+            raise EstimationError(
+                "too few usable bootstrap resamples to estimate sigma"
+            )
+        estimates = numerator[usable] / denominator[usable]
+    return float(np.std(estimates, ddof=1))
+
+
+def column_mean_sigma(contributions: np.ndarray, resample_size: int) -> float:
+    """Closed-form sigma of the mean of one contribution column.
+
+    Bootstrapping a mean of i.i.d. per-draw contributions converges to
+    ``std / sqrt(n)``, so the resampling loop is skipped outright.
+    """
+    if len(contributions) < 2:
+        raise EstimationError("need at least two draws for a sigma estimate")
+    return float(np.std(contributions, ddof=1) / np.sqrt(resample_size))
+
+
+def blb_moe(
+    bags: Sequence[tuple[np.ndarray, np.ndarray | None]],
+    *,
+    critical: float,
+    num_resamples: int,
+    resample_size: int,
+    rng: np.random.Generator,
+) -> float:
+    """Eq. 10-11 over ``(numerators, denominators)`` bags: the mean of the
+    per-bag ``critical * sigma``.
+
+    A lone column is a mean-shaped estimator (COUNT/SUM under SAMPLE
+    normalisation) and takes the closed form without touching ``rng``; a
+    numerator/denominator pair is bootstrapped, the bags drawing on
+    ``rng`` in turn.  Bags that break the estimator (empty, a single
+    draw, too few usable resamples) are skipped; one must survive.
+    """
+    moes = []
+    for numerators, denominators in bags:
+        try:
+            if denominators is None:
+                sigma = column_mean_sigma(numerators, resample_size)
+            else:
+                sigma = column_bootstrap_sigma(
+                    numerators,
+                    denominators,
+                    num_resamples=num_resamples,
+                    resample_size=resample_size,
+                    rng=rng,
+                )
+        except EstimationError:
+            continue
+        moes.append(critical * sigma)
+    if not moes:
+        raise EstimationError("no little sample produced a usable bootstrap sigma")
+    return float(np.mean(moes))
+
+
+def _sample_columns(
+    sample: EstimationSample,
+    function: "AggregateFunction",
+    normalization: "Normalization",
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(numerators, denominators)`` of ``function`` over one sample."""
+    from repro.query.aggregate import AggregateFunction
+
+    if function is AggregateFunction.COUNT:
+        numerators = sample.count_contributions()
+    else:
+        numerators = sample.sum_contributions()
+    if function is AggregateFunction.AVG:
+        return numerators, sample.count_contributions()
+    if normalization is Normalization.SAMPLE:
+        return numerators, None
+    return numerators, sample.correct.astype(np.float64)
+
+
 def fast_bootstrap_sigma(
     sample: EstimationSample,
     function: "AggregateFunction",
@@ -131,37 +240,17 @@ def fast_bootstrap_sigma(
 
     Same resamples, same skipped (zero-denominator) resamples and — up to
     summation order — same estimates as :func:`bootstrap_sigma` fed the
-    matching estimator closure and a generator of the same seed, but
-    reduced by :func:`_resampled_sums` instead of ``B`` Python-level
-    subsets.  COUNT/SUM under SAMPLE normalisation are a mean of one
-    column; AVG and the PAPER normalisation are a ratio of two.
+    matching estimator closure and a generator of the same seed:
+    :func:`column_bootstrap_sigma` over the sample's contribution columns.
+    COUNT/SUM under SAMPLE normalisation are a mean of one column; AVG and
+    the PAPER normalisation are a ratio of two.
     """
-    from repro.query.aggregate import AggregateFunction
-
-    if sample.total_draws == 0:
-        raise EstimationError("cannot bootstrap an empty sample")
-    if function is AggregateFunction.COUNT:
-        numerators = sample.count_contributions()
-    else:
-        numerators = sample.sum_contributions()
-    if function is AggregateFunction.AVG:
-        columns = (numerators, sample.count_contributions())
-    elif normalization is Normalization.SAMPLE:
-        columns = (numerators,)
-    else:
-        columns = (numerators, sample.correct.astype(np.float64))
-    sums = _resampled_sums(columns, num_resamples, resample_size, rng)
-    if len(columns) == 1:
-        estimates = sums[0] / resample_size
-    else:
-        numerator, denominator = sums
-        usable = denominator > 0
-        if int(usable.sum()) < 2:
-            raise EstimationError(
-                "too few usable bootstrap resamples to estimate sigma"
-            )
-        estimates = numerator[usable] / denominator[usable]
-    return float(np.std(estimates, ddof=1))
+    return column_bootstrap_sigma(
+        *_sample_columns(sample, function, normalization),
+        num_resamples=num_resamples,
+        resample_size=resample_size,
+        rng=rng,
+    )
 
 
 def mean_estimator_sigma(
@@ -170,24 +259,16 @@ def mean_estimator_sigma(
     *,
     resample_size: int,
 ) -> float:
-    """Closed-form sigma for the mean-shaped COUNT/SUM estimators.
-
-    Under SAMPLE normalisation the estimator is the mean of i.i.d. per-draw
-    contributions; bootstrapping a mean converges to ``std / sqrt(n)``, so
-    the resampling loop can be skipped outright.  (Tests confirm agreement
-    with :func:`fast_bootstrap_sigma`.)
+    """Closed-form sigma for the mean-shaped COUNT/SUM estimators:
+    :func:`column_mean_sigma` of the sample's contribution column.
+    (Tests confirm agreement with :func:`fast_bootstrap_sigma`.)
     """
     from repro.query.aggregate import AggregateFunction
 
-    if sample.total_draws < 2:
-        raise EstimationError("need at least two draws for a sigma estimate")
-    if function is AggregateFunction.COUNT:
-        contributions = sample.count_contributions()
-    elif function is AggregateFunction.SUM:
-        contributions = sample.sum_contributions()
-    else:
+    if function not in (AggregateFunction.COUNT, AggregateFunction.SUM):
         raise EstimationError(f"{function.value} is not mean-shaped")
-    return float(np.std(contributions, ddof=1) / np.sqrt(resample_size))
+    contributions, _ = _sample_columns(sample, function, Normalization.SAMPLE)
+    return column_mean_sigma(contributions, resample_size)
 
 
 def blb_confidence_interval(
@@ -205,47 +286,20 @@ def blb_confidence_interval(
 
     Mean-shaped estimators (COUNT/SUM under SAMPLE normalisation) use the
     closed-form sigma; everything else uses the vectorised bootstrap, the
-    bags drawing on one generator in turn.  ``resample_size`` defaults to
-    |S_A| (the paper's choice); bags that break the estimator are skipped.
+    bags drawing on one generator in turn (:func:`blb_moe` over the
+    samples' contribution columns).  ``resample_size`` defaults to |S_A|
+    (the paper's choice); bags that break the estimator are skipped.
     """
-    from repro.query.aggregate import AggregateFunction
-
     config = config or BlbConfig()
-    rng = ensure_rng(seed)
-    usable = [sample for sample in little_samples if sample.total_draws > 0]
-    if not usable:
-        raise EstimationError("every little sample is empty; cannot build a CI")
     if resample_size is None:
-        resample_size = sum(sample.total_draws for sample in usable)
-    critical = normal_critical_value(confidence_level)
-    mean_shaped = (
-        normalization is Normalization.SAMPLE
-        and function in (AggregateFunction.COUNT, AggregateFunction.SUM)
+        resample_size = sum(sample.total_draws for sample in little_samples)
+    moe = blb_moe(
+        [_sample_columns(sample, function, normalization) for sample in little_samples],
+        critical=normal_critical_value(confidence_level),
+        num_resamples=config.num_resamples,
+        resample_size=resample_size,
+        rng=ensure_rng(seed),
     )
-
-    moes = []
-    for sample in usable:
-        try:
-            if mean_shaped:
-                sigma = mean_estimator_sigma(
-                    sample, function, resample_size=resample_size
-                )
-            else:
-                sigma = fast_bootstrap_sigma(
-                    sample,
-                    function,
-                    normalization,
-                    num_resamples=config.num_resamples,
-                    resample_size=resample_size,
-                    rng=rng,
-                )
-        except EstimationError:
-            continue
-        moes.append(critical * sigma)
-    if not moes:
-        raise EstimationError("no little sample produced a usable bootstrap sigma")
     return ConfidenceInterval(
-        estimate=estimate,
-        moe=float(np.mean(moes)),
-        confidence_level=confidence_level,
+        estimate=estimate, moe=moe, confidence_level=confidence_level
     )

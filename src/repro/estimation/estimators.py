@@ -20,6 +20,12 @@ Two normalisations are provided for COUNT and SUM:
 AVG (Eq. 9) is the ratio of the two and is identical under either
 normalisation — the factor cancels — and consistent by the SLLN argument of
 Lemma 5.
+
+These per-draw functions are the definition.  A COUNT / SUM / AVG round of
+:mod:`repro.core.executor` reads the same sums off per-support contribution
+columns gathered once and is pinned to :func:`estimate` bit for bit
+(``tests/test_executor_arrays.py``); MAX/MIN rounds and the EVT fit still
+run on an :class:`EstimationSample`.
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ from repro.estimation import (
 from repro.estimation.bootstrap import (
     _BLOCK_INDICES,
     blb_confidence_interval,
+    column_bootstrap_sigma,
+    column_mean_sigma,
     fast_bootstrap_sigma,
     mean_estimator_sigma,
 )
@@ -437,6 +439,65 @@ class TestResamplingKernel:
         assert blocked.integers(0, 600, size=9).tolist() == (
             matrix.integers(0, 600, size=9).tolist()
         )
+
+    @pytest.mark.parametrize(
+        "function",
+        [AggregateFunction.AVG, AggregateFunction.COUNT, AggregateFunction.SUM],
+    )
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_sample_level_sigmas_are_the_column_kernels(
+        self, population, function, normalization
+    ):
+        """The executor hands the kernels per-support terms gathered over
+        the draws; the ``EstimationSample`` functions build the same
+        columns per draw and must read the same float."""
+        count_terms = np.where(population.correct, 1.0 / population.probabilities, 0.0)
+        sum_terms = np.where(
+            population.correct, population.values / population.probabilities, 0.0
+        )
+        numerators = count_terms if function is AggregateFunction.COUNT else sum_terms
+        if function is AggregateFunction.AVG:
+            denominators = count_terms
+        elif normalization is Normalization.SAMPLE:
+            denominators = None
+        else:
+            denominators = population.correct.astype(np.float64)
+        kwargs = dict(num_resamples=50, resample_size=1800)
+        assert column_bootstrap_sigma(
+            numerators, denominators, rng=np.random.default_rng(5), **kwargs
+        ).hex() == fast_bootstrap_sigma(
+            population, function, normalization, rng=np.random.default_rng(5), **kwargs
+        ).hex()
+        if denominators is None:
+            assert column_mean_sigma(numerators, 1800).hex() == mean_estimator_sigma(
+                population, function, resample_size=1800
+            ).hex()
+
+    @pytest.mark.parametrize(
+        "function", [AggregateFunction.COUNT, AggregateFunction.SUM]
+    )
+    def test_closed_form_matches_bootstrap_on_grouped_samples(self, function):
+        """A group's sample spans every draw with membership as its verdict
+        mask: its estimator is still a mean, so ``std / sqrt(n)`` is what
+        the bootstrap converges to."""
+        rng = np.random.default_rng(13)
+        probabilities = rng.dirichlet(np.ones(40))
+        values = rng.lognormal(3.0, 1.0, size=40)
+        correct = rng.random(40) < 0.75
+        keys = rng.integers(0, 4, size=40)
+        picks = rng.choice(40, size=600, p=probabilities)
+        for key in range(4):
+            members = (correct & (keys == key))[picks]
+            assert members.sum() >= 30
+            group = make_sample(
+                np.where(members, values[picks], 0.0), probabilities[picks], members
+            )
+            closed = mean_estimator_sigma(group, function, resample_size=600)
+            fast = fast_bootstrap_sigma(
+                group, function, Normalization.SAMPLE,
+                num_resamples=2000, resample_size=600, rng=rng,
+            )
+            assert closed == pytest.approx(fast, rel=0.05)
 
     def test_no_index_matrix_is_allocated(self):
         """b = 25k, n = 77k, B = 50: the parent peaked at ~62 MB (the index

@@ -4,14 +4,16 @@
 operations over ``KnowledgeGraph.attribute_column``.  Each array path is
 pinned here to the per-node definition it replaced — ``Filter.matches``
 and ``Node.attribute`` for the screen, ``GroupBy.key_for`` for group keys,
-the dict-and-``math.prod`` assembly for the joint distribution — which
-live on in the query model (or in this file) and which no engine option
-reaches.
+the dict-and-``math.prod`` assembly for the joint distribution, the
+``EstimationSample`` estimators and BLB for the round's estimate and CI —
+which live on in the query model, in ``repro.estimation`` (or in this
+file) and which no engine option reaches.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,9 +33,22 @@ from repro import (
 )
 from repro.core.executor import QueryExecutor, _QueryState
 from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
-from repro.errors import NodeNotFoundError, QueryError
+from repro.errors import EstimationError, NodeNotFoundError, QueryError
+from repro.estimation import (
+    EstimationSample,
+    Normalization,
+    estimate,
+    normal_critical_value,
+    satisfies_error_bound,
+)
+from repro.estimation.bootstrap import (
+    blb_confidence_interval,
+    fast_bootstrap_sigma,
+    mean_estimator_sigma,
+)
 from repro.kg import KnowledgeGraph
 from repro.sampling.collector import AnswerDistribution
+from repro.utils.rng import derive_seed, ensure_rng
 
 _GRAPH = QueryGraph.simple("hub", ["Hub"], "related", ["Thing"])
 _ATTRIBUTES = ("price", "weight")
@@ -279,3 +294,247 @@ def test_joint_distribution_of_disjoint_supports_is_a_query_error():
     components = [_fake_plan(rng, range(0, 5)), _fake_plan(rng, range(5, 9))]
     with pytest.raises(QueryError, match="empty intersection"):
         QueryExecutor._joint_distribution(components)
+
+
+# ----------------------------------------------------------------------
+# the round's estimate and CI == estimate() + blb_confidence_interval()
+# over the EstimationSamples, bit for bit
+# ----------------------------------------------------------------------
+_GUARANTEED = (AggregateFunction.COUNT, AggregateFunction.SUM, AggregateFunction.AVG)
+
+
+def _oracle_round(executor, state, error_bound):
+    """``_estimate_guaranteed`` as the per-draw ``EstimationSample`` code
+    computes it: ``(estimate, moe or None, correct_draws, satisfied)``."""
+    config = executor.config
+    function = state.aggregate_query.function
+    round_index = len(state.rounds) + 1
+    littles, combined = executor._estimation_samples(state)
+    if combined.correct_draws == 0:
+        return 0.0, None, 0, False
+    point = estimate(function, combined, config.normalization)
+    try:
+        moe = blb_confidence_interval(
+            littles,
+            function,
+            config.normalization,
+            estimate=point,
+            confidence_level=config.confidence_level,
+            config=config.blb,
+            seed=derive_seed(config.seed, "blb", round_index),
+        ).moe
+    except EstimationError:
+        moe = float("inf")
+    satisfied = (
+        round_index >= config.min_rounds
+        and combined.correct_draws >= config.min_correct_for_termination
+        and satisfies_error_bound(moe, point, error_bound)
+    )
+    return point, moe if math.isfinite(moe) else None, combined.correct_draws, satisfied
+
+
+def _hexed(round_estimate):
+    point, moe, correct_draws, satisfied = round_estimate
+    return (
+        float(point).hex(),
+        None if moe is None else float(moe).hex(),
+        correct_draws,
+        satisfied,
+    )
+
+
+def _assert_rounds_match_oracle(executor, query, seed, error_bound, rounds):
+    """Drive ``rounds`` rounds; each must equal its oracle, and the trace
+    must carry it."""
+    state = executor.initialise(query, seed)
+    for taken in range(rounds):
+        if taken:
+            executor.grow(state, state.rounds[-1], error_bound)
+        executor._ensure_validated(state)
+        expected = _hexed(_oracle_round(executor, state, error_bound))
+        assert _hexed(executor._estimate_guaranteed(state, error_bound)) == expected
+        trace = executor.step(state, error_bound).trace
+        assert (
+            trace.estimate.hex(),
+            trace.moe.hex() if trace.guaranteed else None,
+            trace.correct_draws,
+            trace.satisfied,
+        ) == expected
+    assert state.rounds[-1].correct_draws > 0
+
+
+@pytest.mark.parametrize("normalization", list(Normalization))
+@pytest.mark.parametrize("function", _GUARANTEED)
+def test_round_is_the_estimation_sample_estimate_and_blb_on_the_toy_world(
+    toy, function, normalization
+):
+    config = EngineConfig(seed=7, normalization=normalization)
+    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    query = AggregateQuery(
+        query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
+        function=function,
+        attribute="price" if function.needs_attribute else None,
+    )
+    _assert_rounds_match_oracle(engine.executor, query, 3, 0.01, rounds=4)
+
+
+@pytest.mark.parametrize("normalization", list(Normalization))
+@pytest.mark.parametrize("function", _GUARANTEED)
+def test_round_is_the_estimation_sample_estimate_and_blb_on_yago(
+    function, normalization
+):
+    """The yago2-like workload's first plain COUNT, SUM and AVG."""
+    bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+    query = next(
+        stated.aggregate_query
+        for stated in standard_workload(bundle)
+        if stated.aggregate_query.function is function
+        and stated.aggregate_query.query.shape is QueryShape.SIMPLE
+        and not stated.aggregate_query.has_filters
+        and stated.aggregate_query.group_by is None
+    )
+    engine = ApproximateAggregateEngine(
+        bundle.kg, bundle.embedding, EngineConfig(seed=0, normalization=normalization)
+    )
+    _assert_rounds_match_oracle(engine.executor, query, 11, 0.01, rounds=3)
+
+
+def _hand_state(function, values, probabilities, correct, little_samples):
+    """A validated state over a hand-written support."""
+    size = len(values)
+    return _QueryState(
+        aggregate_query=AggregateQuery(
+            query=_GRAPH,
+            function=function,
+            attribute="price" if function.needs_attribute else None,
+        ),
+        components=[],
+        joint=AnswerDistribution(
+            answers=np.arange(size),
+            probabilities=np.asarray(probabilities, dtype=np.float64),
+        ),
+        collector=None,
+        little_samples=[np.asarray(s, dtype=np.int64) for s in little_samples],
+        desired_n=size,
+        num_candidates=size,
+        walk_iterations=0,
+        support_known=np.ones(size, dtype=bool),
+        support_correct=np.asarray(correct, dtype=bool),
+        support_value=np.where(correct, np.asarray(values, dtype=np.float64), 0.0),
+    )
+
+
+def _hand_executor(normalization) -> QueryExecutor:
+    config = EngineConfig(normalization=normalization, min_rounds=1)
+    return QueryExecutor(KnowledgeGraph("unread"), None, config, None)
+
+
+@pytest.mark.parametrize("normalization", list(Normalization))
+@pytest.mark.parametrize("function", _GUARANTEED)
+def test_round_edge_cases_match_the_oracle(function, normalization):
+    rng = np.random.default_rng(22)
+    probabilities = rng.dirichlet(np.ones(30))
+    values = rng.lognormal(3.0, 1.0, size=30)
+    correct = rng.random(30) < 0.7
+    # a correct answer worth 0.0 is a draw of the compressed sum: the
+    # verdict mask, not ``terms != 0``, says which draws enter it
+    values[np.flatnonzero(correct)[::3]] = 0.0
+    zero_valued = [rng.choice(30, size=400, p=probabilities) for _ in range(3)]
+    terms = np.where(correct, values / probabilities, 0.0)[np.concatenate(zero_valued)]
+    masked = terms[correct[np.concatenate(zero_valued)]]
+    # the case under test exists at this seed: dropping the zeros moves a bit
+    assert np.sum(masked) != np.sum(terms[terms != 0])
+    executor = _hand_executor(normalization)
+    one_correct = int(np.flatnonzero(correct)[1])
+    cases = {
+        "zero-valued correct answers": zero_valued,
+        "a bag of one draw": [[one_correct], [3, 4, 3, 9, 11], [5, 5, 6]],
+        "an empty bag": [[], [3, 4, 3, 9, 11, 2, 2], [5, 5, 6, 7]],
+    }
+    for name, little_samples in cases.items():
+        state = _hand_state(function, values, probabilities, correct, little_samples)
+        assert _hexed(executor._estimate_guaranteed(state, 0.5)) == _hexed(
+            _oracle_round(executor, state, 0.5)
+        ), name
+
+
+@pytest.mark.parametrize("function", _GUARANTEED)
+def test_round_without_a_correct_draw_has_no_estimate_and_no_ci(function):
+    state = _hand_state(
+        function, [1.0, 2.0, 3.0], [0.2, 0.3, 0.5], [False, False, True],
+        [[0, 1, 1], [1, 0], [0, 0, 1]],
+    )
+    executor = _hand_executor(Normalization.SAMPLE)
+    assert executor._estimate_guaranteed(state, 0.5) == (0.0, None, 0, False)
+
+
+def test_round_checks_the_drawn_probabilities_like_estimation_sample():
+    """``pi' = 0`` may sit in the support (a composite's product can
+    underflow) but not in a draw: same error class and message as the
+    per-draw check; undrawn, it is never read."""
+    executor = _hand_executor(Normalization.SAMPLE)
+    values, probabilities, correct = [4.0, 2.0, 3.0], [0.0, 0.5, 0.5], [True, True, True]
+    drawn = _hand_state(
+        AggregateFunction.SUM, values, probabilities, correct, [[1, 0], [2, 2], [1]]
+    )
+    with pytest.raises(EstimationError) as oracle:
+        executor._estimation_samples(drawn)
+    with pytest.raises(EstimationError) as raised:
+        executor._estimate_guaranteed(drawn, 0.5)
+    assert str(raised.value) == str(oracle.value) == "probabilities must lie in (0, 1]"
+    undrawn = _hand_state(
+        AggregateFunction.SUM, values, probabilities, correct, [[1, 2], [2, 2], [1, 1]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        round_estimate = executor._estimate_guaranteed(undrawn, 0.5)
+    assert _hexed(round_estimate) == _hexed(_oracle_round(executor, undrawn, 0.5))
+
+
+@pytest.mark.parametrize("normalization", list(Normalization))
+@pytest.mark.parametrize("function", _GUARANTEED)
+def test_group_estimates_are_the_masked_estimation_samples(
+    toy, drive_lifecycle, function, normalization
+):
+    """Each group is an ``EstimationSample`` over every draw whose verdict
+    mask is the group's membership: same estimate bit for bit, the
+    closed-form sigma when the estimator is mean-shaped, else the
+    bootstrap on the round's one generator in key order."""
+    config = EngineConfig(seed=7, normalization=normalization, max_rounds=3)
+    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    query = AggregateQuery(
+        query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
+        function=function,
+        attribute="price" if function.needs_attribute else None,
+        group_by=GroupBy("price", bin_width=2000.0),
+    )
+    state, result = drive_lifecycle(engine.executor, query, 3, 0.01)
+    _littles, combined = engine.executor._estimation_samples(state)
+    draw_keys = state.support_group[np.concatenate(state.little_samples)]
+    mean_shaped = (
+        function is not AggregateFunction.AVG and normalization is Normalization.SAMPLE
+    )
+    rng = ensure_rng(derive_seed(config.seed, "group-bootstrap", len(state.rounds) - 1))
+    assert len(result.groups) == 3
+    for key, group in result.groups.items():  # ascending, the bootstrap's order
+        members = draw_keys == key
+        sample = EstimationSample(
+            values=np.where(members, combined.values, 0.0),
+            probabilities=combined.probabilities,
+            correct=members,
+        )
+        if mean_shaped:
+            sigma = mean_estimator_sigma(
+                sample, function, resample_size=sample.total_draws
+            )
+        else:
+            sigma = fast_bootstrap_sigma(
+                sample, function, normalization,
+                num_resamples=config.blb.num_resamples,
+                resample_size=sample.total_draws, rng=rng,
+            )
+        assert group.value.hex() == estimate(function, sample, normalization).hex()
+        assert group.moe.hex() == (
+            normal_critical_value(config.confidence_level) * sigma
+        ).hex()
+        assert group.correct_draws == sample.correct_draws
