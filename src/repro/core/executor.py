@@ -1354,7 +1354,8 @@ class QueryExecutor:
         The groups land on ``state.grouped_results``; the round carries
         the *worst* group's estimate and MoE, so the anytime
         ``progress()`` view is meaningful for grouped queries, and is
-        satisfied when every sufficiently-drawn group met the bound.
+        satisfied when every sufficiently-drawn group met the bound (and
+        there is one).
         """
         with state.timers.measure(STAGE_ESTIMATION):
             keys = self._group_keys(state)
@@ -1460,10 +1461,12 @@ class QueryExecutor:
         mean-shaped like an ungrouped round, else bootstrapped on one
         generator in key order — sees the group-membership mixture
         variance.  The round is satisfied when every group with
-        ``min_group_draws`` correct draws met the bound.
+        ``min_group_draws`` correct draws met the bound and at least one
+        group has that many: a round that gates no group checked nothing.
         """
         config = self.config
         results: dict[float, ApproximateResult] = {}
+        gated = 0
         all_satisfied = True
         rng = ensure_rng(derive_seed(config.seed, "group-bootstrap", len(state.rounds)))
         drawn_keys = state.support_group[state.distinct_support_indices()]
@@ -1481,6 +1484,7 @@ class QueryExecutor:
             )
             correct_draws = int(np.count_nonzero(members))
             if correct_draws >= config.min_group_draws:
+                gated += 1
                 all_satisfied = all_satisfied and satisfied
             results[float(key)] = ApproximateResult(
                 function=state.aggregate_query.function,
@@ -1495,4 +1499,4 @@ class QueryExecutor:
                 distinct_answers=0,
                 correct_draws=correct_draws,
             )
-        return results, all_satisfied and bool(results)
+        return results, all_satisfied and gated > 0

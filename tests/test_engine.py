@@ -13,7 +13,7 @@ from repro import (
     QueryGraph,
 )
 from repro.core.config import DeltaStrategy, SamplerKind
-from repro.core.result import ApproximateResult, GroupedResult
+from repro.core.result import STOP_ROUND_BUDGET, ApproximateResult, GroupedResult
 from repro.errors import QueryError, SamplingError
 
 
@@ -197,6 +197,42 @@ class TestGroupBy:
             assert "price" in result.labels[key]
         assert result.num_groups == len(result.groups)
         assert "by group" in result.describe()
+
+    def test_a_round_that_gates_no_group_is_not_satisfied(self, toy):
+        """Sixty one-car bins: no group reaches ``min_group_draws`` correct
+        draws in three rounds, so no round has checked a bound."""
+        config = EngineConfig(seed=7, max_rounds=3)
+        engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+        query = AggregateQuery(
+            query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
+            function=AggregateFunction.COUNT,
+            group_by=GroupBy("price", bin_width=100.0),
+        )
+        result = engine.execute(query)
+        assert max(
+            group.correct_draws for group in result.groups.values()
+        ) < config.min_group_draws
+        assert not result.converged
+        assert result.stop_reason == STOP_ROUND_BUDGET
+        assert [trace.satisfied for trace in result.rounds] == [False] * 3
+
+    def test_thin_first_round_does_not_report_bound_met(self, dbpedia_bundle):
+        """dbpedia-like Q014 at draw seed 1000013: round 1 holds 30 draws and
+        six groups of 1-6 correct draws, every MoE near its estimate — it
+        used to stop there as ``converged`` / ``bound_met``."""
+        engine = ApproximateAggregateEngine(
+            dbpedia_bundle.kg, dbpedia_bundle.embedding, EngineConfig(seed=0)
+        )
+        result = engine.execute(
+            "COUNT(*) MATCH (Berlin:City)-[basedIn]->(x:SoccerClub) "
+            "GROUP BY founded BIN 23",
+            seed=1000013,
+        )
+        assert result.rounds[0].total_draws == 30
+        assert not result.converged
+        assert result.stop_reason == STOP_ROUND_BUDGET
+        assert len(result.rounds) == engine.config.max_rounds == 10
+        assert not any(group.converged for group in result.groups.values())
 
 
 class TestAblationConfigs:
