@@ -1298,6 +1298,9 @@ class QueryExecutor:
             )
             for start, stop in zip([0] + bag_stops, bag_stops)
         ]
+        # which formula each bag's sigma takes
+        name = "sigma_closed_form" if denominators is None else "sigma_bootstrap"
+        self._count({name: len(bags)})
         try:
             return blb_moe(
                 bags,

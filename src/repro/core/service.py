@@ -687,6 +687,16 @@ class AggregateQueryService:
                     "Answer x component searches not run because an "
                     "earlier component rejected the answer (S2)",
                 ),
+                "sigma_closed_form": execution.counter(
+                    "sigma_closed_form",
+                    "BLB bag and GROUP-BY group sigmas taken in closed form: "
+                    "a mean-shaped estimator, COUNT/SUM under SAMPLE (S3)",
+                ),
+                "sigma_bootstrap": execution.counter(
+                    "sigma_bootstrap",
+                    "BLB bag and GROUP-BY group sigmas that paid for a "
+                    "bootstrap index stream: AVG and PAPER (S3)",
+                ),
                 "replay_deletions": execution.counter(
                     "replay_deletions",
                     "Answers the shared-trace replay settled with at least "

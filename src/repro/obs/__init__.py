@@ -26,6 +26,10 @@ metric                                         type       meaning
 ``repro_exec_validate_batch_pending``          histogram  batch sizes handed to the S2 kernels
 ``repro_exec_conjunction_skips``               counter    answer x component searches an
                                                           earlier component's rejection saved
+``repro_exec_sigma_closed_form``               counter    bag / group sigmas taken in closed
+                                                          form (COUNT, SUM under SAMPLE)
+``repro_exec_sigma_bootstrap``                 counter    ... that paid for a bootstrap index
+                                                          stream (AVG, PAPER)
 ``repro_exec_replay_deletions``                counter    answers the trace replay settled
                                                           with >= 1 pop of their own deleted
 ``repro_exec_trace_extension_pops``            counter    pops recorded past a trace's budget

@@ -585,6 +585,41 @@ class TestExecMetrics:
             samples = _parse_prometheus(service.registry.render_prometheus())
         assert samples["repro_exec_conjunction_skips"] > 0
 
+    def test_only_avg_and_paper_sigmas_pay_for_an_index_stream(self):
+        """A ``dashboard_refresh``-shaped batch — one hub's COUNT, SUM,
+        binned GROUP-BY COUNT, MAX and MIN — takes every sigma in closed
+        form; the hub's AVG then bootstraps its three bags every round."""
+        from repro import QueryShape
+        from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
+
+        bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+        hub = [
+            stated.aggregate_query
+            for stated in queries_of_shape(standard_workload(bundle), QueryShape.SIMPLE)
+            if stated.hub_keys == ("spain_players",)
+            and not stated.aggregate_query.has_filters
+        ]
+        functions = [query.function for query in hub]
+        avg = hub.pop(functions.index(AggregateFunction.AVG))
+        assert sorted(query.function.value for query in hub) == [
+            "COUNT", "COUNT", "MAX", "MIN", "SUM",
+        ]
+        with AggregateQueryService(
+            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+        ) as service:
+            for handle in service.submit_batch([(query, 5) for query in hub]):
+                handle.result(timeout=60.0)
+            batch = _parse_prometheus(service.registry.render_prometheus())
+            result = service.submit(avg, seed=5).result(timeout=60.0)
+            after = _parse_prometheus(service.registry.render_prometheus())
+        assert batch["repro_exec_sigma_bootstrap"] == 0
+        assert batch["repro_exec_sigma_closed_form"] > 0
+        assert after["repro_exec_sigma_bootstrap"] == 3 * len(result.rounds)
+        assert (
+            after["repro_exec_sigma_closed_form"]
+            == batch["repro_exec_sigma_closed_form"]
+        )
+
 
 # ---------------------------------------------------------------------------
 # health() byte compatibility after the counter migration
