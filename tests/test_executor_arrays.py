@@ -65,9 +65,9 @@ def _kg_of(rows) -> KnowledgeGraph:
     return kg
 
 
-def _executor(kg: KnowledgeGraph) -> QueryExecutor:
+def _executor(kg: KnowledgeGraph, config: EngineConfig | None = None) -> QueryExecutor:
     """An executor for the methods that only read the graph."""
-    return QueryExecutor(kg, None, EngineConfig(), None)
+    return QueryExecutor(kg, None, config or EngineConfig(), None)
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +426,7 @@ def _hand_state(function, values, probabilities, correct, little_samples):
 
 def _hand_executor(normalization) -> QueryExecutor:
     config = EngineConfig(normalization=normalization, min_rounds=1)
-    return QueryExecutor(KnowledgeGraph("unread"), None, config, None)
+    return _executor(KnowledgeGraph("unread"), config)
 
 
 @pytest.mark.parametrize("normalization", list(Normalization))
