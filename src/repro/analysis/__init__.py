@@ -2,7 +2,7 @@
 enforced at the AST instead of probabilistically at runtime.
 
 The headline guarantee — fixed-seed results byte-identical across the
-cooperative/threads/processes backends — rests on invariants the
+cooperative and processes backends — rests on invariants the
 equivalence tests can only probe after the fact: RNG lives solely in
 scheduler-side growth, shared state is written under locks, sets never
 feed ordered outputs unsorted, fingerprints are pure content hashes.

@@ -8,7 +8,8 @@ Commands:
   interleaves their rounds over shared plans.
 * ``serve``      — read AQL queries from stdin and serve them concurrently
   through :class:`AggregateQueryService`, reporting per-round progress;
-  ``--backend threads|processes --workers N`` fans rounds out to a pool.
+  ``--backend processes [--workers N]`` fans rounds out to worker
+  processes.
 * ``snapshot``   — save/load a dataset's CSR snapshot (and optionally plan
   artifacts) through a :class:`repro.store.SnapshotCatalog`, so later
   invocations memory-map S1 instead of recompiling it.
@@ -34,7 +35,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.resilience import ServiceLimits
 from repro.core.result import ApproximateResult, GroupedResult
-from repro.core.service import AggregateQueryService
+from repro.core.service import BACKENDS, AggregateQueryService
 from repro.errors import ReproError
 from repro.query.parser import parse_query
 
@@ -74,17 +75,18 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     """Execution-backend flags shared by the serving commands."""
     parser.add_argument(
         "--backend",
-        choices=["cooperative", "threads", "processes"],
+        choices=BACKENDS,
         default="cooperative",
         help="how scheduler slots execute: the scheduler thread itself "
-        "(default), a thread pool, or worker processes attached to the "
-        "shared snapshot store",
+        "(default) or worker processes attached to the shared snapshot "
+        "store",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="pool size for the threads/processes backends (default: CPU count)",
+        help="worker processes for --backend processes (default: CPU "
+        "count); an error with any other backend",
     )
     parser.add_argument(
         "--deadline",
@@ -335,7 +337,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         # a requested execution backend always routes through the serving
         # layer — silently ignoring --backend/--workers (or the serving
         # limits --deadline/--max-pending) for a lone query would run the
-        # wrong execution mode
+        # wrong execution mode; the service rejects --workers on any
+        # backend but processes
         return _run_query_batch(bundle, config, queries, args)
     aggregate_query = queries[0]
     engine = ApproximateAggregateEngine(bundle.kg, bundle.embedding, config=config)

@@ -670,7 +670,8 @@ class QueryExecutor:
     ) -> dict:
         """One :meth:`CorrectnessValidator.validate_batch` pass from the
         plan's source, its replay tallies forwarded to the ``exec`` counters
-        (owned per call, so the ``threads`` backend's numbers stay exact)."""
+        (owned per call, so two services batching over one shared plan
+        keep exact numbers)."""
         assert plan.validator is not None
         tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
         outcomes = plan.validator.validate_batch(
@@ -724,8 +725,8 @@ class QueryExecutor:
 
         A level with misses is one ``chain_prefix`` span (the level below
         nests in it) and feeds the ``chain_*`` counters from a tally this
-        call owns, so the numbers stay exact when the ``threads`` backend
-        runs two batches over one shared context.
+        call owns, so the numbers stay exact when two services run
+        batches over one shared context at once.
         """
         memo = plan.chain_prefix_memo
         frontier = [

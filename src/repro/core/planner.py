@@ -88,8 +88,8 @@ class QueryPlanner:
         self.plans: dict[PathQuery, QueryPlan] = {}
         self._planned_structure_version = kg.structure_version
         #: S1 builds actually executed by this planner (cache misses); the
-        #: serving benchmark asserts one build per shared (component,
-        #: config) plan across a whole concurrent batch, and the store
+        #: service tests assert one build per shared (component, config)
+        #: plan across a whole concurrent batch, and the store
         #: tests assert catalog reloads leave it untouched
         self.build_count = 0
         #: plans adopted from the catalog instead of being built

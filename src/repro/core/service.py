@@ -40,25 +40,20 @@ touches a state at a time, so states need no locking regardless of which
 **execution backend** runs the slots.  The backend is pluggable:
 
 * ``backend="cooperative"`` (default) — the scheduler thread itself steps
-  every cohort member, today's single-threaded behaviour;
-* ``backend="threads"`` — cohort slots and cross-query validation
-  batches fan out to a thread pool (numpy releases the GIL in the BLB
-  and estimation kernels);
+  every cohort member, single-threaded;
 * ``backend="processes"`` — whole S2/S3 rounds are exported as picklable
   work items (:class:`~repro.core.executor.RoundWorkItem`) and executed
-  by worker processes holding the shared CSR snapshot and plan artefacts
-  through :class:`~repro.store.shared.SharedSnapshotStore` — no graph or
-  plan arrays are pickled per round.
+  by ``workers`` worker processes holding the shared CSR snapshot and
+  plan artefacts through :class:`~repro.store.shared.SharedSnapshotStore`
+  — no graph or plan arrays are pickled per round.
 
-Growth (the only RNG) always runs in the slot that owns the state — the
-scheduler thread for the cooperative and processes backends, the
-record's single pool task for the threads backend; exactly one slot
-touches a state per pass, each state owns its RNG, and
+Growth (the only RNG) always runs in the scheduler thread; exactly one
+slot touches a state per pass, each state owns its RNG, and
 validation/estimation/guarantee are deterministic, so for a fixed seed
-every backend produces byte-identical results to the cooperative path
-(asserted by the equivalence tests and the parallel benchmark's gate).  ``ApproximateAggregateEngine.execute``
-and :class:`InteractiveSession` are thin synchronous wrappers over this
-service.
+the processes backend produces byte-identical results to the
+cooperative path (asserted by the cross-backend equivalence tests).
+``ApproximateAggregateEngine.execute`` and :class:`InteractiveSession`
+are thin synchronous wrappers over this service.
 """
 
 from __future__ import annotations
@@ -69,7 +64,6 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.config import EngineConfig
@@ -109,7 +103,7 @@ __all__ = [
 ]
 
 #: recognised execution backend names
-BACKENDS = ("cooperative", "threads", "processes")
+BACKENDS = ("cooperative", "processes")
 
 
 class QueryStatus(enum.Enum):
@@ -160,7 +154,7 @@ class _QueryRecord:
     #: absolute expiry on the service clock, or None for no deadline
     deadline_at: float | None = None
     #: round/settlement listeners registered via QueryHandle.subscribe();
-    #: called from scheduler/backend threads and must never block
+    #: called from the scheduler (or a cancelling) thread; must never block
     listeners: list = field(default_factory=list)
     #: observability: the query's root span (None when tracing is off)
     span: "obs_trace.Span | None" = None
@@ -326,8 +320,8 @@ class QueryHandle:
         """Register a push listener for this query's lifecycle events.
 
         ``callback(event, payload)`` is invoked by whichever thread
-        completes the work — the scheduler thread or a backend pool
-        thread — with:
+        completes the work — the scheduler thread, or the thread whose
+        ``cancel()`` / ``close()`` settled the query — with:
 
         * ``("round", (position, trace))`` after each completed round,
           where ``position`` is the trace's index in :meth:`progress`
@@ -373,10 +367,10 @@ class _PrewarmJob:
 
 
 class ExecutionBackend:
-    """The cooperative backend and the interface the parallel ones extend.
+    """The cooperative backend and the interface the processes one extends.
 
     A backend owns *how* a scheduler pass's slots execute — in the
-    scheduler thread, in a thread pool, or in worker processes — never
+    scheduler thread or in worker processes — never
     *what* they compute: cohort selection, growth (the only RNG) and
     completion bookkeeping stay in the service, which is what keeps every
     backend's results byte-identical for a fixed seed.
@@ -404,49 +398,6 @@ class ExecutionBackend:
         """Release backend resources (pools, shared segments)."""
 
 
-class _ThreadBackend(ExecutionBackend):
-    """``backend="threads"``: slots fan out to a thread pool.
-
-    Sound because each record's state is touched by exactly one task per
-    pass, and everything shared across tasks — plan verdict memos, the
-    validator expansion caches, the typed-node sets — only ever receives
-    idempotent writes of deterministic values (dict stores are atomic
-    under the GIL).  The numpy-heavy stages (BLB bootstrap, estimation
-    gathers) release the GIL, which is where the parallelism pays.
-    """
-
-    name = "threads"
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ServiceError("a thread backend needs at least one worker")
-        self.workers = workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-query-worker"
-        )
-
-    def run_cohort(self, service: "AggregateQueryService", cohort) -> None:
-        futures = [
-            self._pool.submit(service._step_record_safely, record)
-            for record in cohort
-        ]
-        for future in futures:
-            future.result()
-
-    def run_prewarm(self, service: "AggregateQueryService", jobs) -> list[float]:
-        futures = [self._pool.submit(job.run) for job in jobs]
-        return [future.result() for future in futures]
-
-    def health(self) -> dict:
-        return {"backend": self.name, "workers": self.workers}
-
-    def close(self) -> None:
-        # every slot is one round for every kind, so waiting is bounded;
-        # records are already settled by the service, an in-flight round
-        # finishes into a settled record and is discarded
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _make_backend(
     backend: "str | ExecutionBackend",
     kg: KnowledgeGraph,
@@ -457,31 +408,36 @@ def _make_backend(
     retry: RetryPolicy | None,
     registry=None,
 ) -> ExecutionBackend:
-    """Resolve a backend name (or pass a ready-made backend through)."""
-    if isinstance(backend, ExecutionBackend):
+    """Resolve a backend name (or pass a ready-made backend through).
+
+    ``workers`` sizes the processes backend's pool and nothing else: given
+    with any other backend it raises instead of being silently dropped.
+    """
+    ready_made = isinstance(backend, ExecutionBackend)
+    if not ready_made and backend not in BACKENDS:
+        raise ServiceError(
+            f"unknown execution backend {backend!r}; choose from {BACKENDS}"
+        )
+    if workers is not None and (ready_made or backend != "processes"):
+        raise ServiceError(
+            f"workers={workers} would be ignored by backend="
+            f"{getattr(backend, 'name', backend)!r}; only the processes "
+            "backend, selected by name, takes workers"
+        )
+    if ready_made:
         return backend
     if backend == "cooperative":
         return ExecutionBackend()
-    if backend == "threads":
-        from repro.store.workers import default_worker_count
+    from repro.store.workers import ProcessBackend
 
-        return _ThreadBackend(
-            workers if workers is not None else default_worker_count()
-        )
-    if backend == "processes":
-        from repro.store.workers import ProcessBackend
-
-        return ProcessBackend(
-            kg,
-            space,
-            config,
-            workers=workers,
-            start_method=start_method,
-            retry=retry,
-            registry=registry,
-        )
-    raise ServiceError(
-        f"unknown execution backend {backend!r}; choose from {BACKENDS}"
+    return ProcessBackend(
+        kg,
+        space,
+        config,
+        workers=workers,
+        start_method=start_method,
+        retry=retry,
+        registry=registry,
     )
 
 
@@ -494,9 +450,9 @@ class AggregateQueryService:
     submissions until :meth:`start` — useful for assembling a batch (or
     testing pending-state semantics) before any work begins.
 
-    ``backend`` selects how scheduler slots execute (``"cooperative"``,
-    ``"threads"`` or ``"processes"``; see the module docstring) and
-    ``workers`` its parallelism; ``planner``/``executor`` share an
+    ``backend`` selects how scheduler slots execute (``"cooperative"`` or
+    ``"processes"``; see the module docstring) and ``workers`` the
+    processes backend's pool size; ``planner``/``executor`` share an
     engine's layers.  A worker-process pool is created eagerly here, in
     the constructing thread, so passing ``backend="processes"`` is also
     the moment the graph snapshot is published to shared memory.
@@ -1028,7 +984,7 @@ class AggregateQueryService:
         blocked ``result()`` callers), then the scheduler thread is
         joined, then a final sweep cancels anything a racing scheduler
         pass re-activated mid-close, and only then is the execution
-        backend (thread/process pools, shared segments) torn down — a
+        backend (worker pool, shared segments) torn down — a
         handle can end up ``SUCCEEDED`` (its round finished first) or
         ``CANCELLED``, but never stuck ``RUNNING``.
 

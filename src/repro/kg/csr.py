@@ -348,8 +348,8 @@ def install_snapshot(kg: KnowledgeGraph, snapshot: CSRGraph) -> CSRGraph:
 
 
 #: number of full ``build_csr`` compilations this process has run; the
-#: store tests and the parallel benchmark assert that a memory-mapped
-#: snapshot load leaves this counter untouched
+#: store tests assert (and the CLI's ``snapshot load`` reports) that a
+#: memory-mapped snapshot load leaves this counter untouched
 _BUILD_CALLS = 0
 
 

@@ -80,7 +80,7 @@ and activates it around every slot the query holds.  Children:
   the sources that have a stage): one for a simple plan, one per hop for
   a chain;
 * ``round`` — one S3 anytime round (``round_index``, ``kind``); on the
-  cooperative/threads backends it nests ``validate_batch`` spans (S2,
+  cooperative backend it nests ``validate_batch`` spans (S2,
   attribute ``pending``), and under those one ``chain_prefix`` span per
   chain-prefix level resolved (``level``, ``frontier``, and the chain
   DFS's ``replayed`` / ``live`` expansions; level ``k`` nests level

@@ -2,13 +2,10 @@
 
 These are verbatim ports of the pre-CSR hot path — per-edge Python loops
 over ``kg.neighbors`` tuples and string-keyed similarity lookups.  They are
-no longer called by the engine; they exist so that
-
-* the equivalence tests can pin the vectorised kernels (scope BFS, Eq. 5
-  transition assembly, strength closed form, CNARW weights, chain route
-  composition) to the original semantics, and
-* ``benchmarks/bench_perf_hotpath.py`` can report honest before/after
-  timings against the exact seed implementation.
+no longer called by the engine; they exist so that the equivalence tests
+can pin the vectorised kernels (scope BFS, Eq. 5 transition assembly,
+strength closed form, CNARW weights, chain route composition) to the
+original semantics.
 
 :func:`stage_distribution_per_source` is of the same kind but one
 generation younger: the per-source S1 stage that production ran until the

@@ -384,11 +384,12 @@ class SharedTrace:
     whose deletions leave fewer than ``budget`` survivors *extends* the
     sequence (:meth:`extend`), for every later answer too.
 
-    ``pops`` is append-only and one record per pop, so a reader under the
-    ``threads`` backend (validators are shared) indexes below a ``len()``
-    it read and never sees a half-written pop; extension itself takes the
-    trace's lock.  The inverted tables cover ``pops[:total_pops]`` and are
-    never written after the build.
+    ``pops`` is append-only and one record per pop, so a reader in another
+    service or session (plans, and with them validators, are shared
+    through the plan cache) indexes below a ``len()`` it read and never
+    sees a half-written pop; extension itself takes the trace's lock.  The
+    inverted tables cover ``pops[:total_pops]`` and are never written
+    after the build.
     """
 
     __slots__ = (
@@ -776,8 +777,9 @@ class _Tour:
     :func:`_chain_level` writes the columns while it records — one entry
     per expansion in visit order, an expansion's *ordinal* being the number
     of expansions before it — and :meth:`close` turns the visited nodes
-    into the occurrence index.  Nothing writes to a closed tour, so the
-    ``threads`` backend's shared contexts publish it with one dict store.
+    into the occurrence index.  Nothing writes to a closed tour, so a
+    context shared by several services or sessions publishes it with one
+    dict store.
     Columnar on purpose: ~25 bytes per expansion where a tuple per event
     would take ~150.
     """
@@ -869,8 +871,8 @@ class ChainContext:
     #: ``(node, depth, entering log_sum, max_length, target set)`` -> tour
     tours: dict = field(default_factory=dict)
     #: expansions held by :attr:`tours`, against ``_TOUR_EVENT_CAP`` (two
-    #: threads recording one key at once count it twice: the cap is a bound
-    #: on memory, not an exact size)
+    #: services sharing this context and recording one key at once count
+    #: it twice: the cap is a bound on memory, not an exact size)
     tour_events: int = 0
 
     def resolve_predicate(self, predicate_id: int) -> float:

@@ -14,7 +14,7 @@ validation, estimation and the BLB guarantee are deterministic functions
 of the item plus the shared artefacts, so a worker's
 :class:`~repro.core.executor.RoundWorkResult` is byte-identical to what
 the cooperative scheduler would have computed in-process — the
-equivalence tests and the parallel benchmark's gate assert exactly that.
+cross-backend equivalence tests assert exactly that.
 
 With the ``fork`` start method (Linux) workers inherit the graph and
 embedding copy-on-write at pool creation; with ``spawn`` they receive one
@@ -59,7 +59,7 @@ __all__ = ["WorkerPool", "ProcessBackend", "default_worker_count"]
 
 
 def default_worker_count() -> int:
-    """Worker processes/threads to use when the caller does not say."""
+    """Worker processes to use when the caller does not say."""
     return max(1, os.cpu_count() or 1)
 
 

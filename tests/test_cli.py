@@ -315,10 +315,10 @@ def test_snapshot_load_without_save_reports_store_error(tmp_path, capsys):
     assert "no store file" in capsys.readouterr().err
 
 
-def test_query_batch_with_thread_backend(capsys):
+def test_query_batch_with_process_backend(capsys):
     code = main(
         ["query", "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)",
-         "--batch", "--backend", "threads", "--workers", "2"]
+         "--batch", "--backend", "processes", "--workers", "2"]
     )
     assert code == 0
     assert "COUNT" in capsys.readouterr().out
@@ -327,13 +327,26 @@ def test_query_batch_with_thread_backend(capsys):
 def test_query_single_with_backend_routes_through_service(capsys):
     code = main(
         ["query", "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)",
-         "--backend", "threads", "--workers", "2"]
+         "--backend", "processes", "--workers", "2"]
     )
     assert code == 0
     out = capsys.readouterr().out
     # a requested backend must not be silently ignored: the serving-layer
     # batch path (which honours it) prints its batch-time summary
     assert "batch time" in out
+
+
+def test_query_workers_without_process_backend_is_an_error(capsys):
+    """Only ``--backend processes`` has a pool for ``--workers`` to size;
+    alone it must fail, not run the cooperative backend without it."""
+    code = main(
+        ["query", "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)",
+         "--workers", "2"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "only the processes backend" in captured.err
+    assert "batch time" not in captured.out
 
 
 # ---------------------------------------------------------------------------

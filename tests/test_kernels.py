@@ -424,9 +424,10 @@ class TestDeletionReplay:
         assert tallies["private_searches"] == 1
 
     def test_two_threads_extending_one_trace(self):
-        """The ``threads`` backend shares validators, so two batches can
-        extend one trace at once: every outcome still equals the oracle's
-        and the pops are the ones a single thread records."""
+        """Services over one graph share validators through the plan cache,
+        so two batches can extend one trace at once: every outcome still
+        equals the oracle's and the pops are the ones a single thread
+        records."""
         import sys
         import threading
 
@@ -1072,14 +1073,18 @@ class TestEngineLevelEquivalence:
         assert totals["replay_deletions"] > 0
         assert totals["trace_extension_pops"] > 0
 
-    def test_cross_backend_byte_identity_with_chain(self, toy_world_factory):
-        """The parallel acceptance gate holds with a chain query aboard."""
-        world = toy_world_factory()
-        workload = [
+    @staticmethod
+    def _chain_workload(world) -> list:
+        return [
             (world.count_query(), 3),
             (world.avg_query(), 4),
             (world.chain_count_query(), 5),
         ]
+
+    def test_cross_backend_byte_identity_with_chain(self, toy_world_factory):
+        """The parallel acceptance gate holds with a chain query aboard."""
+        world = toy_world_factory()
+        workload = self._chain_workload(world)
 
         replays = {}
 
@@ -1087,7 +1092,8 @@ class TestEngineLevelEquivalence:
             shared_plan_cache().clear()
             config = EngineConfig(seed=7, max_rounds=8)
             with AggregateQueryService(
-                world.kg, world.embedding, config, backend=backend, workers=2
+                world.kg, world.embedding, config, backend=backend,
+                workers=2 if backend == "processes" else None,
             ) as service:
                 handles = service.submit_batch(workload)
                 results = [_result_fingerprint(h.result()) for h in handles]
@@ -1097,14 +1103,70 @@ class TestEngineLevelEquivalence:
                 return results
 
         baseline = run("cooperative")
-        for backend in ("threads", "processes"):
-            assert run(backend) == baseline, f"{backend} diverged"
+        assert run("processes") == baseline, "processes diverged"
         # Germany has more than _TOUR_MIN_ENTRIES neighbours and sits two
-        # hops behind every answer, so the in-process runs replayed tours
+        # hops behind every answer, so the in-process run replayed tours
         # (a worker process's counters stay in the worker)
         assert world.kg.degree(world.germany) >= kernels._TOUR_MIN_ENTRIES
         assert replays["cooperative"] > 0
-        assert replays["threads"] > 0
+
+    def test_concurrent_services_over_shared_plans(self, toy_world_factory):
+        """Services over one graph get the same plans, validators and chain
+        contexts from the plan cache, and each steps them from its own
+        scheduler thread: two of them released at once replay shared traces
+        and record and publish the same tours concurrently, and still answer
+        like one service asked query by query.  (The toy traces never run
+        short; ``test_two_threads_extending_one_trace`` races an extension.)"""
+        import sys
+        import threading
+
+        world = toy_world_factory()
+        workload = self._chain_workload(world)
+        config = EngineConfig(seed=7, max_rounds=8)
+
+        shared_plan_cache().clear()
+        with AggregateQueryService(world.kg, world.embedding, config) as service:
+            sequential = [
+                _result_fingerprint(service.submit(query, seed=seed).result())
+                for query, seed in workload
+            ]
+
+        barrier = threading.Barrier(2)
+        results: dict = {}
+        replays: list = []
+        failures: list = []
+
+        def drive(position: int) -> None:
+            try:
+                with AggregateQueryService(
+                    world.kg, world.embedding, config
+                ) as service:
+                    barrier.wait(timeout=30)
+                    handles = service.submit_batch(workload)
+                    results[position] = [
+                        _result_fingerprint(h.result(timeout=60)) for h in handles
+                    ]
+                    replays.append(service.registry.snapshot()[
+                        "repro_exec_chain_tour_replays"
+                    ]["{}"])
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        shared_plan_cache().clear()
+        threads = [threading.Thread(target=drive, args=(p,)) for p in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert results[0] == results[1] == sequential
+        assert sum(replays) > 0
 
 
 class TestMemoDeltas:

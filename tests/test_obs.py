@@ -12,7 +12,7 @@ Covered:
   fresh registry per service, and the ``NULL_REGISTRY`` off switch;
 * span trees — every settled query carries a ``query`` root with an
   ``initialise`` child and one ``round`` child per executed round, on
-  all three backends; processes rounds carry the synthetic
+  both backends; processes rounds carry the synthetic
   ``worker_round`` child rebuilt from worker-side stage timings; a cold
   plan's ``plan_build`` span nests one ``s1_stage`` span per call of the
   batched S1 stage kernel, whose ``sources`` add up to the
@@ -63,7 +63,7 @@ from repro.server import ReproClient, serve_in_thread
 COUNT_AQL = "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)"
 BAD_AQL = "COUNT(*) MATCH (Atlantis:Country)-[product]->(x:Automobile)"
 
-BACKENDS = ("cooperative", "threads", "processes")
+BACKENDS = ("cooperative", "processes")
 
 CHAIN_COUNTERS = tuple(f"repro_exec_{name}" for name in CHAIN_TALLIES)
 
@@ -210,8 +210,11 @@ class TestRegistrySemantics:
             _value_fingerprint(engine.execute(query, seed=seed))
             for query, seed in workload
         ]
+        workers = 2 if backend == "processes" else None
         for arm in ({"audit_log": io.StringIO()}, {"registry": NULL_REGISTRY}):
-            with _service(world, backend=backend, workers=2, **arm) as service:
+            with _service(
+                world, backend=backend, workers=workers, **arm
+            ) as service:
                 handles = service.submit_batch(workload)
                 served = [
                     _value_fingerprint(handle.result(timeout=60.0))
@@ -248,7 +251,10 @@ class TestSpanTrees:
             "grouped": _grouped_query,
             "extreme": _extreme_query,
         }[kind]()
-        with _service(world, backend=backend, workers=2) as service:
+        with _service(
+            world, backend=backend,
+            workers=2 if backend == "processes" else None,
+        ) as service:
             handle = service.submit(query, seed=3)
             handle.result(timeout=60.0)
             trace = handle.trace()

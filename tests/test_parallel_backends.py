@@ -3,7 +3,7 @@
 The serving layer's parallel backends may change *where* a round runs but
 never *what* it computes:
 
-* ``cooperative == threads == processes`` for fixed seeds, byte-for-byte
+* ``cooperative == processes`` for fixed seeds, byte-for-byte
   on every value-like result field (the acceptance gate of the parallel
   redesign) — for all three query kinds: guaranteed aggregates, GROUP-BY
   and MAX/MIN, whose rounds now execute in worker processes too (no
@@ -35,8 +35,6 @@ from repro import (
 )
 from repro.core.plan import shared_plan_cache
 from repro.errors import QueryCancelledError, ServiceError
-
-BACKENDS = ("cooperative", "threads", "processes")
 
 
 @pytest.fixture
@@ -122,11 +120,17 @@ def _composite_workload(bundle) -> list[tuple[AggregateQuery, int]]:
     return [(star, 3), (flower, 4)]
 
 
+def _workers(backend: str) -> int | None:
+    """Two worker processes; ``workers`` is the processes backend's alone."""
+    return 2 if backend == "processes" else None
+
+
 def _run_backend(world, backend: str, workload=None) -> list[tuple]:
     shared_plan_cache().clear()
     config = EngineConfig(seed=7, max_rounds=8)
     with AggregateQueryService(
-        world.kg, world.embedding, config, backend=backend, workers=2
+        world.kg, world.embedding, config, backend=backend,
+        workers=_workers(backend),
     ) as service:
         handles = service.submit_batch(workload or _workload(world))
         return [_fingerprint(handle.result()) for handle in handles]
@@ -135,10 +139,9 @@ def _run_backend(world, backend: str, workload=None) -> list[tuple]:
 class TestBackendEquivalence:
     def test_all_backends_byte_identical(self, world):
         baseline = _run_backend(world, "cooperative")
-        for backend in ("threads", "processes"):
-            assert _run_backend(world, backend) == baseline, (
-                f"{backend} backend diverged from the cooperative scheduler"
-            )
+        assert _run_backend(world, "processes") == baseline, (
+            "processes backend diverged from the cooperative scheduler"
+        )
 
     def test_multi_component_queries_byte_identical(self, dbpedia_bundle):
         """S2's lazy conjunction hands a chain component only the answers
@@ -147,10 +150,9 @@ class TestBackendEquivalence:
         workload = _composite_workload(dbpedia_bundle)
         baseline = _run_backend(dbpedia_bundle, "cooperative", workload)
         assert all(fingerprint[0] > 0 for fingerprint in baseline)
-        for backend in ("threads", "processes"):
-            assert _run_backend(dbpedia_bundle, backend, workload) == baseline, (
-                f"{backend} backend diverged on a star/flower query"
-            )
+        assert _run_backend(dbpedia_bundle, "processes", workload) == baseline, (
+            "processes backend diverged on a star/flower query"
+        )
 
     @pytest.mark.parametrize(
         "overrides, expected",
@@ -180,7 +182,7 @@ class TestBackendEquivalence:
             sink = io.StringIO()
             with AggregateQueryService(
                 world.kg, world.embedding, EngineConfig(seed=7, **overrides),
-                backend=backend, workers=2, audit_log=sink,
+                backend=backend, workers=_workers(backend), audit_log=sink,
             ) as service:
                 handles = service.submit_batch(_workload(world))
                 results = [handle.result(timeout=60.0) for handle in handles]
@@ -271,7 +273,8 @@ class TestBackendEquivalence:
             shared_plan_cache().clear()
             config = EngineConfig(seed=7, max_rounds=8)
             with AggregateQueryService(
-                world.kg, world.embedding, config, backend=backend, workers=2
+                world.kg, world.embedding, config, backend=backend,
+                workers=_workers(backend),
             ) as service:
                 handle = service.submit(world.avg_query(), seed=5,
                                         error_bound=0.05)
@@ -288,11 +291,20 @@ class TestBackendEquivalence:
                 backend="quantum",
             )
 
-    def test_thread_backend_needs_workers(self, world):
-        with pytest.raises(ServiceError):
+    def test_process_backend_needs_workers(self, world):
+        with pytest.raises(ServiceError, match="at least one worker"):
             AggregateQueryService(
                 world.kg, world.embedding, EngineConfig(seed=7),
-                backend="threads", workers=0,
+                backend="processes", workers=0,
+            )
+
+    def test_cooperative_backend_rejects_workers(self, world):
+        """``workers`` sizes the processes pool only; anywhere else it is
+        an error, not a silent no-op."""
+        with pytest.raises(ServiceError, match="only the processes backend"):
+            AggregateQueryService(
+                world.kg, world.embedding, EngineConfig(seed=7),
+                backend="cooperative", workers=2,
             )
 
 
@@ -509,7 +521,7 @@ class TestShutdownOrdering:
             with pytest.raises(QueryCancelledError):
                 handle.result(timeout=1.0)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["processes"])
     def test_close_mid_batch_settles_every_handle(self, world, backend):
         shared_plan_cache().clear()
         config = EngineConfig(seed=7, max_rounds=8, error_bound=0.001)

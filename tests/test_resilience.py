@@ -127,7 +127,8 @@ def _run(world, backend, *, fault_plan=None, retry=None) -> tuple[list, dict]:
     shared_plan_cache().clear()
     config = EngineConfig(seed=7, max_rounds=8)
     with AggregateQueryService(
-        world.kg, world.embedding, config, backend=backend, workers=2,
+        world.kg, world.embedding, config, backend=backend,
+        workers=2 if backend == "processes" else None,
         fault_plan=fault_plan, retry=retry,
     ) as service:
         handles = service.submit_batch(_workload(world))
