@@ -349,6 +349,31 @@ def test_query_workers_without_process_backend_is_an_error(capsys):
     assert "batch time" not in captured.out
 
 
+def test_query_batch_cooperative_backend_with_workers_is_an_error(capsys):
+    code = main(
+        ["query", "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)",
+         "--batch", "--backend", "cooperative", "--workers", "2"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "only the processes backend" in captured.err
+    assert "batch time" not in captured.out
+
+
+def test_backend_choices_are_the_service_backends(capsys):
+    """``--backend`` offers exactly the service's backends; any other name
+    is a usage error that lists them."""
+    from repro.core.service import BACKENDS
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["query", "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)",
+              "--backend", "quantum"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'quantum'" in err
+    assert f"choose from {', '.join(map(repr, BACKENDS))}" in err
+
+
 # ---------------------------------------------------------------------------
 # serve (stdin mode): one flushed JSON result line per query
 # ---------------------------------------------------------------------------
@@ -419,6 +444,18 @@ def test_serve_stdin_sigint_exits_cleanly(monkeypatch, capsys):
     assert "health:" in captured.err
     assert "interrupted" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_serve_workers_without_process_backend_is_an_error(monkeypatch, capsys):
+    """``serve`` shares ``query``'s rule: no query is read, none served."""
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{_SERVE_AQL}\n"))
+    code = main(["serve", "--error-bound", "0.2", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "only the processes backend" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ never *what* it computes:
   during S1 initialisation resurrected the record to ``READY`` and left
   its handle unresolvable forever;
 * a graph mutated under a process pool falls back to in-process rounds
-  (stale workers must never serve old attribute values).
+  (stale workers must never serve old attribute values);
+* services, submitting threads and interactive sessions that run at once
+  over shared plans answer like one of them alone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro import (
     QueryStatus,
 )
 from repro.core.plan import shared_plan_cache
+from repro.core.service import ExecutionBackend
 from repro.errors import QueryCancelledError, ServiceError
 
 
@@ -307,6 +310,38 @@ class TestBackendEquivalence:
                 backend="cooperative", workers=2,
             )
 
+    def test_ready_made_backend_rejects_workers(self, world):
+        """A ready-made backend is already sized, so ``workers`` beside it
+        would be dropped: that raises too."""
+        with pytest.raises(ServiceError, match="only the processes backend"):
+            AggregateQueryService(
+                world.kg, world.embedding, EngineConfig(seed=7),
+                backend=ExecutionBackend(), workers=2,
+            )
+
+    def test_ready_made_backend_runs_the_slots(self, world):
+        backend = ExecutionBackend()
+        shared_plan_cache().clear()
+        with AggregateQueryService(
+            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8),
+            backend=backend,
+        ) as service:
+            assert service.backend is backend
+            handles = service.submit_batch(_workload(world))
+            results = [_fingerprint(handle.result()) for handle in handles]
+        assert results == _run_backend(world, "cooperative")
+
+    def test_process_pool_size_defaults_to_worker_count(self, world, monkeypatch):
+        """``workers=None`` on the processes backend takes
+        ``default_worker_count()`` (the CLI's "default: CPU count")."""
+        import repro.store.workers as workers_module
+
+        monkeypatch.setattr(workers_module, "default_worker_count", lambda: 1)
+        with AggregateQueryService(
+            world.kg, world.embedding, EngineConfig(seed=7), backend="processes",
+        ) as service:
+            assert service.health()["workers"] == 1
+
 
 class TestWorkerPoolLifecycle:
     def test_close_tears_down_pool_and_segments(self, world):
@@ -521,12 +556,13 @@ class TestShutdownOrdering:
             with pytest.raises(QueryCancelledError):
                 handle.result(timeout=1.0)
 
-    @pytest.mark.parametrize("backend", ["processes"])
+    @pytest.mark.parametrize("backend", ["cooperative", "processes"])
     def test_close_mid_batch_settles_every_handle(self, world, backend):
         shared_plan_cache().clear()
         config = EngineConfig(seed=7, max_rounds=8, error_bound=0.001)
         service = AggregateQueryService(
-            world.kg, world.embedding, config, backend=backend, workers=2
+            world.kg, world.embedding, config, backend=backend,
+            workers=_workers(backend),
         )
         handles = service.submit_batch(_workload(world))
         time.sleep(0.05)  # let some rounds start
@@ -537,3 +573,98 @@ class TestShutdownOrdering:
                 handle.result(timeout=1.0)
             except QueryCancelledError:
                 pass  # cancelled mid-flight: settled is what matters
+
+
+def _race(drive, count: int = 2) -> dict:
+    """Run ``drive(position, barrier)`` on ``count`` threads at once.
+
+    Each thread waits on the shared barrier before its real work, and the
+    switch interval is cut so the threads interleave finely.  Returns what
+    each ``drive`` returned, by position; a failure in any thread fails
+    the test."""
+    import sys
+
+    barrier = threading.Barrier(count)
+    returned: dict = {}
+    failures: list = []
+
+    def run(position: int) -> None:
+        try:
+            returned[position] = drive(position, barrier)
+        except BaseException as error:  # noqa: BLE001 - reported below
+            failures.append(error)
+
+    threads = [threading.Thread(target=run, args=(p,)) for p in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    return returned
+
+
+class TestConcurrentServices:
+    """The concurrency left in-process: services over one graph share the
+    plan cache's plans and validators, and each steps them from its own
+    scheduler thread; one service takes submissions from any thread."""
+
+    def test_two_services_answer_every_kind_like_one(self, world):
+        baseline = _run_backend(world, "cooperative")
+        config = EngineConfig(seed=7, max_rounds=8)
+
+        def drive(position, barrier):
+            with AggregateQueryService(
+                world.kg, world.embedding, config
+            ) as service:
+                barrier.wait(timeout=30)
+                handles = service.submit_batch(_workload(world))
+                return [_fingerprint(h.result(timeout=60)) for h in handles]
+
+        shared_plan_cache().clear()
+        assert _race(drive) == {0: baseline, 1: baseline}
+
+    def test_two_threads_submitting_to_one_service(self, world):
+        baseline = _run_backend(world, "cooperative")
+        shared_plan_cache().clear()
+        with AggregateQueryService(
+            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)
+        ) as service:
+
+            def drive(position, barrier):
+                barrier.wait(timeout=30)
+                handles = service.submit_batch(_workload(world))
+                return [_fingerprint(h.result(timeout=60)) for h in handles]
+
+            assert _race(drive) == {0: baseline, 1: baseline}
+
+    def test_concurrent_sessions_refine_like_one(self, world):
+        """Two interactive sessions on engines over one graph share the
+        AVG plan; refined at once, each takes the steps a lone one does."""
+        from repro import ApproximateAggregateEngine, InteractiveSession
+
+        config = EngineConfig(seed=11, error_bound=0.05)
+
+        def refine_steps(barrier=None) -> list[tuple]:
+            engine = ApproximateAggregateEngine(world.kg, world.embedding, config)
+            try:
+                session = InteractiveSession(engine, world.avg_query(), seed=3)
+                if barrier is not None:
+                    barrier.wait(timeout=30)
+                return [
+                    (_fingerprint(step.result), step.additional_draws)
+                    for step in map(session.refine, (0.05, 0.03, 0.01))
+                ]
+            finally:
+                engine.service.close()
+
+        shared_plan_cache().clear()
+        lone = refine_steps()
+        shared_plan_cache().clear()
+        raced = _race(lambda position, barrier: refine_steps(barrier))
+        assert raced == {0: lone, 1: lone}
