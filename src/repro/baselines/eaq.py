@@ -57,16 +57,14 @@ class EaqBaseline(BaselineMethod):
         cached = self._threshold_cache.get(predicate_id)
         if cached is not None:
             return cached
-        predicate = self._kg.predicate_name(predicate_id)
-        edge_ids = self._kg.edges_with_predicate(predicate)
-        if not edge_ids:
+        triples = self._kg.triple_array()
+        triples = triples[triples[:, 1] == predicate_id]
+        if not len(triples):
+            predicate = self._kg.predicate_name(predicate_id)
             raise EmbeddingError(
                 f"predicate {predicate!r} has no triples to calibrate on"
             )
-        heads = np.array([self._kg.edge(e).subject for e in edge_ids])
-        tails = np.array([self._kg.edge(e).object for e in edge_ids])
-        relations = np.full(len(edge_ids), predicate_id)
-        scores = self._model.score(heads, relations, tails)
+        scores = self._model.score(triples[:, 0], triples[:, 1], triples[:, 2])
         threshold = float(np.quantile(scores, self.score_quantile))
         self._threshold_cache[predicate_id] = threshold
         return threshold

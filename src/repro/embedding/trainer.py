@@ -62,7 +62,7 @@ class EmbeddingTrainer:
 
     def train(self, model: EmbeddingModel, kg: KnowledgeGraph) -> TrainingReport:
         """Run the loop and return a report; the model is updated in place."""
-        triples = np.array(list(kg.triples()), dtype=np.int64)
+        triples = kg.triple_array()
         if triples.size == 0:
             raise EmbeddingError("cannot train on a graph with no edges")
         if triples[:, [0, 2]].max() >= model.num_entities:

@@ -1,14 +1,12 @@
 """Immutable CSR snapshot of a :class:`KnowledgeGraph` (the S1 kernel).
 
-The hot path of the paper — scope BFS, Eq. 5 transition assembly, candidate
-filtering — spends its time walking adjacency lists of ``(edge_id,
-neighbour)`` tuples and looking up per-edge predicate similarities through
-string-keyed dicts.  This module compacts the mutable store into four dense
-numpy arrays once per graph version:
+The graph stores its edges as three append-only columns ``(subject,
+predicate_id, object)``; every traversal reads them in the compressed form
+this module compiles once per graph structure version:
 
 * ``indptr`` / ``neighbor_ids`` / ``edge_ids`` — the direction-agnostic
-  adjacency in compressed-sparse-row form, entry-for-entry identical in
-  order to ``KnowledgeGraph.neighbors``;
+  adjacency in compressed-sparse-row form (per node in edge id order, a
+  self-loop once), which ``KnowledgeGraph.neighbors`` reads;
 * ``edge_predicate_ids`` — dense predicate id per edge, so a per-query
   similarity table indexed by predicate id turns per-edge weighting into
   one fancy-index.
@@ -29,13 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.errors import NodeNotFoundError
-from repro.kg.graph import KnowledgeGraph
+from repro.errors import NodeNotFoundError, StoreError
+
+if TYPE_CHECKING:  # the graph module reads its adjacency from this one
+    from repro.kg.graph import KnowledgeGraph
 
 #: attribute name under which the (version, snapshot) pair is memoised
 _SNAPSHOT_ATTR = "_csr_snapshot_cache"
@@ -67,7 +67,7 @@ class CSRGraph:
 
     ``neighbor_ids[indptr[u]:indptr[u+1]]`` lists the neighbours of ``u``
     (both edge directions, insertion order) and ``edge_ids`` the incident
-    edge per entry, exactly mirroring ``KnowledgeGraph.neighbors(u)``.
+    edge per entry; ``KnowledgeGraph.neighbors(u)`` is :meth:`neighbor_pairs`.
     """
 
     num_nodes: int
@@ -135,11 +135,24 @@ class CSRGraph:
         keep = cols >= 0
         return positions, rows[keep], cols[keep], edge_ids[keep]
 
+    def neighbor_pairs(self, node_id: int) -> list[tuple[int, int]]:
+        """:meth:`neighbors` as a list of Python-int pairs, for Python loops
+        (``KnowledgeGraph.neighbors``): built per node on first use and
+        kept, as slicing the arrays per call costs such loops several-fold.
+        """
+        pairs = self._pair_lists.get(node_id)
+        if pairs is None:
+            edge_ids, neighbours = self.neighbors(node_id)
+            pairs = list(zip(edge_ids.tolist(), neighbours.tolist()))
+            self._pair_lists[node_id] = pairs
+        return pairs
+
     # ------------------------------------------------------------------
     # Derived members: built once per snapshot on first use, never exported
     # (a loaded snapshot rebuilds them lazily).  The first
     # two serve the batched S1 stage (repro.sampling.strength), the third
-    # S2's context compile (repro.semantics.kernels.build_context).
+    # S2's context compile (repro.semantics.kernels.build_context), the
+    # last :meth:`neighbor_pairs`.
     # ------------------------------------------------------------------
     @cached_property
     def adjacency_matrix(self) -> sparse.csr_matrix:
@@ -200,6 +213,11 @@ class CSRGraph:
         for member in members:
             member.setflags(write=False)
         return members
+
+    @cached_property
+    def _pair_lists(self) -> dict[int, list[tuple[int, int]]]:
+        """node id -> its :meth:`neighbor_pairs`, once built."""
+        return {}
 
     # ------------------------------------------------------------------
     # BFS
@@ -292,12 +310,9 @@ def csr_from_arrays(metadata: Mapping, arrays: Mapping[str, np.ndarray]) -> CSRG
 
     The arrays are adopted as-is (zero-copy: memory-mapped or shared
     segments stay memory-mapped or shared); only the small per-type id
-    lists are materialised, by reading ``type_matrix`` columns — the
-    column's ascending node ids equal ``build_csr``'s per-type arrays
-    because type membership is recorded in node-insertion order.
+    lists are materialised, by reading ``type_matrix`` columns.
+    :func:`build_csr` assembles its snapshots here too.
     """
-    from repro.errors import StoreError
-
     required = ("indptr", "neighbor_ids", "edge_ids", "edge_predicate_ids",
                 "type_matrix")
     missing = [name for name in required if name not in arrays]
@@ -334,8 +349,6 @@ def install_snapshot(kg: KnowledgeGraph, snapshot: CSRGraph) -> CSRGraph:
     *current* structure; size mismatches are rejected here, version/key
     validation happens in the store layer before this call.
     """
-    from repro.errors import StoreError
-
     if snapshot.num_nodes != kg.num_nodes or snapshot.num_edges != kg.num_edges:
         raise StoreError(
             f"snapshot shape ({snapshot.num_nodes} nodes, {snapshot.num_edges} "
@@ -358,27 +371,21 @@ def build_call_count() -> int:
 
 
 def build_csr(kg: KnowledgeGraph) -> CSRGraph:
-    """Compile a fresh :class:`CSRGraph` from the mutable store.
+    """Compile a fresh :class:`CSRGraph` from the graph's edge columns.
 
-    The adjacency is reconstructed from the triple list with one stable
-    sort: endpoint entries are interleaved (subject entry, then object
-    entry, per edge) so that the per-node order matches the append order of
-    ``KnowledgeGraph.add_edge`` exactly.
+    The adjacency comes out of one stable sort: endpoint entries are
+    interleaved (subject entry, then object entry, per edge) so that each
+    node lists its entries in edge id order, the subject's first.
     """
     global _BUILD_CALLS
     _BUILD_CALLS += 1
     num_nodes = kg.num_nodes
-    num_edges = kg.num_edges
-    if num_edges:
-        triples = np.fromiter(
-            kg.triples(), dtype=np.dtype((np.int64, 3)), count=num_edges
-        )
-        subjects, predicate_ids, objects = triples[:, 0], triples[:, 1], triples[:, 2]
-    else:
-        subjects = predicate_ids = objects = np.empty(0, dtype=np.int64)
+    triples = kg.triple_array()
+    num_edges = len(triples)
+    subjects, predicate_ids, objects = triples[:, 0], triples[:, 1], triples[:, 2]
 
     # Interleave the two directions per edge; a self-loop contributes one
-    # endpoint entry only (mirroring add_edge's ``obj != subject`` guard).
+    # endpoint entry only.
     endpoint_src = np.empty(2 * num_edges, dtype=np.int64)
     endpoint_dst = np.empty(2 * num_edges, dtype=np.int64)
     endpoint_src[0::2], endpoint_src[1::2] = subjects, objects
@@ -397,31 +404,21 @@ def build_csr(kg: KnowledgeGraph) -> CSRGraph:
     indptr[1:] = np.cumsum(np.bincount(endpoint_src, minlength=num_nodes))
 
     type_names = kg.types
-    type_index = {name: column for column, name in enumerate(type_names)}
     type_matrix = np.zeros((num_nodes, len(type_names)), dtype=bool)
-    nodes_by_type: dict[str, np.ndarray] = {}
-    for name, column in type_index.items():
-        typed = np.asarray(kg.nodes_with_type(name), dtype=np.int64)
-        nodes_by_type[name] = typed
-        type_matrix[typed, column] = True
+    for column, name in enumerate(type_names):
+        type_matrix[kg.nodes_with_type(name), column] = True
 
-    arrays = (neighbor_ids, edge_ids, indptr, predicate_ids, type_matrix)
-    for array in arrays:
+    arrays = {
+        "indptr": indptr,
+        "neighbor_ids": neighbor_ids,
+        "edge_ids": edge_ids,
+        "edge_predicate_ids": predicate_ids,
+        "type_matrix": type_matrix,
+    }
+    for array in arrays.values():
         array.setflags(write=False)
-    for typed in nodes_by_type.values():
-        typed.setflags(write=False)
-    return CSRGraph(
-        num_nodes=num_nodes,
-        num_edges=num_edges,
-        indptr=indptr,
-        neighbor_ids=neighbor_ids,
-        edge_ids=edge_ids,
-        edge_predicate_ids=predicate_ids,
-        type_names=type_names,
-        type_index=type_index,
-        type_matrix=type_matrix,
-        nodes_by_type=nodes_by_type,
-    )
+    metadata = {"num_nodes": num_nodes, "num_edges": num_edges, "type_names": type_names}
+    return csr_from_arrays(metadata, arrays)
 
 
 def csr_snapshot(kg: KnowledgeGraph) -> CSRGraph:

@@ -1,14 +1,13 @@
 """In-memory knowledge-graph store (Definition 1 of the paper).
 
-Nodes and predicates are interned to dense integer ids so that samplers and
-matchers can use array-based bookkeeping.  The store keeps three access
-structures in sync:
-
-* per-node adjacency lists of ``(edge_id, neighbour_id)`` pairs used by the
-  random walk and path search (direction-agnostic, as in the paper),
-* a triple view ``(subject, predicate, object)`` used by the SPARQL-style
-  exact-schema baseline,
-* secondary indexes: name -> node, type -> nodes, predicate -> edges.
+Nodes and predicates are interned to dense integer ids, and the graph is a
+set of columns over them: append-only ``(subject, predicate_id, object)``
+edge columns (``array.array("q")``: fast appends, fast scalar reads), one
+float64 column per numeric attribute (NaN = absent, grown by amortised
+doubling), names with their index, and per node one interned frozenset of
+type names.  :class:`Node` and :class:`Edge` are views built on demand;
+the direction-agnostic adjacency is the CSR snapshot :mod:`repro.kg.csr`
+compiles from the edge columns.
 
 Names are unique per Definition 1 (KGs are assumed entity-disambiguated);
 adding a second node with an existing name raises :class:`GraphError`.
@@ -16,12 +15,18 @@ adding a second node with an existing name raises :class:`GraphError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import threading
+from array import array
+from dataclasses import dataclass
+from numbers import Integral
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
+from repro.kg.csr import csr_snapshot
 
 
 @dataclass(frozen=True)
@@ -65,18 +70,24 @@ class Edge:
         raise GraphError(f"node {node_id} is not an endpoint of edge {self.edge_id}")
 
 
-@dataclass
-class _NodeRecord:
-    name: str
-    types: frozenset[str]
-    attributes: dict[str, float] = field(default_factory=dict)
+class _NodeAttributes(Mapping[str, float]):
+    """One node's attributes, read live from the graph's columns by name (a
+    moved column is never read stale); a NaN cell is an absent attribute."""
 
+    def __init__(self, columns: dict[str, np.ndarray], node_id: int) -> None:
+        self._columns, self._node_id = columns, node_id
 
-@dataclass
-class _EdgeRecord:
-    subject: int
-    object: int
-    predicate_id: int
+    def __getitem__(self, name: str) -> float:
+        value = self._columns[name].item(self._node_id)
+        if math.isnan(value):
+            raise KeyError(name)
+        return value
+
+    def __iter__(self) -> Iterator[str]:
+        return (name for name in list(self._columns) if name in self)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class KnowledgeGraph:
@@ -94,15 +105,24 @@ class KnowledgeGraph:
 
     def __init__(self, name: str = "kg") -> None:
         self.name = name
-        self._nodes: list[_NodeRecord] = []
-        self._edges: list[_EdgeRecord] = []
-        # adjacency[u] holds (edge_id, neighbour) for both edge directions.
-        self._adjacency: list[list[tuple[int, int]]] = []
+        # Mutators write under this lock; readers take none (but
+        # triple_array), as the counts (``_num_nodes``, ``len(_objects)``)
+        # are published after the data they cover.
+        self._lock = threading.Lock()
+        self._num_nodes = 0
+        self._names: list[str] = []
+        self._name_index: dict[str, int] = {}
+        self._node_types: list[frozenset[str]] = []
+        self._type_sets: dict[frozenset[str], frozenset[str]] = {}
+        self._type_index: dict[str, array] = {}
+        # attribute name -> column of ``_capacity`` cells over node ids
+        self._columns: dict[str, np.ndarray] = {}
+        self._capacity = 0
+        self._subjects = array("q")
+        self._predicate_column = array("q")
+        self._objects = array("q")
         self._predicates: list[str] = []
         self._predicate_ids: dict[str, int] = {}
-        self._name_index: dict[str, int] = {}
-        self._type_index: dict[str, list[int]] = {}
-        self._predicate_edge_index: dict[int, list[int]] = {}
         # Monotone mutation counters.  Structure covers nodes, edges and
         # types — everything a CSR snapshot or a cached query plan depends
         # on; attributes cover numeric property writes only.  Splitting the
@@ -110,10 +130,6 @@ class KnowledgeGraph:
         # snapshots or evict plans, while structural edits invalidate both.
         self._structure_version = 0
         self._attribute_version = 0
-        # attribute name -> float64 column over node ids (NaN = absent),
-        # built on first read; set_attribute writes through, add_node
-        # drops them all (their length is the node count)
-        self._attribute_columns: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -125,55 +141,58 @@ class KnowledgeGraph:
         attributes: Mapping[str, float] | None = None,
     ) -> int:
         """Add an entity and return its dense integer id."""
-        if name in self._name_index:
-            raise GraphError(f"duplicate node name: {name!r}")
         type_set = frozenset(types)
         if not type_set:
             raise GraphError(f"node {name!r} must have at least one type")
-        node_id = len(self._nodes)
-        self._nodes.append(
-            _NodeRecord(name=name, types=type_set, attributes=dict(attributes or {}))
-        )
-        self._adjacency.append([])
-        self._name_index[name] = node_id
-        for type_name in type_set:
-            self._type_index.setdefault(type_name, []).append(node_id)
-        self._structure_version += 1
-        self._attribute_columns.clear()  # after the bump: see attribute_column
+        values = {key: float(value) for key, value in (attributes or {}).items()}
+        with self._lock:
+            if name in self._name_index:
+                raise GraphError(f"duplicate node name: {name!r}")
+            node_id = self._num_nodes
+            if node_id == self._capacity:
+                self._grow_columns()
+            for key, value in values.items():
+                self._column_locked(key)[node_id] = value
+            self._names.append(name)
+            self._name_index[name] = node_id
+            self._node_types.append(self._type_sets.setdefault(type_set, type_set))
+            for type_name in type_set:
+                self._type_index.setdefault(type_name, array("q")).append(node_id)
+            self._num_nodes = node_id + 1
+            self._structure_version += 1
         return node_id
 
     def add_edge(self, subject: int, predicate: str, obj: int) -> int:
         """Add a triple and return its edge id."""
+        subject, obj = index(subject), index(obj)  # fail before any append
         self._check_node(subject)
         self._check_node(obj)
         predicate_id = self.intern_predicate(predicate)
-        edge_id = len(self._edges)
-        self._edges.append(_EdgeRecord(subject=subject, object=obj, predicate_id=predicate_id))
-        self._adjacency[subject].append((edge_id, obj))
-        if obj != subject:
-            self._adjacency[obj].append((edge_id, subject))
-        self._predicate_edge_index.setdefault(predicate_id, []).append(edge_id)
-        self._structure_version += 1
+        with self._lock:
+            edge_id = len(self._objects)
+            self._subjects.append(subject)
+            self._predicate_column.append(predicate_id)
+            self._objects.append(obj)
+            self._structure_version += 1
         return edge_id
 
     def set_attribute(self, node_id: int, name: str, value: float) -> None:
-        """Set (or overwrite) numeric attribute ``name`` on ``node_id``."""
+        """Set (or overwrite) numeric attribute ``name`` on ``node_id``.
+
+        Setting NaN removes the attribute (NaN is the absent marker).
+        """
         self._check_node(node_id)
-        self._nodes[node_id].attributes[name] = float(value)
-        self._attribute_version += 1
-        # after the bump: see attribute_column
-        column = self._attribute_columns.get(name)
-        if column is not None:
-            column[node_id] = value
+        value = float(value)
+        with self._lock:
+            self._column_locked(name)[node_id] = value
+            self._attribute_version += 1
 
     def intern_predicate(self, predicate: str) -> int:
         """Return the dense id for ``predicate``, creating one if needed."""
-        existing = self._predicate_ids.get(predicate)
-        if existing is not None:
-            return existing
-        predicate_id = len(self._predicates)
-        self._predicates.append(predicate)
-        self._predicate_ids[predicate] = predicate_id
+        with self._lock:
+            predicate_id = self._predicate_ids.setdefault(predicate, len(self._predicates))
+            if predicate_id == len(self._predicates):
+                self._predicates.append(predicate)
         return predicate_id
 
     # ------------------------------------------------------------------
@@ -201,12 +220,12 @@ class KnowledgeGraph:
     @property
     def num_nodes(self) -> int:
         """Number of entities in the graph."""
-        return len(self._nodes)
+        return self._num_nodes
 
     @property
     def num_edges(self) -> int:
         """Number of stored triples."""
-        return len(self._edges)
+        return len(self._objects)
 
     @property
     def num_predicates(self) -> int:
@@ -216,12 +235,11 @@ class KnowledgeGraph:
     def node(self, node_id: int) -> Node:
         """Read-only view of ``node_id``; raises :class:`NodeNotFoundError`."""
         self._check_node(node_id)
-        record = self._nodes[node_id]
         return Node(
             node_id=node_id,
-            name=record.name,
-            types=record.types,
-            attributes=record.attributes,
+            name=self._names[node_id],
+            types=self._node_types[node_id],
+            attributes=_NodeAttributes(self._columns, node_id),
         )
 
     def attribute_column(self, name: str) -> np.ndarray:
@@ -229,43 +247,28 @@ class KnowledgeGraph:
 
         Indexed by node id; NaN where the node lacks the attribute.  The
         array-valued form of :meth:`Node.attribute` for code that screens
-        many answers at once.  Built on first use and then kept current:
-        the returned view shares the column ``set_attribute`` writes
-        through to, so it never shows a value older than the last write.
-        ``add_node`` drops the columns — fetch one per use, do not hold
-        it across structural mutation.
-
-        A mutation on another thread may land while a column is being
-        built.  Writers bump their version counter *before* they touch
-        the columns and the build re-reads it *after* publishing, so such
-        a write either finds the published column or forces a rebuild.
+        many answers at once.  The array is a view of the column itself,
+        so ``set_attribute`` writes show through it — until ``add_node``
+        outgrows the column and moves it; a view fetched before that keeps
+        its old length and values.  Fetch one per use.
         """
-        column = self._attribute_columns.get(name)
-        while column is None:
-            version = self.version
-            column = np.full(len(self._nodes), np.nan, dtype=np.float64)
-            for node_id, record in zip(range(len(column)), self._nodes):
-                value = record.attributes.get(name)
-                if value is not None:
-                    column[node_id] = value
-            self._attribute_columns[name] = column
-            if version != self.version:
-                column = None
-        view = column.view()
+        num_nodes = self._num_nodes  # before the column: it has >= this many cells
+        column = self._columns.get(name)
+        view = np.full(num_nodes, np.nan) if column is None else column[:num_nodes]
         view.setflags(write=False)
         return view
 
     def edge(self, edge_id: int) -> Edge:
         """Read-only view of ``edge_id``; raises :class:`EdgeNotFoundError`."""
-        if not 0 <= edge_id < len(self._edges):
+        if not 0 <= edge_id < len(self._objects):
             raise EdgeNotFoundError(f"edge id {edge_id} out of range")
-        record = self._edges[edge_id]
+        predicate_id = self._predicate_column[edge_id]
         return Edge(
             edge_id=edge_id,
-            subject=record.subject,
-            object=record.object,
-            predicate_id=record.predicate_id,
-            predicate=self._predicates[record.predicate_id],
+            subject=self._subjects[edge_id],
+            object=self._objects[edge_id],
+            predicate_id=predicate_id,
+            predicate=self._predicates[predicate_id],
         )
 
     def predicate_of(self, edge_id: int) -> str:
@@ -275,9 +278,9 @@ class KnowledgeGraph:
         traversed edge, so it skips the dataclass construction of
         :meth:`edge`.
         """
-        if not 0 <= edge_id < len(self._edges):
+        if not 0 <= edge_id < len(self._objects):
             raise EdgeNotFoundError(f"edge id {edge_id} out of range")
-        return self._predicates[self._edges[edge_id].predicate_id]
+        return self._predicates[self._predicate_column[edge_id]]
 
     def node_by_name(self, name: str) -> int:
         """The id of the (unique) node named ``name`` (Definition 1)."""
@@ -314,39 +317,41 @@ class KnowledgeGraph:
 
     def nodes(self) -> Iterator[int]:
         """Iterate node ids (0..num_nodes-1, insertion order)."""
-        return iter(range(len(self._nodes)))
+        return iter(range(self._num_nodes))
 
     def edges(self) -> Iterator[Edge]:
         """Iterate all edges as read-only views."""
-        for edge_id in range(len(self._edges)):
-            yield self.edge(edge_id)
+        return map(self.edge, range(self.num_edges))
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
-        """``(subject, predicate_id, object)`` triples for embedding trainers."""
-        for record in self._edges:
-            yield record.subject, record.predicate_id, record.object
+        """``(subject, predicate_id, object)`` triples, in edge-id order."""
+        return zip(self._subjects, self._predicate_column, self._objects)
+
+    def triple_array(self) -> np.ndarray:
+        """The edge columns as a fresh ``(num_edges, 3)`` int64 array.
+
+        Row ``e`` is edge ``e``'s ``(subject, predicate_id, object)``.
+        """
+        columns = (self._subjects, self._predicate_column, self._objects)
+        with self._lock:  # an append would fail on an exported buffer
+            return np.stack([np.frombuffer(c, dtype=np.int64) for c in columns], axis=1)
 
     def edge_predicate_ids(self) -> np.ndarray:
         """Dense ``predicate_id`` per edge id (vectorised edge weighting)."""
-        return np.fromiter(
-            (record.predicate_id for record in self._edges),
-            dtype=np.int64,
-            count=len(self._edges),
-        )
+        return self.triple_array()[:, 1]
 
     def neighbors(self, node_id: int) -> list[tuple[int, int]]:
         """``(edge_id, neighbour_id)`` pairs incident to ``node_id``.
 
         Both edge directions are listed, matching the paper's treatment of
-        subgraph matches as undirected paths (Definition 5).
+        subgraph matches as undirected paths (Definition 5).  Read from the
+        CSR snapshot: do not mutate the returned list.
         """
-        self._check_node(node_id)
-        return self._adjacency[node_id]
+        return csr_snapshot(self).neighbor_pairs(node_id)
 
     def degree(self, node_id: int) -> int:
         """Number of incident edge endpoints (both directions)."""
-        self._check_node(node_id)
-        return len(self._adjacency[node_id])
+        return csr_snapshot(self).degree(node_id)
 
     def neighbor_ids(self, node_id: int) -> list[int]:
         """Neighbour node ids of ``node_id`` (with multiplicity)."""
@@ -354,14 +359,11 @@ class KnowledgeGraph:
 
     def nodes_with_type(self, type_name: str) -> list[int]:
         """All node ids carrying ``type_name`` (possibly among other types)."""
-        return list(self._type_index.get(type_name, ()))
+        return self._type_index.get(type_name, array("q")).tolist()
 
     def nodes_with_any_type(self, types: Iterable[str]) -> list[int]:
         """Union of :meth:`nodes_with_type` over ``types`` (sorted, distinct)."""
-        collected: set[int] = set()
-        for type_name in types:
-            collected.update(self._type_index.get(type_name, ()))
-        return sorted(collected)
+        return csr_snapshot(self).nodes_with_any_type(types).tolist()
 
     @property
     def types(self) -> tuple[str, ...]:
@@ -373,39 +375,21 @@ class KnowledgeGraph:
         predicate_id = self._predicate_ids.get(predicate)
         if predicate_id is None:
             return []
-        return list(self._predicate_edge_index.get(predicate_id, ()))
+        return np.flatnonzero(self.edge_predicate_ids() == predicate_id).tolist()
 
     def objects_of(self, subject: int, predicate: str) -> list[int]:
         """Objects ``o`` with a triple ``(subject, predicate, o)`` (directed)."""
-        self._check_node(subject)
-        if predicate not in self._predicate_ids:
-            return []
-        predicate_id = self._predicate_ids[predicate]
-        result = []
-        for edge_id, _neighbour in self._adjacency[subject]:
-            record = self._edges[edge_id]
-            if record.subject == subject and record.predicate_id == predicate_id:
-                result.append(record.object)
-        return result
+        return self._directed(subject, predicate, self._subjects)
 
     def subjects_of(self, obj: int, predicate: str) -> list[int]:
         """Subjects ``s`` with a triple ``(s, predicate, obj)`` (directed)."""
-        self._check_node(obj)
-        if predicate not in self._predicate_ids:
-            return []
-        predicate_id = self._predicate_ids[predicate]
-        result = []
-        for edge_id, _neighbour in self._adjacency[obj]:
-            record = self._edges[edge_id]
-            if record.object == obj and record.predicate_id == predicate_id:
-                result.append(record.subject)
-        return result
+        return self._directed(obj, predicate, self._objects)
 
     def __contains__(self, node_id: object) -> bool:
-        return isinstance(node_id, int) and 0 <= node_id < len(self._nodes)
+        return isinstance(node_id, Integral) and 0 <= node_id < self._num_nodes
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._num_nodes
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -417,5 +401,28 @@ class KnowledgeGraph:
     # Internals
     # ------------------------------------------------------------------
     def _check_node(self, node_id: int) -> None:
-        if not 0 <= node_id < len(self._nodes):
+        if not 0 <= node_id < self._num_nodes:
             raise NodeNotFoundError(f"node id {node_id} out of range")
+
+    def _column_locked(self, name: str) -> np.ndarray:
+        """The column of attribute ``name``, created all-NaN on first use."""
+        if name not in self._columns:
+            self._columns[name] = np.full(self._capacity, np.nan)
+        return self._columns[name]
+
+    def _grow_columns(self) -> None:
+        """Double every column's capacity; the new cells are NaN."""
+        added = max(16, self._capacity)
+        for name, column in self._columns.items():
+            self._columns[name] = np.append(column, np.full(added, np.nan))
+        self._capacity += added
+
+    def _directed(self, node_id: int, predicate: str, end: array) -> list[int]:
+        """Far ends of ``node_id``'s ``predicate`` edges whose ``end`` column holds it."""
+        self._check_node(node_id)
+        predicate_id = self._predicate_ids.get(predicate)
+        return [
+            neighbour
+            for edge_id, neighbour in self.neighbors(node_id)
+            if end[edge_id] == node_id and self._predicate_column[edge_id] == predicate_id
+        ]

@@ -45,10 +45,8 @@ def graph_fingerprint(kg: KnowledgeGraph) -> str:
         digest.update(predicate.encode("utf-8"))
         digest.update(b"\x00")
     digest.update(b"\x03")
-    for subject, predicate_id, obj in kg.triples():
-        digest.update(subject.to_bytes(8, "little", signed=True))
-        digest.update(predicate_id.to_bytes(8, "little", signed=True))
-        digest.update(obj.to_bytes(8, "little", signed=True))
+    # per edge: subject, predicate id, object as 8-byte little-endian ints
+    digest.update(kg.triple_array().astype("<i8", copy=False).tobytes())
     return digest.hexdigest()
 
 
@@ -70,7 +68,7 @@ def save_json(kg: KnowledgeGraph, path: str | Path) -> None:
             for edge in kg.edges()
         ],
     }
-    Path(path).write_text(json.dumps(document, indent=1), encoding="utf-8")
+    Path(path).write_text(json.dumps(document, indent=1, allow_nan=False), encoding="utf-8")
 
 
 def load_json(path: str | Path) -> KnowledgeGraph:
@@ -89,11 +87,9 @@ def load_json(path: str | Path) -> KnowledgeGraph:
 
 def save_triples(kg: KnowledgeGraph, path: str | Path) -> None:
     """Write edges as ``subject<TAB>predicate<TAB>object`` names per line."""
-    lines = []
-    for edge in kg.edges():
-        subject_name = kg.node(edge.subject).name
-        object_name = kg.node(edge.object).name
-        lines.append(f"{subject_name}\t{edge.predicate}\t{object_name}")
+    names = [kg.node(node_id).name for node_id in kg.nodes()]
+    predicates = kg.predicates
+    lines = [f"{names[s]}\t{predicates[p]}\t{names[o]}" for s, p, o in kg.triples()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

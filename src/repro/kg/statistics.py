@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 
 
@@ -40,7 +41,7 @@ class GraphStatistics:
 
 def compute_statistics(kg: KnowledgeGraph) -> GraphStatistics:
     """Compute :class:`GraphStatistics` for ``kg``."""
-    degrees = np.array([kg.degree(node_id) for node_id in kg.nodes()], dtype=np.int64)
+    degrees = np.diff(csr_snapshot(kg).indptr)
     attribute_names: set[str] = set()
     for node_id in kg.nodes():
         attribute_names.update(kg.node(node_id).attributes)

@@ -137,9 +137,9 @@ class CorrectnessValidator:
         """The compiled context for ``(predicate, visiting)``; built once.
 
         Reused until the validator is called with a different predicate or
-        visiting object.  Concurrent builders (the serving layer's thread
-        backend shares validators) produce identical contexts, so the last
-        write winning is benign.
+        visiting object.  Concurrent builders (services and sessions over
+        one plan share its validator) produce identical contexts, so the
+        last write winning is benign.
         """
         if (
             self._context_ref is not visiting_probabilities

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.embedding import LookupEmbedding, PredicateVectorSpace
 from repro.errors import EmbeddingError, NodeNotFoundError, SamplingError
-from repro.kg import KnowledgeGraph, csr_snapshot, hop_distances
+from repro.kg import KnowledgeGraph, build_csr, csr_snapshot, hop_distances
 from repro.sampling import strength
 from repro.sampling.reference import (
     ReferenceTransitionModel,
@@ -150,11 +150,61 @@ class TestEquivalence:
         np.testing.assert_array_equal(
             snapshot.edge_predicate_ids, kg.edge_predicate_ids()
         )
-        for node in kg.nodes():
-            edge_ids, neighbours = snapshot.neighbors(node)
-            expected = kg.neighbors(node)
-            assert list(zip(edge_ids.tolist(), neighbours.tolist())) == expected
-            assert snapshot.degree(node) == kg.degree(node)
+        assert_csr_follows_append_rule(kg, list(kg.triples()))
+
+
+def append_rule_adjacency(num_nodes, triples):
+    """Per node, its ``(edge_id, neighbour)`` entries in the order a per-node
+    list appended them edge by edge: the subject's entry, then the
+    object's, and a self-loop once."""
+    adjacency = [[] for _ in range(num_nodes)]
+    for edge_id, (subject, _predicate, obj) in enumerate(triples):
+        adjacency[subject].append((edge_id, obj))
+        if obj != subject:
+            adjacency[obj].append((edge_id, subject))
+    return adjacency
+
+
+def assert_csr_follows_append_rule(kg, triples):
+    """``build_csr``'s arrays and ``kg.neighbors`` / ``kg.degree`` equal the
+    append-rule oracle over ``triples`` (the edges in insertion order)."""
+    expected = append_rule_adjacency(kg.num_nodes, triples)
+    snapshot = build_csr(kg)
+    np.testing.assert_array_equal(
+        snapshot.indptr, np.cumsum([0] + [len(pairs) for pairs in expected])
+    )
+    flat = [pair for pairs in expected for pair in pairs]
+    np.testing.assert_array_equal(snapshot.edge_ids, [e for e, _ in flat])
+    np.testing.assert_array_equal(snapshot.neighbor_ids, [n for _, n in flat])
+    for node in kg.nodes():
+        assert kg.neighbors(node) == expected[node]
+        assert kg.degree(node) == len(expected[node])
+
+
+@st.composite
+def wired_graph(draw):
+    """``(num_nodes, edges)``: edges only among the first ``wired`` nodes,
+    so the rest are isolated; few nodes and predicates, so parallel edges
+    and self-loops are common."""
+    num_nodes = draw(st.integers(min_value=1, max_value=20))
+    wired = draw(st.integers(min_value=1, max_value=num_nodes))
+    endpoint = st.integers(0, wired - 1)
+    edges = draw(
+        st.lists(st.tuples(endpoint, st.sampled_from("pq"), endpoint), max_size=50)
+    )
+    return num_nodes, edges
+
+
+@given(wired_graph())
+@settings(max_examples=60, deadline=None)
+def test_build_csr_follows_the_append_rule(graph):
+    num_nodes, edges = graph
+    kg = KnowledgeGraph()
+    for index in range(num_nodes):
+        kg.add_node(f"n{index}", ["T"])
+    for subject, predicate, obj in edges:
+        kg.add_edge(subject, predicate, obj)
+    assert_csr_follows_append_rule(kg, edges)
 
 
 def batch_outcome(stage_of_batch):

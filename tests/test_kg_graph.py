@@ -1,5 +1,9 @@
 """Unit tests for the knowledge-graph store."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,7 +66,15 @@ class TestNodeConstruction:
         assert 0 in small_kg
         assert 99 not in small_kg
         assert "Germany" not in small_kg  # only int ids
+        assert 1.0 not in small_kg
         assert len(small_kg) == 3
+
+    def test_contains_accepts_numpy_integers(self, small_kg):
+        # every integer node() accepts is a member
+        for node_id in (np.int64(0), np.int32(2), np.uint8(1)):
+            assert node_id in small_kg
+            assert small_kg.node(node_id).name
+        assert np.int64(3) not in small_kg and np.int64(-1) not in small_kg
 
 
 class TestAttributeColumns:
@@ -106,12 +118,13 @@ class TestAttributeColumns:
         for name in ("price", "age"):
             self._assert_matches_nodes(priced_kg, name)
 
-    def test_add_node_drops_the_columns(self, priced_kg):
+    def test_add_node_grows_the_columns(self, priced_kg):
         before = priced_kg.attribute_column("price")
         added = priced_kg.add_node("late", ["Thing"], {"price": 3.0})
         after = priced_kg.attribute_column("price")
         assert len(before) == added and len(after) == added + 1
         assert after[added] == 3.0
+        assert np.isnan(priced_kg.attribute_column("age")[added])  # grown as NaN
         self._assert_matches_nodes(priced_kg, "price")
 
     def test_column_is_read_only(self, priced_kg):
@@ -120,34 +133,76 @@ class TestAttributeColumns:
             column[0] = 1.0
         assert not column.flags.writeable
 
-    @pytest.mark.parametrize("racing", ["set_attribute", "add_node"])
-    def test_a_write_landing_mid_build_is_not_lost(self, priced_kg, racing):
-        """Another thread's mutation between the build's read of a node and
-        the column's publication must not leave a stale column behind."""
-
-        class WritesWhenRead(dict):
-            """The last node's attributes: reading them is the moment the
-            other thread's mutation lands — after node 1 was read, before
-            the column is published."""
-
-            fired = False
-
-            def get(self, key, default=None):
-                if not self.fired:
-                    self.fired = True
-                    if racing == "set_attribute":
-                        priced_kg.set_attribute(1, "price", 77.0)
-                    else:
-                        priced_kg.add_node("racer", ["Thing"], {"price": 5.0})
-                return super().get(key, default)
-
-        last = priced_kg.num_nodes - 1
-        priced_kg._nodes[last].attributes = WritesWhenRead(
-            priced_kg._nodes[last].attributes
-        )
+    def test_a_column_fetched_before_add_node_keeps_its_length_and_values(
+        self, priced_kg
+    ):
+        held = priced_kg.attribute_column("price")
+        expected = held.copy()
+        for index in range(100):  # outgrows the column: it moves
+            priced_kg.add_node(f"late{index}", ["Thing"], {"price": float(index)})
+        assert len(held) == len(expected)
+        np.testing.assert_array_equal(held, expected)
         self._assert_matches_nodes(priced_kg, "price")
-        if racing == "set_attribute":
-            assert priced_kg.attribute_column("price")[1] == 77.0
+
+    def test_set_attribute_racing_add_node_reallocation_loses_no_write(self):
+        """A ``set_attribute`` caught between fetching a column and writing
+        it, while ``add_node`` on another thread outgrows the columns and
+        copies them, must still land in the copy."""
+        kg = KnowledgeGraph("racing")
+        for index in range(16):  # fills the columns' first capacity
+            kg.add_node(f"n{index}", ["Thing"], {"price": 0.0})
+        backing = kg.attribute_column("price").base
+        adders: list[threading.Thread] = []
+
+        class AddsNodeOnLookup(dict):
+            """The first column lookup lets another thread's add_node run."""
+
+            def __getitem__(self, name):
+                column = super().__getitem__(name)
+                if not adders:
+                    adders.append(
+                        threading.Thread(target=kg.add_node, args=("late", ["Thing"]))
+                    )
+                    adders[0].start()
+                    adders[0].join(timeout=0.2)  # held off by the writer lock
+                return column
+
+            def get(self, name, default=None):
+                return self[name] if name in self else default
+
+        kg._columns = AddsNodeOnLookup(kg._columns)
+        kg.set_attribute(3, "price", 7.0)
+        adders[0].join(timeout=10)
+        assert not adders[0].is_alive() and kg.num_nodes == 17
+        assert kg.attribute_column("price").base is not backing  # it moved
+        assert kg.attribute_column("price")[3] == 7.0
+
+    def test_writes_right_behind_a_growing_graph_are_all_kept(self):
+        """Stress: one thread adds nodes, this one writes each new node's
+        cell once as soon as the node is published."""
+        kg = KnowledgeGraph("racing")
+        nodes = 5000
+
+        def add_nodes():
+            for index in range(nodes):
+                kg.add_node(f"n{index}", ["Thing"], {"price": float(index)})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            adder = threading.Thread(target=add_nodes)
+            adder.start()
+            # every node's cell is written once, right behind the adder
+            for node_id in range(nodes):
+                while node_id >= kg.num_nodes and adder.is_alive():
+                    time.sleep(0)
+                kg.set_attribute(node_id, "mark", float(node_id))
+            adder.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not adder.is_alive()
+        for name in ("mark", "price"):
+            np.testing.assert_array_equal(kg.attribute_column(name), np.arange(nodes))
 
     def test_write_stream_does_not_rebuild(self, priced_kg):
         """A ``set_attribute`` stream is O(1) per write: one backing array."""
@@ -198,6 +253,14 @@ class TestEdges:
                 small_kg.predicate_name(int(predicate_id))
                 == small_kg.predicate_of(edge_id)
             )
+
+    def test_add_edge_takes_integer_ids_only(self, small_kg):
+        small_kg.add_edge(np.int64(0), "assembly", np.int32(2))
+        assert small_kg.edge(3).subject == 0 and small_kg.edge(3).object == 2
+        with pytest.raises(TypeError):
+            small_kg.add_edge(0, "assembly", 1.0)
+        assert small_kg.num_edges == 4
+        assert len(small_kg.triple_array()) == 4  # no half-appended row
 
     def test_self_loop_adjacency_once(self):
         kg = KnowledgeGraph()
