@@ -125,7 +125,8 @@ class _QueryState:
     #: GROUP-BY only: the latest round's per-group results, refreshed by
     #: every step and packaged by finalise
     grouped_results: dict[float, "ApproximateResult"] | None = None
-    #: distinct_support_indices memo: (per-sample lengths, read-only indices)
+    #: distinct_support_indices memo: (per-sample lengths scattered so
+    #: far, drawn mask over the support, read-only indices)
     _drawn: tuple | None = field(default=None, repr=False)
     #: ``components`` in the order S2 validates them: simple components
     #: (one shared-trace pass per batch) before chain components (an
@@ -146,19 +147,24 @@ class _QueryState:
     def distinct_support_indices(self) -> np.ndarray:
         """Sorted unique support indices present in the draws.
 
-        A drawn-mask over the support instead of a sort over every draw,
-        computed once per growth: little samples only ever grow by
-        appending, so their lengths identify the draw set.
+        A drawn mask over the support instead of a sort over every draw,
+        updated once per growth: little samples only ever grow by
+        appending (``initialise``, ``grow`` and ``_grow_sample`` are their
+        only writers), so their lengths identify the draw set and only the
+        tail each one gained since the last call is scattered.
         """
         lengths = tuple(len(sample) for sample in self.little_samples)
-        if self._drawn is None or self._drawn[0] != lengths:
+        if self._drawn is None:
             mask = np.zeros(self.joint.support_size, dtype=bool)
-            for sample in self.little_samples:
-                mask[sample] = True
+            self._drawn = ((0,) * len(lengths), mask, None)
+        scattered, mask, indices = self._drawn
+        if indices is None or scattered != lengths:
+            for sample, start in zip(self.little_samples, scattered):
+                mask[sample[start:]] = True
             indices = np.flatnonzero(mask)
             indices.setflags(write=False)
-            self._drawn = (lengths, indices)
-        return self._drawn[1]
+            self._drawn = (lengths, mask, indices)
+        return indices
 
 
 @dataclass(frozen=True)
@@ -977,10 +983,11 @@ class QueryExecutor:
         numerators: np.ndarray,
         denominators: np.ndarray | None,
         bag_stops: list[int],
-        rng: np.random.Generator,
+        seed: int | np.random.Generator,
     ) -> float:
         """Eq. 10-11 over the contiguous column views ending at
-        ``bag_stops``; inf when no bag yields a sigma."""
+        ``bag_stops``; inf when no bag yields a sigma.  A bootstrap draws
+        on ``ensure_rng(seed)``, built only if a bag needs it."""
         config = self.config
         bags = [
             (
@@ -998,7 +1005,7 @@ class QueryExecutor:
                 critical=normal_critical_value(config.confidence_level),
                 num_resamples=config.blb.num_resamples,
                 resample_size=len(numerators),
-                rng=rng,
+                seed=seed,
             )
         except EstimationError:
             return float("inf")
@@ -1026,7 +1033,7 @@ class QueryExecutor:
                     numerators,
                     denominators,
                     list(itertools.accumulate(map(len, state.little_samples))),
-                    ensure_rng(derive_seed(config.seed, "blb", round_index)),
+                    derive_seed(config.seed, "blb", round_index),
                 )
             satisfied = (
                 correct_draws >= config.min_correct_for_termination
@@ -1161,7 +1168,11 @@ class QueryExecutor:
         results: dict[float, ApproximateResult] = {}
         gated = 0
         all_satisfied = True
-        rng = ensure_rng(derive_seed(config.seed, "group-bootstrap", len(state.rounds)))
+        # the groups share one generator in key order, built at the first
+        # group that bootstraps (mean-shaped groups take the closed form)
+        rng: int | np.random.Generator = derive_seed(
+            config.seed, "group-bootstrap", len(state.rounds)
+        )
         drawn_keys = state.support_group[state.distinct_support_indices()]
         for key in np.unique(drawn_keys[~np.isnan(drawn_keys)]):
             # only correct entries are keyed, so members are correct draws
@@ -1170,6 +1181,8 @@ class QueryExecutor:
                 np.where(members, numerators, 0.0),
                 None if denominators is None else np.where(members, denominators, 0.0),
             )
+            if denominators is not None:
+                rng = ensure_rng(rng)
             point_estimate = self._column_estimate(*group, members)
             moe = self._column_moe(*group, [len(members)], rng)
             satisfied = math.isfinite(moe) and satisfies_error_bound(

@@ -176,23 +176,28 @@ def blb_moe(
     critical: float,
     num_resamples: int,
     resample_size: int,
-    rng: np.random.Generator,
+    seed: int | np.random.Generator | None,
 ) -> float:
     """Eq. 10-11 over ``(numerators, denominators)`` bags: the mean of the
     per-bag ``critical * sigma``.
 
     A lone column is a mean-shaped estimator (COUNT/SUM under SAMPLE
-    normalisation) and takes the closed form without touching ``rng``; a
-    numerator/denominator pair is bootstrapped, the bags drawing on
-    ``rng`` in turn.  Bags that break the estimator (empty, a single
-    draw, too few usable resamples) are skipped; one must survive.
+    normalisation) and takes the closed form; a numerator/denominator
+    pair is bootstrapped, the bags drawing in turn on one generator,
+    ``ensure_rng(seed)``.  It is built at the first bag that bootstraps,
+    so a closed-form call never pays for one.  Bags that break the
+    estimator (empty, a single draw, too few usable resamples) are
+    skipped; one must survive.
     """
     moes = []
+    rng = None
     for numerators, denominators in bags:
         try:
             if denominators is None:
                 sigma = column_mean_sigma(numerators, resample_size)
             else:
+                if rng is None:
+                    rng = ensure_rng(seed)
                 sigma = column_bootstrap_sigma(
                     numerators,
                     denominators,
@@ -298,7 +303,7 @@ def blb_confidence_interval(
         critical=normal_critical_value(confidence_level),
         num_resamples=config.num_resamples,
         resample_size=resample_size,
-        rng=ensure_rng(seed),
+        seed=seed,
     )
     return ConfidenceInterval(
         estimate=estimate, moe=moe, confidence_level=confidence_level

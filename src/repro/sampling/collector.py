@@ -5,6 +5,13 @@ to the candidate answers and renormalised (pi'_i = pi_i / sum pi); the
 collector then draws answers i.i.d. from that distribution — non-answer
 nodes are "ignored" exactly as in the paper.  Each draw carries its pi'_i,
 which the Eq. 7-9 estimators divide by.
+
+Draws invert the distribution's CDF through a guide table (Chen and Asau's
+indexed search, 1974): ``K`` buckets of width ``1/K`` over [0, 1), each
+naming the first support index a key in it can map to, so a key resolves
+with one table read and one comparison instead of a binary search.  The
+inversion is exact — every index equals ``Generator.choice(p=pi_A)``'s —
+for the reasons given on :meth:`AnswerCollector.collect_indices`.
 """
 
 from __future__ import annotations
@@ -67,6 +74,35 @@ class AnswerDistribution:
         cdf.setflags(write=False)
         return cdf
 
+    @cached_property
+    def guide_table(self) -> np.ndarray:
+        """Bucket -> first CDF index a key in it can map to; -1 where unsure.
+
+        ``K = len(table)`` is the smallest power of two >= 4 |A|.  Entry
+        ``k`` is ``cdf.searchsorted(k / K, side="right")`` — the index a
+        key of exactly ``k / K`` draws — when at most one CDF entry lies in
+        ``(k / K, (k + 1) / K)``, else -1 (the bucket's keys fall back to a
+        binary search).  Built on first use and kept, like :attr:`cdf`;
+        int32, so at most ``32 |A|`` bytes.
+
+        Per bucket, ``low = #{cdf <= k / K}`` (the entry above) and ``high
+        = #{cdf < (k + 1) / K}`` differ by the CDF entries inside it.  Both
+        come from bucket histograms of the CDF in O(K + |A|) rather than
+        ``K`` binary searches: ``cdf * K`` is exact, so ``cdf <= k / K``
+        iff ``ceil(cdf K) <= k`` and ``cdf < (k + 1) / K`` iff ``floor(cdf
+        K) <= k``.
+        """
+        cdf = self.cdf
+        buckets = 1 << (4 * len(cdf) - 1).bit_length()
+        scaled = cdf * buckets
+        ceiled = np.bincount(np.ceil(scaled).astype(np.intp), minlength=buckets + 1)
+        floored = np.bincount(scaled.astype(np.intp), minlength=buckets + 1)
+        low = ceiled[:buckets].cumsum()  # cdf.searchsorted(k / K, "right")
+        high = floored[:buckets].cumsum()  # cdf.searchsorted((k + 1) / K, "left")
+        table = np.where(high - low <= 1, low, -1).astype(np.int32)
+        table.setflags(write=False)
+        return table
+
 
 def restrict_to_answers(
     scope: SamplingScope, stationary: np.ndarray
@@ -119,24 +155,36 @@ class AnswerCollector:
 
         The engine works in index space: node ids and probabilities are
         recovered by fancy-indexing the distribution's arrays, which keeps
-        the per-draw cost at numpy speed.  Inverse-CDF sampling, step for
-        step what ``Generator.choice(n, size, p=pi_A)`` does — one
-        ``random(size)`` call, one right-sided ``searchsorted`` — so the
-        generator stream and every index equal ``choice``'s; only its
-        per-call validation and ``cumsum`` of ``p`` are gone.  The keys
-        are looked up in ascending order and the indices scattered back:
-        a binary search per random key mispredicts at every step, in key
-        order ``searchsorted`` walks the CDF once (about half the time
-        from a few thousand draws up).
+        the per-draw cost at numpy speed.  ``Generator.choice(n, size,
+        p=pi_A)`` draws one ``random(size)`` key per index and inverts the
+        CDF with a right-sided ``searchsorted``; this makes the same single
+        ``random(size)`` call and resolves each key ``u`` through the
+        distribution's :attr:`~AnswerDistribution.guide_table` instead:
+        ``low = table[floor(u K)]``, ``index = low + (cdf[low] <= u)``,
+        and only keys in a -1 bucket take the ``searchsorted``.  The
+        result is ``choice``'s, index for index, with the generator left
+        in the same state:
+
+        * ``K`` is a power of two, so ``u * K`` and its floor are exact
+          and ``k / K <= u < (k + 1) / K`` for ``k = floor(u K)``;
+        * a bucket whose table entry is not -1 holds at most one CDF step,
+          so the answer is ``low`` or ``low + 1``, and the comparison
+          picks which;
+        * ``cdf[-1]`` is exactly 1.0 and every key is below it, so
+          ``low <= |A| - 1`` (and a -1 entry reads ``cdf[-1]``, adding 0
+          before the fallback overwrites it).
         """
         if sample_size <= 0:
             raise SamplingError("sample_size must be positive")
+        distribution = self._distribution
+        cdf, table = distribution.cdf, distribution.guide_table
         uniforms = self._rng.random(sample_size)
-        ascending = np.argsort(uniforms)
-        indices = np.empty(sample_size, dtype=np.int64)
-        indices[ascending] = self._distribution.cdf.searchsorted(
-            uniforms[ascending], side="right"
-        )
+        low = table.take((uniforms * len(table)).astype(np.intp))
+        indices = low.astype(np.int64)
+        indices += cdf.take(indices) <= uniforms
+        unsure = np.flatnonzero(low < 0)
+        if len(unsure):
+            indices[unsure] = cdf.searchsorted(uniforms[unsure], side="right")
         return indices
 
     def collect(self, sample_size: int) -> list[SampledAnswer]:

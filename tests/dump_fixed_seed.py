@@ -10,7 +10,11 @@ three presets, on the paths the ledger's workloads time::
     PYTHONPATH=src python tests/dump_fixed_seed.py --mode cold --scale 3 --out cold.json
 
 Each run also prints the sha256 of the file it wrote, so two CI logs
-compare without downloading either artifact.
+compare without downloading either artifact.  With ``--check`` it also
+prints the digest committed in ``tests/data/fixed_seed_dump_sha256.json``
+for that mode and scale and exits 1 when the two differ: CI gates on the
+scale-1 pair, under the numpy / scipy pins of ``requirements-ci.txt``.  A
+change meant to move fixed-seed results commits the new digests with it.
 
 ``warm``
     one live service per graph; every plain AVG as a single ``submit``
@@ -46,6 +50,8 @@ from repro.core.plan import shared_plan_cache  # noqa: E402
 
 WARM_DRAW_SEEDS = (0, 7)
 COLD_DRAW_SEED = 0
+#: the committed digests ``--check`` compares against, keyed "mode/scaleS"
+DIGESTS = _ROOT / "tests" / "data" / "fixed_seed_dump_sha256.json"
 
 
 def flatten(result) -> dict:
@@ -139,6 +145,12 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=("warm", "cold"), required=True)
     parser.add_argument("--scale", type=float, default=inputs.FULL_SCALE)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help=f"compare the file's sha256 with the one committed in {DIGESTS.name}; "
+        "exit 1 on a mismatch",
+    )
     args = parser.parse_args(argv)
     specs = inputs.generate(inputs.PRESETS, args.scale)
     records = (dump_warm if args.mode == "warm" else dump_cold)(specs, args.scale)
@@ -146,6 +158,15 @@ def main(argv=None) -> int:
     args.out.write_text(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
     print(f"wrote {len(records)} results to {args.out} sha256 {digest}")
+    if not args.check:
+        return 0
+    key = f"{args.mode}/scale{args.scale:g}"
+    expected = json.loads(DIGESTS.read_text())["sha256"].get(key)
+    print(f"{key}: expected sha256 {expected}")
+    print(f"{key}:   actual sha256 {digest}")
+    if digest != expected:
+        print(f"{key}: MISMATCH — a fixed-seed result moved (or no digest is committed)")
+        return 1
     return 0
 
 

@@ -25,9 +25,11 @@ from repro.estimation import (
     normal_critical_value,
     satisfies_error_bound,
 )
+from repro.estimation import bootstrap
 from repro.estimation.bootstrap import (
     _BLOCK_INDICES,
     blb_confidence_interval,
+    blb_moe,
     column_bootstrap_sigma,
     column_mean_sigma,
     fast_bootstrap_sigma,
@@ -339,6 +341,32 @@ class TestBootstrap:
                 estimate=0.0,
                 confidence_level=0.95,
             )
+
+    def test_blb_moe_builds_its_generator_at_the_first_bootstrapped_bag(
+        self, monkeypatch
+    ):
+        """Closed-form bags never build a generator; bootstrapped bags share
+        the one ``ensure_rng(seed)`` gives, exactly as when it is passed in."""
+        built = []
+
+        def counting(seed):
+            built.append(seed)
+            return np.random.default_rng(seed)
+
+        monkeypatch.setattr(bootstrap, "ensure_rng", counting)
+        rng = np.random.default_rng(3)
+        column = rng.random(40)
+        pair = (column, (column > 0.3).astype(np.float64))
+        kwargs = {"critical": 1.96, "num_resamples": 20, "resample_size": 40}
+        closed = blb_moe([(column, None)] * 3, seed=5, **kwargs)
+        assert built == []
+        assert closed == float(np.mean([1.96 * column_mean_sigma(column, 40)] * 3))
+        lazy = blb_moe([(column, None), pair, pair], seed=5, **kwargs)
+        assert built == [5]
+        eager = blb_moe(
+            [(column, None), pair, pair], seed=np.random.default_rng(5), **kwargs
+        )
+        assert lazy == eager
 
 
 def _oracle_estimator(function, normalization):

@@ -28,9 +28,11 @@ from repro import (
     EngineConfig,
     Filter,
     GroupBy,
+    InteractiveSession,
     QueryGraph,
     QueryShape,
 )
+from repro.core.config import DeltaStrategy
 from repro.core.executor import QueryExecutor, _QueryState
 from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 from repro.errors import EstimationError, NodeNotFoundError, QueryError
@@ -538,3 +540,59 @@ def test_group_estimates_are_the_masked_estimation_samples(
             normal_critical_value(config.confidence_level) * sigma
         ).hex()
         assert group.correct_draws == sample.correct_draws
+
+
+# ----------------------------------------------------------------------
+# the incremental drawn set == np.unique over every draw
+# ----------------------------------------------------------------------
+_TOY_PRODUCT = QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"])
+_KIND_QUERIES = {
+    "guaranteed": AggregateQuery(
+        query=_TOY_PRODUCT, function=AggregateFunction.AVG, attribute="price"
+    ),
+    "grouped": AggregateQuery(
+        query=_TOY_PRODUCT,
+        function=AggregateFunction.COUNT,
+        group_by=GroupBy("price", bin_width=2000.0),
+    ),
+    "extreme": AggregateQuery(
+        query=_TOY_PRODUCT, function=AggregateFunction.MAX, attribute="price"
+    ),
+}
+
+
+def _assert_drawn_set_is_unique_draws(state) -> None:
+    drawn = state.distinct_support_indices()
+    expected = np.unique(np.concatenate(state.little_samples))
+    assert drawn.dtype == expected.dtype
+    np.testing.assert_array_equal(drawn, expected)
+    assert not drawn.flags.writeable
+
+
+@pytest.mark.parametrize("delta_strategy", list(DeltaStrategy))
+@pytest.mark.parametrize("kind", sorted(_KIND_QUERIES))
+def test_drawn_set_follows_every_grow(toy, kind, delta_strategy):
+    """Only the tail each little sample gained is scattered into the drawn
+    mask; after every growth the set is still every distinct draw."""
+    config = EngineConfig(seed=7, delta_strategy=delta_strategy, fixed_delta=90)
+    executor = ApproximateAggregateEngine(toy.kg, toy.embedding, config).executor
+    state = executor.initialise(_KIND_QUERIES[kind], 3)
+    _assert_drawn_set_is_unique_draws(state)
+    for _ in range(4):
+        outcome = executor.step(state, 0.001)
+        _assert_drawn_set_is_unique_draws(state)
+        executor.grow(state, outcome.trace, 0.001)
+        _assert_drawn_set_is_unique_draws(state)
+    assert len(state.distinct_support_indices()) > 1
+
+
+def test_drawn_set_follows_interactive_refinement(toy):
+    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, EngineConfig(seed=11))
+    session = InteractiveSession(engine, toy.avg_query(), seed=3)
+    state = session.handle._record.state
+    _assert_drawn_set_is_unique_draws(state)
+    initial_draws = state.total_draws
+    for error_bound in (0.05, 0.02, 0.01):
+        session.refine(error_bound)
+        _assert_drawn_set_is_unique_draws(state)
+    assert state.total_draws > initial_draws

@@ -1,7 +1,11 @@
 """Tests for scopes, transition matrices, stationary distributions, sampling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConvergenceError, MappingNodeNotFoundError, SamplingError
 from repro.sampling import (
@@ -379,6 +383,107 @@ class TestCollector:
             assert drawn.dtype == expected.dtype
             np.testing.assert_array_equal(drawn, expected)
             assert ours.bit_generator.state == reference.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# the guide-table inverse CDF == Generator.choice(p=pi_A), on adversarial pi_A
+# ----------------------------------------------------------------------
+_POWERS = [1 << j for j in range(1, 15)]
+_SUPPORT_SIZES = st.one_of(
+    st.sampled_from([1, *_POWERS, *(power + 1 for power in _POWERS)]),
+    st.integers(1, 20_000),
+)
+_WEIGHT_KINDS = ("random", "clustered", "edges", "zeros")
+
+
+def _adversarial_weights(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Unnormalised pi_A weights of one adversarial ``kind``."""
+    if kind == "clustered":
+        # runs of tiny entries between a few heavy ones: each run's CDF
+        # steps crowd into one bucket, whose keys take the fallback
+        weights = np.full(size, 1e-12)
+        heavy = rng.integers(0, size, size=max(1, size // 50))
+        weights[heavy] = rng.random(len(heavy)) + 0.5
+        return weights
+    if kind == "edges":
+        # integer weights over a power-of-two total: every CDF step is a
+        # multiple of 1/total, which divides the bucket width 1/K — the
+        # steps sit exactly on bucket edges k/K (zeros make flat steps)
+        total = 1 << (size - 1).bit_length()
+        return rng.multinomial(total, np.full(size, 1.0 / size)).astype(np.float64)
+    weights = rng.random(size)
+    if kind == "zeros":
+        weights[rng.random(size) < 0.3] = 0.0  # zero mass: flat CDF steps
+        weights[rng.integers(size)] = 1.0  # never all zero
+    return weights
+
+
+class _KeyedGenerator(np.random.Generator):
+    """A generator whose ``random(n)`` returns the first ``n`` given keys."""
+
+    def __init__(self, keys: np.ndarray) -> None:
+        super().__init__(np.random.PCG64(0))
+        self.keys = keys
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.keys[:size]
+
+
+def test_collect_indices_is_generator_choice_on_adversarial_pi():
+    """Indices, dtype and generator state equal ``Generator.choice`` after
+    every call — and on keys placed exactly on, and one ulp under, every
+    CDF step and bucket edge, the indices equal the right-sided
+    ``searchsorted`` ``choice`` inverts with.  Both the table path and the
+    binary-search fallback must have resolved keys across the examples."""
+    paths: Counter = Counter()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=_SUPPORT_SIZES,
+        kind=st.sampled_from(_WEIGHT_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.lists(st.integers(1, 5_000), min_size=1, max_size=4),
+    )
+    @example(size=2_000, kind="clustered", seed=0, draws=[5_000, 1])
+    @example(size=1 << 10, kind="edges", seed=1, draws=[3_000])
+    @example(size=1, kind="random", seed=2, draws=[1, 7])
+    def check(size, kind, seed, draws):
+        weights = _adversarial_weights(kind, size, np.random.default_rng(seed))
+        distribution = AnswerDistribution(
+            answers=np.arange(size), probabilities=weights / weights.sum()
+        )
+        cdf, table = distribution.cdf, distribution.guide_table
+        buckets = len(table)
+        assert buckets >= 4 * size and buckets & (buckets - 1) == 0
+        assert buckets < 8 * size and table.dtype == np.int32
+        # the table's definition, by binary search per bucket edge
+        edges = np.arange(buckets + 1, dtype=np.float64) / buckets
+        low = cdf.searchsorted(edges[:-1], side="right")
+        high = cdf.searchsorted(edges[1:], side="left")
+        np.testing.assert_array_equal(table, np.where(high - low <= 1, low, -1))
+        ours, reference, twin = (np.random.default_rng(seed) for _ in range(3))
+        collector = AnswerCollector(distribution, seed=ours)
+        for count in draws:
+            keys = twin.random(count)  # the keys collect_indices draws
+            entries = table[(keys * buckets).astype(np.intp)]
+            paths["table"] += int(np.count_nonzero(entries >= 0))
+            paths["fallback"] += int(np.count_nonzero(entries < 0))
+            drawn = collector.collect_indices(count)
+            expected = reference.choice(size, size=count, p=distribution.probabilities)
+            assert drawn.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(drawn, expected)
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+        keys = np.concatenate([cdf, edges])
+        keys = np.concatenate([keys, np.nextafter(keys, 0.0)])
+        keys = keys[(keys >= 0.0) & (keys < 1.0)]
+        keyed = AnswerCollector(distribution, seed=_KeyedGenerator(keys))
+        np.testing.assert_array_equal(
+            keyed.collect_indices(len(keys)), cdf.searchsorted(keys, side="right")
+        )
+
+    check()
+    assert paths["table"] > 0 and paths["fallback"] > 0, paths
 
 
 class TestTopologySamplers:
