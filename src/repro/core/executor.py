@@ -77,8 +77,8 @@ STAGE_SAMPLING = "sampling"
 STAGE_VALIDATION = "validation"
 STAGE_ESTIMATION = "estimation"
 STAGE_GUARANTEE = "guarantee"
-#: serving overhead (queue management, cohort selection, cross-query
-#: batching bookkeeping) attributed by the AggregateQueryService scheduler
+#: serving overhead (queue management, cohort selection) attributed by
+#: the AggregateQueryService scheduler
 STAGE_SCHEDULER = "scheduler"
 
 #: What a query's round estimates, how its sample grows and what its
@@ -613,39 +613,6 @@ class QueryExecutor:
                 passes &= ~(bounded > filter_.upper)
         return passes, values
 
-    def pending_validation_nodes(self, state: _QueryState) -> list[int]:
-        """Node ids the next validation pass will run correctness searches on.
-
-        Read-only preview of what :meth:`_validate_entries` hands the
-        conjunction: the drawn-but-unverdicted support entries that
-        survive the attribute/filter screen.  The serving scheduler unions
-        these across every live query sharing a plan and pre-warms the
-        plan's verdict memo with one cross-query ``validate_batch`` pass.
-        The screen is a handful of column gathers, so previewing it here
-        and running it again inside the step costs next to nothing.
-        """
-        if not self.config.validate_correctness:
-            return []
-        drawn = state.distinct_support_indices()
-        node_ids = state.joint.answers[drawn[~state.support_known[drawn]]]
-        passes, _values = self._screen(state.aggregate_query, node_ids)
-        return node_ids[passes].tolist()
-
-    def prewarm_similarities(
-        self, components: list[QueryPlan], node_ids: list[int]
-    ) -> None:
-        """Fill the components' verdict memos for ``node_ids`` in bulk.
-
-        The cross-query batching entry point: validation outcomes are
-        deterministic per answer regardless of batch composition, so
-        pre-warming a shared plan's memo with the union of several queries'
-        pending answers leaves every query's results byte-identical while
-        collapsing their validation into one pass.  Eager: every component
-        gets every answer (the scheduler hands over one shared plan).
-        """
-        for plan in components:
-            self._fill_similarities(plan, node_ids)
-
     def _validate_entries(self, state: _QueryState, pending: np.ndarray) -> None:
         """Fill verdicts and values for ``pending`` support entries.
 
@@ -884,6 +851,18 @@ class QueryExecutor:
     step_grouped = step_extreme = step
     grow_grouped = grow_extreme = grow
     finalise_grouped = finalise_extreme = finalise
+
+    def prewarm_similarities(
+        self, components: list[QueryPlan], node_ids: list[int]
+    ) -> None:
+        """Fill the components' verdict memos for ``node_ids``, eagerly.
+
+        A ledger binding (``executor.prewarm`` in
+        benchmarks/ledger/layers.py) with no src/ caller: every query
+        validates in its own slot.  It goes when the ledger target does.
+        """
+        for plan in components:
+            self._fill_similarities(plan, node_ids)
 
     def _grow_sample(
         self,

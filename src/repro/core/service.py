@@ -17,12 +17,10 @@ What makes a *batch* cheaper than a loop over ``execute``:
   :class:`~repro.core.plan.PlanCache` through one planner, and
   :meth:`PlanCache.get_or_build` guarantees each (component, config) plan
   is built exactly once no matter how many queries need it concurrently.
-* **Cross-query validation batching** — before stepping a cohort, the
-  scheduler unions the pending correctness searches of every query
-  sharing a plan and pre-warms the plan's verdict memo with one
-  ``validate_batch`` pass (:meth:`QueryExecutor.prewarm_similarities`).
-  Outcomes are deterministic per answer, so results stay byte-identical
-  to sequential execution.
+* **Per-plan verdict memos** — a shared plan carries one verdict memo,
+  so a query validates only the answers no earlier query did; every
+  later query reads the memo.  Outcomes are deterministic per answer,
+  so results stay byte-identical to sequential execution.
 * **Round interleaving** — the scheduler is round-robin with
   budget-aware priority (queries with the fewest completed rounds step
   first), so a batch of queries makes even progress and early
@@ -59,12 +57,10 @@ from repro.core.executor import (
     KIND_ROUNDS,
     KINDS,
     STAGE_SCHEDULER,
-    STAGE_VALIDATION,
     QueryExecutor,
     _QueryState,
     kind_for,
 )
-from repro.core.plan import QueryPlan
 from repro.core.planner import QueryPlanner
 from repro.core.resilience import FaultPlan, ServiceLimits
 from repro.core.result import ApproximateResult, GroupedResult, RoundTrace
@@ -409,15 +405,13 @@ class AggregateQueryService:
         self._default_deadline = default_deadline
         #: fault-injection schedule; None in production (hooks are inert)
         self._fault_plan = fault_plan
-        if fault_plan is not None:
-            # the instance attribute shadows the inert class-level None
-            self._executor.fault_hook = fault_plan
         #: monkeypatchable monotonic clock read at submit and round
         #: boundaries — deadline tests drive it instead of sleeping
         self._clock = time.monotonic
         #: service birth on the same clock; health() reports the delta
         self._started_at = self._clock()
         self._register_instruments()
+        self._install_hooks(self._executor)
         self._open_audit_sink(audit_log, audit_log_max_bytes)
         #: what the scheduler thread is doing (named by close() when stuck)
         self._phase = "idle"
@@ -598,7 +592,18 @@ class AggregateQueryService:
         else:
             # keep the instrumentation-off hot path at one attribute check
             self._exec_metrics = None
-        self._executor.obs_metrics = self._exec_metrics
+
+    def _install_hooks(self, executor: QueryExecutor) -> None:
+        """Point an executor's fault and metrics hooks at this service.
+
+        Every executor the service steps goes through here — the default
+        one and each per-confidence override — so none of them validates
+        uninstrumented or outside the fault plan.
+        """
+        if self._fault_plan is not None:
+            # the instance attribute shadows the inert class-level None
+            executor.fault_hook = self._fault_plan
+        executor.obs_metrics = self._exec_metrics
 
     def _live_query_count(self) -> int:
         with self._condition:
@@ -954,8 +959,7 @@ class AggregateQueryService:
             self.config.with_(confidence_level=confidence),
             self._planner,
         )
-        if self._fault_plan is not None:
-            executor.fault_hook = self._fault_plan
+        self._install_hooks(executor)
         return executor
 
     def _queue_run(
@@ -1168,16 +1172,10 @@ class AggregateQueryService:
             # completed rounds steps first; submission order breaks ties.
             cohort.sort(key=lambda r: (len(r.state.rounds), r.sequence))
 
-        self._set_phase("prewarm (cross-query validation)")
-        prewarm_started = time.perf_counter()
-        self._prewarm_cohort(cohort)
-        prewarm_seconds = time.perf_counter() - prewarm_started
         if cohort:
-            overhead = time.perf_counter() - overhead_timer - prewarm_seconds
+            share = (time.perf_counter() - overhead_timer) / len(cohort)
             for record in cohort:
-                self._attribute_stage(
-                    record.state, STAGE_SCHEDULER, overhead / len(cohort)
-                )
+                record.state.timers.stages[STAGE_SCHEDULER].elapsed += share
 
         self._set_phase("execute cohort")
         self._backend.run_cohort(self, cohort)
@@ -1206,67 +1204,6 @@ class AggregateQueryService:
             if record.active_run is None and not record.queued_runs:
                 record.status = QueryStatus.READY
             self._condition.notify_all()
-
-    def _prewarm_cohort(self, cohort: list[_QueryRecord]) -> None:
-        """Cross-query validation batching: one pass per shared plan.
-
-        Unions the pending correctness searches of every cohort member
-        sharing a plan and fills the plan's verdict memo in one
-        ``validate_batch`` call; the members' own validation passes then
-        hit the memo.  Only plans shared by >= 2 queries are pre-warmed —
-        a lone query's batch inside :meth:`QueryExecutor.step` is already
-        one pass.  Each batch's seconds are attributed to its
-        participants' ``validation`` stage.  All kinds participate:
-        grouped and extreme queries validate answers through the same
-        per-plan memos as guaranteed aggregates.
-        """
-        candidates = list(cohort)
-        if len(candidates) < 2:
-            return
-        # find plans shared by >= 2 queries first: only their members'
-        # pending answers are worth collecting — a query sharing no plan
-        # validates its own batch in one pass inside its step
-        members: dict[int, tuple[QueryPlan, list[_QueryRecord]]] = {}
-        for record in candidates:
-            assert record.state is not None
-            for plan in record.state.components:
-                members.setdefault(id(plan), (plan, []))[1].append(record)
-        shared = {
-            plan_id: (plan, records)
-            for plan_id, (plan, records) in members.items()
-            if len(records) >= 2
-        }
-        if not shared:
-            return
-        pending_by_record: dict[int, list[int]] = {}
-        for _plan, records in shared.values():
-            for record in records:
-                if id(record) not in pending_by_record:
-                    pending_by_record[id(record)] = (
-                        record.executor.pending_validation_nodes(record.state)
-                    )
-        for plan, records in shared.values():
-            nodes: list[int] = []
-            states = []
-            for record in records:
-                pending = pending_by_record[id(record)]
-                if pending:
-                    nodes.extend(pending)
-                    states.append(record.state)
-            if not nodes:
-                continue
-            started = time.perf_counter()
-            records[0].executor.prewarm_similarities([plan], nodes)
-            elapsed = time.perf_counter() - started
-            for state in states:
-                self._attribute_stage(
-                    state, STAGE_VALIDATION, elapsed / len(states)
-                )
-
-    @staticmethod
-    def _attribute_stage(state, stage: str, seconds: float) -> None:
-        """Credit scheduler-side work to a state's stage bucket."""
-        state.timers.stages.setdefault(stage, Timer()).elapsed += seconds
 
     # -- the slot: one round of one record ------------------------------
     def _step_record_safely(self, record: _QueryRecord) -> None:

@@ -8,22 +8,29 @@ three presets, on the paths the ledger's workloads time::
 
     PYTHONPATH=src python tests/dump_fixed_seed.py --mode warm --scale 3 --out warm.json
     PYTHONPATH=src python tests/dump_fixed_seed.py --mode cold --scale 3 --out cold.json
+    PYTHONPATH=src python tests/dump_fixed_seed.py --mode cold-batch --scale 3 --out cold-batch.json
 
 Each run also prints the sha256 of the file it wrote, so two CI logs
 compare without downloading either artifact.  With ``--check`` it also
 prints the digest committed in ``tests/data/fixed_seed_dump_sha256.json``
 for that mode and scale and exits 1 when the two differ: CI gates on the
-scale-1 pair, under the numpy / scipy pins of ``requirements-ci.txt``.  A
+scale-1 files, under the numpy / scipy pins of ``requirements-ci.txt``.  A
 change meant to move fixed-seed results commits the new digests with it.
 
 ``warm``
     one live service per graph; every plain AVG as a single ``submit``
-    and the rest as one ``submit_batch`` per hub (so the scheduler's
-    cross-query prewarm runs), at draw seeds 0 and 7.  The second seed
-    runs on plans and verdict memos the first one warmed.
+    and the rest as one ``submit_batch`` per hub (so queries of a hub
+    validate against each other's verdict memos), at draw seeds 0 and 7.
+    The second seed runs on plans and verdict memos the first one warmed.
 ``cold``
     the 61 non-AVG queries, each on a fresh engine with a cleared plan
     cache, at draw seed 0.
+``cold-batch``
+    the same 61 queries and seeds, one ``submit_batch`` per hub on a
+    fresh service with a cleared plan cache: a hub's queries build and
+    validate shared plans while interleaved.  The file must equal
+    ``cold``'s byte for byte, so ``--check`` compares it with the
+    ``cold`` digest.
 
 Uses only the public surface (``repro`` exports, ``shared_plan_cache``)
 and ``benchmarks.ledger.inputs``, so the same file runs on either tree.
@@ -84,16 +91,21 @@ def flatten(result) -> dict:
     return record
 
 
+def hub_batches(specs) -> list[list]:
+    """The non-AVG queries grouped per (preset, hub), in workload order."""
+    hubs: dict[tuple[str, str], list] = {}
+    for spec in specs:
+        if not spec.plain_avg:
+            hubs.setdefault((spec.preset, spec.hub), []).append(spec)
+    return list(hubs.values())
+
+
 def dump_warm(specs, scale: float) -> dict:
     """Single submits and per-hub batches on one live service per graph."""
     services = {}
     for preset in inputs.PRESETS:
         bundle = inputs.load_bundle(preset, scale)
         services[preset] = AggregateQueryService(bundle.kg, bundle.space())
-    hubs: dict[tuple[str, str], list] = {}
-    for spec in specs:
-        if not spec.plain_avg:
-            hubs.setdefault((spec.preset, spec.hub), []).append(spec)
     records = {}
     try:
         for draws in WARM_DRAW_SEEDS:
@@ -103,7 +115,7 @@ def dump_warm(specs, scale: float) -> dict:
                     seed = inputs.query_seed(seeds, 0, spec.index)
                     handle = services[spec.preset].submit(spec.query, seed=seed)
                     records[f"{spec.qid}/draws{draws}"] = flatten(handle.result())
-            for batch in hubs.values():
+            for batch in hub_batches(specs):
                 handles = services[batch[0].preset].submit_batch(
                     [
                         (spec.query, inputs.query_seed(seeds, 0, spec.index))
@@ -140,9 +152,36 @@ def dump_cold(specs, scale: float) -> dict:
     return records
 
 
+def dump_cold_batch(specs, scale: float) -> dict:
+    """Each hub's non-AVG queries as one batch on a fresh service and an
+    empty plan cache, at the seeds of :func:`dump_cold`."""
+    seeds = inputs.Seeds(order=0, draws=COLD_DRAW_SEED)
+    records = {}
+    for batch in hub_batches(specs):
+        bundle = inputs.load_bundle(batch[0].preset, scale)
+        shared_plan_cache().clear()
+        with AggregateQueryService(
+            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+        ) as service:
+            handles = service.submit_batch(
+                [
+                    (spec.query, inputs.query_seed(seeds, 0, spec.index))
+                    for spec in batch
+                ]
+            )
+            for spec, handle in zip(batch, handles):
+                records[f"{spec.qid}/draws{COLD_DRAW_SEED}"] = flatten(
+                    handle.result()
+                )
+    return records
+
+
+MODES = {"warm": dump_warm, "cold": dump_cold, "cold-batch": dump_cold_batch}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=("warm", "cold"), required=True)
+    parser.add_argument("--mode", choices=tuple(MODES), required=True)
     parser.add_argument("--scale", type=float, default=inputs.FULL_SCALE)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument(
@@ -153,14 +192,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     specs = inputs.generate(inputs.PRESETS, args.scale)
-    records = (dump_warm if args.mode == "warm" else dump_cold)(specs, args.scale)
+    records = MODES[args.mode](specs, args.scale)
     text = json.dumps(records, indent=1, sort_keys=True) + "\n"
     args.out.write_text(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
     print(f"wrote {len(records)} results to {args.out} sha256 {digest}")
     if not args.check:
         return 0
-    key = f"{args.mode}/scale{args.scale:g}"
+    # a cold batch must answer like the cold one-at-a-time run, byte for byte
+    digest_mode = "cold" if args.mode == "cold-batch" else args.mode
+    key = f"{digest_mode}/scale{args.scale:g}"
     expected = json.loads(DIGESTS.read_text())["sha256"].get(key)
     print(f"{key}: expected sha256 {expected}")
     print(f"{key}:   actual sha256 {digest}")

@@ -549,6 +549,21 @@ class TestExecMetrics:
         assert "repro_exec_replay_deletions" in samples
         assert "repro_exec_trace_extension_pops" in samples
 
+    def test_a_per_query_confidence_still_ticks_the_exec_counters(self, world):
+        """A non-default ``confidence`` steps its query on an executor of
+        its own; that executor reports to the service's registry too, and
+        S2 does the same work at either confidence."""
+        validated = []
+        for confidence in (None, 0.9):
+            with _service(world) as service:
+                service.submit(
+                    world.count_query(), seed=3, confidence=confidence
+                ).result(timeout=30.0)
+                samples = _parse_prometheus(service.registry.render_prometheus())
+            validated.append(samples["repro_exec_validated_entries_total"])
+        assert validated[0] > 0
+        assert validated[1] == validated[0]
+
     def test_cold_chain_count_replays_more_than_it_walks(self):
         """The golden ``chain_count`` case, cold: the hubs behind its
         answers are walked once and replayed for every later answer, and

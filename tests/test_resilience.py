@@ -11,8 +11,9 @@ clock, so none of these tests sleeps to synchronize:
 * a saturated service sheds with :class:`ServiceOverloadedError` without
   disturbing in-flight queries, and accepts again once drained;
 * a fault raised in ``validate_batch`` or in one query's slot fails
-  exactly that query, a hang delays without failing, and a plan whose
-  specs never match moves no byte;
+  exactly that query, an error validating one plan fails only the
+  queries on it, a hang delays without failing, and a plan whose specs
+  never match moves no byte;
 * the lifecycle bugfixes stay fixed: ``result()`` raises a fresh wrapper
   per call (no shared-traceback mutation), and ``close()`` names the
   stuck phase instead of silently leaking the scheduler thread.
@@ -38,11 +39,13 @@ from repro import (
     QueryStatus,
     ServiceLimits,
 )
+from repro.core.executor import QueryExecutor
 from repro.core.plan import shared_plan_cache
 from repro.core.resilience import FaultInjected
 from repro.core.service import ExecutionBackend
 from repro.errors import (
     DeadlineExceededError,
+    EmbeddingError,
     QueryCancelledError,
     ServiceError,
     ServiceOverloadedError,
@@ -442,6 +445,39 @@ class TestFaultMechanics:
         assert faulted[2] == "failed"
         assert "failed" not in baseline
         assert faulted[:2] + faulted[3:] == baseline[:2] + baseline[3:]
+
+    def test_validation_error_on_one_plan_fails_only_its_queries(
+        self, world, monkeypatch
+    ):
+        """Every query validates in its own slot: an error validating the
+        simple plan fails the two queries sharing it, and the chain query
+        stepped in the same cohort on its own plan still succeeds."""
+        fill = QueryExecutor._fill_similarities
+
+        def fail_on_simple_plans(executor, plan, node_ids):
+            if plan.chain is None:
+                raise EmbeddingError("the simple plan's predicate has no vector")
+            return fill(executor, plan, node_ids)
+
+        monkeypatch.setattr(
+            QueryExecutor, "_fill_similarities", fail_on_simple_plans
+        )
+        shared_plan_cache().clear()
+        config = EngineConfig(seed=7, max_rounds=8)
+        with AggregateQueryService(world.kg, world.embedding, config) as service:
+            handles = service.submit_batch([
+                (world.count_query(), 3),
+                (world.count_query(), 4),
+                (world.chain_count_query(), 5),
+            ])
+            for handle in handles[:2]:
+                with pytest.raises(ServiceError) as info:
+                    handle.result(timeout=60)
+                assert isinstance(info.value.__cause__, EmbeddingError)
+            handles[2].result(timeout=60)
+        assert [handle.status for handle in handles] == [
+            QueryStatus.FAILED, QueryStatus.FAILED, QueryStatus.SUCCEEDED,
+        ]
 
     def test_validate_batch_site_reports_the_pending_count(self, world):
         contexts: list[dict] = []

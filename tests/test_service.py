@@ -126,9 +126,9 @@ class TestHandleResults:
             assert served.total_draws == direct.total_draws
 
     def test_cold_batch_of_star_queries_matches_sequential(self, dbpedia_bundle):
-        """Two star queries share every plan, the chain plan included: the
-        scheduler pre-warms it eagerly with both queries' pending answers,
-        each query's own S2 pass then runs the lazy conjunction — values,
+        """Two star queries share every plan, the chain plan included: each
+        query's own S2 pass runs the lazy conjunction against the shared
+        verdict memos, validating only what the other has not — values,
         draws and every round equal the one-at-a-time engine's."""
         from repro import QueryShape
         from repro.datasets import queries_of_shape, standard_workload
