@@ -336,26 +336,6 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Validation (S2, batched)
     # ------------------------------------------------------------------
-    def _component_similarity(self, plan: QueryPlan, node_id: int) -> float:
-        """Best-match similarity of ``node_id`` for one component (memoised)."""
-        cached = plan.similarity_cache.get(node_id)
-        if cached is not None:
-            return cached
-        if plan.chain is not None:
-            similarity = self._chain_similarity(plan, node_id)
-        else:
-            assert plan.validator is not None
-            outcome = plan.validator.validate(
-                plan.source,
-                node_id,
-                plan.component.predicates[0],
-                plan.visiting,
-                stop_threshold=self.config.tau,
-            )
-            similarity = outcome.similarity
-        plan.similarity_cache[node_id] = similarity
-        return similarity
-
     def _validate_batch(
         self,
         plan: QueryPlan,
@@ -388,27 +368,14 @@ class QueryExecutor:
                 if count:
                     metrics[name].inc(count)
 
-    def _chain_prefix(
-        self, plan: QueryPlan, level: int, node_id: int
-    ) -> tuple[float, int] | None:
-        """Best (log-similarity sum, edge count) for source ->hops[:level]-> node.
-
-        A read of the plan's ``(level, node)`` memo; a miss (a single
-        answer asked for on a cold plan) resolves through
-        :meth:`_chain_prefix_batch`.
-        """
-        memo = plan.chain_prefix_memo
-        key = (level, node_id)
-        if key not in memo:
-            self._chain_prefix_batch(plan, level, [node_id])
-        return memo[key]
-
     def _chain_prefix_batch(
         self, plan: QueryPlan, level: int, node_ids: list[int]
     ) -> None:
         """Resolve ``(level, node)`` chain prefixes for many endpoints at once.
 
-        Each level's whole endpoint set resolves together.  Level 1 uses
+        A prefix is the best ``(log-similarity sum, edge count)`` for
+        ``source ->hops[:level]-> node``, or ``None``.  Each level's whole
+        endpoint set resolves together.  Level 1 uses
         the greedy r-path validator on the first hop's stationary map: one
         :meth:`CorrectnessValidator.validate_batch` pass over the shared
         trace.  Deeper levels enumerate backwards from each endpoint with
@@ -502,16 +469,6 @@ class QueryExecutor:
                     result = (log_sum, length)
             memo[(level, node_id)] = result
 
-    def _chain_similarity(self, plan: QueryPlan, node_id: int) -> float:
-        """Eq. 2 geometric mean over the best chain match ending at ``node_id``."""
-        prefix = self._chain_prefix(plan, plan.component.num_hops, node_id)
-        if prefix is None:
-            return 0.0
-        log_sum, length = prefix
-        if length == 0:
-            return 0.0
-        return math.exp(log_sum / length)
-
     def answer_similarity(self, state_or_components, node_id: int) -> float:
         """Composite answer similarity: minimum across components."""
         components = (
@@ -519,17 +476,17 @@ class QueryExecutor:
             if isinstance(state_or_components, _QueryState)
             else state_or_components
         )
-        return min(
-            self._component_similarity(plan, node_id) for plan in components
-        )
+        for plan in components:
+            self._fill_similarities(plan, [node_id])
+        return min(plan.similarity_cache[node_id] for plan in components)
 
     def _fill_similarities(self, plan: QueryPlan, node_ids: list[int]) -> None:
         """Fill one component's verdict memo for ``node_ids`` in bulk.
 
         A simple component goes through the validator's batched pass (one
         shared expansion trace); a chain component resolves the whole
-        batch's prefix levels together, so the per-node similarity reads
-        that follow run on warm memos.
+        batch's prefix levels together and takes each answer's Eq. 2
+        geometric mean off its full-chain prefix.
         """
         missing = [
             node_id
@@ -545,9 +502,13 @@ class QueryExecutor:
             for node_id, outcome in outcomes.items():
                 plan.similarity_cache[node_id] = outcome.similarity
         else:
-            self._chain_prefix_batch(plan, plan.component.num_hops, missing)
+            num_hops = plan.component.num_hops
+            self._chain_prefix_batch(plan, num_hops, missing)
             for node_id in missing:
-                self._component_similarity(plan, node_id)
+                prefix = plan.chain_prefix_memo[(num_hops, node_id)]
+                plan.similarity_cache[node_id] = (
+                    math.exp(prefix[0] / prefix[1]) if prefix and prefix[1] else 0.0
+                )
 
     def _batch_similarities(
         self, order: tuple[QueryPlan, ...], node_ids: list[int]
@@ -708,8 +669,8 @@ class QueryExecutor:
         error sensing at all (§VII-B): each round doubles the draw set.
 
         Growth is the only RNG in a round and runs in the scheduler slot
-        that owns the state; the slot grows first so the scheduler can
-        batch a cohort's validation across queries.
+        that owns the state, before the slot's :meth:`step` validates and
+        estimates the grown sample.
         """
         kind = kind_for(state.aggregate_query)
         if kind == KIND_EXTREME:

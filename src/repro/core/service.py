@@ -559,11 +559,6 @@ class AggregateQueryService:
                     "Pops recorded past a shared trace's budget for answers "
                     "whose deletions left them short of it (S2)",
                 ),
-                "private_searches": execution.counter(
-                    "private_searches",
-                    "Answers validated by a private search because their "
-                    "trace extension met an unknown predicate (S2)",
-                ),
                 "chain_expansions_live": execution.counter(
                     "chain_expansions_live",
                     "Chain-DFS path extensions the loop walked, tour "

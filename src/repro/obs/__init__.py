@@ -33,8 +33,6 @@ metric                                         type       meaning
 ``repro_exec_replay_deletions``                counter    answers the trace replay settled
                                                           with >= 1 pop of their own deleted
 ``repro_exec_trace_extension_pops``            counter    pops recorded past a trace's budget
-``repro_exec_private_searches``                counter    answers sent to a private search (an
-                                                          extension met an unknown predicate)
 ``repro_exec_chain_expansions_live``           counter    chain-DFS path extensions walked
                                                           (tour recordings included)
 ``repro_exec_chain_expansions_replayed``       counter    ... settled from a shared hub tour

@@ -1,6 +1,6 @@
 """Array-compiled S2 kernels: the one production path per algorithm.
 
-Everything S2 runs per answer — the greedy r-path search, the shared-trace
+Everything S2 runs per answer — the greedy r-path search as a shared-trace
 replay, chain-prefix enumeration — and CNARW's structural weights are
 array programs over the CSR snapshot here.  Each is outcome-identical to a
 plain-Python oracle that only tests call
@@ -14,18 +14,16 @@ plain-Python oracle that only tests call
   log-similarity per neighbour (the goal-shortcut table) and the
   probability-ordered, branch-capped successor beam, in exactly the
   ``(probability desc, id asc)`` order the seed validator sorts node by node.
-* :func:`search` — the best-first search over a compiled context:
-  parent-pointer paths instead of tuple concatenation, heap entries
-  reduced to ``(priority, tiebreak, slot)`` scalars.
-* :class:`SharedTrace` / :func:`replay` — the answer-independent pop
-  sequence, recorded once per ``(context, source)``.  An answer's private
-  search is that sequence with the pops below the answer's own pushes
-  *deleted* (:func:`build_trace` has the argument), so a replay never
-  re-runs the heap: an inverted goal table sorted by neighbour id
-  (:func:`replay_bounds` — one vectorised lookup per batch) names the few
-  pops whose node is adjacent to the answer, a per-node index names the
-  pops to delete, and an answer left short of its budget by its deletions
-  extends the shared sequence for everyone.
+* :class:`SharedTrace` / :func:`replay` — the one best-first search: the
+  answer-independent pop sequence, recorded once per ``(context,
+  source)`` with parent-pointer paths and ``(priority, slot)`` heap
+  entries.  An answer's private search is that sequence with the pops
+  below the answer's own pushes *deleted* (:func:`build_trace` has the
+  argument), so a replay never runs a heap: an inverted goal table sorted
+  by neighbour id (:func:`replay_bounds` — one vectorised lookup per
+  batch) names the few pops whose node is adjacent to the answer, a
+  per-node index names the pops to delete, and an answer left short of its
+  budget by its deletions extends the shared sequence for everyone.
 * :func:`cnarw_weights` — CNARW's per-entry set intersections as one
   sorted-key merge count over the pairs' CSR neighbourhoods.
 * :class:`ChainContext` / :func:`chain_matches` — the backwards
@@ -42,9 +40,11 @@ order and uses scalar :func:`math.exp` (numpy's SIMD ``exp`` may differ in
 the last ulp), so outcomes are byte-identical, not merely close.  NaN
 log-similarities (predicates the embedding does not cover) stay lazy: a
 per-node flag raises through
-:func:`~repro.semantics.similarity.require_known_predicates` only when the
-search actually expands an offending node, matching the seed's per-edge
-lookup failure timing.
+:func:`~repro.semantics.similarity.require_known_predicates` only when an
+answer's own search expands an offending node, matching the seed's
+per-edge lookup failure timing.  The shared trace records such a pop as
+*poisoned* instead of raising; :func:`replay` raises for exactly the
+answers that reach it.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "cnarw_weights",
     "replay",
     "replay_bounds",
-    "search",
 ]
 
 
@@ -144,7 +143,11 @@ class CompiledContext:
         return beam
 
     def goal_map(self, node: int) -> dict:
-        """``{neighbour: max log-similarity}`` for one (expanded) node."""
+        """``{neighbour: max log-similarity}`` for one (expanded) node.
+
+        Raises where :meth:`beam` raises: the seed reads both off one
+        expansion.
+        """
         cached = self._goal_maps.get(node)
         if cached is None:
             nbr, logs = self.adjacency_arrays(node)
@@ -157,6 +160,8 @@ class CompiledContext:
         if not (node < self.num_nodes and self.in_scope[node]):
             nbr, logs, _beam = self._expand_extra(node)
             return nbr, logs
+        if self.nan_flag[node]:
+            self._raise_unknown(node)
         start, end = int(self.adj_indptr[node]), int(self.adj_indptr[node + 1])
         return self.adj_nbr[start:end], self.adj_log[start:end]
 
@@ -286,88 +291,13 @@ def build_context(
 
 
 # ---------------------------------------------------------------------------
-# Flat-array best-first search
+# Shared trace + per-answer deletion replay: the best-first search
 # ---------------------------------------------------------------------------
-def search(
-    context: CompiledContext,
-    source: int,
-    answer: int,
-    repeat_factor: int,
-    max_length: int,
-    budget: int,
-    stop_threshold: float | None,
-) -> tuple[float, int, int, int]:
-    """One best-first search; returns ``(similarity, paths, expansions, length)``.
-
-    Pop-for-pop identical to ``ReferenceValidator.validate``: the heap
-    carries ``(priority, tiebreak, slot)`` with parent-pointer paths, so
-    comparisons never reach beyond the unique tiebreak and the pop order
-    matches the reference tuple heap exactly.
-    """
-    visiting = context.visiting
-    source_probability = float(visiting[source]) if source < len(visiting) else 0.0
-    if source_probability <= 0.0:
-        source_probability = 1.0
-    # one packed (node, log_sum, parent slot, depth) record per heap entry
-    slots = [(source, 0.0, -1, 0)]
-    slots_append = slots.append
-    heap: list[tuple[float, int, int]] = [(-source_probability, 0, 0)]
-    tiebreak = 1
-
-    best_similarity = 0.0
-    best_length = 0
-    paths_found = 0
-    expansions = 0
-    done = False
-    context_beam = context.beam
-    context_goal_map = context.goal_map
-    while heap and not done and expansions < budget:
-        _, _, slot = heappop(heap)
-        node, log_sum, parent, depth = slots[slot]
-        expansions += 1
-        if depth >= max_length:
-            continue
-        beam = context_beam(node)  # raises on NaN edges
-        # on-path nodes via the parent chain (depth is at most max_length)
-        path = [node]
-        cursor = parent
-        while cursor != -1:
-            record = slots[cursor]
-            path.append(record[0])
-            cursor = record[2]
-        goal_log = context_goal_map(node).get(answer)
-        if goal_log is not None and answer not in path:
-            similarity = math.exp((log_sum + goal_log) / (depth + 1))
-            paths_found += 1
-            if similarity > best_similarity:
-                best_similarity = similarity
-                best_length = depth + 1
-            if paths_found >= repeat_factor or (
-                stop_threshold is not None and best_similarity >= stop_threshold
-            ):
-                done = True
-                continue
-        child_depth = depth + 1
-        for priority, child, log_similarity in beam:
-            if child == answer or child in path:
-                continue
-            slot_id = len(slots)
-            slots_append((child, log_sum + log_similarity, slot, child_depth))
-            heappush(heap, (priority, tiebreak, slot_id))
-            tiebreak += 1
-    return best_similarity, paths_found, expansions, best_length
-
-
-# ---------------------------------------------------------------------------
-# Shared trace + per-answer deletion replay
-# ---------------------------------------------------------------------------
-#: The per-batch tallies :func:`replay` and
-#: :meth:`CorrectnessValidator.validate_batch` feed, named like the
+#: The per-batch tallies :func:`replay` feeds, named like the
 #: ``repro_exec_*`` counters the executor forwards them to.
 REPLAY_TALLIES = (
     "replay_deletions",
     "trace_extension_pops",
-    "private_searches",
 )
 
 
@@ -384,6 +314,13 @@ class SharedTrace:
     whose deletions leave fewer than ``budget`` survivors *extends* the
     sequence (:meth:`extend`), for every later answer too.
 
+    The trace is total: a pop whose node has an edge the embedding does
+    not cover is recorded as *poisoned* — no children, no goal entries —
+    and the search goes on.  Its children would carry it on their paths,
+    so an answer that reads past it either deletes it with its whole
+    subtree or reaches it, and :func:`replay` raises for those, where the
+    seed raises.
+
     ``pops`` is append-only and one record per pop, so a reader in another
     service or session (plans, and with them validators, are shared
     through the plan cache) indexes below a ``len()`` it read and never
@@ -394,7 +331,7 @@ class SharedTrace:
 
     __slots__ = (
         "context", "source", "max_length", "budget",
-        "pops", "slots", "heap", "_lock",
+        "pops", "poisoned", "slots", "heap", "_lock",
         "total_pops", "pops_of", "on_path_of",
         "goal_nbr", "goal_node", "goal_log",
     )
@@ -414,10 +351,13 @@ class SharedTrace:
             source_probability = 1.0
         #: ``(node, log_sum, depth, on-path node ids)`` per pop
         self.pops: list[tuple] = []
+        #: indices of the poisoned pops, ascending; an index is appended
+        #: before its pop is
+        self.poisoned: list[int] = []
         #: one packed ``(node, log_sum, parent slot, depth)`` record per push
         self.slots: list[tuple] = [(source, 0.0, -1, 0)]
         #: ``(priority, slot)``: a slot's number is its push's ordinal, so it
-        #: is also the tiebreak :func:`search` carries beside it
+        #: is also the seed heap's tiebreak
         self.heap: list[tuple[float, int]] = [(-source_probability, 0)]
         self._lock = threading.Lock()
         #: pops inside the budget: the answer-independent search's own length
@@ -431,44 +371,36 @@ class SharedTrace:
         # (the owning node per entry) and goal_log: set by build_trace
 
     def advance(self) -> bool:
-        """Pop the shared heap once more; ``False`` when it is empty.
-
-        The node is expanded *before* it is popped (the tours' rule): a
-        lazy unknown-predicate error leaves heap, slots and pops exactly
-        as they were.
-        """
+        """Pop the shared heap once more; ``False`` when it is empty."""
         heap = self.heap
         if not heap:
             return False
         slots = self.slots
-        slot = heap[0][1]
+        _priority, slot = heappop(heap)
         node, log_sum, parent, depth = slots[slot]
-        expanded = depth < self.max_length
-        if expanded:
-            beam = self.context.beam(node)  # raises on NaN edges
-        heappop(heap)
         path = [node]
         cursor = parent
         while cursor != -1:
             record = slots[cursor]
             path.append(record[0])
             cursor = record[2]
-        if expanded:
-            child_depth = depth + 1
-            for priority, child, log_similarity in beam:
-                if child in path:
-                    continue
-                slots.append((child, log_sum + log_similarity, slot, child_depth))
-                heappush(heap, (priority, len(slots) - 1))
+        beam = ()
+        if depth < self.max_length:
+            try:
+                beam = self.context.beam(node)
+            except EmbeddingError:
+                self.poisoned.append(len(self.pops))
+        child_depth = depth + 1
+        for priority, child, log_similarity in beam:
+            if child in path:
+                continue
+            slots.append((child, log_sum + log_similarity, slot, child_depth))
+            heappush(heap, (priority, len(slots) - 1))
         self.pops.append((node, log_sum, depth, tuple(path)))
         return True
 
     def extend(self, index: int, tallies: dict) -> bool:
-        """Make ``pops[index]`` exist; ``False`` when the heap ran dry first.
-
-        Raises :class:`EmbeddingError` — publishing nothing — when the next
-        pop's node has an edge the embedding does not cover.
-        """
+        """Make ``pops[index]`` exist; ``False`` when the heap ran dry first."""
         with self._lock:
             while len(self.pops) <= index:
                 if not self.advance():
@@ -483,13 +415,15 @@ def build_trace(
     """Record the answer-independent budgeted pop sequence from ``source``.
 
     A private search for answer ``a`` differs from this sequence only in
-    never pushing ``a``.  Heap entries are ``(priority, tiebreak, slot)``
-    with ``priority`` a function of the child node alone and ``tiebreak``
-    the push counter, so dropping the pushes of ``a`` — and with them
-    everything pushed below ``a`` — keeps the relative order of every
-    other entry: **the private pop sequence is this one with the pops whose
-    path contains** ``a`` **deleted**, run on past the shared budget by the
-    number of deletions.  :func:`replay` walks exactly that.
+    never pushing ``a``.  The seed's heap entries are ``(priority,
+    tiebreak, ...)`` with ``priority`` a function of the child node alone
+    and ``tiebreak`` the push counter, so dropping the pushes of ``a`` —
+    and with them everything pushed below ``a`` — keeps the relative order
+    of every other entry: **the private pop sequence is this one with the
+    pops whose path contains** ``a`` **deleted**, run on past the shared
+    budget by the number of deletions.  :func:`replay` walks exactly that.
+    A poisoned pop's missing children change nothing an answer reads: they
+    are pops it deletes or pops past the one it raises at.
     """
     trace = SharedTrace(context, source, max_length, budget)
     pops = trace.pops
@@ -499,10 +433,12 @@ def build_trace(
 
     pops_of = trace.pops_of
     on_path_of = trace.on_path_of
+    poisoned = set(trace.poisoned)
     for index, (node, _log_sum, depth, path) in enumerate(pops):
         for member in path[:-1]:
             on_path_of.setdefault(member, []).append(index)
-        if depth < max_length:  # counted but not expanded otherwise
+        # counted but not expanded past max_length or when poisoned
+        if depth < max_length and index not in poisoned:
             pops_of.setdefault(node, []).append(index)
 
     # Invert the expanded nodes' adjacency into a neighbour-sorted lookup
@@ -551,38 +487,55 @@ def replay(
     bounds: tuple[int, int] | None = None,
     tallies: dict | None = None,
 ) -> tuple[float, int, int, int]:
-    """:func:`search`'s outcome for one answer, read off the shared trace.
+    """One answer's best-first search outcome, read off the shared trace.
 
-    The answer's private pop sequence is the shared one minus the pops
-    with the answer on their path (:func:`build_trace`), so the replay
-    mirrors :func:`search` pop for pop over the *survivors*: the goal
-    shortcut fires off the recorded adjacency, an expansion is a survivor,
-    termination counts the same expansions.  Inside the budget it visits
-    only the pops whose node is adjacent to the answer (the goal table)
-    and counts deletions by bisection; when the deletions leave fewer than
-    ``budget`` survivors it walks — and, where nobody has yet, records —
-    the pops past the budget one by one, reading each node's goal table
-    from the context.
+    Returns ``(similarity, paths, expansions, length)``, equal to
+    ``ReferenceValidator.validate``'s.  The answer's private pop sequence
+    is the shared one minus the pops with the answer on their path
+    (:func:`build_trace`), so the replay walks the seed's search pop for
+    pop over the *survivors*: the goal shortcut fires off the recorded
+    adjacency, an expansion is a survivor, termination counts the same
+    expansions.  Inside the budget it visits only the pops whose node is
+    adjacent to the answer (the goal table) and counts deletions by
+    bisection; when the deletions leave fewer than ``budget`` survivors it
+    walks — and, where nobody has yet, records — the pops past the budget
+    one by one, reading each node's goal table from the context.
 
     ``answer == source`` is its own case: the source is on every path, so
     the goal check can never fire and no push is ever skipped for being
     the answer — the search pops the shared sequence and finds nothing.
 
+    Raises :class:`EmbeddingError` when a poisoned pop the answer does not
+    delete comes before its termination, and only then — inside the
+    budget, past it (a poisoned node's goal table raises like its beam)
+    and for the source — with the error the seed raises there.
+
     ``bounds`` is the answer's entry of :func:`replay_bounds` when the
     caller computed a batch's at once; ``tallies`` a dict over
-    :data:`REPLAY_TALLIES` the caller owns.  Raises
-    :class:`EmbeddingError` only from an extension (see
-    :meth:`SharedTrace.extend`); the caller then owes the answer a
-    :func:`search`.
+    :data:`REPLAY_TALLIES` the caller owns.
     """
     total_pops = trace.total_pops
+    pops = trace.pops
+    poisoned = trace.poisoned
     if answer == trace.source:
+        if poisoned and poisoned[0] < total_pops:
+            _raise_poisoned(trace, poisoned[0])
         return 0.0, 0, total_pops, 0
     if bounds is None:
         bounds = replay_bounds(trace, [answer])[0]
     goal_lo, goal_hi = bounds
     deleted = trace.on_path_of.get(answer)
+    # the first poisoned pop inside the budget that the answer keeps
+    poison = total_pops
+    for index in poisoned:
+        if index >= total_pops:
+            break
+        if answer not in pops[index][3]:
+            poison = index
+            break
     if goal_lo == goal_hi and deleted is None:
+        if poison < total_pops:
+            _raise_poisoned(trace, poison)
         return 0.0, 0, total_pops, 0
     if tallies is None:
         tallies = dict.fromkeys(REPLAY_TALLIES, 0)
@@ -601,7 +554,6 @@ def replay(
     best_similarity = 0.0
     best_length = 0
     paths_found = 0
-    pops = trace.pops
     for index in relevant:
         node, log_sum, depth, path = pops[index]
         if answer in path:
@@ -614,10 +566,14 @@ def replay(
         if paths_found >= repeat_factor or (
             stop_threshold is not None and best_similarity >= stop_threshold
         ):
+            if poison < index:
+                _raise_poisoned(trace, poison)
             removed = bisect_left(deleted, index) if deleted is not None else 0
             if removed:
                 tallies["replay_deletions"] += 1
             return best_similarity, paths_found, index + 1 - removed, best_length
+    if poison < total_pops:
+        _raise_poisoned(trace, poison)
     if deleted is None:
         return best_similarity, paths_found, total_pops, best_length
 
@@ -638,7 +594,7 @@ def replay(
         survivors += 1
         if depth >= max_length:
             continue
-        goal_log = goal_map_of(node).get(answer)
+        goal_log = goal_map_of(node).get(answer)  # raises on a poisoned pop
         if goal_log is None:
             continue
         similarity = math.exp((log_sum + goal_log) / (depth + 1))
@@ -651,6 +607,15 @@ def replay(
         ):
             break
     return best_similarity, paths_found, survivors, best_length
+
+
+def _raise_poisoned(trace: SharedTrace, index: int) -> None:
+    """Raise the seed's error for poisoned pop ``index``, afresh: its
+    node's beam raises each time it is asked for."""
+    trace.context.beam(trace.pops[index][0])
+    raise AssertionError(  # pragma: no cover - a poisoned node's beam raises
+        f"pop {index} is poisoned but its beam expanded"
+    )
 
 
 # ---------------------------------------------------------------------------

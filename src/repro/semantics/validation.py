@@ -28,22 +28,21 @@ adjacency slices — no per-edge string lookups.
 Visiting probabilities are **array-valued**: callers may pass either a
 ``{node_id: probability}`` mapping or a dense float array over node ids
 (zero = outside the scope).  Mappings are densified once per context.
-:meth:`CorrectnessValidator.validate_batch` is the engine's entry point:
-context -> trace -> replay.  It records the answer-independent pop sequence
-once per (context, source) and reads every answer's outcome off it
+:meth:`CorrectnessValidator.validate_batch` is the one search path:
+context -> trace -> replay (:meth:`~CorrectnessValidator.validate` is a
+batch of one).  It records the answer-independent pop sequence once per
+(context, source) and reads every answer's outcome off it
 (:func:`repro.semantics.kernels.replay`): a private search for answer ``a``
 is the shared one with ``a`` never pushed, i.e. the shared pop sequence
 with the pops below ``a`` deleted and run on by as many pops as were
 deleted, so no answer needs a heap of its own.  Three edges keep that
 exact: ``answer == source`` pops the shared sequence and finds nothing; an
 answer whose deletions outrun the recorded pops extends the trace under
-its lock; and an unknown-predicate error met while extending — the
-extension may expand a node this answer's own search never would — sends
-that one answer to :func:`repro.semantics.kernels.search`, which raises
-where the seed raises or not at all.  ``search`` is also :meth:`validate`'s
-path, the single-answer entry point.  The seed's dict-probing search
-survives as :class:`repro.semantics.reference.ReferenceValidator`, the
-oracle the tests compare both entry points with.
+its lock; and a pop whose node has an edge the embedding does not cover is
+recorded as poisoned, so an answer raises exactly when its own search
+would expand that node.  The seed's dict-probing search survives as
+:class:`repro.semantics.reference.ReferenceValidator`, the oracle the
+tests compare with.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import EmbeddingError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.semantics import kernels
@@ -220,20 +218,13 @@ class CorrectnessValidator:
         validation: the answer similarity is a max over paths, so once a
         found path reaches the threshold the >= tau verdict cannot change
         and the remaining repeat-factor paths are skipped.
+
+        A batch of one: :meth:`validate_batch` runs the search.
         """
-        context = self._context(query_predicate, visiting_probabilities)
-        return ValidationOutcome(
-            answer,
-            *kernels.search(
-                context,
-                source,
-                answer,
-                self.repeat_factor,
-                self.max_length,
-                self.expansion_budget,
-                stop_threshold,
-            ),
-        )
+        return self.validate_batch(
+            source, [answer], query_predicate, visiting_probabilities,
+            stop_threshold,
+        )[int(answer)]
 
     def validate_batch(
         self,
@@ -250,12 +241,14 @@ class CorrectnessValidator:
         budgeted best-first pop sequence is recorded once per (context,
         source) and every answer's outcome is *replayed* from it with the
         answer's own subtree deleted, instead of re-running the heap
-        search.  Outcomes are exactly those of calling :meth:`validate`
-        per answer.  ``tallies`` (a dict over
+        search.  Each outcome is the seed search's for that answer
+        (:class:`~repro.semantics.reference.ReferenceValidator`), and the
+        batch raises :class:`~repro.errors.EmbeddingError` iff some
+        answer's search meets a predicate the embedding does not cover.
+        ``tallies`` (a dict over
         :data:`~repro.semantics.kernels.REPLAY_TALLIES`, owned by the
-        caller) is added to: answers settled with deleted pops, pops the
-        trace was extended by, and private searches — the one fallback,
-        for an answer whose extension met an unknown predicate.
+        caller) is added to: answers settled with deleted pops, and pops
+        the trace was extended by.
         """
         context = self._context(query_predicate, visiting_probabilities)
         trace = self._traces.get(source)
@@ -269,21 +262,11 @@ class CorrectnessValidator:
         outcomes: dict[int, ValidationOutcome] = {}
         distinct = list(dict.fromkeys(int(answer) for answer in answers))
         for answer, bounds in zip(distinct, kernels.replay_bounds(trace, distinct)):
-            try:
-                outcomes[answer] = ValidationOutcome(
-                    answer,
-                    *kernels.replay(
-                        trace, answer, self.repeat_factor, stop_threshold,
-                        bounds, tallies,
-                    ),
-                )
-            except EmbeddingError:
-                tallies["private_searches"] += 1
-                outcomes[answer] = self.validate(
-                    source,
-                    answer,
-                    query_predicate,
-                    visiting_probabilities,
-                    stop_threshold,
-                )
+            outcomes[answer] = ValidationOutcome(
+                answer,
+                *kernels.replay(
+                    trace, answer, self.repeat_factor, stop_threshold,
+                    bounds, tallies,
+                ),
+            )
         return outcomes

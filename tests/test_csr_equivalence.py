@@ -580,10 +580,17 @@ class TestPartialEmbedding:
             LookupEmbedding({"knows": np.array([1.0, 0.0])})
         )
         validator = CorrectnessValidator(kg, space)
+        visiting = {hub: 0.5, near: 0.5}
         # visiting map excludes 'far', so the rare_pred edge is never taken
-        outcome = validator.validate(hub, near, "knows", {hub: 0.5, near: 0.5})
+        outcome = validator.validate(hub, near, "knows", visiting)
         assert outcome.paths_found >= 1
         assert outcome.similarity > 0.0
+        # the shared trace pops 'near' (its rare_pred edge poisons the pop)
+        # but the answer's own search deletes that pop: no raise either
+        fresh = CorrectnessValidator(kg, space)
+        assert fresh.validate_batch(hub, [near], "knows", visiting) == {near: outcome}
+        with pytest.raises(EmbeddingError, match="rare_pred"):
+            fresh.validate_batch(hub, [hub], "knows", visiting)
 
 
 class TestSnapshotInvalidation:

@@ -8,8 +8,8 @@ Covers the architectural contracts of the plan layer:
 * concurrent engines over one graph + embedding share one plan object;
 * the per-plan verdict memo survives refinement rounds — sessions never
   revalidate an answer;
-* ``validate_batch`` produces outcomes identical to per-answer
-  ``validate`` over a real sampled workload.
+* ``validate_batch`` produces outcomes identical to the seed
+  ``ReferenceValidator``'s per answer over a real sampled workload.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro import (
 from repro.core.plan import plan_fingerprint, plan_key, shared_plan_cache
 from repro.core.config import SamplerKind
 from repro.kg import csr_snapshot
+from repro.semantics.reference import ReferenceValidator
 from repro.semantics.validation import CorrectnessValidator
 
 
@@ -271,24 +272,25 @@ class TestBatchedValidationEquivalence:
         plan, answers = self._sampled_workload(world, engine)
         predicate = plan.component.predicates[0]
 
-        def fresh_validator() -> CorrectnessValidator:
-            return CorrectnessValidator(
-                world.kg,
-                world.space,
-                repeat_factor=engine.config.repeat_factor,
-                max_length=engine.config.n_bound,
-                floor=engine.config.similarity_floor,
-                expansion_budget=engine.config.validation_expansions,
-            )
-
-        single = fresh_validator()
+        settings = dict(
+            repeat_factor=engine.config.repeat_factor,
+            max_length=engine.config.n_bound,
+            floor=engine.config.similarity_floor,
+            expansion_budget=engine.config.validation_expansions,
+        )
+        reference = ReferenceValidator(world.kg, world.space, **settings)
+        visiting = {
+            node: float(probability)
+            for node, probability in enumerate(plan.visiting)
+            if probability > 0.0
+        }
         expected = {
-            answer: single.validate(
-                plan.source, answer, predicate, plan.visiting, stop_threshold
+            answer: reference.validate(
+                plan.source, answer, predicate, visiting, stop_threshold
             )
             for answer in answers
         }
-        batched = fresh_validator().validate_batch(
+        batched = CorrectnessValidator(world.kg, world.space, **settings).validate_batch(
             plan.source,
             answers,
             predicate,
