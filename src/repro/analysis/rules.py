@@ -98,13 +98,17 @@ class LintConfig:
         "obs/metrics.py",
         "semantics/kernels.py",
     )
-    #: modules on the determinism-critical path (kernels, the round,
-    #: persistence, wire encoding): set iteration must never feed an
+    #: modules on the determinism-critical path (kernels, S1 plans, the
+    #: round, persistence, wire encoding): set iteration must never feed an
     #: ordered output unsorted
     deterministic_modules: tuple[str, ...] = (
         "semantics/kernels.py",
         "semantics/validation.py",
         "core/executor.py",
+        "core/planner.py",
+        "sampling/strength.py",
+        "sampling/chain.py",
+        "sampling/collector.py",
         "store/plans.py",
         "store/snapshot.py",
         "kg/csr.py",

@@ -163,10 +163,11 @@ def plan_from_artifacts(
 
 #: revision of a plan's arrays (1 = capped power iteration, 2 = closed-form
 #: node strengths, 3 = the same values with chain routes as
-#: ``route_nodes``/``route_probability`` segments instead of header JSON);
+#: ``route_nodes``/``route_probability`` segments instead of header JSON,
+#: 4 = CNARW plans in closed form too, semantic plans unchanged);
 #: part of ``config_token``, so a catalog never maps an older revision's
 #: artefact beside fresh plans
-S1_REVISION = 3
+S1_REVISION = 4
 
 
 def plan_fingerprint(config: EngineConfig) -> tuple:

@@ -3,16 +3,18 @@
 A :class:`QueryPlanner` turns one query component into its immutable
 sampling artefacts — scope, closed-form Eq. 5/6 stationary distribution and
 Theorem-1 answer restriction, all three from the batched stage kernel
-(:func:`~repro.sampling.strength.stage_distributions`; only the topology
-ablations build a per-source scope, only CNARW iterates), and the greedy
-validator — and publishes the result in the process-wide
-:class:`~repro.core.plan.PlanCache` so that every engine and session over
-the same graph, predicate space and configuration reuses one plan instead
-of rebuilding it.  The executor (:mod:`repro.core.executor`) consumes
+(:func:`~repro.sampling.strength.stage_distributions`, under the semantic
+or the CNARW weights; only the Node2Vec ablation builds a per-source scope
+and walks it), and the greedy validator — and publishes the result in the
+process-wide :class:`~repro.core.plan.PlanCache` so that every engine and
+session over the same graph, predicate space and configuration reuses one
+plan instead of rebuilding it.  The executor (:mod:`repro.core.executor`) consumes
 plans; the engine facade (:mod:`repro.core.engine`) only wires the two.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -24,19 +26,20 @@ from repro.core.plan import (
     shared_plan_cache,
 )
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import SamplingError, StoreError
+from repro.errors import QueryError, SamplingError, StoreError
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
 from repro.query.graph import PathQuery
 from repro.sampling.chain import ChainSampler
 from repro.sampling.collector import restrict_to_answers
 from repro.sampling.scope import build_scope, resolve_mapping_node
-from repro.sampling.stationary import dense_visiting_array, stationary_distribution
-from repro.sampling.strength import Stage, stage_distributions
-from repro.sampling.topology import (
-    cnarw_transition_model,
-    node2vec_visit_distribution,
+from repro.sampling.stationary import dense_visiting_array
+from repro.sampling.strength import (
+    Stage,
+    similarity_entry_weights,
+    stage_distributions,
 )
+from repro.sampling.topology import cnarw_entry_weights, node2vec_visit_distribution
 from repro.semantics.validation import CorrectnessValidator
 from repro.utils.rng import derive_seed
 
@@ -44,11 +47,13 @@ from repro.utils.rng import derive_seed
 class QueryPlanner:
     """Builds (or fetches) one immutable plan per query component.
 
-    Resolution order: engine-local view, process-wide :class:`PlanCache`,
-    then — when a :class:`~repro.store.catalog.SnapshotCatalog` is wired
-    in — the on-disk catalog, and only on a full miss an actual S1 build
-    (counted in :attr:`build_count`; catalog hits are not builds).  Fresh
-    builds are saved back to the catalog so the next process skips S1.
+    Resolution order: the process-wide :class:`PlanCache`, then — when a
+    :class:`~repro.store.catalog.SnapshotCatalog` is wired in — the on-disk
+    catalog, and only on a full miss an actual S1 build (counted in
+    :attr:`build_count`; catalog hits are not builds).  Fresh builds are
+    saved back to the catalog so the next process skips S1.  The planner
+    keeps no plan of its own, so the cache's LRU bound is what bounds the
+    plans a process holds (beyond those live queries hold).
     """
 
     def __init__(
@@ -64,10 +69,6 @@ class QueryPlanner:
         self.config = config
         self._cache = cache if cache is not None else shared_plan_cache()
         self._catalog = catalog
-        #: engine-local plan view, keyed by component; dropped when the
-        #: graph's structure moves so stale plans never survive a mutation
-        self.plans: dict[PathQuery, QueryPlan] = {}
-        self._planned_structure_version = kg.structure_version
         #: S1 builds actually executed by this planner (cache misses); the
         #: service tests assert one build per shared (component, config)
         #: plan across a whole concurrent batch, and the store
@@ -77,8 +78,6 @@ class QueryPlanner:
         self.catalog_hits = 0
         #: unreadable catalog entries encountered (rebuilt + overwritten)
         self.catalog_errors = 0
-        #: CNARW walks out of step budget (``repro_plan_unconverged_walks``)
-        self.unconverged_walks = 0
         #: calls of the batched S1 stage kernel (``repro_plan_stage_batches``)
         #: and the walks they settled (``repro_plan_stage_sources``)
         self.stage_batches = 0
@@ -90,25 +89,17 @@ class QueryPlanner:
         return self._cache
 
     def plan_for(self, component: PathQuery) -> QueryPlan:
-        """The component's plan: local view, shared cache, or fresh build."""
-        structure_version = self._kg.structure_version
-        if self._planned_structure_version != structure_version:
-            self.plans.clear()
-            self._planned_structure_version = structure_version
-        local = self.plans.get(component)
-        if local is not None:
-            return local
-        key = plan_key(component, self._space, self.config)
+        """The component's plan: shared cache, catalog, or fresh build."""
         # get-or-build coordinates across threads: concurrent planners
         # (serving scheduler, engines on other threads) run S1 for a key at
         # most once; everyone else adopts the published plan.  The version
         # captured before building gates publication: a structural mutation
         # during the build keeps the plan private.
-        plan = self._cache.get_or_build(
-            self._kg, key, lambda: self._build_or_load(component)
+        return self._cache.get_or_build(
+            self._kg,
+            plan_key(component, self._space, self.config),
+            lambda: self._build_or_load(component),
         )
-        self.plans[component] = plan
-        return plan
 
     def _build_or_load(self, component: PathQuery) -> QueryPlan:
         """Catalog-aware builder run under ``PlanCache.get_or_build``.
@@ -175,22 +166,33 @@ class QueryPlanner:
         node_types: frozenset[str],
         hop: int = 0,
     ) -> list[Stage | SamplingError]:
-        """The closed-form S1 stage of every semantic build, one kernel call:
-        a simple plan or a chain's first hop (``visiting`` map included) as
-        a batch of one, a later chain hop with all its kept routes."""
+        """The closed-form S1 stage of every semantic or CNARW build, one
+        kernel call: a simple plan or a chain's first hop (``visiting`` map
+        included) as a batch of one, a later chain hop with all its kept
+        routes."""
         config = self.config
+        if config.sampler is SamplerKind.CNARW:
+            # the Fig. 5(a) ablation ignores predicates, so it must not ask
+            # the embedding to cover the scope's edges
+            weigh = partial(cnarw_entry_weights, self._kg)
+        else:
+            weigh = partial(
+                similarity_entry_weights,
+                self._kg,
+                self._space,
+                predicate,
+                config.similarity_floor,
+            )
         self.stage_batches += 1
         self.stage_sources += len(sources)
         with child_span("s1_stage", hop=hop, sources=len(sources)) as span:
             stages = stage_distributions(
                 self._kg,
-                self._space,
                 sources,
-                predicate,
                 node_types,
+                weigh,
                 n_bound=config.n_bound,
                 self_loop_weight=config.self_loop_weight,
-                similarity_floor=config.similarity_floor,
             )
             if span is not None:
                 # scope nodes over the sources that have a stage
@@ -222,35 +224,24 @@ class QueryPlanner:
     def _build_simple(self, component: PathQuery, source: int) -> QueryPlan:
         config = self.config
         predicate, target_types = component.hops[0]
-        iterations = 0  # the paper's N_ws; 0 = closed form, no walk iterated
-        if config.sampler is SamplerKind.SEMANTIC:
-            nodes, probabilities, num_candidates, distribution = self._first_stage(
-                source, predicate, target_types
-            )
-        else:
-            # The Fig. 5(a) topology ablations ignore predicates, so they
-            # must not ask the embedding to cover the scope's edges.
+        if config.sampler is SamplerKind.NODE2VEC:
+            # The Fig. 5(a) Node2Vec ablation is a second-order walk: no
+            # closed form, so it simulates the walk over a per-source scope.
             scope = build_scope(self._kg, source, config.n_bound, target_types)
             if scope.num_candidates == 0:
                 raise SamplingError(
                     f"no candidate of types {sorted(target_types)} within "
                     f"{config.n_bound} hops of {component.specific_name!r}"
                 )
-            if config.sampler is SamplerKind.NODE2VEC:
-                probabilities = node2vec_visit_distribution(
-                    self._kg, scope, seed=derive_seed(config.seed, "node2vec", source)
-                )
-            else:
-                # CNARW's weights are not symmetric, so its walk has no
-                # closed form: the ablation keeps the power iteration
-                stationary = stationary_distribution(
-                    cnarw_transition_model(self._kg, scope)
-                )
-                self.unconverged_walks += not stationary.converged
-                probabilities = stationary.probabilities
-                iterations = stationary.iterations
+            probabilities = node2vec_visit_distribution(
+                self._kg, scope, seed=derive_seed(config.seed, "node2vec", source)
+            )
             distribution = restrict_to_answers(scope, probabilities)
             nodes, num_candidates = scope.nodes, scope.num_candidates
+        else:
+            nodes, probabilities, num_candidates, distribution = self._first_stage(
+                source, predicate, target_types
+            )
         return QueryPlan(
             component=component,
             source=source,
@@ -258,12 +249,18 @@ class QueryPlanner:
             visiting=dense_visiting_array(
                 nodes, probabilities, self._kg.num_nodes
             ),
-            walk_iterations=iterations,
+            walk_iterations=0,  # the paper's N_ws: closed form, no walk iterated
             num_candidates=num_candidates,
             validator=self._validator(),
         )
 
     def _build_chain(self, component: PathQuery, source: int) -> QueryPlan:
+        if self.config.sampler is SamplerKind.NODE2VEC:
+            raise QueryError(
+                f"the {self.config.sampler.value} sampler has no chain walk: "
+                f"the chain component from {component.specific_name!r} needs "
+                "the semantic or the cnarw sampler"
+            )
         # Chain validation runs lazily per sampled answer (§V-B): the
         # answer-side legs are enumerated from the answer (whose
         # neighbourhood is small), while the hub-side leg reuses the greedy

@@ -483,13 +483,6 @@ class AggregateQueryService:
             ),
             (
                 plan.gauge(
-                    "unconverged_walks",
-                    "CNARW power iterations that ran out of steps unconverged",
-                ),
-                lambda: self._planner.unconverged_walks,
-            ),
-            (
-                plan.gauge(
                     "stage_batches",
                     "Calls of the batched S1 stage kernel (one per chain hop, "
                     "one per simple plan)",

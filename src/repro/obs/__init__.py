@@ -17,7 +17,6 @@ metric                                         type       meaning
 =============================================  =========  ====================================
 ``repro_plan_builds``                          gauge      S1 plans built by this planner
 ``repro_plan_catalog_hits``                    gauge      plans loaded from a snapshot catalog
-``repro_plan_unconverged_walks``               gauge      CNARW walks out of step budget
 ``repro_plan_stage_batches``                   gauge      calls of the batched S1 stage kernel
 ``repro_plan_stage_sources``                   gauge      walks those calls settled
 ``repro_plan_cache_hits`` / ``_misses``        gauge      plan-cache lookups (process-wide

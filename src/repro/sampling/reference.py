@@ -16,7 +16,6 @@ replaced it, kept as that kernel's byte-for-byte oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -77,17 +76,10 @@ def build_scope_python(
     )
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
-    """One state's row of the seed transition matrix."""
-
-    neighbours: np.ndarray  # dense scope indexes
-    probabilities: np.ndarray
-    edge_ids: np.ndarray
-
-
 class ReferenceTransitionModel:
-    """The seed per-edge Eq. 5 assembly, row dataclass per node and all."""
+    """The seed per-edge Eq. 5 assembly, one row of arrays per node: the
+    matrix the power-iteration oracle (:mod:`repro.sampling.stationary`)
+    and :class:`~repro.sampling.walker.RandomWalker` run on."""
 
     def __init__(
         self,
@@ -102,51 +94,34 @@ class ReferenceTransitionModel:
         if self_loop_weight <= 0:
             raise SamplingError("self_loop_weight must be positive (Lemma 2)")
         self.scope = scope
-        self.query_predicate = query_predicate
-        self._index = scope.index_of()
-        self._rows: list[ReferenceRow] = []
-        self._build(kg, space, self_loop_weight, similarity_floor)
-
-    def _build(
-        self,
-        kg: KnowledgeGraph,
-        space: PredicateVectorSpace,
-        self_loop_weight: float,
-        similarity_floor: float,
-    ) -> None:
-        source_index = self._index[self.scope.source]
-        for node in self.scope.nodes:
-            node_index = self._index[node]
+        index = scope.index_of()
+        #: per scope node, ``(neighbour indexes, probabilities)``
+        self._rows: list[tuple[np.ndarray, np.ndarray]] = []
+        for node in scope.nodes:
             neighbour_indexes: list[int] = []
             weights: list[float] = []
-            edge_ids: list[int] = []
             for edge_id, neighbour in kg.neighbors(node):
-                other_index = self._index.get(neighbour)
+                other_index = index.get(neighbour)
                 if other_index is None:
                     continue  # neighbour outside the n-bounded scope
                 predicate = kg.predicate_of(edge_id)
-                weight = clamp_similarity(
-                    space.similarity(predicate, self.query_predicate),
-                    similarity_floor,
+                weights.append(
+                    clamp_similarity(
+                        space.similarity(predicate, query_predicate), similarity_floor
+                    )
                 )
                 neighbour_indexes.append(other_index)
-                weights.append(weight)
-                edge_ids.append(edge_id)
-            if node_index == source_index:
-                neighbour_indexes.append(source_index)
+            if node == scope.source:
+                neighbour_indexes.append(index[node])
                 weights.append(self_loop_weight)
-                edge_ids.append(-1)
             if not neighbour_indexes:
-                neighbour_indexes.append(node_index)
+                neighbour_indexes.append(index[node])
                 weights.append(1.0)
-                edge_ids.append(-1)
             weight_array = np.asarray(weights, dtype=np.float64)
-            probabilities = weight_array / weight_array.sum()
             self._rows.append(
-                ReferenceRow(
-                    neighbours=np.asarray(neighbour_indexes, dtype=np.int64),
-                    probabilities=probabilities,
-                    edge_ids=np.asarray(edge_ids, dtype=np.int64),
+                (
+                    np.asarray(neighbour_indexes, dtype=np.int64),
+                    weight_array / weight_array.sum(),
                 )
             )
 
@@ -157,27 +132,16 @@ class ReferenceTransitionModel:
 
     def row(self, scope_index: int) -> tuple[np.ndarray, np.ndarray]:
         """``(neighbour_indexes, probabilities)`` for one scope node."""
-        row = self._rows[scope_index]
-        return row.neighbours, row.probabilities
-
-    def row_edges(self, scope_index: int) -> np.ndarray:
-        """Edge ids of one state's row (-1 for synthetic self-loops)."""
-        return self._rows[scope_index].edge_ids
+        return self._rows[scope_index]
 
     def to_sparse(self) -> sparse.csr_matrix:
         """The full row-stochastic matrix P as a CSR matrix."""
-        indptr = [0]
-        indices: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        for row in self._rows:
-            indices.append(row.neighbours)
-            data.append(row.probabilities)
-            indptr.append(indptr[-1] + len(row.neighbours))
+        indptr = np.cumsum([0] + [len(neighbours) for neighbours, _ in self._rows])
         return sparse.csr_matrix(
             (
-                np.concatenate(data) if data else np.empty(0),
-                np.concatenate(indices) if indices else np.empty(0, dtype=np.int64),
-                np.asarray(indptr, dtype=np.int64),
+                np.concatenate([probabilities for _, probabilities in self._rows]),
+                np.concatenate([neighbours for neighbours, _ in self._rows]),
+                indptr,
             ),
             shape=(self.size, self.size),
         )

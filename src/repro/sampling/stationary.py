@@ -6,10 +6,12 @@ matrix P; Lemmas 1-2 (irreducibility + aperiodicity) guarantee convergence
 to the unique stationary distribution.  The iteration count doubles as the
 paper's walk-step statistic N_ws (reported <= 500 in §IV-D).
 
-No semantic plan build runs this: the Eq. 5 walk is reversible, so
-production S1 takes pi in closed form (:mod:`repro.sampling.strength`).
-The iteration stays as that closed form's test oracle and as the solver of
-the CNARW ablation, whose asymmetric weights have no closed form.
+No plan build runs this: the Eq. 5 walk and the CNARW ablation's are both
+reversible (symmetric edge weights), so production S1 takes pi in closed
+form (:mod:`repro.sampling.strength`).  The iteration stays as that closed
+form's test oracle, over the seed assembly
+(:class:`~repro.sampling.reference.ReferenceTransitionModel`) or any other
+row-stochastic ``transition`` with ``size``, ``scope`` and ``to_sparse()``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.sampling.transition import TransitionModel
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 1000
@@ -65,7 +66,7 @@ def dense_visiting_array(
 
 
 def stationary_distribution(
-    transition: TransitionModel,
+    transition,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,

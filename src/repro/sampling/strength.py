@@ -1,9 +1,12 @@
-"""Closed-form stationary distributions for the reversible walk.
+"""Closed-form stationary distributions for the reversible walks.
 
-The Eq. 5 transition matrix is a random walk on an undirected graph with
-symmetric edge weights (each edge's predicate similarity to the query
-predicate), so the chain is *reversible* and its stationary distribution is
-proportional to node strength — the sum of incident in-scope edge weights:
+Both walks an S1 plan takes — the Eq. 5 semantic walk and the Fig. 5(a)
+CNARW ablation — move over an undirected graph with *symmetric* edge
+weights: an edge's predicate similarity to the query predicate, or CNARW's
+``max(1 - |N(u) ∩ N(v)| / min(d(u), d(v)), 0.05)``, which reads the same
+from either end.  So the chain is *reversible* and its stationary
+distribution is proportional to node strength — the sum of incident
+in-scope edge weights:
 
     pi(u)  =  s(u) / sum_v s(v),      s(u) = sum_{e=(u,v), v in scope} w(e)
 
@@ -13,25 +16,29 @@ compare it against — but costs one pass over the edges instead of up to a
 thousand.
 
 :func:`stage_distributions` is the one production S1 path: every semantic
-plan build goes through it, a simple plan and a chain's first hop as a batch
-of one, a later chain hop (§V-B: one walk *per intermediate*) as one batch of
-up to ``max_intermediates`` sources that share ``(predicate, node_types)``.
+and CNARW plan build goes through it, a simple plan and a chain's first hop
+as a batch of one, a later chain hop (§V-B: one walk *per intermediate*) as
+one batch of up to ``max_intermediates`` sources that share
+``(predicate, node_types)``.  The walk enters as its weight per adjacency
+entry (:class:`EntryWeights`: :func:`similarity_entry_weights`, or
+:func:`~repro.sampling.topology.cnarw_entry_weights` for the ablation).
 The batch is settled in ``n_bound + 1`` products of the snapshot's CSR
 adjacency (:attr:`~repro.kg.csr.CSRGraph.adjacency_matrix`) with dense
 ``(num_nodes, sources)`` blocks, one column per source (``n_bound + 2`` when
-the embedding does not cover the graph's whole vocabulary):
+some entry has no weight — an embedding that does not cover the graph's
+whole vocabulary):
 
 1. **Reach** — ``n_bound`` products ``A @ frontier``, the frontier being the
    previous BFS level as 0.0 / 1.0.  An entry counts the node's neighbours on
    that level; counts of non-negative terms cannot cancel, so ``> 0`` is the
    exact "has a neighbour there".
 2. **Strength** — one product ``W @ reached`` with the adjacency entries
-   weighted by their predicate's clamped similarity: every node's strength
-   within every source's scope at once.
-3. **Uncovered predicates** — one more product with the "predicate has no
-   vector" indicator in place of the weights, run only when the similarity
-   row has a NaN at all, so an uncovered predicate fails a source only when
-   *that source's* scope touches it.
+   weighted by the walk: every node's strength within every source's scope
+   at once.
+3. **Unknown weights** — one more product with the "entry has no weight"
+   indicator in place of the weights, run only when such an entry exists,
+   so an uncovered predicate fails a source only when *that source's* scope
+   touches it.
 
 Then a short per-source tail on slices — ``(distance, id)`` order, the
 normalisation, the Theorem-1 restriction to candidate answers — which is
@@ -68,6 +75,7 @@ huge graph.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -108,8 +116,8 @@ def strength_distribution(
     ids of the scope's edges only, so a predicate the embedding does not
     cover raises ``EmbeddingError`` only when one of those edges carries it.
     The mapping node's aperiodicity self-loop contributes
-    ``self_loop_weight`` to its strength, matching
-    :class:`~repro.sampling.transition.TransitionModel` exactly.
+    ``self_loop_weight`` to its strength, matching the seed Eq. 5 assembly
+    in :mod:`repro.sampling.reference` exactly.
     """
     snapshot = csr_snapshot(kg)
     nodes = np.asarray(scope.nodes, dtype=np.int64)
@@ -124,6 +132,58 @@ def strength_distribution(
     if total_strength <= 0.0:
         raise SamplingError("scope has no positively weighted edges")
     return strengths / total_strength
+
+
+class EntryWeights(NamedTuple):
+    """A walk's weight per adjacency entry of the snapshot.
+
+    ``values[e]`` weighs entry ``e`` of
+    :attr:`~repro.kg.csr.CSRGraph.adjacency_matrix`.  The weighting must be
+    symmetric — an entry (u, v) weighs what the entries (v, u) weigh — for
+    node strength to be the walk's stationary distribution.
+    """
+
+    values: np.ndarray
+    #: 1.0 on the entries without a weight (``values`` holds 0.0 there),
+    #: or ``None`` when every entry has one
+    unknown: np.ndarray | None = None
+    #: raises the error of a scope (its nodes in ``(distance, id)`` order)
+    #: that touches an entry without a weight
+    refuse: Callable[[np.ndarray], None] | None = None
+
+
+def similarity_entry_weights(
+    kg: KnowledgeGraph,
+    space: PredicateVectorSpace,
+    predicate: str,
+    similarity_floor: float = SIMILARITY_FLOOR,
+) -> EntryWeights:
+    """Eq. 5: an entry weighs its predicate's similarity to ``predicate``,
+    clamped into ``[similarity_floor, 1]`` — the space's memoised
+    vocabulary-sized row gathered per entry.  An entry whose predicate the
+    embedding does not cover has no weight; a scope touching one is refused
+    with the ``EmbeddingError`` the per-source gather raises."""
+    snapshot = csr_snapshot(kg)
+    entry_predicate_ids = snapshot.entry_predicate_ids
+    weights = np.clip(
+        space.known_similarity_row(predicate, kg.predicates), similarity_floor, 1.0
+    )
+    uncovered = np.isnan(weights)
+    if not uncovered.any():
+        return EntryWeights(weights[entry_predicate_ids])
+
+    def refuse(scope_nodes: np.ndarray) -> None:
+        # name the culprit the per-source gather meets first, in
+        # (distance, id, adjacency) order
+        _, _, _, edge_ids = snapshot.gather_within(scope_nodes)
+        predicate_ids = snapshot.edge_predicate_ids[edge_ids]
+        require_known_predicates(kg, space, predicate_ids, weights[predicate_ids])
+
+    return EntryWeights(
+        np.where(uncovered, 0.0, weights)[entry_predicate_ids],
+        uncovered.astype(np.float64)[entry_predicate_ids],
+        refuse,
+    )
 
 
 class Stage(NamedTuple):
@@ -141,25 +201,24 @@ class Stage(NamedTuple):
 
 def stage_distributions(
     kg: KnowledgeGraph,
-    space: PredicateVectorSpace,
     sources,
-    predicate: str,
     node_types: frozenset[str],
+    weigh: Callable[[], EntryWeights],
     *,
     n_bound: int = 3,
     self_loop_weight: float = 0.001,
-    similarity_floor: float = SIMILARITY_FLOOR,
 ) -> list[Stage | SamplingError]:
     """One hop's walks from every one of ``sources``, settled together.
 
-    Returns one entry per source, in call order (duplicates allowed): its
-    :class:`Stage`, or the ``SamplingError`` a walk from it alone would
-    raise — no candidate within ``n_bound`` hops, no positively weighted
-    edge, no candidate with positive mass — so a chain hop can skip a dead
-    intermediate.  An ``EmbeddingError`` is raised, not returned: the one
-    of the first source in call order whose scope touches an edge the
-    embedding does not cover (a source without candidates never looks at a
-    weight, so it is never that source).
+    ``weigh()`` gives the walk's :class:`EntryWeights`; it is called once,
+    and only when some source has a candidate.  Returns one entry per
+    source, in call order (duplicates allowed): its :class:`Stage`, or the
+    ``SamplingError`` a walk from it alone would raise — no candidate
+    within ``n_bound`` hops, no positively weighted edge, no candidate with
+    positive mass — so a chain hop can skip a dead intermediate.  An
+    ``EmbeddingError`` is raised, not returned: the one of the first source
+    in call order whose scope touches an entry without a weight (a source
+    without candidates never looks at a weight, so it is never that source).
     """
     if n_bound < 1:
         raise SamplingError("n_bound must be >= 1")
@@ -172,6 +231,7 @@ def stage_distributions(
         )
     type_mask = snapshot.type_mask(node_types)
     per_block = max(1, _STAGE_BLOCK_ELEMENTS // max(snapshot.num_nodes, 1))
+    weights: EntryWeights | None = None
     stages: list[Stage | SamplingError] = []
     for start in range(0, len(sources), per_block):
         block = sources[start : start + per_block]
@@ -179,9 +239,11 @@ def stage_distributions(
         num_candidates = (reached & type_mask[:, None]).sum(axis=0)
         num_candidates -= type_mask[block]  # the source is no answer
         if num_candidates.any():  # else no weight is ever looked at
+            if weights is None:
+                weights = weigh()
             strengths = _strengths(
-                kg, space, snapshot, block, reached, scopes,
-                num_candidates, predicate, self_loop_weight, similarity_floor,
+                snapshot, block, reached, scopes, num_candidates, weights,
+                self_loop_weight,
             )
         for column, (source, nodes) in enumerate(zip(block.tolist(), scopes)):
             if not num_candidates[column]:
@@ -236,47 +298,34 @@ def _reach(
 
 
 def _strengths(
-    kg: KnowledgeGraph,
-    space: PredicateVectorSpace,
     snapshot: CSRGraph,
     sources: np.ndarray,
     reached: np.ndarray,
     scopes: list[np.ndarray],
     num_candidates: np.ndarray,
-    predicate: str,
+    weights: EntryWeights,
     self_loop_weight: float,
-    similarity_floor: float,
 ) -> np.ndarray:
     """Node strengths within every source's scope: ``(num_nodes, sources)``.
 
-    Raises the ``EmbeddingError`` of the first source with candidates
-    whose scope touches an uncovered predicate.
+    Refuses the first source with candidates whose scope touches an entry
+    without a weight.
     """
     adjacency = snapshot.adjacency_matrix
-    entry_predicate_ids = snapshot.entry_predicate_ids
-    similarity_row = space.known_similarity_row(predicate, kg.predicates)
-    weights = np.clip(similarity_row, similarity_floor, 1.0)
     in_scope = reached.astype(np.float64)
 
-    def product(per_predicate: np.ndarray) -> np.ndarray:
+    def product(per_entry: np.ndarray) -> np.ndarray:
         weighted = sparse.csr_matrix(
-            (per_predicate[entry_predicate_ids], adjacency.indices, adjacency.indptr),
-            shape=adjacency.shape,
+            (per_entry, adjacency.indices, adjacency.indptr), shape=adjacency.shape
         )
         return weighted @ in_scope
 
-    uncovered = np.isnan(weights)
-    if uncovered.any():
-        touched = (product(uncovered.astype(np.float64)) > 0.0) & reached
+    if weights.unknown is not None:
+        touched = (product(weights.unknown) > 0.0) & reached
         failing = touched.any(axis=0) & (num_candidates > 0)
         if failing.any():
-            # name the culprit the per-source gather meets first, in
-            # (distance, id, adjacency) order
-            _, _, _, edge_ids = snapshot.gather_within(scopes[failing.argmax()])
-            predicate_ids = snapshot.edge_predicate_ids[edge_ids]
-            require_known_predicates(kg, space, predicate_ids, weights[predicate_ids])
-        weights = np.where(uncovered, 0.0, weights)
-    strengths = product(weights)
+            weights.refuse(scopes[failing.argmax()])
+    strengths = product(weights.values)
     strengths[sources, np.arange(len(sources))] += self_loop_weight
     return strengths
 

@@ -5,7 +5,10 @@ graph structure:
 
 * **CNARW** (Li et al., ICDE 2019) — common-neighbour-aware random walk:
   the transition weight to a neighbour shrinks with the common-neighbour
-  ratio, accelerating mixing but ignoring predicates entirely.
+  ratio, accelerating mixing but ignoring predicates entirely.  The weight
+  reads the same from either end of an edge, so the walk is reversible and
+  the batched stage kernel (:mod:`repro.sampling.strength`) takes its
+  stationary distribution in closed form, as it does the semantic walk's.
 * **Node2Vec** (Grover & Leskovec, KDD 2016) — a second-order biased walk
   with return/in-out parameters p and q; its visiting distribution is
   estimated empirically by simulating the walk (the distribution of a
@@ -25,62 +28,24 @@ from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.semantics import kernels
 from repro.sampling.scope import SamplingScope
-from repro.sampling.transition import DEFAULT_SELF_LOOP_WEIGHT, TransitionModel
+from repro.sampling.strength import EntryWeights
 from repro.utils.rng import ensure_rng
 
 
-def uniform_transition_model(
-    kg: KnowledgeGraph, scope: SamplingScope
-) -> "SimpleTransitionModel":
-    """Classic simple random walk: uniform over in-scope neighbours."""
-    return SimpleTransitionModel(kg, scope, mode="uniform")
+def cnarw_entry_weights(kg: KnowledgeGraph) -> EntryWeights:
+    """CNARW's weight per adjacency entry: ``max(1 - |N(u) ∩ N(v)| /
+    min(d(u), d(v)), 0.05)`` (:func:`repro.semantics.kernels.cnarw_weights`).
 
-
-def cnarw_transition_model(
-    kg: KnowledgeGraph, scope: SamplingScope
-) -> "SimpleTransitionModel":
-    """CNARW-style walk: weight 1 - |N(u) ∩ N(v)| / min(d(u), d(v)).
-
-    Prefers neighbours sharing few common neighbours; the weights' 0.05
-    floor keeps the chain irreducible.
+    Symmetric in ``u`` and ``v`` bit for bit — the common-neighbour count
+    and the smaller degree do not depend on the order — and positive, so
+    every scope is irreducible; no embedding is read.
     """
-    return SimpleTransitionModel(kg, scope, mode="cnarw")
-
-
-class SimpleTransitionModel(TransitionModel):
-    """A topology-only transition model with the same row interface.
-
-    Reuses :class:`TransitionModel`'s CSR gather and row-installation
-    plumbing but replaces the Eq. 5 semantic weights with structural ones.
-    """
-
-    def __init__(self, kg: KnowledgeGraph, scope: SamplingScope, mode: str) -> None:
-        if mode not in ("uniform", "cnarw"):
-            raise SamplingError(f"unknown topology mode {mode!r}")
-        self._mode = mode
-        # Note: we bypass TransitionModel.__init__ and build rows directly —
-        # the semantic constructor requires an embedding space we do not use.
-        self.scope = scope
-        self.query_predicate = "<topology>"
-        self._build_structural(kg)
-
-    def _build_structural(self, kg: KnowledgeGraph) -> None:
-        source_index, rows, cols, edge_ids = self._gather_scope_entries(kg)
-        if self._mode == "uniform":
-            weights = np.ones(len(rows), dtype=np.float64)
-        else:
-            weights = kernels.cnarw_weights(
-                csr_snapshot(kg), np.asarray(self.scope.nodes), rows, cols
-            )
-        self._install_rows(
-            len(self.scope.nodes),
-            source_index,
-            rows,
-            cols,
-            weights,
-            edge_ids,
-            DEFAULT_SELF_LOOP_WEIGHT,
-        )
+    snapshot = csr_snapshot(kg)
+    nodes = np.arange(snapshot.num_nodes, dtype=np.int64)
+    owners = np.repeat(nodes, np.diff(snapshot.indptr))
+    return EntryWeights(
+        kernels.cnarw_weights(snapshot, nodes, owners, snapshot.neighbor_ids)
+    )
 
 
 def node2vec_visit_distribution(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sampling.transition import TransitionModel
 from repro.utils.rng import ensure_rng
 
 
@@ -36,11 +35,13 @@ class WalkRecord:
 
 
 class RandomWalker:
-    """Simulates the walking-with-rejection Markov chain."""
+    """Simulates the walking-with-rejection Markov chain over a transition
+    model's rows (``size``, ``scope``, ``row(i)``: the seed assembly,
+    :class:`~repro.sampling.reference.ReferenceTransitionModel`)."""
 
     def __init__(
         self,
-        transition: TransitionModel,
+        transition,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         self._transition = transition

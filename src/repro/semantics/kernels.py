@@ -621,18 +621,6 @@ def _raise_poisoned(trace: SharedTrace, index: int) -> None:
 # ---------------------------------------------------------------------------
 # CNARW structural weights
 # ---------------------------------------------------------------------------
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values via sort + run mask.
-
-    Equivalent to ``np.unique`` but measurably faster on these int64 key
-    arrays (numpy 2.x routes ``unique`` through a hash table).
-    """
-    if len(values) == 0:
-        return values
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
 def cnarw_weights(
     snapshot,
     scope_nodes: np.ndarray,
@@ -643,66 +631,39 @@ def cnarw_weights(
     """``max(1 - |N(u) ∩ N(v)| / min(d(u), d(v)), floor)`` per (u, v) pair.
 
     The per-entry Python set intersections become one vectorised
-    membership pass.  Like a set intersection (which iterates the smaller
-    set), only each pair's *smaller* neighbourhood expands — crucial
-    around hubs, whose huge neighbour lists would otherwise replicate
-    into every incident pair — into ``(larger node, neighbour)`` probe
-    keys resolved by binary search against one global sorted dedup
-    adjacency table.  The arithmetic replays the reference expression
-    operation for operation, so the weights are byte-identical to
-    :func:`repro.sampling.reference.cnarw_weights_python`'s loop.
+    membership pass over the snapshot's distinct neighbourhoods
+    (:attr:`~repro.kg.csr.CSRGraph.dedup_adjacency`, sorted
+    ``(node, neighbour)`` keys).  Like a set intersection (which iterates
+    the smaller set), only each pair's *smaller* neighbourhood expands —
+    crucial around hubs, whose huge neighbour lists would otherwise
+    replicate into every incident pair — into ``(larger node, neighbour)``
+    probe keys resolved by binary search.  The counts are integers and the
+    arithmetic replays the reference expression operation for operation,
+    so the weights are byte-identical to
+    :func:`repro.sampling.reference.cnarw_weights_python`'s loop — and to
+    the weights of the swapped pairs.
     """
-    scope_nodes = np.asarray(scope_nodes, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    dedup = snapshot.dedup_adjacency
     num_nodes = np.int64(snapshot.num_nodes)
-    left_nodes = scope_nodes[rows]
-    right_nodes = scope_nodes[cols]
-    pairs = len(rows)
-    if pairs == 0:
-        return np.zeros(0, dtype=np.float64)
-
-    unique_nodes = _sorted_unique(np.concatenate((left_nodes, right_nodes)))
-    owner, neighbours, _edge_ids = snapshot.gather_neighbors(unique_nodes)
-    # deduplicate each node's neighbour multiset (the reference uses sets)
-    keys = owner * num_nodes + neighbours
-    unique_keys = _sorted_unique(keys)
-    distinct_owner = unique_keys // num_nodes
-    distinct_nbr = unique_keys % num_nodes
-    degrees = np.bincount(distinct_owner, minlength=len(unique_nodes)).astype(np.int64)
-    indptr = np.zeros(len(unique_nodes) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-
-    # O(1) node -> unique_nodes position gathers via a scatter table
-    position = np.full(int(num_nodes), -1, dtype=np.int64)
-    position[unique_nodes] = np.arange(len(unique_nodes), dtype=np.int64)
-    left_index = position[left_nodes]
-    right_index = position[right_nodes]
-    left_degree = degrees[left_index]
-    right_degree = degrees[right_index]
-
-    # Expand each pair's smaller neighbourhood; probe the larger node's
-    # adjacency in the global (owner index, neighbour) key table.
-    left_is_small = left_degree <= right_degree
-    small_index = np.where(left_is_small, left_index, right_index)
-    large_index = np.where(left_is_small, right_index, left_index)
-    small_degree = degrees[small_index]
-    total = int(small_degree.sum())
-    common = np.zeros(pairs, dtype=np.int64)
-    if total and len(unique_keys):
-        starts = indptr[small_index]
-        cumulative = np.concatenate(([0], np.cumsum(small_degree)))
-        gather = np.repeat(starts - cumulative[:-1], small_degree) + np.arange(
-            total, dtype=np.int64
-        )
-        pair_of = np.repeat(np.arange(pairs, dtype=np.int64), small_degree)
-        probe_keys = large_index[pair_of] * num_nodes + distinct_nbr[gather]
-        positions = np.searchsorted(unique_keys, probe_keys)
-        positions = np.minimum(positions, len(unique_keys) - 1)
-        common_mask = unique_keys[positions] == probe_keys
-        common = np.bincount(pair_of[common_mask], minlength=pairs)
-
-    denominator = np.maximum(1, np.minimum(left_degree, right_degree))
+    keys = dedup.owner * num_nodes + dedup.nbr
+    degrees = np.diff(dedup.indptr)
+    scope_nodes = np.asarray(scope_nodes, dtype=np.int64)
+    left = scope_nodes[np.asarray(rows, dtype=np.int64)]
+    right = scope_nodes[np.asarray(cols, dtype=np.int64)]
+    left_is_small = degrees[left] <= degrees[right]
+    small = np.where(left_is_small, left, right)
+    large = np.where(left_is_small, right, left)
+    small_degree = degrees[small]
+    cumulative = np.concatenate(([0], np.cumsum(small_degree)))
+    gather = np.repeat(dedup.indptr[small] - cumulative[:-1], small_degree)
+    gather += np.arange(cumulative[-1], dtype=np.int64)
+    pair_of = np.repeat(np.arange(len(small), dtype=np.int64), small_degree)
+    probe_keys = large[pair_of] * num_nodes + dedup.nbr[gather]
+    # no probe without an edge, so ``keys`` is never empty where it is read
+    positions = np.minimum(np.searchsorted(keys, probe_keys), len(keys) - 1)
+    common_mask = keys[positions] == probe_keys
+    common = np.bincount(pair_of[common_mask], minlength=len(small))
+    denominator = np.maximum(1, np.minimum(degrees[left], degrees[right]))
     weights = np.maximum(1.0 - common / denominator, floor)
     return weights.astype(np.float64, copy=False)
 

@@ -481,6 +481,23 @@ class TestSetIteration:
         """})
         assert codes(report) == ["REP301"]
 
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "core/planner.py",
+            "sampling/strength.py",
+            "sampling/chain.py",
+            "sampling/collector.py",
+        ],
+    )
+    def test_s1_modules_are_guarded(self, tmp_path, module):
+        # S1 output is pinned by the golden file and persisted by the store
+        report = run_lint(tmp_path, {module: """
+            def answers(nodes):
+                return list(set(nodes))
+        """})
+        assert codes(report) == ["REP301"]
+
     def test_plain_accumulate_then_sort_loop_is_fine(self, tmp_path):
         # the kernels.py idiom: loop over the set, sort what accumulated
         report = run_lint(tmp_path, {"semantics/kernels.py": """

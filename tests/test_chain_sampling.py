@@ -22,14 +22,25 @@ from repro.sampling.reference import (
     stage_distribution_per_source,
 )
 from repro.sampling.scope import resolve_mapping_node
-from repro.sampling.strength import Stage, stage_distributions
+from repro.sampling.strength import (
+    Stage,
+    similarity_entry_weights,
+    stage_distributions,
+)
+from repro.sampling.topology import cnarw_entry_weights
 
 
 def batched_stage(kg, space):
-    """One hop's closed-form walks, as a planner binds the stage kernel."""
+    """One hop's closed-form walks, as a semantic planner binds the stage
+    kernel."""
 
     def stage(sources, predicate, node_types, hop=0):
-        return stage_distributions(kg, space, sources, predicate, node_types)
+        return stage_distributions(
+            kg,
+            sources,
+            node_types,
+            partial(similarity_entry_weights, kg, space, predicate),
+        )
 
     return stage
 
@@ -218,6 +229,72 @@ class TestRouteCompositionOracle:
         routes = chain.routes
         for draw in sampler.collect(chain, 200, seed=3):
             assert draw.route == routes[draw.node_id][0][0]
+
+
+class TestChainSamplerKinds:
+    """``EngineConfig.sampler`` decides every hop of a chain plan."""
+
+    @staticmethod
+    def _plan(bundle, sampler, component):
+        from repro.core.plan import PlanCache
+        from repro.core.planner import QueryPlanner
+
+        planner = QueryPlanner(
+            bundle.kg,
+            bundle.space(),
+            EngineConfig(seed=0, sampler=sampler),
+            cache=PlanCache(),
+        )
+        return planner.plan_for(component)
+
+    @staticmethod
+    def _league_chain():
+        return QueryGraph.chain(
+            "Spain",
+            ["Country"],
+            [("league", ["League"]), ("playerIn", ["SoccerPlayer"])],
+        ).components[0]
+
+    def test_cnarw_chains_walk_cnarw_on_every_hop(self, monkeypatch):
+        from repro.core import planner as planner_module
+        from repro.core.config import SamplerKind
+
+        bundle = ALL_PRESETS["yago2-like"](seed=0)
+        component = self._league_chain()
+        semantic = self._plan(bundle, SamplerKind.SEMANTIC, component)
+
+        def no_similarity(*args, **kwargs):
+            raise AssertionError("a CNARW hop weighed a predicate")
+
+        monkeypatch.setattr(planner_module, "similarity_entry_weights", no_similarity)
+        cnarw = self._plan(bundle, SamplerKind.CNARW, component)
+
+        def stage(sources, predicate, node_types, hop=0):
+            return stage_distributions(
+                bundle.kg, sources, node_types,
+                partial(cnarw_entry_weights, bundle.kg),
+            )
+
+        expected = ChainSampler(bundle.kg, stage).build(component)
+        for plan_bytes, expected_bytes in (
+            (cnarw.distribution.answers, expected.distribution.answers),
+            (cnarw.distribution.probabilities, expected.distribution.probabilities),
+            (cnarw.chain.route_nodes, expected.route_nodes),
+            (cnarw.chain.route_probability, expected.route_probability),
+        ):
+            assert plan_bytes.tobytes() == expected_bytes.tobytes()
+        assert (
+            cnarw.distribution.probabilities.tobytes()
+            != semantic.distribution.probabilities.tobytes()
+        )
+
+    def test_node2vec_refuses_a_chain_at_plan_time(self):
+        from repro.core.config import SamplerKind
+        from repro.errors import QueryError
+
+        bundle = ALL_PRESETS["yago2-like"](seed=0)
+        with pytest.raises(QueryError, match="node2vec"):
+            self._plan(bundle, SamplerKind.NODE2VEC, self._league_chain())
 
 
 class TestChainQueriesEndToEnd:

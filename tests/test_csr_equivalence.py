@@ -2,12 +2,12 @@
 
 Property-style equivalence: on randomly wired graphs (multi-edges,
 self-loops, disconnected components, multi-typed nodes included), the
-vectorised BFS, scope build, Eq. 5 transition assembly and closed-form
-strength distribution must reproduce the seed implementations kept in
-:mod:`repro.sampling.reference` — byte-identical distances, node orders,
-candidate sets and edge ids, probabilities and stationary distributions
-within 1e-12 — and the batched S1 stage kernel its per-source oracle byte
-for byte, errors included.  Plus mutation tests proving snapshot
+vectorised BFS, scope build and closed-form strength distribution must
+reproduce the seed implementations kept in :mod:`repro.sampling.reference`
+— byte-identical distances, node orders and candidate sets, strengths
+within 1e-12, the power iteration over the seed Eq. 5 assembly converging
+to them — and the batched S1 stage kernel its per-source oracle byte for
+byte, errors included.  Plus mutation tests proving snapshot
 invalidation.
 """
 
@@ -31,8 +31,12 @@ from repro.sampling.reference import (
 )
 from repro.sampling.scope import build_scope
 from repro.sampling.stationary import stationary_distribution
-from repro.sampling.strength import stage_distributions, strength_distribution
-from repro.sampling.transition import TransitionModel
+from repro.sampling.strength import (
+    similarity_entry_weights,
+    stage_distributions,
+    strength_distribution,
+)
+from repro.sampling.topology import cnarw_entry_weights
 from repro.semantics.similarity import SIMILARITY_FLOOR
 
 TYPE_POOL = ("Car", "Person", "City", "Club", "Thing")
@@ -82,34 +86,17 @@ class TestEquivalence:
                 assert actual.distances == expected.distances
                 assert actual.candidate_answers == expected.candidate_answers
 
-    def test_transition_rows(self, seed):
-        kg, space = random_world(seed)
-        scope = build_scope(kg, seed % kg.num_nodes, 3, frozenset(("Car",)))
-        reference = ReferenceTransitionModel(kg, scope, space, "product")
-        model = TransitionModel(kg, scope, space, "product")
-        assert model.size == reference.size
-        assert model.validate_stochastic()
-        for index in range(model.size):
-            seed_neighbours, seed_probabilities = reference.row(index)
-            neighbours, probabilities = model.row(index)
-            np.testing.assert_array_equal(neighbours, seed_neighbours)
-            np.testing.assert_array_equal(
-                model.row_edges(index), reference.row_edges(index)
-            )
-            np.testing.assert_allclose(
-                probabilities, seed_probabilities, rtol=0.0, atol=1e-12
-            )
-
     def test_stationary_distribution(self, seed):
+        """The power iteration over the seed assembly converges to the
+        closed form."""
         kg, space = random_world(seed)
         scope = build_scope(kg, seed % kg.num_nodes, 3, frozenset(("Car",)))
         reference = ReferenceTransitionModel(kg, scope, space, "product")
-        model = TransitionModel(kg, scope, space, "product")
         np.testing.assert_allclose(
-            stationary_distribution(model).probabilities,
-            stationary_distribution(reference).probabilities,
-            rtol=0.0,
-            atol=1e-12,
+            converged_iterate(reference),
+            strength_distribution(kg, space, scope, "product"),
+            rtol=1e-8,
+            atol=1e-15,
         )
 
     def test_strength_distribution(self, seed):
@@ -151,6 +138,14 @@ class TestEquivalence:
             snapshot.edge_predicate_ids, kg.edge_predicate_ids()
         )
         assert_csr_follows_append_rule(kg, list(kg.triples()))
+
+
+def converged_iterate(transition):
+    """The power iteration run to its fix-point (floor-weighted edges mix
+    slowly: up to ~24 k steps on these worlds)."""
+    return stationary_distribution(
+        transition, tolerance=1e-13, max_iterations=60_000, require_convergence=True
+    ).probabilities
 
 
 def append_rule_adjacency(num_nodes, triples):
@@ -262,11 +257,23 @@ def assert_same_outcome(got, expected):
         )
 
 
+def semantic_stages(
+    kg, space, sources, predicate, node_types, *,
+    similarity_floor=SIMILARITY_FLOOR, **walk,
+):
+    """The stage kernel under the Eq. 5 weights, as a semantic planner calls it."""
+    return stage_distributions(
+        kg,
+        sources,
+        node_types,
+        lambda: similarity_entry_weights(kg, space, predicate, similarity_floor),
+        **walk,
+    )
+
+
 def assert_kernel_equals_oracle(kg, space, sources, predicate, node_types, **walk):
     got = batch_outcome(
-        lambda: stage_distributions(
-            kg, space, sources, predicate, node_types, **walk
-        )
+        lambda: semantic_stages(kg, space, sources, predicate, node_types, **walk)
     )
     expected = oracle_outcome(kg, space, sources, predicate, node_types, **walk)
     assert_same_outcome(got, expected)
@@ -405,10 +412,25 @@ class TestBatchedStageKernel:
         kg, space, n = crafted_world()
         cars = frozenset({"Car"})
         with pytest.raises(SamplingError, match="n_bound"):
-            stage_distributions(kg, space, [n["hub"]], "knows", cars, n_bound=0)
+            semantic_stages(kg, space, [n["hub"]], "knows", cars, n_bound=0)
         with pytest.raises(NodeNotFoundError, match=str(kg.num_nodes)):
-            stage_distributions(kg, space, [n["hub"], kg.num_nodes], "knows", cars)
-        assert stage_distributions(kg, space, [], "knows", cars) == []
+            semantic_stages(kg, space, [n["hub"], kg.num_nodes], "knows", cars)
+        assert semantic_stages(kg, space, [], "knows", cars) == []
+
+    def test_weights_are_looked_at_only_for_a_source_with_a_candidate(self):
+        kg, _, n = crafted_world()
+        looked = []
+
+        def weigh():
+            looked.append(True)
+            return cnarw_entry_weights(kg)
+
+        people = frozenset({"Person"})
+        stages = stage_distributions(kg, [n["d"], n["e"]], people, weigh)
+        assert all(isinstance(stage, SamplingError) for stage in stages)
+        assert looked == []
+        stages = stage_distributions(kg, [n["d"], n["hub"], n["a"]], people, weigh)
+        assert isinstance(stages[0], SamplingError) and looked == [True]
 
     @pytest.mark.parametrize("sources_per_block", (1, 3))
     def test_results_do_not_depend_on_the_block_size(
@@ -516,12 +538,12 @@ class TestPartialEmbedding:
             LookupEmbedding({"knows": np.array([1.0, 0.0])})
         )
         scope = build_scope(kg, hub, 1, frozenset(("Car",)))
-        model = TransitionModel(kg, scope, space, "knows")
         reference = ReferenceTransitionModel(kg, scope, space, "knows")
-        for index in range(model.size):
-            np.testing.assert_allclose(
-                model.row(index)[1], reference.row(index)[1], rtol=0.0, atol=1e-12
-            )
+        np.testing.assert_allclose(
+            strength_distribution(kg, space, scope, "knows"),
+            converged_iterate(reference),
+            rtol=1e-8,
+        )
 
     def test_in_scope_unknown_predicate_raises(self):
         from repro.errors import EmbeddingError
@@ -535,12 +557,15 @@ class TestPartialEmbedding:
         )
         scope = build_scope(kg, hub, 1, frozenset(("Car",)))
         with pytest.raises(EmbeddingError):
-            TransitionModel(kg, scope, space, "knows")
+            strength_distribution(kg, space, scope, "knows")
+        with pytest.raises(EmbeddingError):
+            ReferenceTransitionModel(kg, scope, space, "knows")
 
     def test_planner_only_checks_the_scopes_edges(self):
         """The closed-form S1 stage keeps the contract end to end: an
         uncovered predicate anywhere else in the graph fails no plan."""
         from repro import EngineConfig
+        from repro.core.config import SamplerKind
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
         from repro.errors import EmbeddingError
@@ -557,15 +582,21 @@ class TestPartialEmbedding:
         )
         simple = QueryGraph.simple("hub", ["Hub"], "knows", ["Car"]).components[0]
 
-        def plan(n_bound):
+        def plan(n_bound, sampler=SamplerKind.SEMANTIC):
             planner = QueryPlanner(
-                kg, space, EngineConfig(n_bound=n_bound), cache=PlanCache()
+                kg,
+                space,
+                EngineConfig(n_bound=n_bound, sampler=sampler),
+                cache=PlanCache(),
             )
             return planner.plan_for(simple)
 
         assert plan(1).distribution.answers.tolist() == [near]
         with pytest.raises(EmbeddingError, match="rare_pred"):
             plan(2)  # now the rare_pred edge is inside the scope
+        # the CNARW ablation weighs no predicate, so it asks the embedding
+        # to cover nothing
+        assert plan(2, SamplerKind.CNARW).distribution.answers.tolist() == [near, far]
 
     def test_validator_skips_unreached_unknown_predicate(self):
         from repro.semantics.validation import CorrectnessValidator

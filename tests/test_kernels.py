@@ -36,10 +36,9 @@ from repro.core.plan import shared_plan_cache
 from repro.errors import EmbeddingError
 from repro.kg import KnowledgeGraph, csr_snapshot
 from repro.sampling.scope import build_scope
-from repro.sampling.stationary import dense_visiting_array, stationary_distribution
 from repro.sampling.reference import cnarw_weights_python
-from repro.sampling.topology import cnarw_transition_model
-from repro.sampling.transition import TransitionModel
+from repro.sampling.strength import strength_distribution
+from repro.sampling.topology import cnarw_entry_weights
 from repro.semantics import kernels
 from repro.semantics.matching import best_matches_iterative
 from repro.semantics.reference import ReferenceValidator, chain_prefixes_recursive
@@ -78,11 +77,8 @@ def search_context(kg, space, seed: int, predicate: str = "product"):
     rng = np.random.default_rng(seed + 5000)
     source = int(rng.integers(0, kg.num_nodes))
     scope = build_scope(kg, source, 3, frozenset(TYPE_POOL))
-    transition = TransitionModel(kg, scope, space, predicate)
-    stationary = stationary_distribution(transition)
-    visiting = dict(
-        zip((int(n) for n in scope.nodes), stationary.probabilities.tolist())
-    )
+    stationary = strength_distribution(kg, space, scope, predicate)
+    visiting = dict(zip((int(n) for n in scope.nodes), stationary.tolist()))
     answers = list(scope.candidate_answers[:12])
     # off-scope and on-path corner cases
     answers.append(source)
@@ -626,9 +622,32 @@ class TestCnarwEquivalence:
         scope = build_scope(toy.kg, toy.germany, 3, frozenset(["Automobile"]))
         self._assert_weights_match(toy.kg, scope)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weights_are_symmetric(self, seed):
+        """(u, v) weighs what (v, u) weighs, bit for bit — parallel edges
+        and self-loops included — so the CNARW walk is reversible and the
+        stage kernel's strengths are its stationary distribution."""
+        kg, _ = random_world(seed, num_nodes=30, num_edges=200)
+        snapshot = csr_snapshot(kg)
+        owners = np.repeat(np.arange(kg.num_nodes), np.diff(snapshot.indptr))
+        keys = owners * kg.num_nodes + snapshot.neighbor_ids
+        assert (owners == snapshot.neighbor_ids).any()  # self-loops
+        assert len(np.unique(keys)) < len(keys)  # parallel edges
+        nodes = np.arange(kg.num_nodes)
+        forward = kernels.cnarw_weights(snapshot, nodes, owners, snapshot.neighbor_ids)
+        backward = kernels.cnarw_weights(snapshot, nodes, snapshot.neighbor_ids, owners)
+        assert forward.tobytes() == backward.tobytes()
+        assert cnarw_entry_weights(kg).values.tobytes() == forward.tobytes()
+        # every entry (u, v) meets an equal weight on each (v, u) entry
+        reverse = snapshot.neighbor_ids * kg.num_nodes + owners
+        order = np.argsort(keys, kind="stable")
+        position = np.searchsorted(keys[order], reverse)
+        assert (keys[order][position] == reverse).all()
+        assert forward.tobytes() == forward[order][position].tobytes()
+
     @staticmethod
     def _assert_weights_match(kg, scope):
-        _, rows, cols, _ = cnarw_transition_model(kg, scope)._gather_scope_entries(kg)
+        _, rows, cols, _ = csr_snapshot(kg).gather_within(np.asarray(scope.nodes))
         assert len(rows) > 0
         expected = cnarw_weights_python(kg, scope, rows, cols)
         got = kernels.cnarw_weights(
@@ -1103,7 +1122,7 @@ class TestEngineLevelEquivalence:
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(kg, embedding, config)
         engine.execute(query)
-        plans = [engine.planner.plans[c] for c in components]
+        plans = [engine.planner.plan_for(c) for c in components]
         for plan, cold_plan, cold_memo in zip(plans, cold_plans, cold):
             assert plan is not cold_plan
             assert plan.similarity_cache

@@ -14,6 +14,9 @@ Covers the architectural contracts of the plan layer:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -50,7 +53,7 @@ class TestVersionCounters:
         plans_before = cache.num_plans(world.kg)
         assert plans_before >= 1
         component = world.count_query().query.components[0]
-        plan_before = engine.planner.plans[component]
+        plan_before = engine.planner.plan_for(component)
 
         world.kg.set_attribute(world.correct_cars[0], "price", 99_999.0)
 
@@ -58,7 +61,7 @@ class TestVersionCounters:
         assert cache.num_plans(world.kg) == plans_before
         fresh = _engine(world)
         fresh.execute(world.count_query())
-        assert fresh.planner.plans[component] is plan_before
+        assert fresh.planner.plan_for(component) is plan_before
 
     def test_structural_mutation_evicts_snapshot_and_plans(self, world):
         engine = _engine(world)
@@ -67,7 +70,7 @@ class TestVersionCounters:
         cache = shared_plan_cache()
         assert cache.num_plans(world.kg) >= 1
         component = world.count_query().query.components[0]
-        plan_before = engine.planner.plans[component]
+        plan_before = engine.planner.plan_for(component)
 
         late_car = world.kg.add_node(
             "LateCar", ["Automobile"], {"price": 45_000.0}
@@ -79,7 +82,7 @@ class TestVersionCounters:
         # the next execution replans against the new structure — including
         # the engine that planned before the mutation
         engine.execute(world.count_query())
-        assert engine.planner.plans[component] is not plan_before
+        assert engine.planner.plan_for(component) is not plan_before
         assert cache.num_plans(world.kg) >= 1
 
     def test_typed_nodes_cache_follows_structure(self, world):
@@ -98,7 +101,7 @@ class TestVersionCounters:
         engine.execute(world.count_query())
         cache = shared_plan_cache()
         component = world.count_query().query.components[0]
-        plan = engine.planner.plans[component]
+        plan = engine.planner.plan_for(component)
         key = plan_key(component, engine.space, engine.config)
         stale_version = world.kg.structure_version
         world.kg.add_node("MidBuild", ["Thing"])  # mutation during a "build"
@@ -117,19 +120,21 @@ class TestVersionCounters:
         ).space
         planner = QueryPlanner(world.kg, space, config, cache=small)
         count_component = world.count_query().query.components[0]
-        plan = planner.plan_for(count_component)
+        evicted = weakref.ref(planner.plan_for(count_component))
         assert small.num_plans(world.kg) == 1
         other = QueryGraph.simple(
             "Germany", ["Country"], "assembly", ["Automobile"]
         ).components[0]
-        planner.plan_for(other)
+        kept = planner.plan_for(other)
         assert small.num_plans(world.kg) == 1  # bounded: oldest evicted
         assert small.lookup(
             world.kg, plan_key(count_component, space, config)
         ) is None
-        # evicted from the shared cache, but the planner's local view (and
-        # any engine holding the plan) keeps working
-        assert planner.plan_for(count_component) is plan
+        # the planner pins no plan of its own: the bound bounds memory
+        gc.collect()
+        assert evicted() is None
+        assert planner.plan_for(other) is kept
+        assert planner.build_count == 2
 
     def test_total_version_counts_both(self, world):
         total = world.kg.version
@@ -147,15 +152,15 @@ class TestPlanSharing:
         second.execute(world.avg_query())  # same component, different query
         component = world.count_query().query.components[0]
         assert (
-            first.planner.plans[component]
-            is second.planner.plans[component]
+            first.planner.plan_for(component)
+            is second.planner.plan_for(component)
         )
 
     def test_shared_plan_skips_rebuild_and_revalidation(self, world):
         first = _engine(world)
         first.execute(world.count_query())
         component = world.count_query().query.components[0]
-        plan = first.planner.plans[component]
+        plan = first.planner.plan_for(component)
         memo_size = len(plan.similarity_cache)
         assert memo_size > 0
 
@@ -177,7 +182,7 @@ class TestPlanSharing:
         # every answer the second engine drew was already in the shared
         # memo, so the validation service was never asked again
         assert calls == []
-        assert second.planner.plans[component] is plan
+        assert second.planner.plan_for(component) is plan
 
     def test_different_tau_means_different_plan(self, world):
         first = _engine(world)
@@ -186,8 +191,8 @@ class TestPlanSharing:
         second.execute(world.count_query())
         component = world.count_query().query.components[0]
         assert (
-            first.planner.plans[component]
-            is not second.planner.plans[component]
+            first.planner.plan_for(component)
+            is not second.planner.plan_for(component)
         )
 
     def test_seed_is_not_part_of_semantic_fingerprint(self):

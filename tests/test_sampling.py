@@ -1,12 +1,18 @@
 """Tests for scopes, transition matrices, stationary distributions, sampling."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from repro import EngineConfig, QueryGraph
+from repro.core.config import SamplerKind
+from repro.core.plan import PlanCache
+from repro.core.planner import QueryPlanner
 from repro.errors import ConvergenceError, MappingNodeNotFoundError, SamplingError
 from repro.sampling import (
     AnswerCollector,
@@ -15,14 +21,10 @@ from repro.sampling import (
     stationary_distribution,
 )
 from repro.sampling.collector import AnswerDistribution, restrict_to_answers
+from repro.sampling.reference import ReferenceTransitionModel, cnarw_weights_python
 from repro.sampling.scope import SamplingScope, resolve_mapping_node
 from repro.sampling.strength import strength_distribution
-from repro.sampling.topology import (
-    cnarw_transition_model,
-    node2vec_visit_distribution,
-    uniform_transition_model,
-)
-from repro.sampling.transition import TransitionModel
+from repro.sampling.topology import node2vec_visit_distribution
 
 
 def converged_oracle(transition):
@@ -34,6 +36,44 @@ def converged_oracle(transition):
     )
 
 
+def transition_probability(transition, from_index, to_index):
+    """p_ij between two scope indexes of a transition model's rows."""
+    neighbours, probabilities = transition.row(from_index)
+    return float(probabilities[neighbours == to_index].sum())
+
+
+def cnarw_transition(kg, scope, self_loop_weight=0.001):
+    """The CNARW walk over ``scope`` as a row-stochastic matrix built from
+    the seed loop's weights, with the mapping node's Lemma-2 self-loop:
+    what the power iteration runs on."""
+    index = scope.index_of()
+    rows, cols = [], []
+    for node in scope.nodes:
+        for _edge_id, neighbour in kg.neighbors(node):
+            if neighbour in index:
+                rows.append(index[node])
+                cols.append(index[neighbour])
+    weights = cnarw_weights_python(kg, scope, np.asarray(rows), np.asarray(cols))
+    source = index[scope.source]
+    size = len(scope.nodes)
+    matrix = sparse.csr_matrix(
+        (np.append(weights, self_loop_weight), (rows + [source], cols + [source])),
+        shape=(size, size),
+    )
+    stochastic = sparse.diags(1.0 / np.asarray(matrix.sum(axis=1)).ravel()) @ matrix
+    return SimpleNamespace(
+        scope=scope, size=size, to_sparse=lambda: sparse.csr_matrix(stochastic)
+    )
+
+
+def plan_with(kg, space, sampler, component):
+    """A fresh plan of ``component`` under ``sampler``."""
+    planner = QueryPlanner(
+        kg, space, EngineConfig(seed=7, sampler=sampler), cache=PlanCache()
+    )
+    return planner.plan_for(component)
+
+
 @pytest.fixture(scope="module")
 def toy_scope(toy):
     return build_scope(toy.kg, toy.germany, 3, frozenset({"Automobile"}))
@@ -41,7 +81,7 @@ def toy_scope(toy):
 
 @pytest.fixture(scope="module")
 def toy_transition(toy, toy_scope):
-    return TransitionModel(toy.kg, toy_scope, toy.space, "product")
+    return ReferenceTransitionModel(toy.kg, toy_scope, toy.space, "product")
 
 
 class TestScope:
@@ -88,8 +128,12 @@ class TestScope:
 
 
 class TestTransitionModel:
+    """Eq. 5 on the seed assembly, the matrix the power iteration runs on."""
+
     def test_rows_are_stochastic(self, toy_transition):
-        assert toy_transition.validate_stochastic()
+        for index in range(toy_transition.size):
+            _, probabilities = toy_transition.row(index)
+            assert probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_higher_similarity_higher_probability(self, toy, toy_transition):
         """Eq. 5: p_ij proportional to predicate similarity (Example 4)."""
@@ -97,24 +141,27 @@ class TestTransitionModel:
         source_index = index[toy.germany]
         direct_car = index[toy.correct_cars[0]]  # assembly, 0.98
         person = index[toy.people[0]]  # nationality, 0.52
-        assert toy_transition.probability(source_index, direct_car) > (
-            toy_transition.probability(source_index, person)
+        assert transition_probability(toy_transition, source_index, direct_car) > (
+            transition_probability(toy_transition, source_index, person)
         )
 
     def test_self_loop_on_source(self, toy, toy_transition):
         index = toy_transition.scope.index_of()
         source_index = index[toy.germany]
-        assert toy_transition.probability(source_index, source_index) > 0.0
+        assert transition_probability(toy_transition, source_index, source_index) > 0.0
 
     def test_sparse_matrix_matches_rows(self, toy_transition):
         matrix = toy_transition.to_sparse()
         assert matrix.shape == (toy_transition.size, toy_transition.size)
-        row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-        np.testing.assert_allclose(row_sums, 1.0, atol=1e-9)
+        for index in range(toy_transition.size):
+            neighbours, probabilities = toy_transition.row(index)
+            start, end = matrix.indptr[index], matrix.indptr[index + 1]
+            np.testing.assert_array_equal(matrix.indices[start:end], neighbours)
+            np.testing.assert_array_equal(matrix.data[start:end], probabilities)
 
     def test_invalid_self_loop_weight(self, toy, toy_scope):
         with pytest.raises(SamplingError):
-            TransitionModel(
+            ReferenceTransitionModel(
                 toy.kg, toy_scope, toy.space, "product", self_loop_weight=0.0
             )
 
@@ -141,7 +188,7 @@ class TestStationary:
 
     def test_closed_form_counts_the_mapping_nodes_self_loop(self, toy, toy_scope):
         """A heavy Lemma-2 self-loop moves the source's mass in both forms."""
-        transition = TransitionModel(
+        transition = ReferenceTransitionModel(
             toy.kg, toy_scope, toy.space, "product", self_loop_weight=5.0
         )
         heavy = strength_distribution(
@@ -171,7 +218,7 @@ class TestStationary:
         )
         closed_form = strength_distribution(world.kg, world.space, scope, "product")
         iterated = converged_oracle(
-            TransitionModel(world.kg, scope, world.space, "product")
+            ReferenceTransitionModel(world.kg, scope, world.space, "product")
         ).probabilities
         assert closed_form[-1] == 0.0 and iterated[-1] == 0.0
         np.testing.assert_allclose(iterated, closed_form, rtol=1e-8)
@@ -205,7 +252,8 @@ class TestStationary:
 
 
 class TestClosedFormIsProduction:
-    """S1 of every semantic plan is the closed form; the iteration is its oracle."""
+    """S1 of every semantic and CNARW plan is the closed form; the iteration
+    is its oracle."""
 
     @pytest.mark.parametrize(
         "hub, hub_type, predicate, target",
@@ -227,28 +275,68 @@ class TestClosedFormIsProduction:
         source = resolve_mapping_node(bundle.kg, hub, frozenset({hub_type}))
         scope = build_scope(bundle.kg, source, 3, frozenset({target}))
         closed_form = strength_distribution(bundle.kg, space, scope, predicate)
-        oracle = converged_oracle(TransitionModel(bundle.kg, scope, space, predicate))
+        oracle = converged_oracle(
+            ReferenceTransitionModel(bundle.kg, scope, space, predicate)
+        )
         np.testing.assert_allclose(oracle.probabilities, closed_form, rtol=1e-8)
 
-    def test_semantic_plan_builds_never_iterate(self, toy, monkeypatch):
-        """Simple and chain ``plan_for`` assemble no transition matrix and
-        run no power iteration (the CNARW ablation still may)."""
-        from repro import EngineConfig
+    @pytest.mark.parametrize(
+        "preset, hub, hub_type, predicate, target",
+        [
+            (None, "Germany", "Country", "product", "Automobile"),
+            ("dbpedia-like", "Germany", "Country", "product", "Automobile"),
+            ("yago2-like", "FC_Barcelona", "SoccerClub", "playsFor", "SoccerPlayer"),
+            ("yago2-like", "Spain", "Country", "bornIn", "SoccerPlayer"),
+        ],
+    )
+    def test_cnarw_stage_equals_converged_iteration(
+        self, toy, preset, hub, hub_type, predicate, target
+    ):
+        """CNARW's weights are symmetric, so its walk is reversible: the
+        plan's closed form is the fix-point of the seed loop's matrix."""
+        from repro.datasets import ALL_PRESETS
+        from repro.embedding.predicate_space import PredicateVectorSpace
+
+        if preset is None:
+            kg, space = toy.kg, toy.space
+        else:
+            bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
+            kg, space = bundle.kg, PredicateVectorSpace(bundle.embedding)
+        component = QueryGraph.simple(
+            hub, [hub_type], predicate, [target]
+        ).components[0]
+        plan = plan_with(kg, space, SamplerKind.CNARW, component)
+        scope = build_scope(kg, plan.source, 3, frozenset({target}))
+        oracle = converged_oracle(cnarw_transition(kg, scope)).probabilities
+        assert plan.walk_iterations == 0
+        np.testing.assert_allclose(
+            plan.visiting[list(scope.nodes)], oracle, rtol=1e-8
+        )
+        expected = restrict_to_answers(scope, oracle)
+        np.testing.assert_array_equal(plan.distribution.answers, expected.answers)
+        np.testing.assert_allclose(
+            plan.distribution.probabilities, expected.probabilities, rtol=1e-8
+        )
+
+    @pytest.mark.parametrize("sampler", [SamplerKind.SEMANTIC, SamplerKind.CNARW])
+    def test_semantic_plan_builds_never_iterate(self, toy, monkeypatch, sampler):
+        """Simple and chain ``plan_for`` build no per-source scope and run
+        no power iteration, under the semantic walk and CNARW alike."""
         from repro.core import planner as planner_module
-        from repro.core.plan import PlanCache
-        from repro.query.graph import QueryGraph
+        from repro.sampling import scope as scope_module
+        from repro.sampling import stationary as stationary_module
 
         calls = []
         for holder, name in (
-            (planner_module, "stationary_distribution"),
-            (TransitionModel, "__init__"),
-            (TransitionModel, "to_sparse"),
+            (stationary_module, "stationary_distribution"),
+            (scope_module, "build_scope"),
+            (planner_module, "build_scope"),
         ):
             monkeypatch.setattr(
                 holder, name, lambda *a, _name=name, **k: calls.append(_name)
             )
         planner = planner_module.QueryPlanner(
-            toy.kg, toy.space, EngineConfig(seed=7), cache=PlanCache()
+            toy.kg, toy.space, EngineConfig(seed=7, sampler=sampler), cache=PlanCache()
         )
         chain = QueryGraph.chain(
             "Germany",
@@ -487,19 +575,11 @@ def test_collect_indices_is_generator_choice_on_adversarial_pi():
 
 
 class TestTopologySamplers:
-    def test_uniform_rows_stochastic(self, toy, toy_scope):
-        model = uniform_transition_model(toy.kg, toy_scope)
-        assert model.validate_stochastic()
-
-    def test_cnarw_rows_stochastic(self, toy, toy_scope):
-        model = cnarw_transition_model(toy.kg, toy_scope)
-        assert model.validate_stochastic()
-
-    def test_cnarw_ignores_semantics(self, toy, toy_scope):
+    def test_cnarw_ignores_semantics(self, toy):
         """Topology samplers give near-miss cars the same visit mass."""
-        model = cnarw_transition_model(toy.kg, toy_scope)
-        result = stationary_distribution(model)
-        distribution = restrict_to_answers(toy_scope, result.probabilities)
+        distribution = plan_with(
+            toy.kg, toy.space, SamplerKind.CNARW, toy.count_query().query.components[0]
+        ).distribution
         direct = distribution.probability_of(toy.correct_cars[0])
         near_miss = distribution.probability_of(toy.near_miss_cars[0])
         assert near_miss == pytest.approx(direct, rel=0.5)

@@ -159,17 +159,14 @@ class TestBestMatches:
 class TestCorrectnessValidator:
     @pytest.fixture
     def visiting(self, toy):
-        """A strength-like visiting map over the toy scope."""
-        from repro.sampling import build_scope, stationary_distribution
-        from repro.sampling.transition import TransitionModel
+        """The closed-form stationary visiting map over the toy scope."""
+        from repro.sampling import build_scope
+        from repro.sampling.strength import strength_distribution
 
         scope = build_scope(toy.kg, toy.germany, 3, frozenset({"Automobile"}))
-        transition = TransitionModel(toy.kg, scope, toy.space, "product")
-        result = stationary_distribution(transition)
+        probabilities = strength_distribution(toy.kg, toy.space, scope, "product")
         return {
-            node: float(p)
-            for node, p in zip(scope.nodes, result.probabilities)
-            if p > 0
+            node: float(p) for node, p in zip(scope.nodes, probabilities) if p > 0
         }
 
     def test_direct_answer_validates(self, toy, visiting):
