@@ -16,7 +16,10 @@ estimator inside the round, the growth rule before it and what the final
 result packages, so the kind is resolved here (:func:`kind_for`) and
 nowhere else.  This module holds no loop: the serving scheduler's slot
 (:mod:`repro.core.service`) is the only driver, interleaving rounds
-across live queries of all kinds.
+across live queries of all kinds.  The last round may be the **census**:
+once a growth would draw at least as many answers as the query has not
+drawn, nothing is drawn and the next round validates the rest of the
+support and returns the exact aggregate (:meth:`QueryExecutor._census`).
 
 Validation is **batched**: each round's pending support entries pass one
 array-valued attribute/filter screen over the graph's attribute columns
@@ -47,6 +50,7 @@ from repro.core.plan import QueryPlan
 from repro.core.planner import QueryPlanner
 from repro.core.result import (
     STOP_BOUND_MET,
+    STOP_CENSUS,
     STOP_ROUND_BUDGET,
     STOP_SAMPLE_CAP,
     ApproximateResult,
@@ -61,6 +65,7 @@ from repro.estimation.confidence import ConfidenceInterval, normal_critical_valu
 from repro.estimation.estimators import (
     EstimationSample,
     Normalization,
+    census_estimate,
     estimate_extreme,
 )
 from repro.estimation.extreme import estimate_extreme_evt
@@ -125,6 +130,13 @@ class _QueryState:
     #: GROUP-BY only: the latest round's per-group results, refreshed by
     #: every step and packaged by finalise
     grouped_results: dict[float, "ApproximateResult"] | None = None
+    #: set by ``initialise`` / ``grow`` instead of drawing when the growth
+    #: would add at least as many draws as the support has undrawn
+    #: entries (:meth:`QueryExecutor._census_due`): the next ``step`` is
+    #: the census
+    census_due: bool = False
+    #: the census round, once run; a later ``step`` re-emits it
+    census: RoundTrace | None = None
     #: distinct_support_indices memo: (per-sample lengths scattered so
     #: far, drawn mask over the support, read-only indices)
     _drawn: tuple | None = field(default=None, repr=False)
@@ -149,9 +161,9 @@ class _QueryState:
 
         A drawn mask over the support instead of a sort over every draw,
         updated once per growth: little samples only ever grow by
-        appending (``initialise``, ``grow`` and ``_grow_sample`` are their
-        only writers), so their lengths identify the draw set and only the
-        tail each one gained since the last call is scattered.
+        appending (:meth:`QueryExecutor._draw` is their only writer), so
+        their lengths identify the draw set and only the tail each one
+        gained since the last call is scattered.
         """
         lengths = tuple(len(sample) for sample in self.little_samples)
         if self._drawn is None:
@@ -289,7 +301,9 @@ class QueryExecutor:
     def initialise(
         self, aggregate_query: AggregateQuery, seed: int | None
     ) -> _QueryState:
-        """Plan every component and draw the initial BLB little samples."""
+        """Plan every component and draw the initial BLB little samples —
+        or none, when they would outnumber the support and the first
+        ``step`` is the census."""
         config = self.config
         effective_seed = config.seed if seed is None else seed
         rng = ensure_rng(derive_seed(effective_seed, "engine"))
@@ -303,7 +317,6 @@ class QueryExecutor:
                 for component in aggregate_query.query.components
             ]
             joint = self._joint_distribution(components)
-            collector = AnswerCollector(joint, seed=rng)
             num_candidates = max(plan.num_candidates for plan in components)
             if aggregate_query.function.has_guarantee:
                 ratio = config.sample_ratio
@@ -312,26 +325,27 @@ class QueryExecutor:
             desired_n = max(
                 config.min_initial_sample, int(math.ceil(ratio * num_candidates))
             )
+            support_size = joint.support_size
+            state = _QueryState(
+                aggregate_query=aggregate_query,
+                components=components,
+                joint=joint,
+                collector=AnswerCollector(joint, seed=rng),
+                little_samples=[
+                    np.empty(0, dtype=np.int64)
+                    for _ in range(config.blb.num_little_samples)
+                ],
+                desired_n=desired_n,
+                num_candidates=num_candidates,
+                walk_iterations=max(plan.walk_iterations for plan in components),
+                support_known=np.zeros(support_size, dtype=bool),
+                support_correct=np.zeros(support_size, dtype=bool),
+                support_value=np.zeros(support_size, dtype=np.float64),
+                timers=timers,
+            )
             little_size = config.blb.little_sample_size(desired_n)
-            little_samples = [
-                collector.collect_indices(little_size)
-                for _ in range(config.blb.num_little_samples)
-            ]
-        support_size = joint.support_size
-        return _QueryState(
-            aggregate_query=aggregate_query,
-            components=components,
-            joint=joint,
-            collector=collector,
-            little_samples=little_samples,
-            desired_n=desired_n,
-            num_candidates=num_candidates,
-            walk_iterations=max(plan.walk_iterations for plan in components),
-            support_known=np.zeros(support_size, dtype=bool),
-            support_correct=np.zeros(support_size, dtype=bool),
-            support_value=np.zeros(support_size, dtype=np.float64),
-            timers=timers,
-        )
+            self._draw(state, [little_size] * len(state.little_samples))
+        return state
 
     # ------------------------------------------------------------------
     # Validation (S2, batched)
@@ -596,7 +610,10 @@ class QueryExecutor:
     def _ensure_validated(self, state: _QueryState) -> None:
         """Validate every support entry present in the current draws."""
         drawn = state.distinct_support_indices()
-        pending = drawn[~state.support_known[drawn]]
+        self._validate_pending(state, drawn[~state.support_known[drawn]])
+
+    def _validate_pending(self, state: _QueryState, pending: np.ndarray) -> None:
+        """One ``validate_batch`` span over ``pending`` (unknown) entries."""
         if len(pending) == 0:
             return
         hook = self.fault_hook
@@ -670,20 +687,75 @@ class QueryExecutor:
 
         Growth is the only RNG in a round and runs in the scheduler slot
         that owns the state, before the slot's :meth:`step` validates and
-        estimates the grown sample.
+        estimates the grown sample.  The sizes are settled before any
+        draw: a growth :meth:`_census_due` rejects draws nothing, and the
+        next :meth:`step` is the census instead.
         """
+        if state.census_due:
+            return
+        with state.timers.measure(STAGE_SAMPLING):
+            desired_n, counts = self._growth(state, last, error_bound)
+            if self._draw(state, counts):
+                state.desired_n = desired_n
+
+    def _growth(
+        self, state: _QueryState, last: RoundTrace, error_bound: float
+    ) -> tuple[int, list[int]]:
+        """``(desired_n, draws per little sample)`` of the next growth."""
+        config = self.config
+        sizes = [len(sample) for sample in state.little_samples]
         kind = kind_for(state.aggregate_query)
         if kind == KIND_EXTREME:
-            with state.timers.measure(STAGE_SAMPLING):
-                for position, sample in enumerate(state.little_samples):
-                    state.little_samples[position] = np.concatenate(
-                        [sample, state.collector.collect_indices(len(sample))]
-                    )
-        elif kind == KIND_GROUPED:
-            self._grow_sample(state, 1.0, float("inf"), error_bound)
+            return state.desired_n, sizes
+        if config.delta_strategy is not DeltaStrategy.ERROR_BASED:
+            per_sample = max(1, config.fixed_delta // len(sizes))
+            return state.desired_n, [per_sample] * len(sizes)
+        if kind == KIND_GROUPED:
+            point_estimate, moe = 1.0, float("inf")
         else:
+            point_estimate = last.estimate
             moe = last.moe if last.guaranteed else float("inf")
-            self._grow_sample(state, last.estimate, moe, error_bound)
+        target = moe_target(point_estimate, error_bound)
+        if math.isinf(moe) or target <= 0.0:
+            growth = 2.0  # no usable CI yet: double the sample
+        else:
+            # Eq. 12: N grows by (eps / target)^2, so |S_A| = t N^m
+            # grows by ratio^(2m) — exactly |dS_A| of the paper.
+            ratio = max(moe / target, 1.0)
+            growth = min(ratio * ratio, config.max_growth_factor)
+            growth = max(growth, 1.1)  # always make visible progress
+        desired_n = int(math.ceil(state.desired_n * growth))
+        little_size = config.blb.little_sample_size(desired_n)
+        return desired_n, [max(0, little_size - size) for size in sizes]
+
+    def _draw(self, state: _QueryState, counts: list[int]) -> bool:
+        """Append ``counts[i]`` draws to little sample ``i``, in order —
+        unless the census is due, which draws nothing.  Whether it drew."""
+        if self._census_due(state, sum(counts)):
+            state.census_due = True
+            return False
+        for position, count in enumerate(counts):
+            if count > 0:
+                state.little_samples[position] = np.concatenate(
+                    [
+                        state.little_samples[position],
+                        state.collector.collect_indices(count),
+                    ]
+                )
+        return True
+
+    def _census_due(self, state: _QueryState, need: int) -> bool:
+        """Whether a growth of ``need`` draws gives way to the census.
+
+        It does when ``need`` is at least the number of support entries
+        this query has not drawn: validating the rest then costs no more
+        searches than the draws would, and returns the exact aggregate.
+        The rule reads only the query's own draws, so which rounds a
+        query takes is a function of (query, seed, graph, config) —
+        memo state changes only the cost.
+        """
+        undrawn = state.joint.support_size - len(state.distinct_support_indices())
+        return need >= undrawn
 
     def step(
         self,
@@ -704,17 +776,27 @@ class QueryExecutor:
         correct draws, a failed bootstrap, any MAX/MIN round) is traced
         as ``moe=0.0, guaranteed=False`` — never inf or NaN, which break
         rendering and strict JSON.
+
+        When the census is due (:meth:`_census_due`) the round is
+        :meth:`_census` instead, satisfied by construction; a step on a
+        state whose census already ran (a ``refine``) re-emits that round
+        and appends nothing.
         """
+        if state.census is not None:
+            return StepOutcome(trace=state.census, satisfied=True, exhausted=False)
         step_started = time.perf_counter() - carried_seconds
         round_index = len(state.rounds) + 1
-        self._ensure_validated(state)
         kind = kind_for(state.aggregate_query)
-        if kind == KIND_GROUPED:
-            round_estimate = self._estimate_worst_group(state, error_bound)
-        elif kind == KIND_EXTREME:
-            round_estimate = self._estimate_extremum(state)
+        if state.census_due:
+            round_estimate = self._census(state)
         else:
-            round_estimate = self._estimate_guaranteed(state, error_bound)
+            self._ensure_validated(state)
+            if kind == KIND_GROUPED:
+                round_estimate = self._estimate_worst_group(state, error_bound)
+            elif kind == KIND_EXTREME:
+                round_estimate = self._estimate_extremum(state)
+            else:
+                round_estimate = self._estimate_guaranteed(state, error_bound)
         point_estimate, moe, correct_draws, satisfied = round_estimate
         trace = RoundTrace(
             round_index=round_index,
@@ -727,6 +809,8 @@ class QueryExecutor:
             guaranteed=moe is not None,
         )
         state.rounds.append(trace)
+        if state.census_due:
+            state.census = trace
         return StepOutcome(
             trace=trace,
             satisfied=satisfied,
@@ -739,18 +823,20 @@ class QueryExecutor:
         """Package the state after its run's last step.
 
         ``converged`` is that step's ``satisfied``; with the draw count it
-        also says why the run stopped (``stop_reason``: the bound was met,
-        else the sample cap was reached, else the round budget — the
-        caller's — was spent).  GROUP-BY packages the
+        also says why the run stopped (``stop_reason``: the census ran,
+        else the bound was met, else the sample cap was reached, else the
+        round budget — the caller's — was spent).  GROUP-BY packages the
         latest per-group estimates; everything else the last round's
-        estimate and MoE (``state.rounds[-1]``), which a MAX/MIN query
-        under ``ExtremeMethod.EVT`` first extrapolates past the sample
-        extremum.
+        estimate and MoE (``state.rounds[-1]``), which a sampled MAX/MIN
+        query under ``ExtremeMethod.EVT`` first extrapolates past the
+        sample extremum.
         """
         config = self.config
         function = state.aggregate_query.function
         kind = kind_for(state.aggregate_query)
-        if converged:
+        if state.census is not None:
+            stop_reason = STOP_CENSUS
+        elif converged:
             stop_reason = STOP_BOUND_MET
         elif state.total_draws >= config.max_sample_size:
             stop_reason = STOP_SAMPLE_CAP
@@ -774,6 +860,7 @@ class QueryExecutor:
         if (
             kind == KIND_EXTREME
             and config.extreme_method is ExtremeMethod.EVT
+            and state.census is None
             and last.correct_draws
         ):
             # The future-work extension: extrapolate past the sample
@@ -824,43 +911,6 @@ class QueryExecutor:
         """
         for plan in components:
             self._fill_similarities(plan, node_ids)
-
-    def _grow_sample(
-        self,
-        state: _QueryState,
-        point_estimate: float,
-        moe: float,
-        error_bound: float,
-    ) -> None:
-        """Extend the little samples per the configured delta strategy."""
-        config = self.config
-        with state.timers.measure(STAGE_SAMPLING):
-            if config.delta_strategy is DeltaStrategy.ERROR_BASED:
-                target = moe_target(point_estimate, error_bound)
-                if math.isinf(moe) or target <= 0.0:
-                    growth = 2.0  # no usable CI yet: double the sample
-                else:
-                    # Eq. 12: N grows by (eps / target)^2, so |S_A| = t N^m
-                    # grows by ratio^(2m) — exactly |dS_A| of the paper.
-                    ratio = max(moe / target, 1.0)
-                    growth = min(ratio * ratio, config.max_growth_factor)
-                    growth = max(growth, 1.1)  # always make visible progress
-                state.desired_n = int(math.ceil(state.desired_n * growth))
-                little_size = config.blb.little_sample_size(state.desired_n)
-                for position, sample in enumerate(state.little_samples):
-                    shortfall = little_size - len(sample)
-                    if shortfall > 0:
-                        state.little_samples[position] = np.concatenate(
-                            [sample, state.collector.collect_indices(shortfall)]
-                        )
-            else:
-                per_sample = max(
-                    1, config.fixed_delta // len(state.little_samples)
-                )
-                for position, sample in enumerate(state.little_samples):
-                    state.little_samples[position] = np.concatenate(
-                        [sample, state.collector.collect_indices(per_sample)]
-                    )
 
     # ------------------------------------------------------------------
     # What one round estimates, per kind
@@ -1035,6 +1085,59 @@ class QueryExecutor:
                 value = 0.0
         return value, None, combined.correct_draws, False
 
+    def _census(self, state: _QueryState) -> tuple[float, float, int, bool]:
+        """The exact aggregate over the whole joint support.
+
+        Every support entry still unknown is validated in one batch (one
+        screen plus one lazy-conjunction pass) inside a ``census`` span;
+        the round then reads :func:`census_estimate` off the verdicts —
+        per group for GROUP-BY, whose round carries the widest group
+        like a sampled one.  ``correct_draws`` stays what it means on
+        every round: correct draws among the draws taken, which the
+        census adds none to.
+        """
+        aggregate_query = state.aggregate_query
+        function = aggregate_query.function
+        pending = np.flatnonzero(~state.support_known)
+        with child_span(
+            "census", support=state.joint.support_size, pending=int(len(pending))
+        ):
+            self._validate_pending(state, pending)
+        if self.obs_metrics is not None:
+            self.obs_metrics["census_queries"].inc()
+        correct = state.support_correct
+        draws = np.concatenate(state.little_samples)
+        with state.timers.measure(STAGE_ESTIMATION):
+            if aggregate_query.group_by is None:
+                value, moe = census_estimate(function, state.support_value[correct])
+                return value, moe, int(np.count_nonzero(correct[draws])), True
+            keys = self._group_keys(state, np.arange(state.joint.support_size))
+            draw_keys = keys[draws]
+            groups = {}
+            for key in np.unique(keys[~np.isnan(keys)]):
+                value, moe = census_estimate(
+                    function, state.support_value[keys == key]
+                )
+                groups[float(key)] = ApproximateResult(
+                    function=function,
+                    interval=ConfidenceInterval(
+                        estimate=value,
+                        moe=moe,
+                        confidence_level=self.config.confidence_level,
+                    ),
+                    converged=True,
+                    rounds=(),
+                    total_draws=state.total_draws,
+                    distinct_answers=0,
+                    correct_draws=int(np.count_nonzero(draw_keys == key)),
+                )
+        state.grouped_results = groups
+        correct_draws = sum(result.correct_draws for result in groups.values())
+        worst = self._worst_group(groups)
+        if worst is None:
+            return 0.0, 0.0, correct_draws, True
+        return worst.value, worst.moe, correct_draws, True
+
     @staticmethod
     def _worst_group(
         groups: dict[float, ApproximateResult]
@@ -1051,8 +1154,11 @@ class QueryExecutor:
                 worst = (rank, result)
         return worst[1] if worst is not None else None
 
-    def _group_keys(self, state: _QueryState) -> np.ndarray:
-        """Per-support group keys (NaN where ungrouped), built lazily."""
+    def _group_keys(
+        self, state: _QueryState, entries: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-support group keys (NaN where ungrouped), built lazily for
+        ``entries`` (default: the drawn ones), which must be validated."""
         group_by = state.aggregate_query.group_by
         assert group_by is not None
         if state.support_group is None:
@@ -1064,8 +1170,9 @@ class QueryExecutor:
             )
         assert state.support_group_known is not None
         known = state.support_group_known
-        drawn = state.distinct_support_indices()
-        pending = drawn[~known[drawn]]
+        if entries is None:
+            entries = state.distinct_support_indices()
+        pending = entries[~known[entries]]
         known[pending] = True
         # only correct entries are keyed, and those went through _screen
         pending = pending[state.support_correct[pending]]

@@ -10,8 +10,11 @@ from repro.query.aggregate import AggregateFunction
 
 
 #: why a run stopped (``stop_reason`` on a finalised result): its last round
-#: met the stop condition; the sample reached ``max_sample_size``; or the
-#: round budget was spent with neither
+#: was the census — the growth would have drawn at least the undrawn
+#: support, so every entry was validated and the result is exact; its last
+#: round met the stop condition; the sample reached ``max_sample_size``; or
+#: the round budget was spent with none of these
+STOP_CENSUS = "census"
 STOP_BOUND_MET = "bound_met"
 STOP_SAMPLE_CAP = "sample_cap"
 STOP_ROUND_BUDGET = "round_budget"
@@ -92,7 +95,12 @@ class ApproximateResult:
 
     def describe(self) -> str:
         """One-line human-readable rendering of the result."""
-        status = "converged" if self.converged else "round-budget exhausted"
+        if self.stop_reason == STOP_CENSUS:
+            status = "exact: census of the whole support"
+        elif self.converged:
+            status = "converged"
+        else:
+            status = "round-budget exhausted"
         return (
             f"{self.function.value} ≈ {self.value:,.2f} ± {self.moe:,.2f} "
             f"({self.interval.confidence_level:.0%} CI, {self.num_rounds} rounds, "

@@ -527,6 +527,12 @@ class AggregateQueryService:
                     buckets=(1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0,
                              250.0, 500.0, 1000.0),
                 ),
+                "census_queries": execution.counter(
+                    "census_queries",
+                    "Queries answered by a census: the growth would have "
+                    "drawn at least the undrawn support, so every entry "
+                    "was validated and the aggregate is exact (S3)",
+                ),
                 "conjunction_skips": execution.counter(
                     "conjunction_skips",
                     "Answer x component searches not run because an "
@@ -937,11 +943,12 @@ class AggregateQueryService:
 
         Confidence only affects the BLB interval (S3), never S1, so the
         override executor still shares the service's planner — and with
-        it every cached plan and verdict memo.
+        it every cached plan and verdict memo — and the default
+        executor's class.
         """
         if confidence is None or confidence == self.config.confidence_level:
             return self._executor
-        executor = QueryExecutor(
+        executor = type(self._executor)(
             self._kg,
             self._space,
             self.config.with_(confidence_level=confidence),

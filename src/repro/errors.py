@@ -124,7 +124,15 @@ class MappingNodeNotFoundError(QueryError):
 
 
 class EmbeddingError(ReproError):
-    """An embedding model was misconfigured or used before training."""
+    """An embedding model was misconfigured or used before training.
+
+    Also raised when an answer's correctness search reaches a predicate
+    the embedding does not cover, as
+    :class:`~repro.semantics.reference.ReferenceValidator` raises
+    for that answer.  A query fails on it only for an answer it
+    validates: a drawn one, or — once the query's census runs — any
+    answer of its support, drawn or not.
+    """
 
 
 class SamplingError(ReproError):

@@ -26,17 +26,25 @@ These per-draw functions are the definition.  A COUNT / SUM / AVG round of
 columns gathered once and is pinned to :func:`estimate` bit for bit
 (``tests/test_executor_arrays.py``); MAX/MIN rounds and the EVT fit still
 run on an :class:`EstimationSample`.
+
+:func:`census_estimate` is what a census round returns instead: the
+exact aggregate of the whole population of correct answers, with the
+floating-point rounding bound as its MoE.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import EstimationError
-from repro.query.aggregate import AggregateFunction
+from repro.query.aggregate import AggregateFunction, exact_aggregate
+
+#: the unit roundoff of IEEE double precision
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class Normalization(enum.Enum):
@@ -176,3 +184,30 @@ def estimate(
     if function is AggregateFunction.AVG:
         return estimate_avg(sample)
     return estimate_extreme(sample, function)
+
+
+def census_estimate(
+    function: AggregateFunction, values: np.ndarray
+) -> tuple[float, float]:
+    """``(exact aggregate, rounding bound)`` of a census's correct values.
+
+    The value is :func:`~repro.query.aggregate.exact_aggregate`'s — SUM
+    and AVG through ``math.fsum``, so it does not depend on the order of
+    ``values`` — and an empty population reads 0.0, as
+    :func:`~repro.query.evaluate.aggregate_over` reads it.  The MoE of SUM
+    and AVG is ``gamma_{n+2} * fsum(|x|) / d`` with ``gamma_k = k u / (1 -
+    k u)``, ``d`` = 1 for SUM and ``n`` for AVG: it contains the float
+    that any summation order of the same values produces.  COUNT, MAX
+    and MIN are exact, MoE 0.
+    """
+    if len(values) == 0:
+        return 0.0, 0.0
+    listed = values.tolist()
+    value = exact_aggregate(function, listed)
+    if function not in (AggregateFunction.SUM, AggregateFunction.AVG):
+        return value, 0.0
+    slack = (len(listed) + 2) * _UNIT_ROUNDOFF
+    bound = slack / (1.0 - slack) * math.fsum(map(abs, listed))
+    if function is AggregateFunction.AVG:
+        bound /= len(listed)
+    return value, bound

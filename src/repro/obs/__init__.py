@@ -23,6 +23,8 @@ metric                                         type       meaning
                                                           cache, process-lifetime totals)
 ``repro_exec_validated_entries_total``         counter    S2 candidate answers validated
 ``repro_exec_validate_batch_pending``          histogram  batch sizes handed to the S2 kernels
+``repro_exec_census_queries``                  counter    queries answered by a census (the
+                                                          exact aggregate over the support)
 ``repro_exec_conjunction_skips``               counter    answer x component searches an
                                                           earlier component's rejection saved
 ``repro_exec_sigma_closed_form``               counter    bag / group sigmas taken in closed
@@ -74,7 +76,9 @@ and activates it around every slot the query holds.  Children:
   those one ``chain_prefix`` span per chain-prefix level resolved
   (``level``, ``frontier``, and the chain DFS's ``replayed`` / ``live``
   expansions; level ``k`` nests level ``k - 1``; none on simple
-  queries).
+  queries).  A census round nests one ``census`` span (``support`` =
+  joint support size, ``pending`` = entries it validated) around its
+  ``validate_batch``.
 
 ``QueryHandle.trace()`` returns the tree as a nested JSON-clean dict
 (:meth:`repro.obs.trace.Span.as_dict`); it is ``None`` when the service

@@ -172,15 +172,20 @@ class AggregateQuery:
 def exact_aggregate(
     function: AggregateFunction, values: Sequence[float]
 ) -> float:
-    """Apply ``function`` exactly to ``values`` (used by all exact baselines)."""
+    """Apply ``function`` exactly to ``values`` (used by all exact baselines).
+
+    SUM and AVG are exactly rounded (``math.fsum``), so the result does
+    not depend on the order ``values`` come in — a set's iteration order
+    included.
+    """
     if function is AggregateFunction.COUNT:
         return float(len(values))
     if not values:
         raise QueryError(f"{function.value} of an empty answer set is undefined")
     if function is AggregateFunction.SUM:
-        return float(sum(values))
+        return math.fsum(values)
     if function is AggregateFunction.AVG:
-        return float(sum(values) / len(values))
+        return math.fsum(values) / len(values)
     if function is AggregateFunction.MAX:
         return float(max(values))
     if function is AggregateFunction.MIN:

@@ -122,8 +122,10 @@ def encode_result(
     execution, where timings legitimately differ.  ``walk_iterations`` is
     the paper's N_ws (power-iteration steps of S1); 0 means the plan took
     pi in closed form, which every semantic simple plan does.
-    ``stop_reason`` is ``bound_met`` / ``sample_cap`` / ``round_budget``
-    (null on the per-group entries of a grouped result).
+    ``stop_reason`` is ``census`` / ``bound_met`` / ``sample_cap`` /
+    ``round_budget`` (null on the per-group entries of a grouped result);
+    a ``census`` result is the exact aggregate over every candidate
+    answer, its ``moe`` the floating-point rounding bound.
     """
     if isinstance(result, GroupedResult):
         payload = {

@@ -17,11 +17,15 @@ import pytest
 from repro import (
     AggregateFunction,
     AggregateQuery,
+    AggregateQueryService,
+    ApproximateAggregateEngine,
     EngineConfig,
     LookupEmbedding,
     PredicateVectorSpace,
     QueryGraph,
 )
+from repro.core.executor import QueryExecutor
+from repro.core.planner import QueryPlanner
 from repro.kg import KnowledgeGraph
 
 
@@ -186,6 +190,55 @@ def _drive_lifecycle(executor, aggregate_query, seed, error_bound, max_rounds=No
 def drive_lifecycle():
     """The executor's round lifecycle, hand-driven (no service)."""
     return _drive_lifecycle
+
+
+class SampledExecutor(QueryExecutor):
+    """An executor that never takes the census.
+
+    Small test graphs have supports smaller than the first sample, so
+    every query there would be answered by a census in its first round;
+    tests of the sampling mechanics — Eq. 12 growth, BLB bags, the sample
+    cap, the round budget, anytime progress — run on this instead.
+    """
+
+    def _census_due(self, state, need: int) -> bool:
+        return False
+
+
+def _sampled_engine(kg, embedding, config=None) -> ApproximateAggregateEngine:
+    """An engine whose executor (and service) always samples."""
+    engine = ApproximateAggregateEngine(kg, embedding, config)
+    engine._executor = SampledExecutor(
+        kg, engine.space, engine.config, engine.planner
+    )
+    return engine
+
+
+def _sampled_service(kg, embedding, config=None, **kwargs) -> AggregateQueryService:
+    """A service whose executor always samples (``kwargs`` pass through)."""
+    space = (
+        embedding
+        if isinstance(embedding, PredicateVectorSpace)
+        else PredicateVectorSpace(embedding)
+    )
+    config = config or EngineConfig()
+    planner = QueryPlanner(kg, space, config)
+    executor = SampledExecutor(kg, space, config, planner)
+    return AggregateQueryService(
+        kg, space, config, planner=planner, executor=executor, **kwargs
+    )
+
+
+@pytest.fixture(scope="session")
+def sampled_engine():
+    """Builds an engine that never takes the census (:class:`SampledExecutor`)."""
+    return _sampled_engine
+
+
+@pytest.fixture(scope="session")
+def sampled_service():
+    """Builds a service that never takes the census (:class:`SampledExecutor`)."""
+    return _sampled_service
 
 
 @pytest.fixture(scope="session")

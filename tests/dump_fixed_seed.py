@@ -62,9 +62,11 @@ DIGESTS = _ROOT / "tests" / "data" / "fixed_seed_dump_sha256.json"
 
 
 def flatten(result) -> dict:
-    """Value, MoE, every round, draws and per-group intervals, floats as hex."""
+    """Value, MoE, every round, draws, why the run stopped and per-group
+    intervals, floats as hex."""
     record = {
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "draws": result.total_draws,
         "rounds": [
             [

@@ -1,0 +1,490 @@
+"""The census: a query whose next growth would draw at least as many answers
+as it has not drawn validates the rest of its support and returns the exact
+aggregate.
+
+The oracle is :func:`repro.query.evaluate.aggregate_over` over ``{a in the
+joint support : every component keeps a at >= tau, a usable}``: SUM and AVG
+equal it bit for bit (both are ``math.fsum``), COUNT, MAX and MIN exactly,
+and every summation order of the same values lands inside the census's MoE
+(the rounding bound).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    AggregateQueryService,
+    ApproximateAggregateEngine,
+    EngineConfig,
+    InteractiveSession,
+    LookupEmbedding,
+    PredicateVectorSpace,
+    QueryGraph,
+    QueryShape,
+)
+from repro.core.config import SamplerKind
+from repro.core.executor import QueryExecutor
+from repro.core.plan import shared_plan_cache
+from repro.core.result import STOP_CENSUS, GroupedResult
+from repro.datasets import ALL_PRESETS, standard_workload
+from repro.errors import EmbeddingError
+from repro.estimation.estimators import census_estimate
+from repro.kg import KnowledgeGraph
+from repro.query.aggregate import AggregateFunction, AggregateQuery, GroupBy
+from repro.query.evaluate import aggregate_over, is_usable_answer
+from repro.semantics.reference import ReferenceValidator
+from repro.server.app import encode_result
+
+_ATTRIBUTE_FUNCTIONS = (
+    AggregateFunction.SUM,
+    AggregateFunction.AVG,
+    AggregateFunction.MAX,
+    AggregateFunction.MIN,
+)
+
+
+class CensusExecutor(QueryExecutor):
+    """Takes the census at once: ``initialise`` draws nothing and the first
+    ``step`` validates the whole support."""
+
+    def _census_due(self, state, need: int) -> bool:
+        return True
+
+
+def _census_engine(kg, embedding, config=None) -> ApproximateAggregateEngine:
+    engine = ApproximateAggregateEngine(kg, embedding, config)
+    engine._executor = CensusExecutor(kg, engine.space, engine.config, engine.planner)
+    return engine
+
+
+def _run(executor, query, seed=1, error_bound=0.01):
+    """The slot's lifecycle by hand: ``(state, result)``."""
+    state = executor.initialise(query, seed)
+    budget = executor.round_budget(state)
+    for taken in range(budget):
+        if taken:
+            executor.grow(state, state.rounds[-1], error_bound)
+        outcome = executor.step(state, error_bound)
+        if outcome.satisfied or outcome.exhausted:
+            break
+    return state, executor.finalise(state, converged=outcome.satisfied)
+
+
+# ----------------------------------------------------------------------
+# the oracle
+# ----------------------------------------------------------------------
+def _kept_answers(engine, state) -> set[int]:
+    """``{a in support : every component keeps a >= tau, a usable}``."""
+    query = state.aggregate_query
+    return {
+        answer
+        for answer in state.joint.answers.tolist()
+        if engine.executor.answer_similarity(state, answer) >= engine.config.tau
+        and is_usable_answer(engine.kg, query, answer)
+    }
+
+
+def _assert_exact(result, function, values) -> None:
+    """``result`` is the exactly rounded aggregate of ``values``, and the
+    naive left-to-right sum of them lies inside its MoE."""
+    if not values:
+        assert (result.value, result.moe) == (0.0, 0.0)
+        return
+    if function is AggregateFunction.COUNT:
+        assert (result.value, result.moe) == (float(len(values)), 0.0)
+    elif function is AggregateFunction.MAX:
+        assert (result.value, result.moe) == (max(values), 0.0)
+    elif function is AggregateFunction.MIN:
+        assert (result.value, result.moe) == (min(values), 0.0)
+    else:
+        divisor = len(values) if function is AggregateFunction.AVG else 1
+        assert result.value.hex() == (math.fsum(values) / divisor).hex()
+        naive = sum(values) / divisor
+        assert abs(result.value - naive) <= result.moe
+        assert result.moe <= 1e-9 * max(1.0, math.fsum(map(abs, values)) / divisor)
+
+
+def _assert_census_is_the_oracle(engine, state, result) -> None:
+    query = state.aggregate_query
+    kg = engine.kg
+    assert result.stop_reason == STOP_CENSUS and result.converged
+    census = result.rounds[-1]
+    assert census.guaranteed and census.satisfied
+    assert census.total_draws == result.total_draws == state.total_draws
+    kept = _kept_answers(engine, state)
+    value, groups = aggregate_over(kg, query, kept)
+    if query.group_by is None:
+        assert result.value.hex() == value.hex()
+        values = [query.value_of(kg.node(answer)) for answer in kept]
+        _assert_exact(result, query.function, [v for v in values if v is not None])
+        return
+    assert isinstance(result, GroupedResult)
+    partitions: dict[float, list[float]] = {}
+    for answer in kept:
+        node = kg.node(answer)
+        key, v = query.group_by.key_for(node), query.value_of(node)
+        if key is not None and v is not None:
+            partitions.setdefault(key, []).append(v)
+    assert sorted(result.groups) == sorted(groups) == sorted(partitions)
+    for key, group in result.groups.items():
+        assert group.value.hex() == groups[key].hex()
+        assert group.converged
+        _assert_exact(group, query.function, partitions[key])
+
+
+def _bin_width(kg, attribute: str) -> float:
+    """About five bins over the attribute's spread."""
+    column = kg.attribute_column(attribute)
+    spread = float(np.nanmax(column) - np.nanmin(column))
+    return spread / 5.0 if spread > 0.0 else 1.0
+
+
+def _variants(bundle, shape: QueryShape) -> list[AggregateQuery]:
+    """Every aggregate kind over the workload's query graphs of ``shape``:
+    COUNT, SUM, AVG, MAX, MIN and a binned GROUP-BY COUNT and AVG, on the
+    attribute (and filters) of each stated AVG."""
+    queries = []
+    for stated in standard_workload(bundle):
+        stated_query = stated.aggregate_query
+        if (
+            stated_query.query.shape is not shape
+            or stated_query.function is not AggregateFunction.AVG
+            or stated_query.group_by is not None
+        ):
+            continue
+        graph, attribute = stated_query.query, stated_query.attribute
+        filters = stated_query.filters
+        group_by = GroupBy(attribute, bin_width=_bin_width(bundle.kg, attribute))
+        queries.append(
+            AggregateQuery(query=graph, function=AggregateFunction.COUNT, filters=filters)
+        )
+        queries.extend(
+            AggregateQuery(
+                query=graph, function=function, attribute=attribute, filters=filters
+            )
+            for function in _ATTRIBUTE_FUNCTIONS
+        )
+        queries.append(
+            AggregateQuery(
+                query=graph, function=AggregateFunction.COUNT, group_by=group_by
+            )
+        )
+        queries.append(
+            AggregateQuery(
+                query=graph,
+                function=AggregateFunction.AVG,
+                attribute=attribute,
+                group_by=group_by,
+            )
+        )
+    return queries
+
+
+# ----------------------------------------------------------------------
+# the census against the oracle on the presets
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "shape",
+    [QueryShape.SIMPLE, QueryShape.CHAIN, QueryShape.STAR, QueryShape.FLOWER,
+     QueryShape.CYCLE],
+    ids=lambda shape: shape.value,
+)
+@pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
+def test_census_is_the_exact_aggregate_on_every_shape_and_kind(preset, shape):
+    bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
+    queries = _variants(bundle, shape)
+    assert queries
+    engine = _census_engine(bundle.kg, bundle.embedding, EngineConfig(seed=0))
+    for query in queries:
+        state, result = _run(engine.executor, query)
+        assert len(result.rounds) == 1 and state.total_draws == 0
+        _assert_census_is_the_oracle(engine, state, result)
+
+
+def test_a_census_after_sampled_rounds_is_the_exact_aggregate():
+    """The census the growth rule triggers, after sampled rounds: the
+    yago2-like workload's plain COUNT / SUM / AVG."""
+    bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+    engine = ApproximateAggregateEngine(bundle.kg, bundle.embedding, EngineConfig(seed=0))
+    censuses = 0
+    for stated in standard_workload(bundle):
+        query = stated.aggregate_query
+        if query.query.shape is not QueryShape.SIMPLE or query.group_by is not None:
+            continue
+        state, result = _run(engine.executor, query, seed=3)
+        if result.stop_reason != STOP_CENSUS:
+            continue
+        censuses += 1
+        assert len(result.rounds) >= 2 and result.total_draws > 0
+        # the census round drew nothing: the draws are the last sampled round's
+        assert result.rounds[-1].total_draws == result.rounds[-2].total_draws
+        _assert_census_is_the_oracle(engine, state, result)
+    assert censuses >= 5
+
+
+# ----------------------------------------------------------------------
+# determinism: memo state changes the cost, not the result
+# ----------------------------------------------------------------------
+def test_warm_service_census_equals_a_cold_engine_byte_for_byte():
+    bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
+    queries = [
+        stated.aggregate_query
+        for stated in standard_workload(bundle)
+        if stated.aggregate_query.function is AggregateFunction.AVG
+        and stated.aggregate_query.group_by is None
+    ]
+    shared_plan_cache().clear()
+    with AggregateQueryService(
+        bundle.kg, bundle.space(), EngineConfig(seed=0)
+    ) as service:
+        for handle in service.submit_batch([(query, 1) for query in queries]):
+            handle.result(timeout=60.0)  # warms every plan and verdict memo
+        warm = [service.submit(query, seed=2).result(timeout=60.0) for query in queries]
+    cold = []
+    for query in queries:
+        shared_plan_cache().clear()
+        engine = ApproximateAggregateEngine(
+            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+        )
+        try:
+            cold.append(engine.execute(query, seed=2))
+        finally:
+            engine.service.close()
+    assert sum(result.stop_reason == STOP_CENSUS for result in warm) >= 5
+    for served, blocking in zip(warm, cold):
+        assert len(served.rounds) == len(blocking.rounds)
+        assert json.dumps(
+            encode_result(served, timings=False), sort_keys=True
+        ) == json.dumps(encode_result(blocking, timings=False), sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# refine and the interactive session on a census
+# ----------------------------------------------------------------------
+def _values(result):
+    return dataclasses.replace(
+        result, stage_ms={}, rounds=tuple(
+            dataclasses.replace(trace, seconds=0.0) for trace in result.rounds
+        )
+    )
+
+
+def test_refine_on_a_census_is_a_no_op(toy):
+    engine = ApproximateAggregateEngine(
+        toy.kg, toy.embedding, EngineConfig(seed=11, error_bound=0.001)
+    )
+    handle = engine.service.submit(toy.avg_query(), seed=3)
+    first = handle.result(timeout=30.0)
+    assert first.stop_reason == STOP_CENSUS
+    draws = handle.total_draws
+    for error_bound in (0.5, 1e-9):
+        again = handle.refine(error_bound).result(timeout=30.0)
+        assert _values(again) == _values(first)
+        assert handle.total_draws == draws
+        assert len(handle.progress()) == len(first.rounds)
+    engine.service.close()
+
+
+def test_interactive_session_on_a_census_re_emits_the_exact_round(toy):
+    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, EngineConfig(seed=11))
+    session = InteractiveSession(engine, toy.avg_query(), seed=3)
+    first = session.refine(0.001)
+    assert first.result.stop_reason == STOP_CENSUS
+    tighter = session.refine(1e-9)
+    assert tighter.additional_draws == 0
+    assert _values(tighter.result) == _values(first.result)
+    engine.service.close()
+
+
+# ----------------------------------------------------------------------
+# observability
+# ----------------------------------------------------------------------
+def test_census_span_and_counter(toy):
+    shared_plan_cache().clear()
+    with AggregateQueryService(
+        toy.kg, toy.embedding, EngineConfig(seed=11, error_bound=0.001)
+    ) as service:
+        handle = service.submit(toy.avg_query(), seed=3)
+        result = handle.result(timeout=30.0)
+        counters = service.registry.snapshot()
+        trace = handle.trace()
+    assert result.stop_reason == STOP_CENSUS
+    assert counters["repro_exec_census_queries"]["{}"] == 1
+    rounds = [child for child in trace["children"] if child["name"] == "round"]
+    census = [
+        child
+        for child in rounds[-1]["children"]
+        if child["name"] == "census"
+    ]
+    assert len(rounds) == len(result.rounds)
+    (span,) = census
+    support = span["attributes"]["support"]
+    assert support == result.num_candidates
+    assert 0 < span["attributes"]["pending"] <= support
+    assert [child["name"] for child in span["children"]] == ["validate_batch"]
+    assert not any(
+        child["name"] == "census" for node in rounds[:-1] for child in node["children"]
+    )
+
+
+# ----------------------------------------------------------------------
+# an undrawn answer whose search reaches an uncovered predicate
+# ----------------------------------------------------------------------
+def test_census_fails_on_an_undrawn_answer_that_reaches_an_uncovered_predicate():
+    """``other``'s own search pops ``near``, whose ``rare_pred`` edge the
+    embedding does not cover — what :class:`ReferenceValidator` raises for
+    that answer.  A sampled round validates only its draws; the census
+    validates every answer, drawn or not, so it fails the query.  (The
+    CNARW walk weighs no predicate, so the plan itself builds.)"""
+    kg = KnowledgeGraph()
+    hub = kg.add_node("hub", ["Hub"])
+    near = kg.add_node("near", ["Car"])
+    other = kg.add_node("other", ["Car"])
+    far = kg.add_node("far", ["Thing"])
+    kg.add_edge(near, "knows", hub)
+    kg.add_edge(other, "likes", hub)
+    kg.add_edge(far, "rare_pred", near)
+    space = PredicateVectorSpace(
+        LookupEmbedding(
+            {"knows": np.array([1.0, 0.0]), "likes": np.array([0.6, 0.8])}
+        )
+    )
+    config = EngineConfig(seed=1, n_bound=2, sampler=SamplerKind.CNARW)
+    query = AggregateQuery(
+        query=QueryGraph.simple("hub", ["Hub"], "knows", ["Car"]),
+        function=AggregateFunction.COUNT,
+    )
+    engine = _census_engine(kg, space, config)
+    plan = engine.planner.plan_for(query.query.components[0])
+    assert plan.distribution.answers.tolist() == [near, other]
+    reference = ReferenceValidator(
+        kg,
+        space,
+        repeat_factor=config.repeat_factor,
+        max_length=config.n_bound,
+        floor=config.similarity_floor,
+        expansion_budget=config.validation_expansions,
+    )
+    visiting = {node: p for node, p in enumerate(plan.visiting) if p > 0.0}
+    assert reference.validate(hub, near, "knows", visiting, config.tau).similarity == 1.0
+    with pytest.raises(EmbeddingError, match="rare_pred"):
+        reference.validate(hub, other, "knows", visiting, config.tau)
+
+    executor = engine.executor
+    state = executor.initialise(query, 3)
+    assert state.total_draws == 0
+    executor._ensure_validated(state)  # what a sampled round validates: none
+    with pytest.raises(EmbeddingError, match="rare_pred"):
+        executor.step(state, 0.01)
+    with pytest.raises(EmbeddingError, match="rare_pred"):
+        ApproximateAggregateEngine(kg, space, config).execute(query, seed=3)
+
+
+# ----------------------------------------------------------------------
+# census_estimate
+# ----------------------------------------------------------------------
+def test_census_estimate_bounds_every_summation_order():
+    values = np.array([1e16, 1.0, -1e16, 3.5, 1e-3, -7.25, 2.0**-30] * 5)
+    rng = np.random.default_rng(0)
+    for function in (AggregateFunction.SUM, AggregateFunction.AVG):
+        value, moe = census_estimate(function, values)
+        divisor = len(values) if function is AggregateFunction.AVG else 1
+        assert value == math.fsum(values.tolist()) / divisor
+        assert moe > 0.0
+        for _ in range(50):
+            shuffled = rng.permutation(values).tolist()
+            assert abs(sum(shuffled) / divisor - value) <= moe
+            assert abs(float(np.sum(shuffled)) / divisor - value) <= moe
+    assert census_estimate(AggregateFunction.COUNT, values) == (float(len(values)), 0.0)
+    assert census_estimate(AggregateFunction.MAX, values) == (1e16, 0.0)
+    assert census_estimate(AggregateFunction.MIN, values) == (-1e16, 0.0)
+    assert census_estimate(AggregateFunction.AVG, np.empty(0)) == (0.0, 0.0)
+
+
+# ----------------------------------------------------------------------
+# a property over random small graphs (reference validator as the oracle)
+# ----------------------------------------------------------------------
+_PREDICATES = {
+    "product": np.array([1.0, 0.0]),
+    "maker": np.array([0.95, np.sqrt(1.0 - 0.95**2)]),
+    "designer": np.array([0.3, np.sqrt(1.0 - 0.3**2)]),
+}
+_VALUES = st.one_of(
+    st.none(),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([1e16, -1e16, 0.1, 3.0, float("nan")]),
+)
+
+
+@st.composite
+def small_worlds(draw):
+    kg = KnowledgeGraph()
+    hub = kg.add_node("hub", ["Hub"])
+    middles = [kg.add_node(f"m{i}", ["Firm"]) for i in range(draw(st.integers(0, 3)))]
+    for middle in middles:
+        kg.add_edge(hub, draw(st.sampled_from(sorted(_PREDICATES))), middle)
+    for index in range(draw(st.integers(1, 14))):
+        value = draw(_VALUES)
+        answer = kg.add_node(
+            f"a{index}",
+            ["Car"],
+            attributes={} if value is None else {"price": value},
+        )
+        anchor = draw(st.sampled_from([hub, *middles]))
+        predicate = draw(st.sampled_from(sorted(_PREDICATES)))
+        if draw(st.booleans()):
+            kg.add_edge(anchor, predicate, answer)
+        else:
+            kg.add_edge(answer, predicate, anchor)
+    function = draw(st.sampled_from(list(AggregateFunction)))
+    group_by = None
+    if function.has_guarantee and draw(st.booleans()):
+        group_by = GroupBy("price", bin_width=draw(st.sampled_from([0.5, 1e3, 1e7])))
+    query = AggregateQuery(
+        query=QueryGraph.simple("hub", ["Hub"], "product", ["Car"]),
+        function=function,
+        attribute="price" if function.needs_attribute else None,
+        group_by=group_by,
+    )
+    return kg, query
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(small_worlds())
+def test_census_is_aggregate_over_on_random_small_graphs(world):
+    kg, query = world
+    space = PredicateVectorSpace(LookupEmbedding(dict(_PREDICATES)))
+    config = EngineConfig(seed=0)
+    engine = _census_engine(kg, space, config)
+    plan = engine.planner.plan_for(query.query.components[0])
+    assume(plan.distribution.support_size > 0)
+    state, result = _run(engine.executor, query)
+    reference = ReferenceValidator(
+        kg,
+        space,
+        repeat_factor=config.repeat_factor,
+        max_length=config.n_bound,
+        floor=config.similarity_floor,
+        expansion_budget=config.validation_expansions,
+    )
+    visiting = {node: p for node, p in enumerate(plan.visiting) if p > 0.0}
+    kept = {
+        answer
+        for answer in plan.distribution.answers.tolist()
+        if reference.validate(
+            plan.source, answer, "product", visiting, config.tau
+        ).similarity >= config.tau
+        and is_usable_answer(kg, query, answer)
+    }
+    assert kept == _kept_answers(engine, state)
+    _assert_census_is_the_oracle(engine, state, result)

@@ -13,6 +13,7 @@ from repro import (
     QueryGraph,
 )
 from repro.datasets import ALL_PRESETS
+from repro.core.result import STOP_CENSUS
 from repro.errors import SamplingError
 from repro.query.graph import PathQuery
 from repro.sampling import ChainSampler
@@ -331,12 +332,15 @@ class TestChainQueriesEndToEnd:
 
 
 class TestCompositeQueriesEndToEnd:
-    def test_contradictory_composite_estimates_zero(self, toy, fast_config):
+    def test_contradictory_composite_estimates_zero(
+        self, toy, fast_config, sampled_engine
+    ):
         """No toy car satisfies both the product and the designer-chain
         relations: the candidate supports intersect (same Automobile pool)
-        but validation admits nobody, so the estimate is 0 and the engine
-        reports non-convergence."""
-        engine = ApproximateAggregateEngine(toy.kg, toy.embedding, fast_config)
+        but validation admits nobody, so the estimate is 0.  Sampling
+        reports non-convergence; the census — which the toy world's small
+        support triggers — has validated every answer, so its 0 is exact."""
+        engine = sampled_engine(toy.kg, toy.embedding, fast_config)
         composite = QueryGraph.compose(
             [
                 QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
@@ -351,6 +355,11 @@ class TestCompositeQueriesEndToEnd:
         result = engine.execute(query)
         assert result.value == 0.0
         assert not result.converged
+        census = ApproximateAggregateEngine(
+            toy.kg, toy.embedding, fast_config
+        ).execute(query)
+        assert (census.value, census.moe) == (0.0, 0.0)
+        assert census.converged and census.stop_reason == STOP_CENSUS
 
     def test_cycle_on_dataset(self, dbpedia_bundle):
         """The dataset presets wire real overlaps; cycles estimate them."""

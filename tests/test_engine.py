@@ -13,7 +13,12 @@ from repro import (
     QueryGraph,
 )
 from repro.core.config import DeltaStrategy, SamplerKind
-from repro.core.result import STOP_ROUND_BUDGET, ApproximateResult, GroupedResult
+from repro.core.result import (
+    STOP_CENSUS,
+    STOP_ROUND_BUDGET,
+    ApproximateResult,
+    GroupedResult,
+)
 from repro.errors import QueryError, SamplingError
 
 
@@ -47,9 +52,12 @@ class TestSimpleQueries:
         assert set(result.stage_ms) >= {"sampling", "estimation"}
         assert result.num_rounds == len(result.rounds)
 
-    def test_distinct_support_indices_follow_growth(self, toy, engine):
+    def test_distinct_support_indices_follow_growth(
+        self, toy, fast_config, sampled_engine
+    ):
         """The drawn-mask memo equals ``np.unique`` over every draw and is
         recomputed exactly when the (append-only) little samples grow."""
+        engine = sampled_engine(toy.kg, toy.embedding, fast_config)
         state = engine.executor.initialise(toy.avg_query(), seed=5)
 
         def oracle() -> np.ndarray:
@@ -132,29 +140,39 @@ class TestFilters:
         result = engine.execute(query)
         assert result.relative_error(float(truth)) < 0.1
 
-    def test_filter_excluding_everything(self, toy, engine):
+    def test_filter_excluding_everything(
+        self, toy, fast_config, engine, sampled_engine
+    ):
+        """Sampling has no CI without a correct draw; the census has
+        screened every answer, so its 0 is exact."""
         query = AggregateQuery(
             query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
             function=AggregateFunction.COUNT,
             filters=(Filter("price", 1.0, 2.0),),
         )
-        result = engine.execute(query)
+        result = sampled_engine(toy.kg, toy.embedding, fast_config).execute(query)
         assert result.value == 0.0
         assert not result.converged
+        census = engine.execute(query)
+        assert (census.value, census.moe) == (0.0, 0.0)
+        assert census.converged and census.stop_reason == STOP_CENSUS
 
 
 class TestExtremes:
-    def test_max_close_to_truth(self, toy, engine):
+    def test_max_close_to_truth(self, toy, fast_config, engine, sampled_engine):
         query = AggregateQuery(
             query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
             function=AggregateFunction.MAX,
             attribute="price",
         )
         truth = max(toy.kg.node(c).attribute("price") for c in toy.correct_cars)
-        result = engine.execute(query)
+        result = sampled_engine(toy.kg, toy.embedding, fast_config).execute(query)
         assert result.value <= truth  # sample max never exceeds the population max
         assert result.relative_error(truth) < 0.05
-        assert not result.converged  # extremes carry no guarantee
+        assert not result.converged  # sampled extremes carry no guarantee
+        census = engine.execute(query)  # the census is the population max
+        assert (census.value, census.moe) == (truth, 0.0)
+        assert census.converged and census.stop_reason == STOP_CENSUS
 
     def test_min_close_to_truth(self, toy, engine):
         query = AggregateQuery(
@@ -216,11 +234,13 @@ class TestGroupBy:
         assert result.stop_reason == STOP_ROUND_BUDGET
         assert [trace.satisfied for trace in result.rounds] == [False] * 3
 
-    def test_thin_first_round_does_not_report_bound_met(self, dbpedia_bundle):
+    def test_thin_first_round_does_not_report_bound_met(
+        self, dbpedia_bundle, sampled_engine
+    ):
         """dbpedia-like Q014 at draw seed 1000013: round 1 holds 30 draws and
         six groups of 1-6 correct draws, every MoE near its estimate — it
         used to stop there as ``converged`` / ``bound_met``."""
-        engine = ApproximateAggregateEngine(
+        engine = sampled_engine(
             dbpedia_bundle.kg, dbpedia_bundle.embedding, EngineConfig(seed=0)
         )
         result = engine.execute(
@@ -275,9 +295,9 @@ class TestAblationConfigs:
         result = engine.execute(toy.count_query())
         assert result.value > toy.count_truth  # upward bias
 
-    def test_max_sample_size_cap(self, toy):
+    def test_max_sample_size_cap(self, toy, sampled_engine):
         config = EngineConfig(seed=7, max_sample_size=120, error_bound=0.0001)
-        engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+        engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         assert not result.converged
 

@@ -368,10 +368,10 @@ def _assert_rounds_match_oracle(executor, query, seed, error_bound, rounds):
 @pytest.mark.parametrize("normalization", list(Normalization))
 @pytest.mark.parametrize("function", _GUARANTEED)
 def test_round_is_the_estimation_sample_estimate_and_blb_on_the_toy_world(
-    toy, function, normalization
+    toy, function, normalization, sampled_engine
 ):
     config = EngineConfig(seed=7, normalization=normalization)
-    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    engine = sampled_engine(toy.kg, toy.embedding, config)
     query = AggregateQuery(
         query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
         function=function,
@@ -383,7 +383,7 @@ def test_round_is_the_estimation_sample_estimate_and_blb_on_the_toy_world(
 @pytest.mark.parametrize("normalization", list(Normalization))
 @pytest.mark.parametrize("function", _GUARANTEED)
 def test_round_is_the_estimation_sample_estimate_and_blb_on_yago(
-    function, normalization
+    function, normalization, sampled_engine
 ):
     """The yago2-like workload's first plain COUNT, SUM and AVG."""
     bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
@@ -395,7 +395,7 @@ def test_round_is_the_estimation_sample_estimate_and_blb_on_yago(
         and not stated.aggregate_query.has_filters
         and stated.aggregate_query.group_by is None
     )
-    engine = ApproximateAggregateEngine(
+    engine = sampled_engine(
         bundle.kg, bundle.embedding, EngineConfig(seed=0, normalization=normalization)
     )
     _assert_rounds_match_oracle(engine.executor, query, 11, 0.01, rounds=3)
@@ -496,14 +496,14 @@ def test_round_checks_the_drawn_probabilities_like_estimation_sample():
 @pytest.mark.parametrize("normalization", list(Normalization))
 @pytest.mark.parametrize("function", _GUARANTEED)
 def test_group_estimates_are_the_masked_estimation_samples(
-    toy, drive_lifecycle, function, normalization
+    toy, drive_lifecycle, sampled_engine, function, normalization
 ):
     """Each group is an ``EstimationSample`` over every draw whose verdict
     mask is the group's membership: same estimate bit for bit, the
     closed-form sigma when the estimator is mean-shaped, else the
     bootstrap on the round's one generator in key order."""
     config = EngineConfig(seed=7, normalization=normalization, max_rounds=3)
-    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    engine = sampled_engine(toy.kg, toy.embedding, config)
     query = AggregateQuery(
         query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
         function=function,
@@ -571,11 +571,11 @@ def _assert_drawn_set_is_unique_draws(state) -> None:
 
 @pytest.mark.parametrize("delta_strategy", list(DeltaStrategy))
 @pytest.mark.parametrize("kind", sorted(_KIND_QUERIES))
-def test_drawn_set_follows_every_grow(toy, kind, delta_strategy):
+def test_drawn_set_follows_every_grow(toy, sampled_engine, kind, delta_strategy):
     """Only the tail each little sample gained is scattered into the drawn
     mask; after every growth the set is still every distinct draw."""
     config = EngineConfig(seed=7, delta_strategy=delta_strategy, fixed_delta=90)
-    executor = ApproximateAggregateEngine(toy.kg, toy.embedding, config).executor
+    executor = sampled_engine(toy.kg, toy.embedding, config).executor
     state = executor.initialise(_KIND_QUERIES[kind], 3)
     _assert_drawn_set_is_unique_draws(state)
     for _ in range(4):
@@ -586,8 +586,8 @@ def test_drawn_set_follows_every_grow(toy, kind, delta_strategy):
     assert len(state.distinct_support_indices()) > 1
 
 
-def test_drawn_set_follows_interactive_refinement(toy):
-    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, EngineConfig(seed=11))
+def test_drawn_set_follows_interactive_refinement(toy, sampled_engine):
+    engine = sampled_engine(toy.kg, toy.embedding, EngineConfig(seed=11))
     session = InteractiveSession(engine, toy.avg_query(), seed=3)
     state = session.handle._record.state
     _assert_drawn_set_is_unique_draws(state)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
+from repro.core.result import STOP_CENSUS
 from repro.core.session import InteractiveSession
 from repro.embedding import LookupEmbedding, PredicateVectorSpace
 from repro.errors import (
@@ -130,24 +131,26 @@ def test_isolated_mapping_node():
 # ---------------------------------------------------------------------------
 # Attribute pathologies
 # ---------------------------------------------------------------------------
-def test_sum_over_answers_without_the_attribute(tiny_kg):
+def test_sum_over_answers_without_the_attribute(tiny_kg, sampled_engine):
     """Answers lacking the attribute are unusable; with nobody carrying
-    it the engine reports the degraded mode honestly: a zero estimate,
-    zero correct draws, and converged=False — never a fabricated value."""
+    it sampling reports the degraded mode honestly: a zero estimate,
+    zero correct draws, and converged=False — never a fabricated value.
+    The census has screened every answer, so it returns the exact empty
+    SUM."""
     query = AggregateQuery(
         query=QueryGraph.simple("Hub", ["Place"], "rel", ["Thing"]),
         function=AggregateFunction.SUM,
         attribute="weight",  # nobody has it
     )
-    engine = ApproximateAggregateEngine(
-        tiny_kg,
-        _space("rel", "unrelated"),
-        config=EngineConfig(seed=1, max_rounds=2, min_rounds=1),
-    )
-    result = engine.execute(query)
+    space = _space("rel", "unrelated")
+    config = EngineConfig(seed=1, max_rounds=2, min_rounds=1)
+    result = sampled_engine(tiny_kg, space, config).execute(query)
     assert result.value == 0.0
     assert result.correct_draws == 0
     assert not result.converged
+    census = ApproximateAggregateEngine(tiny_kg, space, config).execute(query)
+    assert (census.value, census.moe, census.correct_draws) == (0.0, 0.0, 0)
+    assert census.converged and census.stop_reason == STOP_CENSUS
 
 
 def test_partial_attribute_coverage():
@@ -212,21 +215,22 @@ def test_group_by_attribute_nobody_has(tiny_kg):
 # ---------------------------------------------------------------------------
 # tau pathologies
 # ---------------------------------------------------------------------------
-def test_all_answers_below_tau():
+def test_all_answers_below_tau(sampled_engine):
     """tau = 1 with a dissimilar predicate: the sample validates empty and
-    the engine must not fabricate an estimate."""
+    the engine must not fabricate an estimate; the census validates the
+    whole support empty, so its 0 is exact."""
     kg = KnowledgeGraph()
     hub = kg.add_node("Hub", ["Place"])
     thing = kg.add_node("T", ["Thing"])
     kg.add_edge(hub, "different", thing)
-    engine = ApproximateAggregateEngine(
-        kg,
-        _space("rel", "different", seed=9),
-        config=EngineConfig(seed=2, tau=1.0, max_rounds=2, min_rounds=1),
-    )
-    result = engine.execute(_count_query())
+    space = _space("rel", "different", seed=9)
+    config = EngineConfig(seed=2, tau=1.0, max_rounds=2, min_rounds=1)
+    result = sampled_engine(kg, space, config).execute(_count_query())
     assert result.value == 0.0
     assert not result.converged
+    census = ApproximateAggregateEngine(kg, space, config).execute(_count_query())
+    assert (census.value, census.moe) == (0.0, 0.0)
+    assert census.converged and census.stop_reason == STOP_CENSUS
 
 
 # ---------------------------------------------------------------------------

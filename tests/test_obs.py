@@ -51,7 +51,7 @@ from repro import (
 )
 from repro.core.executor import KINDS
 from repro.core.plan import shared_plan_cache
-from repro.core.result import GroupedResult
+from repro.core.result import STOP_CENSUS, STOP_ROUND_BUDGET, GroupedResult
 from repro.errors import ServiceError
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.semantics.kernels import CHAIN_TALLIES
@@ -271,7 +271,7 @@ class TestSpanTrees:
         a chain included, and no span stands in for a transport hop."""
         seams = {
             "query", "initialise", "plan_build", "s1_stage", "round",
-            "validate_batch", "chain_prefix",
+            "census", "validate_batch", "chain_prefix",
         }
 
         def names(node: dict) -> set[str]:
@@ -303,6 +303,21 @@ COMMON_AUDIT_KEYS = {
 
 
 class TestAuditLog:
+    def test_sampled_extreme_line_keeps_the_no_ci_sentinel(
+        self, world, tmp_path, sampled_service
+    ):
+        path = tmp_path / "audit.jsonl"
+        shared_plan_cache().clear()
+        with sampled_service(
+            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8),
+            audit_log=path,
+        ) as service:
+            service.submit(_extreme_query(), seed=5).result(timeout=30.0)
+        (line,) = self._read_lines(path)
+        assert line["guaranteed"] is False  # the extreme sentinel
+        assert line["moe"] == 0.0
+        assert line["stop_reason"] == STOP_ROUND_BUDGET
+
     def _read_lines(self, path) -> list[dict]:
         lines = []
         with open(path, encoding="utf-8") as handle:
@@ -340,8 +355,11 @@ class TestAuditLog:
         assert math.isfinite(plain["estimate"]) and math.isfinite(plain["moe"])
         assert plain["confidence"] == pytest.approx(0.95)
 
+        # the toy world's support is smaller than a first sample: every
+        # kind is a census, an exact MAX included
+        assert {line["stop_reason"] for line in lines} == {STOP_CENSUS}
         extreme = by_kind["extreme"]
-        assert extreme["guaranteed"] is False  # the extreme sentinel
+        assert extreme["guaranteed"] is True
         assert extreme["moe"] == 0.0
 
         grouped = by_kind["grouped"]
@@ -665,7 +683,8 @@ class TestExecMetrics:
     def test_only_avg_and_paper_sigmas_pay_for_an_index_stream(self):
         """A ``dashboard_refresh``-shaped batch — one hub's COUNT, SUM,
         binned GROUP-BY COUNT, MAX and MIN — takes every sigma in closed
-        form; the hub's AVG then bootstraps its three bags every round."""
+        form; the hub's AVG then bootstraps its three bags every sampled
+        round (a census round takes no sigma)."""
         from repro import QueryShape
         from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 
@@ -691,7 +710,8 @@ class TestExecMetrics:
             after = _parse_prometheus(service.registry.render_prometheus())
         assert batch["repro_exec_sigma_bootstrap"] == 0
         assert batch["repro_exec_sigma_closed_form"] > 0
-        assert after["repro_exec_sigma_bootstrap"] == 3 * len(result.rounds)
+        sampled_rounds = len(result.rounds) - (result.stop_reason == STOP_CENSUS)
+        assert after["repro_exec_sigma_bootstrap"] == 3 * sampled_rounds
         assert (
             after["repro_exec_sigma_closed_form"]
             == batch["repro_exec_sigma_closed_form"]

@@ -107,10 +107,13 @@ class _ClockSteppingBackend(ExecutionBackend):
 
 
 class TestDeadlines:
-    def _expired_handle(self, world):
+    """A run that outlives its deadline: the queries that must keep
+    running sample (a census would settle them in their first round)."""
+
+    def _expired_handle(self, world, sampled_service):
         clock = _FakeClock()
         config = EngineConfig(seed=7, max_rounds=50)
-        service = AggregateQueryService(
+        service = sampled_service(
             world.kg, world.embedding, config,
             backend=_ClockSteppingBackend(clock, step=1.0),
         )
@@ -122,8 +125,8 @@ class TestDeadlines:
         )
         return service, handle
 
-    def test_expiry_mid_run_preserves_the_anytime_trace(self, world):
-        service, handle = self._expired_handle(world)
+    def test_expiry_mid_run_preserves_the_anytime_trace(self, world, sampled_service):
+        service, handle = self._expired_handle(world, sampled_service)
         with service:
             with pytest.raises(DeadlineExceededError) as info:
                 handle.result(timeout=60)
@@ -138,10 +141,10 @@ class TestDeadlines:
             assert math.isfinite(last.moe)
             assert service.health()["deadline_expiries"] == 1
 
-    def test_each_result_call_raises_a_fresh_exception(self, world):
+    def test_each_result_call_raises_a_fresh_exception(self, world, sampled_service):
         """The bugfix: repeated result() must not re-raise (and thereby
         mutate the traceback of) one shared exception object."""
-        service, handle = self._expired_handle(world)
+        service, handle = self._expired_handle(world, sampled_service)
         with service:
             with pytest.raises(DeadlineExceededError) as first:
                 handle.result(timeout=60)
@@ -162,9 +165,11 @@ class TestDeadlines:
                 handle.result(timeout=60)
             assert info.value.trace == ()
 
-    def test_default_deadline_applies_unless_a_submit_overrides_it(self, world):
+    def test_default_deadline_applies_unless_a_submit_overrides_it(
+        self, world, sampled_service
+    ):
         clock = _FakeClock()
-        service = AggregateQueryService(
+        service = sampled_service(
             world.kg, world.embedding, EngineConfig(seed=7, max_rounds=50),
             backend=_ClockSteppingBackend(clock, step=1.0),
             default_deadline=2.5,
@@ -184,9 +189,9 @@ class TestDeadlines:
             assert len(generous.result(timeout=60).rounds) == 3
             assert service.health()["deadline_expiries"] == 1
 
-    def test_batch_deadline_bounds_every_query(self, world):
+    def test_batch_deadline_bounds_every_query(self, world, sampled_service):
         clock = _FakeClock()
-        service = AggregateQueryService(
+        service = sampled_service(
             world.kg, world.embedding, EngineConfig(seed=7, max_rounds=50),
             backend=_ClockSteppingBackend(clock, step=1.0),
         )

@@ -72,12 +72,12 @@ def world(toy_world_factory):
 
 
 def _service(
-    world, *, limits=None, backend=None, **overrides
+    world, *, limits=None, backend=None, make=AggregateQueryService, **overrides
 ) -> AggregateQueryService:
+    """A service over the toy world; ``make`` is its constructor (the
+    ``sampled_service`` fixture for a run that must not end in a census)."""
     config = EngineConfig(**{"seed": 7, "max_rounds": 8, **overrides})
-    return AggregateQueryService(
-        world.kg, world.embedding, config, backend=backend, limits=limits
-    )
+    return make(world.kg, world.embedding, config, backend=backend, limits=limits)
 
 
 @contextlib.contextmanager
@@ -197,8 +197,10 @@ class TestEvents:
                 {r["round"] for r in rounds}
             )
 
-    def test_extreme_rounds_carry_the_no_guarantee_sentinel(self, world):
-        with _serve(_service(world)) as (client, _runner):
+    def test_extreme_rounds_carry_the_no_guarantee_sentinel(
+        self, world, sampled_service
+    ):
+        with _serve(_service(world, make=sampled_service)) as (client, _runner):
             accepted = client.submit(MAX_AQL, error_bound=0.2, seed=11)
             assert accepted["kind"] == "extreme"
             rounds = [
@@ -225,8 +227,10 @@ class TestEvents:
             ]
             assert events[-1][0] == "result"
 
-    def test_cancel_mid_stream_ends_with_cancelled_event(self, world):
-        service = _service(world, backend=_StallingBackend(rounds=2))
+    def test_cancel_mid_stream_ends_with_cancelled_event(self, world, sampled_service):
+        service = _service(
+            world, backend=_StallingBackend(rounds=2), make=sampled_service
+        )
         with _serve(service) as (client, _runner):
             accepted = client.submit(COUNT_AQL, **NEVER)
             seen = threading.Event()
@@ -359,10 +363,10 @@ class _ClockSteppingBackend(ExecutionBackend):
 
 
 class TestDeadlines:
-    def test_expiry_carries_the_partial_trace_over_http(self, world):
+    def test_expiry_carries_the_partial_trace_over_http(self, world, sampled_service):
         clock = _FakeClock()
         config = EngineConfig(seed=7, max_rounds=50)
-        service = AggregateQueryService(
+        service = sampled_service(
             world.kg, world.embedding, config,
             backend=_ClockSteppingBackend(clock, step=1.0),
         )

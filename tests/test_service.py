@@ -43,6 +43,7 @@ from repro import (
     QueryStatus,
 )
 from repro.core.config import ExtremeMethod
+from repro.core.result import STOP_CENSUS
 from repro.core.plan import PlanCache, shared_plan_cache
 from repro.core.planner import QueryPlanner
 from repro.errors import (
@@ -58,11 +59,13 @@ def world(toy_world_factory):
     return toy_world_factory()
 
 
-def _service(world, *, autostart=True, **overrides) -> AggregateQueryService:
+def _service(
+    world, *, autostart=True, make=AggregateQueryService, **overrides
+) -> AggregateQueryService:
+    """A service over the toy world; ``make`` is its constructor (the
+    ``sampled_service`` fixture for a run that must not end in a census)."""
     config = EngineConfig(**{"seed": 7, "max_rounds": 8, **overrides})
-    return AggregateQueryService(
-        world.kg, world.embedding, config, autostart=autostart
-    )
+    return make(world.kg, world.embedding, config, autostart=autostart)
 
 
 def _grouped_query(bin_width: float = 1000.0) -> AggregateQuery:
@@ -166,8 +169,8 @@ class TestHandleResults:
         assert "scheduler" in result.stage_ms
         assert result.stage_ms["scheduler"] >= 0.0
 
-    def test_per_query_error_bound_and_confidence(self, world):
-        with _service(world, error_bound=0.01) as service:
+    def test_per_query_error_bound_and_confidence(self, world, sampled_service):
+        with _service(world, error_bound=0.01, make=sampled_service) as service:
             loose = service.submit(
                 world.avg_query(), error_bound=0.10, seed=5
             ).result()
@@ -195,8 +198,8 @@ class TestHandleResults:
 
 
 class TestProgressiveResults:
-    def test_progress_trace_is_monotone_for_fixed_seed(self, world):
-        with _service(world, error_bound=0.01) as service:
+    def test_progress_trace_is_monotone_for_fixed_seed(self, world, sampled_service):
+        with _service(world, error_bound=0.01, make=sampled_service) as service:
             handle = service.submit(world.avg_query(), seed=11)
             handle.result()
             progress = handle.progress()
@@ -211,8 +214,8 @@ class TestProgressiveResults:
         ), f"CI width widened across rounds: {moes}"
         assert all(trace.seconds >= 0.0 for trace in progress)
 
-    def test_refine_reuses_draws(self, world):
-        with _service(world, error_bound=0.05) as service:
+    def test_refine_reuses_draws(self, world, sampled_service):
+        with _service(world, error_bound=0.05, make=sampled_service) as service:
             handle = service.submit(world.avg_query(), seed=3)
             first = handle.result()
             second = handle.refine(0.02).result()
@@ -258,8 +261,10 @@ class TestGroupedAndExtremeSlots:
     one round per slot, expose a growing anytime trace, cancel promptly
     mid-run, and interleave with plain aggregates."""
 
-    def test_grouped_progress_trace_grows(self, world):
-        with _service(world, error_bound=0.001, min_group_draws=1) as service:
+    def test_grouped_progress_trace_grows(self, world, sampled_service):
+        with _service(
+            world, error_bound=0.001, min_group_draws=1, make=sampled_service
+        ) as service:
             handle = service.submit(_grouped_query(), seed=5)
             result = handle.result()
         progress = handle.progress()
@@ -277,8 +282,8 @@ class TestGroupedAndExtremeSlots:
         assert result.rounds == progress
         assert progress[-1].satisfied == result.converged
 
-    def test_extreme_progress_trace_has_no_nan_moe(self, world):
-        with _service(world) as service:
+    def test_extreme_progress_trace_has_no_nan_moe(self, world, sampled_service):
+        with _service(world, make=sampled_service) as service:
             handle = service.submit(_extreme_query(), seed=5)
             result = handle.result()
         progress = handle.progress()
@@ -346,12 +351,15 @@ class TestGroupedAndExtremeSlots:
         assert "Infinity" not in payload and "NaN" not in payload
         json.loads(payload)
 
-    def test_cancel_running_grouped_settles_within_one_round(self, world):
+    def test_cancel_running_grouped_settles_within_one_round(
+        self, world, sampled_service
+    ):
         """Regression: cancel() on a RUNNING grouped query used to block
         until the whole multi-round atomic slot finished; per-round
         cancellation checks must settle it promptly instead."""
         service = _service(
-            world, error_bound=1e-9, max_rounds=64, min_group_draws=1
+            world, error_bound=1e-9, max_rounds=64, min_group_draws=1,
+            make=sampled_service,
         )
         try:
             handle = service.submit(_grouped_query(bin_width=500.0), seed=5)
@@ -372,23 +380,35 @@ class TestGroupedAndExtremeSlots:
             service.close()
 
     @pytest.mark.parametrize(
-        "make_query, overrides",
+        "make_query, overrides, census",
         [
-            (lambda world: world.avg_query(), {}),
-            (lambda world: _grouped_query(), {"min_group_draws": 1}),
-            (lambda world: _extreme_query(), {}),
-            (lambda world: _extreme_query(), {"extreme_method": ExtremeMethod.EVT}),
+            (lambda world: world.avg_query(), {}, False),
+            (lambda world: _grouped_query(), {"min_group_draws": 1}, False),
+            (lambda world: _extreme_query(), {}, False),
+            (
+                lambda world: _extreme_query(),
+                {"extreme_method": ExtremeMethod.EVT},
+                False,
+            ),
+            (lambda world: world.avg_query(), {}, True),
+            (lambda world: _grouped_query(), {"min_group_draws": 1}, True),
+            (lambda world: _extreme_query(), {}, True),
         ],
-        ids=["guaranteed", "grouped", "extreme", "extreme-evt"],
+        ids=[
+            "guaranteed", "grouped", "extreme", "extreme-evt",
+            "census-guaranteed", "census-grouped", "census-extreme",
+        ],
     )
     def test_hand_driven_lifecycle_equals_the_served_result(
-        self, world, drive_lifecycle, make_query, overrides
+        self, world, drive_lifecycle, sampled_engine, make_query, overrides, census
     ):
         """``initialise`` -> (``grow`` ->) ``step`` -> ``finalise`` under
         ``round_budget`` — the slot's loop with no service around it —
-        equals ``engine.execute`` at the same seed bit for bit."""
+        equals ``engine.execute`` at the same seed bit for bit, whether
+        the run samples to its end or ends in a census."""
         config = EngineConfig(seed=7, max_rounds=8, error_bound=0.001, **overrides)
-        engine = ApproximateAggregateEngine(world.kg, world.embedding, config)
+        make = ApproximateAggregateEngine if census else sampled_engine
+        engine = make(world.kg, world.embedding, config)
         query = make_query(world)
         served = engine.execute(query, seed=5)
         _state, direct = drive_lifecycle(
@@ -399,13 +419,15 @@ class TestGroupedAndExtremeSlots:
             return [replace(entry, seconds=0.0) for entry in result.rounds]
 
         assert len(served.rounds) >= 2  # grow ran, not only the first step
+        assert (served.stop_reason == STOP_CENSUS) is census
+        assert direct.stop_reason == served.stop_reason
         assert trace(direct) == trace(served)
         assert direct.converged == served.converged
         assert direct.total_draws == served.total_draws
         if query.group_by is None:
             assert (direct.value, direct.moe) == (served.value, served.moe)
             assert direct.correct_draws == served.correct_draws
-            if config.extreme_method is ExtremeMethod.EVT:
+            if config.extreme_method is ExtremeMethod.EVT and not census:
                 assert served.moe > 0.0  # the tail fit ran: no sentinel
         else:
             assert served.groups and {
@@ -745,15 +767,20 @@ class TestStopReasonAndBackend:
             (dict(max_rounds=30, error_bound=0.05), "bound_met"),
             (dict(max_sample_size=120, error_bound=0.0001), "sample_cap"),
             (dict(max_rounds=1, error_bound=0.0001), "round_budget"),
+            (dict(max_rounds=30, error_bound=0.0001), "census"),
         ],
     )
-    def test_stop_reason_on_every_kind(self, world, overrides, expected):
+    def test_stop_reason_on_every_kind(
+        self, world, sampled_service, overrides, expected
+    ):
         """Why the run stopped is decided once, in ``finalise``, from what
         the scheduler told it, and carried by the wire payload and the
-        audit line.  MAX/MIN never meet a bound, so the extreme query's
-        reason is never ``bound_met``; the toy GROUP-BY meets one only once
-        its groups hold ``min_group_draws`` correct draws (a thin first
-        round used to read ``bound_met`` whatever the bound)."""
+        audit line.  MAX/MIN never meet a bound, so a sampled extreme
+        query's reason is never ``bound_met``; the toy GROUP-BY meets one
+        only once its groups hold ``min_group_draws`` correct draws (a thin
+        first round used to read ``bound_met`` whatever the bound).  The
+        first three runs sample; in the last every kind's growth reaches
+        the toy world's undrawn support, and the census ends it."""
         import io
 
         from repro.core.result import GroupedResult
@@ -761,7 +788,8 @@ class TestStopReasonAndBackend:
 
         shared_plan_cache().clear()
         sink = io.StringIO()
-        with AggregateQueryService(
+        make = AggregateQueryService if expected == "census" else sampled_service
+        with make(
             world.kg, world.embedding, EngineConfig(seed=7, **overrides),
             audit_log=sink,
         ) as service:
@@ -776,13 +804,15 @@ class TestStopReasonAndBackend:
         for result in results:
             payload = encode_result(result, timings=False)
             assert payload["stop_reason"] == result.stop_reason
-            assert (result.stop_reason == "bound_met") == result.converged
+            assert (result.stop_reason in ("bound_met", "census")) == result.converged
             if isinstance(result, GroupedResult):
                 # a per-group estimate is not a run of its own
                 assert {g.stop_reason for g in result.groups.values()} == {None}
         count, avg, total, grouped, extreme = reasons
         assert count == avg == total == grouped == expected
-        assert extreme == ("sample_cap" if expected == "sample_cap" else "round_budget")
+        if expected != "census":
+            expected = "sample_cap" if expected == "sample_cap" else "round_budget"
+        assert extreme == expected
 
     def test_ready_made_backend_runs_the_slots(self, world):
         from repro.core.service import ExecutionBackend
@@ -948,8 +978,8 @@ class TestHandleSurface:
             assert handle.progress() == ()  # no round ran
             assert handle.total_draws > 0  # S1 drew the initial sample
 
-    def test_submit_max_rounds_caps_the_run(self, world):
-        with _service(world, max_rounds=50) as service:
+    def test_submit_max_rounds_caps_the_run(self, world, sampled_service):
+        with _service(world, max_rounds=50, make=sampled_service) as service:
             result = service.submit(
                 world.avg_query(), seed=5, error_bound=1e-12, max_rounds=2
             ).result(timeout=30.0)

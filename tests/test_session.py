@@ -22,7 +22,10 @@ def engine(toy) -> ApproximateAggregateEngine:
 
 
 class TestInteractiveSession:
-    def test_refinement_reuses_draws(self, toy, engine):
+    def test_refinement_reuses_draws(self, toy, sampled_engine):
+        engine = sampled_engine(
+            toy.kg, toy.embedding, EngineConfig(seed=11, error_bound=0.05)
+        )
         session = InteractiveSession(engine, toy.avg_query(), seed=3)
         first = session.refine(0.05)
         draws_after_first = first.result.total_draws
