@@ -118,6 +118,9 @@ class _QueryState:
     desired_n: int
     num_candidates: int
     walk_iterations: int
+    #: the query's 1 - alpha: the BLB critical value, every interval and
+    #: the EVT fit read it
+    confidence_level: float
     #: per-support-entry verdicts, filled lazily as entries are first drawn
     support_known: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     support_correct: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
@@ -218,52 +221,39 @@ class QueryExecutor:
         self._space = space
         self.config = config
         self._planner = planner
-        self._typed_nodes_cache: dict[frozenset[str], frozenset[int]] = {}
-        self._typed_nodes_version = kg.structure_version
-        #: compiled chain-enumeration contexts, keyed by query predicate;
-        #: follow the graph's structure version like plans and snapshots
-        self._chain_context_cache: dict[str, object] = {}
-        self._chain_context_version = kg.structure_version
 
-    def _typed_nodes(self, types: frozenset[str]) -> frozenset[int]:
-        """All KG nodes carrying any of ``types``.
+    def _level_context(self, plan: QueryPlan, level: int) -> tuple:
+        """``(ChainContext, typed intermediates)`` of a chain level >= 2.
 
-        Cached per graph structure version: like plans and CSR snapshots,
-        the sets survive attribute writes but follow structural mutation.
-        """
-        if self._typed_nodes_version != self._kg.structure_version:
-            self._typed_nodes_cache.clear()
-            self._typed_nodes_version = self._kg.structure_version
-        cached = self._typed_nodes_cache.get(types)
-        if cached is None:
-            cached = frozenset(self._kg.nodes_with_any_type(types))
-            self._typed_nodes_cache[types] = cached
-        return cached
-
-    def _chain_context(self, predicate: str):
-        """Compiled chain-enumeration context for one query predicate.
-
-        Built once per ``(predicate, structure version)`` from the shared
-        CSR snapshot; every chain-prefix resolution over the same
-        predicate then enumerates through plain-list adjacency with
+        Both are functions of the plan — the level's query predicate, the
+        types of the hop below it, the graph structure the plan was built
+        on — so they live on it (``plan.chain_levels``), built on first
+        use from the shared CSR snapshot.  Every chain-prefix resolution
+        at the level then enumerates through plain-list adjacency with
         memoised per-predicate edge logs instead of re-paying the
         ``neighbors``/``predicate_of``/``similarity`` call chain per path
-        extension.
+        extension.  ``setdefault`` publishes: every reader uses the first
+        pair stored.
         """
-        if self._chain_context_version != self._kg.structure_version:
-            self._chain_context_cache.clear()
-            self._chain_context_version = self._kg.structure_version
-        context = self._chain_context_cache.get(predicate)
-        if context is None:
-            context = kernels.build_chain_context(
-                self._kg,
-                self._space,
-                csr_snapshot(self._kg),
-                predicate,
-                self.config.similarity_floor,
+        cached = plan.chain_levels.get(level)
+        if cached is None:
+            component = plan.component
+            cached = plan.chain_levels.setdefault(
+                level,
+                (
+                    kernels.build_chain_context(
+                        self._kg,
+                        self._space,
+                        csr_snapshot(self._kg),
+                        component.predicates[level - 1],
+                        self.config.similarity_floor,
+                    ),
+                    frozenset(
+                        self._kg.nodes_with_any_type(component.hops[level - 2][1])
+                    ),
+                ),
             )
-            self._chain_context_cache[predicate] = context
-        return context
+        return cached
 
     # ------------------------------------------------------------------
     # Initialisation (S1 hand-off)
@@ -299,11 +289,16 @@ class QueryExecutor:
         return AnswerDistribution(answers=answers, probabilities=weights)
 
     def initialise(
-        self, aggregate_query: AggregateQuery, seed: int | None
+        self,
+        aggregate_query: AggregateQuery,
+        seed: int | None,
+        *,
+        confidence: float | None = None,
     ) -> _QueryState:
         """Plan every component and draw the initial BLB little samples —
         or none, when they would outnumber the support and the first
-        ``step`` is the census."""
+        ``step`` is the census.  ``seed`` / ``confidence`` default to the
+        config's."""
         config = self.config
         effective_seed = config.seed if seed is None else seed
         rng = ensure_rng(derive_seed(effective_seed, "engine"))
@@ -338,6 +333,9 @@ class QueryExecutor:
                 desired_n=desired_n,
                 num_candidates=num_candidates,
                 walk_iterations=max(plan.walk_iterations for plan in components),
+                confidence_level=(
+                    config.confidence_level if confidence is None else confidence
+                ),
                 support_known=np.zeros(support_size, dtype=bool),
                 support_correct=np.zeros(support_size, dtype=bool),
                 support_value=np.zeros(support_size, dtype=np.float64),
@@ -351,25 +349,14 @@ class QueryExecutor:
     # Validation (S2, batched)
     # ------------------------------------------------------------------
     def _validate_batch(
-        self,
-        plan: QueryPlan,
-        node_ids: list[int],
-        predicate: str,
-        stop_threshold: float,
+        self, plan: QueryPlan, node_ids: list[int], stop_threshold: float
     ) -> dict:
-        """One :meth:`CorrectnessValidator.validate_batch` pass from the
-        plan's source, its replay tallies forwarded to the ``exec`` counters
-        (owned per call, so two services batching over one shared plan
-        keep exact numbers)."""
-        assert plan.validator is not None
+        """One pass of the plan's bound validator, its replay tallies
+        forwarded to the ``exec`` counters (owned per call, so two services
+        batching over one shared plan keep exact numbers)."""
         tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
         outcomes = plan.validator.validate_batch(
-            plan.source,
-            node_ids,
-            predicate,
-            plan.visiting,
-            stop_threshold=stop_threshold,
-            tallies=tallies,
+            node_ids, stop_threshold=stop_threshold, tallies=tallies
         )
         self._count(tallies)
         return outcomes
@@ -394,7 +381,7 @@ class QueryExecutor:
         :meth:`CorrectnessValidator.validate_batch` pass over the shared
         trace.  Deeper levels enumerate backwards from each endpoint with
         a capped DFS (the answer-side neighbourhood is small) —
-        :func:`repro.semantics.kernels.chain_matches` over a cached
+        :func:`repro.semantics.kernels.chain_matches` over the plan's
         :class:`~repro.semantics.kernels.ChainContext` — batch the union
         of the typed intermediates they reach one level down, and keep the
         best geometric mean per endpoint, memoised per ``(level, node)``.
@@ -431,11 +418,9 @@ class QueryExecutor:
         and recorded; the levels below report theirs separately.
         """
         memo = plan.chain_prefix_memo
-        component = plan.component
         config = self.config
-        predicate = component.predicates[level - 1]
         if level == 1:
-            outcomes = self._validate_batch(plan, frontier, predicate, 1.0)
+            outcomes = self._validate_batch(plan, frontier, 1.0)
             for node_id in frontier:
                 outcome = outcomes[int(node_id)]
                 result: tuple[float, int] | None = None
@@ -447,8 +432,7 @@ class QueryExecutor:
                     )
                 memo[(1, node_id)] = result
             return
-        typed_nodes = self._typed_nodes(component.hops[level - 2][1])
-        context = self._chain_context(predicate)
+        context, typed_nodes = self._level_context(plan, level)
         matches_of = {
             node_id: kernels.chain_matches(
                 context,
@@ -510,9 +494,7 @@ class QueryExecutor:
         if not missing:
             return
         if plan.chain is None:
-            outcomes = self._validate_batch(
-                plan, missing, plan.component.predicates[0], self.config.tau
-            )
+            outcomes = self._validate_batch(plan, missing, self.config.tau)
             for node_id, outcome in outcomes.items():
                 plan.similarity_cache[node_id] = outcome.similarity
         else:
@@ -871,7 +853,7 @@ class QueryExecutor:
                     combined,
                     function,
                     exceedance_quantile=config.evt_exceedance_quantile,
-                    confidence_level=config.confidence_level,
+                    confidence_level=state.confidence_level,
                     bootstrap_rounds=config.evt_bootstrap_rounds,
                     seed=derive_seed(config.seed, "evt"),
                 )
@@ -879,7 +861,7 @@ class QueryExecutor:
         return ApproximateResult(
             function=function,
             interval=ConfidenceInterval(
-                estimate=value, moe=moe, confidence_level=config.confidence_level
+                estimate=value, moe=moe, confidence_level=state.confidence_level
             ),
             converged=converged,
             rounds=tuple(state.rounds),
@@ -970,14 +952,16 @@ class QueryExecutor:
 
     def _column_moe(
         self,
+        state: _QueryState,
         numerators: np.ndarray,
         denominators: np.ndarray | None,
         bag_stops: list[int],
         seed: int | np.random.Generator,
     ) -> float:
         """Eq. 10-11 over the contiguous column views ending at
-        ``bag_stops``; inf when no bag yields a sigma.  A bootstrap draws
-        on ``ensure_rng(seed)``, built only if a bag needs it."""
+        ``bag_stops``, at the query's confidence level; inf when no bag
+        yields a sigma.  A bootstrap draws on ``ensure_rng(seed)``, built
+        only if a bag needs it."""
         config = self.config
         bags = [
             (
@@ -992,7 +976,7 @@ class QueryExecutor:
         try:
             return blb_moe(
                 bags,
-                critical=normal_critical_value(config.confidence_level),
+                critical=normal_critical_value(state.confidence_level),
                 num_resamples=config.blb.num_resamples,
                 resample_size=len(numerators),
                 seed=seed,
@@ -1020,6 +1004,7 @@ class QueryExecutor:
             if correct_draws > 0:
                 # each little sample is a contiguous view of the gather
                 moe = self._column_moe(
+                    state,
                     numerators,
                     denominators,
                     list(itertools.accumulate(map(len, state.little_samples))),
@@ -1040,14 +1025,9 @@ class QueryExecutor:
     def _estimate_worst_group(
         self, state: _QueryState, error_bound: float
     ) -> tuple[float, float | None, int, bool]:
-        """Re-estimate every observed group; report the one gating the run.
-
-        The groups land on ``state.grouped_results``; the round carries
-        the *worst* group's estimate and MoE, so the anytime
-        ``progress()`` view is meaningful for grouped queries, and is
-        satisfied when every sufficiently-drawn group met the bound (and
-        there is one).
-        """
+        """Re-estimate every observed group; report the one gating the run
+        (:meth:`_group_round`), satisfied when every sufficiently-drawn
+        group met the bound (and there is one)."""
         with state.timers.measure(STAGE_ESTIMATION):
             keys = self._group_keys(state)
             draws = np.concatenate(state.little_samples)
@@ -1058,15 +1038,7 @@ class QueryExecutor:
             groups, satisfied = self._estimate_groups(
                 state, numerators, denominators, keys[draws], error_bound
             )
-        state.grouped_results = groups
-        correct_draws = sum(result.correct_draws for result in groups.values())
-        worst = self._worst_group(groups)
-        if worst is None:
-            return 0.0, None, correct_draws, False
-        # a group without a sigma is stored as an unconverged moe=0.0
-        # interval: no CI exists this round
-        has_ci = not (worst.moe == 0.0 and not worst.converged)
-        return worst.value, worst.moe if has_ci else None, correct_draws, satisfied
+        return self._group_round(state, groups, satisfied)
 
     def _estimate_extremum(
         self, state: _QueryState
@@ -1085,7 +1057,9 @@ class QueryExecutor:
                 value = 0.0
         return value, None, combined.correct_draws, False
 
-    def _census(self, state: _QueryState) -> tuple[float, float, int, bool]:
+    def _census(
+        self, state: _QueryState
+    ) -> tuple[float, float | None, int, bool]:
         """The exact aggregate over the whole joint support.
 
         Every support entry still unknown is validated in one batch (one
@@ -1113,30 +1087,53 @@ class QueryExecutor:
                 return value, moe, int(np.count_nonzero(correct[draws])), True
             keys = self._group_keys(state, np.arange(state.joint.support_size))
             draw_keys = keys[draws]
-            groups = {}
-            for key in np.unique(keys[~np.isnan(keys)]):
-                value, moe = census_estimate(
-                    function, state.support_value[keys == key]
+            groups = {
+                float(key): (
+                    *census_estimate(function, state.support_value[keys == key]),
+                    True,
+                    int(np.count_nonzero(draw_keys == key)),
                 )
-                groups[float(key)] = ApproximateResult(
-                    function=function,
-                    interval=ConfidenceInterval(
-                        estimate=value,
-                        moe=moe,
-                        confidence_level=self.config.confidence_level,
-                    ),
-                    converged=True,
-                    rounds=(),
-                    total_draws=state.total_draws,
-                    distinct_answers=0,
-                    correct_draws=int(np.count_nonzero(draw_keys == key)),
-                )
-        state.grouped_results = groups
-        correct_draws = sum(result.correct_draws for result in groups.values())
-        worst = self._worst_group(groups)
+                for key in np.unique(keys[~np.isnan(keys)])
+            }
+        return self._group_round(state, groups, True)
+
+    def _group_round(
+        self, state: _QueryState, groups: dict, satisfied: bool
+    ) -> tuple[float, float | None, int, bool]:
+        """Package ``{key: (estimate, moe, converged, correct draws)}`` as
+        the per-group results and the round that reports them.
+
+        The groups land on ``state.grouped_results``; the round carries
+        the *worst* group's estimate and MoE, so the anytime
+        ``progress()`` view is meaningful for grouped queries.  A group
+        without a sigma is stored as an unconverged ``moe=0.0`` interval
+        and a round led by one has no CI; a census round without a group
+        is exact all the same.
+        """
+        function = state.aggregate_query.function
+        results = {
+            key: ApproximateResult(
+                function=function,
+                interval=ConfidenceInterval(
+                    estimate=value,
+                    moe=moe,
+                    confidence_level=state.confidence_level,
+                ),
+                converged=converged,
+                rounds=(),
+                total_draws=state.total_draws,
+                distinct_answers=0,
+                correct_draws=correct_draws,
+            )
+            for key, (value, moe, converged, correct_draws) in groups.items()
+        }
+        state.grouped_results = results
+        correct_draws = sum(result.correct_draws for result in results.values())
+        worst = self._worst_group(results)
         if worst is None:
-            return 0.0, 0.0, correct_draws, True
-        return worst.value, worst.moe, correct_draws, True
+            return 0.0, 0.0 if satisfied else None, correct_draws, satisfied
+        has_ci = worst.converged or worst.moe != 0.0
+        return worst.value, worst.moe if has_ci else None, correct_draws, satisfied
 
     @staticmethod
     def _worst_group(
@@ -1199,8 +1196,9 @@ class QueryExecutor:
         denominators: np.ndarray | None,
         draw_keys: np.ndarray,
         error_bound: float,
-    ) -> tuple[dict[float, ApproximateResult], bool]:
-        """One estimate and CI per group; whether the round is satisfied.
+    ) -> tuple[dict[float, tuple], bool]:
+        """``{key: (estimate, moe, converged, correct draws)}`` per group;
+        whether the round is satisfied.
 
         A group's columns are the round's, zeroed outside the group: they
         span every draw, so the SAMPLE-normalised estimators keep their
@@ -1212,7 +1210,7 @@ class QueryExecutor:
         group has that many: a round that gates no group checked nothing.
         """
         config = self.config
-        results: dict[float, ApproximateResult] = {}
+        results: dict[float, tuple] = {}
         gated = 0
         all_satisfied = True
         # the groups share one generator in key order, built at the first
@@ -1231,7 +1229,7 @@ class QueryExecutor:
             if denominators is not None:
                 rng = ensure_rng(rng)
             point_estimate = self._column_estimate(*group, members)
-            moe = self._column_moe(*group, [len(members)], rng)
+            moe = self._column_moe(state, *group, [len(members)], rng)
             satisfied = math.isfinite(moe) and satisfies_error_bound(
                 moe, point_estimate, error_bound
             )
@@ -1239,17 +1237,10 @@ class QueryExecutor:
             if correct_draws >= config.min_group_draws:
                 gated += 1
                 all_satisfied = all_satisfied and satisfied
-            results[float(key)] = ApproximateResult(
-                function=state.aggregate_query.function,
-                interval=ConfidenceInterval(
-                    estimate=point_estimate,
-                    moe=moe if math.isfinite(moe) else 0.0,
-                    confidence_level=config.confidence_level,
-                ),
-                converged=satisfied,
-                rounds=(),
-                total_draws=state.total_draws,
-                distinct_answers=0,
-                correct_draws=correct_draws,
+            results[float(key)] = (
+                point_estimate,
+                moe if math.isfinite(moe) else 0.0,
+                satisfied,
+                correct_draws,
             )
         return results, all_satisfied and gated > 0

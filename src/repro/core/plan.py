@@ -11,11 +11,14 @@ systems amortise expensive per-predicate ("oracle") work across a whole
 workload instead of per query.
 
 Plans are structurally immutable (frozen dataclass, read-only arrays) but
-carry two append-only memo dicts — the per-answer validation verdicts and
-the chain-prefix table.  Validation is deterministic, so concurrent
-engines appending to a shared memo can only ever write the same values;
-sharing the memo is what lets refinement rounds and interactive sessions
-skip revalidation entirely.
+own every piece of S2 state compiled for them, so the plan key alone
+decides when it is stale: the validator bound to the plan's context (its
+compiled context and shared trace, built lazily), the per-level chain
+contexts and typed-intermediate sets, and two append-only memo dicts — the
+per-answer validation verdicts and the chain-prefix table.  Validation is
+deterministic, so concurrent engines appending to a shared memo can only
+ever write the same values; sharing the memo is what lets refinement
+rounds and interactive sessions skip revalidation entirely.
 
 The cache holds graphs weakly (a dead graph drops its plans) and evicts a
 graph's plans wholesale when its *structure* version moves.  Attribute
@@ -28,7 +31,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -58,9 +61,10 @@ class QueryPlan:
     visiting: np.ndarray
     walk_iterations: int
     num_candidates: int
+    #: greedy validator bound to ``(source, predicates[0], visiting)``
+    #: (the first-leg validator for chain components)
+    validator: CorrectnessValidator
     chain: ChainDistribution | None = None
-    #: shared greedy validator (first-leg validator for chain components)
-    validator: CorrectnessValidator | None = None
     #: per-answer verdict memo: greedy results are deterministic, so the
     #: memo is safe to share across engines, rounds and sessions
     similarity_cache: dict[int, float] = field(default_factory=dict)
@@ -68,6 +72,9 @@ class QueryPlan:
     chain_prefix_memo: dict[tuple[int, int], tuple[float, int] | None] = field(
         default_factory=dict
     )
+    #: chain level (>= 2) -> its ``(ChainContext, typed intermediates)``,
+    #: filled on first use and published with ``setdefault``
+    chain_levels: dict[int, tuple] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -75,10 +82,11 @@ class PlanArtifacts:
     """The persistable payload of one :class:`QueryPlan`.
 
     Everything S1 computed, with the runtime-only handles stripped: the
-    validator (cheap to rebuild from ``(kg, space, config)``) and the
-    memo dicts (append-only caches, rebuilt as queries validate).  This
-    is the unit the store writes to disk and memory-maps back — the
-    arrays are the dominant payload and stay zero-copy end to end.
+    validator (cheap to rebuild from the artefacts' ``source`` and
+    ``visiting``) and the memo dicts (append-only caches, rebuilt as
+    queries validate).  This is the unit the store writes to disk and
+    memory-maps back — the arrays are the dominant payload and stay
+    zero-copy end to end.
     """
 
     component: PathQuery
@@ -127,15 +135,16 @@ def extract_artifacts(plan: QueryPlan) -> PlanArtifacts:
 
 
 def plan_from_artifacts(
-    artifacts: PlanArtifacts, validator: CorrectnessValidator | None
+    artifacts: PlanArtifacts,
+    make_validator: Callable[[int, str, np.ndarray], CorrectnessValidator],
 ) -> QueryPlan:
     """Rebuild a live :class:`QueryPlan` around stored/shared artefacts.
 
     The arrays are adopted as-is (memory-mapped or shared segments stay
-    zero-copy); the validator is a fresh instance bound to the caller's
-    graph and configuration, and the memo dicts start empty — verdicts
-    are deterministic, so a rebuilt plan converges to the same memo
-    content as the original.
+    zero-copy); ``make_validator(source, predicate, visiting)`` binds a
+    fresh validator to the loaded context, and the memo dicts start empty
+    — verdicts are deterministic, so a rebuilt plan converges to the same
+    memo content as the original.
     """
     distribution = AnswerDistribution(
         answers=artifacts.answers, probabilities=artifacts.probabilities
@@ -156,8 +165,10 @@ def plan_from_artifacts(
         visiting=artifacts.visiting,
         walk_iterations=artifacts.walk_iterations,
         num_candidates=artifacts.num_candidates,
+        validator=make_validator(
+            artifacts.source, artifacts.component.predicates[0], artifacts.visiting
+        ),
         chain=chain,
-        validator=validator,
     )
 
 

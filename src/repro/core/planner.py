@@ -33,7 +33,7 @@ from repro.query.graph import PathQuery
 from repro.sampling.chain import ChainSampler
 from repro.sampling.collector import restrict_to_answers
 from repro.sampling.scope import build_scope, resolve_mapping_node
-from repro.sampling.stationary import dense_visiting_array
+from repro.sampling.stationary import scatter_visiting
 from repro.sampling.strength import (
     Stage,
     similarity_entry_weights,
@@ -105,8 +105,9 @@ class QueryPlanner:
         """Catalog-aware builder run under ``PlanCache.get_or_build``.
 
         A catalog hit reconstructs the plan around the memory-mapped
-        artefacts (fresh validator, empty memos) without counting as an
-        S1 build; a miss builds normally and saves the artefacts back.
+        artefacts (a validator bound by :meth:`_validator`, empty memos)
+        without counting as an S1 build; a miss builds normally and saves
+        the artefacts back.
         An *unreadable* catalog entry (format-version bump, corruption)
         must never take queries down: it is counted in
         :attr:`catalog_errors` and rebuilt — the fresh save overwrites
@@ -119,7 +120,7 @@ class QueryPlanner:
                     self._space,
                     self.config,
                     component,
-                    validator=self._validator(),
+                    make_validator=self._validator,
                 )
             except (StoreError, OSError):
                 plan = None
@@ -147,12 +148,18 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # Plan construction (S1)
     # ------------------------------------------------------------------
-    def _validator(self) -> CorrectnessValidator:
-        """A fresh greedy validator for a built or catalog-loaded plan."""
+    def _validator(
+        self, source: int, predicate: str, visiting: np.ndarray
+    ) -> CorrectnessValidator:
+        """The greedy validator of a built or catalog-loaded plan, bound to
+        its mapping node, first predicate and visiting array."""
         config = self.config
         return CorrectnessValidator(
             self._kg,
             self._space,
+            source,
+            predicate,
+            visiting,
             repeat_factor=config.repeat_factor,
             max_length=config.n_bound,
             floor=config.similarity_floor,
@@ -242,16 +249,15 @@ class QueryPlanner:
             nodes, probabilities, num_candidates, distribution = self._first_stage(
                 source, predicate, target_types
             )
+        visiting = scatter_visiting(nodes, probabilities, self._kg.num_nodes)
         return QueryPlan(
             component=component,
             source=source,
             distribution=distribution,
-            visiting=dense_visiting_array(
-                nodes, probabilities, self._kg.num_nodes
-            ),
+            visiting=visiting,
             walk_iterations=0,  # the paper's N_ws: closed form, no walk iterated
             num_candidates=num_candidates,
-            validator=self._validator(),
+            validator=self._validator(source, predicate, visiting),
         )
 
     def _build_chain(self, component: PathQuery, source: int) -> QueryPlan:
@@ -272,15 +278,16 @@ class QueryPlanner:
             self._stage,
             max_intermediates=self.config.max_intermediates,
         ).build(component, first.distribution)
+        visiting = scatter_visiting(
+            first.nodes, first.probabilities, self._kg.num_nodes
+        )
         return QueryPlan(
             component=component,
             source=source,
             distribution=chain.distribution,
-            visiting=dense_visiting_array(
-                first.nodes, first.probabilities, self._kg.num_nodes
-            ),
+            visiting=visiting,
             walk_iterations=chain.expanded_intermediates,
             num_candidates=chain.distribution.support_size,
             chain=chain,
-            validator=self._validator(),
+            validator=self._validator(source, component.predicates[0], visiting),
         )

@@ -33,7 +33,9 @@ What makes a *batch* cheaper than a loop over ``execute``:
   between rounds, and expose a non-empty anytime trace.
 
 Everything mutable about one query lives in its
-:class:`~repro.core.executor._QueryState`, and the scheduler thread steps
+:class:`~repro.core.executor._QueryState` (a per-query ``confidence``
+included), everything compiled for a component on its plan, so one
+executor, holding neither, serves every query; the scheduler thread steps
 every cohort member itself, one slot per state per pass, so states need
 no locking.  Each state owns its RNG and validation/estimation/guarantee
 are deterministic, so a fixed seed gives byte-identical results however
@@ -69,6 +71,7 @@ from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import (
     DeadlineExceededError,
     QueryCancelledError,
+    QueryError,
     ResultTimeoutError,
     ServiceError,
     ServiceOverloadedError,
@@ -123,7 +126,8 @@ class _QueryRecord:
     sequence: int
     aggregate_query: AggregateQuery
     seed: int | None
-    executor: QueryExecutor
+    #: per-query confidence level; None = the service config's
+    confidence: float | None
     kind: str
     status: QueryStatus = QueryStatus.PENDING
     state: _QueryState | None = None
@@ -411,7 +415,10 @@ class AggregateQueryService:
         #: service birth on the same clock; health() reports the delta
         self._started_at = self._clock()
         self._register_instruments()
-        self._install_hooks(self._executor)
+        if fault_plan is not None:
+            # the instance attribute shadows the inert class-level None
+            self._executor.fault_hook = fault_plan
+        self._executor.obs_metrics = self._exec_metrics
         self._open_audit_sink(audit_log, audit_log_max_bytes)
         #: what the scheduler thread is doing (named by close() when stuck)
         self._phase = "idle"
@@ -587,18 +594,6 @@ class AggregateQueryService:
             # keep the instrumentation-off hot path at one attribute check
             self._exec_metrics = None
 
-    def _install_hooks(self, executor: QueryExecutor) -> None:
-        """Point an executor's fault and metrics hooks at this service.
-
-        Every executor the service steps goes through here — the default
-        one and each per-confidence override — so none of them validates
-        uninstrumented or outside the fault plan.
-        """
-        if self._fault_plan is not None:
-            # the instance attribute shadows the inert class-level None
-            executor.fault_hook = self._fault_plan
-        executor.obs_metrics = self._exec_metrics
-
     def _live_query_count(self) -> int:
         with self._condition:
             return sum(
@@ -766,7 +761,8 @@ class AggregateQueryService:
     ) -> QueryHandle:
         """Register a query and return its handle immediately.
 
-        ``error_bound`` / ``confidence`` default to the service config;
+        ``error_bound`` / ``confidence`` default to the service config
+        (a ``confidence`` outside (0, 1) raises :class:`QueryError`);
         ``seed`` overrides the config seed for this query only.
         ``deadline`` (seconds from now; default the service's
         ``default_deadline``) bounds the query's wall-clock budget: past
@@ -779,7 +775,8 @@ class AggregateQueryService:
         control (``limits.max_pending``) sheds the submission.
         """
         aggregate_query = self._coerce(aggregate_query)
-        executor = self._executor_for(confidence)
+        if confidence is not None and not 0.0 < confidence < 1.0:
+            raise QueryError("confidence_level must be in (0, 1)")
         kind = kind_for(aggregate_query)
         if deadline is None:
             deadline = self._default_deadline
@@ -801,7 +798,7 @@ class AggregateQueryService:
                 sequence=self._sequence,
                 aggregate_query=aggregate_query,
                 seed=seed,
-                executor=executor,
+                confidence=confidence,
                 kind=kind,
                 deadline_at=(
                     None if deadline is None else self._clock() + deadline
@@ -937,25 +934,6 @@ class AggregateQueryService:
 
             return parse_query(aggregate_query)
         return aggregate_query
-
-    def _executor_for(self, confidence: float | None) -> QueryExecutor:
-        """The default executor, or one with a per-query confidence level.
-
-        Confidence only affects the BLB interval (S3), never S1, so the
-        override executor still shares the service's planner — and with
-        it every cached plan and verdict memo — and the default
-        executor's class.
-        """
-        if confidence is None or confidence == self.config.confidence_level:
-            return self._executor
-        executor = type(self._executor)(
-            self._kg,
-            self._space,
-            self.config.with_(confidence_level=confidence),
-            self._planner,
-        )
-        self._install_hooks(executor)
-        return executor
 
     def _queue_run(
         self,
@@ -1179,8 +1157,8 @@ class AggregateQueryService:
         """Run S1 + the initial BLB draws for one record."""
         try:
             with obs_trace.activate(record.span):
-                state = record.executor.initialise(
-                    record.aggregate_query, record.seed
+                state = self._executor.initialise(
+                    record.aggregate_query, record.seed, confidence=record.confidence
                 )
         except BaseException as exc:
             with self._condition:
@@ -1242,9 +1220,9 @@ class AggregateQueryService:
             grow_seconds = 0.0
             if run.steps_taken:
                 grow_started = time.perf_counter()
-                record.executor.grow(state, state.rounds[-1], run.error_bound)
+                self._executor.grow(state, state.rounds[-1], run.error_bound)
                 grow_seconds = time.perf_counter() - grow_started
-            outcome = record.executor.step(
+            outcome = self._executor.step(
                 state, run.error_bound, carried_seconds=grow_seconds
             )
         self._finish_slot(record, run, state, outcome)
@@ -1271,7 +1249,7 @@ class AggregateQueryService:
         budget = (
             run.max_rounds
             if run.max_rounds is not None
-            else record.executor.round_budget(state)
+            else self._executor.round_budget(state)
         )
         if (
             outcome.satisfied
@@ -1280,7 +1258,7 @@ class AggregateQueryService:
         ):
             self._complete_run(
                 record,
-                record.executor.finalise(state, converged=outcome.satisfied),
+                self._executor.finalise(state, converged=outcome.satisfied),
             )
 
     def _complete_run(self, record: _QueryRecord, result) -> None:

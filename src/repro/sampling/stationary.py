@@ -45,7 +45,7 @@ class StationaryResult:
         }
 
 
-def dense_visiting_array(
+def scatter_visiting(
     scope_nodes: tuple[int, ...] | np.ndarray,
     probabilities: np.ndarray,
     num_nodes: int,

@@ -754,8 +754,8 @@ class ChainContext:
     calls per path extension — ``kg.neighbors``, ``kg.predicate_of``,
     ``space.similarity`` and ``clamp_similarity`` — and the batched
     chain-prefix driver re-pays them for every frontier node.  A chain
-    context hoists all of it out of the hot loop once per ``(query
-    predicate, graph structure version)``: the CSR snapshot's adjacency is
+    context hoists all of it out of the hot loop once per chain level of a
+    plan (``QueryPlan.chain_levels``): the CSR snapshot's adjacency is
     unpacked into plain Python lists (list indexing beats numpy scalar
     extraction in an interpreter loop), each adjacency entry is mapped to
     its predicate id, and per-predicate edge log-similarities memoise into
@@ -776,7 +776,7 @@ class ChainContext:
     exactly that key and every later frame with the key is *replayed* from
     it — the answer's own on-path nodes deleted, its remaining budget
     applied — instead of walked (see :func:`_chain_level`).  Tours live
-    and die with the context, i.e. with the graph's structure version.
+    and die with the context, i.e. with its plan.
     """
 
     query_predicate: str

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+from typing import Callable
 
 from repro.core.config import EngineConfig
 from repro.core.plan import QueryPlan, plan_from_artifacts
@@ -140,10 +141,13 @@ class SnapshotCatalog:
         config: EngineConfig,
         component: PathQuery,
         *,
-        validator: CorrectnessValidator | None = None,
+        make_validator: Callable[..., CorrectnessValidator],
         mmap: bool = True,
     ) -> QueryPlan | None:
         """The stored plan for ``component``, or ``None`` on a miss.
+
+        ``make_validator(source, predicate, visiting)`` binds the loaded
+        plan's validator (:func:`~repro.core.plan.plan_from_artifacts`).
 
         A present-but-mismatched file (stale version, different embedding)
         raises :class:`StoreError` rather than silently rebuilding — a
@@ -159,7 +163,7 @@ class SnapshotCatalog:
                 f"plan artefact {path} stores a different component "
                 "(hash collision or manual file move)"
             )
-        return plan_from_artifacts(artifacts, validator)
+        return plan_from_artifacts(artifacts, make_validator)
 
     def stored_plan_count(self, kg: KnowledgeGraph) -> int:
         """Number of plan files stored for ``kg``'s current structure."""

@@ -18,15 +18,17 @@ from repro import (
     AggregateFunction,
     AggregateQuery,
     AggregateQueryService,
-    ApproximateAggregateEngine,
     EngineConfig,
     LookupEmbedding,
     PredicateVectorSpace,
     QueryGraph,
 )
-from repro.core.executor import QueryExecutor
+from repro.bench.harness import SampledExecutor
+from repro.bench.harness import sampled_engine as _sampled_engine
 from repro.core.planner import QueryPlanner
 from repro.kg import KnowledgeGraph
+from repro.sampling.stationary import scatter_visiting
+from repro.semantics.validation import CorrectnessValidator
 
 
 @dataclass
@@ -186,32 +188,27 @@ def _drive_lifecycle(executor, aggregate_query, seed, error_bound, max_rounds=No
     return state, executor.finalise(state, converged=outcome.satisfied)
 
 
+def _bind_validator(kg, space, source, visiting, predicate="product", **overrides):
+    """A :class:`CorrectnessValidator` bound to ``(source, predicate,
+    visiting)``; a ``{node: probability}`` mapping (what the
+    ``ReferenceValidator`` oracle reads) is densified over node ids."""
+    if not isinstance(visiting, np.ndarray):
+        visiting = scatter_visiting(
+            list(visiting), list(visiting.values()), kg.num_nodes
+        )
+    return CorrectnessValidator(kg, space, source, predicate, visiting, **overrides)
+
+
+@pytest.fixture(scope="session")
+def bind_validator():
+    """Binds a validator to one context (a mapping is densified)."""
+    return _bind_validator
+
+
 @pytest.fixture(scope="session")
 def drive_lifecycle():
     """The executor's round lifecycle, hand-driven (no service)."""
     return _drive_lifecycle
-
-
-class SampledExecutor(QueryExecutor):
-    """An executor that never takes the census.
-
-    Small test graphs have supports smaller than the first sample, so
-    every query there would be answered by a census in its first round;
-    tests of the sampling mechanics — Eq. 12 growth, BLB bags, the sample
-    cap, the round budget, anytime progress — run on this instead.
-    """
-
-    def _census_due(self, state, need: int) -> bool:
-        return False
-
-
-def _sampled_engine(kg, embedding, config=None) -> ApproximateAggregateEngine:
-    """An engine whose executor (and service) always samples."""
-    engine = ApproximateAggregateEngine(kg, embedding, config)
-    engine._executor = SampledExecutor(
-        kg, engine.space, engine.config, engine.planner
-    )
-    return engine
 
 
 def _sampled_service(kg, embedding, config=None, **kwargs) -> AggregateQueryService:

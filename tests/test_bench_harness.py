@@ -14,7 +14,8 @@ from repro.bench import (
 from repro.bench.harness import BenchContext
 from repro.bench.metrics import grouped_relative_error, mean_or_nan, variance_or_nan
 from repro.bench.reporting import save_result
-from repro.datasets import guaranteed_queries
+from repro import AggregateFunction, AggregateQuery, EngineConfig
+from repro.datasets import guaranteed_queries, simple_query_graph
 from repro.errors import ReproError
 
 
@@ -104,6 +105,22 @@ class TestHarness:
         outcome = run_method(context, "Ours", query, query_seed=3)
         assert outcome.elapsed_seconds > 0
         assert outcome.error_against(truth.value, truth.groups) < 0.05
+
+    def test_confidence_sweep_samples(self, context):
+        """The figures run the paper's sampling model: a two-level
+        confidence sweep on the ``germany_cars`` COUNT never ends in a
+        census, and draws more at the higher level."""
+        query = AggregateQuery(
+            query=simple_query_graph(context.bundle.spec.hub("germany_cars")),
+            function=AggregateFunction.COUNT,
+        )
+        draws = {}
+        for level in (0.86, 0.98):
+            config = EngineConfig(seed=0, confidence_level=level)
+            result = context.engine(config).execute(query, seed=41)
+            assert result.stop_reason != "census"
+            draws[level] = result.total_draws
+        assert draws[0.98] > draws[0.86]
 
     def test_eaq_unsupported_on_chain(self, context):
         chain_query = next(

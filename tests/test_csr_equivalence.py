@@ -598,9 +598,7 @@ class TestPartialEmbedding:
         # to cover nothing
         assert plan(2, SamplerKind.CNARW).distribution.answers.tolist() == [near, far]
 
-    def test_validator_skips_unreached_unknown_predicate(self):
-        from repro.semantics.validation import CorrectnessValidator
-
+    def test_validator_skips_unreached_unknown_predicate(self, bind_validator):
         kg = KnowledgeGraph()
         hub = kg.add_node("hub", ["Hub"])
         near = kg.add_node("near", ["Car"])
@@ -610,18 +608,17 @@ class TestPartialEmbedding:
         space = PredicateVectorSpace(
             LookupEmbedding({"knows": np.array([1.0, 0.0])})
         )
-        validator = CorrectnessValidator(kg, space)
         visiting = {hub: 0.5, near: 0.5}
         # visiting map excludes 'far', so the rare_pred edge is never taken
-        outcome = validator.validate(hub, near, "knows", visiting)
+        outcome = bind_validator(kg, space, hub, visiting, "knows").validate(near)
         assert outcome.paths_found >= 1
         assert outcome.similarity > 0.0
         # the shared trace pops 'near' (its rare_pred edge poisons the pop)
         # but the answer's own search deletes that pop: no raise either
-        fresh = CorrectnessValidator(kg, space)
-        assert fresh.validate_batch(hub, [near], "knows", visiting) == {near: outcome}
+        fresh = bind_validator(kg, space, hub, visiting, "knows")
+        assert fresh.validate_batch([near]) == {near: outcome}
         with pytest.raises(EmbeddingError, match="rare_pred"):
-            fresh.validate_batch(hub, [hub], "knows", visiting)
+            fresh.validate_batch([hub])
 
 
 class TestSnapshotInvalidation:

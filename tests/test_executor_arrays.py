@@ -203,6 +203,7 @@ def test_group_keys_are_group_by_key_for(entries, width):
         desired_n=size,
         num_candidates=size,
         walk_iterations=0,
+        confidence_level=EngineConfig().confidence_level,
         support_known=np.ones(size, dtype=bool),
         support_correct=np.asarray([correct for _value, correct in entries]),
         support_value=np.ones(size),
@@ -420,6 +421,7 @@ def _hand_state(function, values, probabilities, correct, little_samples):
         desired_n=size,
         num_candidates=size,
         walk_iterations=0,
+        confidence_level=EngineConfig().confidence_level,
         support_known=np.ones(size, dtype=bool),
         support_correct=np.asarray(correct, dtype=bool),
         support_value=np.where(correct, np.asarray(values, dtype=np.float64), 0.0),

@@ -8,12 +8,9 @@ chain-prefix resolution for chain enumeration, the per-entry CNARW loop
 (:mod:`repro.sampling.reference`) for the structural weights: equal
 outcome dataclasses, byte-equal transition arrays, the same lazy
 unknown-predicate failures.  Randomised worlds here include multi-edges,
-self-loops and out-of-scope sources.
-
-Also pinned here: the validator cache-identity regression — context caches
-keyed on ``id(visiting)`` could alias a dead context after GC address
-reuse; the fix keys on object identity with a strong reference plus a
-monotone generation token.
+self-loops and out-of-scope sources.  A production validator is bound to
+one ``(source, predicate, visiting)`` context; ``bind_validator`` binds it
+to the dense form of the mapping the oracle reads.
 """
 
 from __future__ import annotations
@@ -111,22 +108,22 @@ class TestSearchEquivalence:
     """validate (a batch of one) and validate_batch (the deletion replay
     of the shared trace) both equal the seed ReferenceValidator."""
 
-    def test_validate_matches_reference(self, seed):
+    def test_validate_matches_reference(self, seed, bind_validator):
         kg, space = random_world(seed)
         source, visiting, answers = search_context(kg, space, seed)
         reference = ReferenceValidator(kg, space)
-        compiled = CorrectnessValidator(kg, space)
+        compiled = bind_validator(kg, space, source, visiting)
         for answer in answers:
             for stop in (None, 0.5, 0.9):
                 assert compiled.validate(
-                    source, answer, "product", visiting, stop_threshold=stop
+                    answer, stop_threshold=stop
                 ) == reference.validate(
                     source, answer, "product", visiting, stop_threshold=stop
                 )
 
     @pytest.mark.parametrize("stop", [None, 0.5, 0.9])
     def test_validate_batch_matches_reference_on_both_branches(
-        self, seed, stop, monkeypatch
+        self, seed, stop, monkeypatch, bind_validator
     ):
         """Every batched outcome equals the oracle's, and the batch really
         took both branches of the replay:
@@ -163,10 +160,9 @@ class TestSearchEquivalence:
 
         monkeypatch.setattr(kernels, "replay", recording_replay)
         tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-        got = CorrectnessValidator(kg, space, expansion_budget=30).validate_batch(
-            source, batch, "product", visiting, stop_threshold=stop,
-            tallies=tallies,
-        )
+        got = bind_validator(
+            kg, space, source, visiting, expansion_budget=30
+        ).validate_batch(batch, stop_threshold=stop, tallies=tallies)
         reference = ReferenceValidator(kg, space, expansion_budget=30)
         assert set(got) == set(batch) == set(branch)
         for answer, outcome in got.items():
@@ -181,7 +177,7 @@ class TestSearchEquivalence:
         )
         assert tallies["trace_extension_pops"] >= 1
 
-    def test_tight_budgets_and_caps(self, seed):
+    def test_tight_budgets_and_caps(self, seed, bind_validator):
         """Small budgets/beams magnify any pop-order or tie-break drift."""
         kg, space = random_world(seed)
         source, visiting, answers = search_context(kg, space, seed)
@@ -190,15 +186,13 @@ class TestSearchEquivalence:
                 expansion_budget=budget, branch_cap=cap, max_length=max_length
             )
             reference = ReferenceValidator(kg, space, **overrides)
-            compiled = CorrectnessValidator(kg, space, **overrides)
-            batched = CorrectnessValidator(kg, space, **overrides).validate_batch(
-                source, answers[:8], "product", visiting
-            )
+            compiled = bind_validator(kg, space, source, visiting, **overrides)
+            batched = bind_validator(
+                kg, space, source, visiting, **overrides
+            ).validate_batch(answers[:8])
             for answer in answers[:8]:
                 expected = reference.validate(source, answer, "product", visiting)
-                assert compiled.validate(
-                    source, answer, "product", visiting
-                ) == expected
+                assert compiled.validate(answer) == expected
                 assert batched[answer] == expected
 
 
@@ -243,21 +237,19 @@ class TestUnknownPredicateFailures:
                 }
                 yield kg, space, overrides, source, visiting, stop, expected
 
-    def test_raises_match_reference(self, seed):
+    def test_raises_match_reference(self, seed, bind_validator):
         raised = kept = 0
         for kg, space, overrides, source, visiting, stop, expected in self._worlds(seed):
-            compiled = CorrectnessValidator(kg, space, **overrides)
+            compiled = bind_validator(kg, space, source, visiting, **overrides)
             for answer, outcome in expected.items():
-                assert _settle(
-                    compiled.validate, source, answer, "product", visiting, stop
-                ) == outcome
+                assert _settle(compiled.validate, answer, stop) == outcome
                 if isinstance(outcome, tuple):
                     raised += 1
                 else:
                     kept += 1
         assert raised and kept, "world must exercise both outcomes"
 
-    def test_batch_raises_when_an_answer_would(self, seed):
+    def test_batch_raises_when_an_answer_would(self, seed, bind_validator):
         """The whole batch raises iff some answer's own search does — with
         the first such answer's error — and otherwise equals the reference
         per answer; the answers that do not raise settle together."""
@@ -266,13 +258,15 @@ class TestUnknownPredicateFailures:
             failing = [a for a, o in expected.items() if isinstance(o, tuple)]
             passing = [a for a in expected if a not in failing]
             batch = _settle(
-                CorrectnessValidator(kg, space, **overrides).validate_batch,
-                source, list(expected), "product", visiting, stop,
+                bind_validator(kg, space, source, visiting, **overrides).validate_batch,
+                list(expected), stop,
             )
             assert batch == (expected[failing[0]] if failing else expected)
-            assert CorrectnessValidator(kg, space, **overrides).validate_batch(
-                source, passing, "product", visiting, stop
-            ) == {answer: expected[answer] for answer in passing}
+            assert bind_validator(
+                kg, space, source, visiting, **overrides
+            ).validate_batch(passing, stop) == {
+                answer: expected[answer] for answer in passing
+            }
             raised += bool(failing)
             kept += not failing
         assert raised and kept, "world must exercise both batch outcomes"
@@ -318,17 +312,22 @@ class TestDeletionReplay:
     through the tallies, whether it took the branch it was built for.
     """
 
-    @staticmethod
-    def _batch(kg, space, visiting, answers, source=_S, **overrides):
-        validator = CorrectnessValidator(kg, space, **overrides)
+    @pytest.fixture(autouse=True)
+    def _binder(self, bind_validator):
+        self.bind_validator = bind_validator
+
+    def bind(self, kg, space, visiting, source=_S, **overrides):
+        """A validator bound to ``source`` and the ``p`` predicate."""
+        return self.bind_validator(kg, space, source, visiting, "p", **overrides)
+
+    def _batch(self, kg, space, visiting, answers, source=_S, **overrides):
+        validator = self.bind(kg, space, visiting, source, **overrides)
         tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-        got = validator.validate_batch(
-            source, answers, "p", visiting, tallies=tallies
-        )
+        got = validator.validate_batch(answers, tallies=tallies)
         reference = ReferenceValidator(kg, space, **overrides)
         for answer in answers:
             assert got[answer] == reference.validate(source, answer, "p", visiting)
-        return got, tallies, validator._traces[source]
+        return got, tallies, validator._trace()
 
     def test_subtree_larger_than_the_remaining_budget(self):
         """Budget 6 records S, A and four of A's leaves.  For answer A
@@ -355,14 +354,14 @@ class TestDeletionReplay:
 
     def test_extension_is_shared_by_later_answers(self):
         kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
-        validator = CorrectnessValidator(kg, space, expansion_budget=6)
-        validator.validate_batch(_S, [_A], "p", visiting)
-        recorded = len(validator._traces[_S].pops)
+        validator = self.bind(kg, space, visiting, expansion_budget=6)
+        validator.validate_batch([_A])
+        recorded = len(validator._trace().pops)
         tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-        validator.validate_batch(_S, [_A, 3, 4], "p", visiting, tallies=tallies)
+        validator.validate_batch([_A, 3, 4], tallies=tallies)
         assert tallies["replay_deletions"] == 3
         assert tallies["trace_extension_pops"] == 0  # all read, none recorded
-        assert len(validator._traces[_S].pops) == recorded == 18
+        assert len(validator._trace().pops) == recorded == 18
 
     def test_answer_is_the_source(self):
         """The source is on every path: nothing is deleted, the goal
@@ -430,21 +429,15 @@ class TestDeletionReplay:
         reference = ReferenceValidator(kg, space)
         for stop in (None, 0.5):
             expected = reference.validate(_S, _A, "p", visiting, stop)
-            assert CorrectnessValidator(kg, space).validate(
-                _S, _A, "p", visiting, stop
-            ) == expected
-            validator = CorrectnessValidator(kg, space)
-            assert validator.validate_batch(
-                _S, [_A], "p", visiting, stop
-            ) == {_A: expected}
-            trace = validator._traces[_S]
+            assert self.bind(kg, space, visiting).validate(_A, stop) == expected
+            validator = self.bind(kg, space, visiting)
+            assert validator.validate_batch([_A], stop) == {_A: expected}
+            trace = validator._trace()
             assert [trace.pops[index][0] for index in trace.poisoned] == [10]
         error = _settle(reference.validate, _S, _S, "p", visiting)
         assert error[0] == "raised"
-        assert _settle(
-            CorrectnessValidator(kg, space).validate, _S, _S, "p", visiting
-        ) == error
-        assert _settle(validator.validate_batch, _S, [_A, _S], "p", visiting) == error
+        assert _settle(self.bind(kg, space, visiting).validate, _S) == error
+        assert _settle(validator.validate_batch, [_A, _S]) == error
 
     def test_uncovered_predicate_in_the_extension_raises_like_the_reference(self):
         """Node 12's edge to 14 is uncovered.  The recorded pops never
@@ -465,11 +458,9 @@ class TestDeletionReplay:
             _S, _A, "p", visiting,
         )
         assert error[0] == "raised"
-        validator = CorrectnessValidator(kg, space, expansion_budget=6)
-        assert _settle(
-            validator.validate_batch, _S, [4, _A], "p", visiting
-        ) == error
-        trace = validator._traces[_S]
+        validator = self.bind(kg, space, visiting, expansion_budget=6)
+        assert _settle(validator.validate_batch, [4, _A]) == error
+        trace = validator._trace()
         assert [trace.pops[index][0] for index in trace.poisoned] == [12]
 
     @pytest.mark.parametrize("uncovered", [0, 2])
@@ -496,9 +487,9 @@ class TestDeletionReplay:
         expected = {a: o for a, o in outcomes.items() if not isinstance(o, tuple)}
         answers = list(expected)
         assert (len(answers) < kg.num_nodes) == bool(uncovered)
-        validator = CorrectnessValidator(kg, space, **overrides)
-        validator.validate_batch(source, [source], "product", visiting)
-        trace = validator._traces[source]
+        validator = self.bind_validator(kg, space, source, visiting, **overrides)
+        validator.validate_batch([source])
+        trace = validator._trace()
         assert len(trace.pops) == trace.total_pops == 12
 
         failures: list = []
@@ -507,9 +498,7 @@ class TestDeletionReplay:
         def work(position: int) -> None:
             try:
                 order = answers[position::6] + answers  # six different orders
-                got = validator.validate_batch(
-                    source, order, "product", visiting, tallies=tallies[position]
-                )
+                got = validator.validate_batch(order, tallies=tallies[position])
                 assert got == expected
             except BaseException as error:  # noqa: BLE001 - reported below
                 failures.append(error)
@@ -526,14 +515,14 @@ class TestDeletionReplay:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures
-        assert validator._traces[source] is trace
+        assert validator._trace() is trace
         # each extension pop was recorded by exactly one thread ...
         extension = len(trace.pops) - trace.total_pops
         assert extension > 0
         assert sum(t["trace_extension_pops"] for t in tallies) == extension
         # ... and the sequence is the single-threaded one
         alone = kernels.build_trace(
-            validator._compiled, source, validator.max_length, 12
+            validator._context(), source, validator.max_length, 12
         )
         assert alone.extend(len(trace.pops) - 1, dict(tallies[0]))
         assert alone.pops == trace.pops
@@ -541,9 +530,7 @@ class TestDeletionReplay:
         assert bool(trace.poisoned) == bool(uncovered)
         for answer, outcome in outcomes.items():
             if answer not in expected:
-                assert _settle(
-                    validator.validate, source, answer, "product", visiting
-                ) == outcome
+                assert _settle(validator.validate, answer) == outcome
 
 
 class TestContextCompile:
@@ -553,13 +540,15 @@ class TestContextCompile:
     @pytest.mark.parametrize("known", [PREDICATE_POOL, PREDICATE_POOL[:-1]],
                              ids=["covered", "rare_uncovered"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_rows_equal_the_per_node_expansion(self, seed, known):
+    def test_rows_equal_the_per_node_expansion(self, seed, known, bind_validator):
         kg, space = random_world(seed, known_predicates=known)
         source, visiting, _answers = synthetic_context(kg, seed)
         del visiting[source]  # the mapping node outside its own scope
         for branch_cap in (16, 2):
-            validator = CorrectnessValidator(kg, space, branch_cap=branch_cap)
-            context = validator._context("product", visiting)
+            validator = bind_validator(
+                kg, space, source, visiting, branch_cap=branch_cap
+            )
+            context = validator._context()
             reference = ReferenceValidator(kg, space, branch_cap=branch_cap)
             reference._reset_cache("product", id(visiting))
             flagged = 0
@@ -664,59 +653,6 @@ class TestCnarwEquivalence:
             np.zeros(0, dtype=np.int64),
         )
         assert got.shape == (0,)
-
-
-class TestContextCacheIdentity:
-    """Regression: context caches must never alias via ``id()`` reuse."""
-
-    def test_same_object_keeps_cache_generation(self, toy):
-        validator = CorrectnessValidator(toy.kg, toy.space)
-        source, visiting, answers = search_context(toy.kg, toy.space, 0)
-        validator.validate(source, answers[0], "product", visiting)
-        token = validator._context_token
-        compiled = validator._compiled
-        validator.validate(source, answers[1], "product", visiting)
-        assert validator._context_token == token
-        assert validator._compiled is compiled
-
-    def test_equal_but_distinct_object_resets(self, toy):
-        validator = CorrectnessValidator(toy.kg, toy.space)
-        source, visiting, answers = search_context(toy.kg, toy.space, 0)
-        validator.validate(source, answers[0], "product", visiting)
-        token = validator._context_token
-        validator.validate(source, answers[0], "product", dict(visiting))
-        assert validator._context_token == token + 1
-
-    def test_context_pinned_against_collection(self, toy):
-        """The cached context object cannot be garbage collected while it
-        is the cache key, so a recycled address can never impersonate it."""
-        validator = CorrectnessValidator(toy.kg, toy.space)
-        source, visiting, answers = search_context(toy.kg, toy.space, 0)
-        validator.validate(source, answers[0], "product", visiting)
-        assert validator._context_ref is visiting
-
-    def test_gc_address_reuse_never_serves_stale_caches(self, toy):
-        """The original bug: caches keyed on ``id(visiting)`` survived the
-        dict's death; a fresh context allocated at the recycled address
-        then reused a dead context's expansions.  Fresh short-lived dicts
-        per iteration make CPython recycle addresses aggressively; every
-        outcome must match a cold validator's."""
-        shared = CorrectnessValidator(toy.kg, toy.space)
-        source, base_visiting, answers = search_context(toy.kg, toy.space, 0)
-        rng = np.random.default_rng(42)
-        for trial in range(12):
-            scale = float(rng.uniform(0.25, 4.0))
-            visiting = {
-                node: probability * scale
-                for node, probability in base_visiting.items()
-            }
-            got = shared.validate(source, answers[trial % len(answers)],
-                                  "product", visiting)
-            cold = CorrectnessValidator(toy.kg, toy.space).validate(
-                source, answers[trial % len(answers)], "product", visiting
-            )
-            assert got == cold, f"stale cache served on trial {trial}"
-            del visiting  # free the dict so the next trial may reuse its address
 
 
 def _result_fingerprint(result) -> tuple:
@@ -1155,37 +1091,35 @@ class TestEngineLevelEquivalence:
 
         real = CorrectnessValidator.validate_batch
         checked = 0
-        #: id -> (pinned object, its oracle input): one reference validator
-        #: per validator and one mapping per visiting array, so the
-        #: oracle's per-context expansion cache is reused across batches
+        #: id -> (pinned validator, its reference validator and visiting
+        #: mapping), so the oracle's per-context expansion cache is reused
+        #: across batches
         oracles: dict[int, tuple] = {}
 
-        def oracle(key, build):
-            pinned = oracles.get(id(key))
-            if pinned is None:
-                pinned = oracles[id(key)] = (key, build())
-            return pinned[1]
-
-        def checking(self, source, answers, predicate, visiting,
-                     stop_threshold=None, tallies=None):
+        def checking(self, answers, stop_threshold=None, tallies=None):
             nonlocal checked
-            outcomes = real(
-                self, source, answers, predicate, visiting, stop_threshold, tallies
-            )
-            reference = oracle(self, lambda: ReferenceValidator(
-                self._kg, self._space, repeat_factor=self.repeat_factor,
-                max_length=self.max_length, floor=self.floor,
-                expansion_budget=self.expansion_budget,
-                branch_cap=self.branch_cap,
-            ))
-            mapping = oracle(visiting, lambda: {
-                node: probability
-                for node, probability in enumerate(visiting.tolist())
-                if probability > 0.0
-            })
+            outcomes = real(self, answers, stop_threshold, tallies)
+            pinned = oracles.get(id(self))
+            if pinned is None:
+                pinned = oracles[id(self)] = (
+                    self,
+                    ReferenceValidator(
+                        self._kg, self._space, repeat_factor=self.repeat_factor,
+                        max_length=self.max_length, floor=self.floor,
+                        expansion_budget=self.expansion_budget,
+                        branch_cap=self.branch_cap,
+                    ),
+                    {
+                        node: probability
+                        for node, probability in enumerate(self.visiting.tolist())
+                        if probability > 0.0
+                    },
+                )
+            _validator, reference, mapping = pinned
             for answer, outcome in outcomes.items():
                 assert outcome == reference.validate(
-                    source, answer, predicate, mapping, stop_threshold
+                    self.source, answer, self.query_predicate, mapping,
+                    stop_threshold,
                 )
             checked += len(outcomes)
             return outcomes

@@ -85,16 +85,32 @@ class TestVersionCounters:
         assert engine.planner.plan_for(component) is not plan_before
         assert cache.num_plans(world.kg) >= 1
 
-    def test_typed_nodes_cache_follows_structure(self, world):
+    def test_structural_mutation_gives_fresh_chain_levels(self, world):
+        """A chain plan owns each level's chain context and typed set: an
+        attribute write keeps the plan and both, a structural mutation
+        yields a new plan with fresh ones, and the old plan keeps its own."""
         engine = _engine(world)
-        before = engine.executor._typed_nodes(frozenset(["Automobile"]))
-        late = world.kg.add_node("LateAuto", ["Automobile"], {"price": 1.0})
-        after = engine.executor._typed_nodes(frozenset(["Automobile"]))
-        assert late not in before
-        assert late in after
-        # attribute writes keep the cached set (same identity)
-        world.kg.set_attribute(late, "price", 2.0)
-        assert engine.executor._typed_nodes(frozenset(["Automobile"])) is after
+        query = world.chain_count_query()
+        component = query.query.components[0]
+        engine.execute(query)
+        plan = engine.planner.plan_for(component)
+        context, typed = plan.chain_levels[2]
+        assert set(world.people) <= typed  # the hop below level 2: Person
+
+        world.kg.set_attribute(world.people[0], "age", 40.0)
+        engine.execute(query, seed=1)
+        assert engine.planner.plan_for(component) is plan
+        assert plan.chain_levels[2][0] is context
+
+        late = world.kg.add_node("LatePerson", ["Person"])
+        world.kg.add_edge(late, "nationality", world.germany)
+        engine.execute(query)
+        fresh = engine.planner.plan_for(component)
+        assert fresh is not plan
+        fresh_context, fresh_typed = fresh.chain_levels[2]
+        assert fresh_context is not context
+        assert late in fresh_typed and late not in typed
+        assert plan.chain_levels[2] == (context, typed)
 
     def test_store_discards_plan_built_against_stale_structure(self, world):
         engine = _engine(world)
@@ -168,10 +184,10 @@ class TestPlanSharing:
         calls: list[int] = []
         original = CorrectnessValidator.validate_batch
 
-        def counting(self, source, answers, *args, **kwargs):
+        def counting(self, answers, *args, **kwargs):
             answers = list(answers)
             calls.extend(answers)
-            return original(self, source, answers, *args, **kwargs)
+            return original(self, answers, *args, **kwargs)
 
         CorrectnessValidator.validate_batch = counting
         try:
@@ -227,10 +243,10 @@ class TestValidationMemo:
         validated: list[int] = []
         original = CorrectnessValidator.validate_batch
 
-        def recording(self, source, answers, *args, **kwargs):
+        def recording(self, answers, *args, **kwargs):
             answers = list(answers)
             validated.extend(answers)
-            return original(self, source, answers, *args, **kwargs)
+            return original(self, answers, *args, **kwargs)
 
         CorrectnessValidator.validate_batch = recording
         try:
@@ -272,7 +288,7 @@ class TestBatchedValidationEquivalence:
         return plan, answers
 
     @pytest.mark.parametrize("stop_threshold", [None, 0.85])
-    def test_batch_equals_per_answer(self, world, stop_threshold):
+    def test_batch_equals_per_answer(self, world, stop_threshold, bind_validator):
         engine = _engine(world)
         plan, answers = self._sampled_workload(world, engine)
         predicate = plan.component.predicates[0]
@@ -295,45 +311,26 @@ class TestBatchedValidationEquivalence:
             )
             for answer in answers
         }
-        batched = CorrectnessValidator(world.kg, world.space, **settings).validate_batch(
-            plan.source,
-            answers,
-            predicate,
-            plan.visiting,
-            stop_threshold=stop_threshold,
-        )
+        batched = bind_validator(
+            world.kg, world.space, plan.source, plan.visiting, predicate, **settings
+        ).validate_batch(answers, stop_threshold=stop_threshold)
         assert batched == expected
+        # the plan's own validator is bound to the same context
+        assert plan.validator.validate_batch(answers, stop_threshold) == expected
 
-    def test_mapping_and_array_visiting_agree(self, world):
+    def test_validate_batch_routes_stop_threshold(self, world, bind_validator):
         engine = _engine(world)
         plan, answers = self._sampled_workload(world, engine)
         predicate = plan.component.predicates[0]
-        as_mapping = {
-            node: float(probability)
-            for node, probability in enumerate(plan.visiting)
-            if probability > 0.0
-        }
-        validator = CorrectnessValidator(world.kg, world.space)
-        via_array = validator.validate_batch(
-            plan.source, answers, predicate, plan.visiting
-        )
-        via_mapping = CorrectnessValidator(world.kg, world.space).validate_batch(
-            plan.source, answers, predicate, as_mapping
-        )
-        assert via_array == via_mapping
 
-    def test_validate_batch_routes_stop_threshold(self, world):
-        engine = _engine(world)
-        plan, answers = self._sampled_workload(world, engine)
-        predicate = plan.component.predicates[0]
-        full = CorrectnessValidator(
-            world.kg, world.space, repeat_factor=5
-        ).validate_batch(plan.source, answers, predicate, plan.visiting)
-        quick = CorrectnessValidator(
-            world.kg, world.space, repeat_factor=5
-        ).validate_batch(
-            plan.source, answers, predicate, plan.visiting, stop_threshold=0.5
-        )
+        def bound():
+            return bind_validator(
+                world.kg, world.space, plan.source, plan.visiting, predicate,
+                repeat_factor=5,
+            )
+
+        full = bound().validate_batch(answers)
+        quick = bound().validate_batch(answers, stop_threshold=0.5)
         assert sum(o.expansions for o in quick.values()) < sum(
             o.expansions for o in full.values()
         )

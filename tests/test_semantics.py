@@ -17,7 +17,6 @@ from repro.semantics import (
 )
 from repro.semantics.matching import best_matches_iterative
 from repro.semantics.similarity import chain_similarity
-from repro.semantics.validation import CorrectnessValidator
 
 
 class TestClampSimilarity:
@@ -158,83 +157,71 @@ class TestBestMatches:
 
 class TestCorrectnessValidator:
     @pytest.fixture
-    def visiting(self, toy):
-        """The closed-form stationary visiting map over the toy scope."""
+    def bound(self, toy, bind_validator):
+        """Binds validators to Germany and the closed-form stationary
+        visiting map over the toy scope."""
         from repro.sampling import build_scope
         from repro.sampling.strength import strength_distribution
 
         scope = build_scope(toy.kg, toy.germany, 3, frozenset({"Automobile"}))
         probabilities = strength_distribution(toy.kg, toy.space, scope, "product")
-        return {
+        visiting = {
             node: float(p) for node, p in zip(scope.nodes, probabilities) if p > 0
         }
-
-    def test_direct_answer_validates(self, toy, visiting):
-        validator = CorrectnessValidator(toy.kg, toy.space)
-        outcome = validator.validate(
-            toy.germany, toy.correct_cars[0], "product", visiting
+        return lambda **overrides: bind_validator(
+            toy.kg, toy.space, toy.germany, visiting, **overrides
         )
+
+    def test_direct_answer_validates(self, toy, bound):
+        outcome = bound().validate(toy.correct_cars[0])
         assert outcome.paths_found >= 1
         assert outcome.similarity == pytest.approx(0.98, abs=1e-6)
         assert outcome.best_length == 1
         assert outcome.is_correct(0.85)
 
-    def test_via_company_answer_validates(self, toy, visiting):
-        validator = CorrectnessValidator(toy.kg, toy.space)
-        outcome = validator.validate(
-            toy.germany, toy.correct_cars[1], "product", visiting
-        )
+    def test_via_company_answer_validates(self, toy, bound):
+        outcome = bound().validate(toy.correct_cars[1])
         assert outcome.is_correct(0.85)
         assert outcome.best_length == 2
 
-    def test_near_miss_never_false_positive(self, toy, visiting):
+    def test_near_miss_never_false_positive(self, toy, bound):
         """No false positives: incorrect answers can never clear tau."""
-        validator = CorrectnessValidator(toy.kg, toy.space, expansion_budget=5000)
+        validator = bound(expansion_budget=5000)
         for car in toy.near_miss_cars:
-            outcome = validator.validate(toy.germany, car, "product", visiting)
-            assert not outcome.is_correct(0.85)
+            assert not validator.validate(car).is_correct(0.85)
 
-    def test_stop_threshold_short_circuits(self, toy, visiting):
-        validator = CorrectnessValidator(toy.kg, toy.space, repeat_factor=5)
-        full = validator.validate(toy.germany, toy.correct_cars[0], "product", visiting)
-        quick = validator.validate(
-            toy.germany, toy.correct_cars[0], "product", visiting, stop_threshold=0.9
-        )
+    def test_stop_threshold_short_circuits(self, toy, bound):
+        validator = bound(repeat_factor=5)
+        full = validator.validate(toy.correct_cars[0])
+        quick = validator.validate(toy.correct_cars[0], stop_threshold=0.9)
         assert quick.similarity >= 0.9
         assert quick.expansions <= full.expansions
 
-    def test_repeat_factor_monotone_similarity(self, toy, visiting):
+    def test_repeat_factor_monotone_similarity(self, toy, bound):
         """More paths can only improve the best similarity found."""
-        results = []
-        for r in (1, 3, 5):
-            validator = CorrectnessValidator(
-                toy.kg, toy.space, repeat_factor=r, expansion_budget=3000
-            )
-            outcome = validator.validate(
-                toy.germany, toy.near_miss_cars[0], "product", visiting
-            )
-            results.append(outcome.similarity)
+        results = [
+            bound(repeat_factor=r, expansion_budget=3000)
+            .validate(toy.near_miss_cars[0])
+            .similarity
+            for r in (1, 3, 5)
+        ]
         assert results[0] <= results[1] <= results[2]
 
-    def test_validate_batch_dedupes(self, toy, visiting):
-        validator = CorrectnessValidator(toy.kg, toy.space)
+    def test_validate_batch_dedupes(self, toy, bound):
         answers = [toy.correct_cars[0], toy.correct_cars[0], toy.correct_cars[2]]
-        outcomes = validator.validate_batch(toy.germany, answers, "product", visiting)
+        outcomes = bound().validate_batch(answers)
         assert set(outcomes) == {toy.correct_cars[0], toy.correct_cars[2]}
 
-    def test_invalid_parameters(self, toy):
+    def test_invalid_parameters(self, bound):
         with pytest.raises(ValueError):
-            CorrectnessValidator(toy.kg, toy.space, repeat_factor=0)
+            bound(repeat_factor=0)
         with pytest.raises(ValueError):
-            CorrectnessValidator(toy.kg, toy.space, max_length=0)
+            bound(max_length=0)
         with pytest.raises(ValueError):
-            CorrectnessValidator(toy.kg, toy.space, branch_cap=0)
+            bound(branch_cap=0)
 
-    def test_unreachable_answer(self, toy, visiting):
-        validator = CorrectnessValidator(toy.kg, toy.space, max_length=1)
-        outcome = validator.validate(
-            toy.germany, toy.correct_cars[1], "product", visiting
-        )
+    def test_unreachable_answer(self, toy, bound):
+        outcome = bound(max_length=1).validate(toy.correct_cars[1])
         # via-company car is 2 hops away; with max_length=1 nothing is found
         assert outcome.paths_found == 0
         assert outcome.similarity == 0.0

@@ -48,9 +48,11 @@ from repro.core.plan import PlanCache, shared_plan_cache
 from repro.core.planner import QueryPlanner
 from repro.errors import (
     QueryCancelledError,
+    QueryError,
     ResultTimeoutError,
     ServiceError,
 )
+from repro.semantics import kernels
 
 
 @pytest.fixture
@@ -1005,18 +1007,64 @@ class TestHandleSurface:
         assert batched[0] != batched[2]  # the pair's own seed won
 
     def test_confidence_override_shares_the_planner(self, world):
+        """A per-query confidence plans through the service's planner (one
+        build for both queries) and only its interval carries it; naming
+        the config's own level is the default."""
         with _service(world) as service:
-            assert service._executor_for(None) is service._executor
-            assert service._executor_for(
-                service.config.confidence_level
-            ) is service._executor
             narrow = service.submit(world.avg_query(), seed=5).result()
             wide = service.submit(
                 world.avg_query(), seed=5, confidence=0.99
             ).result()
+            named = service.submit(
+                world.avg_query(), seed=5,
+                confidence=service.config.confidence_level,
+            ).result()
             assert service.planner.build_count == 1
         assert narrow.interval.confidence_level == pytest.approx(0.95)
         assert wide.interval.confidence_level == 0.99
+        assert _fingerprint(named) == _fingerprint(narrow)
+
+    @pytest.mark.parametrize("sampled", [True, False], ids=["sampled", "census"])
+    def test_per_query_confidence_equals_the_config_level(
+        self, world, sampled_service, sampled, monkeypatch
+    ):
+        """``submit(confidence=0.9)`` is byte-identical to a service whose
+        config says 0.9, on a chain COUNT that samples and on one that ends
+        in a census; the chain contexts are the plan's, so the 0.9 query
+        compiles none the default query already did."""
+        compiled: list[str] = []
+        real = kernels.build_chain_context
+
+        def counting(kg, space, snapshot, predicate, floor):
+            compiled.append(predicate)
+            return real(kg, space, snapshot, predicate, floor)
+
+        monkeypatch.setattr(kernels, "build_chain_context", counting)
+        make = sampled_service if sampled else AggregateQueryService
+        query = world.chain_count_query()
+        with _service(world, make=make) as service:
+            default = service.submit(query, seed=5).result(timeout=30.0)
+            assert compiled == ["designer"]
+            per_query = service.submit(query, seed=5, confidence=0.9).result(
+                timeout=30.0
+            )
+            assert compiled == ["designer"]
+        with _service(world, make=make, confidence_level=0.9) as configured:
+            expected = configured.submit(query, seed=5).result(timeout=30.0)
+        assert _fingerprint(per_query) == _fingerprint(expected)
+        assert per_query.interval.confidence_level == 0.9
+        assert (per_query.stop_reason == STOP_CENSUS) == (not sampled)
+        if sampled:
+            assert per_query.moe < default.moe
+
+    @pytest.mark.parametrize("confidence", [1.5, 0.0])
+    def test_out_of_range_confidence_raises_at_submit(self, world, confidence):
+        with _service(world, autostart=False) as service:
+            with pytest.raises(QueryError, match="confidence"):
+                service.submit(world.avg_query(), confidence=confidence)
+            assert service.health()["live_queries"] == 0
+            # no record took the first sequence number
+            assert service.submit(world.avg_query()).sequence == 0
 
     def test_close_is_idempotent_and_refuses_new_work(self, world):
         service = _service(world)
@@ -1127,10 +1175,10 @@ class _BlockingExecutor:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def initialise(self, aggregate_query, seed):
+    def initialise(self, aggregate_query, seed, **kwargs):
         self.entered.set()
         assert self.release.wait(timeout=10.0)
-        return self._inner.initialise(aggregate_query, seed)
+        return self._inner.initialise(aggregate_query, seed, **kwargs)
 
 
 class TestShutdownOrdering:
