@@ -27,9 +27,10 @@ array-valued attribute/filter screen over the graph's attribute columns
 and the survivors are validated in one
 :meth:`CorrectnessValidator.validate_batch` pass per component over the
 validator's shared expansion trace (chain components resolve their prefix
-levels through the same pass), with verdicts memoised on the plan —
-refinement rounds and interactive sessions never revalidate an answer.
-It is also a **lazy conjunction**: an answer of a composite
+levels through the same pass), with verdicts memoised in the plan's
+verdict column — refinement rounds and interactive sessions never
+revalidate an answer, and a warm round reads its verdicts with one gather
+per component.  It is also a **lazy conjunction**: an answer of a composite
 query is correct only when every component keeps it, so components are
 validated cheapest-first (simple before chain) and each one sees only the
 answers every earlier one kept.  Validation time is attributed to its own
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import DeltaStrategy, EngineConfig, ExtremeMethod
-from repro.core.plan import QueryPlan
+from repro.core.plan import JointSupport, QueryPlan, plan_key
 from repro.core.planner import QueryPlanner
 from repro.core.result import (
     STOP_BOUND_MET,
@@ -73,6 +74,7 @@ from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
 from repro.query.aggregate import AggregateFunction, AggregateQuery
+from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerCollector, AnswerDistribution
 from repro.semantics import kernels
 from repro.utils.rng import derive_seed, ensure_rng
@@ -94,6 +96,10 @@ KIND_GROUPED = "grouped"  # GROUP-BY (§V-A): one CI per group
 KIND_EXTREME = "extreme"  # MAX/MIN (§IV-B1): sample extremum, no CI
 #: every label :func:`kind_for` can return
 KINDS = (KIND_ROUNDS, KIND_GROUPED, KIND_EXTREME)
+
+#: most elements one ``(groups, draws)`` block of a closed-form GROUP-BY
+#: round may hold; a round with more is reduced a block of groups at a time
+_GROUP_BLOCK_ELEMENTS = 1 << 20
 
 
 def kind_for(aggregate_query: AggregateQuery) -> str:
@@ -121,6 +127,9 @@ class _QueryState:
     #: the query's 1 - alpha: the BLB critical value, every interval and
     #: the EVT fit read it
     confidence_level: float
+    #: per component (plan order): the joint support's positions into the
+    #: plan's verdict column (:attr:`JointSupport.positions`)
+    positions: tuple[np.ndarray, ...] = ()
     #: per-support-entry verdicts, filled lazily as entries are first drawn
     support_known: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     support_correct: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
@@ -148,11 +157,19 @@ class _QueryState:
     #: enumeration per answer per level), ties in plan order.  Fixed once
     #: per query so the lazy conjunction never sorts per entry.
     validation_order: tuple[QueryPlan, ...] = field(init=False, repr=False)
+    #: ``positions`` in ``validation_order``
+    validation_positions: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.validation_order = tuple(
-            sorted(self.components, key=lambda plan: plan.chain is not None)
+        order = sorted(
+            range(len(self.components)),
+            key=lambda index: self.components[index].chain is not None,
         )
+        self.validation_order = tuple(self.components[index] for index in order)
+        if self.positions:
+            self.validation_positions = tuple(self.positions[i] for i in order)
+        else:  # a hand-built state without plans
+            self.validation_positions = ()
 
     @property
     def total_draws(self) -> int:
@@ -259,15 +276,16 @@ class QueryExecutor:
     # Initialisation (S1 hand-off)
     # ------------------------------------------------------------------
     @staticmethod
-    def _joint_distribution(components: list[QueryPlan]) -> AnswerDistribution:
-        """Decomposition-assembly: intersect supports, multiply weights.
+    def _joint_distribution(components: list[QueryPlan]) -> JointSupport:
+        """Decomposition-assembly of two or more components: intersect
+        supports, multiply weights.
 
         The joint support is the sorted intersection of the components'
         answers; an answer's weight is the product of its per-component
-        probabilities, multiplied up in plan order, renormalised.
+        probabilities, multiplied up in plan order, renormalised.  The
+        positions that gather those probabilities are kept: they are
+        where each component's verdict column holds the joint's answers.
         """
-        if len(components) == 1:
-            return components[0].distribution
         answers = components[0].distribution.answers
         for plan in components[1:]:
             answers = np.intersect1d(answers, plan.distribution.answers)
@@ -277,6 +295,7 @@ class QueryExecutor:
                 "composite query has an empty intersection sample"
             )
         weights = np.ones(len(answers), dtype=np.float64)
+        positions = []
         for plan in components:
             distribution = plan.distribution
             # ``answers`` is sorted and contained in every support, so the
@@ -285,8 +304,32 @@ class QueryExecutor:
                 answers, distribution.answers, return_indices=True
             )
             weights *= distribution.probabilities[where]
+            where.setflags(write=False)
+            positions.append(where)
         weights = weights / weights.sum()
-        return AnswerDistribution(answers=answers, probabilities=weights)
+        return JointSupport(
+            AnswerDistribution(answers=answers, probabilities=weights),
+            tuple(positions),
+        )
+
+    def _joint_support(
+        self, components: tuple[PathQuery, ...], plans: list[QueryPlan]
+    ) -> JointSupport:
+        """The joint support of ``plans`` (``components``' plans): a lone
+        plan's own distribution with identity positions, else assembled
+        once per plan set and cached beside the plans
+        (:meth:`PlanCache.joint_for`)."""
+        if len(plans) == 1:
+            distribution = plans[0].distribution
+            return JointSupport(
+                distribution, (np.arange(distribution.support_size),)
+            )
+        keys = tuple(
+            plan_key(component, self._space, self.config) for component in components
+        )
+        return self._planner.cache.joint_for(
+            self._kg, keys, plans, lambda: self._joint_distribution(plans)
+        )
 
     def initialise(
         self,
@@ -307,11 +350,12 @@ class QueryExecutor:
         with child_span("initialise", seed=effective_seed), timers.measure(
             STAGE_SAMPLING
         ):
+            query_components = aggregate_query.query.components
             components = [
-                self._planner.plan_for(component)
-                for component in aggregate_query.query.components
+                self._planner.plan_for(component) for component in query_components
             ]
-            joint = self._joint_distribution(components)
+            joint_support = self._joint_support(query_components, components)
+            joint = joint_support.distribution
             num_candidates = max(plan.num_candidates for plan in components)
             if aggregate_query.function.has_guarantee:
                 ratio = config.sample_ratio
@@ -336,6 +380,7 @@ class QueryExecutor:
                 confidence_level=(
                     config.confidence_level if confidence is None else confidence
                 ),
+                positions=joint_support.positions,
                 support_known=np.zeros(support_size, dtype=bool),
                 support_correct=np.zeros(support_size, dtype=bool),
                 support_value=np.zeros(support_size, dtype=np.float64),
@@ -474,68 +519,101 @@ class QueryExecutor:
             if isinstance(state_or_components, _QueryState)
             else state_or_components
         )
-        for plan in components:
-            self._fill_similarities(plan, [node_id])
-        return min(plan.similarity_cache[node_id] for plan in components)
+        return min(
+            float(self._node_similarities(plan, [node_id])[0]) for plan in components
+        )
 
-    def _fill_similarities(self, plan: QueryPlan, node_ids: list[int]) -> None:
-        """Fill one component's verdict memo for ``node_ids`` in bulk.
+    def _node_similarities(self, plan: QueryPlan, node_ids: list[int]) -> np.ndarray:
+        """The plan's memoised similarities of ``node_ids``, filled first.
+
+        Support entries go through the verdict column (positions by the
+        plan's sorted index); any other node — only the public
+        :meth:`answer_similarity` and :meth:`prewarm_similarities` ask
+        for one — through the off-support side dict.
+        """
+        positions, found = plan.positions_of(node_ids)
+        similarities = np.empty(len(found), dtype=np.float64)
+        similarities[found] = self._fill_similarities(plan, positions[found])
+        if not found.all():
+            outside = np.asarray(node_ids, dtype=np.int64)[~found].tolist()
+            side = plan.similarity_cache
+            missing = [node for node in dict.fromkeys(outside) if node not in side]
+            if missing:
+                side.update(zip(missing, self._similarities(plan, missing)))
+            similarities[~found] = [side[node] for node in outside]
+        return similarities
+
+    def _fill_similarities(self, plan: QueryPlan, cells: np.ndarray) -> np.ndarray:
+        """The verdict column at ``cells`` (positions into the plan's
+        answers), searching for the NaN ones first.
+
+        One gather, one ``isnan`` mask, one batched search over the misses
+        (:meth:`_similarities`), one scatter: a cell is written once, with
+        its final value, so services sharing the plan read NaN or that.
+        """
+        column = plan.verdicts
+        similarities = column[cells]
+        misses = np.isnan(similarities)
+        if misses.any():
+            missed = cells[misses]
+            found = self._similarities(
+                plan, plan.distribution.answers[missed].tolist()
+            )
+            column[missed] = found
+            similarities[misses] = found
+        return similarities
+
+    def _similarities(self, plan: QueryPlan, node_ids: list[int]) -> list[float]:
+        """Search one component's similarity for every node of ``node_ids``.
 
         A simple component goes through the validator's batched pass (one
         shared expansion trace); a chain component resolves the whole
         batch's prefix levels together and takes each answer's Eq. 2
         geometric mean off its full-chain prefix.
         """
-        missing = [
-            node_id
-            for node_id in dict.fromkeys(node_ids)
-            if node_id not in plan.similarity_cache
-        ]
-        if not missing:
-            return
         if plan.chain is None:
-            outcomes = self._validate_batch(plan, missing, self.config.tau)
-            for node_id, outcome in outcomes.items():
-                plan.similarity_cache[node_id] = outcome.similarity
-        else:
-            num_hops = plan.component.num_hops
-            self._chain_prefix_batch(plan, num_hops, missing)
-            for node_id in missing:
-                prefix = plan.chain_prefix_memo[(num_hops, node_id)]
-                plan.similarity_cache[node_id] = (
-                    math.exp(prefix[0] / prefix[1]) if prefix and prefix[1] else 0.0
-                )
+            outcomes = self._validate_batch(plan, node_ids, self.config.tau)
+            return [outcomes[node_id].similarity for node_id in node_ids]
+        num_hops = plan.component.num_hops
+        self._chain_prefix_batch(plan, num_hops, node_ids)
+        memo = plan.chain_prefix_memo
+        return [
+            math.exp(prefix[0] / prefix[1]) if prefix and prefix[1] else 0.0
+            for prefix in (memo[(num_hops, node_id)] for node_id in node_ids)
+        ]
 
     def _batch_similarities(
-        self, order: tuple[QueryPlan, ...], node_ids: list[int]
+        self, state: _QueryState, entries: np.ndarray
     ) -> np.ndarray:
-        """Lazy conjunction: which of ``node_ids`` every component keeps.
+        """Lazy conjunction: which joint support ``entries`` every
+        component keeps, as a mask over ``entries``.
 
         An answer is correct only when *every* component keeps it at
-        ``>= tau``, so each component of ``order`` (a state's
-        ``validation_order``) is handed only the answers every earlier
-        one kept, and what the last one keeps is the verdict — returned
-        as a mask over ``node_ids``.  Memo values are per answer —
-        independent of the batch they were computed in — so every verdict
-        equals the eager one.  The answer x component searches an earlier
-        rejection saved are counted on ``conjunction_skips``.
+        ``>= tau``, so each component, in ``state.validation_order``, is
+        handed only the entries every earlier one kept — one
+        :meth:`_fill_similarities` over their cells in its verdict column
+        — and what the last one keeps is the verdict.  Memo values are
+        per answer — independent of the batch they were computed in — so
+        every verdict equals the eager one.  The entry x component
+        searches an earlier rejection saved (NaN cells of rejected
+        entries) are counted on ``conjunction_skips``.
         """
         tau = self.config.tau
-        alive = list(range(len(node_ids)))
-        rejected: list[int] = []
+        keeps = np.ones(len(entries), dtype=bool)
         skips = 0
-        for position, plan in enumerate(order):
-            cache = plan.similarity_cache
-            skips += sum(1 for node_id in rejected if node_id not in cache)
-            kept = [node_ids[index] for index in alive]
-            self._fill_similarities(plan, kept)
-            if position + 1 < len(order):
-                rejected += [n for n in kept if cache[n] < tau]
-            alive = [index for index, n in zip(alive, kept) if cache[n] >= tau]
+        for position, (plan, where) in enumerate(
+            zip(state.validation_order, state.validation_positions)
+        ):
+            if position == 0:
+                keeps = self._fill_similarities(plan, where[entries]) >= tau
+                continue
+            rejected = entries[~keeps]
+            if len(rejected):
+                skips += int(np.isnan(plan.verdicts[where[rejected]]).sum())
+            alive = np.flatnonzero(keeps)
+            keeps[alive] = self._fill_similarities(plan, where[entries[alive]]) >= tau
         if skips and self.obs_metrics is not None:
             self.obs_metrics["conjunction_skips"].inc(skips)
-        keeps = np.zeros(len(node_ids), dtype=bool)
-        keeps[alive] = True
         return keeps
 
     def _screen(
@@ -578,13 +656,12 @@ class QueryExecutor:
         survives it run in one batched pass, and an answer is correct when
         the conjunction keeps it.
         """
-        node_ids = state.joint.answers[pending]
-        correct, values = self._screen(state.aggregate_query, node_ids)
+        correct, values = self._screen(
+            state.aggregate_query, state.joint.answers[pending]
+        )
         if self.config.validate_correctness and correct.any():
             # the conjunction's verdict on what the screen let through
-            correct[correct] = self._batch_similarities(
-                state.validation_order, node_ids[correct].tolist()
-            )
+            correct[correct] = self._batch_similarities(state, pending[correct])
         state.support_known[pending] = True
         state.support_correct[pending] = correct
         state.support_value[pending] = np.where(correct, values, 0.0)
@@ -609,35 +686,18 @@ class QueryExecutor:
             with state.timers.measure(STAGE_VALIDATION):
                 self._validate_entries(state, pending)
 
-    def _estimation_samples(
-        self, state: _QueryState
-    ) -> tuple[list[EstimationSample], EstimationSample]:
-        """Per-little-sample and combined draw slices with validity masks.
-
-        What MAX/MIN rounds and the EVT fit estimate from, and how the
-        tests build the per-draw oracle of :meth:`_contribution_columns`.
-        Callers must have run :meth:`_ensure_validated` first.  The
-        verdict arrays are gathered once over all draws; the little
-        samples are views into that gather.
-        """
+    @staticmethod
+    def _combined_sample(state: _QueryState) -> EstimationSample:
+        """Every draw with its value, probability and verdict: what MAX/MIN
+        rounds and the EVT fit estimate from, and the tests' per-draw
+        oracle of :meth:`_contribution_columns`.  Callers must have run
+        :meth:`_ensure_validated` first."""
         draws = np.concatenate(state.little_samples)
-        combined = EstimationSample(
+        return EstimationSample(
             values=state.support_value[draws],
             probabilities=state.joint.probabilities[draws],
             correct=state.support_correct[draws],
         )
-        littles = []
-        stop = 0
-        for indexes in state.little_samples:
-            start, stop = stop, stop + len(indexes)
-            littles.append(
-                EstimationSample(
-                    values=combined.values[start:stop],
-                    probabilities=combined.probabilities[start:stop],
-                    correct=combined.correct[start:stop],
-                )
-            )
-        return littles, combined
 
     # ------------------------------------------------------------------
     # The round lifecycle (S2 + S3): grow / step / finalise, every kind
@@ -848,7 +908,7 @@ class QueryExecutor:
             # The future-work extension: extrapolate past the sample
             # extremum with a POT/GPD tail fit (see estimation.extreme).
             with state.timers.measure(STAGE_GUARANTEE):
-                _littles, combined = self._estimation_samples(state)
+                combined = self._combined_sample(state)
                 evt = estimate_extreme_evt(
                     combined,
                     function,
@@ -892,7 +952,7 @@ class QueryExecutor:
         validates in its own slot.  It goes when the ledger target does.
         """
         for plan in components:
-            self._fill_similarities(plan, node_ids)
+            self._node_similarities(plan, node_ids)
 
     # ------------------------------------------------------------------
     # What one round estimates, per kind
@@ -1048,7 +1108,7 @@ class QueryExecutor:
         sample exhaustion."""
         function = state.aggregate_query.function
         with state.timers.measure(STAGE_ESTIMATION):
-            _littles, combined = self._estimation_samples(state)
+            combined = self._combined_sample(state)
             if combined.correct_draws:
                 value = estimate_extreme(combined, function)
             elif state.rounds:
@@ -1087,11 +1147,13 @@ class QueryExecutor:
                 return value, moe, int(np.count_nonzero(correct[draws])), True
             keys = self._group_keys(state, np.arange(state.joint.support_size))
             draw_keys = keys[draws]
+            drawn_keys = keys[state.distinct_support_indices()]
             groups = {
                 float(key): (
                     *census_estimate(function, state.support_value[keys == key]),
                     True,
                     int(np.count_nonzero(draw_keys == key)),
+                    int(np.count_nonzero(drawn_keys == key)),
                 )
                 for key in np.unique(keys[~np.isnan(keys)])
             }
@@ -1100,8 +1162,9 @@ class QueryExecutor:
     def _group_round(
         self, state: _QueryState, groups: dict, satisfied: bool
     ) -> tuple[float, float | None, int, bool]:
-        """Package ``{key: (estimate, moe, converged, correct draws)}`` as
-        the per-group results and the round that reports them.
+        """Package ``{key: (estimate, moe, converged, correct draws,
+        distinct answers)}`` as the per-group results and the round that
+        reports them.
 
         The groups land on ``state.grouped_results``; the round carries
         the *worst* group's estimate and MoE, so the anytime
@@ -1122,10 +1185,12 @@ class QueryExecutor:
                 converged=converged,
                 rounds=(),
                 total_draws=state.total_draws,
-                distinct_answers=0,
+                distinct_answers=distinct_answers,
                 correct_draws=correct_draws,
             )
-            for key, (value, moe, converged, correct_draws) in groups.items()
+            for key, (value, moe, converged, correct_draws, distinct_answers) in (
+                groups.items()
+            )
         }
         state.grouped_results = results
         correct_draws = sum(result.correct_draws for result in results.values())
@@ -1197,50 +1262,122 @@ class QueryExecutor:
         draw_keys: np.ndarray,
         error_bound: float,
     ) -> tuple[dict[float, tuple], bool]:
-        """``{key: (estimate, moe, converged, correct draws)}`` per group;
-        whether the round is satisfied.
+        """``{key: (estimate, moe, converged, correct draws, distinct
+        answers)}`` per group; whether the round is satisfied.
 
         A group's columns are the round's, zeroed outside the group: they
         span every draw, so the SAMPLE-normalised estimators keep their
         |S_A| denominator and the sigma — one bag; closed form when
         mean-shaped like an ungrouped round, else bootstrapped on one
         generator in key order — sees the group-membership mixture
-        variance.  The round is satisfied when every group with
+        variance.  A group's draws are a contiguous slice of one stable
+        sort of the draw keys, so its estimate sums its members in draw
+        order.  The round is satisfied when every group with
         ``min_group_draws`` correct draws met the bound and at least one
         group has that many: a round that gates no group checked nothing.
         """
         config = self.config
+        drawn_keys = state.support_group[state.distinct_support_indices()]
+        # only correct entries are keyed, so a group's draws are correct
+        keys, distinct = np.unique(
+            drawn_keys[~np.isnan(drawn_keys)], return_counts=True
+        )
+        order = np.argsort(draw_keys, kind="stable")
+        sorted_keys = draw_keys[order]
+        starts = np.searchsorted(sorted_keys, keys, side="left")
+        stops = np.searchsorted(sorted_keys, keys, side="right")
+
+        def group_sums(column: np.ndarray) -> list[float]:
+            by_key = column[order]
+            return [
+                float(np.sum(by_key[start:stop])) for start, stop in zip(starts, stops)
+            ]
+
+        weighted = group_sums(numerators)
+        if denominators is None:
+            estimates = [total / len(numerators) for total in weighted]
+            moes = self._closed_form_group_moes(state, numerators, draw_keys, keys)
+        else:
+            estimates = [
+                total / count
+                for total, count in zip(weighted, group_sums(denominators))
+            ]
+            moes = self._bootstrapped_group_moes(
+                state, numerators, denominators, draw_keys, keys
+            )
         results: dict[float, tuple] = {}
         gated = 0
         all_satisfied = True
-        # the groups share one generator in key order, built at the first
-        # group that bootstraps (mean-shaped groups take the closed form)
-        rng: int | np.random.Generator = derive_seed(
-            config.seed, "group-bootstrap", len(state.rounds)
-        )
-        drawn_keys = state.support_group[state.distinct_support_indices()]
-        for key in np.unique(drawn_keys[~np.isnan(drawn_keys)]):
-            # only correct entries are keyed, so members are correct draws
-            members = draw_keys == key
-            group = (
-                np.where(members, numerators, 0.0),
-                None if denominators is None else np.where(members, denominators, 0.0),
-            )
-            if denominators is not None:
-                rng = ensure_rng(rng)
-            point_estimate = self._column_estimate(*group, members)
-            moe = self._column_moe(state, *group, [len(members)], rng)
+        for key, estimate, moe, correct_draws, answers in zip(
+            keys.tolist(), estimates, moes, (stops - starts).tolist(), distinct.tolist()
+        ):
             satisfied = math.isfinite(moe) and satisfies_error_bound(
-                moe, point_estimate, error_bound
+                moe, estimate, error_bound
             )
-            correct_draws = int(np.count_nonzero(members))
             if correct_draws >= config.min_group_draws:
                 gated += 1
                 all_satisfied = all_satisfied and satisfied
-            results[float(key)] = (
-                point_estimate,
+            results[key] = (
+                estimate,
                 moe if math.isfinite(moe) else 0.0,
                 satisfied,
                 correct_draws,
+                answers,
             )
         return results, all_satisfied and gated > 0
+
+    def _closed_form_group_moes(
+        self,
+        state: _QueryState,
+        numerators: np.ndarray,
+        draw_keys: np.ndarray,
+        keys: np.ndarray,
+    ) -> list[float]:
+        """Each group's closed-form MoE (:func:`blb_moe` of its one
+        mean-shaped bag), inf without a sigma.
+
+        The groups' zeroed columns are the rows of one ``(groups, draws)``
+        matrix, reduced ``_GROUP_BLOCK_ELEMENTS`` at a time: a row's
+        ``np.std`` over the contiguous axis is the 1-D call's pairwise sum,
+        so every sigma is :func:`column_mean_sigma`'s bit for bit.
+        """
+        self._count({"sigma_closed_form": len(keys)})
+        draws = len(numerators)
+        if draws < 2:
+            return [float("inf")] * len(keys)
+        sigmas = np.empty(len(keys), dtype=np.float64)
+        rows = max(1, _GROUP_BLOCK_ELEMENTS // draws)
+        for start in range(0, len(keys), rows):
+            block = keys[start : start + rows, np.newaxis]
+            sigmas[start : start + rows] = np.std(
+                np.where(draw_keys == block, numerators, 0.0), axis=1, ddof=1
+            )
+        critical = normal_critical_value(state.confidence_level)
+        return (critical * (sigmas / np.sqrt(draws))).tolist()
+
+    def _bootstrapped_group_moes(
+        self,
+        state: _QueryState,
+        numerators: np.ndarray,
+        denominators: np.ndarray,
+        draw_keys: np.ndarray,
+        keys: np.ndarray,
+    ) -> list[float]:
+        """Each group's bootstrapped MoE, inf without a sigma: the groups
+        draw in key order on one generator."""
+        rng = ensure_rng(
+            derive_seed(self.config.seed, "group-bootstrap", len(state.rounds))
+        )
+        moes = []
+        for key in keys:
+            members = draw_keys == key
+            moes.append(
+                self._column_moe(
+                    state,
+                    np.where(members, numerators, 0.0),
+                    np.where(members, denominators, 0.0),
+                    [len(members)],
+                    rng,
+                )
+            )
+        return moes

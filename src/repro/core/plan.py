@@ -14,16 +14,24 @@ Plans are structurally immutable (frozen dataclass, read-only arrays) but
 own every piece of S2 state compiled for them, so the plan key alone
 decides when it is stale: the validator bound to the plan's context (its
 compiled context and shared trace, built lazily), the per-level chain
-contexts and typed-intermediate sets, and two append-only memo dicts — the
-per-answer validation verdicts and the chain-prefix table.  Validation is
-deterministic, so concurrent engines appending to a shared memo can only
-ever write the same values; sharing the memo is what lets refinement
-rounds and interactive sessions skip revalidation entirely.
+contexts and typed-intermediate sets, and the append-only memos — the
+verdict column (one similarity per support entry, NaN until validated),
+its side dict for nodes outside the support and the chain-prefix table.
+Validation is deterministic and a memo cell is written once, with its
+final value, so concurrent engines sharing a plan only ever read "not yet"
+or that value; sharing the memo is what lets refinement rounds and
+interactive sessions skip revalidation entirely.
+
+Beside each graph's plans the cache keeps the *joint supports* of
+composite queries (:class:`JointSupport`: the intersected distribution
+and every component's positions into its plan's answers), keyed by the
+component plan keys: a joint is a function of its plans, so it is
+assembled once and dropped with any of them.
 
 The cache holds graphs weakly (a dead graph drops its plans) and evicts a
-graph's plans wholesale when its *structure* version moves.  Attribute
-writes bump a different counter and leave plans — like CSR snapshots —
-untouched.
+graph's plans and joints wholesale when its *structure* version moves.
+Attribute writes bump a different counter and leave plans — like CSR
+snapshots — untouched.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from functools import cached_property
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -45,6 +54,21 @@ from repro.semantics.validation import CorrectnessValidator
 
 #: cache key of one plan within a graph entry
 PlanKey = Hashable
+
+
+@dataclass(frozen=True)
+class JointSupport:
+    """A query's joint support: what its draws and verdicts index.
+
+    ``distribution`` is pi_A over the answers every component keeps;
+    ``positions[i]`` is, aligned with ``distribution.answers``, where
+    component ``i`` (plan order) holds each of them in its plan's
+    ``distribution.answers`` — so its verdict column.  A composite's
+    joint is shared by every query over the same plans and never written.
+    """
+
+    distribution: AnswerDistribution
+    positions: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -65,8 +89,9 @@ class QueryPlan:
     #: (the first-leg validator for chain components)
     validator: CorrectnessValidator
     chain: ChainDistribution | None = None
-    #: per-answer verdict memo: greedy results are deterministic, so the
-    #: memo is safe to share across engines, rounds and sessions
+    #: the verdict memo's side dict: similarities of nodes *outside* the
+    #: support, which only the public ``answer_similarity`` (and the
+    #: ledger's ``prewarm_similarities``) ask for
     similarity_cache: dict[int, float] = field(default_factory=dict)
     #: chain validation memo: (hop level, node) -> best (log_sum, length)
     chain_prefix_memo: dict[tuple[int, int], tuple[float, int] | None] = field(
@@ -75,6 +100,43 @@ class QueryPlan:
     #: chain level (>= 2) -> its ``(ChainContext, typed intermediates)``,
     #: filled on first use and published with ``setdefault``
     chain_levels: dict[int, tuple] = field(default_factory=dict)
+    #: the verdict memo: one similarity per ``distribution.answers`` entry,
+    #: NaN until validated.  Greedy results are deterministic and a cell is
+    #: written once, with its final value, so the column is safe to share
+    #: across engines, rounds and sessions
+    verdicts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "verdicts", np.full(self.distribution.support_size, np.nan)
+        )
+
+    @cached_property
+    def _answer_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, answers[order])``: the support sorted by node id."""
+        order = np.argsort(self.distribution.answers, kind="stable")
+        return order, self.distribution.answers[order]
+
+    def positions_of(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, found)`` of ``node_ids`` in ``distribution.answers``;
+        a position is meaningless where ``found`` is False."""
+        order, ordered = self._answer_index
+        ids = np.asarray(node_ids, dtype=np.int64)
+        at = np.minimum(np.searchsorted(ordered, ids), len(ordered) - 1)
+        return order[at], ordered[at] == ids
+
+    def memoised_similarities(self) -> dict[int, float]:
+        """Every memoised similarity by node id: the column's filled cells,
+        then the off-support side dict."""
+        filled = np.flatnonzero(~np.isnan(self.verdicts))
+        memo = dict(
+            zip(
+                self.distribution.answers[filled].tolist(),
+                self.verdicts[filled].tolist(),
+            )
+        )
+        memo.update(self.similarity_cache)
+        return memo
 
 
 @dataclass(frozen=True)
@@ -83,8 +145,8 @@ class PlanArtifacts:
 
     Everything S1 computed, with the runtime-only handles stripped: the
     validator (cheap to rebuild from the artefacts' ``source`` and
-    ``visiting``) and the memo dicts (append-only caches, rebuilt as
-    queries validate).  This is the unit the store writes to disk and
+    ``visiting``) and the memos (append-only caches, rebuilt as queries
+    validate).  This is the unit the store writes to disk and
     memory-maps back — the arrays are the dominant payload and stay
     zero-copy end to end.
     """
@@ -142,7 +204,7 @@ def plan_from_artifacts(
 
     The arrays are adopted as-is (memory-mapped or shared segments stay
     zero-copy); ``make_validator(source, predicate, visiting)`` binds a
-    fresh validator to the loaded context, and the memo dicts start empty
+    fresh validator to the loaded context, and the memos start empty
     — verdicts are deterministic, so a rebuilt plan converges to the same
     memo content as the original.
     """
@@ -232,6 +294,15 @@ class _GraphEntry:
     plans: dict[PlanKey, QueryPlan] = field(default_factory=dict)
     #: keys currently being built by some thread (see ``get_or_build``)
     building: dict[PlanKey, threading.Event] = field(default_factory=dict)
+    #: composite queries' joint supports, keyed by their component plan
+    #: keys (LRU-ordered); a joint goes when any of its plans is evicted
+    joints: dict[tuple[PlanKey, ...], JointSupport] = field(default_factory=dict)
+
+    def published(
+        self, keys: Sequence[PlanKey], plans: Sequence[QueryPlan]
+    ) -> bool:
+        """Whether every plan is the one published under its key."""
+        return all(self.plans.get(key) is plan for key, plan in zip(keys, plans))
 
 
 #: default per-graph plan bound; a plan's dominant payload is its dense
@@ -323,6 +394,8 @@ class PlanCache:
                     entry.plans[key] = entry.plans.pop(key)
                     continue
                 del entry.plans[oldest]
+                for joint_key in [k for k in entry.joints if oldest in k]:
+                    del entry.joints[joint_key]
             return canonical
 
     def get_or_build(
@@ -376,6 +449,46 @@ class PlanCache:
             # loop: either the plan is published now, or the builder died
             # (or the structure moved) and this thread claims the build
 
+    def joint_for(
+        self,
+        kg: KnowledgeGraph,
+        keys: tuple[PlanKey, ...],
+        plans: Sequence[QueryPlan],
+        build: Callable[[], JointSupport],
+    ) -> JointSupport:
+        """The joint support of ``plans`` (``keys[i]``'s plan is
+        ``plans[i]``), assembled by ``build`` once per published plan set.
+
+        Only plans that are the ones published under their keys share a
+        joint: a plan kept private by a structural mutation, or one whose
+        key was evicted and rebuilt, gets a fresh assembly.  Like a plan,
+        a joint is built outside the lock and the first one stored wins;
+        the joints are LRU-bounded by ``max_plans_per_graph`` too.
+        """
+        with self._lock:
+            entry = self._entry_locked(kg)
+            if entry.published(keys, plans):
+                joint = entry.joints.get(keys)
+                if joint is not None:
+                    entry.joints[keys] = entry.joints.pop(keys)  # LRU touch
+                    return joint
+        joint = build()
+        with self._lock:
+            entry = self._entry_locked(kg)
+            if entry.published(keys, plans):
+                joint = entry.joints.setdefault(keys, joint)
+                while len(entry.joints) > self.max_plans_per_graph:
+                    del entry.joints[next(iter(entry.joints))]
+        return joint
+
+    def num_joints(self, kg: KnowledgeGraph) -> int:
+        """Number of cached joint supports for ``kg``'s current structure."""
+        with self._lock:
+            entry = self._entries.get(kg)
+            if entry is None or entry.structure_version != kg.structure_version:
+                return 0
+            return len(entry.joints)
+
     def num_plans(self, kg: KnowledgeGraph) -> int:
         """Number of live cached plans for ``kg``'s current structure."""
         with self._lock:
@@ -385,7 +498,7 @@ class PlanCache:
             return len(entry.plans)
 
     def clear(self) -> None:
-        """Drop every cached plan (benchmarks and tests)."""
+        """Drop every cached plan and joint (benchmarks and tests)."""
         with self._lock:
             self._entries.clear()
 

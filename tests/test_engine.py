@@ -337,7 +337,8 @@ class TestLazyConjunction:
             order[:2]
         )
         # each component saw only what every earlier one kept
-        sizes = [len(plan.similarity_cache) for plan in order]
+        memos = [plan.memoised_similarities() for plan in order]
+        sizes = [len(memo) for memo in memos]
         assert sizes[0] > sizes[1] >= sizes[2] > 0
 
         # the public similarity is still the minimum over *all* components;
@@ -348,7 +349,7 @@ class TestLazyConjunction:
             node_id = int(state.joint.answers[index])
             similarity = engine.answer_similarity(state, node_id)
             assert similarity == min(
-                plan.similarity_cache[node_id] for plan in state.components
+                plan.memoised_similarities()[node_id] for plan in state.components
             )
             assert (similarity >= fast_config.tau) == state.support_correct[index]
 

@@ -247,11 +247,16 @@ def _joint_by_dicts(components) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assert_joint_matches_dicts(components) -> None:
-    joint = QueryExecutor._joint_distribution(components)
+    joint_support = QueryExecutor._joint_distribution(components)
+    joint = joint_support.distribution
     answers, weights = _joint_by_dicts(components)
     assert joint.answers.dtype == answers.dtype
     np.testing.assert_array_equal(joint.answers, answers)
     assert joint.probabilities.tobytes() == weights.tobytes()
+    # each component's positions hold the joint's answers, in its order
+    assert len(joint_support.positions) == len(components)
+    for plan, where in zip(components, joint_support.positions):
+        np.testing.assert_array_equal(plan.distribution.answers[where], answers)
 
 
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
@@ -289,7 +294,8 @@ def test_joint_distribution_of_unsorted_partially_overlapping_supports():
         _fake_plan(rng, range(10, 70, 3)),
     ]
     _assert_joint_matches_dicts(components)
-    assert len(QueryExecutor._joint_distribution(components).answers) == 7
+    joint = QueryExecutor._joint_distribution(components).distribution
+    assert len(joint.answers) == 7
 
 
 def test_joint_distribution_of_disjoint_supports_is_a_query_error():
@@ -306,13 +312,32 @@ def test_joint_distribution_of_disjoint_supports_is_a_query_error():
 _GUARANTEED = (AggregateFunction.COUNT, AggregateFunction.SUM, AggregateFunction.AVG)
 
 
+def _estimation_samples(state):
+    """Per-little-sample and combined draw slices with validity masks: the
+    per-draw oracle's input.  The little samples are views into the
+    combined gather."""
+    combined = QueryExecutor._combined_sample(state)
+    littles = []
+    stop = 0
+    for indexes in state.little_samples:
+        start, stop = stop, stop + len(indexes)
+        littles.append(
+            EstimationSample(
+                values=combined.values[start:stop],
+                probabilities=combined.probabilities[start:stop],
+                correct=combined.correct[start:stop],
+            )
+        )
+    return littles, combined
+
+
 def _oracle_round(executor, state, error_bound):
     """``_estimate_guaranteed`` as the per-draw ``EstimationSample`` code
     computes it: ``(estimate, moe or None, correct_draws, satisfied)``."""
     config = executor.config
     function = state.aggregate_query.function
     round_index = len(state.rounds) + 1
-    littles, combined = executor._estimation_samples(state)
+    littles, combined = _estimation_samples(state)
     if combined.correct_draws == 0:
         return 0.0, None, 0, False
     point = estimate(function, combined, config.normalization)
@@ -482,7 +507,7 @@ def test_round_checks_the_drawn_probabilities_like_estimation_sample():
         AggregateFunction.SUM, values, probabilities, correct, [[1, 0], [2, 2], [1]]
     )
     with pytest.raises(EstimationError) as oracle:
-        executor._estimation_samples(drawn)
+        QueryExecutor._combined_sample(drawn)
     with pytest.raises(EstimationError) as raised:
         executor._estimate_guaranteed(drawn, 0.5)
     assert str(raised.value) == str(oracle.value) == "probabilities must lie in (0, 1]"
@@ -513,7 +538,7 @@ def test_group_estimates_are_the_masked_estimation_samples(
         group_by=GroupBy("price", bin_width=2000.0),
     )
     state, result = drive_lifecycle(engine.executor, query, 3, 0.01)
-    _littles, combined = engine.executor._estimation_samples(state)
+    combined = QueryExecutor._combined_sample(state)
     draw_keys = state.support_group[np.concatenate(state.little_samples)]
     mean_shaped = (
         function is not AggregateFunction.AVG and normalization is Normalization.SAMPLE
@@ -542,6 +567,136 @@ def test_group_estimates_are_the_masked_estimation_samples(
             normal_critical_value(config.confidence_level) * sigma
         ).hex()
         assert group.correct_draws == sample.correct_draws
+
+
+# ----------------------------------------------------------------------
+# the one-pass grouped round == the per-group loop it replaced
+# ----------------------------------------------------------------------
+def _groups_by_loop(executor, state, numerators, denominators, draw_keys, error_bound):
+    """The per-group loop: each group's columns zeroed outside it, then
+    ``_column_estimate`` and ``_column_moe`` group by group in key order,
+    the bootstrapped ones on one generator built at the first of them."""
+    config = executor.config
+    results = {}
+    gated = 0
+    all_satisfied = True
+    rng = derive_seed(config.seed, "group-bootstrap", len(state.rounds))
+    drawn_keys = state.support_group[state.distinct_support_indices()]
+    for key in np.unique(drawn_keys[~np.isnan(drawn_keys)]):
+        members = draw_keys == key
+        group = (
+            np.where(members, numerators, 0.0),
+            None if denominators is None else np.where(members, denominators, 0.0),
+        )
+        if denominators is not None:
+            rng = ensure_rng(rng)
+        point_estimate = executor._column_estimate(*group, members)
+        moe = executor._column_moe(state, *group, [len(members)], rng)
+        satisfied = math.isfinite(moe) and satisfies_error_bound(
+            moe, point_estimate, error_bound
+        )
+        correct_draws = int(np.count_nonzero(members))
+        if correct_draws >= config.min_group_draws:
+            gated += 1
+            all_satisfied = all_satisfied and satisfied
+        results[float(key)] = (
+            point_estimate,
+            moe if math.isfinite(moe) else 0.0,
+            satisfied,
+            correct_draws,
+            int(np.count_nonzero(drawn_keys == key)),
+        )
+    return results, all_satisfied and gated > 0
+
+
+def _grouped_round_case(rng, support_keys, draws, mean_shaped):
+    """A state whose support is keyed by ``support_keys`` (NaN = not
+    grouped, so incorrect) drawn as ``draws``, plus its round columns."""
+    support_keys = np.asarray(support_keys, dtype=np.float64)
+    size = len(support_keys)
+    probabilities = rng.dirichlet(np.ones(size))
+    correct = ~np.isnan(support_keys)
+    values = rng.lognormal(3.0, 1.0, size=size)
+    draws = np.asarray(draws, dtype=np.int64)
+    cut = len(draws) // 3
+    state = _hand_state(
+        AggregateFunction.SUM, values, probabilities, correct,
+        [draws[:cut], draws[cut:]],
+    )
+    state.support_group = support_keys
+    numerators = np.where(correct, values / probabilities, 0.0)[draws]
+    denominators = None
+    if not mean_shaped:
+        denominators = np.where(correct, 1.0 / probabilities, 0.0)[draws]
+    return state, numerators, denominators, support_keys[draws]
+
+
+def _hexed_groups(groups):
+    results, satisfied = groups
+    return {
+        key.hex(): (value.hex(), moe.hex(), converged, draws, distinct)
+        for key, (value, moe, converged, draws, distinct) in results.items()
+    }, satisfied
+
+
+def _random_grouped_cases(rng):
+    for size, num_draws, num_groups in [
+        (7, 7, 1), (40, 300, 5), (300, 2000, 66), (1500, 5000, 12),
+    ]:
+        keys = rng.integers(0, num_groups, size=size) * 2.5 - 10.0
+        keys = np.where(rng.random(size) < 0.3, np.nan, keys)
+        yield f"random {num_groups} groups", keys, rng.integers(0, size, num_draws)
+    # entry 5 is the only member of its group and is drawn once
+    keys = np.where(np.arange(10) % 2 == 0, 1.0, np.nan)
+    keys[5] = 7.0
+    yield "a single-draw group", keys, [0, 0, 1, 2, 2, 3, 4, 5, 6, 8, 8, 9]
+    yield "no group", np.full(6, np.nan), [0, 1, 1, 2, 5, 4]
+    yield "one draw", np.asarray([3.0, np.nan]), [0]
+
+
+@pytest.mark.parametrize("mean_shaped", [True, False], ids=["closed-form", "bootstrap"])
+def test_grouped_round_is_the_per_group_loop(mean_shaped):
+    rng = np.random.default_rng(34)
+    executor = _hand_executor(Normalization.SAMPLE)
+    for name, keys, draws in _random_grouped_cases(rng):
+        state, numerators, denominators, draw_keys = _grouped_round_case(
+            rng, keys, draws, mean_shaped
+        )
+        expected = _hexed_groups(
+            _groups_by_loop(executor, state, numerators, denominators, draw_keys, 0.05)
+        )
+        actual = _hexed_groups(
+            executor._estimate_groups(
+                state, numerators, denominators, draw_keys, 0.05
+            )
+        )
+        assert actual == expected, name
+        if name == "no group":
+            assert actual == ({}, False)
+
+
+def test_grouped_round_does_not_depend_on_the_block_size(monkeypatch):
+    """A block boundary falling inside the groups (two rows a block over
+    seven groups) reduces every row as one block does."""
+    import repro.core.executor as executor_module
+
+    rng = np.random.default_rng(35)
+    keys = np.where(rng.random(200) < 0.2, np.nan, rng.integers(0, 7, 200) * 1.0)
+    state, numerators, _none, draw_keys = _grouped_round_case(
+        rng, keys, rng.integers(0, 200, 900), mean_shaped=True
+    )
+    executor = _hand_executor(Normalization.SAMPLE)
+    whole = _hexed_groups(
+        executor._estimate_groups(state, numerators, None, draw_keys, 0.05)
+    )
+    assert len(whole[0]) == 7
+    monkeypatch.setattr(executor_module, "_GROUP_BLOCK_ELEMENTS", 2 * 900 + 1)
+    blocked = _hexed_groups(
+        executor._estimate_groups(state, numerators, None, draw_keys, 0.05)
+    )
+    assert blocked == whole == _hexed_groups(
+        _groups_by_loop(executor, state, numerators, None, draw_keys, 0.05)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1045,7 +1045,7 @@ class TestEngineLevelEquivalence:
         cold_engine = ApproximateAggregateEngine(kg, embedding, config)
         cold_plans = [cold_engine.planner.plan_for(c) for c in components]
         for cold_plan in cold_plans:
-            assert not cold_plan.similarity_cache
+            assert not cold_plan.memoised_similarities()
             assert not cold_plan.chain_prefix_memo
         cold = [
             {
@@ -1061,8 +1061,9 @@ class TestEngineLevelEquivalence:
         plans = [engine.planner.plan_for(c) for c in components]
         for plan, cold_plan, cold_memo in zip(plans, cold_plans, cold):
             assert plan is not cold_plan
-            assert plan.similarity_cache
-            for answer, similarity in plan.similarity_cache.items():
+            memo = plan.memoised_similarities()
+            assert memo
+            for answer, similarity in memo.items():
                 assert engine.answer_similarity([plan], answer) == similarity
                 assert cold_memo[answer] == similarity
             for key, row in plan.chain_prefix_memo.items():
@@ -1071,11 +1072,12 @@ class TestEngineLevelEquivalence:
             assert bool(plan.chain_prefix_memo) == (plan.chain is not None)
         assert any(p.chain is not None for p in plans) == (query_name != "count")
         # every component judged these: the composite is their minimum
-        judged = set.intersection(*(set(p.similarity_cache) for p in plans))
+        memos = [plan.memoised_similarities() for plan in plans]
+        judged = set.intersection(*(set(memo) for memo in memos))
         assert judged
         for answer in judged:
             assert cold_engine.answer_similarity(cold_plans, answer) == min(
-                plan.similarity_cache[answer] for plan in plans
+                memo[answer] for memo in memos
             )
 
     @pytest.mark.parametrize(

@@ -38,6 +38,7 @@ import math
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -49,7 +50,7 @@ from repro import (
     GroupBy,
     QueryGraph,
 )
-from repro.core.executor import KINDS
+from repro.core.executor import KINDS, QueryExecutor
 from repro.core.plan import shared_plan_cache
 from repro.core.result import STOP_CENSUS, STOP_ROUND_BUDGET, GroupedResult
 from repro.errors import ServiceError
@@ -673,12 +674,30 @@ class TestExecMetrics:
             standard_workload(bundle), QueryShape.STAR
         )[0].aggregate_query
         shared_plan_cache().clear()
-        with AggregateQueryService(
-            bundle.kg, bundle.embedding, EngineConfig(seed=0)
-        ) as service:
-            service.submit(star).result(timeout=60.0)
+        config = EngineConfig(seed=0)
+        with AggregateQueryService(bundle.kg, bundle.embedding, config) as service:
+            # the chain component already judged every other joint answer:
+            # a rejection spares only the searches still to be made
+            plans = [service.planner.plan_for(c) for c in star.query.components]
+            joint = QueryExecutor._joint_distribution(plans)
+            order = sorted(range(len(plans)), key=lambda i: plans[i].chain is not None)
+            ApproximateAggregateEngine(
+                bundle.kg, bundle.embedding, config
+            ).executor.prewarm_similarities(
+                [plans[order[-1]]], joint.distribution.answers[::2].tolist()
+            )
+            result = service.submit(star).result(timeout=60.0)
             samples = _parse_prometheus(service.registry.render_prometheus())
-        assert samples["repro_exec_conjunction_skips"] > 0
+        # the census validated the whole joint support and no screen rejects
+        # a COUNT without filters, so a skip is a cell a rejection left NaN
+        assert result.stop_reason == STOP_CENSUS and not star.filters
+        rejected = np.zeros(joint.distribution.support_size, dtype=bool)
+        skips = 0
+        for index in order:
+            cells = plans[index].verdicts[joint.positions[index]]
+            skips += int(np.count_nonzero(rejected & np.isnan(cells)))
+            rejected |= cells < config.tau
+        assert samples["repro_exec_conjunction_skips"] == skips > 0
 
     def test_only_avg_and_paper_sigmas_pay_for_an_index_stream(self):
         """A ``dashboard_refresh``-shaped batch — one hub's COUNT, SUM,

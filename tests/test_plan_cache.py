@@ -7,7 +7,10 @@ Covers the architectural contracts of the plan layer:
 * structural mutation evicts both;
 * concurrent engines over one graph + embedding share one plan object;
 * the per-plan verdict memo survives refinement rounds — sessions never
-  revalidate an answer;
+  revalidate an answer — and is a column over the plan's support, with a
+  side dict for the nodes outside it;
+* composite queries' joint supports are cached beside their plans and
+  live and die with them;
 * ``validate_batch`` produces outcomes identical to the seed
   ``ReferenceValidator``'s per answer over a real sampled workload.
 """
@@ -15,19 +18,28 @@ Covers the architectural contracts of the plan layer:
 from __future__ import annotations
 
 import gc
+import json
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
 from repro import (
+    AggregateFunction,
+    AggregateQuery,
+    AggregateQueryService,
     ApproximateAggregateEngine,
     EngineConfig,
+    GroupBy,
     InteractiveSession,
     QueryGraph,
 )
-from repro.core.plan import plan_fingerprint, plan_key, shared_plan_cache
+from repro.core.executor import QueryExecutor
+from repro.core.plan import PlanCache, plan_fingerprint, plan_key, shared_plan_cache
+from repro.core.planner import QueryPlanner
 from repro.core.config import SamplerKind
+from repro.server import encode_result
 from repro.kg import csr_snapshot
 from repro.semantics.reference import ReferenceValidator
 from repro.semantics.validation import CorrectnessValidator
@@ -42,6 +54,43 @@ def world(toy_world_factory):
 def _engine(world, **overrides) -> ApproximateAggregateEngine:
     config = EngineConfig(**{"seed": 7, "max_rounds": 8, **overrides})
     return ApproximateAggregateEngine(world.kg, world.embedding, config)
+
+
+def _star_query() -> AggregateQuery:
+    """A composite over the toy world's cars: two simple components and
+    a chain, so the conjunction has something to skip."""
+    return AggregateQuery(
+        query=QueryGraph.compose([
+            QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
+            QueryGraph.simple("Germany", ["Country"], "assembly", ["Automobile"]),
+            QueryGraph.chain(
+                "Germany",
+                ["Country"],
+                [("nationality", ["Person"]), ("designer", ["Automobile"])],
+            ),
+        ]),
+        function=AggregateFunction.COUNT,
+    )
+
+
+def _mixed_batch(world) -> list[tuple[AggregateQuery, int]]:
+    grouped = AggregateQuery(
+        query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
+        function=AggregateFunction.COUNT,
+        group_by=GroupBy("price", bin_width=1000.0),
+    )
+    return [
+        (world.count_query(), 3),
+        (world.avg_query(), 4),
+        (world.sum_query(), 5),
+        (world.chain_count_query(), 6),
+        (_star_query(), 7),
+        (grouped, 8),
+    ]
+
+
+def _encoded(result) -> str:
+    return json.dumps(encode_result(result, timings=False), sort_keys=True)
 
 
 class TestVersionCounters:
@@ -177,7 +226,7 @@ class TestPlanSharing:
         first.execute(world.count_query())
         component = world.count_query().query.components[0]
         plan = first.planner.plan_for(component)
-        memo_size = len(plan.similarity_cache)
+        memo_size = len(plan.memoised_similarities())
         assert memo_size > 0
 
         second = _engine(world)
@@ -344,3 +393,234 @@ class TestBatchedValidationEquivalence:
         result = _engine(world).execute(world.count_query())
         assert "validation" in result.stage_ms
         assert result.stage_ms["validation"] >= 0.0
+
+
+class TestVerdictColumn:
+    """The verdict memo is a float64 column aligned with the plan's
+    answers (NaN = not yet validated), plus a side dict for nodes outside
+    the support that only ``answer_similarity`` / the prewarm reach."""
+
+    def test_warm_pass_column_is_the_memo(self, world, monkeypatch):
+        searched: dict[int, tuple] = {}
+        original = QueryExecutor._similarities
+
+        def recording(self, plan, node_ids):
+            searched.setdefault(id(plan), (plan, set()))[1].update(node_ids)
+            return original(self, plan, node_ids)
+
+        monkeypatch.setattr(QueryExecutor, "_similarities", recording)
+        batch = _mixed_batch(world)
+        config = EngineConfig(seed=7, max_rounds=8)
+        with AggregateQueryService(world.kg, world.embedding, config) as service:
+            for handle in service.submit_batch(batch):
+                handle.result(timeout=60)
+        engine = _engine(world)
+        plans = {
+            id(plan): plan
+            for plan in (
+                engine.planner.plan_for(component)
+                for query, _seed in batch
+                for component in query.query.components
+            )
+        }
+        assert len(plans) == 3
+        assert searched.keys() == plans.keys()
+        for plan, nodes in searched.values():
+            # every validated answer has a cell, and no support entry
+            # lands in the side dict
+            positions, found = plan.positions_of(sorted(nodes))
+            assert found.all()
+            assert not np.isnan(plan.verdicts[positions]).any()
+            assert not plan.similarity_cache
+        for plan in plans.values():
+            filled = np.flatnonzero(~np.isnan(plan.verdicts))
+            assert len(filled)
+            for answer, similarity in zip(
+                plan.distribution.answers[filled].tolist(),
+                plan.verdicts[filled].tolist(),
+            ):
+                assert engine.answer_similarity([plan], answer) == similarity
+
+    def test_off_support_nodes_go_to_the_side_dict(self, world):
+        engine = _engine(world)
+        plan = engine.planner.plan_for(world.count_query().query.components[0])
+        outside = next(
+            node for node in world.people if not plan.positions_of([node])[1][0]
+        )
+        similarity = engine.answer_similarity([plan], outside)
+        assert plan.similarity_cache == {outside: similarity}
+        assert np.isnan(plan.verdicts).all()
+        assert plan.memoised_similarities() == {outside: similarity}
+
+    def test_prewarm_fills_the_column(self, world):
+        engine = _engine(world)
+        component = world.count_query().query.components[0]
+        plan = engine.planner.plan_for(component)
+        answers = plan.distribution.answers[:10].tolist()
+        outside = next(
+            node for node in world.people if not plan.positions_of([node])[1][0]
+        )
+        engine.executor.prewarm_similarities([plan], answers + answers[:3] + [outside])
+        positions, found = plan.positions_of(answers)
+        assert found.all()
+        assert not np.isnan(plan.verdicts[positions]).any()
+        assert int(np.isnan(plan.verdicts).sum()) == plan.distribution.support_size - 10
+        assert list(plan.similarity_cache) == [outside]
+
+        shared_plan_cache().clear()
+        cold = _engine(world)
+        cold_plan = cold.planner.plan_for(component)
+        assert cold_plan is not plan
+        for answer, cell in zip(answers, plan.verdicts[positions].tolist()):
+            assert cold.answer_similarity([cold_plan], answer) == cell
+
+    def test_two_services_sharing_plans_match_sequential(self, world):
+        """Two services on their own threads batch over the same shared
+        plans — one writing verdict cells the other is reading — and
+        return what one service returns running the queries one by one."""
+        batch = _mixed_batch(world)
+        config = EngineConfig(seed=7, max_rounds=8)
+        shared_plan_cache().clear()
+        with AggregateQueryService(world.kg, world.embedding, config) as service:
+            sequential = [
+                _encoded(service.submit(query, seed=seed).result(timeout=60))
+                for query, seed in batch
+            ]
+
+        shared_plan_cache().clear()
+        services = [
+            AggregateQueryService(world.kg, world.embedding, config) for _ in range(2)
+        ]
+        outcomes: list[list[str] | None] = [None, None]
+        start = threading.Barrier(2)
+
+        def run(index: int) -> None:
+            start.wait()
+            handles = services[index].submit_batch(batch)
+            outcomes[index] = [
+                _encoded(handle.result(timeout=60)) for handle in handles
+            ]
+
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            for service in services:
+                service.close()
+        assert outcomes[0] == sequential
+        assert outcomes[1] == sequential
+        # one plan per component, shared by both services
+        assert shared_plan_cache().num_plans(world.kg) == 3
+
+
+class TestJointSupports:
+    """A composite query's joint support (intersection, weights, guide
+    table, every component's positions) is cached in the plan cache
+    beside its plans, keyed by their plan keys."""
+
+    def test_two_submits_share_one_joint(self, world, monkeypatch):
+        joints = []
+        original = QueryExecutor.initialise
+
+        def recording(self, *args, **kwargs):
+            state = original(self, *args, **kwargs)
+            joints.append((state.joint, state.positions))
+            return state
+
+        monkeypatch.setattr(QueryExecutor, "initialise", recording)
+        config = EngineConfig(seed=7, max_rounds=8)
+        with AggregateQueryService(world.kg, world.embedding, config) as service:
+            service.submit(_star_query(), seed=1).result(timeout=60)
+            service.submit(_star_query(), seed=2).result(timeout=60)
+            service.submit(world.count_query(), seed=3).result(timeout=60)
+        (first, first_positions), (second, second_positions), (plain, identity) = joints
+        assert second is first
+        assert all(a is b for a, b in zip(first_positions, second_positions))
+        assert shared_plan_cache().num_joints(world.kg) == 1
+        # a single component is its plan's own distribution, identity positions
+        plan = _engine(world).planner.plan_for(world.count_query().query.components[0])
+        assert plain is plan.distribution
+        np.testing.assert_array_equal(
+            identity[0], np.arange(plan.distribution.support_size)
+        )
+
+    def test_structural_mutation_gives_a_fresh_joint(self, world):
+        engine = _engine(world)
+        before = engine.executor.initialise(_star_query(), 1).joint
+        assert engine.executor.initialise(_star_query(), 2).joint is before
+        late = world.kg.add_node("LateCar", ["Automobile"], {"price": 45_000.0})
+        world.kg.add_edge(late, "assembly", world.germany)
+        assert shared_plan_cache().num_joints(world.kg) == 0
+        after = engine.executor.initialise(_star_query(), 1).joint
+        assert after is not before
+        assert late in after.answers and late not in before.answers
+        assert shared_plan_cache().num_joints(world.kg) == 1
+
+    def test_clear_leaves_no_joint_reachable(self, world):
+        engine = _engine(world)
+        state = engine.executor.initialise(_star_query(), 1)
+        refs = [weakref.ref(state.joint), *map(weakref.ref, state.positions)]
+        del state
+        gc.collect()
+        assert all(ref() is not None for ref in refs)  # the cache holds it
+        shared_plan_cache().clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_cold_composite_loop_retains_no_joint(self, world, monkeypatch):
+        built = []
+        original = QueryExecutor._joint_distribution
+
+        def recording(components):
+            joint = original(components)
+            built.append(weakref.ref(joint))
+            return joint
+
+        monkeypatch.setattr(
+            QueryExecutor, "_joint_distribution", staticmethod(recording)
+        )
+        for seed in range(20):
+            shared_plan_cache().clear()
+            _engine(world).execute(_star_query(), seed=seed)
+        gc.collect()
+        assert len(built) == 20
+        assert [ref() is not None for ref in built] == [False] * 19 + [True]
+        shared_plan_cache().clear()
+        gc.collect()
+        assert all(ref() is None for ref in built)
+
+    def test_evicting_a_plan_drops_its_joints(self, world):
+        config = EngineConfig(seed=7, max_rounds=8)
+        space = _engine(world).space
+        small = PlanCache(max_plans_per_graph=3)
+        planner = QueryPlanner(world.kg, space, config, cache=small)
+        executor = QueryExecutor(world.kg, space, config, planner)
+        joint = executor.initialise(_star_query(), 1).joint
+        assert executor.initialise(_star_query(), 2).joint is joint
+        assert (small.num_plans(world.kg), small.num_joints(world.kg)) == (3, 1)
+        planner.plan_for(
+            QueryGraph.simple("Germany", ["Country"], "misc", ["Thing"]).components[0]
+        )
+        assert (small.num_plans(world.kg), small.num_joints(world.kg)) == (3, 0)
+
+    def test_unpublished_plans_get_a_private_joint(self, world):
+        engine = _engine(world)
+        components = _star_query().query.components
+        plans = [engine.planner.plan_for(component) for component in components]
+        keys = tuple(plan_key(c, engine.space, engine.config) for c in components)
+        cache = shared_plan_cache()
+        builds = []
+
+        def build():
+            builds.append(QueryExecutor._joint_distribution(plans))
+            return builds[-1]
+
+        shared = cache.joint_for(world.kg, keys, plans, build)
+        assert cache.joint_for(world.kg, keys, plans, build) is shared
+        cache.clear()  # the plans are no longer the published ones
+        private = cache.joint_for(world.kg, keys, plans, build)
+        assert private is not shared and len(builds) == 2
+        assert cache.num_joints(world.kg) == 0

@@ -17,9 +17,15 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro import AggregateQueryService, EngineConfig, QueryStatus
+from repro import (
+    AggregateQueryService,
+    ApproximateAggregateEngine,
+    EngineConfig,
+    parse_query,
+)
 from repro.core.plan import shared_plan_cache
 from repro.core.resilience import ServiceLimits
 from repro.core.service import ExecutionBackend
@@ -129,6 +135,31 @@ class TestEquivalence:
         assert _canonical(over_http) == json.dumps(
             direct, sort_keys=True
         ).encode(), "HTTP result must be byte-identical to direct submit"
+
+    def test_grouped_entries_carry_each_groups_distinct_answers(
+        self, world, drive_lifecycle
+    ):
+        """Every per-group entry on the wire reports its group's distinct
+        drawn support entries, not the 0 it used to repeat."""
+        with _serve(_service(world)) as (client, _runner):
+            accepted = client.submit(GROUPED_AQL, error_bound=0.2, seed=11)
+            payload = client.wait(accepted["id"])["result"]
+        engine = ApproximateAggregateEngine(
+            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)
+        )
+        state, _result = drive_lifecycle(
+            engine.executor, parse_query(GROUPED_AQL), 11, 0.2
+        )
+        drawn_keys = state.support_group[state.distinct_support_indices()]
+        assert payload["groups"]
+        wire = {
+            group["key"]: group["result"]["distinct_answers"]
+            for group in payload["groups"]
+        }
+        assert wire == {
+            key: int(np.count_nonzero(drawn_keys == key)) for key in wire
+        }
+        assert sum(wire.values()) == np.count_nonzero(~np.isnan(drawn_keys)) > 0
 
     def test_batch_matches_direct_submit_batch(self, toy_world_factory):
         specs = [{"aql": COUNT_AQL}, {"aql": AVG_AQL}, {"aql": MAX_AQL}]

@@ -30,6 +30,7 @@ import threading
 import time
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -439,6 +440,38 @@ class TestGroupedAndExtremeSlots:
                 key: (group.value, group.moe, group.correct_draws)
                 for key, group in served.groups.items()
             }
+
+    @pytest.mark.parametrize("census", [False, True], ids=["sampled", "census"])
+    def test_group_distinct_answers_count_its_drawn_entries(
+        self, world, drive_lifecycle, sampled_engine, sampled_service, census
+    ):
+        """A group's ``distinct_answers`` is the number of distinct drawn
+        support entries keyed into it (it used to read 0 for every group);
+        a census group nothing was drawn from reads 0."""
+        overrides = {"min_group_draws": 1, "error_bound": 0.001}
+        with _service(
+            world, make=AggregateQueryService if census else sampled_service,
+            **overrides,
+        ) as service:
+            served = service.submit(_grouped_query(), seed=5).result(timeout=60)
+        config = EngineConfig(seed=7, max_rounds=8, **overrides)
+        make = ApproximateAggregateEngine if census else sampled_engine
+        engine = make(world.kg, world.embedding, config)
+        state, _direct = drive_lifecycle(
+            engine.executor, _grouped_query(), 5, config.error_bound
+        )
+        assert (served.stop_reason == STOP_CENSUS) is census
+        drawn_keys = state.support_group[state.distinct_support_indices()]
+        distinct = {
+            key: group.distinct_answers for key, group in served.groups.items()
+        }
+        assert distinct == {
+            key: int(np.count_nonzero(drawn_keys == key)) for key in served.groups
+        }
+        assert sum(distinct.values()) == np.count_nonzero(~np.isnan(drawn_keys)) > 0
+        for group in served.groups.values():
+            assert (group.distinct_answers > 0) == (group.correct_draws > 0)
+            assert group.distinct_answers <= group.correct_draws
 
     def test_mixed_batch_interleaves_kinds_in_one_pass(self, world):
         """The scheduler steps grouped/extreme records in the same cohort
