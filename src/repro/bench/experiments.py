@@ -21,9 +21,9 @@ from repro.bench.harness import (
     BenchContext,
     MethodResult,
     bench_context,
+    figure_engine,
     method_names,
     run_method,
-    sampled_engine,
 )
 from repro.bench.metrics import (
     jaccard,
@@ -507,7 +507,7 @@ def table13_embeddings(seed: int = 0, epochs: int = 25) -> ExperimentResult:
         errors = []
         for aggregate_query in queries:
             human = context.ha_ground_truth(aggregate_query)
-            engine = sampled_engine(context.bundle.kg, space, EngineConfig(seed=seed))
+            engine = figure_engine(context.bundle.kg, space, EngineConfig(seed=seed))
             result = engine.execute(aggregate_query, seed=seed + 29)
             errors.append(relative_error(result.value, human.value))
         rows.append(
@@ -865,7 +865,7 @@ def scaling_crossover(seed: int = 0) -> ExperimentResult:
             started = time.perf_counter()
             truth = ssb.ground_truth(query.aggregate_query)
             ssb_elapsed = time.perf_counter() - started
-            engine = sampled_engine(bundle.kg, space, EngineConfig(seed=seed))
+            engine = figure_engine(bundle.kg, space, EngineConfig(seed=seed))
             started = time.perf_counter()
             result = engine.execute(query.aggregate_query, seed=seed + 47)
             ours_elapsed = time.perf_counter() - started

@@ -53,6 +53,9 @@ class EngineConfig:
     confidence_level: float = 0.95
     # Correctness (Definition 4, §IV-B2)
     tau: float = 0.85
+    #: the paper's r: paths its greedy search finds per answer — read only
+    #: by the figures' validator (repro.bench.harness); production
+    #: validation computes Eq. 3 exactly
     repeat_factor: int = 3
     validate_correctness: bool = True  # Fig. 5(b) ablation switch
     # Scope & walk (§IV-A)
@@ -87,7 +90,8 @@ class EngineConfig:
     evt_bootstrap_rounds: int = 200
     # Chain queries (§V-B)
     max_intermediates: int = 64
-    # Validation search budget
+    # Search budgets: pops per answer of the figures' r-path validator,
+    # and (times five) path extensions per level of the chain DFS
     validation_expansions: int = 120
     # GROUP-BY: groups smaller than this many observed draws do not gate
     # termination (their CIs are reported as-is)

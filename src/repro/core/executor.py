@@ -25,9 +25,9 @@ Validation is **batched**: each round's pending support entries pass one
 array-valued attribute/filter screen over the graph's attribute columns
 (:meth:`KnowledgeGraph.attribute_column` — no per-answer ``Node`` view),
 and the survivors are validated in one
-:meth:`CorrectnessValidator.validate_batch` pass per component over the
-validator's shared expansion trace (chain components resolve their prefix
-levels through the same pass), with verdicts memoised in the plan's
+:meth:`CorrectnessValidator.validate_batch` read per component of the
+validator's exact similarity row (chain components resolve their first
+prefix level through the same read), with verdicts memoised in the plan's
 verdict column — refinement rounds and interactive sessions never
 revalidate an answer, and a warm round reads its verdicts with one gather
 per component.  It is also a **lazy conjunction**: an answer of a composite
@@ -393,19 +393,6 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Validation (S2, batched)
     # ------------------------------------------------------------------
-    def _validate_batch(
-        self, plan: QueryPlan, node_ids: list[int], stop_threshold: float
-    ) -> dict:
-        """One pass of the plan's bound validator, its replay tallies
-        forwarded to the ``exec`` counters (owned per call, so two services
-        batching over one shared plan keep exact numbers)."""
-        tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-        outcomes = plan.validator.validate_batch(
-            node_ids, stop_threshold=stop_threshold, tallies=tallies
-        )
-        self._count(tallies)
-        return outcomes
-
     def _count(self, tallies: dict) -> None:
         """Add a kernel call's tallies to the like-named ``exec`` counters."""
         metrics = self.obs_metrics
@@ -421,11 +408,11 @@ class QueryExecutor:
 
         A prefix is the best ``(log-similarity sum, edge count)`` for
         ``source ->hops[:level]-> node``, or ``None``.  Each level's whole
-        endpoint set resolves together.  Level 1 uses
-        the greedy r-path validator on the first hop's stationary map: one
-        :meth:`CorrectnessValidator.validate_batch` pass over the shared
-        trace.  Deeper levels enumerate backwards from each endpoint with
-        a capped DFS (the answer-side neighbourhood is small) —
+        endpoint set resolves together.  Level 1 reads the plan's
+        validator: one :meth:`CorrectnessValidator.validate_batch` over the
+        first leg's similarity row.  Deeper levels enumerate backwards from
+        each endpoint with a capped DFS (the answer-side neighbourhood is
+        small) —
         :func:`repro.semantics.kernels.chain_matches` over the plan's
         :class:`~repro.semantics.kernels.ChainContext` — batch the union
         of the typed intermediates they reach one level down, and keep the
@@ -465,17 +452,15 @@ class QueryExecutor:
         memo = plan.chain_prefix_memo
         config = self.config
         if level == 1:
-            outcomes = self._validate_batch(plan, frontier, 1.0)
-            for node_id in frontier:
-                outcome = outcomes[int(node_id)]
-                result: tuple[float, int] | None = None
-                if outcome.paths_found:
-                    result = (
-                        outcome.best_length
-                        * math.log(max(outcome.similarity, 1e-12)),
-                        outcome.best_length,
-                    )
-                memo[(1, node_id)] = result
+            batch = plan.validator.validate_batch(frontier)
+            for node_id, similarity, length in zip(
+                frontier, batch.similarity.tolist(), batch.best_length.tolist()
+            ):
+                memo[(1, node_id)] = (
+                    (length * math.log(max(similarity, 1e-12)), length)
+                    if length
+                    else None
+                )
             return
         context, typed_nodes = self._level_context(plan, level)
         matches_of = {
@@ -524,23 +509,21 @@ class QueryExecutor:
         )
 
     def _node_similarities(self, plan: QueryPlan, node_ids: list[int]) -> np.ndarray:
-        """The plan's memoised similarities of ``node_ids``, filled first.
+        """The plan's similarities of ``node_ids``, support entries
+        memoised first.
 
         Support entries go through the verdict column (positions by the
         plan's sorted index); any other node — only the public
         :meth:`answer_similarity` and :meth:`prewarm_similarities` ask
-        for one — through the off-support side dict.
+        for one — reads the validator's row or, on a chain plan, the
+        chain-prefix memo.
         """
         positions, found = plan.positions_of(node_ids)
         similarities = np.empty(len(found), dtype=np.float64)
         similarities[found] = self._fill_similarities(plan, positions[found])
         if not found.all():
             outside = np.asarray(node_ids, dtype=np.int64)[~found].tolist()
-            side = plan.similarity_cache
-            missing = [node for node in dict.fromkeys(outside) if node not in side]
-            if missing:
-                side.update(zip(missing, self._similarities(plan, missing)))
-            similarities[~found] = [side[node] for node in outside]
+            similarities[~found] = self._similarities(plan, outside)
         return similarities
 
     def _fill_similarities(self, plan: QueryPlan, cells: np.ndarray) -> np.ndarray:
@@ -564,16 +547,14 @@ class QueryExecutor:
         return similarities
 
     def _similarities(self, plan: QueryPlan, node_ids: list[int]) -> list[float]:
-        """Search one component's similarity for every node of ``node_ids``.
+        """One component's similarity for every node of ``node_ids``.
 
-        A simple component goes through the validator's batched pass (one
-        shared expansion trace); a chain component resolves the whole
-        batch's prefix levels together and takes each answer's Eq. 2
-        geometric mean off its full-chain prefix.
+        A simple component reads its validator's row; a chain component
+        resolves the whole batch's prefix levels together and takes each
+        answer's Eq. 2 geometric mean off its full-chain prefix.
         """
         if plan.chain is None:
-            outcomes = self._validate_batch(plan, node_ids, self.config.tau)
-            return [outcomes[node_id].similarity for node_id in node_ids]
+            return plan.validator.validate_batch(node_ids).similarity.tolist()
         num_hops = plan.component.num_hops
         self._chain_prefix_batch(plan, num_hops, node_ids)
         memo = plan.chain_prefix_memo

@@ -13,14 +13,13 @@ workload instead of per query.
 Plans are structurally immutable (frozen dataclass, read-only arrays) but
 own every piece of S2 state compiled for them, so the plan key alone
 decides when it is stale: the validator bound to the plan's context (its
-compiled context and shared trace, built lazily), the per-level chain
-contexts and typed-intermediate sets, and the append-only memos — the
-verdict column (one similarity per support entry, NaN until validated),
-its side dict for nodes outside the support and the chain-prefix table.
-Validation is deterministic and a memo cell is written once, with its
-final value, so concurrent engines sharing a plan only ever read "not yet"
-or that value; sharing the memo is what lets refinement rounds and
-interactive sessions skip revalidation entirely.
+exact similarity row, built lazily), the per-level chain contexts and
+typed-intermediate sets, and the append-only memos — the verdict column
+(one similarity per support entry, NaN until validated) and the
+chain-prefix table.  Validation is deterministic and a memo cell is
+written once, with its final value, so concurrent engines sharing a plan
+only ever read "not yet" or that value; sharing the memo is what lets
+refinement rounds and interactive sessions skip revalidation entirely.
 
 Beside each graph's plans the cache keeps the *joint supports* of
 composite queries (:class:`JointSupport`: the intersected distribution
@@ -80,19 +79,17 @@ class QueryPlan:
     source: int
     #: answer-restricted stationary distribution pi_A (Theorem 1)
     distribution: AnswerDistribution
-    #: dense per-node visiting probabilities over the whole graph
-    #: (zero outside the scope); the validator consumes this directly
+    #: dense per-node visiting probabilities over the whole graph (zero
+    #: outside the scope); S2 reads it only in the figures' r-path
+    #: validator (:mod:`repro.bench.harness`)
     visiting: np.ndarray
     walk_iterations: int
     num_candidates: int
-    #: greedy validator bound to ``(source, predicates[0], visiting)``
-    #: (the first-leg validator for chain components)
+    #: validator bound to ``(source, predicates[0])`` (the first-leg
+    #: validator for chain components); the figures' planner binds the
+    #: paper's r-path search here instead
     validator: CorrectnessValidator
     chain: ChainDistribution | None = None
-    #: the verdict memo's side dict: similarities of nodes *outside* the
-    #: support, which only the public ``answer_similarity`` (and the
-    #: ledger's ``prewarm_similarities``) ask for
-    similarity_cache: dict[int, float] = field(default_factory=dict)
     #: chain validation memo: (hop level, node) -> best (log_sum, length)
     chain_prefix_memo: dict[tuple[int, int], tuple[float, int] | None] = field(
         default_factory=dict
@@ -101,7 +98,7 @@ class QueryPlan:
     #: filled on first use and published with ``setdefault``
     chain_levels: dict[int, tuple] = field(default_factory=dict)
     #: the verdict memo: one similarity per ``distribution.answers`` entry,
-    #: NaN until validated.  Greedy results are deterministic and a cell is
+    #: NaN until validated.  Verdicts are deterministic and a cell is
     #: written once, with its final value, so the column is safe to share
     #: across engines, rounds and sessions
     verdicts: np.ndarray = field(init=False, repr=False, compare=False)
@@ -126,17 +123,14 @@ class QueryPlan:
         return order[at], ordered[at] == ids
 
     def memoised_similarities(self) -> dict[int, float]:
-        """Every memoised similarity by node id: the column's filled cells,
-        then the off-support side dict."""
+        """Every memoised similarity by node id: the column's filled cells."""
         filled = np.flatnonzero(~np.isnan(self.verdicts))
-        memo = dict(
+        return dict(
             zip(
                 self.distribution.answers[filled].tolist(),
                 self.verdicts[filled].tolist(),
             )
         )
-        memo.update(self.similarity_cache)
-        return memo
 
 
 @dataclass(frozen=True)
@@ -198,12 +192,12 @@ def extract_artifacts(plan: QueryPlan) -> PlanArtifacts:
 
 def plan_from_artifacts(
     artifacts: PlanArtifacts,
-    make_validator: Callable[[int, str, np.ndarray], CorrectnessValidator],
+    make_validator: Callable[[PathQuery, int, np.ndarray], CorrectnessValidator],
 ) -> QueryPlan:
     """Rebuild a live :class:`QueryPlan` around stored/shared artefacts.
 
     The arrays are adopted as-is (memory-mapped or shared segments stay
-    zero-copy); ``make_validator(source, predicate, visiting)`` binds a
+    zero-copy); ``make_validator(component, source, visiting)`` binds a
     fresh validator to the loaded context, and the memos start empty
     — verdicts are deterministic, so a rebuilt plan converges to the same
     memo content as the original.
@@ -228,7 +222,7 @@ def plan_from_artifacts(
         walk_iterations=artifacts.walk_iterations,
         num_candidates=artifacts.num_candidates,
         validator=make_validator(
-            artifacts.source, artifacts.component.predicates[0], artifacts.visiting
+            artifacts.component, artifacts.source, artifacts.visiting
         ),
         chain=chain,
     )
@@ -247,12 +241,13 @@ def plan_fingerprint(config: EngineConfig) -> tuple:
     """The configuration facets a plan's content depends on.
 
     Everything S1 consumes (sampler kind, scope bound, Eq. 5 smoothing)
-    plus the validator construction knobs and ``tau`` — the memoised
-    verdict similarities depend on the tau short-circuit, so plans built
-    under different thresholds must not share a memo.  The RNG seed only
-    matters for the node2vec baseline (the semantic and CNARW walks are
-    deterministic), so it joins the fingerprint only there — engines with
-    different seeds still share semantic plans.  :data:`S1_REVISION` leads.
+    plus what the memoised similarities depend on: the bound, the floor
+    and the chain DFS budget.  ``tau`` is not among them: the verdict
+    column holds exact similarities and each query compares them with its
+    own threshold.  The RNG seed only matters for the node2vec baseline
+    (the semantic and CNARW walks are deterministic), so it joins the
+    fingerprint only there — engines with different seeds still share
+    semantic plans.  :data:`S1_REVISION` leads.
     """
     fingerprint: tuple = (
         S1_REVISION,
@@ -260,10 +255,8 @@ def plan_fingerprint(config: EngineConfig) -> tuple:
         config.n_bound,
         config.self_loop_weight,
         config.similarity_floor,
-        config.repeat_factor,
         config.validation_expansions,
         config.max_intermediates,
-        config.tau,
     )
     if config.sampler is SamplerKind.NODE2VEC:
         fingerprint += (config.seed,)

@@ -5,7 +5,7 @@ sampling artefacts — scope, closed-form Eq. 5/6 stationary distribution and
 Theorem-1 answer restriction, all three from the batched stage kernel
 (:func:`~repro.sampling.strength.stage_distributions`, under the semantic
 or the CNARW weights; only the Node2Vec ablation builds a per-source scope
-and walks it), and the greedy validator — and publishes the result in the
+and walks it), and its validator — and publishes the result in the
 process-wide :class:`~repro.core.plan.PlanCache` so that every engine and
 session over the same graph, predicate space and configuration reuses one
 plan instead of rebuilding it.  The executor (:mod:`repro.core.executor`) consumes
@@ -149,21 +149,18 @@ class QueryPlanner:
     # Plan construction (S1)
     # ------------------------------------------------------------------
     def _validator(
-        self, source: int, predicate: str, visiting: np.ndarray
+        self, component: PathQuery, source: int, visiting: np.ndarray
     ) -> CorrectnessValidator:
-        """The greedy validator of a built or catalog-loaded plan, bound to
-        its mapping node, first predicate and visiting array."""
-        config = self.config
+        """The validator of a built or catalog-loaded plan, bound to its
+        mapping node and first predicate (the exact row reads no
+        ``visiting``; the figures' planner overrides this)."""
         return CorrectnessValidator(
             self._kg,
             self._space,
             source,
-            predicate,
-            visiting,
-            repeat_factor=config.repeat_factor,
-            max_length=config.n_bound,
-            floor=config.similarity_floor,
-            expansion_budget=config.validation_expansions,
+            component.predicates[0],
+            max_length=self.config.n_bound,
+            floor=self.config.similarity_floor,
         )
 
     def _stage(
@@ -257,7 +254,7 @@ class QueryPlanner:
             visiting=visiting,
             walk_iterations=0,  # the paper's N_ws: closed form, no walk iterated
             num_candidates=num_candidates,
-            validator=self._validator(source, predicate, visiting),
+            validator=self._validator(component, source, visiting),
         )
 
     def _build_chain(self, component: PathQuery, source: int) -> QueryPlan:
@@ -269,9 +266,8 @@ class QueryPlanner:
             )
         # Chain validation runs lazily per sampled answer (§V-B): the
         # answer-side legs are enumerated from the answer (whose
-        # neighbourhood is small), while the hub-side leg reuses the greedy
-        # r-path validator guided by the first hop's stationary map, so
-        # ``visiting`` is the first hop's.
+        # neighbourhood is small), while the hub-side leg reads the plan's
+        # validator from the mapping node; ``visiting`` is the first hop's.
         first = self._first_stage(source, *component.hops[0])
         chain = ChainSampler(
             self._kg,
@@ -289,5 +285,5 @@ class QueryPlanner:
             walk_iterations=chain.expanded_intermediates,
             num_candidates=chain.distribution.support_size,
             chain=chain,
-            validator=self._validator(source, component.predicates[0], visiting),
+            validator=self._validator(component, source, visiting),
         )

@@ -555,16 +555,6 @@ class AggregateQueryService:
                     "BLB bag and GROUP-BY group sigmas that paid for a "
                     "bootstrap index stream: AVG and PAPER (S3)",
                 ),
-                "replay_deletions": execution.counter(
-                    "replay_deletions",
-                    "Answers the shared-trace replay settled with at least "
-                    "one pop of their own subtree deleted (S2)",
-                ),
-                "trace_extension_pops": execution.counter(
-                    "trace_extension_pops",
-                    "Pops recorded past a shared trace's budget for answers "
-                    "whose deletions left them short of it (S2)",
-                ),
                 "chain_expansions_live": execution.counter(
                     "chain_expansions_live",
                     "Chain-DFS path extensions the loop walked, tour "

@@ -126,12 +126,14 @@ class MappingNodeNotFoundError(QueryError):
 class EmbeddingError(ReproError):
     """An embedding model was misconfigured or used before training.
 
-    Also raised when an answer's correctness search reaches a predicate
-    the embedding does not cover, as
-    :class:`~repro.semantics.reference.ReferenceValidator` raises
-    for that answer.  A query fails on it only for an answer it
-    validates: a drawn one, or — once the query's census runs — any
-    answer of its support, drawn or not.
+    Also raised when correctness validation weighs an edge whose
+    predicate the embedding does not cover.  That is a failure of the
+    plan's whole context, not of one answer: the exact similarity row
+    from the mapping node weighs every edge within the bound, so the
+    query's first validation fails, as SSB fails the whole query.  (A
+    semantic plan fails earlier, at S1, whose weights need the same
+    edges; the chain DFS below the first leg still raises only for an
+    answer whose own traversal touches the edge.)
     """
 
 

@@ -151,8 +151,8 @@ class CSRGraph:
     # Derived members: built once per snapshot on first use, never exported
     # (a loaded snapshot rebuilds them lazily).  The first
     # two serve the batched S1 stage (repro.sampling.strength), the third
-    # S2's context compile (repro.semantics.kernels.build_context), the
-    # last :meth:`neighbor_pairs`.
+    # S2's exact similarity row (repro.semantics.kernels.exact_similarities)
+    # and CNARW's weights, the last :meth:`neighbor_pairs`.
     # ------------------------------------------------------------------
     @cached_property
     def adjacency_matrix(self) -> sparse.csr_matrix:
@@ -186,7 +186,7 @@ class CSRGraph:
     def dedup_adjacency(self) -> DedupAdjacency:
         """The adjacency with parallel edges grouped (:class:`DedupAdjacency`).
 
-        Everything about S2's per-node goal tables that depends on the
+        Everything about S2's exact similarity row that depends on the
         graph alone: which adjacency entries collapse onto which distinct
         ``(node, neighbour)`` pair.  What depends on the query — the max
         log-similarity per pair — is one ``reduceat`` over this.

@@ -31,9 +31,6 @@ metric                                         type       meaning
                                                           form (COUNT, SUM under SAMPLE)
 ``repro_exec_sigma_bootstrap``                 counter    ... that paid for a bootstrap index
                                                           stream (AVG, PAPER)
-``repro_exec_replay_deletions``                counter    answers the trace replay settled
-                                                          with >= 1 pop of their own deleted
-``repro_exec_trace_extension_pops``            counter    pops recorded past a trace's budget
 ``repro_exec_chain_expansions_live``           counter    chain-DFS path extensions walked
                                                           (tour recordings included)
 ``repro_exec_chain_expansions_replayed``       counter    ... settled from a shared hub tour

@@ -4,8 +4,11 @@
   similarity and per-answer best-match similarity.
 * :mod:`repro.semantics.matching` — exhaustive single-pass enumeration of
   best matches within the n-bounded scope (the expensive step of SSB).
-* :mod:`repro.semantics.validation` — the greedy, stationary-probability-
-  guided correctness validation with repeat factor ``r``.
+* :mod:`repro.semantics.validation` — correctness validation: the exact
+  Eq. 3 similarity of every node from a plan's mapping node, one array
+  pass per plan (:mod:`repro.semantics.kernels`).
+* :mod:`repro.semantics.reference` — the paper's greedy r-path search,
+  which only the figures bind.
 """
 
 from repro.semantics.matching import SubgraphMatch, best_matches_from, find_best_match

@@ -1,29 +1,20 @@
 """Array-compiled S2 kernels: the one production path per algorithm.
 
-Everything S2 runs per answer — the greedy r-path search as a shared-trace
-replay, chain-prefix enumeration — and CNARW's structural weights are
-array programs over the CSR snapshot here.  Each is outcome-identical to a
-plain-Python oracle that only tests call
-(:class:`repro.semantics.reference.ReferenceValidator`,
+Everything S2 runs per plan — the exact Eq. 3 similarity row, chain-prefix
+enumeration — and CNARW's structural weights are array programs over the
+CSR snapshot here.  Each has a plain-Python oracle that only tests call
+(:func:`repro.semantics.matching.best_matches_from`,
 :func:`repro.semantics.matching.best_matches_iterative`,
 :func:`repro.sampling.reference.cnarw_weights_python`):
 
-* :class:`CompiledContext` — per ``(query predicate, visiting)`` context,
-  the whole in-scope neighbourhood is gathered **once** into pruned
-  CSR-style arrays: deduplicated per-node adjacency with max
-  log-similarity per neighbour (the goal-shortcut table) and the
-  probability-ordered, branch-capped successor beam, in exactly the
-  ``(probability desc, id asc)`` order the seed validator sorts node by node.
-* :class:`SharedTrace` / :func:`replay` — the one best-first search: the
-  answer-independent pop sequence, recorded once per ``(context,
-  source)`` with parent-pointer paths and ``(priority, slot)`` heap
-  entries.  An answer's private search is that sequence with the pops
-  below the answer's own pushes *deleted* (:func:`build_trace` has the
-  argument), so a replay never runs a heap: an inverted goal table sorted
-  by neighbour id (:func:`replay_bounds` — one vectorised lookup per
-  batch) names the few pops whose node is adjacent to the answer, a
-  per-node index names the pops to delete, and an answer left short of its
-  budget by its deletions extends the shared sequence for everyone.
+* :func:`exact_similarities` — Definition 4's n-bounded best-path
+  similarity of *every* node from one mapping node, for ``n_bound <= 3``:
+  one (max, +) pass per path length over the snapshot's deduplicated
+  adjacency, so a plan validates its whole support at the cost of three
+  array passes.  It replaces the paper's greedy r-path search (§IV-B2),
+  which approximates the same quantity and accepts false negatives; the
+  figures still run that search
+  (:class:`repro.semantics.reference.ReferenceValidator`).
 * :func:`cnarw_weights` — CNARW's per-entry set intersections as one
   sorted-key merge count over the pairs' CSR neighbourhoods.
 * :class:`ChainContext` / :func:`chain_matches` — the backwards
@@ -35,26 +26,25 @@ plain-Python oracle that only tests call
   The work is shared across answers, not batched across them: nothing
   is vectorised and no float is computed in a different order.
 
-Exactness notes.  All similarity arithmetic keeps the oracles' operation
-order and uses scalar :func:`math.exp` (numpy's SIMD ``exp`` may differ in
-the last ulp), so outcomes are byte-identical, not merely close.  NaN
-log-similarities (predicates the embedding does not cover) stay lazy: a
-per-node flag raises through
-:func:`~repro.semantics.similarity.require_known_predicates` only when an
-answer's own search expands an offending node, matching the seed's
-per-edge lookup failure timing.  The shared trace records such a pop as
-*poisoned* instead of raising; :func:`replay` raises for exactly the
-answers that reach it.
+Exactness notes.  The exact row adds a path's edge logs in path order,
+as the DFS oracle does, and picks the best sum per length, so its values
+differ from the oracle's only by the oracle's own drift (it subtracts an
+edge log on the way back up) and ``np.exp``'s last ulp.  The chain DFS
+keeps the oracle's operation order and uses scalar :func:`math.exp`, so
+its outcomes are byte-identical, not merely close.  NaN log-similarities
+(predicates the embedding does not cover) raise through
+:func:`~repro.semantics.similarity.require_known_predicates` exactly
+where the oracle would touch them: for the exact row, any edge it weighs
+(the whole plan fails, as SSB does); for the chain DFS, lazily, when an
+answer's own traversal reaches the edge.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -63,559 +53,136 @@ from repro.semantics.similarity import clamp_similarity, require_known_predicate
 
 __all__ = [
     "CHAIN_TALLIES",
+    "EXACT_MAX_LENGTH",
     "ChainContext",
-    "CompiledContext",
-    "REPLAY_TALLIES",
-    "SharedTrace",
     "build_chain_context",
-    "build_context",
-    "build_trace",
     "chain_matches",
     "cnarw_weights",
-    "replay",
-    "replay_bounds",
+    "exact_similarities",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Context compilation
+# The exact Eq. 3 row
 # ---------------------------------------------------------------------------
-@dataclass
-class CompiledContext:
-    """One ``(query predicate, visiting)`` context lowered to arrays.
+#: the longest ``n_bound`` :func:`exact_similarities` settles; past it a
+#: best path may revisit a node the two-predecessor argument cannot rule out
+EXACT_MAX_LENGTH = 3
 
-    Rows are node ids; ``in_scope`` marks the ones with ``visiting > 0``.
-    Per node the context holds the deduplicated adjacency
-    (ascending neighbour id — the snapshot's own arrays — with the max
-    log-similarity per neighbour: the goal-shortcut table) and, for
-    in-scope nodes, the probability-ordered branch-capped beam,
-    entry-for-entry identical to what the seed validator's per-node
-    expansion computes.  Out-of-scope search sources (the mapping node can
-    sit outside its own scope) are expanded lazily into ``extra`` with the
-    same per-node math.
+
+def _weighed_pairs(kg, space, snapshot, log_row, owners: np.ndarray):
+    """``(owner, neighbour, max log-similarity)`` of every distinct pair
+    ``owners`` hold, self-loops dropped (a simple path never takes one).
+
+    Raises the unknown-predicate :class:`~repro.errors.EmbeddingError`
+    when one of these pairs has an edge the embedding does not cover: the
+    DFS oracle weighs every edge of a node it expands.
     """
-
-    kg: object
-    space: object
-    snapshot: object
-    log_row: np.ndarray
-    visiting: np.ndarray
-    branch_cap: int
-    num_nodes: int
-    in_scope: np.ndarray  # per node: visiting > 0
-    adj_indptr: np.ndarray
-    adj_nbr: np.ndarray  # ascending within each node
-    adj_log: np.ndarray  # max log-similarity per (node, neighbour)
-    beam_indptr: np.ndarray
-    beam_child: np.ndarray
-    beam_log: np.ndarray
-    beam_priority: np.ndarray  # negated visiting probability
-    nan_flag: np.ndarray  # per node: some incident edge has a NaN log-sim
-    #: lazily expanded out-of-scope nodes: node -> (sorted neighbour ids,
-    #: log-sims, beam list)
-    extra: dict = field(default_factory=dict)
-    #: per-node beam lists materialised for the scalar search loop
-    _beam_lists: dict = field(default_factory=dict)
-    #: per-node ``{neighbour: log-sim}`` goal tables for the scalar loop —
-    #: a dict probe per pop beats a binary search plus array boxing
-    _goal_maps: dict = field(default_factory=dict)
-
-    # -- per-node views -------------------------------------------------
-    def beam(self, node: int) -> list:
-        """``[(priority, child, log_similarity), ...]`` — may raise on NaN."""
-        cached = self._beam_lists.get(node)
-        if cached is not None:
-            return cached
-        if node < self.num_nodes and self.in_scope[node]:
-            if self.nan_flag[node]:
-                self._raise_unknown(node)
-            start, end = int(self.beam_indptr[node]), int(self.beam_indptr[node + 1])
-            beam = list(
-                zip(
-                    self.beam_priority[start:end].tolist(),
-                    self.beam_child[start:end].tolist(),
-                    self.beam_log[start:end].tolist(),
-                )
-            )
-        else:
-            beam = self._expand_extra(node)[2]
-        self._beam_lists[node] = beam
-        return beam
-
-    def goal_map(self, node: int) -> dict:
-        """``{neighbour: max log-similarity}`` for one (expanded) node.
-
-        Raises where :meth:`beam` raises: the seed reads both off one
-        expansion.
-        """
-        cached = self._goal_maps.get(node)
-        if cached is None:
-            nbr, logs = self.adjacency_arrays(node)
-            cached = dict(zip(nbr.tolist(), logs.tolist()))
-            self._goal_maps[node] = cached
-        return cached
-
-    def adjacency_arrays(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted neighbour ids, log-sims)`` for one (expanded) node."""
-        if not (node < self.num_nodes and self.in_scope[node]):
-            nbr, logs, _beam = self._expand_extra(node)
-            return nbr, logs
-        if self.nan_flag[node]:
-            self._raise_unknown(node)
-        start, end = int(self.adj_indptr[node]), int(self.adj_indptr[node + 1])
-        return self.adj_nbr[start:end], self.adj_log[start:end]
-
-    def _expand_extra(self, node: int):
-        """Seed-style single-node expansion for out-of-scope sources."""
-        cached = self.extra.get(node)
-        if cached is not None:
-            return cached
-        edge_ids, neighbours = self.snapshot.neighbors(node)
-        predicate_ids = self.snapshot.edge_predicate_ids[edge_ids]
-        log_similarities = self.log_row[predicate_ids]
-        require_known_predicates(
-            self.kg, self.space, predicate_ids, log_similarities
-        )
-        distinct, inverse = np.unique(neighbours, return_inverse=True)
-        best = np.full(len(distinct), -np.inf, dtype=np.float64)
-        np.maximum.at(best, inverse, log_similarities)
-        probabilities = np.where(
-            distinct < len(self.visiting), self.visiting[np.minimum(distinct, len(self.visiting) - 1)], 0.0
-        ) if len(self.visiting) else np.zeros(len(distinct))
-        kept = np.flatnonzero(probabilities > 0.0)
-        order = kept[np.argsort(-probabilities[kept], kind="stable")]
-        order = order[: self.branch_cap]
-        beam = [
-            (-float(probabilities[index]), int(distinct[index]), float(best[index]))
-            for index in order
-        ]
-        entry = (distinct, best, beam)
-        self.extra[node] = entry
-        return entry
-
-    def _raise_unknown(self, node: int) -> None:
-        """Raise the seed's lazy unknown-predicate error for ``node``."""
-        edge_ids, _neighbours = self.snapshot.neighbors(node)
-        predicate_ids = self.snapshot.edge_predicate_ids[edge_ids]
-        values = self.log_row[predicate_ids]
-        require_known_predicates(self.kg, self.space, predicate_ids, values)
-        raise AssertionError(  # pragma: no cover - flag implies NaN edges
-            f"node {node} flagged NaN but require_known_predicates passed"
-        )
+    predicate_ids, starts, owner, nbr, indptr = snapshot.dedup_adjacency
+    first = indptr[owners]
+    counts = indptr[owners + 1] - first
+    offsets = np.cumsum(counts) - counts
+    pairs = np.repeat(first - offsets, counts) + np.arange(
+        counts.sum(), dtype=np.int64
+    )
+    pairs = pairs[owner[pairs] != nbr[pairs]]
+    if len(pairs) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=np.float64)
+    # the entries of pair p are starts[p]:starts[p + 1] (the last runs to
+    # the end), so the pairs' entries are gathered and max-reduced per pair
+    ends = np.append(starts[1:], len(predicate_ids))[pairs]
+    sizes = ends - starts[pairs]
+    entry_offsets = np.cumsum(sizes) - sizes
+    entries = np.repeat(starts[pairs] - entry_offsets, sizes) + np.arange(
+        sizes.sum(), dtype=np.int64
+    )
+    values = log_row[predicate_ids[entries]]
+    if np.isnan(values).any():
+        require_known_predicates(kg, space, predicate_ids[entries], values)
+    return owner[pairs], nbr[pairs], np.maximum.reduceat(values, entry_offsets)
 
 
-def build_context(
-    kg,
-    space,
-    snapshot,
-    log_row: np.ndarray,
-    visiting: np.ndarray,
-    branch_cap: int,
-) -> CompiledContext:
-    """Compile one visiting context into a :class:`CompiledContext`.
+def exact_similarities(
+    kg, space, snapshot, log_row: np.ndarray, source: int, n_bound: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(similarity, best_length)`` of every node id from ``source``.
 
-    Which adjacency entries collapse onto which distinct ``(node,
-    neighbour)`` pair is the snapshot's business
-    (:attr:`~repro.kg.csr.CSRGraph.dedup_adjacency`, built once per graph
-    version); a context adds the two things that depend on the query.  The
-    max log-similarity per pair is one ``np.maximum.reduceat`` over the
-    grouped entries — a max has no summation order, and a NaN propagates
-    through it as through the seed's ``np.maximum.at``.  The beams are the
-    pairs with both ends in scope under one stable ``argsort`` on ``node *
-    num_nodes + rank of the neighbour`` — the exact ``(probability desc,
-    id asc)`` order the seed's tuple sort produces.
+    ``similarity[v]`` is Eq. 3 under Definition 4: the best geometric mean
+    of edge similarities over the simple paths ``source -> v`` of at most
+    ``n_bound`` edges (0 where no such path exists, and at ``source``);
+    ``best_length[v]`` is the smallest path length that attains it (0
+    where unreached).  ``log_row`` is the log-clamped similarity per
+    predicate id (NaN for predicates the embedding does not cover).
+
+    Eq. 2 is not monotone in path length, so the pass keeps the best log
+    *sum* per length ``l`` — ``A_l[v]``, the best simple ``l``-edge path —
+    and takes ``max_l exp(A_l / l)``.  Per length it is a (max, +)
+    product over the touched pairs (the max log-similarity per distinct
+    ``(node, neighbour)``):
+
+    * ``A_1[v] = w(s, v)``;
+    * ``A_2[v] = max_u A_1[u] + w(u, v)`` for ``v`` not ``s`` (``v != u``
+      holds: no self-loops);
+    * ``A_3[v] = max_x B_v[x] + w(x, v)`` for ``v`` not ``s``, where
+      ``B_v[x]`` is the best ``A_1[u] + w(u, x)`` over ``u != v`` — so
+      each ``x`` keeps its best **two** predecessors ``u``, and a pair
+      ``(x, v)`` whose best ``u`` is ``v`` itself takes the second.
+
+    Every other repeat is ruled out by construction, so the three
+    candidates are exactly the simple paths the DFS oracle enumerates.
     """
+    if not 1 <= n_bound <= EXACT_MAX_LENGTH:
+        raise ValueError(f"n_bound must be in [1, {EXACT_MAX_LENGTH}]")
     num_nodes = int(snapshot.num_nodes)
-    dense = visiting
-    limit = min(len(dense), num_nodes)
-    in_scope = np.zeros(num_nodes, dtype=bool)
-    in_scope[:limit] = dense[:limit] > 0.0
-    scope_nodes = np.flatnonzero(in_scope)
-
-    predicate_ids, starts, adj_owner, adj_nbr, adj_indptr = snapshot.dedup_adjacency
-    # NaN entries (unknown predicates) flow through here on purpose — the
-    # lazy raise happens only if their node is actually expanded.
-    with np.errstate(invalid="ignore"):
-        best = np.maximum.reduceat(log_row[predicate_ids], starts)
-    nan_flag = np.zeros(num_nodes, dtype=bool)
-    nan_flag[adj_owner[np.isnan(best)]] = True
-
-    kept = np.flatnonzero(in_scope[adj_owner] & in_scope[adj_nbr])
-    kept_owner = adj_owner[kept]
-    # (node, -probability, neighbour id).  An entry's probability is its
-    # neighbour's visiting probability, so the in-scope nodes are ranked
-    # once — a stable argsort of ascending ids is the (probability desc,
-    # id asc) total order — and one integer key sorts the entries.
-    rank = np.empty(num_nodes, dtype=np.int64)
-    rank[scope_nodes[np.argsort(-dense[scope_nodes], kind="stable")]] = np.arange(
-        len(scope_nodes), dtype=np.int64
+    best = [np.full(num_nodes, -np.inf)]  # A_1, A_2, A_3
+    _, reached, weights = _weighed_pairs(
+        kg, space, snapshot, log_row, np.asarray([source], dtype=np.int64)
     )
-    order = np.argsort(
-        kept_owner * np.int64(num_nodes) + rank[adj_nbr[kept]], kind="stable"
-    )
-    sorted_owner = kept_owner[order]
-    # rank within each node, to apply the branch cap
-    if len(sorted_owner):
-        first = np.flatnonzero(
-            np.concatenate(([True], sorted_owner[1:] != sorted_owner[:-1]))
+    best[0][reached] = weights
+    if n_bound >= 2:
+        middle, ends, weights = _weighed_pairs(kg, space, snapshot, log_row, reached)
+        keep = ends != source
+        middle, ends = middle[keep], ends[keep]
+        sums = best[0][middle] + weights[keep]
+        level = np.full(num_nodes, -np.inf)
+        np.maximum.at(level, ends, sums)
+        best.append(level)
+    if n_bound >= 3:
+        # per second node x: its best and second-best (sum, first node u),
+        # the candidates grouped by x, best first
+        order = np.lexsort((-sums, ends))
+        ends, middle, sums = ends[order], middle[order], sums[order]
+        head = np.ones(len(ends), dtype=bool)
+        head[1:] = ends[1:] != ends[:-1]
+        firsts = np.flatnonzero(head)
+        frontier = ends[firsts]
+        first_node = np.full(num_nodes, -1, dtype=np.int64)
+        first_node[frontier] = middle[firsts]
+        # a group's second entry is the one after its first, if in the group
+        paired = firsts[np.append(~head[1:], False)[firsts]]
+        second_sum = np.full(num_nodes, -np.inf)
+        second_sum[ends[paired]] = sums[paired + 1]
+        owners, targets, weights = _weighed_pairs(
+            kg, space, snapshot, log_row, frontier
         )
-        segment_start = np.repeat(first, np.diff(np.concatenate((first, [len(sorted_owner)]))))
-        rank = np.arange(len(sorted_owner), dtype=np.int64) - segment_start
-    else:
-        rank = np.zeros(0, dtype=np.int64)
-    beam_take = kept[order[rank < branch_cap]]
-    beam_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(adj_owner[beam_take], minlength=num_nodes), out=beam_indptr[1:]
-    )
-    beam_child = adj_nbr[beam_take]
-
-    return CompiledContext(
-        kg=kg,
-        space=space,
-        snapshot=snapshot,
-        log_row=log_row,
-        visiting=dense,
-        branch_cap=branch_cap,
-        num_nodes=num_nodes,
-        in_scope=in_scope,
-        adj_indptr=adj_indptr,
-        adj_nbr=adj_nbr,
-        adj_log=best,
-        beam_indptr=beam_indptr,
-        beam_child=beam_child,
-        beam_log=best[beam_take],
-        beam_priority=-dense[beam_child],
-        nan_flag=nan_flag,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Shared trace + per-answer deletion replay: the best-first search
-# ---------------------------------------------------------------------------
-#: The per-batch tallies :func:`replay` feeds, named like the
-#: ``repro_exec_*`` counters the executor forwards them to.
-REPLAY_TALLIES = (
-    "replay_deletions",
-    "trace_extension_pops",
-)
-
-
-class SharedTrace:
-    """The answer-independent pop sequence of one ``(context, source)``.
-
-    The best-first search run with *no* goal: no goal shortcut, no
-    answer-push skip, no termination.  :func:`build_trace` records its
-    first ``budget`` pops and compiles them for sparse replay — the goal
-    condition *inverted* into a neighbour-sorted table (``goal_nbr``), so
-    one answer resolves to the handful of pops whose node is actually
-    adjacent to it, and ``on_path_of`` naming the pops an answer's own
-    subtree accounts for.  The heap and the slots stay alive: an answer
-    whose deletions leave fewer than ``budget`` survivors *extends* the
-    sequence (:meth:`extend`), for every later answer too.
-
-    The trace is total: a pop whose node has an edge the embedding does
-    not cover is recorded as *poisoned* — no children, no goal entries —
-    and the search goes on.  Its children would carry it on their paths,
-    so an answer that reads past it either deletes it with its whole
-    subtree or reaches it, and :func:`replay` raises for those, where the
-    seed raises.
-
-    ``pops`` is append-only and one record per pop, so a reader in another
-    service or session (plans, and with them validators, are shared
-    through the plan cache) indexes below a ``len()`` it read and never
-    sees a half-written pop; extension itself takes the trace's lock.  The
-    inverted tables cover ``pops[:total_pops]`` and are never written
-    after the build.
-    """
-
-    __slots__ = (
-        "context", "source", "max_length", "budget",
-        "pops", "poisoned", "slots", "heap", "_lock",
-        "total_pops", "pops_of", "on_path_of",
-        "goal_nbr", "goal_node", "goal_log",
-    )
-
-    def __init__(
-        self, context: CompiledContext, source: int, max_length: int, budget: int
-    ) -> None:
-        self.context = context
-        self.source = source
-        self.max_length = max_length
-        self.budget = budget
-        visiting = context.visiting
-        source_probability = (
-            float(visiting[source]) if source < len(visiting) else 0.0
+        keep = targets != source
+        owners, targets, weights = owners[keep], targets[keep], weights[keep]
+        through = np.where(
+            first_node[owners] == targets, second_sum[owners], best[1][owners]
         )
-        if source_probability <= 0.0:
-            source_probability = 1.0
-        #: ``(node, log_sum, depth, on-path node ids)`` per pop
-        self.pops: list[tuple] = []
-        #: indices of the poisoned pops, ascending; an index is appended
-        #: before its pop is
-        self.poisoned: list[int] = []
-        #: one packed ``(node, log_sum, parent slot, depth)`` record per push
-        self.slots: list[tuple] = [(source, 0.0, -1, 0)]
-        #: ``(priority, slot)``: a slot's number is its push's ordinal, so it
-        #: is also the seed heap's tiebreak
-        self.heap: list[tuple[float, int]] = [(-source_probability, 0)]
-        self._lock = threading.Lock()
-        #: pops inside the budget: the answer-independent search's own length
-        self.total_pops = 0
-        #: node -> [expanded pop indices]
-        self.pops_of: dict[int, list[int]] = {}
-        #: node -> [pop indices with the node on their path], the source
-        #: left out (it is on every path)
-        self.on_path_of: dict[int, list[int]] = {}
-        # goal_nbr (sorted neighbour ids over the expanded nodes), goal_node
-        # (the owning node per entry) and goal_log: set by build_trace
+        level = np.full(num_nodes, -np.inf)
+        np.maximum.at(level, targets, through + weights)
+        best.append(level)
 
-    def advance(self) -> bool:
-        """Pop the shared heap once more; ``False`` when it is empty."""
-        heap = self.heap
-        if not heap:
-            return False
-        slots = self.slots
-        _priority, slot = heappop(heap)
-        node, log_sum, parent, depth = slots[slot]
-        path = [node]
-        cursor = parent
-        while cursor != -1:
-            record = slots[cursor]
-            path.append(record[0])
-            cursor = record[2]
-        beam = ()
-        if depth < self.max_length:
-            try:
-                beam = self.context.beam(node)
-            except EmbeddingError:
-                self.poisoned.append(len(self.pops))
-        child_depth = depth + 1
-        for priority, child, log_similarity in beam:
-            if child in path:
-                continue
-            slots.append((child, log_sum + log_similarity, slot, child_depth))
-            heappush(heap, (priority, len(slots) - 1))
-        self.pops.append((node, log_sum, depth, tuple(path)))
-        return True
-
-    def extend(self, index: int, tallies: dict) -> bool:
-        """Make ``pops[index]`` exist; ``False`` when the heap ran dry first."""
-        with self._lock:
-            while len(self.pops) <= index:
-                if not self.advance():
-                    return False
-                tallies["trace_extension_pops"] += 1
-        return True
-
-
-def build_trace(
-    context: CompiledContext, source: int, max_length: int, budget: int
-) -> SharedTrace:
-    """Record the answer-independent budgeted pop sequence from ``source``.
-
-    A private search for answer ``a`` differs from this sequence only in
-    never pushing ``a``.  The seed's heap entries are ``(priority,
-    tiebreak, ...)`` with ``priority`` a function of the child node alone
-    and ``tiebreak`` the push counter, so dropping the pushes of ``a`` —
-    and with them everything pushed below ``a`` — keeps the relative order
-    of every other entry: **the private pop sequence is this one with the
-    pops whose path contains** ``a`` **deleted**, run on past the shared
-    budget by the number of deletions.  :func:`replay` walks exactly that.
-    A poisoned pop's missing children change nothing an answer reads: they
-    are pops it deletes or pops past the one it raises at.
-    """
-    trace = SharedTrace(context, source, max_length, budget)
-    pops = trace.pops
-    while len(pops) < budget and trace.advance():
-        pass
-    trace.total_pops = len(pops)
-
-    pops_of = trace.pops_of
-    on_path_of = trace.on_path_of
-    poisoned = set(trace.poisoned)
-    for index, (node, _log_sum, depth, path) in enumerate(pops):
-        for member in path[:-1]:
-            on_path_of.setdefault(member, []).append(index)
-        # counted but not expanded past max_length or when poisoned
-        if depth < max_length and index not in poisoned:
-            pops_of.setdefault(node, []).append(index)
-
-    # Invert the expanded nodes' adjacency into a neighbour-sorted lookup
-    # table for O(log) per-answer relevance queries.
-    goal_nbr_parts: list[np.ndarray] = []
-    goal_node_parts: list[np.ndarray] = []
-    goal_log_parts: list[np.ndarray] = []
-    for node in pops_of:
-        nbr, logs = context.adjacency_arrays(node)
-        goal_nbr_parts.append(np.asarray(nbr, dtype=np.int64))
-        goal_node_parts.append(np.full(len(nbr), node, dtype=np.int64))
-        goal_log_parts.append(np.asarray(logs, dtype=np.float64))
-    if goal_nbr_parts:
-        goal_nbr = np.concatenate(goal_nbr_parts)
-        order = np.argsort(goal_nbr, kind="stable")
-        trace.goal_nbr = goal_nbr[order]
-        trace.goal_node = np.concatenate(goal_node_parts)[order]
-        trace.goal_log = np.concatenate(goal_log_parts)[order]
-    else:
-        trace.goal_nbr = np.zeros(0, dtype=np.int64)
-        trace.goal_node = np.zeros(0, dtype=np.int64)
-        trace.goal_log = np.zeros(0, dtype=np.float64)
-    return trace
-
-
-def replay_bounds(trace: SharedTrace, answers) -> list[tuple[int, int]]:
-    """Per answer, its ``(lo, hi)`` slice of the trace's goal table.
-
-    Two vectorised ``searchsorted`` calls for a whole batch: per answer
-    they would be two numpy scalar calls, most of a replay's own time.
-    """
-    keys = np.asarray(answers, dtype=np.int64)
-    return list(
-        zip(
-            trace.goal_nbr.searchsorted(keys, side="left").tolist(),
-            trace.goal_nbr.searchsorted(keys, side="right").tolist(),
-        )
-    )
-
-
-def replay(
-    trace: SharedTrace,
-    answer: int,
-    repeat_factor: int,
-    stop_threshold: float | None,
-    bounds: tuple[int, int] | None = None,
-    tallies: dict | None = None,
-) -> tuple[float, int, int, int]:
-    """One answer's best-first search outcome, read off the shared trace.
-
-    Returns ``(similarity, paths, expansions, length)``, equal to
-    ``ReferenceValidator.validate``'s.  The answer's private pop sequence
-    is the shared one minus the pops with the answer on their path
-    (:func:`build_trace`), so the replay walks the seed's search pop for
-    pop over the *survivors*: the goal shortcut fires off the recorded
-    adjacency, an expansion is a survivor, termination counts the same
-    expansions.  Inside the budget it visits only the pops whose node is
-    adjacent to the answer (the goal table) and counts deletions by
-    bisection; when the deletions leave fewer than ``budget`` survivors it
-    walks — and, where nobody has yet, records — the pops past the budget
-    one by one, reading each node's goal table from the context.
-
-    ``answer == source`` is its own case: the source is on every path, so
-    the goal check can never fire and no push is ever skipped for being
-    the answer — the search pops the shared sequence and finds nothing.
-
-    Raises :class:`EmbeddingError` when a poisoned pop the answer does not
-    delete comes before its termination, and only then — inside the
-    budget, past it (a poisoned node's goal table raises like its beam)
-    and for the source — with the error the seed raises there.
-
-    ``bounds`` is the answer's entry of :func:`replay_bounds` when the
-    caller computed a batch's at once; ``tallies`` a dict over
-    :data:`REPLAY_TALLIES` the caller owns.
-    """
-    total_pops = trace.total_pops
-    pops = trace.pops
-    poisoned = trace.poisoned
-    if answer == trace.source:
-        if poisoned and poisoned[0] < total_pops:
-            _raise_poisoned(trace, poisoned[0])
-        return 0.0, 0, total_pops, 0
-    if bounds is None:
-        bounds = replay_bounds(trace, [answer])[0]
-    goal_lo, goal_hi = bounds
-    deleted = trace.on_path_of.get(answer)
-    # the first poisoned pop inside the budget that the answer keeps
-    poison = total_pops
-    for index in poisoned:
-        if index >= total_pops:
-            break
-        if answer not in pops[index][3]:
-            poison = index
-            break
-    if goal_lo == goal_hi and deleted is None:
-        if poison < total_pops:
-            _raise_poisoned(trace, poison)
-        return 0.0, 0, total_pops, 0
-    if tallies is None:
-        tallies = dict.fromkeys(REPLAY_TALLIES, 0)
-    goal_map: dict[int, float] = dict(
-        zip(
-            trace.goal_node[goal_lo:goal_hi].tolist(),
-            trace.goal_log[goal_lo:goal_hi].tolist(),
-        )
-    )
-    relevant: list[int] = []
-    pops_of = trace.pops_of
-    for node in goal_map:
-        relevant.extend(pops_of[node])
-    relevant.sort()
-
-    best_similarity = 0.0
-    best_length = 0
-    paths_found = 0
-    for index in relevant:
-        node, log_sum, depth, path = pops[index]
-        if answer in path:
-            continue  # a deleted pop
-        similarity = math.exp((log_sum + goal_map[node]) / (depth + 1))
-        paths_found += 1
-        if similarity > best_similarity:
-            best_similarity = similarity
-            best_length = depth + 1
-        if paths_found >= repeat_factor or (
-            stop_threshold is not None and best_similarity >= stop_threshold
-        ):
-            if poison < index:
-                _raise_poisoned(trace, poison)
-            removed = bisect_left(deleted, index) if deleted is not None else 0
-            if removed:
-                tallies["replay_deletions"] += 1
-            return best_similarity, paths_found, index + 1 - removed, best_length
-    if poison < total_pops:
-        _raise_poisoned(trace, poison)
-    if deleted is None:
-        return best_similarity, paths_found, total_pops, best_length
-
-    # Deletions left the answer short of its budget: on past the shared one.
-    tallies["replay_deletions"] += 1
-    survivors = total_pops - len(deleted)
-    budget = trace.budget
-    max_length = trace.max_length
-    goal_map_of = trace.context.goal_map
-    index = total_pops
-    while survivors < budget:
-        if index >= len(pops) and not trace.extend(index, tallies):
-            break  # the heap ran dry
-        node, log_sum, depth, path = pops[index]
-        index += 1
-        if answer in path:
-            continue
-        survivors += 1
-        if depth >= max_length:
-            continue
-        goal_log = goal_map_of(node).get(answer)  # raises on a poisoned pop
-        if goal_log is None:
-            continue
-        similarity = math.exp((log_sum + goal_log) / (depth + 1))
-        paths_found += 1
-        if similarity > best_similarity:
-            best_similarity = similarity
-            best_length = depth + 1
-        if paths_found >= repeat_factor or (
-            stop_threshold is not None and best_similarity >= stop_threshold
-        ):
-            break
-    return best_similarity, paths_found, survivors, best_length
-
-
-def _raise_poisoned(trace: SharedTrace, index: int) -> None:
-    """Raise the seed's error for poisoned pop ``index``, afresh: its
-    node's beam raises each time it is asked for."""
-    trace.context.beam(trace.pops[index][0])
-    raise AssertionError(  # pragma: no cover - a poisoned node's beam raises
-        f"pop {index} is poisoned but its beam expanded"
-    )
+    similarity = np.zeros(num_nodes)
+    best_length = np.zeros(num_nodes, dtype=np.int8)
+    for length, totals in enumerate(best, start=1):
+        candidate = np.exp(totals / length)
+        better = candidate > similarity  # strict: the shortest length wins ties
+        similarity[better] = candidate[better]
+        best_length[better] = length
+    return similarity, best_length
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,16 @@
-"""The seed S2 implementations, preserved as equivalence oracles.
+"""The paper's r-path search, and the seed chain-prefix recursion.
 
-Production S2 runs over the array-compiled kernels
-(:mod:`repro.semantics.kernels`); nothing here is reachable from an engine
-option — only tests call it.
-
-* :class:`ReferenceValidator` keeps the seed's dict-probing search —
-  per-neighbour ``in`` tests and probability lookups against the
-  ``{node_id: probability}`` mapping, a tuple-sorted successor beam —
-  exactly as the engine's ``_ensure_validated`` drove it one entry at a
-  time.  For identical inputs it and
-  :class:`~repro.semantics.validation.CorrectnessValidator` (``validate``
-  and ``validate_batch``) must return identical
-  :class:`ValidationOutcome`\\ s.
+* :class:`ReferenceValidator` is the paper's greedy correctness search
+  (§IV-B2) in the seed's dict-probing form: a best-first search from the
+  mapping node on the stationary visiting probabilities that stops after
+  ``r`` paths to the answer.  It approximates Eq. 3 from below and so has
+  false negatives; production validation computes Eq. 3 exactly
+  (:class:`~repro.semantics.validation.CorrectnessValidator`).  Only the
+  figures' engine binds it (:mod:`repro.bench.harness`), so Fig. 5(b) and
+  Fig. 6(c) still chart what ``r`` does.
 * :func:`chain_prefixes_recursive` keeps the one-endpoint-at-a-time
   chain-prefix recursion (§V-B) that ``QueryExecutor._chain_prefix_batch``
-  must reproduce memo row for memo row.
+  must reproduce memo row for memo row; only tests call it.
 """
 
 from __future__ import annotations
@@ -22,71 +18,78 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
-from repro.semantics.matching import best_matches_iterative
+from repro.semantics.matching import best_matches_from, best_matches_iterative
 from repro.semantics.similarity import SIMILARITY_FLOOR, require_known_predicates
-from repro.semantics.validation import (
-    DEFAULT_BRANCH_CAP,
-    DEFAULT_EXPANSION_BUDGET,
-    ValidationOutcome,
-)
+from repro.semantics.validation import ValidationBatch, ValidationOutcome
+
+#: default cap on queue pops per search; bounds worst-case latency.
+DEFAULT_EXPANSION_BUDGET = 120
+
+#: successors kept per node (probability-ordered beam).
+DEFAULT_BRANCH_CAP = 16
 
 
 class ReferenceValidator:
-    """Seed best-first path search with dict-probed visiting probabilities."""
+    """The paper's best-first r-path search, bound to one ``(source,
+    predicate, visiting)`` context.
+
+    ``visiting`` maps the scope's node ids to their stationary
+    probabilities; only those nodes are expanded.  ``stop_threshold``
+    makes the search stop at the first path whose similarity reaches it
+    (the verdict at that threshold cannot change any more).
+    """
 
     def __init__(
         self,
         kg: KnowledgeGraph,
         space: PredicateVectorSpace,
+        source: int,
+        query_predicate: str,
+        visiting: Mapping[int, float],
         *,
         repeat_factor: int = 3,
         max_length: int = 3,
         floor: float = SIMILARITY_FLOOR,
         expansion_budget: int = DEFAULT_EXPANSION_BUDGET,
         branch_cap: int = DEFAULT_BRANCH_CAP,
+        stop_threshold: float | None = None,
     ) -> None:
+        if repeat_factor < 1:
+            raise ValueError("repeat_factor must be >= 1")
         self._kg = kg
         self._space = space
+        self.source = source
+        self.query_predicate = query_predicate
+        self.visiting = visiting
         self.repeat_factor = repeat_factor
         self.max_length = max_length
         self.floor = floor
         self.expansion_budget = expansion_budget
         self.branch_cap = branch_cap
-        self._cache_key: tuple[str, int] | None = None
+        self.stop_threshold = stop_threshold
         self._children: dict[int, list[tuple[float, int, float]]] = {}
         self._adjacency: dict[int, dict[int, float]] = {}
         self._log_row: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    def _reset_cache(self, query_predicate: str, visiting_id: int) -> None:
-        key = (query_predicate, visiting_id)
-        if self._cache_key != key:
-            self._cache_key = key
-            self._children.clear()
-            self._adjacency.clear()
-            self._log_row = None
-
-    def _log_similarities(self, query_predicate: str) -> np.ndarray:
+    def _log_similarities(self) -> np.ndarray:
         if self._log_row is None:
             row = self._space.known_similarity_row(
-                query_predicate, self._kg.predicates
+                self.query_predicate, self._kg.predicates
             )
             with np.errstate(invalid="ignore"):
                 self._log_row = np.log(np.clip(row, self.floor, 1.0))
         return self._log_row
 
     def _expand(
-        self,
-        node: int,
-        query_predicate: str,
-        visiting_probabilities: Mapping[int, float],
+        self, node: int
     ) -> tuple[list[tuple[float, int, float]], dict[int, float]]:
         children = self._children.get(node)
         if children is not None:
@@ -94,7 +97,7 @@ class ReferenceValidator:
         snapshot = csr_snapshot(self._kg)
         edge_ids, neighbours = snapshot.neighbors(node)
         predicate_ids = snapshot.edge_predicate_ids[edge_ids]
-        log_similarities = self._log_similarities(query_predicate)[predicate_ids]
+        log_similarities = self._log_similarities()[predicate_ids]
         require_known_predicates(
             self._kg, self._space, predicate_ids, log_similarities
         )
@@ -102,11 +105,12 @@ class ReferenceValidator:
         best = np.full(len(distinct), -np.inf, dtype=np.float64)
         np.maximum.at(best, inverse, log_similarities)
         adjacency = dict(zip(distinct.tolist(), best.tolist()))
+        visiting = self.visiting
         beam = sorted(
             (
-                (-visiting_probabilities[neighbour], neighbour, log_similarity)
+                (-visiting[neighbour], neighbour, log_similarity)
                 for neighbour, log_similarity in adjacency.items()
-                if neighbour in visiting_probabilities
+                if neighbour in visiting
             ),
         )[: self.branch_cap]
         self._children[node] = beam
@@ -114,25 +118,29 @@ class ReferenceValidator:
         return beam, adjacency
 
     # ------------------------------------------------------------------
-    def validate(
-        self,
-        source: int,
-        answer: int,
-        query_predicate: str,
-        visiting_probabilities: Mapping[int, float],
-        stop_threshold: float | None = None,
-    ) -> ValidationOutcome:
-        """The seed's per-answer search; see the live validator's docstring."""
-        self._reset_cache(query_predicate, id(visiting_probabilities))
+    def search(self, answer: int) -> tuple[float, int, int, int]:
+        """``(similarity, paths found, expansions, best length)`` of one
+        answer's search.
+
+        The frontier is a max-heap on the visiting probability of a
+        partial path's endpoint — the paper's "select the node with the
+        highest visiting probability" policy.  Whenever the popped node
+        has an edge to the answer, that path counts (the goal shortcut);
+        the search stops after ``repeat_factor`` paths, at
+        ``stop_threshold``, or after ``expansion_budget`` pops.  An edge
+        the embedding does not cover raises when its node is expanded.
+        """
+        visiting = self.visiting
         best_similarity = 0.0
         best_length = 0
         paths_found = 0
         expansions = 0
         tie_breaker = itertools.count()
+        stop_threshold = self.stop_threshold
 
         heap: list[tuple[float, int, int, float, tuple[int, ...]]] = [
-            (-visiting_probabilities.get(source, 1.0), next(tie_breaker), source,
-             0.0, (source,))
+            (-visiting.get(self.source, 1.0), next(tie_breaker), self.source,
+             0.0, (self.source,))
         ]
         done = False
         while heap and not done and expansions < self.expansion_budget:
@@ -141,9 +149,7 @@ class ReferenceValidator:
             expansions += 1
             if depth >= self.max_length:
                 continue
-            beam, adjacency = self._expand(
-                node, query_predicate, visiting_probabilities
-            )
+            beam, adjacency = self._expand(node)
             goal_log = adjacency.get(answer)
             if goal_log is not None and answer not in on_path:
                 similarity = math.exp((log_sum + goal_log) / (depth + 1))
@@ -170,12 +176,21 @@ class ReferenceValidator:
                         on_path + (child,),
                     ),
                 )
-        return ValidationOutcome(
-            answer=answer,
-            similarity=best_similarity,
-            paths_found=paths_found,
-            expansions=expansions,
-            best_length=best_length,
+        return best_similarity, paths_found, expansions, best_length
+
+    def validate(self, answer: int) -> ValidationOutcome:
+        """One answer's search as a :class:`ValidationOutcome`."""
+        similarity, _paths, _expansions, length = self.search(int(answer))
+        return ValidationOutcome(int(answer), similarity, length)
+
+    def validate_batch(self, answers: Sequence[int] | np.ndarray) -> ValidationBatch:
+        """One search per answer, aligned with ``answers``."""
+        answers = np.asarray(answers, dtype=np.int64)
+        searched = [self.search(answer) for answer in answers.tolist()]
+        return ValidationBatch(
+            answers,
+            np.asarray([found[0] for found in searched], dtype=np.float64),
+            np.asarray([found[3] for found in searched], dtype=np.int8),
         )
 
 
@@ -185,26 +200,22 @@ def chain_prefixes_recursive(
     """The seed's recursive chain-prefix resolution for ``node_ids``.
 
     Returns ``{(level, node): (log-similarity sum, edge count) | None}`` for
-    ``source ->hops[:level]-> node``: level 1 is one private
-    :class:`ReferenceValidator` search per endpoint on the first hop's
-    stationary map, deeper levels enumerate backwards from the node with
+    ``source ->hops[:level]-> node``: level 1 reads SSB's exhaustive
+    enumeration from the mapping node
+    (:func:`~repro.semantics.matching.best_matches_from`, the exact row's
+    oracle), deeper levels enumerate backwards from the node with
     :func:`~repro.semantics.matching.best_matches_iterative` and recurse
     over the typed intermediates one endpoint at a time.  ``config`` and
     ``plan`` are the engine's ``EngineConfig`` and chain ``QueryPlan``.
     """
     component = plan.component
-    visiting = {
-        node: float(probability)
-        for node, probability in enumerate(plan.visiting)
-        if probability > 0.0
-    }
-    validator = ReferenceValidator(
+    first_leg = best_matches_from(
         kg,
         space,
-        repeat_factor=config.repeat_factor,
-        max_length=config.n_bound,
+        component.predicates[0],
+        plan.source,
+        config.n_bound,
         floor=config.similarity_floor,
-        expansion_budget=config.validation_expansions,
     )
     memo: dict[tuple[int, int], tuple[float, int] | None] = {}
 
@@ -215,13 +226,11 @@ def chain_prefixes_recursive(
         predicate = component.predicates[level - 1]
         result: tuple[float, int] | None = None
         if level == 1:
-            outcome = validator.validate(
-                plan.source, node_id, predicate, visiting, stop_threshold=1.0
-            )
-            if outcome.paths_found:
+            match = first_leg.get(node_id)
+            if match is not None:
                 result = (
-                    outcome.best_length * math.log(max(outcome.similarity, 1e-12)),
-                    outcome.best_length,
+                    match.length * math.log(max(match.similarity, 1e-12)),
+                    match.length,
                 )
         else:
             matches = best_matches_iterative(

@@ -1,54 +1,26 @@
-"""Greedy correctness validation with repeat factor ``r`` (paper §IV-B2).
+"""Correctness validation: Definition 4's n-bounded best-path similarity.
 
-Enumerating all subgraph matches per sampled answer is what makes SSB slow;
-the engine instead runs a best-first search from the mapping node, guided by
-the stationary visiting probabilities computed during sampling, and stops
-after finding ``r`` distinct paths to the answer.  The best similarity among
-those paths decides correctness (similarity >= tau).
+An answer is correct when its similarity (Eq. 3) — the best Eq. 2
+geometric mean over the simple paths of at most ``n_bound`` edges from
+the mapping node — reaches ``tau``.  The paper (§IV-B2) approximates that
+maximum with a greedy best-first search that stops after ``r`` paths and
+accepts the search's false negatives.  Here a validator computes it
+exactly instead: one (max, +) pass per plan over the CSR snapshot
+(:func:`repro.semantics.kernels.exact_similarities`) yields the row for
+every node at once, so validating an answer is one array read and the
+verdicts equal SSB's tau ground truth.  The paper's r-path search lives
+on as :class:`repro.semantics.reference.ReferenceValidator`, which only
+the figures' engine binds (Fig. 5(b) and Fig. 6(c) chart its false
+negatives).
 
-Properties (paper's effectiveness analysis):
-
-* no false positives — an incorrect answer has *no* path of similarity
-  >= tau, so whatever path the greedy search returns cannot clear tau;
-* false negatives shrink as ``r`` grows (Fig. 6(c)): more paths found means
-  a better chance of hitting the answer's optimal match.
-
-Implementation notes.  A validator instance is bound to one plan's
-context — its mapping node ``source``, its query predicate and its dense
-visiting array over node ids (zero = outside the scope) — and compiles,
-once and lazily, the whole in-scope neighbourhood into a
-:class:`~repro.semantics.kernels.CompiledContext`: a deduplicated
-adjacency table with the max log-similarity per neighbour (the goal
-shortcut: whenever the expanded node has a direct edge to the answer,
-that path is recorded immediately instead of competing in the heap) and a
-probability-sorted, branch-capped successor beam.  This keeps one
-validation at O(budget * branch_cap) heap operations even around hubs with
-thousands of neighbours.  Per-edge log-similarities come from one dense
-log-clamped similarity row indexed by predicate id over the CSR snapshot's
-adjacency slices — no per-edge string lookups.
-
-:meth:`CorrectnessValidator.validate_batch` is the one search path:
-context -> trace -> replay (:meth:`~CorrectnessValidator.validate` is a
-batch of one).  It records the answer-independent pop sequence from
-``source`` once (:class:`~repro.semantics.kernels.SharedTrace`) and reads
-every answer's outcome off it (:func:`repro.semantics.kernels.replay`): a
-private search for answer ``a`` is the shared one with ``a`` never pushed,
-i.e. the shared pop sequence with the pops below ``a`` deleted and run on
-by as many pops as were deleted, so no answer needs a heap of its own.
-Three edges keep that exact: ``answer == source`` pops the shared sequence
-and finds nothing; an answer whose deletions outrun the recorded pops
-extends the trace under its lock; and a pop whose node has an edge the
-embedding does not cover is recorded as poisoned, so an answer raises
-exactly when its own search would expand that node.  The seed's
-dict-probing search survives as
-:class:`repro.semantics.reference.ReferenceValidator`, the oracle the
-tests compare with.
+A validator is bound to one plan's ``(source, query predicate)`` context
+— a chain plan's first leg included — and builds its row lazily, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -56,13 +28,9 @@ from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.semantics import kernels
+from repro.semantics.matching import best_matches_from
 from repro.semantics.similarity import SIMILARITY_FLOOR
 
-#: default cap on queue pops per validation; bounds worst-case latency.
-DEFAULT_EXPANSION_BUDGET = 120
-
-#: successors kept per node (probability-ordered beam).
-DEFAULT_BRANCH_CAP = 16
 
 @dataclass(frozen=True)
 class ValidationOutcome:
@@ -70,19 +38,38 @@ class ValidationOutcome:
 
     answer: int
     similarity: float
-    paths_found: int
-    expansions: int
     #: length (edges) of the best path found; 0 when none was found
     best_length: int = 0
 
     def is_correct(self, tau: float) -> bool:
-        """True when the answer's (heuristic) best match clears tau."""
+        """True when the answer's best match clears tau."""
         return self.similarity >= tau
 
 
+@dataclass(frozen=True)
+class ValidationBatch:
+    """Outcomes of one ``validate_batch`` call, aligned with its answers."""
+
+    answers: np.ndarray
+    similarity: np.ndarray
+    #: 0 where no path reached the answer
+    best_length: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.answers)
+
+    def outcome(self, position: int) -> ValidationOutcome:
+        """The :class:`ValidationOutcome` of ``answers[position]``."""
+        return ValidationOutcome(
+            int(self.answers[position]),
+            float(self.similarity[position]),
+            int(self.best_length[position]),
+        )
+
+
 class CorrectnessValidator:
-    """Best-first path search from one source, guided by stationary
-    probabilities: one plan's ``(source, predicate, visiting)`` context."""
+    """The exact Eq. 3 row from one source: one plan's ``(source,
+    predicate)`` context."""
 
     def __init__(
         self,
@@ -90,132 +77,83 @@ class CorrectnessValidator:
         space: PredicateVectorSpace,
         source: int,
         query_predicate: str,
-        visiting: np.ndarray,
         *,
-        repeat_factor: int = 3,
         max_length: int = 3,
         floor: float = SIMILARITY_FLOOR,
-        expansion_budget: int = DEFAULT_EXPANSION_BUDGET,
-        branch_cap: int = DEFAULT_BRANCH_CAP,
     ) -> None:
-        if repeat_factor < 1:
-            raise ValueError("repeat_factor must be >= 1")
         if max_length < 1:
             raise ValueError("max_length must be >= 1")
-        if branch_cap < 1:
-            raise ValueError("branch_cap must be >= 1")
         self._kg = kg
         self._space = space
         self.source = source
         self.query_predicate = query_predicate
-        #: dense per-node probabilities; a node takes part in the search
-        #: iff its entry is positive
-        self.visiting = visiting
-        self.repeat_factor = repeat_factor
         self.max_length = max_length
         self.floor = floor
-        self.expansion_budget = expansion_budget
-        self.branch_cap = branch_cap
-        self._compiled: kernels.CompiledContext | None = None
-        self._shared: kernels.SharedTrace | None = None
+        self._row: tuple[np.ndarray, np.ndarray] | None = None
 
-    # ------------------------------------------------------------------
-    def _context(self) -> kernels.CompiledContext:
-        """The compiled context, built on first use.
+    def row(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(similarity, best_length)`` per node id, computed on first use.
 
-        Concurrent builders (services and sessions over one plan share its
-        validator) produce identical contexts, so the last write winning
-        is benign.
+        Read-only and published with one attribute store, so services and
+        sessions sharing the plan read either nothing or the whole row;
+        concurrent builders compute identical arrays.  Raises
+        :class:`~repro.errors.EmbeddingError` when an edge the row weighs
+        carries a predicate the embedding does not cover — for every
+        answer of the plan, as SSB fails the whole query.
         """
-        context = self._compiled
-        if context is None:
-            context = kernels.build_context(
-                self._kg,
-                self._space,
-                csr_snapshot(self._kg),
-                self._log_similarities(),
-                self.visiting,
-                self.branch_cap,
-            )
-            self._compiled = context
-        return context
-
-    def _trace(self) -> kernels.SharedTrace:
-        """The shared pop sequence from :attr:`source`, recorded on first use."""
-        trace = self._shared
-        if trace is None:
-            trace = kernels.build_trace(
-                self._context(), self.source, self.max_length, self.expansion_budget
-            )
-            self._shared = trace
-        return trace
+        row = self._row
+        if row is None:
+            if self.max_length <= kernels.EXACT_MAX_LENGTH:
+                row = kernels.exact_similarities(
+                    self._kg,
+                    self._space,
+                    csr_snapshot(self._kg),
+                    self._log_similarities(),
+                    self.source,
+                    self.max_length,
+                )
+            else:
+                row = self._enumerated_row()
+            for array in row:
+                array.setflags(write=False)
+            self._row = row
+        return row
 
     def _log_similarities(self) -> np.ndarray:
-        """Dense log-clamped similarity per predicate id.
-
-        Predicates the embedding does not cover hold NaN; like the seed's
-        lazy per-edge lookups, they only raise when a search actually
-        expands a node with one of their edges.
-        """
+        """Dense log-clamped similarity per predicate id (NaN where the
+        embedding has no vector)."""
         row = self._space.known_similarity_row(
             self.query_predicate, self._kg.predicates
         )
         with np.errstate(invalid="ignore"):
             return np.log(np.clip(row, self.floor, 1.0))
 
-    # ------------------------------------------------------------------
-    def validate(
-        self, answer: int, stop_threshold: float | None = None
-    ) -> ValidationOutcome:
-        """Find up to ``repeat_factor`` paths ``source -> answer`` greedily.
+    def _enumerated_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row past :data:`~repro.semantics.kernels.EXACT_MAX_LENGTH`:
+        every simple path enumerated (SSB's DFS), so exponential in the
+        bound — no workload runs a bound this long."""
+        num_nodes = self._kg.num_nodes
+        similarity = np.zeros(num_nodes)
+        best_length = np.zeros(num_nodes, dtype=np.int8)
+        matches = best_matches_from(
+            self._kg,
+            self._space,
+            self.query_predicate,
+            self.source,
+            self.max_length,
+            floor=self.floor,
+        )
+        for node, match in matches.items():
+            similarity[node] = match.similarity
+            best_length[node] = match.length
+        return similarity, best_length
 
-        The frontier is a max-heap on the stationary probability of a
-        partial path's endpoint — the paper's "select the node with the
-        highest visiting probability" policy.  Only nodes with known
-        (positive) probability, i.e. inside the sampling scope, are
-        expanded.
+    def validate_batch(self, answers: Sequence[int] | np.ndarray) -> ValidationBatch:
+        """Every answer's outcome, read off the row."""
+        similarity, best_length = self.row()
+        answers = np.asarray(answers, dtype=np.int64)
+        return ValidationBatch(answers, similarity[answers], best_length[answers])
 
-        ``stop_threshold`` enables a sound short-circuit for correctness
-        validation: the answer similarity is a max over paths, so once a
-        found path reaches the threshold the >= tau verdict cannot change
-        and the remaining repeat-factor paths are skipped.
-
-        A batch of one: :meth:`validate_batch` runs the search.
-        """
-        return self.validate_batch([answer], stop_threshold)[int(answer)]
-
-    def validate_batch(
-        self,
-        answers: Iterable[int],
-        stop_threshold: float | None = None,
-        tallies: dict | None = None,
-    ) -> dict[int, ValidationOutcome]:
-        """Validate every distinct answer of a round in one shared pass.
-
-        The context is compiled once and — the actual batching — the
-        budgeted best-first pop sequence is recorded once and every
-        answer's outcome is *replayed* from it with the answer's own
-        subtree deleted, instead of re-running the heap search.  Each
-        outcome is the seed search's for that answer
-        (:class:`~repro.semantics.reference.ReferenceValidator`), and the
-        batch raises :class:`~repro.errors.EmbeddingError` iff some
-        answer's search meets a predicate the embedding does not cover.
-        ``tallies`` (a dict over
-        :data:`~repro.semantics.kernels.REPLAY_TALLIES`, owned by the
-        caller) is added to: answers settled with deleted pops, and pops
-        the trace was extended by.
-        """
-        trace = self._trace()
-        if tallies is None:
-            tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-        outcomes: dict[int, ValidationOutcome] = {}
-        distinct = list(dict.fromkeys(int(answer) for answer in answers))
-        for answer, bounds in zip(distinct, kernels.replay_bounds(trace, distinct)):
-            outcomes[answer] = ValidationOutcome(
-                answer,
-                *kernels.replay(
-                    trace, answer, self.repeat_factor, stop_threshold,
-                    bounds, tallies,
-                ),
-            )
-        return outcomes
+    def validate(self, answer: int) -> ValidationOutcome:
+        """One answer's outcome: a batch of one."""
+        return self.validate_batch([answer]).outcome(0)

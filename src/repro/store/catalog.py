@@ -146,7 +146,7 @@ class SnapshotCatalog:
     ) -> QueryPlan | None:
         """The stored plan for ``component``, or ``None`` on a miss.
 
-        ``make_validator(source, predicate, visiting)`` binds the loaded
+        ``make_validator(component, source, visiting)`` binds the loaded
         plan's validator (:func:`~repro.core.plan.plan_from_artifacts`).
 
         A present-but-mismatched file (stale version, different embedding)

@@ -27,8 +27,6 @@ from repro.bench.harness import SampledExecutor
 from repro.bench.harness import sampled_engine as _sampled_engine
 from repro.core.planner import QueryPlanner
 from repro.kg import KnowledgeGraph
-from repro.sampling.stationary import scatter_visiting
-from repro.semantics.validation import CorrectnessValidator
 
 
 @dataclass
@@ -186,23 +184,6 @@ def _drive_lifecycle(executor, aggregate_query, seed, error_bound, max_rounds=No
         if outcome.satisfied or outcome.exhausted:
             break
     return state, executor.finalise(state, converged=outcome.satisfied)
-
-
-def _bind_validator(kg, space, source, visiting, predicate="product", **overrides):
-    """A :class:`CorrectnessValidator` bound to ``(source, predicate,
-    visiting)``; a ``{node: probability}`` mapping (what the
-    ``ReferenceValidator`` oracle reads) is densified over node ids."""
-    if not isinstance(visiting, np.ndarray):
-        visiting = scatter_visiting(
-            list(visiting), list(visiting.values()), kg.num_nodes
-        )
-    return CorrectnessValidator(kg, space, source, predicate, visiting, **overrides)
-
-
-@pytest.fixture(scope="session")
-def bind_validator():
-    """Binds a validator to one context (a mapping is densified)."""
-    return _bind_validator
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,17 @@ from repro.bench import (
 from repro.bench.harness import BenchContext
 from repro.bench.metrics import grouped_relative_error, mean_or_nan, variance_or_nan
 from repro.bench.reporting import save_result
-from repro import AggregateFunction, AggregateQuery, EngineConfig
+from repro import (
+    AggregateFunction,
+    AggregateQuery,
+    ApproximateAggregateEngine,
+    EngineConfig,
+)
+from repro.core.plan import shared_plan_cache
 from repro.datasets import guaranteed_queries, simple_query_graph
 from repro.errors import ReproError
+from repro.semantics.reference import ReferenceValidator
+from repro.semantics.validation import CorrectnessValidator
 
 
 class TestMetrics:
@@ -121,6 +129,74 @@ class TestHarness:
             assert result.stop_reason != "census"
             draws[level] = result.total_draws
         assert draws[0.98] > draws[0.86]
+
+    def test_figure_engines_are_cold(self, context):
+        """Every figure engine builds its own plans — "Ours" timings include
+        S1 and S2 — and none of them reaches the process-wide cache."""
+        query = guaranteed_queries(context.workload)[1]
+        component = query.aggregate_query.query.components[0]
+        kg = context.bundle.kg
+        published = shared_plan_cache().num_plans(kg)
+        engines = [context.engine(), context.engine()]
+        for engine in engines:
+            engine.execute(query.aggregate_query, seed=3)
+            assert engine.planner.build_count == 1
+        assert shared_plan_cache().num_plans(kg) == published
+        first, second = (engine.planner.plan_for(component) for engine in engines)
+        assert first is not second
+
+    def test_figure_plans_carry_the_r_path_search(self, context):
+        """A figure engine's simple plan searches until ``tau``, a chain's
+        first leg runs all ``r`` paths; production plans over the same
+        components keep the exact row."""
+        config = EngineConfig(seed=0, repeat_factor=2, tau=0.8)
+        engine = context.engine(config)
+        production = ApproximateAggregateEngine(
+            context.bundle.kg, context.space, config
+        )
+        seen = set()
+        for query in context.workload:
+            for component in query.aggregate_query.query.components:
+                validator = engine.planner.plan_for(component).validator
+                assert isinstance(validator, ReferenceValidator)
+                assert validator.repeat_factor == 2
+                expected = 0.8 if component.is_simple else None
+                assert validator.stop_threshold == expected
+                seen.add(component.is_simple)
+                exact = production.planner.plan_for(component).validator
+                assert isinstance(exact, CorrectnessValidator)
+        assert seen == {True, False}
+
+    def test_paper_false_negatives_do_not_grow_with_r(self):
+        """Over the simple components of freebase-like's workload at
+        scale 1, the figure validator keeps no answer SSB rejects, and
+        misses fewer or as many of SSB's answers as ``r`` grows — it does
+        miss some, which Fig. 5(b) and Fig. 6(c) chart."""
+        context = bench_context("freebase-like", seed=0, scale=1.0)
+        components = dict.fromkeys(
+            component
+            for query in context.workload
+            for component in query.aggregate_query.query.components
+            if component.is_simple
+        )
+        misses = []
+        for r in (1, 2, 3, 5):
+            config = EngineConfig(seed=0, repeat_factor=r)
+            engine = context.engine(config)
+            missed = 0
+            for component in components:
+                plan = engine.planner.plan_for(component)
+                answers = plan.distribution.answers
+                exact = CorrectnessValidator(
+                    context.bundle.kg, context.space, plan.source,
+                    component.predicates[0],
+                ).validate_batch(answers).similarity >= config.tau
+                greedy = plan.validator.validate_batch(answers).similarity >= config.tau
+                assert not (greedy & ~exact).any()
+                missed += int((exact & ~greedy).sum())
+            misses.append(missed)
+        assert misses == sorted(misses, reverse=True)
+        assert misses[0] > 0
 
     def test_eaq_unsupported_on_chain(self, context):
         chain_query = next(

@@ -30,6 +30,7 @@ from repro import (
     QueryGraph,
     QueryShape,
 )
+from repro.bench.harness import sampled_engine
 from repro.core.config import SamplerKind
 from repro.core.executor import QueryExecutor
 from repro.core.plan import shared_plan_cache
@@ -40,7 +41,7 @@ from repro.estimation.estimators import census_estimate
 from repro.kg import KnowledgeGraph
 from repro.query.aggregate import AggregateFunction, AggregateQuery, GroupBy
 from repro.query.evaluate import aggregate_over, is_usable_answer
-from repro.semantics.reference import ReferenceValidator
+from repro.semantics.matching import best_matches_from
 from repro.server.app import encode_result
 
 _ATTRIBUTE_FUNCTIONS = (
@@ -336,14 +337,14 @@ def test_census_span_and_counter(toy):
 
 
 # ----------------------------------------------------------------------
-# an undrawn answer whose search reaches an uncovered predicate
+# a plan whose bound reaches an uncovered predicate
 # ----------------------------------------------------------------------
-def test_census_fails_on_an_undrawn_answer_that_reaches_an_uncovered_predicate():
-    """``other``'s own search pops ``near``, whose ``rare_pred`` edge the
-    embedding does not cover — what :class:`ReferenceValidator` raises for
-    that answer.  A sampled round validates only its draws; the census
-    validates every answer, drawn or not, so it fails the query.  (The
-    CNARW walk weighs no predicate, so the plan itself builds.)"""
+def test_cnarw_plan_over_an_uncovered_predicate_fails_at_first_validation():
+    """``near``'s ``rare_pred`` edge lies within the bound, and the
+    embedding does not cover it.  The CNARW walk weighs no predicate, so
+    the plan builds; the exact row weighs every edge within the bound, so
+    the query's first validation fails — a census or a sampled round, for
+    any answer — as SSB fails the whole query."""
     kg = KnowledgeGraph()
     hub = kg.add_node("hub", ["Hub"])
     near = kg.add_node("near", ["Car"])
@@ -365,27 +366,23 @@ def test_census_fails_on_an_undrawn_answer_that_reaches_an_uncovered_predicate()
     engine = _census_engine(kg, space, config)
     plan = engine.planner.plan_for(query.query.components[0])
     assert plan.distribution.answers.tolist() == [near, other]
-    reference = ReferenceValidator(
-        kg,
-        space,
-        repeat_factor=config.repeat_factor,
-        max_length=config.n_bound,
-        floor=config.similarity_floor,
-        expansion_budget=config.validation_expansions,
-    )
-    visiting = {node: p for node, p in enumerate(plan.visiting) if p > 0.0}
-    assert reference.validate(hub, near, "knows", visiting, config.tau).similarity == 1.0
-    with pytest.raises(EmbeddingError, match="rare_pred"):
-        reference.validate(hub, other, "knows", visiting, config.tau)
+    for answer in (near, other):
+        with pytest.raises(EmbeddingError, match="rare_pred"):
+            plan.validator.validate(answer)
 
     executor = engine.executor
     state = executor.initialise(query, 3)
     assert state.total_draws == 0
-    executor._ensure_validated(state)  # what a sampled round validates: none
     with pytest.raises(EmbeddingError, match="rare_pred"):
         executor.step(state, 0.01)
     with pytest.raises(EmbeddingError, match="rare_pred"):
         ApproximateAggregateEngine(kg, space, config).execute(query, seed=3)
+    with pytest.raises(EmbeddingError, match="rare_pred"):
+        sampled_engine(kg, space, config).execute(query, seed=3)
+    # one edge shorter, the bound stops before the uncovered edge
+    assert ApproximateAggregateEngine(
+        kg, space, config.with_(n_bound=1)
+    ).execute(query, seed=3).value == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +407,7 @@ def test_census_estimate_bounds_every_summation_order():
 
 
 # ----------------------------------------------------------------------
-# a property over random small graphs (reference validator as the oracle)
+# a property over random small graphs (SSB's enumeration as the oracle)
 # ----------------------------------------------------------------------
 _PREDICATES = {
     "product": np.array([1.0, 0.0]),
@@ -469,21 +466,12 @@ def test_census_is_aggregate_over_on_random_small_graphs(world):
     plan = engine.planner.plan_for(query.query.components[0])
     assume(plan.distribution.support_size > 0)
     state, result = _run(engine.executor, query)
-    reference = ReferenceValidator(
-        kg,
-        space,
-        repeat_factor=config.repeat_factor,
-        max_length=config.n_bound,
-        floor=config.similarity_floor,
-        expansion_budget=config.validation_expansions,
-    )
-    visiting = {node: p for node, p in enumerate(plan.visiting) if p > 0.0}
+    matches = best_matches_from(kg, space, "product", plan.source, config.n_bound)
     kept = {
         answer
         for answer in plan.distribution.answers.tolist()
-        if reference.validate(
-            plan.source, answer, "product", visiting, config.tau
-        ).similarity >= config.tau
+        if answer in matches
+        and matches[answer].similarity >= config.tau
         and is_usable_answer(kg, query, answer)
     }
     assert kept == _kept_answers(engine, state)

@@ -598,7 +598,13 @@ class TestPartialEmbedding:
         # to cover nothing
         assert plan(2, SamplerKind.CNARW).distribution.answers.tolist() == [near, far]
 
-    def test_validator_skips_unreached_unknown_predicate(self, bind_validator):
+    def test_validator_weighs_every_edge_within_the_bound(self):
+        """The exact row weighs every edge of a node it reaches below the
+        bound, in or out of the sampling scope: an uncovered predicate
+        there fails the whole row, as it fails SSB's enumeration."""
+        from repro.errors import EmbeddingError
+        from repro.semantics.validation import CorrectnessValidator
+
         kg = KnowledgeGraph()
         hub = kg.add_node("hub", ["Hub"])
         near = kg.add_node("near", ["Car"])
@@ -608,17 +614,12 @@ class TestPartialEmbedding:
         space = PredicateVectorSpace(
             LookupEmbedding({"knows": np.array([1.0, 0.0])})
         )
-        visiting = {hub: 0.5, near: 0.5}
-        # visiting map excludes 'far', so the rare_pred edge is never taken
-        outcome = bind_validator(kg, space, hub, visiting, "knows").validate(near)
-        assert outcome.paths_found >= 1
-        assert outcome.similarity > 0.0
-        # the shared trace pops 'near' (its rare_pred edge poisons the pop)
-        # but the answer's own search deletes that pop: no raise either
-        fresh = bind_validator(kg, space, hub, visiting, "knows")
-        assert fresh.validate_batch([near]) == {near: outcome}
+        outcome = CorrectnessValidator(
+            kg, space, hub, "knows", max_length=1
+        ).validate(near)
+        assert (outcome.similarity, outcome.best_length) == (1.0, 1)
         with pytest.raises(EmbeddingError, match="rare_pred"):
-            fresh.validate_batch([hub])
+            CorrectnessValidator(kg, space, hub, "knows", max_length=2).validate(near)
 
 
 class TestSnapshotInvalidation:

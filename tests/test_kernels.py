@@ -1,16 +1,13 @@
 """Array-compiled S2 kernels vs their plain-Python oracles.
 
 The kernels (:mod:`repro.semantics.kernels`) are the one production path
-per S2 algorithm; for identical inputs they must reproduce the oracles
-**exactly** — the seed validator (:mod:`repro.semantics.reference`) for
-search and the deletion replay, ``best_matches_iterative`` and the recursive
-chain-prefix resolution for chain enumeration, the per-entry CNARW loop
-(:mod:`repro.sampling.reference`) for the structural weights: equal
-outcome dataclasses, byte-equal transition arrays, the same lazy
-unknown-predicate failures.  Randomised worlds here include multi-edges,
-self-loops and out-of-scope sources.  A production validator is bound to
-one ``(source, predicate, visiting)`` context; ``bind_validator`` binds it
-to the dense form of the mapping the oracle reads.
+per S2 algorithm; for identical inputs they must reproduce the oracles —
+SSB's exhaustive enumeration (``best_matches_from``) for the exact
+similarity row, within the oracle's float drift, ``best_matches_iterative``
+and the recursive chain-prefix resolution for chain enumeration, the
+per-entry CNARW loop (:mod:`repro.sampling.reference`) for the structural
+weights, both byte for byte — with the same unknown-predicate failures.
+Randomised worlds here include multi-edges and self-loops.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ from repro.sampling.reference import cnarw_weights_python
 from repro.sampling.strength import strength_distribution
 from repro.sampling.topology import cnarw_entry_weights
 from repro.semantics import kernels
-from repro.semantics.matching import best_matches_iterative
-from repro.semantics.reference import ReferenceValidator, chain_prefixes_recursive
+from repro.semantics.matching import best_matches_from, best_matches_iterative
+from repro.semantics.reference import chain_prefixes_recursive
 from repro.semantics.similarity import SIMILARITY_FLOOR
 from repro.semantics.validation import CorrectnessValidator
 
@@ -103,477 +100,139 @@ def synthetic_context(kg, seed: int):
     return source, visiting, answers
 
 
-@pytest.mark.parametrize("seed", range(5))
-class TestSearchEquivalence:
-    """validate (a batch of one) and validate_batch (the deletion replay
-    of the shared trace) both equal the seed ReferenceValidator."""
-
-    def test_validate_matches_reference(self, seed, bind_validator):
-        kg, space = random_world(seed)
-        source, visiting, answers = search_context(kg, space, seed)
-        reference = ReferenceValidator(kg, space)
-        compiled = bind_validator(kg, space, source, visiting)
-        for answer in answers:
-            for stop in (None, 0.5, 0.9):
-                assert compiled.validate(
-                    answer, stop_threshold=stop
-                ) == reference.validate(
-                    source, answer, "product", visiting, stop_threshold=stop
-                )
-
-    @pytest.mark.parametrize("stop", [None, 0.5, 0.9])
-    def test_validate_batch_matches_reference_on_both_branches(
-        self, seed, stop, monkeypatch, bind_validator
-    ):
-        """Every batched outcome equals the oracle's, and the batch really
-        took both branches of the replay:
-        answers settled with deleted pops inside the recorded trace and
-        answers whose deletions forced a trace extension.  (Budget 30: at
-        the default 120 some of these 60-node worlds run the heap dry
-        first, and a dry heap cannot be extended.)"""
-        kg, space = random_world(seed)
-        source, visiting, answers = search_context(kg, space, seed)
-        # the scope's full candidate list plus the corner cases;
-        # duplicates exercise the per-answer dedup
-        scope = build_scope(kg, source, 3, frozenset(TYPE_POOL))
-        batch = list(scope.candidate_answers) + answers + answers[:3]
-        branch: dict[int, str] = {}
-        real_replay = kernels.replay
-
-        def recording_replay(trace, answer, repeat_factor, threshold, bounds, tallies):
-            own = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-            result = real_replay(
-                trace, answer, repeat_factor, threshold, bounds, own
-            )
-            # the batch's precomputed table slice changes nothing, and
-            # neither does finding the extension already recorded
-            assert result == real_replay(trace, answer, repeat_factor, threshold)
-            if own["trace_extension_pops"]:
-                branch[answer] = "extended"
-            elif own["replay_deletions"]:
-                branch[answer] = "deleted"
-            else:
-                branch[answer] = "clean"
-            for name, count in own.items():
-                tallies[name] += count
-            return result
-
-        monkeypatch.setattr(kernels, "replay", recording_replay)
-        tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-        got = bind_validator(
-            kg, space, source, visiting, expansion_budget=30
-        ).validate_batch(batch, stop_threshold=stop, tallies=tallies)
-        reference = ReferenceValidator(kg, space, expansion_budget=30)
-        assert set(got) == set(batch) == set(branch)
-        for answer, outcome in got.items():
-            assert outcome == reference.validate(
-                source, answer, "product", visiting, stop_threshold=stop
-            )
-        taken = set(branch.values())
-        assert "deleted" in taken, "no answer was settled with deleted pops"
-        assert "extended" in taken, "no answer forced a trace extension"
-        assert tallies["replay_deletions"] == sum(
-            kind != "clean" for kind in branch.values()
-        )
-        assert tallies["trace_extension_pops"] >= 1
-
-    def test_tight_budgets_and_caps(self, seed, bind_validator):
-        """Small budgets/beams magnify any pop-order or tie-break drift."""
-        kg, space = random_world(seed)
-        source, visiting, answers = search_context(kg, space, seed)
-        for budget, cap, max_length in ((5, 2, 1), (17, 3, 2), (40, 16, 3)):
-            overrides = dict(
-                expansion_budget=budget, branch_cap=cap, max_length=max_length
-            )
-            reference = ReferenceValidator(kg, space, **overrides)
-            compiled = bind_validator(kg, space, source, visiting, **overrides)
-            batched = bind_validator(
-                kg, space, source, visiting, **overrides
-            ).validate_batch(answers[:8])
-            for answer in answers[:8]:
-                expected = reference.validate(source, answer, "product", visiting)
-                assert compiled.validate(answer) == expected
-                assert batched[answer] == expected
-
-
-def _settle(validate, *args):
-    """``validate(*args)``, or ``("raised", message)`` for an EmbeddingError."""
+def _dfs_row(kg, space, source, max_length, predicate="product"):
+    """SSB's exhaustive DFS as ``{node: (similarity, length)}``, or the
+    error it raised."""
     try:
-        return validate(*args)
-    except EmbeddingError as error:
-        return ("raised", str(error))
-
-
-@pytest.mark.parametrize("seed", [10, 11, 12, 13])
-class TestUnknownPredicateFailures:
-    """The lazy NaN raise fires at the same expansions as the seed's.
-
-    "rare" edges exist in the graph but are unknown to the embedding; an
-    answer's validation fails only when its own search expands a node with
-    a "rare" edge — never earlier, never later, whatever the shared trace
-    expanded for other answers.
-    """
-
-    #: (expansion budget, branch cap, max length)
-    SHAPES = ((120, 16, 3), (30, 16, 3), (9, 3, 3), (17, 3, 2), (5, 2, 1))
-
-    def _worlds(self, seed):
-        """Per shape and stop threshold: the validator overrides, the
-        context and every answer's reference outcome or error."""
-        kg, space = random_world(seed, known_predicates=PREDICATE_POOL[:-1])
-        source, visiting, answers = synthetic_context(kg, seed)
-        for budget, cap, max_length in self.SHAPES:
-            overrides = dict(
-                expansion_budget=budget, branch_cap=cap, max_length=max_length
-            )
-            reference = ReferenceValidator(kg, space, **overrides)
-            for stop in (None, 0.5, 0.9):
-                expected = {
-                    answer: _settle(
-                        reference.validate, source, answer, "product",
-                        visiting, stop,
-                    )
-                    for answer in answers
-                }
-                yield kg, space, overrides, source, visiting, stop, expected
-
-    def test_raises_match_reference(self, seed, bind_validator):
-        raised = kept = 0
-        for kg, space, overrides, source, visiting, stop, expected in self._worlds(seed):
-            compiled = bind_validator(kg, space, source, visiting, **overrides)
-            for answer, outcome in expected.items():
-                assert _settle(compiled.validate, answer, stop) == outcome
-                if isinstance(outcome, tuple):
-                    raised += 1
-                else:
-                    kept += 1
-        assert raised and kept, "world must exercise both outcomes"
-
-    def test_batch_raises_when_an_answer_would(self, seed, bind_validator):
-        """The whole batch raises iff some answer's own search does — with
-        the first such answer's error — and otherwise equals the reference
-        per answer; the answers that do not raise settle together."""
-        raised = kept = 0
-        for kg, space, overrides, source, visiting, stop, expected in self._worlds(seed):
-            failing = [a for a, o in expected.items() if isinstance(o, tuple)]
-            passing = [a for a in expected if a not in failing]
-            batch = _settle(
-                bind_validator(kg, space, source, visiting, **overrides).validate_batch,
-                list(expected), stop,
-            )
-            assert batch == (expected[failing[0]] if failing else expected)
-            assert bind_validator(
-                kg, space, source, visiting, **overrides
-            ).validate_batch(passing, stop) == {
-                answer: expected[answer] for answer in passing
-            }
-            raised += bool(failing)
-            kept += not failing
-        assert raised and kept, "world must exercise both batch outcomes"
-
-
-def _search_world(edges, probabilities, known=("p", "q")):
-    """A hand-built search world: a KG from an edge list, a lookup space
-    knowing ``known``, and ``{node: visiting probability}`` — the heap
-    pops higher probabilities first, so the numbers script the pop order."""
-    kg = KnowledgeGraph("hand-built-search")
-    for index in range(1 + max(max(s, o) for s, _, o in edges)):
-        kg.add_node(f"n{index}", ["Thing"])
-    for subject, predicate, obj in edges:
-        kg.add_edge(subject, predicate, obj)
-    rng = np.random.default_rng(3)
-    space = PredicateVectorSpace(
-        LookupEmbedding({name: rng.normal(size=8) for name in known})
-    )
-    return kg, space, dict(probabilities)
-
-
-#: S = 0 reaches A = 1 and B = 2.  Below A hang eight leaves (3..10), the
-#: first with a grandchild (11); below B two nodes (12, 13) and below 12
-#: one more (14).  B also reaches leaf 3, so leaf 3 has two parents.
-_S, _A, _B = 0, 1, 2
-_SUBTREE_EDGES = (
-    [(_S, "p", _A), (_S, "q", _B)]
-    + [(_A, "p" if leaf % 2 else "q", leaf) for leaf in range(3, 11)]
-    + [(3, "p", 11), (_B, "p", 12), (_B, "q", 13), (12, "p", 14), (_B, "q", 3)]
-)
-#: A and everything below it outrank B and everything below B, so the
-#: shared sequence is S, A, 3, 4, ... 10, 11, B, 12, 13, 14
-_SUBTREE_PROBABILITIES = {
-    _S: 0.30, _A: 0.20, **{leaf: 0.10 - 0.001 * leaf for leaf in range(3, 11)},
-    11: 0.05, _B: 0.02, 12: 0.012, 13: 0.011, 14: 0.010,
-}
-
-
-class TestDeletionReplay:
-    """Every edge of the deletion replay, on a graph small enough to read.
-
-    Each case is compared with ``ReferenceValidator`` and then asked,
-    through the tallies, whether it took the branch it was built for.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _binder(self, bind_validator):
-        self.bind_validator = bind_validator
-
-    def bind(self, kg, space, visiting, source=_S, **overrides):
-        """A validator bound to ``source`` and the ``p`` predicate."""
-        return self.bind_validator(kg, space, source, visiting, "p", **overrides)
-
-    def _batch(self, kg, space, visiting, answers, source=_S, **overrides):
-        validator = self.bind(kg, space, visiting, source, **overrides)
-        tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-        got = validator.validate_batch(answers, tallies=tallies)
-        reference = ReferenceValidator(kg, space, **overrides)
-        for answer in answers:
-            assert got[answer] == reference.validate(source, answer, "p", visiting)
-        return got, tallies, validator._trace()
-
-    def test_subtree_larger_than_the_remaining_budget(self):
-        """Budget 6 records S, A and four of A's leaves.  For answer A
-        five of those pops go, so its search runs on: through the rest of
-        A's subtree (deleted too), then B and what lies below B — where
-        leaf 3, reached through B this time, is adjacent to A: a path the
-        recorded pops do not hold."""
-        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
-        got, tallies, trace = self._batch(
-            kg, space, visiting, [_A], expansion_budget=6
-        )
-        assert trace.total_pops == 6
-        assert trace.on_path_of[_A] == [1, 2, 3, 4, 5]
-        assert [pop[0] for pop in trace.pops] == [
-            _S, _A, 3, 4, 5, 6,  # recorded
-            7, 8, 9, 10, 11,  # the rest of A's subtree: deleted
-            _B, 3, _A, 11, _B, 12, 13,  # A and B below leaf 3: deleted
-        ]
-        # the survivors: S, B, 3, 11, 12, 13
-        assert got[_A].expansions == 6
-        assert got[_A].paths_found == 2  # from S and from leaf 3
-        assert trace.heap  # 14 is still waiting
-        assert tallies == {"replay_deletions": 1, "trace_extension_pops": 12}
-
-    def test_extension_is_shared_by_later_answers(self):
-        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
-        validator = self.bind(kg, space, visiting, expansion_budget=6)
-        validator.validate_batch([_A])
-        recorded = len(validator._trace().pops)
-        tallies = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-        validator.validate_batch([_A, 3, 4], tallies=tallies)
-        assert tallies["replay_deletions"] == 3
-        assert tallies["trace_extension_pops"] == 0  # all read, none recorded
-        assert len(validator._trace().pops) == recorded == 18
-
-    def test_answer_is_the_source(self):
-        """The source is on every path: nothing is deleted, the goal
-        check never fires, the recorded pops are the outcome."""
-        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
-        got, tallies, trace = self._batch(
-            kg, space, visiting, [_S], expansion_budget=6
-        )
-        assert got[_S] == type(got[_S])(_S, 0.0, 0, 6, 0)
-        assert len(trace.pops) == trace.total_pops == 6
-        assert not any(tallies.values())
-
-    def test_heap_exhausted_before_the_budget(self):
-        """At budget 3000 the whole graph is recorded and the heap is
-        empty: an answer's deletions just shorten its count."""
-        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
-        answers = list(range(kg.num_nodes))
-        got, tallies, trace = self._batch(
-            kg, space, visiting, answers, expansion_budget=3000
-        )
-        assert not trace.heap and len(trace.pops) == trace.total_pops < 3000
-        assert tallies["trace_extension_pops"] == 0
-        assert tallies["replay_deletions"] >= 1
-        assert got[_B].expansions == trace.total_pops - len(trace.on_path_of[_B])
-
-    @pytest.mark.parametrize(
-        "budget, cap, max_length", [(5, 2, 1), (17, 3, 2), (6, 16, 3), (9, 3, 3)]
-    )
-    def test_tight_budgets_and_caps(self, budget, cap, max_length):
-        kg, space, visiting = _search_world(_SUBTREE_EDGES, _SUBTREE_PROBABILITIES)
-        for source in (_S, _B, 3):
-            self._batch(
-                kg, space, visiting, list(range(kg.num_nodes)), source=source,
-                expansion_budget=budget, branch_cap=cap, max_length=max_length,
-            )
-
-    def test_uncovered_predicate_below_the_answer_is_never_touched(self):
-        """Leaf 10's edge to 15 is uncovered and leaf 10 is popped only in
-        the extension A's deletions force.  A's own search never goes
-        below A, so it must not raise: the extension records leaf 10 as
-        poisoned and walks on, and A deletes it."""
-        edges = _SUBTREE_EDGES + [(10, "uncovered", 15)]
-        kg, space, visiting = _search_world(
-            edges, {**_SUBTREE_PROBABILITIES, 15: 0.001}
-        )
-        got, tallies, trace = self._batch(
-            kg, space, visiting, [3, _A, _B], expansion_budget=6
-        )
-        # leaf 3 (one pop past the budget) and A
-        assert tallies == {"replay_deletions": 2, "trace_extension_pops": 12}
-        assert trace.poisoned == [9] and trace.pops[9][0] == 10
-        assert got[_A].expansions == 6 and got[_A].paths_found == 2
-
-    def test_uncovered_predicate_inside_the_budget(self):
-        """The same world at budget 120: the recorded pops take in the
-        whole graph, leaf 10 included, and the trace marks that pop
-        poisoned instead of raising for everyone.  A's own search never
-        goes below A, so it equals the reference through both entry
-        points; the source's search pops leaf 10 and raises like the
-        reference."""
-        edges = _SUBTREE_EDGES + [(10, "uncovered", 15)]
-        kg, space, visiting = _search_world(
-            edges, {**_SUBTREE_PROBABILITIES, 15: 0.001}
-        )
-        reference = ReferenceValidator(kg, space)
-        for stop in (None, 0.5):
-            expected = reference.validate(_S, _A, "p", visiting, stop)
-            assert self.bind(kg, space, visiting).validate(_A, stop) == expected
-            validator = self.bind(kg, space, visiting)
-            assert validator.validate_batch([_A], stop) == {_A: expected}
-            trace = validator._trace()
-            assert [trace.pops[index][0] for index in trace.poisoned] == [10]
-        error = _settle(reference.validate, _S, _S, "p", visiting)
-        assert error[0] == "raised"
-        assert _settle(self.bind(kg, space, visiting).validate, _S) == error
-        assert _settle(validator.validate_batch, [_A, _S]) == error
-
-    def test_uncovered_predicate_in_the_extension_raises_like_the_reference(self):
-        """Node 12's edge to 14 is uncovered.  The recorded pops never
-        reach 12, A's extension does — and so does A's own search, so the
-        batch raises where the reference raises; leaf 4, one pop short,
-        is settled from leaf 7 and raises nothing."""
-        edges = [
-            (s, "uncovered" if (s, o) == (12, 14) else p, o)
-            for s, p, o in _SUBTREE_EDGES
-        ]
-        kg, space, visiting = _search_world(edges, _SUBTREE_PROBABILITIES)
-        _got, _tallies, trace = self._batch(
-            kg, space, visiting, [4, _B, _S], expansion_budget=6
-        )
-        assert len(trace.pops) == 7
-        error = _settle(
-            ReferenceValidator(kg, space, expansion_budget=6).validate,
-            _S, _A, "p", visiting,
-        )
-        assert error[0] == "raised"
-        validator = self.bind(kg, space, visiting, expansion_budget=6)
-        assert _settle(validator.validate_batch, [4, _A]) == error
-        trace = validator._trace()
-        assert [trace.pops[index][0] for index in trace.poisoned] == [12]
-
-    @pytest.mark.parametrize("uncovered", [0, 2])
-    def test_two_threads_extending_one_trace(self, uncovered):
-        """Services over one graph share validators through the plan cache,
-        so two batches can extend one trace at once: every outcome still
-        equals the oracle's and the pops — poisoned ones included, when
-        ``uncovered`` edges the embedding does not cover are added — are
-        the ones a single thread records."""
-        import sys
-        import threading
-
-        kg, space = random_world(4, num_nodes=80, num_edges=260)
-        rng = np.random.default_rng(4)
-        for _ in range(uncovered):
-            kg.add_edge(int(rng.integers(0, 80)), "uncovered", int(rng.integers(0, 80)))
-        source, visiting, _answers = synthetic_context(kg, 4)
-        overrides = dict(expansion_budget=12)
-        reference = ReferenceValidator(kg, space, **overrides)
-        outcomes = {
-            answer: _settle(reference.validate, source, answer, "product", visiting)
-            for answer in range(kg.num_nodes)
+        return {
+            node: (match.similarity, match.length)
+            for node, match in best_matches_from(
+                kg, space, predicate, source, max_length
+            ).items()
         }
-        expected = {a: o for a, o in outcomes.items() if not isinstance(o, tuple)}
-        answers = list(expected)
-        assert (len(answers) < kg.num_nodes) == bool(uncovered)
-        validator = self.bind_validator(kg, space, source, visiting, **overrides)
-        validator.validate_batch([source])
-        trace = validator._trace()
-        assert len(trace.pops) == trace.total_pops == 12
-
-        failures: list = []
-        tallies = [dict.fromkeys(kernels.REPLAY_TALLIES, 0) for _ in range(6)]
-
-        def work(position: int) -> None:
-            try:
-                order = answers[position::6] + answers  # six different orders
-                got = validator.validate_batch(order, tallies=tallies[position])
-                assert got == expected
-            except BaseException as error:  # noqa: BLE001 - reported below
-                failures.append(error)
-
-        threads = [threading.Thread(target=work, args=(p,)) for p in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not failures, failures
-        assert validator._trace() is trace
-        # each extension pop was recorded by exactly one thread ...
-        extension = len(trace.pops) - trace.total_pops
-        assert extension > 0
-        assert sum(t["trace_extension_pops"] for t in tallies) == extension
-        # ... and the sequence is the single-threaded one
-        alone = kernels.build_trace(
-            validator._context(), source, validator.max_length, 12
-        )
-        assert alone.extend(len(trace.pops) - 1, dict(tallies[0]))
-        assert alone.pops == trace.pops
-        assert alone.poisoned == trace.poisoned
-        assert bool(trace.poisoned) == bool(uncovered)
-        for answer, outcome in outcomes.items():
-            if answer not in expected:
-                assert _settle(validator.validate, answer) == outcome
+    except EmbeddingError as error:
+        return error
 
 
-class TestContextCompile:
-    """``build_context`` over the snapshot-wide deduplicated adjacency ==
-    the seed's node-by-node expansion, row for row."""
+def _exact_row(kg, space, source, max_length, predicate="product"):
+    """The production validator's row, or the error it raised."""
+    try:
+        return CorrectnessValidator(
+            kg, space, source, predicate, max_length=max_length
+        ).row()
+    except EmbeddingError as error:
+        return error
+
+
+def _assert_row_matches_dfs(kg, space, source, max_length, tau=0.5):
+    """The exact row equals the DFS: the same reached set, similarities
+    within 1e-12 relative, the same verdicts at ``tau``, and it raises
+    iff the DFS raises.  (A value within 1e-12 of ``tau`` has no verdict
+    to compare: the DFS's running sum drifts by ulps.)"""
+    expected = _dfs_row(kg, space, source, max_length)
+    got = _exact_row(kg, space, source, max_length)
+    assert isinstance(got, EmbeddingError) == isinstance(expected, EmbeddingError)
+    if isinstance(expected, EmbeddingError):
+        return False
+    similarity, best_length = got
+    assert set(np.flatnonzero(best_length).tolist()) == set(expected)
+    assert set(np.flatnonzero(similarity).tolist()) == set(expected)
+    for node, (value, _length) in expected.items():
+        assert similarity[node] == pytest.approx(value, rel=1e-12)
+    clear = [
+        node for node, (value, _length) in expected.items()
+        if abs(value - tau) > 1e-12 * tau
+    ]
+    assert {node for node in clear if similarity[node] >= tau} == {
+        node for node in clear if expected[node][0] >= tau
+    }
+    assert best_length.max(initial=0) <= max_length
+    return True
+
+
+class TestExactRow:
+    """``kernels.exact_similarities`` (through the validator) equals SSB's
+    exhaustive enumeration, ``matching.best_matches_from``."""
 
     @pytest.mark.parametrize("known", [PREDICATE_POOL, PREDICATE_POOL[:-1]],
                              ids=["covered", "rare_uncovered"])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_rows_equal_the_per_node_expansion(self, seed, known, bind_validator):
-        kg, space = random_world(seed, known_predicates=known)
-        source, visiting, _answers = synthetic_context(kg, seed)
-        del visiting[source]  # the mapping node outside its own scope
-        for branch_cap in (16, 2):
-            validator = bind_validator(
-                kg, space, source, visiting, branch_cap=branch_cap
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_worlds(self, seed, known):
+        kg, space = random_world(seed, num_nodes=40, num_edges=90,
+                                 known_predicates=known)
+        settled = raised = 0
+        for source in range(kg.num_nodes):
+            for max_length in (1, 2, 3, 4):
+                if _assert_row_matches_dfs(kg, space, source, max_length):
+                    settled += 1
+                else:
+                    raised += 1
+        assert settled
+        assert bool(raised) == (known is not PREDICATE_POOL)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_nodes=st.integers(2, 8),
+        raw_edges=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.sampled_from(("p", "q", "r", "rare")),
+                st.integers(0, 7),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        values=st.tuples(*(st.floats(0.0, 1.0) for _ in range(3))),
+        source=st.integers(0, 7),
+        max_length=st.integers(1, 4),
+        tau=st.floats(0.05, 1.0),
+        covered=st.booleans(),
+    )
+    def test_small_multigraphs(
+        self, num_nodes, raw_edges, values, source, max_length, tau, covered
+    ):
+        """Parallel edges, self-loops and an uncovered predicate on random
+        small graphs, every bound from 1 to 4."""
+        table = dict(zip(("p", "q", "r"), values))
+        if covered:
+            table["rare"] = 0.5
+        edges = [
+            (subject % num_nodes, predicate, obj % num_nodes)
+            for subject, predicate, obj in raw_edges
+        ]
+        kg, space, _context = _hand_world(num_nodes, edges, table)
+        _assert_row_matches_dfs(kg, space, source % num_nodes, max_length, tau)
+
+    def test_two_predecessors_at_length_three(self):
+        """s -> a -> x -> b and s -> b -> x -> a: each length-3 path to a
+        node must avoid it as its first hop, so a node whose best
+        predecessor of x is itself takes the second best."""
+        edges = [(0, "p", 1), (0, "q", 2), (1, "p", 3), (2, "p", 3),
+                 (3, "p", 1), (3, "r", 2)]
+        kg, space, _context = _hand_world(4, edges, {"p": 0.9, "q": 0.2, "r": 0.5})
+        assert _assert_row_matches_dfs(kg, space, 0, 3)
+        _similarity, best_length = CorrectnessValidator(
+            kg, space, 0, "p", max_length=3
+        ).row()
+        assert best_length[0] == 0  # the source is never an answer
+
+    def test_shortest_length_wins_ties(self):
+        """A one-edge and a two-edge path of equal similarity: the best
+        length is 1."""
+        edges = [(0, "p", 1), (0, "p", 2), (2, "p", 1)]
+        kg, space, _context = _hand_world(3, edges, {"p": 0.5})
+        similarity, best_length = CorrectnessValidator(
+            kg, space, 0, "p", max_length=2
+        ).row()
+        assert similarity[1] == pytest.approx(0.5)
+        assert best_length[1] == 1
+
+    def test_kernel_rejects_bounds_it_cannot_settle(self, toy):
+        log_row = np.zeros(len(toy.kg.predicates))
+        with pytest.raises(ValueError):
+            kernels.exact_similarities(
+                toy.kg, toy.space, csr_snapshot(toy.kg), log_row, toy.germany, 4
             )
-            context = validator._context()
-            reference = ReferenceValidator(kg, space, branch_cap=branch_cap)
-            reference._reset_cache("product", id(visiting))
-            flagged = 0
-            for node in range(kg.num_nodes):
-                in_scope = node in visiting
-                assert bool(context.in_scope[node]) == in_scope
-                try:
-                    beam, adjacency = reference._expand(node, "product", visiting)
-                except EmbeddingError:
-                    flagged += 1
-                    assert not in_scope or context.nan_flag[node]
-                    with pytest.raises(EmbeddingError):
-                        context.beam(node)
-                    continue
-                assert not context.nan_flag[node]
-                nbr, logs = context.adjacency_arrays(node)
-                assert nbr.tolist() == list(adjacency)
-                assert logs.tobytes() == np.array(
-                    list(adjacency.values()), dtype=np.float64
-                ).tobytes()
-                assert context.beam(node) == beam
-                assert context.goal_map(node) == adjacency
-            assert (flagged > 0) == (known is not PREDICATE_POOL)
-            # out-of-scope nodes (the source among them) took the lazy path
-            assert context.extra and not set(context.extra) & set(visiting)
 
     def test_dedup_adjacency_is_built_once_and_never_exported(self):
         kg, _space = random_world(0)
@@ -797,7 +456,16 @@ class TestChainKernelEquivalence:
         assert any(row is not None for row in expected.values())
         assert {level for level, _ in expected} == set(range(1, len(hops) + 1))
         executor._chain_prefix_batch(plan, component.num_hops, answers)
-        assert plan.chain_prefix_memo == expected
+        # the first leg is the exact row, the oracle's is the DFS: they
+        # differ by the DFS's float drift only
+        memo = plan.chain_prefix_memo
+        assert memo.keys() == expected.keys()
+        for key, row in expected.items():
+            if row is None:
+                assert memo[key] is None
+            else:
+                assert memo[key][1] == row[1]
+                assert memo[key][0] == pytest.approx(row[0], rel=1e-12, abs=1e-12)
 
 
 class _TableSpace:
@@ -807,9 +475,15 @@ class _TableSpace:
         self._table = table
 
     def similarity(self, predicate: str, query_predicate: str) -> float:
+        self.vector(predicate)
+        return self._table[predicate]
+
+    def vector(self, predicate: str) -> None:
         if predicate not in self._table:
             raise EmbeddingError(f"no vector for predicate {predicate!r}")
-        return self._table[predicate]
+
+    def known_similarity_row(self, query_predicate: str, predicates) -> np.ndarray:
+        return np.array([self._table.get(name, np.nan) for name in predicates])
 
 
 def _hand_world(num_nodes: int, edges, table: dict[str, float]):
@@ -1012,7 +686,7 @@ class TestEngineLevelEquivalence:
         self, toy_world_factory, query_name
     ):
         """``answer_similarity`` on cold memos (one answer at a time: a
-        batch of one per component — a trace replay for a simple plan, a
+        batch of one per component — a row read for a simple plan, a
         one-element chain-prefix batch for a chain) equals what a full
         ``execute`` memoised in bulk, per component and, for the star
         (yago2-like's first star COUNT at scale 1), as the minimum over
@@ -1083,70 +757,44 @@ class TestEngineLevelEquivalence:
     @pytest.mark.parametrize(
         "preset", ["dbpedia-like", "freebase-like", "yago2-like"]
     )
-    def test_cold_workload_pass_equals_the_reference(self, preset, monkeypatch):
-        """One cold pass of the preset's non-AVG workload queries (the
-        ledger's ``cold_shapes``, at scale 1): every ``validate_batch``
-        outcome equals the seed ``ReferenceValidator``'s, and both edges
-        of the replay occur — deletions and trace extensions."""
-        from repro import ApproximateAggregateEngine, format_query
+    def test_workload_verdicts_equal_ssb(self, preset):
+        """At scale 1, every component of the preset's standard workload
+        keeps exactly SSB's tau-GT answers among its support (the greedy
+        search missed some on two components), and a simple component's
+        similarities are SSB's."""
+        from repro.baselines.ssb import SemanticSimilarityBaseline
+        from repro.core.executor import QueryExecutor
+        from repro.core.plan import PlanCache
+        from repro.core.planner import QueryPlanner
         from repro.datasets import ALL_PRESETS, standard_workload
 
-        real = CorrectnessValidator.validate_batch
-        checked = 0
-        #: id -> (pinned validator, its reference validator and visiting
-        #: mapping), so the oracle's per-context expansion cache is reused
-        #: across batches
-        oracles: dict[int, tuple] = {}
-
-        def checking(self, answers, stop_threshold=None, tallies=None):
-            nonlocal checked
-            outcomes = real(self, answers, stop_threshold, tallies)
-            pinned = oracles.get(id(self))
-            if pinned is None:
-                pinned = oracles[id(self)] = (
-                    self,
-                    ReferenceValidator(
-                        self._kg, self._space, repeat_factor=self.repeat_factor,
-                        max_length=self.max_length, floor=self.floor,
-                        expansion_budget=self.expansion_budget,
-                        branch_cap=self.branch_cap,
-                    ),
-                    {
-                        node: probability
-                        for node, probability in enumerate(self.visiting.tolist())
-                        if probability > 0.0
-                    },
-                )
-            _validator, reference, mapping = pinned
-            for answer, outcome in outcomes.items():
-                assert outcome == reference.validate(
-                    self.source, answer, self.query_predicate, mapping,
-                    stop_threshold,
-                )
-            checked += len(outcomes)
-            return outcomes
-
-        monkeypatch.setattr(CorrectnessValidator, "validate_batch", checking)
         bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
-        totals = dict.fromkeys(kernels.REPLAY_TALLIES, 0)
-        for index, query in enumerate(standard_workload(bundle)):
-            aggregate = query.aggregate_query
-            if query.function.value == "AVG" and aggregate.group_by is None:
-                continue  # the warm workloads' queries
-            shared_plan_cache().clear()
-            engine = ApproximateAggregateEngine(
-                bundle.kg, bundle.embedding, EngineConfig(seed=0)
-            )
-            try:
-                engine.execute(format_query(aggregate), seed=index)
-                counters = engine.service.registry.snapshot()
-            finally:
-                engine.service.close()
-            for name in totals:
-                totals[name] += counters[f"repro_exec_{name}"]["{}"]
-        assert checked > 1000
-        assert totals["replay_deletions"] > 0
-        assert totals["trace_extension_pops"] > 0
+        config = EngineConfig(seed=0)
+        space = bundle.space()
+        planner = QueryPlanner(bundle.kg, space, config, cache=PlanCache())
+        executor = QueryExecutor(bundle.kg, space, config, planner)
+        ssb = SemanticSimilarityBaseline(bundle.kg, space)
+        components = dict.fromkeys(
+            component
+            for query in standard_workload(bundle)
+            for component in query.aggregate_query.query.components
+        )
+        for component in components:
+            plan = planner.plan_for(component)
+            answers = plan.distribution.answers.tolist()
+            similarities = executor._node_similarities(plan, answers)
+            truth = ssb.component_similarities(component)
+            kept = {
+                answer
+                for answer, similarity in zip(answers, similarities.tolist())
+                if similarity >= config.tau
+            }
+            assert kept == {a for a in answers if truth.get(a, 0.0) >= config.tau}
+            if component.is_simple:
+                for answer, similarity in zip(answers, similarities.tolist()):
+                    assert similarity == pytest.approx(
+                        truth.get(answer, 0.0), rel=1e-12
+                    )
 
     @staticmethod
     def _chain_workload(world) -> list:
@@ -1159,10 +807,10 @@ class TestEngineLevelEquivalence:
     def test_concurrent_services_over_shared_plans(self, toy_world_factory):
         """Services over one graph get the same plans, validators and chain
         contexts from the plan cache, and each steps them from its own
-        scheduler thread: two of them released at once replay shared traces
-        and record and publish the same tours concurrently, and still answer
-        like one service asked query by query.  (The toy traces never run
-        short; ``test_two_threads_extending_one_trace`` races an extension.)"""
+        scheduler thread: two of them released at once build and publish
+        the same similarity rows and record and publish the same tours
+        concurrently, and still answer like one service asked query by
+        query."""
         import sys
         import threading
 

@@ -563,9 +563,6 @@ class TestExecMetrics:
         # ... and no chain component: the chain DFS never ran
         for name in CHAIN_COUNTERS:
             assert samples[name] == 0
-        # the shared-trace replay's own counters are exported
-        assert "repro_exec_replay_deletions" in samples
-        assert "repro_exec_trace_extension_pops" in samples
 
     def test_a_per_query_confidence_still_ticks_the_exec_counters(self, world):
         """A non-default ``confidence`` steps its query on an executor of

@@ -7,12 +7,12 @@ Covers the architectural contracts of the plan layer:
 * structural mutation evicts both;
 * concurrent engines over one graph + embedding share one plan object;
 * the per-plan verdict memo survives refinement rounds — sessions never
-  revalidate an answer — and is a column over the plan's support, with a
-  side dict for the nodes outside it;
+  revalidate an answer — and is a column over the plan's support; nodes
+  outside it read the validator's row;
 * composite queries' joint supports are cached beside their plans and
   live and die with them;
-* ``validate_batch`` produces outcomes identical to the seed
-  ``ReferenceValidator``'s per answer over a real sampled workload.
+* a plan's validator reads the exact Eq. 3 row, SSB's similarities, over
+  a real sampled workload; engines at different ``tau`` share one plan.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.core.planner import QueryPlanner
 from repro.core.config import SamplerKind
 from repro.server import encode_result
 from repro.kg import csr_snapshot
-from repro.semantics.reference import ReferenceValidator
 from repro.semantics.validation import CorrectnessValidator
 
 
@@ -249,16 +248,26 @@ class TestPlanSharing:
         assert calls == []
         assert second.planner.plan_for(component) is plan
 
-    def test_different_tau_means_different_plan(self, world):
-        first = _engine(world)
-        second = _engine(world, tau=0.7)
-        first.execute(world.count_query())
-        second.execute(world.count_query())
+    def test_engines_at_different_tau_share_one_plan(self, world):
+        """The verdict column holds exact similarities and each query
+        compares them with its own tau, so the threshold is not part of
+        the plan key: one build serves both, and each result equals a run
+        on a cleared cache."""
+        results = {}
+        for tau in (0.85, 0.9):
+            shared_plan_cache().clear()
+            results[tau] = _encoded(
+                _engine(world, tau=tau).execute(world.count_query())
+            )
+        shared_plan_cache().clear()
+        first = _engine(world, tau=0.85)
+        second = _engine(world, tau=0.9)
+        assert _encoded(first.execute(world.count_query())) == results[0.85]
+        assert _encoded(second.execute(world.count_query())) == results[0.9]
+        assert (first.planner.build_count, second.planner.build_count) == (1, 0)
         component = world.count_query().query.components[0]
-        assert (
-            first.planner.plan_for(component)
-            is not second.planner.plan_for(component)
-        )
+        assert first.planner.plan_for(component) is second.planner.plan_for(component)
+        assert results[0.85] != results[0.9]
 
     def test_seed_is_not_part_of_semantic_fingerprint(self):
         semantic_a = plan_fingerprint(EngineConfig(seed=1))
@@ -336,57 +345,27 @@ class TestBatchedValidationEquivalence:
         assert len(answers) >= 10
         return plan, answers
 
-    @pytest.mark.parametrize("stop_threshold", [None, 0.85])
-    def test_batch_equals_per_answer(self, world, stop_threshold, bind_validator):
+    def test_plan_validator_reads_the_exact_row(self, world):
+        """The plan's validator gives SSB's similarity per sampled answer,
+        and a batch equals its answers one at a time."""
+        from repro.semantics.matching import best_matches_from
+
         engine = _engine(world)
         plan, answers = self._sampled_workload(world, engine)
-        predicate = plan.component.predicates[0]
-
-        settings = dict(
-            repeat_factor=engine.config.repeat_factor,
-            max_length=engine.config.n_bound,
-            floor=engine.config.similarity_floor,
-            expansion_budget=engine.config.validation_expansions,
+        matches = best_matches_from(
+            world.kg,
+            world.space,
+            plan.component.predicates[0],
+            plan.source,
+            engine.config.n_bound,
         )
-        reference = ReferenceValidator(world.kg, world.space, **settings)
-        visiting = {
-            node: float(probability)
-            for node, probability in enumerate(plan.visiting)
-            if probability > 0.0
-        }
-        expected = {
-            answer: reference.validate(
-                plan.source, answer, predicate, visiting, stop_threshold
-            )
-            for answer in answers
-        }
-        batched = bind_validator(
-            world.kg, world.space, plan.source, plan.visiting, predicate, **settings
-        ).validate_batch(answers, stop_threshold=stop_threshold)
-        assert batched == expected
-        # the plan's own validator is bound to the same context
-        assert plan.validator.validate_batch(answers, stop_threshold) == expected
-
-    def test_validate_batch_routes_stop_threshold(self, world, bind_validator):
-        engine = _engine(world)
-        plan, answers = self._sampled_workload(world, engine)
-        predicate = plan.component.predicates[0]
-
-        def bound():
-            return bind_validator(
-                world.kg, world.space, plan.source, plan.visiting, predicate,
-                repeat_factor=5,
-            )
-
-        full = bound().validate_batch(answers)
-        quick = bound().validate_batch(answers, stop_threshold=0.5)
-        assert sum(o.expansions for o in quick.values()) < sum(
-            o.expansions for o in full.values()
-        )
-        # the short-circuit is sound: >= tau verdicts agree
-        for answer in answers:
-            assert (quick[answer].similarity >= 0.5) == (
-                full[answer].similarity >= 0.5
+        batch = plan.validator.validate_batch(answers)
+        assert batch.answers.tolist() == answers
+        for position, answer in enumerate(answers):
+            outcome = batch.outcome(position)
+            assert outcome == plan.validator.validate(answer)
+            assert outcome.similarity == pytest.approx(
+                matches[answer].similarity, rel=1e-12
             )
 
     def test_validation_stage_is_reported(self, world):
@@ -397,8 +376,9 @@ class TestBatchedValidationEquivalence:
 
 class TestVerdictColumn:
     """The verdict memo is a float64 column aligned with the plan's
-    answers (NaN = not yet validated), plus a side dict for nodes outside
-    the support that only ``answer_similarity`` / the prewarm reach."""
+    answers (NaN = not yet validated); nodes outside the support, which
+    only ``answer_similarity`` / the prewarm reach, read the validator's
+    row and memoise nothing."""
 
     def test_warm_pass_column_is_the_memo(self, world, monkeypatch):
         searched: dict[int, tuple] = {}
@@ -426,12 +406,10 @@ class TestVerdictColumn:
         assert len(plans) == 3
         assert searched.keys() == plans.keys()
         for plan, nodes in searched.values():
-            # every validated answer has a cell, and no support entry
-            # lands in the side dict
+            # every validated answer has a cell
             positions, found = plan.positions_of(sorted(nodes))
             assert found.all()
             assert not np.isnan(plan.verdicts[positions]).any()
-            assert not plan.similarity_cache
         for plan in plans.values():
             filled = np.flatnonzero(~np.isnan(plan.verdicts))
             assert len(filled)
@@ -441,16 +419,16 @@ class TestVerdictColumn:
             ):
                 assert engine.answer_similarity([plan], answer) == similarity
 
-    def test_off_support_nodes_go_to_the_side_dict(self, world):
+    def test_off_support_nodes_read_the_row(self, world):
         engine = _engine(world)
         plan = engine.planner.plan_for(world.count_query().query.components[0])
         outside = next(
             node for node in world.people if not plan.positions_of([node])[1][0]
         )
         similarity = engine.answer_similarity([plan], outside)
-        assert plan.similarity_cache == {outside: similarity}
+        assert similarity == plan.validator.validate(outside).similarity
         assert np.isnan(plan.verdicts).all()
-        assert plan.memoised_similarities() == {outside: similarity}
+        assert plan.memoised_similarities() == {}
 
     def test_prewarm_fills_the_column(self, world):
         engine = _engine(world)
@@ -465,7 +443,7 @@ class TestVerdictColumn:
         assert found.all()
         assert not np.isnan(plan.verdicts[positions]).any()
         assert int(np.isnan(plan.verdicts).sum()) == plan.distribution.support_size - 10
-        assert list(plan.similarity_cache) == [outside]
+        assert outside not in plan.memoised_similarities()
 
         shared_plan_cache().clear()
         cold = _engine(world)

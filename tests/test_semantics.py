@@ -156,25 +156,19 @@ class TestBestMatches:
 
 
 class TestCorrectnessValidator:
-    @pytest.fixture
-    def bound(self, toy, bind_validator):
-        """Binds validators to Germany and the closed-form stationary
-        visiting map over the toy scope."""
-        from repro.sampling import build_scope
-        from repro.sampling.strength import strength_distribution
+    """The exact Eq. 3 row: Definition 4's best path within the bound."""
 
-        scope = build_scope(toy.kg, toy.germany, 3, frozenset({"Automobile"}))
-        probabilities = strength_distribution(toy.kg, toy.space, scope, "product")
-        visiting = {
-            node: float(p) for node, p in zip(scope.nodes, probabilities) if p > 0
-        }
-        return lambda **overrides: bind_validator(
-            toy.kg, toy.space, toy.germany, visiting, **overrides
+    @pytest.fixture
+    def bound(self, toy):
+        """Binds validators to Germany and ``product``."""
+        from repro.semantics.validation import CorrectnessValidator
+
+        return lambda **overrides: CorrectnessValidator(
+            toy.kg, toy.space, toy.germany, "product", **overrides
         )
 
     def test_direct_answer_validates(self, toy, bound):
         outcome = bound().validate(toy.correct_cars[0])
-        assert outcome.paths_found >= 1
         assert outcome.similarity == pytest.approx(0.98, abs=1e-6)
         assert outcome.best_length == 1
         assert outcome.is_correct(0.85)
@@ -185,17 +179,77 @@ class TestCorrectnessValidator:
         assert outcome.best_length == 2
 
     def test_near_miss_never_false_positive(self, toy, bound):
+        """Incorrect answers never clear tau (their best path does not)."""
+        validator = bound()
+        for car in toy.near_miss_cars:
+            assert not validator.validate(car).is_correct(0.85)
+
+    def test_validate_batch_is_aligned_with_its_answers(self, toy, bound):
+        answers = [toy.correct_cars[0], toy.correct_cars[0], toy.correct_cars[2]]
+        validator = bound()
+        batch = validator.validate_batch(answers)
+        assert len(batch) == 3
+        assert batch.answers.tolist() == answers
+        for position, answer in enumerate(answers):
+            assert batch.outcome(position) == validator.validate(answer)
+
+    def test_invalid_parameters(self, bound):
+        with pytest.raises(ValueError):
+            bound(max_length=0)
+
+    def test_unreachable_answer(self, toy, bound):
+        outcome = bound(max_length=1).validate(toy.correct_cars[1])
+        # via-company car is 2 hops away; with max_length=1 nothing is found
+        assert outcome.best_length == 0
+        assert outcome.similarity == 0.0
+
+    def test_row_is_read_only_and_built_once(self, bound):
+        validator = bound()
+        similarity, best_length = validator.row()
+        assert validator.row()[0] is similarity
+        assert not similarity.flags.writeable
+        assert not best_length.flags.writeable
+
+
+class TestPaperSearch:
+    """The paper's greedy r-path search (§IV-B2), which the figures bind."""
+
+    @pytest.fixture
+    def bound(self, toy):
+        """Binds searches to Germany and the closed-form stationary
+        visiting map over the toy scope."""
+        from repro.sampling import build_scope
+        from repro.sampling.strength import strength_distribution
+        from repro.semantics.reference import ReferenceValidator
+
+        scope = build_scope(toy.kg, toy.germany, 3, frozenset({"Automobile"}))
+        probabilities = strength_distribution(toy.kg, toy.space, scope, "product")
+        visiting = {
+            node: float(p) for node, p in zip(scope.nodes, probabilities) if p > 0
+        }
+        return lambda **overrides: ReferenceValidator(
+            toy.kg, toy.space, toy.germany, "product", visiting, **overrides
+        )
+
+    def test_direct_answer_validates(self, toy, bound):
+        similarity, paths, _expansions, length = bound().search(toy.correct_cars[0])
+        assert paths >= 1
+        assert similarity == pytest.approx(0.98, abs=1e-6)
+        assert length == 1
+
+    def test_near_miss_never_false_positive(self, toy, bound):
         """No false positives: incorrect answers can never clear tau."""
         validator = bound(expansion_budget=5000)
         for car in toy.near_miss_cars:
             assert not validator.validate(car).is_correct(0.85)
 
     def test_stop_threshold_short_circuits(self, toy, bound):
-        validator = bound(repeat_factor=5)
-        full = validator.validate(toy.correct_cars[0])
-        quick = validator.validate(toy.correct_cars[0], stop_threshold=0.9)
-        assert quick.similarity >= 0.9
-        assert quick.expansions <= full.expansions
+        full = bound(repeat_factor=5).search(toy.correct_cars[0])
+        quick = bound(repeat_factor=5, stop_threshold=0.9).search(
+            toy.correct_cars[0]
+        )
+        assert quick[0] >= 0.9
+        assert quick[2] <= full[2]
 
     def test_repeat_factor_monotone_similarity(self, toy, bound):
         """More paths can only improve the best similarity found."""
@@ -207,21 +261,29 @@ class TestCorrectnessValidator:
         ]
         assert results[0] <= results[1] <= results[2]
 
-    def test_validate_batch_dedupes(self, toy, bound):
-        answers = [toy.correct_cars[0], toy.correct_cars[0], toy.correct_cars[2]]
-        outcomes = bound().validate_batch(answers)
-        assert set(outcomes) == {toy.correct_cars[0], toy.correct_cars[2]}
+    def test_never_above_the_exact_row(self, toy, bound):
+        """A greedy search finds some of an answer's paths: its similarity
+        is at most the exact one."""
+        from repro.semantics.validation import CorrectnessValidator
 
-    def test_invalid_parameters(self, bound):
+        exact = CorrectnessValidator(toy.kg, toy.space, toy.germany, "product")
+        search = bound(repeat_factor=1)
+        for car in (*toy.correct_cars, *toy.near_miss_cars):
+            assert search.validate(car).similarity <= exact.validate(car).similarity
+
+    def test_batch_equals_per_answer(self, toy, bound):
+        answers = [*toy.correct_cars, toy.correct_cars[0]]
+        batch = bound().validate_batch(answers)
+        assert batch.answers.tolist() == answers
+        for position, answer in enumerate(answers):
+            assert batch.outcome(position) == bound().validate(answer)
+
+    def test_invalid_repeat_factor(self, bound):
         with pytest.raises(ValueError):
             bound(repeat_factor=0)
-        with pytest.raises(ValueError):
-            bound(max_length=0)
-        with pytest.raises(ValueError):
-            bound(branch_cap=0)
 
     def test_unreachable_answer(self, toy, bound):
-        outcome = bound(max_length=1).validate(toy.correct_cars[1])
-        # via-company car is 2 hops away; with max_length=1 nothing is found
-        assert outcome.paths_found == 0
-        assert outcome.similarity == 0.0
+        similarity, paths, _expansions, length = bound(max_length=1).search(
+            toy.correct_cars[1]
+        )
+        assert (similarity, paths, length) == (0.0, 0, 0)

@@ -311,7 +311,7 @@ class TestPlanCatalog:
         path = catalog.plan_path(world.kg, world.space, config, component)
         with pytest.raises(StoreError, match="config_token"):
             load_plan_artifacts(
-                path, world.kg, world.space, config.with_(tau=0.5)
+                path, world.kg, world.space, config.with_(n_bound=2)
             )
 
     def test_different_config_is_a_clean_miss(self, world, tmp_path):
@@ -323,12 +323,19 @@ class TestPlanCatalog:
         )
         planner.plan_for(component)
         other = QueryPlanner(
-            world.kg, world.space, EngineConfig(seed=7, tau=0.5),
+            world.kg, world.space, EngineConfig(seed=7, n_bound=2),
             cache=PlanCache(), catalog=catalog,
         )
         other.plan_for(component)
         assert (other.build_count, other.catalog_hits) == (1, 0)
         assert catalog.stored_plan_count(world.kg) == 2
+        # tau is a per-query threshold, not a plan facet: a hit
+        stricter = QueryPlanner(
+            world.kg, world.space, EngineConfig(seed=7, tau=0.5),
+            cache=PlanCache(), catalog=catalog,
+        )
+        stricter.plan_for(component)
+        assert (stricter.build_count, stricter.catalog_hits) == (0, 1)
 
     def test_plan_of_an_older_s1_algorithm_is_refused(
         self, world, tmp_path, monkeypatch
