@@ -743,6 +743,10 @@ class ReproHTTPServer:
                 await stream.emit("round", encode_trace(trace))
                 emitted += 1
             if handle.status.terminal:
+                # flush rounds that landed between snapshot and status
+                for trace in handle.progress()[emitted:]:
+                    await stream.emit("round", encode_trace(trace))
+                    emitted += 1
                 await self._emit_terminal(stream, entry)
                 return
             while True:

@@ -7,7 +7,9 @@ similarity row, within the oracle's float drift, ``best_matches_iterative``
 and the recursive chain-prefix resolution for chain enumeration, the
 per-entry CNARW loop (:mod:`repro.sampling.reference`) for the structural
 weights, both byte for byte — with the same unknown-predicate failures.
-Randomised worlds here include multi-edges and self-loops.
+The paper's r-path search, which the figures bind, is checked on the same
+worlds against the exact row it approximates from below.  Randomised
+worlds here include multi-edges and self-loops.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.sampling.strength import strength_distribution
 from repro.sampling.topology import cnarw_entry_weights
 from repro.semantics import kernels
 from repro.semantics.matching import best_matches_from, best_matches_iterative
-from repro.semantics.reference import chain_prefixes_recursive
+from repro.semantics.reference import ReferenceValidator, chain_prefixes_recursive
 from repro.semantics.similarity import SIMILARITY_FLOOR
 from repro.semantics.validation import CorrectnessValidator
 
@@ -253,6 +255,228 @@ class TestExactRow:
         assert not any(member.flags.writeable for member in dedup)
         kg.add_edge(0, "misc", 1)  # a structural write: new snapshot, new member
         assert csr_snapshot(kg).dedup_adjacency is not dedup
+
+
+#: (expansion budget, branch cap, max length) of the paper search
+SEARCH_SHAPES = ((120, 16, 3), (30, 16, 3), (9, 3, 3), (17, 3, 2), (5, 2, 1))
+
+
+def _paper_search(kg, space, source, visiting, **overrides):
+    """The figures' r-path search over ``visiting``, on "product"."""
+    return ReferenceValidator(kg, space, source, "product", visiting, **overrides)
+
+
+def _shape(budget, cap, max_length) -> dict:
+    return dict(expansion_budget=budget, branch_cap=cap, max_length=max_length)
+
+
+@pytest.mark.parametrize("seed", range(5))
+class TestPaperSearchOnRandomWorlds:
+    """The paper's r-path search (§IV-B2), which the figures' engine binds,
+    on the random multigraphs with S1's stationary visiting map: a lower
+    bound of the exact row, monotone in ``r`` and in its budget, whose
+    stop threshold and batching change no verdict."""
+
+    def test_never_above_the_exact_row(self, seed):
+        kg, space = random_world(seed)
+        source, visiting, answers = search_context(kg, space, seed)
+        found = 0
+        for budget, cap, max_length in SEARCH_SHAPES:
+            similarity, _best_length = CorrectnessValidator(
+                kg, space, source, "product", max_length=max_length
+            ).row()
+            search = _paper_search(
+                kg, space, source, visiting, **_shape(budget, cap, max_length)
+            )
+            for answer in answers:
+                outcome = search.validate(answer)
+                # np.exp and math.exp may differ in the last ulp
+                assert outcome.similarity <= similarity[answer] * (1 + 1e-12)
+                assert 0 <= outcome.best_length <= max_length
+                assert (outcome.best_length == 0) == (outcome.similarity == 0.0)
+                found += outcome.best_length > 0
+        assert found, "no search found a path"
+
+    @pytest.mark.parametrize("quantile", [0.25, 0.75])
+    def test_stop_threshold_keeps_the_verdict(self, seed, quantile):
+        """Stopping at the first path that reaches ``stop`` gives the same
+        verdict at ``stop`` as the full search, after no more pops.  The
+        random embeddings put most similarities far below the production
+        tau, so ``stop`` is a quantile of the first paths' similarities."""
+        kg, space = random_world(seed)
+        source, visiting, answers = search_context(kg, space, seed)
+        first = _paper_search(kg, space, source, visiting, repeat_factor=1)
+        found = [first.search(answer)[0] for answer in answers]
+        stop = float(np.quantile([value for value in found if value > 0], quantile))
+        shortened = 0
+        for shape in SEARCH_SHAPES:
+            full = _paper_search(kg, space, source, visiting, **_shape(*shape))
+            quick = _paper_search(
+                kg, space, source, visiting, stop_threshold=stop, **_shape(*shape)
+            )
+            for answer in answers:
+                whole, short = full.search(answer), quick.search(answer)
+                assert (short[0] >= stop) == (whole[0] >= stop)
+                assert short[0] <= whole[0]
+                assert short[2] <= whole[2]
+                if short[0] < stop:  # never stopped: the same search
+                    assert short == whole
+                shortened += short[2] < whole[2]
+        assert shortened, "the threshold never cut a search short"
+
+    def test_repeat_factor_monotone_similarity(self, seed):
+        """A larger ``r`` continues the same pop sequence: the best
+        similarity and the paths found never drop."""
+        kg, space = random_world(seed)
+        source, visiting, answers = search_context(kg, space, seed)
+        for answer in answers:
+            searched = [
+                _paper_search(
+                    kg, space, source, visiting, repeat_factor=r,
+                    expansion_budget=3000,
+                ).search(answer)
+                for r in (1, 3, 5)
+            ]
+            for fewer, more in zip(searched, searched[1:]):
+                assert fewer[0] <= more[0]
+                assert fewer[1] <= more[1]
+
+    def test_more_budget_never_lowers_the_similarity(self, seed):
+        kg, space = random_world(seed)
+        source, visiting, answers = search_context(kg, space, seed)
+        for cap, max_length in ((16, 3), (3, 2)):
+            for answer in answers:
+                searched = [
+                    _paper_search(
+                        kg, space, source, visiting,
+                        **_shape(budget, cap, max_length),
+                    ).search(answer)
+                    for budget in (5, 17, 40, 120)
+                ]
+                for smaller, larger in zip(searched, searched[1:]):
+                    assert smaller[0] <= larger[0]
+                    assert smaller[2] <= larger[2]
+
+    def test_batch_equals_per_answer(self, seed):
+        """A batch (duplicates included) equals fresh per-answer searches,
+        and the validator's memoised expansions change no later search."""
+        kg, space = random_world(seed)
+        source, visiting, answers = search_context(kg, space, seed)
+        batch_answers = answers + answers[:3]
+        for shape in SEARCH_SHAPES:
+            shared = _paper_search(kg, space, source, visiting, **_shape(*shape))
+            batch = shared.validate_batch(batch_answers)
+            assert batch.answers.tolist() == batch_answers
+            for position, answer in enumerate(batch_answers):
+                fresh = _paper_search(
+                    kg, space, source, visiting, **_shape(*shape)
+                ).validate(answer)
+                assert batch.outcome(position) == fresh
+                assert shared.validate(answer) == fresh
+
+
+class _RecordingSearch(ReferenceValidator):
+    """The paper search, recording every node it expands."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.expanded: list[int] = []
+
+    def _expand(self, node):
+        self.expanded.append(node)
+        return super()._expand(node)
+
+
+def _settle(validate, *args):
+    """``validate(*args)``, or ``("raised", message)`` for an EmbeddingError."""
+    try:
+        return validate(*args)
+    except EmbeddingError as error:
+        return ("raised", str(error))
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12, 13])
+class TestUnknownPredicateFailures:
+    """The paper search raises lazily, as the seed's did.
+
+    "rare" edges exist in the graph but are unknown to the embedding; an
+    answer's search fails exactly when it expands a node carrying a
+    "rare" edge — never earlier, never later, whatever the validator
+    expanded for other answers.  (Synthetic visiting probabilities: a
+    real transition build would fail in S1 first.)
+    """
+
+    def _worlds(self, seed):
+        """Per shape and stop threshold: the context, the covered world's
+        recorded search per answer, and the uncovered world's outcome."""
+        covered_kg, covered_space = random_world(seed)
+        kg, space = random_world(seed, known_predicates=PREDICATE_POOL[:-1])
+        source, visiting, answers = synthetic_context(kg, seed)
+        snapshot = csr_snapshot(kg)
+        rare = kg.predicates.index("rare")
+        carries_rare = {
+            node for node in range(kg.num_nodes)
+            if (snapshot.edge_predicate_ids[snapshot.neighbors(node)[0]] == rare).any()
+        }
+        for shape in SEARCH_SHAPES:
+            for stop in (None, 0.5, 0.9):
+                settings = dict(stop_threshold=stop, **_shape(*shape))
+                uncovered = ReferenceValidator(
+                    kg, space, source, "product", visiting, **settings
+                )
+                outcomes = {}
+                for answer in answers:
+                    recorded = _RecordingSearch(
+                        covered_kg, covered_space, source, "product", visiting,
+                        **settings,
+                    )
+                    covered = recorded.validate(answer)
+                    touches = not carries_rare.isdisjoint(recorded.expanded)
+                    outcomes[answer] = (
+                        covered, touches, _settle(uncovered.validate, answer)
+                    )
+                yield kg, space, source, visiting, settings, outcomes
+
+    def test_search_raises_iff_it_expands_an_uncovered_edge(self, seed):
+        raised = kept = 0
+        for *_context, outcomes in self._worlds(seed):
+            for covered, touches, outcome in outcomes.values():
+                if touches:
+                    assert isinstance(outcome, tuple)
+                    assert "rare" in outcome[1]
+                    raised += 1
+                else:
+                    assert outcome == covered
+                    kept += 1
+        assert raised and kept, "world must exercise both outcomes"
+
+    def test_batch_raises_when_an_answer_would(self, seed):
+        """The whole batch raises iff some answer's own search does — with
+        the first such answer's error — and otherwise equals the answers
+        one at a time; the answers that do not raise settle together."""
+        raised = kept = 0
+        for kg, space, source, visiting, settings, outcomes in self._worlds(seed):
+            def bound():
+                return ReferenceValidator(
+                    kg, space, source, "product", visiting, **settings
+                )
+
+            failing = [a for a, o in outcomes.items() if isinstance(o[2], tuple)]
+            passing = [a for a in outcomes if a not in failing]
+            batch = _settle(bound().validate_batch, list(outcomes))
+            if failing:
+                assert batch == outcomes[failing[0]][2]
+            else:
+                assert [
+                    batch.outcome(position) for position in range(len(batch))
+                ] == [outcome for _c, _t, outcome in outcomes.values()]
+            passed = bound().validate_batch(passing)
+            assert [
+                passed.outcome(position) for position in range(len(passed))
+            ] == [outcomes[answer][2] for answer in passing]
+            raised += bool(failing)
+            kept += not failing
+        assert raised and kept, "world must exercise both batch outcomes"
 
 
 class TestCnarwEquivalence:
