@@ -92,7 +92,9 @@ class PaperPlanner(QueryPlanner):
 
     It publishes into a :class:`PlanCache` of its own, so its plans — and
     the greedy verdicts memoised on them — never meet a production
-    engine's.  A simple plan's search stops at ``tau`` (the verdict cannot
+    engine's.  Each plan's search walks the visiting map of the first S1
+    stage of its build (the planner has no catalog, so every plan is
+    built).  A simple plan's search stops at ``tau`` (the verdict cannot
     change past it); a chain's first leg runs all ``r`` paths, as its
     prefix needs the best one found.
     """
@@ -101,17 +103,23 @@ class PaperPlanner(QueryPlanner):
         super().__init__(kg, space, config, cache=PlanCache())
 
     def _validator(
-        self, component: PathQuery, source: int, visiting
+        self, component: PathQuery, source: int, scope=None
     ) -> ReferenceValidator:
         config = self.config
+        nodes, probabilities = scope
         return ReferenceValidator(
             self._kg,
             self._space,
             source,
             component.predicates[0],
+            # node id -> stationary probability, over the scope nodes the
+            # walk reaches
             {
-                int(node): float(visiting[node])
-                for node in np.flatnonzero(visiting > 0.0)
+                node: probability
+                for node, probability in zip(
+                    np.asarray(nodes).tolist(), np.asarray(probabilities).tolist()
+                )
+                if probability > 0.0
             },
             repeat_factor=config.repeat_factor,
             max_length=config.n_bound,

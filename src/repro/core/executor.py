@@ -153,9 +153,10 @@ class _QueryState:
     #: far, drawn mask over the support, read-only indices)
     _drawn: tuple | None = field(default=None, repr=False)
     #: ``components`` in the order S2 validates them: simple components
-    #: (one shared-trace pass per batch) before chain components (an
-    #: enumeration per answer per level), ties in plan order.  Fixed once
-    #: per query so the lazy conjunction never sorts per entry.
+    #: (one read of the validator's exact row per batch) before chain
+    #: components (an enumeration per answer per level), ties in plan
+    #: order.  Fixed once per query so the lazy conjunction never sorts
+    #: per entry.
     validation_order: tuple[QueryPlan, ...] = field(init=False, repr=False)
     #: ``positions`` in ``validation_order``
     validation_positions: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -163,7 +164,7 @@ class _QueryState:
     def __post_init__(self) -> None:
         order = sorted(
             range(len(self.components)),
-            key=lambda index: self.components[index].chain is not None,
+            key=lambda index: not self.components[index].component.is_simple,
         )
         self.validation_order = tuple(self.components[index] for index in order)
         if self.positions:
@@ -516,14 +517,16 @@ class QueryExecutor:
         plan's sorted index); any other node — only the public
         :meth:`answer_similarity` and :meth:`prewarm_similarities` ask
         for one — reads the validator's row or, on a chain plan, the
-        chain-prefix memo.
+        chain-prefix memo.  An id outside the graph raises
+        :class:`NodeNotFoundError` before any of them is read.
         """
-        positions, found = plan.positions_of(node_ids)
+        ids = np.asarray(node_ids, dtype=np.int64)
+        self._require_nodes(ids)
+        positions, found = plan.positions_of(ids)
         similarities = np.empty(len(found), dtype=np.float64)
         similarities[found] = self._fill_similarities(plan, positions[found])
         if not found.all():
-            outside = np.asarray(node_ids, dtype=np.int64)[~found].tolist()
-            similarities[~found] = self._similarities(plan, outside)
+            similarities[~found] = self._similarities(plan, ids[~found].tolist())
         return similarities
 
     def _fill_similarities(self, plan: QueryPlan, cells: np.ndarray) -> np.ndarray:
@@ -553,7 +556,7 @@ class QueryExecutor:
         resolves the whole batch's prefix levels together and takes each
         answer's Eq. 2 geometric mean off its full-chain prefix.
         """
-        if plan.chain is None:
+        if plan.component.is_simple:
             return plan.validator.validate_batch(node_ids).similarity.tolist()
         num_hops = plan.component.num_hops
         self._chain_prefix_batch(plan, num_hops, node_ids)
@@ -597,6 +600,14 @@ class QueryExecutor:
             self.obs_metrics["conjunction_skips"].inc(skips)
         return keeps
 
+    def _require_nodes(self, node_ids: np.ndarray) -> None:
+        """Raise :class:`NodeNotFoundError` unless every id is a graph node
+        (fancy indexing would wrap a negative id around silently)."""
+        if len(node_ids) and not (
+            0 <= node_ids.min() and node_ids.max() < self._kg.num_nodes
+        ):
+            raise NodeNotFoundError("an answer's node id is out of range")
+
     def _screen(
         self, aggregate_query: AggregateQuery, node_ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -609,11 +620,7 @@ class QueryExecutor:
         arithmetic.
         """
         kg = self._kg
-        if len(node_ids) and not (
-            0 <= node_ids.min() and node_ids.max() < kg.num_nodes
-        ):
-            # fancy indexing would wrap a negative id around silently
-            raise NodeNotFoundError("an answer's node id is out of range")
+        self._require_nodes(node_ids)
         if aggregate_query.function.needs_attribute:
             values = kg.attribute_column(aggregate_query.attribute or "")[node_ids]
             passes = ~np.isnan(values)

@@ -47,7 +47,6 @@ from repro.core.config import EngineConfig, SamplerKind
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
-from repro.sampling.chain import ChainDistribution
 from repro.sampling.collector import AnswerDistribution
 from repro.semantics.validation import CorrectnessValidator
 
@@ -77,19 +76,17 @@ class QueryPlan:
     component: PathQuery
     #: the resolved mapping node ``us``
     source: int
-    #: answer-restricted stationary distribution pi_A (Theorem 1)
+    #: answer-restricted stationary distribution pi_A (Theorem 1): all S2
+    #: reads of S1, for simple and chain components alike
     distribution: AnswerDistribution
-    #: dense per-node visiting probabilities over the whole graph (zero
-    #: outside the scope); S2 reads it only in the figures' r-path
-    #: validator (:mod:`repro.bench.harness`)
-    visiting: np.ndarray
+    #: the paper's N_ws: 0 for a simple plan (closed form, no walk
+    #: iterated), a chain's expanded intermediates
     walk_iterations: int
     num_candidates: int
     #: validator bound to ``(source, predicates[0])`` (the first-leg
     #: validator for chain components); the figures' planner binds the
     #: paper's r-path search here instead
     validator: CorrectnessValidator
-    chain: ChainDistribution | None = None
     #: chain validation memo: (hop level, node) -> best (log_sum, length)
     chain_prefix_memo: dict[tuple[int, int], tuple[float, int] | None] = field(
         default_factory=dict
@@ -137,104 +134,70 @@ class QueryPlan:
 class PlanArtifacts:
     """The persistable payload of one :class:`QueryPlan`.
 
-    Everything S1 computed, with the runtime-only handles stripped: the
-    validator (cheap to rebuild from the artefacts' ``source`` and
-    ``visiting``) and the memos (append-only caches, rebuilt as queries
-    validate).  This is the unit the store writes to disk and
-    memory-maps back — the arrays are the dominant payload and stay
-    zero-copy end to end.
+    Everything S1 hands S2 — the answer distribution pi_A and the scalars
+    beside it — with the runtime-only handles stripped: the validator
+    (rebuilt from ``component`` and ``source``) and the memos (append-only
+    caches, rebuilt as queries validate).  This is the unit the store
+    writes to disk and memory-maps back; its two arrays stay zero-copy
+    end to end.
     """
 
     component: PathQuery
     source: int
     answers: np.ndarray
     probabilities: np.ndarray
-    visiting: np.ndarray
     walk_iterations: int
     num_candidates: int
-    is_chain: bool
-    #: a chain plan's composed routes (``ChainDistribution.route_nodes`` /
-    #: ``.route_probability``); ``None`` for simple plans
-    route_nodes: np.ndarray | None = None
-    route_probability: np.ndarray | None = None
-    chain_truncated: bool = False
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The array segments, keyed the way the store formats them."""
-        arrays = {
-            "answers": self.answers,
-            "probabilities": self.probabilities,
-            "visiting": self.visiting,
-        }
-        if self.is_chain:
-            arrays["route_nodes"] = self.route_nodes
-            arrays["route_probability"] = self.route_probability
-        return arrays
+        return {"answers": self.answers, "probabilities": self.probabilities}
 
 
 def extract_artifacts(plan: QueryPlan) -> PlanArtifacts:
     """Strip ``plan`` down to its persistable artefacts (no copies)."""
-    chain = plan.chain
     return PlanArtifacts(
         component=plan.component,
         source=plan.source,
         answers=plan.distribution.answers,
         probabilities=plan.distribution.probabilities,
-        visiting=plan.visiting,
         walk_iterations=plan.walk_iterations,
         num_candidates=plan.num_candidates,
-        is_chain=chain is not None,
-        route_nodes=chain.route_nodes if chain is not None else None,
-        route_probability=chain.route_probability if chain is not None else None,
-        chain_truncated=chain.truncated if chain is not None else False,
     )
 
 
 def plan_from_artifacts(
     artifacts: PlanArtifacts,
-    make_validator: Callable[[PathQuery, int, np.ndarray], CorrectnessValidator],
+    make_validator: Callable[[PathQuery, int], CorrectnessValidator],
 ) -> QueryPlan:
     """Rebuild a live :class:`QueryPlan` around stored/shared artefacts.
 
     The arrays are adopted as-is (memory-mapped or shared segments stay
-    zero-copy); ``make_validator(component, source, visiting)`` binds a
-    fresh validator to the loaded context, and the memos start empty
-    — verdicts are deterministic, so a rebuilt plan converges to the same
-    memo content as the original.
+    zero-copy); ``make_validator(component, source)`` binds a fresh
+    validator to the loaded plan's mapping node, and the memos start
+    empty — verdicts are deterministic, so a rebuilt plan converges to
+    the same memo content as the original.
     """
-    distribution = AnswerDistribution(
-        answers=artifacts.answers, probabilities=artifacts.probabilities
-    )
-    chain = None
-    if artifacts.is_chain:
-        chain = ChainDistribution(
-            distribution=distribution,
-            route_nodes=artifacts.route_nodes,
-            route_probability=artifacts.route_probability,
-            expanded_intermediates=artifacts.walk_iterations,
-            truncated=artifacts.chain_truncated,
-        )
     return QueryPlan(
         component=artifacts.component,
         source=artifacts.source,
-        distribution=distribution,
-        visiting=artifacts.visiting,
+        distribution=AnswerDistribution(
+            answers=artifacts.answers, probabilities=artifacts.probabilities
+        ),
         walk_iterations=artifacts.walk_iterations,
         num_candidates=artifacts.num_candidates,
-        validator=make_validator(
-            artifacts.component, artifacts.source, artifacts.visiting
-        ),
-        chain=chain,
+        validator=make_validator(artifacts.component, artifacts.source),
     )
 
 
 #: revision of a plan's arrays (1 = capped power iteration, 2 = closed-form
-#: node strengths, 3 = the same values with chain routes as
-#: ``route_nodes``/``route_probability`` segments instead of header JSON,
-#: 4 = CNARW plans in closed form too, semantic plans unchanged);
+#: node strengths, 3 = the same values with chain routes as segments
+#: instead of header JSON, 4 = CNARW plans in closed form too, semantic
+#: plans unchanged, 5 = the ``answers`` and ``probabilities`` segments
+#: only: the per-node probability array and the routes left the file);
 #: part of ``config_token``, so a catalog never maps an older revision's
 #: artefact beside fresh plans
-S1_REVISION = 4
+S1_REVISION = 5
 
 
 def plan_fingerprint(config: EngineConfig) -> tuple:
@@ -298,9 +261,11 @@ class _GraphEntry:
         return all(self.plans.get(key) is plan for key, plan in zip(keys, plans))
 
 
-#: default per-graph plan bound; a plan's dominant payload is its dense
-#: visiting array (num_nodes float64), so the cap bounds resident memory
-#: for long-lived serving processes with many components/configs/tenants
+#: default per-graph plan bound; a plan's payload is its support (answers,
+#: probabilities, verdict column) plus, once validated, its validator's
+#: exact row (a similarity and a path length per graph node), so the cap
+#: bounds resident memory for long-lived serving processes with many
+#: components/configs/tenants
 DEFAULT_MAX_PLANS_PER_GRAPH = 256
 
 

@@ -33,7 +33,6 @@ from repro.query.graph import PathQuery
 from repro.sampling.chain import ChainSampler
 from repro.sampling.collector import restrict_to_answers
 from repro.sampling.scope import build_scope, resolve_mapping_node
-from repro.sampling.stationary import scatter_visiting
 from repro.sampling.strength import (
     Stage,
     similarity_entry_weights,
@@ -149,11 +148,19 @@ class QueryPlanner:
     # Plan construction (S1)
     # ------------------------------------------------------------------
     def _validator(
-        self, component: PathQuery, source: int, visiting: np.ndarray
+        self,
+        component: PathQuery,
+        source: int,
+        scope: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> CorrectnessValidator:
         """The validator of a built or catalog-loaded plan, bound to its
-        mapping node and first predicate (the exact row reads no
-        ``visiting``; the figures' planner overrides this)."""
+        mapping node and first predicate.
+
+        ``scope`` is the first S1 stage's ``(nodes, probabilities)`` on a
+        build and ``None`` on a catalog load.  The exact row ignores it;
+        the figures' planner overrides this and its r-path search walks
+        the stage's probabilities.
+        """
         return CorrectnessValidator(
             self._kg,
             self._space,
@@ -171,9 +178,8 @@ class QueryPlanner:
         hop: int = 0,
     ) -> list[Stage | SamplingError]:
         """The closed-form S1 stage of every semantic or CNARW build, one
-        kernel call: a simple plan or a chain's first hop (``visiting`` map
-        included) as a batch of one, a later chain hop with all its kept
-        routes."""
+        kernel call: a simple plan or a chain's first hop as a batch of
+        one, a later chain hop with all its kept routes."""
         config = self.config
         if config.sampler is SamplerKind.CNARW:
             # the Fig. 5(a) ablation ignores predicates, so it must not ask
@@ -246,15 +252,13 @@ class QueryPlanner:
             nodes, probabilities, num_candidates, distribution = self._first_stage(
                 source, predicate, target_types
             )
-        visiting = scatter_visiting(nodes, probabilities, self._kg.num_nodes)
         return QueryPlan(
             component=component,
             source=source,
             distribution=distribution,
-            visiting=visiting,
             walk_iterations=0,  # the paper's N_ws: closed form, no walk iterated
             num_candidates=num_candidates,
-            validator=self._validator(component, source, visiting),
+            validator=self._validator(component, source, (nodes, probabilities)),
         )
 
     def _build_chain(self, component: PathQuery, source: int) -> QueryPlan:
@@ -264,26 +268,23 @@ class QueryPlanner:
                 f"the chain component from {component.specific_name!r} needs "
                 "the semantic or the cnarw sampler"
             )
-        # Chain validation runs lazily per sampled answer (§V-B): the
-        # answer-side legs are enumerated from the answer (whose
-        # neighbourhood is small), while the hub-side leg reads the plan's
-        # validator from the mapping node; ``visiting`` is the first hop's.
+        # The plan keeps the composed distribution only: chain validation
+        # reads the first leg off the plan's validator (bound to the
+        # mapping node; the first stage's scope is handed to it) and
+        # enumerates the later legs per answer, never the routes.
         first = self._first_stage(source, *component.hops[0])
         chain = ChainSampler(
             self._kg,
             self._stage,
             max_intermediates=self.config.max_intermediates,
         ).build(component, first.distribution)
-        visiting = scatter_visiting(
-            first.nodes, first.probabilities, self._kg.num_nodes
-        )
         return QueryPlan(
             component=component,
             source=source,
             distribution=chain.distribution,
-            visiting=visiting,
             walk_iterations=chain.expanded_intermediates,
             num_candidates=chain.distribution.support_size,
-            chain=chain,
-            validator=self._validator(component, source, visiting),
+            validator=self._validator(
+                component, source, (first.nodes, first.probabilities)
+            ),
         )

@@ -23,14 +23,11 @@ class SampledAnswer:
 
     ``probability`` is the answer's stationary visiting probability pi'_i in
     the answer-restricted distribution pi_A — the quantity the
-    Horvitz-Thompson-style estimators divide by (Eq. 7-9).  ``route`` keeps
-    the intermediate nodes chosen by multi-stage (chain) sampling so that
-    validation can check each leg.
+    Horvitz-Thompson-style estimators divide by (Eq. 7-9).
     """
 
     node_id: int
     probability: float
-    route: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 < self.probability <= 1.0:

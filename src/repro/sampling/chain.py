@@ -22,9 +22,8 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.kg.graph import KnowledgeGraph
-from repro.query.answer import SampledAnswer
 from repro.query.graph import PathQuery
-from repro.sampling.collector import AnswerCollector, AnswerDistribution
+from repro.sampling.collector import AnswerDistribution
 from repro.sampling.scope import resolve_mapping_node
 from repro.sampling.strength import Stage
 
@@ -93,7 +92,8 @@ class ChainSampler:
         """Compose the per-hop distributions along ``component``.
 
         ``first_stage`` is the first hop's answer distribution when the
-        caller has already walked it (the planner does, for ``visiting``).
+        caller has already walked it (the planner does: the first stage's
+        scope also goes to the plan's validator).
         """
         source = resolve_mapping_node(
             self._kg, component.specific_name, component.specific_types
@@ -171,26 +171,3 @@ class ChainSampler:
             expanded_intermediates=expanded,
             truncated=truncated,
         )
-
-    def collect(
-        self,
-        chain: ChainDistribution,
-        sample_size: int,
-        seed: int | np.random.Generator | None = None,
-    ) -> list[SampledAnswer]:
-        """Draw i.i.d. answers; each carries its most likely route."""
-        distribution = chain.distribution
-        picks = AnswerCollector(distribution, seed).collect_indices(sample_size)
-        # each answer's most probable route (the earliest composed on a
-        # tie); ``np.unique`` sorts like ``distribution.answers``
-        ranked = np.argsort(-chain.route_probability, kind="stable")
-        _, first = np.unique(chain.route_nodes[ranked, -1], return_index=True)
-        best_route = chain.route_nodes[ranked[first], :-1]
-        return [
-            SampledAnswer(
-                node_id=int(distribution.answers[pick]),
-                probability=float(distribution.probabilities[pick]),
-                route=tuple(best_route[pick].tolist()),
-            )
-            for pick in picks
-        ]

@@ -45,26 +45,6 @@ class StationaryResult:
         }
 
 
-def scatter_visiting(
-    scope_nodes: tuple[int, ...] | np.ndarray,
-    probabilities: np.ndarray,
-    num_nodes: int,
-) -> np.ndarray:
-    """Scatter scope-aligned probabilities into a read-only per-node array.
-
-    The validation service consumes visiting probabilities as one dense
-    float array over all graph node ids (zero marks nodes outside the
-    scope, matching the legacy mapping's "absent = unreachable" rule), so
-    membership tests and probability lookups are fancy-indexing instead of
-    dict probes.  The array is frozen because query plans share it across
-    engines.
-    """
-    dense = np.zeros(num_nodes, dtype=np.float64)
-    dense[np.asarray(scope_nodes, dtype=np.int64)] = probabilities
-    dense.setflags(write=False)
-    return dense
-
-
 def stationary_distribution(
     transition,
     *,

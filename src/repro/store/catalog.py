@@ -141,13 +141,15 @@ class SnapshotCatalog:
         config: EngineConfig,
         component: PathQuery,
         *,
-        make_validator: Callable[..., CorrectnessValidator],
+        make_validator: Callable[[PathQuery, int], CorrectnessValidator],
         mmap: bool = True,
     ) -> QueryPlan | None:
         """The stored plan for ``component``, or ``None`` on a miss.
 
-        ``make_validator(component, source, visiting)`` binds the loaded
-        plan's validator (:func:`~repro.core.plan.plan_from_artifacts`).
+        A miss is a missing file: a file another plan revision wrote sits
+        under another name, as ``S1_REVISION`` is part of the key.
+        ``make_validator(component, source)`` binds the loaded plan's
+        validator (:func:`~repro.core.plan.plan_from_artifacts`).
 
         A present-but-mismatched file (stale version, different embedding)
         raises :class:`StoreError` rather than silently rebuilding — a

@@ -1,9 +1,10 @@
 """Plan-artifact persistence: S1 results as store files.
 
 A plan file holds one component's :class:`~repro.core.plan.PlanArtifacts`
-— the answer distribution, the dense visiting array and a chain plan's
-route arrays, all as memory-mappable segments — under the same key
-discipline as the in-process :class:`~repro.core.plan.PlanCache`::
+— the answer distribution pi_A as two memory-mappable segments,
+``answers`` and ``probabilities``, and its scalars in the header — under
+the same key discipline as the in-process
+:class:`~repro.core.plan.PlanCache`::
 
     (graph structure, embedding identity, config fingerprint, component)
 
@@ -119,8 +120,6 @@ def plan_metadata(
         "source": int(artifacts.source),
         "walk_iterations": int(artifacts.walk_iterations),
         "num_candidates": int(artifacts.num_candidates),
-        "is_chain": bool(artifacts.is_chain),
-        "chain_truncated": bool(artifacts.chain_truncated),
     }
 
 
@@ -186,19 +185,13 @@ def load_plan_artifacts(
                 f"{facet} was {stored!r} at save time but is {current!r} now"
             )
     try:
-        is_chain = bool(metadata["is_chain"])
         return PlanArtifacts(
             component=_component_from_metadata(metadata),
             source=int(metadata["source"]),
             answers=arrays["answers"],
             probabilities=arrays["probabilities"],
-            visiting=arrays["visiting"],
             walk_iterations=int(metadata["walk_iterations"]),
             num_candidates=int(metadata["num_candidates"]),
-            is_chain=is_chain,
-            route_nodes=arrays["route_nodes"] if is_chain else None,
-            route_probability=arrays["route_probability"] if is_chain else None,
-            chain_truncated=bool(metadata.get("chain_truncated", False)),
         )
     except KeyError as exc:
         raise StoreError(f"plan artefact {path} is missing {exc}") from exc

@@ -20,11 +20,15 @@ from repro import (
     ApproximateAggregateEngine,
     EngineConfig,
 )
+from repro.core.config import SamplerKind
 from repro.core.plan import shared_plan_cache
 from repro.datasets import guaranteed_queries, simple_query_graph
 from repro.errors import ReproError
+from repro.sampling.scope import build_scope
+from repro.sampling.topology import node2vec_visit_distribution
 from repro.semantics.reference import ReferenceValidator
 from repro.semantics.validation import CorrectnessValidator
+from repro.utils.rng import derive_seed
 
 
 class TestMetrics:
@@ -166,6 +170,50 @@ class TestHarness:
                 exact = production.planner.plan_for(component).validator
                 assert isinstance(exact, CorrectnessValidator)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize(
+        "sampler, shape",
+        [
+            (SamplerKind.SEMANTIC, "simple"),
+            (SamplerKind.CNARW, "simple"),
+            (SamplerKind.NODE2VEC, "simple"),
+            (SamplerKind.SEMANTIC, "chain"),
+        ],
+    )
+    def test_figure_plans_keep_the_first_stage_visiting_map(
+        self, context, sampler, shape
+    ):
+        """The r-path search walks the first S1 stage's visiting map, built
+        as the dense per-node scatter's positive entries: same node ids,
+        same floats — a Node2Vec plan's is its simulated walk's."""
+        kg = context.bundle.kg
+        config = EngineConfig(seed=0, sampler=sampler)
+        planner = context.engine(config).planner
+        component = next(
+            component
+            for query in context.workload
+            for component in query.aggregate_query.query.components
+            if component.is_simple == (shape == "simple")
+        )
+        plan = planner.plan_for(component)
+        predicate, node_types = component.hops[0]
+        if sampler is SamplerKind.NODE2VEC:
+            scope = build_scope(kg, plan.source, config.n_bound, node_types)
+            nodes = scope.nodes
+            probabilities = node2vec_visit_distribution(
+                kg, scope, seed=derive_seed(config.seed, "node2vec", plan.source)
+            )
+        else:
+            nodes, probabilities, _, _ = planner._first_stage(
+                plan.source, predicate, node_types
+            )
+        visiting = np.zeros(kg.num_nodes)
+        visiting[np.asarray(nodes, dtype=np.int64)] = probabilities
+        expected = {
+            int(node): float(visiting[node])
+            for node in np.flatnonzero(visiting > 0.0)
+        }
+        assert expected and plan.validator.visiting == expected
 
     def test_paper_false_negatives_do_not_grow_with_r(self):
         """Over the simple components of freebase-like's workload at

@@ -82,13 +82,6 @@ class TestChainSampler:
                 for node in intermediates:
                     assert toy.kg.node(node).has_type("Person")
 
-    def test_collect_draws_with_routes(self, toy, toy_stage, chain_distribution):
-        sampler = ChainSampler(toy.kg, toy_stage)
-        draws = sampler.collect(chain_distribution, 50, seed=1)
-        assert len(draws) == 50
-        for draw in draws:
-            assert draw.probability > 0
-
     def test_truncation_flag(self, toy, toy_stage, chain_component):
         sampler = ChainSampler(toy.kg, toy_stage, max_intermediates=2)
         distribution = sampler.build(chain_component)
@@ -222,31 +215,25 @@ class TestRouteCompositionOracle:
             (2, [2004, 2001, 2002, 2002, 2003]),
         ]
 
-    def test_collect_carries_the_most_probable_route(
-        self, toy, toy_stage, chain_component
-    ):
-        sampler = ChainSampler(toy.kg, toy_stage)
-        chain = sampler.build(chain_component)
-        routes = chain.routes
-        for draw in sampler.collect(chain, 200, seed=3):
-            assert draw.route == routes[draw.node_id][0][0]
-
 
 class TestChainSamplerKinds:
     """``EngineConfig.sampler`` decides every hop of a chain plan."""
 
     @staticmethod
-    def _plan(bundle, sampler, component):
+    def _planner(bundle, sampler):
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
 
-        planner = QueryPlanner(
+        return QueryPlanner(
             bundle.kg,
             bundle.space(),
             EngineConfig(seed=0, sampler=sampler),
             cache=PlanCache(),
         )
-        return planner.plan_for(component)
+
+    @classmethod
+    def _plan(cls, bundle, sampler, component):
+        return cls._planner(bundle, sampler).plan_for(component)
 
     @staticmethod
     def _league_chain():
@@ -268,7 +255,10 @@ class TestChainSamplerKinds:
             raise AssertionError("a CNARW hop weighed a predicate")
 
         monkeypatch.setattr(planner_module, "similarity_entry_weights", no_similarity)
-        cnarw = self._plan(bundle, SamplerKind.CNARW, component)
+        planner = self._planner(bundle, SamplerKind.CNARW)
+        cnarw = planner.plan_for(component)
+        # the plan keeps no routes: compose them again over its stages
+        routed = ChainSampler(bundle.kg, planner._stage).build(component)
 
         def stage(sources, predicate, node_types, hop=0):
             return stage_distributions(
@@ -280,8 +270,9 @@ class TestChainSamplerKinds:
         for plan_bytes, expected_bytes in (
             (cnarw.distribution.answers, expected.distribution.answers),
             (cnarw.distribution.probabilities, expected.distribution.probabilities),
-            (cnarw.chain.route_nodes, expected.route_nodes),
-            (cnarw.chain.route_probability, expected.route_probability),
+            (routed.distribution.probabilities, expected.distribution.probabilities),
+            (routed.route_nodes, expected.route_nodes),
+            (routed.route_probability, expected.route_probability),
         ):
             assert plan_bytes.tobytes() == expected_bytes.tobytes()
         assert (

@@ -332,8 +332,8 @@ class TestLazyConjunction:
 
         # simple components first, ties in plan order
         order = state.validation_order
-        assert [plan.chain is not None for plan in order] == [False, False, True]
-        assert [plan for plan in state.components if plan.chain is None] == list(
+        assert [plan.component.is_simple for plan in order] == [True, True, False]
+        assert [plan for plan in state.components if plan.component.is_simple] == list(
             order[:2]
         )
         # each component saw only what every earlier one kept

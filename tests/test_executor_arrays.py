@@ -131,6 +131,33 @@ def test_screen_refuses_an_out_of_range_node_id():
             executor._screen(query, np.asarray([0, bad], dtype=np.int64))
 
 
+@pytest.mark.parametrize("shape", ["simple", "chain"])
+@pytest.mark.parametrize("end", ["below", "above"])
+def test_similarity_front_doors_refuse_an_out_of_range_node_id(
+    toy_world_factory, shape, end
+):
+    """``answer_similarity`` and ``prewarm_similarities`` raise
+    ``NodeNotFoundError`` for an id outside the graph, on a simple plan and
+    a chain plan alike, before the validator's row or any memo is read
+    (-1 would wrap around to the last node); both valid ends answer."""
+    world = toy_world_factory()
+    engine = ApproximateAggregateEngine(
+        world.kg, world.embedding, EngineConfig(seed=7)
+    )
+    query = world.count_query() if shape == "simple" else world.chain_count_query()
+    (plan,) = [engine.planner.plan_for(c) for c in query.query.components]
+    assert plan.component.is_simple == (shape == "simple")
+    bad = -1 if end == "below" else world.kg.num_nodes
+    with pytest.raises(NodeNotFoundError):
+        engine.answer_similarity([plan], bad)
+    with pytest.raises(NodeNotFoundError):
+        engine.executor.prewarm_similarities([plan], [0, bad])
+    assert plan.memoised_similarities() == {}
+    assert not plan.chain_prefix_memo and plan.validator._row is None
+    for node_id in (0, world.kg.num_nodes - 1):
+        assert 0.0 <= engine.answer_similarity([plan], node_id) <= 1.0
+
+
 @pytest.mark.parametrize("validate", [True, False])
 def test_round_verdicts_are_screen_and_similarity(toy, drive_lifecycle, validate):
     """``_validate_entries``: correct = screen, and (when S2 validates) the

@@ -967,8 +967,10 @@ class TestEngineLevelEquivalence:
             for key, row in plan.chain_prefix_memo.items():
                 assert cold_plan.chain_prefix_memo[key] == row
         for plan in plans:
-            assert bool(plan.chain_prefix_memo) == (plan.chain is not None)
-        assert any(p.chain is not None for p in plans) == (query_name != "count")
+            assert bool(plan.chain_prefix_memo) == (not plan.component.is_simple)
+        assert any(not p.component.is_simple for p in plans) == (
+            query_name != "count"
+        )
         # every component judged these: the composite is their minimum
         memos = [plan.memoised_similarities() for plan in plans]
         judged = set.intersection(*(set(memo) for memo in memos))

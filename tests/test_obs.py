@@ -677,7 +677,10 @@ class TestExecMetrics:
             # a rejection spares only the searches still to be made
             plans = [service.planner.plan_for(c) for c in star.query.components]
             joint = QueryExecutor._joint_distribution(plans)
-            order = sorted(range(len(plans)), key=lambda i: plans[i].chain is not None)
+            order = sorted(
+                range(len(plans)),
+                key=lambda i: not plans[i].component.is_simple,
+            )
             ApproximateAggregateEngine(
                 bundle.kg, bundle.embedding, config
             ).executor.prewarm_similarities(

@@ -460,7 +460,7 @@ class TestFaultMechanics:
         fill = QueryExecutor._fill_similarities
 
         def fail_on_simple_plans(executor, plan, node_ids):
-            if plan.chain is None:
+            if plan.component.is_simple:
                 raise EmbeddingError("the simple plan's predicate has no vector")
             return fill(executor, plan, node_ids)
 

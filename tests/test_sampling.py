@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro import EngineConfig, QueryGraph
+from repro.bench.harness import PaperPlanner
 from repro.core.config import SamplerKind
 from repro.core.plan import PlanCache
 from repro.core.planner import QueryPlanner
@@ -66,12 +67,16 @@ def cnarw_transition(kg, scope, self_loop_weight=0.001):
     )
 
 
-def plan_with(kg, space, sampler, component):
-    """A fresh plan of ``component`` under ``sampler``."""
-    planner = QueryPlanner(
+def planner_with(kg, space, sampler):
+    """A planner under ``sampler`` with a private cache."""
+    return QueryPlanner(
         kg, space, EngineConfig(seed=7, sampler=sampler), cache=PlanCache()
     )
-    return planner.plan_for(component)
+
+
+def plan_with(kg, space, sampler, component):
+    """A fresh plan of ``component`` under ``sampler``."""
+    return planner_with(kg, space, sampler).plan_for(component)
 
 
 @pytest.fixture(scope="module")
@@ -305,12 +310,16 @@ class TestClosedFormIsProduction:
         component = QueryGraph.simple(
             hub, [hub_type], predicate, [target]
         ).components[0]
-        plan = plan_with(kg, space, SamplerKind.CNARW, component)
+        planner = planner_with(kg, space, SamplerKind.CNARW)
+        plan = planner.plan_for(component)
         scope = build_scope(kg, plan.source, 3, frozenset({target}))
         oracle = converged_oracle(cnarw_transition(kg, scope)).probabilities
         assert plan.walk_iterations == 0
+        # the stage the plan was built from: pi over its whole scope
+        stage = planner._first_stage(plan.source, predicate, frozenset({target}))
+        visiting = dict(zip(stage.nodes.tolist(), stage.probabilities.tolist()))
         np.testing.assert_allclose(
-            plan.visiting[list(scope.nodes)], oracle, rtol=1e-8
+            [visiting.get(node, 0.0) for node in scope.nodes], oracle, rtol=1e-8
         )
         expected = restrict_to_answers(scope, oracle)
         np.testing.assert_array_equal(plan.distribution.answers, expected.answers)
@@ -335,8 +344,9 @@ class TestClosedFormIsProduction:
             monkeypatch.setattr(
                 holder, name, lambda *a, _name=name, **k: calls.append(_name)
             )
-        planner = planner_module.QueryPlanner(
-            toy.kg, toy.space, EngineConfig(seed=7, sampler=sampler), cache=PlanCache()
+        # the figures' planner: its validators keep the first stage's map
+        planner = PaperPlanner(
+            toy.kg, toy.space, EngineConfig(seed=7, sampler=sampler)
         )
         chain = QueryGraph.chain(
             "Germany",
@@ -346,8 +356,9 @@ class TestClosedFormIsProduction:
         simple = planner.plan_for(toy.count_query().query.components[0])
         chained = planner.plan_for(chain)
         assert planner.build_count == 2 and calls == []
-        assert simple.walk_iterations == 0 and chained.chain is not None
-        assert simple.visiting[toy.germany] > 0 and chained.visiting[toy.germany] > 0
+        assert simple.walk_iterations == 0 and chained.walk_iterations > 0
+        assert simple.validator.visiting[toy.germany] > 0
+        assert chained.validator.visiting[toy.germany] > 0
 
 
 class TestAnswerDistribution:

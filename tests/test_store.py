@@ -180,7 +180,6 @@ class TestPlanCatalog:
         )
         loaded = cold.plan_for(component)
         assert (cold.build_count, cold.catalog_hits) == (0, 1)
-        assert np.array_equal(loaded.visiting, built.visiting)
         assert np.array_equal(
             loaded.distribution.answers, built.distribution.answers
         )
@@ -209,18 +208,53 @@ class TestPlanCatalog:
         )
         loaded = cold.plan_for(chain)
         assert (cold.build_count, cold.catalog_hits) == (0, 1)
-        assert loaded.chain is not None
-        assert loaded.chain.routes == built.chain.routes
-        # routes travel as segments, mapped like the answers
-        assert not loaded.chain.route_nodes.flags.writeable
-        assert np.array_equal(loaded.chain.route_nodes, built.chain.route_nodes)
+        assert not loaded.component.is_simple
+        assert loaded.walk_iterations == built.walk_iterations > 0
+        assert loaded.num_candidates == built.num_candidates
+        # the distribution travels as segments, memory-mapped
+        assert not loaded.distribution.answers.flags.writeable
+        assert np.array_equal(
+            loaded.distribution.answers, built.distribution.answers
+        )
         assert np.array_equal(
             loaded.distribution.probabilities, built.distribution.probabilities
         )
 
+    @pytest.mark.parametrize("shape", ["simple", "chain"])
+    def test_plan_file_holds_only_the_distribution(self, world, tmp_path, shape):
+        """A plan file's segments are pi_A's two arrays, for every shape;
+        its header keeps the scalars beside them and nothing else."""
+        from repro import QueryGraph
+
+        component = (
+            world.count_query().query.components[0]
+            if shape == "simple"
+            else QueryGraph.chain(
+                "Germany",
+                ["Country"],
+                [("nationality", ["Person"]), ("designer", ["Automobile"])],
+            ).components[0]
+        )
+        catalog = SnapshotCatalog(tmp_path / "catalog")
+        config = EngineConfig(seed=7)
+        QueryPlanner(
+            world.kg, world.space, config, cache=PlanCache(), catalog=catalog
+        ).plan_for(component)
+        path = catalog.plan_path(world.kg, world.space, config, component)
+        metadata, arrays = read_arrays(path, mmap=False)
+        assert set(arrays) == {"answers", "probabilities"}
+        assert set(metadata) == {
+            "kind", "graph_fingerprint", "structure_version",
+            "embedding_fingerprint", "config_token", "component_token",
+            "component", "source", "walk_iterations", "num_candidates",
+        }
+        assert metadata["config_token"].startswith("(5, ")
+
     def test_old_layout_chain_plan_is_a_miss(self, world, tmp_path, monkeypatch):
-        """A file of the routes-as-header-JSON layout never loads: the
-        plan is rebuilt and saved back in the current layout."""
+        """A file of the revision-4 layout (a visiting segment, a chain
+        plan's route segments) is never loaded: it sits under its own
+        config token, so the catalog misses, rebuilds and saves the plan
+        back in the current layout."""
         from repro import QueryGraph
         from repro.core import plan as plan_module
 
@@ -240,37 +274,50 @@ class TestPlanCatalog:
         built = planner().plan_for(chain)
         path = catalog.plan_path(world.kg, world.space, config, chain)
         metadata, arrays = read_arrays(path, mmap=False)
+        path.unlink()
+        answers = arrays["answers"]
         old_arrays = {
-            name: arrays[name] for name in ("answers", "probabilities", "visiting")
+            **arrays,
+            "visiting": np.zeros(world.kg.num_nodes),
+            "route_nodes": np.column_stack([answers, answers]),
+            "route_probability": arrays["probabilities"],
         }
-        old_metadata = {**metadata, "chain_routes": [[0, [[[1], 1.0]]]]}
 
-        # as the previous revision wrote it: under its own config token,
-        # which is also its own file name
+        # as revision 4 wrote it: under its own config token, which is
+        # also its own file name
         current_revision = plan_module.S1_REVISION
-        monkeypatch.setattr(plan_module, "S1_REVISION", current_revision - 1)
+        monkeypatch.setattr(plan_module, "S1_REVISION", 4)
         stale = catalog.plan_path(world.kg, world.space, config, chain)
-        write_arrays(
-            stale, {**old_metadata, "config_token": config_token(config)}, old_arrays
-        )
+        old_metadata = {
+            **metadata,
+            "config_token": config_token(config),
+            "is_chain": True,
+            "chain_truncated": False,
+        }
+        write_arrays(stale, old_metadata, old_arrays)
         monkeypatch.setattr(plan_module, "S1_REVISION", current_revision)
-        assert stale != path
+        assert stale != path and stale.is_file()
+        assert (
+            catalog.try_load_plan(
+                world.kg, world.space, config, chain,
+                make_validator=planner()._validator,
+            )
+            is None
+        )
         with pytest.raises(StoreError, match="config_token"):
             load_plan_artifacts(stale, world.kg, world.space, config)
 
-        # and even under the current key the missing segments are an error
-        write_arrays(path, old_metadata, old_arrays)
-        with pytest.raises(StoreError, match="route_nodes"):
-            load_plan_artifacts(path, world.kg, world.space, config)
         rebuilt = planner()
         rebuilt.plan_for(chain)
         assert (rebuilt.build_count, rebuilt.catalog_hits, rebuilt.catalog_errors) == (
-            1, 0, 1,
+            1, 0, 0,
         )
         reloaded = planner()
         loaded = reloaded.plan_for(chain)
         assert (reloaded.build_count, reloaded.catalog_hits) == (0, 1)
-        assert loaded.chain.routes == built.chain.routes
+        assert np.array_equal(
+            loaded.distribution.probabilities, built.distribution.probabilities
+        )
 
     def test_reloaded_plans_give_identical_results(self, world, tmp_path):
         from repro import AggregateQueryService
