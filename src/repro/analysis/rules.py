@@ -71,8 +71,8 @@ class LintConfig:
     """
 
     #: the S2 validation path: the validators and kernels every service
-    #: and session over one plan share (memos, traces, tours) — the
-    #: no-RNG, no-growth zone
+    #: and session over one plan share (memos, tours, the chain driver) —
+    #: the no-RNG, no-growth zone
     validation_modules: tuple[str, ...] = (
         "semantics/kernels.py",
         "semantics/validation.py",
@@ -94,9 +94,9 @@ class LintConfig:
     )
     #: modules whose lock acquisitions join the acquisition-order graph
     lock_order_modules: tuple[str, ...] = (
+        "core/plan.py",
         "core/service.py",
         "obs/metrics.py",
-        "semantics/kernels.py",
     )
     #: modules on the determinism-critical path (kernels, S1 plans, the
     #: round, persistence, wire encoding): set iteration must never feed an

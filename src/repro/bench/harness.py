@@ -92,18 +92,20 @@ class PaperPlanner(QueryPlanner):
 
     It publishes into a :class:`PlanCache` of its own, so its plans — and
     the greedy verdicts memoised on them — never meet a production
-    engine's.  Each plan's search walks the visiting map of the first S1
-    stage of its build (the planner has no catalog, so every plan is
-    built).  A simple plan's search stops at ``tau`` (the verdict cannot
-    change past it); a chain's first leg runs all ``r`` paths, as its
-    prefix needs the best one found.
+    engine's.  It overrides the first leg only — a chain plan wraps it in
+    the base planner's :class:`~repro.semantics.validation.ChainValidator`
+    — and each search walks the visiting map of the first S1 stage of its
+    build (the planner has no catalog, so every plan is built).  A simple
+    plan's search stops at ``tau`` (the verdict cannot change past it); a
+    chain's first leg runs all ``r`` paths, as its prefix needs the best
+    one found.
     """
 
     def __init__(self, kg, space, config: EngineConfig) -> None:
         super().__init__(kg, space, config, cache=PlanCache())
 
-    def _validator(
-        self, component: PathQuery, source: int, scope=None
+    def _first_leg(
+        self, component: PathQuery, source: int, scope
     ) -> ReferenceValidator:
         config = self.config
         nodes, probabilities = scope

@@ -9,6 +9,7 @@ B = 50, and a 0.001 self-loop weight on the mapping node.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import QueryError
@@ -118,8 +119,12 @@ class EngineConfig:
             raise QueryError("max_rounds must be >= 1")
         if self.fixed_delta < 1:
             raise QueryError("fixed_delta must be >= 1")
-        if self.self_loop_weight <= 0:
-            raise QueryError("self_loop_weight must be positive (Lemma 2)")
+        if not 0.0 < self.self_loop_weight < math.inf:
+            raise QueryError("self_loop_weight must be positive and finite (Lemma 2)")
+        if not 0.0 < self.similarity_floor < 1.0:
+            raise QueryError("similarity_floor must be in (0, 1)")
+        if self.validation_expansions < 1:
+            raise QueryError("validation_expansions must be >= 1")
         if not 0.0 < self.extreme_sample_ratio <= 1.0:
             raise QueryError("extreme_sample_ratio must be in (0, 1]")
         if self.extreme_rounds < 1:

@@ -24,16 +24,15 @@ support and returns the exact aggregate (:meth:`QueryExecutor._census`).
 Validation is **batched**: each round's pending support entries pass one
 array-valued attribute/filter screen over the graph's attribute columns
 (:meth:`KnowledgeGraph.attribute_column` — no per-answer ``Node`` view),
-and the survivors are validated in one
-:meth:`CorrectnessValidator.validate_batch` read per component of the
-validator's exact similarity row (chain components resolve their first
-prefix level through the same read), with verdicts memoised in the plan's
-verdict column — refinement rounds and interactive sessions never
-revalidate an answer, and a warm round reads its verdicts with one gather
-per component.  It is also a **lazy conjunction**: an answer of a composite
-query is correct only when every component keeps it, so components are
-validated cheapest-first (simple before chain) and each one sees only the
-answers every earlier one kept.  Validation time is attributed to its own
+and the survivors are validated in one ``plan.validator.validate_batch``
+call per component — the only S2 call.  A simple plan's validator reads
+its exact similarity row, a chain plan's memoises what its enumeration
+found by node id (:mod:`repro.semantics.validation`), so refinement
+rounds and interactive sessions never revalidate an answer.  It is also a
+**lazy conjunction**: an answer of a composite query is correct only when
+every component keeps it, so components are validated cheapest-first
+(simple before chain) and each one sees only the answers every earlier
+one kept.  Validation time is attributed to its own
 ``"validation"`` stage bucket (the paper's Table XII folds it into S2).
 """
 
@@ -47,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import DeltaStrategy, EngineConfig, ExtremeMethod
-from repro.core.plan import JointSupport, QueryPlan, plan_key
+from repro.core.plan import QueryPlan, plan_key
 from repro.core.planner import QueryPlanner
 from repro.core.result import (
     STOP_BOUND_MET,
@@ -59,7 +58,7 @@ from repro.core.result import (
     RoundTrace,
 )
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import EstimationError, NodeNotFoundError, QueryError
+from repro.errors import EstimationError, QueryError
 from repro.estimation.accuracy import moe_target, satisfies_error_bound
 from repro.estimation.bootstrap import blb_moe
 from repro.estimation.confidence import ConfidenceInterval, normal_critical_value
@@ -70,13 +69,12 @@ from repro.estimation.estimators import (
     estimate_extreme,
 )
 from repro.estimation.extreme import estimate_extreme_evt
-from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
 from repro.query.aggregate import AggregateFunction, AggregateQuery
 from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerCollector, AnswerDistribution
-from repro.semantics import kernels
+from repro.semantics.validation import ValidationBatch, require_node_ids
 from repro.utils.rng import derive_seed, ensure_rng
 from repro.utils.timing import StageTimer
 
@@ -127,9 +125,6 @@ class _QueryState:
     #: the query's 1 - alpha: the BLB critical value, every interval and
     #: the EVT fit read it
     confidence_level: float
-    #: per component (plan order): the joint support's positions into the
-    #: plan's verdict column (:attr:`JointSupport.positions`)
-    positions: tuple[np.ndarray, ...] = ()
     #: per-support-entry verdicts, filled lazily as entries are first drawn
     support_known: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     support_correct: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
@@ -158,19 +153,11 @@ class _QueryState:
     #: order.  Fixed once per query so the lazy conjunction never sorts
     #: per entry.
     validation_order: tuple[QueryPlan, ...] = field(init=False, repr=False)
-    #: ``positions`` in ``validation_order``
-    validation_positions: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        order = sorted(
-            range(len(self.components)),
-            key=lambda index: not self.components[index].component.is_simple,
+        self.validation_order = tuple(
+            sorted(self.components, key=lambda plan: not plan.component.is_simple)
         )
-        self.validation_order = tuple(self.components[index] for index in order)
-        if self.positions:
-            self.validation_positions = tuple(self.positions[i] for i in order)
-        else:  # a hand-built state without plans
-            self.validation_positions = ()
 
     @property
     def total_draws(self) -> int:
@@ -240,52 +227,17 @@ class QueryExecutor:
         self.config = config
         self._planner = planner
 
-    def _level_context(self, plan: QueryPlan, level: int) -> tuple:
-        """``(ChainContext, typed intermediates)`` of a chain level >= 2.
-
-        Both are functions of the plan — the level's query predicate, the
-        types of the hop below it, the graph structure the plan was built
-        on — so they live on it (``plan.chain_levels``), built on first
-        use from the shared CSR snapshot.  Every chain-prefix resolution
-        at the level then enumerates through plain-list adjacency with
-        memoised per-predicate edge logs instead of re-paying the
-        ``neighbors``/``predicate_of``/``similarity`` call chain per path
-        extension.  ``setdefault`` publishes: every reader uses the first
-        pair stored.
-        """
-        cached = plan.chain_levels.get(level)
-        if cached is None:
-            component = plan.component
-            cached = plan.chain_levels.setdefault(
-                level,
-                (
-                    kernels.build_chain_context(
-                        self._kg,
-                        self._space,
-                        csr_snapshot(self._kg),
-                        component.predicates[level - 1],
-                        self.config.similarity_floor,
-                    ),
-                    frozenset(
-                        self._kg.nodes_with_any_type(component.hops[level - 2][1])
-                    ),
-                ),
-            )
-        return cached
-
     # ------------------------------------------------------------------
     # Initialisation (S1 hand-off)
     # ------------------------------------------------------------------
     @staticmethod
-    def _joint_distribution(components: list[QueryPlan]) -> JointSupport:
+    def _joint_distribution(components: list[QueryPlan]) -> AnswerDistribution:
         """Decomposition-assembly of two or more components: intersect
         supports, multiply weights.
 
         The joint support is the sorted intersection of the components'
         answers; an answer's weight is the product of its per-component
-        probabilities, multiplied up in plan order, renormalised.  The
-        positions that gather those probabilities are kept: they are
-        where each component's verdict column holds the joint's answers.
+        probabilities, multiplied up in plan order, renormalised.
         """
         answers = components[0].distribution.answers
         for plan in components[1:]:
@@ -296,7 +248,6 @@ class QueryExecutor:
                 "composite query has an empty intersection sample"
             )
         weights = np.ones(len(answers), dtype=np.float64)
-        positions = []
         for plan in components:
             distribution = plan.distribution
             # ``answers`` is sorted and contained in every support, so the
@@ -305,26 +256,16 @@ class QueryExecutor:
                 answers, distribution.answers, return_indices=True
             )
             weights *= distribution.probabilities[where]
-            where.setflags(write=False)
-            positions.append(where)
-        weights = weights / weights.sum()
-        return JointSupport(
-            AnswerDistribution(answers=answers, probabilities=weights),
-            tuple(positions),
-        )
+        return AnswerDistribution(answers=answers, probabilities=weights / weights.sum())
 
     def _joint_support(
         self, components: tuple[PathQuery, ...], plans: list[QueryPlan]
-    ) -> JointSupport:
+    ) -> AnswerDistribution:
         """The joint support of ``plans`` (``components``' plans): a lone
-        plan's own distribution with identity positions, else assembled
-        once per plan set and cached beside the plans
-        (:meth:`PlanCache.joint_for`)."""
+        plan's own distribution, else assembled once per plan set and
+        cached beside the plans (:meth:`PlanCache.joint_for`)."""
         if len(plans) == 1:
-            distribution = plans[0].distribution
-            return JointSupport(
-                distribution, (np.arange(distribution.support_size),)
-            )
+            return plans[0].distribution
         keys = tuple(
             plan_key(component, self._space, self.config) for component in components
         )
@@ -355,8 +296,7 @@ class QueryExecutor:
             components = [
                 self._planner.plan_for(component) for component in query_components
             ]
-            joint_support = self._joint_support(query_components, components)
-            joint = joint_support.distribution
+            joint = self._joint_support(query_components, components)
             num_candidates = max(plan.num_candidates for plan in components)
             if aggregate_query.function.has_guarantee:
                 ratio = config.sample_ratio
@@ -381,7 +321,6 @@ class QueryExecutor:
                 confidence_level=(
                     config.confidence_level if confidence is None else confidence
                 ),
-                positions=joint_support.positions,
                 support_known=np.zeros(support_size, dtype=bool),
                 support_correct=np.zeros(support_size, dtype=bool),
                 support_value=np.zeros(support_size, dtype=np.float64),
@@ -402,101 +341,13 @@ class QueryExecutor:
                 if count:
                     metrics[name].inc(count)
 
-    def _chain_prefix_batch(
-        self, plan: QueryPlan, level: int, node_ids: list[int]
-    ) -> None:
-        """Resolve ``(level, node)`` chain prefixes for many endpoints at once.
-
-        A prefix is the best ``(log-similarity sum, edge count)`` for
-        ``source ->hops[:level]-> node``, or ``None``.  Each level's whole
-        endpoint set resolves together.  Level 1 reads the plan's
-        validator: one :meth:`CorrectnessValidator.validate_batch` over the
-        first leg's similarity row.  Deeper levels enumerate backwards from
-        each endpoint with a capped DFS (the answer-side neighbourhood is
-        small) —
-        :func:`repro.semantics.kernels.chain_matches` over the plan's
-        :class:`~repro.semantics.kernels.ChainContext` — batch the union
-        of the typed intermediates they reach one level down, and keep the
-        best geometric mean per endpoint, memoised per ``(level, node)``.
-
-        A level with misses is one ``chain_prefix`` span (the level below
-        nests in it) and feeds the ``chain_*`` counters from a tally this
-        call owns, so the numbers stay exact when two services run
-        batches over one shared context at once.
-        """
-        memo = plan.chain_prefix_memo
-        frontier = [
-            node_id
-            for node_id in dict.fromkeys(node_ids)
-            if (level, node_id) not in memo
-        ]
-        if not frontier:
-            return
-        with child_span("chain_prefix", level=level, frontier=len(frontier)) as span:
-            tallies = dict.fromkeys(kernels.CHAIN_TALLIES, 0)
-            self._resolve_chain_level(plan, level, frontier, tallies)
-            if span is not None:
-                span.annotate(
-                    replayed=tallies["chain_expansions_replayed"],
-                    live=tallies["chain_expansions_live"],
-                )
-        self._count(tallies)
-
-    def _resolve_chain_level(
-        self, plan: QueryPlan, level: int, frontier: list[int], tallies: dict
-    ) -> None:
-        """Fill the ``(level, node)`` memo rows of ``frontier`` (all misses).
-
-        ``tallies`` takes what the level's own chain DFS walked, replayed
-        and recorded; the levels below report theirs separately.
-        """
-        memo = plan.chain_prefix_memo
-        config = self.config
-        if level == 1:
-            batch = plan.validator.validate_batch(frontier)
-            for node_id, similarity, length in zip(
-                frontier, batch.similarity.tolist(), batch.best_length.tolist()
-            ):
-                memo[(1, node_id)] = (
-                    (length * math.log(max(similarity, 1e-12)), length)
-                    if length
-                    else None
-                )
-            return
-        context, typed_nodes = self._level_context(plan, level)
-        matches_of = {
-            node_id: kernels.chain_matches(
-                context,
-                node_id,
-                config.n_bound,
-                typed_nodes,
-                config.validation_expansions * 5,
-                tallies,
-            )
-            for node_id in frontier
-        }
-        endpoints = [
-            endpoint
-            for matches in matches_of.values()
-            for endpoint in matches
-        ]
-        self._chain_prefix_batch(plan, level - 1, endpoints)
-        for node_id, matches in matches_of.items():
-            best_mean = 0.0
-            result = None
-            for endpoint, (similarity, match_length) in matches.items():
-                prefix = memo[(level - 1, endpoint)]
-                if prefix is None:
-                    continue
-                log_sum = prefix[0] + match_length * math.log(
-                    max(similarity, 1e-12)
-                )
-                length = prefix[1] + match_length
-                mean = math.exp(log_sum / length)
-                if mean > best_mean:
-                    best_mean = mean
-                    result = (log_sum, length)
-            memo[(level, node_id)] = result
+    def _validate(self, plan: QueryPlan, node_ids) -> ValidationBatch:
+        """``plan.validator.validate_batch(node_ids)``, its chain tallies
+        added to the ``exec`` counters."""
+        batch = plan.validator.validate_batch(node_ids)
+        if batch.tallies:
+            self._count(batch.tallies)
+        return batch
 
     def answer_similarity(self, state_or_components, node_id: int) -> float:
         """Composite answer similarity: minimum across components."""
@@ -506,65 +357,9 @@ class QueryExecutor:
             else state_or_components
         )
         return min(
-            float(self._node_similarities(plan, [node_id])[0]) for plan in components
+            float(self._validate(plan, [node_id]).similarity[0])
+            for plan in components
         )
-
-    def _node_similarities(self, plan: QueryPlan, node_ids: list[int]) -> np.ndarray:
-        """The plan's similarities of ``node_ids``, support entries
-        memoised first.
-
-        Support entries go through the verdict column (positions by the
-        plan's sorted index); any other node — only the public
-        :meth:`answer_similarity` and :meth:`prewarm_similarities` ask
-        for one — reads the validator's row or, on a chain plan, the
-        chain-prefix memo.  An id outside the graph raises
-        :class:`NodeNotFoundError` before any of them is read.
-        """
-        ids = np.asarray(node_ids, dtype=np.int64)
-        self._require_nodes(ids)
-        positions, found = plan.positions_of(ids)
-        similarities = np.empty(len(found), dtype=np.float64)
-        similarities[found] = self._fill_similarities(plan, positions[found])
-        if not found.all():
-            similarities[~found] = self._similarities(plan, ids[~found].tolist())
-        return similarities
-
-    def _fill_similarities(self, plan: QueryPlan, cells: np.ndarray) -> np.ndarray:
-        """The verdict column at ``cells`` (positions into the plan's
-        answers), searching for the NaN ones first.
-
-        One gather, one ``isnan`` mask, one batched search over the misses
-        (:meth:`_similarities`), one scatter: a cell is written once, with
-        its final value, so services sharing the plan read NaN or that.
-        """
-        column = plan.verdicts
-        similarities = column[cells]
-        misses = np.isnan(similarities)
-        if misses.any():
-            missed = cells[misses]
-            found = self._similarities(
-                plan, plan.distribution.answers[missed].tolist()
-            )
-            column[missed] = found
-            similarities[misses] = found
-        return similarities
-
-    def _similarities(self, plan: QueryPlan, node_ids: list[int]) -> list[float]:
-        """One component's similarity for every node of ``node_ids``.
-
-        A simple component reads its validator's row; a chain component
-        resolves the whole batch's prefix levels together and takes each
-        answer's Eq. 2 geometric mean off its full-chain prefix.
-        """
-        if plan.component.is_simple:
-            return plan.validator.validate_batch(node_ids).similarity.tolist()
-        num_hops = plan.component.num_hops
-        self._chain_prefix_batch(plan, num_hops, node_ids)
-        memo = plan.chain_prefix_memo
-        return [
-            math.exp(prefix[0] / prefix[1]) if prefix and prefix[1] else 0.0
-            for prefix in (memo[(num_hops, node_id)] for node_id in node_ids)
-        ]
 
     def _batch_similarities(
         self, state: _QueryState, entries: np.ndarray
@@ -573,40 +368,28 @@ class QueryExecutor:
         component keeps, as a mask over ``entries``.
 
         An answer is correct only when *every* component keeps it at
-        ``>= tau``, so each component, in ``state.validation_order``, is
-        handed only the entries every earlier one kept — one
-        :meth:`_fill_similarities` over their cells in its verdict column
-        — and what the last one keeps is the verdict.  Memo values are
-        per answer — independent of the batch they were computed in — so
-        every verdict equals the eager one.  The entry x component
-        searches an earlier rejection saved (NaN cells of rejected
-        entries) are counted on ``conjunction_skips``.
+        ``>= tau``, so each component's validator, in
+        ``state.validation_order``, is handed only the answers every
+        earlier one kept, and what the last one keeps is the verdict.
+        Similarities are per answer — independent of the batch they were
+        computed in — so every verdict equals the eager one.  The rejected
+        answers a later validator would still have had to search (never an
+        exact row's: it holds every node) are counted on
+        ``conjunction_skips``.
         """
         tau = self.config.tau
+        answers = state.joint.answers[entries]
         keeps = np.ones(len(entries), dtype=bool)
         skips = 0
-        for position, (plan, where) in enumerate(
-            zip(state.validation_order, state.validation_positions)
-        ):
-            if position == 0:
-                keeps = self._fill_similarities(plan, where[entries]) >= tau
-                continue
-            rejected = entries[~keeps]
-            if len(rejected):
-                skips += int(np.isnan(plan.verdicts[where[rejected]]).sum())
+        for position, plan in enumerate(state.validation_order):
+            if position:
+                skips += plan.validator.unsearched(answers[~keeps])
             alive = np.flatnonzero(keeps)
-            keeps[alive] = self._fill_similarities(plan, where[entries[alive]]) >= tau
+            if len(alive):
+                keeps[alive] = self._validate(plan, answers[alive]).similarity >= tau
         if skips and self.obs_metrics is not None:
             self.obs_metrics["conjunction_skips"].inc(skips)
         return keeps
-
-    def _require_nodes(self, node_ids: np.ndarray) -> None:
-        """Raise :class:`NodeNotFoundError` unless every id is a graph node
-        (fancy indexing would wrap a negative id around silently)."""
-        if len(node_ids) and not (
-            0 <= node_ids.min() and node_ids.max() < self._kg.num_nodes
-        ):
-            raise NodeNotFoundError("an answer's node id is out of range")
 
     def _screen(
         self, aggregate_query: AggregateQuery, node_ids: np.ndarray
@@ -620,7 +403,7 @@ class QueryExecutor:
         arithmetic.
         """
         kg = self._kg
-        self._require_nodes(node_ids)
+        require_node_ids(kg, node_ids)
         if aggregate_query.function.needs_attribute:
             values = kg.attribute_column(aggregate_query.attribute or "")[node_ids]
             passes = ~np.isnan(values)
@@ -933,14 +716,14 @@ class QueryExecutor:
     def prewarm_similarities(
         self, components: list[QueryPlan], node_ids: list[int]
     ) -> None:
-        """Fill the components' verdict memos for ``node_ids``, eagerly.
+        """Validate ``node_ids`` on every component's validator, eagerly.
 
         A ledger binding (``executor.prewarm`` in
         benchmarks/ledger/layers.py) with no src/ caller: every query
         validates in its own slot.  It goes when the ledger target does.
         """
         for plan in components:
-            self._node_similarities(plan, node_ids)
+            self._validate(plan, node_ids)
 
     # ------------------------------------------------------------------
     # What one round estimates, per kind

@@ -11,20 +11,18 @@ systems amortise expensive per-predicate ("oracle") work across a whole
 workload instead of per query.
 
 Plans are structurally immutable (frozen dataclass, read-only arrays) but
-own every piece of S2 state compiled for them, so the plan key alone
-decides when it is stale: the validator bound to the plan's context (its
-exact similarity row, built lazily), the per-level chain contexts and
-typed-intermediate sets, and the append-only memos — the verdict column
-(one similarity per support entry, NaN until validated) and the
-chain-prefix table.  Validation is deterministic and a memo cell is
-written once, with its final value, so concurrent engines sharing a plan
-only ever read "not yet" or that value; sharing the memo is what lets
-refinement rounds and interactive sessions skip revalidation entirely.
+own every piece of S2 state compiled for them through their validator, so
+the plan key alone decides when it is stale: a simple plan's validator
+holds its exact similarity row, a chain plan's its level contexts and
+node-indexed memos (:mod:`repro.semantics.validation`), all built
+lazily.  Validation is deterministic and a memo cell is written once,
+with its final value, so concurrent engines sharing a plan only ever read
+"not yet" or that value; sharing the memo is what lets refinement rounds
+and interactive sessions skip revalidation entirely.
 
 Beside each graph's plans the cache keeps the *joint supports* of
-composite queries (:class:`JointSupport`: the intersected distribution
-and every component's positions into its plan's answers), keyed by the
-component plan keys: a joint is a function of its plans, so it is
+composite queries (the intersected :class:`AnswerDistribution`), keyed by
+the component plan keys: a joint is a function of its plans, so it is
 assembled once and dropped with any of them.
 
 The cache holds graphs weakly (a dead graph drops its plans) and evicts a
@@ -38,7 +36,6 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -48,25 +45,10 @@ from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerDistribution
-from repro.semantics.validation import CorrectnessValidator
+from repro.semantics.validation import ChainValidator, CorrectnessValidator
 
 #: cache key of one plan within a graph entry
 PlanKey = Hashable
-
-
-@dataclass(frozen=True)
-class JointSupport:
-    """A query's joint support: what its draws and verdicts index.
-
-    ``distribution`` is pi_A over the answers every component keeps;
-    ``positions[i]`` is, aligned with ``distribution.answers``, where
-    component ``i`` (plan order) holds each of them in its plan's
-    ``distribution.answers`` — so its verdict column.  A composite's
-    joint is shared by every query over the same plans and never written.
-    """
-
-    distribution: AnswerDistribution
-    positions: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -83,51 +65,11 @@ class QueryPlan:
     #: iterated), a chain's expanded intermediates
     walk_iterations: int
     num_candidates: int
-    #: validator bound to ``(source, predicates[0])`` (the first-leg
-    #: validator for chain components); the figures' planner binds the
-    #: paper's r-path search here instead
-    validator: CorrectnessValidator
-    #: chain validation memo: (hop level, node) -> best (log_sum, length)
-    chain_prefix_memo: dict[tuple[int, int], tuple[float, int] | None] = field(
-        default_factory=dict
-    )
-    #: chain level (>= 2) -> its ``(ChainContext, typed intermediates)``,
-    #: filled on first use and published with ``setdefault``
-    chain_levels: dict[int, tuple] = field(default_factory=dict)
-    #: the verdict memo: one similarity per ``distribution.answers`` entry,
-    #: NaN until validated.  Verdicts are deterministic and a cell is
-    #: written once, with its final value, so the column is safe to share
-    #: across engines, rounds and sessions
-    verdicts: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "verdicts", np.full(self.distribution.support_size, np.nan)
-        )
-
-    @cached_property
-    def _answer_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(order, answers[order])``: the support sorted by node id."""
-        order = np.argsort(self.distribution.answers, kind="stable")
-        return order, self.distribution.answers[order]
-
-    def positions_of(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
-        """``(positions, found)`` of ``node_ids`` in ``distribution.answers``;
-        a position is meaningless where ``found`` is False."""
-        order, ordered = self._answer_index
-        ids = np.asarray(node_ids, dtype=np.int64)
-        at = np.minimum(np.searchsorted(ordered, ids), len(ordered) - 1)
-        return order[at], ordered[at] == ids
-
-    def memoised_similarities(self) -> dict[int, float]:
-        """Every memoised similarity by node id: the column's filled cells."""
-        filled = np.flatnonzero(~np.isnan(self.verdicts))
-        return dict(
-            zip(
-                self.distribution.answers[filled].tolist(),
-                self.verdicts[filled].tolist(),
-            )
-        )
+    #: the plan's one S2 entry point: the exact row of ``(source,
+    #: predicates[0])`` for a simple component, a :class:`ChainValidator`
+    #: around that first leg for a chain; the figures' planner binds the
+    #: paper's r-path search as the (first-leg) validator instead
+    validator: CorrectnessValidator | ChainValidator
 
 
 @dataclass(frozen=True)
@@ -168,15 +110,17 @@ def extract_artifacts(plan: QueryPlan) -> PlanArtifacts:
 
 def plan_from_artifacts(
     artifacts: PlanArtifacts,
-    make_validator: Callable[[PathQuery, int], CorrectnessValidator],
+    make_validator: Callable[
+        [PathQuery, int], CorrectnessValidator | ChainValidator
+    ],
 ) -> QueryPlan:
     """Rebuild a live :class:`QueryPlan` around stored/shared artefacts.
 
     The arrays are adopted as-is (memory-mapped or shared segments stay
     zero-copy); ``make_validator(component, source)`` binds a fresh
-    validator to the loaded plan's mapping node, and the memos start
-    empty — verdicts are deterministic, so a rebuilt plan converges to
-    the same memo content as the original.
+    validator to the loaded plan's mapping node, its memos empty —
+    verdicts are deterministic, so a rebuilt plan converges to the same
+    memo content as the original.
     """
     return QueryPlan(
         component=artifacts.component,
@@ -205,9 +149,9 @@ def plan_fingerprint(config: EngineConfig) -> tuple:
 
     Everything S1 consumes (sampler kind, scope bound, Eq. 5 smoothing)
     plus what the memoised similarities depend on: the bound, the floor
-    and the chain DFS budget.  ``tau`` is not among them: the verdict
-    column holds exact similarities and each query compares them with its
-    own threshold.  The RNG seed only matters for the node2vec baseline
+    and the chain DFS budget.  ``tau`` is not among them: the validators
+    memoise similarities and each query compares them with its own
+    threshold.  The RNG seed only matters for the node2vec baseline
     (the semantic and CNARW walks are deterministic), so it joins the
     fingerprint only there — engines with different seeds still share
     semantic plans.  :data:`S1_REVISION` leads.
@@ -252,7 +196,9 @@ class _GraphEntry:
     building: dict[PlanKey, threading.Event] = field(default_factory=dict)
     #: composite queries' joint supports, keyed by their component plan
     #: keys (LRU-ordered); a joint goes when any of its plans is evicted
-    joints: dict[tuple[PlanKey, ...], JointSupport] = field(default_factory=dict)
+    joints: dict[tuple[PlanKey, ...], AnswerDistribution] = field(
+        default_factory=dict
+    )
 
     def published(
         self, keys: Sequence[PlanKey], plans: Sequence[QueryPlan]
@@ -262,8 +208,8 @@ class _GraphEntry:
 
 
 #: default per-graph plan bound; a plan's payload is its support (answers,
-#: probabilities, verdict column) plus, once validated, its validator's
-#: exact row (a similarity and a path length per graph node), so the cap
+#: probabilities) plus, once validated, its validator's exact row or chain
+#: memo (a similarity and a path length per graph node), so the cap
 #: bounds resident memory for long-lived serving processes with many
 #: components/configs/tenants
 DEFAULT_MAX_PLANS_PER_GRAPH = 256
@@ -412,8 +358,8 @@ class PlanCache:
         kg: KnowledgeGraph,
         keys: tuple[PlanKey, ...],
         plans: Sequence[QueryPlan],
-        build: Callable[[], JointSupport],
-    ) -> JointSupport:
+        build: Callable[[], AnswerDistribution],
+    ) -> AnswerDistribution:
         """The joint support of ``plans`` (``keys[i]``'s plan is
         ``plans[i]``), assembled by ``build`` once per published plan set.
 

@@ -39,7 +39,7 @@ from repro.sampling.strength import (
     stage_distributions,
 )
 from repro.sampling.topology import cnarw_entry_weights, node2vec_visit_distribution
-from repro.semantics.validation import CorrectnessValidator
+from repro.semantics.validation import ChainValidator, CorrectnessValidator
 from repro.utils.rng import derive_seed
 
 
@@ -152,9 +152,32 @@ class QueryPlanner:
         component: PathQuery,
         source: int,
         scope: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> CorrectnessValidator | ChainValidator:
+        """The validator of a built or catalog-loaded plan: its first leg
+        (:meth:`_first_leg`), wrapped in a :class:`ChainValidator` for a
+        chain component."""
+        first_leg = self._first_leg(component, source, scope)
+        if component.is_simple:
+            return first_leg
+        config = self.config
+        return ChainValidator(
+            self._kg,
+            self._space,
+            component,
+            first_leg,
+            max_length=config.n_bound,
+            floor=config.similarity_floor,
+            budget_per_level=config.validation_expansions * 5,
+        )
+
+    def _first_leg(
+        self,
+        component: PathQuery,
+        source: int,
+        scope: tuple[np.ndarray, np.ndarray] | None,
     ) -> CorrectnessValidator:
-        """The validator of a built or catalog-loaded plan, bound to its
-        mapping node and first predicate.
+        """The validator bound to the plan's mapping node and first
+        predicate.
 
         ``scope`` is the first S1 stage's ``(nodes, probabilities)`` on a
         build and ``None`` on a catalog load.  The exact row ignores it;
@@ -268,9 +291,9 @@ class QueryPlanner:
                 f"the chain component from {component.specific_name!r} needs "
                 "the semantic or the cnarw sampler"
             )
-        # The plan keeps the composed distribution only: chain validation
-        # reads the first leg off the plan's validator (bound to the
-        # mapping node; the first stage's scope is handed to it) and
+        # The plan keeps the composed distribution only: its chain
+        # validator reads the first leg off the validator bound to the
+        # mapping node (the first stage's scope is handed to it) and
         # enumerates the later legs per answer, never the routes.
         first = self._first_stage(source, *component.hops[0])
         chain = ChainSampler(

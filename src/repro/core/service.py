@@ -17,9 +17,10 @@ What makes a *batch* cheaper than a loop over ``execute``:
   :class:`~repro.core.plan.PlanCache` through one planner, and
   :meth:`PlanCache.get_or_build` guarantees each (component, config) plan
   is built exactly once no matter how many queries need it concurrently.
-* **Per-plan verdict memos** — a shared plan carries one verdict memo,
-  so a query validates only the answers no earlier query did; every
-  later query reads the memo.  Outcomes are deterministic per answer,
+* **Per-plan verdict memos** — a shared plan's validator is its one
+  verdict memo (an exact row, or a chain's searched answers by node id),
+  so a query searches only the answers no earlier query did; every later
+  query reads the memo.  Outcomes are deterministic per answer,
   so results stay byte-identical to sequential execution.
 * **Round interleaving** — the scheduler is round-robin with
   budget-aware priority (queries with the fewest completed rounds step
@@ -543,7 +544,8 @@ class AggregateQueryService:
                 "conjunction_skips": execution.counter(
                     "conjunction_skips",
                     "Answer x component searches not run because an "
-                    "earlier component rejected the answer (S2)",
+                    "earlier component rejected the answer; an exact row "
+                    "has none to skip (S2)",
                 ),
                 "sigma_closed_form": execution.counter(
                     "sigma_closed_form",

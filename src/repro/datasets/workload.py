@@ -95,12 +95,6 @@ class WorkloadBuilder:
                 return attribute.name
         return None
 
-    def _integer_attribute(self, hub: HubSpec) -> str | None:
-        for attribute in hub.attributes:
-            if attribute.distribution == "integers":
-                return attribute.name
-        return None
-
     # ------------------------------------------------------------------
     def add_simple(self, hub: HubSpec, *, with_filters: bool = True) -> None:
         """Add the hub's COUNT/AVG/SUM simple queries."""

@@ -25,8 +25,9 @@ metric                                         type       meaning
 ``repro_exec_validate_batch_pending``          histogram  batch sizes handed to the S2 kernels
 ``repro_exec_census_queries``                  counter    queries answered by a census (the
                                                           exact aggregate over the support)
-``repro_exec_conjunction_skips``               counter    answer x component searches an
-                                                          earlier component's rejection saved
+``repro_exec_conjunction_skips``               counter    chain / r-path searches an earlier
+                                                          component's rejection saved (an
+                                                          exact row has none to skip)
 ``repro_exec_sigma_closed_form``               counter    bag / group sigmas taken in closed
                                                           form (COUNT, SUM under SAMPLE)
 ``repro_exec_sigma_bootstrap``                 counter    ... that paid for a bootstrap index

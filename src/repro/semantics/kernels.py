@@ -18,7 +18,9 @@ CSR snapshot here.  Each has a plain-Python oracle that only tests call
 * :func:`cnarw_weights` — CNARW's per-entry set intersections as one
   sorted-key merge count over the pairs' CSR neighbourhoods.
 * :class:`ChainContext` / :func:`chain_matches` — the backwards
-  chain-prefix enumeration (§V-B) over list-unpacked adjacency.  The
+  chain-prefix enumeration (§V-B) over list-unpacked adjacency, driven
+  level by level by a chain plan's validator
+  (:class:`repro.semantics.validation.ChainValidator`).  The
   budgeted DFS walks small frames itself and settles a frame entered on
   a hub from a *tour*: the traversal below that node, recorded once per
   context by the same loop and replayed for every later answer with the
@@ -322,7 +324,7 @@ class ChainContext:
     ``space.similarity`` and ``clamp_similarity`` — and the batched
     chain-prefix driver re-pays them for every frontier node.  A chain
     context hoists all of it out of the hot loop once per chain level of a
-    plan (``QueryPlan.chain_levels``): the CSR snapshot's adjacency is
+    plan (``ChainValidator.levels``): the CSR snapshot's adjacency is
     unpacked into plain Python lists (list indexing beats numpy scalar
     extraction in an interpreter loop), each adjacency entry is mapped to
     its predicate id, and per-predicate edge log-similarities memoise into

@@ -6,11 +6,15 @@
   ``r`` paths to the answer.  It approximates Eq. 3 from below and so has
   false negatives; production validation computes Eq. 3 exactly
   (:class:`~repro.semantics.validation.CorrectnessValidator`).  Only the
-  figures' engine binds it (:mod:`repro.bench.harness`), so Fig. 5(b) and
-  Fig. 6(c) still chart what ``r`` does.
+  figures' engine binds it (:mod:`repro.bench.harness`), as a simple
+  plan's validator or a chain's first leg, so Fig. 5(b) and Fig. 6(c)
+  still chart what ``r`` does.  Each answer is searched once: the search
+  memoises by node id like every chain validator
+  (:class:`~repro.semantics.validation.MemoisedSearch`).
 * :func:`chain_prefixes_recursive` keeps the one-endpoint-at-a-time
-  chain-prefix recursion (§V-B) that ``QueryExecutor._chain_prefix_batch``
-  must reproduce memo row for memo row; only tests call it.
+  chain-prefix recursion (§V-B) that
+  :class:`~repro.semantics.validation.ChainValidator` must reproduce
+  prefix for prefix; only tests call it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.semantics.matching import best_matches_from, best_matches_iterative
 from repro.semantics.similarity import SIMILARITY_FLOOR, require_known_predicates
-from repro.semantics.validation import ValidationBatch, ValidationOutcome
+from repro.semantics.validation import MemoisedSearch
 
 #: default cap on queue pops per search; bounds worst-case latency.
 DEFAULT_EXPANSION_BUDGET = 120
@@ -36,14 +40,15 @@ DEFAULT_EXPANSION_BUDGET = 120
 DEFAULT_BRANCH_CAP = 16
 
 
-class ReferenceValidator:
+class ReferenceValidator(MemoisedSearch):
     """The paper's best-first r-path search, bound to one ``(source,
     predicate, visiting)`` context.
 
     ``visiting`` maps the scope's node ids to their stationary
     probabilities; only those nodes are expanded.  ``stop_threshold``
     makes the search stop at the first path whose similarity reaches it
-    (the verdict at that threshold cannot change any more).
+    (the verdict at that threshold cannot change any more).  Searches are
+    memoised by node id (:meth:`MemoisedSearch.validate_batch`).
     """
 
     def __init__(
@@ -178,20 +183,10 @@ class ReferenceValidator:
                 )
         return best_similarity, paths_found, expansions, best_length
 
-    def validate(self, answer: int) -> ValidationOutcome:
-        """One answer's search as a :class:`ValidationOutcome`."""
-        similarity, _paths, _expansions, length = self.search(int(answer))
-        return ValidationOutcome(int(answer), similarity, length)
-
-    def validate_batch(self, answers: Sequence[int] | np.ndarray) -> ValidationBatch:
-        """One search per answer, aligned with ``answers``."""
-        answers = np.asarray(answers, dtype=np.int64)
+    def _search(self, answers: np.ndarray) -> tuple[list[float], list[int], None]:
+        """One search per answer, in order."""
         searched = [self.search(answer) for answer in answers.tolist()]
-        return ValidationBatch(
-            answers,
-            np.asarray([found[0] for found in searched], dtype=np.float64),
-            np.asarray([found[3] for found in searched], dtype=np.int8),
-        )
+        return [found[0] for found in searched], [found[3] for found in searched], None
 
 
 def chain_prefixes_recursive(

@@ -29,10 +29,9 @@ from repro.core.config import EngineConfig
 from repro.core.plan import QueryPlan, plan_from_artifacts
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import StoreError
-from repro.kg.csr import CSRGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
-from repro.semantics.validation import CorrectnessValidator
+from repro.semantics.validation import ChainValidator, CorrectnessValidator
 from repro.store.plans import (
     component_token,
     config_token,
@@ -40,11 +39,7 @@ from repro.store.plans import (
     load_plan_artifacts,
     save_plan_artifacts,
 )
-from repro.store.snapshot import (
-    cached_graph_fingerprint,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.store.snapshot import cached_graph_fingerprint, save_snapshot
 
 #: hex chars of each fingerprint kept in file names
 _SHORT = 16
@@ -101,25 +96,6 @@ class SnapshotCatalog:
         """Persist ``kg``'s CSR snapshot; returns the file path."""
         return save_snapshot(kg, self.snapshot_path(kg))
 
-    def load_snapshot(
-        self, kg: KnowledgeGraph, *, mmap: bool = True
-    ) -> CSRGraph:
-        """Load + install ``kg``'s snapshot; :class:`StoreError` if absent."""
-        return load_snapshot(self.snapshot_path(kg), kg, mmap=mmap)
-
-    def try_load_snapshot(
-        self, kg: KnowledgeGraph, *, mmap: bool = True
-    ) -> CSRGraph | None:
-        """Like :meth:`load_snapshot` but ``None`` when no file exists."""
-        path = self.snapshot_path(kg)
-        if not path.is_file():
-            return None
-        return load_snapshot(path, kg, mmap=mmap)
-
-    def has_snapshot(self, kg: KnowledgeGraph) -> bool:
-        """True when a snapshot of ``kg``'s current structure is stored."""
-        return self.snapshot_path(kg).is_file()
-
     # ------------------------------------------------------------------
     # Plans
     # ------------------------------------------------------------------
@@ -141,7 +117,9 @@ class SnapshotCatalog:
         config: EngineConfig,
         component: PathQuery,
         *,
-        make_validator: Callable[[PathQuery, int], CorrectnessValidator],
+        make_validator: Callable[
+            [PathQuery, int], CorrectnessValidator | ChainValidator
+        ],
         mmap: bool = True,
     ) -> QueryPlan | None:
         """The stored plan for ``component``, or ``None`` on a miss.

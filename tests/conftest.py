@@ -219,6 +219,23 @@ def sampled_service():
     return _sampled_service
 
 
+def _memoised(validator) -> dict[int, float]:
+    """Every similarity a plan's validator holds, by node id: an exact
+    row's every node once built, a memoising validator's searched nodes."""
+    held = getattr(validator, "_row", None) or getattr(validator, "_memo", None)
+    if held is None:
+        return {}
+    similarity = held[0]
+    filled = np.flatnonzero(~np.isnan(similarity))
+    return dict(zip(filled.tolist(), similarity[filled].tolist()))
+
+
+@pytest.fixture(scope="session")
+def memoised():
+    """Reads a validator's held similarities as a dict (:func:`_memoised`)."""
+    return _memoised
+
+
 @pytest.fixture(scope="session")
 def fast_config() -> EngineConfig:
     """Engine config tuned for quick, deterministic tests."""

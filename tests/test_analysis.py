@@ -25,6 +25,7 @@ from repro.analysis import (
 )
 from repro.analysis.cli import main as lint_main
 from repro.analysis.linter import discover_files
+from repro.analysis.rules import LockOrderRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -828,3 +829,17 @@ class TestSelfLint:
         }
         missing = set(LintConfig().guarded_classes) - defined
         assert not missing, sorted(missing)
+
+    def test_every_lock_order_module_acquires_a_lock(self):
+        # REP202 builds its graph from these modules' ``with <lock>:``
+        # blocks: a module that acquires no lock adds nothing to it
+        files = discover_files([REPO_ROOT / "src" / "repro"])
+        project = load_project(files, root=REPO_ROOT)
+        for suffix in LintConfig().lock_order_modules:
+            module = project.find(suffix)
+            assert module is not None, suffix
+            assert any(
+                LockOrderRule._direct_locks("", node)
+                for node in ast.walk(module.tree)
+                if isinstance(node, ast.ClassDef)
+            ), suffix

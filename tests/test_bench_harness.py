@@ -27,7 +27,7 @@ from repro.errors import ReproError
 from repro.sampling.scope import build_scope
 from repro.sampling.topology import node2vec_visit_distribution
 from repro.semantics.reference import ReferenceValidator
-from repro.semantics.validation import CorrectnessValidator
+from repro.semantics.validation import ChainValidator, CorrectnessValidator
 from repro.utils.rng import derive_seed
 
 
@@ -152,7 +152,8 @@ class TestHarness:
     def test_figure_plans_carry_the_r_path_search(self, context):
         """A figure engine's simple plan searches until ``tau``, a chain's
         first leg runs all ``r`` paths; production plans over the same
-        components keep the exact row."""
+        components keep the exact row.  Both planners wrap a chain's first
+        leg in a ``ChainValidator``."""
         config = EngineConfig(seed=0, repeat_factor=2, tau=0.8)
         engine = context.engine(config)
         production = ApproximateAggregateEngine(
@@ -162,12 +163,16 @@ class TestHarness:
         for query in context.workload:
             for component in query.aggregate_query.query.components:
                 validator = engine.planner.plan_for(component).validator
+                exact = production.planner.plan_for(component).validator
+                if not component.is_simple:
+                    assert isinstance(validator, ChainValidator)
+                    assert isinstance(exact, ChainValidator)
+                    validator, exact = validator.first_leg, exact.first_leg
                 assert isinstance(validator, ReferenceValidator)
                 assert validator.repeat_factor == 2
                 expected = 0.8 if component.is_simple else None
                 assert validator.stop_threshold == expected
                 seen.add(component.is_simple)
-                exact = production.planner.plan_for(component).validator
                 assert isinstance(exact, CorrectnessValidator)
         assert seen == {True, False}
 
@@ -213,7 +218,8 @@ class TestHarness:
             int(node): float(visiting[node])
             for node in np.flatnonzero(visiting > 0.0)
         }
-        assert expected and plan.validator.visiting == expected
+        first_leg = plan.validator if shape == "simple" else plan.validator.first_leg
+        assert expected and first_leg.visiting == expected
 
     def test_paper_false_negatives_do_not_grow_with_r(self):
         """Over the simple components of freebase-like's workload at

@@ -314,7 +314,9 @@ class TestAblationConfigs:
 class TestLazyConjunction:
     """S2 validates cheapest-first and stops at the first rejection."""
 
-    def test_star_verdicts_equal_the_eager_minimum(self, dbpedia_bundle, fast_config):
+    def test_star_verdicts_equal_the_eager_minimum(
+        self, dbpedia_bundle, fast_config, memoised
+    ):
         from repro import QueryShape
         from repro.core.plan import shared_plan_cache
         from repro.datasets import queries_of_shape, standard_workload
@@ -336,21 +338,28 @@ class TestLazyConjunction:
         assert [plan for plan in state.components if plan.component.is_simple] == list(
             order[:2]
         )
-        # each component saw only what every earlier one kept
-        memos = [plan.memoised_similarities() for plan in order]
-        sizes = [len(memo) for memo in memos]
+        # each component saw only what every earlier one kept: the simple
+        # ones read their exact rows, the chain searched exactly the
+        # answers both kept
+        validated = np.flatnonzero(state.support_known)
+        answers = state.joint.answers[validated]
+        kept = [np.ones(len(answers), dtype=bool)]
+        for plan in order[:2]:
+            kept.append(kept[-1] & (plan.validator.row()[0][answers] >= fast_config.tau))
+        sizes = [int(np.count_nonzero(mask)) for mask in kept]
         assert sizes[0] > sizes[1] >= sizes[2] > 0
+        assert sorted(memoised(order[2].validator)) == answers[kept[2]].tolist()
 
         # the public similarity is still the minimum over *all* components;
         # asking for it computes whatever the conjunction skipped
-        validated = np.flatnonzero(state.support_known)
-        assert len(validated) == sizes[0]
-        for index in validated:
-            node_id = int(state.joint.answers[index])
-            similarity = engine.answer_similarity(state, node_id)
-            assert similarity == min(
-                plan.memoised_similarities()[node_id] for plan in state.components
-            )
+        similarities = [
+            engine.answer_similarity(state, node_id) for node_id in answers.tolist()
+        ]
+        memos = [memoised(plan.validator) for plan in state.components]
+        for index, node_id, similarity in zip(
+            validated, answers.tolist(), similarities
+        ):
+            assert similarity == min(memo[node_id] for memo in memos)
             assert (similarity >= fast_config.tau) == state.support_correct[index]
 
 
@@ -369,6 +378,13 @@ class TestConfigValidation:
             {"max_rounds": 0},
             {"fixed_delta": 0},
             {"self_loop_weight": 0.0},
+            {"self_loop_weight": float("nan")},
+            {"self_loop_weight": float("inf")},
+            {"similarity_floor": 0.0},
+            {"similarity_floor": 1.0},
+            {"similarity_floor": 2.0},
+            {"similarity_floor": float("nan")},
+            {"validation_expansions": 0},
             {"extreme_sample_ratio": 0.0},
             {"extreme_rounds": 0},
             {"max_intermediates": 0},

@@ -152,10 +152,50 @@ def test_similarity_front_doors_refuse_an_out_of_range_node_id(
         engine.answer_similarity([plan], bad)
     with pytest.raises(NodeNotFoundError):
         engine.executor.prewarm_similarities([plan], [0, bad])
-    assert plan.memoised_similarities() == {}
-    assert not plan.chain_prefix_memo and plan.validator._row is None
+    validator = plan.validator
+    if shape == "chain":
+        assert validator._memo is None and not validator.prefixes
+        validator = validator.first_leg
+    assert validator._row is None
     for node_id in (0, world.kg.num_nodes - 1):
         assert 0.0 <= engine.answer_similarity([plan], node_id) <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["exact", "chain", "reference"])
+def test_validators_refuse_an_out_of_range_node_id(toy_world_factory, kind):
+    """Every validator's ``validate_batch`` raises ``NodeNotFoundError``
+    for an id outside ``[0, num_nodes)`` before its row or memo is read
+    (-1 would read the last node, ``num_nodes`` raise a bare IndexError):
+    the exact row, the chain validator and the figures' r-path search."""
+    from repro.bench.harness import PaperPlanner
+    from repro.core.plan import PlanCache
+    from repro.core.planner import QueryPlanner
+    from repro.semantics.reference import ReferenceValidator
+    from repro.semantics.validation import ChainValidator, CorrectnessValidator
+
+    world = toy_world_factory()
+    config = EngineConfig(seed=7)
+    if kind == "reference":
+        planner = PaperPlanner(world.kg, world.space, config)
+    else:
+        planner = QueryPlanner(world.kg, world.space, config, cache=PlanCache())
+    query = world.chain_count_query() if kind == "chain" else world.count_query()
+    validator = planner.plan_for(query.query.components[0]).validator
+    assert type(validator) is {
+        "exact": CorrectnessValidator,
+        "chain": ChainValidator,
+        "reference": ReferenceValidator,
+    }[kind]
+    for bad in (-1, world.kg.num_nodes):
+        with pytest.raises(NodeNotFoundError):
+            validator.validate_batch([0, bad])
+        with pytest.raises(NodeNotFoundError):
+            validator.validate(bad)
+    assert getattr(validator, "_row", None) is None
+    assert getattr(validator, "_memo", None) is None
+    batch = validator.validate_batch([0, world.kg.num_nodes - 1])
+    assert batch.answers.tolist() == [0, world.kg.num_nodes - 1]
+    assert ((batch.similarity >= 0.0) & (batch.similarity <= 1.0)).all()
 
 
 @pytest.mark.parametrize("validate", [True, False])
@@ -274,16 +314,14 @@ def _joint_by_dicts(components) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assert_joint_matches_dicts(components) -> None:
-    joint_support = QueryExecutor._joint_distribution(components)
-    joint = joint_support.distribution
+    joint = QueryExecutor._joint_distribution(components)
     answers, weights = _joint_by_dicts(components)
     assert joint.answers.dtype == answers.dtype
     np.testing.assert_array_equal(joint.answers, answers)
     assert joint.probabilities.tobytes() == weights.tobytes()
-    # each component's positions hold the joint's answers, in its order
-    assert len(joint_support.positions) == len(components)
-    for plan, where in zip(components, joint_support.positions):
-        np.testing.assert_array_equal(plan.distribution.answers[where], answers)
+    # every component's support holds the joint's answers
+    for plan in components:
+        assert np.isin(answers, plan.distribution.answers).all()
 
 
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
@@ -321,7 +359,7 @@ def test_joint_distribution_of_unsorted_partially_overlapping_supports():
         _fake_plan(rng, range(10, 70, 3)),
     ]
     _assert_joint_matches_dicts(components)
-    joint = QueryExecutor._joint_distribution(components).distribution
+    joint = QueryExecutor._joint_distribution(components)
     assert len(joint.answers) == 7
 
 

@@ -662,15 +662,14 @@ class TestChainKernelEquivalence:
         ids=["two_hops", "three_hops"],
     )
     def test_batched_memo_equals_recursive_oracle(self, toy, hops):
-        """``_chain_prefix_batch`` writes the recursion's memo, row for row."""
-        from repro.core.executor import QueryExecutor
+        """A ``ChainValidator`` batch writes the recursion's prefixes, row
+        for row."""
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
 
         component = QueryGraph.chain("Germany", ["Country"], hops).components[0]
         config = EngineConfig(seed=7)
         planner = QueryPlanner(toy.kg, toy.space, config, cache=PlanCache())
-        executor = QueryExecutor(toy.kg, toy.space, config, planner)
         plan = planner.plan_for(component)
         answers = sorted(plan.distribution.answers.tolist())
 
@@ -679,10 +678,10 @@ class TestChainKernelEquivalence:
         )
         assert any(row is not None for row in expected.values())
         assert {level for level, _ in expected} == set(range(1, len(hops) + 1))
-        executor._chain_prefix_batch(plan, component.num_hops, answers)
+        plan.validator.validate_batch(answers)
         # the first leg is the exact row, the oracle's is the DFS: they
         # differ by the DFS's float drift only
-        memo = plan.chain_prefix_memo
+        memo = plan.validator.prefixes
         assert memo.keys() == expected.keys()
         for key, row in expected.items():
             if row is None:
@@ -907,7 +906,7 @@ class TestChainTours:
 class TestEngineLevelEquivalence:
     @pytest.mark.parametrize("query_name", ["count", "chain", "star"])
     def test_cold_answer_similarity_equals_executed_plan(
-        self, toy_world_factory, query_name
+        self, toy_world_factory, query_name, memoised
     ):
         """``answer_similarity`` on cold memos (one answer at a time: a
         batch of one per component — a row read for a simple plan, a
@@ -943,8 +942,8 @@ class TestEngineLevelEquivalence:
         cold_engine = ApproximateAggregateEngine(kg, embedding, config)
         cold_plans = [cold_engine.planner.plan_for(c) for c in components]
         for cold_plan in cold_plans:
-            assert not cold_plan.memoised_similarities()
-            assert not cold_plan.chain_prefix_memo
+            assert not memoised(cold_plan.validator)
+            assert not getattr(cold_plan.validator, "prefixes", None)
         cold = [
             {
                 answer: cold_engine.answer_similarity([cold_plan], answer)
@@ -957,22 +956,30 @@ class TestEngineLevelEquivalence:
         engine = ApproximateAggregateEngine(kg, embedding, config)
         engine.execute(query)
         plans = [engine.planner.plan_for(c) for c in components]
-        for plan, cold_plan, cold_memo in zip(plans, cold_plans, cold):
+        # what each validator holds for its support (an exact row holds
+        # every node)
+        memos = [
+            {
+                answer: similarity
+                for answer, similarity in memoised(plan.validator).items()
+                if answer in cold_memo
+            }
+            for plan, cold_memo in zip(plans, cold)
+        ]
+        for plan, cold_plan, cold_memo, memo in zip(plans, cold_plans, cold, memos):
             assert plan is not cold_plan
-            memo = plan.memoised_similarities()
             assert memo
             for answer, similarity in memo.items():
                 assert engine.answer_similarity([plan], answer) == similarity
                 assert cold_memo[answer] == similarity
-            for key, row in plan.chain_prefix_memo.items():
-                assert cold_plan.chain_prefix_memo[key] == row
-        for plan in plans:
-            assert bool(plan.chain_prefix_memo) == (not plan.component.is_simple)
+            if not plan.component.is_simple:
+                assert plan.validator.prefixes
+                for key, row in plan.validator.prefixes.items():
+                    assert cold_plan.validator.prefixes[key] == row
         assert any(not p.component.is_simple for p in plans) == (
             query_name != "count"
         )
         # every component judged these: the composite is their minimum
-        memos = [plan.memoised_similarities() for plan in plans]
         judged = set.intersection(*(set(memo) for memo in memos))
         assert judged
         for answer in judged:
@@ -989,7 +996,6 @@ class TestEngineLevelEquivalence:
         search missed some on two components), and a simple component's
         similarities are SSB's."""
         from repro.baselines.ssb import SemanticSimilarityBaseline
-        from repro.core.executor import QueryExecutor
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
         from repro.datasets import ALL_PRESETS, standard_workload
@@ -998,7 +1004,6 @@ class TestEngineLevelEquivalence:
         config = EngineConfig(seed=0)
         space = bundle.space()
         planner = QueryPlanner(bundle.kg, space, config, cache=PlanCache())
-        executor = QueryExecutor(bundle.kg, space, config, planner)
         ssb = SemanticSimilarityBaseline(bundle.kg, space)
         components = dict.fromkeys(
             component
@@ -1008,7 +1013,7 @@ class TestEngineLevelEquivalence:
         for component in components:
             plan = planner.plan_for(component)
             answers = plan.distribution.answers.tolist()
-            similarities = executor._node_similarities(plan, answers)
+            similarities = plan.validator.validate_batch(answers).similarity
             truth = ssb.component_similarities(component)
             kept = {
                 answer

@@ -662,7 +662,8 @@ class TestExecMetrics:
 
     def test_star_query_ticks_the_conjunction_skips(self):
         """The golden ``star_count`` case: answers a simple component put
-        below tau never reach the chain component's search."""
+        below tau never reach the chain component's search, and a skip
+        counts only a search still to be made."""
         from repro import QueryShape
         from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 
@@ -677,25 +678,26 @@ class TestExecMetrics:
             # a rejection spares only the searches still to be made
             plans = [service.planner.plan_for(c) for c in star.query.components]
             joint = QueryExecutor._joint_distribution(plans)
-            order = sorted(
-                range(len(plans)),
-                key=lambda i: not plans[i].component.is_simple,
-            )
+            order = sorted(plans, key=lambda plan: not plan.component.is_simple)
             ApproximateAggregateEngine(
                 bundle.kg, bundle.embedding, config
-            ).executor.prewarm_similarities(
-                [plans[order[-1]]], joint.distribution.answers[::2].tolist()
-            )
+            ).executor.prewarm_similarities([order[-1]], joint.answers[::2].tolist())
             result = service.submit(star).result(timeout=60.0)
             samples = _parse_prometheus(service.registry.render_prometheus())
         # the census validated the whole joint support and no screen rejects
-        # a COUNT without filters, so a skip is a cell a rejection left NaN
+        # a COUNT without filters, so a skip is a chain-memo cell a
+        # rejection left NaN; an exact row holds every node and skips none
         assert result.stop_reason == STOP_CENSUS and not star.filters
-        rejected = np.zeros(joint.distribution.support_size, dtype=bool)
+        assert [plan.component.is_simple for plan in order][-1] is False
+        rejected = np.zeros(joint.support_size, dtype=bool)
         skips = 0
-        for index in order:
-            cells = plans[index].verdicts[joint.positions[index]]
-            skips += int(np.count_nonzero(rejected & np.isnan(cells)))
+        for plan in order:
+            validator = plan.validator
+            if plan.component.is_simple:
+                cells = validator.row()[0][joint.answers]
+            else:
+                cells = validator.memo()[0][joint.answers]
+                skips += int(np.count_nonzero(rejected & np.isnan(cells)))
             rejected |= cells < config.tau
         assert samples["repro_exec_conjunction_skips"] == skips > 0
 

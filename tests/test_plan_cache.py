@@ -6,9 +6,10 @@ Covers the architectural contracts of the plan layer:
   (structure/attribute version split);
 * structural mutation evicts both;
 * concurrent engines over one graph + embedding share one plan object;
-* the per-plan verdict memo survives refinement rounds — sessions never
-  revalidate an answer — and is a column over the plan's support; nodes
-  outside it read the validator's row;
+* a plan's validator is its verdict memo, keyed by node id, and survives
+  refinement rounds — sessions never revalidate an answer: a simple
+  plan's exact row holds every node, a chain plan's memo each node it
+  searched, in the support or not;
 * composite queries' joint supports are cached beside their plans and
   live and die with them;
 * a plan's validator reads the exact Eq. 3 row, SSB's similarities, over
@@ -41,7 +42,8 @@ from repro.core.planner import QueryPlanner
 from repro.core.config import SamplerKind
 from repro.server import encode_result
 from repro.kg import csr_snapshot
-from repro.semantics.validation import CorrectnessValidator
+from repro.semantics import kernels
+from repro.semantics.validation import ChainValidator, CorrectnessValidator
 
 
 @pytest.fixture
@@ -142,23 +144,23 @@ class TestVersionCounters:
         component = query.query.components[0]
         engine.execute(query)
         plan = engine.planner.plan_for(component)
-        context, typed = plan.chain_levels[2]
+        context, typed = plan.validator.levels[2]
         assert set(world.people) <= typed  # the hop below level 2: Person
 
         world.kg.set_attribute(world.people[0], "age", 40.0)
         engine.execute(query, seed=1)
         assert engine.planner.plan_for(component) is plan
-        assert plan.chain_levels[2][0] is context
+        assert plan.validator.levels[2][0] is context
 
         late = world.kg.add_node("LatePerson", ["Person"])
         world.kg.add_edge(late, "nationality", world.germany)
         engine.execute(query)
         fresh = engine.planner.plan_for(component)
         assert fresh is not plan
-        fresh_context, fresh_typed = fresh.chain_levels[2]
+        fresh_context, fresh_typed = fresh.validator.levels[2]
         assert fresh_context is not context
         assert late in fresh_typed and late not in typed
-        assert plan.chain_levels[2] == (context, typed)
+        assert plan.validator.levels[2] == (context, typed)
 
     def test_store_discards_plan_built_against_stale_structure(self, world):
         engine = _engine(world)
@@ -220,32 +222,27 @@ class TestPlanSharing:
             is second.planner.plan_for(component)
         )
 
-    def test_shared_plan_skips_rebuild_and_revalidation(self, world):
+    def test_shared_plan_skips_rebuild_and_revalidation(self, world, monkeypatch):
         first = _engine(world)
         first.execute(world.count_query())
         component = world.count_query().query.components[0]
         plan = first.planner.plan_for(component)
-        memo_size = len(plan.memoised_similarities())
-        assert memo_size > 0
+        assert plan.validator._row is not None
 
         second = _engine(world)
-        calls: list[int] = []
-        original = CorrectnessValidator.validate_batch
+        builds: list[int] = []
+        original = kernels.exact_similarities
 
-        def counting(self, answers, *args, **kwargs):
-            answers = list(answers)
-            calls.extend(answers)
-            return original(self, answers, *args, **kwargs)
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return original(*args, **kwargs)
 
-        CorrectnessValidator.validate_batch = counting
-        try:
-            result = second.execute(world.count_query())
-        finally:
-            CorrectnessValidator.validate_batch = original
+        monkeypatch.setattr(kernels, "exact_similarities", counting)
+        result = second.execute(world.count_query())
         assert result.total_draws > 0
-        # every answer the second engine drew was already in the shared
-        # memo, so the validation service was never asked again
-        assert calls == []
+        # the shared plan's row already held every answer the second
+        # engine drew, so it was read, never computed again
+        assert builds == []
         assert second.planner.plan_for(component) is plan
 
     def test_engines_at_different_tau_share_one_plan(self, world):
@@ -374,21 +371,20 @@ class TestBatchedValidationEquivalence:
         assert result.stage_ms["validation"] >= 0.0
 
 
-class TestVerdictColumn:
-    """The verdict memo is a float64 column aligned with the plan's
-    answers (NaN = not yet validated); nodes outside the support, which
-    only ``answer_similarity`` / the prewarm reach, read the validator's
-    row and memoise nothing."""
+class TestValidatorMemos:
+    """A plan's validator is its verdict memo, keyed by node id: a simple
+    plan's exact row holds every node once built; a chain plan's memo
+    holds each node it searched (NaN elsewhere), in the support or not."""
 
-    def test_warm_pass_column_is_the_memo(self, world, monkeypatch):
-        searched: dict[int, tuple] = {}
-        original = QueryExecutor._similarities
+    def test_warm_pass_searches_each_chain_answer_once(self, world, monkeypatch, memoised):
+        searched: dict[int, list] = {}
+        original = ChainValidator._search
 
-        def recording(self, plan, node_ids):
-            searched.setdefault(id(plan), (plan, set()))[1].update(node_ids)
-            return original(self, plan, node_ids)
+        def recording(self, answers):
+            searched.setdefault(id(self), []).extend(answers.tolist())
+            return original(self, answers)
 
-        monkeypatch.setattr(QueryExecutor, "_similarities", recording)
+        monkeypatch.setattr(ChainValidator, "_search", recording)
         batch = _mixed_batch(world)
         config = EngineConfig(seed=7, max_rounds=8)
         with AggregateQueryService(world.kg, world.embedding, config) as service:
@@ -404,53 +400,64 @@ class TestVerdictColumn:
             )
         }
         assert len(plans) == 3
-        assert searched.keys() == plans.keys()
-        for plan, nodes in searched.values():
-            # every validated answer has a cell
-            positions, found = plan.positions_of(sorted(nodes))
-            assert found.all()
-            assert not np.isnan(plan.verdicts[positions]).any()
+        chains = {
+            id(plan.validator): plan
+            for plan in plans.values()
+            if not plan.component.is_simple
+        }
+        assert searched.keys() == chains.keys()
+        for key, nodes in searched.items():
+            assert len(nodes) == len(set(nodes))  # never searched twice
+            similarity, _ = chains[key].validator.memo()
+            assert not np.isnan(similarity[nodes]).any()
         for plan in plans.values():
-            filled = np.flatnonzero(~np.isnan(plan.verdicts))
-            assert len(filled)
-            for answer, similarity in zip(
-                plan.distribution.answers[filled].tolist(),
-                plan.verdicts[filled].tolist(),
-            ):
-                assert engine.answer_similarity([plan], answer) == similarity
+            memo = memoised(plan.validator)
+            held = [a for a in plan.distribution.answers.tolist() if a in memo]
+            assert held
+            for answer in held:
+                assert engine.answer_similarity([plan], answer) == memo[answer]
 
-    def test_off_support_nodes_read_the_row(self, world):
+    def test_off_support_nodes_are_validated_too(self, world, memoised):
         engine = _engine(world)
-        plan = engine.planner.plan_for(world.count_query().query.components[0])
-        outside = next(
-            node for node in world.people if not plan.positions_of([node])[1][0]
-        )
-        similarity = engine.answer_similarity([plan], outside)
-        assert similarity == plan.validator.validate(outside).similarity
-        assert np.isnan(plan.verdicts).all()
-        assert plan.memoised_similarities() == {}
+        simple = engine.planner.plan_for(world.count_query().query.components[0])
+        chain = engine.planner.plan_for(world.chain_count_query().query.components[0])
+        asked = {}
+        for plan in (simple, chain):
+            outside = next(
+                node
+                for node in world.people
+                if node not in plan.distribution.answers.tolist()
+            )
+            similarity = engine.answer_similarity([plan], outside)
+            assert similarity == plan.validator.validate(outside).similarity
+            asked[plan.component.is_simple] = (outside, similarity)
+        outside, similarity = asked[True]
+        assert simple.validator.row()[0][outside] == similarity
+        # the chain memo holds exactly the node asked for
+        outside, similarity = asked[False]
+        assert memoised(chain.validator) == {outside: similarity}
 
-    def test_prewarm_fills_the_column(self, world):
+    def test_prewarm_fills_the_memo(self, world, memoised):
         engine = _engine(world)
-        component = world.count_query().query.components[0]
+        component = world.chain_count_query().query.components[0]
         plan = engine.planner.plan_for(component)
         answers = plan.distribution.answers[:10].tolist()
         outside = next(
-            node for node in world.people if not plan.positions_of([node])[1][0]
+            node
+            for node in world.people
+            if node not in plan.distribution.answers.tolist()
         )
         engine.executor.prewarm_similarities([plan], answers + answers[:3] + [outside])
-        positions, found = plan.positions_of(answers)
-        assert found.all()
-        assert not np.isnan(plan.verdicts[positions]).any()
-        assert int(np.isnan(plan.verdicts).sum()) == plan.distribution.support_size - 10
-        assert outside not in plan.memoised_similarities()
+        memo = memoised(plan.validator)
+        assert sorted(memo) == sorted(answers + [outside])
+        assert int(np.isnan(plan.validator.memo()[0]).sum()) == world.kg.num_nodes - 11
 
         shared_plan_cache().clear()
         cold = _engine(world)
         cold_plan = cold.planner.plan_for(component)
         assert cold_plan is not plan
-        for answer, cell in zip(answers, plan.verdicts[positions].tolist()):
-            assert cold.answer_similarity([cold_plan], answer) == cell
+        for answer in answers:
+            assert cold.answer_similarity([cold_plan], answer) == memo[answer]
 
     def test_two_services_sharing_plans_match_sequential(self, world):
         """Two services on their own threads batch over the same shared
@@ -496,8 +503,8 @@ class TestVerdictColumn:
 
 class TestJointSupports:
     """A composite query's joint support (intersection, weights, guide
-    table, every component's positions) is cached in the plan cache
-    beside its plans, keyed by their plan keys."""
+    table) is cached in the plan cache beside its plans, keyed by their
+    plan keys."""
 
     def test_two_submits_share_one_joint(self, world, monkeypatch):
         joints = []
@@ -505,7 +512,7 @@ class TestJointSupports:
 
         def recording(self, *args, **kwargs):
             state = original(self, *args, **kwargs)
-            joints.append((state.joint, state.positions))
+            joints.append(state.joint)
             return state
 
         monkeypatch.setattr(QueryExecutor, "initialise", recording)
@@ -514,16 +521,12 @@ class TestJointSupports:
             service.submit(_star_query(), seed=1).result(timeout=60)
             service.submit(_star_query(), seed=2).result(timeout=60)
             service.submit(world.count_query(), seed=3).result(timeout=60)
-        (first, first_positions), (second, second_positions), (plain, identity) = joints
+        first, second, plain = joints
         assert second is first
-        assert all(a is b for a, b in zip(first_positions, second_positions))
         assert shared_plan_cache().num_joints(world.kg) == 1
-        # a single component is its plan's own distribution, identity positions
+        # a single component is its plan's own distribution
         plan = _engine(world).planner.plan_for(world.count_query().query.components[0])
         assert plain is plan.distribution
-        np.testing.assert_array_equal(
-            identity[0], np.arange(plan.distribution.support_size)
-        )
 
     def test_structural_mutation_gives_a_fresh_joint(self, world):
         engine = _engine(world)
@@ -540,13 +543,13 @@ class TestJointSupports:
     def test_clear_leaves_no_joint_reachable(self, world):
         engine = _engine(world)
         state = engine.executor.initialise(_star_query(), 1)
-        refs = [weakref.ref(state.joint), *map(weakref.ref, state.positions)]
+        ref = weakref.ref(state.joint)
         del state
         gc.collect()
-        assert all(ref() is not None for ref in refs)  # the cache holds it
+        assert ref() is not None  # the cache holds it
         shared_plan_cache().clear()
         gc.collect()
-        assert all(ref() is None for ref in refs)
+        assert ref() is None
 
     def test_cold_composite_loop_retains_no_joint(self, world, monkeypatch):
         built = []
@@ -562,7 +565,11 @@ class TestJointSupports:
         )
         for seed in range(20):
             shared_plan_cache().clear()
-            _engine(world).execute(_star_query(), seed=seed)
+            # a finished query's state holds its joint too: closing the
+            # engine's service releases it, so only the cache is left
+            with _engine(world).service as service:
+                service.submit(_star_query(), seed=seed).result(timeout=60)
+        del service
         gc.collect()
         assert len(built) == 20
         assert [ref() is not None for ref in built] == [False] * 19 + [True]

@@ -457,16 +457,14 @@ class TestFaultMechanics:
         """Every query validates in its own slot: an error validating the
         simple plan fails the two queries sharing it, and the chain query
         stepped in the same cohort on its own plan still succeeds."""
-        fill = QueryExecutor._fill_similarities
+        validate = QueryExecutor._validate
 
         def fail_on_simple_plans(executor, plan, node_ids):
             if plan.component.is_simple:
                 raise EmbeddingError("the simple plan's predicate has no vector")
-            return fill(executor, plan, node_ids)
+            return validate(executor, plan, node_ids)
 
-        monkeypatch.setattr(
-            QueryExecutor, "_fill_similarities", fail_on_simple_plans
-        )
+        monkeypatch.setattr(QueryExecutor, "_validate", fail_on_simple_plans)
         shared_plan_cache().clear()
         config = EngineConfig(seed=7, max_rounds=8)
         with AggregateQueryService(world.kg, world.embedding, config) as service:

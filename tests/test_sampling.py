@@ -358,7 +358,7 @@ class TestClosedFormIsProduction:
         assert planner.build_count == 2 and calls == []
         assert simple.walk_iterations == 0 and chained.walk_iterations > 0
         assert simple.validator.visiting[toy.germany] > 0
-        assert chained.validator.visiting[toy.germany] > 0
+        assert chained.validator.first_leg.visiting[toy.germany] > 0
 
 
 class TestAnswerDistribution:

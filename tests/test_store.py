@@ -22,6 +22,7 @@ from repro.core.plan import PlanCache
 from repro.core.planner import QueryPlanner
 from repro.errors import StoreError
 from repro.kg.csr import build_call_count, csr_snapshot
+from repro.semantics.validation import ChainValidator
 from repro.store import (
     SnapshotCatalog,
     load_plan_artifacts,
@@ -218,6 +219,15 @@ class TestPlanCatalog:
         )
         assert np.array_equal(
             loaded.distribution.probabilities, built.distribution.probabilities
+        )
+        # a catalog load wraps the first leg in a chain validator too, and
+        # it judges every answer as the built plan's does
+        assert isinstance(loaded.validator, ChainValidator)
+        assert loaded.validator.first_leg.source == loaded.source
+        answers = built.distribution.answers
+        assert (
+            loaded.validator.validate_batch(answers).similarity.tobytes()
+            == built.validator.validate_batch(answers).similarity.tobytes()
         )
 
     @pytest.mark.parametrize("shape", ["simple", "chain"])
