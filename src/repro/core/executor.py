@@ -560,14 +560,21 @@ class QueryExecutor:
     def _census_due(self, state: _QueryState, need: int) -> bool:
         """Whether a growth of ``need`` draws gives way to the census.
 
-        It does when ``need`` is at least the number of support entries
-        this query has not drawn: validating the rest then costs no more
-        searches than the draws would, and returns the exact aggregate.
-        The rule reads only the query's own draws, so which rounds a
-        query takes is a function of (query, seed, graph, config) —
-        memo state changes only the cost.
+        It does at once — ``initialise`` draws nothing — when the joint
+        support is no larger than ``max_sample_size``: a sample may grow
+        that far anyway, and validating the whole support costs no more
+        searches than such a sample would.  Above the cap it does when
+        ``need`` is at least the number of support entries this query
+        has not drawn: validating the rest then costs no more searches
+        than the draws would.  Either way the census returns the exact
+        aggregate.  The rule reads only the query's own draws and the
+        config, so which rounds a query takes is a function of (query,
+        seed, graph, config) — memo state changes only the cost.
         """
-        undrawn = state.joint.support_size - len(state.distinct_support_indices())
+        support_size = state.joint.support_size
+        if support_size <= self.config.max_sample_size:
+            return True
+        undrawn = support_size - len(state.distinct_support_indices())
         return need >= undrawn
 
     def step(

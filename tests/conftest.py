@@ -44,6 +44,12 @@ class ToyWorld:
     noise_nodes: list[int]
 
     @property
+    def support_size(self) -> int:
+        """The simple queries' support: every automobile, kept or not.  A
+        ``max_sample_size`` below it turns the census-first rule off."""
+        return len(self.correct_cars) + len(self.near_miss_cars)
+
+    @property
     def count_truth(self) -> float:
         return float(len(self.correct_cars))
 

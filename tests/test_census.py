@@ -1,6 +1,8 @@
-"""The census: a query whose next growth would draw at least as many answers
-as it has not drawn validates the rest of its support and returns the exact
-aggregate.
+"""The census: a query whose joint support is no larger than
+``max_sample_size`` validates the whole support at its first round and
+draws nothing (census-first); above the cap, a query whose next growth
+would draw at least as many answers as it has not drawn validates the rest
+of its support.  Either way it returns the exact aggregate.
 
 The oracle is :func:`repro.query.evaluate.aggregate_over` over ``{a in the
 joint support : every component keeps a at >= tau, a usable}``: SUM and AVG
@@ -31,8 +33,7 @@ from repro import (
     QueryShape,
 )
 from repro.bench.harness import sampled_engine
-from repro.core.config import SamplerKind
-from repro.core.executor import QueryExecutor
+from repro.core.config import ExtremeMethod, SamplerKind
 from repro.core.plan import shared_plan_cache
 from repro.core.result import STOP_CENSUS, GroupedResult
 from repro.datasets import ALL_PRESETS, standard_workload
@@ -52,18 +53,14 @@ _ATTRIBUTE_FUNCTIONS = (
 )
 
 
-class CensusExecutor(QueryExecutor):
-    """Takes the census at once: ``initialise`` draws nothing and the first
-    ``step`` validates the whole support."""
-
-    def _census_due(self, state, need: int) -> bool:
-        return True
-
-
-def _census_engine(kg, embedding, config=None) -> ApproximateAggregateEngine:
-    engine = ApproximateAggregateEngine(kg, embedding, config)
-    engine._executor = CensusExecutor(kg, engine.space, engine.config, engine.planner)
-    return engine
+def _below_the_cap(kg, embedding, query, config) -> ApproximateAggregateEngine:
+    """A production engine whose ``max_sample_size`` sits one below the
+    query's support: census-first is off, the late census is not."""
+    probe = ApproximateAggregateEngine(kg, embedding, config)
+    support = probe.executor.initialise(query, 0).joint.support_size
+    return ApproximateAggregateEngine(
+        kg, embedding, config.with_(max_sample_size=support - 1)
+    )
 
 
 def _run(executor, query, seed=1, error_bound=0.01):
@@ -200,10 +197,12 @@ def _variants(bundle, shape: QueryShape) -> list[AggregateQuery]:
 )
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
 def test_census_is_the_exact_aggregate_on_every_shape_and_kind(preset, shape):
+    """Every preset support fits under the default sample cap, so every
+    query takes the census at its first round and draws nothing."""
     bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
     queries = _variants(bundle, shape)
     assert queries
-    engine = _census_engine(bundle.kg, bundle.embedding, EngineConfig(seed=0))
+    engine = ApproximateAggregateEngine(bundle.kg, bundle.embedding, EngineConfig(seed=0))
     for query in queries:
         state, result = _run(engine.executor, query)
         assert len(result.rounds) == 1 and state.total_draws == 0
@@ -212,14 +211,15 @@ def test_census_is_the_exact_aggregate_on_every_shape_and_kind(preset, shape):
 
 def test_a_census_after_sampled_rounds_is_the_exact_aggregate():
     """The census the growth rule triggers, after sampled rounds: the
-    yago2-like workload's plain COUNT / SUM / AVG."""
+    yago2-like workload's plain COUNT / SUM / AVG, each under a sample cap
+    just below its support (so census-first is off)."""
     bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
-    engine = ApproximateAggregateEngine(bundle.kg, bundle.embedding, EngineConfig(seed=0))
     censuses = 0
     for stated in standard_workload(bundle):
         query = stated.aggregate_query
         if query.query.shape is not QueryShape.SIMPLE or query.group_by is not None:
             continue
+        engine = _below_the_cap(bundle.kg, bundle.embedding, query, EngineConfig(seed=0))
         state, result = _run(engine.executor, query, seed=3)
         if result.stop_reason != STOP_CENSUS:
             continue
@@ -229,6 +229,123 @@ def test_a_census_after_sampled_rounds_is_the_exact_aggregate():
         assert result.rounds[-1].total_draws == result.rounds[-2].total_draws
         _assert_census_is_the_oracle(engine, state, result)
     assert censuses >= 5
+
+
+# ----------------------------------------------------------------------
+# census-first: a support under the sample cap is validated whole at once
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("method", list(ExtremeMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
+def test_census_first_max_min_is_exact_and_fits_no_tail(preset, method, monkeypatch):
+    """MAX / MIN take the census like every other kind: the extremum of
+    the kept answers, guaranteed with MoE 0 — and no EVT fit, not even
+    under ``ExtremeMethod.EVT``."""
+
+    def no_tail_fit(*_args, **_kwargs):
+        raise AssertionError("a census fits no tail")
+
+    monkeypatch.setattr("repro.core.executor.estimate_extreme_evt", no_tail_fit)
+    bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
+    engine = ApproximateAggregateEngine(
+        bundle.kg, bundle.embedding, EngineConfig(seed=0, extreme_method=method)
+    )
+    queries = [
+        query
+        for shape in (QueryShape.SIMPLE, QueryShape.CHAIN, QueryShape.STAR)
+        for query in _variants(bundle, shape)
+        if query.function in (AggregateFunction.MAX, AggregateFunction.MIN)
+    ]
+    assert queries
+    for query in queries:
+        state, result = _run(engine.executor, query)
+        assert state.total_draws == 0 and len(result.rounds) == 1
+        assert result.stop_reason == STOP_CENSUS and result.converged
+        assert result.rounds[0].guaranteed and result.moe == 0.0
+        value, _groups = aggregate_over(engine.kg, query, _kept_answers(engine, state))
+        assert result.value == value
+        # the served run, at another draw seed, is the same census
+        assert _values(engine.execute(query, seed=4)) == _values(result)
+
+
+def _toy_query(toy, kind: str) -> AggregateQuery:
+    if kind == "avg":
+        return toy.avg_query()
+    if kind == "grouped":
+        return AggregateQuery(
+            query=toy.count_query().query,
+            function=AggregateFunction.COUNT,
+            group_by=GroupBy("price", bin_width=1000.0),
+        )
+    return AggregateQuery(
+        query=toy.count_query().query,
+        function=AggregateFunction.MAX,
+        attribute="price",
+    )
+
+
+@pytest.mark.parametrize("kind", ["avg", "grouped", "max"])
+def test_a_cap_below_the_support_samples_first_then_takes_the_late_census(
+    toy, kind
+):
+    """``max_sample_size`` one below the support: ``initialise`` draws
+    the little samples, and a later growth still gives way to the census
+    (``need >= undrawn``).  At the support itself the census comes first."""
+    query = _toy_query(toy, kind)
+    config = EngineConfig(
+        seed=7, max_rounds=8, error_bound=0.001, min_group_draws=1,
+        max_sample_size=toy.support_size - 1,
+    )
+    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    first = engine.executor.initialise(query, 5)
+    assert first.joint.support_size == toy.support_size
+    assert first.total_draws > 0 and not first.census_due
+    state, result = _run(engine.executor, query, seed=5, error_bound=0.001)
+    assert result.stop_reason == STOP_CENSUS and len(result.rounds) >= 2
+    assert result.rounds[0].total_draws == first.total_draws > 0
+    assert not any(trace.guaranteed and trace.moe == 0.0 for trace in result.rounds[:-1])
+    _assert_census_is_the_oracle(engine, state, result)
+
+    at_cap = ApproximateAggregateEngine(
+        toy.kg, toy.embedding, config.with_(max_sample_size=toy.support_size)
+    )
+    state = at_cap.executor.initialise(query, 5)
+    assert state.total_draws == 0 and state.census_due
+
+
+def test_census_first_is_byte_identical_cold_and_warm_for_any_seed():
+    """Every kind over the dbpedia-like simple, chain and star graphs: a
+    cold engine per query (cleared plan cache) and one warm service answer
+    alike, in one round with no draws, whatever the draw seed."""
+    bundle = ALL_PRESETS["dbpedia-like"](seed=0, scale=1.0)
+    queries = [
+        query
+        for shape in (QueryShape.SIMPLE, QueryShape.CHAIN, QueryShape.STAR)
+        for query in _variants(bundle, shape)
+    ]
+    config = EngineConfig(seed=0)
+    cold = []
+    for query in queries:
+        shared_plan_cache().clear()
+        engine = ApproximateAggregateEngine(bundle.kg, bundle.embedding, config)
+        try:
+            cold.append(engine.execute(query, seed=2))
+        finally:
+            engine.service.close()
+    with AggregateQueryService(bundle.kg, bundle.space(), config) as service:
+        first = [
+            handle.result(timeout=60.0)
+            for handle in service.submit_batch([(query, 1) for query in queries])
+        ]
+        warm = [service.submit(query, seed=2).result(timeout=60.0) for query in queries]
+
+    def wire(result) -> str:
+        return json.dumps(encode_result(result, timings=False), sort_keys=True)
+
+    for results in zip(cold, first, warm):
+        for result in results:
+            assert result.stop_reason == STOP_CENSUS
+            assert len(result.rounds) == 1 and result.total_draws == 0
+        assert wire(results[0]) == wire(results[1]) == wire(results[2])
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +480,7 @@ def test_cnarw_plan_over_an_uncovered_predicate_fails_at_first_validation():
         query=QueryGraph.simple("hub", ["Hub"], "knows", ["Car"]),
         function=AggregateFunction.COUNT,
     )
-    engine = _census_engine(kg, space, config)
+    engine = ApproximateAggregateEngine(kg, space, config)
     plan = engine.planner.plan_for(query.query.components[0])
     assert plan.distribution.answers.tolist() == [near, other]
     for answer in (near, other):
@@ -462,7 +579,7 @@ def test_census_is_aggregate_over_on_random_small_graphs(world):
     kg, query = world
     space = PredicateVectorSpace(LookupEmbedding(dict(_PREDICATES)))
     config = EngineConfig(seed=0)
-    engine = _census_engine(kg, space, config)
+    engine = ApproximateAggregateEngine(kg, space, config)
     plan = engine.planner.plan_for(query.query.components[0])
     assume(plan.distribution.support_size > 0)
     state, result = _run(engine.executor, query)

@@ -70,9 +70,11 @@ def test_query_group_by(capsys):
     assert "groups" in out
 
 
-def test_query_extreme_trace_renders_no_nan(capsys):
+def test_query_extreme_trace_renders_no_nan(capsys, monkeypatch, sampled_engine):
     """Regression: extreme round traces carried moe=NaN, which the trace
-    table rendered as 'nan'; the sentinel renders as the n/a marker."""
+    table rendered as 'nan'; the sentinel renders as the n/a marker.  The
+    engine samples: a census round has a CI, so it has no sentinel."""
+    monkeypatch.setattr("repro.cli.ApproximateAggregateEngine", sampled_engine)
     code = main(
         [
             "query",

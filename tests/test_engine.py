@@ -42,7 +42,8 @@ class TestSimpleQueries:
         result = engine.execute(toy.sum_query())
         assert result.relative_error(toy.sum_truth) < 0.05
 
-    def test_result_metadata(self, toy, engine):
+    def test_result_metadata(self, toy, fast_config, sampled_engine):
+        engine = sampled_engine(toy.kg, toy.embedding, fast_config)
         result = engine.execute(toy.count_query())
         assert result.function is AggregateFunction.COUNT
         assert result.total_draws > 0
@@ -216,11 +217,11 @@ class TestGroupBy:
         assert result.num_groups == len(result.groups)
         assert "by group" in result.describe()
 
-    def test_a_round_that_gates_no_group_is_not_satisfied(self, toy):
+    def test_a_round_that_gates_no_group_is_not_satisfied(self, toy, sampled_engine):
         """Sixty one-car bins: no group reaches ``min_group_draws`` correct
         draws in three rounds, so no round has checked a bound."""
         config = EngineConfig(seed=7, max_rounds=3)
-        engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+        engine = sampled_engine(toy.kg, toy.embedding, config)
         query = AggregateQuery(
             query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
             function=AggregateFunction.COUNT,
@@ -264,17 +265,17 @@ class TestAblationConfigs:
         # near-miss cars inflate the count beyond the correct 60
         assert result.value > toy.count_truth * 1.05
 
-    def test_cnarw_sampler_runs(self, toy):
+    def test_cnarw_sampler_runs(self, toy, sampled_engine):
         config = EngineConfig(seed=7, sampler=SamplerKind.CNARW, max_rounds=4)
-        engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+        engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         assert result.total_draws > 0
         # the ablation's walk is reversible too: closed form, no iteration
         assert result.walk_iterations == 0
 
-    def test_node2vec_sampler_runs(self, toy):
+    def test_node2vec_sampler_runs(self, toy, sampled_engine):
         config = EngineConfig(seed=7, sampler=SamplerKind.NODE2VEC, max_rounds=3)
-        engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+        engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         assert result.total_draws > 0
 
@@ -286,12 +287,12 @@ class TestAblationConfigs:
         result = engine.execute(toy.avg_query())
         assert result.relative_error(toy.avg_truth) < 0.05
 
-    def test_paper_normalization_biased_count(self, toy):
+    def test_paper_normalization_biased_count(self, toy, sampled_engine):
         """DESIGN.md §4.1: Eq. 8 as written overcounts by ~1/q."""
         from repro.estimation import Normalization
 
         config = EngineConfig(seed=7, normalization=Normalization.PAPER, max_rounds=6)
-        engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+        engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         assert result.value > toy.count_truth  # upward bias
 
@@ -315,7 +316,7 @@ class TestLazyConjunction:
     """S2 validates cheapest-first and stops at the first rejection."""
 
     def test_star_verdicts_equal_the_eager_minimum(
-        self, dbpedia_bundle, fast_config, memoised
+        self, dbpedia_bundle, fast_config, memoised, sampled_engine
     ):
         from repro import QueryShape
         from repro.core.plan import shared_plan_cache
@@ -326,7 +327,7 @@ class TestLazyConjunction:
             standard_workload(dbpedia_bundle), QueryShape.STAR
         )[0].aggregate_query
         shared_plan_cache().clear()
-        engine = ApproximateAggregateEngine(
+        engine = sampled_engine(
             dbpedia_bundle.kg, dbpedia_bundle.embedding, fast_config
         )
         state = engine.executor.initialise(star, 3)

@@ -18,7 +18,6 @@ from pathlib import Path
 from repro import (
     AggregateFunction,
     AggregateQuery,
-    AggregateQueryService,
     EngineConfig,
     GroupBy,
     QueryGraph,
@@ -36,7 +35,7 @@ _GRAPH = QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"])
 
 
 def test_each_round_fires_one_step_span_and_each_growth_one_grow_span(
-    toy_world_factory,
+    toy_world_factory, sampled_service
 ):
     world = toy_world_factory()
     workload = [  # one query per kind; the draw seed is the ledger's query id
@@ -61,7 +60,8 @@ def test_each_round_fires_one_step_span_and_each_growth_one_grow_span(
     )
     shared_plan_cache().clear()
     tracer = Tracer()
-    with AggregateQueryService(world.kg, world.embedding, config) as service:
+    # a sampled run: a census-first one takes one step and no growth
+    with sampled_service(world.kg, world.embedding, config) as service:
         # like the ledger: the class is rebound after the executor exists
         tracer.install(TARGETS)
         try:

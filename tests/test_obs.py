@@ -701,7 +701,7 @@ class TestExecMetrics:
             rejected |= cells < config.tau
         assert samples["repro_exec_conjunction_skips"] == skips > 0
 
-    def test_only_avg_and_paper_sigmas_pay_for_an_index_stream(self):
+    def test_only_avg_and_paper_sigmas_pay_for_an_index_stream(self, sampled_service):
         """A ``dashboard_refresh``-shaped batch — one hub's COUNT, SUM,
         binned GROUP-BY COUNT, MAX and MIN — takes every sigma in closed
         form; the hub's AVG then bootstraps its three bags every sampled
@@ -721,7 +721,7 @@ class TestExecMetrics:
         assert sorted(query.function.value for query in hub) == [
             "COUNT", "COUNT", "MAX", "MIN", "SUM",
         ]
-        with AggregateQueryService(
+        with sampled_service(
             bundle.kg, bundle.embedding, EngineConfig(seed=0)
         ) as service:
             for handle in service.submit_batch([(query, 5) for query in hub]):

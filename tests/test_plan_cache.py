@@ -52,9 +52,13 @@ def world(toy_world_factory):
     return toy_world_factory()
 
 
-def _engine(world, **overrides) -> ApproximateAggregateEngine:
+def _engine(
+    world, make=ApproximateAggregateEngine, **overrides
+) -> ApproximateAggregateEngine:
+    """An engine over the toy world; ``make`` is its constructor (the
+    ``sampled_engine`` fixture for a run that must draw)."""
     config = EngineConfig(**{"seed": 7, "max_rounds": 8, **overrides})
-    return ApproximateAggregateEngine(world.kg, world.embedding, config)
+    return make(world.kg, world.embedding, config)
 
 
 def _star_query() -> AggregateQuery:
@@ -222,14 +226,16 @@ class TestPlanSharing:
             is second.planner.plan_for(component)
         )
 
-    def test_shared_plan_skips_rebuild_and_revalidation(self, world, monkeypatch):
-        first = _engine(world)
+    def test_shared_plan_skips_rebuild_and_revalidation(
+        self, world, monkeypatch, sampled_engine
+    ):
+        first = _engine(world, make=sampled_engine)
         first.execute(world.count_query())
         component = world.count_query().query.components[0]
         plan = first.planner.plan_for(component)
         assert plan.validator._row is not None
 
-        second = _engine(world)
+        second = _engine(world, make=sampled_engine)
         builds: list[int] = []
         original = kernels.exact_similarities
 
@@ -342,12 +348,12 @@ class TestBatchedValidationEquivalence:
         assert len(answers) >= 10
         return plan, answers
 
-    def test_plan_validator_reads_the_exact_row(self, world):
+    def test_plan_validator_reads_the_exact_row(self, world, sampled_engine):
         """The plan's validator gives SSB's similarity per sampled answer,
         and a batch equals its answers one at a time."""
         from repro.semantics.matching import best_matches_from
 
-        engine = _engine(world)
+        engine = _engine(world, make=sampled_engine)
         plan, answers = self._sampled_workload(world, engine)
         matches = best_matches_from(
             world.kg,

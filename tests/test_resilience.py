@@ -270,9 +270,9 @@ class TestAdmissionControl:
             )
             assert health["sheds"] == 0
 
-    def test_a_limit_of_one_admits_one_live_query(self, world):
+    def test_a_limit_of_one_admits_one_live_query(self, world, sampled_service):
         config = EngineConfig(seed=7, max_rounds=8)
-        with AggregateQueryService(
+        with sampled_service(
             world.kg, world.embedding, config, autostart=False,
             limits=ServiceLimits(max_pending=1, max_queued_runs=1),
         ) as service:
@@ -327,7 +327,7 @@ class TestFaultMechanics:
             assert handle.result(timeout=60) is not None
         assert plan.specs[0].fired == 1
 
-    def test_slot_callback_acts_at_an_exact_round(self, world):
+    def test_slot_callback_acts_at_an_exact_round(self, world, sampled_service):
         """A ``slot`` spec's callback runs in the scheduler just before the
         matched round: a cancel issued there lets that round finish and
         starts no other."""
@@ -337,7 +337,7 @@ class TestFaultMechanics:
                       callback=lambda _context: handles[0].cancel()),
         ])
         config = EngineConfig(seed=7, max_rounds=50)
-        with AggregateQueryService(
+        with sampled_service(
             world.kg, world.embedding, config, fault_plan=plan,
             autostart=False,
         ) as service:

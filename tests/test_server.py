@@ -36,6 +36,7 @@ from repro.server import (
     ReproHTTPServer,
     ServerThread,
     encode_result,
+    encode_trace,
     serve_in_thread,
 )
 
@@ -137,14 +138,14 @@ class TestEquivalence:
         ).encode(), "HTTP result must be byte-identical to direct submit"
 
     def test_grouped_entries_carry_each_groups_distinct_answers(
-        self, world, drive_lifecycle
+        self, world, drive_lifecycle, sampled_engine, sampled_service
     ):
         """Every per-group entry on the wire reports its group's distinct
         drawn support entries, not the 0 it used to repeat."""
-        with _serve(_service(world)) as (client, _runner):
+        with _serve(_service(world, make=sampled_service)) as (client, _runner):
             accepted = client.submit(GROUPED_AQL, error_bound=0.2, seed=11)
             payload = client.wait(accepted["id"])["result"]
-        engine = ApproximateAggregateEngine(
+        engine = sampled_engine(
             world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)
         )
         state, _result = drive_lifecycle(
@@ -247,6 +248,22 @@ class TestEvents:
                 assert entry["moe"] == 0.0
                 assert isinstance(entry["estimate"], float)
 
+    @pytest.mark.parametrize("aql", [COUNT_AQL, AVG_AQL, MAX_AQL, GROUPED_AQL])
+    def test_census_first_streams_one_round_then_the_result(self, world, aql):
+        """A support under the sample cap: the stream is the census round
+        alone, then the result — the handle's whole ``progress()``."""
+        with _serve(_service(world)) as (client, runner):
+            accepted = client.submit(aql, error_bound=0.2, seed=11)
+            events = list(client.events(accepted["id"]))
+            progress = runner.server._entries[accepted["id"]].handle.progress()
+        assert [event for event, _data in events] == ["round", "result"]
+        (census,) = progress
+        assert events[0][1] == encode_trace(census)
+        assert census.total_draws == 0 and census.guaranteed and census.satisfied
+        result = events[1][1]["result"]
+        assert result["stop_reason"] == "census"
+        assert result["rounds"] == [encode_trace(census)]
+
     def test_late_subscriber_still_sees_every_round(self, world):
         with _serve(_service(world)) as (client, _runner):
             accepted = client.submit(COUNT_AQL, error_bound=0.2, seed=11)
@@ -307,11 +324,12 @@ class TestErrorMapping:
                     call()
                 assert info.value.status == 404
 
-    def test_overload_is_429_with_retry_after(self, world):
+    def test_overload_is_429_with_retry_after(self, world, sampled_service):
         service = _service(
             world,
             limits=ServiceLimits(max_pending=1),
             backend=_StallingBackend(rounds=1),
+            make=sampled_service,
         )
         # the stalled query is still live at stop(): drain briefly, the
         # test asserts nothing about shutdown
@@ -441,8 +459,10 @@ class TestLifecycle:
             ), "a tighter bound cannot loosen the interval"
             assert second["rounds_completed"] >= first["rounds_completed"]
 
-    def test_healthz_surfaces_service_and_server_counters(self, world):
-        service = _service(world, backend=_StallingBackend(rounds=1))
+    def test_healthz_surfaces_service_and_server_counters(self, world, sampled_service):
+        service = _service(
+            world, backend=_StallingBackend(rounds=1), make=sampled_service
+        )
         with _serve(service) as (client, _runner):
             accepted = client.submit(COUNT_AQL, **NEVER)
             health = client.healthz()
@@ -458,8 +478,10 @@ class TestLifecycle:
             assert server_health["requests"] >= 2
             client.cancel(accepted["id"])
 
-    def test_graceful_shutdown_drains_a_live_stream(self, world):
-        service = _service(world, backend=_StallingBackend(rounds=1))
+    def test_graceful_shutdown_drains_a_live_stream(self, world, sampled_service):
+        service = _service(
+            world, backend=_StallingBackend(rounds=1), make=sampled_service
+        )
         runner = ServerThread(
             ReproHTTPServer(
                 service, "127.0.0.1", 0, drain_timeout=0.2, owns_service=True
@@ -506,8 +528,10 @@ class TestLifecycle:
         server._closing = False
         runner.stop()
 
-    def test_status_before_first_round_is_clean(self, world):
-        service = _service(world, backend=_StallingBackend(rounds=1))
+    def test_status_before_first_round_is_clean(self, world, sampled_service):
+        service = _service(
+            world, backend=_StallingBackend(rounds=1), make=sampled_service
+        )
         with _serve(service) as (client, _runner):
             accepted = client.submit(COUNT_AQL, **NEVER)
             payload = client.status(accepted["id"])

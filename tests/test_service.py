@@ -227,8 +227,8 @@ class TestProgressiveResults:
             # the anytime trace spans both runs
             assert len(handle.progress()) >= len(first.rounds)
 
-    def test_result_on_idle_deferred_handle_raises(self, world):
-        with _service(world) as service:
+    def test_result_on_idle_deferred_handle_raises(self, world, sampled_service):
+        with _service(world, make=sampled_service) as service:
             handle = service.submit(world.avg_query(), seed=5, start=False)
             with pytest.raises(ServiceError):
                 handle.result(timeout=5.0)
@@ -300,7 +300,9 @@ class TestGroupedAndExtremeSlots:
         json.loads(payload)
         assert result.rounds == progress
 
-    def test_rounds_trace_without_ci_uses_no_guarantee_sentinel(self, world):
+    def test_rounds_trace_without_ci_uses_no_guarantee_sentinel(
+        self, world, sampled_service
+    ):
         """A guaranteed-aggregate round with zero correct draws has no CI
         either: its trace records the sentinel (0.0, guaranteed=False)
         instead of inf, while Eq.-12 growth still sees "no CI yet"."""
@@ -313,7 +315,7 @@ class TestGroupedAndExtremeSlots:
             function=AggregateFunction.COUNT,
             filters=(Filter("price", 1.0, 2.0),),  # excludes every answer
         )
-        with _service(world, max_rounds=3) as service:
+        with _service(world, max_rounds=3, make=sampled_service) as service:
             handle = service.submit(empty, seed=5)
             result = handle.result()
         assert result.value == 0.0 and not result.converged
@@ -328,11 +330,13 @@ class TestGroupedAndExtremeSlots:
         assert "Infinity" not in payload and "NaN" not in payload
         json.loads(payload)
 
-    def test_grouped_trace_with_no_groups_stays_json_safe(self, world):
+    def test_grouped_trace_with_no_groups_stays_json_safe(
+        self, world, sampled_service
+    ):
         """A round that observes no groups (here: a GROUP-BY attribute no
         answer carries) has no CI — its trace must use the no-guarantee
         sentinel, not inf, which breaks rendering and strict JSON."""
-        with _service(world, max_rounds=3) as service:
+        with _service(world, max_rounds=3, make=sampled_service) as service:
             handle = service.submit(
                 AggregateQuery(
                     query=QueryGraph.simple(
@@ -408,7 +412,10 @@ class TestGroupedAndExtremeSlots:
         """``initialise`` -> (``grow`` ->) ``step`` -> ``finalise`` under
         ``round_budget`` — the slot's loop with no service around it —
         equals ``engine.execute`` at the same seed bit for bit, whether
-        the run samples to its end or ends in a census."""
+        the run samples to its end or ends in the census a growth brings
+        about (a sample cap below the support: no census-first)."""
+        if census:
+            overrides = {**overrides, "max_sample_size": world.support_size - 1}
         config = EngineConfig(seed=7, max_rounds=8, error_bound=0.001, **overrides)
         make = ApproximateAggregateEngine if census else sampled_engine
         engine = make(world.kg, world.embedding, config)
@@ -447,8 +454,11 @@ class TestGroupedAndExtremeSlots:
     ):
         """A group's ``distinct_answers`` is the number of distinct drawn
         support entries keyed into it (it used to read 0 for every group);
-        a census group nothing was drawn from reads 0."""
+        a census group nothing was drawn from reads 0.  The census run
+        samples first: its cap sits below the support."""
         overrides = {"min_group_draws": 1, "error_bound": 0.001}
+        if census:
+            overrides["max_sample_size"] = world.support_size - 1
         with _service(
             world, make=AggregateQueryService if census else sampled_service,
             **overrides,
@@ -473,7 +483,7 @@ class TestGroupedAndExtremeSlots:
             assert (group.distinct_answers > 0) == (group.correct_draws > 0)
             assert group.distinct_answers <= group.correct_draws
 
-    def test_mixed_batch_interleaves_kinds_in_one_pass(self, world):
+    def test_mixed_batch_interleaves_kinds_in_one_pass(self, world, sampled_service):
         """The scheduler steps grouped/extreme records in the same cohort
         as plain aggregates (fewest-completed-rounds-first), instead of
         letting one atomic slot monopolise the scheduler thread."""
@@ -491,7 +501,7 @@ class TestGroupedAndExtremeSlots:
         config = EngineConfig(
             seed=7, max_rounds=8, error_bound=0.001, min_group_draws=1
         )
-        with AggregateQueryService(
+        with sampled_service(
             world.kg, world.embedding, config, backend=backend
         ) as service:
             handles = service.submit_batch(
@@ -556,8 +566,8 @@ class TestCancellationAndTimeout:
         with pytest.raises(QueryCancelledError):
             drop.result()
 
-    def test_result_timeout_expires(self, world):
-        service = _service(world, autostart=False)
+    def test_result_timeout_expires(self, world, sampled_service):
+        service = _service(world, autostart=False, make=sampled_service)
         handle = service.submit(world.count_query())
         with pytest.raises(ResultTimeoutError):
             handle.result(timeout=0.05)
@@ -647,12 +657,14 @@ class TestWarmRounds:
     def _queries(world):
         return [(world.avg_query(), 1), (_grouped_query(), 2), (_extreme_query(), 3)]
 
-    def test_warm_queries_build_no_node_views(self, world, monkeypatch):
+    def test_warm_queries_build_no_node_views(
+        self, world, monkeypatch, sampled_service
+    ):
         """Guaranteed, grouped and extreme rounds, single submits and a
         batch: once the plans exist, no per-answer ``Node`` is built."""
         from repro.kg import KnowledgeGraph
 
-        with _service(world) as service:
+        with _service(world, make=sampled_service) as service:
             for query, seed in self._queries(world):
                 service.submit(query, seed=seed).result()
             built: list[int] = []
@@ -670,7 +682,7 @@ class TestWarmRounds:
         assert built == []
 
     def test_set_attribute_between_queries_is_seen_by_the_next_one(
-        self, toy_world_factory
+        self, toy_world_factory, sampled_service
     ):
         """One live service, a write stream between two queries: the second
         equals a fresh service's answer over an equally mutated graph."""
@@ -683,7 +695,7 @@ class TestWarmRounds:
             world.kg.set_attribute(cars[21], "weight", 1.0)  # a new attribute
 
         live = toy_world_factory()
-        with _service(live) as service:
+        with _service(live, make=sampled_service) as service:
             before = [
                 _values(service.submit(query, seed=seed).result())
                 for query, seed in self._queries(live)
@@ -696,7 +708,7 @@ class TestWarmRounds:
         fresh = toy_world_factory()
         mutate(fresh)
         shared_plan_cache().clear()
-        with _service(fresh) as service:
+        with _service(fresh, make=sampled_service) as service:
             expected = [
                 _values(service.submit(query, seed=seed).result())
                 for query, seed in self._queries(fresh)
@@ -884,12 +896,12 @@ class TestStopReasonAndBackend:
                 **{knob: value},
             )
 
-    def test_stage_buckets_are_the_in_process_stages(self, world):
+    def test_stage_buckets_are_the_in_process_stages(self, world, sampled_service):
         """A served result's ``stage_ms`` names the executor's stages and
         the scheduler's overhead — no transport bucket — and together they
         fit inside the submit-to-settle wall time."""
         shared_plan_cache().clear()
-        with _service(world) as service:
+        with _service(world, make=sampled_service) as service:
             service.submit(world.count_query(), seed=3).result(timeout=30.0)
             started = time.perf_counter()
             result = service.submit(world.avg_query(), seed=4).result(
@@ -990,8 +1002,8 @@ class TestHandleSurface:
             service.close()
         assert service.health()["live_queries"] == 0
 
-    def test_pending_handle_has_no_draws_and_no_progress(self, world):
-        service = _service(world, autostart=False)
+    def test_pending_handle_has_no_draws_and_no_progress(self, world, sampled_service):
+        service = _service(world, autostart=False, make=sampled_service)
         try:
             handle = service.submit(world.count_query(), seed=3)
             assert handle.status is QueryStatus.PENDING
@@ -1003,8 +1015,10 @@ class TestHandleSurface:
         finally:
             service.close()
 
-    def test_deferred_handle_rests_ready_with_its_initial_sample(self, world):
-        with _service(world) as service:
+    def test_deferred_handle_rests_ready_with_its_initial_sample(
+        self, world, sampled_service
+    ):
+        with _service(world, make=sampled_service) as service:
             handle = service.submit(world.avg_query(), seed=5, start=False)
             deadline = time.time() + 30.0
             while handle.status is QueryStatus.PENDING and time.time() < deadline:
@@ -1022,9 +1036,9 @@ class TestHandleSurface:
         assert not result.converged
         assert result.stop_reason == "round_budget"
 
-    def test_batch_seed_keyword_seeds_the_unpaired_entries(self, world):
+    def test_batch_seed_keyword_seeds_the_unpaired_entries(self, world, sampled_service):
         aql = "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)"
-        with _service(world) as service:
+        with _service(world, make=sampled_service) as service:
             batched = [
                 _fingerprint(handle.result(timeout=30.0))
                 for handle in service.submit_batch(
@@ -1119,9 +1133,11 @@ class TestHandleSurface:
         finally:
             service.close()
 
-    def test_one_round_event_per_round_then_one_settlement(self, world):
+    def test_one_round_event_per_round_then_one_settlement(self, world, sampled_service):
         events: list = []
-        service = _service(world, autostart=False, error_bound=0.01)
+        service = _service(
+            world, autostart=False, error_bound=0.01, make=sampled_service
+        )
         try:
             handle = service.submit(world.avg_query(), seed=11)
             handle.subscribe(lambda event, payload: events.append((event, payload)))
