@@ -3,9 +3,12 @@
 
 An analyst starts with a loose 5% error bound on a SUM query — the paper's
 Q6 analogue, "total box office of the movies directed by Steven Spielberg" —
-and tightens it step by step to 1%.  Each tightening reuses every draw
-collected so far; Eq. 12 sizes only the missing increment, so later steps
-cost tens of milliseconds instead of a fresh execution.
+and tightens it step by step to 1%.  When the query's support is larger
+than ``max_sample_size`` each tightening reuses every draw collected so
+far; Eq. 12 sizes only the missing increment, so later steps cost tens of
+milliseconds instead of a fresh execution.  On the preset graphs every
+support fits under the cap, so the first step already takes the census —
+the exact SUM, MoE 0, no draws — and every tighter bound after it is free.
 
 Refinement is now handle-native: ``service.submit`` returns a
 :class:`QueryHandle` and every ``handle.refine(eb).result()`` runs one
@@ -52,8 +55,9 @@ def main() -> None:
     with AggregateQueryService(
         bundle.kg, bundle.embedding, EngineConfig(seed=3)
     ) as service:
-        # start=False: S1 + the initial draws run, but no rounds — the
-        # analyst decides each bound interactively via refine()
+        # start=False: S1 (and, above the sample cap, the initial draws)
+        # runs, but no rounds — the analyst decides each bound
+        # interactively via refine()
         handle = service.submit(q6, seed=3, start=False)
 
         print("eb      estimate             MoE             time (ms)  +draws  error")

@@ -7,9 +7,10 @@ executes any of the paper's eight methods on one query with *cold* per-call
 state so timings are comparable.
 
 "Ours" runs on :func:`figure_engine`: the paper's model end to end.  Its
-executor never takes the census (the exact answer a query takes once its
-next growth would draw its whole support), so the figures sweep what the
-paper's knobs do to a sample rather than read one exact answer, and its
+executor never takes the census (the exact answer a production query
+takes at once when its support fits under ``max_sample_size``, which
+every preset support does), so the figures sweep what the paper's knobs
+do to a sample rather than read one exact answer, and its
 planner binds the paper's greedy r-path search (§IV-B2) as each plan's
 validator instead of the exact similarity row, so ``r`` and the search
 budget act as in the paper.  Each figure engine keeps its plans in a
@@ -67,11 +68,12 @@ def method_names() -> tuple[str, ...]:
 class SampledExecutor(QueryExecutor):
     """An executor that never takes the census.
 
-    The preset graphs (and the tests' small ones) have supports a few
-    growths cover, so most queries would end in a census; the paper's
-    figures, a calibration of the sampling path, and tests of the
-    sampling mechanics — Eq. 12 growth, BLB bags, the sample cap, the
-    round budget, anytime progress — run on this instead.
+    The preset graphs (and the tests' small ones) have supports under
+    ``max_sample_size``, so every production query takes the census at
+    its first round and draws nothing; the paper's figures, a
+    calibration of the sampling path, and tests of the sampling
+    mechanics — Eq. 12 growth, BLB bags, the sample cap, the round
+    budget, anytime progress — run on this instead.
     """
 
     def _census_due(self, state, need: int) -> bool:

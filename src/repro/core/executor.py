@@ -16,10 +16,14 @@ estimator inside the round, the growth rule before it and what the final
 result packages, so the kind is resolved here (:func:`kind_for`) and
 nowhere else.  This module holds no loop: the serving scheduler's slot
 (:mod:`repro.core.service`) is the only driver, interleaving rounds
-across live queries of all kinds.  The last round may be the **census**:
-once a growth would draw at least as many answers as the query has not
-drawn, nothing is drawn and the next round validates the rest of the
-support and returns the exact aggregate (:meth:`QueryExecutor._census`).
+across live queries of all kinds.  The last round may be the **census**,
+which validates the rest of the support and returns the exact aggregate
+(:meth:`QueryExecutor._census`).  A query whose joint support is no
+larger than ``max_sample_size`` takes it first: ``initialise`` draws
+nothing and the query settles in one round, MAX/MIN included.  Above the
+cap the query samples, and once a growth would draw at least as many
+answers as it has not drawn, nothing is drawn and the next round is the
+census.
 
 Validation is **batched**: each round's pending support entries pass one
 array-valued attribute/filter screen over the graph's attribute columns
@@ -137,10 +141,10 @@ class _QueryState:
     #: GROUP-BY only: the latest round's per-group results, refreshed by
     #: every step and packaged by finalise
     grouped_results: dict[float, "ApproximateResult"] | None = None
-    #: set by ``initialise`` / ``grow`` instead of drawing when the growth
-    #: would add at least as many draws as the support has undrawn
-    #: entries (:meth:`QueryExecutor._census_due`): the next ``step`` is
-    #: the census
+    #: set by ``initialise`` / ``grow`` instead of drawing when the
+    #: support fits under ``max_sample_size`` or the growth would add at
+    #: least as many draws as the support has undrawn entries
+    #: (:meth:`QueryExecutor._census_due`): the next ``step`` is the census
     census_due: bool = False
     #: the census round, once run; a later ``step`` re-emits it
     census: RoundTrace | None = None
@@ -281,9 +285,10 @@ class QueryExecutor:
         confidence: float | None = None,
     ) -> _QueryState:
         """Plan every component and draw the initial BLB little samples —
-        or none, when they would outnumber the support and the first
-        ``step`` is the census.  ``seed`` / ``confidence`` default to the
-        config's."""
+        or none, when the census is due at once (:meth:`_census_due`: the
+        joint support fits under ``max_sample_size``, or the samples would
+        outnumber it) and the first ``step`` is the census.  ``seed`` /
+        ``confidence`` default to the config's."""
         config = self.config
         effective_seed = config.seed if seed is None else seed
         rng = ensure_rng(derive_seed(effective_seed, "engine"))

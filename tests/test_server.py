@@ -22,7 +22,6 @@ import pytest
 
 from repro import (
     AggregateQueryService,
-    ApproximateAggregateEngine,
     EngineConfig,
     parse_query,
 )

@@ -1036,7 +1036,9 @@ class TestHandleSurface:
         assert not result.converged
         assert result.stop_reason == "round_budget"
 
-    def test_batch_seed_keyword_seeds_the_unpaired_entries(self, world, sampled_service):
+    def test_batch_seed_keyword_seeds_the_unpaired_entries(
+        self, world, sampled_service
+    ):
         aql = "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)"
         with _service(world, make=sampled_service) as service:
             batched = [
@@ -1133,7 +1135,9 @@ class TestHandleSurface:
         finally:
             service.close()
 
-    def test_one_round_event_per_round_then_one_settlement(self, world, sampled_service):
+    def test_one_round_event_per_round_then_one_settlement(
+        self, world, sampled_service
+    ):
         events: list = []
         service = _service(
             world, autostart=False, error_bound=0.01, make=sampled_service
