@@ -3,12 +3,16 @@
 
 An analyst starts with a loose 5% error bound on a SUM query — the paper's
 Q6 analogue, "total box office of the movies directed by Steven Spielberg" —
-and tightens it step by step to 1%.  When the query's support is larger
-than ``max_sample_size`` each tightening reuses every draw collected so
-far; Eq. 12 sizes only the missing increment, so later steps cost tens of
-milliseconds instead of a fresh execution.  On the preset graphs every
-support fits under the cap, so the first step already takes the census —
-the exact SUM, MoE 0, no draws — and every tighter bound after it is free.
+and tightens it step by step to 1%.  Each tightening reuses every draw
+collected so far; Eq. 12 sizes only the missing increment, so later steps
+cost milliseconds instead of a fresh execution.
+
+The production engine would not sample here: the query's support (346
+answers on this graph) fits under ``max_sample_size``, so its first round
+is the census — the exact SUM, MoE 0, no draws — and every tighter bound
+after it is free.  To show refinement, the example runs the paper's
+sampling loop instead, on :func:`repro.bench.harness.sampled_engine`
+(an engine whose executor never takes the census).
 
 Refinement is now handle-native: ``service.submit`` returns a
 :class:`QueryHandle` and every ``handle.refine(eb).result()`` runs one
@@ -29,13 +33,12 @@ import time
 from repro import (
     AggregateFunction,
     AggregateQuery,
-    AggregateQueryService,
-    ApproximateAggregateEngine,
     EngineConfig,
     InteractiveSession,
     QueryGraph,
 )
 from repro.baselines.ssb import tau_ground_truth
+from repro.bench.harness import sampled_engine
 from repro.datasets import freebase_like
 
 
@@ -52,12 +55,10 @@ def main() -> None:
     print("query:", q6.describe())
     print(f"tau-GT: {truth.value:,.0f}\n")
 
-    with AggregateQueryService(
-        bundle.kg, bundle.embedding, EngineConfig(seed=3)
-    ) as service:
-        # start=False: S1 (and, above the sample cap, the initial draws)
-        # runs, but no rounds — the analyst decides each bound
-        # interactively via refine()
+    engine = sampled_engine(bundle.kg, bundle.embedding, EngineConfig(seed=3))
+    with engine.service as service:
+        # start=False: S1 and the initial draws run, but no rounds — the
+        # analyst decides each bound interactively via refine()
         handle = service.submit(q6, seed=3, start=False)
 
         print("eb      estimate             MoE             time (ms)  +draws  error")
@@ -83,9 +84,7 @@ def main() -> None:
 
     # --- legacy API, shown once: the InteractiveSession wrapper drives the
     # same handle machinery and adds the free-loosening bookkeeping
-    engine = ApproximateAggregateEngine(
-        bundle.kg, bundle.embedding, config=EngineConfig(seed=3)
-    )
+    engine = sampled_engine(bundle.kg, bundle.embedding, EngineConfig(seed=3))
     session = InteractiveSession(engine, q6, seed=3)
     session.refine(0.02)
     step = session.refine(0.03)  # loosening is free: CI already satisfies it

@@ -657,14 +657,28 @@ class TestWarmRounds:
     def _queries(world):
         return [(world.avg_query(), 1), (_grouped_query(), 2), (_extreme_query(), 3)]
 
+    @staticmethod
+    def _ran(result, sampled: bool) -> bool:
+        """A sampled run drew; a production run is a one-round census."""
+        if sampled:
+            return result.total_draws > 0
+        return (
+            result.stop_reason == "census"
+            and result.total_draws == 0
+            and len(result.rounds) == 1
+        )
+
+    @pytest.mark.parametrize("sampled", [True, False], ids=["sampled", "census"])
     def test_warm_queries_build_no_node_views(
-        self, world, monkeypatch, sampled_service
+        self, world, monkeypatch, sampled_service, sampled
     ):
         """Guaranteed, grouped and extreme rounds, single submits and a
-        batch: once the plans exist, no per-answer ``Node`` is built."""
+        batch: once the plans exist, no per-answer ``Node`` is built —
+        neither by sampled rounds nor by a census."""
         from repro.kg import KnowledgeGraph
 
-        with _service(world, make=sampled_service) as service:
+        make = sampled_service if sampled else AggregateQueryService
+        with _service(world, make=make) as service:
             for query, seed in self._queries(world):
                 service.submit(query, seed=seed).result()
             built: list[int] = []
@@ -675,17 +689,20 @@ class TestWarmRounds:
                 lambda self, node_id: built.append(node_id) or node(self, node_id),
             )
             for query, seed in self._queries(world):
-                assert service.submit(query, seed=seed + 10).result().total_draws
+                result = service.submit(query, seed=seed + 10).result()
+                assert self._ran(result, sampled)
             batch = [(query, seed + 20) for query, seed in self._queries(world)]
             for handle in service.submit_batch(batch):
-                assert handle.result().total_draws
+                assert self._ran(handle.result(), sampled)
         assert built == []
 
+    @pytest.mark.parametrize("sampled", [True, False], ids=["sampled", "census"])
     def test_set_attribute_between_queries_is_seen_by_the_next_one(
-        self, toy_world_factory, sampled_service
+        self, toy_world_factory, sampled_service, sampled
     ):
         """One live service, a write stream between two queries: the second
         equals a fresh service's answer over an equally mutated graph."""
+        make = sampled_service if sampled else AggregateQueryService
 
         def mutate(world) -> None:
             cars = world.correct_cars
@@ -693,28 +710,31 @@ class TestWarmRounds:
                 world.kg.set_attribute(car, "price", 10_000.0 + 7.0 * step)
             world.kg.set_attribute(cars[20], "price", float("nan"))
             world.kg.set_attribute(cars[21], "weight", 1.0)  # a new attribute
+            world.kg.set_attribute(cars[22], "price", 50_000.0)  # a new MAX
 
         live = toy_world_factory()
-        with _service(live, make=sampled_service) as service:
+        with _service(live, make=make) as service:
             before = [
                 _values(service.submit(query, seed=seed).result())
                 for query, seed in self._queries(live)
             ]
             mutate(live)
-            after = [
-                _values(service.submit(query, seed=seed).result())
+            settled = [
+                service.submit(query, seed=seed).result()
                 for query, seed in self._queries(live)
             ]
+        after = [_values(result) for result in settled]
         fresh = toy_world_factory()
         mutate(fresh)
         shared_plan_cache().clear()
-        with _service(fresh, make=sampled_service) as service:
+        with _service(fresh, make=make) as service:
             expected = [
                 _values(service.submit(query, seed=seed).result())
                 for query, seed in self._queries(fresh)
             ]
         assert after == expected
         assert all(old != new for old, new in zip(before, after))
+        assert all(self._ran(result, sampled) for result in settled)
 
 
 class TestClosedServiceIsPlainGarbage:
@@ -896,21 +916,30 @@ class TestStopReasonAndBackend:
                 **{knob: value},
             )
 
-    def test_stage_buckets_are_the_in_process_stages(self, world, sampled_service):
+    @pytest.mark.parametrize("sampled", [True, False], ids=["sampled", "census"])
+    def test_stage_buckets_are_the_in_process_stages(
+        self, world, sampled_service, sampled
+    ):
         """A served result's ``stage_ms`` names the executor's stages and
         the scheduler's overhead — no transport bucket — and together they
-        fit inside the submit-to-settle wall time."""
+        fit inside the submit-to-settle wall time.  A census has no
+        guarantee stage (no sampled round, no tail fit), so a census-first
+        result carries no ``guarantee`` bucket."""
+        make = sampled_service if sampled else AggregateQueryService
         shared_plan_cache().clear()
-        with _service(world, make=sampled_service) as service:
+        with _service(world, make=make) as service:
             service.submit(world.count_query(), seed=3).result(timeout=30.0)
             started = time.perf_counter()
             result = service.submit(world.avg_query(), seed=4).result(
                 timeout=30.0
             )
             wall = time.perf_counter() - started
-        assert set(result.stage_ms) == {
-            "sampling", "validation", "estimation", "guarantee", "scheduler",
-        }
+        stages = {"sampling", "validation", "estimation", "scheduler"}
+        if sampled:
+            stages.add("guarantee")
+        else:
+            assert result.stop_reason == "census" and result.total_draws == 0
+        assert set(result.stage_ms) == stages
         assert all(ms >= 0.0 for ms in result.stage_ms.values())
         assert sum(result.stage_ms.values()) / 1e3 <= wall * 1.25 + 0.1
 
