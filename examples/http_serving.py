@@ -18,7 +18,9 @@ whole loop in one process, but across a real socket:
    ``GET /v1/queries/{id}`` for each entry — the non-streaming
    integration style;
 4. read ``GET /healthz``: service uptime, live queries by kind, and the
-   server's own request/stream counters.
+   server's own connection/request/stream counters — every call above
+   went over one kept-alive connection, which the client's ``with``
+   block closes.
 
 Run it with::
 
@@ -52,8 +54,14 @@ def main() -> None:
     )
     host, port = runner.address
     print(f"serving {bundle.name} on http://{host}:{port}\n")
-    client = ReproClient(host, port)
+    with ReproClient(host, port) as client:
+        ask(client)
+    runner.stop()
+    print("server drained and stopped")
 
+
+def ask(client: ReproClient) -> None:
+    """One streamed query, a polled batch and the health view."""
     # -- 1 query, streamed: the anytime estimate tightening live --------
     accepted = client.submit(AVG_AQL, seed=11)
     print(f"{accepted['id']} accepted: {AVG_AQL}")
@@ -100,10 +108,10 @@ def main() -> None:
         f"\nhealthz: {health['status']}; service up "
         f"{health['service']['uptime_s']:.1f}s, "
         f"{health['server']['queries_submitted']} queries submitted, "
-        f"{health['server']['sse_events_sent']} SSE events sent"
+        f"{health['server']['sse_events_sent']} SSE events sent, "
+        f"{health['server']['requests']} requests over "
+        f"{health['server']['connections']} connection(s)"
     )
-    runner.stop()
-    print("server drained and stopped")
 
 
 if __name__ == "__main__":

@@ -550,7 +550,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             f"metrics expects HOST:PORT, got {args.address!r}", file=sys.stderr
         )
         return 2
-    print(ReproClient(host or "127.0.0.1", port).metrics(), end="")
+    with ReproClient(host or "127.0.0.1", port) as client:
+        print(client.metrics(), end="")
     return 0
 
 

@@ -45,7 +45,10 @@ metric                                         type       meaning
 ``repro_scheduler_sheds_total``                counter    admission-control rejections
 ``repro_scheduler_deadline_expiries_total``    counter    per-query deadline expiries
 ``repro_scheduler_live_queries``               gauge      current non-terminal queries
+``repro_server_connections_total``             counter    TCP connections accepted (a kept-alive
+                                                          connection carries many requests)
 ``repro_server_requests_total``                counter    HTTP requests parsed
+``repro_server_error_responses_total``         counter    responses with a status >= 400
 ``repro_server_request_seconds``               histogram  request handling wall clock
 ``repro_server_queries_submitted_total``       counter    queries accepted over HTTP
 ``repro_server_sse_streams_active``            gauge      live SSE streams

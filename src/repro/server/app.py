@@ -73,10 +73,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.server.http import (
     HttpError,
     HttpRequest,
+    Responder,
     SseStream,
     read_request,
-    send_json,
-    send_text,
 )
 from repro.server.quota import ClientQuota, QuotaRegistry
 
@@ -297,6 +296,10 @@ class ReproHTTPServer:
         self._address: tuple[str, int] | None = None
         self._closing = False
         self._conn_tasks: set[asyncio.Task] = set()
+        #: kept-alive connections waiting for their next request; they
+        #: hold no work, so shutdown() closes them at once (their reads
+        #: then see EOF and the connection loop ends)
+        self._idle: set[asyncio.StreamWriter] = set()
         #: insertion-ordered id -> entry; oldest *settled* entries are
         #: pruned past max_tracked_queries so a long-lived server's memory
         #: is bounded by its live set, not its history
@@ -308,8 +311,14 @@ class ReproHTTPServer:
         registry = getattr(service, "registry", None)
         self._registry = registry if registry is not None else MetricsRegistry()
         scope = self._registry.scope("server")
+        self._c_connections = scope.counter(
+            "connections_total", "TCP connections accepted"
+        )
         self._c_requests = scope.counter(
             "requests_total", "HTTP requests parsed off accepted connections"
+        )
+        self._c_error_responses = scope.counter(
+            "error_responses_total", "Responses sent with a status >= 400"
         )
         self._c_submitted = scope.counter(
             "queries_submitted_total", "Queries accepted over HTTP"
@@ -346,8 +355,10 @@ class ReproHTTPServer:
     async def shutdown(self) -> None:
         """Graceful stop: refuse new work, drain streams, then the service.
 
-        1. stop accepting connections and mark the server draining (new
-           submissions get 503);
+        1. stop accepting connections, mark the server draining (new
+           submissions get 503, every response says ``Connection:
+           close``) and close the kept-alive connections that wait for
+           their next request;
         2. give live queries ``drain_timeout`` seconds to settle on their
            own — their SSE streams flush the final rounds + terminal event;
         3. cancel the stragglers (their streams observe the ``cancelled``
@@ -357,9 +368,10 @@ class ReproHTTPServer:
         if self._closing:
             return
         self._closing = True
+        for writer in list(self._idle):
+            writer.close()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self._drain_timeout
         while loop.time() < deadline and any(
@@ -375,6 +387,9 @@ class ReproHTTPServer:
             await asyncio.wait(pending, timeout=max(1.0, self._drain_timeout))
         for task in list(self._conn_tasks):
             task.cancel()
+        if self._server is not None:
+            # since Python 3.12 this waits for every connection to end
+            await self._server.wait_closed()
         if self._owns_service:
             await loop.run_in_executor(None, self._service.close)
 
@@ -382,86 +397,107 @@ class ReproHTTPServer:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection: request after request until it closes.
+
+        The connection stays open after a response unless the client sent
+        ``Connection: close``, the request was malformed (past it the
+        stream position is unknown), the response was cut, or the server
+        is draining.  Between requests it sits in ``_idle`` for at most
+        ``request_timeout`` seconds.
+        """
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+        self._conn_tasks.add(task)
+        self._c_connections.inc()
         try:
-            try:
-                request = await asyncio.wait_for(
-                    read_request(reader), self._request_timeout
-                )
-            except asyncio.TimeoutError:
-                return
-            if request is None:
-                return
-            self._c_requests.inc()
-            handling_started = time.perf_counter()
-            span = (
-                obs_trace.start_span(
-                    "http_request", method=request.method, path=request.path
-                )
-                if self._registry.enabled
-                else None
-            )
-            try:
-                with obs_trace.activate(span):
-                    await self._dispatch(request, writer)
-            except HttpError as error:
-                await send_json(
-                    writer, error.status, error.body(), headers=error.headers
-                )
-            finally:
-                if span is not None:
-                    span.end()
-                self._h_request_seconds.observe(
-                    time.perf_counter() - handling_started
-                )
+            first = True
+            while first or not self._closing:
+                if not first:
+                    self._idle.add(writer)
+                try:
+                    async with asyncio.timeout(self._request_timeout):
+                        request = await read_request(reader)
+                except TimeoutError:
+                    return
+                except HttpError as error:
+                    await self._answer_error(
+                        Responder(writer, keep_alive=False), error
+                    )
+                    return
+                finally:
+                    self._idle.discard(writer)
+                if request is None or not await self._exchange(request, writer):
+                    return
+                first = False
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # the client went away; nothing to answer
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # defensive: a handler bug is a 500
-            try:
-                await send_json(
-                    writer,
-                    500,
-                    {
-                        "error": type(error).__name__,
-                        "message": str(error),
-                        "status": 500,
-                    },
-                )
-            except Exception:
-                pass
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
+            self._conn_tasks.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
             except Exception:
                 pass
 
-    async def _dispatch(
+    async def _exchange(
         self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> None:
+    ) -> bool:
+        """Answer one request; whether its connection stays open."""
+        self._c_requests.inc()
+        response = Responder(
+            writer, keep_alive=request.keep_alive and not self._closing
+        )
+        handling_started = time.perf_counter()
+        span = (
+            obs_trace.start_span(
+                "http_request", method=request.method, path=request.path
+            )
+            if self._registry.enabled
+            else None
+        )
+        try:
+            with obs_trace.activate(span):
+                await self._dispatch(request, response)
+        except HttpError as error:
+            await self._answer_error(response, error)
+        except (ConnectionError, asyncio.IncompleteReadError):
+            raise
+        except Exception as error:  # defensive: a handler bug is a 500
+            response.keep_alive = False
+            await self._answer_error(
+                response,
+                HttpError(500, str(error), payload={"error": type(error).__name__}),
+            )
+        finally:
+            if span is not None:
+                span.end()
+            self._h_request_seconds.observe(time.perf_counter() - handling_started)
+        return response.keep_alive
+
+    async def _answer_error(self, response: Responder, error: HttpError) -> None:
+        """Send ``error`` as a JSON response; once the response's head is
+        built there is nothing to answer with, so give up the connection."""
+        if response.status is not None:
+            response.keep_alive = False
+            return
+        self._c_error_responses.inc()
+        await response.json(error.status, error.body(), headers=error.headers)
+
+    async def _dispatch(self, request: HttpRequest, response: Responder) -> None:
         path, method = request.path, request.method
         if path == "/healthz":
             self._require(method, "GET")
-            return await self._handle_health(writer)
+            return await self._handle_health(response)
         if path == "/metrics":
             self._require(method, "GET")
-            return await send_text(
-                writer, 200, self._registry.render_prometheus()
-            )
+            return await response.text(200, self._registry.render_prometheus())
         if path == "/v1/queries":
             self._require(method, "POST")
-            self._admit(request, writer)
-            return await self._handle_submit(request, writer)
+            self._admit(response)
+            return await self._handle_submit(request, response)
         if path == "/v1/queries:batch":
             self._require(method, "POST")
-            self._admit(request, writer)
-            return await self._handle_batch(request, writer)
+            self._admit(response)
+            return await self._handle_batch(request, response)
         match = _QUERY_PATH.fullmatch(path)
         if match:
             entry = self._entries.get(match.group(1))
@@ -474,19 +510,17 @@ class ReproHTTPServer:
             tail = match.group(2) or ""
             if tail == "":
                 if method == "GET":
-                    return await send_json(
-                        writer, 200, self._query_payload(entry)
-                    )
+                    return await response.json(200, self._query_payload(entry))
                 if method == "DELETE":
-                    return await self._handle_cancel(entry, writer)
+                    return await self._handle_cancel(entry, response)
                 self._require(method, "GET")  # raises 405 naming GET
             elif tail == "/events":
                 self._require(method, "GET")
-                return await self._handle_events(entry, writer)
+                return await self._handle_events(entry, response)
             else:  # /refine
                 self._require(method, "POST")
-                self._admit(request, writer)
-                return await self._handle_refine(entry, request, writer)
+                self._admit(response)
+                return await self._handle_refine(entry, request, response)
         raise HttpError(
             404, f"no route for {method} {path}", payload={"error": "NoRoute"}
         )
@@ -501,7 +535,7 @@ class ReproHTTPServer:
                 payload={"error": "MethodNotAllowed"},
             )
 
-    def _admit(self, request: HttpRequest, writer: asyncio.StreamWriter) -> None:
+    def _admit(self, response: Responder) -> None:
         """Draining + per-client quota checks for work-creating requests."""
         if self._closing:
             raise HttpError(
@@ -511,7 +545,7 @@ class ReproHTTPServer:
             )
         if self._quota is None:
             return
-        peer = writer.get_extra_info("peername")
+        peer = response.writer.get_extra_info("peername")
         client = peer[0] if peer else "unknown"
         delay = self._quota.admit(client)
         if delay > 0.0:
@@ -591,14 +625,14 @@ class ReproHTTPServer:
         }
 
     async def _handle_submit(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
+        self, request: HttpRequest, response: Responder
     ) -> None:
         aql, kwargs = self._submit_kwargs(request.json(), {})
         entry = self._submit(aql, kwargs)
-        await send_json(writer, 202, self._accepted_payload(entry))
+        await response.json(202, self._accepted_payload(entry))
 
     async def _handle_batch(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
+        self, request: HttpRequest, response: Responder
     ) -> None:
         body = request.json()
         specs = body.get("queries")
@@ -624,8 +658,7 @@ class ReproHTTPServer:
                 continue
             outcomes.append(self._accepted_payload(entry))
             accepted += 1
-        await send_json(
-            writer,
+        await response.json(
             200,
             {
                 "queries": outcomes,
@@ -663,11 +696,10 @@ class ReproHTTPServer:
         return payload
 
     async def _handle_cancel(
-        self, entry: _ServedQuery, writer: asyncio.StreamWriter
+        self, entry: _ServedQuery, response: Responder
     ) -> None:
         cancelled = entry.handle.cancel()
-        await send_json(
-            writer,
+        await response.json(
             200,
             {
                 "id": entry.id,
@@ -677,7 +709,7 @@ class ReproHTTPServer:
         )
 
     async def _handle_refine(
-        self, entry: _ServedQuery, request: HttpRequest, writer: asyncio.StreamWriter
+        self, entry: _ServedQuery, request: HttpRequest, response: Responder
     ) -> None:
         body = request.json()
         error_bound = body.get("error_bound")
@@ -700,8 +732,7 @@ class ReproHTTPServer:
             raise HttpError(
                 400, str(error), payload={"error": type(error).__name__}
             )
-        await send_json(
-            writer,
+        await response.json(
             202,
             {
                 "id": entry.id,
@@ -712,7 +743,7 @@ class ReproHTTPServer:
 
     # -- SSE ------------------------------------------------------------
     async def _handle_events(
-        self, entry: _ServedQuery, writer: asyncio.StreamWriter
+        self, entry: _ServedQuery, response: Responder
     ) -> None:
         """Stream the anytime trace: push per round, then a terminal event.
 
@@ -734,58 +765,64 @@ class ReproHTTPServer:
                 pass  # the loop is gone (shutdown); the stream is over
 
         handle.subscribe(listener)
-        stream = SseStream(writer)
+        stream = response.stream()
         self._g_sse_active.inc()
         try:
-            await stream.start()
-            emitted = 0
-            for trace in handle.progress():
-                await stream.emit("round", encode_trace(trace))
-                emitted += 1
-            if handle.status.terminal:
-                # flush rounds that landed between snapshot and status
-                for trace in handle.progress()[emitted:]:
-                    await stream.emit("round", encode_trace(trace))
-                    emitted += 1
-                await self._emit_terminal(stream, entry)
-                return
+            emitted = self._emit_rounds(stream, handle, 0)
+            settled = handle.status.terminal
             while True:
-                try:
-                    event, payload = await asyncio.wait_for(
-                        queue.get(), timeout=self._heartbeat_seconds
-                    )
-                except asyncio.TimeoutError:
-                    await stream.comment("keep-alive")
-                    continue
-                if event == "round":
-                    position, _trace = payload
-                    if position < emitted:
-                        continue  # the snapshot already replayed it
-                    trace = handle.progress()
-                    while emitted <= position and emitted < len(trace):
-                        await stream.emit(
-                            "round", encode_trace(trace[emitted])
-                        )
-                        emitted += 1
-                else:  # settled
-                    # flush rounds that landed between queue and terminal
-                    for trace in handle.progress()[emitted:]:
-                        await stream.emit("round", encode_trace(trace))
-                        emitted += 1
-                    await self._emit_terminal(stream, entry)
+                if settled:
+                    # rounds that landed between the last one and the status
+                    self._emit_rounds(stream, handle, emitted)
+                    self._emit_terminal(stream, entry)
+                    stream.end()
+                await stream.flush()
+                if settled:
                     return
+                try:
+                    async with asyncio.timeout(self._heartbeat_seconds):
+                        item = await queue.get()
+                except TimeoutError:
+                    stream.comment("heartbeat")
+                    continue
+                # take every event already queued, then write them at once
+                while True:
+                    event, payload = item
+                    if event != "round":
+                        settled = True
+                        break
+                    # a round the snapshot already replayed emits nothing
+                    emitted = self._emit_rounds(
+                        stream, handle, emitted, until=payload[0] + 1
+                    )
+                    if queue.empty():
+                        break
+                    item = queue.get_nowait()
         except ConnectionError:
-            pass  # the client hung up mid-stream; the query runs on
+            # the client hung up mid-stream; the query runs on
+            response.keep_alive = False
         finally:
             handle.unsubscribe(listener)
             self._g_sse_active.dec()
             self._c_sse_events.inc(stream.events_sent)
 
-    async def _emit_terminal(self, stream: SseStream, entry: _ServedQuery) -> None:
+    @staticmethod
+    def _emit_rounds(
+        stream: SseStream, handle: QueryHandle, emitted: int, until: int | None = None
+    ) -> int:
+        """Emit the handle's rounds from position ``emitted`` up to
+        ``until`` (all when None); the new ``emitted``."""
+        for trace in handle.progress()[emitted:until]:
+            stream.emit("round", encode_trace(trace))
+            emitted += 1
+        return emitted
+
+    def _emit_terminal(self, stream: SseStream, entry: _ServedQuery) -> None:
+        """The settled query's last event."""
         handle = entry.handle
         status = handle.status
         if status is QueryStatus.SUCCEEDED:
-            await stream.emit(
+            stream.emit(
                 "result",
                 {
                     "id": entry.id,
@@ -794,11 +831,9 @@ class ReproHTTPServer:
                 },
             )
         elif status is QueryStatus.CANCELLED:
-            await stream.emit(
-                "cancelled", {"id": entry.id, "status": status.value}
-            )
+            stream.emit("cancelled", {"id": entry.id, "status": status.value})
         else:
-            await stream.emit(
+            stream.emit(
                 "error",
                 {
                     "id": entry.id,
@@ -808,12 +843,14 @@ class ReproHTTPServer:
             )
 
     # -- health ---------------------------------------------------------
-    async def _handle_health(self, writer: asyncio.StreamWriter) -> None:
+    async def _handle_health(self, response: Responder) -> None:
         payload = {
             "status": "draining" if self._closing else "ok",
             "server": {
                 "uptime_s": time.monotonic() - self._started_at,
+                "connections": int(self._c_connections.value),
                 "requests": int(self._c_requests.value),
+                "error_responses": int(self._c_error_responses.value),
                 "queries_submitted": int(self._c_submitted.value),
                 "queries_tracked": len(self._entries),
                 "sse_streams_active": int(self._g_sse_active.value),
@@ -822,7 +859,7 @@ class ReproHTTPServer:
             },
             "service": self._service.health(),
         }
-        await send_json(writer, 200, payload)
+        await response.json(200, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 
 from repro.errors import ReproError, ResultTimeoutError
@@ -35,41 +36,117 @@ class HttpStatusError(ReproError):
         return self.headers.get("retry-after")
 
 
+def _raise_for_status(response: http.client.HTTPResponse, raw: bytes) -> None:
+    if response.status >= 400:
+        raise HttpStatusError(
+            response.status,
+            json.loads(raw.decode("utf-8")) if raw else {},
+            {name.lower(): value for name, value in response.getheaders()},
+        )
+
+
 class ReproClient:
-    """One server address; a fresh connection per request (the server is
-    ``Connection: close``), so a client instance is cheap and stateless."""
+    """One server address over persistent HTTP/1.1 connections.
+
+    Each call checks a connection out of a small pool of idle ones (or
+    opens one) and puts it back only once its response or event stream
+    has been read to the end, so a client asking query after query keeps
+    reusing one connection.  Calls from several threads each hold their
+    own connection.  :meth:`close` — or leaving a ``with`` block — closes
+    the idle connections; a later call opens a fresh one.
+    """
+
+    #: idle connections kept for reuse; more concurrent calls open more,
+    #: and close what the pool cannot take back
+    MAX_IDLE = 4
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "ReproClient":
+        return self
+
+    def __exit__(self, *_exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every idle pooled connection."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     # -- plumbing -------------------------------------------------------
-    def _request(
+    def _checkin(
+        self, connection: http.client.HTTPConnection, response: http.client.HTTPResponse
+    ) -> None:
+        """Pool a connection whose response was read to its end."""
+        if not response.will_close:
+            with self._lock:
+                if len(self._idle) < self.MAX_IDLE:
+                    self._idle.append(connection)
+                    return
+        connection.close()
+
+    def _send(
         self, method: str, path: str, body: dict | None = None
-    ) -> dict:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request; its connection and the response head.
+
+        A request that fails on a reused connection before any response
+        byte arrived is sent once more on a fresh connection: the server
+        closes a kept connection only between requests (idle timeout,
+        restart), so it never saw the first attempt.
+        """
+        payload = None
+        headers = {}
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+
+        def attempt(connection: http.client.HTTPConnection):
+            try:
+                connection.request(method, path, body=payload, headers=headers)
+                return connection, connection.getresponse()
+            except BaseException:
+                connection.close()
+                raise
+
+        with self._lock:
+            kept = self._idle.pop() if self._idle else None
+        if kept is not None:
+            try:
+                return attempt(kept)
+            except ConnectionError:
+                pass  # stale: the server closed it between requests
+        return attempt(
+            http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
         )
+
+    def _finish(
+        self, connection: http.client.HTTPConnection, response: http.client.HTTPResponse
+    ) -> bytes:
+        """Read the rest of a response, then pool its connection; the body
+        is raised as :class:`HttpStatusError` on a status >= 400."""
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
             raw = response.read()
-            decoded = json.loads(raw.decode("utf-8")) if raw else {}
-            if response.status >= 400:
-                raise HttpStatusError(
-                    response.status,
-                    decoded,
-                    {name.lower(): value for name, value in response.getheaders()},
-                )
-            return decoded
-        finally:
+        except BaseException:
             connection.close()
+            raise
+        self._checkin(connection, response)
+        _raise_for_status(response, raw)
+        return raw
+
+    def _read(self, method: str, path: str, body: dict | None = None) -> bytes:
+        return self._finish(*self._send(method, path, body))
+
+    def _request(self, method: str, path: str, body: dict | None = None) -> dict:
+        raw = self._read(method, path, body)
+        return json.loads(raw.decode("utf-8")) if raw else {}
 
     # -- the v1 surface -------------------------------------------------
     def submit(self, aql: str, **params) -> dict:
@@ -101,23 +178,7 @@ class ReproClient:
 
     def metrics(self) -> str:
         """``GET /metrics``: the raw Prometheus text exposition."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status >= 400:
-                decoded = json.loads(raw.decode("utf-8")) if raw else {}
-                raise HttpStatusError(
-                    response.status,
-                    decoded,
-                    {name.lower(): value for name, value in response.getheaders()},
-                )
-            return raw.decode("utf-8")
-        finally:
-            connection.close()
+        return self._read("GET", "/metrics").decode("utf-8")
 
     def wait(
         self, query_id: str, timeout: float = 60.0, poll_interval: float = 0.02
@@ -140,30 +201,24 @@ class ReproClient:
 
         Incremental: each event is yielded the moment its frame arrives,
         so callers observe rounds as the scheduler completes them.  The
-        generator ends when the server closes the stream after the
-        terminal event; closing the generator early closes the socket
-        (how "client hangs up mid-stream" is expressed).
+        generator ends with the stream's final chunk, which follows the
+        terminal event, and the connection goes back to the pool; closing
+        the generator early closes the socket instead (how "client hangs
+        up mid-stream" is expressed).
         """
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        path = f"/v1/queries/{query_id}/events"
+        connection, response = self._send("GET", path)
+        if response.status >= 400:
+            self._finish(connection, response)
+        complete = False
         try:
-            connection.request("GET", f"/v1/queries/{query_id}/events")
-            response = connection.getresponse()
-            if response.status >= 400:
-                raw = response.read()
-                decoded = json.loads(raw.decode("utf-8")) if raw else {}
-                raise HttpStatusError(
-                    response.status,
-                    decoded,
-                    {name.lower(): value for name, value in response.getheaders()},
-                )
             event_name = None
             data_lines: list[str] = []
             while True:
                 line = response.readline()
                 if not line:
-                    return  # server closed the stream
+                    complete = True
+                    return  # the zero-length chunk: the stream ended
                 text = line.decode("utf-8").rstrip("\r\n")
                 if not text:  # blank line ends one frame
                     if event_name is not None or data_lines:
@@ -175,10 +230,13 @@ class ReproClient:
                     event_name = None
                     data_lines = []
                 elif text.startswith(":"):
-                    continue  # keep-alive comment
+                    continue  # heartbeat comment
                 elif text.startswith("event:"):
                     event_name = text[len("event:") :].strip()
                 elif text.startswith("data:"):
                     data_lines.append(text[len("data:") :].strip())
         finally:
-            connection.close()
+            if complete:
+                self._checkin(connection, response)
+            else:
+                connection.close()

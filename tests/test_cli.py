@@ -411,12 +411,12 @@ def test_serve_http_end_to_end(monkeypatch, capsys):
     observed: dict = {}
 
     def drive(runner):
-        client = ReproClient(*runner.address)
-        accepted = client.submit(_SERVE_AQL, error_bound=0.2)
-        events = list(client.events(accepted["id"]))
-        observed["rounds"] = [d for e, d in events if e == "round"]
-        observed["terminal"] = events[-1]
-        observed["health"] = client.healthz()
+        with ReproClient(*runner.address) as client:
+            accepted = client.submit(_SERVE_AQL, error_bound=0.2)
+            events = list(client.events(accepted["id"]))
+            observed["rounds"] = [d for e, d in events if e == "round"]
+            observed["terminal"] = events[-1]
+            observed["health"] = client.healthz()
         raise KeyboardInterrupt  # what Ctrl-C would do
 
     monkeypatch.setattr("repro.cli._wait_for_interrupt", drive)

@@ -494,10 +494,10 @@ class TestMetricsEndpoint:
     def test_metrics_round_trip_covers_every_layer(self, world):
         runner = serve_in_thread(_service(world), owns_service=True)
         try:
-            client = ReproClient(*runner.address)
-            accepted = client.submit(COUNT_AQL, seed=3)
-            client.wait(accepted["id"], timeout=60.0)
-            samples = _parse_prometheus(client.metrics())
+            with ReproClient(*runner.address) as client:
+                accepted = client.submit(COUNT_AQL, seed=3)
+                client.wait(accepted["id"], timeout=60.0)
+                samples = _parse_prometheus(client.metrics())
         finally:
             runner.stop()
 
@@ -507,6 +507,9 @@ class TestMetricsEndpoint:
         assert samples['repro_scheduler_queries_settled_total{status="succeeded"}'] == 1
         assert samples["repro_server_requests_total"] >= 2  # S6
         assert samples["repro_server_queries_submitted_total"] == 1
+        # one client, one kept-alive connection; no error response
+        assert samples["repro_server_connections_total"] == 1
+        assert samples["repro_server_error_responses_total"] == 0
         assert 'repro_server_request_seconds_bucket{le="+Inf"}' in samples
 
     def test_server_counters_live_on_the_service_registry(self, world):
@@ -515,8 +518,8 @@ class TestMetricsEndpoint:
         with _service(world) as service:
             runner = serve_in_thread(service, owns_service=False)
             try:
-                client = ReproClient(*runner.address)
-                client.healthz()
+                with ReproClient(*runner.address) as client:
+                    client.healthz()
                 text = service.registry.render_prometheus()
             finally:
                 runner.stop()
@@ -534,10 +537,10 @@ class TestMetricsEndpoint:
         }
         runner = serve_in_thread(_service(world), owns_service=True)
         try:
-            client = ReproClient(*runner.address)
-            accepted = client.submit(COUNT_AQL, seed=3)
-            client.wait(accepted["id"], timeout=60.0)
-            samples = _parse_prometheus(client.metrics())
+            with ReproClient(*runner.address) as client:
+                accepted = client.submit(COUNT_AQL, seed=3)
+                client.wait(accepted["id"], timeout=60.0)
+                samples = _parse_prometheus(client.metrics())
         finally:
             runner.stop()
         scopes_seen = set()

@@ -7,18 +7,24 @@ stream must replay the handle's anytime trace entry-for-entry — plus the
 protocol edges: the error taxonomy mapped onto status codes, per-client
 quota sheds, admission-control 429s with ``Retry-After``, deadline
 expiry carrying the partial trace, cancellation mid-stream, and graceful
-shutdown draining a live stream.
+shutdown draining a live stream.  Under all of it, the wire itself:
+persistent connections (one per client, chunked SSE bodies), malformed
+and smuggling-shaped requests answered with their own 4xx and a close,
+and a byte-mutation fuzz of the request parser over a raw socket.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import socket
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AggregateQueryService,
@@ -92,7 +98,8 @@ def _serve(service, **server_kwargs):
     server_kwargs.setdefault("owns_service", True)
     runner = serve_in_thread(service, **server_kwargs)
     try:
-        yield ReproClient(*runner.address), runner
+        with ReproClient(*runner.address) as client:
+            yield client, runner
     finally:
         runner.stop()
 
@@ -507,6 +514,7 @@ class TestLifecycle:
             "a drained stream ends with its terminal event, not a cut socket"
         )
         assert service.health()["closed"] is True
+        client.close()
 
     def test_draining_server_rejects_new_work_with_503(self, world):
         service = _service(world)
@@ -522,9 +530,11 @@ class TestLifecycle:
             client.submit(AVG_AQL, error_bound=0.2)
         assert info.value.status == 503
         assert info.value.payload["error"] == "ServerDraining"
+        assert info.value.headers["connection"] == "close"
         # reads still answer while draining (health reports it)
         assert client.healthz()["status"] == "draining"
         server._closing = False
+        client.close()
         runner.stop()
 
     def test_status_before_first_round_is_clean(self, world, sampled_service):
@@ -537,3 +547,249 @@ class TestLifecycle:
             assert payload["status"] in ("pending", "running")
             assert payload["result"] is None and payload["error"] is None
             client.cancel(accepted["id"])
+
+
+# ---------------------------------------------------------------------------
+# The wire: persistent connections, framing, hostile bytes
+# ---------------------------------------------------------------------------
+def _post(path: str, payload: dict) -> bytes:
+    body = json.dumps(payload).encode()
+    return (
+        f"POST {path} HTTP/1.1\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+
+def _parse_responses(data: bytes) -> list[tuple[int, dict[str, str], bytes]]:
+    """Split a server's bytes into ``(status, headers, body)`` triples;
+    AssertionError on anything that is not a well-framed HTTP/1.1 response."""
+    responses = []
+    while data:
+        head, separator, rest = data.partition(b"\r\n\r\n")
+        assert separator, f"unterminated response head: {data[:80]!r}"
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        version, status, _phrase = status_line.split(" ", 2)
+        assert version == "HTTP/1.1", status_line
+        headers = {
+            name.lower(): value.strip()
+            for name, _, value in (line.partition(":") for line in header_lines)
+        }
+        body = b""
+        if headers.get("transfer-encoding") == "chunked":
+            while True:
+                size_line, _, rest = rest.partition(b"\r\n")
+                size = int(size_line, 16)
+                body, rest = body + rest[:size], rest[size:]
+                assert rest[:2] == b"\r\n", "chunk not terminated"
+                rest = rest[2:]
+                if size == 0:
+                    break
+        else:
+            length = int(headers["content-length"])
+            body, rest = rest[:length], rest[length:]
+            assert len(body) == length, "body shorter than its Content-Length"
+        responses.append((int(status), headers, body))
+        data = rest
+    return responses
+
+
+def _wire(address, data: bytes, *, half_close: bool = True, timeout: float = 5.0):
+    """Send raw bytes on a fresh socket and parse what comes back until the
+    server closes (a server that never closes fails on ``timeout``).
+    ``half_close`` sends EOF after the bytes, as a client that is done."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        try:
+            sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the server already answered and closed
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return _parse_responses(received)
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+
+
+class TestKeepAlive:
+    def test_a_clients_queries_share_one_connection(self, world):
+        asked = 3
+        with _serve(_service(world)) as (client, _runner):
+            for _ in range(asked):
+                accepted = client.submit(COUNT_AQL, error_bound=0.2)
+                events = list(client.events(accepted["id"]))
+                assert events[-1][0] == "result"
+            server = client.healthz()["server"]
+        assert server["connections"] == 1
+        # submit + events per query, then the healthz itself
+        assert server["requests"] == 2 * asked + 1
+        assert server["error_responses"] == 0
+
+    def test_a_connection_the_server_timed_out_is_replaced(self, world):
+        with _serve(_service(world), request_timeout=0.2) as (client, _runner):
+            client.healthz()
+            time.sleep(0.5)  # the server closes the idle connection
+            server = client.healthz()["server"]
+        assert server["connections"] == 2
+
+    def test_stop_closes_idle_connections_while_a_stream_drains(
+        self, world, sampled_service
+    ):
+        service = _service(
+            world, backend=_StallingBackend(rounds=1), make=sampled_service
+        )
+        runner = serve_in_thread(service, drain_timeout=0.2, owns_service=True)
+        with ReproClient(*runner.address) as client:
+            accepted = client.submit(COUNT_AQL, **NEVER)
+            with ReproClient(*runner.address) as idle_client:
+                idle_client.healthz()  # leaves an idle kept-alive connection
+                seen = threading.Event()
+                events = []
+
+                def consume():
+                    for event, data in client.events(accepted["id"]):
+                        events.append((event, data))
+                        seen.set()
+
+                reader = threading.Thread(target=consume)
+                reader.start()
+                assert seen.wait(timeout=30), "no round arrived over SSE"
+                started = time.monotonic()
+                runner.stop()
+                stopped_in = time.monotonic() - started
+                reader.join(timeout=30)
+        assert not reader.is_alive(), "the live stream must drain on stop"
+        assert stopped_in < 1.0, f"stop() took {stopped_in:.2f}s"
+        assert events[-1][0] == "cancelled"
+
+    def test_connection_close_is_honoured(self, world):
+        with _serve(_service(world)) as (_client, runner):
+            close = HEALTHZ.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+            responses = _wire(runner.address, close + HEALTHZ, half_close=False)
+        assert [(status, headers["connection"]) for status, headers, _ in responses] == [
+            (200, "close")
+        ]
+
+    def test_pipelined_requests_are_answered_in_order(self, world):
+        pipeline = (
+            HEALTHZ
+            + b"GET /v1/queries/q999 HTTP/1.1\r\n\r\n"
+            + b"GET /metrics HTTP/1.1\r\n\r\n"
+        )
+        with _serve(_service(world)) as (_client, runner):
+            responses = _wire(runner.address, pipeline)
+        assert [status for status, _, _ in responses] == [200, 404, 200]
+        assert json.loads(responses[0][2])["status"] == "ok"
+        assert responses[2][2].startswith(b"# HELP")
+        assert {headers["connection"] for _, headers, _ in responses} == {"keep-alive"}
+
+    def test_body_past_its_content_length_is_not_a_second_query(self, world):
+        submit = _post("/v1/queries", {"aql": COUNT_AQL, "error_bound": 0.2})
+        tail = _post("/v1/queries", {"aql": AVG_AQL}).split(b"\r\n\r\n")[1]
+        with _serve(_service(world)) as (client, runner):
+            responses = _wire(runner.address, submit + tail + b"\r\n\r\n")
+            server = client.healthz()["server"]
+        assert [status for status, _, _ in responses] == [202, 400]
+        assert responses[-1][1]["connection"] == "close"
+        assert server["queries_submitted"] == 1
+        assert server["error_responses"] == 1
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"POST /v1/queries HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /v1/queries HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n", 413),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 20_000 + b"\r\n\r\n", 431),
+            (b"GET /healthz HTTP/1.0\r\n\r\n", 505),
+            (
+                b"POST /v1/queries HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+                400,
+            ),
+            (
+                b"POST /v1/queries HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"Content-Length: 3\r\n\r\n{}",
+                400,
+            ),
+            (b"GET /healthz HTTP/1.1\r\nHost : localhost\r\n\r\n", 400),
+        ],
+        ids=[
+            "request-line", "length-not-a-number", "length-too-large",
+            "header-too-large", "http-1.0", "transfer-encoding",
+            "conflicting-lengths", "space-before-colon",
+        ],
+    )
+    def test_answered_with_its_status_then_closed(self, world, head, status):
+        """The request after a malformed one is never read: past it the
+        stream position is unknown."""
+        with _serve(_service(world)) as (client, runner):
+            responses = _wire(runner.address, head + HEALTHZ, half_close=False)
+            server = client.healthz()["server"]
+        ((answered, headers, body),) = responses
+        assert answered == status
+        assert headers["connection"] == "close"
+        assert json.loads(body)["status"] == status
+        assert server["error_responses"] == 1
+
+
+#: what the fuzz mutates: every request kind the parser has a path for
+_FUZZ_REQUESTS = (
+    HEALTHZ,
+    b"GET /v1/queries/q1 HTTP/1.1\r\n\r\n",
+    b"DELETE /v1/queries/q404 HTTP/1.1\r\n\r\n",
+    b"GET /metrics HTTP/1.1\r\n\r\n",
+    _post("/v1/queries", {"aql": COUNT_AQL, "error_bound": 0.2}),
+    _post("/v1/queries:batch", {"queries": [{"aql": "NOT AQL"}]}),
+)
+_FUZZ_TIMEOUT = 0.5
+
+
+@st.composite
+def _mutated_pipelines(draw) -> bytes:
+    """A pipeline of valid requests, then truncated, duplicated, flipped
+    and spliced bytes."""
+    data = bytearray(
+        b"".join(draw(st.lists(st.sampled_from(_FUZZ_REQUESTS), min_size=1, max_size=3)))
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(("flip", "truncate", "duplicate", "insert")))
+        if kind == "flip" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "duplicate":
+            end = draw(st.integers(at, len(data)))
+            data[at:at] = data[at:end]
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(data)
+
+
+@pytest.fixture
+def fuzz_server(world):
+    with _serve(_service(world), request_timeout=_FUZZ_TIMEOUT) as (client, runner):
+        yield client, runner
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=_mutated_pipelines())
+def test_mutated_requests_end_in_a_framed_answer_or_a_clean_close(fuzz_server, data):
+    client, runner = fuzz_server
+    started = time.monotonic()
+    responses = _wire(runner.address, data, timeout=_FUZZ_TIMEOUT + 2.0)
+    assert time.monotonic() - started < _FUZZ_TIMEOUT + 1.0
+    statuses = [status for status, _, _ in responses]
+    assert all(status < 500 or status == 505 for status in statuses), statuses
+    closes = [headers["connection"] == "close" for _, headers, _ in responses]
+    assert not any(closes[:-1]), "a response after Connection: close"
+    assert client.healthz()["status"] == "ok"
