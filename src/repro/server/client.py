@@ -209,7 +209,7 @@ class ReproClient:
         path = f"/v1/queries/{query_id}/events"
         connection, response = self._send("GET", path)
         if response.status >= 400:
-            self._finish(connection, response)
+            self._finish(connection, response)  # raises HttpStatusError
         complete = False
         try:
             event_name = None

@@ -241,18 +241,15 @@ class Responder:
         body = json.dumps(payload, allow_nan=False).encode("utf-8") + b"\n"
         await self._send(status, "application/json", body, headers)
 
-    async def text(
-        self,
-        status: int,
-        text: str,
-        *,
-        content_type: str = "text/plain; version=0.0.4; charset=utf-8",
-    ) -> None:
-        """Write one complete plain-text response (``/metrics`` exposition).
-
-        The default content type is the Prometheus text exposition format's.
-        """
-        await self._send(status, content_type, text.encode("utf-8"), None)
+    async def text(self, status: int, text: str) -> None:
+        """Write one complete response in the Prometheus text exposition
+        format (``/metrics``)."""
+        await self._send(
+            status,
+            "text/plain; version=0.0.4; charset=utf-8",
+            text.encode("utf-8"),
+            None,
+        )
 
     def stream(self) -> "SseStream":
         """A ``200 text/event-stream`` response; its head goes out with
