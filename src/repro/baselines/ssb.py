@@ -16,10 +16,10 @@ from repro.baselines.base import BaselineMethod
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import QueryError
 from repro.kg.graph import KnowledgeGraph
-from repro.query.aggregate import AggregateQuery, exact_aggregate
+from repro.query.aggregate import AggregateQuery
 from repro.query.graph import PathQuery, QueryGraph
-from repro.sampling.scope import build_scope, resolve_mapping_node
-from repro.semantics.matching import best_matches_from
+from repro.sampling.scope import resolve_mapping_node
+from repro.semantics.matching import best_matches_from, best_sums_by_length
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class SemanticSimilarityBaseline(BaselineMethod):
         self.n_bound = n_bound
         self.max_expansions = max_expansions
         self._match_cache: dict[tuple[int, str], dict[int, float]] = {}
+        self._chain_cache: dict[PathQuery, dict[int, dict[int, float]]] = {}
 
     # ------------------------------------------------------------------
     # Similarity enumeration
@@ -79,10 +80,8 @@ class SemanticSimilarityBaseline(BaselineMethod):
     def component_similarities(self, component: PathQuery) -> dict[int, float]:
         """Exact answer similarities for one query component.
 
-        Simple components follow Eq. 2-3 directly.  Chain components take,
-        per answer, the best route through typed intermediates: similarity
-        is the geometric mean over all legs' best paths (each leg compared
-        to its own query predicate, §V-B).
+        Simple components follow Eq. 2-3 directly; chain components take
+        :meth:`chain_similarities`' values.
         """
         source = resolve_mapping_node(
             self._kg, component.specific_name, component.specific_types
@@ -96,43 +95,72 @@ class SemanticSimilarityBaseline(BaselineMethod):
                 if node != source
                 and self._kg.node(node).shares_type_with(target_types)
             }
-        return self._chain_similarities(source, component)
-
-    def _chain_similarities(
-        self, source: int, component: PathQuery
-    ) -> dict[int, float]:
-        # route state: node -> best (log_similarity_sum, edge_count); the
-        # geometric mean is only taken at the very end so that each leg
-        # weighs in proportionally to its edge count — Eq. 2 applied to the
-        # concatenated path, matching the engine's chain validation.
-        frontier: dict[int, tuple[float, int]] = {source: (0.0, 0)}
-        for predicate, node_types in component.hops:
-            next_frontier: dict[int, tuple[float, int]] = {}
-            for start, (log_sum, edges) in frontier.items():
-                scope = build_scope(self._kg, start, self.n_bound, node_types)
-                leg = self._matches_from(start, predicate)
-                for node in scope.candidate_answers:
-                    match = leg.get(node)
-                    if match is None:
-                        continue
-                    similarity, length = match
-                    if similarity <= 0.0 or length == 0:
-                        continue
-                    candidate = (
-                        log_sum + length * math.log(similarity),
-                        edges + length,
-                    )
-                    best = next_frontier.get(node)
-                    if best is None or candidate[0] / candidate[1] > best[0] / best[1]:
-                        next_frontier[node] = candidate
-            if not next_frontier:
-                return {}
-            frontier = next_frontier
         return {
-            node: math.exp(log_sum / edges)
-            for node, (log_sum, edges) in frontier.items()
-            if edges > 0
+            node: similarity
+            for node, (similarity, _length) in self.chain_similarities(
+                component
+            ).items()
         }
+
+    def chain_sums(self, component: PathQuery) -> dict[int, dict[int, float]]:
+        """Total length -> the best log-sum of a chain path of that length,
+        for every answer the chain reaches.
+
+        A chain path (§V-B) concatenates one simple path per leg: leg ``k``
+        has at most ``n_bound`` edges weighed against its own predicate and
+        ends on a node typed as hop ``k`` requires.  Enumerated: every typed
+        node a leg reaches carries its best log-sum per total length so
+        far, and the next leg's per-length DFS runs from it with each of
+        those sums as an offset, so every sum is the concatenated path's,
+        added in path order.
+        """
+        cached = self._chain_cache.get(component)
+        if cached is not None:
+            return cached
+        source = resolve_mapping_node(
+            self._kg, component.specific_name, component.specific_types
+        )
+        frontier: dict[int, dict[int, float]] = {source: {0: 0.0}}
+        for predicate, node_types in component.hops:
+            typed = set(self._kg.nodes_with_any_type(node_types))
+            following: dict[int, dict[int, float]] = {}
+            for start, prefix in frontier.items():
+                totals = sorted(prefix)
+                reached = best_sums_by_length(
+                    self._kg,
+                    self._space,
+                    predicate,
+                    start,
+                    self.n_bound,
+                    offsets=[prefix[total] for total in totals],
+                )
+                for node, rows in reached.items():
+                    if node not in typed:
+                        continue
+                    best = following.setdefault(node, {})
+                    for total, row in zip(totals, rows):
+                        for length, log_sum in enumerate(row, start=1):
+                            if log_sum > best.get(total + length, -math.inf):
+                                best[total + length] = log_sum
+            frontier = following
+        self._chain_cache[component] = frontier
+        return frontier
+
+    def chain_similarities(self, component: PathQuery) -> dict[int, tuple[float, int]]:
+        """``(similarity, best length)`` of every answer a chain reaches:
+        Eq. 2 applied to the concatenated path, the best geometric mean
+        over :meth:`chain_sums`, and the smallest total length that
+        attains it."""
+        result = {}
+        for node, by_total in self.chain_sums(component).items():
+            similarity, best_length = 0.0, 0
+            for total in sorted(by_total):
+                candidate = math.exp(by_total[total] / total)
+                if candidate > similarity:
+                    similarity, best_length = candidate, total
+            if best_length:
+                result[node] = (similarity, best_length)
+        return result
 
     def answer_similarities(self, query: QueryGraph) -> dict[int, float]:
         """Per-answer similarity; composite shapes take the component min."""

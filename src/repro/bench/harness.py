@@ -99,8 +99,9 @@ class PaperPlanner(QueryPlanner):
     — and each search walks the visiting map of the first S1 stage of its
     build (the planner has no catalog, so every plan is built).  A simple
     plan's search stops at ``tau`` (the verdict cannot change past it); a
-    chain's first leg runs all ``r`` paths, as its prefix needs the best
-    one found.
+    chain's first leg runs all ``r`` paths to every typed intermediate
+    within the bound, as the best one found seeds the chain's exact later
+    legs.
     """
 
     def __init__(self, kg, space, config: EngineConfig) -> None:

@@ -91,8 +91,8 @@ class EngineConfig:
     evt_bootstrap_rounds: int = 200
     # Chain queries (§V-B)
     max_intermediates: int = 64
-    # Search budgets: pops per answer of the figures' r-path validator,
-    # and (times five) path extensions per level of the chain DFS
+    # Search budget: pops per answer of the figures' r-path validator
+    # (production validation is exact and searches nothing)
     validation_expansions: int = 120
     # GROUP-BY: groups smaller than this many observed draws do not gate
     # termination (their CIs are reported as-is)

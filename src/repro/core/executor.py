@@ -29,15 +29,14 @@ Validation is **batched**: each round's pending support entries pass one
 array-valued attribute/filter screen over the graph's attribute columns
 (:meth:`KnowledgeGraph.attribute_column` — no per-answer ``Node`` view),
 and the survivors are validated in one ``plan.validator.validate_batch``
-call per component — the only S2 call.  A simple plan's validator reads
-its exact similarity row, a chain plan's memoises what its enumeration
-found by node id (:mod:`repro.semantics.validation`), so refinement
-rounds and interactive sessions never revalidate an answer.  It is also a
-**lazy conjunction**: an answer of a composite query is correct only when
-every component keeps it, so components are validated cheapest-first
-(simple before chain) and each one sees only the answers every earlier
-one kept.  Validation time is attributed to its own
-``"validation"`` stage bucket (the paper's Table XII folds it into S2).
+call per component — the only S2 call.  Every production validator reads
+an exact similarity row its plan builds once, simple and chain components
+alike (:mod:`repro.semantics.validation`), so refinement rounds and
+interactive sessions never revalidate an answer.  An answer of a composite
+query is correct only when every component keeps it: each component reads
+the whole batch and the verdicts are ANDed — a row read has nothing to
+skip.  Validation time is attributed to its own ``"validation"`` stage
+bucket (the paper's Table XII folds it into S2).
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ from repro.obs.trace import child_span
 from repro.query.aggregate import AggregateFunction, AggregateQuery
 from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerCollector, AnswerDistribution
-from repro.semantics.validation import ValidationBatch, require_node_ids
+from repro.semantics.validation import require_node_ids
 from repro.utils.rng import derive_seed, ensure_rng
 from repro.utils.timing import StageTimer
 
@@ -151,17 +150,6 @@ class _QueryState:
     #: distinct_support_indices memo: (per-sample lengths scattered so
     #: far, drawn mask over the support, read-only indices)
     _drawn: tuple | None = field(default=None, repr=False)
-    #: ``components`` in the order S2 validates them: simple components
-    #: (one read of the validator's exact row per batch) before chain
-    #: components (an enumeration per answer per level), ties in plan
-    #: order.  Fixed once per query so the lazy conjunction never sorts
-    #: per entry.
-    validation_order: tuple[QueryPlan, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.validation_order = tuple(
-            sorted(self.components, key=lambda plan: not plan.component.is_simple)
-        )
 
     @property
     def total_draws(self) -> int:
@@ -338,22 +326,6 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Validation (S2, batched)
     # ------------------------------------------------------------------
-    def _count(self, tallies: dict) -> None:
-        """Add a kernel call's tallies to the like-named ``exec`` counters."""
-        metrics = self.obs_metrics
-        if metrics is not None:
-            for name, count in tallies.items():
-                if count:
-                    metrics[name].inc(count)
-
-    def _validate(self, plan: QueryPlan, node_ids) -> ValidationBatch:
-        """``plan.validator.validate_batch(node_ids)``, its chain tallies
-        added to the ``exec`` counters."""
-        batch = plan.validator.validate_batch(node_ids)
-        if batch.tallies:
-            self._count(batch.tallies)
-        return batch
-
     def answer_similarity(self, state_or_components, node_id: int) -> float:
         """Composite answer similarity: minimum across components."""
         components = (
@@ -362,38 +334,19 @@ class QueryExecutor:
             else state_or_components
         )
         return min(
-            float(self._validate(plan, [node_id]).similarity[0])
+            float(plan.validator.validate_batch([node_id]).similarity[0])
             for plan in components
         )
 
     def _batch_similarities(
         self, state: _QueryState, entries: np.ndarray
     ) -> np.ndarray:
-        """Lazy conjunction: which joint support ``entries`` every
-        component keeps, as a mask over ``entries``.
-
-        An answer is correct only when *every* component keeps it at
-        ``>= tau``, so each component's validator, in
-        ``state.validation_order``, is handed only the answers every
-        earlier one kept, and what the last one keeps is the verdict.
-        Similarities are per answer — independent of the batch they were
-        computed in — so every verdict equals the eager one.  The rejected
-        answers a later validator would still have had to search (never an
-        exact row's: it holds every node) are counted on
-        ``conjunction_skips``.
-        """
-        tau = self.config.tau
+        """Which joint support ``entries`` every component keeps at
+        ``>= tau``, as a mask over ``entries``."""
         answers = state.joint.answers[entries]
         keeps = np.ones(len(entries), dtype=bool)
-        skips = 0
-        for position, plan in enumerate(state.validation_order):
-            if position:
-                skips += plan.validator.unsearched(answers[~keeps])
-            alive = np.flatnonzero(keeps)
-            if len(alive):
-                keeps[alive] = self._validate(plan, answers[alive]).similarity >= tau
-        if skips and self.obs_metrics is not None:
-            self.obs_metrics["conjunction_skips"].inc(skips)
+        for plan in state.components:
+            keeps &= plan.validator.validate_batch(answers).similarity >= self.config.tau
         return keeps
 
     def _screen(
@@ -428,15 +381,15 @@ class QueryExecutor:
         """Fill verdicts and values for ``pending`` support entries.
 
         The attribute/filter screen runs over the whole batch as array
-        operations; the expensive correctness searches for everything that
-        survives it run in one batched pass, and an answer is correct when
-        the conjunction keeps it.
+        operations; everything that survives it is validated in one batch
+        per component, and an answer is correct when every component
+        keeps it.
         """
         correct, values = self._screen(
             state.aggregate_query, state.joint.answers[pending]
         )
         if self.config.validate_correctness and correct.any():
-            # the conjunction's verdict on what the screen let through
+            # every component's verdict on what the screen let through
             correct[correct] = self._batch_similarities(state, pending[correct])
         state.support_known[pending] = True
         state.support_correct[pending] = correct
@@ -742,7 +695,7 @@ class QueryExecutor:
         validates in its own slot.  It goes when the ledger target does.
         """
         for plan in components:
-            self._validate(plan, node_ids)
+            plan.validator.validate_batch(node_ids)
 
     # ------------------------------------------------------------------
     # What one round estimates, per kind
@@ -822,7 +775,8 @@ class QueryExecutor:
         ]
         # which formula each bag's sigma takes
         name = "sigma_closed_form" if denominators is None else "sigma_bootstrap"
-        self._count({name: len(bags)})
+        if self.obs_metrics is not None:
+            self.obs_metrics[name].inc(len(bags))
         try:
             return blb_moe(
                 bags,
@@ -913,7 +867,7 @@ class QueryExecutor:
         """The exact aggregate over the whole joint support.
 
         Every support entry still unknown is validated in one batch (one
-        screen plus one lazy-conjunction pass) inside a ``census`` span;
+        screen plus one validation per component) inside a ``census`` span;
         the round then reads :func:`census_estimate` off the verdicts —
         per group for GROUP-BY, whose round carries the widest group
         like a sampled one.  ``correct_draws`` stays what it means on
@@ -1131,7 +1085,8 @@ class QueryExecutor:
         ``np.std`` over the contiguous axis is the 1-D call's pairwise sum,
         so every sigma is :func:`column_mean_sigma`'s bit for bit.
         """
-        self._count({"sigma_closed_form": len(keys)})
+        if self.obs_metrics is not None:
+            self.obs_metrics["sigma_closed_form"].inc(len(keys))
         draws = len(numerators)
         if draws < 2:
             return [float("inf")] * len(keys)

@@ -12,13 +12,13 @@ workload instead of per query.
 
 Plans are structurally immutable (frozen dataclass, read-only arrays) but
 own every piece of S2 state compiled for them through their validator, so
-the plan key alone decides when it is stale: a simple plan's validator
-holds its exact similarity row, a chain plan's its level contexts and
-node-indexed memos (:mod:`repro.semantics.validation`), all built
-lazily.  Validation is deterministic and a memo cell is written once,
-with its final value, so concurrent engines sharing a plan only ever read
-"not yet" or that value; sharing the memo is what lets refinement rounds
-and interactive sessions skip revalidation entirely.
+the plan key alone decides when it is stale: a simple or a chain plan's
+validator holds its exact similarity row over every node
+(:mod:`repro.semantics.validation`; the figures' r-path search a
+node-indexed memo), built lazily.  Validation is deterministic and a row
+is published once, whole and read-only, so concurrent engines sharing a
+plan only ever read "not yet" or that row; sharing it is what lets
+refinement rounds and interactive sessions skip revalidation entirely.
 
 Beside each graph's plans the cache keeps the *joint supports* of
 composite queries (the intersected :class:`AnswerDistribution`), keyed by
@@ -149,7 +149,7 @@ def plan_fingerprint(config: EngineConfig) -> tuple:
 
     Everything S1 consumes (sampler kind, scope bound, Eq. 5 smoothing)
     plus what the memoised similarities depend on: the bound, the floor
-    and the chain DFS budget.  ``tau`` is not among them: the validators
+    and the figures' r-path budget.  ``tau`` is not among them: the validators
     memoise similarities and each query compares them with its own
     threshold.  The RNG seed only matters for the node2vec baseline
     (the semantic and CNARW walks are deterministic), so it joins the
@@ -208,8 +208,8 @@ class _GraphEntry:
 
 
 #: default per-graph plan bound; a plan's payload is its support (answers,
-#: probabilities) plus, once validated, its validator's exact row or chain
-#: memo (a similarity and a path length per graph node), so the cap
+#: probabilities) plus, once validated, its validator's similarity row
+#: (a similarity and a path length per graph node), so the cap
 #: bounds resident memory for long-lived serving processes with many
 #: components/configs/tenants
 DEFAULT_MAX_PLANS_PER_GRAPH = 256

@@ -159,15 +159,13 @@ class QueryPlanner:
         first_leg = self._first_leg(component, source, scope)
         if component.is_simple:
             return first_leg
-        config = self.config
         return ChainValidator(
             self._kg,
             self._space,
             component,
             first_leg,
-            max_length=config.n_bound,
-            floor=config.similarity_floor,
-            budget_per_level=config.validation_expansions * 5,
+            max_length=self.config.n_bound,
+            floor=self.config.similarity_floor,
         )
 
     def _first_leg(
@@ -292,9 +290,9 @@ class QueryPlanner:
                 "the semantic or the cnarw sampler"
             )
         # The plan keeps the composed distribution only: its chain
-        # validator reads the first leg off the validator bound to the
-        # mapping node (the first stage's scope is handed to it) and
-        # enumerates the later legs per answer, never the routes.
+        # validator seeds its row from the validator bound to the mapping
+        # node (the first stage's scope is handed to it), never from the
+        # routes.
         first = self._first_stage(source, *component.hops[0])
         chain = ChainSampler(
             self._kg,

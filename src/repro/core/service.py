@@ -18,9 +18,9 @@ What makes a *batch* cheaper than a loop over ``execute``:
   :meth:`PlanCache.get_or_build` guarantees each (component, config) plan
   is built exactly once no matter how many queries need it concurrently.
 * **Per-plan verdict memos** — a shared plan's validator is its one
-  verdict memo (an exact row, or a chain's searched answers by node id),
-  so a query searches only the answers no earlier query did; every later
-  query reads the memo.  Outcomes are deterministic per answer,
+  verdict memo (the exact similarity row of a simple or a chain
+  component), built by the first query that validates and read by every
+  later one.  Outcomes are deterministic per answer,
   so results stay byte-identical to sequential execution.
 * **Round interleaving** — the scheduler is round-robin with
   budget-aware priority (queries with the fewest completed rounds step
@@ -542,12 +542,6 @@ class AggregateQueryService:
                     "least the undrawn support, so every entry was "
                     "validated and the aggregate is exact (S3)",
                 ),
-                "conjunction_skips": execution.counter(
-                    "conjunction_skips",
-                    "Answer x component searches not run because an "
-                    "earlier component rejected the answer; an exact row "
-                    "has none to skip (S2)",
-                ),
                 "sigma_closed_form": execution.counter(
                     "sigma_closed_form",
                     "BLB bag and GROUP-BY group sigmas taken in closed form: "
@@ -557,30 +551,6 @@ class AggregateQueryService:
                     "sigma_bootstrap",
                     "BLB bag and GROUP-BY group sigmas that paid for a "
                     "bootstrap index stream: AVG and PAPER (S3)",
-                ),
-                "chain_expansions_live": execution.counter(
-                    "chain_expansions_live",
-                    "Chain-DFS path extensions the loop walked, tour "
-                    "recordings included (S2)",
-                ),
-                "chain_expansions_replayed": execution.counter(
-                    "chain_expansions_replayed",
-                    "Chain-DFS path extensions settled from a shared hub "
-                    "tour instead of walked (S2)",
-                ),
-                "chain_tour_replays": execution.counter(
-                    "chain_tour_replays",
-                    "Hub frames of the chain DFS settled from a tour (S2)",
-                ),
-                "chain_tour_records": execution.counter(
-                    "chain_tour_records",
-                    "Hub traversals of the chain DFS recorded as tours (S2)",
-                ),
-                "chain_tour_fallbacks": execution.counter(
-                    "chain_tour_fallbacks",
-                    "Hub frames that had a tour and were walked anyway: a "
-                    "deleted on-path node was not float-neutral, or the "
-                    "tour was shorter than the budget (S2)",
                 ),
             }
         else:

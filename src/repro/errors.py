@@ -130,10 +130,10 @@ class EmbeddingError(ReproError):
     predicate the embedding does not cover.  That is a failure of the
     plan's whole context, not of one answer: the exact similarity row
     from the mapping node weighs every edge within the bound, so the
-    query's first validation fails, as SSB fails the whole query.  (A
-    semantic plan fails earlier, at S1, whose weights need the same
-    edges; the chain DFS below the first leg still raises only for an
-    answer whose own traversal touches the edge.)
+    query's first validation fails, as SSB fails the whole query; a
+    chain row weighs every leg's edges within the bound, so a chain plan
+    fails as a whole too.  (A semantic plan fails earlier, at S1, whose
+    weights need the same edges.)
     """
 
 

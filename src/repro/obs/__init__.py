@@ -25,19 +25,10 @@ metric                                         type       meaning
 ``repro_exec_validate_batch_pending``          histogram  batch sizes handed to the S2 kernels
 ``repro_exec_census_queries``                  counter    queries answered by a census (the
                                                           exact aggregate over the support)
-``repro_exec_conjunction_skips``               counter    chain / r-path searches an earlier
-                                                          component's rejection saved (an
-                                                          exact row has none to skip)
 ``repro_exec_sigma_closed_form``               counter    bag / group sigmas taken in closed
                                                           form (COUNT, SUM under SAMPLE)
 ``repro_exec_sigma_bootstrap``                 counter    ... that paid for a bootstrap index
                                                           stream (AVG, PAPER)
-``repro_exec_chain_expansions_live``           counter    chain-DFS path extensions walked
-                                                          (tour recordings included)
-``repro_exec_chain_expansions_replayed``       counter    ... settled from a shared hub tour
-``repro_exec_chain_tour_replays``              counter    hub frames settled from a tour
-``repro_exec_chain_tour_records``              counter    hub traversals recorded as tours
-``repro_exec_chain_tour_fallbacks``            counter    hub frames with a tour walked anyway
 ``repro_scheduler_queries_submitted_total``    counter    accepted submissions
 ``repro_scheduler_queries_settled_total``      counter    settlements, ``status`` label
 ``repro_scheduler_rounds_total``               counter    anytime rounds completed (S3)
@@ -74,12 +65,12 @@ and activates it around every slot the query holds.  Children:
   a chain;
 * ``round`` — one S3 anytime round (``round_index``, ``kind``); it
   nests ``validate_batch`` spans (S2, attribute ``pending``), and under
-  those one ``chain_prefix`` span per chain-prefix level resolved
-  (``level``, ``frontier``, and the chain DFS's ``replayed`` / ``live``
-  expansions; level ``k`` nests level ``k - 1``; none on simple
-  queries).  A census round nests one ``census`` span (``support`` =
-  joint support size, ``pending`` = entries it validated) around its
-  ``validate_batch``.
+  those one ``similarity_row`` span per plan validator whose exact row
+  the batch builds (``kind`` = ``simple`` or ``chain``, ``reached`` =
+  nodes with a path; a chain's row includes its first leg, and a warm
+  plan's row is built already, so it opens none).  A census round nests
+  one ``census`` span (``support`` = joint support size, ``pending`` =
+  entries it validated) around its ``validate_batch``.
 
 ``QueryHandle.trace()`` returns the tree as a nested JSON-clean dict
 (:meth:`repro.obs.trace.Span.as_dict`); it is ``None`` when the service

@@ -5,8 +5,8 @@
 * :mod:`repro.semantics.matching` — exhaustive single-pass enumeration of
   best matches within the n-bounded scope (the expensive step of SSB).
 * :mod:`repro.semantics.validation` — correctness validation: the exact
-  Eq. 3 similarity of every node from a plan's mapping node, one array
-  pass per plan (:mod:`repro.semantics.kernels`).
+  similarity row of a simple or a chain component, a few (max, +) array
+  passes per plan (:mod:`repro.semantics.kernels`).
 * :mod:`repro.semantics.reference` — the paper's greedy r-path search,
   which only the figures bind.
 """

@@ -5,14 +5,16 @@ unsound; the paper's remark 2 prescribes enumerating all (simple) paths up
 to length ``n`` from the mapping node.  :func:`best_matches_from` does this
 in a *single* depth-first pass and records, for every reachable node, the
 best similarity and the path realising it — so SSB's per-candidate cost is
-amortised over one traversal.
+amortised over one traversal.  :func:`best_sums_by_length` keeps the best
+log-sum per path length instead, which SSB's chain enumeration composes
+leg by leg.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.graph import KnowledgeGraph
@@ -123,44 +125,63 @@ def best_matches_from(
     return best
 
 
-def best_matches_iterative(
+def best_sums_by_length(
     kg: KnowledgeGraph,
     space: PredicateVectorSpace,
     query_predicate: str,
     source: int,
     max_length: int,
     *,
-    targets: Iterable[int] | None = None,
+    offsets: Sequence[float] = (0.0,),
     floor: float = SIMILARITY_FLOOR,
-    budget_per_level: int = 3000,
-) -> dict[int, SubgraphMatch]:
-    """Budgeted enumeration via iterative deepening.
+) -> dict[int, list[list[float]]]:
+    """Best log-sum per path length for every node a simple path reaches.
 
-    A plain depth-first enumeration with an expansion cap can burn its
-    entire budget inside the first neighbour's (possibly huge) subtree and
-    never record the source's other *direct* edges.  Iterative deepening
-    runs the capped DFS at depths 1..max_length and merges per-node best
-    matches, so shallow matches — which dominate Eq. 3 in practice — are
-    always recorded before deep exploration spends the budget.
+    ``result[node][k][l - 1]`` is the best ``offsets[k]`` plus the edge
+    log-similarities of a simple ``l``-edge path ``source -> node``, added
+    in path order after the offset (``-inf`` where no such path exists).
+    Eq. 2 is not monotone in path length, so a chain answer (§V-B) needs
+    every length of every leg, and each of a start's prefix sums as an
+    offset: the running sum is carried down the path, never subtracted
+    on the way back, so every sum is the path-order float sum the chain
+    row's leg passes compute.  Like :func:`best_matches_from`, the source
+    is never recorded and an edge the embedding does not cover raises
+    when the enumeration first weighs it.
     """
-    target_set = set(targets) if targets is not None else None
-    merged: dict[int, SubgraphMatch] = {}
-    for depth in range(1, max_length + 1):
-        level = best_matches_from(
-            kg,
-            space,
-            query_predicate,
-            source,
-            depth,
-            targets=target_set,
-            floor=floor,
-            max_expansions=budget_per_level,
-        )
-        for node, match in level.items():
-            current = merged.get(node)
-            if current is None or match.similarity > current.similarity:
-                merged[node] = match
-    return merged
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
+    logs: dict[str, float] = {}
+    best: dict[int, list[list[float]]] = {}
+    on_path = {source}
+
+    def extend(node: int, depth: int, totals: list[float]) -> None:
+        for edge_id, neighbour in kg.neighbors(node):
+            if neighbour in on_path:
+                continue
+            predicate = kg.predicate_of(edge_id)
+            log_similarity = logs.get(predicate)
+            if log_similarity is None:
+                log_similarity = logs[predicate] = math.log(
+                    clamp_similarity(
+                        space.similarity(predicate, query_predicate), floor
+                    )
+                )
+            extended = [total + log_similarity for total in totals]
+            record = best.get(neighbour)
+            if record is None:
+                record = best[neighbour] = [
+                    [-math.inf] * max_length for _ in offsets
+                ]
+            for per_length, total in zip(record, extended):
+                if total > per_length[depth]:
+                    per_length[depth] = total
+            if depth + 1 < max_length:
+                on_path.add(neighbour)
+                extend(neighbour, depth + 1, extended)
+                on_path.discard(neighbour)
+
+    extend(source, 0, list(offsets))
+    return best
 
 
 def find_best_match(

@@ -1,20 +1,18 @@
-"""The paper's r-path search, and the seed chain-prefix recursion.
+"""The paper's r-path search.
 
-* :class:`ReferenceValidator` is the paper's greedy correctness search
-  (§IV-B2) in the seed's dict-probing form: a best-first search from the
-  mapping node on the stationary visiting probabilities that stops after
-  ``r`` paths to the answer.  It approximates Eq. 3 from below and so has
-  false negatives; production validation computes Eq. 3 exactly
-  (:class:`~repro.semantics.validation.CorrectnessValidator`).  Only the
-  figures' engine binds it (:mod:`repro.bench.harness`), as a simple
-  plan's validator or a chain's first leg, so Fig. 5(b) and Fig. 6(c)
-  still chart what ``r`` does.  Each answer is searched once: the search
-  memoises by node id like every chain validator
-  (:class:`~repro.semantics.validation.MemoisedSearch`).
-* :func:`chain_prefixes_recursive` keeps the one-endpoint-at-a-time
-  chain-prefix recursion (§V-B) that
-  :class:`~repro.semantics.validation.ChainValidator` must reproduce
-  prefix for prefix; only tests call it.
+:class:`ReferenceValidator` is the paper's greedy correctness search
+(§IV-B2) in the seed's dict-probing form: a best-first search from the
+mapping node on the stationary visiting probabilities that stops after
+``r`` paths to the answer.  It approximates Eq. 3 from below and so has
+false negatives; production validation computes Eq. 3 exactly
+(:class:`~repro.semantics.validation.CorrectnessValidator`).  Only the
+figures' engine binds it (:mod:`repro.bench.harness`), as a simple plan's
+validator or a chain's first leg, so Fig. 5(b) and Fig. 6(c) still chart
+what ``r`` does.  Each answer is searched once: the searches are memoised
+by node id.  As a chain's first leg it searches every typed intermediate
+within the bound and seeds the chain's exact later legs
+(:class:`~repro.semantics.validation.ChainValidator`) with the best path
+it found to each.
 """
 
 from __future__ import annotations
@@ -22,16 +20,20 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
-from repro.semantics.matching import best_matches_from, best_matches_iterative
 from repro.semantics.similarity import SIMILARITY_FLOOR, require_known_predicates
-from repro.semantics.validation import MemoisedSearch
+from repro.semantics.validation import (
+    ValidationBatch,
+    ValidationOutcome,
+    log_similarities,
+    require_node_ids,
+)
 
 #: default cap on queue pops per search; bounds worst-case latency.
 DEFAULT_EXPANSION_BUDGET = 120
@@ -40,15 +42,21 @@ DEFAULT_EXPANSION_BUDGET = 120
 DEFAULT_BRANCH_CAP = 16
 
 
-class ReferenceValidator(MemoisedSearch):
+class ReferenceValidator:
     """The paper's best-first r-path search, bound to one ``(source,
     predicate, visiting)`` context.
 
     ``visiting`` maps the scope's node ids to their stationary
     probabilities; only those nodes are expanded.  ``stop_threshold``
     makes the search stop at the first path whose similarity reaches it
-    (the verdict at that threshold cannot change any more).  Searches are
-    memoised by node id (:meth:`MemoisedSearch.validate_batch`).
+    (the verdict at that threshold cannot change any more).
+
+    Searches are memoised by node id: ``(similarity, best_length)`` over
+    every graph node, similarity NaN until the node is searched.  The
+    memo is allocated on first read and published with one attribute
+    store, and each cell is written once — ``best_length`` first — with
+    its final value, so services and sessions sharing the plan read NaN
+    or that value.
     """
 
     def __init__(
@@ -82,15 +90,14 @@ class ReferenceValidator(MemoisedSearch):
         self._children: dict[int, list[tuple[float, int, float]]] = {}
         self._adjacency: dict[int, dict[int, float]] = {}
         self._log_row: np.ndarray | None = None
+        self._memo: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def _log_similarities(self) -> np.ndarray:
         if self._log_row is None:
-            row = self._space.known_similarity_row(
-                self.query_predicate, self._kg.predicates
+            self._log_row = log_similarities(
+                self._kg, self._space, self.query_predicate, self.floor
             )
-            with np.errstate(invalid="ignore"):
-                self._log_row = np.log(np.clip(row, self.floor, 1.0))
         return self._log_row
 
     def _expand(
@@ -183,77 +190,51 @@ class ReferenceValidator(MemoisedSearch):
                 )
         return best_similarity, paths_found, expansions, best_length
 
-    def _search(self, answers: np.ndarray) -> tuple[list[float], list[int], None]:
-        """One search per answer, in order."""
-        searched = [self.search(answer) for answer in answers.tolist()]
-        return [found[0] for found in searched], [found[3] for found in searched], None
+    def memo(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(similarity, best_length)`` per node id, NaN where unsearched."""
+        memo = self._memo
+        if memo is None:
+            num_nodes = self._kg.num_nodes
+            memo = (np.full(num_nodes, np.nan), np.zeros(num_nodes, dtype=np.int16))
+            self._memo = memo
+        return memo
 
+    def validate_batch(self, answers: Sequence[int] | np.ndarray) -> ValidationBatch:
+        """Every answer's outcome: the memo, after one :meth:`search` per
+        answer it does not hold yet, in order."""
+        answers = require_node_ids(self._kg, answers)
+        memo_similarity, memo_length = self.memo()
+        similarity = memo_similarity[answers]
+        misses = np.isnan(similarity)
+        if misses.any():
+            missed = answers[misses]
+            searched = [self.search(answer) for answer in missed.tolist()]
+            found = [outcome[0] for outcome in searched]
+            memo_length[missed] = [outcome[3] for outcome in searched]
+            memo_similarity[missed] = found
+            similarity[misses] = found
+        return ValidationBatch(answers, similarity, memo_length[answers])
 
-def chain_prefixes_recursive(
-    kg: KnowledgeGraph, space: PredicateVectorSpace, config, plan, node_ids
-) -> dict[tuple[int, int], tuple[float, int] | None]:
-    """The seed's recursive chain-prefix resolution for ``node_ids``.
+    def validate(self, answer: int) -> ValidationOutcome:
+        """One answer's outcome: a batch of one."""
+        return self.validate_batch([answer]).outcome(0)
 
-    Returns ``{(level, node): (log-similarity sum, edge count) | None}`` for
-    ``source ->hops[:level]-> node``: level 1 reads SSB's exhaustive
-    enumeration from the mapping node
-    (:func:`~repro.semantics.matching.best_matches_from`, the exact row's
-    oracle), deeper levels enumerate backwards from the node with
-    :func:`~repro.semantics.matching.best_matches_iterative` and recurse
-    over the typed intermediates one endpoint at a time.  ``config`` and
-    ``plan`` are the engine's ``EngineConfig`` and chain ``QueryPlan``.
-    """
-    component = plan.component
-    first_leg = best_matches_from(
-        kg,
-        space,
-        component.predicates[0],
-        plan.source,
-        config.n_bound,
-        floor=config.similarity_floor,
-    )
-    memo: dict[tuple[int, int], tuple[float, int] | None] = {}
-
-    def prefix(level: int, node_id: int) -> tuple[float, int] | None:
-        key = (level, node_id)
-        if key in memo:
-            return memo[key]
-        predicate = component.predicates[level - 1]
-        result: tuple[float, int] | None = None
-        if level == 1:
-            match = first_leg.get(node_id)
-            if match is not None:
-                result = (
-                    match.length * math.log(max(match.similarity, 1e-12)),
-                    match.length,
-                )
-        else:
-            matches = best_matches_iterative(
-                kg,
-                space,
-                predicate,
-                node_id,
-                config.n_bound,
-                targets=kg.nodes_with_any_type(component.hops[level - 2][1]),
-                floor=config.similarity_floor,
-                budget_per_level=config.validation_expansions * 5,
+    def leg_sums(self, typed: np.ndarray) -> dict[int, np.ndarray]:
+        """As a chain's first leg: path length -> ``length * log(similarity)``
+        of the best path found to each node where ``typed`` holds, at that
+        path's length (``-inf`` elsewhere).  Every typed node within
+        ``max_length`` hops of the source is searched."""
+        distances = csr_snapshot(self._kg).hop_distance_array(
+            self.source, self.max_length
+        )
+        candidates = np.flatnonzero(typed & (distances > 0))
+        batch = self.validate_batch(candidates)
+        sums = {}
+        for length in range(1, self.max_length + 1):
+            found = batch.best_length == length
+            level = np.full(self._kg.num_nodes, -np.inf)
+            level[candidates[found]] = length * np.log(
+                np.maximum(batch.similarity[found], 1e-12)
             )
-            best_mean = 0.0
-            for endpoint, match in matches.items():
-                below = prefix(level - 1, endpoint)
-                if below is None:
-                    continue
-                log_sum = below[0] + match.length * math.log(
-                    max(match.similarity, 1e-12)
-                )
-                length = below[1] + match.length
-                mean = math.exp(log_sum / length)
-                if mean > best_mean:
-                    best_mean = mean
-                    result = (log_sum, length)
-        memo[key] = result
-        return result
-
-    for node_id in node_ids:
-        prefix(component.num_hops, int(node_id))
-    return memo
+            sums[length] = level
+        return sums

@@ -19,7 +19,7 @@ from repro.server.app import (
     serve_in_thread,
     status_for,
 )
-from repro.server.client import HttpStatusError, ReproClient
+from repro.server.client import HttpStatusError, MalformedResponseError, ReproClient
 from repro.server.http import HttpError
 from repro.server.quota import ClientQuota, QuotaRegistry, TokenBucket
 
@@ -27,6 +27,7 @@ __all__ = [
     "ClientQuota",
     "HttpError",
     "HttpStatusError",
+    "MalformedResponseError",
     "QuotaRegistry",
     "ReproClient",
     "ReproHTTPServer",

@@ -17,11 +17,13 @@ import time
 
 from repro.errors import ReproError, ResultTimeoutError
 
-__all__ = ["HttpStatusError", "ReproClient"]
+__all__ = ["HttpStatusError", "MalformedResponseError", "ReproClient"]
 
 
 class HttpStatusError(ReproError):
-    """A non-2xx response from the server, carrying its JSON error body."""
+    """A non-2xx response from the server, carrying its JSON error body
+    (or, for a body that is not a JSON object — a proxy's HTML page, say —
+    ``{"message": <its text>}``)."""
 
     def __init__(self, status: int, payload: dict, headers: dict[str, str]):
         message = payload.get("message") or f"HTTP {status}"
@@ -36,11 +38,27 @@ class HttpStatusError(ReproError):
         return self.headers.get("retry-after")
 
 
+class MalformedResponseError(ReproError):
+    """A response the client cannot read: a success body that is not JSON,
+    or an event stream whose chunking, text or frame data is broken."""
+
+
+def _error_payload(raw: bytes) -> dict:
+    """An error body as the server's JSON envelope, else its text."""
+    try:
+        payload = json.loads(raw.decode("utf-8")) if raw else {}
+    except ValueError:  # not UTF-8, or not JSON
+        payload = None
+    if isinstance(payload, dict):
+        return payload
+    return {"message": raw.decode("utf-8", errors="replace")}
+
+
 def _raise_for_status(response: http.client.HTTPResponse, raw: bytes) -> None:
     if response.status >= 400:
         raise HttpStatusError(
             response.status,
-            json.loads(raw.decode("utf-8")) if raw else {},
+            _error_payload(raw),
             {name.lower(): value for name, value in response.getheaders()},
         )
 
@@ -146,7 +164,12 @@ class ReproClient:
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         raw = self._read(method, path, body)
-        return json.loads(raw.decode("utf-8")) if raw else {}
+        try:
+            return json.loads(raw.decode("utf-8")) if raw else {}
+        except ValueError as error:
+            raise MalformedResponseError(
+                f"{method} {path}: the body is not JSON: {raw[:80]!r}"
+            ) from error
 
     # -- the v1 surface -------------------------------------------------
     def submit(self, aql: str, **params) -> dict:
@@ -204,7 +227,9 @@ class ReproClient:
         generator ends with the stream's final chunk, which follows the
         terminal event, and the connection goes back to the pool; closing
         the generator early closes the socket instead (how "client hangs
-        up mid-stream" is expressed).
+        up mid-stream" is expressed).  A broken chunk, a line that is not
+        UTF-8 or a frame whose data is not JSON raises
+        :class:`MalformedResponseError`.
         """
         path = f"/v1/queries/{query_id}/events"
         connection, response = self._send("GET", path)
@@ -235,6 +260,10 @@ class ReproClient:
                     event_name = text[len("event:") :].strip()
                 elif text.startswith("data:"):
                     data_lines.append(text[len("data:") :].strip())
+        except (http.client.HTTPException, ValueError) as error:
+            raise MalformedResponseError(
+                f"the event stream of {query_id} is malformed: {error}"
+            ) from error
         finally:
             if complete:
                 self._checkin(connection, response)

@@ -3,13 +3,13 @@
 The kernels (:mod:`repro.semantics.kernels`) are the one production path
 per S2 algorithm; for identical inputs they must reproduce the oracles —
 SSB's exhaustive enumeration (``best_matches_from``) for the exact
-similarity row, within the oracle's float drift, ``best_matches_iterative``
-and the recursive chain-prefix resolution for chain enumeration, the
-per-entry CNARW loop (:mod:`repro.sampling.reference`) for the structural
-weights, both byte for byte — with the same unknown-predicate failures.
-The paper's r-path search, which the figures bind, is checked on the same
-worlds against the exact row it approximates from below.  Randomised
-worlds here include multi-edges and self-loops.
+similarity row and SSB's chain enumeration (``chain_similarities``) for a
+chain's row, both within the oracles' float drift, and the per-entry
+CNARW loop (:mod:`repro.sampling.reference`) for the structural weights,
+byte for byte — with the same unknown-predicate failures.  The paper's
+r-path search, which the figures bind, is checked on the same worlds
+against the exact row it approximates from below.  Randomised worlds here
+include multi-edges and self-loops.
 """
 
 from __future__ import annotations
@@ -26,20 +26,21 @@ from repro import (
     EngineConfig,
     LookupEmbedding,
     PredicateVectorSpace,
-    QueryGraph,
 )
+from repro.baselines.ssb import SemanticSimilarityBaseline
 from repro.core.plan import shared_plan_cache
 from repro.errors import EmbeddingError
 from repro.kg import KnowledgeGraph, csr_snapshot
-from repro.sampling.scope import build_scope
+from repro.query.graph import PathQuery
+from repro.sampling.scope import build_scope, resolve_mapping_node
 from repro.sampling.reference import cnarw_weights_python
 from repro.sampling.strength import strength_distribution
 from repro.sampling.topology import cnarw_entry_weights
 from repro.semantics import kernels
-from repro.semantics.matching import best_matches_from, best_matches_iterative
-from repro.semantics.reference import ReferenceValidator, chain_prefixes_recursive
+from repro.semantics.matching import best_matches_from
+from repro.semantics.reference import ReferenceValidator
 from repro.semantics.similarity import SIMILARITY_FLOOR
-from repro.semantics.validation import CorrectnessValidator
+from repro.semantics.validation import ChainValidator, CorrectnessValidator
 
 TYPE_POOL = ("Car", "Person", "City", "Club", "Thing")
 PREDICATE_POOL = ("product", "assembly", "designer", "country", "misc", "rare")
@@ -554,143 +555,6 @@ def _result_fingerprint(result) -> tuple:
     )
 
 
-def _chain_oracle(kg, space, predicate, source, max_length, targets, budget):
-    """``best_matches_iterative`` reduced to what ``chain_matches`` returns."""
-    return {
-        node: (match.similarity, match.length)
-        for node, match in best_matches_iterative(
-            kg,
-            space,
-            predicate,
-            source,
-            max_length,
-            targets=targets,
-            floor=SIMILARITY_FLOOR,
-            budget_per_level=budget,
-        ).items()
-    }
-
-
-def _new_tallies() -> dict:
-    return dict.fromkeys(kernels.CHAIN_TALLIES, 0)
-
-
-class TestChainKernelEquivalence:
-    """kernels.chain_matches == matching.best_matches_iterative, exactly."""
-
-    @pytest.mark.parametrize("tour_min_entries", [None, 1])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_reference_values_and_order(
-        self, seed, tour_min_entries, monkeypatch
-    ):
-        """At the real hub threshold these 60-node worlds hold no hub and
-        every frame is walked; patched to 1, every frame below the source
-        goes through a tour, and one context serves every source, budget
-        and target set below, so tours recorded under one budget are
-        replayed — or declined — under another."""
-        if tour_min_entries is not None:
-            monkeypatch.setattr(kernels, "_TOUR_MIN_ENTRIES", tour_min_entries)
-        kg, space = random_world(seed)
-        context = kernels.build_chain_context(
-            kg, space, csr_snapshot(kg), "designer", SIMILARITY_FLOOR
-        )
-        rng = np.random.default_rng(seed + 9000)
-        typed = frozenset(kg.nodes_with_any_type(["Person", "Club"]))
-        tallies = _new_tallies()
-        for source in rng.integers(0, kg.num_nodes, size=6):
-            source = int(source)
-            for max_length, budget in ((1, 3000), (2, 3000), (3, 3000),
-                                       (3, 37), (2, 5), (3, 11), (4, 60)):
-                for targets in (typed, None):
-                    got = kernels.chain_matches(
-                        context, source, max_length, targets, budget, tallies
-                    )
-                    # same keys, same floats, same *insertion order* (the
-                    # chain-prefix best-mean scan tie-breaks by iteration
-                    # order)
-                    assert list(got.items()) == list(
-                        _chain_oracle(
-                            kg, space, "designer", source, max_length, targets, budget
-                        ).items()
-                    )
-        if tour_min_entries is None:
-            assert not context.tours
-            assert tallies["chain_expansions_replayed"] == 0
-        else:
-            assert tallies["chain_tour_replays"] >= 1
-            assert tallies["chain_tour_fallbacks"] >= 1
-            assert tallies["chain_tour_records"] == len(context.tours) >= 1
-            assert tallies["chain_expansions_replayed"] >= 1
-        assert tallies["chain_expansions_live"] >= 1
-
-    def test_unknown_predicate_raises_like_reference(self):
-        kg, space = random_world(11, known_predicates=PREDICATE_POOL[:-1])
-        # building the context must NOT touch the embedding eagerly
-        context = kernels.build_chain_context(
-            kg, space, csr_snapshot(kg), "designer", SIMILARITY_FLOOR
-        )
-        targets = frozenset(range(kg.num_nodes))
-        outcomes = []
-        for source in range(0, kg.num_nodes, 7):
-            try:
-                expected = {
-                    node: (match.similarity, match.length)
-                    for node, match in best_matches_iterative(
-                        kg, space, "designer", source, 3, targets=targets
-                    ).items()
-                }
-            except EmbeddingError:
-                expected = EmbeddingError
-            try:
-                got = kernels.chain_matches(context, source, 3, targets, 3000)
-            except EmbeddingError:
-                got = EmbeddingError
-            if expected is EmbeddingError or got is EmbeddingError:
-                assert got is expected
-            else:
-                assert list(got.items()) == list(expected.items())
-            outcomes.append(expected)
-        assert EmbeddingError in outcomes  # the corner case actually fired
-
-    @pytest.mark.parametrize(
-        "hops",
-        [
-            [("nationality", ["Person"]), ("designer", ["Automobile"])],
-            [("country", ["Company"]), ("assembly", ["Automobile"]),
-             ("assembly", ["Company"])],
-        ],
-        ids=["two_hops", "three_hops"],
-    )
-    def test_batched_memo_equals_recursive_oracle(self, toy, hops):
-        """A ``ChainValidator`` batch writes the recursion's prefixes, row
-        for row."""
-        from repro.core.plan import PlanCache
-        from repro.core.planner import QueryPlanner
-
-        component = QueryGraph.chain("Germany", ["Country"], hops).components[0]
-        config = EngineConfig(seed=7)
-        planner = QueryPlanner(toy.kg, toy.space, config, cache=PlanCache())
-        plan = planner.plan_for(component)
-        answers = sorted(plan.distribution.answers.tolist())
-
-        expected = chain_prefixes_recursive(
-            toy.kg, toy.space, config, plan, answers
-        )
-        assert any(row is not None for row in expected.values())
-        assert {level for level, _ in expected} == set(range(1, len(hops) + 1))
-        plan.validator.validate_batch(answers)
-        # the first leg is the exact row, the oracle's is the DFS: they
-        # differ by the DFS's float drift only
-        memo = plan.validator.prefixes
-        assert memo.keys() == expected.keys()
-        for key, row in expected.items():
-            if row is None:
-                assert memo[key] is None
-            else:
-                assert memo[key][1] == row[1]
-                assert memo[key][0] == pytest.approx(row[0], rel=1e-12, abs=1e-12)
-
-
 class _TableSpace:
     """``space.similarity`` read from a table; anything else is uncovered."""
 
@@ -709,198 +573,288 @@ class _TableSpace:
         return np.array([self._table.get(name, np.nan) for name in predicates])
 
 
-def _hand_world(num_nodes: int, edges, table: dict[str, float]):
-    """A KG from an edge list (adjacency = insertion order) + a table space."""
+def _hand_world(num_nodes: int, edges, table: dict[str, float], types=None):
+    """A KG from an edge list (adjacency = insertion order), a table space
+    and the graph's CSR snapshot.  ``types[i]`` are node ``i``'s types
+    (``Thing`` by default)."""
     kg = KnowledgeGraph("hand-built")
     for index in range(num_nodes):
-        kg.add_node(f"n{index}", ["Thing"])
+        kg.add_node(f"n{index}", types[index] if types else ["Thing"])
     for subject, predicate, obj in edges:
         kg.add_edge(subject, predicate, obj)
-    space = _TableSpace(table)
-    context = kernels.build_chain_context(
-        kg, space, csr_snapshot(kg), "q", SIMILARITY_FLOOR
+    return kg, _TableSpace(table), csr_snapshot(kg)
+
+
+def _chain(source_name: str, source_types, hops) -> PathQuery:
+    return PathQuery(
+        specific_name=source_name,
+        specific_types=frozenset(source_types),
+        hops=tuple((predicate, frozenset(types)) for predicate, types in hops),
     )
-    return kg, space, context
 
 
-def _hub_edges(leaves: int, b_position: int, leaf_predicate=lambda index: "p"):
-    """Nodes A = 0, B = 1, the hub H = 2 and ``leaves`` leaves from 3 on.
-
-    H's adjacency reads A, then the leaves in order with B slipped in
-    ahead of leaf ``b_position``; A and B reach H over a ``p`` edge each.
-    """
-    edges = [(0, "p", 2)]
-    for index in range(leaves):
-        if index == b_position:
-            edges.append((1, "p", 2))
-        edges.append((2, leaf_predicate(index), 3 + index))
-    return edges
-
-
-#: ``one`` edges have log-similarity 0.0 and so can never move a float
-_TABLE = {"one": 1.0, "p": 0.8, "r": 0.5, "s": 0.9}
-
-
-def _solo(kg, space, context, source, max_length, budget, targets=None) -> dict:
-    """One ``chain_matches`` call checked against the oracle; its tallies."""
-    tallies = _new_tallies()
-    got = kernels.chain_matches(
-        context, source, max_length, targets, budget, tallies
+def _chain_row(kg, space, component: PathQuery, n_bound: int, first_leg=None):
+    """A chain validator's row, or the error it raised.  The first leg is
+    the exact row's validator unless one is given."""
+    source = resolve_mapping_node(
+        kg, component.specific_name, component.specific_types
     )
-    assert list(got.items()) == list(
-        _chain_oracle(kg, space, "q", source, max_length, targets, budget).items()
-    )
-    return tallies
-
-
-class TestChainTours:
-    """Every branch of a tour replay, on graphs small enough to read.
-
-    Each case is compared with ``best_matches_iterative`` (inside
-    :func:`_solo`) and then asked, through the tallies, whether it took the
-    branch it was built for.  The hub has 36 or more leaves, so the real
-    ``_TOUR_MIN_ENTRIES`` applies.
-    """
-
-    def test_source_is_a_leaf_inside_the_tour(self):
-        """At ``max_length`` 2 the hub's frame is a leaf frame and B — on
-        B's own path — is one of its leaves: deleted, not counted."""
-        kg, space, context = _hand_world(39, _hub_edges(36, 3), _TABLE)
-        first = _solo(kg, space, context, 0, 2, 3000)
-        assert first["chain_tour_records"] == 1
-        assert first["chain_tour_replays"] == 1  # A is deleted the same way
-        second = _solo(kg, space, context, 1, 2, 3000)
-        assert second["chain_tour_records"] == 0
-        assert second["chain_tour_replays"] == 1
-        assert second["chain_tour_fallbacks"] == 0
-        # H's 38 neighbours minus B itself
-        assert second["chain_expansions_replayed"] == 37
-
-    def test_source_is_an_interior_node_whose_subtree_goes(self):
-        """At ``max_length`` 3 B is expanded inside the hub's tour with its
-        two other neighbours below it; all three expansions are deleted."""
-        edges = _hub_edges(36, 3) + [(1, "one", 39), (1, "one", 40)]
-        kg, space, context = _hand_world(41, edges, _TABLE)
-        _solo(kg, space, context, 0, 3, 3000)
-        tallies = _solo(kg, space, context, 1, 3, 3000)
-        assert tallies["chain_tour_records"] == 0
-        assert tallies["chain_tour_fallbacks"] == 0
-        assert tallies["chain_tour_replays"] == 2  # the depth-2 and depth-3 pass
-        # depth-2 pass: 38 leaves minus B; depth-3 pass: 40 recorded minus
-        # B and the two nodes below it
-        assert tallies["chain_expansions_replayed"] == 37 + 37
-
-    @pytest.mark.parametrize("b_position", [3, 30], ids=["moved", "plain"])
-    def test_budget_cut_inside_the_tour(self, b_position):
-        """Budget 20: one expansion reaches H, 19 are left for its frame.
-        With B ahead of the cut its deletion moves the cut one leaf to the
-        right (the oracle comparison sees which leaves made it)."""
-        kg, space, context = _hand_world(39, _hub_edges(36, b_position), _TABLE)
-        _solo(kg, space, context, 0, 2, 3000)
-        tallies = _solo(kg, space, context, 1, 2, 20)
-        assert tallies["chain_tour_replays"] == 1
-        assert tallies["chain_tour_fallbacks"] == 0
-        assert tallies["chain_expansions_replayed"] == 19
-
-    @pytest.mark.parametrize("neutral", [True, False])
-    def test_removal_that_moves_a_float_runs_live(self, neutral):
-        """S -a- M -one- H -r- S: the depth-3 pass enters H below M with
-        ``log a`` and meets S across the ``r`` edge.  Deleting that leaf is
-        exact only when ``(log a + log r) - log r == log a``; otherwise the
-        frame is walked."""
-        log_a = math.log(_TABLE["p"])
-        r = 1.0 if neutral else next(
-            value
-            for value in (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.85, 0.9, 0.95)
-            if (log_a + math.log(value)) - math.log(value) != log_a
+    if first_leg is None:
+        first_leg = CorrectnessValidator(
+            kg, space, source, component.predicates[0], max_length=n_bound
         )
-        edges = [(0, "p", 1), (1, "one", 2), (2, "r", 0)]
-        edges += [(2, "one", 3 + index) for index in range(36)]
-        kg, space, context = _hand_world(39, edges, {**_TABLE, "r": r})
-        tallies = _solo(kg, space, context, 0, 3, 3000)
-        assert tallies["chain_tour_replays"] >= 1
-        if neutral:
-            assert tallies["chain_tour_fallbacks"] == 0
-        else:
-            assert tallies["chain_tour_fallbacks"] >= 1
+    try:
+        return ChainValidator(
+            kg, space, component, first_leg,
+            max_length=n_bound, floor=SIMILARITY_FLOOR,
+        ).row()
+    except EmbeddingError as error:
+        return error
 
-    def test_incomplete_tour_asked_for_more_runs_live(self):
-        """A tour recorded under budget 10 holds 74 of the hub's 122
-        expansions; a later pass with budget to spare cannot use it."""
-        kg, space, context = _hand_world(123, _hub_edges(120, 3), _TABLE)
-        small = _solo(kg, space, context, 1, 2, 10)
-        assert small["chain_tour_records"] == 1
-        assert small["chain_tour_replays"] == 1
-        (tour,) = context.tours.values()
-        assert not tour.complete and len(tour.skip) == 10 + kernels._TOUR_SLACK
-        large = _solo(kg, space, context, 1, 2, 3000)
-        assert large["chain_tour_records"] == 0
-        assert large["chain_tour_replays"] == 0
-        assert large["chain_tour_fallbacks"] == 1
-        assert large["chain_expansions_replayed"] == 0
 
-    def test_parallel_edges_and_a_self_loop_on_the_hub(self):
-        edges = _hub_edges(36, 3) + [
-            (2, "r", 2),  # self-loop: H is always on its own path
-            (1, "s", 2),  # a second B-H edge: B occurs twice in the tour
-            (2, "r", 3),  # a second H-leaf edge
-            (3, "s", 4),
+def _ssb_chain(kg, space, component: PathQuery, n_bound: int):
+    """SSB's chain enumeration — ``(chain_similarities, chain_sums)`` — or
+    the error it raised."""
+    ssb = SemanticSimilarityBaseline(kg, space, n_bound=n_bound)
+    try:
+        return ssb.chain_similarities(component), ssb.chain_sums(component)
+    except EmbeddingError as error:
+        return error
+
+
+def _assert_chain_row_matches_ssb(kg, space, component, n_bound, tau=0.5):
+    """The chain row equals SSB's enumeration: the same reached set and
+    best lengths, similarities within 1e-12 relative, the same verdicts
+    at ``tau`` (but for a value within 1e-12 of it), and it raises iff SSB
+    raises.  Returns whether it settled.
+
+    Where another total length's mean lies within 1e-12 of the best (equal
+    edge weights make such ties common; the row and SSB weigh an edge
+    through different float paths), either length is the best: the row's
+    must attain SSB's value there."""
+    oracle = _ssb_chain(kg, space, component, n_bound)
+    got = _chain_row(kg, space, component, n_bound)
+    assert isinstance(got, EmbeddingError) == isinstance(oracle, EmbeddingError)
+    if isinstance(oracle, EmbeddingError):
+        return False
+    expected, sums = oracle
+    similarity, best_length = got
+    assert set(np.flatnonzero(best_length).tolist()) == set(expected)
+    assert set(np.flatnonzero(similarity).tolist()) == set(expected)
+    for node, (value, length) in expected.items():
+        assert similarity[node] == pytest.approx(value, rel=1e-12)
+        if best_length[node] != length:
+            at = int(best_length[node])
+            assert math.exp(sums[node][at] / at) == pytest.approx(value, rel=1e-12)
+    clear = [
+        node for node, (value, _length) in expected.items()
+        if abs(value - tau) > 1e-12 * tau
+    ]
+    assert {node for node in clear if similarity[node] >= tau} == {
+        node for node in clear if expected[node][0] >= tau
+    }
+    assert best_length.max(initial=0) <= n_bound * component.num_hops
+    return True
+
+
+def _random_chains(kg, seed: int) -> list[PathQuery]:
+    """Two- and three-hop chains from a few random sources, with
+    intermediate types that overlap the answer types."""
+    rng = np.random.default_rng(seed + 3000)
+    chains = []
+    for source in rng.choice(kg.num_nodes, size=4, replace=False).tolist():
+        node = kg.node(source)
+        hops = [
+            (str(rng.choice(PREDICATE_POOL)),
+             [str(name) for name in rng.choice(TYPE_POOL, size=2, replace=False)])
+            for _ in range(int(rng.integers(2, 4)))
         ]
-        kg, space, context = _hand_world(39, edges, _TABLE)
-        replays = 0
-        for source in (0, 1, 3, 4):
-            for max_length, budget in ((2, 3000), (3, 3000), (3, 25), (4, 90)):
-                replays += _solo(
-                    kg, space, context, source, max_length, budget
-                )["chain_tour_replays"]
-        assert replays >= 8
+        chains.append(_chain(node.name, node.types, hops))
+    return chains
 
-    def test_uncovered_predicate_in_the_slack_does_not_raise(self):
-        """The edge to leaf 29 is uncovered.  Budget 20 never reaches it,
-        but a recording (budget 20 + 64) would: it publishes nothing and
-        the frame is walked, silently like the reference.  With budget to
-        reach it, both raise."""
-        edges = _hub_edges(
-            36, 3, lambda index: "uncovered" if index == 29 else "p"
-        )
-        kg, space, context = _hand_world(39, edges, _TABLE)
-        tallies = _solo(kg, space, context, 1, 2, 20)
-        assert not context.tours
-        assert tallies["chain_tour_records"] == 0
-        assert tallies["chain_expansions_replayed"] == 0
-        with pytest.raises(EmbeddingError):
-            _chain_oracle(kg, space, "q", 1, 2, None, 3000)
-        with pytest.raises(EmbeddingError):
-            kernels.chain_matches(context, 1, 2, None, 3000)
 
-    @settings(max_examples=120, deadline=None)
+class TestChainRow:
+    """``ChainValidator``'s row — the kernel's seeded leg passes, chained —
+    equals SSB's chain enumeration (``chain_similarities``)."""
+
+    @pytest.mark.parametrize("known", [PREDICATE_POOL, PREDICATE_POOL[:-1]],
+                             ids=["covered", "rare_uncovered"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_worlds(self, seed, known):
+        kg, space = random_world(seed, num_nodes=30, num_edges=60,
+                                 known_predicates=known)
+        settled = raised = 0
+        for component in _random_chains(kg, seed):
+            for n_bound in (1, 2, 3):
+                if _assert_chain_row_matches_ssb(kg, space, component, n_bound):
+                    settled += 1
+                else:
+                    raised += 1
+        # an uncovered edge within the bound of any leg fails the whole row
+        if known is PREDICATE_POOL:
+            assert settled and not raised
+        else:
+            assert raised
+
+    @settings(max_examples=150, deadline=None)
     @given(
         num_nodes=st.integers(2, 7),
         raw_edges=st.lists(
             st.tuples(
-                st.integers(0, 6), st.sampled_from(sorted(_TABLE)), st.integers(0, 6)
+                st.integers(0, 6),
+                st.sampled_from(("p", "q", "r", "rare")),
+                st.integers(0, 6),
             ),
             min_size=1,
-            max_size=14,
+            max_size=16,
         ),
-        max_length=st.integers(1, 4),
-        budget=st.integers(1, 40),
-        typed=st.none() | st.frozensets(st.integers(0, 6)),
+        node_types=st.lists(
+            st.sampled_from((("A",), ("B",), ("A", "B"))), min_size=7, max_size=7
+        ),
+        hops=st.lists(
+            st.tuples(
+                st.sampled_from(("p", "q", "r")),
+                st.sampled_from((("A",), ("B",), ("A", "B"))),
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        values=st.tuples(*(st.floats(0.0, 1.0) for _ in range(3))),
+        source=st.integers(0, 6),
+        n_bound=st.integers(1, 3),
+        tau=st.floats(0.05, 1.0),
+        covered=st.booleans(),
     )
-    def test_small_multigraphs_match_the_oracle(
-        self, num_nodes, raw_edges, max_length, budget, typed
+    def test_small_multigraphs(
+        self, num_nodes, raw_edges, node_types, hops, values, source, n_bound,
+        tau, covered,
     ):
-        """One context over every source in turn, every frame a hub."""
+        """Parallel edges, self-loops, intermediate types that overlap the
+        answer types and an uncovered predicate, on 2- and 3-hop chains at
+        every bound from 1 to 3."""
+        table = dict(zip(("p", "q", "r"), values))
+        if covered:
+            table["rare"] = 0.5
         edges = [
             (subject % num_nodes, predicate, obj % num_nodes)
             for subject, predicate, obj in raw_edges
         ]
-        kg, space, context = _hand_world(num_nodes, edges, _TABLE)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "_TOUR_MIN_ENTRIES", 1)
-            for source in range(num_nodes):
-                _solo(kg, space, context, source, max_length, budget, typed)
-                _solo(kg, space, context, source, max_length, 3000, typed)
+        kg, space, _snapshot = _hand_world(num_nodes, edges, table, node_types)
+        source %= num_nodes
+        component = _chain(f"n{source}", node_types[source], hops)
+        _assert_chain_row_matches_ssb(kg, space, component, n_bound, tau)
+
+    def test_a_leg_never_returns_to_its_start(self):
+        """s -p- a -one- b: ``a`` is the only intermediate, so no second
+        leg may end at it; a -> b -> a would, at a higher mean than
+        anything legal."""
+        kg, space, _snapshot = _hand_world(
+            3, [(0, "p", 1), (1, "one", 2)], {"p": 0.9, "one": 1.0},
+            [("Src",), ("Mid", "End"), ("End",)],
+        )
+        component = _chain("n0", ["Src"], [("p", ["Mid"]), ("one", ["End"])])
+        assert _assert_chain_row_matches_ssb(kg, space, component, 3)
+        similarity, best_length = _chain_row(kg, space, component, 3)
+        assert best_length[1] == 0 and similarity[1] == 0.0
+        assert best_length[2] == 2
+
+    # s = 0; the intermediates x1 = 1 (seed log .95) and x2 = 2 (log .3);
+    # x1 -one- u1 -one- z and x2 -one- u2 -one- z, z -one- x1 and z -one- u1
+    _TWO_STARTS = (
+        [(0, "p", 1), (0, "r", 2), (1, "one", 3), (3, "one", 5),
+         (2, "one", 4), (4, "one", 5), (5, "one", 1), (5, "one", 3)],
+        {"p": 0.95, "r": 0.3, "one": 1.0},
+        [("Src",), ("Mid", "End"), ("Mid",), ("End",), ("Thing",), ("Thing",)],
+    )
+
+    def test_a_length_three_leg_avoids_its_best_entrys_start(self):
+        """z's best length-2 entry comes from x1 (x1 -> u1 -> z); the
+        length-3 leg into x1 must take z's best entry that avoids x1,
+        x2 -> u2 -> z -> x1, not the walk back to its own start."""
+        kg, space, _snapshot = _hand_world(6, *self._TWO_STARTS)
+        component = _chain("n0", ["Src"], [("p", ["Mid"]), ("one", ["End"])])
+        assert _assert_chain_row_matches_ssb(kg, space, component, 3)
+        similarity, best_length = _chain_row(kg, space, component, 3)
+        assert best_length[1] == 4
+        assert similarity[1] == pytest.approx(math.exp(math.log(0.3) / 4))
+
+    def test_a_length_three_leg_avoids_its_best_entrys_first_hop(self):
+        """The length-3 leg into u1 through z must avoid z's best entry
+        x1 -> u1 -> z, whose first hop is u1 itself: u1 keeps its
+        two-edge leg x1 -> z -> u1."""
+        kg, space, _snapshot = _hand_world(6, *self._TWO_STARTS)
+        component = _chain("n0", ["Src"], [("p", ["Mid"]), ("one", ["End"])])
+        assert _assert_chain_row_matches_ssb(kg, space, component, 3)
+        similarity, best_length = _chain_row(kg, space, component, 3)
+        assert best_length[3] == 3
+        assert similarity[3] == pytest.approx(0.95 ** (1 / 3))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_bounds_past_three_enumerate(self, seed):
+        """Past ``EXACT_MAX_LENGTH`` the leg sums come from the per-length
+        DFS, every seeded start in turn."""
+        kg, space = random_world(seed, num_nodes=20, num_edges=34)
+        for component in _random_chains(kg, seed)[:2]:
+            assert _assert_chain_row_matches_ssb(kg, space, component, 4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_r_path_first_leg_gives_a_lower_bound(self, seed):
+        """The figures' chain row, seeded by the paper's r-path search
+        over the first leg, never exceeds the exact chain row: the search
+        finds no path better than the best."""
+        kg, space = random_world(seed, num_nodes=30, num_edges=60)
+        reached = 0
+        for component in _random_chains(kg, seed):
+            source = resolve_mapping_node(
+                kg, component.specific_name, component.specific_types
+            )
+            scope = build_scope(kg, source, 3, frozenset(TYPE_POOL))
+            stationary = strength_distribution(
+                kg, space, scope, component.predicates[0]
+            )
+            search = ReferenceValidator(
+                kg, space, source, component.predicates[0],
+                dict(zip(scope.nodes, stationary.tolist())), max_length=3,
+            )
+            found, found_length = _chain_row(kg, space, component, 3, search)
+            exact, _exact_length = _chain_row(kg, space, component, 3)
+            assert (found <= exact * (1 + 1e-12)).all()
+            assert ((found_length > 0) <= (exact > 0)).all()
+            reached += int(np.count_nonzero(found_length))
+        assert reached, "the search seeded no chain answer"
+
+
+class TestSeededLegPass:
+    """``kernels.leg_sums`` from many starts is the best, per node and
+    length, of the one-start passes shifted by each start's seed."""
+
+    @pytest.mark.parametrize("n_bound", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_best_single_start_pass(self, seed, n_bound):
+        kg, space = random_world(seed)
+        snapshot = csr_snapshot(kg)
+        log_row = np.log(np.clip(
+            space.known_similarity_row("product", kg.predicates),
+            SIMILARITY_FLOOR, 1.0,
+        ))
+        rng = np.random.default_rng(seed + 11000)
+        seed_vector = np.full(kg.num_nodes, -np.inf)
+        starts = rng.choice(kg.num_nodes, size=8, replace=False)
+        seed_vector[starts] = rng.uniform(-3.0, 0.0, size=len(starts))
+        got = kernels.leg_sums(kg, space, snapshot, log_row, seed_vector, n_bound)
+        expected = [np.full(kg.num_nodes, -np.inf) for _ in range(n_bound)]
+        for start in starts.tolist():
+            one_hot = np.full(kg.num_nodes, -np.inf)
+            one_hot[start] = 0.0
+            alone = kernels.leg_sums(kg, space, snapshot, log_row, one_hot, n_bound)
+            for level, sums in zip(expected, alone):
+                np.maximum(level, sums + seed_vector[start], out=level)
+        assert len(got) == n_bound
+        for level, sums in zip(expected, got):
+            assert np.array_equal(np.isinf(level), np.isinf(sums))
+            finite = np.isfinite(level)
+            assert finite.any()
+            np.testing.assert_allclose(sums[finite], level[finite], rtol=1e-12)
 
 
 class TestEngineLevelEquivalence:
@@ -908,10 +862,10 @@ class TestEngineLevelEquivalence:
     def test_cold_answer_similarity_equals_executed_plan(
         self, toy_world_factory, query_name, memoised
     ):
-        """``answer_similarity`` on cold memos (one answer at a time: a
-        batch of one per component — a row read for a simple plan, a
-        one-element chain-prefix batch for a chain) equals what a full
-        ``execute`` memoised in bulk, per component and, for the star
+        """``answer_similarity`` on cold plans (one answer at a time: a
+        batch of one per component, which builds the component's row)
+        equals what a full ``execute`` read in bulk, per component and,
+        for the star
         (yago2-like's first star COUNT at scale 1), as the minimum over
         the components."""
         from repro import ApproximateAggregateEngine
@@ -943,7 +897,6 @@ class TestEngineLevelEquivalence:
         cold_plans = [cold_engine.planner.plan_for(c) for c in components]
         for cold_plan in cold_plans:
             assert not memoised(cold_plan.validator)
-            assert not getattr(cold_plan.validator, "prefixes", None)
         cold = [
             {
                 answer: cold_engine.answer_similarity([cold_plan], answer)
@@ -972,10 +925,6 @@ class TestEngineLevelEquivalence:
             for answer, similarity in memo.items():
                 assert engine.answer_similarity([plan], answer) == similarity
                 assert cold_memo[answer] == similarity
-            if not plan.component.is_simple:
-                assert plan.validator.prefixes
-                for key, row in plan.validator.prefixes.items():
-                    assert cold_plan.validator.prefixes[key] == row
         assert any(not p.component.is_simple for p in plans) == (
             query_name != "count"
         )
@@ -993,8 +942,8 @@ class TestEngineLevelEquivalence:
     def test_workload_verdicts_equal_ssb(self, preset):
         """At scale 1, every component of the preset's standard workload
         keeps exactly SSB's tau-GT answers among its support (the greedy
-        search missed some on two components), and a simple component's
-        similarities are SSB's."""
+        search missed some on two components), and its similarities are
+        SSB's, simple and chain components alike."""
         from repro.baselines.ssb import SemanticSimilarityBaseline
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
@@ -1021,11 +970,8 @@ class TestEngineLevelEquivalence:
                 if similarity >= config.tau
             }
             assert kept == {a for a in answers if truth.get(a, 0.0) >= config.tau}
-            if component.is_simple:
-                for answer, similarity in zip(answers, similarities.tolist()):
-                    assert similarity == pytest.approx(
-                        truth.get(answer, 0.0), rel=1e-12
-                    )
+            for answer, similarity in zip(answers, similarities.tolist()):
+                assert similarity == pytest.approx(truth.get(answer, 0.0), rel=1e-12)
 
     @staticmethod
     def _chain_workload(world) -> list:
@@ -1036,12 +982,11 @@ class TestEngineLevelEquivalence:
         ]
 
     def test_concurrent_services_over_shared_plans(self, toy_world_factory):
-        """Services over one graph get the same plans, validators and chain
-        contexts from the plan cache, and each steps them from its own
-        scheduler thread: two of them released at once build and publish
-        the same similarity rows and record and publish the same tours
-        concurrently, and still answer like one service asked query by
-        query."""
+        """Services over one graph get the same plans and validators from
+        the plan cache, and each steps them from its own scheduler thread:
+        two of them released at once build and publish the same simple
+        and chain similarity rows concurrently, and still answer like one
+        service asked query by query."""
         import sys
         import threading
 
@@ -1058,7 +1003,6 @@ class TestEngineLevelEquivalence:
 
         barrier = threading.Barrier(2)
         results: dict = {}
-        replays: list = []
         failures: list = []
 
         def drive(position: int) -> None:
@@ -1071,9 +1015,6 @@ class TestEngineLevelEquivalence:
                     results[position] = [
                         _result_fingerprint(h.result(timeout=60)) for h in handles
                     ]
-                    replays.append(service.registry.snapshot()[
-                        "repro_exec_chain_tour_replays"
-                    ]["{}"])
             except BaseException as error:  # noqa: BLE001 - reported below
                 failures.append(error)
 
@@ -1091,4 +1032,3 @@ class TestEngineLevelEquivalence:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures
         assert results[0] == results[1] == sequential
-        assert sum(replays) > 0

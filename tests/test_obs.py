@@ -15,10 +15,9 @@ Covered:
   plan's ``plan_build`` span nests one ``s1_stage`` span per call of the
   batched S1 stage kernel, whose ``sources`` add up to the
   ``repro_plan_stage_sources`` gauge; a
-  chain query's ``validate_batch`` spans nest one ``chain_prefix`` span
-  per level resolved, whose ``replayed`` / ``live`` attributes add up to
-  the ``repro_exec_chain_expansions_*`` counters (all zero on a simple
-  query); every span name is one of those in-process seams;
+  cold query's ``validate_batch`` spans nest one ``similarity_row`` span
+  per plan whose row they build (``kind`` simple or chain), and a warm
+  rerun nests none; every span name is one of those in-process seams;
 * the audit log — exactly one JSON line per settlement (refines append
   a second), JSON-clean for every kind including the extreme sentinel
   (``guaranteed=False`` / ``moe=0.0``), failures carrying the error,
@@ -38,7 +37,6 @@ import math
 import threading
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -50,19 +48,15 @@ from repro import (
     GroupBy,
     QueryGraph,
 )
-from repro.core.executor import KINDS, QueryExecutor
+from repro.core.executor import KINDS
 from repro.core.plan import shared_plan_cache
 from repro.core.result import STOP_CENSUS, STOP_ROUND_BUDGET, GroupedResult
 from repro.errors import ServiceError
 from repro.obs import NULL_REGISTRY, MetricsRegistry
-from repro.semantics.kernels import CHAIN_TALLIES
 from repro.server import ReproClient, serve_in_thread
 
 COUNT_AQL = "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)"
 BAD_AQL = "COUNT(*) MATCH (Atlantis:Country)-[product]->(x:Automobile)"
-
-CHAIN_COUNTERS = tuple(f"repro_exec_{name}" for name in CHAIN_TALLIES)
-
 
 @pytest.fixture
 def world(toy_world_factory):
@@ -192,7 +186,7 @@ class TestRegistrySemantics:
         # ... and instrumentation moves no result: it draws no random
         # number and touches no memo, so instrumented == NULL_REGISTRY ==
         # sequential ``execute`` for a fixed seed, one query per kind and a
-        # chain COUNT (the s1_stage and chain_prefix spans, the tour tallies)
+        # chain COUNT (the s1_stage and similarity_row spans)
         workload = [
             (world.count_query(), 3), (_grouped_query(), 4),
             (_extreme_query(), 5), (world.chain_count_query(), 6),
@@ -250,7 +244,9 @@ class TestSpanTrees:
         assert trace["attributes"]["kind"] == kind
         assert trace["duration_ms"] is not None
         assert _spans_named(trace, "initialise"), "missing S1 initialise span"
-        assert not _spans_below(trace, "chain_prefix")  # no chain component
+        # no chain component: any row this query built is a simple one
+        for span in _spans_below(trace, "similarity_row"):
+            assert span["attributes"]["kind"] == "simple"
         rounds = _spans_named(trace, "round")
         assert rounds, "no round spans recorded"
         for span in rounds:
@@ -272,7 +268,7 @@ class TestSpanTrees:
         a chain included, and no span stands in for a transport hop."""
         seams = {
             "query", "initialise", "plan_build", "s1_stage", "round",
-            "census", "validate_batch", "chain_prefix",
+            "census", "validate_batch", "similarity_row",
         }
 
         def names(node: dict) -> set[str]:
@@ -561,11 +557,12 @@ class TestExecMetrics:
             samples = _parse_prometheus(service.registry.render_prometheus())
         assert samples["repro_exec_validated_entries_total"] > 0
         assert samples["repro_exec_validate_batch_pending_count"] > 0
-        # one component: nothing for the lazy conjunction to skip
-        assert samples["repro_exec_conjunction_skips"] == 0
-        # ... and no chain component: the chain DFS never ran
-        for name in CHAIN_COUNTERS:
-            assert samples[name] == 0
+        # S2 searches nothing: no conjunction skip or chain DFS counter
+        assert not [
+            name for name in samples
+            if name.startswith("repro_exec_chain_")
+            or name.startswith("repro_exec_conjunction_")
+        ]
 
     def test_a_per_query_confidence_still_ticks_the_exec_counters(self, world):
         """A non-default ``confidence`` steps its query on an executor of
@@ -582,45 +579,42 @@ class TestExecMetrics:
         assert validated[0] > 0
         assert validated[1] == validated[0]
 
-    def test_cold_chain_count_replays_more_than_it_walks(self):
-        """The golden ``chain_count`` case, cold: the hubs behind its
-        answers are walked once and replayed for every later answer, and
-        the ``chain_prefix`` spans say in which level the DFS ran."""
+    @pytest.mark.parametrize("shape", ["chain", "star"])
+    def test_a_cold_query_builds_one_similarity_row_per_plan(self, shape):
+        """The golden ``chain_count`` / ``star_count`` case, cold: the
+        census's ``validate_batch`` builds each plan's row once, in one
+        ``similarity_row`` span (a chain's first leg included), and a warm
+        rerun builds none."""
         from repro import QueryShape
         from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 
         bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
-        chain = queries_of_shape(  # COUNT first, then AVG
-            standard_workload(bundle), QueryShape.CHAIN
+        query = queries_of_shape(  # COUNT first, then AVG
+            standard_workload(bundle),
+            QueryShape.CHAIN if shape == "chain" else QueryShape.STAR,
         )[0].aggregate_query
-        assert chain.function is AggregateFunction.COUNT
+        assert query.function is AggregateFunction.COUNT
         shared_plan_cache().clear()
         with AggregateQueryService(
             bundle.kg, bundle.embedding, EngineConfig(seed=0)
         ) as service:
-            handle = service.submit(chain)
+            handle = service.submit(query)
             handle.result(timeout=60.0)
-            samples = _parse_prometheus(service.registry.render_prometheus())
-            trace = handle.trace()
-        replayed = samples["repro_exec_chain_expansions_replayed"]
-        live = samples["repro_exec_chain_expansions_live"]
-        assert replayed > live > 0
-        assert samples["repro_exec_chain_tour_replays"] > (
-            samples["repro_exec_chain_tour_records"]
-        ) > 0
-
-        # the first validating round resolves both levels of the 2-hop
-        # chain (level 1 nested in level 2); the DFS is level 2's alone
-        first = _spans_below(_spans_named(trace, "round")[0], "validate_batch")[0]
-        (outer,) = _spans_named(first, "chain_prefix")
-        (inner,) = _spans_named(outer, "chain_prefix")
-        assert outer["attributes"]["level"] == 2
-        assert inner["attributes"]["level"] == 1
-        assert inner["attributes"]["frontier"] > 0
-        assert inner["attributes"]["replayed"] == inner["attributes"]["live"] == 0
-        spans = _spans_below(trace, "chain_prefix")
-        assert sum(span["attributes"]["replayed"] for span in spans) == replayed
-        assert sum(span["attributes"]["live"] for span in spans) == live
+            cold = handle.trace()
+            handle = service.submit(query, seed=1)
+            handle.result(timeout=60.0)
+            warm = handle.trace()
+        rows = _spans_below(cold, "similarity_row")
+        components = query.query.components
+        assert sorted(span["attributes"]["kind"] for span in rows) == sorted(
+            "simple" if component.is_simple else "chain" for component in components
+        )
+        assert "chain" in {span["attributes"]["kind"] for span in rows}
+        for span in rows:
+            assert span["attributes"]["reached"] > 0
+        (census,) = _spans_below(cold, "census")
+        assert _spans_below(census, "similarity_row") == rows
+        assert not _spans_below(warm, "similarity_row")
 
     def test_s1_stage_spans_account_for_every_walk(self):
         """Cold plans say how S1 ran: one ``s1_stage`` span per call of the
@@ -662,47 +656,6 @@ class TestExecMetrics:
         assert (stage["attributes"]["hop"], stage["attributes"]["sources"]) == (0, 1)
         assert after_both["repro_plan_stage_batches"] == 3
         assert after_both["repro_plan_stage_sources"] == 2 + second["sources"]
-
-    def test_star_query_ticks_the_conjunction_skips(self):
-        """The golden ``star_count`` case: answers a simple component put
-        below tau never reach the chain component's search, and a skip
-        counts only a search still to be made."""
-        from repro import QueryShape
-        from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
-
-        bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
-        star = queries_of_shape(  # COUNT first, then AVG
-            standard_workload(bundle), QueryShape.STAR
-        )[0].aggregate_query
-        shared_plan_cache().clear()
-        config = EngineConfig(seed=0)
-        with AggregateQueryService(bundle.kg, bundle.embedding, config) as service:
-            # the chain component already judged every other joint answer:
-            # a rejection spares only the searches still to be made
-            plans = [service.planner.plan_for(c) for c in star.query.components]
-            joint = QueryExecutor._joint_distribution(plans)
-            order = sorted(plans, key=lambda plan: not plan.component.is_simple)
-            ApproximateAggregateEngine(
-                bundle.kg, bundle.embedding, config
-            ).executor.prewarm_similarities([order[-1]], joint.answers[::2].tolist())
-            result = service.submit(star).result(timeout=60.0)
-            samples = _parse_prometheus(service.registry.render_prometheus())
-        # the census validated the whole joint support and no screen rejects
-        # a COUNT without filters, so a skip is a chain-memo cell a
-        # rejection left NaN; an exact row holds every node and skips none
-        assert result.stop_reason == STOP_CENSUS and not star.filters
-        assert [plan.component.is_simple for plan in order][-1] is False
-        rejected = np.zeros(joint.support_size, dtype=bool)
-        skips = 0
-        for plan in order:
-            validator = plan.validator
-            if plan.component.is_simple:
-                cells = validator.row()[0][joint.answers]
-            else:
-                cells = validator.memo()[0][joint.answers]
-                skips += int(np.count_nonzero(rejected & np.isnan(cells)))
-            rejected |= cells < config.tau
-        assert samples["repro_exec_conjunction_skips"] == skips > 0
 
     def test_only_avg_and_paper_sigmas_pay_for_an_index_stream(self, sampled_service):
         """A ``dashboard_refresh``-shaped batch — one hub's COUNT, SUM,

@@ -23,7 +23,6 @@ import json
 import threading
 import weakref
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -139,32 +138,30 @@ class TestVersionCounters:
         assert engine.planner.plan_for(component) is not plan_before
         assert cache.num_plans(world.kg) >= 1
 
-    def test_structural_mutation_gives_fresh_chain_levels(self, world):
-        """A chain plan owns each level's chain context and typed set: an
-        attribute write keeps the plan and both, a structural mutation
-        yields a new plan with fresh ones, and the old plan keeps its own."""
+    def test_structural_mutation_gives_a_fresh_chain_row(self, world):
+        """A chain plan owns its similarity row: an attribute write keeps
+        the plan and the row, a structural mutation yields a new plan with
+        a fresh row over the new graph, and the old plan keeps its own."""
         engine = _engine(world)
         query = world.chain_count_query()
         component = query.query.components[0]
         engine.execute(query)
         plan = engine.planner.plan_for(component)
-        context, typed = plan.validator.levels[2]
-        assert set(world.people) <= typed  # the hop below level 2: Person
+        row = plan.validator.row()
 
         world.kg.set_attribute(world.people[0], "age", 40.0)
         engine.execute(query, seed=1)
         assert engine.planner.plan_for(component) is plan
-        assert plan.validator.levels[2][0] is context
+        assert plan.validator.row() is row
 
         late = world.kg.add_node("LatePerson", ["Person"])
         world.kg.add_edge(late, "nationality", world.germany)
         engine.execute(query)
         fresh = engine.planner.plan_for(component)
         assert fresh is not plan
-        fresh_context, fresh_typed = fresh.validator.levels[2]
-        assert fresh_context is not context
-        assert late in fresh_typed and late not in typed
-        assert plan.validator.levels[2] == (context, typed)
+        assert len(fresh.validator.row()[0]) == world.kg.num_nodes
+        assert plan.validator.row() is row
+        assert len(row[0]) == world.kg.num_nodes - 1
 
     def test_store_discards_plan_built_against_stale_structure(self, world):
         engine = _engine(world)
@@ -379,18 +376,18 @@ class TestBatchedValidationEquivalence:
 
 class TestValidatorMemos:
     """A plan's validator is its verdict memo, keyed by node id: a simple
-    plan's exact row holds every node once built; a chain plan's memo
-    holds each node it searched (NaN elsewhere), in the support or not."""
+    or a chain plan's exact row holds every node once built, in the
+    support or not."""
 
-    def test_warm_pass_searches_each_chain_answer_once(self, world, monkeypatch, memoised):
-        searched: dict[int, list] = {}
-        original = ChainValidator._search
+    def test_warm_pass_builds_each_chain_row_once(self, world, monkeypatch, memoised):
+        built: list[int] = []
+        original = ChainValidator._build_row
 
-        def recording(self, answers):
-            searched.setdefault(id(self), []).extend(answers.tolist())
-            return original(self, answers)
+        def recording(self):
+            built.append(id(self))
+            return original(self)
 
-        monkeypatch.setattr(ChainValidator, "_search", recording)
+        monkeypatch.setattr(ChainValidator, "_build_row", recording)
         batch = _mixed_batch(world)
         config = EngineConfig(seed=7, max_rounds=8)
         with AggregateQueryService(world.kg, world.embedding, config) as service:
@@ -406,16 +403,12 @@ class TestValidatorMemos:
             )
         }
         assert len(plans) == 3
-        chains = {
-            id(plan.validator): plan
+        chains = [
+            id(plan.validator)
             for plan in plans.values()
             if not plan.component.is_simple
-        }
-        assert searched.keys() == chains.keys()
-        for key, nodes in searched.items():
-            assert len(nodes) == len(set(nodes))  # never searched twice
-            similarity, _ = chains[key].validator.memo()
-            assert not np.isnan(similarity[nodes]).any()
+        ]
+        assert sorted(built) == sorted(chains)  # one build per chain plan
         for plan in plans.values():
             memo = memoised(plan.validator)
             held = [a for a in plan.distribution.answers.tolist() if a in memo]
@@ -423,11 +416,10 @@ class TestValidatorMemos:
             for answer in held:
                 assert engine.answer_similarity([plan], answer) == memo[answer]
 
-    def test_off_support_nodes_are_validated_too(self, world, memoised):
+    def test_off_support_nodes_are_validated_too(self, world):
         engine = _engine(world)
         simple = engine.planner.plan_for(world.count_query().query.components[0])
         chain = engine.planner.plan_for(world.chain_count_query().query.components[0])
-        asked = {}
         for plan in (simple, chain):
             outside = next(
                 node
@@ -436,14 +428,9 @@ class TestValidatorMemos:
             )
             similarity = engine.answer_similarity([plan], outside)
             assert similarity == plan.validator.validate(outside).similarity
-            asked[plan.component.is_simple] = (outside, similarity)
-        outside, similarity = asked[True]
-        assert simple.validator.row()[0][outside] == similarity
-        # the chain memo holds exactly the node asked for
-        outside, similarity = asked[False]
-        assert memoised(chain.validator) == {outside: similarity}
+            assert plan.validator.row()[0][outside] == similarity
 
-    def test_prewarm_fills_the_memo(self, world, memoised):
+    def test_prewarm_builds_the_row(self, world, memoised):
         engine = _engine(world)
         component = world.chain_count_query().query.components[0]
         plan = engine.planner.plan_for(component)
@@ -453,16 +440,16 @@ class TestValidatorMemos:
             for node in world.people
             if node not in plan.distribution.answers.tolist()
         )
+        assert plan.validator._row is None
         engine.executor.prewarm_similarities([plan], answers + answers[:3] + [outside])
         memo = memoised(plan.validator)
-        assert sorted(memo) == sorted(answers + [outside])
-        assert int(np.isnan(plan.validator.memo()[0]).sum()) == world.kg.num_nodes - 11
+        assert len(memo) == world.kg.num_nodes
 
         shared_plan_cache().clear()
         cold = _engine(world)
         cold_plan = cold.planner.plan_for(component)
         assert cold_plan is not plan
-        for answer in answers:
+        for answer in answers + [outside]:
             assert cold.answer_similarity([cold_plan], answer) == memo[answer]
 
     def test_two_services_sharing_plans_match_sequential(self, world):

@@ -39,7 +39,6 @@ from repro import (
     QueryStatus,
     ServiceLimits,
 )
-from repro.core.executor import QueryExecutor
 from repro.core.plan import shared_plan_cache
 from repro.core.resilience import FaultInjected
 from repro.core.service import ExecutionBackend
@@ -50,6 +49,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
+from repro.semantics.validation import CorrectnessValidator
 
 
 @pytest.fixture
@@ -457,14 +457,14 @@ class TestFaultMechanics:
         """Every query validates in its own slot: an error validating the
         simple plan fails the two queries sharing it, and the chain query
         stepped in the same cohort on its own plan still succeeds."""
-        validate = QueryExecutor._validate
+        def fail_on_simple_plans(validator, node_ids):
+            raise EmbeddingError("the simple plan's predicate has no vector")
 
-        def fail_on_simple_plans(executor, plan, node_ids):
-            if plan.component.is_simple:
-                raise EmbeddingError("the simple plan's predicate has no vector")
-            return validate(executor, plan, node_ids)
-
-        monkeypatch.setattr(QueryExecutor, "_validate", fail_on_simple_plans)
+        # a chain plan's validator is a ChainValidator, which reads its
+        # first leg's sums, never its validate_batch
+        monkeypatch.setattr(
+            CorrectnessValidator, "validate_batch", fail_on_simple_plans
+        )
         shared_plan_cache().clear()
         config = EngineConfig(seed=7, max_rounds=8)
         with AggregateQueryService(world.kg, world.embedding, config) as service:

@@ -15,7 +15,7 @@ from repro.semantics import (
     match_similarity,
     path_similarity,
 )
-from repro.semantics.matching import best_matches_iterative
+from repro.semantics.matching import best_sums_by_length
 from repro.semantics.similarity import chain_similarity
 
 
@@ -135,24 +135,33 @@ class TestBestMatches:
         with pytest.raises(ValueError):
             best_matches_from(toy.kg, toy.space, "product", toy.germany, 0)
 
-    def test_iterative_deepening_records_direct_edges(self, toy):
-        """Even with a tiny budget the depth-1 edges must be present."""
-        matches = best_matches_iterative(
-            toy.kg, toy.space, "product", toy.correct_cars[0], 3, budget_per_level=5
-        )
-        assert toy.germany in matches
-        assert matches[toy.germany].length == 1
-
-    def test_exhaustive_equals_iterative_with_big_budget(self, toy):
+    def test_per_length_sums_give_the_best_match(self, toy):
+        """The best mean over the per-length sums is the best match, over
+        the same reached nodes; the source is never recorded."""
         exhaustive = best_matches_from(toy.kg, toy.space, "product", toy.germany, 3)
-        iterative = best_matches_iterative(
-            toy.kg, toy.space, "product", toy.germany, 3, budget_per_level=10**7
-        )
-        assert set(exhaustive) == set(iterative)
-        for node in exhaustive:
-            assert exhaustive[node].similarity == pytest.approx(
-                iterative[node].similarity, abs=1e-12
+        sums = best_sums_by_length(toy.kg, toy.space, "product", toy.germany, 3)
+        assert set(sums) == set(exhaustive) and toy.germany not in sums
+        for node, ((first, second, third),) in sums.items():
+            best = max(
+                math.exp(total / length)
+                for length, total in ((1, first), (2, second), (3, third))
             )
+            assert best == pytest.approx(exhaustive[node].similarity, rel=1e-12)
+            assert sums[node][0][exhaustive[node].length - 1] > -math.inf
+
+    def test_offsets_start_every_sum(self, toy):
+        """Each offset starts its own running sums, added in path order."""
+        plain = best_sums_by_length(toy.kg, toy.space, "product", toy.germany, 2)
+        offset = best_sums_by_length(
+            toy.kg, toy.space, "product", toy.germany, 2, offsets=(0.0, -1.5)
+        )
+        assert set(plain) == set(offset)
+        for node, (zero, shifted) in offset.items():
+            assert zero == plain[node][0]
+            for base, moved in zip(zero, shifted):
+                assert moved == pytest.approx(base - 1.5, rel=1e-12) or (
+                    base == moved == -math.inf
+                )
 
 
 class TestCorrectnessValidator:

@@ -10,7 +10,9 @@ expiry carrying the partial trace, cancellation mid-stream, and graceful
 shutdown draining a live stream.  Under all of it, the wire itself:
 persistent connections (one per client, chunked SSE bodies), malformed
 and smuggling-shaped requests answered with their own 4xx and a close,
-and a byte-mutation fuzz of the request parser over a raw socket.
+a byte-mutation fuzz of the request parser over a raw socket, and the
+client's own reading of hostile responses (non-JSON error bodies, broken
+event frames, a mutated chunked event stream from a raw-socket stub).
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from repro import (
 from repro.core.plan import shared_plan_cache
 from repro.core.resilience import ServiceLimits
 from repro.core.service import ExecutionBackend
+from repro.errors import ReproError
 from repro.server import (
     ClientQuota,
     HttpStatusError,
+    MalformedResponseError,
     ReproClient,
     ReproHTTPServer,
     ServerThread,
@@ -793,3 +797,153 @@ def test_mutated_requests_end_in_a_framed_answer_or_a_clean_close(fuzz_server, d
     closes = [headers["connection"] == "close" for _, headers, _ in responses]
     assert not any(closes[:-1]), "a response after Connection: close"
     assert client.healthz()["status"] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# The client against hostile responses
+# ---------------------------------------------------------------------------
+class _StubServer:
+    """A raw localhost socket that answers every request with ``reply``
+    (whatever bytes it holds at the time), then closes the connection."""
+
+    def __init__(self) -> None:
+        self.reply = b""
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.address = self._listener.getsockname()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                connection, _peer = self._listener.accept()
+            except TimeoutError:
+                continue
+            with connection:
+                connection.settimeout(2.0)
+                head = b""
+                with contextlib.suppress(OSError):
+                    while b"\r\n\r\n" not in head:
+                        received = connection.recv(4096)
+                        if not received:
+                            break
+                        head += received
+                    connection.sendall(self.reply)
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+
+@pytest.fixture
+def stub():
+    server = _StubServer()
+    yield server
+    server.close()
+
+
+def _chunked(head: bytes, body: bytes) -> bytes:
+    return head + b"".join(
+        b"%x\r\n%s\r\n" % (len(piece), piece) for piece in body.split(b"|") if piece
+    ) + b"0\r\n\r\n"
+
+
+_SSE_HEAD = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+    b"Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n"
+)
+#: one chunk per ``|``-separated frame: two rounds, a heartbeat, the result
+_SSE_FRAMES = (
+    b'event: round\ndata: {"round_index": 0, "estimate": 1.5}\n\n|'
+    b": heartbeat\n\n|"
+    b'event: round\ndata: {"round_index": 1, "estimate": 2.0}\n\n|'
+    b'event: result\ndata: {"status": "succeeded", "value": 2.0}\n\n'
+)
+
+
+class TestClientHostileResponses:
+    """``ReproClient`` raises only ``repro.errors`` errors, whatever the
+    bytes a server (or whatever answers in its place) sends back."""
+
+    def test_a_non_json_error_body_is_an_http_status_error(self, stub):
+        page = b"<html><body>502 Bad Gateway</body></html>"
+        stub.reply = (
+            b"HTTP/1.1 502 Bad Gateway\r\nContent-Type: text/html\r\n"
+            b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(page), page)
+        )
+        with ReproClient(*stub.address, timeout=2.0) as client:
+            with pytest.raises(HttpStatusError) as info:
+                client.healthz()
+        assert info.value.status == 502
+        assert info.value.payload == {"message": page.decode()}
+        # a body that is not even UTF-8 keeps its text, replaced
+        stub.reply = (
+            b"HTTP/1.1 500 Oops\r\nContent-Length: 3\r\nConnection: close\r\n\r\n\xff\xfe!"
+        )
+        with ReproClient(*stub.address, timeout=2.0) as client:
+            with pytest.raises(HttpStatusError) as info:
+                client.status("q1")
+        assert info.value.status == 500
+        assert info.value.payload["message"].endswith("!")
+
+    def test_a_non_json_success_body_is_malformed(self, stub):
+        stub.reply = (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nConnection: close\r\n\r\nhello"
+        )
+        with ReproClient(*stub.address, timeout=2.0) as client:
+            with pytest.raises(MalformedResponseError):
+                client.healthz()
+
+    def test_a_malformed_event_frame_is_malformed(self, stub):
+        stub.reply = _chunked(
+            _SSE_HEAD, b'event: round\ndata: {"round_index": 0}\n\n|data: {not json\n\n'
+        )
+        frames = []
+        with ReproClient(*stub.address, timeout=2.0) as client:
+            with pytest.raises(MalformedResponseError):
+                for frame in client.events("q1"):
+                    frames.append(frame)
+        assert frames == [("round", {"round_index": 0})]
+
+    def test_the_unmutated_stream_reads_every_frame(self, stub):
+        stub.reply = _chunked(_SSE_HEAD, _SSE_FRAMES)
+        with ReproClient(*stub.address, timeout=2.0) as client:
+            events = [event for event, _data in client.events("q1")]
+        assert events == ["round", "round", "result"]
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_event_streams_end_in_frames_an_error_or_a_clean_end(
+        self, stub, data
+    ):
+        """Truncated, duplicated, flipped and spliced bytes anywhere in the
+        chunked body: the reader yields well-formed frames and then ends,
+        or raises a ``repro.errors`` error, within its timeout."""
+        body = bytearray(_chunked(b"", _SSE_FRAMES))
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(body)))
+            kind = data.draw(st.sampled_from(("flip", "truncate", "duplicate", "insert")))
+            if kind == "flip" and at < len(body):
+                body[at] = data.draw(st.integers(0, 255))
+            elif kind == "truncate":
+                del body[at:]
+            elif kind == "duplicate":
+                end = data.draw(st.integers(at, len(body)))
+                body[at:at] = body[at:end]
+            elif kind == "insert":
+                body[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+        stub.reply = _SSE_HEAD + bytes(body)
+        started = time.monotonic()
+        with ReproClient(*stub.address, timeout=1.0) as client:
+            with contextlib.suppress(ReproError):
+                for event, payload in client.events("q1"):
+                    assert isinstance(event, str)
+                    json.dumps(payload)
+        assert time.monotonic() - started < 2.0

@@ -53,7 +53,7 @@ from repro.errors import (
     ResultTimeoutError,
     ServiceError,
 )
-from repro.semantics import kernels
+from repro.semantics.validation import ChainValidator
 
 
 @pytest.fixture
@@ -1108,16 +1108,16 @@ class TestHandleSurface:
     ):
         """``submit(confidence=0.9)`` is byte-identical to a service whose
         config says 0.9, on a chain COUNT that samples and on one that ends
-        in a census; the chain contexts are the plan's, so the 0.9 query
-        compiles none the default query already did."""
+        in a census; the chain's similarity row is the plan's, so the 0.9
+        query builds none the default query already did."""
         compiled: list[str] = []
-        real = kernels.build_chain_context
+        real = ChainValidator._build_row
 
-        def counting(kg, space, snapshot, predicate, floor):
-            compiled.append(predicate)
-            return real(kg, space, snapshot, predicate, floor)
+        def counting(validator):
+            compiled.append(validator.component.predicates[-1])
+            return real(validator)
 
-        monkeypatch.setattr(kernels, "build_chain_context", counting)
+        monkeypatch.setattr(ChainValidator, "_build_row", counting)
         make = sampled_service if sampled else AggregateQueryService
         query = world.chain_count_query()
         with _service(world, make=make) as service:
