@@ -520,15 +520,15 @@ class QueryExecutor:
 
         It does at once — ``initialise`` draws nothing — when the joint
         support is no larger than ``max_sample_size``.  The basis is
-        measured, not derived: S2 is exact, so a simple component's
-        verdicts are reads of one row built per plan, and validating the
+        measured, not derived: S2 is exact, so a component's verdicts
+        are reads of one row built per plan, and validating the
         whole support beat the sampled run (its BLB little samples and
         2–3 rounds) on every ledger query and on a yago2-like scale-30
         probe whose largest joint support is 14 227.  Supports between
         that and the cap are unverified — chain components in particular,
-        which validate by a per-answer search — and there the census is
-        one round of up to ``max_sample_size`` validations, where sampled
-        growth would have bounded each round.  Above the cap it does when
+        whose rows chain one leg pass per total length — and there the
+        census is one round of up to ``max_sample_size`` validations, where
+        sampled growth would have bounded each round.  Above the cap it does when
         ``need`` is at least the number of support entries this query
         has not drawn: validating the rest then costs no more searches
         than the draws would.  Either way the census returns the exact

@@ -62,7 +62,7 @@ class QueryPlan:
     #: reads of S1, for simple and chain components alike
     distribution: AnswerDistribution
     #: the paper's N_ws: 0 for a simple plan (closed form, no walk
-    #: iterated), a chain's expanded intermediates
+    #: iterated); a chain plan reports its expanded intermediates here
     walk_iterations: int
     num_candidates: int
     #: the plan's one S2 entry point: the exact row of ``(source,

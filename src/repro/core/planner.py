@@ -289,12 +289,11 @@ class QueryPlanner:
                 f"the chain component from {component.specific_name!r} needs "
                 "the semantic or the cnarw sampler"
             )
-        # The plan keeps the composed distribution only: its chain
-        # validator seeds its row from the validator bound to the mapping
-        # node (the first stage's scope is handed to it), never from the
-        # routes.
+        # The plan keeps the composed marginal only: its chain validator
+        # seeds its row from the validator bound to the mapping node (the
+        # first stage's scope is handed to it).
         first = self._first_stage(source, *component.hops[0])
-        chain = ChainSampler(
+        distribution, expanded = ChainSampler(
             self._kg,
             self._stage,
             max_intermediates=self.config.max_intermediates,
@@ -302,9 +301,9 @@ class QueryPlanner:
         return QueryPlan(
             component=component,
             source=source,
-            distribution=chain.distribution,
-            walk_iterations=chain.expanded_intermediates,
-            num_candidates=chain.distribution.support_size,
+            distribution=distribution,
+            walk_iterations=expanded,
+            num_candidates=distribution.support_size,
             validator=self._validator(
                 component, source, (first.nodes, first.probabilities)
             ),

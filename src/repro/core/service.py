@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import threading
 import time
@@ -118,6 +119,14 @@ class _Run:
     error_bound: float
     max_rounds: int | None = None
     steps_taken: int = 0
+
+
+def _require_error_bound(error_bound: float) -> None:
+    """:class:`QueryError` unless a per-query ``error_bound`` is finite and
+    > 0 (a NaN or an infinity would only fail at the query's first
+    growth)."""
+    if not (math.isfinite(error_bound) and error_bound > 0.0):
+        raise QueryError(f"error_bound must be finite and > 0, got {error_bound!r}")
 
 
 @dataclass(eq=False)  # identity semantics: records live in the scheduler list
@@ -287,7 +296,10 @@ class QueryHandle:
         the bound only costs the incremental sampling Eq. 12 asks for,
         exactly the paper's interactive-refinement behaviour.  Returns
         ``self`` so ``handle.refine(0.01).result()`` reads naturally.
+        An ``error_bound`` that is not finite and > 0 raises
+        :class:`QueryError` before any run is queued.
         """
+        _require_error_bound(error_bound)
         return self._service._queue_run(self._record, error_bound, None)
 
     def cancel(self) -> bool:
@@ -725,7 +737,8 @@ class AggregateQueryService:
         """Register a query and return its handle immediately.
 
         ``error_bound`` / ``confidence`` default to the service config
-        (a ``confidence`` outside (0, 1) raises :class:`QueryError`);
+        (an ``error_bound`` that is not finite and > 0, or a
+        ``confidence`` outside (0, 1), raises :class:`QueryError`);
         ``seed`` overrides the config seed for this query only.
         ``deadline`` (seconds from now; default the service's
         ``default_deadline``) bounds the query's wall-clock budget: past
@@ -738,6 +751,8 @@ class AggregateQueryService:
         control (``limits.max_pending``) sheds the submission.
         """
         aggregate_query = self._coerce(aggregate_query)
+        if error_bound is not None:
+            _require_error_bound(error_bound)
         if confidence is not None and not 0.0 < confidence < 1.0:
             raise QueryError("confidence_level must be in (0, 1)")
         kind = kind_for(aggregate_query)

@@ -6,17 +6,13 @@
 * :mod:`repro.estimation.bootstrap` — the Bag of Little Bootstraps used to
   estimate the estimator's sigma, over one blocked resampling kernel.
 * :mod:`repro.estimation.confidence` — CLT confidence intervals (Eq. 10-11).
-* :mod:`repro.estimation.accuracy` — Theorem 2 termination and the Eq. 12
-  error-based sample-size configuration.
+* :mod:`repro.estimation.accuracy` — Theorem 2 termination and its MoE
+  target (the Eq. 12 growth against it is the executor's).
 * :mod:`repro.estimation.extreme` — the paper's named future-work item:
   EVT (peaks-over-threshold / GPD) estimation for MAX and MIN.
 """
 
-from repro.estimation.accuracy import (
-    additional_sample_size,
-    moe_target,
-    satisfies_error_bound,
-)
+from repro.estimation.accuracy import moe_target, satisfies_error_bound
 from repro.estimation.bootstrap import BlbConfig, bootstrap_sigma
 from repro.estimation.confidence import ConfidenceInterval, normal_critical_value
 from repro.estimation.estimators import (
@@ -53,5 +49,4 @@ __all__ = [
     "normal_critical_value",
     "satisfies_error_bound",
     "moe_target",
-    "additional_sample_size",
 ]

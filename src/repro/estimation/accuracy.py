@@ -1,16 +1,16 @@
-"""Termination test (Theorem 2) and sample-size configuration (Eq. 12).
+"""Termination test (Theorem 2) and its MoE target.
 
 Theorem 2: if the MoE satisfies ``eps <= V_hat * eb / (1 + eb)``, the
 relative error of the approximate result is bounded by ``eb`` with
 probability ``1 - alpha``.  When the test fails, Eq. 12 sizes the top-up
-sample so that one more round is expected to shrink eps below the target:
+sample against the same target —
 
     |dS_A| = |S_A| * ((eps / target)^(2m) - 1)
+
+— in :meth:`repro.core.executor.QueryExecutor._growth`.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.errors import EstimationError
 
@@ -32,38 +32,3 @@ def satisfies_error_bound(moe: float, estimate: float, error_bound: float) -> bo
     """Theorem 2's termination condition."""
     target = moe_target(estimate, error_bound)
     return target > 0.0 and moe <= target
-
-
-def additional_sample_size(
-    current_sample_size: int,
-    moe: float,
-    estimate: float,
-    error_bound: float,
-    scale_exponent: float = 0.6,
-    *,
-    minimum: int = 1,
-    maximum: int | None = None,
-) -> int:
-    """Eq. 12: the error-based |dS_A| configuration.
-
-    ``(moe / target)^(2m) - 1`` scaled by the current |S_A|; clamped to
-    ``[minimum, maximum]``.  If the target is already met, ``0`` is
-    returned.  A zero/negative estimate yields ``current_sample_size``
-    (double the sample — we know nothing about the scale yet).
-    """
-    if current_sample_size < 1:
-        raise EstimationError("current sample size must be positive")
-    if scale_exponent <= 0.0:
-        raise EstimationError("scale exponent must be positive")
-    target = moe_target(estimate, error_bound)
-    if target <= 0.0:
-        grown = current_sample_size
-    elif moe <= target:
-        return 0
-    else:
-        ratio = moe / target
-        grown = int(math.ceil(current_sample_size * (ratio ** (2.0 * scale_exponent) - 1.0)))
-    grown = max(grown, minimum)
-    if maximum is not None:
-        grown = min(grown, maximum)
-    return grown

@@ -73,21 +73,3 @@ class ConfidenceInterval:
     def contains(self, value: float) -> bool:
         """True when ``value`` lies inside the interval."""
         return self.lower <= value <= self.upper
-
-    def relative_moe(self) -> float:
-        """MoE relative to the estimate (∞ for a zero estimate)."""
-        if self.estimate == 0.0:
-            return float("inf")
-        return self.moe / abs(self.estimate)
-
-    @staticmethod
-    def from_sigma(
-        estimate: float, sigma: float, confidence_level: float
-    ) -> "ConfidenceInterval":
-        """Eq. 10: ``moe = z_(alpha/2) * sigma``."""
-        if sigma < 0.0:
-            raise EstimationError("sigma cannot be negative")
-        moe = normal_critical_value(confidence_level) * sigma
-        return ConfidenceInterval(
-            estimate=estimate, moe=moe, confidence_level=confidence_level
-        )

@@ -24,12 +24,7 @@ from repro.kg.io import (
     save_triples,
 )
 from repro.kg.statistics import GraphStatistics, compute_statistics
-from repro.kg.traversal import (
-    bounded_node_set,
-    bounded_subgraph,
-    enumerate_paths,
-    hop_distances,
-)
+from repro.kg.traversal import hop_distances
 
 __all__ = [
     "CSRGraph",
@@ -43,9 +38,6 @@ __all__ = [
     "install_snapshot",
     "GraphStatistics",
     "compute_statistics",
-    "bounded_node_set",
-    "bounded_subgraph",
-    "enumerate_paths",
     "hop_distances",
     "from_networkx",
     "to_networkx",

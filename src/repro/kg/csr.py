@@ -151,7 +151,7 @@ class CSRGraph:
     # Derived members: built once per snapshot on first use, never exported
     # (a loaded snapshot rebuilds them lazily).  The first
     # two serve the batched S1 stage (repro.sampling.strength), the third
-    # S2's exact similarity row (repro.semantics.kernels.exact_similarities)
+    # S2's exact similarity rows (repro.semantics.kernels.leg_sums)
     # and CNARW's weights, the last :meth:`neighbor_pairs`.
     # ------------------------------------------------------------------
     @cached_property

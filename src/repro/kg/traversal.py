@@ -1,15 +1,14 @@
-"""Graph traversal: n-bounded scopes (BFS) and bounded path enumeration.
+"""Graph traversal: hop distances of the n-bounded scope (BFS).
 
 The paper restricts both the exact baseline (SSB, Algorithm 1) and the
 semantic-aware random walk to the *n-bounded subgraph* G' of the mapping
 node ``us``: the induced graph over every node within ``n`` hops of ``us``
-(§III / §IV-A2).  Path enumeration powers the exhaustive semantic-similarity
-computation of Eq. 2-3.
+(§III / §IV-A2).  The walks' scopes come from the CSR snapshot
+(:mod:`repro.kg.csr`); :func:`hop_distances` serves GRAB's hop-based
+scoring.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,94 +26,3 @@ def hop_distances(kg: KnowledgeGraph, source: int, max_hops: int) -> dict[int, i
     distances = csr_snapshot(kg).hop_distance_array(source, max_hops)
     reached = np.flatnonzero(distances >= 0)
     return {int(node): int(distances[node]) for node in reached}
-
-
-def bounded_node_set(kg: KnowledgeGraph, source: int, max_hops: int) -> set[int]:
-    """The node set of the n-bounded subgraph G' around ``source``."""
-    return set(hop_distances(kg, source, max_hops))
-
-
-def bounded_subgraph(
-    kg: KnowledgeGraph, source: int, max_hops: int
-) -> tuple[set[int], list[int]]:
-    """Nodes and edge ids of the induced n-bounded subgraph around ``source``.
-
-    An edge belongs to G' when both endpoints are within ``max_hops``.
-    Returns ``(node_set, edge_ids)``.
-    """
-    nodes = bounded_node_set(kg, source, max_hops)
-    edge_ids: list[int] = []
-    seen: set[int] = set()
-    for node in nodes:
-        for edge_id, neighbour in kg.neighbors(node):
-            if neighbour in nodes and edge_id not in seen:
-                seen.add(edge_id)
-                edge_ids.append(edge_id)
-    return nodes, edge_ids
-
-
-def enumerate_paths(
-    kg: KnowledgeGraph,
-    source: int,
-    target: int,
-    max_length: int,
-    *,
-    node_filter: Callable[[int], bool] | None = None,
-    max_paths: int | None = None,
-) -> Iterator[list[int]]:
-    """Yield all simple paths (as edge-id lists) from ``source`` to ``target``.
-
-    Paths have at most ``max_length`` edges and never repeat a node, which is
-    the search space SSB enumerates (its :math:`O(m^n)` step).  ``node_filter``
-    can restrict intermediate nodes (e.g. to the n-bounded scope);
-    ``max_paths`` caps the enumeration for callers that only need a few.
-    """
-    if max_length < 1:
-        return
-    if source == target:
-        return
-
-    yielded = 0
-    # Depth-first with an explicit stack of (node, neighbour iterator).
-    path_edges: list[int] = []
-    on_path = {source}
-    stack: list[tuple[int, Iterator[tuple[int, int]]]] = [(source, iter(kg.neighbors(source)))]
-    while stack:
-        current, neighbours = stack[-1]
-        advanced = False
-        for edge_id, neighbour in neighbours:
-            if neighbour in on_path:
-                continue
-            if neighbour == target:
-                yield path_edges + [edge_id]
-                yielded += 1
-                if max_paths is not None and yielded >= max_paths:
-                    return
-                continue
-            if len(path_edges) + 1 >= max_length:
-                # A longer prefix could never reach the target in budget.
-                continue
-            if node_filter is not None and not node_filter(neighbour):
-                continue
-            path_edges.append(edge_id)
-            on_path.add(neighbour)
-            stack.append((neighbour, iter(kg.neighbors(neighbour))))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            if path_edges:
-                path_edges.pop()
-            if stack:
-                # The node we just backtracked from is no longer on the path.
-                on_path.discard(current)
-
-
-def path_nodes(kg: KnowledgeGraph, source: int, edge_path: list[int]) -> list[int]:
-    """Expand an edge-id path starting at ``source`` into its node sequence."""
-    nodes = [source]
-    current = source
-    for edge_id in edge_path:
-        current = kg.edge(edge_id).other_endpoint(current)
-        nodes.append(current)
-    return nodes

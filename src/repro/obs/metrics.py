@@ -166,11 +166,11 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed upper-edge buckets backed by a numpy bincount array.
+    """Fixed upper-edge buckets backed by a numpy count array.
 
     ``observe`` is one binary search (``le`` means *less-or-equal*, so
     ``side="left"`` lands a value exactly on an edge in that edge's
-    bucket) plus three adds; ``observe_many`` vectorises a whole batch.
+    bucket) plus three adds.
     """
 
     __slots__ = ("name", "labels", "upper_edges", "_edges", "_lock",
@@ -202,17 +202,6 @@ class Histogram:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
-
-    def observe_many(self, values) -> None:
-        array = np.asarray(values, dtype=np.float64)
-        if array.size == 0:
-            return
-        indexes = np.searchsorted(self._edges, array, side="left")
-        counts = np.bincount(indexes, minlength=len(self._counts))
-        with self._lock:
-            self._counts += counts
-            self._sum += float(array.sum())
-            self._count += int(array.size)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -423,9 +412,6 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
         pass
 
     def snapshot(self) -> dict:

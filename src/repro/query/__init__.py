@@ -14,7 +14,6 @@ from repro.query.aggregate import (
     Filter,
     GroupBy,
 )
-from repro.query.answer import CandidateAnswer, SampledAnswer
 from repro.query.graph import PathQuery, QueryGraph, QueryShape
 from repro.query.parser import ParseError, format_query, parse_query
 
@@ -23,8 +22,6 @@ __all__ = [
     "AggregateQuery",
     "Filter",
     "GroupBy",
-    "CandidateAnswer",
-    "SampledAnswer",
     "ParseError",
     "PathQuery",
     "QueryGraph",

@@ -9,14 +9,13 @@ answer reached via intermediate ``ui`` has probability
 probabilities — exactly the paper's composition rule (their sum is 1).
 
 For tractability the number of expanded intermediates is capped at the top
-``max_intermediates`` by stationary probability (re-normalised); the cap is
-recorded so experiments can report it.
+``max_intermediates`` by stationary probability (re-normalised); the
+number expanded is returned beside the marginal.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,40 +25,6 @@ from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerDistribution
 from repro.sampling.scope import resolve_mapping_node
 from repro.sampling.strength import Stage
-
-
-@dataclass(frozen=True)
-class ChainDistribution:
-    """Joint answer distribution of a chain query.
-
-    The composed routes are two aligned arrays in composition order —
-    ``route_nodes[r]`` holds route ``r``'s nodes after the specific one
-    (one column per hop, the answer last) and ``route_probability[r]`` its
-    probability; ``distribution`` is the accumulated marginal the
-    estimators consume.
-    """
-
-    distribution: AnswerDistribution
-    route_nodes: np.ndarray  # (routes, hops) int64
-    route_probability: np.ndarray  # (routes,) float64
-    expanded_intermediates: int
-    truncated: bool
-
-    @property
-    def routes(self) -> dict[int, tuple[tuple[tuple[int, ...], float], ...]]:
-        """Answer -> its ``(intermediate_path, probability)`` pairs, most
-        probable first — materialised from the arrays on every read."""
-        grouped: dict[int, list[tuple[tuple[int, ...], float]]] = {}
-        for nodes, probability in zip(
-            self.route_nodes.tolist(), self.route_probability.tolist()
-        ):
-            grouped.setdefault(nodes[-1], []).append(
-                (tuple(nodes[:-1]), probability)
-            )
-        return {
-            answer: tuple(sorted(pairs, key=lambda pair: -pair[1]))
-            for answer, pairs in grouped.items()
-        }
 
 
 class ChainSampler:
@@ -88,8 +53,9 @@ class ChainSampler:
 
     def build(
         self, component: PathQuery, first_stage: AnswerDistribution | None = None
-    ) -> ChainDistribution:
-        """Compose the per-hop distributions along ``component``.
+    ) -> tuple[AnswerDistribution, int]:
+        """Compose the per-hop distributions along ``component``: the
+        answer marginal and the number of intermediates expanded.
 
         ``first_stage`` is the first hop's answer distribution when the
         caller has already walked it (the planner does: the first stage's
@@ -98,20 +64,19 @@ class ChainSampler:
         source = resolve_mapping_node(
             self._kg, component.specific_name, component.specific_types
         )
-        # frontier: one row per partial route (nodes after the specific one)
-        route_nodes = np.empty((1, 0), dtype=np.int64)
-        route_probability = np.ones(1, dtype=np.float64)
-        truncated = False
+        # frontier: each partial route's last node and probability, in
+        # composition order
+        route_ends = np.asarray([source], dtype=np.int64)
+        route_probabilities = np.ones(1, dtype=np.float64)
         expanded = 0
 
         for hop, (predicate, node_types) in enumerate(component.hops):
             # Expand only the most probable routes, keeping the cap global
             # per hop so deep chains stay tractable.
-            ranked = np.argsort(-route_probability, kind="stable")
-            kept = ranked[: self.max_intermediates]
-            if len(kept) < len(ranked):
-                truncated = True
-            kept_probability = route_probability[kept].tolist()
+            kept = np.argsort(-route_probabilities, kind="stable")[
+                : self.max_intermediates
+            ]
+            kept_probability = route_probabilities[kept].tolist()
             # left to right over Python floats, like the oracle's ``sum``
             kept_mass = sum(kept_probability)
             if kept_mass <= 0:
@@ -119,22 +84,19 @@ class ChainSampler:
             if hop == 0 and first_stage is not None:
                 walked: list[AnswerDistribution | SamplingError] = [first_stage]
             else:
-                starts = route_nodes[kept, -1] if hop else np.asarray([source])
                 walked = [
                     outcome
                     if isinstance(outcome, SamplingError)
                     else outcome.distribution
-                    for outcome in self._stage(starts, predicate, node_types, hop)
+                    for outcome in self._stage(
+                        route_ends[kept], predicate, node_types, hop
+                    )
                 ]
-            parents: list[int] = []
             stages: list[AnswerDistribution] = []
             extended_probability: list[np.ndarray] = []
-            for row, probability, stage in zip(
-                kept.tolist(), kept_probability, walked
-            ):
+            for probability, stage in zip(kept_probability, walked):
                 if isinstance(stage, SamplingError):
                     continue  # this intermediate reaches no next-hop candidate
-                parents.append(row)
                 stages.append(stage)
                 extended_probability.append(
                     (probability / kept_mass) * stage.probabilities
@@ -144,30 +106,17 @@ class ChainSampler:
                     f"chain hop with predicate {predicate!r} produced no candidates"
                 )
             expanded += len(stages)
-            fan_out = [stage.support_size for stage in stages]
-            route_nodes = np.column_stack(
-                [
-                    route_nodes[np.repeat(parents, fan_out)],
-                    np.concatenate([stage.answers for stage in stages]),
-                ]
-            )
-            route_probability = np.concatenate(extended_probability)
+            route_ends = np.concatenate([stage.answers for stage in stages])
+            route_probabilities = np.concatenate(extended_probability)
 
         # Accumulate route probabilities per final answer (the paper's
         # rule), in route order.
-        answers, answer_of_route = np.unique(
-            route_nodes[:, -1], return_inverse=True
-        )
+        answers, answer_of_route = np.unique(route_ends, return_inverse=True)
         probabilities = np.bincount(
-            answer_of_route, weights=route_probability, minlength=len(answers)
+            answer_of_route, weights=route_probabilities, minlength=len(answers)
         )
         probabilities = probabilities / probabilities.sum()
-        return ChainDistribution(
-            distribution=AnswerDistribution(
-                answers=answers, probabilities=probabilities
-            ),
-            route_nodes=route_nodes,
-            route_probability=route_probability,
-            expanded_intermediates=expanded,
-            truncated=truncated,
+        return (
+            AnswerDistribution(answers=answers, probabilities=probabilities),
+            expanded,
         )

@@ -3,8 +3,8 @@
 After convergence, the stationary distribution over the scope is restricted
 to the candidate answers and renormalised (pi'_i = pi_i / sum pi); the
 collector then draws answers i.i.d. from that distribution — non-answer
-nodes are "ignored" exactly as in the paper.  Each draw carries its pi'_i,
-which the Eq. 7-9 estimators divide by.
+nodes are "ignored" exactly as in the paper.  A draw is a support index,
+so it reads the answer and the pi'_i the Eq. 7-9 estimators divide by.
 
 Draws invert the distribution's CDF through a guide table (Chen and Asau's
 indexed search, 1974): ``K`` buckets of width ``1/K`` over [0, 1), each
@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.query.answer import SampledAnswer
 from repro.sampling.scope import SamplingScope
 from repro.utils.rng import ensure_rng
 
@@ -53,13 +52,6 @@ class AnswerDistribution:
     def support_size(self) -> int:
         """Number of distinct answers in the support."""
         return len(self.answers)
-
-    def probability_of(self, node_id: int) -> float:
-        """The stationary probability pi' of one support entry."""
-        matches = np.nonzero(self.answers == node_id)[0]
-        if len(matches) == 0:
-            return 0.0
-        return float(self.probabilities[matches[0]])
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -186,23 +178,3 @@ class AnswerCollector:
         if len(unsure):
             indices[unsure] = cdf.searchsorted(uniforms[unsure], side="right")
         return indices
-
-    def collect(self, sample_size: int) -> list[SampledAnswer]:
-        """Draw ``sample_size`` answers with replacement from pi_A."""
-        distribution = self._distribution
-        picks = self.collect_indices(sample_size)
-        return [
-            SampledAnswer(
-                node_id=int(distribution.answers[pick]),
-                probability=float(distribution.probabilities[pick]),
-            )
-            for pick in picks
-        ]
-
-    def collect_little_samples(
-        self, count: int, size_each: int
-    ) -> list[list[SampledAnswer]]:
-        """``count`` independent little samples for the BLB (§IV-C)."""
-        if count <= 0:
-            raise SamplingError("count must be positive")
-        return [self.collect(size_each) for _ in range(count)]

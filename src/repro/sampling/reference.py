@@ -241,28 +241,24 @@ def compose_routes_python(
     component: PathQuery,
     max_intermediates: int,
     first_stage: AnswerDistribution | None = None,
-) -> tuple[AnswerDistribution, dict, int, bool]:
+) -> tuple[AnswerDistribution, int]:
     """Seed chain composition (§V-B): a dict of route tuples per hop.
 
     The loop :meth:`repro.sampling.chain.ChainSampler.build` must reproduce
     byte for byte — ``stage_of`` is the sampler's ``stage`` callable.
-    Returns ``(distribution, routes, expanded intermediates, truncated)``
-    with ``routes`` as :attr:`ChainDistribution.routes` states them.
+    Returns ``(answer marginal, expanded intermediates)``.
     """
     source = resolve_mapping_node(
         kg, component.specific_name, component.specific_types
     )
     # frontier: partial route (nodes after the specific one) -> probability
     frontier: dict[tuple[int, ...], float] = {(): 1.0}
-    truncated = False
     expanded = 0
 
     for predicate, node_types in component.hops:
         next_frontier: dict[tuple[int, ...], float] = {}
         ranked = sorted(frontier.items(), key=lambda item: -item[1])
         kept = ranked[:max_intermediates]
-        if len(ranked) > len(kept):
-            truncated = True
         kept_mass = sum(probability for _, probability in kept)
         if kept_mass <= 0:
             raise SamplingError("chain sampling lost all probability mass")
@@ -290,24 +286,15 @@ def compose_routes_python(
 
     # Accumulate route probabilities per final answer (the paper's rule).
     marginal: dict[int, float] = {}
-    routes: dict[int, list[tuple[tuple[int, ...], float]]] = {}
     for route, probability in frontier.items():
-        answer = route[-1]
-        marginal[answer] = marginal.get(answer, 0.0) + probability
-        routes.setdefault(answer, []).append((route[:-1], probability))
+        marginal[route[-1]] = marginal.get(route[-1], 0.0) + probability
 
     answers = np.asarray(sorted(marginal), dtype=np.int64)
     probabilities = np.asarray(
         [marginal[int(answer)] for answer in answers], dtype=np.float64
     )
     probabilities = probabilities / probabilities.sum()
-    frozen_routes = {
-        answer: tuple(sorted(pairs, key=lambda pair: -pair[1]))
-        for answer, pairs in routes.items()
-    }
     return (
         AnswerDistribution(answers=answers, probabilities=probabilities),
-        frozen_routes,
         expanded,
-        truncated,
     )

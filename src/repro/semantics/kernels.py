@@ -11,11 +11,15 @@ chain enumeration, :meth:`repro.baselines.ssb.SemanticSimilarityBaseline.chain_s
   node, the best seed-plus-path log-sum per path length into every node,
   over simple paths of at most ``n_bound <= 3`` edges; one (max, +) pass
   per length over the snapshot's deduplicated adjacency.
-* :func:`exact_similarities` — Definition 4's n-bounded best-path
-  similarity of *every* node from one mapping node: the leg pass from a
-  one-hot seed, reduced by :func:`best_mean`.  It replaces the paper's
-  greedy r-path search (§IV-B2), which approximates the same quantity and
-  accepts false negatives; the figures still run that search
+* :func:`best_mean` — Eq. 2's best geometric mean over those lengths.
+* The simple row (:class:`repro.semantics.validation.CorrectnessValidator`)
+  is Definition 4's n-bounded best-path similarity of *every* node from
+  one mapping node: the leg pass from a one-hot seed, reduced by
+  :func:`best_mean`, for every bound (past ``n_bound`` 3 the leg is SSB's
+  per-length enumeration, :func:`repro.semantics.matching.best_sums_by_length`).
+  It replaces the paper's greedy r-path search (§IV-B2), which
+  approximates the same quantity and accepts false negatives; the figures
+  still run that search
   (:class:`repro.semantics.reference.ReferenceValidator`).
 * A chain row (§V-B) chains leg passes: each leg's output, restricted to
   its hop's types, seeds the next leg with one seed vector per total
@@ -46,7 +50,6 @@ __all__ = [
     "EXACT_MAX_LENGTH",
     "best_mean",
     "cnarw_weights",
-    "exact_similarities",
     "leg_sums",
 ]
 
@@ -232,24 +235,6 @@ def best_mean(
         similarity[better] = candidate[better]
         best_length[better] = length
     return similarity, best_length
-
-
-def exact_similarities(
-    kg, space, snapshot, log_row: np.ndarray, source: int, n_bound: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(similarity, best_length)`` of every node id from ``source``.
-
-    ``similarity[v]`` is Eq. 3 under Definition 4: the best geometric mean
-    of edge similarities over the simple paths ``source -> v`` of at most
-    ``n_bound`` edges (0 where no such path exists, and at ``source``);
-    ``best_length[v]`` is the smallest path length that attains it (0
-    where unreached).  It is :func:`leg_sums` from a one-hot ``0.0`` seed
-    at ``source``, reduced by :func:`best_mean`.
-    """
-    seed = np.full(int(snapshot.num_nodes), -np.inf)
-    seed[source] = 0.0
-    sums = leg_sums(kg, space, snapshot, log_row, seed, n_bound)
-    return best_mean(enumerate(sums, start=1), int(snapshot.num_nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -182,26 +182,3 @@ def best_sums_by_length(
 
     extend(source, 0, list(offsets))
     return best
-
-
-def find_best_match(
-    kg: KnowledgeGraph,
-    space: PredicateVectorSpace,
-    query_predicate: str,
-    source: int,
-    target: int,
-    max_length: int,
-    *,
-    floor: float = SIMILARITY_FLOOR,
-) -> SubgraphMatch | None:
-    """Best match for a single target, or ``None`` if it is unreachable."""
-    matches = best_matches_from(
-        kg,
-        space,
-        query_predicate,
-        source,
-        max_length,
-        targets=[target],
-        floor=floor,
-    )
-    return matches.get(target)

@@ -1,17 +1,17 @@
-"""Semantic similarity of paths (Eq. 2) and answers (Eq. 3).
+"""Predicate similarity as Eq. 2-3 weigh it: the clamp and its floor.
 
 The similarity of a subgraph match (an edge-to-path mapping from the query
 edge to a KG path) is the geometric mean of each path edge's predicate
 similarity to the query edge's predicate; an answer's similarity is the
-maximum over its matches.  Cosines can be non-positive, so similarities are
-clamped to a small positive floor — Lemma 1 assumes strictly positive edge
-weights, and a geometric mean dies on zeros.
+maximum over its matches.  Both are computed per plan, for every node at
+once, by :mod:`repro.semantics.kernels` (SSB's enumeration,
+:mod:`repro.semantics.matching`, is the oracle).  Cosines can be
+non-positive, so similarities are clamped to a small positive floor —
+Lemma 1 assumes strictly positive edge weights, and a geometric mean dies
+on zeros.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Sequence
 
 import numpy as np
 
@@ -55,65 +55,3 @@ def clamp_similarity(value: float, floor: float = SIMILARITY_FLOOR) -> float:
     if value < floor:
         return floor
     return value
-
-
-def path_similarity(
-    space: PredicateVectorSpace,
-    query_predicate: str,
-    path_predicates: Sequence[str],
-    floor: float = SIMILARITY_FLOOR,
-) -> float:
-    """Eq. 2: geometric mean of predicate similarities along one path.
-
-    ``path_predicates`` are the predicates of the KG path's edges, in order;
-    the result is ``(prod_i sim(p_i, query))^(1/l)``.  Computed in log space
-    for numerical stability on long paths.
-    """
-    if not path_predicates:
-        raise ValueError("a subgraph match must contain at least one edge")
-    log_total = 0.0
-    for predicate in path_predicates:
-        similarity = clamp_similarity(space.similarity(predicate, query_predicate), floor)
-        log_total += math.log(similarity)
-    return math.exp(log_total / len(path_predicates))
-
-
-def match_similarity(
-    space: PredicateVectorSpace,
-    query_predicate: str,
-    candidate_paths: Sequence[Sequence[str]],
-    floor: float = SIMILARITY_FLOOR,
-) -> float:
-    """Eq. 3: the answer similarity — max path similarity over its matches."""
-    if not candidate_paths:
-        return 0.0
-    return max(
-        path_similarity(space, query_predicate, path, floor) for path in candidate_paths
-    )
-
-
-def chain_similarity(
-    space: PredicateVectorSpace,
-    query_predicates: Sequence[str],
-    leg_paths: Sequence[Sequence[str]],
-    floor: float = SIMILARITY_FLOOR,
-) -> float:
-    """Similarity of a chain match: geometric mean over all legs' edges.
-
-    A chain query maps each query edge to its own path (one leg per hop,
-    §V-B); every edge of leg ``i`` is compared against query predicate ``i``
-    and the geometric mean is taken over the concatenated path, which
-    reduces to Eq. 2 when the chain has one hop.
-    """
-    if len(query_predicates) != len(leg_paths):
-        raise ValueError("one leg path required per query predicate")
-    log_total = 0.0
-    edge_count = 0
-    for query_predicate, leg in zip(query_predicates, leg_paths):
-        if not leg:
-            raise ValueError("each chain leg must contain at least one edge")
-        for predicate in leg:
-            similarity = clamp_similarity(space.similarity(predicate, query_predicate), floor)
-            log_total += math.log(similarity)
-            edge_count += 1
-    return math.exp(log_total / edge_count)

@@ -38,7 +38,7 @@ from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
 from repro.query.graph import PathQuery
 from repro.semantics import kernels
-from repro.semantics.matching import best_matches_from, best_sums_by_length
+from repro.semantics.matching import best_sums_by_length
 from repro.semantics.similarity import SIMILARITY_FLOOR
 
 
@@ -205,53 +205,26 @@ class CorrectnessValidator(_RowValidator):
         self.max_length = max_length
         self.floor = floor
 
-    def _build_row(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.max_length <= kernels.EXACT_MAX_LENGTH:
-            return kernels.exact_similarities(
-                self._kg,
-                self._space,
-                csr_snapshot(self._kg),
-                log_similarities(
-                    self._kg, self._space, self.query_predicate, self.floor
-                ),
-                self.source,
-                self.max_length,
-            )
-        return self._enumerated_row()
-
-    def _enumerated_row(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row past :data:`~repro.semantics.kernels.EXACT_MAX_LENGTH`:
-        every simple path enumerated (SSB's DFS), so exponential in the
-        bound — no workload runs a bound this long."""
-        num_nodes = self._kg.num_nodes
-        similarity = np.zeros(num_nodes)
-        best_length = np.zeros(num_nodes, dtype=np.int8)
-        matches = best_matches_from(
-            self._kg,
-            self._space,
-            self.query_predicate,
-            self.source,
-            self.max_length,
-            floor=self.floor,
+    def _sums(self) -> list[np.ndarray]:
+        """The leg pass from a one-hot ``0.0`` seed at the source: the best
+        log-sum of a simple path of each length to every node."""
+        seed = np.full(self._kg.num_nodes, -np.inf)
+        seed[self.source] = 0.0
+        return _leg_sums(
+            self._kg, self._space, self.query_predicate, seed,
+            self.max_length, self.floor,
         )
-        for node, match in matches.items():
-            similarity[node] = match.similarity
-            best_length[node] = match.length
-        return similarity, best_length
+
+    def _build_row(self) -> tuple[np.ndarray, np.ndarray]:
+        return kernels.best_mean(enumerate(self._sums(), start=1), self._kg.num_nodes)
 
     def leg_sums(self, typed: np.ndarray) -> dict[int, np.ndarray]:
         """As a chain's first leg: path length -> the best log-sum of a
         simple path of that length to each node where ``typed`` holds
         (``-inf`` elsewhere)."""
-        seed = np.full(self._kg.num_nodes, -np.inf)
-        seed[self.source] = 0.0
-        sums = _leg_sums(
-            self._kg, self._space, self.query_predicate, seed,
-            self.max_length, self.floor,
-        )
         return {
             length: np.where(typed, level, -np.inf)
-            for length, level in enumerate(sums, start=1)
+            for length, level in enumerate(self._sums(), start=1)
         }
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import re
 import threading
 import time
@@ -119,8 +120,8 @@ def encode_result(
     ``seconds``), leaving only value-like content — that is the payload
     equivalence gates compare byte-for-byte against direct in-process
     execution, where timings legitimately differ.  ``walk_iterations`` is
-    the paper's N_ws (power-iteration steps of S1); 0 means the plan took
-    pi in closed form, which every semantic simple plan does.
+    the paper's N_ws: 0 for a simple plan, which takes pi in closed form,
+    while a chain plan reports its expanded intermediates (> 0).
     ``stop_reason`` is ``census`` / ``bound_met`` / ``sample_cap`` /
     ``round_budget`` (null on the per-group entries of a grouped result);
     a ``census`` result is the exact aggregate over every candidate
@@ -567,7 +568,7 @@ class ReproHTTPServer:
             raise HttpError(400, "the 'aql' field (a non-empty string) is required")
         kwargs: dict = {}
         for name, requirement in (
-            ("error_bound", "positive number"),
+            ("error_bound", "finite positive number"),
             ("confidence", "number in (0, 1)"),
             ("deadline", "non-negative number"),
             ("seed", "integer"),
@@ -585,7 +586,7 @@ class ReproHTTPServer:
                 elif name == "confidence":
                     ok = 0.0 < value < 1.0
                 elif name == "error_bound":
-                    ok = value > 0.0
+                    ok = 0.0 < value < math.inf
                 else:  # deadline
                     ok = value >= 0.0
             if not ok:
@@ -716,10 +717,10 @@ class ReproHTTPServer:
         if (
             not isinstance(error_bound, _NUMBER)
             or isinstance(error_bound, bool)
-            or error_bound <= 0.0
+            or not 0.0 < error_bound < math.inf
         ):
             raise HttpError(
-                400, "the 'error_bound' field (a positive number) is required"
+                400, "the 'error_bound' field (a finite positive number) is required"
             )
         try:
             entry.handle.refine(float(error_bound))

@@ -28,7 +28,7 @@ from typing import Callable
 from repro.core.config import EngineConfig
 from repro.core.plan import QueryPlan, plan_from_artifacts
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import StoreError
+from repro.errors import SamplingError, StoreError
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
 from repro.semantics.validation import ChainValidator, CorrectnessValidator
@@ -143,7 +143,10 @@ class SnapshotCatalog:
                 f"plan artefact {path} stores a different component "
                 "(hash collision or manual file move)"
             )
-        return plan_from_artifacts(artifacts, make_validator)
+        try:
+            return plan_from_artifacts(artifacts, make_validator)
+        except SamplingError as exc:
+            raise StoreError(f"plan artefact {path} holds no pi_A: {exc}") from exc
 
     def stored_plan_count(self, kg: KnowledgeGraph) -> int:
         """Number of plan files stored for ``kg``'s current structure."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
 from pathlib import Path
 from typing import Mapping
@@ -177,10 +178,16 @@ def parse_header(buffer: bytes | memoryview) -> tuple[dict, list[dict]]:
         document = json.loads(bytes(buffer[16 : 16 + header_length]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreError(f"corrupt store header: {exc}") from exc
+    if not isinstance(document, dict):
+        raise StoreError("corrupt store header: not a JSON object")
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         raise StoreError(f"unsupported store format version: {version!r}")
-    return document.get("metadata", {}), document.get("segments", [])
+    metadata = document.get("metadata", {})
+    segments = document.get("segments", [])
+    if not isinstance(metadata, dict) or not isinstance(segments, list):
+        raise StoreError("corrupt store header: metadata or segments malformed")
+    return metadata, segments
 
 
 def unpack_arrays(
@@ -197,27 +204,34 @@ def unpack_arrays(
     view = memoryview(buffer)
     for entry in entries:
         try:
+            name = entry["name"]
             dtype = np.dtype(entry["dtype"])
             shape = tuple(int(value) for value in entry["shape"])
             offset = int(entry["offset"])
             nbytes = int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StoreError(f"corrupt segment entry: {entry!r}") from exc
+        if not isinstance(name, str):
+            raise StoreError(f"corrupt segment entry: {entry!r}")
         if offset < 0 or nbytes < 0 or offset + nbytes > len(view):
-            raise StoreError(
-                f"segment {entry.get('name')!r} lies outside the store bounds"
-            )
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            raise StoreError(f"segment {name!r} lies outside the store bounds")
+        expected = dtype.itemsize * math.prod(shape)
         if nbytes != expected:
             raise StoreError(
-                f"segment {entry.get('name')!r} declares {nbytes} bytes but "
+                f"segment {name!r} declares {nbytes} bytes but "
                 f"dtype/shape require {expected}"
             )
-        array = np.frombuffer(view[offset : offset + nbytes], dtype=dtype)
-        array = array.reshape(shape)
+        try:
+            array = np.frombuffer(view[offset : offset + nbytes], dtype=dtype)
+            array = array.reshape(shape)
+        except ValueError as exc:
+            # an object or zero-size dtype, or negative dimensions
+            raise StoreError(
+                f"segment {name!r} is no {dtype} array of shape {shape}"
+            ) from exc
         if not writable:
             array.setflags(write=False)
-        arrays[entry["name"]] = array
+        arrays[name] = array
     return metadata, arrays
 
 

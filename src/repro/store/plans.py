@@ -34,7 +34,7 @@ from repro.core.plan import (
 )
 from repro.embedding.base import PredicateEmbedding
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import StoreError
+from repro.errors import QueryError, StoreError
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
 from repro.store.format import read_arrays, write_arrays
@@ -185,7 +185,7 @@ def load_plan_artifacts(
                 f"{facet} was {stored!r} at save time but is {current!r} now"
             )
     try:
-        return PlanArtifacts(
+        artifacts = PlanArtifacts(
             component=_component_from_metadata(metadata),
             source=int(metadata["source"]),
             answers=arrays["answers"],
@@ -193,5 +193,22 @@ def load_plan_artifacts(
             walk_iterations=int(metadata["walk_iterations"]),
             num_candidates=int(metadata["num_candidates"]),
         )
+        stored_token = component_token(artifacts.component)
     except KeyError as exc:
         raise StoreError(f"plan artefact {path} is missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError, QueryError) as exc:
+        raise StoreError(f"plan artefact {path} is malformed: {exc}") from exc
+    answers, probabilities = artifacts.answers, artifacts.probabilities
+    if not (
+        stored_token == metadata.get("component_token")
+        and 0 <= artifacts.source < kg.num_nodes
+        and answers.ndim == probabilities.ndim == 1
+        and len(answers) == len(probabilities)
+        and answers.dtype.kind in "iu"
+        and probabilities.dtype == np.float64
+    ):
+        raise StoreError(
+            f"plan artefact {path} is malformed: its component, source or "
+            "arrays do not match its header"
+        )
+    return artifacts

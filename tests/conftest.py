@@ -27,6 +27,7 @@ from repro.bench.harness import SampledExecutor
 from repro.bench.harness import sampled_engine as _sampled_engine
 from repro.core.planner import QueryPlanner
 from repro.kg import KnowledgeGraph
+from repro.semantics.validation import CorrectnessValidator
 
 
 @dataclass
@@ -223,6 +224,26 @@ def sampled_engine():
 def sampled_service():
     """Builds a service that never takes the census (:class:`SampledExecutor`)."""
     return _sampled_service
+
+
+def _path_similarity(space, query_predicate, predicates) -> float:
+    """Eq. 2 of the one path ``predicates`` (edge by edge), read off the
+    exact row at the end of a graph that is just that path, so the path
+    is the end's only match."""
+    kg = KnowledgeGraph()
+    nodes = [kg.add_node(f"n{index}", ["T"]) for index in range(len(predicates) + 1)]
+    for left, right, predicate in zip(nodes, nodes[1:], predicates):
+        kg.add_edge(left, predicate, right)
+    validator = CorrectnessValidator(
+        kg, space, nodes[0], query_predicate, max_length=len(predicates)
+    )
+    return validator.validate(nodes[-1]).similarity
+
+
+@pytest.fixture(scope="session")
+def path_similarity():
+    """Eq. 2 of one path as the production row computes it."""
+    return _path_similarity
 
 
 def _memoised(validator) -> dict[int, float]:

@@ -69,23 +69,22 @@ def chain_distribution(toy, toy_stage, chain_component):
 
 class TestChainSampler:
     def test_distribution_sums_to_one(self, chain_distribution):
-        assert chain_distribution.distribution.probabilities.sum() == pytest.approx(1.0)
+        distribution, _expanded = chain_distribution
+        assert distribution.probabilities.sum() == pytest.approx(1.0)
 
     def test_support_covers_designed_answers(self, toy, chain_distribution):
-        support = set(int(n) for n in chain_distribution.distribution.answers)
-        assert set(toy.near_miss_cars) <= support
+        distribution, expanded = chain_distribution
+        assert set(toy.near_miss_cars) <= set(distribution.answers.tolist())
+        assert expanded > 0
 
-    def test_routes_reference_real_intermediates(self, toy, chain_distribution):
-        for answer, routes in chain_distribution.routes.items():
-            for intermediates, probability in routes:
-                assert probability > 0
-                for node in intermediates:
-                    assert toy.kg.node(node).has_type("Person")
-
-    def test_truncation_flag(self, toy, toy_stage, chain_component):
-        sampler = ChainSampler(toy.kg, toy_stage, max_intermediates=2)
-        distribution = sampler.build(chain_component)
-        assert distribution.truncated
+    def test_the_cap_bounds_the_expanded_intermediates(
+        self, toy, toy_stage, chain_component, chain_distribution
+    ):
+        _distribution, uncapped = chain_distribution
+        _distribution, capped = ChainSampler(
+            toy.kg, toy_stage, max_intermediates=2
+        ).build(chain_component)
+        assert capped <= 2 + 1 < uncapped  # two intermediates plus the source
 
     def test_invalid_max_intermediates(self, toy, toy_stage):
         with pytest.raises(SamplingError):
@@ -107,20 +106,15 @@ def _assert_equals_oracle(
 ):
     """The array composition over the batched ``stage`` against the
     dict-of-tuples oracle over the per-source ``stage_of``, exactly."""
-    built = ChainSampler(kg, stage, max_intermediates=max_intermediates).build(
-        component, first_stage
-    )
-    distribution, routes, expanded, truncated = compose_routes_python(
+    built, built_expanded = ChainSampler(
+        kg, stage, max_intermediates=max_intermediates
+    ).build(component, first_stage)
+    distribution, expanded = compose_routes_python(
         kg, stage_of, component, max_intermediates, first_stage
     )
-    assert built.distribution.answers.tobytes() == distribution.answers.tobytes()
-    assert (
-        built.distribution.probabilities.tobytes()
-        == distribution.probabilities.tobytes()
-    )
-    # equal as mappings, per-answer route order and key order included
-    assert list(built.routes.items()) == list(routes.items())
-    assert (built.expanded_intermediates, built.truncated) == (expanded, truncated)
+    assert built.answers.tobytes() == distribution.answers.tobytes()
+    assert built.probabilities.tobytes() == distribution.probabilities.tobytes()
+    assert built_expanded == expanded
     return built
 
 
@@ -142,12 +136,9 @@ class TestRouteCompositionOracle:
         component = QueryGraph.chain(hub.hub_name, hub.hub_types, hops).components[0]
         stage = batched_stage(bundle.kg, bundle.space())
         stage_of = partial(stage_distribution_per_source, bundle.kg, bundle.space())
-        built = _assert_equals_oracle(
+        _assert_equals_oracle(
             bundle.kg, stage, stage_of, component, max_intermediates
         )
-        assert built.route_nodes.shape == (len(built.route_probability), num_hops)
-        if max_intermediates == 3:
-            assert built.truncated
         # the planner's hand-over of an already-walked first hop
         source = resolve_mapping_node(
             bundle.kg, component.specific_name, component.specific_types
@@ -258,7 +249,7 @@ class TestChainSamplerKinds:
         planner = self._planner(bundle, SamplerKind.CNARW)
         cnarw = planner.plan_for(component)
         # the plan keeps no routes: compose them again over its stages
-        routed = ChainSampler(bundle.kg, planner._stage).build(component)
+        routed, _expanded = ChainSampler(bundle.kg, planner._stage).build(component)
 
         def stage(sources, predicate, node_types, hop=0):
             return stage_distributions(
@@ -266,13 +257,12 @@ class TestChainSamplerKinds:
                 partial(cnarw_entry_weights, bundle.kg),
             )
 
-        expected = ChainSampler(bundle.kg, stage).build(component)
+        expected, _expanded = ChainSampler(bundle.kg, stage).build(component)
         for plan_bytes, expected_bytes in (
-            (cnarw.distribution.answers, expected.distribution.answers),
-            (cnarw.distribution.probabilities, expected.distribution.probabilities),
-            (routed.distribution.probabilities, expected.distribution.probabilities),
-            (routed.route_nodes, expected.route_nodes),
-            (routed.route_probability, expected.route_probability),
+            (cnarw.distribution.answers, expected.answers),
+            (cnarw.distribution.probabilities, expected.probabilities),
+            (routed.answers, expected.answers),
+            (routed.probabilities, expected.probabilities),
         ):
             assert plan_bytes.tobytes() == expected_bytes.tobytes()
         assert (

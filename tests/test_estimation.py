@@ -14,7 +14,6 @@ from repro.estimation import (
     ConfidenceInterval,
     EstimationSample,
     Normalization,
-    additional_sample_size,
     bootstrap_sigma,
     estimate,
     estimate_avg,
@@ -223,7 +222,6 @@ class TestConfidence:
         assert interval.width == 4.0
         assert interval.contains(9.0)
         assert not interval.contains(13.0)
-        assert interval.relative_moe() == pytest.approx(0.2)
 
     def test_interval_validation(self):
         with pytest.raises(EstimationError):
@@ -231,13 +229,6 @@ class TestConfidence:
         with pytest.raises(EstimationError):
             ConfidenceInterval(estimate=1.0, moe=0.1, confidence_level=1.5)
 
-    def test_from_sigma(self):
-        interval = ConfidenceInterval.from_sigma(10.0, 1.0, 0.95)
-        assert interval.moe == pytest.approx(1.96, abs=0.005)
-
-    def test_zero_estimate_relative_moe(self):
-        interval = ConfidenceInterval(estimate=0.0, moe=1.0, confidence_level=0.95)
-        assert interval.relative_moe() == float("inf")
 
 
 class TestBootstrap:
@@ -574,18 +565,6 @@ class TestAccuracy:
         for truth in np.linspace(v_hat - eps, v_hat + eps, 21):
             assert abs(v_hat - truth) / truth <= eb + 1e-12
 
-    def test_additional_sample_size_eq12(self):
-        """Eq. 12 with the paper's Example 5 numbers (~16 extra answers)."""
-        # |S_A| = 100, eps = 6.5, V_hat = 578, eb = 0.01, m = 0.6
-        delta = additional_sample_size(100, 6.5, 578.0, 0.01, 0.6)
-        assert 10 <= delta <= 25
-
-    def test_additional_sample_size_zero_when_satisfied(self):
-        assert additional_sample_size(100, 0.5, 578.0, 0.01, 0.6) == 0
-
-    def test_additional_sample_size_bounds(self):
-        assert additional_sample_size(100, 99.0, 578.0, 0.01, 0.6, maximum=50) == 50
-        with pytest.raises(EstimationError):
-            additional_sample_size(0, 1.0, 1.0, 0.01)
+    def test_moe_target_needs_a_positive_bound(self):
         with pytest.raises(EstimationError):
             moe_target(1.0, 0.0)

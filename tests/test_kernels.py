@@ -154,8 +154,9 @@ def _assert_row_matches_dfs(kg, space, source, max_length, tau=0.5):
 
 
 class TestExactRow:
-    """``kernels.exact_similarities`` (through the validator) equals SSB's
-    exhaustive enumeration, ``matching.best_matches_from``."""
+    """The simple row — ``kernels.leg_sums`` from a one-hot seed, reduced by
+    ``kernels.best_mean``, through the validator — equals SSB's exhaustive
+    enumeration, ``matching.best_matches_from``."""
 
     @pytest.mark.parametrize("known", [PREDICATE_POOL, PREDICATE_POOL[:-1]],
                              ids=["covered", "rare_uncovered"])
@@ -232,9 +233,11 @@ class TestExactRow:
 
     def test_kernel_rejects_bounds_it_cannot_settle(self, toy):
         log_row = np.zeros(len(toy.kg.predicates))
+        seed = np.full(toy.kg.num_nodes, -np.inf)
+        seed[toy.germany] = 0.0
         with pytest.raises(ValueError):
-            kernels.exact_similarities(
-                toy.kg, toy.space, csr_snapshot(toy.kg), log_row, toy.germany, 4
+            kernels.leg_sums(
+                toy.kg, toy.space, csr_snapshot(toy.kg), log_row, seed, 4
             )
 
     def test_dedup_adjacency_is_built_once_and_never_exported(self):

@@ -1,11 +1,10 @@
-"""Tests for BFS scopes and path enumeration."""
+"""Tests for BFS hop distances."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kg import KnowledgeGraph, bounded_node_set, bounded_subgraph, hop_distances
-from repro.kg.traversal import enumerate_paths, path_nodes
+from repro.kg import KnowledgeGraph, hop_distances
 
 
 @pytest.fixture
@@ -34,68 +33,6 @@ class TestHopDistances:
     def test_negative_raises(self, chain_kg):
         with pytest.raises(ValueError):
             hop_distances(chain_kg, 0, -1)
-
-    def test_bounded_node_set(self, chain_kg):
-        a = chain_kg.node_by_name("a")
-        names = {chain_kg.node(n).name for n in bounded_node_set(chain_kg, a, 1)}
-        assert names == {"a", "b", "d"}
-
-    def test_bounded_subgraph_edges(self, chain_kg):
-        a = chain_kg.node_by_name("a")
-        nodes, edges = bounded_subgraph(chain_kg, a, 1)
-        # induced edges: a-b, a-d (c-d excluded: c outside)
-        assert len(edges) == 2
-        for edge_id in edges:
-            edge = chain_kg.edge(edge_id)
-            assert edge.subject in nodes and edge.object in nodes
-
-
-class TestEnumeratePaths:
-    def names(self, kg, source, paths):
-        return {
-            tuple(kg.node(n).name for n in path_nodes(kg, source, p)) for p in paths
-        }
-
-    def test_all_simple_paths(self, chain_kg):
-        a = chain_kg.node_by_name("a")
-        d = chain_kg.node_by_name("d")
-        paths = list(enumerate_paths(chain_kg, a, d, 4))
-        assert self.names(chain_kg, a, paths) == {
-            ("a", "d"),
-            ("a", "b", "c", "d"),
-        }
-
-    def test_length_bound(self, chain_kg):
-        a = chain_kg.node_by_name("a")
-        d = chain_kg.node_by_name("d")
-        paths = list(enumerate_paths(chain_kg, a, d, 1))
-        assert self.names(chain_kg, a, paths) == {("a", "d")}
-
-    def test_max_paths_cap(self, chain_kg):
-        a = chain_kg.node_by_name("a")
-        d = chain_kg.node_by_name("d")
-        paths = list(enumerate_paths(chain_kg, a, d, 4, max_paths=1))
-        assert len(paths) == 1
-
-    def test_source_equals_target_yields_nothing(self, chain_kg):
-        a = chain_kg.node_by_name("a")
-        assert list(enumerate_paths(chain_kg, a, a, 3)) == []
-
-    def test_node_filter(self, chain_kg):
-        a = chain_kg.node_by_name("a")
-        d = chain_kg.node_by_name("d")
-        b = chain_kg.node_by_name("b")
-        paths = list(
-            enumerate_paths(chain_kg, a, d, 4, node_filter=lambda n: n != b)
-        )
-        assert self.names(chain_kg, a, paths) == {("a", "d")}
-
-    def test_paths_are_simple(self, chain_kg):
-        a = chain_kg.node_by_name("a")
-        e = chain_kg.node_by_name("e")
-        for path in enumerate_paths(chain_kg, a, e, 5):
-            nodes = path_nodes(chain_kg, a, path)
-            assert len(nodes) == len(set(nodes))
 
 
 class TestTraversalProperties:

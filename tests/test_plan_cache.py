@@ -234,13 +234,13 @@ class TestPlanSharing:
 
         second = _engine(world, make=sampled_engine)
         builds: list[int] = []
-        original = kernels.exact_similarities
+        original = kernels.leg_sums
 
         def counting(*args, **kwargs):
             builds.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, "exact_similarities", counting)
+        monkeypatch.setattr(kernels, "leg_sums", counting)
         result = second.execute(world.count_query())
         assert result.total_draws > 0
         # the shared plan's row already held every answer the second

@@ -2,8 +2,8 @@
 
 Complements tests/test_properties.py (estimator concentration, Markov
 chain structure) with hypothesis coverage of Eq. 2's algebra, filter and
-group-by semantics, exact aggregation, and the Theorem-2 / Eq.-12
-accuracy arithmetic.
+group-by semantics, exact aggregation, and the Theorem-2 accuracy
+arithmetic.
 """
 
 from __future__ import annotations
@@ -16,22 +16,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.embedding import LookupEmbedding, PredicateVectorSpace
-from repro.estimation.accuracy import (
-    additional_sample_size,
-    moe_target,
-    satisfies_error_bound,
-)
+from repro.estimation.accuracy import moe_target, satisfies_error_bound
 from repro.estimation.confidence import ConfidenceInterval, normal_critical_value
 from repro.kg import KnowledgeGraph
 from repro.query.aggregate import AggregateFunction, Filter, GroupBy, exact_aggregate
-from repro.semantics.similarity import clamp_similarity, path_similarity
+from repro.semantics.similarity import clamp_similarity
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
 _values = st.lists(_finite, min_size=1, max_size=50)
 
 
 # ---------------------------------------------------------------------------
-# Eq. 2 — geometric-mean path similarity
+# Eq. 2 — geometric-mean path similarity, as the exact row reads it
 # ---------------------------------------------------------------------------
 def _space_with(similarities: list[float]) -> tuple[PredicateVectorSpace, list[str]]:
     """A 2-D space where predicate p{i} has the given cosine to 'query'."""
@@ -47,7 +43,7 @@ def _space_with(similarities: list[float]) -> tuple[PredicateVectorSpace, list[s
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6))
-def test_path_similarity_bounded_by_edge_extremes(similarities):
+def test_path_similarity_bounded_by_edge_extremes(path_similarity, similarities):
     space, names = _space_with(similarities)
     value = path_similarity(space, "query", names)
     clamped = [clamp_similarity(s) for s in similarities]
@@ -56,7 +52,7 @@ def test_path_similarity_bounded_by_edge_extremes(similarities):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6), st.randoms())
-def test_path_similarity_is_order_invariant(similarities, random):
+def test_path_similarity_is_order_invariant(path_similarity, similarities, random):
     space, names = _space_with(similarities)
     shuffled = list(names)
     random.shuffle(shuffled)
@@ -70,7 +66,7 @@ def test_path_similarity_is_order_invariant(similarities, random):
     st.lists(st.floats(0.05, 0.9), min_size=1, max_size=5),
     st.floats(0.05, 0.09),
 )
-def test_path_similarity_monotone_in_each_edge(similarities, bump):
+def test_path_similarity_monotone_in_each_edge(path_similarity, similarities, bump):
     """Raising any single edge similarity never lowers Eq. 2."""
     space_low, names = _space_with(similarities)
     base = path_similarity(space_low, "query", names)
@@ -83,7 +79,7 @@ def test_path_similarity_monotone_in_each_edge(similarities, bump):
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 1.0), st.integers(1, 8))
-def test_path_similarity_of_identical_edges_is_the_edge(value, length):
+def test_path_similarity_of_identical_edges_is_the_edge(path_similarity, value, length):
     space, names = _space_with([value] * length)
     assert path_similarity(space, "query", names) == pytest.approx(
         clamp_similarity(value), abs=1e-9
@@ -153,7 +149,7 @@ def test_exact_aggregate_identities(values):
 
 
 # ---------------------------------------------------------------------------
-# Theorem 2 and Eq. 12
+# Theorem 2
 # ---------------------------------------------------------------------------
 @settings(max_examples=80, deadline=None)
 @given(st.floats(1e-6, 1e9), st.floats(1e-4, 0.5))
@@ -169,38 +165,6 @@ def test_theorem2_target_is_below_naive_bound(estimate, error_bound):
 def test_satisfies_error_bound_agrees_with_target(estimate, error_bound, moe):
     expected = moe <= moe_target(estimate, error_bound)
     assert satisfies_error_bound(moe, estimate, error_bound) == expected
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(1, 100_000),
-    st.floats(1e-6, 1e6),
-    st.floats(1e-3, 1e9),
-    st.floats(1e-3, 0.5),
-)
-def test_eq12_zero_when_satisfied_positive_otherwise(
-    sample_size, moe, estimate, error_bound
-):
-    delta = additional_sample_size(sample_size, moe, estimate, error_bound)
-    if satisfies_error_bound(moe, estimate, error_bound):
-        assert delta == 0
-    else:
-        assert delta >= 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10_000), st.floats(1e-3, 1e6), st.floats(1e-3, 0.5))
-def test_eq12_monotone_in_moe(sample_size, estimate, error_bound):
-    target = moe_target(estimate, error_bound)
-    deltas = [
-        additional_sample_size(sample_size, target * factor, estimate, error_bound)
-        for factor in (1.5, 3.0, 10.0)
-    ]
-    assert deltas == sorted(deltas)
-
-
-def test_eq12_respects_maximum():
-    assert additional_sample_size(1_000, 100.0, 1.0, 0.01, maximum=7) == 7
 
 
 # ---------------------------------------------------------------------------

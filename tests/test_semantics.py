@@ -2,21 +2,18 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kg import KnowledgeGraph
 from repro.semantics import (
     SIMILARITY_FLOOR,
+    CorrectnessValidator,
     best_matches_from,
     clamp_similarity,
-    find_best_match,
-    match_similarity,
-    path_similarity,
 )
 from repro.semantics.matching import best_sums_by_length
-from repro.semantics.similarity import chain_similarity
 
 
 class TestClampSimilarity:
@@ -36,54 +33,42 @@ class TestClampSimilarity:
 
 
 class TestPathSimilarity:
-    def test_example_3(self, toy):
+    """Eq. 2 as the production row computes it."""
+
+    def test_example_3(self, toy, path_similarity):
         """The paper's Example 3: geomean(0.98, 0.81) ~ 0.89."""
         value = path_similarity(toy.space, "product", ["assembly", "country"])
         assert value == pytest.approx(math.sqrt(0.98 * 0.81), abs=1e-6)
 
-    def test_single_edge(self, toy):
+    def test_single_edge(self, toy, path_similarity):
         assert path_similarity(toy.space, "product", ["assembly"]) == pytest.approx(
             0.98, abs=1e-9
         )
 
-    def test_empty_path_rejected(self, toy):
-        with pytest.raises(ValueError):
-            path_similarity(toy.space, "product", [])
-
-    def test_match_similarity_takes_max(self, toy):
-        value = match_similarity(
-            toy.space, "product", [["assembly"], ["designer", "nationality"]]
-        )
-        assert value == pytest.approx(0.98, abs=1e-9)
-
-    def test_match_similarity_empty(self, toy):
-        assert match_similarity(toy.space, "product", []) == 0.0
-
-    def test_geometric_mean_non_monotone(self, toy):
-        """Adding a high-similarity edge can RAISE the mean (paper remark 2)."""
+    def test_geometric_mean_non_monotone(self, toy, path_similarity):
+        """Adding a high-similarity edge can RAISE the mean (paper remark 2),
+        so the row keeps the longer match: s -designer-> a loses to
+        s -designer-> m -assembly-> a."""
+        kg = KnowledgeGraph()
+        s, m, a = (kg.add_node(name, ["T"]) for name in "sma")
+        kg.add_edge(s, "designer", a)
+        kg.add_edge(s, "designer", m)
+        kg.add_edge(m, "assembly", a)
+        outcome = CorrectnessValidator(
+            kg, toy.space, s, "product", max_length=2
+        ).validate(a)
         short = path_similarity(toy.space, "product", ["designer"])
-        longer = path_similarity(toy.space, "product", ["designer", "assembly"])
-        assert longer > short
-
-    def test_chain_similarity_per_leg_predicates(self, toy):
-        value = chain_similarity(
-            toy.space,
-            ["nationality", "designer"],
-            [["nationality"], ["designer"]],
+        assert outcome.similarity > short
+        assert outcome.similarity == pytest.approx(
+            path_similarity(toy.space, "product", ["designer", "assembly"])
         )
-        assert value == pytest.approx(1.0, abs=1e-9)
-
-    def test_chain_similarity_validates_input(self, toy):
-        with pytest.raises(ValueError):
-            chain_similarity(toy.space, ["a", "b"], [["a"]])
-        with pytest.raises(ValueError):
-            chain_similarity(toy.space, ["nationality"], [[]])
+        assert outcome.best_length == 2
 
     @given(predicates=st.lists(
         st.sampled_from(["assembly", "country", "designer", "misc"]),
         min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
-    def test_similarity_bounded(self, toy, predicates):
+    def test_similarity_bounded(self, toy, path_similarity, predicates):
         value = path_similarity(toy.space, "product", predicates)
         assert SIMILARITY_FLOOR <= value <= 1.0
 
@@ -119,17 +104,6 @@ class TestBestMatches:
             assert match.node_path[0] == toy.germany
             assert match.node_path[-1] == node
             assert len(match.edge_path) == match.length <= 2
-
-    def test_find_best_match_unreachable(self, toy):
-        isolated_kg_target = toy.noise_nodes[0]
-        match = find_best_match(
-            toy.kg, toy.space, "product", toy.germany, isolated_kg_target, 1
-        )
-        # noise nodes attached to companies are 2 hops away: unreachable at 1
-        if toy.kg.neighbor_ids(isolated_kg_target) == [toy.germany]:
-            assert match is not None
-        else:
-            assert match is None
 
     def test_invalid_length(self, toy):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import socket
 import threading
 import time
@@ -321,6 +322,24 @@ class TestErrorMapping:
                 client.submit("COUNT( MATCH broken")
             assert info.value.status == 400
             assert info.value.payload["error"] == "ParseError"
+
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_error_bound_is_400_with_no_query(self, world, bound):
+        """``json.dumps`` writes ``Infinity`` / ``NaN`` and ``json.loads``
+        reads them back: submit and refine refuse them before a query or
+        a run exists."""
+        with _serve(_service(world)) as (client, _runner):
+            with pytest.raises(HttpStatusError) as info:
+                client.submit(COUNT_AQL, error_bound=bound)
+            assert info.value.status == 400
+            assert "id" not in info.value.payload
+            accepted = client.submit(COUNT_AQL, error_bound=0.2)
+            assert accepted["id"] == "q0"
+            client.wait(accepted["id"])
+            with pytest.raises(HttpStatusError) as info:
+                client.refine(accepted["id"], bound)
+            assert info.value.status == 400
+            assert client.status(accepted["id"])["status"] == "succeeded"
 
     def test_unknown_id_is_404_everywhere(self, world):
         with _serve(_service(world)) as (client, _runner):

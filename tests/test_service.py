@@ -1144,6 +1144,28 @@ class TestHandleSurface:
             # no record took the first sequence number
             assert service.submit(world.avg_query()).sequence == 0
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_invalid_error_bound_raises_at_submit(self, world, bound):
+        """NaN and the infinities used to fail the query at its first
+        growth, 0 and -1 in the estimator: now no record exists."""
+        with _service(world, autostart=False) as service:
+            with pytest.raises(QueryError, match="error_bound"):
+                service.submit(world.avg_query(), error_bound=bound)
+            assert service.health()["live_queries"] == 0
+            # no record took the first sequence number
+            assert service.submit(world.avg_query()).sequence == 0
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_invalid_error_bound_raises_at_refine(self, world, bound):
+        with _service(world) as service:
+            handle = service.submit(world.avg_query(), seed=5)
+            first = handle.result(timeout=30.0)
+            with pytest.raises(QueryError, match="error_bound"):
+                handle.refine(bound)
+            # no run was queued: the query stays settled on its result
+            assert handle.status is QueryStatus.SUCCEEDED
+            assert handle.result(timeout=30.0) is first
+
     def test_close_is_idempotent_and_refuses_new_work(self, world):
         service = _service(world)
         handle = service.submit(world.avg_query(), seed=5, error_bound=0.05)

@@ -14,10 +14,15 @@ Covers the store's contracts:
 
 from __future__ import annotations
 
+import itertools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import EngineConfig, KnowledgeGraph
+from repro import ApproximateAggregateEngine, EngineConfig, KnowledgeGraph
 from repro.core.plan import PlanCache
 from repro.core.planner import QueryPlanner
 from repro.errors import StoreError
@@ -29,7 +34,7 @@ from repro.store import (
     load_snapshot,
     save_snapshot,
 )
-from repro.store.format import read_arrays, write_arrays
+from repro.store.format import MAGIC, read_arrays, unpack_arrays, write_arrays
 from repro.store.plans import config_token, embedding_fingerprint
 from repro.store.snapshot import cached_graph_fingerprint
 
@@ -110,6 +115,83 @@ class TestSegmentFormat:
         _, loaded = read_arrays(path, mmap=True)
         with pytest.raises(ValueError):
             loaded["floats"][0, 0] = 1.0
+
+
+def _store_bytes(document, payload_offset: int = 256, payload: bytes = b"") -> bytes:
+    """A store file by hand: ``document`` as its JSON header, ``payload``
+    at ``payload_offset``."""
+    header = json.dumps(document).encode("utf-8")
+    head = MAGIC + len(header).to_bytes(8, "little") + header
+    assert len(head) <= payload_offset
+    return head.ljust(payload_offset, b"\x00") + payload
+
+
+def _one_segment(**entry) -> bytes:
+    """A version-1 store whose one segment entry is ``entry``, over eight
+    payload bytes at offset 256."""
+    document = {"format_version": 1, "metadata": {}, "segments": [entry]}
+    return _store_bytes(document, payload=bytes(range(8)))
+
+
+class TestMalformedHeaders:
+    """Every header shape the format does not write is a StoreError."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _store_bytes([1]),
+            _store_bytes({"format_version": 1, "metadata": [1], "segments": []}),
+            _store_bytes({"format_version": 1, "metadata": {}, "segments": 5}),
+            _store_bytes({"format_version": 1, "metadata": {}, "segments": [7]}),
+            _one_segment(name="x", dtype="|O", shape=[1], offset=256, nbytes=8),
+            _one_segment(name="x", dtype="<i8", shape=[-1, -1], offset=256, nbytes=8),
+            _one_segment(dtype="<i8", shape=[1], offset=256, nbytes=8),
+        ],
+        ids=[
+            "list_header",
+            "list_metadata",
+            "int_segments",
+            "int_segment_entry",
+            "object_dtype",
+            "two_negative_dimensions",
+            "nameless_segment",
+        ],
+    )
+    def test_rejected(self, tmp_path, data):
+        with pytest.raises(StoreError):
+            unpack_arrays(data)
+        path = tmp_path / "bad.store"
+        path.write_bytes(data)
+        for mmap in (True, False):
+            with pytest.raises(StoreError):
+                read_arrays(path, mmap=mmap)
+
+    def test_a_well_formed_hand_store_loads(self):
+        """The hand-built container the cases above corrupt."""
+        metadata, arrays = unpack_arrays(
+            _one_segment(name="x", dtype="<i8", shape=[1], offset=256, nbytes=8)
+        )
+        assert metadata == {}
+        assert arrays["x"].tolist() == [int.from_bytes(bytes(range(8)), "little")]
+
+    def test_a_list_header_plan_file_is_rebuilt(self, world, tmp_path):
+        """A catalog plan file whose header is ``[1]`` counts as a catalog
+        error and is rebuilt: the query succeeds."""
+        catalog = SnapshotCatalog(tmp_path / "catalog")
+        config = EngineConfig(seed=7)
+        query = world.count_query()
+        path = catalog.plan_path(
+            world.kg, world.space, config, query.query.components[0]
+        )
+        path.parent.mkdir(parents=True)
+        path.write_bytes(_store_bytes([1]))
+        engine = ApproximateAggregateEngine(
+            world.kg, world.embedding, config, catalog=catalog
+        )
+        result = engine.execute(query)
+        assert result.value == world.count_truth
+        assert (engine.planner.catalog_errors, engine.planner.build_count) == (1, 1)
+        assert load_plan_artifacts(path, world.kg, world.space, config).source >= 0
 
 
 class TestSnapshotPersistence:
@@ -464,3 +546,92 @@ class TestPlanCatalog:
         assert cached_graph_fingerprint(world.kg) == before
         world.kg.add_node("New", ["Thing"])
         assert cached_graph_fingerprint(world.kg) != before
+
+
+# ---------------------------------------------------------------------------
+# Byte mutation: a store file with any bytes changed loads or is a StoreError
+# ---------------------------------------------------------------------------
+def _mutations(size: int, header_end: int):
+    """Up to eight ``(position, byte)`` overwrites, most inside the header."""
+    position = st.one_of(
+        st.integers(0, header_end - 1), st.integers(0, size - 1)
+    )
+    return st.lists(st.tuples(position, st.integers(0, 255)), min_size=1, max_size=8)
+
+
+def _mutated(data: bytes, mutations) -> bytes:
+    mutable = bytearray(data)
+    for position, value in mutations:
+        mutable[position] = value
+    return bytes(mutable)
+
+
+def _header_end(data: bytes) -> int:
+    return 16 + int.from_bytes(data[8:16], "little")
+
+
+class TestByteMutation:
+    _names = itertools.count()
+
+    # function-scoped fixtures run once per test, not once per example:
+    # every example of a test reuses its world and its original file
+
+    @pytest.fixture
+    def plan_case(self, world, tmp_path):
+        catalog = SnapshotCatalog(tmp_path / "catalog")
+        config = EngineConfig(seed=7)
+        component = world.count_query().query.components[0]
+        planner = QueryPlanner(
+            world.kg, world.space, config, cache=PlanCache(), catalog=catalog
+        )
+        planner.plan_for(component)
+        path = catalog.plan_path(world.kg, world.space, config, component)
+        return world, planner, catalog, config, component, path.read_bytes()
+
+    @pytest.fixture
+    def snapshot_case(self, world, tmp_path):
+        path = tmp_path / "toy.snap"
+        save_snapshot(world.kg, path)
+        return world, path.parent, path.read_bytes()
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_a_mutated_plan_file_loads_or_is_a_store_error(self, plan_case, data):
+        world, planner, catalog, config, component, original = plan_case
+        mutations = data.draw(_mutations(len(original), _header_end(original)))
+        path = catalog.plan_path(world.kg, world.space, config, component)
+        path.write_bytes(_mutated(original, mutations))
+        try:
+            plan = catalog.try_load_plan(
+                world.kg, world.space, config, component,
+                make_validator=planner._validator, mmap=False,
+            )
+        except StoreError:
+            return
+        assert plan.component == component
+        assert 0 <= plan.source < world.kg.num_nodes
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_a_mutated_snapshot_file_loads_or_is_a_store_error(
+        self, snapshot_case, data
+    ):
+        world, directory, original = snapshot_case
+        mutations = data.draw(_mutations(len(original), _header_end(original)))
+        path = directory / f"mutated-{next(self._names)}.snap"
+        path.write_bytes(_mutated(original, mutations))
+        try:
+            snapshot = load_snapshot(path, world.kg, mmap=False)
+        except StoreError:
+            return
+        assert (snapshot.num_nodes, snapshot.num_edges) == (
+            world.kg.num_nodes, world.kg.num_edges,
+        )
