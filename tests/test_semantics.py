@@ -105,6 +105,22 @@ class TestBestMatches:
             assert match.node_path[-1] == node
             assert len(match.edge_path) == match.length <= 2
 
+    def test_best_match_unreachable(self, toy):
+        """A node farther than the length bound has no match: noise nodes
+        hang off Germany (1 hop) or off a company (2 hops)."""
+        near = [
+            node
+            for node in toy.noise_nodes
+            if toy.kg.neighbor_ids(node) == [toy.germany]
+        ]
+        far = [node for node in toy.noise_nodes if node not in near]
+        assert near and far
+        matches = best_matches_from(toy.kg, toy.space, "product", toy.germany, 1)
+        assert set(near) <= set(matches)
+        assert not set(far) & set(matches)
+        wider = best_matches_from(toy.kg, toy.space, "product", toy.germany, 2)
+        assert set(far) <= set(wider)
+
     def test_invalid_length(self, toy):
         with pytest.raises(ValueError):
             best_matches_from(toy.kg, toy.space, "product", toy.germany, 0)

@@ -501,8 +501,11 @@ class TestGroupedAndExtremeSlots:
         config = EngineConfig(
             seed=7, max_rounds=8, error_bound=0.001, min_group_draws=1
         )
+        # held until the whole batch is in: submit_batch submits one query
+        # at a time, so a running scheduler could finish the count query
+        # before the grouped one arrives and no pass would hold both
         with sampled_service(
-            world.kg, world.embedding, config, backend=backend
+            world.kg, world.embedding, config, backend=backend, autostart=False
         ) as service:
             handles = service.submit_batch(
                 [
@@ -511,6 +514,7 @@ class TestGroupedAndExtremeSlots:
                     (_extreme_query(), 5),
                 ]
             )
+            service.start()
             for handle in handles:
                 handle.result()
         mixed_passes = [
