@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.kg.graph import KnowledgeGraph
@@ -43,7 +43,6 @@ def best_matches_from(
     source: int,
     max_length: int,
     *,
-    targets: Iterable[int] | None = None,
     floor: float = SIMILARITY_FLOOR,
     max_expansions: int | None = None,
 ) -> dict[int, SubgraphMatch]:
@@ -51,16 +50,12 @@ def best_matches_from(
 
     Enumerates all simple paths from ``source`` of length <= ``max_length``
     by DFS, carrying the running log-similarity so each extension is O(1).
-    When ``targets`` is given, only those nodes are recorded (the traversal
-    still passes through every node — correctness requires full
-    enumeration — but skips the bookkeeping for non-targets).
     ``max_expansions`` caps the number of path extensions for callers that
     need bounded latency; hitting the cap can only produce underestimates
     (never false positives), mirroring the paper's false-negative analysis.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    target_set = set(targets) if targets is not None else None
     best: dict[int, SubgraphMatch] = {}
     expansions = 0
 
@@ -74,8 +69,6 @@ def best_matches_from(
 
     def consider(node: int, depth: int, log_total: float) -> None:
         """Record ``path`` if it beats the best similarity seen for its answer."""
-        if target_set is not None and node not in target_set:
-            return
         similarity = math.exp(log_total / depth)
         current = best.get(node)
         if current is None or similarity > current.similarity:

@@ -193,22 +193,26 @@ def load_plan_artifacts(
             walk_iterations=int(metadata["walk_iterations"]),
             num_candidates=int(metadata["num_candidates"]),
         )
-        stored_token = component_token(artifacts.component)
+        # Canonicalising the component rejects a malformed type list.
+        component_token(artifacts.component)
     except KeyError as exc:
         raise StoreError(f"plan artefact {path} is missing {exc}") from exc
     except (TypeError, ValueError, OverflowError, QueryError) as exc:
         raise StoreError(f"plan artefact {path} is malformed: {exc}") from exc
     answers, probabilities = artifacts.answers, artifacts.probabilities
     if not (
-        stored_token == metadata.get("component_token")
-        and 0 <= artifacts.source < kg.num_nodes
+        0 <= artifacts.source < kg.num_nodes
         and answers.ndim == probabilities.ndim == 1
         and len(answers) == len(probabilities)
         and answers.dtype.kind in "iu"
         and probabilities.dtype == np.float64
+        and (
+            answers.size == 0
+            or (answers.min() >= 0 and answers.max() < kg.num_nodes)
+        )
     ):
         raise StoreError(
-            f"plan artefact {path} is malformed: its component, source or "
-            "arrays do not match its header"
+            f"plan artefact {path} is malformed: its source or arrays do "
+            "not match its header or the graph"
         )
     return artifacts

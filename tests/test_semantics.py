@@ -91,13 +91,6 @@ class TestBestMatches:
         for car in toy.near_miss_cars:
             assert matches[car].similarity < 0.85
 
-    def test_targets_filtering(self, toy):
-        target = toy.correct_cars[0]
-        matches = best_matches_from(
-            toy.kg, toy.space, "product", toy.germany, 3, targets=[target]
-        )
-        assert set(matches) == {target}
-
     def test_match_paths_are_consistent(self, toy):
         matches = best_matches_from(toy.kg, toy.space, "product", toy.germany, 2)
         for node, match in matches.items():

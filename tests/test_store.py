@@ -533,6 +533,28 @@ class TestPlanCatalog:
         third.plan_for(component)
         assert (third.build_count, third.catalog_hits) == (0, 1)
 
+    def test_a_plan_answer_outside_the_graph_is_refused(self, world, tmp_path):
+        """A stored answer id that names no node of the graph is a
+        :class:`StoreError`, so the catalog rebuilds the plan instead of
+        failing every query on the component."""
+        catalog = SnapshotCatalog(tmp_path / "catalog")
+        config = EngineConfig(seed=7)
+        component = world.count_query().query.components[0]
+        QueryPlanner(
+            world.kg, world.space, config, cache=PlanCache(), catalog=catalog
+        ).plan_for(component)
+        path = catalog.plan_path(world.kg, world.space, config, component)
+        metadata, arrays = read_arrays(path, mmap=False)
+        arrays["answers"][-1] = world.kg.num_nodes
+        write_arrays(path, metadata, arrays)
+        with pytest.raises(StoreError, match="malformed"):
+            load_plan_artifacts(path, world.kg, world.space, config)
+        healed = QueryPlanner(
+            world.kg, world.space, config, cache=PlanCache(), catalog=catalog
+        )
+        healed.plan_for(component)
+        assert (healed.build_count, healed.catalog_errors) == (1, 1)
+
     def test_embedding_fingerprint_tracks_content(self, world):
         first = embedding_fingerprint(world.embedding)
         assert first == embedding_fingerprint(world.embedding)  # memoised
@@ -614,6 +636,7 @@ class TestByteMutation:
             return
         assert plan.component == component
         assert 0 <= plan.source < world.kg.num_nodes
+        plan.validator.validate_batch(plan.distribution.answers)
 
     @settings(
         max_examples=150,
