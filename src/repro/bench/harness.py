@@ -39,7 +39,7 @@ from repro.bench.metrics import grouped_relative_error, relative_error
 from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.executor import QueryExecutor
-from repro.core.plan import PlanCache
+from repro.core.plan import PlanCache, QueryPlan
 from repro.core.planner import QueryPlanner
 from repro.core.result import ApproximateResult, GroupedResult
 from repro.datasets import (
@@ -73,8 +73,12 @@ class SampledExecutor(QueryExecutor):
     its first round and draws nothing; the paper's figures, a
     calibration of the sampling path, and tests of the sampling
     mechanics — Eq. 12 growth, BLB bags, the sample cap, the round
-    budget, anytime progress — run on this instead.
+    budget, anytime progress — run on this instead.  Its queries draw
+    from the start, so each plan runs S1 on its first draw.
     """
+
+    def _census_support(self, components, plans):
+        return None
 
     def _census_due(self, state, need: int) -> bool:
         return False
@@ -94,10 +98,11 @@ class PaperPlanner(QueryPlanner):
 
     It publishes into a :class:`PlanCache` of its own, so its plans — and
     the greedy verdicts memoised on them — never meet a production
-    engine's.  It overrides the first leg only — a chain plan wraps it in
-    the base planner's :class:`~repro.semantics.validation.ChainValidator`
-    — and each search walks the visiting map of the first S1 stage of its
-    build (the planner has no catalog, so every plan is built).  A simple
+    engine's.  It builds pi_A with the plan, not on the first draw, and
+    overrides the first leg only — a chain plan wraps it in the base
+    planner's :class:`~repro.semantics.validation.ChainValidator` — and
+    each search walks the visiting map of the first S1 stage of its build
+    (the planner has no catalog, so every plan is built).  A simple
     plan's search stops at ``tau`` (the verdict cannot change past it); a
     chain's first leg runs all ``r`` paths to every typed intermediate
     within the bound, as the best one found seeds the chain's exact later
@@ -106,6 +111,17 @@ class PaperPlanner(QueryPlanner):
 
     def __init__(self, kg, space, config: EngineConfig) -> None:
         super().__init__(kg, space, config, cache=PlanCache())
+
+    def _build(self, component: PathQuery) -> QueryPlan:
+        """A plan with S1 run at once: its validator walks the first stage."""
+        source = self._mapping_node(component)
+        sample, scope = self._sample(component, source)
+        return QueryPlan(
+            component=component,
+            source=source,
+            validator=self._validator(component, source, scope),
+            sampler=lambda: sample,
+        )
 
     def _first_leg(
         self, component: PathQuery, source: int, scope

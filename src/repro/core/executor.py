@@ -1,12 +1,12 @@
 """The execution layer: S2 validation + estimation and the S3 loop.
 
 :class:`QueryExecutor` runs Algorithm 2 over ``(QueryPlan, _QueryState)``
-pairs: plans are the immutable S1 artefacts produced by the planning layer
-(:mod:`repro.core.planner`), states hold everything mutable about one query
-execution — draw index arrays, per-support verdicts, round traces, stage
-timers.  The split mirrors the paper's pipeline: the planner owns S1, this
-module owns S2 (validation + Eq. 7-9 estimation) and S3 (BLB confidence,
-Theorem-2 termination, Eq. 12 growth).
+pairs: plans are the immutable shared artefacts produced by the planning
+layer (:mod:`repro.core.planner`), states hold everything mutable about
+one query execution — draw index arrays, per-support verdicts, round
+traces, stage timers.  The split mirrors the paper's pipeline: the plans
+own S1, this module owns S2 (validation + Eq. 7-9 estimation) and S3
+(BLB confidence, Theorem-2 termination, Eq. 12 growth).
 
 Every query kind runs one round lifecycle — :meth:`QueryExecutor.grow`,
 :meth:`QueryExecutor.step`, :meth:`QueryExecutor.finalise` under
@@ -18,12 +18,14 @@ nowhere else.  This module holds no loop: the serving scheduler's slot
 (:mod:`repro.core.service`) is the only driver, interleaving rounds
 across live queries of all kinds.  The last round may be the **census**,
 which validates the rest of the support and returns the exact aggregate
-(:meth:`QueryExecutor._census`).  A query whose joint support is no
-larger than ``max_sample_size`` takes it first: ``initialise`` draws
-nothing and the query settles in one round, MAX/MIN included.  Above the
-cap the query samples, and once a growth would draw at least as many
-answers as it has not drawn, nothing is drawn and the next round is the
-census.
+(:meth:`QueryExecutor._census`).  A query whose joint candidate set — the
+answers its plans' exact rows reach, typed as each component's last hop
+requires — is no larger than ``max_sample_size`` takes it first:
+``initialise`` reads the candidates, draws nothing and runs no S1, and
+the query settles in one round over them, MAX/MIN included.  Above the
+cap the query samples from pi_A, which its plans build on this first
+draw, and once a growth would draw at least as many answers as it has not
+drawn, nothing is drawn and the next round is the census.
 
 Validation is **batched**: each round's pending support entries pass one
 array-valued attribute/filter screen over the graph's attribute columns
@@ -36,7 +38,8 @@ interactive sessions never revalidate an answer.  An answer of a composite
 query is correct only when every component keeps it: each component reads
 the whole batch and the verdicts are ANDed — a row read has nothing to
 skip.  Validation time is attributed to its own ``"validation"`` stage
-bucket (the paper's Table XII folds it into S2).
+bucket (the paper's Table XII folds it into S2), and so is the row build
+a census-first ``initialise`` triggers by reading the candidates.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import DeltaStrategy, EngineConfig, ExtremeMethod
-from repro.core.plan import QueryPlan, plan_key
+from repro.core.plan import CandidateSet, QueryPlan, plan_key
 from repro.core.planner import QueryPlanner
 from repro.core.result import (
     STOP_BOUND_MET,
@@ -98,6 +101,11 @@ KIND_EXTREME = "extreme"  # MAX/MIN (§IV-B1): sample extremum, no CI
 #: every label :func:`kind_for` can return
 KINDS = (KIND_ROUNDS, KIND_GROUPED, KIND_EXTREME)
 
+_EMPTY_JOINT = (
+    "the query components share no candidate answer; the composite query "
+    "has an empty intersection sample"
+)
+
 #: most elements one ``(groups, draws)`` block of a closed-form GROUP-BY
 #: round may hold; a round with more is reduced a block of groups at a time
 _GROUP_BLOCK_ELEMENTS = 1 << 20
@@ -118,8 +126,12 @@ class _QueryState:
 
     aggregate_query: AggregateQuery
     components: list[QueryPlan]
-    joint: AnswerDistribution
-    collector: AnswerCollector
+    #: the support the query runs over, in support-index order: the joint
+    #: candidate set of a census-first query, else the joint pi_A its
+    #: draws are taken from
+    joint: AnswerDistribution | CandidateSet
+    #: draws from ``joint``; None on a census-first query
+    collector: AnswerCollector | None
     #: per-little-sample arrays of support indices
     little_samples: list[np.ndarray]
     desired_n: int
@@ -140,10 +152,11 @@ class _QueryState:
     #: GROUP-BY only: the latest round's per-group results, refreshed by
     #: every step and packaged by finalise
     grouped_results: dict[float, "ApproximateResult"] | None = None
-    #: set by ``initialise`` / ``grow`` instead of drawing when the
-    #: support fits under ``max_sample_size`` or the growth would add at
-    #: least as many draws as the support has undrawn entries
-    #: (:meth:`QueryExecutor._census_due`): the next ``step`` is the census
+    #: set by ``initialise`` when the joint candidate set fits under
+    #: ``max_sample_size``, and by ``grow`` instead of drawing when the
+    #: growth would add at least as many draws as the support has undrawn
+    #: entries (:meth:`QueryExecutor._census_due`): the next ``step`` is
+    #: the census
     census_due: bool = False
     #: the census round, once run; a later ``step`` re-emits it
     census: RoundTrace | None = None
@@ -220,7 +233,7 @@ class QueryExecutor:
         self._planner = planner
 
     # ------------------------------------------------------------------
-    # Initialisation (S1 hand-off)
+    # Initialisation: plans, then the census or the first draws
     # ------------------------------------------------------------------
     @staticmethod
     def _joint_distribution(components: list[QueryPlan]) -> AnswerDistribution:
@@ -235,10 +248,7 @@ class QueryExecutor:
         for plan in components[1:]:
             answers = np.intersect1d(answers, plan.distribution.answers)
         if len(answers) == 0:
-            raise QueryError(
-                "the query components share no candidate answer; the "
-                "composite query has an empty intersection sample"
-            )
+            raise QueryError(_EMPTY_JOINT)
         weights = np.ones(len(answers), dtype=np.float64)
         for plan in components:
             distribution = plan.distribution
@@ -250,20 +260,54 @@ class QueryExecutor:
             weights *= distribution.probabilities[where]
         return AnswerDistribution(answers=answers, probabilities=weights / weights.sum())
 
-    def _joint_support(
+    def _candidate_intersection(self, plans: list[QueryPlan]) -> CandidateSet:
+        """The answers every one of ``plans`` has as a candidate."""
+        answers = plans[0].candidates(self._kg).answers
+        for plan in plans[1:]:
+            answers = np.intersect1d(
+                answers, plan.candidates(self._kg).answers, assume_unique=True
+            )
+        if len(answers) == 0:
+            raise QueryError(_EMPTY_JOINT)
+        answers.setflags(write=False)
+        return CandidateSet(answers)
+
+    def _census_support(
         self, components: tuple[PathQuery, ...], plans: list[QueryPlan]
-    ) -> AnswerDistribution:
-        """The joint support of ``plans`` (``components``' plans): a lone
-        plan's own distribution, else assembled once per plan set and
-        cached beside the plans (:meth:`PlanCache.joint_for`)."""
+    ) -> CandidateSet | None:
+        """The joint candidate set of ``plans`` (``components``' plans)
+        when the query takes the census first — it has no more candidates
+        than ``max_sample_size`` — else None.
+
+        A lone plan's set is its own; a composite's is the intersection,
+        assembled once per plan set and cached beside the plans
+        (:meth:`PlanCache.joint_for`).  Reading a plan's candidates builds
+        its validator's row if no query has yet.  The basis of the rule
+        is measured, not derived: S2 is exact, so validating the whole
+        set is one read of a row per component, and it beat the sampled
+        run (its S1 walk, BLB little samples and 2–3 rounds) on every
+        ledger query and on a yago2-like scale-30 probe whose largest
+        joint support is 14 227.  Sets between that and the cap are
+        unverified — chain components in particular, whose rows chain one
+        leg pass per total length — and there the census is one round of
+        up to ``max_sample_size`` validations, where sampled growth would
+        have bounded each round.  ``SampledExecutor`` (the figures, the
+        sampling tests) answers None here, as it never finds the census
+        due (:meth:`_census_due`).
+        """
         if len(plans) == 1:
-            return plans[0].distribution
-        keys = tuple(
-            plan_key(component, self._space, self.config) for component in components
-        )
-        return self._planner.cache.joint_for(
-            self._kg, keys, plans, lambda: self._joint_distribution(plans)
-        )
+            candidates = plans[0].candidates(self._kg)
+        else:
+            keys = tuple(
+                plan_key(component, self._space, self.config)
+                for component in components
+            )
+            candidates = self._planner.cache.joint_for(
+                self._kg, keys, plans, lambda: self._candidate_intersection(plans)
+            )
+        if candidates.support_size <= self.config.max_sample_size:
+            return candidates
+        return None
 
     def initialise(
         self,
@@ -272,55 +316,79 @@ class QueryExecutor:
         *,
         confidence: float | None = None,
     ) -> _QueryState:
-        """Plan every component and draw the initial BLB little samples —
-        or none, when the census is due at once (:meth:`_census_due`: the
-        joint support fits under ``max_sample_size``, or the samples would
-        outnumber it) and the first ``step`` is the census.  ``seed`` /
-        ``confidence`` default to the config's."""
+        """Plan every component, then settle how the query runs.
+
+        When the joint candidate set fits under ``max_sample_size``
+        (:meth:`_census_support`) the query takes the census first: its
+        state runs over those candidates, holds no collector, and its
+        first ``step`` is the census; no plan runs S1.  Otherwise the
+        state runs over the joint pi_A — each plan runs S1 on this, its
+        first draw — and draws the initial BLB little samples, unless the
+        census is due at once (:meth:`_census_due`).  Reading the
+        candidates builds the plans' rows, timed as validation.
+        ``seed`` / ``confidence`` default to the config's.
+        """
         config = self.config
         effective_seed = config.seed if seed is None else seed
-        rng = ensure_rng(derive_seed(effective_seed, "engine"))
         timers = StageTimer()
 
-        with child_span("initialise", seed=effective_seed), timers.measure(
-            STAGE_SAMPLING
-        ):
+        with child_span("initialise", seed=effective_seed):
             query_components = aggregate_query.query.components
-            components = [
-                self._planner.plan_for(component) for component in query_components
-            ]
-            joint = self._joint_support(query_components, components)
-            num_candidates = max(plan.num_candidates for plan in components)
-            if aggregate_query.function.has_guarantee:
-                ratio = config.sample_ratio
-            else:
-                ratio = config.extreme_sample_ratio
-            desired_n = max(
-                config.min_initial_sample, int(math.ceil(ratio * num_candidates))
-            )
-            support_size = joint.support_size
-            state = _QueryState(
-                aggregate_query=aggregate_query,
-                components=components,
-                joint=joint,
-                collector=AnswerCollector(joint, seed=rng),
-                little_samples=[
-                    np.empty(0, dtype=np.int64)
-                    for _ in range(config.blb.num_little_samples)
-                ],
-                desired_n=desired_n,
-                num_candidates=num_candidates,
-                walk_iterations=max(plan.walk_iterations for plan in components),
-                confidence_level=(
-                    config.confidence_level if confidence is None else confidence
-                ),
-                support_known=np.zeros(support_size, dtype=bool),
-                support_correct=np.zeros(support_size, dtype=bool),
-                support_value=np.zeros(support_size, dtype=np.float64),
-                timers=timers,
-            )
-            little_size = config.blb.little_sample_size(desired_n)
-            self._draw(state, [little_size] * len(state.little_samples))
+            with timers.measure(STAGE_SAMPLING):
+                plans = [
+                    self._planner.plan_for(component) for component in query_components
+                ]
+            with timers.measure(STAGE_VALIDATION):
+                census = self._census_support(query_components, plans)
+            with timers.measure(STAGE_SAMPLING):
+                if census is not None:
+                    # no walk ran, and the census draws nothing
+                    joint, collector, desired_n = census, None, 0
+                    num_candidates, walk_iterations = census.support_size, 0
+                else:
+                    joint = (
+                        plans[0].distribution
+                        if len(plans) == 1
+                        else self._joint_distribution(plans)
+                    )
+                    collector = AnswerCollector(
+                        joint, seed=ensure_rng(derive_seed(effective_seed, "engine"))
+                    )
+                    num_candidates = max(plan.num_candidates for plan in plans)
+                    walk_iterations = max(plan.walk_iterations for plan in plans)
+                    if aggregate_query.function.has_guarantee:
+                        ratio = config.sample_ratio
+                    else:
+                        ratio = config.extreme_sample_ratio
+                    desired_n = max(
+                        config.min_initial_sample,
+                        int(math.ceil(ratio * num_candidates)),
+                    )
+                support_size = joint.support_size
+                state = _QueryState(
+                    aggregate_query=aggregate_query,
+                    components=plans,
+                    joint=joint,
+                    collector=collector,
+                    little_samples=[
+                        np.empty(0, dtype=np.int64)
+                        for _ in range(config.blb.num_little_samples)
+                    ],
+                    desired_n=desired_n,
+                    num_candidates=num_candidates,
+                    walk_iterations=walk_iterations,
+                    confidence_level=(
+                        config.confidence_level if confidence is None else confidence
+                    ),
+                    support_known=np.zeros(support_size, dtype=bool),
+                    support_correct=np.zeros(support_size, dtype=bool),
+                    support_value=np.zeros(support_size, dtype=np.float64),
+                    timers=timers,
+                    census_due=census is not None,
+                )
+                if census is None:
+                    little_size = config.blb.little_sample_size(desired_n)
+                    self._draw(state, [little_size] * len(state.little_samples))
         return state
 
     # ------------------------------------------------------------------
@@ -518,28 +586,15 @@ class QueryExecutor:
     def _census_due(self, state: _QueryState, need: int) -> bool:
         """Whether a growth of ``need`` draws gives way to the census.
 
-        It does at once — ``initialise`` draws nothing — when the joint
-        support is no larger than ``max_sample_size``.  The basis is
-        measured, not derived: S2 is exact, so a component's verdicts
-        are reads of one row built per plan, and validating the
-        whole support beat the sampled run (its BLB little samples and
-        2–3 rounds) on every ledger query and on a yago2-like scale-30
-        probe whose largest joint support is 14 227.  Supports between
-        that and the cap are unverified — chain components in particular,
-        whose rows chain one leg pass per total length — and there the
-        census is one round of up to ``max_sample_size`` validations, where
-        sampled growth would have bounded each round.  Above the cap it does when
-        ``need`` is at least the number of support entries this query
-        has not drawn: validating the rest then costs no more searches
-        than the draws would.  Either way the census returns the exact
-        aggregate.  The rule reads only the query's own draws and the
-        config, so which rounds a query takes is a function of (query,
-        seed, graph, config) — memo state changes only the cost.
+        It does when ``need`` is at least the number of support entries
+        this sampled query has not drawn: validating the rest then costs
+        no more searches than the draws would, and the census returns the
+        exact aggregate over the joint pi_A's support.  The rule reads
+        only the query's own draws and the config, so which rounds a
+        query takes is a function of (query, seed, graph, config) — memo
+        state changes only the cost.
         """
-        support_size = state.joint.support_size
-        if support_size <= self.config.max_sample_size:
-            return True
-        undrawn = support_size - len(state.distinct_support_indices())
+        undrawn = state.joint.support_size - len(state.distinct_support_indices())
         return need >= undrawn
 
     def step(
@@ -627,6 +682,8 @@ class QueryExecutor:
             stop_reason = STOP_SAMPLE_CAP
         else:
             stop_reason = STOP_ROUND_BUDGET
+        if self.obs_metrics is not None:
+            self.obs_metrics["stop_reasons"][stop_reason].inc()
         if kind == KIND_GROUPED:
             group_by = state.aggregate_query.group_by
             groups = state.grouped_results or {}
@@ -864,7 +921,9 @@ class QueryExecutor:
     def _census(
         self, state: _QueryState
     ) -> tuple[float, float | None, int, bool]:
-        """The exact aggregate over the whole joint support.
+        """The exact aggregate over the whole joint support: the joint
+        candidate set on a census-first query, the joint pi_A's support
+        on a sampled one.
 
         Every support entry still unknown is validated in one batch (one
         screen plus one validation per component) inside a ``census`` span;

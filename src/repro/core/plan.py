@@ -1,28 +1,31 @@
 """Immutable per-component query plans and the process-wide plan cache.
 
-S1 of Algorithm 2 — scope BFS, the Eq. 5/6 stationary distribution (in
-closed form), candidate restriction — is pure preparation: for a fixed graph
-structure, predicate space and configuration, a component's sampling
-artefacts never change.  This module names that artefact bundle
-:class:`QueryPlan` and shares it across engines through a single
-:class:`PlanCache` keyed on ``(graph, structure_version, component,
-predicate space, config fingerprint)``, the way approximate-aggregation
-systems amortise expensive per-predicate ("oracle") work across a whole
-workload instead of per query.
+A :class:`QueryPlan` binds one query component to its mapping node and
+its validator — the exact similarity row of
+:mod:`repro.semantics.validation` (the figures' r-path search a
+node-indexed memo), built lazily.  Everything a query needs from a plan
+is a function of the plan key, so plans are shared across engines
+through a single :class:`PlanCache` keyed on ``(graph,
+structure_version, component, predicate space, config fingerprint)``,
+the way approximate-aggregation systems amortise expensive
+per-predicate ("oracle") work across a whole workload instead of per
+query.
 
-Plans are structurally immutable (frozen dataclass, read-only arrays) but
-own every piece of S2 state compiled for them through their validator, so
-the plan key alone decides when it is stale: a simple or a chain plan's
-validator holds its exact similarity row over every node
-(:mod:`repro.semantics.validation`; the figures' r-path search a
-node-indexed memo), built lazily.  Validation is deterministic and a row
-is published once, whole and read-only, so concurrent engines sharing a
-plan only ever read "not yet" or that row; sharing it is what lets
-refinement rounds and interactive sessions skip revalidation entirely.
+A plan answers a census from its row: its candidates
+(:meth:`QueryPlan.candidates`) are the nodes the row reaches, typed as
+the component's last hop requires.  S1 of Algorithm 2 — scope BFS, the
+Eq. 5/6 stationary distribution (in closed form), candidate restriction
+— is needed only to draw, so a plan runs it on its first draw
+(:meth:`QueryPlan.sample`), once, under a lock of its own: pi_A is
+then part of the plan for good.  A validated row and a built pi_A are
+published whole and read-only, so concurrent engines sharing a plan
+only ever read "not yet" or the finished artefact; sharing it is what
+lets refinement rounds and interactive sessions skip revalidation
+entirely.
 
-Beside each graph's plans the cache keeps the *joint supports* of
-composite queries (the intersected :class:`AnswerDistribution`), keyed by
-the component plan keys: a joint is a function of its plans, so it is
+Beside each graph's plans the cache keeps the *joint candidate sets* of
+composite queries (the intersected :class:`CandidateSet`), keyed by the
+component plan keys: a joint is a function of its plans, so it is
 assembled once and dropped with any of them.
 
 The cache holds graphs weakly (a dead graph drops its plans) and evicts a
@@ -42,6 +45,8 @@ import numpy as np
 
 from repro.core.config import EngineConfig, SamplerKind
 from repro.embedding.predicate_space import PredicateVectorSpace
+from repro.errors import SamplingError
+from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerDistribution
@@ -52,34 +57,123 @@ PlanKey = Hashable
 
 
 @dataclass(frozen=True)
-class QueryPlan:
-    """One query component's S1 artefacts, shareable across engines."""
+class CandidateSet:
+    """The answers a census counts over: sorted, read-only node ids."""
 
-    component: PathQuery
-    #: the resolved mapping node ``us``
-    source: int
-    #: answer-restricted stationary distribution pi_A (Theorem 1): all S2
-    #: reads of S1, for simple and chain components alike
+    answers: np.ndarray
+
+    @property
+    def support_size(self) -> int:
+        """Number of candidate answers."""
+        return len(self.answers)
+
+
+@dataclass(frozen=True)
+class PlanSample:
+    """What S1 hands a plan's draws."""
+
+    #: answer-restricted stationary distribution pi_A (Theorem 1)
     distribution: AnswerDistribution
     #: the paper's N_ws: 0 for a simple plan (closed form, no walk
     #: iterated); a chain plan reports its expanded intermediates here
     walk_iterations: int
+    #: candidate answers inside the sampled scope (zero-mass included)
     num_candidates: int
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """One query component's shareable artefacts: its validator, the
+    census candidates read off the validator's row, and — on the first
+    draw — S1's pi_A."""
+
+    component: PathQuery
+    #: the resolved mapping node ``us``
+    source: int
     #: the plan's one S2 entry point: the exact row of ``(source,
     #: predicates[0])`` for a simple component, a :class:`ChainValidator`
     #: around that first leg for a chain; the figures' planner binds the
     #: paper's r-path search as the (first-leg) validator instead
     validator: CorrectnessValidator | ChainValidator
+    #: runs S1 for :meth:`sample`, at most once per plan
+    sampler: Callable[[], PlanSample] = field(repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def sample(self) -> PlanSample:
+        """S1's artefacts, built on first use under the plan's lock: a
+        second caller waits for the first and reads the same object."""
+        sample = self.__dict__.get("_sample")
+        if sample is None:
+            with self._lock:
+                sample = self.__dict__.get("_sample")
+                if sample is None:
+                    sample = self.sampler()
+                    object.__setattr__(self, "_sample", sample)
+        return sample
+
+    @property
+    def distribution(self) -> AnswerDistribution:
+        """pi_A (:meth:`sample`): the support every draw is taken from."""
+        return self.sample().distribution
+
+    @property
+    def walk_iterations(self) -> int:
+        """The sampled scope's N_ws (:class:`PlanSample`)."""
+        return self.sample().walk_iterations
+
+    @property
+    def num_candidates(self) -> int:
+        """The sampled scope's candidate count (:class:`PlanSample`)."""
+        return self.sample().num_candidates
+
+    def candidates(self, kg: KnowledgeGraph) -> CandidateSet:
+        """The answers a census counts: every node the validator's row
+        reaches (``best_length > 0``) that is typed as the last hop
+        requires — a simple component's mapping node excepted, as S1
+        excepts it — from one mask over the row of ``kg``, the plan's
+        graph, kept on the plan.
+
+        A chain's candidates are all the answers its row reaches, where
+        pi_A's support keeps only those behind the top
+        ``max_intermediates`` routes per hop.  Raises the
+        :class:`~repro.errors.SamplingError` of a component without one.
+        """
+        candidates = self.__dict__.get("_candidates")
+        if candidates is None:
+            # no lock: concurrent callers compute equal sets, one is kept
+            component = self.component
+            predicate, node_types = component.hops[-1]
+            reached = self.validator.row()[1] > 0
+            reached &= csr_snapshot(kg).type_mask(node_types)
+            if component.is_simple:
+                reached[self.source] = False
+            answers = np.flatnonzero(reached)
+            if len(answers) == 0:
+                # the messages S1's walks raise
+                raise SamplingError(
+                    f"no candidate of types {sorted(node_types)} within "
+                    f"{self.validator.max_length} hops of "
+                    f"{component.specific_name!r}"
+                    if component.is_simple
+                    else f"chain hop with predicate {predicate!r} produced "
+                    "no candidates"
+                )
+            answers.setflags(write=False)
+            candidates = CandidateSet(answers)
+            object.__setattr__(self, "_candidates", candidates)
+        return candidates
 
 
 @dataclass(frozen=True)
 class PlanArtifacts:
     """The persistable payload of one :class:`QueryPlan`.
 
-    Everything S1 hands S2 — the answer distribution pi_A and the scalars
-    beside it — with the runtime-only handles stripped: the validator
-    (rebuilt from ``component`` and ``source``) and the memos (append-only
-    caches, rebuilt as queries validate).  This is the unit the store
+    Everything S1 hands the draws — the answer distribution pi_A and the
+    scalars beside it — with the runtime-only handles stripped: the
+    validator (rebuilt from ``component`` and ``source``) and its row (a
+    cache, rebuilt as queries validate).  This is the unit the store
     writes to disk and memory-maps back; its two arrays stay zero-copy
     end to end.
     """
@@ -97,14 +191,18 @@ class PlanArtifacts:
 
 
 def extract_artifacts(plan: QueryPlan) -> PlanArtifacts:
-    """Strip ``plan`` down to its persistable artefacts (no copies)."""
+    """Strip ``plan`` down to its persistable artefacts (no copies).
+
+    Reads pi_A, so a plan that has not sampled yet runs S1 here.
+    """
+    sample = plan.sample()
     return PlanArtifacts(
         component=plan.component,
         source=plan.source,
-        answers=plan.distribution.answers,
-        probabilities=plan.distribution.probabilities,
-        walk_iterations=plan.walk_iterations,
-        num_candidates=plan.num_candidates,
+        answers=sample.distribution.answers,
+        probabilities=sample.distribution.probabilities,
+        walk_iterations=sample.walk_iterations,
+        num_candidates=sample.num_candidates,
     )
 
 
@@ -117,20 +215,23 @@ def plan_from_artifacts(
     """Rebuild a live :class:`QueryPlan` around stored/shared artefacts.
 
     The arrays are adopted as-is (memory-mapped or shared segments stay
-    zero-copy); ``make_validator(component, source)`` binds a fresh
-    validator to the loaded plan's mapping node, its memos empty —
-    verdicts are deterministic, so a rebuilt plan converges to the same
-    memo content as the original.
+    zero-copy) as the plan's pi_A; ``make_validator(component, source)``
+    binds a fresh validator to the loaded plan's mapping node, its row
+    not yet built — verdicts are deterministic, so a rebuilt plan reads
+    the same row as the original.
     """
-    return QueryPlan(
-        component=artifacts.component,
-        source=artifacts.source,
+    sample = PlanSample(
         distribution=AnswerDistribution(
             answers=artifacts.answers, probabilities=artifacts.probabilities
         ),
         walk_iterations=artifacts.walk_iterations,
         num_candidates=artifacts.num_candidates,
+    )
+    return QueryPlan(
+        component=artifacts.component,
+        source=artifacts.source,
         validator=make_validator(artifacts.component, artifacts.source),
+        sampler=lambda: sample,
     )
 
 
@@ -194,11 +295,10 @@ class _GraphEntry:
     plans: dict[PlanKey, QueryPlan] = field(default_factory=dict)
     #: keys currently being built by some thread (see ``get_or_build``)
     building: dict[PlanKey, threading.Event] = field(default_factory=dict)
-    #: composite queries' joint supports, keyed by their component plan
-    #: keys (LRU-ordered); a joint goes when any of its plans is evicted
-    joints: dict[tuple[PlanKey, ...], AnswerDistribution] = field(
-        default_factory=dict
-    )
+    #: composite queries' joint candidate sets, keyed by their component
+    #: plan keys (LRU-ordered); a joint goes when any of its plans is
+    #: evicted
+    joints: dict[tuple[PlanKey, ...], CandidateSet] = field(default_factory=dict)
 
     def published(
         self, keys: Sequence[PlanKey], plans: Sequence[QueryPlan]
@@ -207,24 +307,23 @@ class _GraphEntry:
         return all(self.plans.get(key) is plan for key, plan in zip(keys, plans))
 
 
-#: default per-graph plan bound; a plan's payload is its support (answers,
-#: probabilities) plus, once validated, its validator's similarity row
-#: (a similarity and a path length per graph node), so the cap
-#: bounds resident memory for long-lived serving processes with many
-#: components/configs/tenants
+#: default per-graph plan bound; a plan's payload is, once validated, its
+#: validator's similarity row (a similarity and a path length per graph
+#: node) and its candidates, plus pi_A (answers, probabilities) once it
+#: has drawn or been saved to a catalog, so the cap bounds resident memory
+#: for long-lived serving processes with many components/configs/tenants
 DEFAULT_MAX_PLANS_PER_GRAPH = 256
 
 
 class PlanCache:
-    """Process-wide store of S1 plans, shared by every engine on a graph.
+    """Process-wide store of query plans, shared by every engine on a graph.
 
     Thread-safe; lookups and stores are O(1) dict operations under one
-    lock.  Plan *construction* happens outside the lock (it runs the S1
-    stage) — when two engines race to build the same plan, the first
-    stored one wins and the loser adopts it, so a key always resolves to
-    one shared object.  A plan built against a structure version that
-    moved during construction is returned to its builder but never
-    published.  Each graph's plans are LRU-bounded so a serving process
+    lock.  Plan *construction* happens outside the lock — when two
+    engines race to build the same plan, the first stored one wins and
+    the loser adopts it, so a key always resolves to one shared object.
+    A plan built against a structure version that moved during
+    construction is returned to its builder but never published.  Each graph's plans are LRU-bounded so a serving process
     with many components, configs or tenant embeddings cannot grow without
     bound; eviction only drops the shared reference — engines holding a
     plan keep using it.
@@ -311,7 +410,7 @@ class PlanCache:
         """The plan for ``key``, building it at most once across threads.
 
         The naive lookup/build/store dance lets N concurrent engines race
-        to run S1 N times for the same key; here the first thread to miss
+        to build N times for the same key; here the first thread to miss
         claims the key (a per-key event under the cache lock), builds
         outside the lock, and publishes through :meth:`store` —
         first-writer-wins is preserved.  Concurrent callers wait on the
@@ -341,7 +440,7 @@ class PlanCache:
                 try:
                     # publish BEFORE releasing the waiters: a waiter woken
                     # by the event must find the plan already stored, or
-                    # it would claim the key and run S1 a second time
+                    # it would claim the key and build a second time
                     return self.store(kg, key, builder(), structure_version)
                 finally:
                     with self._lock:
@@ -358,9 +457,9 @@ class PlanCache:
         kg: KnowledgeGraph,
         keys: tuple[PlanKey, ...],
         plans: Sequence[QueryPlan],
-        build: Callable[[], AnswerDistribution],
-    ) -> AnswerDistribution:
-        """The joint support of ``plans`` (``keys[i]``'s plan is
+        build: Callable[[], CandidateSet],
+    ) -> CandidateSet:
+        """The joint candidate set of ``plans`` (``keys[i]``'s plan is
         ``plans[i]``), assembled by ``build`` once per published plan set.
 
         Only plans that are the ones published under their keys share a
@@ -386,7 +485,8 @@ class PlanCache:
         return joint
 
     def num_joints(self, kg: KnowledgeGraph) -> int:
-        """Number of cached joint supports for ``kg``'s current structure."""
+        """Number of cached joint candidate sets for ``kg``'s current
+        structure."""
         with self._lock:
             entry = self._entries.get(kg)
             if entry is None or entry.structure_version != kg.structure_version:

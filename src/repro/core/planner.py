@@ -1,15 +1,19 @@
-"""The planning layer: S1 preparation producing shared :class:`QueryPlan`s.
+"""The planning layer: shared query plans, with S1 on demand.
 
-A :class:`QueryPlanner` turns one query component into its immutable
-sampling artefacts — scope, closed-form Eq. 5/6 stationary distribution and
-Theorem-1 answer restriction, all three from the batched stage kernel
+A :class:`QueryPlanner` turns one query component into its immutable plan
+— the mapping node and a validator bound to it — and publishes it in the
+process-wide :class:`~repro.core.plan.PlanCache`, so that every engine and
+session over the same graph, predicate space and configuration reuses one
+plan instead of rebuilding it.  A census reads only the validator's row.
+S1 — scope, closed-form Eq. 5/6 stationary distribution and Theorem-1
+answer restriction, all three from the batched stage kernel
 (:func:`~repro.sampling.strength.stage_distributions`, under the semantic
 or the CNARW weights; only the Node2Vec ablation builds a per-source scope
-and walks it), and its validator — and publishes the result in the
-process-wide :class:`~repro.core.plan.PlanCache` so that every engine and
-session over the same graph, predicate space and configuration reuses one
-plan instead of rebuilding it.  The executor (:mod:`repro.core.executor`) consumes
-plans; the engine facade (:mod:`repro.core.engine`) only wires the two.
+and walks it) — runs when a plan first draws (:meth:`QueryPlan.sample`),
+when a catalog saves it, or at build time for the figures' planner,
+whose r-path search walks the first stage.  The executor
+(:mod:`repro.core.executor`) consumes plans; the engine facade
+(:mod:`repro.core.engine`) only wires the two.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from repro.core.config import EngineConfig, SamplerKind
 from repro.core.plan import (
     PlanCache,
+    PlanSample,
     QueryPlan,
     plan_key,
     shared_plan_cache,
@@ -48,9 +53,10 @@ class QueryPlanner:
 
     Resolution order: the process-wide :class:`PlanCache`, then — when a
     :class:`~repro.store.catalog.SnapshotCatalog` is wired in — the on-disk
-    catalog, and only on a full miss an actual S1 build (counted in
+    catalog, and only on a full miss an actual build (counted in
     :attr:`build_count`; catalog hits are not builds).  Fresh builds are
-    saved back to the catalog so the next process skips S1.  The planner
+    saved back to the catalog — saving runs S1, since the file holds
+    pi_A — so the next process skips S1.  The planner
     keeps no plan of its own, so the cache's LRU bound is what bounds the
     plans a process holds (beyond those live queries hold).
     """
@@ -68,10 +74,11 @@ class QueryPlanner:
         self.config = config
         self._cache = cache if cache is not None else shared_plan_cache()
         self._catalog = catalog
-        #: S1 builds actually executed by this planner (cache misses); the
+        #: plans actually built by this planner (cache misses); the
         #: service tests assert one build per shared (component, config)
         #: plan across a whole concurrent batch, and the store
-        #: tests assert catalog reloads leave it untouched
+        #: tests assert catalog reloads leave it untouched.  A plan's S1
+        #: run on its first draw is no build
         self.build_count = 0
         #: plans adopted from the catalog instead of being built
         self.catalog_hits = 0
@@ -90,7 +97,7 @@ class QueryPlanner:
     def plan_for(self, component: PathQuery) -> QueryPlan:
         """The component's plan: shared cache, catalog, or fresh build."""
         # get-or-build coordinates across threads: concurrent planners
-        # (serving scheduler, engines on other threads) run S1 for a key at
+        # (serving scheduler, engines on other threads) build a key at
         # most once; everyone else adopts the published plan.  The version
         # captured before building gates publication: a structural mutation
         # during the build keeps the plan private.
@@ -104,9 +111,9 @@ class QueryPlanner:
         """Catalog-aware builder run under ``PlanCache.get_or_build``.
 
         A catalog hit reconstructs the plan around the memory-mapped
-        artefacts (a validator bound by :meth:`_validator`, empty memos)
-        without counting as an S1 build; a miss builds normally and saves
-        the artefacts back.
+        artefacts (a validator bound by :meth:`_validator`, its row not
+        yet built) without counting as a build; a miss builds normally and
+        saves the artefacts back.
         An *unreadable* catalog entry (format-version bump, corruption)
         must never take queries down: it is counted in
         :attr:`catalog_errors` and rebuilt — the fresh save overwrites
@@ -145,7 +152,7 @@ class QueryPlanner:
             return self._build(component)
 
     # ------------------------------------------------------------------
-    # Plan construction (S1)
+    # Plan construction, and S1 for the draws
     # ------------------------------------------------------------------
     def _validator(
         self,
@@ -177,10 +184,10 @@ class QueryPlanner:
         """The validator bound to the plan's mapping node and first
         predicate.
 
-        ``scope`` is the first S1 stage's ``(nodes, probabilities)`` on a
-        build and ``None`` on a catalog load.  The exact row ignores it;
-        the figures' planner overrides this and its r-path search walks
-        the stage's probabilities.
+        ``scope`` is the first S1 stage's ``(nodes, probabilities)`` when
+        the build ran S1 (the figures' planner) and ``None`` otherwise.
+        The exact row ignores it; the figures' planner overrides this and
+        its r-path search walks the stage's probabilities.
         """
         return CorrectnessValidator(
             self._kg,
@@ -245,14 +252,35 @@ class QueryPlanner:
         return stage
 
     def _build(self, component: PathQuery) -> QueryPlan:
+        """The plan of ``component``: its S1 left for the first draw."""
+        source = self._mapping_node(component)
+        return QueryPlan(
+            component=component,
+            source=source,
+            validator=self._validator(component, source),
+            sampler=lambda: self._sample(component, source)[0],
+        )
+
+    def _mapping_node(self, component: PathQuery) -> int:
+        """The component's mapping node; a chain the sampler cannot walk
+        fails here, at plan time, not at its first draw."""
         source = resolve_mapping_node(
             self._kg, component.specific_name, component.specific_types
         )
-        if component.is_simple:
-            return self._build_simple(component, source)
-        return self._build_chain(component, source)
+        if not component.is_simple and self.config.sampler is SamplerKind.NODE2VEC:
+            raise QueryError(
+                f"the {self.config.sampler.value} sampler has no chain walk: "
+                f"the chain component from {component.specific_name!r} needs "
+                "the semantic or the cnarw sampler"
+            )
+        return source
 
-    def _build_simple(self, component: PathQuery, source: int) -> QueryPlan:
+    def _sample(
+        self, component: PathQuery, source: int
+    ) -> tuple[PlanSample, tuple[np.ndarray, np.ndarray]]:
+        """S1 of ``component``: its :class:`PlanSample` and the first
+        stage's ``(nodes, probabilities)`` (the figures' r-path search
+        walks them)."""
         config = self.config
         predicate, target_types = component.hops[0]
         if config.sampler is SamplerKind.NODE2VEC:
@@ -268,43 +296,16 @@ class QueryPlanner:
                 self._kg, scope, seed=derive_seed(config.seed, "node2vec", source)
             )
             distribution = restrict_to_answers(scope, probabilities)
-            nodes, num_candidates = scope.nodes, scope.num_candidates
+            sample = PlanSample(distribution, 0, scope.num_candidates)
+            return sample, (scope.nodes, probabilities)
+        first = self._first_stage(source, predicate, target_types)
+        if component.is_simple:
+            # the paper's N_ws is 0: closed form, no walk iterated
+            sample = PlanSample(first.distribution, 0, first.num_candidates)
         else:
-            nodes, probabilities, num_candidates, distribution = self._first_stage(
-                source, predicate, target_types
-            )
-        return QueryPlan(
-            component=component,
-            source=source,
-            distribution=distribution,
-            walk_iterations=0,  # the paper's N_ws: closed form, no walk iterated
-            num_candidates=num_candidates,
-            validator=self._validator(component, source, (nodes, probabilities)),
-        )
-
-    def _build_chain(self, component: PathQuery, source: int) -> QueryPlan:
-        if self.config.sampler is SamplerKind.NODE2VEC:
-            raise QueryError(
-                f"the {self.config.sampler.value} sampler has no chain walk: "
-                f"the chain component from {component.specific_name!r} needs "
-                "the semantic or the cnarw sampler"
-            )
-        # The plan keeps the composed marginal only: its chain validator
-        # seeds its row from the validator bound to the mapping node (the
-        # first stage's scope is handed to it).
-        first = self._first_stage(source, *component.hops[0])
-        distribution, expanded = ChainSampler(
-            self._kg,
-            self._stage,
-            max_intermediates=self.config.max_intermediates,
-        ).build(component, first.distribution)
-        return QueryPlan(
-            component=component,
-            source=source,
-            distribution=distribution,
-            walk_iterations=expanded,
-            num_candidates=distribution.support_size,
-            validator=self._validator(
-                component, source, (first.nodes, first.probabilities)
-            ),
-        )
+            # the plan keeps the composed marginal only
+            distribution, expanded = ChainSampler(
+                self._kg, self._stage, max_intermediates=config.max_intermediates
+            ).build(component, first.distribution)
+            sample = PlanSample(distribution, expanded, distribution.support_size)
+        return sample, (first.nodes, first.probabilities)

@@ -19,6 +19,8 @@ STOP_CENSUS = "census"
 STOP_BOUND_MET = "bound_met"
 STOP_SAMPLE_CAP = "sample_cap"
 STOP_ROUND_BUDGET = "round_budget"
+#: every reason, in the order above
+STOP_REASONS = (STOP_CENSUS, STOP_BOUND_MET, STOP_SAMPLE_CAP, STOP_ROUND_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,11 @@ class ApproximateResult:
     #: milliseconds per stage: sampling / estimation / guarantee (Table XII)
     stage_ms: Mapping[str, float] = field(default_factory=dict)
     #: power-iteration steps of S1 (the paper's N_ws); 0 = closed form, as
-    #: in every semantic simple plan; chain plans: expanded intermediates
+    #: in every semantic simple plan; chain plans: expanded intermediates;
+    #: 0 on a census-first run, which runs no S1
     walk_iterations: int = 0
-    #: candidate answer count |A| in the sampling scope
+    #: candidate answer count |A|: in the sampling scope, or on a
+    #: census-first run the joint candidate set it counted over
     num_candidates: int = 0
     #: one of the ``STOP_*`` reasons; ``None`` on a per-group estimate
     #: inside a :class:`GroupedResult`, which is not a run of its own

@@ -67,7 +67,12 @@ from repro.core.executor import (
 )
 from repro.core.planner import QueryPlanner
 from repro.core.resilience import FaultPlan, ServiceLimits
-from repro.core.result import ApproximateResult, GroupedResult, RoundTrace
+from repro.core.result import (
+    STOP_REASONS,
+    ApproximateResult,
+    GroupedResult,
+    RoundTrace,
+)
 from repro.embedding.base import PredicateEmbedding
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import (
@@ -554,6 +559,15 @@ class AggregateQueryService:
                     "least the undrawn support, so every entry was "
                     "validated and the aggregate is exact (S3)",
                 ),
+                "stop_reasons": {
+                    reason: execution.counter(
+                        "stop_reasons_total",
+                        "Finalised runs by why they stopped: census, "
+                        "bound_met, sample_cap or round_budget (S3)",
+                        labels={"reason": reason},
+                    )
+                    for reason in STOP_REASONS
+                },
                 "sigma_closed_form": execution.counter(
                     "sigma_closed_form",
                     "BLB bag and GROUP-BY group sigmas taken in closed form: "

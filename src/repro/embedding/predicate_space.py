@@ -53,8 +53,9 @@ class PredicateVectorSpace:
         cached = self._vectors.get(predicate)
         if cached is None:
             cached = np.asarray(self._embedding.predicate_vector(predicate), dtype=np.float64)
-            self._vectors[predicate] = cached
+            # the norm first: a thread that finds the vector reads its norm
             self._norms[predicate] = float(np.linalg.norm(cached))
+            self._vectors[predicate] = cached
         return cached
 
     def similarity(self, predicate_a: str, predicate_b: str) -> float:

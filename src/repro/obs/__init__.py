@@ -18,6 +18,7 @@ metric                                         type       meaning
 ``repro_plan_builds``                          gauge      S1 plans built by this planner
 ``repro_plan_catalog_hits``                    gauge      plans loaded from a snapshot catalog
 ``repro_plan_stage_batches``                   gauge      calls of the batched S1 stage kernel
+                                                          (0 while every query is a census)
 ``repro_plan_stage_sources``                   gauge      walks those calls settled
 ``repro_plan_cache_hits`` / ``_misses``        gauge      plan-cache lookups (process-wide
                                                           cache, process-lifetime totals)
@@ -25,6 +26,9 @@ metric                                         type       meaning
 ``repro_exec_validate_batch_pending``          histogram  batch sizes handed to the S2 kernels
 ``repro_exec_census_queries``                  counter    queries answered by a census (the
                                                           exact aggregate over the support)
+``repro_exec_stop_reasons_total``              counter    finalised runs, ``reason`` label:
+                                                          census / bound_met / sample_cap /
+                                                          round_budget
 ``repro_exec_sigma_closed_form``               counter    bag / group sigmas taken in closed
                                                           form (COUNT, SUM under SAMPLE)
 ``repro_exec_sigma_bootstrap``                 counter    ... that paid for a bootstrap index
@@ -57,20 +61,24 @@ The scheduler opens one root span per query (``query``, attributes:
 ``query``/``kind``/``sequence``/``seed``) when observability is enabled
 and activates it around every slot the query holds.  Children:
 
-* ``initialise`` — S1: plan + collector + little-sample bootstrap, with
-  ``plan_build`` children for plans not already cached, and under those
-  one ``s1_stage`` span per call of the batched stage kernel (``hop``,
+* ``initialise`` — plans, then the census candidates or S1 and the
+  little-sample bootstrap: ``plan_build`` children for plans not
+  already cached; one ``similarity_row`` span per plan validator whose
+  exact row a census-first query's candidates build (``kind`` =
+  ``simple`` or ``chain``, ``reached`` = nodes with a path; a chain's row
+  includes its first leg, and a warm plan's row is built already, so it
+  opens none); and on a query that draws, one ``s1_stage`` span per call
+  of the batched stage kernel by a plan's first draw (``hop``,
   ``sources`` = walks settled together, ``reached`` = scope nodes over
   the sources that have a stage): one for a simple plan, one per hop for
-  a chain;
+  a chain (under ``plan_build`` when the build runs S1 itself: a
+  catalog planner saving the plan, the figures' planner);
 * ``round`` — one S3 anytime round (``round_index``, ``kind``); it
   nests ``validate_batch`` spans (S2, attribute ``pending``), and under
-  those one ``similarity_row`` span per plan validator whose exact row
-  the batch builds (``kind`` = ``simple`` or ``chain``, ``reached`` =
-  nodes with a path; a chain's row includes its first leg, and a warm
-  plan's row is built already, so it opens none).  A census round nests
-  one ``census`` span (``support`` = joint support size, ``pending`` =
-  entries it validated) around its ``validate_batch``.
+  those the ``similarity_row`` span of a row a sampled query's batch
+  builds.  A census round nests one ``census`` span (``support`` = joint
+  support size, ``pending`` = entries it validated) around its
+  ``validate_batch``.
 
 ``QueryHandle.trace()`` returns the tree as a nested JSON-clean dict
 (:meth:`repro.obs.trace.Span.as_dict`); it is ``None`` when the service

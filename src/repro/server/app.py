@@ -119,8 +119,10 @@ def encode_result(
     ``seconds``), leaving only value-like content — that is the payload
     equivalence gates compare byte-for-byte against direct in-process
     execution, where timings legitimately differ.  ``walk_iterations`` is
-    the paper's N_ws: 0 for a simple plan, which takes pi in closed form,
-    while a chain plan reports its expanded intermediates (> 0).
+    the paper's N_ws of a sampled run: 0 for a simple plan, which takes pi
+    in closed form, while a chain plan reports its expanded intermediates
+    (> 0); a census-first result reports 0, because no walk ran, and its
+    ``num_candidates`` is the joint candidate set it counted over.
     ``stop_reason`` is ``census`` / ``bound_met`` / ``sample_cap`` /
     ``round_budget`` (null on the per-group entries of a grouped result);
     a ``census`` result is the exact aggregate over every candidate

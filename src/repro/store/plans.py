@@ -130,7 +130,11 @@ def save_plan_artifacts(
     config: EngineConfig,
     plan: QueryPlan,
 ) -> Path:
-    """Persist one plan's artefacts (arrays + key) to ``path``."""
+    """Persist one plan's artefacts (arrays + key) to ``path``.
+
+    The file holds pi_A, so saving a plan that has not drawn yet runs its
+    S1 (:meth:`~repro.core.plan.QueryPlan.sample`) here.
+    """
     artifacts = extract_artifacts(plan)
     write_arrays(path, plan_metadata(kg, space, config, artifacts), artifacts.arrays())
     return Path(path)

@@ -464,9 +464,10 @@ def test_census_span_and_counter(toy):
 def test_cnarw_plan_over_an_uncovered_predicate_fails_at_first_validation():
     """``near``'s ``rare_pred`` edge lies within the bound, and the
     embedding does not cover it.  The CNARW walk weighs no predicate, so
-    the plan builds; the exact row weighs every edge within the bound, so
-    the query's first validation fails — a census or a sampled round, for
-    any answer — as SSB fails the whole query."""
+    pi_A builds; the exact row weighs every edge within the bound, so the
+    query's first validation fails — the census candidates a production
+    ``initialise`` reads off the row, or a sampled round, for any answer —
+    as SSB fails the whole query."""
     kg = KnowledgeGraph()
     hub = kg.add_node("hub", ["Hub"])
     near = kg.add_node("near", ["Car"])
@@ -492,11 +493,15 @@ def test_cnarw_plan_over_an_uncovered_predicate_fails_at_first_validation():
         with pytest.raises(EmbeddingError, match="rare_pred"):
             plan.validator.validate(answer)
 
-    executor = engine.executor
-    state = executor.initialise(query, 3)
-    assert state.total_draws == 0
+    # a census-first query validates first when its initialise reads the
+    # candidates off the row; a sampled one in its first step
     with pytest.raises(EmbeddingError, match="rare_pred"):
-        executor.step(state, 0.01)
+        engine.executor.initialise(query, 3)
+    sampled = sampled_engine(kg, space, config).executor
+    state = sampled.initialise(query, 3)
+    assert state.total_draws > 0
+    with pytest.raises(EmbeddingError, match="rare_pred"):
+        sampled.step(state, 0.01)
     with pytest.raises(EmbeddingError, match="rare_pred"):
         ApproximateAggregateEngine(kg, space, config).execute(query, seed=3)
     with pytest.raises(EmbeddingError, match="rare_pred"):

@@ -593,7 +593,7 @@ class TestPartialEmbedding:
 
         assert plan(1).distribution.answers.tolist() == [near]
         with pytest.raises(EmbeddingError, match="rare_pred"):
-            plan(2)  # now the rare_pred edge is inside the scope
+            plan(2).distribution  # now the rare_pred edge is inside the scope
         # the CNARW ablation weighs no predicate, so it asks the embedding
         # to cover nothing
         assert plan(2, SamplerKind.CNARW).distribution.answers.tolist() == [near, far]

@@ -1,0 +1,308 @@
+"""Census candidates come from the exact row; pi_A is built on a plan's
+first draw.
+
+A production query whose joint candidate set — the nodes its plans'
+validators reach, typed as each component's last hop requires — fits
+under ``max_sample_size`` counts over those candidates and runs no S1.
+S1 (``QueryPlan.sample``) runs once per plan, under the plan's lock, when
+something first reads pi_A: a ``SampledExecutor`` draw, the figures'
+planner, a catalog save.  Covered:
+
+* a chain answer behind a cut intermediate (``max_intermediates``) is
+  counted, as SSB and ``aggregate_over`` count it;
+* a cold production query of every shape on the presets runs no stage
+  kernel, by the planner's counter and by ``/metrics``;
+* a sampled draw on a plan a census used builds pi_A once, two threads
+  racing threads included, and answers as a fresh sampled run does;
+* simple-component candidates are pi_A's support on the presets;
+* the errors of a query without candidates keep their class and text.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro import (
+    AggregateQueryService,
+    ApproximateAggregateEngine,
+    EngineConfig,
+    LookupEmbedding,
+    PredicateVectorSpace,
+    QueryGraph,
+    QueryShape,
+)
+from repro.baselines import SemanticSimilarityBaseline
+from repro.bench.harness import sampled_engine
+from repro.core.config import SamplerKind
+from repro.core.plan import PlanCache, shared_plan_cache
+from repro.core.planner import QueryPlanner
+from repro.core.result import STOP_CENSUS
+from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
+from repro.errors import QueryError, SamplingError
+from repro.kg import KnowledgeGraph
+from repro.query.aggregate import AggregateFunction, AggregateQuery
+from repro.query.evaluate import aggregate_over
+from repro.server.app import encode_result
+
+_PRESETS = sorted(ALL_PRESETS)
+
+
+def _parse_gauge(text: str, name: str) -> float:
+    (line,) = [line for line in text.splitlines() if line.startswith(f"{name} ")]
+    return float(line.split()[1])
+
+
+# ----------------------------------------------------------------------
+# the answer behind a cut intermediate
+# ----------------------------------------------------------------------
+def _cut_chain_world():
+    """``hub`` reaches two intermediates; ``strong`` (an exact ``owns``
+    edge) outranks ``weak`` (a ``holds`` edge, cosine 0.9) in the first
+    stage, so ``max_intermediates=1`` expands ``strong`` only.  The one
+    correct answer, ``kept``, hangs off ``weak``; ``strong``'s answer,
+    ``missed``, is linked by an unrelated predicate."""
+    kg = KnowledgeGraph()
+    hub = kg.add_node("hub", ["Hub"])
+    strong = kg.add_node("strong", ["Firm"])
+    weak = kg.add_node("weak", ["Firm"])
+    kept = kg.add_node("kept", ["Car"], {"price": 7.5})
+    missed = kg.add_node("missed", ["Car"], {"price": 100.0})
+    kg.add_edge(hub, "owns", strong)
+    kg.add_edge(hub, "holds", weak)
+    kg.add_edge(weak, "makes", kept)
+    kg.add_edge(strong, "paints", missed)
+    space = PredicateVectorSpace(
+        LookupEmbedding(
+            {
+                "owns": np.array([1.0, 0.0, 0.0]),
+                "holds": np.array([0.9, np.sqrt(1.0 - 0.81), 0.0]),
+                "makes": np.array([0.0, 0.0, 1.0]),
+                "paints": np.array([0.0, 1.0, 0.0]),
+            }
+        )
+    )
+    query = QueryGraph.chain(
+        "hub", ["Hub"], [("owns", ["Firm"]), ("makes", ["Car"])]
+    )
+    return kg, space, query, kept, missed
+
+
+@pytest.mark.parametrize(
+    "function", [AggregateFunction.COUNT, AggregateFunction.SUM]
+)
+def test_the_census_counts_an_answer_behind_a_cut_intermediate(function):
+    kg, space, graph, kept, missed = _cut_chain_world()
+    config = EngineConfig(seed=1, n_bound=1, max_intermediates=1)
+    query = AggregateQuery(
+        query=graph,
+        function=function,
+        attribute="price" if function.needs_attribute else None,
+    )
+    engine = ApproximateAggregateEngine(kg, space, config)
+    plan = engine.planner.plan_for(graph.components[0])
+    # pi_A expanded ``strong`` only: ``kept`` is outside its support
+    assert plan.distribution.answers.tolist() == [missed]
+    assert plan.candidates(kg).answers.tolist() == [kept, missed]
+
+    result = engine.execute(query, seed=3)
+    truth = SemanticSimilarityBaseline(kg, space, n_bound=1).ground_truth(query)
+    assert truth.answers == {kept}
+    assert result.stop_reason == STOP_CENSUS
+    assert result.value == truth.value == aggregate_over(kg, query, {kept})[0]
+    assert result.value == (1.0 if function is AggregateFunction.COUNT else 7.5)
+
+
+# ----------------------------------------------------------------------
+# no S1 on the census path
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("preset", _PRESETS)
+def test_a_cold_production_query_of_every_shape_runs_no_stage_kernel(preset):
+    bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
+    workload = standard_workload(bundle)
+    for shape in QueryShape:
+        stated = queries_of_shape(workload, shape)
+        if not stated:
+            continue
+        shared_plan_cache().clear()
+        with AggregateQueryService(
+            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+        ) as service:
+            result = service.submit(stated[0].aggregate_query).result(timeout=60.0)
+            text = service.registry.render_prometheus()
+            planner = service.planner
+            assert result.stop_reason == STOP_CENSUS, (preset, shape)
+            assert planner.build_count >= 1
+            assert (planner.stage_batches, planner.stage_sources) == (0, 0)
+            assert _parse_gauge(text, "repro_plan_stage_batches") == 0
+            assert _parse_gauge(text, "repro_plan_builds") == planner.build_count
+
+
+# ----------------------------------------------------------------------
+# pi_A on the first draw
+# ----------------------------------------------------------------------
+def test_a_sampled_draw_on_a_census_plan_builds_pi_a_once(toy):
+    shared_plan_cache().clear()
+    config = EngineConfig(seed=7, max_rounds=4)
+    query = toy.count_query()
+    fresh = sampled_engine(toy.kg, toy.embedding, config)
+    expected = encode_result(fresh.execute(query, seed=5), timings=False)
+    fresh.service.close()
+
+    shared_plan_cache().clear()
+    census = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    assert census.execute(query, seed=5).stop_reason == STOP_CENSUS
+    planner = census.planner
+    assert (planner.build_count, planner.stage_batches) == (1, 0)
+    plan = planner.plan_for(query.query.components[0])
+
+    # the plan's S1 is its builder's; slow it so every racer waits on it
+    builds = []
+    original = planner._sample
+
+    def slow_sample(*args):
+        builds.append(threading.get_ident())
+        time.sleep(0.05)
+        return original(*args)
+
+    planner._sample = slow_sample
+    sampled = sampled_engine(toy.kg, toy.embedding, config)
+    racers = 4  # more threads than the test host's cores
+    barrier = threading.Barrier(racers)
+    states = [None] * racers
+
+    def first_draw(position):
+        barrier.wait(timeout=30)
+        states[position] = sampled.executor.initialise(query, 5)
+
+    threads = [
+        threading.Thread(target=first_draw, args=(i,)) for i in range(racers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1
+    assert (planner.build_count, planner.stage_batches) == (1, 1)
+    assert sampled.planner.build_count == 0  # it adopted the census's plan
+    assert all(state.joint is plan.distribution for state in states)
+    assert len({state.total_draws for state in states}) == 1
+    assert states[0].total_draws > 0
+
+    served = encode_result(sampled.execute(query, seed=5), timings=False)
+    assert served == expected
+    assert planner.stage_batches == 1
+    sampled.service.close()
+    census.service.close()
+
+
+@pytest.mark.parametrize("preset", _PRESETS)
+def test_simple_candidates_are_the_support_of_pi_a(preset):
+    bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
+    planner = QueryPlanner(
+        bundle.kg, bundle.space(), EngineConfig(seed=0), cache=PlanCache()
+    )
+    components = dict.fromkeys(
+        component
+        for stated in standard_workload(bundle)
+        for component in stated.aggregate_query.query.components
+        if component.is_simple
+    )
+    assert components
+    for component in components:
+        plan = planner.plan_for(component)
+        np.testing.assert_array_equal(
+            plan.candidates(bundle.kg).answers, np.sort(plan.distribution.answers)
+        )
+
+
+def test_a_catalog_save_builds_pi_a_with_the_plan(toy, tmp_path):
+    """Saving reads pi_A, so a catalog planner runs S1 inside its build."""
+    from repro.store import SnapshotCatalog
+
+    planner = QueryPlanner(
+        toy.kg, toy.space, EngineConfig(seed=0), cache=PlanCache(),
+        catalog=SnapshotCatalog(tmp_path),
+    )
+    planner.plan_for(toy.count_query().query.components[0])
+    assert (planner.build_count, planner.stage_batches) == (1, 1)
+
+
+# ----------------------------------------------------------------------
+# the errors of a query without candidates
+# ----------------------------------------------------------------------
+def _errors(kg, space, query, config):
+    """The exception each engine raises on ``query``: production, sampled."""
+    raised = []
+    for make in (ApproximateAggregateEngine, sampled_engine):
+        shared_plan_cache().clear()
+        engine = make(kg, space, config)
+        with pytest.raises((SamplingError, QueryError)) as caught:
+            engine.execute(query, seed=1)
+        engine.service.close()
+        raised.append(caught.value)
+    return raised
+
+
+def test_no_candidate_raises_the_sampling_error_s1_raises(toy):
+    query = AggregateQuery(
+        query=QueryGraph.simple("Germany", ["Country"], "product", ["Spaceship"]),
+        function=AggregateFunction.COUNT,
+    )
+    census, sampled = _errors(toy.kg, toy.embedding, query, EngineConfig(seed=1))
+    assert type(census) is type(sampled) is SamplingError
+    assert str(census) == str(sampled)
+
+    chain = AggregateQuery(
+        query=QueryGraph.chain(
+            "Germany",
+            ["Country"],
+            [("nationality", ["Person"]), ("designer", ["Spaceship"])],
+        ),
+        function=AggregateFunction.COUNT,
+    )
+    census, sampled = _errors(toy.kg, toy.embedding, chain, EngineConfig(seed=1))
+    assert type(census) is type(sampled) is SamplingError
+
+
+def test_an_empty_joint_raises_the_query_error_of_pi_a():
+    kg = KnowledgeGraph()
+    left = kg.add_node("left", ["Hub"])
+    right = kg.add_node("right", ["Hub"])
+    kg.add_edge(left, "owns", kg.add_node("a", ["Car"]))
+    kg.add_edge(right, "owns", kg.add_node("b", ["Car"]))
+    space = PredicateVectorSpace(LookupEmbedding({"owns": np.array([1.0, 0.0])}))
+    query = AggregateQuery(
+        query=QueryGraph.compose(
+            [
+                QueryGraph.simple("left", ["Hub"], "owns", ["Car"]),
+                QueryGraph.simple("right", ["Hub"], "owns", ["Car"]),
+            ]
+        ),
+        function=AggregateFunction.COUNT,
+    )
+    census, sampled = _errors(kg, space, query, EngineConfig(seed=1, n_bound=1))
+    assert type(census) is type(sampled) is QueryError
+    assert str(census) == str(sampled)
+    assert "empty intersection" in str(census)
+
+
+def test_a_node2vec_chain_fails_at_plan_time(toy):
+    planner = QueryPlanner(
+        toy.kg, toy.space, EngineConfig(seed=0, sampler=SamplerKind.NODE2VEC),
+        cache=PlanCache(),
+    )
+    with pytest.raises(QueryError, match="node2vec"):
+        planner.plan_for(toy.chain_count_query().query.components[0])
+    assert planner.stage_batches == 0
+    assert planner.cache.num_plans(toy.kg) == 0

@@ -12,12 +12,12 @@ Covered:
   fresh registry per service, and the ``NULL_REGISTRY`` off switch;
 * span trees — every settled query carries a ``query`` root with an
   ``initialise`` child and one ``round`` child per executed round; a cold
-  plan's ``plan_build`` span nests one ``s1_stage`` span per call of the
-  batched S1 stage kernel, whose ``sources`` add up to the
-  ``repro_plan_stage_sources`` gauge; a
-  cold query's ``validate_batch`` spans nest one ``similarity_row`` span
-  per plan whose row they build (``kind`` simple or chain), and a warm
-  rerun nests none; every span name is one of those in-process seams;
+  census-first query's ``initialise`` nests one ``similarity_row`` span
+  per plan whose row its candidates build (``kind`` simple or chain) and
+  no ``s1_stage`` span, and a warm rerun nests neither; a sampled query's
+  first draw runs one ``s1_stage`` span per call of the batched S1 stage
+  kernel, whose ``sources`` add up to the ``repro_plan_stage_sources``
+  gauge; every span name is one of those in-process seams;
 * the audit log — exactly one JSON line per settlement (refines append
   a second), JSON-clean for every kind including the extreme sentinel
   (``guaranteed=False`` / ``moe=0.0``), failures carrying the error,
@@ -579,12 +579,54 @@ class TestExecMetrics:
         assert validated[0] > 0
         assert validated[1] == validated[0]
 
+    def test_stop_reasons_count_every_finalised_run(self, world, sampled_service):
+        """``repro_exec_stop_reasons_total{reason}`` ticks once per run, by
+        its result's ``stop_reason``: a production query is a census; a
+        sampled one meets its bound, fills the sample cap or spends its
+        round budget."""
+
+        def reasons(service) -> dict[str, float]:
+            samples = _parse_prometheus(service.registry.render_prometheus())
+            return {
+                reason: samples[f'repro_exec_stop_reasons_total{{reason="{reason}"}}']
+                for reason in ("census", "bound_met", "sample_cap", "round_budget")
+            }
+
+        with _service(world) as service:
+            result = service.submit(world.count_query(), seed=3).result(timeout=30.0)
+            assert result.stop_reason == "census"
+            assert reasons(service) == {
+                "census": 1, "bound_met": 0, "sample_cap": 0, "round_budget": 0,
+            }
+
+        shared_plan_cache().clear()
+        runs = [
+            ({"error_bound": 0.5}, EngineConfig(seed=7), "bound_met"),
+            (
+                {"error_bound": 1e-4},
+                EngineConfig(seed=7, max_sample_size=120),
+                "sample_cap",
+            ),
+            ({"error_bound": 1e-4, "max_rounds": 2}, EngineConfig(seed=7), "round_budget"),
+        ]
+        for kwargs, config, reason in runs:
+            with sampled_service(world.kg, world.embedding, config) as service:
+                result = service.submit(
+                    world.count_query(), seed=3, **kwargs
+                ).result(timeout=60.0)
+                assert result.stop_reason == reason
+                counted = reasons(service)
+            assert counted == {
+                name: float(name == reason) for name in counted
+            }, reason
+
     @pytest.mark.parametrize("shape", ["chain", "star"])
     def test_a_cold_query_builds_one_similarity_row_per_plan(self, shape):
-        """The golden ``chain_count`` / ``star_count`` case, cold: the
-        census's ``validate_batch`` builds each plan's row once, in one
-        ``similarity_row`` span (a chain's first leg included), and a warm
-        rerun builds none."""
+        """The golden ``chain_count`` / ``star_count`` case, cold: reading
+        the census candidates in ``initialise`` builds each plan's row
+        once, in one ``similarity_row`` span (a chain's first leg
+        included), the census round builds none, and a warm rerun builds
+        none."""
         from repro import QueryShape
         from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 
@@ -612,15 +654,18 @@ class TestExecMetrics:
         assert "chain" in {span["attributes"]["kind"] for span in rows}
         for span in rows:
             assert span["attributes"]["reached"] > 0
+        (initialise,) = _spans_named(cold, "initialise")
+        assert _spans_below(initialise, "similarity_row") == rows
         (census,) = _spans_below(cold, "census")
-        assert _spans_below(census, "similarity_row") == rows
+        assert not _spans_below(census, "similarity_row")
         assert not _spans_below(warm, "similarity_row")
 
-    def test_s1_stage_spans_account_for_every_walk(self):
-        """Cold plans say how S1 ran: one ``s1_stage`` span per call of the
-        batched stage kernel, under ``plan_build`` — one per hop for a chain,
-        one for a simple plan — and the two ``repro_plan_stage_*`` gauges
-        count the same calls and walks."""
+    def test_s1_stage_spans_account_for_every_walk(self, sampled_service):
+        """A sampled query runs S1 on its plans' first draw: one
+        ``s1_stage`` span per call of the batched stage kernel, under
+        ``initialise`` — one per hop for a chain, one for a simple plan —
+        and the two ``repro_plan_stage_*`` gauges count the same calls and
+        walks.  The census-first run of the same queries runs none."""
         from repro import QueryShape
         from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 
@@ -633,6 +678,19 @@ class TestExecMetrics:
         with AggregateQueryService(
             bundle.kg, bundle.embedding, EngineConfig(seed=0)
         ) as service:
+            for query in (chain, simple):
+                handle = service.submit(query)
+                handle.result(timeout=60.0)
+                assert not _spans_below(handle.trace(), "s1_stage")
+            census = _parse_prometheus(service.registry.render_prometheus())
+        assert census["repro_plan_builds"] == 2
+        assert census["repro_plan_stage_batches"] == 0
+        assert census["repro_plan_stage_sources"] == 0
+
+        shared_plan_cache().clear()
+        with sampled_service(
+            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+        ) as service:
             handle = service.submit(chain)
             handle.result(timeout=60.0)
             chain_trace = handle.trace()
@@ -642,9 +700,11 @@ class TestExecMetrics:
             simple_trace = handle.trace()
             after_both = _parse_prometheus(service.registry.render_prometheus())
 
-        (build,) = _spans_below(chain_trace, "plan_build")
-        stages = _spans_named(build, "s1_stage")
+        (initialise,) = _spans_named(chain_trace, "initialise")
+        stages = _spans_named(initialise, "s1_stage")
         assert stages == _spans_below(chain_trace, "s1_stage")
+        for build in _spans_below(initialise, "plan_build"):
+            assert not build["children"]  # S1 ran on the draw, not the build
         first, second = (span["attributes"] for span in stages)
         assert (first["hop"], first["sources"]) == (0, 1)
         assert second["hop"] == 1 and second["sources"] > 1

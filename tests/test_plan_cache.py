@@ -495,9 +495,9 @@ class TestValidatorMemos:
 
 
 class TestJointSupports:
-    """A composite query's joint support (intersection, weights, guide
-    table) is cached in the plan cache beside its plans, keyed by their
-    plan keys."""
+    """A composite query's joint candidate set (the intersection of its
+    plans' candidates, which a census counts over) is cached in the plan
+    cache beside its plans, keyed by their plan keys."""
 
     def test_two_submits_share_one_joint(self, world, monkeypatch):
         joints = []
@@ -517,9 +517,9 @@ class TestJointSupports:
         first, second, plain = joints
         assert second is first
         assert shared_plan_cache().num_joints(world.kg) == 1
-        # a single component is its plan's own distribution
+        # a single component's is its plan's own candidate set
         plan = _engine(world).planner.plan_for(world.count_query().query.components[0])
-        assert plain is plan.distribution
+        assert plain is plan.candidates(world.kg)
 
     def test_structural_mutation_gives_a_fresh_joint(self, world):
         engine = _engine(world)
@@ -546,16 +546,14 @@ class TestJointSupports:
 
     def test_cold_composite_loop_retains_no_joint(self, world, monkeypatch):
         built = []
-        original = QueryExecutor._joint_distribution
+        original = QueryExecutor._candidate_intersection
 
-        def recording(components):
-            joint = original(components)
+        def recording(self, plans):
+            joint = original(self, plans)
             built.append(weakref.ref(joint))
             return joint
 
-        monkeypatch.setattr(
-            QueryExecutor, "_joint_distribution", staticmethod(recording)
-        )
+        monkeypatch.setattr(QueryExecutor, "_candidate_intersection", recording)
         for seed in range(20):
             shared_plan_cache().clear()
             # a finished query's state holds its joint too: closing the
