@@ -7,12 +7,12 @@ and tightens it step by step to 1%.  Each tightening reuses every draw
 collected so far; Eq. 12 sizes only the missing increment, so later steps
 cost milliseconds instead of a fresh execution.
 
-The production engine would not sample here: the query's support (346
-answers on this graph) fits under ``max_sample_size``, so its first round
-is the census — the exact SUM, MoE 0, no draws — and every tighter bound
-after it is free.  To show refinement, the example runs the paper's
-sampling loop instead, on :func:`repro.bench.harness.sampled_engine`
-(an engine whose executor never takes the census).
+The production engine never samples: its first round is the census —
+the exact SUM, MoE 0, no draws — and every tighter bound after it is
+free.  To show refinement, the example runs the paper's sampling loop
+instead, on :func:`repro.bench.harness.sampled_engine` (an engine whose
+executor, :class:`repro.bench.sampled.SampledExecutor`, always
+samples).
 
 Refinement is now handle-native: ``service.submit`` returns a
 :class:`QueryHandle` and every ``handle.refine(eb).result()`` runs one

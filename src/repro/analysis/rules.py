@@ -105,6 +105,7 @@ class LintConfig:
         "semantics/kernels.py",
         "semantics/validation.py",
         "core/executor.py",
+        "bench/sampled.py",
         "core/planner.py",
         "sampling/strength.py",
         "sampling/chain.py",

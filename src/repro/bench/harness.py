@@ -7,15 +7,16 @@ executes any of the paper's eight methods on one query with *cold* per-call
 state so timings are comparable.
 
 "Ours" runs on :func:`figure_engine`: the paper's model end to end.  Its
-executor never takes the census (the exact answer a production query
-takes at once when its support fits under ``max_sample_size``, which
-every preset support does), so the figures sweep what the paper's knobs
-do to a sample rather than read one exact answer, and its
-planner binds the paper's greedy r-path search (§IV-B2) as each plan's
-validator instead of the exact similarity row, so ``r`` and the search
-budget act as in the paper.  Each figure engine keeps its plans in a
-cache of its own: every run is cold, and no paper verdict reaches a plan
-a production engine reads.
+executor is :class:`~repro.bench.sampled.SampledExecutor`, which always
+samples where a production query answers by census, so the figures sweep
+what the paper's knobs do to a sample rather than read one exact answer,
+and its planner binds the paper's greedy r-path search (§IV-B2) as each
+plan's validator instead of the exact similarity row, so ``r`` and the
+search budget act as in the paper.  Each figure engine keeps its plans in
+a cache of its own: every run is cold, and no paper verdict reaches a
+plan a production engine reads.  :func:`sampled_engine` is the same
+sampled executor over the production planner (exact S2): what the tests
+of the sampling mechanics run on.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from repro.baselines import (
 )
 from repro.baselines.ssb import GroundTruth
 from repro.bench.metrics import grouped_relative_error, relative_error
+from repro.bench.sampled import SampledExecutor
 from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
-from repro.core.executor import QueryExecutor
 from repro.core.plan import PlanCache, QueryPlan
 from repro.core.planner import QueryPlanner
 from repro.core.result import ApproximateResult, GroupedResult
@@ -63,25 +64,6 @@ METHODS = ("Ours", "EAQ", "GraB", "QGA", "SGQ", "JENA", "Virtuoso", "SSB")
 def method_names() -> tuple[str, ...]:
     """All comparator names, in the paper's table order."""
     return METHODS
-
-
-class SampledExecutor(QueryExecutor):
-    """An executor that never takes the census.
-
-    The preset graphs (and the tests' small ones) have supports under
-    ``max_sample_size``, so every production query takes the census at
-    its first round and draws nothing; the paper's figures, a
-    calibration of the sampling path, and tests of the sampling
-    mechanics — Eq. 12 growth, BLB bags, the sample cap, the round
-    budget, anytime progress — run on this instead.  Its queries draw
-    from the start, so each plan runs S1 on its first draw.
-    """
-
-    def _census_support(self, components, plans):
-        return None
-
-    def _census_due(self, state, need: int) -> bool:
-        return False
 
 
 def sampled_engine(kg, embedding, config: EngineConfig | None = None):

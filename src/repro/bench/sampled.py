@@ -1,0 +1,648 @@
+"""The paper's sampled lifecycle: Algorithm 2 with S1 draws, BLB rounds
+and Eq. 12 growth.
+
+Production answers every query by census (:mod:`repro.core.executor`).
+The figures and the tests of the sampling mechanics run
+:class:`SampledExecutor` instead, which always samples: a query draws
+from its joint pi_A and estimates each round — Eq. 7-9 with a BLB
+interval and the Theorem-2 check, one CI per group for GROUP-BY (§V-A),
+the sample extremum for MAX/MIN (§IV-B1), optionally extrapolated by an
+EVT tail fit.  Validation, group keys and packaging are the production
+executor's.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.core.config import DeltaStrategy, ExtremeMethod
+from repro.core.executor import (
+    _EMPTY_JOINT,
+    KIND_EXTREME,
+    KIND_GROUPED,
+    STAGE_ESTIMATION,
+    STAGE_GUARANTEE,
+    STAGE_SAMPLING,
+    QueryExecutor,
+    StepOutcome,
+    _QueryState,
+    kind_for,
+)
+from repro.core.plan import QueryPlan
+from repro.core.result import (
+    STOP_BOUND_MET,
+    STOP_ROUND_BUDGET,
+    STOP_SAMPLE_CAP,
+    ApproximateResult,
+    GroupedResult,
+    RoundTrace,
+)
+from repro.errors import EstimationError, QueryError
+from repro.estimation.accuracy import moe_target, satisfies_error_bound
+from repro.estimation.bootstrap import blb_moe
+from repro.estimation.confidence import normal_critical_value
+from repro.estimation.estimators import (
+    EstimationSample,
+    Normalization,
+    estimate_extreme,
+)
+from repro.estimation.extreme import estimate_extreme_evt
+from repro.query.aggregate import AggregateFunction, AggregateQuery
+from repro.sampling.collector import AnswerCollector, AnswerDistribution
+from repro.utils.rng import derive_seed, ensure_rng
+from repro.utils.timing import StageTimer
+
+#: most elements one ``(groups, draws)`` block of a closed-form GROUP-BY
+#: round may hold; a round with more is reduced a block of groups at a time
+_GROUP_BLOCK_ELEMENTS = 1 << 20
+
+
+@dataclass(kw_only=True)
+class _SampledState(_QueryState):
+    """A sampled query's state: its draws beside the verdicts."""
+
+    #: the joint pi_A the draws are taken from, in support-index order
+    joint: AnswerDistribution
+    #: draws from ``joint``
+    collector: AnswerCollector
+    #: per-little-sample arrays of support indices
+    little_samples: list[np.ndarray]
+    desired_n: int
+    #: distinct_support_indices memo: (per-sample lengths scattered so
+    #: far, drawn mask over the support, read-only indices)
+    _drawn: tuple | None = field(default=None, repr=False)
+
+    @property
+    def total_draws(self) -> int:
+        """Draws collected so far across all little samples."""
+        return int(sum(len(sample) for sample in self.little_samples))
+
+    def distinct_support_indices(self) -> np.ndarray:
+        """Sorted unique support indices present in the draws.
+
+        A drawn mask over the support instead of a sort over every draw,
+        updated once per growth: little samples only ever grow by
+        appending (:meth:`SampledExecutor._draw` is their only writer), so
+        their lengths identify the draw set and only the tail each one
+        gained since the last call is scattered.
+        """
+        lengths = tuple(len(sample) for sample in self.little_samples)
+        if self._drawn is None:
+            mask = np.zeros(self.joint.support_size, dtype=bool)
+            self._drawn = ((0,) * len(lengths), mask, None)
+        scattered, mask, indices = self._drawn
+        if indices is None or scattered != lengths:
+            for sample, start in zip(self.little_samples, scattered):
+                mask[sample[start:]] = True
+            indices = np.flatnonzero(mask)
+            indices.setflags(write=False)
+            self._drawn = (lengths, mask, indices)
+        return indices
+
+
+class SampledExecutor(QueryExecutor):
+    """An executor that always samples, and never takes the census:
+    what :func:`repro.bench.harness.figure_engine` and
+    :func:`repro.bench.harness.sampled_engine` run."""
+
+    # ------------------------------------------------------------------
+    # Initialisation: plans, the joint pi_A, the first draws
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _joint_distribution(components: list[QueryPlan]) -> AnswerDistribution:
+        """Decomposition-assembly of two or more components: intersect
+        supports, multiply weights.
+
+        The joint support is the sorted intersection of the components'
+        answers; an answer's weight is the product of its per-component
+        probabilities, multiplied up in plan order, renormalised.
+        """
+        answers = components[0].distribution.answers
+        for plan in components[1:]:
+            answers = np.intersect1d(answers, plan.distribution.answers)
+        if len(answers) == 0:
+            raise QueryError(_EMPTY_JOINT)
+        weights = np.ones(len(answers), dtype=np.float64)
+        for plan in components:
+            distribution = plan.distribution
+            # ``answers`` is sorted and contained in every support, so the
+            # positions come back aligned with it
+            _, _, where = np.intersect1d(
+                answers, distribution.answers, return_indices=True
+            )
+            weights *= distribution.probabilities[where]
+        return AnswerDistribution(answers=answers, probabilities=weights / weights.sum())
+
+    def _start(
+        self,
+        aggregate_query: AggregateQuery,
+        plans: list[QueryPlan],
+        timers: StageTimer,
+        seed: int,
+        confidence_level: float,
+    ) -> _SampledState:
+        """Draw the initial BLB little samples from the joint pi_A — each
+        plan runs S1 on this, its first draw — on a generator derived from
+        ``seed``."""
+        config = self.config
+        with timers.measure(STAGE_SAMPLING):
+            joint = (
+                plans[0].distribution
+                if len(plans) == 1
+                else self._joint_distribution(plans)
+            )
+            num_candidates = max(plan.num_candidates for plan in plans)
+            if aggregate_query.function.has_guarantee:
+                ratio = config.sample_ratio
+            else:
+                ratio = config.extreme_sample_ratio
+            desired_n = max(
+                config.min_initial_sample,
+                int(math.ceil(ratio * num_candidates)),
+            )
+            size = joint.support_size
+            state = _SampledState(
+                aggregate_query=aggregate_query,
+                components=plans,
+                joint=joint,
+                collector=AnswerCollector(
+                    joint, seed=ensure_rng(derive_seed(seed, "engine"))
+                ),
+                little_samples=[
+                    np.empty(0, dtype=np.int64)
+                    for _ in range(config.blb.num_little_samples)
+                ],
+                desired_n=desired_n,
+                num_candidates=num_candidates,
+                walk_iterations=max(plan.walk_iterations for plan in plans),
+                confidence_level=confidence_level,
+                support_known=np.zeros(size, dtype=bool),
+                support_correct=np.zeros(size, dtype=bool),
+                support_value=np.zeros(size, dtype=np.float64),
+                timers=timers,
+            )
+            little_size = config.blb.little_sample_size(desired_n)
+            self._draw(state, [little_size] * len(state.little_samples))
+        return state
+
+    def _ensure_validated(self, state: _SampledState) -> None:
+        """Validate every support entry present in the current draws."""
+        drawn = state.distinct_support_indices()
+        self._validate_pending(state, drawn[~state.support_known[drawn]])
+
+    @staticmethod
+    def _combined_sample(state: _SampledState) -> EstimationSample:
+        """Every draw with its value, probability and verdict: what MAX/MIN
+        rounds and the EVT fit estimate from, and the tests' per-draw
+        oracle of :meth:`_contribution_columns`.  Callers must have run
+        :meth:`_ensure_validated` first."""
+        draws = np.concatenate(state.little_samples)
+        return EstimationSample(
+            values=state.support_value[draws],
+            probabilities=state.joint.probabilities[draws],
+            correct=state.support_correct[draws],
+        )
+
+    # ------------------------------------------------------------------
+    # The round lifecycle (S2 + S3): grow / step / finalise, every kind
+    # ------------------------------------------------------------------
+    def grow(
+        self, state: _SampledState, last: RoundTrace, error_bound: float
+    ) -> None:
+        """Alg. 2 lines 11-13: enlarge S_A before a non-first round.
+
+        ``last`` is the previous round's trace.  Guaranteed aggregates
+        size the top-up against its estimate and MoE (Eq. 12); a round
+        that stored the no-CI sentinel still has to read as "no CI yet",
+        so the infinity is restored from ``last.guaranteed``.  GROUP-BY
+        has no single Eq.-12 target (each group carries its own CI) and
+        runs the delta strategy with an unknown MoE — doubling under
+        ``ERROR_BASED``, the fixed top-up otherwise.  MAX/MIN have no
+        error sensing at all (§VII-B): each round doubles the draw set.
+
+        Growth is the only RNG in a round and runs in the scheduler slot
+        that owns the state, before the slot's :meth:`step` validates and
+        estimates the grown sample.
+        """
+        with state.timers.measure(STAGE_SAMPLING):
+            state.desired_n, counts = self._growth(state, last, error_bound)
+            self._draw(state, counts)
+
+    def _growth(
+        self, state: _SampledState, last: RoundTrace, error_bound: float
+    ) -> tuple[int, list[int]]:
+        """``(desired_n, draws per little sample)`` of the next growth."""
+        config = self.config
+        sizes = [len(sample) for sample in state.little_samples]
+        kind = kind_for(state.aggregate_query)
+        if kind == KIND_EXTREME:
+            return state.desired_n, sizes
+        if config.delta_strategy is not DeltaStrategy.ERROR_BASED:
+            per_sample = max(1, config.fixed_delta // len(sizes))
+            return state.desired_n, [per_sample] * len(sizes)
+        if kind == KIND_GROUPED:
+            point_estimate, moe = 1.0, float("inf")
+        else:
+            point_estimate = last.estimate
+            moe = last.moe if last.guaranteed else float("inf")
+        target = moe_target(point_estimate, error_bound)
+        if math.isinf(moe) or target <= 0.0:
+            growth = 2.0  # no usable CI yet: double the sample
+        else:
+            # Eq. 12: N grows by (eps / target)^2, so |S_A| = t N^m
+            # grows by ratio^(2m) — exactly |dS_A| of the paper.
+            ratio = max(moe / target, 1.0)
+            growth = min(ratio * ratio, config.max_growth_factor)
+            growth = max(growth, 1.1)  # always make visible progress
+        desired_n = int(math.ceil(state.desired_n * growth))
+        little_size = config.blb.little_sample_size(desired_n)
+        return desired_n, [max(0, little_size - size) for size in sizes]
+
+    def _draw(self, state: _SampledState, counts: list[int]) -> None:
+        """Append ``counts[i]`` draws to little sample ``i``, in order."""
+        for position, count in enumerate(counts):
+            if count > 0:
+                state.little_samples[position] = np.concatenate(
+                    [
+                        state.little_samples[position],
+                        state.collector.collect_indices(count),
+                    ]
+                )
+
+    def step(
+        self,
+        state: _SampledState,
+        error_bound: float,
+        *,
+        carried_seconds: float = 0.0,
+    ) -> StepOutcome:
+        """Run exactly one validate-estimate round and append its trace.
+
+        The sample is estimated as it stands: a caller that grew it first
+        (:meth:`grow`) passes the growth's wall-clock as
+        ``carried_seconds`` so the trace still reports the full round.
+        What the round estimates depends on the kind — see
+        :meth:`_estimate_guaranteed`, :meth:`_estimate_worst_group` and
+        :meth:`_estimate_extremum`, each returning ``(estimate, moe or
+        None, correct_draws, satisfied)``.
+        """
+        step_started = time.perf_counter() - carried_seconds
+        kind = kind_for(state.aggregate_query)
+        self._ensure_validated(state)
+        if kind == KIND_GROUPED:
+            round_estimate = self._estimate_worst_group(state, error_bound)
+        elif kind == KIND_EXTREME:
+            round_estimate = self._estimate_extremum(state)
+        else:
+            round_estimate = self._estimate_guaranteed(state, error_bound)
+        trace = self._record_round(state, round_estimate, step_started)
+        return StepOutcome(
+            trace=trace,
+            satisfied=trace.satisfied,
+            exhausted=state.total_draws >= self.config.max_sample_size,
+        )
+
+    def finalise(
+        self, state: _SampledState, converged: bool
+    ) -> ApproximateResult | GroupedResult:
+        """Package the state after its run's last step.
+
+        ``converged`` is that step's ``satisfied``; with the draw count it
+        also says why the run stopped (``stop_reason``: the bound was met,
+        else the sample cap was reached, else the round budget — the
+        caller's — was spent).  GROUP-BY packages the latest per-group
+        estimates; everything else the last round's estimate and MoE,
+        which a MAX/MIN query under ``ExtremeMethod.EVT`` first
+        extrapolates past the sample extremum.
+        """
+        config = self.config
+        if converged:
+            stop_reason = STOP_BOUND_MET
+        elif state.total_draws >= config.max_sample_size:
+            stop_reason = STOP_SAMPLE_CAP
+        else:
+            stop_reason = STOP_ROUND_BUDGET
+        estimate = None
+        if (
+            kind_for(state.aggregate_query) == KIND_EXTREME
+            and config.extreme_method is ExtremeMethod.EVT
+            and state.rounds[-1].correct_draws
+        ):
+            # The future-work extension: extrapolate past the sample
+            # extremum with a POT/GPD tail fit (see estimation.extreme).
+            with state.timers.measure(STAGE_GUARANTEE):
+                combined = self._combined_sample(state)
+                evt = estimate_extreme_evt(
+                    combined,
+                    state.aggregate_query.function,
+                    exceedance_quantile=config.evt_exceedance_quantile,
+                    confidence_level=state.confidence_level,
+                    bootstrap_rounds=config.evt_bootstrap_rounds,
+                    seed=derive_seed(config.seed, "evt"),
+                )
+            estimate = (evt.value, evt.moe)
+        return self._package(
+            state,
+            converged,
+            stop_reason,
+            estimate=estimate,
+            distinct_answers=int(len(state.distinct_support_indices())),
+        )
+
+    # ------------------------------------------------------------------
+    # What one round estimates, per kind
+    # ------------------------------------------------------------------
+    def _contribution_columns(
+        self, state: _SampledState, draws: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Per-draw ``(numerators, denominators, correct)`` over ``draws``.
+
+        The Eq. 7-9 terms are formed once per support entry —
+        ``1{correct} / pi'`` for COUNT, ``1{correct} * v / pi'`` otherwise,
+        the divisions :class:`EstimationSample` does per draw — and
+        gathered: a lone numerator column is a mean-shaped estimator
+        (COUNT/SUM under ``Normalization.SAMPLE``); AVG divides by the
+        COUNT terms, the PAPER normalisation by the verdict mask.  Callers
+        must have run :meth:`_ensure_validated` first.
+        """
+        function = state.aggregate_query.function
+        probabilities = state.joint.probabilities
+        drawn = probabilities[state.distinct_support_indices()]
+        if np.any(drawn <= 0.0) or np.any(drawn > 1.0):
+            raise EstimationError("probabilities must lie in (0, 1]")
+        correct = state.support_correct
+
+        def terms(values) -> np.ndarray:
+            # an undrawn entry may carry pi' = 0; it is never gathered
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(correct, values / probabilities, 0.0)[draws]
+
+        draw_correct = correct[draws]
+        counted = function is AggregateFunction.COUNT
+        numerators = terms(1.0 if counted else state.support_value)
+        if function is AggregateFunction.AVG:
+            denominators = terms(1.0)
+        elif self.config.normalization is Normalization.SAMPLE:
+            denominators = None
+        else:
+            denominators = draw_correct.astype(np.float64)
+        return numerators, denominators, draw_correct
+
+    @staticmethod
+    def _column_estimate(
+        numerators: np.ndarray, denominators: np.ndarray | None, correct: np.ndarray
+    ) -> float:
+        """Eq. 7-9 off contribution columns.
+
+        ``correct`` (holding at least one draw) drives the compressed
+        pairwise sums — a correct answer may contribute ``0.0`` — exactly
+        as :func:`repro.estimation.estimators.estimate` sums per draw; a
+        lone column divides by |S_A|.
+        """
+        kept = np.flatnonzero(correct)  # twice as fast as a mask index
+        weighted = float(np.sum(numerators.take(kept)))
+        if denominators is None:
+            return weighted / len(numerators)
+        return weighted / float(np.sum(denominators.take(kept)))
+
+    def _column_moe(
+        self,
+        state: _SampledState,
+        numerators: np.ndarray,
+        denominators: np.ndarray | None,
+        bag_stops: list[int],
+        seed: int | np.random.Generator,
+    ) -> float:
+        """Eq. 10-11 over the contiguous column views ending at
+        ``bag_stops``, at the query's confidence level; inf when no bag
+        yields a sigma.  A bootstrap draws on ``ensure_rng(seed)``, built
+        only if a bag needs it."""
+        config = self.config
+        bags = [
+            (
+                numerators[start:stop],
+                None if denominators is None else denominators[start:stop],
+            )
+            for start, stop in zip([0] + bag_stops, bag_stops)
+        ]
+        # which formula each bag's sigma takes
+        name = "sigma_closed_form" if denominators is None else "sigma_bootstrap"
+        if self.obs_metrics is not None:
+            self.obs_metrics[name].inc(len(bags))
+        try:
+            return blb_moe(
+                bags,
+                critical=normal_critical_value(state.confidence_level),
+                num_resamples=config.blb.num_resamples,
+                resample_size=len(numerators),
+                seed=seed,
+            )
+        except EstimationError:
+            return float("inf")
+
+    def _estimate_guaranteed(
+        self, state: _SampledState, error_bound: float
+    ) -> tuple[float, float | None, int, bool]:
+        """Eq. 7-9 estimate, BLB interval and the Theorem-2 check."""
+        config = self.config
+        round_index = len(state.rounds) + 1
+        point_estimate, moe = 0.0, float("inf")
+        with state.timers.measure(STAGE_ESTIMATION):
+            numerators, denominators, correct = self._contribution_columns(
+                state, np.concatenate(state.little_samples)
+            )
+            correct_draws = int(np.count_nonzero(correct))
+            if correct_draws > 0:
+                point_estimate = self._column_estimate(
+                    numerators, denominators, correct
+                )
+        with state.timers.measure(STAGE_GUARANTEE):
+            if correct_draws > 0:
+                # each little sample is a contiguous view of the gather
+                moe = self._column_moe(
+                    state,
+                    numerators,
+                    denominators,
+                    list(itertools.accumulate(map(len, state.little_samples))),
+                    derive_seed(config.seed, "blb", round_index),
+                )
+            satisfied = (
+                correct_draws >= config.min_correct_for_termination
+                and round_index >= config.min_rounds
+                and satisfies_error_bound(moe, point_estimate, error_bound)
+            )
+        return (
+            point_estimate,
+            moe if math.isfinite(moe) else None,
+            correct_draws,
+            satisfied,
+        )
+
+    def _estimate_worst_group(
+        self, state: _SampledState, error_bound: float
+    ) -> tuple[float, float | None, int, bool]:
+        """Re-estimate every observed group; report the one gating the run
+        (:meth:`_group_round`), satisfied when every sufficiently-drawn
+        group met the bound (and there is one)."""
+        with state.timers.measure(STAGE_ESTIMATION):
+            keys = self._group_keys(state, state.distinct_support_indices())
+            draws = np.concatenate(state.little_samples)
+            numerators, denominators, _correct = self._contribution_columns(
+                state, draws
+            )
+        with state.timers.measure(STAGE_GUARANTEE):
+            groups, satisfied = self._estimate_groups(
+                state, numerators, denominators, keys[draws], error_bound
+            )
+        return self._group_round(state, groups, satisfied)
+
+    def _estimate_extremum(
+        self, state: _SampledState
+    ) -> tuple[float, None, int, bool]:
+        """The sample extremum: no interval (§IV-B1 remarks), never
+        satisfied — the round budget is the only stop condition besides
+        sample exhaustion."""
+        function = state.aggregate_query.function
+        with state.timers.measure(STAGE_ESTIMATION):
+            combined = self._combined_sample(state)
+            if combined.correct_draws:
+                value = estimate_extreme(combined, function)
+            elif state.rounds:
+                value = state.rounds[-1].estimate
+            else:
+                value = 0.0
+        return value, None, combined.correct_draws, False
+
+    def _estimate_groups(
+        self,
+        state: _SampledState,
+        numerators: np.ndarray,
+        denominators: np.ndarray | None,
+        draw_keys: np.ndarray,
+        error_bound: float,
+    ) -> tuple[dict[float, tuple], bool]:
+        """``{key: (estimate, moe, converged, correct draws, distinct
+        answers)}`` per group; whether the round is satisfied.
+
+        A group's columns are the round's, zeroed outside the group: they
+        span every draw, so the SAMPLE-normalised estimators keep their
+        |S_A| denominator and the sigma — one bag; closed form when
+        mean-shaped like an ungrouped round, else bootstrapped on one
+        generator in key order — sees the group-membership mixture
+        variance.  A group's draws are a contiguous slice of one stable
+        sort of the draw keys, so its estimate sums its members in draw
+        order.  The round is satisfied when every group with
+        ``min_group_draws`` correct draws met the bound and at least one
+        group has that many: a round that gates no group checked nothing.
+        """
+        config = self.config
+        drawn_keys = state.support_group[state.distinct_support_indices()]
+        # only correct entries are keyed, so a group's draws are correct
+        keys, distinct = np.unique(
+            drawn_keys[~np.isnan(drawn_keys)], return_counts=True
+        )
+        order = np.argsort(draw_keys, kind="stable")
+        sorted_keys = draw_keys[order]
+        starts = np.searchsorted(sorted_keys, keys, side="left")
+        stops = np.searchsorted(sorted_keys, keys, side="right")
+
+        def group_sums(column: np.ndarray) -> list[float]:
+            by_key = column[order]
+            return [
+                float(np.sum(by_key[start:stop])) for start, stop in zip(starts, stops)
+            ]
+
+        weighted = group_sums(numerators)
+        if denominators is None:
+            estimates = [total / len(numerators) for total in weighted]
+            moes = self._closed_form_group_moes(state, numerators, draw_keys, keys)
+        else:
+            estimates = [
+                total / count
+                for total, count in zip(weighted, group_sums(denominators))
+            ]
+            moes = self._bootstrapped_group_moes(
+                state, numerators, denominators, draw_keys, keys
+            )
+        results: dict[float, tuple] = {}
+        gated = 0
+        all_satisfied = True
+        for key, estimate, moe, correct_draws, answers in zip(
+            keys.tolist(), estimates, moes, (stops - starts).tolist(), distinct.tolist()
+        ):
+            satisfied = math.isfinite(moe) and satisfies_error_bound(
+                moe, estimate, error_bound
+            )
+            if correct_draws >= config.min_group_draws:
+                gated += 1
+                all_satisfied = all_satisfied and satisfied
+            results[key] = (
+                estimate,
+                moe if math.isfinite(moe) else 0.0,
+                satisfied,
+                correct_draws,
+                answers,
+            )
+        return results, all_satisfied and gated > 0
+
+    def _closed_form_group_moes(
+        self,
+        state: _SampledState,
+        numerators: np.ndarray,
+        draw_keys: np.ndarray,
+        keys: np.ndarray,
+    ) -> list[float]:
+        """Each group's closed-form MoE (:func:`blb_moe` of its one
+        mean-shaped bag), inf without a sigma.
+
+        The groups' zeroed columns are the rows of one ``(groups, draws)``
+        matrix, reduced ``_GROUP_BLOCK_ELEMENTS`` at a time: a row's
+        ``np.std`` over the contiguous axis is the 1-D call's pairwise sum,
+        so every sigma is :func:`column_mean_sigma`'s bit for bit.
+        """
+        if self.obs_metrics is not None:
+            self.obs_metrics["sigma_closed_form"].inc(len(keys))
+        draws = len(numerators)
+        if draws < 2:
+            return [float("inf")] * len(keys)
+        sigmas = np.empty(len(keys), dtype=np.float64)
+        rows = max(1, _GROUP_BLOCK_ELEMENTS // draws)
+        for start in range(0, len(keys), rows):
+            block = keys[start : start + rows, np.newaxis]
+            sigmas[start : start + rows] = np.std(
+                np.where(draw_keys == block, numerators, 0.0), axis=1, ddof=1
+            )
+        critical = normal_critical_value(state.confidence_level)
+        return (critical * (sigmas / np.sqrt(draws))).tolist()
+
+    def _bootstrapped_group_moes(
+        self,
+        state: _SampledState,
+        numerators: np.ndarray,
+        denominators: np.ndarray,
+        draw_keys: np.ndarray,
+        keys: np.ndarray,
+    ) -> list[float]:
+        """Each group's bootstrapped MoE, inf without a sigma: the groups
+        draw in key order on one generator."""
+        rng = ensure_rng(
+            derive_seed(self.config.seed, "group-bootstrap", len(state.rounds))
+        )
+        moes = []
+        for key in keys:
+            members = draw_keys == key
+            moes.append(
+                self._column_moe(
+                    state,
+                    np.where(members, numerators, 0.0),
+                    np.where(members, denominators, 0.0),
+                    [len(members)],
+                    rng,
+                )
+            )
+        return moes

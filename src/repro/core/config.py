@@ -47,7 +47,14 @@ class ExtremeMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """All knobs of Algorithm 2; see the paper sections noted per field."""
+    """All knobs of Algorithm 2; see the paper sections noted per field.
+
+    Production answers every query by census, so only the figures'
+    :class:`repro.bench.sampled.SampledExecutor` reads the fields from
+    "Sample sizing" down to ``extreme_method`` and the ``evt_*`` and
+    ``min_group_draws`` fields (``max_rounds`` and ``extreme_rounds``
+    aside: they bound every run, though a census ends at its first).
+    """
 
     # Accuracy contract (Problem statement, Eq. 1)
     error_bound: float = 0.01

@@ -2,18 +2,21 @@
 
 Execution of ``AQ_G = (Q, f_a)`` is a pipeline of three layers:
 
-1. **Planning (S1)** — :mod:`repro.core.planner` builds one immutable
-   :class:`~repro.core.plan.QueryPlan` per query component (scope,
-   closed-form Eq. 5/6 stationary distribution, Theorem-1 answer
-   restriction, the validator bound to it) and shares it through the process-wide
+1. **Planning** — :mod:`repro.core.planner` builds one immutable
+   :class:`~repro.core.plan.QueryPlan` per query component (its mapping
+   node and the validator bound to it; S1 — scope, closed-form Eq. 5/6
+   stationary distribution, Theorem-1 answer restriction — runs on a
+   plan's first draw) and shares it through the process-wide
    :class:`~repro.core.plan.PlanCache`, so concurrent engines and sessions
    over the same graph reuse plans instead of rebuilding them.
-2. **Validation + estimation (S2)** — :mod:`repro.core.executor` validates
-   each round's pending support entries in one batched pass per component
-   (verdicts memoised on the plan) and applies the Eq. 7-9 estimators.
-3. **Guarantee (S3)** — BLB confidence interval, Theorem-2 termination and
-   Eq. 12 error-based sample growth, looping back into S2.
-4. **Serving (S4)** — :mod:`repro.core.service` schedules many live
+2. **Validation (S2)** — :mod:`repro.core.executor` validates the
+   query's whole joint candidate set in one batched pass per component
+   (each plan's exact similarity row, built once) and returns the exact
+   aggregate: the **census**.  Production never samples, so it runs
+   neither S1's draws nor **S3** — the BLB confidence interval,
+   Theorem-2 termination and Eq. 12 growth — which the paper's figures
+   run on :class:`repro.bench.sampled.SampledExecutor`.
+3. **Serving (S4)** — :mod:`repro.core.service` schedules many live
    queries' rounds cooperatively over shared plans; handles expose
    progressive results, refinement and cancellation.
 
@@ -21,9 +24,9 @@ Execution of ``AQ_G = (Q, f_a)`` is a pipeline of three layers:
 an executor together behind the unchanged public API: :meth:`execute` is a
 blocking submit-and-wait over the engine's
 :class:`~repro.core.service.AggregateQueryService`, byte-identical for a
-fixed seed to driving the executor directly.  Draws live as index arrays
-into the answer distribution's support, validation happens once per
-support entry, and every per-draw quantity is a numpy fancy-index.
+fixed seed to driving the executor directly.  Validation happens once
+per candidate, and every per-candidate quantity is a numpy
+fancy-index.
 """
 
 from __future__ import annotations

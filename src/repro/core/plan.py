@@ -28,8 +28,11 @@ composite queries (the intersected :class:`CandidateSet`), keyed by the
 component plan keys: a joint is a function of its plans, so it is
 assembled once and dropped with any of them.
 
-The cache holds graphs weakly (a dead graph drops its plans) and evicts a
-graph's plans and joints wholesale when its *structure* version moves.
+Each graph keeps its cache entry on itself, as it keeps its CSR snapshot:
+a plan's validator holds its graph, so graph -> entry -> plan -> graph is
+a cycle the garbage collector frees once every caller dropped the graph.
+A graph's plans and joints are evicted wholesale when its *structure*
+version moves.
 Attribute writes bump a different counter and leave plans — like CSR
 snapshots — untouched.
 """
@@ -307,6 +310,11 @@ class _GraphEntry:
         return all(self.plans.get(key) is plan for key, plan in zip(keys, plans))
 
 
+#: the attribute a graph keeps its plan-cache entries under: one
+#: :class:`_GraphEntry` per live :class:`PlanCache`, weakly keyed by the
+#: cache, so a dropped cache leaves nothing behind on a long-lived graph
+_ENTRIES_ATTR = "_plan_cache_entries"
+
 #: default per-graph plan bound; a plan's payload is, once validated, its
 #: validator's similarity row (a similarity and a path length per graph
 #: node) and its candidates, plus pi_A (answers, probabilities) once it
@@ -336,9 +344,9 @@ class PlanCache:
             raise ValueError("max_plans_per_graph must be >= 1")
         self.max_plans_per_graph = max_plans_per_graph
         self._lock = threading.Lock()
-        self._entries: weakref.WeakKeyDictionary[KnowledgeGraph, _GraphEntry] = (
-            weakref.WeakKeyDictionary()
-        )
+        #: the graphs holding an entry of this cache, weakly: only
+        #: :meth:`clear` walks them
+        self._graphs: weakref.WeakSet[KnowledgeGraph] = weakref.WeakSet()
         #: process-lifetime lookup tallies (survive clear()); exported by
         #: the observability layer as repro_plan_cache_hits / _misses
         self.hits = 0
@@ -350,11 +358,17 @@ class PlanCache:
         Caller holds ``self._lock``.
         """
         version = kg.structure_version
-        entry = self._entries.get(kg)
+        entry = self._entry_of(kg)
         if entry is None or entry.structure_version != version:
             entry = _GraphEntry(structure_version=version)
-            self._entries[kg] = entry
+            entries = vars(kg).setdefault(_ENTRIES_ATTR, weakref.WeakKeyDictionary())
+            entries[self] = entry
+            self._graphs.add(kg)
         return entry
+
+    def _entry_of(self, kg: KnowledgeGraph) -> _GraphEntry | None:
+        """The graph's entry of this cache, stale or not, if any."""
+        return vars(kg).get(_ENTRIES_ATTR, {}).get(self)
 
     def lookup(self, kg: KnowledgeGraph, key: PlanKey) -> QueryPlan | None:
         """The cached plan for ``key`` on ``kg``'s current structure, if any."""
@@ -444,7 +458,7 @@ class PlanCache:
                     return self.store(kg, key, builder(), structure_version)
                 finally:
                     with self._lock:
-                        current = self._entries.get(kg)
+                        current = self._entry_of(kg)
                         if current is not None and current.building.get(key) is event:
                             del current.building[key]
                     event.set()
@@ -488,7 +502,7 @@ class PlanCache:
         """Number of cached joint candidate sets for ``kg``'s current
         structure."""
         with self._lock:
-            entry = self._entries.get(kg)
+            entry = self._entry_of(kg)
             if entry is None or entry.structure_version != kg.structure_version:
                 return 0
             return len(entry.joints)
@@ -496,7 +510,7 @@ class PlanCache:
     def num_plans(self, kg: KnowledgeGraph) -> int:
         """Number of live cached plans for ``kg``'s current structure."""
         with self._lock:
-            entry = self._entries.get(kg)
+            entry = self._entry_of(kg)
             if entry is None or entry.structure_version != kg.structure_version:
                 return 0
             return len(entry.plans)
@@ -504,7 +518,9 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every cached plan and joint (benchmarks and tests)."""
         with self._lock:
-            self._entries.clear()
+            for kg in list(self._graphs):
+                vars(kg)[_ENTRIES_ATTR].pop(self, None)
+            self._graphs.clear()
 
 
 #: the process-wide cache every engine uses unless given its own

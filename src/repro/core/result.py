@@ -9,12 +9,11 @@ from repro.estimation.confidence import ConfidenceInterval
 from repro.query.aggregate import AggregateFunction
 
 
-#: why a run stopped (``stop_reason`` on a finalised result): its last round
-#: was the census — the support fits under ``max_sample_size``, or the
-#: growth would have drawn at least the undrawn support, so every entry
-#: was validated and the result is exact; its last round met the stop
-#: condition; the sample reached ``max_sample_size``; or the round budget
-#: was spent with none of these
+#: why a run stopped (``stop_reason`` on a finalised result): ``census`` —
+#: every candidate was validated and the result is exact, as on every
+#: production query; or, on the figures' sampled executor
+#: (``repro.bench.sampled``), its last round met the stop condition, the
+#: sample reached ``max_sample_size``, or the round budget was spent
 STOP_CENSUS = "census"
 STOP_BOUND_MET = "bound_met"
 STOP_SAMPLE_CAP = "sample_cap"

@@ -554,10 +554,9 @@ class AggregateQueryService:
                 ),
                 "census_queries": execution.counter(
                     "census_queries",
-                    "Queries answered by a census: the support fits under "
-                    "max_sample_size, or the growth would have drawn at "
-                    "least the undrawn support, so every entry was "
-                    "validated and the aggregate is exact (S3)",
+                    "Queries answered by a census: every candidate was "
+                    "validated and the aggregate is exact; every production "
+                    "query is one (S3)",
                 ),
                 "stop_reasons": {
                     reason: execution.counter(

@@ -26,6 +26,7 @@ is the only S2 call.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,11 +138,16 @@ def _leg_sums(
 class _RowValidator:
     """A validator that reads one lazily built, read-only row.
 
-    Subclasses set ``_kg`` and ``kind`` and implement :meth:`_build_row`.
+    Subclasses set ``kind``, pass their graph to ``__init__`` and
+    implement :meth:`_build_row`.
     """
 
     kind = ""
-    _row: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __init__(self, kg: KnowledgeGraph) -> None:
+        self._kg = kg
+        self._row: tuple[np.ndarray, np.ndarray] | None = None
+        self._row_lock = threading.Lock()
 
     def _build_row(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -151,22 +157,25 @@ class _RowValidator:
         in one ``similarity_row`` span (``kind``, ``reached`` = nodes with
         a path).
 
-        Read-only and published with one attribute store, so services and
-        sessions sharing the plan read either nothing or the whole row;
-        concurrent builders compute identical arrays.  Raises
+        Built under the validator's own lock, at most once: services and
+        sessions racing on a cold plan wait for the first builder and read
+        its row, which is read-only and published whole.  Raises
         :class:`~repro.errors.EmbeddingError` when an edge the row weighs
         carries a predicate the embedding does not cover — for every
         answer of the plan, as SSB fails the whole query.
         """
         row = self._row
         if row is None:
-            with child_span("similarity_row", kind=self.kind) as span:
-                row = self._build_row()
-                if span is not None:
-                    span.annotate(reached=int(np.count_nonzero(row[1])))
-            for array in row:
-                array.setflags(write=False)
-            self._row = row
+            with self._row_lock:
+                row = self._row
+                if row is None:
+                    with child_span("similarity_row", kind=self.kind) as span:
+                        row = self._build_row()
+                        if span is not None:
+                            span.annotate(reached=int(np.count_nonzero(row[1])))
+                    for array in row:
+                        array.setflags(write=False)
+                    self._row = row
         return row
 
     def validate_batch(self, answers: Sequence[int] | np.ndarray) -> ValidationBatch:
@@ -198,7 +207,7 @@ class CorrectnessValidator(_RowValidator):
     ) -> None:
         if max_length < 1:
             raise ValueError("max_length must be >= 1")
-        self._kg = kg
+        super().__init__(kg)
         self._space = space
         self.source = source
         self.query_predicate = query_predicate
@@ -255,7 +264,7 @@ class ChainValidator(_RowValidator):
         max_length: int,
         floor: float,
     ) -> None:
-        self._kg = kg
+        super().__init__(kg)
         self._space = space
         self.component = component
         #: the validator of ``(source, predicates[0])``; anything with a

@@ -1,8 +1,7 @@
-"""The census: a query whose joint support is no larger than
-``max_sample_size`` validates the whole support at its first round and
-draws nothing (census-first); above the cap, a query whose next growth
-would draw at least as many answers as it has not drawn validates the rest
-of its support.  Either way it returns the exact aggregate.
+"""The census: every production query validates its whole joint
+candidate set at its first round, draws nothing and returns the exact
+aggregate, whatever ``max_sample_size`` says (the paper's sampled rounds
+run only on ``repro.bench.sampled.SampledExecutor``).
 
 The oracle is :func:`repro.query.evaluate.aggregate_over` over ``{a in the
 joint support : every component keeps a at >= tau, a usable}``: SUM and AVG
@@ -51,16 +50,6 @@ _ATTRIBUTE_FUNCTIONS = (
     AggregateFunction.MAX,
     AggregateFunction.MIN,
 )
-
-
-def _below_the_cap(kg, embedding, query, config) -> ApproximateAggregateEngine:
-    """A production engine whose ``max_sample_size`` sits one below the
-    query's support: census-first is off, the late census is not."""
-    probe = ApproximateAggregateEngine(kg, embedding, config)
-    support = probe.executor.initialise(query, 0).joint.support_size
-    return ApproximateAggregateEngine(
-        kg, embedding, config.with_(max_sample_size=support - 1)
-    )
 
 
 def _run(executor, query, seed=1, error_bound=0.01):
@@ -197,8 +186,8 @@ def _variants(bundle, shape: QueryShape) -> list[AggregateQuery]:
 )
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
 def test_census_is_the_exact_aggregate_on_every_shape_and_kind(preset, shape):
-    """Every preset support fits under the default sample cap, so every
-    query takes the census at its first round and draws nothing."""
+    """Every query takes the census at its first round and draws
+    nothing."""
     bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
     queries = _variants(bundle, shape)
     assert queries
@@ -211,32 +200,8 @@ def test_census_is_the_exact_aggregate_on_every_shape_and_kind(preset, shape):
         _assert_census_is_the_oracle(engine, state, result)
 
 
-def test_a_census_after_sampled_rounds_is_the_exact_aggregate():
-    """The census the growth rule triggers, after sampled rounds: the
-    yago2-like workload's plain COUNT / SUM / AVG, each under a sample cap
-    just below its support (so census-first is off)."""
-    bundle = ALL_PRESETS["yago2-like"](seed=0, scale=1.0)
-    censuses = 0
-    for stated in standard_workload(bundle):
-        query = stated.aggregate_query
-        if query.query.shape is not QueryShape.SIMPLE or query.group_by is not None:
-            continue
-        engine = _below_the_cap(
-            bundle.kg, bundle.embedding, query, EngineConfig(seed=0)
-        )
-        state, result = _run(engine.executor, query, seed=3)
-        if result.stop_reason != STOP_CENSUS:
-            continue
-        censuses += 1
-        assert len(result.rounds) >= 2 and result.total_draws > 0
-        # the census round drew nothing: the draws are the last sampled round's
-        assert result.rounds[-1].total_draws == result.rounds[-2].total_draws
-        _assert_census_is_the_oracle(engine, state, result)
-    assert censuses >= 5
-
-
 # ----------------------------------------------------------------------
-# census-first: a support under the sample cap is validated whole at once
+# census-first: the whole support is validated at once, whatever its size
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("method", list(ExtremeMethod), ids=lambda m: m.value)
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
@@ -248,7 +213,7 @@ def test_census_first_max_min_is_exact_and_fits_no_tail(preset, method, monkeypa
     def no_tail_fit(*_args, **_kwargs):
         raise AssertionError("a census fits no tail")
 
-    monkeypatch.setattr("repro.core.executor.estimate_extreme_evt", no_tail_fit)
+    monkeypatch.setattr("repro.bench.sampled.estimate_extreme_evt", no_tail_fit)
     bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
     engine = ApproximateAggregateEngine(
         bundle.kg, bundle.embedding, EngineConfig(seed=0, extreme_method=method)
@@ -272,6 +237,8 @@ def test_census_first_max_min_is_exact_and_fits_no_tail(preset, method, monkeypa
 
 
 def _toy_query(toy, kind: str) -> AggregateQuery:
+    if kind == "count":
+        return toy.count_query()
     if kind == "avg":
         return toy.avg_query()
     if kind == "grouped":
@@ -287,34 +254,31 @@ def _toy_query(toy, kind: str) -> AggregateQuery:
     )
 
 
-@pytest.mark.parametrize("kind", ["avg", "grouped", "max"])
-def test_a_cap_below_the_support_samples_first_then_takes_the_late_census(
-    toy, kind
-):
-    """``max_sample_size`` one below the support: ``initialise`` draws
-    the little samples, and a later growth still gives way to the census
-    (``need >= undrawn``).  At the support itself the census comes first."""
+@pytest.mark.parametrize("kind", ["count", "avg", "grouped", "max"])
+def test_a_cap_below_the_support_still_answers_by_census(toy, kind):
+    """``max_sample_size`` does not choose the path: at a cap of 1, far
+    below the toy support, a production query is a 0-draw census equal to
+    the oracle, and its service counts one ``census`` stop and nothing
+    else."""
     query = _toy_query(toy, kind)
-    config = EngineConfig(
-        seed=7, max_rounds=8, error_bound=0.001, min_group_draws=1,
-        max_sample_size=toy.support_size - 1,
-    )
+    config = EngineConfig(seed=7, max_sample_size=1, min_group_draws=1)
     engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
-    first = engine.executor.initialise(query, 5)
-    assert first.joint.support_size == toy.support_size
-    assert first.total_draws > 0 and not first.census_due
-    state, result = _run(engine.executor, query, seed=5, error_bound=0.001)
-    assert result.stop_reason == STOP_CENSUS and len(result.rounds) >= 2
-    assert result.rounds[0].total_draws == first.total_draws > 0
-    # the census round drew nothing: the draws are the last sampled round's
-    assert result.rounds[-1].total_draws == result.rounds[-2].total_draws
+    state, result = _run(engine.executor, query, seed=5)
+    assert state.joint.support_size == toy.support_size > config.max_sample_size
+    assert state.total_draws == 0 and len(result.rounds) == 1
     _assert_census_is_the_oracle(engine, state, result)
-
-    at_cap = ApproximateAggregateEngine(
-        toy.kg, toy.embedding, config.with_(max_sample_size=toy.support_size)
-    )
-    state = at_cap.executor.initialise(query, 5)
-    assert state.total_draws == 0 and state.census_due
+    with AggregateQueryService(toy.kg, toy.embedding, config) as service:
+        served = service.submit(query, seed=5).result(timeout=60.0)
+        stops = service.registry.snapshot()["repro_exec_stop_reasons_total"]
+    assert _values(served) == _values(result)
+    assert {
+        label: count for label, count in stops.items() if label.startswith("{")
+    } == {
+        '{reason="census"}': 1,
+        '{reason="bound_met"}': 0,
+        '{reason="sample_cap"}': 0,
+        '{reason="round_budget"}': 0,
+    }
 
 
 def test_census_first_is_byte_identical_cold_and_warm_for_any_seed():

@@ -1,6 +1,7 @@
 """The array-valued S2/S3 round against its per-entry oracles.
 
-``QueryExecutor`` screens, keys and assembles whole batches as array
+``QueryExecutor`` screens and keys whole batches, and ``SampledExecutor``
+(the paper's sampled rounds) assembles and estimates them, as array
 operations over ``KnowledgeGraph.attribute_column``.  Each array path is
 pinned here to the per-node definition it replaced — ``Filter.matches``
 and ``Node.attribute`` for the screen, ``GroupBy.key_for`` for group keys,
@@ -33,7 +34,9 @@ from repro import (
     QueryShape,
 )
 from repro.core.config import DeltaStrategy
+from repro.bench.sampled import SampledExecutor, _SampledState
 from repro.core.executor import QueryExecutor, _QueryState
+from repro.core.plan import CandidateSet
 from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 from repro.errors import EstimationError, NodeNotFoundError, QueryError
 from repro.estimation import (
@@ -258,12 +261,7 @@ def test_group_keys_are_group_by_key_for(entries, width):
             query=_GRAPH, function=AggregateFunction.COUNT, group_by=group_by
         ),
         components=[],
-        joint=AnswerDistribution(
-            answers=np.arange(size), probabilities=np.full(size, 1.0 / size)
-        ),
-        collector=None,
-        little_samples=[np.arange(size)],
-        desired_n=size,
+        joint=CandidateSet(np.arange(size)),
         num_candidates=size,
         walk_iterations=0,
         confidence_level=EngineConfig().confidence_level,
@@ -271,7 +269,7 @@ def test_group_keys_are_group_by_key_for(entries, width):
         support_correct=np.asarray([correct for _value, correct in entries]),
         support_value=np.ones(size),
     )
-    keys = _executor(kg)._group_keys(state)
+    keys = _executor(kg)._group_keys(state, np.arange(size))
     assert state.support_group_known.all()
     for node_id, (_value, correct) in enumerate(entries):
         expected = group_by.key_for(kg.node(node_id)) if correct else None
@@ -310,7 +308,7 @@ def _joint_by_dicts(components) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assert_joint_matches_dicts(components) -> None:
-    joint = QueryExecutor._joint_distribution(components)
+    joint = SampledExecutor._joint_distribution(components)
     answers, weights = _joint_by_dicts(components)
     assert joint.answers.dtype == answers.dtype
     np.testing.assert_array_equal(joint.answers, answers)
@@ -355,7 +353,7 @@ def test_joint_distribution_of_unsorted_partially_overlapping_supports():
         _fake_plan(rng, range(10, 70, 3)),
     ]
     _assert_joint_matches_dicts(components)
-    joint = QueryExecutor._joint_distribution(components)
+    joint = SampledExecutor._joint_distribution(components)
     assert len(joint.answers) == 7
 
 
@@ -363,7 +361,7 @@ def test_joint_distribution_of_disjoint_supports_is_a_query_error():
     rng = np.random.default_rng(6)
     components = [_fake_plan(rng, range(0, 5)), _fake_plan(rng, range(5, 9))]
     with pytest.raises(QueryError, match="empty intersection"):
-        QueryExecutor._joint_distribution(components)
+        SampledExecutor._joint_distribution(components)
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +375,7 @@ def _estimation_samples(state):
     """Per-little-sample and combined draw slices with validity masks: the
     per-draw oracle's input.  The little samples are views into the
     combined gather."""
-    combined = QueryExecutor._combined_sample(state)
+    combined = SampledExecutor._combined_sample(state)
     littles = []
     stop = 0
     for indexes in state.little_samples:
@@ -491,7 +489,7 @@ def test_round_is_the_estimation_sample_estimate_and_blb_on_yago(
 def _hand_state(function, values, probabilities, correct, little_samples):
     """A validated state over a hand-written support."""
     size = len(values)
-    return _QueryState(
+    return _SampledState(
         aggregate_query=AggregateQuery(
             query=_GRAPH,
             function=function,
@@ -514,9 +512,9 @@ def _hand_state(function, values, probabilities, correct, little_samples):
     )
 
 
-def _hand_executor(normalization) -> QueryExecutor:
+def _hand_executor(normalization) -> SampledExecutor:
     config = EngineConfig(normalization=normalization, min_rounds=1)
-    return _executor(KnowledgeGraph("unread"), config)
+    return SampledExecutor(KnowledgeGraph("unread"), None, config, None)
 
 
 @pytest.mark.parametrize("normalization", list(Normalization))
@@ -568,7 +566,7 @@ def test_round_checks_the_drawn_probabilities_like_estimation_sample():
         AggregateFunction.SUM, values, probabilities, correct, [[1, 0], [2, 2], [1]]
     )
     with pytest.raises(EstimationError) as oracle:
-        QueryExecutor._combined_sample(drawn)
+        SampledExecutor._combined_sample(drawn)
     with pytest.raises(EstimationError) as raised:
         executor._estimate_guaranteed(drawn, 0.5)
     assert str(raised.value) == str(oracle.value) == "probabilities must lie in (0, 1]"
@@ -599,7 +597,7 @@ def test_group_estimates_are_the_masked_estimation_samples(
         group_by=GroupBy("price", bin_width=2000.0),
     )
     state, result = drive_lifecycle(engine.executor, query, 3, 0.01)
-    combined = QueryExecutor._combined_sample(state)
+    combined = SampledExecutor._combined_sample(state)
     draw_keys = state.support_group[np.concatenate(state.little_samples)]
     mean_shaped = (
         function is not AggregateFunction.AVG and normalization is Normalization.SAMPLE
@@ -739,7 +737,7 @@ def test_grouped_round_is_the_per_group_loop(mean_shaped):
 def test_grouped_round_does_not_depend_on_the_block_size(monkeypatch):
     """A block boundary falling inside the groups (two rows a block over
     seven groups) reduces every row as one block does."""
-    import repro.core.executor as executor_module
+    import repro.bench.sampled as sampled_module
 
     rng = np.random.default_rng(35)
     keys = np.where(rng.random(200) < 0.2, np.nan, rng.integers(0, 7, 200) * 1.0)
@@ -751,7 +749,7 @@ def test_grouped_round_does_not_depend_on_the_block_size(monkeypatch):
         executor._estimate_groups(state, numerators, None, draw_keys, 0.05)
     )
     assert len(whole[0]) == 7
-    monkeypatch.setattr(executor_module, "_GROUP_BLOCK_ELEMENTS", 2 * 900 + 1)
+    monkeypatch.setattr(sampled_module, "_GROUP_BLOCK_ELEMENTS", 2 * 900 + 1)
     blocked = _hexed_groups(
         executor._estimate_groups(state, numerators, None, draw_keys, 0.05)
     )

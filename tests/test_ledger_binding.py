@@ -5,9 +5,10 @@ and their six ``_grouped`` / ``_extreme`` alias names by ``getattr`` and
 rebinds the class attributes.  The ledger's own smoke test (a 45 s
 subprocess) only sees that each metric is present; the two invariants its
 ``executor.rounds`` and ``executor.step_self_ms`` rest on are checked
-here in-process: every target still resolves, and each round fires
-exactly one ``executor.step*`` span — each growth one ``executor.grow*``
-span — whatever the query's kind.
+here in-process on the production executor, which the ledger measures:
+every target still resolves, and each round fires exactly one
+``executor.step*`` span — none ``executor.grow*``, as a census grows
+nothing — whatever the query's kind, a refine's re-emitted round included.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 from repro import (
     AggregateFunction,
     AggregateQuery,
+    AggregateQueryService,
     EngineConfig,
     GroupBy,
     QueryGraph,
@@ -34,9 +36,7 @@ from benchmarks.ledger.spans import Tracer  # noqa: E402
 _GRAPH = QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"])
 
 
-def test_each_round_fires_one_step_span_and_each_growth_one_grow_span(
-    toy_world_factory, sampled_service
-):
+def test_each_round_fires_one_step_span_and_no_grow_span(toy_world_factory):
     world = toy_world_factory()
     workload = [  # one query per kind; the draw seed is the ledger's query id
         (world.avg_query(), 11),
@@ -55,30 +55,29 @@ def test_each_round_fires_one_step_span_and_each_growth_one_grow_span(
             13,
         ),
     ]
-    config = EngineConfig(
-        seed=7, max_rounds=8, error_bound=0.001, min_group_draws=1
-    )
+    config = EngineConfig(seed=7, max_rounds=8, error_bound=0.001)
     shared_plan_cache().clear()
     tracer = Tracer()
-    # a sampled run: a census-first one takes one step and no growth
-    with sampled_service(world.kg, world.embedding, config) as service:
+    with AggregateQueryService(world.kg, world.embedding, config) as service:
         # like the ledger: the class is rebound after the executor exists
         tracer.install(TARGETS)
         try:
-            results = [
-                handle.result(timeout=60.0)
-                for handle in service.submit_batch(workload)
-            ]
+            handles = service.submit_batch(workload)
+            results = [handle.result(timeout=60.0) for handle in handles]
+            # a refine re-emits the census round: one more step, no growth
+            refined = handles[0].refine(0.0001).result(timeout=60.0)
         finally:
             tracer.uninstall()
     assert tracer.untraced == []
-    for (_query, seed), result in zip(workload, results):
+    assert refined.stop_reason == "census" and len(refined.rounds) == 1
+    for position, ((_query, seed), result) in enumerate(zip(workload, results)):
         fired = [span.name for span in tracer.spans if span.query_id == seed]
 
         def count(prefix: str) -> int:
             return sum(name.startswith(f"executor.{prefix}") for name in fired)
 
-        assert len(result.rounds) >= 2
-        assert count("step") == len(result.rounds)
-        assert count("grow") == len(result.rounds) - 1
-        assert count("finalise") == 1
+        runs = 2 if position == 0 else 1
+        assert result.stop_reason == "census" and len(result.rounds) == 1
+        assert count("step") == runs
+        assert count("grow") == 0
+        assert count("finalise") == runs

@@ -203,6 +203,23 @@ class TestVersionCounters:
         assert planner.plan_for(other) is kept
         assert planner.build_count == 2
 
+    def test_a_dropped_graph_is_collected_with_its_plans(self, toy_world_factory):
+        """A cached plan's validator holds its graph, so the cache keeps
+        the graph's entry on the graph: once every caller dropped the
+        graph, the garbage collector frees it, its plans and its joints."""
+        world = toy_world_factory()
+        kg, space = world.kg, world.space
+        cache = PlanCache()
+        planner = QueryPlanner(kg, space, EngineConfig(seed=7), cache=cache)
+        executor = QueryExecutor(kg, space, planner.config, planner)
+        executor.initialise(_star_query(), 1)  # three plans and a joint
+        assert (cache.num_plans(kg), cache.num_joints(kg)) == (3, 1)
+        graph = weakref.ref(kg)
+        del world, kg, planner, executor
+        gc.collect()
+        assert graph() is None
+        assert len(cache._graphs) == 0
+
     def test_total_version_counts_both(self, world):
         total = world.kg.version
         world.kg.set_attribute(world.correct_cars[0], "price", 1.0)
@@ -591,7 +608,7 @@ class TestJointSupports:
         builds = []
 
         def build():
-            builds.append(QueryExecutor._joint_distribution(plans))
+            builds.append(engine.executor._candidate_intersection(plans))
             return builds[-1]
 
         shared = cache.joint_for(world.kg, keys, plans, build)

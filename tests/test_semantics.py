@@ -203,6 +203,56 @@ class TestCorrectnessValidator:
         assert not best_length.flags.writeable
 
 
+    def test_racing_readers_of_a_cold_row_share_one_build(self, toy):
+        """Threads racing on a cold row — more than there are cores — wait
+        for the first builder (its build holds until all have entered
+        ``row``), so the row is built once and all read the same arrays."""
+        import sys
+        import threading
+
+        from repro.semantics.validation import CorrectnessValidator
+
+        readers = 4
+        all_in = threading.Event()
+        entered = []
+
+        class Counting(CorrectnessValidator):
+            builds = 0
+
+            def row(self):
+                entered.append(threading.get_ident())
+                if len(entered) == readers:
+                    all_in.set()
+                return super().row()
+
+            def _build_row(self):
+                Counting.builds += 1
+                all_in.wait(timeout=10.0)
+                return super()._build_row()
+
+        validator = Counting(toy.kg, toy.space, toy.germany, "product")
+        rows: list = [None] * readers
+
+        def read(slot: int) -> None:
+            rows[slot] = validator.row()
+
+        threads = [
+            threading.Thread(target=read, args=(slot,)) for slot in range(readers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all_in.is_set() and Counting.builds == 1
+        similarity, best_length = rows[0]
+        assert all(row[0] is similarity and row[1] is best_length for row in rows)
+
 class TestPaperSearch:
     """The paper's greedy r-path search (§IV-B2), which the figures bind."""
 
