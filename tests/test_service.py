@@ -387,26 +387,39 @@ class TestGroupedAndExtremeSlots:
             service.close()
 
     @pytest.mark.parametrize(
-        "make_query, overrides",
+        "make_query, overrides, census",
         [
-            (lambda world: world.avg_query(), {}),
-            (lambda world: _grouped_query(), {"min_group_draws": 1}),
-            (lambda world: _extreme_query(), {}),
+            (lambda world: world.avg_query(), {}, False),
+            (lambda world: _grouped_query(), {"min_group_draws": 1}, False),
+            (lambda world: _extreme_query(), {}, False),
             (
                 lambda world: _extreme_query(),
                 {"extreme_method": ExtremeMethod.EVT},
+                False,
             ),
+            (lambda world: world.avg_query(), {}, True),
+            (lambda world: _grouped_query(), {"min_group_draws": 1}, True),
+            (lambda world: _extreme_query(), {}, True),
         ],
-        ids=["guaranteed", "grouped", "extreme", "extreme-evt"],
+        ids=[
+            "guaranteed", "grouped", "extreme", "extreme-evt",
+            "census-guaranteed", "census-grouped", "census-extreme",
+        ],
     )
     def test_hand_driven_lifecycle_equals_the_served_result(
-        self, world, drive_lifecycle, sampled_engine, make_query, overrides
+        self, world, drive_lifecycle, sampled_engine, make_query, overrides, census
     ):
         """``initialise`` -> (``grow`` ->) ``step`` -> ``finalise`` under
         ``round_budget`` — the slot's loop with no service around it —
-        equals ``engine.execute`` at the same seed bit for bit."""
+        equals ``engine.execute`` at the same seed bit for bit, whether
+        the sampled executor runs to its end or the production executor
+        takes its 0-draw census (under a sample cap below the support,
+        which does not choose the path)."""
+        if census:
+            overrides = {**overrides, "max_sample_size": world.support_size - 1}
         config = EngineConfig(seed=7, max_rounds=8, error_bound=0.001, **overrides)
-        engine = sampled_engine(world.kg, world.embedding, config)
+        make = ApproximateAggregateEngine if census else sampled_engine
+        engine = make(world.kg, world.embedding, config)
         query = make_query(world)
         served = engine.execute(query, seed=5)
         _state, direct = drive_lifecycle(
@@ -416,8 +429,12 @@ class TestGroupedAndExtremeSlots:
         def trace(result):
             return [replace(entry, seconds=0.0) for entry in result.rounds]
 
-        assert len(served.rounds) >= 2  # grow ran, not only the first step
-        assert served.stop_reason != STOP_CENSUS
+        if census:
+            assert served.stop_reason == STOP_CENSUS and served.converged
+            assert len(served.rounds) == 1 and served.total_draws == 0
+        else:
+            assert len(served.rounds) >= 2  # grow ran, not only the first step
+            assert served.stop_reason != STOP_CENSUS
         assert direct.stop_reason == served.stop_reason
         assert trace(direct) == trace(served)
         assert direct.converged == served.converged
@@ -425,7 +442,7 @@ class TestGroupedAndExtremeSlots:
         if query.group_by is None:
             assert (direct.value, direct.moe) == (served.value, served.moe)
             assert direct.correct_draws == served.correct_draws
-            if config.extreme_method is ExtremeMethod.EVT:
+            if config.extreme_method is ExtremeMethod.EVT and not census:
                 assert served.moe > 0.0  # the tail fit ran: no sentinel
         else:
             assert served.groups and {
@@ -436,21 +453,36 @@ class TestGroupedAndExtremeSlots:
                 for key, group in served.groups.items()
             }
 
+    @pytest.mark.parametrize("census", [False, True], ids=["sampled", "census"])
     def test_group_distinct_answers_count_its_drawn_entries(
-        self, world, drive_lifecycle, sampled_engine, sampled_service
+        self, world, drive_lifecycle, sampled_engine, sampled_service, census
     ):
         """A group's ``distinct_answers`` is the number of distinct drawn
-        support entries keyed into it (it used to read 0 for every
-        group)."""
+        support entries keyed into it (it used to read 0 for every group);
+        a census group, from which nothing is drawn, reads 0 — under a
+        sample cap below the support too."""
         overrides = {"min_group_draws": 1, "error_bound": 0.001}
-        with _service(world, make=sampled_service, **overrides) as service:
+        if census:
+            overrides["max_sample_size"] = world.support_size - 1
+        with _service(
+            world, make=AggregateQueryService if census else sampled_service,
+            **overrides,
+        ) as service:
             served = service.submit(_grouped_query(), seed=5).result(timeout=60)
         config = EngineConfig(seed=7, max_rounds=8, **overrides)
-        engine = sampled_engine(world.kg, world.embedding, config)
-        state, _direct = drive_lifecycle(
+        make = ApproximateAggregateEngine if census else sampled_engine
+        engine = make(world.kg, world.embedding, config)
+        state, direct = drive_lifecycle(
             engine.executor, _grouped_query(), 5, config.error_bound
         )
-        assert served.stop_reason != STOP_CENSUS
+        assert (served.stop_reason == STOP_CENSUS) is census
+        if census:
+            assert served.total_draws == 0 and served.groups
+            assert {
+                key: (group.distinct_answers, group.correct_draws)
+                for key, group in served.groups.items()
+            } == {key: (0, 0) for key in direct.groups}
+            return
         drawn_keys = state.support_group[state.distinct_support_indices()]
         distinct = {
             key: group.distinct_answers for key, group in served.groups.items()
