@@ -10,9 +10,10 @@ the full path a new user takes with their *own* data:
 3. supply predicate semantics — here by training a TransE embedding on
    the graph's own triples, exactly the paper's offline phase;
 4. ask questions in AQL text and read confidence-intervalled answers;
-5. persist the compiled artefacts (CSR snapshot + S1 plans) through a
-   :class:`repro.store.SnapshotCatalog` and re-serve them from disk in a
-   *second* engine — the warm-start every later process gets for free.
+5. persist the compiled CSR snapshot through a
+   :class:`repro.store.SnapshotCatalog` and memory-map it into a *second*
+   engine over a freshly imported graph — the warm start every later
+   process gets for free.
 
 The toy domain is a research-collaboration graph: institutes, labs and
 papers, where "affiliated" knowledge is wired in several structurally
@@ -41,8 +42,8 @@ from repro import (
     TransEModel,
 )
 from repro.baselines.ssb import tau_ground_truth
-from repro.core.plan import shared_plan_cache
 from repro.kg import compute_statistics, from_networkx
+from repro.kg.csr import build_call_count
 from repro.store import SnapshotCatalog, load_snapshot
 
 
@@ -110,12 +111,8 @@ def main() -> None:
     # Online phase: AQL questions with a 2% error bound.  tau is set
     # permissively because a self-trained space on a toy graph separates
     # less sharply than the reference spaces of the bundled datasets.
-    # Wiring a SnapshotCatalog in makes every plan the engine builds
-    # durable on disk alongside the graph's CSR snapshot.
     config = EngineConfig(seed=1, error_bound=0.02, tau=0.60)
-    store_root = tempfile.mkdtemp(prefix="collab-store-")
-    catalog = SnapshotCatalog(store_root)
-    engine = ApproximateAggregateEngine(kg, space, config=config, catalog=catalog)
+    engine = ApproximateAggregateEngine(kg, space, config=config)
     questions = [
         "COUNT(*) MATCH (Uni_Arcadia:University)-[affiliatedWith]->(x:Researcher)",
         "AVG(h_index) MATCH (Uni_Arcadia:University)-[affiliatedWith]->(x:Researcher)",
@@ -132,27 +129,28 @@ def main() -> None:
         print(f"     exact: {truth.value:,.2f}   "
               f"error: {result.relative_error(truth.value):.2%}")
 
-    # Persist the snapshot and re-serve everything from disk: a second
-    # engine — think "the next process" — memory-maps the CSR
-    # arrays and every S1 plan instead of recompiling them.  (Clearing
-    # the in-process plan cache is what a genuinely new process starts
-    # with; the catalog is what survives.)
-    catalog.save_snapshot(kg)
-    shared_plan_cache().clear()
-    print(f"\nsaved snapshot + {engine.planner.build_count} plans to {store_root}")
+    # Persist the CSR snapshot, then answer again as "the next process"
+    # would: import the graph afresh and memory-map the stored arrays
+    # into it instead of recompiling them.
+    with tempfile.TemporaryDirectory(prefix="collab-store-") as store_root:
+        catalog = SnapshotCatalog(store_root)
+        path = catalog.save_snapshot(kg)
+        print(f"\nsaved the CSR snapshot to {path}")
 
-    started = time.perf_counter()
-    load_snapshot(catalog.snapshot_path(kg), kg)
-    second = ApproximateAggregateEngine(kg, space, config=config, catalog=catalog)
-    for aql, original in zip(questions, answers):
-        reserved = second.execute(aql)
-        assert reserved.value == original.value, "disk-served result diverged"
-    warm_ms = (time.perf_counter() - started) * 1e3
-    print(
-        f"re-served all {len(questions)} questions from disk in {warm_ms:,.0f} ms "
-        f"with {second.planner.build_count} S1 builds "
-        f"({second.planner.catalog_hits} plans memory-mapped from the catalog)"
-    )
+        started = time.perf_counter()
+        builds_before = build_call_count()
+        fresh = from_networkx(graph)
+        load_snapshot(catalog.snapshot_path(fresh), fresh)
+        second = ApproximateAggregateEngine(fresh, space, config=config)
+        for aql, original in zip(questions, answers):
+            reserved = second.execute(aql)
+            assert reserved.value == original.value, "mapped result diverged"
+        warm_ms = (time.perf_counter() - started) * 1e3
+        print(
+            f"re-served all {len(questions)} questions over the memory-mapped "
+            f"snapshot in {warm_ms:,.0f} ms "
+            f"(build_csr calls: {build_call_count() - builds_before})"
+        )
 
 
 if __name__ == "__main__":

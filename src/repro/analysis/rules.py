@@ -20,7 +20,7 @@ REP101  validation-rng              no RNG construction in (or global-state
                                     modules every service and session over
                                     one plan shares; growth is the only RNG
                                     and runs scheduler-side
-REP102  fingerprint-purity          fingerprint/token functions are pure:
+REP102  fingerprint-purity          fingerprint functions are pure:
                                     no time, id(), hash(), uuid or RNG
 REP103  validation-growth           validation-path modules never call the
                                     grow*/initialise lifecycle (scheduler-only)
@@ -110,7 +110,6 @@ class LintConfig:
         "sampling/strength.py",
         "sampling/chain.py",
         "sampling/collector.py",
-        "store/plans.py",
         "store/snapshot.py",
         "kg/csr.py",
         "kg/io.py",
@@ -340,14 +339,11 @@ class ValidationRngRule(Rule):
 # REP102 — fingerprint purity
 # ---------------------------------------------------------------------------
 
-_FINGERPRINT_EXTRA_NAMES = ("config_token", "component_token")
-
-
 class FingerprintPurityRule(Rule):
     code = "REP102"
     name = "fingerprint-purity"
     summary = (
-        "fingerprint/token functions must be pure content hashes: no "
+        "fingerprint functions must be pure content hashes: no "
         "time, datetime, uuid, os.urandom, id(), hash() or RNG"
     )
 
@@ -375,10 +371,7 @@ class FingerprintPurityRule(Rule):
         for module in project:
             aliases = _import_aliases(module.tree)
             for func in _functions(module.tree):
-                if (
-                    "fingerprint" not in func.name
-                    and func.name not in _FINGERPRINT_EXTRA_NAMES
-                ):
+                if "fingerprint" not in func.name:
                     continue
                 for node in ast.walk(func):
                     if not isinstance(node, ast.Call):

@@ -83,12 +83,11 @@ class PaperPlanner(QueryPlanner):
     engine's.  It builds pi_A with the plan, not on the first draw, and
     overrides the first leg only — a chain plan wraps it in the base
     planner's :class:`~repro.semantics.validation.ChainValidator` — and
-    each search walks the visiting map of the first S1 stage of its build
-    (the planner has no catalog, so every plan is built).  A simple
-    plan's search stops at ``tau`` (the verdict cannot change past it); a
-    chain's first leg runs all ``r`` paths to every typed intermediate
-    within the bound, as the best one found seeds the chain's exact later
-    legs.
+    each search walks the visiting map of the first S1 stage of its build.
+    A simple plan's search stops at ``tau`` (the verdict cannot change past
+    it); a chain's first leg runs all ``r`` paths to every typed
+    intermediate within the bound, as the best one found seeds the chain's
+    exact later legs.
     """
 
     def __init__(self, kg, space, config: EngineConfig) -> None:

@@ -8,9 +8,9 @@ Commands:
   interleaves their rounds over shared plans.
 * ``serve``      — read AQL queries from stdin and serve them concurrently
   through :class:`AggregateQueryService`, reporting per-round progress.
-* ``snapshot``   — save/load a dataset's CSR snapshot (and optionally plan
-  artifacts) through a :class:`repro.store.SnapshotCatalog`, so later
-  invocations memory-map S1 instead of recompiling it.
+* ``snapshot``   — save/load a dataset's CSR snapshot through a
+  :class:`repro.store.SnapshotCatalog`, so later invocations memory-map
+  the graph instead of recompiling it.
 * ``datasets``   — list the bundled synthetic datasets with their sizes.
 * ``experiment`` — regenerate one paper table/figure by name (``--list``
   shows all names; ``--plot`` adds an ASCII chart for figures).
@@ -190,21 +190,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     snapshot = commands.add_parser(
         "snapshot",
-        help="save/load CSR snapshots + plan artifacts through a catalog",
+        help="save/load CSR snapshots through a catalog",
     )
     snapshot.add_argument("action", choices=["save", "load"])
     snapshot.add_argument("path", help="catalog root directory")
     snapshot.add_argument("--dataset", default="dbpedia-like")
     snapshot.add_argument("--seed", type=int, default=0)
     snapshot.add_argument("--scale", type=float, default=1.0)
-    snapshot.add_argument(
-        "--plan",
-        action="append",
-        default=[],
-        metavar="AQL",
-        help="also save/load the S1 plan artifacts of this AQL query "
-        "(repeatable)",
-    )
     snapshot.add_argument(
         "--verify-fingerprint",
         action="store_true",
@@ -556,9 +548,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    """Save or load a dataset's snapshot (+ plan artifacts) via a catalog."""
-    from repro.core.plan import PlanCache
-    from repro.core.planner import QueryPlanner
+    """Save or load a dataset's CSR snapshot via a catalog."""
     from repro.kg.csr import build_call_count
     from repro.store import SnapshotCatalog, load_snapshot
 
@@ -566,13 +556,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     if bundle is None:
         return 2
     kg = bundle.kg
-    config = EngineConfig(seed=args.seed)
     catalog = SnapshotCatalog(args.path)
-    components = [
-        component
-        for aql in args.plan
-        for component in parse_query(aql).query.components
-    ]
 
     if args.action == "save":
         started = time.perf_counter()
@@ -582,21 +566,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
             f"snapshot: {kg.num_nodes:,} nodes / {kg.num_edges:,} edges -> "
             f"{path} ({path.stat().st_size:,} bytes, {snapshot_ms:,.1f} ms)"
         )
-        if components:
-            planner = QueryPlanner(
-                kg, bundle.space(), config, cache=PlanCache(), catalog=catalog
-            )
-            started = time.perf_counter()
-            for component in components:
-                planner.plan_for(component)
-            plans_ms = (time.perf_counter() - started) * 1e3
-            print(
-                f"plans:    {planner.build_count} built, "
-                f"{planner.catalog_hits} already stored ({plans_ms:,.1f} ms)"
-            )
         return 0
 
-    # load: memory-map the stored artefacts and prove nothing recompiles
+    # load: memory-map the stored snapshot and prove nothing recompiles
     builds_before = build_call_count()
     started = time.perf_counter()
     load_snapshot(
@@ -610,18 +582,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         f"edges in {load_ms:,.2f} ms "
         f"(build_csr calls: {build_call_count() - builds_before})"
     )
-    if components:
-        planner = QueryPlanner(
-            kg, bundle.space(), config, cache=PlanCache(), catalog=catalog
-        )
-        started = time.perf_counter()
-        for component in components:
-            planner.plan_for(component)
-        plans_ms = (time.perf_counter() - started) * 1e3
-        print(
-            f"plans:    {planner.catalog_hits} loaded from the catalog, "
-            f"{planner.build_count} S1 builds ({plans_ms:,.1f} ms)"
-        )
     return 0
 
 

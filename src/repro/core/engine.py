@@ -63,15 +63,7 @@ class ApproximateAggregateEngine:
         kg: KnowledgeGraph,
         embedding: PredicateEmbedding | PredicateVectorSpace,
         config: EngineConfig | None = None,
-        *,
-        catalog=None,
     ) -> None:
-        """``catalog`` (a :class:`repro.store.SnapshotCatalog`) makes the
-        planner durable: plan-cache misses fall through to disk before
-        running S1, and fresh builds are saved back — a new process over
-        the same graph/embedding/config memory-maps its plans instead of
-        recompiling them.
-        """
         self._kg = kg
         self._space = (
             embedding
@@ -79,7 +71,7 @@ class ApproximateAggregateEngine:
             else PredicateVectorSpace(embedding)
         )
         self.config = config or EngineConfig()
-        self._planner = QueryPlanner(kg, self._space, self.config, catalog=catalog)
+        self._planner = QueryPlanner(kg, self._space, self.config)
         self._executor = QueryExecutor(kg, self._space, self.config, self._planner)
         self._service: "AggregateQueryService | None" = None
 

@@ -35,6 +35,11 @@ A graph's plans and joints are evicted wholesale when its *structure*
 version moves.
 Attribute writes bump a different counter and leave plans — like CSR
 snapshots — untouched.
+
+Plans live in one process only: a new process builds its plans afresh
+(a mapping node and a validator whose row waits for its first read), and
+what it can memory-map instead of rebuilding is the graph's CSR snapshot
+(:mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -169,85 +174,6 @@ class QueryPlan:
         return candidates
 
 
-@dataclass(frozen=True)
-class PlanArtifacts:
-    """The persistable payload of one :class:`QueryPlan`.
-
-    Everything S1 hands the draws — the answer distribution pi_A and the
-    scalars beside it — with the runtime-only handles stripped: the
-    validator (rebuilt from ``component`` and ``source``) and its row (a
-    cache, rebuilt as queries validate).  This is the unit the store
-    writes to disk and memory-maps back; its two arrays stay zero-copy
-    end to end.
-    """
-
-    component: PathQuery
-    source: int
-    answers: np.ndarray
-    probabilities: np.ndarray
-    walk_iterations: int
-    num_candidates: int
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The array segments, keyed the way the store formats them."""
-        return {"answers": self.answers, "probabilities": self.probabilities}
-
-
-def extract_artifacts(plan: QueryPlan) -> PlanArtifacts:
-    """Strip ``plan`` down to its persistable artefacts (no copies).
-
-    Reads pi_A, so a plan that has not sampled yet runs S1 here.
-    """
-    sample = plan.sample()
-    return PlanArtifacts(
-        component=plan.component,
-        source=plan.source,
-        answers=sample.distribution.answers,
-        probabilities=sample.distribution.probabilities,
-        walk_iterations=sample.walk_iterations,
-        num_candidates=sample.num_candidates,
-    )
-
-
-def plan_from_artifacts(
-    artifacts: PlanArtifacts,
-    make_validator: Callable[
-        [PathQuery, int], CorrectnessValidator | ChainValidator
-    ],
-) -> QueryPlan:
-    """Rebuild a live :class:`QueryPlan` around stored/shared artefacts.
-
-    The arrays are adopted as-is (memory-mapped or shared segments stay
-    zero-copy) as the plan's pi_A; ``make_validator(component, source)``
-    binds a fresh validator to the loaded plan's mapping node, its row
-    not yet built — verdicts are deterministic, so a rebuilt plan reads
-    the same row as the original.
-    """
-    sample = PlanSample(
-        distribution=AnswerDistribution(
-            answers=artifacts.answers, probabilities=artifacts.probabilities
-        ),
-        walk_iterations=artifacts.walk_iterations,
-        num_candidates=artifacts.num_candidates,
-    )
-    return QueryPlan(
-        component=artifacts.component,
-        source=artifacts.source,
-        validator=make_validator(artifacts.component, artifacts.source),
-        sampler=lambda: sample,
-    )
-
-
-#: revision of a plan's arrays (1 = capped power iteration, 2 = closed-form
-#: node strengths, 3 = the same values with chain routes as segments
-#: instead of header JSON, 4 = CNARW plans in closed form too, semantic
-#: plans unchanged, 5 = the ``answers`` and ``probabilities`` segments
-#: only: the per-node probability array and the routes left the file);
-#: part of ``config_token``, so a catalog never maps an older revision's
-#: artefact beside fresh plans
-S1_REVISION = 5
-
-
 def plan_fingerprint(config: EngineConfig) -> tuple:
     """The configuration facets a plan's content depends on.
 
@@ -258,10 +184,9 @@ def plan_fingerprint(config: EngineConfig) -> tuple:
     threshold.  The RNG seed only matters for the node2vec baseline
     (the semantic and CNARW walks are deterministic), so it joins the
     fingerprint only there — engines with different seeds still share
-    semantic plans.  :data:`S1_REVISION` leads.
+    semantic plans.
     """
     fingerprint: tuple = (
-        S1_REVISION,
         config.sampler,
         config.n_bound,
         config.self_loop_weight,
@@ -318,7 +243,7 @@ _ENTRIES_ATTR = "_plan_cache_entries"
 #: default per-graph plan bound; a plan's payload is, once validated, its
 #: validator's similarity row (a similarity and a path length per graph
 #: node) and its candidates, plus pi_A (answers, probabilities) once it
-#: has drawn or been saved to a catalog, so the cap bounds resident memory
+#: has drawn, so the cap bounds resident memory
 #: for long-lived serving processes with many components/configs/tenants
 DEFAULT_MAX_PLANS_PER_GRAPH = 256
 

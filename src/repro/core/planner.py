@@ -10,8 +10,8 @@ answer restriction, all three from the batched stage kernel
 (:func:`~repro.sampling.strength.stage_distributions`, under the semantic
 or the CNARW weights; only the Node2Vec ablation builds a per-source scope
 and walks it) — runs when a plan first draws (:meth:`QueryPlan.sample`),
-when a catalog saves it, or at build time for the figures' planner,
-whose r-path search walks the first stage.  The executor
+or at build time for the figures' planner, whose r-path search walks the
+first stage.  The executor
 (:mod:`repro.core.executor`) consumes plans; the engine facade
 (:mod:`repro.core.engine`) only wires the two.
 """
@@ -31,7 +31,7 @@ from repro.core.plan import (
     shared_plan_cache,
 )
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import QueryError, SamplingError, StoreError
+from repro.errors import QueryError, SamplingError
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
 from repro.query.graph import PathQuery
@@ -51,14 +51,10 @@ from repro.utils.rng import derive_seed
 class QueryPlanner:
     """Builds (or fetches) one immutable plan per query component.
 
-    Resolution order: the process-wide :class:`PlanCache`, then — when a
-    :class:`~repro.store.catalog.SnapshotCatalog` is wired in — the on-disk
-    catalog, and only on a full miss an actual build (counted in
-    :attr:`build_count`; catalog hits are not builds).  Fresh builds are
-    saved back to the catalog — saving runs S1, since the file holds
-    pi_A — so the next process skips S1.  The planner
-    keeps no plan of its own, so the cache's LRU bound is what bounds the
-    plans a process holds (beyond those live queries hold).
+    A plan comes from the process-wide :class:`PlanCache`, and only on a
+    miss from an actual build (counted in :attr:`build_count`).  The
+    planner keeps no plan of its own, so the cache's LRU bound is what
+    bounds the plans a process holds (beyond those live queries hold).
     """
 
     def __init__(
@@ -67,23 +63,16 @@ class QueryPlanner:
         space: PredicateVectorSpace,
         config: EngineConfig,
         cache: PlanCache | None = None,
-        catalog=None,
     ) -> None:
         self._kg = kg
         self._space = space
         self.config = config
         self._cache = cache if cache is not None else shared_plan_cache()
-        self._catalog = catalog
         #: plans actually built by this planner (cache misses); the
         #: service tests assert one build per shared (component, config)
-        #: plan across a whole concurrent batch, and the store
-        #: tests assert catalog reloads leave it untouched.  A plan's S1
-        #: run on its first draw is no build
+        #: plan across a whole concurrent batch.  A plan's S1 run on its
+        #: first draw is no build
         self.build_count = 0
-        #: plans adopted from the catalog instead of being built
-        self.catalog_hits = 0
-        #: unreadable catalog entries encountered (rebuilt + overwritten)
-        self.catalog_errors = 0
         #: calls of the batched S1 stage kernel (``repro_plan_stage_batches``)
         #: and the walks they settled (``repro_plan_stage_sources``)
         self.stage_batches = 0
@@ -95,7 +84,7 @@ class QueryPlanner:
         return self._cache
 
     def plan_for(self, component: PathQuery) -> QueryPlan:
-        """The component's plan: shared cache, catalog, or fresh build."""
+        """The component's plan: shared cache or fresh build."""
         # get-or-build coordinates across threads: concurrent planners
         # (serving scheduler, engines on other threads) build a key at
         # most once; everyone else adopts the published plan.  The version
@@ -104,45 +93,8 @@ class QueryPlanner:
         return self._cache.get_or_build(
             self._kg,
             plan_key(component, self._space, self.config),
-            lambda: self._build_or_load(component),
+            lambda: self._counted_build(component),
         )
-
-    def _build_or_load(self, component: PathQuery) -> QueryPlan:
-        """Catalog-aware builder run under ``PlanCache.get_or_build``.
-
-        A catalog hit reconstructs the plan around the memory-mapped
-        artefacts (a validator bound by :meth:`_validator`, its row not
-        yet built) without counting as a build; a miss builds normally and
-        saves the artefacts back.
-        An *unreadable* catalog entry (format-version bump, corruption)
-        must never take queries down: it is counted in
-        :attr:`catalog_errors` and rebuilt — the fresh save overwrites
-        the bad file, self-healing the catalog.
-        """
-        if self._catalog is not None:
-            try:
-                plan = self._catalog.try_load_plan(
-                    self._kg,
-                    self._space,
-                    self.config,
-                    component,
-                    make_validator=self._validator,
-                )
-            except (StoreError, OSError):
-                plan = None
-                self.catalog_errors += 1
-            if plan is not None:
-                self.catalog_hits += 1
-                return plan
-        plan = self._counted_build(component)
-        if self._catalog is not None:
-            try:
-                self._catalog.save_plan(self._kg, self._space, self.config, plan)
-            except (StoreError, OSError):
-                # a full disk / read-only catalog must not fail the query
-                # the plan was just successfully built for
-                self.catalog_errors += 1
-        return plan
 
     def _counted_build(self, component: PathQuery) -> QueryPlan:
         self.build_count += 1
@@ -160,9 +112,8 @@ class QueryPlanner:
         source: int,
         scope: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> CorrectnessValidator | ChainValidator:
-        """The validator of a built or catalog-loaded plan: its first leg
-        (:meth:`_first_leg`), wrapped in a :class:`ChainValidator` for a
-        chain component."""
+        """The validator of a built plan: its first leg (:meth:`_first_leg`),
+        wrapped in a :class:`ChainValidator` for a chain component."""
         first_leg = self._first_leg(component, source, scope)
         if component.is_simple:
             return first_leg

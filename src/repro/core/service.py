@@ -502,12 +502,6 @@ class AggregateQueryService:
             ),
             (
                 plan.gauge(
-                    "catalog_hits", "Plans adopted from a snapshot catalog"
-                ),
-                lambda: self._planner.catalog_hits,
-            ),
-            (
-                plan.gauge(
                     "stage_batches",
                     "Calls of the batched S1 stage kernel (one per chain hop, "
                     "one per simple plan)",

@@ -16,7 +16,6 @@ Full names are ``repro_<scope>_<metric>``; the scope is the layer.
 metric                                         type       meaning
 =============================================  =========  ====================================
 ``repro_plan_builds``                          gauge      S1 plans built by this planner
-``repro_plan_catalog_hits``                    gauge      plans loaded from a snapshot catalog
 ``repro_plan_stage_batches``                   gauge      calls of the batched S1 stage kernel
                                                           (0 while every query is a census)
 ``repro_plan_stage_sources``                   gauge      walks those calls settled
@@ -71,8 +70,8 @@ and activates it around every slot the query holds.  Children:
   of the batched stage kernel by a plan's first draw (``hop``,
   ``sources`` = walks settled together, ``reached`` = scope nodes over
   the sources that have a stage): one for a simple plan, one per hop for
-  a chain (under ``plan_build`` when the build runs S1 itself: a
-  catalog planner saving the plan, the figures' planner);
+  a chain (under ``plan_build`` when the build runs S1 itself, as the
+  figures' planner does);
 * ``round`` — one S3 anytime round (``round_index``, ``kind``); it
   nests ``validate_batch`` spans (S2, attribute ``pending``), and under
   those the ``similarity_row`` span of a row a sampled query's batch

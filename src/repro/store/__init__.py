@@ -1,39 +1,26 @@
-"""``repro.store`` — persistence of S1 artefacts across processes.
+"""``repro.store`` — persistence of CSR snapshots across processes.
 
-The engine's expensive preparation — the CSR graph snapshot and each
-component's :class:`~repro.core.plan.QueryPlan` artefacts — is amortised
-in-process by the snapshot cache and the
-:class:`~repro.core.plan.PlanCache`, but dies with the process.  This
-package makes those artefacts durable:
+The CSR graph snapshot is amortised in-process by the snapshot cache,
+but dies with the process.  This package makes it durable:
 
 * :mod:`repro.store.format` — a versioned zero-copy container: JSON
   header + raw 64-byte-aligned numpy segments, ``np.memmap``-loadable;
-* :mod:`repro.store.snapshot` / :mod:`repro.store.plans` — save/load of
-  CSR snapshots and plan artefacts, keyed and validated by
-  ``(graph fingerprint, structure_version, embedding fingerprint,
-  config fingerprint)``;
-* :class:`SnapshotCatalog` — a directory of both, pluggable into
-  :class:`~repro.core.planner.QueryPlanner` so plan-cache misses fall
-  through to disk before running S1.
+* :mod:`repro.store.snapshot` — save/load of CSR snapshots, keyed and
+  validated by ``(graph fingerprint, structure_version, num_nodes,
+  num_edges)``;
+* :class:`SnapshotCatalog` — a directory of snapshots, one per graph
+  structure.
 """
 
 from repro.store.catalog import SnapshotCatalog
 from repro.store.format import pack_arrays, read_arrays, unpack_arrays, write_arrays
-from repro.store.plans import (
-    embedding_fingerprint,
-    load_plan_artifacts,
-    save_plan_artifacts,
-)
 from repro.store.snapshot import load_snapshot, save_snapshot
 
 __all__ = [
     "SnapshotCatalog",
-    "embedding_fingerprint",
-    "load_plan_artifacts",
     "load_snapshot",
     "pack_arrays",
     "read_arrays",
-    "save_plan_artifacts",
     "save_snapshot",
     "unpack_arrays",
     "write_arrays",

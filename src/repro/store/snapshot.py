@@ -25,7 +25,7 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.io import graph_fingerprint
 from repro.store.format import read_arrays, write_arrays
 
-#: metadata ``kind`` tag distinguishing snapshot files from plan files
+#: metadata ``kind`` tag a snapshot file carries, checked on every load
 SNAPSHOT_KIND = "csr-snapshot"
 
 #: attribute memoising ``(structure_version, fingerprint)`` per graph —

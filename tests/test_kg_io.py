@@ -18,8 +18,8 @@ from repro.kg import (
 from repro.kg.statistics import compute_statistics
 
 #: graph_fingerprint of each preset at scale 1, dataset seed 0.  Snapshot
-#: and plan catalogs are keyed on it: a moved digest makes every artefact
-#: written before the move a miss.
+#: catalogs are keyed on it: a moved digest makes every snapshot written
+#: before the move a miss.
 PRESET_FINGERPRINTS = {
     "dbpedia-like": "33c73875b11f7fbf445af663752dd61f6d2aa2454134325e0d64e5ce01b5916a",
     "freebase-like": "9f6ccd4a572367bc5c1a21460d70916aa782aac343f30099dca46f52e1319e78",

@@ -1,12 +1,12 @@
 """Census candidates come from the exact row; pi_A is built on a plan's
 first draw.
 
-A production query whose joint candidate set — the nodes its plans'
-validators reach, typed as each component's last hop requires — fits
-under ``max_sample_size`` counts over those candidates and runs no S1.
+A production query is a census over its joint candidate set — the nodes
+its plans' validators reach, typed as each component's last hop
+requires — and runs no S1.
 S1 (``QueryPlan.sample``) runs once per plan, under the plan's lock, when
-something first reads pi_A: a ``SampledExecutor`` draw, the figures'
-planner, a catalog save.  Covered:
+something first reads pi_A: a ``SampledExecutor`` draw or the figures'
+planner.  Covered:
 
 * a chain answer behind a cut intermediate (``max_intermediates``) is
   counted, as SSB and ``aggregate_over`` count it;
@@ -224,18 +224,6 @@ def test_simple_candidates_are_the_support_of_pi_a(preset):
         np.testing.assert_array_equal(
             plan.candidates(bundle.kg).answers, np.sort(plan.distribution.answers)
         )
-
-
-def test_a_catalog_save_builds_pi_a_with_the_plan(toy, tmp_path):
-    """Saving reads pi_A, so a catalog planner runs S1 inside its build."""
-    from repro.store import SnapshotCatalog
-
-    planner = QueryPlanner(
-        toy.kg, toy.space, EngineConfig(seed=0), cache=PlanCache(),
-        catalog=SnapshotCatalog(tmp_path),
-    )
-    planner.plan_for(toy.count_query().query.components[0])
-    assert (planner.build_count, planner.stage_batches) == (1, 1)
 
 
 # ----------------------------------------------------------------------
