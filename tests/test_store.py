@@ -7,6 +7,9 @@ Covers the store's contracts:
 * snapshot save -> load reproduces every CSR array exactly, installs into
   the graph's cache (``build_csr`` never runs again) and rejects stale
   ``structure_version`` / foreign graphs with a clear error;
+* a snapshot file that lacks a segment, a metadata key, or describes
+  another graph's kind or counts is a :class:`StoreError` at load;
+* :class:`SnapshotCatalog` paths follow graph structure, not attributes;
 * queries over a memory-mapped snapshot answer byte for byte as over the
   built CSR, and run no ``build_csr`` and no S1.
 """
@@ -29,8 +32,13 @@ from repro.errors import StoreError
 from repro.kg.csr import build_call_count, csr_snapshot
 from repro.server.app import encode_result
 from repro.store import SnapshotCatalog, load_snapshot, save_snapshot
+from repro.datasets import ALL_PRESETS
 from repro.store.format import MAGIC, read_arrays, unpack_arrays, write_arrays
-from repro.store.snapshot import cached_graph_fingerprint
+from repro.store.snapshot import (
+    SNAPSHOT_KIND,
+    cached_graph_fingerprint,
+    snapshot_metadata,
+)
 
 
 @pytest.fixture
@@ -229,6 +237,93 @@ class TestSnapshotPersistence:
         world.kg.add_node("New", ["Thing"])
         assert cached_graph_fingerprint(world.kg) != before
 
+    def test_snapshot_file_holds_the_csr_segments_and_key(self, world, tmp_path):
+        """The file carries the five CSR arrays (``nodes_by_type`` is derived
+        at load) and the graph's validation key, nothing else."""
+        path = save_snapshot(world.kg, tmp_path / "toy.snap")
+        metadata, arrays = read_arrays(path, mmap=False)
+        assert set(arrays) == {
+            "indptr", "neighbor_ids", "edge_ids", "edge_predicate_ids", "type_matrix",
+        }
+        assert metadata["kind"] == SNAPSHOT_KIND
+        for name, value in snapshot_metadata(world.kg).items():
+            assert metadata[name] == value, name
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_an_edgeless_graph_round_trips(self, tmp_path, mmap):
+        kg = KnowledgeGraph("lonely")
+        kg.add_node("A", ["T"])
+        kg.add_node("B", ["T", "U"])
+        path = save_snapshot(kg, tmp_path / "lonely.snap")
+        expected = csr_snapshot(kg)
+
+        fresh = KnowledgeGraph("lonely")
+        fresh.add_node("A", ["T"])
+        fresh.add_node("B", ["T", "U"])
+        loaded = load_snapshot(path, fresh, mmap=mmap, verify_fingerprint=True)
+        assert (loaded.num_nodes, loaded.num_edges) == (2, 0)
+        assert np.array_equal(loaded.indptr, expected.indptr)
+        assert np.array_equal(loaded.type_matrix, expected.type_matrix)
+        assert loaded.nodes_by_type["U"].tolist() == [1]
+
+    @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
+    def test_a_preset_snapshot_loads_into_a_regenerated_graph(self, preset, tmp_path):
+        """The cross-process case: the graph is generated again from the
+        same seed, and the saved snapshot validates against it by content
+        fingerprint and stands in for its CSR array for array."""
+        saved = ALL_PRESETS[preset](seed=0, scale=1.0).kg
+        expected = csr_snapshot(saved)
+        path = save_snapshot(saved, tmp_path / f"{preset}.snap")
+
+        regenerated = ALL_PRESETS[preset](seed=0, scale=1.0).kg
+        builds_before = build_call_count()
+        loaded = load_snapshot(path, regenerated, verify_fingerprint=True)
+        assert csr_snapshot(regenerated) is loaded
+        assert build_call_count() == builds_before
+        for name in (
+            "indptr", "neighbor_ids", "edge_ids", "edge_predicate_ids", "type_matrix",
+        ):
+            assert np.array_equal(getattr(loaded, name), getattr(expected, name)), name
+        assert loaded.type_names == expected.type_names
+
+    def test_a_raw_load_does_not_install(self, toy_world_factory, tmp_path):
+        """Without a graph, ``load_snapshot`` only reads the file."""
+        path = save_snapshot(toy_world_factory().kg, tmp_path / "toy.snap")
+        loaded = load_snapshot(path)
+        fresh = toy_world_factory()
+        builds_before = build_call_count()
+        assert csr_snapshot(fresh.kg) is not loaded
+        assert build_call_count() == builds_before + 1
+
+    def test_structural_mutation_after_a_load_rebuilds(self, world, tmp_path):
+        """An installed snapshot is keyed on ``structure_version`` like a
+        built one: the next structural write evicts it."""
+        path = save_snapshot(world.kg, tmp_path / "toy.snap")
+        loaded = load_snapshot(path, world.kg)
+        added = world.kg.add_node("Newcomer", ["Automobile"])
+        world.kg.add_edge(world.correct_cars[0], "product", added)
+        builds_before = build_call_count()
+        rebuilt = csr_snapshot(world.kg)
+        assert rebuilt is not loaded
+        assert build_call_count() == builds_before + 1
+        assert (rebuilt.num_nodes, rebuilt.num_edges) == (
+            loaded.num_nodes + 1, loaded.num_edges + 1,
+        )
+        with pytest.raises(StoreError, match="structure_version"):
+            load_snapshot(path, world.kg)
+
+    def test_catalog_path_follows_structure_not_attributes(self, world, tmp_path):
+        catalog = SnapshotCatalog(tmp_path / "catalog")
+        path = catalog.save_snapshot(world.kg)
+        assert path == catalog.snapshot_path(world.kg)
+        assert path.parent == catalog.root / "snapshots"
+        assert path.is_file()
+        world.kg.set_attribute(world.correct_cars[0], "price", 2.0)
+        assert catalog.snapshot_path(world.kg) == path
+        world.kg.add_node("Newcomer", ["Thing"])
+        moved = catalog.snapshot_path(world.kg)
+        assert moved != path and not moved.exists()
+
     def test_queries_over_a_mapped_snapshot_equal_the_built_csr(
         self, toy_world_factory, tmp_path
     ):
@@ -276,6 +371,71 @@ class TestSnapshotPersistence:
             encode_result(result, timings=False) for result in expected
         ]
 
+
+def _rewritten(source, target, *, metadata=None, drop=()):
+    """``source``'s snapshot written to ``target`` with ``metadata`` keys
+    overridden (``None`` values removed) and the ``drop`` segments left out."""
+    stored, arrays = read_arrays(source, mmap=False)
+    for name, value in (metadata or {}).items():
+        if value is None:
+            stored.pop(name, None)
+        else:
+            stored[name] = value
+    write_arrays(
+        target, stored, {name: a for name, a in arrays.items() if name not in drop}
+    )
+    return target
+
+
+class TestSnapshotValidation:
+    """A snapshot file that does not describe the graph is refused at load,
+    always as a StoreError and never by installing wrong arrays."""
+
+    @pytest.fixture
+    def saved(self, world, tmp_path):
+        return world, save_snapshot(world.kg, tmp_path / "toy.snap")
+
+    @pytest.mark.parametrize("kind", [None, "csr-snapshot-v0"], ids=["absent", "other"])
+    def test_a_file_of_another_kind_is_rejected(self, saved, tmp_path, kind):
+        world, path = saved
+        forged = _rewritten(path, tmp_path / "forged.snap", metadata={"kind": kind})
+        with pytest.raises(StoreError, match="not a CSR snapshot"):
+            load_snapshot(forged, world.kg)
+
+    @pytest.mark.parametrize(
+        "segment",
+        ["indptr", "neighbor_ids", "edge_ids", "edge_predicate_ids", "type_matrix"],
+    )
+    def test_a_missing_segment_is_rejected(self, saved, tmp_path, segment):
+        world, path = saved
+        forged = _rewritten(path, tmp_path / "forged.snap", drop=(segment,))
+        for mmap in (True, False):
+            with pytest.raises(StoreError, match="missing segments"):
+                load_snapshot(forged, world.kg, mmap=mmap)
+            with pytest.raises(StoreError, match="missing segments"):
+                load_snapshot(forged, mmap=mmap)
+
+    def test_missing_type_names_is_rejected(self, saved, tmp_path):
+        world, path = saved
+        forged = _rewritten(
+            path, tmp_path / "forged.snap", metadata={"type_names": None}
+        )
+        with pytest.raises(StoreError, match="metadata missing"):
+            load_snapshot(forged, world.kg)
+
+    @pytest.mark.parametrize("count", ["num_nodes", "num_edges"])
+    def test_a_count_that_disagrees_with_the_graph_is_rejected(
+        self, saved, tmp_path, count
+    ):
+        """Same ``structure_version``, another size: the counts catch it."""
+        world, path = saved
+        stored, _ = read_arrays(path, mmap=False)
+        forged = _rewritten(
+            path, tmp_path / "forged.snap", metadata={count: stored[count] + 1}
+        )
+        with pytest.raises(StoreError):
+            load_snapshot(forged, world.kg)
+        assert csr_snapshot(world.kg).num_nodes == world.kg.num_nodes
 
 
 # ---------------------------------------------------------------------------
