@@ -6,7 +6,7 @@ the full path a new user takes with their *own* data:
 
 1. build (or load) a ``networkx`` graph whose nodes carry ``types`` and
    ``attributes`` and whose edges carry ``predicate``;
-2. convert it with :func:`repro.kg.from_networkx`;
+2. convert it with :func:`repro.kg.interop.from_networkx`;
 3. supply predicate semantics — here by training a TransE embedding on
    the graph's own triples, exactly the paper's offline phase;
 4. ask questions in AQL text and read confidence-intervalled answers;
@@ -42,8 +42,9 @@ from repro import (
     TransEModel,
 )
 from repro.baselines.ssb import tau_ground_truth
-from repro.kg import compute_statistics, from_networkx
+from repro.kg import compute_statistics
 from repro.kg.csr import build_call_count
+from repro.kg.interop import from_networkx
 from repro.store import SnapshotCatalog, load_snapshot
 
 

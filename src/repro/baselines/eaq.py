@@ -20,11 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import BaselineMethod, require_simple
+from repro.core.planner import resolve_mapping_node
 from repro.embedding.base import EmbeddingModel
 from repro.errors import EmbeddingError
 from repro.kg.graph import KnowledgeGraph
 from repro.query.aggregate import AggregateQuery
-from repro.sampling.scope import build_scope, resolve_mapping_node
+from repro.sampling.scope import build_scope
 
 
 class EaqBaseline(BaselineMethod):

@@ -14,11 +14,11 @@ admits short-path incorrect ones — the source of its Table VI/VII errors.
 from __future__ import annotations
 
 from repro.baselines.base import BaselineMethod
+from repro.core.planner import resolve_mapping_node
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.traversal import hop_distances
 from repro.query.aggregate import AggregateQuery
 from repro.query.graph import PathQuery
-from repro.sampling.scope import resolve_mapping_node
 
 
 class GrabBaseline(BaselineMethod):

@@ -15,10 +15,11 @@ from __future__ import annotations
 import re
 
 from repro.baselines.base import BaselineMethod
+from repro.core.planner import resolve_mapping_node
 from repro.kg.graph import KnowledgeGraph
 from repro.query.aggregate import AggregateQuery
 from repro.query.graph import PathQuery
-from repro.sampling.scope import build_scope, resolve_mapping_node
+from repro.sampling.scope import build_scope
 
 _TOKEN_PATTERN = re.compile(r"[a-z]+")
 

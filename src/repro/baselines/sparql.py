@@ -12,10 +12,10 @@ stores despite their answers being "exact".
 from __future__ import annotations
 
 from repro.baselines.base import BaselineMethod
+from repro.core.planner import resolve_mapping_node
 from repro.kg.graph import KnowledgeGraph
 from repro.query.aggregate import AggregateQuery
 from repro.query.graph import PathQuery
-from repro.sampling.scope import resolve_mapping_node
 
 
 class SparqlStyleEngine(BaselineMethod):

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 
 from repro.baselines.base import BaselineMethod
+from repro.core.planner import resolve_mapping_node
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import QueryError
 from repro.kg.graph import KnowledgeGraph
 from repro.query.aggregate import AggregateQuery
 from repro.query.graph import PathQuery, QueryGraph
-from repro.sampling.scope import resolve_mapping_node
 from repro.semantics.matching import best_matches_from, best_sums_by_length
 
 

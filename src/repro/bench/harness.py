@@ -37,7 +37,7 @@ from repro.baselines import (
 )
 from repro.baselines.ssb import GroundTruth
 from repro.bench.metrics import grouped_relative_error, relative_error
-from repro.bench.sampled import SampledExecutor
+from repro.bench.sampled import PlanSampler, SampledExecutor
 from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.plan import PlanCache, QueryPlan
@@ -80,8 +80,9 @@ class PaperPlanner(QueryPlanner):
 
     It publishes into a :class:`PlanCache` of its own, so its plans — and
     the greedy verdicts memoised on them — never meet a production
-    engine's.  It builds pi_A with the plan, not on the first draw, and
-    overrides the first leg only — a chain plan wraps it in the base
+    engine's.  It builds pi_A with the plan (its own :class:`PlanSampler`
+    runs S1 and memoises it on the plan), not on the first draw, and
+    binds its own first leg only — a chain plan wraps it in the base
     planner's :class:`~repro.semantics.validation.ChainValidator` — and
     each search walks the visiting map of the first S1 stage of its build.
     A simple plan's search stops at ``tau`` (the verdict cannot change past
@@ -92,30 +93,19 @@ class PaperPlanner(QueryPlanner):
 
     def __init__(self, kg, space, config: EngineConfig) -> None:
         super().__init__(kg, space, config, cache=PlanCache())
+        self.sampler = PlanSampler(kg, space, config)
 
     def _build(self, component: PathQuery) -> QueryPlan:
-        """A plan with S1 run at once: its validator walks the first stage."""
-        source = self._mapping_node(component)
-        sample, scope = self._sample(component, source)
-        return QueryPlan(
-            component=component,
-            source=source,
-            validator=self._validator(component, source, scope),
-            sampler=lambda: sample,
-        )
-
-    def _first_leg(
-        self, component: PathQuery, source: int, scope
-    ) -> ReferenceValidator:
+        """A plan with S1 run at once: its first leg's search walks the
+        first stage's visiting map (node id -> stationary probability)."""
         config = self.config
-        nodes, probabilities = scope
-        return ReferenceValidator(
+        source = self._mapping_node(component)
+        sample, (nodes, probabilities) = self.sampler.run(component, source)
+        first_leg = ReferenceValidator(
             self._kg,
             self._space,
             source,
             component.predicates[0],
-            # node id -> stationary probability, over the scope nodes the
-            # walk reaches
             {
                 node: probability
                 for node, probability in zip(
@@ -129,6 +119,13 @@ class PaperPlanner(QueryPlanner):
             expansion_budget=config.validation_expansions,
             stop_threshold=config.tau if component.is_simple else None,
         )
+        plan = QueryPlan(
+            component=component,
+            source=source,
+            validator=self._validator(component, first_leg),
+        )
+        self.sampler.adopt(plan, sample)
+        return plan
 
 
 def figure_engine(kg, embedding, config: EngineConfig | None = None):

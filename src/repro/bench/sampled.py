@@ -1,26 +1,30 @@
 """The paper's sampled lifecycle: Algorithm 2 with S1 draws, BLB rounds
 and Eq. 12 growth.
 
-Production answers every query by census (:mod:`repro.core.executor`).
-The figures and the tests of the sampling mechanics run
-:class:`SampledExecutor` instead, which always samples: a query draws
-from its joint pi_A and estimates each round — Eq. 7-9 with a BLB
-interval and the Theorem-2 check, one CI per group for GROUP-BY (§V-A),
-the sample extremum for MAX/MIN (§IV-B1), optionally extrapolated by an
-EVT tail fit.  Validation, group keys and packaging are the production
-executor's.
+Production answers every query by census (:mod:`repro.core.executor`)
+and imports nothing from here.  The figures and the tests of the
+sampling mechanics run :class:`SampledExecutor` instead, which always
+samples: a query draws from its joint pi_A and estimates each round —
+Eq. 7-9 with a BLB interval and the Theorem-2 check, one CI per group
+for GROUP-BY (§V-A), the sample extremum for MAX/MIN (§IV-B1), optionally
+extrapolated by an EVT tail fit.  Validation, group keys and packaging
+are the production executor's.
+
+S1 is :class:`PlanSampler`, whose pi_A is a memo beside each plan.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from repro.core.config import DeltaStrategy, ExtremeMethod
+from repro.core.config import DeltaStrategy, EngineConfig, ExtremeMethod, SamplerKind
 from repro.core.executor import (
     _EMPTY_JOINT,
     KIND_EXTREME,
@@ -34,6 +38,7 @@ from repro.core.executor import (
     kind_for,
 )
 from repro.core.plan import QueryPlan
+from repro.core.planner import QueryPlanner
 from repro.core.result import (
     STOP_BOUND_MET,
     STOP_ROUND_BUDGET,
@@ -42,24 +47,187 @@ from repro.core.result import (
     GroupedResult,
     RoundTrace,
 )
-from repro.errors import EstimationError, QueryError
+from repro.embedding.predicate_space import PredicateVectorSpace
+from repro.errors import EstimationError, QueryError, SamplingError
 from repro.estimation.accuracy import moe_target, satisfies_error_bound
-from repro.estimation.bootstrap import blb_moe
-from repro.estimation.confidence import normal_critical_value
+from repro.estimation.bootstrap import blb_moe, normal_critical_value
 from repro.estimation.estimators import (
     EstimationSample,
     Normalization,
     estimate_extreme,
 )
 from repro.estimation.extreme import estimate_extreme_evt
+from repro.kg.graph import KnowledgeGraph
+from repro.obs.trace import child_span
 from repro.query.aggregate import AggregateFunction, AggregateQuery
-from repro.sampling.collector import AnswerCollector, AnswerDistribution
+from repro.query.graph import PathQuery
+from repro.sampling.chain import ChainSampler
+from repro.sampling.collector import (
+    AnswerCollector,
+    AnswerDistribution,
+    restrict_to_answers,
+)
+from repro.sampling.scope import build_scope
+from repro.sampling.strength import (
+    Stage,
+    similarity_entry_weights,
+    stage_distributions,
+)
+from repro.sampling.topology import cnarw_entry_weights, node2vec_visit_distribution
 from repro.utils.rng import derive_seed, ensure_rng
 from repro.utils.timing import StageTimer
 
 #: most elements one ``(groups, draws)`` block of a closed-form GROUP-BY
 #: round may hold; a round with more is reduced a block of groups at a time
 _GROUP_BLOCK_ELEMENTS = 1 << 20
+
+
+@dataclass(frozen=True)
+class PlanSample:
+    """What S1 hands a plan's draws."""
+
+    #: answer-restricted stationary distribution pi_A (Theorem 1)
+    distribution: AnswerDistribution
+    #: the paper's N_ws: 0 for a simple plan (closed form, no walk
+    #: iterated); a chain plan reports its expanded intermediates here
+    walk_iterations: int
+    #: candidate answers inside the sampled scope (zero-mass included)
+    num_candidates: int
+
+
+#: the attributes a plan keeps its pi_A memo and that memo's lock under
+_SAMPLE_ATTR = "_s1_sample"
+_LOCK_ATTR = "_s1_lock"
+
+
+class PlanSampler:
+    """S1 of plans (Algorithm 2, lines 1-4): scope, closed-form Eq. 5/6
+    stationary distribution and Theorem-1 answer restriction, all three
+    from the batched stage kernel under the semantic or the CNARW weights
+    (only the Node2Vec ablation walks a per-source scope).  S1 is a
+    function of the plan key (:func:`~repro.core.plan.plan_fingerprint`
+    holds its facets), so whichever sampler builds it, readers get the
+    same pi_A."""
+
+    def __init__(
+        self, kg: KnowledgeGraph, space: PredicateVectorSpace, config: EngineConfig
+    ) -> None:
+        self._kg = kg
+        self._space = space
+        self.config = config
+        #: calls of the batched S1 stage kernel and the walks they settled
+        self.stage_batches = 0
+        self.stage_sources = 0
+
+    def sample(self, plan: QueryPlan) -> PlanSample:
+        """``plan``'s S1 artefacts, built on first use under the plan's own
+        lock: a second caller waits for the first and reads the same
+        object."""
+        memo = vars(plan)
+        sample = memo.get(_SAMPLE_ATTR)
+        if sample is None:
+            # dict.setdefault is atomic: racing callers share one lock
+            with memo.setdefault(_LOCK_ATTR, threading.Lock()):
+                sample = memo.get(_SAMPLE_ATTR)
+                if sample is None:
+                    sample = self.run(plan.component, plan.source)[0]
+                    memo[_SAMPLE_ATTR] = sample
+        return sample
+
+    @staticmethod
+    def adopt(plan: QueryPlan, sample: PlanSample) -> None:
+        """Memoise ``sample`` as the S1 of ``plan``, a plan no one has
+        read yet (the figures' planner runs S1 as it builds)."""
+        vars(plan)[_SAMPLE_ATTR] = sample
+
+    def stage(
+        self,
+        sources: np.ndarray,
+        predicate: str,
+        node_types: frozenset[str],
+        hop: int = 0,
+    ) -> list[Stage | SamplingError]:
+        """The closed-form S1 stage of every semantic or CNARW build, one
+        kernel call: a simple plan or a chain's first hop as a batch of
+        one, a later chain hop with all its kept routes."""
+        config = self.config
+        if config.sampler is SamplerKind.CNARW:
+            # the Fig. 5(a) ablation ignores predicates, so it must not ask
+            # the embedding to cover the scope's edges
+            weigh = partial(cnarw_entry_weights, self._kg)
+        else:
+            weigh = partial(
+                similarity_entry_weights,
+                self._kg,
+                self._space,
+                predicate,
+                config.similarity_floor,
+            )
+        self.stage_batches += 1
+        self.stage_sources += len(sources)
+        with child_span("s1_stage", hop=hop, sources=len(sources)) as span:
+            stages = stage_distributions(
+                self._kg,
+                sources,
+                node_types,
+                weigh,
+                n_bound=config.n_bound,
+                self_loop_weight=config.self_loop_weight,
+            )
+            if span is not None:
+                # scope nodes over the sources that have a stage
+                span.annotate(
+                    reached=sum(
+                        len(stage.nodes)
+                        for stage in stages
+                        if not isinstance(stage, SamplingError)
+                    )
+                )
+        return stages
+
+    def first_stage(
+        self, source: int, predicate: str, node_types: frozenset[str]
+    ) -> Stage:
+        """The one-source stage of a plan's first hop."""
+        (stage,) = self.stage(np.asarray([source]), predicate, node_types)
+        if isinstance(stage, SamplingError):
+            raise stage
+        return stage
+
+    def run(
+        self, component: PathQuery, source: int
+    ) -> tuple[PlanSample, tuple[np.ndarray, np.ndarray]]:
+        """S1 of ``component``: its :class:`PlanSample` and the first
+        stage's ``(nodes, probabilities)`` (the figures' r-path search
+        walks them)."""
+        config = self.config
+        predicate, target_types = component.hops[0]
+        if config.sampler is SamplerKind.NODE2VEC:
+            # The Fig. 5(a) Node2Vec ablation is a second-order walk: no
+            # closed form, so it simulates the walk over a per-source scope.
+            scope = build_scope(self._kg, source, config.n_bound, target_types)
+            if scope.num_candidates == 0:
+                raise SamplingError(
+                    f"no candidate of types {sorted(target_types)} within "
+                    f"{config.n_bound} hops of {component.specific_name!r}"
+                )
+            probabilities = node2vec_visit_distribution(
+                self._kg, scope, seed=derive_seed(config.seed, "node2vec", source)
+            )
+            distribution = restrict_to_answers(scope, probabilities)
+            sample = PlanSample(distribution, 0, scope.num_candidates)
+            return sample, (scope.nodes, probabilities)
+        first = self.first_stage(source, predicate, target_types)
+        if component.is_simple:
+            # the paper's N_ws is 0: closed form, no walk iterated
+            sample = PlanSample(first.distribution, 0, first.num_candidates)
+        else:
+            # the plan keeps the composed marginal only
+            distribution, expanded = ChainSampler(
+                self._kg, self.stage, max_intermediates=config.max_intermediates
+            ).build(component, first.distribution)
+            sample = PlanSample(distribution, expanded, distribution.support_size)
+        return sample, (first.nodes, first.probabilities)
 
 
 @dataclass(kw_only=True)
@@ -110,26 +278,39 @@ class SampledExecutor(QueryExecutor):
     what :func:`repro.bench.harness.figure_engine` and
     :func:`repro.bench.harness.sampled_engine` run."""
 
+    def __init__(
+        self,
+        kg: KnowledgeGraph,
+        space: PredicateVectorSpace,
+        config: EngineConfig,
+        planner: QueryPlanner,
+    ) -> None:
+        super().__init__(kg, space, config, planner)
+        #: S1 of the plans this executor draws from (a plan another
+        #: sampler already ran it for keeps that run's pi_A)
+        self.sampler = PlanSampler(kg, space, config)
+
     # ------------------------------------------------------------------
     # Initialisation: plans, the joint pi_A, the first draws
     # ------------------------------------------------------------------
     @staticmethod
-    def _joint_distribution(components: list[QueryPlan]) -> AnswerDistribution:
-        """Decomposition-assembly of two or more components: intersect
-        supports, multiply weights.
+    def _joint_distribution(
+        distributions: list[AnswerDistribution],
+    ) -> AnswerDistribution:
+        """Decomposition-assembly of two or more components' pi_A:
+        intersect supports, multiply weights.
 
         The joint support is the sorted intersection of the components'
         answers; an answer's weight is the product of its per-component
-        probabilities, multiplied up in plan order, renormalised.
+        probabilities, multiplied up in component order, renormalised.
         """
-        answers = components[0].distribution.answers
-        for plan in components[1:]:
-            answers = np.intersect1d(answers, plan.distribution.answers)
+        answers = distributions[0].answers
+        for distribution in distributions[1:]:
+            answers = np.intersect1d(answers, distribution.answers)
         if len(answers) == 0:
             raise QueryError(_EMPTY_JOINT)
         weights = np.ones(len(answers), dtype=np.float64)
-        for plan in components:
-            distribution = plan.distribution
+        for distribution in distributions:
             # ``answers`` is sorted and contained in every support, so the
             # positions come back aligned with it
             _, _, where = np.intersect1d(
@@ -142,6 +323,7 @@ class SampledExecutor(QueryExecutor):
         self,
         aggregate_query: AggregateQuery,
         plans: list[QueryPlan],
+        structure_version: int,
         timers: StageTimer,
         seed: int,
         confidence_level: float,
@@ -151,12 +333,15 @@ class SampledExecutor(QueryExecutor):
         ``seed``."""
         config = self.config
         with timers.measure(STAGE_SAMPLING):
+            samples = [self.sampler.sample(plan) for plan in plans]
             joint = (
-                plans[0].distribution
-                if len(plans) == 1
-                else self._joint_distribution(plans)
+                samples[0].distribution
+                if len(samples) == 1
+                else self._joint_distribution(
+                    [sample.distribution for sample in samples]
+                )
             )
-            num_candidates = max(plan.num_candidates for plan in plans)
+            num_candidates = max(sample.num_candidates for sample in samples)
             if aggregate_query.function.has_guarantee:
                 ratio = config.sample_ratio
             else:
@@ -179,8 +364,9 @@ class SampledExecutor(QueryExecutor):
                 ],
                 desired_n=desired_n,
                 num_candidates=num_candidates,
-                walk_iterations=max(plan.walk_iterations for plan in plans),
+                walk_iterations=max(sample.walk_iterations for sample in samples),
                 confidence_level=confidence_level,
+                structure_version=structure_version,
                 support_known=np.zeros(size, dtype=bool),
                 support_correct=np.zeros(size, dtype=bool),
                 support_value=np.zeros(size, dtype=np.float64),

@@ -25,10 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.bench import experiments as _experiments
-from repro.bench.plots import Series, line_chart
 from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.resilience import ServiceLimits
@@ -37,29 +35,47 @@ from repro.core.service import AggregateQueryService
 from repro.errors import ReproError
 from repro.query.parser import parse_query
 
+if TYPE_CHECKING:
+    from repro.bench.experiments import ExperimentResult
+    from repro.bench.plots import Series
+
+
+def _figure(driver: str) -> Callable[..., "ExperimentResult"]:
+    """The experiment driver ``repro.bench.experiments.<driver>``, imported
+    when it runs: the figures' modules (and the sampler, scipy and the
+    baselines behind them) load only for ``experiment``."""
+
+    def run(**kwargs) -> "ExperimentResult":
+        from repro.bench import experiments
+
+        return getattr(experiments, driver)(**kwargs)
+
+    return run
+
+
 #: experiment name -> driver; names match the benches under benchmarks/
-EXPERIMENTS: dict[str, Callable[..., "_experiments.ExperimentResult"]] = {
-    "table5": _experiments.table5_ajs,
-    "table6": _experiments.table6_tau_gt_error,
-    "table7": _experiments.table7_ha_gt_error,
-    "table8": _experiments.table8_response_time,
-    "table9": _experiments.table9_case_study,
-    "table10": _experiments.table10_operator_time,
-    "table11": _experiments.table11_operator_error,
-    "table12": _experiments.table12_step_timing,
-    "table13": _experiments.table13_embeddings,
-    "fig5a": _experiments.fig5a_sampling_ablation,
-    "fig5b": _experiments.fig5b_validation_ablation,
-    "fig5c": _experiments.fig5c_delta_ablation,
-    "fig6a": _experiments.fig6a_interactive,
-    "fig6b": _experiments.fig6b_confidence_level,
-    "fig6c": _experiments.fig6c_repeat_factor,
-    "fig6d": _experiments.fig6d_sample_ratio,
-    "fig6e": _experiments.fig6e_nbound,
-    "fig6f": _experiments.fig6f_tau_threshold,
-    "scaling": _experiments.scaling_crossover,
-    "ext_evt": _experiments.ext_evt_extremes,
-    "ext_normalization": _experiments.ext_normalization,
+EXPERIMENTS: dict[str, Callable[..., "ExperimentResult"]] = {
+    "table5": _figure("table5_ajs"),
+    "table6": _figure("table6_tau_gt_error"),
+    "table7": _figure("table7_ha_gt_error"),
+    "table8": _figure("table8_response_time"),
+    "table9": _figure("table9_case_study"),
+    "table10": _figure("table10_operator_time"),
+    "table11": _figure("table11_operator_error"),
+    "table12": _figure("table12_step_timing"),
+    "table13": _figure("table13_embeddings"),
+    "fig5a": _figure("fig5a_sampling_ablation"),
+    "fig5b": _figure("fig5b_validation_ablation"),
+    "fig5c": _figure("fig5c_delta_ablation"),
+    "fig6a": _figure("fig6a_interactive"),
+    "fig6b": _figure("fig6b_confidence_level"),
+    "fig6c": _figure("fig6c_repeat_factor"),
+    "fig6d": _figure("fig6d_sample_ratio"),
+    "fig6e": _figure("fig6e_nbound"),
+    "fig6f": _figure("fig6f_tau_threshold"),
+    "scaling": _figure("scaling_crossover"),
+    "ext_evt": _figure("ext_evt_extremes"),
+    "ext_normalization": _figure("ext_normalization"),
 }
 
 
@@ -606,8 +622,8 @@ def _as_float(value: object) -> float | None:
 
 
 def _figure_series(
-    result: "_experiments.ExperimentResult",
-) -> tuple[list[Series], int, int]:
+    result: "ExperimentResult",
+) -> tuple[list["Series"], int, int]:
     """Best-effort series extraction from a figure's rows.
 
     Figure rows come in two layouts: ``(label, x, y, ...)`` (Fig. 5) and
@@ -616,6 +632,8 @@ def _figure_series(
     first numeric column after them is y.  Returns the series plus the
     (x, y) column indexes for axis labelling.
     """
+    from repro.bench.plots import Series
+
     if not result.rows or len(result.headers) < 3:
         return [], 0, 0
     first_numeric = all(_as_float(row[0]) is not None for row in result.rows)
@@ -654,6 +672,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     result = driver(seed=args.seed)
     print(result.text)
     if args.plot:
+        from repro.bench.plots import line_chart
+
         series, x_column, y_column = _figure_series(result)
         if series:
             print()
@@ -733,7 +753,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     else:
         import networkx as nx
 
-        from repro.kg import to_networkx
+        from repro.kg.interop import to_networkx
 
         graph = to_networkx(bundle.kg)
         # GraphML cannot serialise lists/dicts; flatten the payloads.

@@ -1,11 +1,11 @@
 """The approximate aggregate query engine (Algorithm 2) and extensions.
 
-:class:`ApproximateAggregateEngine` wires the substrates together: scope
-construction, the semantic-aware walk, continuous sampling, correctness
-validation, Eq. 7-9 estimation, BLB confidence intervals, Theorem-2
-termination and Eq. 12 refinement.  §V extensions — filters, GROUP-BY,
-chain queries and decomposition-assembly for star/cycle/flower shapes —
-are part of the same execute path.  :class:`InteractiveSession` supports
+:class:`ApproximateAggregateEngine` wires the planner and the census
+executor together: plans, exact correctness validation and the exact
+aggregate (the paper's sampled rounds are :mod:`repro.bench.sampled`).
+§V extensions — filters, GROUP-BY, chain queries and
+decomposition-assembly for star/cycle/flower shapes — are part of the
+same execute path.  :class:`InteractiveSession` supports
 the paper's interactive error-bound refinement (Fig. 6(a)).
 """
 

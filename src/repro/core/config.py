@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.errors import QueryError
-from repro.estimation.bootstrap import BlbConfig
+from repro.estimation.accuracy import BlbConfig
 from repro.estimation.estimators import Normalization
 
 

@@ -4,9 +4,8 @@ Execution of ``AQ_G = (Q, f_a)`` is a pipeline of three layers:
 
 1. **Planning** — :mod:`repro.core.planner` builds one immutable
    :class:`~repro.core.plan.QueryPlan` per query component (its mapping
-   node and the validator bound to it; S1 — scope, closed-form Eq. 5/6
-   stationary distribution, Theorem-1 answer restriction — runs on a
-   plan's first draw) and shares it through the process-wide
+   node and the validator bound to it; S1 is the sampled executor's)
+   and shares it through the process-wide
    :class:`~repro.core.plan.PlanCache`, so concurrent engines and sessions
    over the same graph reuse plans instead of rebuilding them.
 2. **Validation (S2)** — :mod:`repro.core.executor` validates the
@@ -87,7 +86,7 @@ class ApproximateAggregateEngine:
 
     @property
     def planner(self) -> QueryPlanner:
-        """The planning layer (S1) this engine draws plans from."""
+        """The planning layer this engine takes plans from."""
         return self._planner
 
     @property

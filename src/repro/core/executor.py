@@ -47,7 +47,7 @@ from repro.core.result import (
     RoundTrace,
 )
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import QueryError
+from repro.errors import GraphChangedError, QueryError
 from repro.estimation.confidence import ConfidenceInterval
 from repro.estimation.estimators import census_estimate
 from repro.kg.graph import KnowledgeGraph
@@ -101,6 +101,9 @@ class _QueryState:
     walk_iterations: int
     #: the query's 1 - alpha: every interval reads it
     confidence_level: float
+    #: the graph's structure version when the plans were read: a census
+    #: over a graph that has moved since re-plans first
+    structure_version: int
     #: per-support-entry verdicts, filled as entries are validated
     support_known: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     support_correct: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
@@ -210,23 +213,32 @@ class QueryExecutor:
         effective_seed = config.seed if seed is None else seed
         timers = StageTimer()
         with child_span("initialise", seed=effective_seed):
-            with timers.measure(STAGE_SAMPLING):
-                plans = [
-                    self._planner.plan_for(component)
-                    for component in aggregate_query.query.components
-                ]
             return self._start(
                 aggregate_query,
-                plans,
+                *self._plan(aggregate_query, timers),
                 timers,
                 effective_seed,
                 config.confidence_level if confidence is None else confidence,
             )
 
+    def _plan(
+        self, aggregate_query: AggregateQuery, timers: StageTimer
+    ) -> tuple[list[QueryPlan], int]:
+        """Every component's plan, and the structure version read before
+        planning: plans keyed on a later one can only re-plan needlessly."""
+        version = self._kg.structure_version
+        with timers.measure(STAGE_SAMPLING):
+            plans = [
+                self._planner.plan_for(component)
+                for component in aggregate_query.query.components
+            ]
+        return plans, version
+
     def _start(
         self,
         aggregate_query: AggregateQuery,
         plans: list[QueryPlan],
+        structure_version: int,
         timers: StageTimer,
         seed: int,
         confidence_level: float,
@@ -247,6 +259,7 @@ class QueryExecutor:
             num_candidates=size,
             walk_iterations=0,
             confidence_level=confidence_level,
+            structure_version=structure_version,
             support_known=np.zeros(size, dtype=bool),
             support_correct=np.zeros(size, dtype=bool),
             support_value=np.zeros(size, dtype=np.float64),
@@ -501,6 +514,8 @@ class QueryExecutor:
         one.  ``correct_draws`` counts correct draws, and the census takes
         none: it reads 0, per group too.
         """
+        if state.structure_version != self._kg.structure_version:
+            self._replan(state)
         aggregate_query = state.aggregate_query
         function = aggregate_query.function
         everything = np.arange(state.joint.support_size)
@@ -526,6 +541,24 @@ class QueryExecutor:
                 for key in np.unique(keys[~np.isnan(keys)])
             }
         return self._group_round(state, groups, True)
+
+    def _replan(self, state: _QueryState) -> None:
+        """Plan ``state``'s query afresh, once, on a graph whose structure
+        moved since its plans were read: a census has no partial state, so
+        the fresh state replaces every field (the timers stay)."""
+        fresh = self._start(
+            state.aggregate_query,
+            *self._plan(state.aggregate_query, state.timers),
+            state.timers,
+            self.config.seed,
+            state.confidence_level,
+        )
+        if fresh.structure_version != self._kg.structure_version:
+            raise GraphChangedError(
+                "the graph's structure moved while the query was planned, "
+                "and again while it re-planned; retry once the writes settle"
+            )
+        vars(state).update(vars(fresh))
 
     def _group_round(
         self, state: _QueryState, groups: dict, satisfied: bool

@@ -13,15 +13,14 @@ query.
 
 A plan answers a census from its row: its candidates
 (:meth:`QueryPlan.candidates`) are the nodes the row reaches, typed as
-the component's last hop requires.  S1 of Algorithm 2 — scope BFS, the
-Eq. 5/6 stationary distribution (in closed form), candidate restriction
-— is needed only to draw, so a plan runs it on its first draw
-(:meth:`QueryPlan.sample`), once, under a lock of its own: pi_A is
-then part of the plan for good.  A validated row and a built pi_A are
-published whole and read-only, so concurrent engines sharing a plan
-only ever read "not yet" or the finished artefact; sharing it is what
-lets refinement rounds and interactive sessions skip revalidation
-entirely.
+the component's last hop requires.  A validated row is published whole
+and read-only, so concurrent engines sharing a plan only ever read "not
+yet" or the finished row; sharing it is what lets refinement rounds and
+interactive sessions skip revalidation entirely.  S1 of Algorithm 2 —
+scope BFS, the Eq. 5/6 stationary distribution, candidate restriction —
+is needed only to draw, and is not part of a plan:
+:class:`repro.bench.sampled.PlanSampler` keeps a plan's pi_A beside it
+once its first draw built it.
 
 Beside each graph's plans the cache keeps the *joint candidate sets* of
 composite queries (the intersected :class:`CandidateSet`), keyed by the
@@ -57,7 +56,6 @@ from repro.errors import SamplingError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
-from repro.sampling.collector import AnswerDistribution
 from repro.semantics.validation import ChainValidator, CorrectnessValidator
 
 #: cache key of one plan within a graph entry
@@ -77,23 +75,9 @@ class CandidateSet:
 
 
 @dataclass(frozen=True)
-class PlanSample:
-    """What S1 hands a plan's draws."""
-
-    #: answer-restricted stationary distribution pi_A (Theorem 1)
-    distribution: AnswerDistribution
-    #: the paper's N_ws: 0 for a simple plan (closed form, no walk
-    #: iterated); a chain plan reports its expanded intermediates here
-    walk_iterations: int
-    #: candidate answers inside the sampled scope (zero-mass included)
-    num_candidates: int
-
-
-@dataclass(frozen=True)
 class QueryPlan:
-    """One query component's shareable artefacts: its validator, the
-    census candidates read off the validator's row, and — on the first
-    draw — S1's pi_A."""
+    """One query component's shareable artefacts: its validator and the
+    census candidates read off the validator's row."""
 
     component: PathQuery
     #: the resolved mapping node ``us``
@@ -103,38 +87,6 @@ class QueryPlan:
     #: around that first leg for a chain; the figures' planner binds the
     #: paper's r-path search as the (first-leg) validator instead
     validator: CorrectnessValidator | ChainValidator
-    #: runs S1 for :meth:`sample`, at most once per plan
-    sampler: Callable[[], PlanSample] = field(repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-
-    def sample(self) -> PlanSample:
-        """S1's artefacts, built on first use under the plan's lock: a
-        second caller waits for the first and reads the same object."""
-        sample = self.__dict__.get("_sample")
-        if sample is None:
-            with self._lock:
-                sample = self.__dict__.get("_sample")
-                if sample is None:
-                    sample = self.sampler()
-                    object.__setattr__(self, "_sample", sample)
-        return sample
-
-    @property
-    def distribution(self) -> AnswerDistribution:
-        """pi_A (:meth:`sample`): the support every draw is taken from."""
-        return self.sample().distribution
-
-    @property
-    def walk_iterations(self) -> int:
-        """The sampled scope's N_ws (:class:`PlanSample`)."""
-        return self.sample().walk_iterations
-
-    @property
-    def num_candidates(self) -> int:
-        """The sampled scope's candidate count (:class:`PlanSample`)."""
-        return self.sample().num_candidates
 
     def candidates(self, kg: KnowledgeGraph) -> CandidateSet:
         """The answers a census counts: every node the validator's row
@@ -144,7 +96,7 @@ class QueryPlan:
         graph, kept on the plan.
 
         A chain's candidates are all the answers its row reaches, where
-        pi_A's support keeps only those behind the top
+        the pi_A a draw builds keeps only those behind the top
         ``max_intermediates`` routes per hop.  Raises the
         :class:`~repro.errors.SamplingError` of a component without one.
         """
@@ -242,8 +194,8 @@ _ENTRIES_ATTR = "_plan_cache_entries"
 
 #: default per-graph plan bound; a plan's payload is, once validated, its
 #: validator's similarity row (a similarity and a path length per graph
-#: node) and its candidates, plus pi_A (answers, probabilities) once it
-#: has drawn, so the cap bounds resident memory
+#: node) and its candidates, plus pi_A (answers, probabilities) once a
+#: sampled run has drawn from it, so the cap bounds resident memory
 #: for long-lived serving processes with many components/configs/tenants
 DEFAULT_MAX_PLANS_PER_GRAPH = 256
 

@@ -13,7 +13,8 @@ anytime state (:meth:`~QueryHandle.progress`), the final result
 
 What makes a *batch* cheaper than a loop over ``execute``:
 
-* **Shared plans** — all queries draw S1 plans from the process-wide
+* **Shared plans** — all queries take their plans (a mapping node and a
+  validator per component) from the process-wide
   :class:`~repro.core.plan.PlanCache` through one planner, and
   :meth:`PlanCache.get_or_build` guarantees each (component, config) plan
   is built exactly once no matter how many queries need it concurrently.
@@ -100,7 +101,7 @@ __all__ = [
 class QueryStatus(enum.Enum):
     """Lifecycle of a submitted query."""
 
-    PENDING = "pending"  # submitted, S1 not run yet
+    PENDING = "pending"  # submitted, not initialised (planned) yet
     READY = "ready"  # initialised, waiting for a run (deferred handles)
     RUNNING = "running"  # a run is active or queued
     SUCCEEDED = "succeeded"
@@ -285,7 +286,7 @@ class QueryHandle:
     def trace(self) -> dict | None:
         """The query's correlated span tree as a nested JSON-clean dict.
 
-        The scheduler grows the tree at the existing seams — S1
+        The scheduler grows the tree at the existing seams —
         ``initialise``/``plan_build`` and one ``round`` child per anytime
         round with its ``validate_batch`` children — and the tree stays
         readable after settlement.  ``None`` when the service was
@@ -496,25 +497,9 @@ class AggregateQueryService:
             ),
             (
                 plan.gauge(
-                    "builds", "S1 plans built by this service's planner"
+                    "builds", "Plans built by this service's planner"
                 ),
                 lambda: self._planner.build_count,
-            ),
-            (
-                plan.gauge(
-                    "stage_batches",
-                    "Calls of the batched S1 stage kernel (one per chain hop, "
-                    "one per simple plan)",
-                ),
-                lambda: self._planner.stage_batches,
-            ),
-            (
-                plan.gauge(
-                    "stage_sources",
-                    "Walks the S1 stage kernel settled (sources over all "
-                    "its batches)",
-                ),
-                lambda: self._planner.stage_sources,
             ),
             (
                 plan.gauge(
@@ -752,7 +737,7 @@ class AggregateQueryService:
         it the scheduler abandons the run at the next round boundary and
         the query settles as :class:`DeadlineExceededError` carrying the
         anytime trace collected so far.  With ``start=False`` the query
-        is initialised (S1 + initial sample) but no rounds run until
+        is initialised (planned) but no rounds run until
         :meth:`QueryHandle.refine` — the hook interactive sessions hang
         off.  Raises :class:`ServiceOverloadedError` when admission
         control (``limits.max_pending``) sheds the submission.
@@ -1110,12 +1095,12 @@ class AggregateQueryService:
                     record.status = QueryStatus.RUNNING
             to_init = [r for r in live if r.state is None]
 
-        self._set_phase("initialise (S1)")
+        self._set_phase("initialise")
         for record in to_init:
             self._initialise(record)
 
-        # the overhead clock starts after initialisation: S1 + initial
-        # draws are already timed inside each state's own stage buckets
+        # the overhead clock starts after initialisation, which each
+        # state's own stage buckets already time
         overhead_timer = time.perf_counter()
         with self._condition:
             cohort = [
@@ -1139,7 +1124,7 @@ class AggregateQueryService:
         self._backend.run_cohort(self, cohort)
 
     def _initialise(self, record: _QueryRecord) -> None:
-        """Run S1 + the initial BLB draws for one record."""
+        """Initialise one record's state: plans, candidates (or draws)."""
         try:
             with obs_trace.activate(record.span):
                 state = self._executor.initialise(
@@ -1154,7 +1139,7 @@ class AggregateQueryService:
         state.timers.stages.setdefault(STAGE_SCHEDULER, Timer())
         with self._condition:
             if record.status in _TERMINAL:
-                # a cancel (or service close) landed while S1 ran: keep
+                # a cancel (or service close) landed while it planned: keep
                 # the terminal status — resurrecting the record here left
                 # handles stranded in READY/RUNNING forever
                 return

@@ -62,8 +62,8 @@ class InteractiveSession:
             )
         self._engine = engine
         self._aggregate_query = aggregate_query
-        # a deferred handle: S1 + the initial draws run now (so planning
-        # and sampling errors surface here, as the eager API always did),
+        # a deferred handle: initialisation runs now (so planning and
+        # candidate errors surface here, as the eager API always did),
         # but no rounds start until the first refine()
         self._handle: QueryHandle = engine.service.submit(
             aggregate_query, seed=seed, start=False
@@ -73,7 +73,7 @@ class InteractiveSession:
         self._last_error_bound: float | None = None
 
     def _wait_initialised(self) -> None:
-        """Block until S1 ran; re-raise initialisation errors here."""
+        """Block until initialisation ran; re-raise its errors here."""
         service = self._handle._service
         record = self._handle._record
         with service._condition:

@@ -27,6 +27,10 @@ pointless, but the error is *honest* (never a fabricated estimate):
   (e.g. zero correct draws for AVG).
 * :class:`ConvergenceError` — an iterative procedure exhausted its budget.
 
+**Concurrent-write errors** — :class:`GraphChangedError`: structural
+writes landed after a query's plans were read and again while its census
+re-planned.  **Retryable** once the writes settle.
+
 **Persistence errors**:
 
 * :class:`StoreError` — a snapshot/plan *store-format* problem (bad
@@ -71,6 +75,8 @@ error                                status  wire semantics
 :class:`DatasetError`
 unknown query id                     404     (no library error; server-side)
 :class:`QueryCancelledError`         409     the resource settled as cancelled
+:class:`GraphChangedError`           409     the graph moved under the query;
+                                             retry once the writes settle
 :class:`SamplingError`,              422     the pipeline ran but the data
 :class:`EstimationError`,                    could not support an answer;
 :class:`ConvergenceError`                    honest refusal, not a server bug
@@ -147,6 +153,11 @@ class EstimationError(ReproError):
 
 class ConvergenceError(ReproError):
     """An iterative procedure failed to converge within its budget."""
+
+
+class GraphChangedError(ReproError):
+    """The graph's structure moved while a query read it, and again while
+    the query re-planned: no one graph version answers it."""
 
 
 class DatasetError(ReproError):

@@ -7,12 +7,38 @@ sample against the same target —
 
     |dS_A| = |S_A| * ((eps / target)^(2m) - 1)
 
-— in :meth:`repro.core.executor.QueryExecutor._growth`.
+— in :meth:`repro.bench.sampled.SampledExecutor._growth`, with the BLB
+sizes of :class:`BlbConfig`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import EstimationError
+
+
+@dataclass(frozen=True)
+class BlbConfig:
+    """BLB hyper-parameters; defaults follow the paper (§IV-C remarks)."""
+
+    num_little_samples: int = 3  # t >= 3
+    scale_exponent: float = 0.6  # m = 0.6
+    num_resamples: int = 50  # B >= 50
+
+    def __post_init__(self) -> None:
+        if self.num_little_samples < 1:
+            raise EstimationError("BLB needs at least one little sample")
+        if not 0.5 <= self.scale_exponent <= 1.0:
+            raise EstimationError("the BLB scale exponent m must be in [0.5, 1]")
+        if self.num_resamples < 2:
+            raise EstimationError("the bootstrap needs at least two resamples")
+
+    def little_sample_size(self, desired_sample_size: int) -> int:
+        """|S_i| = N^m, at least 1."""
+        if desired_sample_size < 1:
+            raise EstimationError("desired sample size must be positive")
+        return max(1, int(round(desired_sample_size**self.scale_exponent)))
 
 
 def moe_target(estimate: float, error_bound: float) -> float:

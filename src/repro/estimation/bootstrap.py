@@ -9,9 +9,10 @@ One implementation per formula, on per-draw contribution columns:
 :func:`column_mean_sigma` (the closed form of a mean-shaped estimator),
 :func:`column_bootstrap_sigma` over the blocked :func:`_resampled_sums`
 kernel (no ``(B, |S_A|)`` index matrix), and :func:`blb_moe` over bags of
-columns.  Production (:mod:`repro.core.executor`) gathers per-support
-columns once per round and calls these — every BLB bag, every GROUP-BY
-group.  The :class:`EstimationSample`-level functions
+columns.  The sampled executor (:mod:`repro.bench.sampled`) gathers
+per-support columns once per round and calls these — every BLB bag,
+every GROUP-BY group — at the normal quantile
+:func:`normal_critical_value`; a census calls none of them.  The :class:`EstimationSample`-level functions
 (:func:`mean_estimator_sigma`, :func:`fast_bootstrap_sigma`,
 :func:`blb_confidence_interval`) build the same columns per draw and
 delegate: they are the public API and the oracle the executor's array
@@ -21,13 +22,15 @@ closure-driven :func:`bootstrap_sigma` is the kernel's same-seed oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.errors import EstimationError
-from repro.estimation.confidence import ConfidenceInterval, normal_critical_value
+from repro.estimation.accuracy import BlbConfig
+from repro.estimation.confidence import ConfidenceInterval
 from repro.estimation.estimators import EstimationSample, Normalization
 from repro.utils.rng import ensure_rng
 
@@ -38,27 +41,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 EstimatorFn = Callable[[EstimationSample], float]
 
 
-@dataclass(frozen=True)
-class BlbConfig:
-    """BLB hyper-parameters; defaults follow the paper (§IV-C remarks)."""
+def normal_critical_value(confidence_level: float) -> float:
+    """``z_(alpha/2)`` for a two-sided interval at ``confidence_level``.
 
-    num_little_samples: int = 3  # t >= 3
-    scale_exponent: float = 0.6  # m = 0.6
-    num_resamples: int = 50  # B >= 50
+    >>> round(normal_critical_value(0.95), 2)
+    1.96
+    """
+    if not 0.0 < confidence_level < 1.0:
+        raise EstimationError(
+            f"confidence level must be in (0, 1), got {confidence_level}"
+        )
+    return _critical_value(confidence_level)
 
-    def __post_init__(self) -> None:
-        if self.num_little_samples < 1:
-            raise EstimationError("BLB needs at least one little sample")
-        if not 0.5 <= self.scale_exponent <= 1.0:
-            raise EstimationError("the BLB scale exponent m must be in [0.5, 1]")
-        if self.num_resamples < 2:
-            raise EstimationError("the bootstrap needs at least two resamples")
 
-    def little_sample_size(self, desired_sample_size: int) -> int:
-        """|S_i| = N^m, at least 1."""
-        if desired_sample_size < 1:
-            raise EstimationError("desired sample size must be positive")
-        return max(1, int(round(desired_sample_size**self.scale_exponent)))
+@lru_cache(maxsize=64)
+def _critical_value(confidence_level: float) -> float:
+    """The normal quantile, once per level instead of 2+ times per round.
+
+    ``ndtri`` is what ``scipy.stats.norm.ppf`` evaluates — the same float —
+    without importing ``scipy.stats`` (over a second, paid by every CLI
+    call and ``repro serve`` start).
+    """
+    alpha = 1.0 - confidence_level
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 def bootstrap_sigma(

@@ -5,6 +5,8 @@ unique name, one or more types, and a set of numeric attributes; edges carry
 a predicate.  Traversal treats edges as bidirectional (the paper's random
 walk and subgraph matches move along paths regardless of triple direction)
 while the triple orientation is preserved for the SPARQL-style baseline.
+NetworkX conversion is :mod:`repro.kg.interop`, imported by name so that
+only its callers load networkx.
 """
 
 from repro.kg.csr import (
@@ -15,7 +17,6 @@ from repro.kg.csr import (
     install_snapshot,
 )
 from repro.kg.graph import Edge, KnowledgeGraph, Node
-from repro.kg.interop import from_networkx, to_networkx
 from repro.kg.io import (
     graph_fingerprint,
     load_json,
@@ -39,8 +40,6 @@ __all__ = [
     "GraphStatistics",
     "compute_statistics",
     "hop_distances",
-    "from_networkx",
-    "to_networkx",
     "load_json",
     "load_triples",
     "save_json",

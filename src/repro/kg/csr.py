@@ -30,11 +30,12 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import NodeNotFoundError, StoreError
 
 if TYPE_CHECKING:  # the graph module reads its adjacency from this one
+    from scipy import sparse
+
     from repro.kg.graph import KnowledgeGraph
 
 #: attribute name under which the (version, snapshot) pair is memoised
@@ -155,7 +156,7 @@ class CSRGraph:
     # and CNARW's weights, the last :meth:`neighbor_pairs`.
     # ------------------------------------------------------------------
     @cached_property
-    def adjacency_matrix(self) -> sparse.csr_matrix:
+    def adjacency_matrix(self) -> "sparse.csr_matrix":
         """The adjacency as a ``(num_nodes, num_nodes)`` matrix of ones.
 
         Built once per snapshot on first use and never exported
@@ -164,8 +165,10 @@ class CSRGraph:
         ``sort_indices`` — so parallel edges and self-loops stay separate
         entries in adjacency order, which is the order a product
         accumulates a row in and what the stage kernel's float order
-        rests on.
+        rests on.  Only S1 reads it: scipy is imported here, not at load.
         """
+        from scipy import sparse
+
         return sparse.csr_matrix(
             (
                 np.ones(len(self.neighbor_ids), dtype=np.float64),

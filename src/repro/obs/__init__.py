@@ -15,10 +15,7 @@ Full names are ``repro_<scope>_<metric>``; the scope is the layer.
 =============================================  =========  ====================================
 metric                                         type       meaning
 =============================================  =========  ====================================
-``repro_plan_builds``                          gauge      S1 plans built by this planner
-``repro_plan_stage_batches``                   gauge      calls of the batched S1 stage kernel
-                                                          (0 while every query is a census)
-``repro_plan_stage_sources``                   gauge      walks those calls settled
+``repro_plan_builds``                          gauge      plans built by this planner
 ``repro_plan_cache_hits`` / ``_misses``        gauge      plan-cache lookups (process-wide
                                                           cache, process-lifetime totals)
 ``repro_exec_validated_entries_total``         counter    S2 candidate answers validated
@@ -66,8 +63,9 @@ and activates it around every slot the query holds.  Children:
   exact row a census-first query's candidates build (``kind`` =
   ``simple`` or ``chain``, ``reached`` = nodes with a path; a chain's row
   includes its first leg, and a warm plan's row is built already, so it
-  opens none); and on a query that draws, one ``s1_stage`` span per call
-  of the batched stage kernel by a plan's first draw (``hop``,
+  opens none); and on a query that draws (a sampled executor's), one
+  ``s1_stage`` span per call of the batched stage kernel by a plan's
+  first draw (``hop``,
   ``sources`` = walks settled together, ``reached`` = scope nodes over
   the sources that have a stage): one for a simple plan, one per hop for
   a chain (under ``plan_build`` when the build runs S1 itself, as the

@@ -174,9 +174,9 @@ def exact_aggregate(
 ) -> float:
     """Apply ``function`` exactly to ``values`` (used by all exact baselines).
 
-    SUM and AVG are exactly rounded (``math.fsum``), so the result does
-    not depend on the order ``values`` come in — a set's iteration order
-    included.
+    SUM and AVG are exactly rounded (``math.fsum``) and MAX / MIN fold
+    ``-0.0`` into ``0.0``, so the result does not depend on the order
+    ``values`` come in — a set's iteration order included.
     """
     if function is AggregateFunction.COUNT:
         return float(len(values))
@@ -187,7 +187,7 @@ def exact_aggregate(
     if function is AggregateFunction.AVG:
         return math.fsum(values) / len(values)
     if function is AggregateFunction.MAX:
-        return float(max(values))
+        return float(max(values)) + 0.0
     if function is AggregateFunction.MIN:
-        return float(min(values))
+        return float(min(values)) + 0.0
     raise QueryError(f"unsupported aggregate function: {function}")

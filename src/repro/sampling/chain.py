@@ -19,11 +19,11 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.core.planner import resolve_mapping_node
 from repro.errors import SamplingError
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerDistribution
-from repro.sampling.scope import resolve_mapping_node
 from repro.sampling.strength import Stage
 
 

@@ -20,13 +20,14 @@ from collections import deque
 import numpy as np
 from scipy import sparse
 
+from repro.core.planner import resolve_mapping_node
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import SamplingError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.query.graph import PathQuery
 from repro.sampling.collector import AnswerDistribution, restrict_to_answers
-from repro.sampling.scope import SamplingScope, build_scope, resolve_mapping_node
+from repro.sampling.scope import SamplingScope, build_scope
 from repro.sampling.strength import strength_distribution
 from repro.semantics.similarity import SIMILARITY_FLOOR, clamp_similarity
 

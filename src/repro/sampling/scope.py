@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import MappingNodeNotFoundError, SamplingError
+from repro.errors import SamplingError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 
@@ -47,26 +47,6 @@ class SamplingScope:
     def index_of(self) -> dict[int, int]:
         """node id -> dense index within :attr:`nodes` (built on demand)."""
         return {node: index for index, node in enumerate(self.nodes)}
-
-
-def resolve_mapping_node(
-    kg: KnowledgeGraph, specific_name: str, specific_types: frozenset[str]
-) -> int:
-    """Find ``us`` for the query's specific node (Definition 5, cond. 1).
-
-    The KG is assumed entity-disambiguated, so the name lookup is unique;
-    the type intersection must also be non-empty.
-    """
-    if not kg.has_node_named(specific_name):
-        raise MappingNodeNotFoundError(f"no entity named {specific_name!r} in the KG")
-    node_id = kg.node_by_name(specific_name)
-    node = kg.node(node_id)
-    if not node.shares_type_with(specific_types):
-        raise MappingNodeNotFoundError(
-            f"entity {specific_name!r} has types {sorted(node.types)}, "
-            f"none of the required {sorted(specific_types)}"
-        )
-    return node_id
 
 
 def build_scope(

@@ -58,6 +58,7 @@ from repro.errors import (
     DeadlineExceededError,
     EmbeddingError,
     EstimationError,
+    GraphChangedError,
     GraphError,
     QueryCancelledError,
     QueryError,
@@ -177,6 +178,7 @@ _ERROR_STATUS: tuple[tuple[type, int], ...] = (
     (ServiceOverloadedError, 429),
     (DeadlineExceededError, 504),
     (QueryCancelledError, 409),
+    (GraphChangedError, 409),
     (ResultTimeoutError, 503),
     (QueryError, 400),  # includes ParseError / MappingNodeNotFoundError
     (EmbeddingError, 400),

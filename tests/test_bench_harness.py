@@ -209,7 +209,7 @@ class TestHarness:
                 kg, scope, seed=derive_seed(config.seed, "node2vec", plan.source)
             )
         else:
-            nodes, probabilities, _, _ = planner._first_stage(
+            nodes, probabilities, _, _ = planner.sampler.first_stage(
                 plan.source, predicate, node_types
             )
         visiting = np.zeros(kg.num_nodes)
@@ -240,7 +240,7 @@ class TestHarness:
             missed = 0
             for component in components:
                 plan = engine.planner.plan_for(component)
-                answers = plan.distribution.answers
+                answers = engine.planner.sampler.sample(plan).distribution.answers
                 exact = CorrectnessValidator(
                     context.bundle.kg, context.space, plan.source,
                     component.predicates[0],

@@ -32,17 +32,18 @@ from repro import (
     QueryShape,
 )
 from repro.bench.harness import sampled_engine
+from repro.bench.sampled import PlanSampler
 from repro.core.config import ExtremeMethod, SamplerKind
 from repro.core.plan import shared_plan_cache
 from repro.core.result import STOP_CENSUS, GroupedResult
 from repro.datasets import ALL_PRESETS, standard_workload
-from repro.errors import EmbeddingError
+from repro.errors import EmbeddingError, GraphChangedError
 from repro.estimation.estimators import census_estimate
 from repro.kg import KnowledgeGraph
 from repro.query.aggregate import AggregateFunction, AggregateQuery, GroupBy
 from repro.query.evaluate import aggregate_over, is_usable_answer
 from repro.semantics.matching import best_matches_from
-from repro.server.app import encode_result
+from repro.server.app import encode_result, status_for
 
 _ATTRIBUTE_FUNCTIONS = (
     AggregateFunction.SUM,
@@ -452,7 +453,8 @@ def test_cnarw_plan_over_an_uncovered_predicate_fails_at_first_validation():
     )
     engine = ApproximateAggregateEngine(kg, space, config)
     plan = engine.planner.plan_for(query.query.components[0])
-    assert plan.distribution.answers.tolist() == [near, other]
+    distribution = PlanSampler(kg, space, config).sample(plan).distribution
+    assert distribution.answers.tolist() == [near, other]
     for answer in (near, other):
         with pytest.raises(EmbeddingError, match="rare_pred"):
             plan.validator.validate(answer)
@@ -555,15 +557,81 @@ def test_census_is_aggregate_over_on_random_small_graphs(world):
     config = EngineConfig(seed=0)
     engine = ApproximateAggregateEngine(kg, space, config)
     plan = engine.planner.plan_for(query.query.components[0])
-    assume(plan.distribution.support_size > 0)
+    distribution = PlanSampler(kg, space, config).sample(plan).distribution
+    assume(distribution.support_size > 0)
     state, result = _run(engine.executor, query)
     matches = best_matches_from(kg, space, "product", plan.source, config.n_bound)
     kept = {
         answer
-        for answer in plan.distribution.answers.tolist()
+        for answer in distribution.answers.tolist()
         if answer in matches
         and matches[answer].similarity >= config.tau
         and is_usable_answer(kg, query, answer)
     }
     assert kept == _kept_answers(engine, state)
     _assert_census_is_the_oracle(engine, state, result)
+
+
+# ----------------------------------------------------------------------
+# a structural write between initialise and the census
+# ----------------------------------------------------------------------
+def _add_german_car(world, name):
+    """One more Automobile, assembled in Germany: a correct answer."""
+    car = world.kg.add_node(name, ["Automobile"], {"price": 50_000.0})
+    world.kg.add_edge(car, "assembly", world.germany)
+    return car
+
+
+def test_a_census_after_a_structural_write_reads_the_new_graph(
+    toy_world_factory,
+):
+    """The write lands after ``initialise`` read the plans and their
+    candidates: the census re-plans once and counts the new car, as a
+    fresh engine does."""
+    world = toy_world_factory()
+    config = EngineConfig(seed=1)
+    query = world.count_query()
+    shared_plan_cache().clear()
+    engine = ApproximateAggregateEngine(world.kg, world.embedding, config)
+    executor = engine.executor
+    state = executor.initialise(query, 1)
+    planned = state.structure_version
+    assert planned == world.kg.structure_version
+    _add_german_car(world, "Car_late")
+    assert world.kg.structure_version != planned
+
+    outcome = executor.step(state, 0.01)
+    result = executor.finalise(state, converged=outcome.satisfied)
+    assert state.structure_version == world.kg.structure_version
+    assert result.stop_reason == STOP_CENSUS
+    assert result.value == world.count_truth + 1.0 == 61.0
+    assert result.num_candidates == world.support_size + 1
+    fresh = ApproximateAggregateEngine(world.kg, world.embedding, config)
+    assert fresh.execute(query, seed=1).value == result.value
+    fresh.service.close()
+
+
+def test_a_graph_that_moves_again_while_the_census_replans_fails_it(
+    toy_world_factory, monkeypatch
+):
+    """A second structural write during the re-plan leaves no one graph
+    version to answer from: the query fails with GraphChangedError, which
+    the wire maps to 409 like any other conflict."""
+    world = toy_world_factory()
+    shared_plan_cache().clear()
+    engine = ApproximateAggregateEngine(world.kg, world.embedding, EngineConfig())
+    executor = engine.executor
+    state = executor.initialise(world.count_query(), 1)
+    _add_german_car(world, "Car_late")
+
+    plan_for = engine.planner.plan_for
+
+    def writing_plan_for(component):
+        _add_german_car(world, f"Car_later_{world.kg.structure_version}")
+        return plan_for(component)
+
+    monkeypatch.setattr(engine.planner, "plan_for", writing_plan_for)
+    with pytest.raises(GraphChangedError, match="re-planned") as caught:
+        executor.step(state, 0.01)
+    assert not state.rounds
+    assert status_for(caught.value) == 409

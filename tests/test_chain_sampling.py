@@ -13,16 +13,16 @@ from repro import (
     QueryGraph,
 )
 from repro.datasets import ALL_PRESETS
+from repro.core.planner import resolve_mapping_node
 from repro.core.result import STOP_CENSUS
 from repro.errors import SamplingError
 from repro.query.graph import PathQuery
-from repro.sampling import ChainSampler
+from repro.sampling.chain import ChainSampler
 from repro.sampling.collector import AnswerDistribution
 from repro.sampling.reference import (
     compose_routes_python,
     stage_distribution_per_source,
 )
-from repro.sampling.scope import resolve_mapping_node
 from repro.sampling.strength import (
     Stage,
     similarity_entry_weights,
@@ -212,19 +212,23 @@ class TestChainSamplerKinds:
 
     @staticmethod
     def _planner(bundle, sampler):
+        """A planner under ``sampler`` with a private cache, and the S1 of
+        its plans."""
+        from repro.bench.sampled import PlanSampler
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
 
-        return QueryPlanner(
-            bundle.kg,
-            bundle.space(),
-            EngineConfig(seed=0, sampler=sampler),
-            cache=PlanCache(),
+        space = bundle.space()
+        config = EngineConfig(seed=0, sampler=sampler)
+        return (
+            QueryPlanner(bundle.kg, space, config, cache=PlanCache()),
+            PlanSampler(bundle.kg, space, config),
         )
 
     @classmethod
-    def _plan(cls, bundle, sampler, component):
-        return cls._planner(bundle, sampler).plan_for(component)
+    def _pi_a(cls, bundle, sampler, component):
+        planner, plan_sampler = cls._planner(bundle, sampler)
+        return plan_sampler.sample(planner.plan_for(component)).distribution
 
     @staticmethod
     def _league_chain():
@@ -235,22 +239,22 @@ class TestChainSamplerKinds:
         ).components[0]
 
     def test_cnarw_chains_walk_cnarw_on_every_hop(self, monkeypatch):
-        from repro.core import planner as planner_module
+        from repro.bench import sampled as sampled_module
         from repro.core.config import SamplerKind
 
         bundle = ALL_PRESETS["yago2-like"](seed=0)
         component = self._league_chain()
         # pi_A is built on first use: build this one before the patch
-        semantic = self._plan(bundle, SamplerKind.SEMANTIC, component).distribution
+        semantic = self._pi_a(bundle, SamplerKind.SEMANTIC, component)
 
         def no_similarity(*args, **kwargs):
             raise AssertionError("a CNARW hop weighed a predicate")
 
-        monkeypatch.setattr(planner_module, "similarity_entry_weights", no_similarity)
-        planner = self._planner(bundle, SamplerKind.CNARW)
-        cnarw = planner.plan_for(component)
-        # the plan keeps no routes: compose them again over its stages
-        routed, _expanded = ChainSampler(bundle.kg, planner._stage).build(component)
+        monkeypatch.setattr(sampled_module, "similarity_entry_weights", no_similarity)
+        planner, plan_sampler = self._planner(bundle, SamplerKind.CNARW)
+        cnarw = plan_sampler.sample(planner.plan_for(component)).distribution
+        # pi_A keeps no routes: compose them again over its stages
+        routed, _expanded = ChainSampler(bundle.kg, plan_sampler.stage).build(component)
 
         def stage(sources, predicate, node_types, hop=0):
             return stage_distributions(
@@ -260,24 +264,22 @@ class TestChainSamplerKinds:
 
         expected, _expanded = ChainSampler(bundle.kg, stage).build(component)
         for plan_bytes, expected_bytes in (
-            (cnarw.distribution.answers, expected.answers),
-            (cnarw.distribution.probabilities, expected.probabilities),
+            (cnarw.answers, expected.answers),
+            (cnarw.probabilities, expected.probabilities),
             (routed.answers, expected.answers),
             (routed.probabilities, expected.probabilities),
         ):
             assert plan_bytes.tobytes() == expected_bytes.tobytes()
-        assert (
-            cnarw.distribution.probabilities.tobytes()
-            != semantic.probabilities.tobytes()
-        )
+        assert cnarw.probabilities.tobytes() != semantic.probabilities.tobytes()
 
     def test_node2vec_refuses_a_chain_at_plan_time(self):
         from repro.core.config import SamplerKind
         from repro.errors import QueryError
 
         bundle = ALL_PRESETS["yago2-like"](seed=0)
+        planner, _ = self._planner(bundle, SamplerKind.NODE2VEC)
         with pytest.raises(QueryError, match="node2vec"):
-            self._plan(bundle, SamplerKind.NODE2VEC, self._league_chain())
+            planner.plan_for(self._league_chain())
 
 
 class TestChainQueriesEndToEnd:

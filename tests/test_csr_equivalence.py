@@ -567,6 +567,7 @@ class TestPartialEmbedding:
         from repro import EngineConfig
         from repro.core.config import SamplerKind
         from repro.core.plan import PlanCache
+        from repro.bench.sampled import PlanSampler
         from repro.core.planner import QueryPlanner
         from repro.errors import EmbeddingError
         from repro.query.graph import QueryGraph
@@ -582,21 +583,18 @@ class TestPartialEmbedding:
         )
         simple = QueryGraph.simple("hub", ["Hub"], "knows", ["Car"]).components[0]
 
-        def plan(n_bound, sampler=SamplerKind.SEMANTIC):
-            planner = QueryPlanner(
-                kg,
-                space,
-                EngineConfig(n_bound=n_bound, sampler=sampler),
-                cache=PlanCache(),
-            )
-            return planner.plan_for(simple)
+        def distribution(n_bound, sampler=SamplerKind.SEMANTIC):
+            config = EngineConfig(n_bound=n_bound, sampler=sampler)
+            planner = QueryPlanner(kg, space, config, cache=PlanCache())
+            plan = planner.plan_for(simple)
+            return PlanSampler(kg, space, config).sample(plan).distribution
 
-        assert plan(1).distribution.answers.tolist() == [near]
+        assert distribution(1).answers.tolist() == [near]
         with pytest.raises(EmbeddingError, match="rare_pred"):
-            plan(2).distribution  # now the rare_pred edge is inside the scope
+            distribution(2)  # now the rare_pred edge is inside the scope
         # the CNARW ablation weighs no predicate, so it asks the embedding
         # to cover nothing
-        assert plan(2, SamplerKind.CNARW).distribution.answers.tolist() == [near, far]
+        assert distribution(2, SamplerKind.CNARW).answers.tolist() == [near, far]
 
     def test_validator_weighs_every_edge_within_the_bound(self):
         """The exact row weighs every edge of a node it reaches below the

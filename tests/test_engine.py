@@ -289,7 +289,7 @@ class TestAblationConfigs:
 
     def test_paper_normalization_biased_count(self, toy, sampled_engine):
         """DESIGN.md §4.1: Eq. 8 as written overcounts by ~1/q."""
-        from repro.estimation import Normalization
+        from repro.estimation.estimators import Normalization
 
         config = EngineConfig(seed=7, normalization=Normalization.PAPER, max_rounds=6)
         engine = sampled_engine(toy.kg, toy.embedding, config)

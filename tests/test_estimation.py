@@ -9,30 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EstimationError
-from repro.estimation import (
-    BlbConfig,
-    ConfidenceInterval,
+from repro.estimation import bootstrap
+from repro.estimation.accuracy import BlbConfig, moe_target, satisfies_error_bound
+from repro.estimation.bootstrap import (
+    _BLOCK_INDICES,
+    blb_confidence_interval,
+    blb_moe,
+    bootstrap_sigma,
+    column_bootstrap_sigma,
+    column_mean_sigma,
+    fast_bootstrap_sigma,
+    mean_estimator_sigma,
+    normal_critical_value,
+)
+from repro.estimation.confidence import ConfidenceInterval
+from repro.estimation.estimators import (
     EstimationSample,
     Normalization,
-    bootstrap_sigma,
     estimate,
     estimate_avg,
     estimate_count,
     estimate_extreme,
     estimate_sum,
-    moe_target,
-    normal_critical_value,
-    satisfies_error_bound,
-)
-from repro.estimation import bootstrap
-from repro.estimation.bootstrap import (
-    _BLOCK_INDICES,
-    blb_confidence_interval,
-    blb_moe,
-    column_bootstrap_sigma,
-    column_mean_sigma,
-    fast_bootstrap_sigma,
-    mean_estimator_sigma,
 )
 from repro.query.aggregate import AggregateFunction
 
@@ -188,7 +186,7 @@ class TestConfidence:
     def test_memoised_critical_value_is_the_ppf_and_still_validates(self):
         from scipy import stats
 
-        # the production path evaluates scipy.special.ndtri, which is what
+        # the sampled path evaluates scipy.special.ndtri, which is what
         # norm.ppf evaluates: the same float, bit for bit
         for level in (0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999):
             expected = float(stats.norm.ppf(1.0 - (1.0 - level) / 2.0))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,23 +33,19 @@ from repro import (
     QueryShape,
 )
 from repro.core.config import DeltaStrategy
-from repro.bench.sampled import SampledExecutor, _SampledState
+from repro.bench.sampled import PlanSampler, SampledExecutor, _SampledState
 from repro.core.executor import QueryExecutor, _QueryState
 from repro.core.plan import CandidateSet
 from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 from repro.errors import EstimationError, NodeNotFoundError, QueryError
-from repro.estimation import (
-    EstimationSample,
-    Normalization,
-    estimate,
-    normal_critical_value,
-    satisfies_error_bound,
-)
+from repro.estimation.accuracy import satisfies_error_bound
 from repro.estimation.bootstrap import (
     blb_confidence_interval,
     fast_bootstrap_sigma,
     mean_estimator_sigma,
+    normal_critical_value,
 )
+from repro.estimation.estimators import EstimationSample, Normalization, estimate
 from repro.kg import KnowledgeGraph
 from repro.sampling.collector import AnswerDistribution
 from repro.utils.rng import derive_seed, ensure_rng
@@ -265,6 +260,7 @@ def test_group_keys_are_group_by_key_for(entries, width):
         num_candidates=size,
         walk_iterations=0,
         confidence_level=EngineConfig().confidence_level,
+        structure_version=kg.structure_version,
         support_known=np.ones(size, dtype=bool),
         support_correct=np.asarray([correct for _value, correct in entries]),
         support_value=np.ones(size),
@@ -282,16 +278,16 @@ def test_group_keys_are_group_by_key_for(entries, width):
 # ----------------------------------------------------------------------
 # _joint_distribution == the dict-and-math.prod assembly
 # ----------------------------------------------------------------------
-def _joint_by_dicts(components) -> tuple[np.ndarray, np.ndarray]:
+def _joint_by_dicts(distributions) -> tuple[np.ndarray, np.ndarray]:
     """Decomposition-assembly one answer at a time (the seed's loop)."""
     mappings = [
         {
             int(node): float(probability)
             for node, probability in zip(
-                plan.distribution.answers, plan.distribution.probabilities
+                distribution.answers, distribution.probabilities
             )
         }
-        for plan in components
+        for distribution in distributions
     ]
     support = set(mappings[0])
     for mapping in mappings[1:]:
@@ -307,15 +303,15 @@ def _joint_by_dicts(components) -> tuple[np.ndarray, np.ndarray]:
     return answers, weights / weights.sum()
 
 
-def _assert_joint_matches_dicts(components) -> None:
-    joint = SampledExecutor._joint_distribution(components)
-    answers, weights = _joint_by_dicts(components)
+def _assert_joint_matches_dicts(distributions) -> None:
+    joint = SampledExecutor._joint_distribution(distributions)
+    answers, weights = _joint_by_dicts(distributions)
     assert joint.answers.dtype == answers.dtype
     np.testing.assert_array_equal(joint.answers, answers)
     assert joint.probabilities.tobytes() == weights.tobytes()
     # every component's support holds the joint's answers
-    for plan in components:
-        assert np.isin(answers, plan.distribution.answers).all()
+    for distribution in distributions:
+        assert np.isin(answers, distribution.answers).all()
 
 
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
@@ -325,32 +321,29 @@ def _assert_joint_matches_dicts(components) -> None:
 def test_joint_distribution_matches_dict_assembly(preset, shape):
     bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
     stated = queries_of_shape(standard_workload(bundle), shape)[0]
-    planner = ApproximateAggregateEngine(bundle.kg, bundle.embedding).planner
-    components = [
-        planner.plan_for(component)
+    engine = ApproximateAggregateEngine(bundle.kg, bundle.embedding)
+    sampler = PlanSampler(bundle.kg, engine.space, engine.config)
+    distributions = [
+        sampler.sample(engine.planner.plan_for(component)).distribution
         for component in stated.aggregate_query.query.components
     ]
-    assert len(components) >= 2
-    _assert_joint_matches_dicts(components)
+    assert len(distributions) >= 2
+    _assert_joint_matches_dicts(distributions)
 
 
-def _fake_plan(rng, answers) -> SimpleNamespace:
-    """A stand-in plan: a distribution over ``answers`` in shuffled order."""
+def _fake_distribution(rng, answers) -> AnswerDistribution:
+    """A stand-in pi_A over ``answers`` in shuffled order."""
     answers = rng.permutation(np.asarray(answers, dtype=np.int64))
     weights = rng.random(len(answers)) + 0.01
-    return SimpleNamespace(
-        distribution=AnswerDistribution(
-            answers=answers, probabilities=weights / weights.sum()
-        )
-    )
+    return AnswerDistribution(answers=answers, probabilities=weights / weights.sum())
 
 
 def test_joint_distribution_of_unsorted_partially_overlapping_supports():
     rng = np.random.default_rng(5)
     components = [
-        _fake_plan(rng, range(0, 60)),
-        _fake_plan(rng, range(20, 90, 2)),
-        _fake_plan(rng, range(10, 70, 3)),
+        _fake_distribution(rng, range(0, 60)),
+        _fake_distribution(rng, range(20, 90, 2)),
+        _fake_distribution(rng, range(10, 70, 3)),
     ]
     _assert_joint_matches_dicts(components)
     joint = SampledExecutor._joint_distribution(components)
@@ -359,7 +352,10 @@ def test_joint_distribution_of_unsorted_partially_overlapping_supports():
 
 def test_joint_distribution_of_disjoint_supports_is_a_query_error():
     rng = np.random.default_rng(6)
-    components = [_fake_plan(rng, range(0, 5)), _fake_plan(rng, range(5, 9))]
+    components = [
+        _fake_distribution(rng, range(0, 5)),
+        _fake_distribution(rng, range(5, 9)),
+    ]
     with pytest.raises(QueryError, match="empty intersection"):
         SampledExecutor._joint_distribution(components)
 
@@ -506,6 +502,7 @@ def _hand_state(function, values, probabilities, correct, little_samples):
         num_candidates=size,
         walk_iterations=0,
         confidence_level=EngineConfig().confidence_level,
+        structure_version=0,
         support_known=np.ones(size, dtype=bool),
         support_correct=np.asarray(correct, dtype=bool),
         support_value=np.where(correct, np.asarray(values, dtype=np.float64), 0.0),

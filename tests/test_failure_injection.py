@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
+from repro.core.planner import resolve_mapping_node
 from repro.core.result import STOP_CENSUS
 from repro.core.session import InteractiveSession
 from repro.embedding import LookupEmbedding, PredicateVectorSpace
@@ -29,7 +30,7 @@ from repro.errors import (
 from repro.estimation.estimators import EstimationSample, estimate_avg
 from repro.kg import KnowledgeGraph
 from repro.query import AggregateFunction, AggregateQuery, GroupBy, QueryGraph
-from repro.sampling.scope import build_scope, resolve_mapping_node
+from repro.sampling.scope import build_scope
 
 
 def _lookup(predicates: dict[str, np.ndarray]) -> LookupEmbedding:

@@ -38,7 +38,7 @@ from repro import (
 )
 from repro.core.result import GroupedResult
 from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
-from repro.estimation import Normalization
+from repro.estimation.estimators import Normalization
 from repro.query.parser import format_query
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fixed_seed.json"

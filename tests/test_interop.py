@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.kg import KnowledgeGraph, from_networkx, to_networkx
+from repro.kg import KnowledgeGraph
+from repro.kg.interop import from_networkx, to_networkx
 
 
 def _sample_kg() -> KnowledgeGraph:

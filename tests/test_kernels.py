@@ -28,11 +28,13 @@ from repro import (
     PredicateVectorSpace,
 )
 from repro.baselines.ssb import SemanticSimilarityBaseline
+from repro.bench.sampled import PlanSampler
 from repro.core.plan import shared_plan_cache
+from repro.core.planner import resolve_mapping_node
 from repro.errors import EmbeddingError
 from repro.kg import KnowledgeGraph, csr_snapshot
 from repro.query.graph import PathQuery
-from repro.sampling.scope import build_scope, resolve_mapping_node
+from repro.sampling.scope import build_scope
 from repro.sampling.reference import cnarw_weights_python
 from repro.sampling.strength import strength_distribution
 from repro.sampling.topology import cnarw_entry_weights
@@ -900,10 +902,11 @@ class TestEngineLevelEquivalence:
         cold_plans = [cold_engine.planner.plan_for(c) for c in components]
         for cold_plan in cold_plans:
             assert not memoised(cold_plan.validator)
+        sampler = PlanSampler(kg, cold_engine.space, config)
         cold = [
             {
                 answer: cold_engine.answer_similarity([cold_plan], answer)
-                for answer in cold_plan.distribution.answers.tolist()
+                for answer in sampler.sample(cold_plan).distribution.answers.tolist()
             }
             for cold_plan in cold_plans
         ]
@@ -956,6 +959,7 @@ class TestEngineLevelEquivalence:
         config = EngineConfig(seed=0)
         space = bundle.space()
         planner = QueryPlanner(bundle.kg, space, config, cache=PlanCache())
+        sampler = PlanSampler(bundle.kg, space, config)
         ssb = SemanticSimilarityBaseline(bundle.kg, space)
         components = dict.fromkeys(
             component
@@ -964,7 +968,7 @@ class TestEngineLevelEquivalence:
         )
         for component in components:
             plan = planner.plan_for(component)
-            answers = plan.distribution.answers.tolist()
+            answers = sampler.sample(plan).distribution.answers.tolist()
             similarities = plan.validator.validate_batch(answers).similarity
             truth = ssb.component_similarities(component)
             kept = {

@@ -4,14 +4,14 @@ first draw.
 A production query is a census over its joint candidate set — the nodes
 its plans' validators reach, typed as each component's last hop
 requires — and runs no S1.
-S1 (``QueryPlan.sample``) runs once per plan, under the plan's lock, when
-something first reads pi_A: a ``SampledExecutor`` draw or the figures'
-planner.  Covered:
+S1 (``PlanSampler.sample``, :mod:`repro.bench.sampled`) runs once per
+plan, under the plan's lock, when something first reads pi_A: a
+``SampledExecutor`` draw or the figures' planner.  Covered:
 
 * a chain answer behind a cut intermediate (``max_intermediates``) is
   counted, as SSB and ``aggregate_over`` count it;
 * a cold production query of every shape on the presets runs no stage
-  kernel, by the planner's counter and by ``/metrics``;
+  kernel: its trace has no ``s1_stage`` span;
 * a sampled draw on a plan a census used builds pi_A once, two threads
   racing threads included, and answers as a fresh sampled run does;
 * simple-component candidates are pi_A's support on the presets;
@@ -38,6 +38,7 @@ from repro import (
 )
 from repro.baselines import SemanticSimilarityBaseline
 from repro.bench.harness import sampled_engine
+from repro.bench.sampled import PlanSampler
 from repro.core.config import SamplerKind
 from repro.core.plan import PlanCache, shared_plan_cache
 from repro.core.planner import QueryPlanner
@@ -55,6 +56,13 @@ _PRESETS = sorted(ALL_PRESETS)
 def _parse_gauge(text: str, name: str) -> float:
     (line,) = [line for line in text.splitlines() if line.startswith(f"{name} ")]
     return float(line.split()[1])
+
+
+def _span_names(span: dict) -> list[str]:
+    """The names of ``span`` and every span below it."""
+    return [span["name"]] + [
+        name for child in span["children"] for name in _span_names(child)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +114,8 @@ def test_the_census_counts_an_answer_behind_a_cut_intermediate(function):
     engine = ApproximateAggregateEngine(kg, space, config)
     plan = engine.planner.plan_for(graph.components[0])
     # pi_A expanded ``strong`` only: ``kept`` is outside its support
-    assert plan.distribution.answers.tolist() == [missed]
+    distribution = PlanSampler(kg, space, config).sample(plan).distribution
+    assert distribution.answers.tolist() == [missed]
     assert plan.candidates(kg).answers.tolist() == [kept, missed]
 
     result = engine.execute(query, seed=3)
@@ -132,13 +141,14 @@ def test_a_cold_production_query_of_every_shape_runs_no_stage_kernel(preset):
         with AggregateQueryService(
             bundle.kg, bundle.embedding, EngineConfig(seed=0)
         ) as service:
-            result = service.submit(stated[0].aggregate_query).result(timeout=60.0)
+            handle = service.submit(stated[0].aggregate_query)
+            result = handle.result(timeout=60.0)
             text = service.registry.render_prometheus()
             planner = service.planner
             assert result.stop_reason == STOP_CENSUS, (preset, shape)
             assert planner.build_count >= 1
-            assert (planner.stage_batches, planner.stage_sources) == (0, 0)
-            assert _parse_gauge(text, "repro_plan_stage_batches") == 0
+            names = _span_names(handle.trace())
+            assert "plan_build" in names and "s1_stage" not in names
             assert _parse_gauge(text, "repro_plan_builds") == planner.build_count
 
 
@@ -157,20 +167,21 @@ def test_a_sampled_draw_on_a_census_plan_builds_pi_a_once(toy):
     census = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
     assert census.execute(query, seed=5).stop_reason == STOP_CENSUS
     planner = census.planner
-    assert (planner.build_count, planner.stage_batches) == (1, 0)
+    assert planner.build_count == 1
     plan = planner.plan_for(query.query.components[0])
 
-    # the plan's S1 is its builder's; slow it so every racer waits on it
+    # the first draw runs the plan's S1; slow it so every racer waits on it
+    sampled = sampled_engine(toy.kg, toy.embedding, config)
+    plan_sampler = sampled.executor.sampler
     builds = []
-    original = planner._sample
+    original = plan_sampler.run
 
-    def slow_sample(*args):
+    def slow_run(*args):
         builds.append(threading.get_ident())
         time.sleep(0.05)
         return original(*args)
 
-    planner._sample = slow_sample
-    sampled = sampled_engine(toy.kg, toy.embedding, config)
+    plan_sampler.run = slow_run
     racers = 4  # more threads than the test host's cores
     barrier = threading.Barrier(racers)
     states = [None] * racers
@@ -193,15 +204,16 @@ def test_a_sampled_draw_on_a_census_plan_builds_pi_a_once(toy):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(builds) == 1
-    assert (planner.build_count, planner.stage_batches) == (1, 1)
+    assert (planner.build_count, plan_sampler.stage_batches) == (1, 1)
     assert sampled.planner.build_count == 0  # it adopted the census's plan
-    assert all(state.joint is plan.distribution for state in states)
+    distribution = plan_sampler.sample(plan).distribution
+    assert all(state.joint is distribution for state in states)
     assert len({state.total_draws for state in states}) == 1
     assert states[0].total_draws > 0
 
     served = encode_result(sampled.execute(query, seed=5), timings=False)
     assert served == expected
-    assert planner.stage_batches == 1
+    assert plan_sampler.stage_batches == 1
     sampled.service.close()
     census.service.close()
 
@@ -209,9 +221,9 @@ def test_a_sampled_draw_on_a_census_plan_builds_pi_a_once(toy):
 @pytest.mark.parametrize("preset", _PRESETS)
 def test_simple_candidates_are_the_support_of_pi_a(preset):
     bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
-    planner = QueryPlanner(
-        bundle.kg, bundle.space(), EngineConfig(seed=0), cache=PlanCache()
-    )
+    space, config = bundle.space(), EngineConfig(seed=0)
+    planner = QueryPlanner(bundle.kg, space, config, cache=PlanCache())
+    plan_sampler = PlanSampler(bundle.kg, space, config)
     components = dict.fromkeys(
         component
         for stated in standard_workload(bundle)
@@ -222,7 +234,8 @@ def test_simple_candidates_are_the_support_of_pi_a(preset):
     for component in components:
         plan = planner.plan_for(component)
         np.testing.assert_array_equal(
-            plan.candidates(bundle.kg).answers, np.sort(plan.distribution.answers)
+            plan.candidates(bundle.kg).answers,
+            np.sort(plan_sampler.sample(plan).distribution.answers),
         )
 
 
@@ -292,5 +305,4 @@ def test_a_node2vec_chain_fails_at_plan_time(toy):
     )
     with pytest.raises(QueryError, match="node2vec"):
         planner.plan_for(toy.chain_count_query().query.components[0])
-    assert planner.stage_batches == 0
     assert planner.cache.num_plans(toy.kg) == 0

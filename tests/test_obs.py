@@ -16,8 +16,9 @@ Covered:
   per plan whose row its candidates build (``kind`` simple or chain) and
   no ``s1_stage`` span, and a warm rerun nests neither; a sampled query's
   first draw runs one ``s1_stage`` span per call of the batched S1 stage
-  kernel, whose ``sources`` add up to the ``repro_plan_stage_sources``
-  gauge; every span name is one of those in-process seams;
+  kernel, whose ``sources`` add up to its ``PlanSampler``'s
+  ``stage_sources`` counter; every span name is one of those in-process
+  seams;
 * the audit log — exactly one JSON line per settlement (refines append
   a second), JSON-clean for every kind including the extreme sentinel
   (``guaranteed=False`` / ``moe=0.0``), failures carrying the error,
@@ -664,8 +665,8 @@ class TestExecMetrics:
         """A sampled query runs S1 on its plans' first draw: one
         ``s1_stage`` span per call of the batched stage kernel, under
         ``initialise`` — one per hop for a chain, one for a simple plan —
-        and the two ``repro_plan_stage_*`` gauges count the same calls and
-        walks.  The census-first run of the same queries runs none."""
+        and the executor's ``PlanSampler`` counts the same calls and walks.
+        The census-first run of the same queries runs none."""
         from repro import QueryShape
         from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 
@@ -684,21 +685,22 @@ class TestExecMetrics:
                 assert not _spans_below(handle.trace(), "s1_stage")
             census = _parse_prometheus(service.registry.render_prometheus())
         assert census["repro_plan_builds"] == 2
-        assert census["repro_plan_stage_batches"] == 0
-        assert census["repro_plan_stage_sources"] == 0
+        # S1 and its counters are the sampled side's: a census exports none
+        assert not any(name.startswith("repro_plan_stage") for name in census)
 
         shared_plan_cache().clear()
         with sampled_service(
             bundle.kg, bundle.embedding, EngineConfig(seed=0)
         ) as service:
+            plan_sampler = service._executor.sampler
             handle = service.submit(chain)
             handle.result(timeout=60.0)
             chain_trace = handle.trace()
-            after_chain = _parse_prometheus(service.registry.render_prometheus())
+            after_chain = (plan_sampler.stage_batches, plan_sampler.stage_sources)
             handle = service.submit(simple)
             handle.result(timeout=60.0)
             simple_trace = handle.trace()
-            after_both = _parse_prometheus(service.registry.render_prometheus())
+            after_both = (plan_sampler.stage_batches, plan_sampler.stage_sources)
 
         (initialise,) = _spans_named(chain_trace, "initialise")
         stages = _spans_named(initialise, "s1_stage")
@@ -709,13 +711,11 @@ class TestExecMetrics:
         assert (first["hop"], first["sources"]) == (0, 1)
         assert second["hop"] == 1 and second["sources"] > 1
         assert second["reached"] > first["reached"] > 0
-        assert after_chain["repro_plan_stage_batches"] == 2
-        assert after_chain["repro_plan_stage_sources"] == 1 + second["sources"]
+        assert after_chain == (2, 1 + second["sources"])
 
         (stage,) = _spans_below(simple_trace, "s1_stage")
         assert (stage["attributes"]["hop"], stage["attributes"]["sources"]) == (0, 1)
-        assert after_both["repro_plan_stage_batches"] == 3
-        assert after_both["repro_plan_stage_sources"] == 2 + second["sources"]
+        assert after_both == (3, 2 + second["sources"])
 
     def test_only_avg_and_paper_sigmas_pay_for_an_index_stream(self, sampled_service):
         """A ``dashboard_refresh``-shaped batch — one hub's COUNT, SUM,

@@ -35,6 +35,7 @@ from repro import (
     InteractiveSession,
     QueryGraph,
 )
+from repro.bench.sampled import PlanSampler
 from repro.core.executor import QueryExecutor
 from repro.core.plan import PlanCache, plan_fingerprint, plan_key, shared_plan_cache
 from repro.core.planner import QueryPlanner
@@ -58,6 +59,11 @@ def _engine(
     ``sampled_engine`` fixture for a run that must draw)."""
     config = EngineConfig(**{"seed": 7, "max_rounds": 8, **overrides})
     return make(world.kg, world.embedding, config)
+
+
+def _pi_a(engine, plan):
+    """The pi_A a first draw on ``plan`` builds (S1 is the sampled side's)."""
+    return PlanSampler(engine.kg, engine.space, engine.config).sample(plan).distribution
 
 
 def _star_query() -> AggregateQuery:
@@ -428,7 +434,7 @@ class TestValidatorMemos:
         assert sorted(built) == sorted(chains)  # one build per chain plan
         for plan in plans.values():
             memo = memoised(plan.validator)
-            held = [a for a in plan.distribution.answers.tolist() if a in memo]
+            held = [a for a in _pi_a(engine, plan).answers.tolist() if a in memo]
             assert held
             for answer in held:
                 assert engine.answer_similarity([plan], answer) == memo[answer]
@@ -441,7 +447,7 @@ class TestValidatorMemos:
             outside = next(
                 node
                 for node in world.people
-                if node not in plan.distribution.answers.tolist()
+                if node not in _pi_a(engine, plan).answers.tolist()
             )
             similarity = engine.answer_similarity([plan], outside)
             assert similarity == plan.validator.validate(outside).similarity
@@ -451,11 +457,11 @@ class TestValidatorMemos:
         engine = _engine(world)
         component = world.chain_count_query().query.components[0]
         plan = engine.planner.plan_for(component)
-        answers = plan.distribution.answers[:10].tolist()
+        answers = _pi_a(engine, plan).answers[:10].tolist()
         outside = next(
             node
             for node in world.people
-            if node not in plan.distribution.answers.tolist()
+            if node not in _pi_a(engine, plan).answers.tolist()
         )
         assert plan.validator._row is None
         engine.executor.prewarm_similarities([plan], answers + answers[:3] + [outside])

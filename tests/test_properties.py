@@ -14,14 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.estimation import (
+from repro.estimation.accuracy import moe_target, satisfies_error_bound
+from repro.estimation.estimators import (
     EstimationSample,
     Normalization,
     estimate_avg,
     estimate_count,
     estimate_sum,
-    moe_target,
-    satisfies_error_bound,
 )
 from repro.kg import KnowledgeGraph
 from repro.query.aggregate import AggregateFunction
@@ -175,7 +174,7 @@ class TestWalkProperties:
     @given(kg=weighted_graph())
     @settings(max_examples=25, deadline=None)
     def test_transition_rows_stochastic(self, walk_space, kg):
-        from repro.sampling import build_scope
+        from repro.sampling.scope import build_scope
         from repro.sampling.reference import ReferenceTransitionModel
 
         scope = build_scope(kg, 0, 3, frozenset({"T"}))
@@ -186,7 +185,8 @@ class TestWalkProperties:
     @given(kg=weighted_graph())
     @settings(max_examples=25, deadline=None)
     def test_stationary_is_fixed_point(self, walk_space, kg):
-        from repro.sampling import build_scope, stationary_distribution
+        from repro.sampling.scope import build_scope
+        from repro.sampling.stationary import stationary_distribution
         from repro.sampling.reference import ReferenceTransitionModel
 
         scope = build_scope(kg, 0, 3, frozenset({"T"}))
@@ -202,7 +202,8 @@ class TestWalkProperties:
     @settings(max_examples=25, deadline=None)
     def test_stationary_matches_strength_form(self, walk_space, kg):
         """Reversibility: power iteration == strength-proportional closed form."""
-        from repro.sampling import build_scope, stationary_distribution
+        from repro.sampling.scope import build_scope
+        from repro.sampling.stationary import stationary_distribution
         from repro.sampling.reference import ReferenceTransitionModel
         from repro.sampling.strength import strength_distribution
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.embedding import LookupEmbedding, PredicateVectorSpace
 from repro.estimation.accuracy import moe_target, satisfies_error_bound
-from repro.estimation.confidence import ConfidenceInterval, normal_critical_value
+from repro.estimation.bootstrap import normal_critical_value
+from repro.estimation.confidence import ConfidenceInterval
 from repro.kg import KnowledgeGraph
 from repro.query.aggregate import AggregateFunction, Filter, GroupBy, exact_aggregate
 from repro.semantics.similarity import clamp_similarity

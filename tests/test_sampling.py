@@ -11,21 +11,22 @@ from scipy import sparse
 
 from repro import EngineConfig, QueryGraph
 from repro.bench.harness import PaperPlanner
+from repro.bench.sampled import PlanSampler
 from repro.core.config import SamplerKind
 from repro.core.plan import PlanCache
-from repro.core.planner import QueryPlanner
+from repro.core.planner import QueryPlanner, resolve_mapping_node
 from repro.errors import ConvergenceError, MappingNodeNotFoundError, SamplingError
-from repro.sampling import (
+from repro.sampling.collector import (
     AnswerCollector,
-    RandomWalker,
-    build_scope,
-    stationary_distribution,
+    AnswerDistribution,
+    restrict_to_answers,
 )
-from repro.sampling.collector import AnswerDistribution, restrict_to_answers
 from repro.sampling.reference import ReferenceTransitionModel, cnarw_weights_python
-from repro.sampling.scope import SamplingScope, resolve_mapping_node
+from repro.sampling.scope import SamplingScope, build_scope
+from repro.sampling.stationary import stationary_distribution
 from repro.sampling.strength import strength_distribution
 from repro.sampling.topology import node2vec_visit_distribution
+from repro.sampling.walker import RandomWalker
 
 
 def converged_oracle(transition):
@@ -68,9 +69,12 @@ def cnarw_transition(kg, scope, self_loop_weight=0.001):
 
 
 def planner_with(kg, space, sampler):
-    """A planner under ``sampler`` with a private cache."""
-    return QueryPlanner(
-        kg, space, EngineConfig(seed=7, sampler=sampler), cache=PlanCache()
+    """A planner under ``sampler`` with a private cache, and the S1 of its
+    plans."""
+    config = EngineConfig(seed=7, sampler=sampler)
+    return (
+        QueryPlanner(kg, space, config, cache=PlanCache()),
+        PlanSampler(kg, space, config),
     )
 
 
@@ -79,9 +83,10 @@ def _probability(distribution, node_id):
     return float(distribution.probabilities[distribution.answers == node_id].sum())
 
 
-def plan_with(kg, space, sampler, component):
-    """A fresh plan of ``component`` under ``sampler``."""
-    return planner_with(kg, space, sampler).plan_for(component)
+def pi_a_with(kg, space, sampler, component):
+    """The pi_A of a fresh plan of ``component`` under ``sampler``."""
+    planner, plan_sampler = planner_with(kg, space, sampler)
+    return plan_sampler.sample(planner.plan_for(component)).distribution
 
 
 @pytest.fixture(scope="module")
@@ -315,28 +320,29 @@ class TestClosedFormIsProduction:
         component = QueryGraph.simple(
             hub, [hub_type], predicate, [target]
         ).components[0]
-        planner = planner_with(kg, space, SamplerKind.CNARW)
+        planner, plan_sampler = planner_with(kg, space, SamplerKind.CNARW)
         plan = planner.plan_for(component)
+        sample = plan_sampler.sample(plan)
         scope = build_scope(kg, plan.source, 3, frozenset({target}))
         oracle = converged_oracle(cnarw_transition(kg, scope)).probabilities
-        assert plan.walk_iterations == 0
-        # the stage the plan was built from: pi over its whole scope
-        stage = planner._first_stage(plan.source, predicate, frozenset({target}))
+        assert sample.walk_iterations == 0
+        # the stage pi_A was built from: pi over its whole scope
+        stage = plan_sampler.first_stage(plan.source, predicate, frozenset({target}))
         visiting = dict(zip(stage.nodes.tolist(), stage.probabilities.tolist()))
         np.testing.assert_allclose(
             [visiting.get(node, 0.0) for node in scope.nodes], oracle, rtol=1e-8
         )
         expected = restrict_to_answers(scope, oracle)
-        np.testing.assert_array_equal(plan.distribution.answers, expected.answers)
+        np.testing.assert_array_equal(sample.distribution.answers, expected.answers)
         np.testing.assert_allclose(
-            plan.distribution.probabilities, expected.probabilities, rtol=1e-8
+            sample.distribution.probabilities, expected.probabilities, rtol=1e-8
         )
 
     @pytest.mark.parametrize("sampler", [SamplerKind.SEMANTIC, SamplerKind.CNARW])
     def test_semantic_plan_builds_never_iterate(self, toy, monkeypatch, sampler):
         """Simple and chain ``plan_for`` build no per-source scope and run
         no power iteration, under the semantic walk and CNARW alike."""
-        from repro.core import planner as planner_module
+        from repro.bench import sampled as sampled_module
         from repro.sampling import scope as scope_module
         from repro.sampling import stationary as stationary_module
 
@@ -344,7 +350,7 @@ class TestClosedFormIsProduction:
         for holder, name in (
             (stationary_module, "stationary_distribution"),
             (scope_module, "build_scope"),
-            (planner_module, "build_scope"),
+            (sampled_module, "build_scope"),
         ):
             monkeypatch.setattr(
                 holder, name, lambda *a, _name=name, **k: calls.append(_name)
@@ -361,7 +367,8 @@ class TestClosedFormIsProduction:
         simple = planner.plan_for(toy.count_query().query.components[0])
         chained = planner.plan_for(chain)
         assert planner.build_count == 2 and calls == []
-        assert simple.walk_iterations == 0 and chained.walk_iterations > 0
+        assert planner.sampler.sample(simple).walk_iterations == 0
+        assert planner.sampler.sample(chained).walk_iterations > 0
         assert simple.validator.visiting[toy.germany] > 0
         assert chained.validator.first_leg.visiting[toy.germany] > 0
 
@@ -572,9 +579,9 @@ def test_collect_indices_is_generator_choice_on_adversarial_pi():
 class TestTopologySamplers:
     def test_cnarw_ignores_semantics(self, toy):
         """Topology samplers give near-miss cars the same visit mass."""
-        distribution = plan_with(
+        distribution = pi_a_with(
             toy.kg, toy.space, SamplerKind.CNARW, toy.count_query().query.components[0]
-        ).distribution
+        )
         direct = _probability(distribution, toy.correct_cars[0])
         near_miss = _probability(distribution, toy.near_miss_cars[0])
         assert near_miss == pytest.approx(direct, rel=0.5)

@@ -260,7 +260,7 @@ class TestPaperSearch:
     def bound(self, toy):
         """Binds searches to Germany and the closed-form stationary
         visiting map over the toy scope."""
-        from repro.sampling import build_scope
+        from repro.sampling.scope import build_scope
         from repro.sampling.strength import strength_distribution
         from repro.semantics.reference import ReferenceValidator
 

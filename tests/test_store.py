@@ -46,6 +46,13 @@ def world(toy_world_factory):
     return toy_world_factory()
 
 
+def _count_spans(span: dict, name: str) -> int:
+    """How many spans named ``name`` the trace ``span`` holds."""
+    return (span["name"] == name) + sum(
+        _count_spans(child, name) for child in span["children"]
+    )
+
+
 def _example_arrays() -> dict[str, np.ndarray]:
     rng = np.random.default_rng(3)
     return {
@@ -337,21 +344,20 @@ class TestSnapshotPersistence:
             with AggregateQueryService(
                 world.kg, world.space, config, planner=planner
             ) as service:
-                results = [
-                    service.submit(query, seed=5).result(timeout=60.0)
+                handles = [
+                    service.submit(query, seed=5)
                     for query in (
                         world.count_query(),
                         world.avg_query(),
                         world.chain_count_query(),
                     )
                 ]
-                (stage_batches,) = [
-                    float(line.split()[1])
-                    for line in service.registry.render_prometheus().splitlines()
-                    if line.startswith("repro_plan_stage_batches ")
-                ]
+                results = [handle.result(timeout=60.0) for handle in handles]
+                stage_spans = sum(
+                    _count_spans(handle.trace(), "s1_stage") for handle in handles
+                )
             assert all(result.stop_reason == STOP_CENSUS for result in results)
-            return results, stage_batches
+            return results, stage_spans
 
         built = toy_world_factory()
         expected, _ = answers(built)
@@ -361,9 +367,9 @@ class TestSnapshotPersistence:
         mapped = toy_world_factory()
         load_snapshot(catalog.snapshot_path(mapped.kg), mapped.kg)
         builds_before = build_call_count()
-        actual, stage_batches = answers(mapped)
+        actual, stage_spans = answers(mapped)
         assert build_call_count() == builds_before
-        assert stage_batches == 0
+        assert stage_spans == 0
         assert [result.value.hex() for result in actual] == [
             result.value.hex() for result in expected
         ]
