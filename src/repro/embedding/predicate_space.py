@@ -49,13 +49,19 @@ class PredicateVectorSpace:
         return self._embedding
 
     def vector(self, predicate: str) -> np.ndarray:
-        """The (cached) unit-normalised vector of ``predicate``."""
+        """The (cached) vector of ``predicate``, as the embedding gives it."""
         cached = self._vectors.get(predicate)
         if cached is None:
             cached = np.asarray(self._embedding.predicate_vector(predicate), dtype=np.float64)
-            # the norm first: a thread that finds the vector reads its norm
-            self._norms[predicate] = float(np.linalg.norm(cached))
             self._vectors[predicate] = cached
+        return cached
+
+    def _norm(self, predicate: str) -> float:
+        """The (cached) norm of ``predicate``'s vector, computed on first read."""
+        cached = self._norms.get(predicate)
+        if cached is None:
+            cached = float(np.linalg.norm(self.vector(predicate)))
+            self._norms[predicate] = cached
         return cached
 
     def similarity(self, predicate_a: str, predicate_b: str) -> float:
@@ -71,7 +77,7 @@ class PredicateVectorSpace:
             return cached
         vector_a = self.vector(predicate_a)
         vector_b = self.vector(predicate_b)
-        denominator = self._norms[predicate_a] * self._norms[predicate_b]
+        denominator = self._norm(predicate_a) * self._norm(predicate_b)
         value = float(np.dot(vector_a, vector_b) / denominator) if denominator else 0.0
         # Guard against floating-point drift outside the cosine range.
         value = max(-1.0, min(1.0, value))
@@ -106,7 +112,7 @@ class PredicateVectorSpace:
             # like pairwise similarity() — even for unembedded predicates.
             return np.ones(len(vocabulary), dtype=np.float64)
         query_vector = self.vector(query_predicate)
-        query_norm = self._norms[query_predicate]
+        query_norm = self._norm(query_predicate)
         unit_query = (
             query_vector / query_norm if query_norm > 0.0 else np.zeros_like(query_vector)
         )

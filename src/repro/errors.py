@@ -29,7 +29,8 @@ pointless, but the error is *honest* (never a fabricated estimate):
 
 **Concurrent-write errors** — :class:`GraphChangedError`: structural
 writes landed after a query's plans were read and again while its census
-re-planned.  **Retryable** once the writes settle.
+re-planned, or a plan's similarity row is read for a node added after it
+was built.  **Retryable** once the writes settle.
 
 **Persistence errors**:
 
@@ -157,7 +158,8 @@ class ConvergenceError(ReproError):
 
 class GraphChangedError(ReproError):
     """The graph's structure moved while a query read it, and again while
-    the query re-planned: no one graph version answers it."""
+    the query re-planned, or a plan's similarity row predates a node it is
+    asked about: no one graph version answers it."""
 
 
 class DatasetError(ReproError):

@@ -46,17 +46,18 @@ class DedupAdjacency(NamedTuple):
     """Every node's *distinct* neighbours, ascending, for the whole graph.
 
     ``nbr[indptr[u]:indptr[u+1]]`` are the distinct neighbours of ``u``
-    and ``owner`` repeats ``u`` alongside.  The adjacency entries are
-    regrouped so that the parallel edges between one pair of nodes sit
-    together: ``predicate_ids`` lists every entry's predicate in that
-    order and distinct entry ``k`` owns ``predicate_ids[starts[k]:
-    starts[k+1]]`` (the last group runs to the end), so a per-predicate
-    value folds onto the distinct entries with one
-    ``ufunc.reduceat(values[predicate_ids], starts)``.
+    and ``owner`` repeats ``u`` alongside.  A distinct pair's edges are
+    its first edge's predicate, ``pair_predicate[k]``, plus the parallel
+    edges past it, rare in real graphs, as ``extras`` rows ``(pair,
+    predicate id)`` in adjacency order.  So a per-predicate value folds
+    onto the pairs with one gather, ``values[pair_predicate]``, and one
+    ``ufunc.at`` over the extras.  ``has_self_loop`` says whether any
+    pair is a node's own.
     """
 
-    predicate_ids: np.ndarray  # per adjacency entry, grouped by (node, neighbour)
-    starts: np.ndarray  # first position of each distinct entry's group
+    pair_predicate: np.ndarray  # (num_pairs,) the first edge's predicate id
+    extras: np.ndarray  # (num_extras, 2) (pair, predicate id) per further edge
+    has_self_loop: bool
     owner: np.ndarray
     nbr: np.ndarray
     indptr: np.ndarray  # (num_nodes + 1,)
@@ -192,7 +193,8 @@ class CSRGraph:
         Everything about S2's exact similarity row that depends on the
         graph alone: which adjacency entries collapse onto which distinct
         ``(node, neighbour)`` pair.  What depends on the query — the max
-        log-similarity per pair — is one ``reduceat`` over this.
+        log-similarity per pair — is one gather over ``pair_predicate``
+        and one ``np.maximum.at`` over the extras.
         """
         num_nodes = np.int64(self.num_nodes)
         entry_owner = np.repeat(
@@ -201,9 +203,14 @@ class CSRGraph:
         keys = entry_owner * num_nodes + self.neighbor_ids
         perm = np.argsort(keys, kind="stable")
         keys = keys[perm]
+        predicate_ids = self.entry_predicate_ids[perm]
         fresh = np.ones(len(keys), dtype=bool)
         fresh[1:] = keys[1:] != keys[:-1]
         starts = np.flatnonzero(fresh)
+        parallel = np.flatnonzero(~fresh)
+        extras = np.column_stack(
+            (np.searchsorted(starts, parallel, "right") - 1, predicate_ids[parallel])
+        )
         distinct = keys[starts]
         owner = distinct // num_nodes
         nbr = distinct % num_nodes
@@ -211,10 +218,11 @@ class CSRGraph:
             owner, np.arange(self.num_nodes + 1, dtype=np.int64)
         )
         members = DedupAdjacency(
-            self.entry_predicate_ids[perm], starts, owner, nbr, indptr
+            predicate_ids[starts], extras, bool((owner == nbr).any()), owner, nbr, indptr
         )
         for member in members:
-            member.setflags(write=False)
+            if isinstance(member, np.ndarray):
+                member.setflags(write=False)
         return members
 
     @cached_property

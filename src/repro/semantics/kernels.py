@@ -10,7 +10,9 @@ chain enumeration, :meth:`repro.baselines.ssb.SemanticSimilarityBaseline.chain_s
 * :func:`leg_sums` — one *seeded leg pass*: from a log-sum seed per start
   node, the best seed-plus-path log-sum per path length into every node,
   over simple paths of at most ``n_bound <= 3`` edges; one (max, +) pass
-  per length over the snapshot's deduplicated adjacency.
+  per length over the snapshot's deduplicated adjacency.  A pass weighs
+  each distinct pair once, up front; each length gathers the weights of
+  the pairs it touches.
 * :func:`best_mean` — Eq. 2's best geometric mean over those lengths.
 * The simple row (:class:`repro.semantics.validation.CorrectnessValidator`)
   is Definition 4's n-bounded best-path similarity of *every* node from
@@ -32,10 +34,12 @@ its seed, and picks the best sum per length; rounding is monotone, so
 each sum is the best path-order float sum, the one an enumeration that
 carries its running sum down the path computes.  The one-hot seed is
 ``0.0`` and adding it is exact, so the simple row is the same floats it
-was before seeds existed.  NaN log-similarities (predicates the
-embedding does not cover) raise through
-:func:`~repro.semantics.similarity.require_known_predicates` for any edge
-a pass weighs: the whole plan fails, as SSB does.
+was before seeds existed.  A pair's weight is a max, which is exact, so
+which of its edges is folded first does not matter.  NaN
+log-similarities (predicates the embedding does not cover) propagate
+into their pairs' weights and raise through
+:func:`~repro.semantics.similarity.require_known_predicates` for any pair
+a pass touches: the whole plan fails, as SSB does.
 """
 
 from __future__ import annotations
@@ -62,37 +66,33 @@ __all__ = [
 EXACT_MAX_LENGTH = 3
 
 
-def _weighed_pairs(kg, space, snapshot, log_row, owners: np.ndarray):
-    """``(owner, neighbour, max log-similarity)`` of every distinct pair
-    ``owners`` hold, self-loops dropped (a simple path never takes one).
+def _weighed_pairs(kg, space, dedup, log_row, weights, owners: np.ndarray):
+    """``(owner, neighbour, weight)`` of every distinct pair ``owners``
+    hold, with its weight from the pass's ``weights``, self-loops dropped
+    on a graph that has one (a simple path never takes one).
 
     Raises the unknown-predicate :class:`~repro.errors.EmbeddingError`
     when one of these pairs has an edge the embedding does not cover: the
-    DFS oracle weighs every edge of a node it expands.
+    DFS oracle weighs every edge of a node it expands.  It names the
+    first such edge in pair order, and in adjacency order within a pair.
     """
-    predicate_ids, starts, owner, nbr, indptr = snapshot.dedup_adjacency
-    first = indptr[owners]
-    counts = indptr[owners + 1] - first
+    first = dedup.indptr[owners]
+    counts = dedup.indptr[owners + 1] - first
     offsets = np.cumsum(counts) - counts
     pairs = np.repeat(first - offsets, counts) + np.arange(
         counts.sum(), dtype=np.int64
     )
-    pairs = pairs[owner[pairs] != nbr[pairs]]
-    if len(pairs) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0, dtype=np.float64)
-    # the entries of pair p are starts[p]:starts[p + 1] (the last runs to
-    # the end), so the pairs' entries are gathered and max-reduced per pair
-    ends = np.append(starts[1:], len(predicate_ids))[pairs]
-    sizes = ends - starts[pairs]
-    entry_offsets = np.cumsum(sizes) - sizes
-    entries = np.repeat(starts[pairs] - entry_offsets, sizes) + np.arange(
-        sizes.sum(), dtype=np.int64
-    )
-    values = log_row[predicate_ids[entries]]
-    if np.isnan(values).any():
-        require_known_predicates(kg, space, predicate_ids[entries], values)
-    return owner[pairs], nbr[pairs], np.maximum.reduceat(values, entry_offsets)
+    if dedup.has_self_loop:
+        pairs = pairs[dedup.owner[pairs] != dedup.nbr[pairs]]
+    values = weights[pairs]
+    missing = np.isnan(values)
+    if missing.any():
+        pair = pairs[missing.argmax()]
+        predicates = np.append(
+            dedup.pair_predicate[pair], dedup.extras[dedup.extras[:, 0] == pair, 1]
+        )
+        require_known_predicates(kg, space, predicates, log_row[predicates])
+    return dedup.owner[pairs], dedup.nbr[pairs], values
 
 
 def _heads(grouped: np.ndarray) -> np.ndarray:
@@ -159,8 +159,17 @@ def leg_sums(
     if not 1 <= n_bound <= EXACT_MAX_LENGTH:
         raise ValueError(f"n_bound must be in [1, {EXACT_MAX_LENGTH}]")
     num_nodes = int(snapshot.num_nodes)
+    dedup = snapshot.dedup_adjacency
+    # each distinct pair's best edge log-similarity; NaN propagates
+    pair_weights = log_row[dedup.pair_predicate]
+    with np.errstate(invalid="ignore"):
+        np.maximum.at(pair_weights, dedup.extras[:, 0], log_row[dedup.extras[:, 1]])
+
+    def weighed(owners):
+        return _weighed_pairs(kg, space, dedup, log_row, pair_weights, owners)
+
     starts = np.flatnonzero(seed > -np.inf)
-    start, ends, weights = _weighed_pairs(kg, space, snapshot, log_row, starts)
+    start, ends, weights = weighed(starts)
     totals = seed[start] + weights
     sums = [_max_into(num_nodes, ends, totals)]
     if n_bound == 1:
@@ -173,7 +182,7 @@ def leg_sums(
         start, ends, totals = start[order], ends[order], totals[order]
     firsts = np.flatnonzero(_heads(ends))
     entry_start, entry_total, first_nodes = start, totals, ends[firsts]
-    owners, ends, weights = _weighed_pairs(kg, space, snapshot, log_row, first_nodes)
+    owners, ends, weights = weighed(first_nodes)
     # every pair (u, z) once per entry of u
     group = np.searchsorted(first_nodes, owners)
     if len(firsts) == len(entry_start):  # one entry per node
@@ -188,29 +197,26 @@ def leg_sums(
         pair = np.repeat(np.arange(len(owners)), counts)
     ends, middle = ends[pair], owners[pair]
     start, totals = entry_start[entries], entry_total[entries] + weights[pair]
-    keep = start != ends
-    ends, middle, start, totals = ends[keep], middle[keep], start[keep], totals[keep]
-    if n_bound == 2:
-        sums.append(_max_into(num_nodes, ends, totals))
-        return sums
-    # per second node z, best first: its best entry, and its best avoiding
-    # each of that entry's two earlier nodes — the first such in z's group
-    order = np.lexsort((-totals, ends))
-    ends, middle, start, totals = ends[order], middle[order], start[order], totals[order]
-    best = np.flatnonzero(_heads(ends))
-    frontier = ends[best]
-    level = np.full(num_nodes, -np.inf)
-    level[frontier] = totals[best]
+    totals[start == ends] = -np.inf  # a path back to its start is not simple
+    level = _max_into(num_nodes, ends, totals)
     sums.append(level)
-    owners, targets, weights = _weighed_pairs(kg, space, snapshot, log_row, frontier)
+    if n_bound == 2:
+        return sums
+    # per second node z: one of its best entries, e = (x1, u1), and its
+    # best avoiding each of e's two earlier nodes (ties between best
+    # entries are equal floats, so any of them serves)
+    frontier = np.flatnonzero(level > -np.inf)
+    best = np.zeros(num_nodes, dtype=np.int64)
+    tied = np.flatnonzero(totals == level[ends])
+    best[ends[tied]] = tied
+    owners, targets, weights = weighed(frontier)
     through = level[owners]
     for earlier in (start, middle):
         node = np.full(num_nodes, -1, dtype=np.int64)
-        node[frontier] = earlier[best]
-        clear = np.flatnonzero((start != node[ends]) & (middle != node[ends]))
-        clear = clear[_heads(ends[clear])]
-        avoiding = np.full(num_nodes, -np.inf)
-        avoiding[ends[clear]] = totals[clear]
+        node[frontier] = earlier[best[frontier]]
+        avoided = node[ends]
+        clear = (start != avoided) & (middle != avoided)
+        avoiding = _max_into(num_nodes, ends[clear], totals[clear])
         hit = np.flatnonzero(targets == node[owners])
         through[hit] = avoiding[owners[hit]]
     sums.append(_max_into(num_nodes, targets, through + weights))
@@ -230,10 +236,11 @@ def best_mean(
     similarity = np.zeros(num_nodes)
     best_length = np.zeros(num_nodes, dtype=np.int8)
     for length, totals in sums_by_length:
-        candidate = np.exp(totals / length)
-        better = candidate > similarity  # strict: the shortest length wins ties
-        similarity[better] = candidate[better]
-        best_length[better] = length
+        reached = np.flatnonzero(totals > -np.inf)
+        candidate = np.exp(totals[reached] / length)
+        better = candidate > similarity[reached]  # strict: the shortest length wins ties
+        similarity[reached[better]] = candidate[better]
+        best_length[reached[better]] = length
     return similarity, best_length
 
 

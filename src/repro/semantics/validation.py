@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import NodeNotFoundError
+from repro.errors import GraphChangedError, NodeNotFoundError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
@@ -105,23 +105,19 @@ def _leg_sums(
     kg: KnowledgeGraph,
     space: PredicateVectorSpace,
     predicate: str,
+    log_row: np.ndarray,
     seed: np.ndarray,
     max_length: int,
     floor: float,
 ) -> list[np.ndarray]:
     """:func:`~repro.semantics.kernels.leg_sums` of one leg weighed
-    against ``predicate``; past
+    against ``predicate`` (its :func:`log_similarities`: ``log_row``); past
     :data:`~repro.semantics.kernels.EXACT_MAX_LENGTH`, every simple path
     from every seeded start enumerated (SSB's per-length DFS), so
     exponential in the bound — no workload runs a bound this long."""
     if max_length <= kernels.EXACT_MAX_LENGTH:
         return kernels.leg_sums(
-            kg,
-            space,
-            csr_snapshot(kg),
-            log_similarities(kg, space, predicate, floor),
-            seed,
-            max_length,
+            kg, space, csr_snapshot(kg), log_row, seed, max_length
         )
     sums = [np.full(kg.num_nodes, -np.inf) for _ in range(max_length)]
     for start in np.flatnonzero(seed > -np.inf).tolist():
@@ -179,9 +175,14 @@ class _RowValidator:
         return row
 
     def validate_batch(self, answers: Sequence[int] | np.ndarray) -> ValidationBatch:
-        """Every answer's outcome, read off the row."""
+        """Every answer's outcome, read off the row; a node the graph
+        gained after the row was built is a :class:`GraphChangedError`."""
         answers = require_node_ids(self._kg, answers)
         similarity, best_length = self.row()
+        if len(answers) and answers.max() >= len(similarity):
+            raise GraphChangedError(
+                f"node {answers.max()} was added after the row was built"
+            )
         return ValidationBatch(answers, similarity[answers], best_length[answers])
 
     def validate(self, answer: int) -> ValidationOutcome:
@@ -220,8 +221,9 @@ class CorrectnessValidator(_RowValidator):
         seed = np.full(self._kg.num_nodes, -np.inf)
         seed[self.source] = 0.0
         return _leg_sums(
-            self._kg, self._space, self.query_predicate, seed,
-            self.max_length, self.floor,
+            self._kg, self._space, self.query_predicate,
+            log_similarities(self._kg, self._space, self.query_predicate, self.floor),
+            seed, self.max_length, self.floor,
         )
 
     def _build_row(self) -> tuple[np.ndarray, np.ndarray]:
@@ -278,13 +280,15 @@ class ChainValidator(_RowValidator):
         hops = self.component.hops
         by_total = self.first_leg.leg_sums(snapshot.type_mask(hops[0][1]))
         for predicate, node_types in hops[1:]:
+            by_total = {t: s for t, s in by_total.items() if (s > -np.inf).any()}
+            if not by_total:  # nothing reached: no log row to compute
+                break
             typed = snapshot.type_mask(node_types)
+            log_row = log_similarities(self._kg, self._space, predicate, self.floor)
             following: dict[int, np.ndarray] = {}
             for total, seed in by_total.items():
-                if not (seed > -np.inf).any():
-                    continue
                 sums = _leg_sums(
-                    self._kg, self._space, predicate, seed,
+                    self._kg, self._space, predicate, log_row, seed,
                     self.max_length, self.floor,
                 )
                 for length, level in enumerate(sums, start=1):

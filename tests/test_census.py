@@ -37,7 +37,7 @@ from repro.core.config import ExtremeMethod, SamplerKind
 from repro.core.plan import shared_plan_cache
 from repro.core.result import STOP_CENSUS, GroupedResult
 from repro.datasets import ALL_PRESETS, standard_workload
-from repro.errors import EmbeddingError, GraphChangedError
+from repro.errors import EmbeddingError, GraphChangedError, NodeNotFoundError
 from repro.estimation.estimators import census_estimate
 from repro.kg import KnowledgeGraph
 from repro.query.aggregate import AggregateFunction, AggregateQuery, GroupBy
@@ -609,6 +609,26 @@ def test_a_census_after_a_structural_write_reads_the_new_graph(
     fresh = ApproximateAggregateEngine(world.kg, world.embedding, config)
     assert fresh.execute(query, seed=1).value == result.value
     fresh.service.close()
+
+
+@pytest.mark.parametrize("shape", ["simple", "chain"])
+def test_a_row_older_than_the_graph_refuses_the_new_node(toy_world_factory, shape):
+    """A node added after a plan's row was built is one the row cannot
+    answer for: reading it raises GraphChangedError (409), not a bare
+    IndexError, while an id outside the graph stays NodeNotFoundError."""
+    world = toy_world_factory()
+    shared_plan_cache().clear()
+    engine = ApproximateAggregateEngine(world.kg, world.embedding, EngineConfig())
+    query = world.count_query() if shape == "simple" else world.chain_count_query()
+    state = engine.executor.initialise(query, 1)
+    car = world.kg.add_node("Car_late", ["Automobile"], {"price": 50_000.0})
+    world.kg.add_edge(world.germany, "product", car)
+    with pytest.raises(GraphChangedError, match="added after") as caught:
+        engine.answer_similarity(state, car)
+    assert status_for(caught.value) == 409
+    with pytest.raises(NodeNotFoundError):
+        engine.answer_similarity(state, world.kg.num_nodes)
+    assert 0.0 <= engine.answer_similarity(state, world.germany) <= 1.0
 
 
 def test_a_graph_that_moves_again_while_the_census_replans_fails_it(

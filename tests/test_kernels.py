@@ -247,10 +247,14 @@ class TestExactRow:
         snapshot = csr_snapshot(kg)
         dedup = snapshot.dedup_adjacency
         assert snapshot.dedup_adjacency is dedup
+        members = (dedup.pair_predicate, dedup.extras, dedup.owner, dedup.nbr,
+                   dedup.indptr)
         _metadata, arrays = snapshot.export_arrays()
         assert not any(
-            exported is member for exported in arrays.values() for member in dedup
+            np.shares_memory(exported, member)
+            for exported in arrays.values() for member in members
         )
+        assert not any(member.flags.writeable for member in members)
         # parallel edges and both directions collapse onto one entry
         for node in range(kg.num_nodes):
             start, end = dedup.indptr[node], dedup.indptr[node + 1]
@@ -258,9 +262,54 @@ class TestExactRow:
                 {neighbour for _edge, neighbour in kg.neighbors(node)}
             )
             assert (dedup.owner[start:end] == node).all()
-        assert not any(member.flags.writeable for member in dedup)
+        # a pair's edges, in adjacency order, are its first predicate and
+        # its extras: the extras are exactly the parallel edges
+        edges_of: dict[tuple[int, int], list[int]] = {}
+        for node in range(kg.num_nodes):
+            for edge, neighbour in kg.neighbors(node):
+                edges_of.setdefault((node, neighbour), []).append(
+                    int(snapshot.edge_predicate_ids[edge])
+                )
+        extras_of: dict[int, list[int]] = {}
+        for pair, predicate in dedup.extras.tolist():
+            extras_of.setdefault(pair, []).append(predicate)
+        assert len(dedup.extras) == sum(len(p) - 1 for p in edges_of.values()) > 0
+        for pair, key in enumerate(zip(dedup.owner.tolist(), dedup.nbr.tolist())):
+            assert [int(dedup.pair_predicate[pair])] + extras_of.get(pair, []) == (
+                edges_of[key]
+            )
+        assert dedup.has_self_loop is any(a == b for a, b in edges_of)
+        assert dedup.has_self_loop
         kg.add_edge(0, "misc", 1)  # a structural write: new snapshot, new member
         assert csr_snapshot(kg).dedup_adjacency is not dedup
+        _kg, _space, loopless = _hand_world(3, [(0, "p", 1), (1, "p", 2)], {"p": 0.5})
+        assert not loopless.dedup_adjacency.has_self_loop
+        assert loopless.dedup_adjacency.extras.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "first, second, culprit",
+        [("q", "rare", "rare"), ("rare", "q", "rare"), ("odd", "rare", "odd")],
+    )
+    def test_an_uncovered_parallel_edge_fails_the_rows_that_weigh_it(
+        self, first, second, culprit
+    ):
+        """The pair 1 - 2 has two edges, one or both uncovered: a row that
+        weighs the pair raises naming the pair's first uncovered edge, as
+        the DFS does; a row that never weighs it does not raise."""
+        edges = [(0, "p", 1), (1, first, 2), (2, second, 1), (3, "p", 4)]
+        kg, space, snapshot = _hand_world(5, edges, {"p": 0.9, "q": 0.4})
+        assert len(snapshot.dedup_adjacency.extras) == 2
+        for max_length in (2, 3):
+            with pytest.raises(EmbeddingError, match=repr(culprit)):
+                CorrectnessValidator(kg, space, 0, "p", max_length=max_length).row()
+        for source, max_length in ((0, 1), (3, 3), (4, 2)):
+            similarity, _best_length = CorrectnessValidator(
+                kg, space, source, "p", max_length=max_length
+            ).row()
+            assert similarity.max() == pytest.approx(0.9)
+        for source in (0, 3):
+            for max_length in (1, 2, 3):
+                _assert_row_matches_dfs(kg, space, source, max_length)
 
 
 #: (expansion budget, branch cap, max length) of the paper search
