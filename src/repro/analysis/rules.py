@@ -18,8 +18,8 @@ REP000  syntax-error                the file must parse (framework)
 REP101  validation-rng              no RNG construction in (or global-state
                                     RNG reachable from) the validation-path
                                     modules every service and session over
-                                    one plan shares; growth is the only RNG
-                                    and runs scheduler-side
+                                    one plan shares; the only RNG is the
+                                    sampled executor's growth
 REP102  fingerprint-purity          fingerprint functions are pure:
                                     no time, id(), hash(), uuid or RNG
 REP103  validation-growth           validation-path modules never call the
@@ -78,13 +78,9 @@ class LintConfig:
         "semantics/validation.py",
     )
     #: modules sanctioned to construct RNG even though they are import-
-    #: reachable from validation modules: growth in the executor (the only
-    #: sanctioned RNG site — it always runs scheduler-side) and the
-    #: central seed-derivation helpers
-    sanctioned_rng_modules: tuple[str, ...] = (
-        "core/executor.py",
-        "utils/rng.py",
-    )
+    #: reachable from validation modules: the central seed-derivation
+    #: helpers
+    sanctioned_rng_modules: tuple[str, ...] = ("utils/rng.py",)
     #: classes whose ``self._*`` state is shared across threads and must
     #: only be written under a lock (or inside ``__init__``/its helpers,
     #: or in a ``*_locked`` method whose caller holds the lock)
@@ -313,8 +309,9 @@ class ValidationRngRule(Rule):
                     findings.append(self.finding(
                         module, node,
                         f"RNG call {origin}() in a validation-path module; "
-                        "growth is the only sanctioned RNG and runs "
-                        "scheduler-side (core/executor.py)",
+                        "the only sanctioned RNG is the sampled executor's "
+                        "growth (bench/sampled.py), which no validation "
+                        "module reaches",
                     ))
                 elif kind == "global":
                     findings.append(self.finding(
@@ -403,7 +400,8 @@ class ValidationGrowthRule(Rule):
     name = "validation-growth"
     summary = (
         "validation-path modules never call the grow*/initialise "
-        "lifecycle — growth (the only RNG) runs in the scheduler thread"
+        "lifecycle — growth (the sampled executor's, the only RNG) runs "
+        "in the scheduler slot"
     )
 
     def check(self, project: Project) -> list[Finding]:
@@ -425,9 +423,10 @@ class ValidationGrowthRule(Rule):
                     findings.append(self.finding(
                         module, node,
                         f"{name}() called from a validation-path module; "
-                        "the grow/initialise lifecycle (and its RNG) is "
-                        "scheduler-only — validation sees already-grown "
-                        "samples so verdicts stay byte-identical",
+                        "the grow/initialise lifecycle (and the sampled "
+                        "executor's RNG) is scheduler-only — validation sees "
+                        "already-grown samples so verdicts stay "
+                        "byte-identical",
                     ))
         return findings
 

@@ -41,7 +41,7 @@ from repro.bench.sampled import PlanSampler, SampledExecutor
 from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.plan import PlanCache, QueryPlan
-from repro.core.planner import QueryPlanner
+from repro.core.planner import QueryPlanner, resolve_mapping_node
 from repro.core.result import ApproximateResult, GroupedResult
 from repro.datasets import (
     ALL_PRESETS,
@@ -99,7 +99,9 @@ class PaperPlanner(QueryPlanner):
         """A plan with S1 run at once: its first leg's search walks the
         first stage's visiting map (node id -> stationary probability)."""
         config = self.config
-        source = self._mapping_node(component)
+        source = resolve_mapping_node(
+            self._kg, component.specific_name, component.specific_types
+        )
         sample, (nodes, probabilities) = self.sampler.run(component, source)
         first_leg = ReferenceValidator(
             self._kg,

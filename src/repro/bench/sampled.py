@@ -95,8 +95,8 @@ class PlanSample:
     num_candidates: int
 
 
-#: the attributes a plan keeps its pi_A memo and that memo's lock under
-_SAMPLE_ATTR = "_s1_sample"
+#: the attributes a plan keeps its pi_A memos and their lock under
+_SAMPLES_ATTR = "_s1_samples"
 _LOCK_ATTR = "_s1_lock"
 
 
@@ -104,10 +104,13 @@ class PlanSampler:
     """S1 of plans (Algorithm 2, lines 1-4): scope, closed-form Eq. 5/6
     stationary distribution and Theorem-1 answer restriction, all three
     from the batched stage kernel under the semantic or the CNARW weights
-    (only the Node2Vec ablation walks a per-source scope).  S1 is a
-    function of the plan key (:func:`~repro.core.plan.plan_fingerprint`
-    holds its facets), so whichever sampler builds it, readers get the
-    same pi_A."""
+    (only the Node2Vec ablation walks a per-source scope).
+
+    A plan is keyed on what its row reads, not on what S1 reads, so one
+    plan serves samplers that build different pi_A's: each plan keeps one
+    pi_A per *S1 key* — the sampler kind, the Eq. 5 smoothing, the chain
+    cut and, for the Node2Vec walk alone, the seed.  Samplers that agree
+    on those read the same pi_A, whichever built it."""
 
     def __init__(
         self, kg: KnowledgeGraph, space: PredicateVectorSpace, config: EngineConfig
@@ -115,30 +118,39 @@ class PlanSampler:
         self._kg = kg
         self._space = space
         self.config = config
+        #: this sampler's pi_A among a plan's memos: every facet S1 reads
+        #: beyond the plan key
+        self._s1_key: tuple = (
+            config.sampler,
+            config.self_loop_weight,
+            config.max_intermediates,
+        )
+        if config.sampler is SamplerKind.NODE2VEC:
+            self._s1_key += (config.seed,)
         #: calls of the batched S1 stage kernel and the walks they settled
         self.stage_batches = 0
         self.stage_sources = 0
 
     def sample(self, plan: QueryPlan) -> PlanSample:
-        """``plan``'s S1 artefacts, built on first use under the plan's own
-        lock: a second caller waits for the first and reads the same
-        object."""
+        """``plan``'s S1 artefacts under this sampler's S1 key, built on
+        first use under the plan's own lock: a second caller waits for the
+        first and reads the same object."""
         memo = vars(plan)
-        sample = memo.get(_SAMPLE_ATTR)
+        # dict.setdefault is atomic: racing callers share one dict, one lock
+        samples = memo.setdefault(_SAMPLES_ATTR, {})
+        sample = samples.get(self._s1_key)
         if sample is None:
-            # dict.setdefault is atomic: racing callers share one lock
             with memo.setdefault(_LOCK_ATTR, threading.Lock()):
-                sample = memo.get(_SAMPLE_ATTR)
+                sample = samples.get(self._s1_key)
                 if sample is None:
                     sample = self.run(plan.component, plan.source)[0]
-                    memo[_SAMPLE_ATTR] = sample
+                    samples[self._s1_key] = sample
         return sample
 
-    @staticmethod
-    def adopt(plan: QueryPlan, sample: PlanSample) -> None:
-        """Memoise ``sample`` as the S1 of ``plan``, a plan no one has
-        read yet (the figures' planner runs S1 as it builds)."""
-        vars(plan)[_SAMPLE_ATTR] = sample
+    def adopt(self, plan: QueryPlan, sample: PlanSample) -> None:
+        """Memoise ``sample`` as this sampler's S1 of ``plan``, a plan no
+        one has read yet (the figures' planner runs S1 as it builds)."""
+        vars(plan).setdefault(_SAMPLES_ATTR, {})[self._s1_key] = sample
 
     def stage(
         self,
@@ -199,10 +211,18 @@ class PlanSampler:
     ) -> tuple[PlanSample, tuple[np.ndarray, np.ndarray]]:
         """S1 of ``component``: its :class:`PlanSample` and the first
         stage's ``(nodes, probabilities)`` (the figures' r-path search
-        walks them)."""
+        walks them).  The Node2Vec walk has no chain composition: a chain
+        component under it is a :class:`~repro.errors.QueryError`, raised
+        before anything is walked."""
         config = self.config
         predicate, target_types = component.hops[0]
         if config.sampler is SamplerKind.NODE2VEC:
+            if not component.is_simple:
+                raise QueryError(
+                    f"the {config.sampler.value} sampler has no chain walk: "
+                    f"the chain component from {component.specific_name!r} "
+                    "needs the semantic or the cnarw sampler"
+                )
             # The Fig. 5(a) Node2Vec ablation is a second-order walk: no
             # closed form, so it simulates the walk over a per-source scope.
             scope = build_scope(self._kg, source, config.n_bound, target_types)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.plan import CandidateSet, QueryPlan, plan_key
+from repro.core.plan import CandidateSet, QueryPlan
 from repro.core.planner import QueryPlanner
 from repro.core.result import (
     STOP_CENSUS,
@@ -53,7 +53,6 @@ from repro.estimation.estimators import census_estimate
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
 from repro.query.aggregate import AggregateQuery
-from repro.query.graph import PathQuery
 from repro.semantics.validation import require_node_ids
 from repro.utils.timing import StageTimer
 
@@ -167,36 +166,25 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Initialisation: plans, then the joint candidate set
     # ------------------------------------------------------------------
-    def _candidate_intersection(self, plans: list[QueryPlan]) -> CandidateSet:
-        """The answers every one of ``plans`` has as a candidate."""
-        answers = plans[0].candidates(self._kg).answers
+    def _census_support(self, plans: list[QueryPlan]) -> CandidateSet:
+        """The joint candidate set of ``plans``: a lone plan's own set, a
+        composite's the answers every plan has as a candidate, intersected
+        per query (each later plan's answers scattered into a node mask
+        that filters the sorted set).  Reading a plan's candidates builds
+        its validator's row if no query has yet.
+        """
+        joint = plans[0].candidates(self._kg)
+        if len(plans) == 1:
+            return joint
+        answers = joint.answers
         for plan in plans[1:]:
-            answers = np.intersect1d(
-                answers, plan.candidates(self._kg).answers, assume_unique=True
-            )
+            mask = np.zeros(self._kg.num_nodes, dtype=bool)
+            mask[plan.candidates(self._kg).answers] = True
+            answers = answers[mask[answers]]
         if len(answers) == 0:
             raise QueryError(_EMPTY_JOINT)
         answers.setflags(write=False)
         return CandidateSet(answers)
-
-    def _census_support(
-        self, components: tuple[PathQuery, ...], plans: list[QueryPlan]
-    ) -> CandidateSet:
-        """The joint candidate set of ``plans`` (``components``' plans).
-
-        A lone plan's set is its own; a composite's is the intersection,
-        assembled once per plan set and cached beside the plans
-        (:meth:`PlanCache.joint_for`).  Reading a plan's candidates builds
-        its validator's row if no query has yet.
-        """
-        if len(plans) == 1:
-            return plans[0].candidates(self._kg)
-        keys = tuple(
-            plan_key(component, self._space, self.config) for component in components
-        )
-        return self._planner.cache.joint_for(
-            self._kg, keys, plans, lambda: self._candidate_intersection(plans)
-        )
 
     def initialise(
         self,
@@ -249,7 +237,7 @@ class QueryExecutor:
         the plans' rows, timed as validation.  A census draws nothing, so
         ``seed`` is unused."""
         with timers.measure(STAGE_VALIDATION):
-            joint = self._census_support(aggregate_query.query.components, plans)
+            joint = self._census_support(plans)
         size = joint.support_size
         return _QueryState(
             aggregate_query=aggregate_query,

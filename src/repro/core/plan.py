@@ -1,39 +1,35 @@
 """Immutable per-component query plans and the process-wide plan cache.
 
 A :class:`QueryPlan` binds one query component to its mapping node and
-its validator — the exact similarity row of
-:mod:`repro.semantics.validation` (the figures' r-path search a
-node-indexed memo), built lazily.  Everything a query needs from a plan
-is a function of the plan key, so plans are shared across engines
-through a single :class:`PlanCache` keyed on ``(graph,
-structure_version, component, predicate space, config fingerprint)``,
-the way approximate-aggregation systems amortise expensive
-per-predicate ("oracle") work across a whole workload instead of per
-query.
+its validator — the exact similarity row of the paper's S2 oracle for
+``(mapping node, predicate)`` (:mod:`repro.semantics.validation`; the
+figures' r-path search a node-indexed memo), built lazily.  A census
+reads nothing else, so a plan is a function of the component, the
+embedding, ``n_bound`` and ``similarity_floor``, and plans are shared
+across engines through a single :class:`PlanCache` keyed on ``(graph,
+structure_version, component, embedding, n_bound, similarity_floor)``,
+the way approximate-aggregation systems pay for the expensive
+per-predicate ("oracle") work once across a whole workload instead of
+per query.  Engines that differ only in how they would sample (sampler
+kind, Eq. 5 smoothing, chain cut, seed) or in the figures' r-path budget
+share one plan.
 
 A plan answers a census from its row: its candidates
 (:meth:`QueryPlan.candidates`) are the nodes the row reaches, typed as
-the component's last hop requires.  A validated row is published whole
-and read-only, so concurrent engines sharing a plan only ever read "not
-yet" or the finished row; sharing it is what lets refinement rounds and
-interactive sessions skip revalidation entirely.  S1 of Algorithm 2 —
-scope BFS, the Eq. 5/6 stationary distribution, candidate restriction —
-is needed only to draw, and is not part of a plan:
-:class:`repro.bench.sampled.PlanSampler` keeps a plan's pi_A beside it
-once its first draw built it.
-
-Beside each graph's plans the cache keeps the *joint candidate sets* of
-composite queries (the intersected :class:`CandidateSet`), keyed by the
-component plan keys: a joint is a function of its plans, so it is
-assembled once and dropped with any of them.
+the component's last hop requires; a composite query intersects its
+plans' candidates per query.  A validated row is published whole and
+read-only, so concurrent engines sharing a plan only ever read "not yet"
+or the finished row.  S1 of Algorithm 2 — scope BFS, the Eq. 5/6
+stationary distribution, candidate restriction — is needed only to
+draw, and is not part of a plan: :class:`repro.bench.sampled.PlanSampler`
+keeps each sampler's pi_A beside the plan once its first draw built it.
 
 Each graph keeps its cache entry on itself, as it keeps its CSR snapshot:
 a plan's validator holds its graph, so graph -> entry -> plan -> graph is
 a cycle the garbage collector frees once every caller dropped the graph.
-A graph's plans and joints are evicted wholesale when its *structure*
-version moves.
-Attribute writes bump a different counter and leave plans — like CSR
-snapshots — untouched.
+A graph's plans are evicted wholesale when its *structure* version
+moves.  Attribute writes bump a different counter and leave plans — like
+CSR snapshots — untouched.
 
 Plans live in one process only: a new process builds its plans afresh
 (a mapping node and a validator whose row waits for its first read), and
@@ -46,11 +42,11 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable
 
 import numpy as np
 
-from repro.core.config import EngineConfig, SamplerKind
+from repro.core.config import EngineConfig
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import SamplingError
 from repro.kg.csr import csr_snapshot
@@ -127,28 +123,15 @@ class QueryPlan:
 
 
 def plan_fingerprint(config: EngineConfig) -> tuple:
-    """The configuration facets a plan's content depends on.
+    """The configuration facets a plan's content depends on: the path
+    bound and the similarity floor, all the exact row reads.
 
-    Everything S1 consumes (sampler kind, scope bound, Eq. 5 smoothing)
-    plus what the memoised similarities depend on: the bound, the floor
-    and the figures' r-path budget.  ``tau`` is not among them: the validators
-    memoise similarities and each query compares them with its own
-    threshold.  The RNG seed only matters for the node2vec baseline
-    (the semantic and CNARW walks are deterministic), so it joins the
-    fingerprint only there — engines with different seeds still share
-    semantic plans.
+    ``tau`` is not among them (each query compares the row's similarities
+    with its own threshold), nor is anything only S1 reads — sampler kind,
+    Eq. 5 smoothing, the chain cut, the seed — which keys each sampler's
+    pi_A beside the plan instead (:class:`repro.bench.sampled.PlanSampler`).
     """
-    fingerprint: tuple = (
-        config.sampler,
-        config.n_bound,
-        config.self_loop_weight,
-        config.similarity_floor,
-        config.validation_expansions,
-        config.max_intermediates,
-    )
-    if config.sampler is SamplerKind.NODE2VEC:
-        fingerprint += (config.seed,)
-    return fingerprint
+    return (config.n_bound, config.similarity_floor)
 
 
 def plan_key(
@@ -175,16 +158,6 @@ class _GraphEntry:
     plans: dict[PlanKey, QueryPlan] = field(default_factory=dict)
     #: keys currently being built by some thread (see ``get_or_build``)
     building: dict[PlanKey, threading.Event] = field(default_factory=dict)
-    #: composite queries' joint candidate sets, keyed by their component
-    #: plan keys (LRU-ordered); a joint goes when any of its plans is
-    #: evicted
-    joints: dict[tuple[PlanKey, ...], CandidateSet] = field(default_factory=dict)
-
-    def published(
-        self, keys: Sequence[PlanKey], plans: Sequence[QueryPlan]
-    ) -> bool:
-        """Whether every plan is the one published under its key."""
-        return all(self.plans.get(key) is plan for key, plan in zip(keys, plans))
 
 
 #: the attribute a graph keeps its plan-cache entries under: one
@@ -194,8 +167,8 @@ _ENTRIES_ATTR = "_plan_cache_entries"
 
 #: default per-graph plan bound; a plan's payload is, once validated, its
 #: validator's similarity row (a similarity and a path length per graph
-#: node) and its candidates, plus pi_A (answers, probabilities) once a
-#: sampled run has drawn from it, so the cap bounds resident memory
+#: node) and its candidates, plus one pi_A (answers, probabilities) per
+#: sampler that has drawn from it, so the cap bounds resident memory
 #: for long-lived serving processes with many components/configs/tenants
 DEFAULT_MAX_PLANS_PER_GRAPH = 256
 
@@ -203,15 +176,14 @@ DEFAULT_MAX_PLANS_PER_GRAPH = 256
 class PlanCache:
     """Process-wide store of query plans, shared by every engine on a graph.
 
-    Thread-safe; lookups and stores are O(1) dict operations under one
-    lock.  Plan *construction* happens outside the lock — when two
-    engines race to build the same plan, the first stored one wins and
-    the loser adopts it, so a key always resolves to one shared object.
-    A plan built against a structure version that moved during
-    construction is returned to its builder but never published.  Each graph's plans are LRU-bounded so a serving process
-    with many components, configs or tenant embeddings cannot grow without
-    bound; eviction only drops the shared reference — engines holding a
-    plan keep using it.
+    Thread-safe: :meth:`get_or_build` looks up under one lock and builds
+    a missing plan outside it, at most once across threads, so a key
+    always resolves to one shared object.  A plan built against a
+    structure version that moved during construction is returned to its
+    builder but never published.  Each graph's plans are LRU-bounded so
+    a serving process with many components, configs or tenant embeddings
+    cannot grow without bound; eviction only drops the shared reference —
+    engines holding a plan keep using it.
     """
 
     def __init__(
@@ -247,75 +219,28 @@ class PlanCache:
         """The graph's entry of this cache, stale or not, if any."""
         return vars(kg).get(_ENTRIES_ATTR, {}).get(self)
 
-    def lookup(self, kg: KnowledgeGraph, key: PlanKey) -> QueryPlan | None:
-        """The cached plan for ``key`` on ``kg``'s current structure, if any."""
-        with self._lock:
-            plans = self._entry_locked(kg).plans
-            plan = plans.get(key)
-            if plan is not None:
-                # LRU touch: dicts iterate in insertion order, so oldest
-                # (least recently used) keys surface first for eviction
-                plans[key] = plans.pop(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-            return plan
-
-    def store(
-        self,
-        kg: KnowledgeGraph,
-        key: PlanKey,
-        plan: QueryPlan,
-        structure_version: int,
-    ) -> QueryPlan:
-        """Publish ``plan`` under ``key`` and return the canonical instance.
-
-        ``structure_version`` is the version the caller captured *before*
-        building: if the graph mutated during the (unlocked) build, the
-        stale plan is handed back unpublished instead of poisoning the new
-        structure's entry.  First writer wins: a plan already stored by a
-        concurrent engine is returned instead, so callers always end up
-        sharing one object.
-        """
-        with self._lock:
-            entry = self._entry_locked(kg)
-            if entry.structure_version != structure_version:
-                return plan
-            canonical = entry.plans.setdefault(key, plan)
-            while len(entry.plans) > self.max_plans_per_graph:
-                oldest = next(iter(entry.plans))
-                if oldest == key:  # never evict what we just resolved
-                    entry.plans[key] = entry.plans.pop(key)
-                    continue
-                del entry.plans[oldest]
-                for joint_key in [k for k in entry.joints if oldest in k]:
-                    del entry.joints[joint_key]
-            return canonical
-
     def get_or_build(
         self,
         kg: KnowledgeGraph,
         key: PlanKey,
-        builder,
+        builder: Callable[[], QueryPlan],
     ) -> QueryPlan:
         """The plan for ``key``, building it at most once across threads.
 
-        The naive lookup/build/store dance lets N concurrent engines race
-        to build N times for the same key; here the first thread to miss
-        claims the key (a per-key event under the cache lock), builds
-        outside the lock, and publishes through :meth:`store` —
-        first-writer-wins is preserved.  Concurrent callers wait on the
-        event and adopt the published plan; if the builder raised (the
-        event is set with nothing published), one waiter becomes the next
-        builder.  A structural mutation during a build keeps the stale
-        plan private, exactly like the plain ``store`` path.
+        The first thread to miss claims the key (a per-key event under
+        the cache lock), builds outside the lock, and publishes the plan
+        (:meth:`_publish`).  Concurrent callers wait on the event and
+        adopt the published plan; if the builder raised (the event is set
+        with nothing published), one waiter becomes the next builder.
         """
         while True:
             with self._lock:
                 entry = self._entry_locked(kg)
                 plan = entry.plans.get(key)
                 if plan is not None:
-                    entry.plans[key] = entry.plans.pop(key)  # LRU touch
+                    # LRU touch: dicts iterate in insertion order, so the
+                    # least recently used keys surface first for eviction
+                    entry.plans[key] = entry.plans.pop(key)
                     self.hits += 1
                     return plan
                 event = entry.building.get(key)
@@ -332,7 +257,7 @@ class PlanCache:
                     # publish BEFORE releasing the waiters: a waiter woken
                     # by the event must find the plan already stored, or
                     # it would claim the key and build a second time
-                    return self.store(kg, key, builder(), structure_version)
+                    return self._publish(kg, key, builder(), structure_version)
                 finally:
                     with self._lock:
                         current = self._entry_of(kg)
@@ -343,46 +268,30 @@ class PlanCache:
             # loop: either the plan is published now, or the builder died
             # (or the structure moved) and this thread claims the build
 
-    def joint_for(
+    def _publish(
         self,
         kg: KnowledgeGraph,
-        keys: tuple[PlanKey, ...],
-        plans: Sequence[QueryPlan],
-        build: Callable[[], CandidateSet],
-    ) -> CandidateSet:
-        """The joint candidate set of ``plans`` (``keys[i]``'s plan is
-        ``plans[i]``), assembled by ``build`` once per published plan set.
+        key: PlanKey,
+        plan: QueryPlan,
+        structure_version: int,
+    ) -> QueryPlan:
+        """Publish ``plan`` under ``key`` and return the canonical instance.
 
-        Only plans that are the ones published under their keys share a
-        joint: a plan kept private by a structural mutation, or one whose
-        key was evicted and rebuilt, gets a fresh assembly.  Like a plan,
-        a joint is built outside the lock and the first one stored wins;
-        the joints are LRU-bounded by ``max_plans_per_graph`` too.
+        ``structure_version`` is the version captured *before* building:
+        if the graph mutated during the (unlocked) build, the stale plan
+        is handed back unpublished instead of poisoning the new
+        structure's entry.  A plan already published under ``key`` (a
+        build racing a :meth:`clear`) wins over ``plan``.
         """
         with self._lock:
             entry = self._entry_locked(kg)
-            if entry.published(keys, plans):
-                joint = entry.joints.get(keys)
-                if joint is not None:
-                    entry.joints[keys] = entry.joints.pop(keys)  # LRU touch
-                    return joint
-        joint = build()
-        with self._lock:
-            entry = self._entry_locked(kg)
-            if entry.published(keys, plans):
-                joint = entry.joints.setdefault(keys, joint)
-                while len(entry.joints) > self.max_plans_per_graph:
-                    del entry.joints[next(iter(entry.joints))]
-        return joint
-
-    def num_joints(self, kg: KnowledgeGraph) -> int:
-        """Number of cached joint candidate sets for ``kg``'s current
-        structure."""
-        with self._lock:
-            entry = self._entry_of(kg)
-            if entry is None or entry.structure_version != kg.structure_version:
-                return 0
-            return len(entry.joints)
+            if entry.structure_version != structure_version:
+                return plan
+            canonical = entry.plans.pop(key, plan)
+            entry.plans[key] = canonical  # most recently used: kept
+            while len(entry.plans) > self.max_plans_per_graph:
+                del entry.plans[next(iter(entry.plans))]
+            return canonical
 
     def num_plans(self, kg: KnowledgeGraph) -> int:
         """Number of live cached plans for ``kg``'s current structure."""
@@ -393,7 +302,7 @@ class PlanCache:
             return len(entry.plans)
 
     def clear(self) -> None:
-        """Drop every cached plan and joint (benchmarks and tests)."""
+        """Drop every cached plan (benchmarks and tests)."""
         with self._lock:
             for kg in list(self._graphs):
                 vars(kg)[_ENTRIES_ATTR].pop(self, None)

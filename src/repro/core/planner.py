@@ -3,22 +3,23 @@
 A :class:`QueryPlanner` turns one query component into its immutable plan
 — the mapping node and a validator bound to it — and publishes it in the
 process-wide :class:`~repro.core.plan.PlanCache`, so that every engine and
-session over the same graph, predicate space and configuration reuses one
-plan instead of rebuilding it.  A census reads only the validator's row.
-S1 — scope, closed-form Eq. 5/6 stationary distribution and Theorem-1
-answer restriction — is not here: only a run that draws needs it, and
-:class:`repro.bench.sampled.PlanSampler` builds it for a plan, once, on
-its first draw (or, for the figures' planner, at build time).  The
-executor (:mod:`repro.core.executor`) consumes plans; the engine facade
-(:mod:`repro.core.engine`) only wires the two.
+session over the same graph, embedding, path bound and similarity floor
+reuses one plan instead of rebuilding it.  A census reads only the
+validator's row.  S1 — scope, closed-form Eq. 5/6 stationary distribution
+and Theorem-1 answer restriction — is not here: only a run that draws
+needs it, and :class:`repro.bench.sampled.PlanSampler` builds it for a
+plan, once per sampler, on its first draw (or, for the figures' planner,
+at build time); it also refuses a chain the Node2Vec ablation cannot
+walk.  The executor (:mod:`repro.core.executor`) consumes plans; the
+engine facade (:mod:`repro.core.engine`) only wires the two.
 """
 
 from __future__ import annotations
 
-from repro.core.config import EngineConfig, SamplerKind
+from repro.core.config import EngineConfig
 from repro.core.plan import PlanCache, QueryPlan, plan_key, shared_plan_cache
 from repro.embedding.predicate_space import PredicateVectorSpace
-from repro.errors import MappingNodeNotFoundError, QueryError
+from repro.errors import MappingNodeNotFoundError
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
 from repro.query.graph import PathQuery
@@ -66,8 +67,8 @@ class QueryPlanner:
         self.config = config
         self._cache = cache if cache is not None else shared_plan_cache()
         #: plans actually built by this planner (cache misses); the
-        #: service tests assert one build per shared (component, config)
-        #: plan across a whole concurrent batch
+        #: service tests assert one build per shared plan across a whole
+        #: concurrent batch
         self.build_count = 0
 
     @property
@@ -100,7 +101,9 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     def _build(self, component: PathQuery) -> QueryPlan:
         """The plan of ``component``: its mapping node and exact row."""
-        source = self._mapping_node(component)
+        source = resolve_mapping_node(
+            self._kg, component.specific_name, component.specific_types
+        )
         first_leg = CorrectnessValidator(
             self._kg,
             self._space,
@@ -130,17 +133,3 @@ class QueryPlanner:
             max_length=self.config.n_bound,
             floor=self.config.similarity_floor,
         )
-
-    def _mapping_node(self, component: PathQuery) -> int:
-        """The component's mapping node; a chain the sampler cannot walk
-        fails here, at plan time, not at its first draw."""
-        source = resolve_mapping_node(
-            self._kg, component.specific_name, component.specific_types
-        )
-        if not component.is_simple and self.config.sampler is SamplerKind.NODE2VEC:
-            raise QueryError(
-                f"the {self.config.sampler.value} sampler has no chain walk: "
-                f"the chain component from {component.specific_name!r} needs "
-                "the semantic or the cnarw sampler"
-            )
-        return source

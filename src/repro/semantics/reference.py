@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.embedding.predicate_space import PredicateVectorSpace
+from repro.errors import GraphChangedError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
 from repro.semantics.similarity import SIMILARITY_FLOOR, require_known_predicates
@@ -201,9 +202,14 @@ class ReferenceValidator:
 
     def validate_batch(self, answers: Sequence[int] | np.ndarray) -> ValidationBatch:
         """Every answer's outcome: the memo, after one :meth:`search` per
-        answer it does not hold yet, in order."""
+        answer it does not hold yet, in order; a node the graph gained
+        after the memo was allocated is a :class:`GraphChangedError`."""
         answers = require_node_ids(self._kg, answers)
         memo_similarity, memo_length = self.memo()
+        if len(answers) and answers.max() >= len(memo_similarity):
+            raise GraphChangedError(
+                f"node {answers.max()} was added after the memo was allocated"
+            )
         similarity = memo_similarity[answers]
         misses = np.isnan(similarity)
         if misses.any():

@@ -179,15 +179,15 @@ class TestValidationRng:
     def test_sanctioned_module_may_construct_rng(self, tmp_path):
         report = run_lint(tmp_path, {
             "semantics/validation.py": """
-                from core import executor
+                from utils import rng
 
                 def validate(samples):
-                    return executor.grow_step(samples)
+                    return rng.seeded_draw(samples)
             """,
-            "core/executor.py": """
+            "utils/rng.py": """
                 import numpy as np
 
-                def grow_step(samples):
+                def seeded_draw(samples):
                     return np.random.default_rng(7).random()
             """,
         })

@@ -631,6 +631,29 @@ def test_a_row_older_than_the_graph_refuses_the_new_node(toy_world_factory, shap
     assert 0.0 <= engine.answer_similarity(state, world.germany) <= 1.0
 
 
+def test_a_reference_memo_older_than_the_graph_refuses_the_new_node(
+    toy_world_factory,
+):
+    """The figures' r-path validator sizes its node-indexed memo at its
+    first read: a node added afterwards is a GraphChangedError (409) there
+    too, not a bare IndexError, and an id outside the graph stays
+    NodeNotFoundError."""
+    from repro.bench.harness import PaperPlanner
+
+    world = toy_world_factory()
+    planner = PaperPlanner(world.kg, world.space, EngineConfig())
+    validator = planner.plan_for(world.count_query().query.components[0]).validator
+    validator.validate_batch([world.correct_cars[0]])
+    car = world.kg.add_node("Car_late", ["Automobile"], {"price": 50_000.0})
+    world.kg.add_edge(world.germany, "product", car)
+    with pytest.raises(GraphChangedError, match="added after") as caught:
+        validator.validate_batch([world.correct_cars[1], car])
+    assert status_for(caught.value) == 409
+    with pytest.raises(NodeNotFoundError):
+        validator.validate_batch([world.kg.num_nodes])
+    assert 0.0 <= validator.validate(world.correct_cars[1]).similarity <= 1.0
+
+
 def test_a_graph_that_moves_again_while_the_census_replans_fails_it(
     toy_world_factory, monkeypatch
 ):

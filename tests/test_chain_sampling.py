@@ -272,14 +272,71 @@ class TestChainSamplerKinds:
             assert plan_bytes.tobytes() == expected_bytes.tobytes()
         assert cnarw.probabilities.tobytes() != semantic.probabilities.tobytes()
 
-    def test_node2vec_refuses_a_chain_at_plan_time(self):
+    def test_node2vec_refuses_a_chain_at_its_first_draw(self):
+        """The plan is the census's and builds; its S1 refuses the chain
+        before any stage runs."""
         from repro.core.config import SamplerKind
         from repro.errors import QueryError
 
         bundle = ALL_PRESETS["yago2-like"](seed=0)
-        planner, _ = self._planner(bundle, SamplerKind.NODE2VEC)
+        planner, plan_sampler = self._planner(bundle, SamplerKind.NODE2VEC)
+        plan = planner.plan_for(self._league_chain())
         with pytest.raises(QueryError, match="node2vec"):
-            planner.plan_for(self._league_chain())
+            plan_sampler.sample(plan)
+        assert plan_sampler.stage_batches == 0
+
+    def test_samplers_share_one_row_and_keep_their_own_pi_a(self, monkeypatch):
+        """A SEMANTIC and a CNARW sampled engine over one plan cache build
+        the chain's plan and row once, and each draws from its own
+        sampler's pi_A: the one a private-cache planner builds."""
+        from repro.bench.sampled import SampledExecutor
+        from repro.core.config import SamplerKind
+        from repro.core.plan import PlanCache
+        from repro.core.planner import QueryPlanner
+        from repro.semantics.validation import ChainValidator
+
+        rows = []
+        original = ChainValidator._build_row
+
+        def recording(validator):
+            rows.append(id(validator))
+            return original(validator)
+
+        monkeypatch.setattr(ChainValidator, "_build_row", recording)
+        bundle = ALL_PRESETS["yago2-like"](seed=0)
+        component = self._league_chain()
+        query = AggregateQuery(
+            query=QueryGraph.chain(
+                component.specific_name,
+                sorted(component.specific_types),
+                [(predicate, sorted(types)) for predicate, types in component.hops],
+            ),
+            function=AggregateFunction.COUNT,
+        )
+        space, cache = bundle.space(), PlanCache()
+        planners, states = [], {}
+        for sampler in (SamplerKind.SEMANTIC, SamplerKind.CNARW):
+            config = EngineConfig(seed=0, sampler=sampler)
+            planner = QueryPlanner(bundle.kg, space, config, cache=cache)
+            executor = SampledExecutor(bundle.kg, space, config, planner)
+            planners.append(planner)
+            states[sampler] = executor.initialise(query, 1)
+            executor._ensure_validated(states[sampler])
+        assert sum(planner.build_count for planner in planners) == 1
+        semantic, cnarw = states.values()
+        plan = semantic.components[0]
+        assert cnarw.components[0] is plan
+        assert rows == [id(plan.validator)]
+        for sampler, state in states.items():
+            expected = self._pi_a(bundle, sampler, component)
+            assert state.joint.answers.tobytes() == expected.answers.tobytes()
+            assert (
+                state.joint.probabilities.tobytes()
+                == expected.probabilities.tobytes()
+            )
+        assert semantic.joint.probabilities.tobytes() != (
+            cnarw.joint.probabilities.tobytes()
+        )
 
 
 class TestChainQueriesEndToEnd:

@@ -15,7 +15,8 @@ plan, under the plan's lock, when something first reads pi_A: a
 * a sampled draw on a plan a census used builds pi_A once, two threads
   racing threads included, and answers as a fresh sampled run does;
 * simple-component candidates are pi_A's support on the presets;
-* the errors of a query without candidates keep their class and text.
+* the errors of a query without candidates keep their class and text;
+* a Node2Vec chain is answered by census, and refused by S1 alone.
 """
 
 from __future__ import annotations
@@ -298,11 +299,33 @@ def test_an_empty_joint_raises_the_query_error_of_pi_a():
     assert "empty intersection" in str(census)
 
 
-def test_a_node2vec_chain_fails_at_plan_time(toy):
-    planner = QueryPlanner(
-        toy.kg, toy.space, EngineConfig(seed=0, sampler=SamplerKind.NODE2VEC),
-        cache=PlanCache(),
-    )
-    with pytest.raises(QueryError, match="node2vec"):
-        planner.plan_for(toy.chain_count_query().query.components[0])
+def test_a_node2vec_chain_is_refused_by_s1_before_any_draw(toy, monkeypatch):
+    """The Node2Vec ablation has no chain walk.  A census never walks, so
+    production plans the chain and answers it; the S1 of a sampled engine
+    and of the figures' planner refuses it with one message, before
+    anything is walked or drawn."""
+    from repro.bench import sampled as sampled_module
+    from repro.bench.harness import PaperPlanner
+
+    config = EngineConfig(seed=0, sampler=SamplerKind.NODE2VEC)
+    query = toy.chain_count_query()
+    shared_plan_cache().clear()
+    census = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    result = census.execute(query)
+    assert (result.stop_reason, result.value) == (STOP_CENSUS, 20.0)
+    census.service.close()
+
+    def no_walk_or_draw(*args, **kwargs):
+        raise AssertionError("a refused chain walked or drew")
+
+    monkeypatch.setattr(sampled_module, "AnswerCollector", no_walk_or_draw)
+    monkeypatch.setattr(sampled_module, "build_scope", no_walk_or_draw)
+    sampled = sampled_engine(toy.kg, toy.embedding, config)
+    with pytest.raises(QueryError, match="node2vec") as at_initialise:
+        sampled.executor.initialise(query, 1)
+    assert sampled.executor.sampler.stage_batches == 0
+    planner = PaperPlanner(toy.kg, toy.space, config)
+    with pytest.raises(QueryError) as at_build:
+        planner.plan_for(query.query.components[0])
+    assert str(at_build.value) == str(at_initialise.value)
     assert planner.cache.num_plans(toy.kg) == 0

@@ -10,8 +10,12 @@ Covers the architectural contracts of the plan layer:
   refinement rounds — sessions never revalidate an answer: a simple
   plan's exact row holds every node, a chain plan's memo each node it
   searched, in the support or not;
-* composite queries' joint supports are cached beside their plans and
-  live and die with them;
+* a composite query's joint candidate set is intersected per query, so
+  a node added under its components reaches the next census;
+* ``PlanCache.get_or_build`` is the only publication path: a raising
+  builder hands the build to one waiter, a plan built across a
+  structural write stays private;
+* engines that differ only in what S1 reads share one plan;
 * a plan's validator reads the exact Eq. 3 row, SSB's similarities, over
   a real sampled workload; engines at different ``tau`` share one plan.
 """
@@ -21,8 +25,10 @@ from __future__ import annotations
 import gc
 import json
 import threading
+import time
 import weakref
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -38,6 +44,7 @@ from repro import (
 from repro.bench.sampled import PlanSampler
 from repro.core.executor import QueryExecutor
 from repro.core.plan import PlanCache, plan_fingerprint, plan_key, shared_plan_cache
+from repro.core.result import STOP_CENSUS
 from repro.core.planner import QueryPlanner
 from repro.core.config import SamplerKind
 from repro.server import encode_result
@@ -169,19 +176,6 @@ class TestVersionCounters:
         assert plan.validator.row() is row
         assert len(row[0]) == world.kg.num_nodes - 1
 
-    def test_store_discards_plan_built_against_stale_structure(self, world):
-        engine = _engine(world)
-        engine.execute(world.count_query())
-        cache = shared_plan_cache()
-        component = world.count_query().query.components[0]
-        plan = engine.planner.plan_for(component)
-        key = plan_key(component, engine.space, engine.config)
-        stale_version = world.kg.structure_version
-        world.kg.add_node("MidBuild", ["Thing"])  # mutation during a "build"
-        returned = cache.store(world.kg, key, plan, stale_version)
-        assert returned is plan  # handed back to its builder...
-        assert cache.lookup(world.kg, key) is None  # ...but never published
-
     def test_lru_bound_evicts_oldest_plan(self, world):
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
@@ -200,9 +194,6 @@ class TestVersionCounters:
         ).components[0]
         kept = planner.plan_for(other)
         assert small.num_plans(world.kg) == 1  # bounded: oldest evicted
-        assert small.lookup(
-            world.kg, plan_key(count_component, space, config)
-        ) is None
         # the planner pins no plan of its own: the bound bounds memory
         gc.collect()
         assert evicted() is None
@@ -212,14 +203,14 @@ class TestVersionCounters:
     def test_a_dropped_graph_is_collected_with_its_plans(self, toy_world_factory):
         """A cached plan's validator holds its graph, so the cache keeps
         the graph's entry on the graph: once every caller dropped the
-        graph, the garbage collector frees it, its plans and its joints."""
+        graph, the garbage collector frees it and its plans."""
         world = toy_world_factory()
         kg, space = world.kg, world.space
         cache = PlanCache()
         planner = QueryPlanner(kg, space, EngineConfig(seed=7), cache=cache)
         executor = QueryExecutor(kg, space, planner.config, planner)
-        executor.initialise(_star_query(), 1)  # three plans and a joint
-        assert (cache.num_plans(kg), cache.num_joints(kg)) == (3, 1)
+        executor.initialise(_star_query(), 1)  # three plans
+        assert cache.num_plans(kg) == 3
         graph = weakref.ref(kg)
         del world, kg, planner, executor
         gc.collect()
@@ -292,17 +283,48 @@ class TestPlanSharing:
         assert first.planner.plan_for(component) is second.planner.plan_for(component)
         assert results[0.85] != results[0.9]
 
-    def test_seed_is_not_part_of_semantic_fingerprint(self):
-        semantic_a = plan_fingerprint(EngineConfig(seed=1))
-        semantic_b = plan_fingerprint(EngineConfig(seed=2))
-        assert semantic_a == semantic_b
-        node2vec_a = plan_fingerprint(
-            EngineConfig(seed=1, sampler=SamplerKind.NODE2VEC)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sampler": SamplerKind.CNARW},
+            {"sampler": SamplerKind.NODE2VEC, "seed": 3},
+            {"self_loop_weight": 0.5},
+            {"max_intermediates": 2},
+            {"validation_expansions": 7},
+            {"seed": 3},
+        ],
+        ids=lambda overrides: "-".join(overrides),
+    )
+    def test_engines_differing_only_in_s1_facets_share_one_plan(
+        self, world, overrides
+    ):
+        """A plan is what a census reads — the row of ``(n_bound,
+        similarity_floor)`` — so engines that differ only in what S1 or
+        the figures' search reads build each component's plan once, and
+        their censuses agree byte for byte."""
+        first = _engine(world)
+        second = _engine(world, **overrides)
+        assert plan_fingerprint(first.config) == plan_fingerprint(second.config)
+        query = world.chain_count_query()
+        results = [_encoded(engine.execute(query)) for engine in (first, second)]
+        assert results[0] == results[1]
+        assert first.planner.build_count + second.planner.build_count == 1
+        component = query.query.components[0]
+        assert first.planner.plan_for(component) is second.planner.plan_for(component)
+
+    def test_path_bound_and_floor_key_the_plan(self):
+        base = plan_fingerprint(EngineConfig())
+        assert plan_fingerprint(EngineConfig(n_bound=2)) != base
+        assert plan_fingerprint(EngineConfig(similarity_floor=0.01)) != base
+
+    def test_a_node2vec_engine_answers_a_chain_by_census(self, world):
+        """Production never walks, so the Node2Vec ablation's missing chain
+        walk is no reason to refuse a census."""
+        result = _engine(world, sampler=SamplerKind.NODE2VEC).execute(
+            world.chain_count_query()
         )
-        node2vec_b = plan_fingerprint(
-            EngineConfig(seed=2, sampler=SamplerKind.NODE2VEC)
-        )
-        assert node2vec_a != node2vec_b
+        assert result.stop_reason == STOP_CENSUS
+        assert result.value == 20.0
 
     def test_plan_key_follows_embedding_identity(self, world, toy_world_factory):
         engine = _engine(world)
@@ -518,108 +540,109 @@ class TestValidatorMemos:
 
 
 class TestJointSupports:
-    """A composite query's joint candidate set (the intersection of its
-    plans' candidates, which a census counts over) is cached in the plan
-    cache beside its plans, keyed by their plan keys."""
+    """A composite query's joint candidate set — the intersection of its
+    plans' candidates, which a census counts over — is assembled per
+    query from the shared plans."""
 
-    def test_two_submits_share_one_joint(self, world, monkeypatch):
-        joints = []
-        original = QueryExecutor.initialise
-
-        def recording(self, *args, **kwargs):
-            state = original(self, *args, **kwargs)
-            joints.append(state.joint)
-            return state
-
-        monkeypatch.setattr(QueryExecutor, "initialise", recording)
-        config = EngineConfig(seed=7, max_rounds=8)
-        with AggregateQueryService(world.kg, world.embedding, config) as service:
-            service.submit(_star_query(), seed=1).result(timeout=60)
-            service.submit(_star_query(), seed=2).result(timeout=60)
-            service.submit(world.count_query(), seed=3).result(timeout=60)
-        first, second, plain = joints
-        assert second is first
-        assert shared_plan_cache().num_joints(world.kg) == 1
+    def test_the_joint_is_the_intersection_of_the_plans_candidates(self, world):
+        # within two hops, Germany reaches every car and Company_1 only
+        # its own and Germany's: the intersection drops cars
+        engine = _engine(world, n_bound=2)
+        query = AggregateQuery(
+            query=QueryGraph.compose([
+                QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
+                QueryGraph.simple("Company_1", ["Company"], "assembly", ["Automobile"]),
+            ]),
+            function=AggregateFunction.COUNT,
+        )
+        state = engine.executor.initialise(query, 1)
+        candidates = [plan.candidates(world.kg).answers for plan in state.components]
+        expected = candidates[0]
+        for answers in candidates[1:]:
+            expected = np.intersect1d(expected, answers, assume_unique=True)
+        joint = state.joint.answers
+        assert 0 < len(joint) < max(len(answers) for answers in candidates)
+        assert joint.dtype == expected.dtype
+        assert joint.tobytes() == expected.tobytes()
+        assert not joint.flags.writeable
         # a single component's is its plan's own candidate set
-        plan = _engine(world).planner.plan_for(world.count_query().query.components[0])
-        assert plain is plan.candidates(world.kg)
+        plain = engine.executor.initialise(world.count_query(), 1)
+        assert plain.joint is plain.components[0].candidates(world.kg)
 
-    def test_structural_mutation_gives_a_fresh_joint(self, world):
+    def test_structural_mutation_reaches_the_next_census(self, world):
         engine = _engine(world)
         before = engine.executor.initialise(_star_query(), 1).joint
-        assert engine.executor.initialise(_star_query(), 2).joint is before
         late = world.kg.add_node("LateCar", ["Automobile"], {"price": 45_000.0})
         world.kg.add_edge(late, "assembly", world.germany)
-        assert shared_plan_cache().num_joints(world.kg) == 0
         after = engine.executor.initialise(_star_query(), 1).joint
-        assert after is not before
         assert late in after.answers and late not in before.answers
-        assert shared_plan_cache().num_joints(world.kg) == 1
+        assert after.support_size == before.support_size + 1
 
-    def test_clear_leaves_no_joint_reachable(self, world):
-        engine = _engine(world)
-        state = engine.executor.initialise(_star_query(), 1)
-        ref = weakref.ref(state.joint)
-        del state
-        gc.collect()
-        assert ref() is not None  # the cache holds it
-        shared_plan_cache().clear()
-        gc.collect()
-        assert ref() is None
 
-    def test_cold_composite_loop_retains_no_joint(self, world, monkeypatch):
-        built = []
-        original = QueryExecutor._candidate_intersection
+class TestGetOrBuild:
+    """``PlanCache.get_or_build`` is the only way a plan is published."""
 
-        def recording(self, plans):
-            joint = original(self, plans)
-            built.append(weakref.ref(joint))
-            return joint
-
-        monkeypatch.setattr(QueryExecutor, "_candidate_intersection", recording)
-        for seed in range(20):
-            shared_plan_cache().clear()
-            # a finished query's state holds its joint too: closing the
-            # engine's service releases it, so only the cache is left
-            with _engine(world).service as service:
-                service.submit(_star_query(), seed=seed).result(timeout=60)
-        del service
-        gc.collect()
-        assert len(built) == 20
-        assert [ref() is not None for ref in built] == [False] * 19 + [True]
-        shared_plan_cache().clear()
-        gc.collect()
-        assert all(ref() is None for ref in built)
-
-    def test_evicting_a_plan_drops_its_joints(self, world):
-        config = EngineConfig(seed=7, max_rounds=8)
-        space = _engine(world).space
-        small = PlanCache(max_plans_per_graph=3)
-        planner = QueryPlanner(world.kg, space, config, cache=small)
-        executor = QueryExecutor(world.kg, space, config, planner)
-        joint = executor.initialise(_star_query(), 1).joint
-        assert executor.initialise(_star_query(), 2).joint is joint
-        assert (small.num_plans(world.kg), small.num_joints(world.kg)) == (3, 1)
-        planner.plan_for(
-            QueryGraph.simple("Germany", ["Country"], "misc", ["Thing"]).components[0]
+    @staticmethod
+    def _plan(world):
+        """A real plan, built into a cache of its own."""
+        planner = QueryPlanner(
+            world.kg, world.space, EngineConfig(seed=7), cache=PlanCache()
         )
-        assert (small.num_plans(world.kg), small.num_joints(world.kg)) == (3, 0)
+        return planner.plan_for(world.count_query().query.components[0])
 
-    def test_unpublished_plans_get_a_private_joint(self, world):
-        engine = _engine(world)
-        components = _star_query().query.components
-        plans = [engine.planner.plan_for(component) for component in components]
-        keys = tuple(plan_key(c, engine.space, engine.config) for c in components)
-        cache = shared_plan_cache()
-        builds = []
+    def test_a_raising_builder_hands_the_build_to_one_waiter(self, world):
+        cache = PlanCache()
+        plan = self._plan(world)
+        builds: list[int] = []
+        building = threading.Event()
+        release = threading.Event()
 
-        def build():
-            builds.append(engine.executor._candidate_intersection(plans))
-            return builds[-1]
+        class BuildFailed(Exception):
+            pass
 
-        shared = cache.joint_for(world.kg, keys, plans, build)
-        assert cache.joint_for(world.kg, keys, plans, build) is shared
-        cache.clear()  # the plans are no longer the published ones
-        private = cache.joint_for(world.kg, keys, plans, build)
-        assert private is not shared and len(builds) == 2
-        assert cache.num_joints(world.kg) == 0
+        def builder():
+            builds.append(threading.get_ident())
+            if len(builds) == 1:
+                building.set()
+                release.wait(timeout=30)
+                raise BuildFailed("the first build")
+            return plan
+
+        outcomes: dict[int, object] = {}
+
+        def call(position: int) -> None:
+            try:
+                outcomes[position] = cache.get_or_build(world.kg, "key", builder)
+            except BuildFailed as exc:
+                outcomes[position] = exc
+
+        raiser = threading.Thread(target=call, args=(0,))
+        raiser.start()
+        assert building.wait(timeout=30)
+        waiters = [threading.Thread(target=call, args=(i,)) for i in range(1, 5)]
+        for thread in waiters:
+            thread.start()
+        time.sleep(0.05)  # let the waiters block on the claimed key
+        release.set()
+        for thread in [raiser, *waiters]:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in [raiser, *waiters])
+        assert len(builds) == 2  # the raiser, then exactly one waiter
+        assert isinstance(outcomes[0], BuildFailed)
+        assert str(outcomes[0]) == "the first build"
+        assert all(outcomes[i] is plan for i in range(1, 5))
+        assert cache.num_plans(world.kg) == 1
+        assert cache.get_or_build(world.kg, "key", builder) is plan
+        assert len(builds) == 2
+
+    def test_a_plan_built_across_a_structural_write_stays_private(self, world):
+        cache = PlanCache()
+        plan = self._plan(world)
+
+        def builder():
+            late = world.kg.add_node("MidBuild", ["Automobile"])
+            world.kg.add_edge(world.germany, "product", late)
+            return plan
+
+        assert cache.get_or_build(world.kg, "key", builder) is plan
+        assert cache.num_plans(world.kg) == 0
