@@ -23,7 +23,8 @@ REP101  validation-rng              no RNG construction in (or global-state
 REP102  fingerprint-purity          fingerprint functions are pure:
                                     no time, id(), hash(), uuid or RNG
 REP103  validation-growth           validation-path modules never call the
-                                    grow*/initialise lifecycle (scheduler-only)
+                                    grow*/step/finalise/initialise lifecycle
+                                    (the sampled step grows; slot-only)
 REP201  unlocked-shared-write       writes to ``self._*`` shared state of
                                     guarded classes happen under a lock
 REP202  lock-order-cycle            the lock acquisition-order graph is
@@ -392,16 +393,19 @@ class FingerprintPurityRule(Rule):
 # REP103 — growth lifecycle never runs on the validation path
 # ---------------------------------------------------------------------------
 
-_GROWTH_NAMES = ("grow", "grow_grouped", "grow_extreme", "initialise")
+_GROWTH_NAMES = (
+    "grow", "grow_grouped", "grow_extreme", "step", "finalise", "initialise"
+)
 
 
 class ValidationGrowthRule(Rule):
     code = "REP103"
     name = "validation-growth"
     summary = (
-        "validation-path modules never call the grow*/initialise "
-        "lifecycle — growth (the sampled executor's, the only RNG) runs "
-        "in the scheduler slot"
+        "validation-path modules never call the grow*/step/finalise/"
+        "initialise lifecycle — growth (the sampled executor's, the only "
+        "RNG) runs inside the sampled step, which only the scheduler slot "
+        "and hand drivers call"
     )
 
     def check(self, project: Project) -> list[Finding]:
@@ -423,8 +427,9 @@ class ValidationGrowthRule(Rule):
                     findings.append(self.finding(
                         module, node,
                         f"{name}() called from a validation-path module; "
-                        "the grow/initialise lifecycle (and the sampled "
-                        "executor's RNG) is scheduler-only — validation sees "
+                        "growth (the sampled executor's RNG) runs inside "
+                        "the sampled step, which only the scheduler slot "
+                        "and hand drivers call — validation sees "
                         "already-grown samples so verdicts stay "
                         "byte-identical",
                     ))

@@ -81,6 +81,12 @@ from repro.utils.timing import StageTimer
 #: round may hold; a round with more is reduced a block of groups at a time
 _GROUP_BLOCK_ELEMENTS = 1 << 20
 
+#: Eq. 12's per-round cap on N's growth
+MAX_GROWTH_FACTOR = 16.0
+#: correct draws a round needs before Theorem 2 is trusted: a CI from a
+#: tiny, homogeneous sample can be degenerately narrow (sigma ~ 0)
+MIN_CORRECT_FOR_TERMINATION = 30
+
 
 @dataclass(frozen=True)
 class PlanSample:
@@ -415,7 +421,7 @@ class SampledExecutor(QueryExecutor):
         )
 
     # ------------------------------------------------------------------
-    # The round lifecycle (S2 + S3): grow / step / finalise, every kind
+    # The round lifecycle (S2 + S3): step (growing first) / finalise
     # ------------------------------------------------------------------
     def grow(
         self, state: _SampledState, last: RoundTrace, error_bound: float
@@ -431,9 +437,9 @@ class SampledExecutor(QueryExecutor):
         ``ERROR_BASED``, the fixed top-up otherwise.  MAX/MIN have no
         error sensing at all (§VII-B): each round doubles the draw set.
 
-        Growth is the only RNG in a round and runs in the scheduler slot
-        that owns the state, before the slot's :meth:`step` validates and
-        estimates the grown sample.
+        Growth is the only RNG in a round: :meth:`step` runs it first on
+        every round of a run but the first, then validates and estimates
+        the grown sample.
         """
         with state.timers.measure(STAGE_SAMPLING):
             state.desired_n, counts = self._growth(state, last, error_bound)
@@ -463,7 +469,7 @@ class SampledExecutor(QueryExecutor):
             # Eq. 12: N grows by (eps / target)^2, so |S_A| = t N^m
             # grows by ratio^(2m) — exactly |dS_A| of the paper.
             ratio = max(moe / target, 1.0)
-            growth = min(ratio * ratio, config.max_growth_factor)
+            growth = min(ratio * ratio, MAX_GROWTH_FACTOR)
             growth = max(growth, 1.1)  # always make visible progress
         desired_n = int(math.ceil(state.desired_n * growth))
         little_size = config.blb.little_sample_size(desired_n)
@@ -485,19 +491,23 @@ class SampledExecutor(QueryExecutor):
         state: _SampledState,
         error_bound: float,
         *,
-        carried_seconds: float = 0.0,
+        run_round: int = 1,
+        max_rounds: int | None = None,
     ) -> StepOutcome:
-        """Run exactly one validate-estimate round and append its trace.
+        """Run round ``run_round`` of a run — grown first (:meth:`grow`)
+        unless it is the run's first — append its trace and say why the
+        run ends, if it does.
 
-        The sample is estimated as it stands: a caller that grew it first
-        (:meth:`grow`) passes the growth's wall-clock as
-        ``carried_seconds`` so the trace still reports the full round.
         What the round estimates depends on the kind — see
         :meth:`_estimate_guaranteed`, :meth:`_estimate_worst_group` and
-        :meth:`_estimate_extremum`, each returning ``(estimate, moe or
-        None, correct_draws, satisfied)``.
+        :meth:`_estimate_extremum`.  The first reason that holds ends the
+        run: the bound was met, the draws reached ``max_sample_size``, or
+        the budget — ``max_rounds``, else ``config.extreme_rounds`` for
+        MAX/MIN, else ``config.max_rounds`` — was spent.
         """
-        step_started = time.perf_counter() - carried_seconds
+        step_started = time.perf_counter()
+        if run_round > 1:
+            self.grow(state, state.rounds[-1], error_bound)
         kind = kind_for(state.aggregate_query)
         self._ensure_validated(state)
         if kind == KIND_GROUPED:
@@ -507,32 +517,30 @@ class SampledExecutor(QueryExecutor):
         else:
             round_estimate = self._estimate_guaranteed(state, error_bound)
         trace = self._record_round(state, round_estimate, step_started)
-        return StepOutcome(
-            trace=trace,
-            satisfied=trace.satisfied,
-            exhausted=state.total_draws >= self.config.max_sample_size,
-        )
-
-    def finalise(
-        self, state: _SampledState, converged: bool
-    ) -> ApproximateResult | GroupedResult:
-        """Package the state after its run's last step.
-
-        ``converged`` is that step's ``satisfied``; with the draw count it
-        also says why the run stopped (``stop_reason``: the bound was met,
-        else the sample cap was reached, else the round budget — the
-        caller's — was spent).  GROUP-BY packages the latest per-group
-        estimates; everything else the last round's estimate and MoE,
-        which a MAX/MIN query under ``ExtremeMethod.EVT`` first
-        extrapolates past the sample extremum.
-        """
         config = self.config
-        if converged:
+        if max_rounds is None:
+            max_rounds = (
+                config.extreme_rounds if kind == KIND_EXTREME else config.max_rounds
+            )
+        if trace.satisfied:
             stop_reason = STOP_BOUND_MET
         elif state.total_draws >= config.max_sample_size:
             stop_reason = STOP_SAMPLE_CAP
-        else:
+        elif run_round >= max_rounds:
             stop_reason = STOP_ROUND_BUDGET
+        else:
+            stop_reason = None
+        return StepOutcome(trace, trace.satisfied, stop_reason)
+
+    def finalise(
+        self, state: _SampledState, outcome: StepOutcome
+    ) -> ApproximateResult | GroupedResult:
+        """Package the state for the reason its last step's ``outcome``
+        names: GROUP-BY the latest per-group estimates, everything else the
+        last round's estimate and MoE, which a MAX/MIN query under
+        ``ExtremeMethod.EVT`` first extrapolates past the sample extremum.
+        """
+        config = self.config
         estimate = None
         if (
             kind_for(state.aggregate_query) == KIND_EXTREME
@@ -554,8 +562,8 @@ class SampledExecutor(QueryExecutor):
             estimate = (evt.value, evt.moe)
         return self._package(
             state,
-            converged,
-            stop_reason,
+            outcome.satisfied,
+            outcome.stop_reason,
             estimate=estimate,
             distinct_answers=int(len(state.distinct_support_indices())),
         )
@@ -678,7 +686,7 @@ class SampledExecutor(QueryExecutor):
                     derive_seed(config.seed, "blb", round_index),
                 )
             satisfied = (
-                correct_draws >= config.min_correct_for_termination
+                correct_draws >= MIN_CORRECT_FOR_TERMINATION
                 and round_index >= config.min_rounds
                 and satisfies_error_bound(moe, point_estimate, error_bound)
             )

@@ -52,8 +52,8 @@ class EngineConfig:
     Production answers every query by census, so only the figures'
     :class:`repro.bench.sampled.SampledExecutor` reads the fields from
     "Sample sizing" down to ``extreme_method`` and the ``evt_*`` and
-    ``min_group_draws`` fields (``max_rounds`` and ``extreme_rounds``
-    aside: they bound every run, though a census ends at its first).
+    ``min_group_draws`` fields, ``max_rounds`` and ``extreme_rounds``
+    included: a census ends its run at its first round.
     """
 
     # Accuracy contract (Problem statement, Eq. 1)
@@ -78,13 +78,7 @@ class EngineConfig:
     delta_strategy: DeltaStrategy = DeltaStrategy.ERROR_BASED
     fixed_delta: int = 50
     max_sample_size: int = 100_000
-    max_growth_factor: float = 16.0  # per-round cap on N's Eq. 12 growth
-    # Termination guards: a CI from a tiny, homogeneous sample can be
-    # degenerately narrow (sigma ~ 0 before the walk's low-probability
-    # answers have been seen); Theorem 2 is only trusted once the loop has
-    # run min_rounds and validated min_correct_for_termination draws.
-    min_rounds: int = 2
-    min_correct_for_termination: int = 30
+    min_rounds: int = 2  # Theorem 2 is trusted from this round on
     # BLB (§IV-C)
     blb: BlbConfig = BlbConfig()
     # Estimators (§IV-B1; DESIGN.md §4.1 discusses the normalisation)
@@ -142,12 +136,8 @@ class EngineConfig:
             raise QueryError("evt_bootstrap_rounds must be >= 1")
         if self.max_intermediates < 1:
             raise QueryError("max_intermediates must be >= 1")
-        if self.max_growth_factor <= 1.0:
-            raise QueryError("max_growth_factor must exceed 1")
         if self.min_rounds < 1:
             raise QueryError("min_rounds must be >= 1")
-        if self.min_correct_for_termination < 1:
-            raise QueryError("min_correct_for_termination must be >= 1")
 
     def with_(self, **changes: object) -> "EngineConfig":
         """A copy with ``changes`` applied (frozen-dataclass convenience)."""

@@ -16,10 +16,10 @@ query draws, runs S1 or bootstraps: the paper's sampled lifecycle runs
 only on :class:`repro.bench.sampled.SampledExecutor` (the figures, the
 sampling tests), which overrides the lifecycle and shares the rest.
 
-Every query kind runs one round lifecycle — :meth:`QueryExecutor.grow`,
-:meth:`QueryExecutor.step`, :meth:`QueryExecutor.finalise` under
-:meth:`QueryExecutor.round_budget`.  This module holds no loop: the
-serving scheduler's slot (:mod:`repro.core.service`) alone advances rounds.
+Every query kind runs one round lifecycle: :meth:`QueryExecutor.step`
+runs a round and names why the run ends, if it does (the stop rule is
+the executor's), and :meth:`QueryExecutor.finalise` packages that reason.
+This module holds no loop: the scheduler's slot alone advances rounds.
 
 Validation is **batched**: pending candidates pass one array-valued
 attribute/filter screen over the graph's attribute columns, and the
@@ -124,19 +124,18 @@ class _QueryState:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """One S2/S3 round's verdict: the trace plus the loop-control flags.
+    """One S2/S3 round's verdict: its trace, and whether and why its run ends.
 
     ``satisfied`` means the run converged this round — the census ran,
     Theorem 2 held, or every sufficiently-drawn group met the bound; never
-    for a sampled MAX/MIN.  ``exhausted`` means a sampled run
-    (:mod:`repro.bench.sampled`) hit ``max_sample_size`` and further
-    growth is pointless.  The serving scheduler's slot stops a run on
-    either flag or on :meth:`QueryExecutor.round_budget`.
+    for a sampled MAX/MIN.  ``stop_reason`` is None while the run goes on,
+    else why it ends (a :data:`~repro.core.result.STOP_REASONS` entry):
+    the executor's ``step`` alone decides it, and ``finalise`` packages it.
     """
 
     trace: RoundTrace
     satisfied: bool
-    exhausted: bool
+    stop_reason: str | None
 
 
 class QueryExecutor:
@@ -342,45 +341,33 @@ class QueryExecutor:
                 self._validate_entries(state, pending)
 
     # ------------------------------------------------------------------
-    # The round lifecycle: grow / step / finalise, every kind
+    # The round lifecycle: step / finalise, every kind
     # ------------------------------------------------------------------
-    def round_budget(self, state: _QueryState) -> int:
-        """How many rounds a run takes before it is finalised regardless.
-
-        ``config.max_rounds`` where a round can end the run by itself;
-        MAX/MIN never converge when sampled, so ``config.extreme_rounds``
-        is their only stop besides sample exhaustion.  A census ends its
-        run at its first round either way.
-        """
-        if kind_for(state.aggregate_query) == KIND_EXTREME:
-            return self.config.extreme_rounds
-        return self.config.max_rounds
-
     def grow(
         self, state: _QueryState, last: RoundTrace, error_bound: float
     ) -> None:
-        """Enlarge the sample before a non-first round: a census draws
-        nothing, so there is nothing to grow."""
+        """Enlarge the sample before a run's non-first round, as a sampled
+        ``step`` does: a census draws nothing, so it never grows."""
 
     def step(
         self,
         state: _QueryState,
         error_bound: float,
         *,
-        carried_seconds: float = 0.0,
+        run_round: int = 1,
+        max_rounds: int | None = None,
     ) -> StepOutcome:
-        """Run the census round (:meth:`_census`) and append its trace;
-        ``carried_seconds`` is wall-clock the caller spent on the round
-        before this call.
+        """Run the census round (:meth:`_census`) and append its trace.
 
-        The census is exact, so the round is satisfied whatever
-        ``error_bound`` asks; a step on a state whose census already ran
-        (a ``refine``) re-emits that round and appends nothing.
+        The census is exact, so the round is satisfied and ends its run
+        (``census``) whatever the bound, ``run_round`` or ``max_rounds``;
+        a step on a state whose census already ran (a ``refine``)
+        re-emits that round and appends nothing.
         """
         if not state.rounds:
-            started = time.perf_counter() - carried_seconds
+            started = time.perf_counter()
             self._record_round(state, self._census(state), started)
-        return StepOutcome(trace=state.rounds[-1], satisfied=True, exhausted=False)
+        return StepOutcome(state.rounds[-1], True, STOP_CENSUS)
 
     def _record_round(
         self,
@@ -411,11 +398,10 @@ class QueryExecutor:
         return trace
 
     def finalise(
-        self, state: _QueryState, converged: bool
+        self, state: _QueryState, outcome: StepOutcome
     ) -> ApproximateResult | GroupedResult:
-        """Package the census after its round: ``stop_reason`` is
-        ``census``; ``converged`` is that step's ``satisfied``."""
-        return self._package(state, converged, STOP_CENSUS)
+        """Package the census for the reason its step's ``outcome`` names."""
+        return self._package(state, outcome.satisfied, outcome.stop_reason)
 
     def _package(
         self,

@@ -90,11 +90,14 @@ class QueryPlanner:
         )
 
     def _counted_build(self, component: PathQuery) -> QueryPlan:
-        self.build_count += 1
+        """Build ``component``'s plan, counted once the build returns one:
+        a build that raises built nothing."""
         with child_span(
             "plan_build", predicates=",".join(component.predicates)
         ):
-            return self._build(component)
+            plan = self._build(component)
+        self.build_count += 1
+        return plan
 
     # ------------------------------------------------------------------
     # Plan construction

@@ -27,9 +27,10 @@ What makes a *batch* cheaper than a loop over ``execute``:
   budget-aware priority (queries with the fewest completed rounds step
   first), so a batch of queries makes even progress and early
   convergers free their slot immediately.  The scheduler slot
-  (``_step_record``: grow → :meth:`QueryExecutor.step` → ``_finish_slot``)
-  is the only driver of the executor's one grow/step/finalise lifecycle,
-  and it never asks what kind of query it is stepping (``kind`` is a
+  (``_step_record``: :meth:`QueryExecutor.step` → ``_finish_slot``) is
+  the only driver of the executor's one step/finalise lifecycle: it
+  steps, notifies and finalises once a step names why the run stops,
+  and never asks what kind of query it is stepping (``kind`` is a
   label for metrics, ``/healthz`` and the audit line), so GROUP-BY and
   MAX/MIN queries interleave with plain ones, observe cancellation
   between rounds, and expose a non-empty anytime trace.
@@ -540,8 +541,8 @@ class AggregateQueryService:
                 "stop_reasons": {
                     reason: execution.counter(
                         "stop_reasons_total",
-                        "Finalised runs by why they stopped: census, "
-                        "bound_met, sample_cap or round_budget (S3)",
+                        "Finalised runs by why they stopped: "
+                        f"{', '.join(STOP_REASONS)} (S3)",
                         labels={"reason": reason},
                     )
                     for reason in STOP_REASONS
@@ -1161,13 +1162,13 @@ class AggregateQueryService:
     def _step_record(self, record: _QueryRecord) -> None:
         """Advance one record by exactly one round, in this thread.
 
-        The slot — grow, step, finish — is the one driver of the
+        The slot — step, then finish — is the one driver of the
         executor's round lifecycle, the same for every kind, so grouped
         and extreme queries interleave with plain aggregates, observe
         cancellation between rounds, and grow their anytime trace like
-        every other query.  Growth before a non-first round draws from
-        the state's own RNG; how a sample grows from the previous round's
-        trace is the executor's business (:meth:`QueryExecutor.grow`).
+        every other query.  Whether the sample grows first and whether
+        the run ends there is the executor's business
+        (:meth:`QueryExecutor.step`, told the round and the run's budget).
         """
         # re-checked under the lock: a cancel/close may have landed
         # between cohort selection and this slot
@@ -1187,26 +1188,18 @@ class AggregateQueryService:
         with obs_trace.activate(record.span), obs_trace.child_span(
             "round", kind=record.kind, round_index=run.steps_taken + 1
         ):
-            grow_seconds = 0.0
-            if run.steps_taken:
-                grow_started = time.perf_counter()
-                self._executor.grow(state, state.rounds[-1], run.error_bound)
-                grow_seconds = time.perf_counter() - grow_started
             outcome = self._executor.step(
-                state, run.error_bound, carried_seconds=grow_seconds
+                state, run.error_bound, run_round=run.steps_taken + 1,
+                max_rounds=run.max_rounds,
             )
         self._finish_slot(record, run, state, outcome)
 
     def _finish_slot(
         self, record: _QueryRecord, run: _Run, state, outcome
     ) -> None:
-        """Apply one round's outcome to the run's completion bookkeeping.
-
-        A run completes when its round satisfied the stop condition,
-        when the sample is exhausted, or when the round budget — the
-        run's own ``max_rounds``, else :meth:`QueryExecutor.round_budget`
-        — is spent; :meth:`QueryExecutor.finalise` then packages it.
-        """
+        """Count and notify one round; once its ``outcome`` names a
+        ``stop_reason``, complete the run with what
+        :meth:`QueryExecutor.finalise` packages."""
         run.steps_taken += 1
         self._metric_rounds.inc()
         self._metric_round_seconds.observe(outcome.trace.seconds)
@@ -1216,20 +1209,8 @@ class AggregateQueryService:
         self._notify(
             record, "round", (len(state.rounds) - 1, outcome.trace)
         )
-        budget = (
-            run.max_rounds
-            if run.max_rounds is not None
-            else self._executor.round_budget(state)
-        )
-        if (
-            outcome.satisfied
-            or outcome.exhausted
-            or run.steps_taken >= budget
-        ):
-            self._complete_run(
-                record,
-                self._executor.finalise(state, converged=outcome.satisfied),
-            )
+        if outcome.stop_reason is not None:
+            self._complete_run(record, self._executor.finalise(state, outcome))
 
     def _complete_run(self, record: _QueryRecord, result) -> None:
         with self._condition:

@@ -38,20 +38,20 @@ def toy_world_factory():
 
 
 def _drive_lifecycle(executor, aggregate_query, seed, error_bound, max_rounds=None):
-    """Hand-drive ``initialise`` -> (``grow`` ->) ``step`` -> ``finalise``.
+    """Hand-drive ``initialise``, then ``step`` until its outcome names a
+    stop reason, then ``finalise``.
 
     What the scheduler slot does for one run, without a service; returns
     ``(state, result)``.
     """
     state = executor.initialise(aggregate_query, seed)
-    budget = executor.round_budget(state) if max_rounds is None else max_rounds
-    for taken in range(budget):
-        if taken:
-            executor.grow(state, state.rounds[-1], error_bound)
-        outcome = executor.step(state, error_bound)
-        if outcome.satisfied or outcome.exhausted:
-            break
-    return state, executor.finalise(state, converged=outcome.satisfied)
+    run_round, outcome = 0, None
+    while outcome is None or outcome.stop_reason is None:
+        run_round += 1
+        outcome = executor.step(
+            state, error_bound, run_round=run_round, max_rounds=max_rounds
+        )
+    return state, executor.finalise(state, outcome)
 
 
 @pytest.fixture(scope="session")

@@ -276,6 +276,16 @@ class TestValidationGrowth:
         assert codes(report) == ["REP103"]
         assert "scheduler" in report.findings[0].message
 
+    def test_step_call_in_validation_module_fires(self, tmp_path):
+        """A sampled ``step`` grows its sample before every round of a run
+        but the first, so calling it from validation draws."""
+        report = run_lint(tmp_path, {"semantics/validation.py": """
+            def validate(executor, state, error_bound):
+                return executor.step(state, error_bound, run_round=2)
+        """})
+        assert codes(report) == ["REP103"]
+        assert "sampled step" in report.findings[0].message
+
     def test_grow_elsewhere_is_fine(self, tmp_path):
         report = run_lint(tmp_path, {"core/scheduler_glue.py": """
             def step(state, samples):

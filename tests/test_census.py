@@ -53,19 +53,6 @@ _ATTRIBUTE_FUNCTIONS = (
 )
 
 
-def _run(executor, query, seed=1, error_bound=0.01):
-    """The slot's lifecycle by hand: ``(state, result)``."""
-    state = executor.initialise(query, seed)
-    budget = executor.round_budget(state)
-    for taken in range(budget):
-        if taken:
-            executor.grow(state, state.rounds[-1], error_bound)
-        outcome = executor.step(state, error_bound)
-        if outcome.satisfied or outcome.exhausted:
-            break
-    return state, executor.finalise(state, converged=outcome.satisfied)
-
-
 # ----------------------------------------------------------------------
 # the oracle
 # ----------------------------------------------------------------------
@@ -186,7 +173,9 @@ def _variants(bundle, shape: QueryShape) -> list[AggregateQuery]:
     ids=lambda shape: shape.value,
 )
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
-def test_census_is_the_exact_aggregate_on_every_shape_and_kind(preset, shape):
+def test_census_is_the_exact_aggregate_on_every_shape_and_kind(
+    preset, shape, drive_lifecycle
+):
     """Every query takes the census at its first round and draws
     nothing."""
     bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
@@ -196,7 +185,7 @@ def test_census_is_the_exact_aggregate_on_every_shape_and_kind(preset, shape):
         bundle.kg, bundle.embedding, EngineConfig(seed=0)
     )
     for query in queries:
-        state, result = _run(engine.executor, query)
+        state, result = drive_lifecycle(engine.executor, query, 1, 0.01)
         assert len(result.rounds) == 1 and state.total_draws == 0
         _assert_census_is_the_oracle(engine, state, result)
 
@@ -206,7 +195,9 @@ def test_census_is_the_exact_aggregate_on_every_shape_and_kind(preset, shape):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("method", list(ExtremeMethod), ids=lambda m: m.value)
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
-def test_census_first_max_min_is_exact_and_fits_no_tail(preset, method, monkeypatch):
+def test_census_first_max_min_is_exact_and_fits_no_tail(
+    preset, method, monkeypatch, drive_lifecycle
+):
     """MAX / MIN take the census like every other kind: the extremum of
     the kept answers, guaranteed with MoE 0 — and no EVT fit, not even
     under ``ExtremeMethod.EVT``."""
@@ -227,7 +218,7 @@ def test_census_first_max_min_is_exact_and_fits_no_tail(preset, method, monkeypa
     ]
     assert queries
     for query in queries:
-        state, result = _run(engine.executor, query)
+        state, result = drive_lifecycle(engine.executor, query, 1, 0.01)
         assert state.total_draws == 0 and len(result.rounds) == 1
         assert result.stop_reason == STOP_CENSUS and result.converged
         assert result.rounds[0].guaranteed and result.moe == 0.0
@@ -256,7 +247,7 @@ def _toy_query(toy, kind: str) -> AggregateQuery:
 
 
 @pytest.mark.parametrize("kind", ["count", "avg", "grouped", "max"])
-def test_a_cap_below_the_support_still_answers_by_census(toy, kind):
+def test_a_cap_below_the_support_still_answers_by_census(toy, kind, drive_lifecycle):
     """``max_sample_size`` does not choose the path: at a cap of 1, far
     below the toy support, a production query is a 0-draw census equal to
     the oracle, and its service counts one ``census`` stop and nothing
@@ -264,7 +255,7 @@ def test_a_cap_below_the_support_still_answers_by_census(toy, kind):
     query = _toy_query(toy, kind)
     config = EngineConfig(seed=7, max_sample_size=1, min_group_draws=1)
     engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
-    state, result = _run(engine.executor, query, seed=5)
+    state, result = drive_lifecycle(engine.executor, query, 5, 0.01)
     assert state.joint.support_size == toy.support_size > config.max_sample_size
     assert state.total_draws == 0 and len(result.rounds) == 1
     _assert_census_is_the_oracle(engine, state, result)
@@ -551,7 +542,7 @@ def small_worlds(draw):
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(small_worlds())
-def test_census_is_aggregate_over_on_random_small_graphs(world):
+def test_census_is_aggregate_over_on_random_small_graphs(drive_lifecycle, world):
     kg, query = world
     space = PredicateVectorSpace(LookupEmbedding(dict(_PREDICATES)))
     config = EngineConfig(seed=0)
@@ -559,7 +550,7 @@ def test_census_is_aggregate_over_on_random_small_graphs(world):
     plan = engine.planner.plan_for(query.query.components[0])
     distribution = PlanSampler(kg, space, config).sample(plan).distribution
     assume(distribution.support_size > 0)
-    state, result = _run(engine.executor, query)
+    state, result = drive_lifecycle(engine.executor, query, 1, 0.01)
     matches = best_matches_from(kg, space, "product", plan.source, config.n_bound)
     kept = {
         answer
@@ -601,7 +592,7 @@ def test_a_census_after_a_structural_write_reads_the_new_graph(
     assert world.kg.structure_version != planned
 
     outcome = executor.step(state, 0.01)
-    result = executor.finalise(state, converged=outcome.satisfied)
+    result = executor.finalise(state, outcome)
     assert state.structure_version == world.kg.structure_version
     assert result.stop_reason == STOP_CENSUS
     assert result.value == world.count_truth + 1.0 == 61.0

@@ -117,6 +117,32 @@ class TestSimpleQueries:
         with pytest.raises(MappingNodeNotFoundError):
             engine.execute(bad)
 
+    def test_a_build_that_raises_is_not_counted(self, toy_world_factory, fast_config):
+        """``build_count`` and the ``repro_plan_builds`` gauge count plans
+        built: three executions of a COUNT from a missing mapping node
+        build none, so both read 0, like the cache's plans."""
+        world = toy_world_factory()
+        engine = ApproximateAggregateEngine(world.kg, world.embedding, fast_config)
+        bad = AggregateQuery(
+            query=QueryGraph.simple("Atlantis", ["Country"], "product", ["Automobile"]),
+            function=AggregateFunction.COUNT,
+        )
+        from repro.errors import MappingNodeNotFoundError
+
+        try:
+            for _ in range(3):
+                with pytest.raises(MappingNodeNotFoundError):
+                    engine.execute(bad)
+            text = engine.service.registry.render_prometheus()
+        finally:
+            engine.service.close()
+        (gauge,) = [
+            line for line in text.splitlines() if line.startswith("repro_plan_builds ")
+        ]
+        assert engine.planner.build_count == 0
+        assert float(gauge.split()[1]) == 0.0
+        assert engine.planner.cache.num_plans(world.kg) == 0
+
     def test_no_candidates_raises(self, toy, engine):
         bad = AggregateQuery(
             query=QueryGraph.simple("Germany", ["Country"], "product", ["Spaceship"]),
@@ -384,9 +410,7 @@ class TestConfigValidation:
             {"extreme_sample_ratio": 0.0},
             {"extreme_rounds": 0},
             {"max_intermediates": 0},
-            {"max_growth_factor": 1.0},
             {"min_rounds": 0},
-            {"min_correct_for_termination": 0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

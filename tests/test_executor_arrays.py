@@ -33,7 +33,12 @@ from repro import (
     QueryShape,
 )
 from repro.core.config import DeltaStrategy
-from repro.bench.sampled import PlanSampler, SampledExecutor, _SampledState
+from repro.bench.sampled import (
+    MIN_CORRECT_FOR_TERMINATION,
+    PlanSampler,
+    SampledExecutor,
+    _SampledState,
+)
 from repro.core.executor import QueryExecutor, _QueryState
 from repro.core.plan import CandidateSet
 from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
@@ -410,7 +415,7 @@ def _oracle_round(executor, state, error_bound):
         moe = float("inf")
     satisfied = (
         round_index >= config.min_rounds
-        and combined.correct_draws >= config.min_correct_for_termination
+        and combined.correct_draws >= MIN_CORRECT_FOR_TERMINATION
         and satisfies_error_bound(moe, point, error_bound)
     )
     return point, moe if math.isfinite(moe) else None, combined.correct_draws, satisfied

@@ -409,9 +409,9 @@ class TestGroupedAndExtremeSlots:
     def test_hand_driven_lifecycle_equals_the_served_result(
         self, world, drive_lifecycle, sampled_engine, make_query, overrides, census
     ):
-        """``initialise`` -> (``grow`` ->) ``step`` -> ``finalise`` under
-        ``round_budget`` — the slot's loop with no service around it —
-        equals ``engine.execute`` at the same seed bit for bit, whether
+        """``initialise``, then ``step`` until its outcome names a stop
+        reason, then ``finalise`` — the slot's loop with no service around
+        it — equals ``engine.execute`` at the same seed bit for bit, whether
         the sampled executor runs to its end or the production executor
         takes its 0-draw census (under a sample cap below the support,
         which does not choose the path)."""
@@ -843,27 +843,50 @@ def _served(world) -> list[tuple]:
         return [_fingerprint(handle.result()) for handle in handles]
 
 
+def _zeroed(rounds) -> list:
+    """A round trace with its wall-clock ``seconds`` zeroed."""
+    return [replace(entry, seconds=0.0) for entry in rounds]
+
+
 class TestStopReasonAndBackend:
+    """Why a run stopped has one source, the executor's ``step``: the slot
+    only steps and settles, so a served run equals the hand-driven loop."""
+
     @pytest.mark.parametrize(
-        "overrides, expected",
+        "overrides, run_max_rounds, expected",
         [
-            (dict(max_rounds=30, error_bound=0.05), "bound_met"),
-            (dict(max_sample_size=120, error_bound=0.0001), "sample_cap"),
-            (dict(max_rounds=1, error_bound=0.0001), "round_budget"),
-            (dict(max_rounds=30, error_bound=0.0001), "census"),
+            (dict(max_rounds=30, error_bound=0.05), None, "bound_met"),
+            (dict(max_sample_size=120, error_bound=0.0001), None, "sample_cap"),
+            (dict(max_rounds=1, error_bound=0.0001), None, "round_budget"),
+            (dict(max_rounds=30, error_bound=0.0001), None, "census"),
+            # a run's own max_rounds overrides the config's 30
+            (dict(max_rounds=30, error_bound=0.0001), 1, "round_budget"),
+            (dict(max_rounds=30, error_bound=0.0001), 1, "census"),
+        ],
+        ids=[
+            "bound_met", "sample_cap", "round_budget", "census",
+            "run-round_budget", "run-census",
         ],
     )
     def test_stop_reason_on_every_kind(
-        self, world, sampled_service, overrides, expected
+        self,
+        world,
+        drive_lifecycle,
+        sampled_engine,
+        sampled_service,
+        overrides,
+        run_max_rounds,
+        expected,
     ):
-        """Why the run stopped is decided once, in ``finalise``, from what
-        the scheduler told it, and carried by the wire payload and the
-        audit line.  MAX/MIN never meet a bound, so a sampled extreme
+        """Why the run stopped is decided once, by the executor's last
+        ``step``, packaged by ``finalise`` and carried by the wire payload
+        and the audit line; the served run equals the hand-driven one
+        trace for trace.  MAX/MIN never meet a bound, so a sampled extreme
         query's reason is never ``bound_met``; the toy GROUP-BY meets one
         only once its groups hold ``min_group_draws`` correct draws (a thin
         first round used to read ``bound_met`` whatever the bound).  The
-        first three runs sample; in the last every kind's growth reaches
-        the toy world's undrawn support, and the census ends it."""
+        sampled runs' budget is the config's unless ``submit`` names one;
+        a census ends its run at its first round whatever the budget."""
         import io
 
         from repro.core.result import GroupedResult
@@ -871,12 +894,14 @@ class TestStopReasonAndBackend:
 
         shared_plan_cache().clear()
         sink = io.StringIO()
-        make = AggregateQueryService if expected == "census" else sampled_service
-        with make(
-            world.kg, world.embedding, EngineConfig(seed=7, **overrides),
-            audit_log=sink,
-        ) as service:
-            handles = service.submit_batch(_workload(world))
+        census = expected == "census"
+        make = AggregateQueryService if census else sampled_service
+        config = EngineConfig(seed=7, **overrides)
+        with make(world.kg, world.embedding, config, audit_log=sink) as service:
+            handles = [
+                service.submit(query, seed=seed, max_rounds=run_max_rounds)
+                for query, seed in _workload(world)
+            ]
             results = [handle.result(timeout=60.0) for handle in handles]
         reasons = [result.stop_reason for result in results]
         audited = {
@@ -891,11 +916,67 @@ class TestStopReasonAndBackend:
             if isinstance(result, GroupedResult):
                 # a per-group estimate is not a run of its own
                 assert {g.stop_reason for g in result.groups.values()} == {None}
+            if run_max_rounds is not None:
+                assert len(result.rounds) == run_max_rounds
         count, avg, total, grouped, extreme = reasons
         assert count == avg == total == grouped == expected
-        if expected != "census":
+        if not census:
             expected = "sample_cap" if expected == "sample_cap" else "round_budget"
         assert extreme == expected
+        engine = (ApproximateAggregateEngine if census else sampled_engine)(
+            world.kg, world.embedding, config
+        )
+        for (query, seed), served in zip(_workload(world), results):
+            _state, direct = drive_lifecycle(
+                engine.executor, query, seed, config.error_bound, run_max_rounds
+            )
+            assert direct.stop_reason == served.stop_reason
+            assert _zeroed(direct.rounds) == _zeroed(served.rounds)
+
+    def test_the_cap_on_the_last_budgeted_round_reads_sample_cap(
+        self, world, drive_lifecycle, sampled_engine, sampled_service
+    ):
+        """The reasons are tried in order — bound, cap, budget — so a run
+        whose sample first reaches the cap on its last budgeted round
+        stopped for the cap, not the budget; the cap changes no draw."""
+        query, seed = world.avg_query(), 4
+        config = EngineConfig(seed=7, max_rounds=3, error_bound=0.0001)
+        executor = sampled_engine(world.kg, world.embedding, config).executor
+        _state, uncapped = drive_lifecycle(executor, query, seed, config.error_bound)
+        assert uncapped.stop_reason == "round_budget" and len(uncapped.rounds) == 3
+        cap = uncapped.total_draws
+        assert uncapped.rounds[-2].total_draws < cap
+        shared_plan_cache().clear()
+        with sampled_service(
+            world.kg, world.embedding, config.with_(max_sample_size=cap)
+        ) as service:
+            capped = service.submit(query, seed=seed).result(timeout=60.0)
+        assert capped.stop_reason == "sample_cap" and not capped.converged
+        assert _zeroed(capped.rounds) == _zeroed(uncapped.rounds)
+
+    def test_a_refine_first_round_draws_nothing(
+        self, world, drive_lifecycle, sampled_engine, sampled_service
+    ):
+        """A sampled step grows before every round of a run but its first:
+        after a finished run, the next run's first step appends a round
+        over the same draws and its second grows — served or by hand."""
+        config = EngineConfig(seed=7, max_rounds=8, error_bound=0.05)
+        executor = sampled_engine(world.kg, world.embedding, config).executor
+        state, _result = drive_lifecycle(executor, world.avg_query(), 5, 0.05)
+        rounds, draws = len(state.rounds), state.total_draws
+        first = executor.step(state, 0.0001, run_round=1)
+        assert len(state.rounds) == rounds + 1
+        assert state.total_draws == first.trace.total_draws == draws
+        second = executor.step(state, 0.0001, run_round=2)
+        assert second.trace.total_draws == state.total_draws > draws
+        shared_plan_cache().clear()
+        with sampled_service(world.kg, world.embedding, config) as service:
+            handle = service.submit(world.avg_query(), seed=5)
+            before = handle.result(timeout=60.0)
+            after = handle.refine(0.0001).result(timeout=60.0)
+        refined = after.rounds[len(before.rounds):]
+        assert refined[0].total_draws == before.total_draws
+        assert len(refined) == 1 or refined[1].total_draws > before.total_draws
 
     def test_ready_made_backend_runs_the_slots(self, world):
         from repro.core.service import ExecutionBackend
