@@ -40,6 +40,7 @@ from repro import (
     PredicateVectorSpace,
     TrainingConfig,
     TransEModel,
+    parse_query,
 )
 from repro.baselines.ssb import tau_ground_truth
 from repro.kg import compute_statistics
@@ -124,7 +125,7 @@ def main() -> None:
     for aql in questions:
         result = engine.execute(aql)
         answers.append(result)
-        truth = tau_ground_truth(kg, space, engine._coerce_query(aql), tau=0.60)
+        truth = tau_ground_truth(kg, space, parse_query(aql), tau=0.60)
         print(f"\n{aql}")
         print(f"  -> {result.describe()}")
         print(f"     exact: {truth.value:,.2f}   "

@@ -14,12 +14,10 @@ instead, on :func:`repro.bench.harness.sampled_engine` (an engine whose
 executor, :class:`repro.bench.sampled.SampledExecutor`, always
 samples).
 
-Refinement is now handle-native: ``service.submit`` returns a
-:class:`QueryHandle` and every ``handle.refine(eb).result()`` runs one
-incremental Theorem-2 pass over the same live sampling state, with
-``handle.progress()`` exposing the anytime trace across all steps.  The
-legacy :class:`InteractiveSession` wrapper (now a thin shim over exactly
-this handle API) is shown once at the end.
+``service.submit`` returns a :class:`QueryHandle` and runs the first
+bound; every later ``handle.refine(eb).result()`` runs one incremental
+Theorem-2 pass over the same live sampling state, with
+``handle.progress()`` exposing the anytime trace across all steps.
 
 Run it with::
 
@@ -34,7 +32,6 @@ from repro import (
     AggregateFunction,
     AggregateQuery,
     EngineConfig,
-    InteractiveSession,
     QueryGraph,
 )
 from repro.baselines.ssb import tau_ground_truth
@@ -57,21 +54,26 @@ def main() -> None:
 
     engine = sampled_engine(bundle.kg, bundle.embedding, EngineConfig(seed=3))
     with engine.service as service:
-        # start=False: S1 and the initial draws run, but no rounds — the
-        # analyst decides each bound interactively via refine()
-        handle = service.submit(q6, seed=3, start=False)
-
         print("eb      estimate             MoE             time (ms)  +draws  error")
+        handle = None
         for error_bound in (0.05, 0.04, 0.03, 0.02, 0.01):
-            draws_before = handle.total_draws
             started = time.perf_counter()
-            result = handle.refine(error_bound).result()
+            if handle is None:
+                # the first bound starts the query: S1, the initial
+                # sample, then rounds until Theorem 2 holds at 5%
+                handle = service.submit(q6, seed=3, error_bound=error_bound)
+                result = handle.result()
+                added = result.total_draws - result.rounds[0].total_draws
+            else:
+                # each tighter bound reuses every draw made so far
+                draws_before = handle.total_draws
+                result = handle.refine(error_bound).result()
+                added = handle.total_draws - draws_before
             elapsed_ms = (time.perf_counter() - started) * 1e3
             error = result.relative_error(truth.value)
             print(
                 f"{error_bound:>4.0%}  {result.value:>18,.0f}  {result.moe:>14,.0f}"
-                f"  {elapsed_ms:>9,.1f}  {handle.total_draws - draws_before:>6}"
-                f"  {error:>6.2%}"
+                f"  {elapsed_ms:>9,.1f}  {added:>6}  {error:>6.2%}"
             )
 
         final = result
@@ -81,18 +83,6 @@ def main() -> None:
         )
         print(f"final: {final.describe()}")
         print(f"relative error vs tau-GT: {final.relative_error(truth.value):.2%}")
-
-    # --- legacy API, shown once: the InteractiveSession wrapper drives the
-    # same handle machinery and adds the free-loosening bookkeeping
-    engine = sampled_engine(bundle.kg, bundle.embedding, EngineConfig(seed=3))
-    session = InteractiveSession(engine, q6, seed=3)
-    session.refine(0.02)
-    step = session.refine(0.03)  # loosening is free: CI already satisfies it
-    print(
-        f"\nlegacy InteractiveSession: loosen 2% -> 3% cost "
-        f"{step.incremental_seconds * 1e3:,.1f} ms and "
-        f"{step.additional_draws} draws (state is reused)"
-    )
 
 
 if __name__ == "__main__":

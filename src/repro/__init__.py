@@ -35,7 +35,6 @@ from repro.core.service import (
     QueryHandle,
     QueryStatus,
 )
-from repro.core.session import InteractiveSession
 from repro.embedding import (
     EmbeddingTrainer,
     LookupEmbedding,
@@ -73,7 +72,6 @@ __all__ = [
     "ApproximateResult",
     "GroupedResult",
     "RoundTrace",
-    "InteractiveSession",
     "AggregateQueryService",
     "ExecutionBackend",
     "QueryHandle",

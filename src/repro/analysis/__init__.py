@@ -2,8 +2,8 @@
 enforced at the AST instead of probabilistically at runtime.
 
 The headline guarantee — fixed-seed results byte-identical however the
-scheduler interleaves queries, and across services and sessions sharing
-one plan — rests on invariants the
+scheduler interleaves queries, and across services sharing one plan —
+rests on invariants the
 equivalence tests can only probe after the fact: RNG lives solely in
 scheduler-side growth, shared state is written under locks, sets never
 feed ordered outputs unsorted, fingerprints are pure content hashes.

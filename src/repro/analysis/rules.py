@@ -17,7 +17,7 @@ code    name                        contract
 REP000  syntax-error                the file must parse (framework)
 REP101  validation-rng              no RNG construction in (or global-state
                                     RNG reachable from) the validation-path
-                                    modules every service and session over
+                                    modules every service and query over
                                     one plan shares; the only RNG is the
                                     sampled executor's growth
 REP102  fingerprint-purity          fingerprint functions are pure:
@@ -72,7 +72,7 @@ class LintConfig:
     """
 
     #: the S2 validation path: the validators and kernels every service
-    #: and session over one plan share (memos, tours, the chain driver) —
+    #: and query over one plan share (memos, tours, the chain driver) —
     #: the no-RNG, no-growth zone
     validation_modules: tuple[str, ...] = (
         "semantics/kernels.py",
@@ -277,7 +277,7 @@ class ValidationRngRule(Rule):
     name = "validation-rng"
     summary = (
         "no RNG construction in the validation-path modules every service "
-        "and session over one plan shares, and no global-state or unseeded "
+        "and query over one plan shares, and no global-state or unseeded "
         "RNG anywhere import-reachable from them"
     )
 

@@ -33,7 +33,6 @@ from repro.bench.metrics import (
 )
 from repro.bench.reporting import render_table
 from repro.core.config import DeltaStrategy, EngineConfig, SamplerKind
-from repro.core.session import InteractiveSession
 from repro.datasets import WorkloadQuery, guaranteed_queries, simple_query_graph
 from repro.embedding import (
     EmbeddingTrainer,
@@ -670,10 +669,23 @@ def fig6a_interactive(seed: int = 0) -> ExperimentResult:
     rows: list[list[object]] = []
     for aggregate_query in _hub_queries(context, "germany_cars"):
         engine = context.engine(EngineConfig(seed=seed, error_bound=0.05))
-        session = InteractiveSession(engine, aggregate_query, seed=seed + 37)
+        handle = None
         previous = None
         for error_bound in (0.05, 0.04, 0.03, 0.02, 0.01):
-            step = session.refine(error_bound)
+            started = time.perf_counter()
+            if handle is None:
+                # the first run's time includes initialise; its added draws
+                # are those after the initial sample
+                handle = engine.service.submit(
+                    aggregate_query, seed=seed + 37, error_bound=error_bound
+                )
+                result = handle.result()
+                added = result.total_draws - result.rounds[0].total_draws
+            else:
+                draws_before = handle.total_draws
+                result = handle.refine(error_bound).result()
+                added = handle.total_draws - draws_before
+            elapsed = time.perf_counter() - started
             label = (
                 f"{previous:.0%}->{error_bound:.0%}" if previous else f"init {error_bound:.0%}"
             )
@@ -681,12 +693,13 @@ def fig6a_interactive(seed: int = 0) -> ExperimentResult:
                 [
                     aggregate_query.function.value,
                     label,
-                    round(step.incremental_seconds * 1000.0, 1),
-                    step.additional_draws,
-                    round(step.result.value, 2),
+                    round(elapsed * 1000.0, 1),
+                    added,
+                    round(result.value, 2),
                 ]
             )
             previous = error_bound
+        engine.service.close()
     return _result(
         "fig6a",
         "Fig 6(a) — interactive error-bound refinement",

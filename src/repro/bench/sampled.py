@@ -299,6 +299,21 @@ class _SampledState(_QueryState):
         return indices
 
 
+def _within_cap(counts: list[int], room: int) -> list[int]:
+    """``counts`` unchanged if they fit in ``room`` draws, else cut to sum
+    to ``room``: each little sample keeps its proportional floor, and the
+    remainder (fewer than the samples that asked for any) goes one draw
+    each to the first of those, so none gets more than it asked for."""
+    total = sum(counts)
+    if total <= room:
+        return counts
+    shares = [count * room // total for count in counts]
+    asked = [position for position, count in enumerate(counts) if count > 0]
+    for position in asked[: room - sum(shares)]:
+        shares[position] += 1
+    return shares
+
+
 class SampledExecutor(QueryExecutor):
     """An executor that always samples, and never takes the census:
     what :func:`repro.bench.harness.figure_engine` and
@@ -437,13 +452,18 @@ class SampledExecutor(QueryExecutor):
         ``ERROR_BASED``, the fixed top-up otherwise.  MAX/MIN have no
         error sensing at all (§VII-B): each round doubles the draw set.
 
+        No growth takes the draws past ``max_sample_size``: a top-up the
+        cap cuts is shared out so the draws land on the cap exactly, and
+        :meth:`step` then stops the run on ``sample_cap``.
+
         Growth is the only RNG in a round: :meth:`step` runs it first on
         every round of a run but the first, then validates and estimates
         the grown sample.
         """
         with state.timers.measure(STAGE_SAMPLING):
             state.desired_n, counts = self._growth(state, last, error_bound)
-            self._draw(state, counts)
+            room = self.config.max_sample_size - state.total_draws
+            self._draw(state, _within_cap(counts, room))
 
     def _growth(
         self, state: _SampledState, last: RoundTrace, error_bound: float

@@ -5,8 +5,9 @@ executor together: plans, exact correctness validation and the exact
 aggregate (the paper's sampled rounds are :mod:`repro.bench.sampled`).
 §V extensions — filters, GROUP-BY, chain queries and
 decomposition-assembly for star/cycle/flower shapes — are part of the
-same execute path.  :class:`InteractiveSession` supports
-the paper's interactive error-bound refinement (Fig. 6(a)).
+same execute path.  The paper's interactive error-bound refinement
+(Fig. 6(a)) is ``handle.refine(eb).result()`` on a handle from
+:meth:`AggregateQueryService.submit <repro.core.service.AggregateQueryService.submit>`.
 """
 
 from repro.core.config import DeltaStrategy, EngineConfig, SamplerKind
@@ -15,7 +16,6 @@ from repro.core.executor import QueryExecutor
 from repro.core.plan import PlanCache, QueryPlan, shared_plan_cache
 from repro.core.planner import QueryPlanner
 from repro.core.result import ApproximateResult, GroupedResult, RoundTrace
-from repro.core.session import InteractiveSession
 
 __all__ = [
     "ApproximateAggregateEngine",
@@ -25,7 +25,6 @@ __all__ = [
     "ApproximateResult",
     "GroupedResult",
     "RoundTrace",
-    "InteractiveSession",
     "QueryPlan",
     "QueryPlanner",
     "QueryExecutor",

@@ -6,7 +6,7 @@ Execution of ``AQ_G = (Q, f_a)`` is a pipeline of three layers:
    :class:`~repro.core.plan.QueryPlan` per query component (its mapping
    node and the validator bound to it; S1 is the sampled executor's)
    and shares it through the process-wide
-   :class:`~repro.core.plan.PlanCache`, so concurrent engines and sessions
+   :class:`~repro.core.plan.PlanCache`, so concurrent engines and services
    over the same graph reuse plans instead of rebuilding them.
 2. **Validation (S2)** — :mod:`repro.core.executor` validates the
    query's whole joint candidate set in one batched pass per component
@@ -128,18 +128,8 @@ class ApproximateAggregateEngine:
         :class:`ApproximateResult`.  ``seed`` overrides the config seed for
         this execution only.
         """
-        aggregate_query = self._coerce_query(aggregate_query)
         return self._unwrapped_result(
             self.service.submit(aggregate_query, seed=seed)
-        )
-
-    def estimate_once(
-        self, aggregate_query: AggregateQuery | str, *, seed: int | None = None
-    ) -> ApproximateResult:
-        """One sampling-estimation round without refinement (diagnostics)."""
-        aggregate_query = self._coerce_query(aggregate_query)
-        return self._unwrapped_result(
-            self.service.submit(aggregate_query, seed=seed, max_rounds=1)
         )
 
     @staticmethod
@@ -165,11 +155,3 @@ class ApproximateAggregateEngine:
     def answer_similarity(self, state_or_components, node_id: int) -> float:
         """Composite answer similarity: minimum across components."""
         return self._executor.answer_similarity(state_or_components, node_id)
-
-    @staticmethod
-    def _coerce_query(aggregate_query: AggregateQuery | str) -> AggregateQuery:
-        if isinstance(aggregate_query, str):
-            from repro.query.parser import parse_query
-
-            return parse_query(aggregate_query)
-        return aggregate_query

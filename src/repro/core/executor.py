@@ -89,7 +89,8 @@ def kind_for(aggregate_query: AggregateQuery) -> str:
 
 @dataclass
 class _QueryState:
-    """Mutable state of one query execution (kept alive by sessions)."""
+    """Mutable state of one query execution (kept alive by its handle's
+    record, so a refine grows it further)."""
 
     aggregate_query: AggregateQuery
     components: list[QueryPlan]

@@ -3,7 +3,7 @@
 A :class:`QueryPlanner` turns one query component into its immutable plan
 — the mapping node and a validator bound to it — and publishes it in the
 process-wide :class:`~repro.core.plan.PlanCache`, so that every engine and
-session over the same graph, embedding, path bound and similarity floor
+service over the same graph, embedding, path bound and similarity floor
 reuses one plan instead of rebuilding it.  A census reads only the
 validator's row.  S1 — scope, closed-form Eq. 5/6 stationary distribution
 and Theorem-1 answer restriction — is not here: only a run that draws

@@ -103,6 +103,8 @@ class ApproximateResult:
             status = "exact: census of the whole support"
         elif self.converged:
             status = "converged"
+        elif self.stop_reason == STOP_SAMPLE_CAP:
+            status = "sample cap reached"
         else:
             status = "round-budget exhausted"
         return (

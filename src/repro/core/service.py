@@ -42,9 +42,11 @@ executor, holding neither, serves every query; the scheduler thread steps
 every cohort member itself, one slot per state per pass, so states need
 no locking.  Each state owns its RNG and validation/estimation/guarantee
 are deterministic, so a fixed seed gives byte-identical results however
-queries interleave.  ``ApproximateAggregateEngine.execute`` and
-:class:`InteractiveSession` are thin synchronous wrappers over this
-service.
+queries interleave.  A query starts one way — :meth:`submit` queues its
+first run — and the paper's interactive refinement (Fig. 6(a)) is
+``handle.refine(eb).result()`` on that handle;
+``ApproximateAggregateEngine.execute`` is a thin synchronous wrapper over
+:meth:`submit`.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ class QueryStatus(enum.Enum):
     """Lifecycle of a submitted query."""
 
     PENDING = "pending"  # submitted, not initialised (planned) yet
-    READY = "ready"  # initialised, waiting for a run (deferred handles)
     RUNNING = "running"  # a run is active or queued
     SUCCEEDED = "succeeded"
     FAILED = "failed"
@@ -235,30 +236,13 @@ class QueryHandle:
         the deadline expired, otherwise a :class:`ServiceError` whose
         ``__cause__`` chains the stored original — so concurrent and
         repeated callers never re-raise (and thereby mutate the traceback
-        of) one shared exception object.  A deferred handle
-        (``start=False``) with no run ever queued raises
-        :class:`ServiceError` instead of blocking forever.
+        of) one shared exception object.
         """
         record = self._record
-
-        def _settled() -> bool:
-            if record.status in _TERMINAL:
-                return True
-            # deferred and idle: no scheduler work will ever finish this
-            return (
-                record.active_run is None
-                and not record.queued_runs
-                and record.status
-                in (QueryStatus.PENDING, QueryStatus.READY)
-            )
-
         with self._service._condition:
-            finished = self._service._condition.wait_for(_settled, timeout)
-            if finished and record.status not in _TERMINAL:
-                raise ServiceError(
-                    f"query #{record.sequence} has no run queued; call "
-                    "refine(error_bound) to start one"
-                )
+            finished = self._service._condition.wait_for(
+                lambda: record.status in _TERMINAL, timeout
+            )
         if not finished:
             raise ResultTimeoutError(
                 f"query #{record.sequence} produced no result within "
@@ -312,7 +296,7 @@ class QueryHandle:
     def cancel(self) -> bool:
         """Request cancellation; True unless the query already finished.
 
-        Pending/deferred queries are cancelled immediately; a running
+        Pending queries are cancelled immediately; a running
         query stops cooperatively at its next round boundary (its partial
         progress stays readable via :meth:`progress`).
         """
@@ -725,29 +709,33 @@ class AggregateQueryService:
         seed: int | None = None,
         max_rounds: int | None = None,
         deadline: float | None = None,
-        start: bool = True,
     ) -> QueryHandle:
         """Register a query and return its handle immediately.
 
         ``error_bound`` / ``confidence`` default to the service config
         (an ``error_bound`` that is not finite and > 0, or a
         ``confidence`` outside (0, 1), raises :class:`QueryError`);
-        ``seed`` overrides the config seed for this query only.
-        ``deadline`` (seconds from now; default the service's
-        ``default_deadline``) bounds the query's wall-clock budget: past
-        it the scheduler abandons the run at the next round boundary and
-        the query settles as :class:`DeadlineExceededError` carrying the
-        anytime trace collected so far.  With ``start=False`` the query
-        is initialised (planned) but no rounds run until
-        :meth:`QueryHandle.refine` — the hook interactive sessions hang
-        off.  Raises :class:`ServiceOverloadedError` when admission
+        ``seed`` overrides the config seed for this query only;
+        ``max_rounds`` (>= 1, else :class:`QueryError`) caps the first
+        run's rounds.  ``deadline`` (seconds from now; default the
+        service's ``default_deadline``) bounds the query's wall-clock
+        budget: past it the scheduler abandons the run at the next round
+        boundary and the query settles as :class:`DeadlineExceededError`
+        carrying the anytime trace collected so far.  The handle's first
+        run is queued here; :meth:`QueryHandle.refine` queues each later
+        one.  Raises :class:`ServiceOverloadedError` when admission
         control (``limits.max_pending``) sheds the submission.
         """
-        aggregate_query = self._coerce(aggregate_query)
+        if isinstance(aggregate_query, str):
+            from repro.query.parser import parse_query
+
+            aggregate_query = parse_query(aggregate_query)
         if error_bound is not None:
             _require_error_bound(error_bound)
         if confidence is not None and not 0.0 < confidence < 1.0:
             raise QueryError("confidence_level must be in (0, 1)")
+        if max_rounds is not None and max_rounds < 1:
+            raise QueryError("max_rounds must be >= 1")
         kind = kind_for(aggregate_query)
         if deadline is None:
             deadline = self._default_deadline
@@ -787,17 +775,16 @@ class AggregateQueryService:
             self._metric_submitted.inc()
             self._sequence += 1
             self._records.append(record)
-            if start:
-                record.queued_runs.append(
-                    _Run(
-                        error_bound=(
-                            self.config.error_bound
-                            if error_bound is None
-                            else error_bound
-                        ),
-                        max_rounds=max_rounds,
-                    )
+            record.queued_runs.append(
+                _Run(
+                    error_bound=(
+                        self.config.error_bound
+                        if error_bound is None
+                        else error_bound
+                    ),
+                    max_rounds=max_rounds,
                 )
+            )
             self._condition.notify_all()
         self._ensure_scheduler()
         return QueryHandle(self, record)
@@ -899,13 +886,6 @@ class AggregateQueryService:
     # ------------------------------------------------------------------
     # Internals shared with handles
     # ------------------------------------------------------------------
-    def _coerce(self, aggregate_query: AggregateQuery | str) -> AggregateQuery:
-        if isinstance(aggregate_query, str):
-            from repro.query.parser import parse_query
-
-            return parse_query(aggregate_query)
-        return aggregate_query
-
     def _queue_run(
         self,
         record: _QueryRecord,
@@ -956,10 +936,7 @@ class AggregateQueryService:
             if record.status in _TERMINAL:
                 return False
             record.cancel_requested = True
-            if record.active_run is None and record.status in (
-                QueryStatus.PENDING,
-                QueryStatus.READY,
-            ):
+            if record.active_run is None and record.status is QueryStatus.PENDING:
                 # nothing is mid-flight: cancel right here, no scheduler
                 # round-trip (works even on a not-yet-started service)
                 self._finish_cancelled_locked(record)
@@ -1142,12 +1119,9 @@ class AggregateQueryService:
             if record.status in _TERMINAL:
                 # a cancel (or service close) landed while it planned: keep
                 # the terminal status — resurrecting the record here left
-                # handles stranded in READY/RUNNING forever
+                # handles stranded in RUNNING forever
                 return
             record.state = state
-            if record.active_run is None and not record.queued_runs:
-                record.status = QueryStatus.READY
-            self._condition.notify_all()
 
     # -- the slot: one round of one record ------------------------------
     def _step_record_safely(self, record: _QueryRecord) -> None:

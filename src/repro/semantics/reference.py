@@ -56,7 +56,7 @@ class ReferenceValidator:
     every graph node, similarity NaN until the node is searched.  The
     memo is allocated on first read and published with one attribute
     store, and each cell is written once — ``best_length`` first — with
-    its final value, so services and sessions sharing the plan read NaN
+    its final value, so the queries and services sharing the plan read NaN
     or that value.
     """
 

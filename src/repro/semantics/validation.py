@@ -153,8 +153,8 @@ class _RowValidator:
         in one ``similarity_row`` span (``kind``, ``reached`` = nodes with
         a path).
 
-        Built under the validator's own lock, at most once: services and
-        sessions racing on a cold plan wait for the first builder and read
+        Built under the validator's own lock, at most once: queries and
+        services racing on a cold plan wait for the first builder and read
         its row, which is read-only and published whole.  Raises
         :class:`~repro.errors.EmbeddingError` when an edge the row weighs
         carries a predicate the embedding does not cover — for every

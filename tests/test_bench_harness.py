@@ -31,6 +31,23 @@ from repro.semantics.validation import ChainValidator, CorrectnessValidator
 from repro.utils.rng import derive_seed
 
 
+def test_fig6a_tightens_each_query_through_one_handle():
+    """Fig. 6(a): per function, a first run at 5% and four refines down
+    to 1%, each row the draws that step added to the handle."""
+    from repro.bench.experiments import fig6a_interactive
+
+    result = fig6a_interactive(seed=0)
+    labels = ["init 5%", "5%->4%", "4%->3%", "3%->2%", "2%->1%"]
+    assert len(result.rows) == 15
+    for start in range(0, 15, 5):
+        rows = result.rows[start : start + 5]
+        assert len({row[0] for row in rows}) == 1
+        assert [row[1] for row in rows] == labels
+        added = [row[3] for row in rows]
+        assert all(isinstance(count, int) and count >= 0 for count in added)
+        assert added[-1] > 0  # halving the bound cannot come for free
+
+
 class TestMetrics:
     def test_relative_error(self):
         assert relative_error(110.0, 100.0) == pytest.approx(0.1)

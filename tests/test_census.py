@@ -25,7 +25,6 @@ from repro import (
     AggregateQueryService,
     ApproximateAggregateEngine,
     EngineConfig,
-    InteractiveSession,
     LookupEmbedding,
     PredicateVectorSpace,
     QueryGraph,
@@ -346,7 +345,7 @@ def test_warm_service_census_equals_a_cold_engine_byte_for_byte():
 
 
 # ----------------------------------------------------------------------
-# refine and the interactive session on a census
+# refine on a census
 # ----------------------------------------------------------------------
 def _values(result):
     return dataclasses.replace(
@@ -369,17 +368,6 @@ def test_refine_on_a_census_is_a_no_op(toy):
         assert _values(again) == _values(first)
         assert handle.total_draws == draws
         assert len(handle.progress()) == len(first.rounds)
-    engine.service.close()
-
-
-def test_interactive_session_on_a_census_re_emits_the_exact_round(toy):
-    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, EngineConfig(seed=11))
-    session = InteractiveSession(engine, toy.avg_query(), seed=3)
-    first = session.refine(0.001)
-    assert first.result.stop_reason == STOP_CENSUS
-    tighter = session.refine(1e-9)
-    assert tighter.additional_draws == 0
-    assert _values(tighter.result) == _values(first.result)
     engine.service.close()
 
 

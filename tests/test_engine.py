@@ -1,5 +1,7 @@
 """End-to-end tests of the sampling-estimation engine (Algorithm 2)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ from repro import (
 )
 from repro.core.config import DeltaStrategy, SamplerKind
 from repro.core.result import (
+    STOP_BOUND_MET,
     STOP_CENSUS,
     STOP_ROUND_BUDGET,
+    STOP_SAMPLE_CAP,
     ApproximateResult,
     GroupedResult,
 )
@@ -103,9 +107,36 @@ class TestSimpleQueries:
         text = engine.execute(toy.count_query()).describe()
         assert "COUNT" in text and "±" in text
 
-    def test_estimate_once_single_round(self, toy, engine):
-        result = engine.estimate_once(toy.count_query())
-        assert result.num_rounds == 1
+    @pytest.mark.parametrize(
+        "stop_reason, converged, status",
+        [
+            (STOP_CENSUS, True, "exact: census of the whole support"),
+            (STOP_BOUND_MET, True, "converged"),
+            (STOP_SAMPLE_CAP, False, "sample cap reached"),
+            (STOP_ROUND_BUDGET, False, "round-budget exhausted"),
+        ],
+        ids=[STOP_CENSUS, STOP_BOUND_MET, STOP_SAMPLE_CAP, STOP_ROUND_BUDGET],
+    )
+    def test_describe_names_why_the_run_stopped(
+        self, toy, engine, stop_reason, converged, status
+    ):
+        result = engine.execute(toy.count_query())
+        text = replace(result, stop_reason=stop_reason, converged=converged).describe()
+        assert text.endswith(f"draws, {status})")
+
+    def test_a_one_round_budget_runs_a_single_round(self, toy, sampled_engine):
+        """``submit(max_rounds=1)`` runs the initial round and stops on
+        the budget, however far the bound is."""
+        engine = sampled_engine(
+            toy.kg, toy.embedding, EngineConfig(seed=11, error_bound=0.0001)
+        )
+        with engine.service as service:
+            result = service.submit(toy.count_query(), seed=3, max_rounds=1).result(
+                timeout=60.0
+            )
+        assert result.num_rounds == 1 and not result.converged
+        assert result.stop_reason == STOP_ROUND_BUDGET
+        assert result.total_draws == result.rounds[0].total_draws > 0
 
     def test_missing_entity_raises(self, toy, engine):
         bad = AggregateQuery(
@@ -425,7 +456,7 @@ class TestConfigValidation:
 
 
 class TestAqlStringQueries:
-    """engine.execute / estimate_once accept AQL text directly."""
+    """engine.execute accepts AQL text directly."""
 
     def test_execute_accepts_aql_string(self, dbpedia_bundle, fast_config):
         from repro.core.engine import ApproximateAggregateEngine

@@ -51,7 +51,12 @@ def test_example_imports_resolve(path):
 
 
 @pytest.mark.parametrize(
-    "name", ["quickstart.py", "automotive_market_analysis.py"]
+    "name",
+    [
+        "quickstart.py",
+        "automotive_market_analysis.py",
+        "interactive_analyst_session.py",
+    ],
 )
 def test_fast_examples_run_to_completion(name, capsys):
     runpy.run_path(str(EXAMPLES_DIR / name), run_name="__main__")

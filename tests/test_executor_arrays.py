@@ -28,7 +28,6 @@ from repro import (
     EngineConfig,
     Filter,
     GroupBy,
-    InteractiveSession,
     QueryGraph,
     QueryShape,
 )
@@ -38,6 +37,7 @@ from repro.bench.sampled import (
     PlanSampler,
     SampledExecutor,
     _SampledState,
+    _within_cap,
 )
 from repro.core.executor import QueryExecutor, _QueryState
 from repro.core.plan import CandidateSet
@@ -806,11 +806,44 @@ def test_drawn_set_follows_every_grow(toy, sampled_engine, kind, delta_strategy)
 
 def test_drawn_set_follows_interactive_refinement(toy, sampled_engine):
     engine = sampled_engine(toy.kg, toy.embedding, EngineConfig(seed=11))
-    session = InteractiveSession(engine, toy.avg_query(), seed=3)
-    state = session.handle._record.state
-    _assert_drawn_set_is_unique_draws(state)
-    initial_draws = state.total_draws
-    for error_bound in (0.05, 0.02, 0.01):
-        session.refine(error_bound)
+    with engine.service as service:
+        handle = service.submit(toy.avg_query(), seed=3, error_bound=0.05)
+        initial_draws = handle.result().rounds[0].total_draws
+        state = handle._record.state
         _assert_drawn_set_is_unique_draws(state)
+        for error_bound in (0.02, 0.01):
+            handle.refine(error_bound).result()
+            _assert_drawn_set_is_unique_draws(state)
     assert state.total_draws > initial_draws
+
+
+@pytest.mark.parametrize(
+    "counts, room, expected",
+    [
+        ([10, 20, 30], 60, [10, 20, 30]),
+        ([10, 0, 30], 20, [5, 0, 15]),
+        ([5, 5, 5], 7, [3, 2, 2]),
+        ([1, 1, 1], 2, [1, 1, 0]),
+        ([7, 3], 0, [0, 0]),
+    ],
+    ids=["fits", "proportional", "remainder", "floors-all-zero", "no-room"],
+)
+def test_within_cap_cases(counts, room, expected):
+    assert _within_cap(counts, room) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 2000), min_size=1, max_size=8),
+    room=st.integers(0, 10000),
+)
+def test_within_cap_lands_on_the_room_and_keeps_each_share(counts, room):
+    """A cut top-up sums to exactly ``room``; no little sample gets more
+    than it asked for or less than its proportional floor."""
+    shares = _within_cap(counts, room)
+    total = sum(counts)
+    assert sum(shares) == min(total, room)
+    for count, share in zip(counts, shares):
+        assert 0 <= share <= count
+        if total > room:
+            assert share >= count * room // total

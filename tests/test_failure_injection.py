@@ -18,14 +18,13 @@ from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.planner import resolve_mapping_node
 from repro.core.result import STOP_CENSUS
-from repro.core.session import InteractiveSession
 from repro.embedding import LookupEmbedding, PredicateVectorSpace
 from repro.errors import (
     EstimationError,
     MappingNodeNotFoundError,
-    QueryError,
     ReproError,
     SamplingError,
+    ServiceError,
 )
 from repro.estimation.estimators import EstimationSample, estimate_avg
 from repro.kg import KnowledgeGraph
@@ -286,28 +285,35 @@ def test_scope_with_zero_hops_rejected(tiny_kg):
 
 
 # ---------------------------------------------------------------------------
-# Sessions on bad queries
+# Refinement of queries without one guarantee
 # ---------------------------------------------------------------------------
-def test_session_rejects_group_by(tiny_kg):
-    engine = ApproximateAggregateEngine(tiny_kg, _space("rel", "unrelated"))
+def _refine_after_first_run(kg, query, error_bound=0.01):
+    """Run ``query`` once, then refine its handle to ``error_bound``."""
+    engine = ApproximateAggregateEngine(kg, _space("rel", "unrelated"))
+    with engine.service as service:
+        handle = service.submit(query)
+        handle.result(timeout=30.0)
+        handle.refine(error_bound)
+
+
+def test_refine_rejects_group_by(tiny_kg):
     query = AggregateQuery(
         query=QueryGraph.simple("Hub", ["Place"], "rel", ["Thing"]),
         function=AggregateFunction.COUNT,
         group_by=GroupBy("price"),
     )
-    with pytest.raises(QueryError):
-        InteractiveSession(engine, query)
+    with pytest.raises(ServiceError, match="refine"):
+        _refine_after_first_run(tiny_kg, query)
 
 
-def test_session_rejects_extremes(tiny_kg):
-    engine = ApproximateAggregateEngine(tiny_kg, _space("rel", "unrelated"))
+def test_refine_rejects_extremes(tiny_kg):
     query = AggregateQuery(
         query=QueryGraph.simple("Hub", ["Place"], "rel", ["Thing"]),
         function=AggregateFunction.MAX,
         attribute="price",
     )
-    with pytest.raises(QueryError):
-        InteractiveSession(engine, query)
+    with pytest.raises(ServiceError, match="refine"):
+        _refine_after_first_run(tiny_kg, query)
 
 
 # ---------------------------------------------------------------------------

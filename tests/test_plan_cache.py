@@ -38,7 +38,6 @@ from repro import (
     ApproximateAggregateEngine,
     EngineConfig,
     GroupBy,
-    InteractiveSession,
     QueryGraph,
 )
 from repro.bench.sampled import PlanSampler
@@ -353,10 +352,11 @@ class TestValidationMemo:
 
         CorrectnessValidator.validate_batch = recording
         try:
-            session = InteractiveSession(engine, world.avg_query(), seed=3)
-            session.refine(0.05)
-            session.refine(0.02)
-            session.refine(0.01)
+            with engine.service as service:
+                handle = service.submit(world.avg_query(), seed=3)
+                handle.result()
+                handle.refine(0.02).result()
+                handle.refine(0.01).result()
         finally:
             CorrectnessValidator.validate_batch = original
         assert len(validated) > 0
@@ -364,18 +364,36 @@ class TestValidationMemo:
             "an answer was validated more than once across refinement rounds"
         )
 
-    def test_loosening_records_zero_cost_step(self, world):
-        engine = ApproximateAggregateEngine(
+    def test_loosening_records_zero_cost_step(self, world, sampled_engine):
+        """A looser refine of a run that met a tighter bound appends one
+        round over the same draws: nothing is drawn or validated, and the
+        estimate stands."""
+        engine = sampled_engine(
             world.kg, world.embedding, EngineConfig(seed=11, error_bound=0.05)
         )
-        session = InteractiveSession(engine, world.avg_query(), seed=3)
-        tight = session.refine(0.02)
-        loose = session.refine(0.05)
-        assert loose.additional_draws == 0
-        assert loose.incremental_seconds == 0.0
-        assert loose.result is tight.result  # no re-run at all
-        assert len(session.history) == 2
-        assert session.current_result is loose.result
+        validated: list[int] = []
+        original = CorrectnessValidator.validate_batch
+
+        def recording(self, answers, *args, **kwargs):
+            answers = list(answers)
+            validated.extend(answers)
+            return original(self, answers, *args, **kwargs)
+
+        with engine.service as service:
+            handle = service.submit(world.avg_query(), seed=3, error_bound=0.02)
+            tight = handle.result(timeout=60.0)
+            assert tight.converged
+            CorrectnessValidator.validate_batch = recording
+            try:
+                loose = handle.refine(0.05).result(timeout=60.0)
+            finally:
+                CorrectnessValidator.validate_batch = original
+        assert validated == []
+        assert loose.total_draws == tight.total_draws == handle.total_draws
+        assert loose.rounds[: len(tight.rounds)] == tight.rounds
+        assert len(loose.rounds) == len(tight.rounds) + 1
+        assert loose.converged and loose.stop_reason == "bound_met"
+        assert loose.value == tight.value
 
 
 class TestBatchedValidationEquivalence:

@@ -18,7 +18,7 @@ Covers the architectural contracts of :class:`AggregateQueryService`:
 * a handle's kind, status, draws and push events before, during and
   after its run, and what ``health()`` counts meanwhile;
 * ``close()`` during in-flight queries settles every handle;
-* services, submitting threads and interactive sessions that run at once
+* services, submitting threads and refined handles that run at once
   over shared plans answer like one of them alone.
 """
 
@@ -226,14 +226,34 @@ class TestProgressiveResults:
             assert second.moe <= first.moe or second.converged
             # the anytime trace spans both runs
             assert len(handle.progress()) >= len(first.rounds)
+        # the refined run extends the first: its rounds come first, and the
+        # handle counts every draw the refined result holds
+        assert second.rounds[: len(first.rounds)] == first.rounds
+        assert handle.total_draws == second.total_draws
 
-    def test_result_on_idle_deferred_handle_raises(self, world, sampled_service):
-        with _service(world, make=sampled_service) as service:
-            handle = service.submit(world.avg_query(), seed=5, start=False)
-            with pytest.raises(ServiceError):
-                handle.result(timeout=5.0)
-            # queueing a run via refine() makes result() meaningful
-            assert handle.refine(0.05).result().total_draws > 0
+    def test_progress_accumulates_across_refines(self, world, sampled_service):
+        """One handle keeps one anytime trace: each refine appends its
+        rounds, and every result carries the whole trace so far."""
+        with _service(world, error_bound=0.05, make=sampled_service) as service:
+            handle = service.submit(world.avg_query(), seed=3)
+            results = [handle.result()]
+            for error_bound in (0.04, 0.02):
+                results.append(handle.refine(error_bound).result())
+                assert handle.progress() == results[-1].rounds
+        lengths = [len(result.rounds) for result in results]
+        assert lengths == sorted(lengths) and lengths[0] < lengths[-1]
+        for earlier, later in zip(results, results[1:]):
+            assert later.rounds[: len(earlier.rounds)] == earlier.rounds
+
+    def test_each_refine_satisfies_its_bound(self, world):
+        with _service(world, seed=11, error_bound=0.05) as service:
+            handle = service.submit(world.avg_query(), seed=3)
+            results = [handle.result()] + [
+                handle.refine(error_bound).result() for error_bound in (0.03, 0.01)
+            ]
+        for error_bound, result in zip((0.05, 0.03, 0.01), results):
+            assert result.converged
+            assert result.relative_error(world.avg_truth) < error_bound + 0.02
 
     def test_finished_records_are_pruned_and_refine_resurrects(self, world):
         with _service(world, error_bound=0.05) as service:
@@ -251,9 +271,14 @@ class TestProgressiveResults:
             assert refined.converged
             assert refined.total_draws >= first.progress()[0].total_draws
 
-    def test_refine_rejected_for_extreme_queries(self, world):
+    @pytest.mark.parametrize(
+        "make_query", [_grouped_query, _extreme_query], ids=["grouped", "extreme"]
+    )
+    def test_refine_rejected_without_a_single_guarantee(self, world, make_query):
+        """Only an ungrouped COUNT / SUM / AVG has one CI a tighter bound
+        can act on: GROUP-BY and MAX/MIN handles refuse to refine."""
         with _service(world) as service:
-            handle = service.submit(_extreme_query())
+            handle = service.submit(make_query())
             handle.result()
             with pytest.raises(ServiceError):
                 handle.refine(0.01)
@@ -954,6 +979,27 @@ class TestStopReasonAndBackend:
         assert capped.stop_reason == "sample_cap" and not capped.converged
         assert _zeroed(capped.rounds) == _zeroed(uncapped.rounds)
 
+    def test_a_growth_the_cap_cuts_lands_on_the_cap(self, world, sampled_service):
+        """No growth takes the draws past ``max_sample_size``: the top-up
+        the cap cuts lands on it, the run stops on ``sample_cap`` in that
+        round, and every round before it is the uncut run's."""
+
+        def refined(**overrides):
+            with _service(
+                world, error_bound=0.05, make=sampled_service, **overrides
+            ) as service:
+                handle = service.submit(world.avg_query(), seed=5)
+                assert handle.result(timeout=60.0).stop_reason == "bound_met"
+                return handle.refine(0.0001).result(timeout=60.0)
+
+        cap = 2000
+        capped, uncut = refined(max_sample_size=cap), refined()
+        assert capped.stop_reason == "sample_cap" and not capped.converged
+        assert capped.rounds[-2].total_draws < capped.total_draws == cap
+        cut = len(capped.rounds) - 1
+        assert _zeroed(capped.rounds[:cut]) == _zeroed(uncut.rounds[:cut])
+        assert uncut.rounds[cut].total_draws > cap
+
     def test_a_refine_first_round_draws_nothing(
         self, world, drive_lifecycle, sampled_engine, sampled_service
     ):
@@ -1093,7 +1139,6 @@ class TestHandleSurface:
         "status, terminal",
         [
             (QueryStatus.PENDING, False),
-            (QueryStatus.READY, False),
             (QueryStatus.RUNNING, False),
             (QueryStatus.SUCCEEDED, True),
             (QueryStatus.FAILED, True),
@@ -1140,18 +1185,6 @@ class TestHandleSurface:
             assert handle.total_draws == result.total_draws > 0
         finally:
             service.close()
-
-    def test_deferred_handle_rests_ready_with_its_initial_sample(
-        self, world, sampled_service
-    ):
-        with _service(world, make=sampled_service) as service:
-            handle = service.submit(world.avg_query(), seed=5, start=False)
-            deadline = time.time() + 30.0
-            while handle.status is QueryStatus.PENDING and time.time() < deadline:
-                time.sleep(0.002)
-            assert handle.status is QueryStatus.READY
-            assert handle.progress() == ()  # no round ran
-            assert handle.total_draws > 0  # S1 drew the initial sample
 
     def test_submit_max_rounds_caps_the_run(self, world, sampled_service):
         with _service(world, max_rounds=50, make=sampled_service) as service:
@@ -1248,6 +1281,17 @@ class TestHandleSurface:
         with _service(world, autostart=False) as service:
             with pytest.raises(QueryError, match="error_bound"):
                 service.submit(world.avg_query(), error_bound=bound)
+            assert service.health()["live_queries"] == 0
+            # no record took the first sequence number
+            assert service.submit(world.avg_query()).sequence == 0
+
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    def test_non_positive_max_rounds_raises_at_submit(self, world, max_rounds):
+        """A run needs a round: 0 and -3 used to run one and stop on
+        ``round_budget``; now no record exists."""
+        with _service(world, autostart=False) as service:
+            with pytest.raises(QueryError, match="max_rounds"):
+                service.submit(world.avg_query(), max_rounds=max_rounds)
             assert service.health()["live_queries"] == 0
             # no record took the first sequence number
             assert service.submit(world.avg_query()).sequence == 0
@@ -1385,10 +1429,10 @@ class _BlockingExecutor:
 class TestShutdownOrdering:
     """``close()`` during in-flight queries settles or cancels every live
     handle; a cancellation landing during S1 initialisation must not
-    resurrect the record to ``READY`` and leave its handle unresolvable."""
+    resurrect the record and leave its handle unresolvable."""
 
     def test_cancel_during_initialise_stays_cancelled(self, world):
-        """Regression: a cancel landing mid-S1 must not resurrect to READY."""
+        """Regression: a cancel landing mid-S1 must not resurrect the record."""
         service = _service(world, autostart=False)
         blocking = _BlockingExecutor(service._executor)
         service._executor = blocking
@@ -1505,25 +1549,28 @@ class TestConcurrentServices:
 
             assert _race(drive) == {0: baseline, 1: baseline}
 
-    def test_concurrent_sessions_refine_like_one(self, world):
-        """Two interactive sessions on engines over one graph share the
-        AVG plan; refined at once, each takes the steps a lone one does."""
-        from repro import InteractiveSession
-
+    def test_concurrent_handles_refine_like_one(self, world):
+        """Two handles on engines over one graph share the AVG plan;
+        refined at once, each takes the steps a lone one does."""
         config = EngineConfig(seed=11, error_bound=0.05)
 
         def refine_steps(barrier=None) -> list[tuple]:
             engine = ApproximateAggregateEngine(world.kg, world.embedding, config)
-            try:
-                session = InteractiveSession(engine, world.avg_query(), seed=3)
+            with engine.service as service:
                 if barrier is not None:
                     barrier.wait(timeout=30)
-                return [
-                    (_fingerprint(step.result), step.additional_draws)
-                    for step in map(session.refine, (0.05, 0.03, 0.01))
+                handle = service.submit(world.avg_query(), seed=3)
+                result = handle.result()
+                steps = [
+                    (_fingerprint(result), result.total_draws - result.rounds[0].total_draws)
                 ]
-            finally:
-                engine.service.close()
+                for error_bound in (0.03, 0.01):
+                    draws_before = handle.total_draws
+                    result = handle.refine(error_bound).result()
+                    steps.append(
+                        (_fingerprint(result), handle.total_draws - draws_before)
+                    )
+                return steps
 
         shared_plan_cache().clear()
         lone = refine_steps()
