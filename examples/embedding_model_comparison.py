@@ -94,9 +94,7 @@ def main() -> None:
         train_seconds = time.perf_counter() - started
 
         space = PredicateVectorSpace(model)
-        engine = ApproximateAggregateEngine(
-            kg, space, config=EngineConfig(seed=7, max_rounds=6)
-        )
+        engine = ApproximateAggregateEngine(kg, space, config=EngineConfig(seed=7))
         result = engine.execute(query)
         error = result.relative_error(truth.value)
         print(

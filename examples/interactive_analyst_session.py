@@ -28,14 +28,10 @@ from __future__ import annotations
 
 import time
 
-from repro import (
-    AggregateFunction,
-    AggregateQuery,
-    EngineConfig,
-    QueryGraph,
-)
+from repro import AggregateFunction, AggregateQuery, QueryGraph
 from repro.baselines.ssb import tau_ground_truth
 from repro.bench.harness import sampled_engine
+from repro.bench.sampled import PaperConfig
 from repro.datasets import freebase_like
 
 
@@ -52,7 +48,7 @@ def main() -> None:
     print("query:", q6.describe())
     print(f"tau-GT: {truth.value:,.0f}\n")
 
-    engine = sampled_engine(bundle.kg, bundle.embedding, EngineConfig(seed=3))
+    engine = sampled_engine(bundle.kg, bundle.embedding, PaperConfig(seed=3))
     with engine.service as service:
         print("eb      estimate             MoE             time (ms)  +draws  error")
         handle = None

@@ -25,7 +25,7 @@ Quickstart::
     print(result.describe())
 """
 
-from repro.core.config import DeltaStrategy, EngineConfig, SamplerKind
+from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.resilience import FaultPlan, FaultSpec, ServiceLimits
 from repro.core.result import ApproximateResult, GroupedResult, RoundTrace
@@ -67,8 +67,6 @@ __all__ = [
     "__version__",
     "ApproximateAggregateEngine",
     "EngineConfig",
-    "DeltaStrategy",
-    "SamplerKind",
     "ApproximateResult",
     "GroupedResult",
     "RoundTrace",

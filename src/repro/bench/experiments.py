@@ -32,7 +32,7 @@ from repro.bench.metrics import (
     variance_or_nan,
 )
 from repro.bench.reporting import render_table
-from repro.core.config import DeltaStrategy, EngineConfig, SamplerKind
+from repro.bench.sampled import DeltaStrategy, ExtremeMethod, PaperConfig, SamplerKind
 from repro.datasets import WorkloadQuery, guaranteed_queries, simple_query_graph
 from repro.embedding import (
     EmbeddingTrainer,
@@ -506,7 +506,7 @@ def table13_embeddings(seed: int = 0, epochs: int = 25) -> ExperimentResult:
         errors = []
         for aggregate_query in queries:
             human = context.ha_ground_truth(aggregate_query)
-            engine = figure_engine(context.bundle.kg, space, EngineConfig(seed=seed))
+            engine = figure_engine(context.bundle.kg, space, PaperConfig(seed=seed))
             result = engine.execute(aggregate_query, seed=seed + 29)
             errors.append(relative_error(result.value, human.value))
         rows.append(
@@ -581,7 +581,7 @@ def _hub_queries(context: BenchContext, hub_key: str) -> list[AggregateQuery]:
 
 def _ablation_rows(
     context: BenchContext,
-    configs: dict[str, EngineConfig],
+    configs: dict[str, PaperConfig],
     seed: int,
 ) -> list[list[object]]:
     queries = _hub_queries(context, "germany_cars")
@@ -607,9 +607,9 @@ def fig5a_sampling_ablation(seed: int = 0) -> ExperimentResult:
     """Fig 5(a): semantic-aware sampling vs CNARW vs Node2Vec."""
     context = bench_context("dbpedia-like", seed=seed, scale=EFFECTIVENESS_SCALE)
     configs = {
-        "semantic-aware": EngineConfig(seed=seed),
-        "CNARW": EngineConfig(seed=seed, sampler=SamplerKind.CNARW),
-        "Node2Vec": EngineConfig(seed=seed, sampler=SamplerKind.NODE2VEC),
+        "semantic-aware": PaperConfig(seed=seed),
+        "CNARW": PaperConfig(seed=seed, sampler=SamplerKind.CNARW),
+        "Node2Vec": PaperConfig(seed=seed, sampler=SamplerKind.NODE2VEC),
     }
     rows = _ablation_rows(context, configs, seed)
     return _result(
@@ -625,8 +625,8 @@ def fig5b_validation_ablation(seed: int = 0) -> ExperimentResult:
     """Fig 5(b): with vs without correctness validation."""
     context = bench_context("dbpedia-like", seed=seed, scale=EFFECTIVENESS_SCALE)
     configs = {
-        "with validation": EngineConfig(seed=seed),
-        "without validation": EngineConfig(seed=seed, validate_correctness=False),
+        "with validation": PaperConfig(seed=seed),
+        "without validation": PaperConfig(seed=seed, validate_correctness=False),
     }
     rows = _ablation_rows(context, configs, seed)
     return _result(
@@ -642,11 +642,10 @@ def fig5c_delta_ablation(seed: int = 0) -> ExperimentResult:
     """Fig 5(c): Eq. 12 error-based sample growth vs a fixed increment."""
     context = bench_context("dbpedia-like", seed=seed, scale=EFFECTIVENESS_SCALE)
     configs = {
-        "error-based": EngineConfig(seed=seed),
-        "fixed(+50)": EngineConfig(
+        "error-based": PaperConfig(seed=seed),
+        "fixed(+50)": PaperConfig(
             seed=seed,
             delta_strategy=DeltaStrategy.FIXED,
-            fixed_delta=50,
             max_rounds=60,
         ),
     }
@@ -668,7 +667,7 @@ def fig6a_interactive(seed: int = 0) -> ExperimentResult:
     context = bench_context("dbpedia-like", seed=seed, scale=EFFECTIVENESS_SCALE)
     rows: list[list[object]] = []
     for aggregate_query in _hub_queries(context, "germany_cars"):
-        engine = context.engine(EngineConfig(seed=seed, error_bound=0.05))
+        engine = context.engine(PaperConfig(seed=seed, error_bound=0.05))
         handle = None
         previous = None
         for error_bound in (0.05, 0.04, 0.03, 0.02, 0.01):
@@ -748,7 +747,7 @@ def fig6b_confidence_level(seed: int = 0) -> ExperimentResult:
     rows = _sweep(
         context,
         [0.86, 0.89, 0.92, 0.95, 0.98],
-        lambda level: EngineConfig(seed=seed, confidence_level=level),
+        lambda level: PaperConfig(seed=seed, confidence_level=level),
         seed,
     )
     return _result(
@@ -766,7 +765,7 @@ def fig6c_repeat_factor(seed: int = 0) -> ExperimentResult:
     rows = _sweep(
         context,
         [1, 2, 3, 4, 5],
-        lambda r: EngineConfig(seed=seed, repeat_factor=r),
+        lambda r: PaperConfig(seed=seed, repeat_factor=r),
         seed,
     )
     return _result(
@@ -784,7 +783,7 @@ def fig6d_sample_ratio(seed: int = 0) -> ExperimentResult:
     rows = _sweep(
         context,
         [0.1, 0.2, 0.3, 0.4, 0.5],
-        lambda ratio: EngineConfig(seed=seed, sample_ratio=ratio),
+        lambda ratio: PaperConfig(seed=seed, sample_ratio=ratio),
         seed,
     )
     return _result(
@@ -801,7 +800,7 @@ def fig6e_nbound(seed: int = 0) -> ExperimentResult:
     rows = _sweep(
         context,
         [1, 2, 3, 4],
-        lambda n: EngineConfig(seed=seed, n_bound=n),
+        lambda n: PaperConfig(seed=seed, n_bound=n),
         seed,
     )
     return _result(
@@ -836,7 +835,7 @@ def fig6f_tau_threshold(seed: int = 0) -> ExperimentResult:
             tau_value, _ = aggregate_over(
                 context.bundle.kg, aggregate_query, tau_answers
             )
-            result = context.engine(EngineConfig(seed=seed, tau=tau)).execute(
+            result = context.engine(PaperConfig(seed=seed, tau=tau)).execute(
                 aggregate_query, seed=seed + 43
             )
             rows.append(
@@ -878,7 +877,7 @@ def scaling_crossover(seed: int = 0) -> ExperimentResult:
             started = time.perf_counter()
             truth = ssb.ground_truth(query.aggregate_query)
             ssb_elapsed = time.perf_counter() - started
-            engine = figure_engine(bundle.kg, space, EngineConfig(seed=seed))
+            engine = figure_engine(bundle.kg, space, PaperConfig(seed=seed))
             started = time.perf_counter()
             result = engine.execute(query.aggregate_query, seed=seed + 47)
             ours_elapsed = time.perf_counter() - started
@@ -914,8 +913,6 @@ def ext_evt_extremes(seed: int = 0, replications: int = 5) -> ExperimentResult:
     independently-seeded runs, since a single tail fit on a small sample
     is noisy in both directions.
     """
-    from repro.core.config import ExtremeMethod
-
     rows: list[list[object]] = []
     extremes = (AggregateFunction.MAX, AggregateFunction.MIN)
     for dataset in DATASETS:
@@ -933,11 +930,10 @@ def ext_evt_extremes(seed: int = 0, replications: int = 5) -> ExperimentResult:
             for method in (ExtremeMethod.SAMPLE, ExtremeMethod.EVT):
                 errors = []
                 for replication in range(replications):
-                    config = EngineConfig(
+                    config = PaperConfig(
                         seed=seed + replication,
                         extreme_method=method,
                         extreme_rounds=2,
-                        extreme_sample_ratio=0.05,
                         min_initial_sample=150,
                         # fit close to the tail: the bulk of a lognormal
                         # is a poor GPD and drags the extrapolation off
@@ -1014,7 +1010,7 @@ def ext_normalization(seed: int = 0) -> ExperimentResult:
         for normalization in (Normalization.SAMPLE, Normalization.PAPER):
             for aggregate_query in queries:
                 truth = context.tau_ground_truth(aggregate_query)
-                config = EngineConfig(seed=seed, normalization=normalization)
+                config = PaperConfig(seed=seed, normalization=normalization)
                 result = context.engine(config).execute(
                     aggregate_query, seed=seed + 61
                 )

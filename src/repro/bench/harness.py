@@ -37,8 +37,12 @@ from repro.baselines import (
 )
 from repro.baselines.ssb import GroundTruth
 from repro.bench.metrics import grouped_relative_error, relative_error
-from repro.bench.sampled import PlanSampler, SampledExecutor
-from repro.core.config import EngineConfig
+from repro.bench.sampled import (
+    VALIDATION_EXPANSIONS,
+    PaperConfig,
+    PlanSampler,
+    SampledExecutor,
+)
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.plan import PlanCache, QueryPlan
 from repro.core.planner import QueryPlanner, resolve_mapping_node
@@ -66,9 +70,9 @@ def method_names() -> tuple[str, ...]:
     return METHODS
 
 
-def sampled_engine(kg, embedding, config: EngineConfig | None = None):
+def sampled_engine(kg, embedding, config: PaperConfig | None = None):
     """An engine whose executor (and service) always samples."""
-    engine = ApproximateAggregateEngine(kg, embedding, config)
+    engine = ApproximateAggregateEngine(kg, embedding, config or PaperConfig())
     engine._executor = SampledExecutor(
         kg, engine.space, engine.config, engine.planner
     )
@@ -91,9 +95,9 @@ class PaperPlanner(QueryPlanner):
     exact later legs.
     """
 
-    def __init__(self, kg, space, config: EngineConfig) -> None:
-        super().__init__(kg, space, config, cache=PlanCache())
-        self.sampler = PlanSampler(kg, space, config)
+    def __init__(self, kg, space, config: PaperConfig | None = None) -> None:
+        super().__init__(kg, space, config or PaperConfig(), cache=PlanCache())
+        self.sampler = PlanSampler(kg, space, self.config)
 
     def _build(self, component: PathQuery) -> QueryPlan:
         """A plan with S1 run at once: its first leg's search walks the
@@ -118,7 +122,7 @@ class PaperPlanner(QueryPlanner):
             repeat_factor=config.repeat_factor,
             max_length=config.n_bound,
             floor=config.similarity_floor,
-            expansion_budget=config.validation_expansions,
+            expansion_budget=VALIDATION_EXPANSIONS,
             stop_threshold=config.tau if component.is_simple else None,
         )
         plan = QueryPlan(
@@ -130,9 +134,9 @@ class PaperPlanner(QueryPlanner):
         return plan
 
 
-def figure_engine(kg, embedding, config: EngineConfig | None = None):
+def figure_engine(kg, embedding, config: PaperConfig | None = None):
     """A cold engine on the paper's model: the r-path validator, no census."""
-    engine = ApproximateAggregateEngine(kg, embedding, config)
+    engine = ApproximateAggregateEngine(kg, embedding, config or PaperConfig())
     engine._planner = PaperPlanner(kg, engine.space, engine.config)
     engine._executor = SampledExecutor(
         kg, engine.space, engine.config, engine.planner
@@ -220,7 +224,7 @@ class BenchContext:
         return self._trained_transe
 
     # ------------------------------------------------------------------
-    def engine(self, config: EngineConfig | None = None) -> ApproximateAggregateEngine:
+    def engine(self, config: PaperConfig | None = None) -> ApproximateAggregateEngine:
         """A fresh (cold) :func:`figure_engine`; timings include all
         per-query stages."""
         return figure_engine(self.bundle.kg, self.space, config)
@@ -237,7 +241,7 @@ def run_method(
     method: str,
     query: WorkloadQuery,
     *,
-    engine_config: EngineConfig | None = None,
+    engine_config: PaperConfig | None = None,
     query_seed: int | None = None,
 ) -> MethodResult:
     """Execute ``method`` cold on one workload query."""

@@ -10,11 +10,14 @@ for GROUP-BY (§V-A), the sample extremum for MAX/MIN (§IV-B1), optionally
 extrapolated by an EVT tail fit.  Validation, group keys and packaging
 are the production executor's.
 
-S1 is :class:`PlanSampler`, whose pi_A is a memo beside each plan.
+Its knobs are :class:`PaperConfig`'s, plus the module constants below
+for the paper's values no figure varies.  S1 is :class:`PlanSampler`,
+whose pi_A is a memo beside each plan.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 import threading
@@ -24,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.config import DeltaStrategy, EngineConfig, ExtremeMethod, SamplerKind
+from repro.core.config import EngineConfig
 from repro.core.executor import (
     _EMPTY_JOINT,
     KIND_EXTREME,
@@ -49,7 +52,7 @@ from repro.core.result import (
 )
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import EstimationError, QueryError, SamplingError
-from repro.estimation.accuracy import moe_target, satisfies_error_bound
+from repro.estimation.accuracy import BlbConfig, moe_target, satisfies_error_bound
 from repro.estimation.bootstrap import blb_moe, normal_critical_value
 from repro.estimation.estimators import (
     EstimationSample,
@@ -86,6 +89,95 @@ MAX_GROWTH_FACTOR = 16.0
 #: correct draws a round needs before Theorem 2 is trusted: a CI from a
 #: tiny, homogeneous sample can be degenerately narrow (sigma ~ 0)
 MIN_CORRECT_FOR_TERMINATION = 30
+#: the paper's BLB: t = 3 little samples of N^0.6 draws, B = 50 (§IV-C)
+BLB = BlbConfig()
+#: the top-up of each round under ``DeltaStrategy.FIXED`` (Fig. 5(c))
+FIXED_DELTA = 50
+#: MAX/MIN size their first sample at 5% of the candidates (§VII-B)
+EXTREME_SAMPLE_RATIO = 0.05
+#: bootstrap rounds of the CI of ``ExtremeMethod.EVT``'s tail fit
+EVT_BOOTSTRAP_ROUNDS = 200
+#: pops per answer of the figures' r-path validator (§IV-B2)
+VALIDATION_EXPANSIONS = 120
+
+
+class DeltaStrategy(enum.Enum):
+    """How |dS_A| is chosen when Theorem 2 fails (Fig. 5(c) ablation)."""
+
+    ERROR_BASED = "error-based"  # Eq. 12
+    FIXED = "fixed"  # constant top-up, the relational-AQP habit
+
+
+class SamplerKind(enum.Enum):
+    """Which stationary distribution drives sampling (Fig. 5(a) ablation)."""
+
+    SEMANTIC = "semantic"
+    CNARW = "cnarw"
+    NODE2VEC = "node2vec"
+
+
+class ExtremeMethod(enum.Enum):
+    """How MAX/MIN are estimated (§IV-B1 remarks).
+
+    SAMPLE is the paper's behaviour: report the extremum of the collected
+    correct draws.  EVT implements the paper's named future-work item: a
+    peaks-over-threshold GPD fit extrapolating beyond the sample, with a
+    bootstrap CI (still no Theorem-2 guarantee).
+    """
+
+    SAMPLE = "sample"
+    EVT = "evt"
+
+
+@dataclass(frozen=True)
+class PaperConfig(EngineConfig):
+    """A census's knobs plus those of Algorithm 2's sampled rounds; see
+    the paper sections noted per field."""
+
+    #: the paper's r: paths its greedy search finds per answer — read only
+    #: by the figures' validator (repro.bench.harness)
+    repeat_factor: int = 3
+    # Walk (§IV-A): Lemma 2's self-loop weight on the mapping node
+    self_loop_weight: float = 0.001
+    sampler: SamplerKind = SamplerKind.SEMANTIC
+    # Sample sizing (§IV-C)
+    sample_ratio: float = 0.3  # lambda
+    min_initial_sample: int = 50
+    max_rounds: int = 10  # the paper's N_e <= 10
+    delta_strategy: DeltaStrategy = DeltaStrategy.ERROR_BASED
+    max_sample_size: int = 100_000
+    min_rounds: int = 2  # Theorem 2 is trusted from this round on
+    # Estimators (§IV-B1; DESIGN.md §4.1 discusses the normalisation)
+    normalization: Normalization = Normalization.SAMPLE
+    # Extreme functions: a few rounds (§VII-B)
+    extreme_rounds: int = 4
+    extreme_method: ExtremeMethod = ExtremeMethod.SAMPLE
+    #: POT threshold quantile for ExtremeMethod.EVT
+    evt_exceedance_quantile: float = 0.75
+    # Chain queries (§V-B)
+    max_intermediates: int = 64
+    # GROUP-BY: groups smaller than this many observed draws do not gate
+    # termination (their CIs are reported as-is)
+    min_group_draws: int = 8
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name in (
+            "repeat_factor",
+            "min_initial_sample",
+            "max_rounds",
+            "min_rounds",
+            "extreme_rounds",
+            "max_intermediates",
+        ):
+            if getattr(self, name) < 1:
+                raise QueryError(f"{name} must be >= 1")
+        if not 0.0 < self.sample_ratio <= 1.0:
+            raise QueryError("sample_ratio must be in (0, 1]")
+        if not 0.0 < self.self_loop_weight < math.inf:
+            raise QueryError("self_loop_weight must be positive and finite (Lemma 2)")
+        if not 0.0 < self.evt_exceedance_quantile < 1.0:
+            raise QueryError("evt_exceedance_quantile must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -119,11 +211,14 @@ class PlanSampler:
     on those read the same pi_A, whichever built it."""
 
     def __init__(
-        self, kg: KnowledgeGraph, space: PredicateVectorSpace, config: EngineConfig
+        self,
+        kg: KnowledgeGraph,
+        space: PredicateVectorSpace,
+        config: PaperConfig | None = None,
     ) -> None:
         self._kg = kg
         self._space = space
-        self.config = config
+        self.config = config = config or PaperConfig()
         #: this sampler's pi_A among a plan's memos: every facet S1 reads
         #: beyond the plan key
         self._s1_key: tuple = (
@@ -323,7 +418,7 @@ class SampledExecutor(QueryExecutor):
         self,
         kg: KnowledgeGraph,
         space: PredicateVectorSpace,
-        config: EngineConfig,
+        config: PaperConfig,
         planner: QueryPlanner,
     ) -> None:
         super().__init__(kg, space, config, planner)
@@ -386,7 +481,7 @@ class SampledExecutor(QueryExecutor):
             if aggregate_query.function.has_guarantee:
                 ratio = config.sample_ratio
             else:
-                ratio = config.extreme_sample_ratio
+                ratio = EXTREME_SAMPLE_RATIO
             desired_n = max(
                 config.min_initial_sample,
                 int(math.ceil(ratio * num_candidates)),
@@ -401,7 +496,7 @@ class SampledExecutor(QueryExecutor):
                 ),
                 little_samples=[
                     np.empty(0, dtype=np.int64)
-                    for _ in range(config.blb.num_little_samples)
+                    for _ in range(BLB.num_little_samples)
                 ],
                 desired_n=desired_n,
                 num_candidates=num_candidates,
@@ -413,7 +508,7 @@ class SampledExecutor(QueryExecutor):
                 support_value=np.zeros(size, dtype=np.float64),
                 timers=timers,
             )
-            little_size = config.blb.little_sample_size(desired_n)
+            little_size = BLB.little_sample_size(desired_n)
             self._draw(state, [little_size] * len(state.little_samples))
         return state
 
@@ -475,7 +570,7 @@ class SampledExecutor(QueryExecutor):
         if kind == KIND_EXTREME:
             return state.desired_n, sizes
         if config.delta_strategy is not DeltaStrategy.ERROR_BASED:
-            per_sample = max(1, config.fixed_delta // len(sizes))
+            per_sample = max(1, FIXED_DELTA // len(sizes))
             return state.desired_n, [per_sample] * len(sizes)
         if kind == KIND_GROUPED:
             point_estimate, moe = 1.0, float("inf")
@@ -492,7 +587,7 @@ class SampledExecutor(QueryExecutor):
             growth = min(ratio * ratio, MAX_GROWTH_FACTOR)
             growth = max(growth, 1.1)  # always make visible progress
         desired_n = int(math.ceil(state.desired_n * growth))
-        little_size = config.blb.little_sample_size(desired_n)
+        little_size = BLB.little_sample_size(desired_n)
         return desired_n, [max(0, little_size - size) for size in sizes]
 
     def _draw(self, state: _SampledState, counts: list[int]) -> None:
@@ -576,7 +671,7 @@ class SampledExecutor(QueryExecutor):
                     state.aggregate_query.function,
                     exceedance_quantile=config.evt_exceedance_quantile,
                     confidence_level=state.confidence_level,
-                    bootstrap_rounds=config.evt_bootstrap_rounds,
+                    bootstrap_rounds=EVT_BOOTSTRAP_ROUNDS,
                     seed=derive_seed(config.seed, "evt"),
                 )
             estimate = (evt.value, evt.moe)
@@ -672,7 +767,7 @@ class SampledExecutor(QueryExecutor):
             return blb_moe(
                 bags,
                 critical=normal_critical_value(state.confidence_level),
-                num_resamples=config.blb.num_resamples,
+                num_resamples=BLB.num_resamples,
                 resample_size=len(numerators),
                 seed=seed,
             )

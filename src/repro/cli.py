@@ -23,6 +23,8 @@ done in a few lines of Python (see ``examples/``).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 import time
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -85,6 +87,25 @@ def _dataset_registry() -> dict[str, Callable]:
     return dict(ALL_PRESETS)
 
 
+def _scale(text: str) -> float:
+    """The ``--scale`` type: a finite float above 0, checked before any
+    graph is built."""
+    with contextlib.suppress(ValueError):
+        if 0.0 < float(text) < math.inf:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+
+
+def _address(text: str, flag: str) -> tuple[str, int] | None:
+    """``HOST:PORT`` as ``(host, port)``, the host 127.0.0.1 if omitted;
+    None, with ``flag``'s usage printed, if ``text`` is not one."""
+    host, _, port = text.rpartition(":")
+    if port.isascii() and port.isdigit() and int(port) <= 65535:
+        return host or "127.0.0.1", int(port)
+    print(f"{flag} expects HOST:PORT, got {text!r}", file=sys.stderr)
+    return None
+
+
 def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     """Serving-layer flags shared by the serving commands."""
     parser.add_argument(
@@ -121,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "served as one concurrent batch")
     query.add_argument("--dataset", default="dbpedia-like")
     query.add_argument("--seed", type=int, default=0)
-    query.add_argument("--scale", type=float, default=1.0)
+    query.add_argument("--scale", type=_scale, default=1.0)
     query.add_argument("--error-bound", type=float, default=0.01)
     query.add_argument("--confidence", type=float, default=0.95)
     query.add_argument("--tau", type=float, default=0.85)
@@ -171,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--dataset", default="dbpedia-like")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--scale", type=float, default=1.0)
+    serve.add_argument("--scale", type=_scale, default=1.0)
     serve.add_argument("--error-bound", type=float, default=0.01)
     serve.add_argument("--confidence", type=float, default=0.95)
     serve.add_argument("--tau", type=float, default=0.85)
@@ -212,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("path", help="catalog root directory")
     snapshot.add_argument("--dataset", default="dbpedia-like")
     snapshot.add_argument("--seed", type=int, default=0)
-    snapshot.add_argument("--scale", type=float, default=1.0)
+    snapshot.add_argument("--scale", type=_scale, default=1.0)
     snapshot.add_argument(
         "--verify-fingerprint",
         action="store_true",
@@ -249,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("path", help="output file; format chosen by --format")
     export.add_argument("--dataset", default="dbpedia-like")
     export.add_argument("--seed", type=int, default=0)
-    export.add_argument("--scale", type=float, default=1.0)
+    export.add_argument("--scale", type=_scale, default=1.0)
     export.add_argument(
         "--format",
         choices=["json", "triples", "graphml"],
@@ -273,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # Commands
 # ---------------------------------------------------------------------------
 def _load_bundle(args: argparse.Namespace):
-    """The dataset bundle named by ``args``, or None (error printed)."""
+    """The dataset bundle named by ``args`` (at ``--scale``, where the
+    command has one), or None (error printed)."""
     presets = _dataset_registry()
     if args.dataset not in presets:
         print(
@@ -282,7 +304,7 @@ def _load_bundle(args: argparse.Namespace):
             file=sys.stderr,
         )
         return None
-    return presets[args.dataset](seed=args.seed, scale=args.scale)
+    return presets[args.dataset](seed=args.seed, scale=getattr(args, "scale", 1.0))
 
 
 def _query_config(args: argparse.Namespace) -> EngineConfig:
@@ -310,11 +332,11 @@ def _print_round_trace(result: ApproximateResult | GroupedResult) -> None:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    queries = [parse_query(aql) for aql in args.aql]
+    config = _query_config(args)
     bundle = _load_bundle(args)
     if bundle is None:
         return 2
-    queries = [parse_query(aql) for aql in args.aql]
-    config = _query_config(args)
     print(f"dataset: {bundle.name} ({bundle.kg.num_nodes:,} nodes, "
           f"{bundle.kg.num_edges:,} edges)")
     if (
@@ -424,32 +446,29 @@ def _wait_for_interrupt(runner) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve AQL queries: JSON lines over stdin, or HTTP with ``--http``."""
+    config = _query_config(args)
+    address = None
+    if args.http is not None:
+        address = _address(args.http, "--http")
+        if address is None:
+            return 2
     bundle = _load_bundle(args)
     if bundle is None:
         return 2
-    config = _query_config(args)
-    if args.http is not None:
-        return _serve_http(bundle, config, args)
+    if address is not None:
+        return _serve_http(bundle, config, address, args)
     return _serve_stdin(bundle, config, args)
 
 
-def _serve_http(bundle, config: EngineConfig, args) -> int:
+def _serve_http(bundle, config: EngineConfig, address: tuple[str, int], args) -> int:
     from repro.server import ClientQuota, ReproHTTPServer, ServerThread
 
-    host, _, port_text = args.http.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(f"--http expects HOST:PORT, got {args.http!r}", file=sys.stderr)
-        return 2
     quota = None
     if args.quota_rps is not None:
         quota = ClientQuota(rate=args.quota_rps, burst=args.quota_burst)
     service = _service_for(bundle, config, args)
     runner = ServerThread(
-        ReproHTTPServer(
-            service, host or "127.0.0.1", port, quota=quota, owns_service=True
-        )
+        ReproHTTPServer(service, *address, quota=quota, owns_service=True)
     )
     try:
         runner.start()
@@ -550,15 +569,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     """Print a running server's Prometheus exposition to stdout."""
     from repro.server import ReproClient
 
-    host, _, port_text = args.address.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(
-            f"metrics expects HOST:PORT, got {args.address!r}", file=sys.stderr
-        )
+    address = _address(args.address, "metrics")
+    if address is None:
         return 2
-    with ReproClient(host or "127.0.0.1", port) as client:
+    with ReproClient(*address) as client:
         print(client.metrics(), end="")
     return 0
 
@@ -694,15 +708,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     from repro.baselines.ssb import tau_ground_truth
     from repro.datasets import standard_workload
 
-    presets = _dataset_registry()
-    if args.dataset not in presets:
-        print(
-            f"unknown dataset {args.dataset!r}; choose from "
-            f"{', '.join(sorted(presets))}",
-            file=sys.stderr,
-        )
+    bundle = _load_bundle(args)
+    if bundle is None:
         return 2
-    bundle = presets[args.dataset](seed=args.seed)
     engine = ApproximateAggregateEngine(
         bundle.kg, bundle.embedding, config=EngineConfig(seed=args.seed)
     )
@@ -733,15 +741,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    presets = _dataset_registry()
-    if args.dataset not in presets:
-        print(
-            f"unknown dataset {args.dataset!r}; choose from "
-            f"{', '.join(sorted(presets))}",
-            file=sys.stderr,
-        )
+    bundle = _load_bundle(args)
+    if bundle is None:
         return 2
-    bundle = presets[args.dataset](seed=args.seed, scale=args.scale)
     if args.format == "json":
         from repro.kg import save_json
 

@@ -10,7 +10,7 @@ same execute path.  The paper's interactive error-bound refinement
 :meth:`AggregateQueryService.submit <repro.core.service.AggregateQueryService.submit>`.
 """
 
-from repro.core.config import DeltaStrategy, EngineConfig, SamplerKind
+from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.executor import QueryExecutor
 from repro.core.plan import PlanCache, QueryPlan, shared_plan_cache
@@ -20,8 +20,6 @@ from repro.core.result import ApproximateResult, GroupedResult, RoundTrace
 __all__ = [
     "ApproximateAggregateEngine",
     "EngineConfig",
-    "DeltaStrategy",
-    "SamplerKind",
     "ApproximateResult",
     "GroupedResult",
     "RoundTrace",

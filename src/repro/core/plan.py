@@ -10,9 +10,8 @@ across engines through a single :class:`PlanCache` keyed on ``(graph,
 structure_version, component, embedding, n_bound, similarity_floor)``,
 the way approximate-aggregation systems pay for the expensive
 per-predicate ("oracle") work once across a whole workload instead of
-per query.  Engines that differ only in how they would sample (sampler
-kind, Eq. 5 smoothing, chain cut, seed) or in the figures' r-path budget
-share one plan.
+per query.  Engines that differ only in the seed or in how they would
+sample share one plan.
 
 A plan answers a census from its row: its candidates
 (:meth:`QueryPlan.candidates`) are the nodes the row reaches, typed as
@@ -92,8 +91,8 @@ class QueryPlan:
         graph, kept on the plan.
 
         A chain's candidates are all the answers its row reaches, where
-        the pi_A a draw builds keeps only those behind the top
-        ``max_intermediates`` routes per hop.  Raises the
+        the pi_A a draw builds keeps only those behind the routes its
+        chain cut keeps per hop.  Raises the
         :class:`~repro.errors.SamplingError` of a component without one.
         """
         candidates = self.__dict__.get("_candidates")
@@ -127,9 +126,9 @@ def plan_fingerprint(config: EngineConfig) -> tuple:
     bound and the similarity floor, all the exact row reads.
 
     ``tau`` is not among them (each query compares the row's similarities
-    with its own threshold), nor is anything only S1 reads — sampler kind,
-    Eq. 5 smoothing, the chain cut, the seed — which keys each sampler's
-    pi_A beside the plan instead (:class:`repro.bench.sampled.PlanSampler`).
+    with its own threshold), nor is the seed.  The seed and the sampled
+    executor's S1 knobs key each sampler's pi_A beside the plan instead
+    (:class:`repro.bench.sampled.PlanSampler`).
     """
     return (config.n_bound, config.similarity_floor)
 

@@ -13,7 +13,7 @@ from repro.query.aggregate import AggregateFunction
 #: every candidate was validated and the result is exact, as on every
 #: production query; or, on the figures' sampled executor
 #: (``repro.bench.sampled``), its last round met the stop condition, the
-#: sample reached ``max_sample_size``, or the round budget was spent
+#: sample reached its size cap, or the round budget was spent
 STOP_CENSUS = "census"
 STOP_BOUND_MET = "bound_met"
 STOP_SAMPLE_CAP = "sample_cap"

@@ -29,6 +29,8 @@ from repro.datasets.spec import (
 
 
 def _scaled(count: int, scale: float) -> int:
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
     return max(1, int(math.ceil(count * scale)))
 
 

@@ -13,6 +13,7 @@
 * :mod:`repro.estimation.extreme` — the paper's named future-work item:
   EVT (peaks-over-threshold / GPD) estimation for MAX and MIN.
 
-The package re-exports nothing: a census imports the first three, and
-only a sampled run loads the bootstrap (and scipy) or the EVT fit.
+The package re-exports nothing: a census imports the first two, and
+only a sampled run loads the Theorem-2 test, the bootstrap (and scipy)
+or the EVT fit.
 """

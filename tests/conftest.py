@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.bench.harness import SampledExecutor
 from repro.bench.harness import sampled_engine as _sampled_engine
+from repro.bench.sampled import PaperConfig
 from repro.core.planner import QueryPlanner
 from repro.kg import KnowledgeGraph
 from repro.semantics.validation import CorrectnessValidator
@@ -67,7 +68,7 @@ def _sampled_service(kg, embedding, config=None, **kwargs) -> AggregateQueryServ
         if isinstance(embedding, PredicateVectorSpace)
         else PredicateVectorSpace(embedding)
     )
-    config = config or EngineConfig()
+    config = config or PaperConfig()
     planner = QueryPlanner(kg, space, config)
     executor = SampledExecutor(kg, space, config, planner)
     return AggregateQueryService(
@@ -126,8 +127,14 @@ def memoised():
 
 @pytest.fixture(scope="session")
 def fast_config() -> EngineConfig:
-    """Engine config tuned for quick, deterministic tests."""
-    return EngineConfig(seed=7, max_rounds=8)
+    """Engine config for deterministic tests."""
+    return EngineConfig(seed=7)
+
+
+@pytest.fixture(scope="session")
+def paper_fast_config() -> PaperConfig:
+    """Sampled-engine config tuned for quick, deterministic tests."""
+    return PaperConfig(seed=7, max_rounds=8)
 
 
 @pytest.fixture(scope="session")

@@ -18,9 +18,8 @@ from repro import (
     AggregateFunction,
     AggregateQuery,
     ApproximateAggregateEngine,
-    EngineConfig,
 )
-from repro.core.config import SamplerKind
+from repro.bench.sampled import PaperConfig, SamplerKind
 from repro.core.plan import shared_plan_cache
 from repro.datasets import guaranteed_queries, simple_query_graph
 from repro.errors import ReproError
@@ -145,7 +144,7 @@ class TestHarness:
         )
         draws = {}
         for level in (0.86, 0.98):
-            config = EngineConfig(seed=0, confidence_level=level)
+            config = PaperConfig(seed=0, confidence_level=level)
             result = context.engine(config).execute(query, seed=41)
             assert result.stop_reason != "census"
             draws[level] = result.total_draws
@@ -171,7 +170,7 @@ class TestHarness:
         first leg runs all ``r`` paths; production plans over the same
         components keep the exact row.  Both planners wrap a chain's first
         leg in a ``ChainValidator``."""
-        config = EngineConfig(seed=0, repeat_factor=2, tau=0.8)
+        config = PaperConfig(seed=0, repeat_factor=2, tau=0.8)
         engine = context.engine(config)
         production = ApproximateAggregateEngine(
             context.bundle.kg, context.space, config
@@ -209,7 +208,7 @@ class TestHarness:
         as the dense per-node scatter's positive entries: same node ids,
         same floats — a Node2Vec plan's is its simulated walk's."""
         kg = context.bundle.kg
-        config = EngineConfig(seed=0, sampler=sampler)
+        config = PaperConfig(seed=0, sampler=sampler)
         planner = context.engine(config).planner
         component = next(
             component
@@ -252,7 +251,7 @@ class TestHarness:
         )
         misses = []
         for r in (1, 2, 3, 5):
-            config = EngineConfig(seed=0, repeat_factor=r)
+            config = PaperConfig(seed=0, repeat_factor=r)
             engine = context.engine(config)
             missed = 0
             for component in components:

@@ -31,8 +31,7 @@ from repro import (
     QueryShape,
 )
 from repro.bench.harness import sampled_engine
-from repro.bench.sampled import PlanSampler
-from repro.core.config import ExtremeMethod, SamplerKind
+from repro.bench.sampled import PaperConfig, PlanSampler, SamplerKind
 from repro.core.plan import shared_plan_cache
 from repro.core.result import STOP_CENSUS, GroupedResult
 from repro.datasets import ALL_PRESETS, standard_workload
@@ -192,14 +191,12 @@ def test_census_is_the_exact_aggregate_on_every_shape_and_kind(
 # ----------------------------------------------------------------------
 # census-first: the whole support is validated at once, whatever its size
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("method", list(ExtremeMethod), ids=lambda m: m.value)
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
 def test_census_first_max_min_is_exact_and_fits_no_tail(
-    preset, method, monkeypatch, drive_lifecycle
+    preset, monkeypatch, drive_lifecycle
 ):
     """MAX / MIN take the census like every other kind: the extremum of
-    the kept answers, guaranteed with MoE 0 — and no EVT fit, not even
-    under ``ExtremeMethod.EVT``."""
+    the kept answers, guaranteed with MoE 0 — and no EVT fit."""
 
     def no_tail_fit(*_args, **_kwargs):
         raise AssertionError("a census fits no tail")
@@ -207,7 +204,7 @@ def test_census_first_max_min_is_exact_and_fits_no_tail(
     monkeypatch.setattr("repro.bench.sampled.estimate_extreme_evt", no_tail_fit)
     bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
     engine = ApproximateAggregateEngine(
-        bundle.kg, bundle.embedding, EngineConfig(seed=0, extreme_method=method)
+        bundle.kg, bundle.embedding, EngineConfig(seed=0)
     )
     queries = [
         query
@@ -247,18 +244,17 @@ def _toy_query(toy, kind: str) -> AggregateQuery:
 
 @pytest.mark.parametrize("kind", ["count", "avg", "grouped", "max"])
 def test_a_cap_below_the_support_still_answers_by_census(toy, kind, drive_lifecycle):
-    """``max_sample_size`` does not choose the path: at a cap of 1, far
-    below the toy support, a production query is a 0-draw census equal to
-    the oracle, and its service counts one ``census`` stop and nothing
-    else."""
+    """No sample cap chooses the path: production has none to set, and
+    over the whole toy support a production query is a 0-draw census
+    equal to the oracle, and its service counts one ``census`` stop and
+    nothing else."""
     query = _toy_query(toy, kind)
-    config = EngineConfig(seed=7, max_sample_size=1, min_group_draws=1)
-    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    engine = ApproximateAggregateEngine(toy.kg, toy.embedding, EngineConfig(seed=7))
     state, result = drive_lifecycle(engine.executor, query, 5, 0.01)
-    assert state.joint.support_size == toy.support_size > config.max_sample_size
+    assert state.joint.support_size == toy.support_size > 1
     assert state.total_draws == 0 and len(result.rounds) == 1
     _assert_census_is_the_oracle(engine, state, result)
-    with AggregateQueryService(toy.kg, toy.embedding, config) as service:
+    with AggregateQueryService(toy.kg, toy.embedding, engine.config) as service:
         served = service.submit(query, seed=5).result(timeout=60.0)
         stops = service.registry.snapshot()["repro_exec_stop_reasons_total"]
     assert _values(served) == _values(result)
@@ -425,12 +421,13 @@ def test_cnarw_plan_over_an_uncovered_predicate_fails_at_first_validation():
             {"knows": np.array([1.0, 0.0]), "likes": np.array([0.6, 0.8])}
         )
     )
-    config = EngineConfig(seed=1, n_bound=2, sampler=SamplerKind.CNARW)
+    census_config = EngineConfig(seed=1, n_bound=2)
+    config = PaperConfig(seed=1, n_bound=2, sampler=SamplerKind.CNARW)
     query = AggregateQuery(
         query=QueryGraph.simple("hub", ["Hub"], "knows", ["Car"]),
         function=AggregateFunction.COUNT,
     )
-    engine = ApproximateAggregateEngine(kg, space, config)
+    engine = ApproximateAggregateEngine(kg, space, census_config)
     plan = engine.planner.plan_for(query.query.components[0])
     distribution = PlanSampler(kg, space, config).sample(plan).distribution
     assert distribution.answers.tolist() == [near, other]
@@ -448,12 +445,12 @@ def test_cnarw_plan_over_an_uncovered_predicate_fails_at_first_validation():
     with pytest.raises(EmbeddingError, match="rare_pred"):
         sampled.step(state, 0.01)
     with pytest.raises(EmbeddingError, match="rare_pred"):
-        ApproximateAggregateEngine(kg, space, config).execute(query, seed=3)
+        ApproximateAggregateEngine(kg, space, census_config).execute(query, seed=3)
     with pytest.raises(EmbeddingError, match="rare_pred"):
         sampled_engine(kg, space, config).execute(query, seed=3)
     # one edge shorter, the bound stops before the uncovered edge
     assert ApproximateAggregateEngine(
-        kg, space, config.with_(n_bound=1)
+        kg, space, census_config.with_(n_bound=1)
     ).execute(query, seed=3).value == 1.0
 
 
@@ -536,7 +533,7 @@ def test_census_is_aggregate_over_on_random_small_graphs(drive_lifecycle, world)
     config = EngineConfig(seed=0)
     engine = ApproximateAggregateEngine(kg, space, config)
     plan = engine.planner.plan_for(query.query.components[0])
-    distribution = PlanSampler(kg, space, config).sample(plan).distribution
+    distribution = PlanSampler(kg, space).sample(plan).distribution
     assume(distribution.support_size > 0)
     state, result = drive_lifecycle(engine.executor, query, 1, 0.01)
     matches = best_matches_from(kg, space, "product", plan.source, config.n_bound)
@@ -620,7 +617,7 @@ def test_a_reference_memo_older_than_the_graph_refuses_the_new_node(
     from repro.bench.harness import PaperPlanner
 
     world = toy_world_factory()
-    planner = PaperPlanner(world.kg, world.space, EngineConfig())
+    planner = PaperPlanner(world.kg, world.space)
     validator = planner.plan_for(world.count_query().query.components[0]).validator
     validator.validate_batch([world.correct_cars[0]])
     car = world.kg.add_node("Car_late", ["Automobile"], {"price": 50_000.0})

@@ -208,18 +208,18 @@ class TestRouteCompositionOracle:
 
 
 class TestChainSamplerKinds:
-    """``EngineConfig.sampler`` decides every hop of a chain plan."""
+    """``PaperConfig.sampler`` decides every hop of a chain plan."""
 
     @staticmethod
     def _planner(bundle, sampler):
         """A planner under ``sampler`` with a private cache, and the S1 of
         its plans."""
-        from repro.bench.sampled import PlanSampler
+        from repro.bench.sampled import PaperConfig, PlanSampler
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
 
         space = bundle.space()
-        config = EngineConfig(seed=0, sampler=sampler)
+        config = PaperConfig(seed=0, sampler=sampler)
         return (
             QueryPlanner(bundle.kg, space, config, cache=PlanCache()),
             PlanSampler(bundle.kg, space, config),
@@ -240,7 +240,7 @@ class TestChainSamplerKinds:
 
     def test_cnarw_chains_walk_cnarw_on_every_hop(self, monkeypatch):
         from repro.bench import sampled as sampled_module
-        from repro.core.config import SamplerKind
+        from repro.bench.sampled import SamplerKind
 
         bundle = ALL_PRESETS["yago2-like"](seed=0)
         component = self._league_chain()
@@ -275,7 +275,7 @@ class TestChainSamplerKinds:
     def test_node2vec_refuses_a_chain_at_its_first_draw(self):
         """The plan is the census's and builds; its S1 refuses the chain
         before any stage runs."""
-        from repro.core.config import SamplerKind
+        from repro.bench.sampled import SamplerKind
         from repro.errors import QueryError
 
         bundle = ALL_PRESETS["yago2-like"](seed=0)
@@ -289,8 +289,7 @@ class TestChainSamplerKinds:
         """A SEMANTIC and a CNARW sampled engine over one plan cache build
         the chain's plan and row once, and each draws from its own
         sampler's pi_A: the one a private-cache planner builds."""
-        from repro.bench.sampled import SampledExecutor
-        from repro.core.config import SamplerKind
+        from repro.bench.sampled import PaperConfig, SampledExecutor, SamplerKind
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
         from repro.semantics.validation import ChainValidator
@@ -316,7 +315,7 @@ class TestChainSamplerKinds:
         space, cache = bundle.space(), PlanCache()
         planners, states = [], {}
         for sampler in (SamplerKind.SEMANTIC, SamplerKind.CNARW):
-            config = EngineConfig(seed=0, sampler=sampler)
+            config = PaperConfig(seed=0, sampler=sampler)
             planner = QueryPlanner(bundle.kg, space, config, cache=cache)
             executor = SampledExecutor(bundle.kg, space, config, planner)
             planners.append(planner)
@@ -374,14 +373,14 @@ class TestChainQueriesEndToEnd:
 
 class TestCompositeQueriesEndToEnd:
     def test_contradictory_composite_estimates_zero(
-        self, toy, fast_config, sampled_engine
+        self, toy, fast_config, paper_fast_config, sampled_engine
     ):
         """No toy car satisfies both the product and the designer-chain
         relations: the candidate supports intersect (same Automobile pool)
         but validation admits nobody, so the estimate is 0.  Sampling
         reports non-convergence; the census — which the toy world's small
         support triggers — has validated every answer, so its 0 is exact."""
-        engine = sampled_engine(toy.kg, toy.embedding, fast_config)
+        engine = sampled_engine(toy.kg, toy.embedding, paper_fast_config)
         composite = QueryGraph.compose(
             [
                 QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.bench.experiments import ExperimentResult, _result
+from repro.bench.sampled import PaperConfig
 from repro.cli import EXPERIMENTS, _figure_series, main
 
 
@@ -74,7 +77,12 @@ def test_query_extreme_trace_renders_no_nan(capsys, monkeypatch, sampled_engine)
     """Regression: extreme round traces carried moe=NaN, which the trace
     table rendered as 'nan'; the sentinel renders as the n/a marker.  The
     engine samples: a census round has a CI, so it has no sentinel."""
-    monkeypatch.setattr("repro.cli.ApproximateAggregateEngine", sampled_engine)
+
+    def sampled(kg, embedding, config):
+        # the CLI's census config, under the sampler's defaults
+        return sampled_engine(kg, embedding, PaperConfig(**asdict(config)))
+
+    monkeypatch.setattr("repro.cli.ApproximateAggregateEngine", sampled)
     code = main(
         [
             "query",
@@ -435,3 +443,64 @@ def test_serve_http_rejects_malformed_address(capsys):
     code = main(["serve", "--http", "not-an-address"])
     assert code == 2
     assert "--http expects HOST:PORT" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bad input is refused before any graph is built
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def no_graph_build(monkeypatch):
+    """Every dataset preset fails the test if a command loads it."""
+
+    def refuse(**_kwargs):
+        raise AssertionError("a graph was built before the input was checked")
+
+    monkeypatch.setattr(
+        "repro.cli._dataset_registry",
+        lambda: dict.fromkeys(("dbpedia-like", "freebase-like", "yago2-like"), refuse),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["query", _SERVE_AQL, "--tau", "2"], "tau must be in (0, 1]"),
+        (["query", _SERVE_AQL, "COUNT MATCH nothing"], "error:"),
+        (["serve", "--tau", "2"], "tau must be in (0, 1]"),
+        (["serve", "--http", "127.0.0.1:0", "--confidence", "1"], "confidence"),
+    ],
+    ids=["query-tau", "query-aql", "serve-tau", "serve-http-confidence"],
+)
+def test_query_and_serve_check_their_input_before_the_graph(
+    no_graph_build, capsys, argv, message
+):
+    assert main([*argv, "--scale", "30"]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("address", ["nonsense", "127.0.0.1:http", "host:70000"])
+def test_serve_checks_its_http_address_before_the_graph(
+    no_graph_build, capsys, address
+):
+    assert main(["serve", "--http", address, "--scale", "30"]) == 2
+    assert "--http expects HOST:PORT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["query", _SERVE_AQL],
+        ["serve"],
+        ["snapshot", "save", "catalog"],
+        ["export", "kg.json"],
+    ],
+    ids=["query", "serve", "snapshot", "export"],
+)
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "big"])
+def test_every_scale_flag_is_finite_and_positive(
+    no_graph_build, capsys, command, scale
+):
+    with pytest.raises(SystemExit) as exited:
+        main([*command, "--scale", scale])
+    assert exited.value.code == 2
+    assert "--scale: must be finite and > 0" in capsys.readouterr().err

@@ -564,10 +564,8 @@ class TestPartialEmbedding:
     def test_planner_only_checks_the_scopes_edges(self):
         """The closed-form S1 stage keeps the contract end to end: an
         uncovered predicate anywhere else in the graph fails no plan."""
-        from repro import EngineConfig
-        from repro.core.config import SamplerKind
+        from repro.bench.sampled import PaperConfig, PlanSampler, SamplerKind
         from repro.core.plan import PlanCache
-        from repro.bench.sampled import PlanSampler
         from repro.core.planner import QueryPlanner
         from repro.errors import EmbeddingError
         from repro.query.graph import QueryGraph
@@ -584,7 +582,7 @@ class TestPartialEmbedding:
         simple = QueryGraph.simple("hub", ["Hub"], "knows", ["Car"]).components[0]
 
         def distribution(n_bound, sampler=SamplerKind.SEMANTIC):
-            config = EngineConfig(n_bound=n_bound, sampler=sampler)
+            config = PaperConfig(n_bound=n_bound, sampler=sampler)
             planner = QueryPlanner(kg, space, config, cache=PlanCache())
             plan = planner.plan_for(simple)
             return PlanSampler(kg, space, config).sample(plan).distribution

@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset substrates (specs, builder, presets)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from repro.datasets import (
     dbpedia_like,
     dbpedia_like_spec,
     freebase_like,
+    freebase_like_spec,
     yago_like,
+    yago_like_spec,
 )
 from repro.errors import DatasetError
 
@@ -66,6 +70,12 @@ class TestPredicateRegistry:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_presets_refuse_a_scale_that_is_not_finite_and_positive(self, scale):
+        for spec in (dbpedia_like_spec, freebase_like_spec, yago_like_spec):
+            with pytest.raises(ValueError, match="scale must be finite and > 0"):
+                spec(scale=scale)
+
     def test_schema_geomean(self):
         schema = PathSchema(
             "two_hop",

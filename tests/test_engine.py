@@ -1,6 +1,6 @@
 """End-to-end tests of the sampling-estimation engine (Algorithm 2)."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from repro import (
     GroupBy,
     QueryGraph,
 )
-from repro.core.config import DeltaStrategy, SamplerKind
+from repro.bench.sampled import DeltaStrategy, PaperConfig, SamplerKind
 from repro.core.result import (
     STOP_BOUND_MET,
     STOP_CENSUS,
@@ -46,8 +46,8 @@ class TestSimpleQueries:
         result = engine.execute(toy.sum_query())
         assert result.relative_error(toy.sum_truth) < 0.05
 
-    def test_result_metadata(self, toy, fast_config, sampled_engine):
-        engine = sampled_engine(toy.kg, toy.embedding, fast_config)
+    def test_result_metadata(self, toy, paper_fast_config, sampled_engine):
+        engine = sampled_engine(toy.kg, toy.embedding, paper_fast_config)
         result = engine.execute(toy.count_query())
         assert result.function is AggregateFunction.COUNT
         assert result.total_draws > 0
@@ -58,11 +58,11 @@ class TestSimpleQueries:
         assert result.num_rounds == len(result.rounds)
 
     def test_distinct_support_indices_follow_growth(
-        self, toy, fast_config, sampled_engine
+        self, toy, paper_fast_config, sampled_engine
     ):
         """The drawn-mask memo equals ``np.unique`` over every draw and is
         recomputed exactly when the (append-only) little samples grow."""
-        engine = sampled_engine(toy.kg, toy.embedding, fast_config)
+        engine = sampled_engine(toy.kg, toy.embedding, paper_fast_config)
         state = engine.executor.initialise(toy.avg_query(), seed=5)
 
         def oracle() -> np.ndarray:
@@ -128,7 +128,7 @@ class TestSimpleQueries:
         """``submit(max_rounds=1)`` runs the initial round and stops on
         the budget, however far the bound is."""
         engine = sampled_engine(
-            toy.kg, toy.embedding, EngineConfig(seed=11, error_bound=0.0001)
+            toy.kg, toy.embedding, PaperConfig(seed=11, error_bound=0.0001)
         )
         with engine.service as service:
             result = service.submit(toy.count_query(), seed=3, max_rounds=1).result(
@@ -199,7 +199,7 @@ class TestFilters:
         assert result.relative_error(float(truth)) < 0.1
 
     def test_filter_excluding_everything(
-        self, toy, fast_config, engine, sampled_engine
+        self, toy, paper_fast_config, engine, sampled_engine
     ):
         """Sampling has no CI without a correct draw; the census has
         screened every answer, so its 0 is exact."""
@@ -208,7 +208,7 @@ class TestFilters:
             function=AggregateFunction.COUNT,
             filters=(Filter("price", 1.0, 2.0),),
         )
-        result = sampled_engine(toy.kg, toy.embedding, fast_config).execute(query)
+        result = sampled_engine(toy.kg, toy.embedding, paper_fast_config).execute(query)
         assert result.value == 0.0
         assert not result.converged
         census = engine.execute(query)
@@ -217,14 +217,16 @@ class TestFilters:
 
 
 class TestExtremes:
-    def test_max_close_to_truth(self, toy, fast_config, engine, sampled_engine):
+    def test_max_close_to_truth(
+        self, toy, paper_fast_config, engine, sampled_engine
+    ):
         query = AggregateQuery(
             query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
             function=AggregateFunction.MAX,
             attribute="price",
         )
         truth = max(toy.kg.node(c).attribute("price") for c in toy.correct_cars)
-        result = sampled_engine(toy.kg, toy.embedding, fast_config).execute(query)
+        result = sampled_engine(toy.kg, toy.embedding, paper_fast_config).execute(query)
         assert result.value <= truth  # sample max never exceeds the population max
         assert result.relative_error(truth) < 0.05
         assert not result.converged  # sampled extremes carry no guarantee
@@ -277,7 +279,7 @@ class TestGroupBy:
     def test_a_round_that_gates_no_group_is_not_satisfied(self, toy, sampled_engine):
         """Sixty one-car bins: no group reaches ``min_group_draws`` correct
         draws in three rounds, so no round has checked a bound."""
-        config = EngineConfig(seed=7, max_rounds=3)
+        config = PaperConfig(seed=7, max_rounds=3)
         engine = sampled_engine(toy.kg, toy.embedding, config)
         query = AggregateQuery(
             query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
@@ -299,7 +301,7 @@ class TestGroupBy:
         six groups of 1-6 correct draws, every MoE near its estimate — it
         used to stop there as ``converged`` / ``bound_met``."""
         engine = sampled_engine(
-            dbpedia_bundle.kg, dbpedia_bundle.embedding, EngineConfig(seed=0)
+            dbpedia_bundle.kg, dbpedia_bundle.embedding, PaperConfig(seed=0)
         )
         result = engine.execute(
             "COUNT(*) MATCH (Berlin:City)-[basedIn]->(x:SoccerClub) "
@@ -323,7 +325,7 @@ class TestAblationConfigs:
         assert result.value > toy.count_truth * 1.05
 
     def test_cnarw_sampler_runs(self, toy, sampled_engine):
-        config = EngineConfig(seed=7, sampler=SamplerKind.CNARW, max_rounds=4)
+        config = PaperConfig(seed=7, sampler=SamplerKind.CNARW, max_rounds=4)
         engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         assert result.total_draws > 0
@@ -331,30 +333,33 @@ class TestAblationConfigs:
         assert result.walk_iterations == 0
 
     def test_node2vec_sampler_runs(self, toy, sampled_engine):
-        config = EngineConfig(seed=7, sampler=SamplerKind.NODE2VEC, max_rounds=3)
+        config = PaperConfig(seed=7, sampler=SamplerKind.NODE2VEC, max_rounds=3)
         engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         assert result.total_draws > 0
 
-    def test_fixed_delta_strategy(self, toy):
-        config = EngineConfig(
-            seed=7, delta_strategy=DeltaStrategy.FIXED, fixed_delta=60, max_rounds=12
+    def test_fixed_delta_strategy(self, toy, sampled_engine):
+        """Fig 5(c): a fixed top-up per round still meets the bound."""
+        config = PaperConfig(
+            seed=7, delta_strategy=DeltaStrategy.FIXED, max_rounds=12
         )
-        engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+        engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.avg_query())
+        assert result.total_draws > 0 and result.stop_reason != STOP_CENSUS
+        assert result.stop_reason == STOP_BOUND_MET
         assert result.relative_error(toy.avg_truth) < 0.05
 
     def test_paper_normalization_biased_count(self, toy, sampled_engine):
         """DESIGN.md §4.1: Eq. 8 as written overcounts by ~1/q."""
         from repro.estimation.estimators import Normalization
 
-        config = EngineConfig(seed=7, normalization=Normalization.PAPER, max_rounds=6)
+        config = PaperConfig(seed=7, normalization=Normalization.PAPER, max_rounds=6)
         engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         assert result.value > toy.count_truth  # upward bias
 
     def test_max_sample_size_cap(self, toy, sampled_engine):
-        config = EngineConfig(seed=7, max_sample_size=120, error_bound=0.0001)
+        config = PaperConfig(seed=7, max_sample_size=120, error_bound=0.0001)
         engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         assert not result.converged
@@ -373,7 +378,7 @@ class TestConjunction:
     """A composite answer is correct when every component keeps it."""
 
     def test_star_verdicts_equal_the_eager_minimum(
-        self, dbpedia_bundle, fast_config, memoised, sampled_engine
+        self, dbpedia_bundle, paper_fast_config, memoised, sampled_engine
     ):
         from repro import QueryShape
         from repro.core.plan import shared_plan_cache
@@ -385,7 +390,7 @@ class TestConjunction:
         )[0].aggregate_query
         shared_plan_cache().clear()
         engine = sampled_engine(
-            dbpedia_bundle.kg, dbpedia_bundle.embedding, fast_config
+            dbpedia_bundle.kg, dbpedia_bundle.embedding, paper_fast_config
         )
         state = engine.executor.initialise(star, 3)
         engine._executor._ensure_validated(state)
@@ -397,7 +402,7 @@ class TestConjunction:
         validated = np.flatnonzero(state.support_known)
         answers = state.joint.answers[validated]
         kept = [
-            plan.validator.row()[0][answers] >= fast_config.tau
+            plan.validator.row()[0][answers] >= paper_fast_config.tau
             for plan in state.components
         ]
         both = np.logical_and.reduce(kept)
@@ -413,10 +418,22 @@ class TestConjunction:
             validated, answers.tolist(), similarities
         ):
             assert similarity == min(memo[node_id] for memo in memos)
-            assert (similarity >= fast_config.tau) == state.support_correct[index]
+            assert (similarity >= paper_fast_config.tau) == state.support_correct[index]
 
 
 class TestConfigValidation:
+    def test_engine_config_holds_what_a_census_reads(self):
+        assert [field.name for field in fields(EngineConfig)] == [
+            "error_bound",
+            "confidence_level",
+            "tau",
+            "validate_correctness",
+            "n_bound",
+            "similarity_floor",
+            "seed",
+        ]
+        assert len(fields(PaperConfig)) == 7 + 15
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -424,35 +441,49 @@ class TestConfigValidation:
             {"error_bound": 1.0},
             {"confidence_level": 0.0},
             {"tau": 0.0},
-            {"repeat_factor": 0},
             {"n_bound": 0},
-            {"sample_ratio": 0.0},
-            {"min_initial_sample": 0},
-            {"max_rounds": 0},
-            {"fixed_delta": 0},
-            {"self_loop_weight": 0.0},
-            {"self_loop_weight": float("nan")},
-            {"self_loop_weight": float("inf")},
             {"similarity_floor": 0.0},
             {"similarity_floor": 1.0},
             {"similarity_floor": 2.0},
             {"similarity_floor": float("nan")},
-            {"validation_expansions": 0},
-            {"extreme_sample_ratio": 0.0},
-            {"extreme_rounds": 0},
-            {"max_intermediates": 0},
-            {"min_rounds": 0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(QueryError):
             EngineConfig(**kwargs)
+        with pytest.raises(QueryError):
+            PaperConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"repeat_factor": 0},
+            {"sample_ratio": 0.0},
+            {"min_initial_sample": 0},
+            {"max_rounds": 0},
+            {"self_loop_weight": 0.0},
+            {"self_loop_weight": float("nan")},
+            {"self_loop_weight": float("inf")},
+            {"extreme_rounds": 0},
+            {"max_intermediates": 0},
+            {"min_rounds": 0},
+        ],
+    )
+    def test_invalid_paper_config_rejected(self, kwargs):
+        with pytest.raises(QueryError):
+            PaperConfig(**kwargs)
+
+    def test_a_sampler_knob_is_not_an_engine_config_field(self):
+        with pytest.raises(TypeError):
+            EngineConfig(max_rounds=8)
 
     def test_with_copies(self):
         config = EngineConfig()
         updated = config.with_(error_bound=0.05)
         assert updated.error_bound == 0.05
         assert config.error_bound == 0.01
+        paper = PaperConfig().with_(max_rounds=3)
+        assert type(paper) is PaperConfig and paper.max_rounds == 3
 
 
 class TestAqlStringQueries:

@@ -31,9 +31,11 @@ from repro import (
     QueryGraph,
     QueryShape,
 )
-from repro.core.config import DeltaStrategy
 from repro.bench.sampled import (
+    BLB,
     MIN_CORRECT_FOR_TERMINATION,
+    DeltaStrategy,
+    PaperConfig,
     PlanSampler,
     SampledExecutor,
     _SampledState,
@@ -175,7 +177,7 @@ def test_validators_refuse_an_out_of_range_node_id(toy_world_factory, kind):
     world = toy_world_factory()
     config = EngineConfig(seed=7)
     if kind == "reference":
-        planner = PaperPlanner(world.kg, world.space, config)
+        planner = PaperPlanner(world.kg, world.space)
     else:
         planner = QueryPlanner(world.kg, world.space, config, cache=PlanCache())
     query = world.chain_count_query() if kind == "chain" else world.count_query()
@@ -327,7 +329,7 @@ def test_joint_distribution_matches_dict_assembly(preset, shape):
     bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
     stated = queries_of_shape(standard_workload(bundle), shape)[0]
     engine = ApproximateAggregateEngine(bundle.kg, bundle.embedding)
-    sampler = PlanSampler(bundle.kg, engine.space, engine.config)
+    sampler = PlanSampler(bundle.kg, engine.space)
     distributions = [
         sampler.sample(engine.planner.plan_for(component)).distribution
         for component in stated.aggregate_query.query.components
@@ -408,7 +410,7 @@ def _oracle_round(executor, state, error_bound):
             config.normalization,
             estimate=point,
             confidence_level=config.confidence_level,
-            config=config.blb,
+            config=BLB,
             seed=derive_seed(config.seed, "blb", round_index),
         ).moe
     except EstimationError:
@@ -456,7 +458,7 @@ def _assert_rounds_match_oracle(executor, query, seed, error_bound, rounds):
 def test_round_is_the_estimation_sample_estimate_and_blb_on_the_toy_world(
     toy, function, normalization, sampled_engine
 ):
-    config = EngineConfig(seed=7, normalization=normalization)
+    config = PaperConfig(seed=7, normalization=normalization)
     engine = sampled_engine(toy.kg, toy.embedding, config)
     query = AggregateQuery(
         query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
@@ -482,7 +484,7 @@ def test_round_is_the_estimation_sample_estimate_and_blb_on_yago(
         and stated.aggregate_query.group_by is None
     )
     engine = sampled_engine(
-        bundle.kg, bundle.embedding, EngineConfig(seed=0, normalization=normalization)
+        bundle.kg, bundle.embedding, PaperConfig(seed=0, normalization=normalization)
     )
     _assert_rounds_match_oracle(engine.executor, query, 11, 0.01, rounds=3)
 
@@ -515,7 +517,7 @@ def _hand_state(function, values, probabilities, correct, little_samples):
 
 
 def _hand_executor(normalization) -> SampledExecutor:
-    config = EngineConfig(normalization=normalization, min_rounds=1)
+    config = PaperConfig(normalization=normalization, min_rounds=1)
     return SampledExecutor(KnowledgeGraph("unread"), None, config, None)
 
 
@@ -590,7 +592,7 @@ def test_group_estimates_are_the_masked_estimation_samples(
     mask is the group's membership: same estimate bit for bit, the
     closed-form sigma when the estimator is mean-shaped, else the
     bootstrap on the round's one generator in key order."""
-    config = EngineConfig(seed=7, normalization=normalization, max_rounds=3)
+    config = PaperConfig(seed=7, normalization=normalization, max_rounds=3)
     engine = sampled_engine(toy.kg, toy.embedding, config)
     query = AggregateQuery(
         query=QueryGraph.simple("Germany", ["Country"], "product", ["Automobile"]),
@@ -620,7 +622,7 @@ def test_group_estimates_are_the_masked_estimation_samples(
         else:
             sigma = fast_bootstrap_sigma(
                 sample, function, normalization,
-                num_resamples=config.blb.num_resamples,
+                num_resamples=BLB.num_resamples,
                 resample_size=sample.total_draws, rng=rng,
             )
         assert group.value.hex() == estimate(function, sample, normalization).hex()
@@ -792,7 +794,7 @@ def _assert_drawn_set_is_unique_draws(state) -> None:
 def test_drawn_set_follows_every_grow(toy, sampled_engine, kind, delta_strategy):
     """Only the tail each little sample gained is scattered into the drawn
     mask; after every growth the set is still every distinct draw."""
-    config = EngineConfig(seed=7, delta_strategy=delta_strategy, fixed_delta=90)
+    config = PaperConfig(seed=7, delta_strategy=delta_strategy)
     executor = sampled_engine(toy.kg, toy.embedding, config).executor
     state = executor.initialise(_KIND_QUERIES[kind], 3)
     _assert_drawn_set_is_unique_draws(state)
@@ -805,7 +807,7 @@ def test_drawn_set_follows_every_grow(toy, sampled_engine, kind, delta_strategy)
 
 
 def test_drawn_set_follows_interactive_refinement(toy, sampled_engine):
-    engine = sampled_engine(toy.kg, toy.embedding, EngineConfig(seed=11))
+    engine = sampled_engine(toy.kg, toy.embedding, PaperConfig(seed=11))
     with engine.service as service:
         handle = service.submit(toy.avg_query(), seed=3, error_bound=0.05)
         initial_draws = handle.result().rounds[0].total_draws

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import EngineConfig, ExtremeMethod
+from repro.bench.sampled import ExtremeMethod, PaperConfig
+from repro.core.result import STOP_CENSUS
 from repro.errors import EstimationError, QueryError
 from repro.estimation.estimators import EstimationSample
 from repro.estimation.extreme import (
@@ -264,7 +265,7 @@ def test_property_evt_never_contradicts_the_sample(seed, size, low, span):
 # Engine integration
 # ---------------------------------------------------------------------------
 def test_engine_config_accepts_evt_method():
-    config = EngineConfig(extreme_method=ExtremeMethod.EVT)
+    config = PaperConfig(extreme_method=ExtremeMethod.EVT)
     assert config.extreme_method is ExtremeMethod.EVT
 
 
@@ -273,16 +274,16 @@ def test_engine_config_accepts_evt_method():
     [
         {"evt_exceedance_quantile": 0.0},
         {"evt_exceedance_quantile": 1.0},
-        {"evt_bootstrap_rounds": 0},
     ],
 )
 def test_engine_config_validates_evt_knobs(kwargs):
     with pytest.raises(QueryError):
-        EngineConfig(**kwargs)
+        PaperConfig(**kwargs)
 
 
-def test_engine_evt_max_never_below_sample_method(dbpedia_bundle):
-    from repro.core.engine import ApproximateAggregateEngine
+def test_engine_evt_max_never_below_sample_method(dbpedia_bundle, sampled_engine):
+    """On the sampled engine (a census fits no tail) the EVT estimate
+    extends the sample maximum of the same draws."""
     from repro.query import AggregateQuery, QueryGraph
 
     query = AggregateQuery(
@@ -290,22 +291,17 @@ def test_engine_evt_max_never_below_sample_method(dbpedia_bundle):
         function=AggregateFunction.MAX,
         attribute="price",
     )
-    sample_engine = ApproximateAggregateEngine(
-        dbpedia_bundle.kg,
-        dbpedia_bundle.embedding,
-        config=EngineConfig(seed=7, extreme_rounds=2),
-    )
-    evt_engine = ApproximateAggregateEngine(
-        dbpedia_bundle.kg,
-        dbpedia_bundle.embedding,
-        config=EngineConfig(
-            seed=7,
-            extreme_rounds=2,
-            extreme_method=ExtremeMethod.EVT,
-            evt_bootstrap_rounds=50,
-        ),
-    )
-    sample_result = sample_engine.execute(query)
-    evt_result = evt_engine.execute(query)
+    results = [
+        sampled_engine(
+            dbpedia_bundle.kg,
+            dbpedia_bundle.embedding,
+            PaperConfig(seed=7, extreme_rounds=2, extreme_method=method),
+        ).execute(query)
+        for method in (ExtremeMethod.SAMPLE, ExtremeMethod.EVT)
+    ]
+    for result in results:
+        assert result.total_draws > 0 and result.stop_reason != STOP_CENSUS
+    sample_result, evt_result = results
+    assert evt_result.total_draws == sample_result.total_draws
     assert evt_result.value >= sample_result.value - 1e-9
     assert evt_result.moe >= 0.0

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.bench.sampled import PaperConfig
 from repro.core.config import EngineConfig
 from repro.core.engine import ApproximateAggregateEngine
 from repro.core.planner import resolve_mapping_node
@@ -112,7 +113,7 @@ def test_unreachable_answers_do_not_count(tiny_kg):
     engine = ApproximateAggregateEngine(
         tiny_kg,
         _space("rel", "unrelated"),
-        config=EngineConfig(seed=1, tau=0.05, max_rounds=3, min_rounds=1),
+        config=EngineConfig(seed=1, tau=0.05),
     )
     result = engine.execute(_count_query())
     assert result.value == pytest.approx(2.0, rel=0.35)
@@ -143,12 +144,14 @@ def test_sum_over_answers_without_the_attribute(tiny_kg, sampled_engine):
         attribute="weight",  # nobody has it
     )
     space = _space("rel", "unrelated")
-    config = EngineConfig(seed=1, max_rounds=2, min_rounds=1)
+    config = PaperConfig(seed=1, max_rounds=2, min_rounds=1)
     result = sampled_engine(tiny_kg, space, config).execute(query)
     assert result.value == 0.0
     assert result.correct_draws == 0
     assert not result.converged
-    census = ApproximateAggregateEngine(tiny_kg, space, config).execute(query)
+    census = ApproximateAggregateEngine(tiny_kg, space, EngineConfig(seed=1)).execute(
+        query
+    )
     assert (census.value, census.moe, census.correct_draws) == (0.0, 0.0, 0)
     assert census.converged and census.stop_reason == STOP_CENSUS
 
@@ -164,7 +167,7 @@ def test_partial_attribute_coverage():
     engine = ApproximateAggregateEngine(
         kg,
         _space("rel"),
-        config=EngineConfig(seed=3, tau=0.05, max_rounds=3, min_rounds=1),
+        config=EngineConfig(seed=3, tau=0.05),
     )
     query = AggregateQuery(
         query=QueryGraph.simple("Hub", ["Place"], "rel", ["Thing"]),
@@ -185,7 +188,7 @@ def test_nan_attribute_is_treated_as_missing():
     engine = ApproximateAggregateEngine(
         kg,
         _space("rel"),
-        config=EngineConfig(seed=5, tau=0.05, max_rounds=3, min_rounds=1),
+        config=EngineConfig(seed=5, tau=0.05),
     )
     query = AggregateQuery(
         query=QueryGraph.simple("Hub", ["Place"], "rel", ["Thing"]),
@@ -206,7 +209,7 @@ def test_group_by_attribute_nobody_has(tiny_kg):
     engine = ApproximateAggregateEngine(
         tiny_kg,
         _space("rel", "unrelated"),
-        config=EngineConfig(seed=1, tau=0.05, max_rounds=2, min_rounds=1),
+        config=EngineConfig(seed=1, tau=0.05),
     )
     grouped = engine.execute(query)
     assert grouped.num_groups == 0
@@ -224,11 +227,13 @@ def test_all_answers_below_tau(sampled_engine):
     thing = kg.add_node("T", ["Thing"])
     kg.add_edge(hub, "different", thing)
     space = _space("rel", "different", seed=9)
-    config = EngineConfig(seed=2, tau=1.0, max_rounds=2, min_rounds=1)
+    config = PaperConfig(seed=2, tau=1.0, max_rounds=2, min_rounds=1)
     result = sampled_engine(kg, space, config).execute(_count_query())
     assert result.value == 0.0
     assert not result.converged
-    census = ApproximateAggregateEngine(kg, space, config).execute(_count_query())
+    census = ApproximateAggregateEngine(
+        kg, space, EngineConfig(seed=2, tau=1.0)
+    ).execute(_count_query())
     assert (census.value, census.moe) == (0.0, 0.0)
     assert census.converged and census.stop_reason == STOP_CENSUS
 
@@ -329,7 +334,7 @@ def test_unknown_query_predicate_raises_a_clear_error(tiny_kg):
     engine = ApproximateAggregateEngine(
         tiny_kg,
         space,
-        config=EngineConfig(seed=4, tau=0.05, max_rounds=2, min_rounds=1),
+        config=EngineConfig(seed=4, tau=0.05),
     )
     with pytest.raises(EmbeddingError, match="never_embedded"):
         engine.execute(_count_query(predicate="never_embedded"))

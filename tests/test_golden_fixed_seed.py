@@ -38,7 +38,6 @@ from repro import (
 )
 from repro.core.result import GroupedResult
 from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
-from repro.estimation.estimators import Normalization
 from repro.query.parser import format_query
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fixed_seed.json"
@@ -74,64 +73,38 @@ def _workload_aql(shape: QueryShape, function: AggregateFunction) -> str:
     )
 
 
-#: name -> (AQL or a callable returning it, normalisation).  The plain
-#: AVG's last round holds more draws than one kernel block; the chain
-#: AVG's fit in one.  The star and the flower mix simple and chain
-#: components, the cycle has two simple ones.  The filtered AVG, the
-#: binned GROUP-BY COUNT and the MAX are the workload's first of each:
-#: the S2 attribute/filter screen, the group-key binning and the extreme
-#: round loop.  The chain COUNT is the workload's first single-component
-#: chain query: every answer's verdict comes from the budgeted chain DFS.
+#: name -> AQL or a callable returning it.  The plain AVG's last round
+#: holds more draws than one kernel block; the chain AVG's fit in one.
+#: The star and the flower mix simple and chain components, the cycle
+#: has two simple ones.  The filtered AVG, the binned GROUP-BY COUNT and
+#: the MAX are the workload's first of each: the S2 attribute/filter
+#: screen, the group-key binning and the extreme round loop.  The chain
+#: COUNT is the workload's first single-component chain query: every
+#: answer's verdict comes from the budgeted chain DFS.  (``count_paper``
+#: keeps the name of the estimator normalisation it once ran under, which
+#: a census does not read.)
 CASES = {
-    "plain_avg": (f"AVG(transfer_value) MATCH {_SOCCER}", Normalization.SAMPLE),
-    "count_paper": (
-        "COUNT(*) MATCH (Spain:Country)-[bornIn]->(x:SoccerPlayer)",
-        Normalization.PAPER,
-    ),
-    "group_by_avg": (
-        f"AVG(transfer_value) MATCH {_SOCCER} GROUP BY age BIN 4",
-        Normalization.SAMPLE,
-    ),
+    "plain_avg": f"AVG(transfer_value) MATCH {_SOCCER}",
+    "count_paper": "COUNT(*) MATCH (Spain:Country)-[bornIn]->(x:SoccerPlayer)",
+    "group_by_avg": f"AVG(transfer_value) MATCH {_SOCCER} GROUP BY age BIN 4",
     "chain_avg": (
         "AVG(transfer_value) MATCH (FC_Barcelona:SoccerClub)-[academy]->"
-        "(n1:Academy)-[trained]->(x:SoccerPlayer)",
-        Normalization.SAMPLE,
+        "(n1:Academy)-[trained]->(x:SoccerPlayer)"
     ),
-    "chain_count": (
-        lambda: _first_workload_aql(
-            lambda query: query.query.shape is QueryShape.CHAIN
-            and query.function is AggregateFunction.COUNT
-        ),
-        Normalization.SAMPLE,
+    "chain_count": lambda: _first_workload_aql(
+        lambda query: query.query.shape is QueryShape.CHAIN
+        and query.function is AggregateFunction.COUNT
     ),
-    "star_count": (
-        lambda: _workload_aql(QueryShape.STAR, AggregateFunction.COUNT),
-        Normalization.SAMPLE,
+    "star_count": lambda: _workload_aql(QueryShape.STAR, AggregateFunction.COUNT),
+    "flower_count": lambda: _workload_aql(QueryShape.FLOWER, AggregateFunction.COUNT),
+    "cycle_sum": lambda: _workload_aql(QueryShape.CYCLE, AggregateFunction.SUM),
+    "filtered_avg": lambda: _first_workload_aql(lambda query: query.has_filters),
+    "group_by_count": lambda: _first_workload_aql(
+        lambda query: query.group_by is not None
+        and query.function is AggregateFunction.COUNT
     ),
-    "flower_count": (
-        lambda: _workload_aql(QueryShape.FLOWER, AggregateFunction.COUNT),
-        Normalization.SAMPLE,
-    ),
-    "cycle_sum": (
-        lambda: _workload_aql(QueryShape.CYCLE, AggregateFunction.SUM),
-        Normalization.SAMPLE,
-    ),
-    "filtered_avg": (
-        lambda: _first_workload_aql(lambda query: query.has_filters),
-        Normalization.SAMPLE,
-    ),
-    "group_by_count": (
-        lambda: _first_workload_aql(
-            lambda query: query.group_by is not None
-            and query.function is AggregateFunction.COUNT
-        ),
-        Normalization.SAMPLE,
-    ),
-    "max_simple": (
-        lambda: _first_workload_aql(
-            lambda query: query.function is AggregateFunction.MAX
-        ),
-        Normalization.SAMPLE,
+    "max_simple": lambda: _first_workload_aql(
+        lambda query: query.function is AggregateFunction.MAX
     ),
 }
 
@@ -145,12 +118,12 @@ def _trace(rounds) -> list:
 
 def compute(name: str) -> dict:
     """Run one golden case on a fresh engine and flatten its result."""
-    aql, normalization = CASES[name]
+    aql = CASES[name]
     if callable(aql):
         aql = aql()
     bundle = _bundle()
     engine = ApproximateAggregateEngine(
-        bundle.kg, bundle.embedding, EngineConfig(seed=0, normalization=normalization)
+        bundle.kg, bundle.embedding, EngineConfig(seed=0)
     )
     result = engine.execute(aql)
     record = {

@@ -6,6 +6,7 @@ COUNT and a chain COUNT on the toy world through
 ``AggregateQueryService``.  Afterwards none of the paper's sampling and
 guarantee machinery may be loaded: no scipy, no networkx, no
 ``repro.bench`` (the figures), no ``repro.sampling`` (S1), no
+``repro.estimation.accuracy`` (Theorem 2 and the BLB sizes), no
 ``repro.estimation.bootstrap`` (the BLB) and no
 ``repro.estimation.extreme`` (the EVT fit).  Each of them only loads
 where a run draws or a figure is drawn, so ``repro serve`` and every CLI
@@ -30,6 +31,7 @@ _FORBIDDEN = (
     "networkx",
     "repro.bench",
     "repro.sampling",
+    "repro.estimation.accuracy",
     "repro.estimation.bootstrap",
     "repro.estimation.extreme",
 )

@@ -172,7 +172,7 @@ def test_imported_graph_works_with_the_engine():
     engine = ApproximateAggregateEngine(
         kg,
         embedding,
-        config=EngineConfig(seed=1, tau=0.5, max_rounds=3, min_rounds=1),
+        config=EngineConfig(seed=1, tau=0.5),
     )
     result = engine.execute(
         AggregateQuery(

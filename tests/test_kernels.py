@@ -944,14 +944,14 @@ class TestEngineLevelEquivalence:
             )
         components = query.query.components
         assert (len(components) > 1) == (query_name == "star")
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
 
         shared_plan_cache().clear()
         cold_engine = ApproximateAggregateEngine(kg, embedding, config)
         cold_plans = [cold_engine.planner.plan_for(c) for c in components]
         for cold_plan in cold_plans:
             assert not memoised(cold_plan.validator)
-        sampler = PlanSampler(kg, cold_engine.space, config)
+        sampler = PlanSampler(kg, cold_engine.space)
         cold = [
             {
                 answer: cold_engine.answer_similarity([cold_plan], answer)
@@ -1008,7 +1008,7 @@ class TestEngineLevelEquivalence:
         config = EngineConfig(seed=0)
         space = bundle.space()
         planner = QueryPlanner(bundle.kg, space, config, cache=PlanCache())
-        sampler = PlanSampler(bundle.kg, space, config)
+        sampler = PlanSampler(bundle.kg, space)
         ssb = SemanticSimilarityBaseline(bundle.kg, space)
         components = dict.fromkeys(
             component
@@ -1048,7 +1048,7 @@ class TestEngineLevelEquivalence:
 
         world = toy_world_factory()
         workload = self._chain_workload(world)
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
 
         shared_plan_cache().clear()
         with AggregateQueryService(world.kg, world.embedding, config) as service:

@@ -39,8 +39,7 @@ from repro import (
 )
 from repro.baselines import SemanticSimilarityBaseline
 from repro.bench.harness import sampled_engine
-from repro.bench.sampled import PlanSampler
-from repro.core.config import SamplerKind
+from repro.bench.sampled import PaperConfig, PlanSampler, SamplerKind
 from repro.core.plan import PlanCache, shared_plan_cache
 from repro.core.planner import QueryPlanner
 from repro.core.result import STOP_CENSUS
@@ -106,15 +105,15 @@ def _cut_chain_world():
 )
 def test_the_census_counts_an_answer_behind_a_cut_intermediate(function):
     kg, space, graph, kept, missed = _cut_chain_world()
-    config = EngineConfig(seed=1, n_bound=1, max_intermediates=1)
     query = AggregateQuery(
         query=graph,
         function=function,
         attribute="price" if function.needs_attribute else None,
     )
-    engine = ApproximateAggregateEngine(kg, space, config)
+    engine = ApproximateAggregateEngine(kg, space, EngineConfig(seed=1, n_bound=1))
     plan = engine.planner.plan_for(graph.components[0])
     # pi_A expanded ``strong`` only: ``kept`` is outside its support
+    config = PaperConfig(seed=1, n_bound=1, max_intermediates=1)
     distribution = PlanSampler(kg, space, config).sample(plan).distribution
     assert distribution.answers.tolist() == [missed]
     assert plan.candidates(kg).answers.tolist() == [kept, missed]
@@ -158,14 +157,14 @@ def test_a_cold_production_query_of_every_shape_runs_no_stage_kernel(preset):
 # ----------------------------------------------------------------------
 def test_a_sampled_draw_on_a_census_plan_builds_pi_a_once(toy):
     shared_plan_cache().clear()
-    config = EngineConfig(seed=7, max_rounds=4)
+    config = PaperConfig(seed=7, max_rounds=4)
     query = toy.count_query()
     fresh = sampled_engine(toy.kg, toy.embedding, config)
     expected = encode_result(fresh.execute(query, seed=5), timings=False)
     fresh.service.close()
 
     shared_plan_cache().clear()
-    census = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    census = ApproximateAggregateEngine(toy.kg, toy.embedding, EngineConfig(seed=7))
     assert census.execute(query, seed=5).stop_reason == STOP_CENSUS
     planner = census.planner
     assert planner.build_count == 1
@@ -222,9 +221,9 @@ def test_a_sampled_draw_on_a_census_plan_builds_pi_a_once(toy):
 @pytest.mark.parametrize("preset", _PRESETS)
 def test_simple_candidates_are_the_support_of_pi_a(preset):
     bundle = ALL_PRESETS[preset](seed=0, scale=1.0)
-    space, config = bundle.space(), EngineConfig(seed=0)
-    planner = QueryPlanner(bundle.kg, space, config, cache=PlanCache())
-    plan_sampler = PlanSampler(bundle.kg, space, config)
+    space = bundle.space()
+    planner = QueryPlanner(bundle.kg, space, EngineConfig(seed=0), cache=PlanCache())
+    plan_sampler = PlanSampler(bundle.kg, space)
     components = dict.fromkeys(
         component
         for stated in standard_workload(bundle)
@@ -243,10 +242,13 @@ def test_simple_candidates_are_the_support_of_pi_a(preset):
 # ----------------------------------------------------------------------
 # the errors of a query without candidates
 # ----------------------------------------------------------------------
-def _errors(kg, space, query, config):
+def _errors(kg, space, query, **knobs):
     """The exception each engine raises on ``query``: production, sampled."""
     raised = []
-    for make in (ApproximateAggregateEngine, sampled_engine):
+    for make, config in (
+        (ApproximateAggregateEngine, EngineConfig(**knobs)),
+        (sampled_engine, PaperConfig(**knobs)),
+    ):
         shared_plan_cache().clear()
         engine = make(kg, space, config)
         with pytest.raises((SamplingError, QueryError)) as caught:
@@ -261,7 +263,7 @@ def test_no_candidate_raises_the_sampling_error_s1_raises(toy):
         query=QueryGraph.simple("Germany", ["Country"], "product", ["Spaceship"]),
         function=AggregateFunction.COUNT,
     )
-    census, sampled = _errors(toy.kg, toy.embedding, query, EngineConfig(seed=1))
+    census, sampled = _errors(toy.kg, toy.embedding, query, seed=1)
     assert type(census) is type(sampled) is SamplingError
     assert str(census) == str(sampled)
 
@@ -273,7 +275,7 @@ def test_no_candidate_raises_the_sampling_error_s1_raises(toy):
         ),
         function=AggregateFunction.COUNT,
     )
-    census, sampled = _errors(toy.kg, toy.embedding, chain, EngineConfig(seed=1))
+    census, sampled = _errors(toy.kg, toy.embedding, chain, seed=1)
     assert type(census) is type(sampled) is SamplingError
 
 
@@ -293,7 +295,7 @@ def test_an_empty_joint_raises_the_query_error_of_pi_a():
         ),
         function=AggregateFunction.COUNT,
     )
-    census, sampled = _errors(kg, space, query, EngineConfig(seed=1, n_bound=1))
+    census, sampled = _errors(kg, space, query, seed=1, n_bound=1)
     assert type(census) is type(sampled) is QueryError
     assert str(census) == str(sampled)
     assert "empty intersection" in str(census)
@@ -307,10 +309,10 @@ def test_a_node2vec_chain_is_refused_by_s1_before_any_draw(toy, monkeypatch):
     from repro.bench import sampled as sampled_module
     from repro.bench.harness import PaperPlanner
 
-    config = EngineConfig(seed=0, sampler=SamplerKind.NODE2VEC)
+    config = PaperConfig(seed=0, sampler=SamplerKind.NODE2VEC)
     query = toy.chain_count_query()
     shared_plan_cache().clear()
-    census = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+    census = ApproximateAggregateEngine(toy.kg, toy.embedding, EngineConfig(seed=0))
     result = census.execute(query)
     assert (result.stop_reason, result.value) == (STOP_CENSUS, 20.0)
     census.service.close()

@@ -55,7 +55,7 @@ def test_each_round_fires_one_step_span_and_no_grow_span(toy_world_factory):
             13,
         ),
     ]
-    config = EngineConfig(seed=7, max_rounds=8, error_bound=0.001)
+    config = EngineConfig(seed=7, error_bound=0.001)
     shared_plan_cache().clear()
     tracer = Tracer()
     with AggregateQueryService(world.kg, world.embedding, config) as service:

@@ -49,6 +49,7 @@ from repro import (
     GroupBy,
     QueryGraph,
 )
+from repro.bench.sampled import PaperConfig
 from repro.core.executor import KINDS
 from repro.core.plan import shared_plan_cache
 from repro.core.result import STOP_CENSUS, STOP_ROUND_BUDGET, GroupedResult
@@ -95,7 +96,7 @@ def _value_fingerprint(result) -> tuple:
 
 def _service(world, **kwargs) -> AggregateQueryService:
     shared_plan_cache().clear()
-    config = EngineConfig(seed=7, max_rounds=8)
+    config = EngineConfig(seed=7)
     return AggregateQueryService(world.kg, world.embedding, config, **kwargs)
 
 
@@ -194,7 +195,7 @@ class TestRegistrySemantics:
         ]
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(
-            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)
+            world.kg, world.embedding, EngineConfig(seed=7)
         )
         sequential = [
             _value_fingerprint(engine.execute(query, seed=seed))
@@ -307,7 +308,7 @@ class TestAuditLog:
         path = tmp_path / "audit.jsonl"
         shared_plan_cache().clear()
         with sampled_service(
-            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8),
+            world.kg, world.embedding, PaperConfig(seed=7, max_rounds=8),
             audit_log=path,
         ) as service:
             service.submit(_extreme_query(), seed=5).result(timeout=30.0)
@@ -602,13 +603,13 @@ class TestExecMetrics:
 
         shared_plan_cache().clear()
         runs = [
-            ({"error_bound": 0.5}, EngineConfig(seed=7), "bound_met"),
+            ({"error_bound": 0.5}, PaperConfig(seed=7), "bound_met"),
             (
                 {"error_bound": 1e-4},
-                EngineConfig(seed=7, max_sample_size=120),
+                PaperConfig(seed=7, max_sample_size=120),
                 "sample_cap",
             ),
-            ({"error_bound": 1e-4, "max_rounds": 2}, EngineConfig(seed=7), "round_budget"),
+            ({"error_bound": 1e-4, "max_rounds": 2}, PaperConfig(seed=7), "round_budget"),
         ]
         for kwargs, config, reason in runs:
             with sampled_service(world.kg, world.embedding, config) as service:
@@ -690,7 +691,7 @@ class TestExecMetrics:
 
         shared_plan_cache().clear()
         with sampled_service(
-            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+            bundle.kg, bundle.embedding, PaperConfig(seed=0)
         ) as service:
             plan_sampler = service._executor.sampler
             handle = service.submit(chain)
@@ -738,7 +739,7 @@ class TestExecMetrics:
             "COUNT", "COUNT", "MAX", "MIN", "SUM",
         ]
         with sampled_service(
-            bundle.kg, bundle.embedding, EngineConfig(seed=0)
+            bundle.kg, bundle.embedding, PaperConfig(seed=0)
         ) as service:
             for handle in service.submit_batch([(query, 5) for query in hub]):
                 handle.result(timeout=60.0)

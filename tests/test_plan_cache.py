@@ -40,12 +40,11 @@ from repro import (
     GroupBy,
     QueryGraph,
 )
-from repro.bench.sampled import PlanSampler
+from repro.bench.sampled import PaperConfig, PlanSampler, SamplerKind
 from repro.core.executor import QueryExecutor
 from repro.core.plan import PlanCache, plan_fingerprint, plan_key, shared_plan_cache
 from repro.core.result import STOP_CENSUS
 from repro.core.planner import QueryPlanner
-from repro.core.config import SamplerKind
 from repro.server import encode_result
 from repro.kg import csr_snapshot
 from repro.semantics import kernels
@@ -62,14 +61,18 @@ def _engine(
     world, make=ApproximateAggregateEngine, **overrides
 ) -> ApproximateAggregateEngine:
     """An engine over the toy world; ``make`` is its constructor (the
-    ``sampled_engine`` fixture for a run that must draw)."""
-    config = EngineConfig(**{"seed": 7, "max_rounds": 8, **overrides})
+    ``sampled_engine`` fixture, under the sampler's config, for a run that
+    must draw)."""
+    if make is ApproximateAggregateEngine:
+        config = EngineConfig(**{"seed": 7, **overrides})
+    else:
+        config = PaperConfig(**{"seed": 7, "max_rounds": 8, **overrides})
     return make(world.kg, world.embedding, config)
 
 
 def _pi_a(engine, plan):
     """The pi_A a first draw on ``plan`` builds (S1 is the sampled side's)."""
-    return PlanSampler(engine.kg, engine.space, engine.config).sample(plan).distribution
+    return PlanSampler(engine.kg, engine.space).sample(plan).distribution
 
 
 def _star_query() -> AggregateQuery:
@@ -180,7 +183,7 @@ class TestVersionCounters:
         from repro.core.planner import QueryPlanner
 
         small = PlanCache(max_plans_per_graph=1)
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         space = ApproximateAggregateEngine(
             world.kg, world.embedding, config
         ).space
@@ -289,24 +292,26 @@ class TestPlanSharing:
             {"sampler": SamplerKind.NODE2VEC, "seed": 3},
             {"self_loop_weight": 0.5},
             {"max_intermediates": 2},
-            {"validation_expansions": 7},
             {"seed": 3},
         ],
         ids=lambda overrides: "-".join(overrides),
     )
     def test_engines_differing_only_in_s1_facets_share_one_plan(
-        self, world, overrides
+        self, world, overrides, sampled_engine
     ):
         """A plan is what a census reads — the row of ``(n_bound,
-        similarity_floor)`` — so engines that differ only in what S1 or
-        the figures' search reads build each component's plan once, and
-        their censuses agree byte for byte."""
+        similarity_floor)`` — so a census engine and a sampled engine that
+        differ from it only in the seed or in what S1 reads build each
+        component's plan once: the draws leave the census byte for byte
+        as it was."""
         first = _engine(world)
-        second = _engine(world, **overrides)
+        second = _engine(world, make=sampled_engine, **overrides)
         assert plan_fingerprint(first.config) == plan_fingerprint(second.config)
-        query = world.chain_count_query()
-        results = [_encoded(engine.execute(query)) for engine in (first, second)]
-        assert results[0] == results[1]
+        query = world.count_query()
+        census = first.execute(query)
+        assert census.stop_reason == STOP_CENSUS
+        assert second.execute(query).total_draws > 0
+        assert _encoded(first.execute(query)) == _encoded(census)
         assert first.planner.build_count + second.planner.build_count == 1
         component = query.query.components[0]
         assert first.planner.plan_for(component) is second.planner.plan_for(component)
@@ -315,15 +320,6 @@ class TestPlanSharing:
         base = plan_fingerprint(EngineConfig())
         assert plan_fingerprint(EngineConfig(n_bound=2)) != base
         assert plan_fingerprint(EngineConfig(similarity_floor=0.01)) != base
-
-    def test_a_node2vec_engine_answers_a_chain_by_census(self, world):
-        """Production never walks, so the Node2Vec ablation's missing chain
-        walk is no reason to refuse a census."""
-        result = _engine(world, sampler=SamplerKind.NODE2VEC).execute(
-            world.chain_count_query()
-        )
-        assert result.stop_reason == STOP_CENSUS
-        assert result.value == 20.0
 
     def test_plan_key_follows_embedding_identity(self, world, toy_world_factory):
         engine = _engine(world)
@@ -369,7 +365,7 @@ class TestValidationMemo:
         round over the same draws: nothing is drawn or validated, and the
         estimate stands."""
         engine = sampled_engine(
-            world.kg, world.embedding, EngineConfig(seed=11, error_bound=0.05)
+            world.kg, world.embedding, PaperConfig(seed=11, error_bound=0.05)
         )
         validated: list[int] = []
         original = CorrectnessValidator.validate_batch
@@ -452,7 +448,7 @@ class TestValidatorMemos:
 
         monkeypatch.setattr(ChainValidator, "_build_row", recording)
         batch = _mixed_batch(world)
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         with AggregateQueryService(world.kg, world.embedding, config) as service:
             for handle in service.submit_batch(batch):
                 handle.result(timeout=60)
@@ -520,7 +516,7 @@ class TestValidatorMemos:
         plans — one writing verdict cells the other is reading — and
         return what one service returns running the queries one by one."""
         batch = _mixed_batch(world)
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         shared_plan_cache().clear()
         with AggregateQueryService(world.kg, world.embedding, config) as service:
             sequential = [

@@ -39,6 +39,7 @@ from repro import (
     QueryStatus,
     ServiceLimits,
 )
+from repro.bench.sampled import PaperConfig
 from repro.core.plan import shared_plan_cache
 from repro.core.resilience import FaultInjected
 from repro.core.service import ExecutionBackend
@@ -112,7 +113,7 @@ class TestDeadlines:
 
     def _expired_handle(self, world, sampled_service):
         clock = _FakeClock()
-        config = EngineConfig(seed=7, max_rounds=50)
+        config = PaperConfig(seed=7, max_rounds=50)
         service = sampled_service(
             world.kg, world.embedding, config,
             backend=_ClockSteppingBackend(clock, step=1.0),
@@ -157,7 +158,7 @@ class TestDeadlines:
     def test_deadline_already_expired_at_submit(self, world):
         clock = _FakeClock()
         clock.now = 10.0
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         with AggregateQueryService(world.kg, world.embedding, config) as service:
             service._clock = clock
             handle = service.submit(world.count_query(), seed=3, deadline=0.0)
@@ -170,7 +171,7 @@ class TestDeadlines:
     ):
         clock = _FakeClock()
         service = sampled_service(
-            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=50),
+            world.kg, world.embedding, PaperConfig(seed=7, max_rounds=50),
             backend=_ClockSteppingBackend(clock, step=1.0),
             default_deadline=2.5,
         )
@@ -192,7 +193,7 @@ class TestDeadlines:
     def test_batch_deadline_bounds_every_query(self, world, sampled_service):
         clock = _FakeClock()
         service = sampled_service(
-            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=50),
+            world.kg, world.embedding, PaperConfig(seed=7, max_rounds=50),
             backend=_ClockSteppingBackend(clock, step=1.0),
         )
         service._clock = clock
@@ -213,7 +214,7 @@ class TestDeadlines:
 # ---------------------------------------------------------------------------
 class TestAdmissionControl:
     def test_saturated_service_sheds_then_recovers_after_drain(self, world):
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         with AggregateQueryService(
             world.kg, world.embedding, config, autostart=False,
             limits=ServiceLimits(max_pending=2),
@@ -233,7 +234,7 @@ class TestAdmissionControl:
             assert service.health()["sheds"] == 1
 
     def test_refine_backlog_is_bounded(self, world):
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         with AggregateQueryService(
             world.kg, world.embedding, config, autostart=False,
             limits=ServiceLimits(max_queued_runs=1),
@@ -254,7 +255,7 @@ class TestAdmissionControl:
 
     def test_default_limits_are_unlimited(self, world):
         assert ServiceLimits() == ServiceLimits(None, None)
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         with AggregateQueryService(
             world.kg, world.embedding, config, autostart=False
         ) as service:
@@ -271,7 +272,7 @@ class TestAdmissionControl:
             assert health["sheds"] == 0
 
     def test_a_limit_of_one_admits_one_live_query(self, world, sampled_service):
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = PaperConfig(seed=7, max_rounds=8)
         with sampled_service(
             world.kg, world.embedding, config, autostart=False,
             limits=ServiceLimits(max_pending=1, max_queued_runs=1),
@@ -295,7 +296,7 @@ class TestFaultMechanics:
         """The executor-level hook: one injected validation failure fails
         exactly one query; the rest of the batch is untouched."""
         shared_plan_cache().clear()
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         plan = FaultPlan([
             FaultSpec(site="validate_batch", action="raise", times=1),
         ])
@@ -315,7 +316,7 @@ class TestFaultMechanics:
             assert outcomes.count("ok") == len(handles) - 1
 
     def test_hang_fault_delays_but_does_not_fail(self, world):
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         plan = FaultPlan([
             FaultSpec(site="slot", action="hang", seconds=0.05,
                       match={"round": 1}, times=1),
@@ -336,7 +337,7 @@ class TestFaultMechanics:
             FaultSpec(site="slot", action="hang", match={"round": 2},
                       callback=lambda _context: handles[0].cancel()),
         ])
-        config = EngineConfig(seed=7, max_rounds=50)
+        config = PaperConfig(seed=7, max_rounds=50)
         with sampled_service(
             world.kg, world.embedding, config, fault_plan=plan,
             autostart=False,
@@ -466,7 +467,7 @@ class TestFaultMechanics:
             CorrectnessValidator, "validate_batch", fail_on_simple_plans
         )
         shared_plan_cache().clear()
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         with AggregateQueryService(world.kg, world.embedding, config) as service:
             handles = service.submit_batch([
                 (world.count_query(), 3),
@@ -488,7 +489,7 @@ class TestFaultMechanics:
             FaultSpec(site="validate_batch", action="hang", times=None,
                       callback=contexts.append),
         ])
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         with AggregateQueryService(
             world.kg, world.embedding, config, fault_plan=plan
         ) as service:
@@ -512,7 +513,7 @@ class TestFaultMechanics:
     def test_confidence_override_executor_carries_the_fault_plan(self, world):
         """A per-query confidence builds its own executor; the plan's
         ``validate_batch`` hook is installed on it too."""
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         plan = FaultPlan([FaultSpec(site="validate_batch", action="raise")])
         with AggregateQueryService(
             world.kg, world.embedding, config, fault_plan=plan
@@ -543,7 +544,7 @@ def _outcome(handle) -> object:
 def _served_outcomes(world, plan: FaultPlan | None) -> list:
     """The workload served as one batch by a fresh service under ``plan``."""
     shared_plan_cache().clear()
-    config = EngineConfig(seed=7, max_rounds=8)
+    config = EngineConfig(seed=7)
     with AggregateQueryService(
         world.kg, world.embedding, config, fault_plan=plan
     ) as service:
@@ -570,7 +571,7 @@ class _StuckBackend(ExecutionBackend):
 class TestLifecycleBugfixes:
     def test_close_names_the_stuck_phase(self, world):
         backend = _StuckBackend()
-        config = EngineConfig(seed=7, max_rounds=8)
+        config = EngineConfig(seed=7)
         service = AggregateQueryService(
             world.kg, world.embedding, config, backend=backend
         )
@@ -585,7 +586,7 @@ class TestLifecycleBugfixes:
 
 
 def test_health_reports_limits(world):
-    config = EngineConfig(seed=7, max_rounds=8)
+    config = EngineConfig(seed=7)
     with AggregateQueryService(
         world.kg, world.embedding, config,
         limits=ServiceLimits(max_pending=16, max_queued_runs=4),

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro import EngineConfig, QueryGraph
+from repro import QueryGraph
 from repro.bench.harness import PaperPlanner
-from repro.bench.sampled import PlanSampler
-from repro.core.config import SamplerKind
+from repro.bench.sampled import PaperConfig, PlanSampler, SamplerKind
 from repro.core.plan import PlanCache
 from repro.core.planner import QueryPlanner, resolve_mapping_node
 from repro.errors import ConvergenceError, MappingNodeNotFoundError, SamplingError
@@ -71,7 +70,7 @@ def cnarw_transition(kg, scope, self_loop_weight=0.001):
 def planner_with(kg, space, sampler):
     """A planner under ``sampler`` with a private cache, and the S1 of its
     plans."""
-    config = EngineConfig(seed=7, sampler=sampler)
+    config = PaperConfig(seed=7, sampler=sampler)
     return (
         QueryPlanner(kg, space, config, cache=PlanCache()),
         PlanSampler(kg, space, config),
@@ -357,7 +356,7 @@ class TestClosedFormIsProduction:
             )
         # the figures' planner: its validators keep the first stage's map
         planner = PaperPlanner(
-            toy.kg, toy.space, EngineConfig(seed=7, sampler=sampler)
+            toy.kg, toy.space, PaperConfig(seed=7, sampler=sampler)
         )
         chain = QueryGraph.chain(
             "Germany",

@@ -34,6 +34,7 @@ from repro import (
     EngineConfig,
     parse_query,
 )
+from repro.bench.sampled import PaperConfig
 from repro.core.plan import shared_plan_cache
 from repro.core.resilience import ServiceLimits
 from repro.core.service import ExecutionBackend
@@ -89,11 +90,15 @@ def world(toy_world_factory):
 
 
 def _service(
-    world, *, limits=None, backend=None, make=AggregateQueryService, **overrides
+    world, *, limits=None, backend=None, make=AggregateQueryService
 ) -> AggregateQueryService:
     """A service over the toy world; ``make`` is its constructor (the
-    ``sampled_service`` fixture for a run that must not end in a census)."""
-    config = EngineConfig(**{"seed": 7, "max_rounds": 8, **overrides})
+    ``sampled_service`` fixture, under the sampler's config, for a run that
+    must not end in a census)."""
+    if make is AggregateQueryService:
+        config = EngineConfig(seed=7)
+    else:
+        config = PaperConfig(seed=7, max_rounds=8)
     return make(world.kg, world.embedding, config, backend=backend, limits=limits)
 
 
@@ -157,7 +162,7 @@ class TestEquivalence:
             accepted = client.submit(GROUPED_AQL, error_bound=0.2, seed=11)
             payload = client.wait(accepted["id"])["result"]
         engine = sampled_engine(
-            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)
+            world.kg, world.embedding, PaperConfig(seed=7, max_rounds=8)
         )
         state, _result = drive_lifecycle(
             engine.executor, parse_query(GROUPED_AQL), 11, 0.2
@@ -443,7 +448,7 @@ class _ClockSteppingBackend(ExecutionBackend):
 class TestDeadlines:
     def test_expiry_carries_the_partial_trace_over_http(self, world, sampled_service):
         clock = _FakeClock()
-        config = EngineConfig(seed=7, max_rounds=50)
+        config = PaperConfig(seed=7, max_rounds=50)
         service = sampled_service(
             world.kg, world.embedding, config,
             backend=_ClockSteppingBackend(clock, step=1.0),
@@ -476,7 +481,7 @@ class TestDeadlines:
 # ---------------------------------------------------------------------------
 class TestLifecycle:
     def test_refine_tightens_over_http(self, world):
-        with _serve(_service(world, max_rounds=32)) as (client, _runner):
+        with _serve(_service(world)) as (client, _runner):
             accepted = client.submit(COUNT_AQL, error_bound=0.2, seed=11)
             first = client.wait(accepted["id"])
             refined = client.refine(accepted["id"], 0.05)

@@ -43,7 +43,7 @@ from repro import (
     QueryGraph,
     QueryStatus,
 )
-from repro.core.config import ExtremeMethod
+from repro.bench.sampled import ExtremeMethod, PaperConfig
 from repro.core.result import STOP_CENSUS
 from repro.core.plan import PlanCache, shared_plan_cache
 from repro.core.planner import QueryPlanner
@@ -62,12 +62,20 @@ def world(toy_world_factory):
     return toy_world_factory()
 
 
+def _config(sampled: bool, **overrides) -> EngineConfig:
+    """The toy services' config: the census's, or the sampler's with a
+    short round budget."""
+    if sampled:
+        return PaperConfig(**{"seed": 7, "max_rounds": 8, **overrides})
+    return EngineConfig(**{"seed": 7, **overrides})
+
+
 def _service(
     world, *, autostart=True, make=AggregateQueryService, **overrides
 ) -> AggregateQueryService:
     """A service over the toy world; ``make`` is its constructor (the
     ``sampled_service`` fixture for a run that must not end in a census)."""
-    config = EngineConfig(**{"seed": 7, "max_rounds": 8, **overrides})
+    config = _config(make is not AggregateQueryService, **overrides)
     return make(world.kg, world.embedding, config, autostart=autostart)
 
 
@@ -94,7 +102,7 @@ class TestHandleResults:
             served = handle.result()
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(
-            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)
+            world.kg, world.embedding, EngineConfig(seed=7)
         )
         direct = engine.execute(world.avg_query(), seed=5)
         assert served.value == direct.value
@@ -124,7 +132,7 @@ class TestHandleResults:
             )
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(
-            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)
+            world.kg, world.embedding, EngineConfig(seed=7)
         )
         sequential = [engine.execute(query, seed=seed) for query, seed in queries]
         for served, direct in zip(batched, sequential):
@@ -150,8 +158,7 @@ class TestHandleResults:
             ]
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(
-            dbpedia_bundle.kg, dbpedia_bundle.embedding,
-            EngineConfig(seed=7, max_rounds=8),
+            dbpedia_bundle.kg, dbpedia_bundle.embedding, EngineConfig(seed=7)
         )
         sequential = [engine.execute(query, seed=seed) for query, seed in queries]
         for served, direct in zip(batched, sequential):
@@ -166,7 +173,7 @@ class TestHandleResults:
 
     def test_engine_results_carry_scheduler_stage(self, world):
         engine = ApproximateAggregateEngine(
-            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8)
+            world.kg, world.embedding, EngineConfig(seed=7)
         )
         result = engine.execute(world.count_query())
         assert "scheduler" in result.stage_ms
@@ -423,7 +430,7 @@ class TestGroupedAndExtremeSlots:
                 False,
             ),
             (lambda world: world.avg_query(), {}, True),
-            (lambda world: _grouped_query(), {"min_group_draws": 1}, True),
+            (lambda world: _grouped_query(), {}, True),
             (lambda world: _extreme_query(), {}, True),
         ],
         ids=[
@@ -438,11 +445,8 @@ class TestGroupedAndExtremeSlots:
         reason, then ``finalise`` — the slot's loop with no service around
         it — equals ``engine.execute`` at the same seed bit for bit, whether
         the sampled executor runs to its end or the production executor
-        takes its 0-draw census (under a sample cap below the support,
-        which does not choose the path)."""
-        if census:
-            overrides = {**overrides, "max_sample_size": world.support_size - 1}
-        config = EngineConfig(seed=7, max_rounds=8, error_bound=0.001, **overrides)
+        takes its 0-draw census."""
+        config = _config(not census, error_bound=0.001, **overrides)
         make = ApproximateAggregateEngine if census else sampled_engine
         engine = make(world.kg, world.embedding, config)
         query = make_query(world)
@@ -467,7 +471,7 @@ class TestGroupedAndExtremeSlots:
         if query.group_by is None:
             assert (direct.value, direct.moe) == (served.value, served.moe)
             assert direct.correct_draws == served.correct_draws
-            if config.extreme_method is ExtremeMethod.EVT and not census:
+            if overrides.get("extreme_method") is ExtremeMethod.EVT:
                 assert served.moe > 0.0  # the tail fit ran: no sentinel
         else:
             assert served.groups and {
@@ -484,17 +488,16 @@ class TestGroupedAndExtremeSlots:
     ):
         """A group's ``distinct_answers`` is the number of distinct drawn
         support entries keyed into it (it used to read 0 for every group);
-        a census group, from which nothing is drawn, reads 0 — under a
-        sample cap below the support too."""
-        overrides = {"min_group_draws": 1, "error_bound": 0.001}
-        if census:
-            overrides["max_sample_size"] = world.support_size - 1
+        a census group, from which nothing is drawn, reads 0."""
+        overrides = {"error_bound": 0.001}
+        if not census:
+            overrides["min_group_draws"] = 1
         with _service(
             world, make=AggregateQueryService if census else sampled_service,
             **overrides,
         ) as service:
             served = service.submit(_grouped_query(), seed=5).result(timeout=60)
-        config = EngineConfig(seed=7, max_rounds=8, **overrides)
+        config = _config(not census, **overrides)
         make = ApproximateAggregateEngine if census else sampled_engine
         engine = make(world.kg, world.embedding, config)
         state, direct = drive_lifecycle(
@@ -535,7 +538,7 @@ class TestGroupedAndExtremeSlots:
                 super().run_cohort(service, cohort)
 
         backend = RecordingBackend()
-        config = EngineConfig(
+        config = PaperConfig(
             seed=7, max_rounds=8, error_bound=0.001, min_group_draws=1
         )
         # held until the whole batch is in: submit_batch submits one query
@@ -883,10 +886,10 @@ class TestStopReasonAndBackend:
             (dict(max_rounds=30, error_bound=0.05), None, "bound_met"),
             (dict(max_sample_size=120, error_bound=0.0001), None, "sample_cap"),
             (dict(max_rounds=1, error_bound=0.0001), None, "round_budget"),
-            (dict(max_rounds=30, error_bound=0.0001), None, "census"),
+            (dict(error_bound=0.0001), None, "census"),
             # a run's own max_rounds overrides the config's 30
             (dict(max_rounds=30, error_bound=0.0001), 1, "round_budget"),
-            (dict(max_rounds=30, error_bound=0.0001), 1, "census"),
+            (dict(error_bound=0.0001), 1, "census"),
         ],
         ids=[
             "bound_met", "sample_cap", "round_budget", "census",
@@ -921,7 +924,7 @@ class TestStopReasonAndBackend:
         sink = io.StringIO()
         census = expected == "census"
         make = AggregateQueryService if census else sampled_service
-        config = EngineConfig(seed=7, **overrides)
+        config = (EngineConfig if census else PaperConfig)(seed=7, **overrides)
         with make(world.kg, world.embedding, config, audit_log=sink) as service:
             handles = [
                 service.submit(query, seed=seed, max_rounds=run_max_rounds)
@@ -965,7 +968,7 @@ class TestStopReasonAndBackend:
         whose sample first reaches the cap on its last budgeted round
         stopped for the cap, not the budget; the cap changes no draw."""
         query, seed = world.avg_query(), 4
-        config = EngineConfig(seed=7, max_rounds=3, error_bound=0.0001)
+        config = PaperConfig(seed=7, max_rounds=3, error_bound=0.0001)
         executor = sampled_engine(world.kg, world.embedding, config).executor
         _state, uncapped = drive_lifecycle(executor, query, seed, config.error_bound)
         assert uncapped.stop_reason == "round_budget" and len(uncapped.rounds) == 3
@@ -1006,7 +1009,7 @@ class TestStopReasonAndBackend:
         """A sampled step grows before every round of a run but its first:
         after a finished run, the next run's first step appends a round
         over the same draws and its second grows — served or by hand."""
-        config = EngineConfig(seed=7, max_rounds=8, error_bound=0.05)
+        config = PaperConfig(seed=7, max_rounds=8, error_bound=0.05)
         executor = sampled_engine(world.kg, world.embedding, config).executor
         state, _result = drive_lifecycle(executor, world.avg_query(), 5, 0.05)
         rounds, draws = len(state.rounds), state.total_draws
@@ -1030,8 +1033,7 @@ class TestStopReasonAndBackend:
         backend = ExecutionBackend()
         shared_plan_cache().clear()
         with AggregateQueryService(
-            world.kg, world.embedding, EngineConfig(seed=7, max_rounds=8),
-            backend=backend,
+            world.kg, world.embedding, EngineConfig(seed=7), backend=backend
         ) as service:
             assert service.backend is backend
             handles = service.submit_batch(_workload(world))
@@ -1107,8 +1109,7 @@ class TestStopReasonAndBackend:
             ]
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(
-            dbpedia_bundle.kg, dbpedia_bundle.embedding,
-            EngineConfig(seed=7, max_rounds=8),
+            dbpedia_bundle.kg, dbpedia_bundle.embedding, EngineConfig(seed=7)
         )
         sequential = [
             _fingerprint(engine.execute(query, seed=seed))
