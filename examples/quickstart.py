@@ -80,7 +80,7 @@ def main() -> None:
     if ssb_seconds > 0:
         print(f"speedup over SSB: {ssb_seconds / engine_seconds:,.1f}x")
     print(
-        "(at this toy scale SSB can win; benchmarks/bench_scaling_crossover.py"
+        "(at this toy scale SSB can win; `python -m repro experiment scaling`"
         " sweeps graph size and shows where sampling takes over)"
     )
 

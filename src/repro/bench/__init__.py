@@ -1,9 +1,10 @@
 """Benchmark harness: experiment drivers for every paper table and figure.
 
 Each function in :mod:`repro.bench.experiments` regenerates one table or
-figure of the paper's §VII; :mod:`repro.bench.harness` wires methods,
-datasets and ground truths together; :mod:`repro.bench.reporting` renders
-the monospace tables the benches print and save.
+figure of the paper's §VII and checks the paper's claims about it;
+:mod:`repro.bench.harness` wires methods, datasets and ground truths
+together; :mod:`repro.bench.reporting` renders the monospace tables that
+``repro experiment`` prints.
 """
 
 from repro.bench.harness import (
@@ -15,7 +16,7 @@ from repro.bench.harness import (
 )
 from repro.bench.metrics import jaccard, relative_error
 from repro.bench.plots import Series, bar_chart, line_chart
-from repro.bench.reporting import render_table, save_result
+from repro.bench.reporting import render_table
 
 __all__ = [
     "BenchContext",
@@ -26,7 +27,6 @@ __all__ = [
     "relative_error",
     "jaccard",
     "render_table",
-    "save_result",
     "Series",
     "bar_chart",
     "line_chart",

@@ -1,25 +1,26 @@
 """Experiment drivers: one function per paper table / figure (§VII).
 
-Every driver returns an :class:`ExperimentResult` whose ``text`` is the
-paper-style rendered table; the pytest benches time the driver, print the
-text and persist it under ``benchmarks/results/``.  Heavy intermediate
-state (bundles, ground truths, per-query method runs) is memoised in
-:mod:`repro.bench.harness` so related tables (VI, VII, VIII) share work.
+Every driver returns an :class:`ExperimentResult`: its rows, the claims
+the paper (or, for ``scaling`` and the ``ext_*`` extensions, the
+repository) makes about them, each checked against the rows, and the
+rendered table with a verdict per claim, which ``repro experiment NAME``
+prints.  Heavy intermediate state (bundles, ground truths, per-query
+method runs) is memoised in :mod:`repro.bench.harness` so related tables
+(VI, VII, VIII) share work.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from repro.baselines import SemanticSimilarityBaseline
 from repro.bench.harness import (
     BenchContext,
-    MethodResult,
     bench_context,
     figure_engine,
     method_names,
@@ -45,7 +46,6 @@ from repro.embedding import (
     TransHModel,
 )
 from repro.query.aggregate import AggregateFunction, AggregateQuery
-from repro.query.graph import QueryShape
 
 DATASETS = ("dbpedia-like", "freebase-like", "yago2-like")
 SHAPES = ("simple", "chain", "star", "cycle", "flower")
@@ -54,16 +54,40 @@ FUNCTIONS = (AggregateFunction.COUNT, AggregateFunction.AVG, AggregateFunction.S
 #: scale used by the effectiveness experiments (fast, errors well-resolved)
 EFFECTIVENESS_SCALE = 1.0
 #: scale used by the timing experiments (where SSB's enumeration dominates)
-EFFICIENCY_SCALE = float(os.environ.get("REPRO_BENCH_EFFICIENCY_SCALE", "4.0"))
+EFFICIENCY_SCALE = 4.0
+#: the paper's error bound eb, in the percent the rows report errors in
+EB_PERCENT = PaperConfig.error_bound * 100.0
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One sentence about an experiment's rows, and whether they bear it out.
+
+    ``why_not`` says, with the rows' numbers, why this implementation does
+    not meet a claim it is known to miss.  The claim stays stated as the
+    paper (or the repository) makes it; it is not loosened to hold.
+    """
+
+    text: str
+    holds: bool
+    why_not: str | None = None
+
+    @property
+    def verdict(self) -> str:
+        if self.holds:
+            return "holds"
+        return f"differs: {self.why_not}" if self.why_not else "FAILS"
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """A rendered experiment: machine-readable rows + printable text."""
+    """A rendered experiment: machine-readable rows, the claims checked
+    against them, and printable text."""
 
     name: str
     headers: tuple[str, ...]
     rows: tuple[tuple[object, ...], ...]
+    claims: tuple[Claim, ...]
     text: str
 
 
@@ -72,15 +96,36 @@ def _result(
     title: str,
     headers: list[str],
     rows: list[list[object]],
+    *,
+    claims: Sequence[Claim],
     notes: str | None = None,
 ) -> ExperimentResult:
-    text = render_table(title, headers, rows, notes=notes)
+    if not claims:
+        raise ValueError(f"experiment {name!r} states no claim")
+    table = render_table(title, headers, rows, notes=notes)
+    verdicts = [f"- {claim.text}: {claim.verdict}" for claim in claims]
     return ExperimentResult(
         name=name,
         headers=tuple(headers),
         rows=tuple(tuple(row) for row in rows),
-        text=text,
+        claims=tuple(claims),
+        text="\n".join([table, "", "Claims:", *verdicts]),
     )
+
+
+def _errors(rows: list[list[object]], column: int = 2) -> dict[object, dict[str, float]]:
+    """``{row[0]: {function: error}}`` over rows laid out as
+    ``[label or swept value, function, error (%), ...]``."""
+    errors: dict[object, dict[str, float]] = {}
+    for row in rows:
+        errors.setdefault(row[0], {})[row[1]] = row[column]
+    return errors
+
+
+def _within_eb(subject: str, errors: Sequence[float]) -> Claim:
+    """The claim that every one of ``errors`` (in percent; NaN, an
+    unsupported cell, skipped) is within eb."""
+    return Claim(f"{subject} within eb = {EB_PERCENT:g}%", bool(np.nanmax(errors) <= EB_PERCENT))
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +206,17 @@ def table6_tau_gt_error(seed: int = 0) -> ExperimentResult:
     """Table VI: relative error (%) w.r.t. tau-GT, methods x datasets x shapes."""
     runs = _effectiveness_runs(seed, EFFECTIVENESS_SCALE)
     rows = _matrix_rows(runs, lambda run: run.tau_error)
+    cells = {row[0]: row[1:] for row in rows}
     return _result(
         "table06",
         "Table VI — relative error (%) vs tau-GT",
         _matrix_headers(),
         rows,
-        notes="EAQ supports simple queries only ('-' elsewhere); SSB defines tau-GT (0 by construction).",
+        claims=[
+            Claim("SSB defines tau-GT: its error is 0 on every cell", max(cells["SSB"]) < 1e-9),
+            _within_eb("Ours' mean error on every cell is", cells["Ours"]),
+        ],
+        notes="EAQ supports simple queries only ('-' elsewhere).",
     )
 
 
@@ -174,11 +224,19 @@ def table7_ha_gt_error(seed: int = 0) -> ExperimentResult:
     """Table VII: relative error (%) w.r.t. human-annotated ground truth."""
     runs = _effectiveness_runs(seed, EFFECTIVENESS_SCALE)
     rows = _matrix_rows(runs, lambda run: run.ha_error)
+    means = {row[0]: mean_or_nan(row[1:]) for row in rows}
+    others = [mean for method, mean in means.items() if method not in ("Ours", "SSB")]
     return _result(
         "table07",
         "Table VII — relative error (%) vs HA-GT",
         _matrix_headers(),
         rows,
+        claims=[
+            Claim(
+                "Ours' mean error is below every other method's (SSB, which is tau-GT, aside)",
+                means["Ours"] < min(others),
+            ),
+        ],
         notes="HA-GT comes from 10 simulated annotators (schema-level intersection).",
     )
 
@@ -219,16 +277,27 @@ def table8_response_time(seed: int = 0) -> ExperimentResult:
     """Table VIII: average response time (ms) per method/shape/dataset."""
     runs = _efficiency_runs(seed, EFFICIENCY_SCALE)
     rows = _matrix_rows(runs, lambda run: run.elapsed_ms, percent=False)
+    by_method = {row[0]: row for row in rows}
+    ours, ssb = (
+        [mean_or_nan(row[start : start + len(SHAPES)]) for start in range(1, len(row), len(SHAPES))]
+        for row in (by_method["Ours"], by_method["SSB"])
+    )
     return _result(
         "table08",
         f"Table VIII — avg response time (ms) at scale {EFFICIENCY_SCALE:g}",
         _matrix_headers(),
         rows,
+        claims=[
+            Claim(
+                "Ours answers faster than SSB on every dataset, averaged over its shapes",
+                all(mine < theirs for mine, theirs in zip(ours, ssb)),
+            ),
+        ],
         notes=(
             "Cold per-query state for every method. In-memory substrates make "
             "index-lookup comparators (JENA/Virtuoso analogs) faster than their "
-            "real RDF-store counterparts; the ours-vs-SSB ordering is the "
-            "algorithmically meaningful one (see EXPERIMENTS.md)."
+            "real RDF-store counterparts, so only the ours-vs-SSB ordering is "
+            "claimed."
         ),
     )
 
@@ -264,12 +333,19 @@ def table5_ajs(seed: int = 0) -> ExperimentResult:
         rows.append(ajs_row)
         rows.append(var_row)
     headers = ["Threshold tau"] + [f"{tau:.2f}" for tau in TAU_GRID]
+    calibrated = 1 + TAU_GRID.index(PaperConfig.tau)
     return _result(
         "table05",
         "Table V — AJS between human-annotated and tau-relevant answers",
         headers,
         rows,
-        notes="AJS should peak at an intermediate tau (the calibrated threshold).",
+        claims=[
+            Claim(
+                f"AJS peaks at the calibrated tau = {PaperConfig.tau:g} on every dataset, "
+                "above both ends of the grid",
+                all(row[calibrated] == max(row[1:]) > max(row[1], row[-1]) for row in rows[::2]),
+            ),
+        ],
     )
 
 
@@ -302,12 +378,37 @@ def table9_case_study(seed: int = 0) -> ExperimentResult:
                     round(trace.relative_error(truth.value) * 100.0, 2),
                 ]
             )
+    first, last = {}, {}
+    for row in rows:
+        first.setdefault(row[0], row)
+        last[row[0]] = row
+    over_eb = [row for row in last.values() if row[4] > EB_PERCENT]
     return _result(
         "table09",
         "Table IX — case study: relative error refinement per round",
         ["Query", "Round", "Estimate", "MoE", "Error %"],
         rows,
-        notes="MoE and error shrink per round; termination needs error <= eb = 1%.",
+        claims=[
+            Claim(
+                f"Termination needs error <= eb = {EB_PERCENT:g}%: every query ends within it",
+                not over_eb,
+                why_not="; ".join(
+                    f"{row[0]} ends at round {row[1]} with {row[4]:.2f}% error and its MoE "
+                    f"at {row[3] / row[2]:.2%} of its estimate"
+                    for row in over_eb
+                )
+                + ": its MoE never met the bound, and the run stopped on the "
+                f"{PaperConfig.max_sample_size:,}-draw sample cap",
+            ),
+            Claim(
+                "MoE and error shrink over the rounds: every query ends with both below "
+                "its first round's, and within 5% error",
+                all(
+                    row[3] < first[label][3] and row[4] < min(first[label][4], 5.0)
+                    for label, row in last.items()
+                ),
+            ),
+        ],
     )
 
 
@@ -327,6 +428,8 @@ def _operator_queries(context: BenchContext) -> dict[str, list[WorkloadQuery]]:
     }
 
 
+#: the operator columns of Tables X and XI
+OPERATORS = ("Filter", "GROUP-BY", "MAX/MIN")
 #: the paper reports GROUP-BY support only for these methods
 GROUP_BY_METHODS = ("Ours", "JENA", "Virtuoso", "SSB")
 
@@ -364,7 +467,7 @@ def table10_operator_time(seed: int = 0) -> ExperimentResult:
     rows: list[list[object]] = []
     for method in method_names():
         row: list[object] = [method]
-        for operator in ("Filter", "GROUP-BY", "MAX/MIN"):
+        for operator in OPERATORS:
             values = [
                 run.elapsed_ms / 1000.0
                 for run in runs
@@ -372,11 +475,24 @@ def table10_operator_time(seed: int = 0) -> ExperimentResult:
             ]
             row.append(mean_or_nan(values))
         rows.append(row)
+    seconds = {row[0]: row[1:] for row in rows}
+    operators = list(zip(OPERATORS, seconds["Ours"], seconds["SSB"]))
     return _result(
         "table10",
         "Table X — efficiency (s) for various operators (DBpedia-like)",
-        ["Method", "Filter", "GROUP-BY", "MAX/MIN"],
+        ["Method", *OPERATORS],
         rows,
+        claims=[
+            Claim(
+                "Ours answers every operator faster than SSB",
+                all(ours < ssb for _operator, ours, ssb in operators),
+                why_not="Ours vs SSB: "
+                + ", ".join(f"{op} {ours:.3f} s vs {ssb:.3f} s" for op, ours, ssb in operators)
+                + f": SSB's exact enumeration is cheap at scale {EFFECTIVENESS_SCALE:g}; "
+                f"Table VIII (scale {EFFICIENCY_SCALE:g}) and `scaling` show where Ours "
+                "pulls ahead",
+            ),
+        ],
         notes="GROUP-BY rows: methods without grouped evaluation are '-', as in the paper.",
     )
 
@@ -388,33 +504,35 @@ def table11_operator_error(seed: int = 0) -> ExperimentResult:
     for method in method_names():
         row: list[object] = [method]
         for truth_kind in ("tau", "ha"):
-            for operator in ("Filter", "GROUP-BY", "MAX/MIN"):
+            for operator in OPERATORS:
                 values = [
                     (run.tau_error if truth_kind == "tau" else run.ha_error) * 100.0
                     for run in runs
-                    if run.method == method
-                    and run.shape == operator
-                    and run.supported
-                    and np.isfinite(
-                        run.tau_error if truth_kind == "tau" else run.ha_error
-                    )
+                    if run.method == method and run.shape == operator and run.supported
                 ]
                 row.append(mean_or_nan(values))
         rows.append(row)
-    headers = [
-        "Method",
-        "Filter(tau)",
-        "GROUP-BY(tau)",
-        "MAX/MIN(tau)",
-        "Filter(HA)",
-        "GROUP-BY(HA)",
-        "MAX/MIN(HA)",
-    ]
+    headers = ["Method"] + [f"{op}({truth})" for truth in ("tau", "HA") for op in OPERATORS]
+    errors = {row[0]: row[1:] for row in rows}
+    others = [errors[method] for method in errors if method not in ("Ours", "SSB")]
     return _result(
         "table11",
         "Table XI — relative error (%) for various operators (DBpedia-like)",
         headers,
         rows,
+        claims=[
+            Claim(
+                "Ours' error is below every other method's on every operator, vs both "
+                "truths (SSB, which is tau-GT, aside)",
+                all(
+                    ours < other[column]
+                    for column, ours in enumerate(errors["Ours"])
+                    for other in others
+                    if other[column] == other[column]
+                ),
+            ),
+            _within_eb("Ours' Filter error vs tau-GT is", errors["Ours"][:1]),
+        ],
     )
 
 
@@ -461,6 +579,12 @@ def table12_step_timing(seed: int = 0) -> ExperimentResult:
         "Table XII — per-step time (ms): S1 sampling / S2 estimation / S3 guarantee",
         ["Operator", "S1", "S2", "S3"],
         rows,
+        claims=[
+            Claim(
+                "S3 (the CI) costs no more than S1 + S2 on every operator",
+                all(s3 <= s1 + s2 for _operator, s1, s2, s3 in rows),
+            ),
+        ],
         notes="S1 covers scope+walk+collection; S2 validation+estimation; S3 the CI.",
     )
 
@@ -518,15 +642,29 @@ def table13_embeddings(seed: int = 0, epochs: int = 25) -> ExperimentResult:
                 round(float(np.mean(errors)) * 100.0, 2),
             ]
         )
+    embed_seconds, memory, separation = (
+        {row[0]: row[column] for row in rows} for column in (1, 2, 3)
+    )
     return _result(
         "table13",
         "Table XIII — effect of KG embedding models (DBpedia-like, HA-GT)",
         ["Model", "Embed time (s)", "Memory (MB)", "Separation", "Relative error (%)"],
         rows,
+        claims=[
+            Claim(
+                "TransE needs less memory than RESCAL and SE",
+                memory["TransE"] < min(memory["RESCAL"], memory["SE"]),
+            ),
+            Claim("TransE trains faster than SE", embed_seconds["TransE"] < embed_seconds["SE"]),
+            Claim(
+                "TransE separates correct-schema from near-miss predicates better than "
+                "RESCAL and SE",
+                separation["TransE"] > max(separation["RESCAL"], separation["SE"]),
+            ),
+        ],
         notes=(
-            "Translation-family models should beat RESCAL/SE on cost and on "
-            "predicate separation (the margin by which correct-schema "
-            "predicates outrank near-misses w.r.t. the canonical predicate). "
+            "Separation is the margin by which correct-schema predicates "
+            "outrank near-misses w.r.t. the canonical predicate. "
             "Downstream error moves less: exact-predicate matches validate "
             "under any space, so only schema-flexible answers are at stake."
         ),
@@ -579,18 +717,20 @@ def _hub_queries(context: BenchContext, hub_key: str) -> list[AggregateQuery]:
     ]
 
 
-def _ablation_rows(
+def _config_rows(
     context: BenchContext,
-    configs: dict[str, PaperConfig],
-    seed: int,
+    configs: dict[object, PaperConfig],
+    query_seed: int,
 ) -> list[list[object]]:
+    """``[label, function, error (%), time (ms)]`` per config label (an
+    ablation's variant or a sweep's value) and hub query."""
     queries = _hub_queries(context, "germany_cars")
     rows: list[list[object]] = []
     for label, config in configs.items():
         for aggregate_query in queries:
             truth = context.tau_ground_truth(aggregate_query)
             started = time.perf_counter()
-            result = context.engine(config).execute(aggregate_query, seed=seed + 31)
+            result = context.engine(config).execute(aggregate_query, seed=query_seed)
             elapsed = time.perf_counter() - started
             rows.append(
                 [
@@ -611,13 +751,23 @@ def fig5a_sampling_ablation(seed: int = 0) -> ExperimentResult:
         "CNARW": PaperConfig(seed=seed, sampler=SamplerKind.CNARW),
         "Node2Vec": PaperConfig(seed=seed, sampler=SamplerKind.NODE2VEC),
     }
-    rows = _ablation_rows(context, configs, seed)
+    rows = _config_rows(context, configs, seed + 31)
+    errors = _errors(rows)
+    topology_only = (errors["CNARW"], errors["Node2Vec"])
     return _result(
         "fig5a",
         "Fig 5(a) — effect of S1 (sampling) on error (%) and time (ms)",
         ["Sampler", "Function", "Relative error (%)", "Time (ms)"],
         rows,
-        notes="Topology-only samplers ignore semantics: worse error and/or more time.",
+        claims=[
+            Claim(
+                "Semantic-aware sampling has the lowest error on every function",
+                all(
+                    error < min(other[function] for other in topology_only)
+                    for function, error in errors["semantic-aware"].items()
+                ),
+            ),
+        ],
     )
 
 
@@ -628,12 +778,22 @@ def fig5b_validation_ablation(seed: int = 0) -> ExperimentResult:
         "with validation": PaperConfig(seed=seed),
         "without validation": PaperConfig(seed=seed, validate_correctness=False),
     }
-    rows = _ablation_rows(context, configs, seed)
+    rows = _config_rows(context, configs, seed + 31)
+    errors = _errors(rows)
     return _result(
         "fig5b",
         "Fig 5(b) — effect of S2 (correctness validation)",
         ["Variant", "Function", "Relative error (%)", "Time (ms)"],
         rows,
+        claims=[
+            Claim(
+                "Validation lowers the error on every function",
+                all(
+                    error < errors["without validation"][function]
+                    for function, error in errors["with validation"].items()
+                ),
+            ),
+        ],
         notes="Without validation, below-tau answers pollute the estimate.",
     )
 
@@ -649,13 +809,25 @@ def fig5c_delta_ablation(seed: int = 0) -> ExperimentResult:
             max_rounds=60,
         ),
     }
-    rows = _ablation_rows(context, configs, seed)
+    rows = _config_rows(context, configs, seed + 31)
+    errors = _errors(rows)
     return _result(
         "fig5c",
         "Fig 5(c) — effect of S3 (sample-size configuration)",
         ["Strategy", "Function", "Relative error (%)", "Time (ms)"],
         rows,
-        notes="Similar error; the error-based schedule needs fewer rounds.",
+        claims=[
+            Claim(
+                f"Both schedules reach similar error: within eb = {EB_PERCENT:g} point of "
+                "each other on every function",
+                all(
+                    abs(error - errors["fixed(+50)"][function]) <= EB_PERCENT
+                    for function, error in errors["error-based"].items()
+                ),
+            ),
+        ],
+        notes="The paper also reports fewer rounds for the error-based schedule; these "
+        "rows do not count rounds.",
     )
 
 
@@ -699,116 +871,126 @@ def fig6a_interactive(seed: int = 0) -> ExperimentResult:
             )
             previous = error_bound
         engine.service.close()
+    added: dict[str, list[int]] = {}
+    for row in rows:
+        added.setdefault(row[0], []).append(row[3])
     return _result(
         "fig6a",
         "Fig 6(a) — interactive error-bound refinement",
         ["Function", "eb step", "Incremental time (ms)", "Added draws", "Estimate"],
         rows,
-        notes="Tightening eb reuses all prior draws; each step costs a small increment.",
+        claims=[
+            Claim(
+                "Tightening eb keeps the draws already made: every step only adds draws, "
+                "and 2% -> 1% adds the most, as n ~ 1/eb^2 predicts",
+                all(min(counts) >= 0 and counts[-1] == max(counts) for counts in added.values()),
+            ),
+        ],
     )
-
-
-def _sweep(
-    context: BenchContext,
-    parameter_values: list[object],
-    config_for,
-    seed: int,
-    *,
-    truth_for=None,
-) -> list[list[object]]:
-    rows: list[list[object]] = []
-    queries = _hub_queries(context, "germany_cars")
-    for value in parameter_values:
-        for aggregate_query in queries:
-            truth = (
-                truth_for(aggregate_query, value)
-                if truth_for is not None
-                else context.tau_ground_truth(aggregate_query).value
-            )
-            started = time.perf_counter()
-            result = context.engine(config_for(value)).execute(
-                aggregate_query, seed=seed + 41
-            )
-            elapsed = time.perf_counter() - started
-            rows.append(
-                [
-                    value,
-                    aggregate_query.function.value,
-                    round(relative_error(result.value, truth) * 100.0, 3),
-                    round(elapsed * 1000.0, 1),
-                ]
-            )
-    return rows
 
 
 def fig6b_confidence_level(seed: int = 0) -> ExperimentResult:
     """Fig 6(b): error and time vs confidence level."""
     context = bench_context("dbpedia-like", seed=seed, scale=EFFECTIVENESS_SCALE)
-    rows = _sweep(
-        context,
-        [0.86, 0.89, 0.92, 0.95, 0.98],
-        lambda level: PaperConfig(seed=seed, confidence_level=level),
-        seed,
-    )
+    levels = (0.86, 0.89, 0.92, 0.95, 0.98)
+    configs = {level: PaperConfig(seed=seed, confidence_level=level) for level in levels}
+    rows = _config_rows(context, configs, seed + 41)
+    errors = _errors(rows)
+    lowest, highest = errors[levels[0]], errors[levels[-1]]
     return _result(
         "fig6b",
         "Fig 6(b) — effect of confidence level 1-alpha",
         ["1-alpha", "Function", "Relative error (%)", "Time (ms)"],
         rows,
-        notes="Higher confidence -> tighter MoE requirement -> more samples, less error.",
+        claims=[
+            Claim(
+                "Higher confidence -> tighter MoE requirement -> more samples, less error: "
+                "every function's error at 0.98 is at most its error at 0.86",
+                all(highest[function] <= lowest[function] for function in lowest),
+                why_not=", ".join(
+                    f"{function} {error:.2f}% at 0.86 vs {highest[function]:.2f}% at 0.98"
+                    for function, error in lowest.items()
+                )
+                + f": every level ends well within eb = {EB_PERCENT:g}%, where one fixed-seed "
+                "run's error is sampling noise rather than a trend",
+            ),
+        ],
     )
 
 
 def fig6c_repeat_factor(seed: int = 0) -> ExperimentResult:
     """Fig 6(c): error and time vs the repeat factor r."""
     context = bench_context("dbpedia-like", seed=seed, scale=EFFECTIVENESS_SCALE)
-    rows = _sweep(
-        context,
-        [1, 2, 3, 4, 5],
-        lambda r: PaperConfig(seed=seed, repeat_factor=r),
-        seed,
-    )
+    configs = {r: PaperConfig(seed=seed, repeat_factor=r) for r in (1, 2, 3, 4, 5)}
+    rows = _config_rows(context, configs, seed + 41)
+    errors = _errors(rows)
+    mean_errors = {r: mean_or_nan(list(by_function.values())) for r, by_function in errors.items()}
     return _result(
         "fig6c",
         "Fig 6(c) — effect of repeat factor r",
         ["r", "Function", "Relative error (%)", "Time (ms)"],
         rows,
-        notes="Larger r reduces validation false negatives; stabilises around r = 3.",
+        claims=[
+            Claim(
+                "Larger r reduces validation false negatives: the mean error over "
+                "functions is lower at r = 3 than at r = 1",
+                mean_errors[3] < mean_errors[1],
+                why_not=f"the mean error is {mean_errors[1]:.3f}% at r = 1 and "
+                f"{mean_errors[3]:.3f}% at r = 3: on this hub the r-path search misses "
+                "the same correct candidates at every r, so a larger r has no false "
+                "negative to recover",
+            ),
+            Claim(
+                "The error stabilises from r = 3: r = 3, 4 and 5 give the same error on "
+                "every function",
+                errors[3] == errors[4] == errors[5],
+            ),
+        ],
     )
 
 
 def fig6d_sample_ratio(seed: int = 0) -> ExperimentResult:
     """Fig 6(d): error and time vs the desired sample ratio lambda."""
     context = bench_context("dbpedia-like", seed=seed, scale=EFFECTIVENESS_SCALE)
-    rows = _sweep(
-        context,
-        [0.1, 0.2, 0.3, 0.4, 0.5],
-        lambda ratio: PaperConfig(seed=seed, sample_ratio=ratio),
-        seed,
-    )
+    ratios = (0.1, 0.2, 0.3, 0.4, 0.5)
+    configs = {ratio: PaperConfig(seed=seed, sample_ratio=ratio) for ratio in ratios}
+    rows = _config_rows(context, configs, seed + 41)
     return _result(
         "fig6d",
         "Fig 6(d) — effect of desired sample ratio lambda",
         ["lambda", "Function", "Relative error (%)", "Time (ms)"],
         rows,
+        claims=[
+            _within_eb(
+                "lambda only sizes the first sample: the error at every lambda is",
+                [row[2] for row in rows],
+            ),
+        ],
     )
 
 
 def fig6e_nbound(seed: int = 0) -> ExperimentResult:
     """Fig 6(e): error and time vs the n-bounded subgraph size."""
     context = bench_context("dbpedia-like", seed=seed, scale=EFFECTIVENESS_SCALE)
-    rows = _sweep(
-        context,
-        [1, 2, 3, 4],
-        lambda n: PaperConfig(seed=seed, n_bound=n),
-        seed,
-    )
+    configs = {n: PaperConfig(seed=seed, n_bound=n) for n in (1, 2, 3, 4)}
+    rows = _config_rows(context, configs, seed + 41)
+    errors = _errors(rows)
     return _result(
         "fig6e",
         "Fig 6(e) — effect of the n-bounded subgraph",
         ["n", "Function", "Relative error (%)", "Time (ms)"],
         rows,
-        notes="Small n misses correct answers; error stabilises once n covers them (n>=3).",
+        claims=[
+            Claim(
+                "Small n misses correct answers: every function's error at n = 3 is at "
+                "most its error at n = 1",
+                all(errors[3][function] <= error for function, error in errors[1].items()),
+            ),
+            _within_eb(
+                "The error stabilises once n covers the answers: the error at every n >= 3 is",
+                [row[2] for row in rows if row[0] >= 3],
+            ),
+        ],
     )
 
 
@@ -846,12 +1028,23 @@ def fig6f_tau_threshold(seed: int = 0) -> ExperimentResult:
                     round(relative_error(result.value, human.value) * 100.0, 3),
                 ]
             )
+    ha_means = {
+        tau: mean_or_nan(list(errors.values()))
+        for tau, errors in _errors(rows, column=3).items()
+    }
     return _result(
         "fig6f",
         "Fig 6(f) — effect of the semantic similarity threshold tau",
         ["tau", "Function", "Error vs tau-GT (%)", "Error vs HA-GT (%)"],
         rows,
-        notes="tau-GT error stays low for all tau; HA-GT error is minimised near the calibrated tau.",
+        claims=[
+            _within_eb("The tau-GT error at every tau is", [row[2] for row in rows]),
+            Claim(
+                "HA-GT error, averaged over functions, is lowest at the calibrated "
+                f"tau = {PaperConfig.tau:g}",
+                min(ha_means, key=ha_means.__getitem__) == PaperConfig.tau,
+            ),
+        ],
     )
 
 
@@ -890,12 +1083,24 @@ def scaling_crossover(seed: int = 0) -> ExperimentResult:
                     round(relative_error(result.value, truth.value) * 100.0, 3),
                 ]
             )
+    chains = [row for row in rows if row[1] == "chain"]
     return _result(
         "scaling",
         "Scaling crossover — ours vs exact SSB (COUNT)",
         ["KG scale", "Shape", "Ours (ms)", "SSB (ms)", "Ours error (%)"],
         rows,
-        notes="SSB's exhaustive enumeration grows superlinearly; sampling stays bounded.",
+        claims=[
+            Claim(
+                "Sampling takes over as the graph grows: on the largest graph Ours "
+                "answers faster than SSB on both shapes",
+                all(ours < ssb for _scale, _shape, ours, ssb, _error in rows[-2:]),
+            ),
+            Claim(
+                "SSB's exhaustive chain enumeration grows faster than sampling: from the "
+                "smallest graph to the largest, its chain time grows by a larger factor",
+                chains[-1][3] / chains[0][3] > chains[-1][2] / chains[0][2],
+            ),
+        ],
     )
 
 
@@ -953,6 +1158,13 @@ def ext_evt_extremes(seed: int = 0, replications: int = 5) -> ExperimentResult:
                         round(float(np.median(errors)) * 100.0, 2),
                     ]
                 )
+    pooled: dict[tuple[str, str], list[float]] = {}
+    for _dataset, function, method, _truth, mean_error, _median in rows:
+        pooled.setdefault((method, function[:3]), []).append(mean_error)
+    evt_max, sample_max, evt_min, sample_min = (
+        mean_or_nan(pooled[key])
+        for key in (("evt", "MAX"), ("sample", "MAX"), ("evt", "MIN"), ("sample", "MIN"))
+    )
     return _result(
         "ext_evt",
         "Extension — EVT tail extrapolation for MAX/MIN "
@@ -966,14 +1178,23 @@ def ext_evt_extremes(seed: int = 0, replications: int = 5) -> ExperimentResult:
             "Median error (%)",
         ],
         rows,
+        claims=[
+            Claim(
+                "EVT pays off for MAX: its mean error, pooled over datasets, is below the "
+                "sample maximum's",
+                evt_max < sample_max,
+            ),
+            Claim(
+                "The sample minimum stays the better MIN estimator: its pooled mean error "
+                "is below EVT's, and above 0 (it misses the population minimum)",
+                0.0 < sample_min < evt_min,
+            ),
+        ],
         notes=(
-            "EVT extrapolates beyond the sample extremum via a GPD tail fit. "
-            "It pays off for MAX over the heavy (Frechet-domain) upper tails "
-            "of the lognormal attributes, and hurts for MIN: their short "
-            "lower tails are mis-fit at sample-sized thresholds, so the "
-            "plain sample minimum stays the better estimator — consistent "
-            "with EVT theory and with the paper leaving extremes as future "
-            "work. Median shows the typical run; the mean is tail-sensitive."
+            "EVT extrapolates past the sample extremum with a GPD tail fit, which suits "
+            "the heavy (Frechet-domain) upper tails of the lognormal attributes, not "
+            "their short lower tails. Median shows the typical run; the mean is "
+            "tail-sensitive."
         ),
     )
 
@@ -1024,11 +1245,25 @@ def ext_normalization(seed: int = 0) -> ExperimentResult:
                         round(relative_error(result.value, truth.value) * 100.0, 2),
                     ]
                 )
+    errors = {(row[0], row[1], row[2]): row[5] for row in rows}
+    sample_errors = [error for key, error in errors.items() if key[2] == "sample"]
     return _result(
         "ext_normalization",
         "Extension — estimator normalisation ablation (COUNT/SUM)",
         ["Dataset", "Function", "Normalization", "Estimate", "tau-GT", "Error (%)"],
         rows,
+        claims=[
+            Claim(
+                "Literal Eq. 7-8 overestimates every COUNT and SUM, and Hansen-Hurwitz is "
+                "closer to tau-GT on each",
+                all(
+                    estimate > truth and errors[dataset, function, "sample"] < error
+                    for dataset, function, method, estimate, truth, error in rows
+                    if method == "paper"
+                ),
+            ),
+            Claim("Hansen-Hurwitz's mean error is below 5%", mean_or_nan(sample_errors) < 5.0),
+        ],
         notes=(
             "'sample' = Hansen-Hurwitz (unbiased under i.i.d. draws over all "
             "candidates); 'paper' = literal Eq. 7-8, biased up by the share "

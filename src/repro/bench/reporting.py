@@ -1,15 +1,8 @@
-"""Monospace table rendering and result persistence for the benches."""
+"""Monospace table rendering for the experiment drivers."""
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 from typing import Sequence
-
-#: where benches drop their rendered tables (repo-relative by default)
-RESULTS_DIR = Path(
-    os.environ.get("REPRO_BENCH_RESULTS", Path(__file__).resolve().parents[3] / "benchmarks" / "results")
-)
 
 
 def _format_cell(value: object) -> str:
@@ -49,10 +42,3 @@ def render_table(
         lines.append(notes)
     return "\n".join(lines)
 
-
-def save_result(name: str, text: str) -> Path:
-    """Persist a rendered table under ``benchmarks/results/``."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
-    path.write_text(text + "\n", encoding="utf-8")
-    return path

@@ -12,8 +12,9 @@ Commands:
   :class:`repro.store.SnapshotCatalog`, so later invocations memory-map
   the graph instead of recompiling it.
 * ``datasets``   — list the bundled synthetic datasets with their sizes.
-* ``experiment`` — regenerate one paper table/figure by name (``--list``
-  shows all names; ``--plot`` adds an ASCII chart for figures).
+* ``experiment`` — regenerate one paper table/figure by name and check the
+  paper's claims about it, exiting 1 if one fails with no stated reason
+  (``--list`` shows all names; ``--plot`` adds an ASCII chart for figures).
 * ``workload``   — run (a slice of) the standard benchmark workload.
 
 The CLI is a thin layer over the public API; everything it does can be
@@ -55,7 +56,7 @@ def _figure(driver: str) -> Callable[..., "ExperimentResult"]:
     return run
 
 
-#: experiment name -> driver; names match the benches under benchmarks/
+#: experiment name -> driver; ``repro experiment --list`` prints the names
 EXPERIMENTS: dict[str, Callable[..., "ExperimentResult"]] = {
     "table5": _figure("table5_ajs"),
     "table6": _figure("table6_tau_gt_error"),
@@ -87,13 +88,23 @@ def _dataset_registry() -> dict[str, Callable]:
     return dict(ALL_PRESETS)
 
 
-def _scale(text: str) -> float:
-    """The ``--scale`` type: a finite float above 0, checked before any
-    graph is built."""
+def _positive_float(text: str) -> float:
+    """The type of ``--scale``, ``--deadline`` and ``--quota-rps``: a finite
+    float above 0, checked before any graph is built."""
     with contextlib.suppress(ValueError):
         if 0.0 < float(text) < math.inf:
             return float(text)
     raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    """The type of ``--max-pending``, ``--quota-burst`` and
+    ``--audit-log-max-bytes``: an int of at least 1, checked before any
+    graph is built."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _address(text: str, flag: str) -> tuple[str, int] | None:
@@ -110,7 +121,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     """Serving-layer flags shared by the serving commands."""
     parser.add_argument(
         "--deadline",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="per-query wall-clock budget; past it a query settles as "
@@ -119,7 +130,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="admission control: live queries accepted before the service "
@@ -142,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "served as one concurrent batch")
     query.add_argument("--dataset", default="dbpedia-like")
     query.add_argument("--seed", type=int, default=0)
-    query.add_argument("--scale", type=_scale, default=1.0)
+    query.add_argument("--scale", type=_positive_float, default=1.0)
     query.add_argument("--error-bound", type=float, default=0.01)
     query.add_argument("--confidence", type=float, default=0.95)
     query.add_argument("--tau", type=float, default=0.85)
@@ -176,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--quota-rps",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="RATE",
         help="HTTP mode: per-client token-bucket rate (requests/second) "
@@ -185,14 +196,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--quota-burst",
-        type=int,
+        type=_positive_int,
         default=10,
         metavar="N",
         help="HTTP mode: per-client burst size for --quota-rps (default: 10)",
     )
     serve.add_argument("--dataset", default="dbpedia-like")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--scale", type=_scale, default=1.0)
+    serve.add_argument("--scale", type=_positive_float, default=1.0)
     serve.add_argument("--error-bound", type=float, default=0.01)
     serve.add_argument("--confidence", type=float, default=0.95)
     serve.add_argument("--tau", type=float, default=0.85)
@@ -208,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--audit-log-max-bytes",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="rotate the --audit-log file to PATH.1 before a write would "
@@ -233,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("path", help="catalog root directory")
     snapshot.add_argument("--dataset", default="dbpedia-like")
     snapshot.add_argument("--seed", type=int, default=0)
-    snapshot.add_argument("--scale", type=_scale, default=1.0)
+    snapshot.add_argument("--scale", type=_positive_float, default=1.0)
     snapshot.add_argument(
         "--verify-fingerprint",
         action="store_true",
@@ -243,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands.add_parser("datasets", help="list the synthetic datasets")
 
     experiment = commands.add_parser(
-        "experiment", help="regenerate a paper table or figure"
+        "experiment", help="regenerate a paper table or figure and check its claims"
     )
     experiment.add_argument("name", nargs="?", help="e.g. table6, fig6b, scaling")
     experiment.add_argument("--list", action="store_true", help="list experiments")
@@ -270,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("path", help="output file; format chosen by --format")
     export.add_argument("--dataset", default="dbpedia-like")
     export.add_argument("--seed", type=int, default=0)
-    export.add_argument("--scale", type=_scale, default=1.0)
+    export.add_argument("--scale", type=_positive_float, default=1.0)
     export.add_argument(
         "--format",
         choices=["json", "triples", "graphml"],
@@ -701,7 +712,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             )
         else:
             print("(no plottable series in this experiment's rows)")
-    return 0
+    return 1 if any(not claim.holds and not claim.why_not for claim in result.claims) else 0
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:

@@ -13,7 +13,6 @@ from repro.bench import (
 )
 from repro.bench.harness import BenchContext
 from repro.bench.metrics import grouped_relative_error, mean_or_nan, variance_or_nan
-from repro.bench.reporting import save_result
 from repro import (
     AggregateFunction,
     AggregateQuery,
@@ -92,13 +91,6 @@ class TestReporting:
     def test_notes_appended(self):
         text = render_table("T", ["A"], [["x"]], notes="a note")
         assert text.endswith("a note")
-
-    def test_save_result(self, tmp_path, monkeypatch):
-        import repro.bench.reporting as reporting
-
-        monkeypatch.setattr(reporting, "RESULTS_DIR", tmp_path)
-        path = save_result("unit", "content")
-        assert path.read_text() == "content\n"
 
 
 class TestHarness:

@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.bench.experiments import ExperimentResult, _result
+from repro.bench.experiments import Claim, ExperimentResult, _result
 from repro.bench.sampled import PaperConfig
 from repro.cli import EXPERIMENTS, _figure_series, main
 
@@ -149,18 +149,34 @@ def test_experiment_list(capsys):
         assert name in out
 
 
-def test_experiment_registry_covers_every_bench():
-    import pathlib
+_HOLDS = [Claim("stub claim", True)]
 
-    bench_dir = pathlib.Path(__file__).parent.parent / "benchmarks"
-    bench_stems = {
-        # bench files zero-pad table numbers (bench_table06_...)
-        path.stem.removeprefix("bench_").replace("table0", "table")
-        for path in bench_dir.glob("bench_*.py")
-    }
-    # every registry name must be the prefix of some bench file stem
-    for name in EXPERIMENTS:
-        assert any(stem.startswith(name) for stem in bench_stems), name
+
+@pytest.mark.parametrize(
+    "claim, code, printed",
+    [
+        (Claim("y stays positive", True), 0, "- y stays positive: holds"),
+        (Claim("y rises with x", False), 1, "- y rises with x: FAILS"),
+        (
+            Claim("y rises with x", False, why_not="y is 4.00 at x = 1, 1.00 at x = 2"),
+            0,
+            "- y rises with x: differs: y is 4.00 at x = 1, 1.00 at x = 2",
+        ),
+    ],
+    ids=["holds", "fails", "differs"],
+)
+def test_experiment_exit_code_follows_its_claims(capsys, monkeypatch, claim, code, printed):
+    """A claim the rows contradict fails the command unless the driver
+    says why this implementation differs; every verdict is printed."""
+    stub = _result("stub", "Stub", ["x", "y"], [[1.0, 4.0], [2.0, 1.0]], claims=[claim])
+    monkeypatch.setitem(EXPERIMENTS, "stub", lambda seed=0: stub)
+    assert main(["experiment", "stub"]) == code
+    assert printed in capsys.readouterr().out
+
+
+def test_an_experiment_states_a_claim():
+    with pytest.raises(ValueError, match="states no claim"):
+        _result("stub", "Stub", ["x"], [[1.0]], claims=[])
 
 
 def test_experiment_unknown_name(capsys):
@@ -176,6 +192,7 @@ def test_experiment_runs_stub_driver(capsys, monkeypatch):
         "Stub experiment",
         ["Label", "x", "y"],
         [["a", 1.0, 2.0], ["a", 2.0, 3.0], ["b", 1.0, 4.0], ["b", 2.0, 1.0]],
+        claims=_HOLDS,
     )
     monkeypatch.setitem(EXPERIMENTS, "stub", lambda seed=0: stub)
     assert main(["experiment", "stub"]) == 0
@@ -189,6 +206,7 @@ def test_experiment_plot_draws_chart(capsys, monkeypatch):
         "Stub experiment",
         ["Label", "x", "y"],
         [["a", 1.0, 2.0], ["a", 2.0, 3.0], ["b", 1.0, 4.0], ["b", 2.0, 1.0]],
+        claims=_HOLDS,
     )
     monkeypatch.setitem(EXPERIMENTS, "stub", lambda seed=0: stub)
     assert main(["experiment", "stub", "--plot"]) == 0
@@ -198,7 +216,7 @@ def test_experiment_plot_draws_chart(capsys, monkeypatch):
 
 
 def test_experiment_plot_without_series(capsys, monkeypatch):
-    stub = _result("stub", "Stub", ["A", "B", "C"], [["x", "y", "z"]])
+    stub = _result("stub", "Stub", ["A", "B", "C"], [["x", "y", "z"]], claims=_HOLDS)
     monkeypatch.setitem(EXPERIMENTS, "stub", lambda seed=0: stub)
     assert main(["experiment", "stub", "--plot"]) == 0
     assert "no plottable series" in capsys.readouterr().out
@@ -211,6 +229,7 @@ def test_figure_series_label_first_layout():
     result = _result(
         "f", "t", ["Sampler", "x", "err"],
         [["semantic", 1, 2.0], ["semantic", 2, 1.0], ["cnarw", 1, 8.0], ["cnarw", 2, 7.0]],
+        claims=_HOLDS,
     )
     series, x_column, y_column = _figure_series(result)
     assert {one.name for one in series} == {"semantic", "cnarw"}
@@ -221,6 +240,7 @@ def test_figure_series_x_first_layout():
     result = _result(
         "f", "t", ["r", "Function", "err"],
         [[1, "COUNT", 2.0], [2, "COUNT", 1.5], [1, "AVG", 1.0], [2, "AVG", 0.5]],
+        claims=_HOLDS,
     )
     series, x_column, y_column = _figure_series(result)
     assert {one.name for one in series} == {"COUNT", "AVG"}
@@ -228,7 +248,7 @@ def test_figure_series_x_first_layout():
 
 
 def test_figure_series_skips_short_groups():
-    result = _result("f", "t", ["L", "x", "y"], [["only-one-point", 1, 2.0]])
+    result = _result("f", "t", ["L", "x", "y"], [["only-one-point", 1, 2.0]], claims=_HOLDS)
     series, _x, _y = _figure_series(result)
     assert series == []
 
@@ -504,3 +524,37 @@ def test_every_scale_flag_is_finite_and_positive(
         main([*command, "--scale", scale])
     assert exited.value.code == 2
     assert "--scale: must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["query", _SERVE_AQL], ["serve"]], ids=["query", "serve"]
+)
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--deadline", value, "must be finite and > 0") for value in ("0", "-5", "nan", "inf", "soon")]
+    + [("--max-pending", value, "must be an integer >= 1") for value in ("0", "-1", "1.5", "many")],
+)
+def test_serving_flags_are_checked_before_the_graph(
+    no_graph_build, capsys, command, flag, value, message
+):
+    with pytest.raises(SystemExit) as exited:
+        main([*command, flag, value])
+    assert exited.value.code == 2
+    assert f"{flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--quota-rps", "0", "must be finite and > 0"),
+        ("--quota-rps", "-1", "must be finite and > 0"),
+        ("--quota-rps", "nan", "must be finite and > 0"),
+        ("--quota-burst", "0", "must be an integer >= 1"),
+        ("--audit-log-max-bytes", "0", "must be an integer >= 1"),
+    ],
+)
+def test_serve_limits_are_checked_before_the_graph(no_graph_build, capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--http", "127.0.0.1:0", flag, value])
+    assert exited.value.code == 2
+    assert f"{flag}: {message}" in capsys.readouterr().err

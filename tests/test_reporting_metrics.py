@@ -1,4 +1,4 @@
-"""Tests for bench reporting (table rendering, persistence) and metrics."""
+"""Tests for bench reporting (table rendering) and metrics."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.bench.metrics import (
     relative_error,
     variance_or_nan,
 )
-from repro.bench.reporting import render_table, save_result
+from repro.bench.reporting import render_table
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +78,6 @@ def test_render_table_property_never_crashes(rows):
     text = render_table("T", ["A", "B"], rows)
     assert text.startswith("T\n=")
     assert len(text.splitlines()) >= 4
-
-
-# ---------------------------------------------------------------------------
-# save_result
-# ---------------------------------------------------------------------------
-def test_save_result_writes_under_results_dir(tmp_path, monkeypatch):
-    import repro.bench.reporting as reporting
-
-    monkeypatch.setattr(reporting, "RESULTS_DIR", tmp_path / "results")
-    path = save_result("demo", "content")
-    assert path.read_text() == "content\n"
-    assert path.parent.name == "results"
 
 
 # ---------------------------------------------------------------------------
