@@ -7,8 +7,9 @@ sampling mechanics run :class:`SampledExecutor` instead, which always
 samples: a query draws from its joint pi_A and estimates each round —
 Eq. 7-9 with a BLB interval and the Theorem-2 check, one CI per group
 for GROUP-BY (§V-A), the sample extremum for MAX/MIN (§IV-B1), optionally
-extrapolated by an EVT tail fit.  Validation, group keys and packaging
-are the production executor's.
+extrapolated by an EVT tail fit.  Its per-draw verdicts and group keys
+are its own (a census keeps none); the screen, the key binning, the
+validation seams and packaging are the production executor's.
 
 Its knobs are :class:`PaperConfig`'s, plus the module constants below
 for the paper's values no figure varies.  S1 is :class:`PlanSampler`,
@@ -37,6 +38,7 @@ from repro.core.executor import (
     STAGE_SAMPLING,
     QueryExecutor,
     StepOutcome,
+    _keys_of,
     _QueryState,
     kind_for,
 )
@@ -362,6 +364,13 @@ class _SampledState(_QueryState):
     #: per-little-sample arrays of support indices
     little_samples: list[np.ndarray]
     desired_n: int
+    #: per-support-entry verdicts, filled as entries are validated
+    support_known: np.ndarray
+    support_correct: np.ndarray
+    support_value: np.ndarray
+    #: per-support group keys (NaN = not grouped / invalid), built lazily
+    support_group: np.ndarray | None = None
+    support_group_known: np.ndarray | None = None
     #: distinct_support_indices memo: (per-sample lengths scattered so
     #: far, drawn mask over the support, read-only indices)
     _drawn: tuple | None = field(default=None, repr=False)
@@ -515,7 +524,64 @@ class SampledExecutor(QueryExecutor):
     def _ensure_validated(self, state: _SampledState) -> None:
         """Validate every support entry present in the current draws."""
         drawn = state.distinct_support_indices()
-        self._validate_pending(state, drawn[~state.support_known[drawn]])
+        pending = drawn[~state.support_known[drawn]]
+        if len(pending):
+            self._validation_pass(
+                state, len(pending), partial(self._validate_entries, state, pending)
+            )
+
+    def _validate_entries(self, state: _SampledState, pending: np.ndarray) -> None:
+        """Fill verdicts and values for ``pending`` support entries.
+
+        The attribute/filter screen runs over the whole batch as array
+        operations; everything that survives it is validated in one batch
+        per component, and an answer is correct when every component
+        keeps it.
+        """
+        correct, values = self._screen(
+            state.aggregate_query, state.joint.answers[pending]
+        )
+        if self.config.validate_correctness and correct.any():
+            # every component's verdict on what the screen let through
+            correct[correct] = self._batch_similarities(state, pending[correct])
+        state.support_known[pending] = True
+        state.support_correct[pending] = correct
+        state.support_value[pending] = np.where(correct, values, 0.0)
+
+    def _batch_similarities(
+        self, state: _SampledState, entries: np.ndarray
+    ) -> np.ndarray:
+        """Which joint support ``entries`` every component keeps at
+        ``>= tau``, as a mask over ``entries``."""
+        answers = state.joint.answers[entries]
+        keeps = np.ones(len(entries), dtype=bool)
+        for plan in state.components:
+            keeps &= plan.validator.validate_batch(answers).similarity >= self.config.tau
+        return keeps
+
+    def _group_keys(self, state: _SampledState, entries: np.ndarray) -> np.ndarray:
+        """Per-support group keys (NaN where ungrouped), built lazily for
+        ``entries``, which must be validated."""
+        group_by = state.aggregate_query.group_by
+        assert group_by is not None
+        if state.support_group is None:
+            state.support_group = np.full(
+                state.joint.support_size, np.nan, dtype=np.float64
+            )
+            state.support_group_known = np.zeros(
+                state.joint.support_size, dtype=bool
+            )
+        assert state.support_group_known is not None
+        known = state.support_group_known
+        pending = entries[~known[entries]]
+        known[pending] = True
+        # only correct entries are keyed, and those went through _screen
+        pending = pending[state.support_correct[pending]]
+        state.support_group[pending] = _keys_of(
+            group_by,
+            self._kg.attribute_column(group_by.attribute)[state.joint.answers[pending]],
+        )
+        return state.support_group
 
     @staticmethod
     def _combined_sample(state: _SampledState) -> EstimationSample:

@@ -3,31 +3,33 @@
 :class:`QueryExecutor` runs queries over ``(QueryPlan, _QueryState)``
 pairs: plans are the immutable shared artefacts of the planning layer
 (:mod:`repro.core.planner`); a state holds everything mutable about one
-query execution — per-candidate verdicts, the round trace, stage timers.
+query execution — its joint candidate set, the round trace, stage timers.
 
 Every production query is answered by **census**: S2 is exact (each
 production validator reads an exact similarity row its plan builds once,
 :mod:`repro.semantics.validation`), so ``initialise`` reads the joint
 candidate set — the answers the plans' rows reach, typed as each
 component's last hop requires, intersected across components — and the
-query's one round validates all of it and returns the exact aggregate
-(:meth:`QueryExecutor._census`), whatever the set's size.  No production
-query draws, runs S1 or bootstraps: the paper's sampled lifecycle runs
-only on :class:`repro.bench.sampled.SampledExecutor` (the figures, the
-sampling tests), which overrides the lifecycle and shares the rest.
+query's one round counts the candidates every component keeps and
+returns the exact aggregate (:meth:`QueryExecutor._census`), whatever
+the set's size.  No production query draws, runs S1 or bootstraps: the
+paper's sampled lifecycle runs only on
+:class:`repro.bench.sampled.SampledExecutor` (the figures, the sampling
+tests), which overrides the lifecycle and shares the rest.
 
 Every query kind runs one round lifecycle: :meth:`QueryExecutor.step`
 runs a round and names why the run ends, if it does (the stop rule is
 the executor's), and :meth:`QueryExecutor.finalise` packages that reason.
 This module holds no loop: the scheduler's slot alone advances rounds.
 
-Validation is **batched**: pending candidates pass one array-valued
-attribute/filter screen over the graph's attribute columns, and the
-survivors are validated in one ``plan.validator.validate_batch`` call per
-component — the only S2 call; a composite's verdicts are ANDed.
-Validation time, the row build ``initialise`` triggers included, has its
-own ``"validation"`` stage bucket (the paper's Table XII folds it into
-S2).
+Validation is **memoised on the plan**: each plan keeps, per ``tau``,
+the sorted ids of its candidates whose row clears it
+(:meth:`~repro.core.plan.QueryPlan.kept`, one ``validate_batch`` call the
+first time a census asks); a census intersects its components' kept
+sets, passes them through one array-valued attribute/filter screen over
+the graph's attribute columns, and sums what survives.  Validation time,
+the row build ``initialise`` triggers included, has its own
+``"validation"`` stage bucket (the paper's Table XII folds it into S2).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.estimation.confidence import ConfidenceInterval
 from repro.estimation.estimators import census_estimate
 from repro.kg.graph import KnowledgeGraph
 from repro.obs.trace import child_span
-from repro.query.aggregate import AggregateQuery
+from repro.query.aggregate import AggregateQuery, GroupBy
 from repro.semantics.validation import require_node_ids
 from repro.utils.timing import StageTimer
 
@@ -104,13 +106,6 @@ class _QueryState:
     #: the graph's structure version when the plans were read: a census
     #: over a graph that has moved since re-plans first
     structure_version: int
-    #: per-support-entry verdicts, filled as entries are validated
-    support_known: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    support_correct: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    support_value: np.ndarray = field(default_factory=lambda: np.empty(0))
-    #: per-support group keys (NaN = not grouped / invalid), built lazily
-    support_group: np.ndarray | None = None
-    support_group_known: np.ndarray | None = None
     rounds: list[RoundTrace] = field(default_factory=list)
     timers: StageTimer = field(default_factory=StageTimer)
     #: GROUP-BY only: the latest round's per-group results, refreshed by
@@ -169,8 +164,7 @@ class QueryExecutor:
     def _census_support(self, plans: list[QueryPlan]) -> CandidateSet:
         """The joint candidate set of ``plans``: a lone plan's own set, a
         composite's the answers every plan has as a candidate, intersected
-        per query (each later plan's answers scattered into a node mask
-        that filters the sorted set).  Reading a plan's candidates builds
+        per query (:meth:`_intersect`).  Reading a plan's candidates builds
         its validator's row if no query has yet.
         """
         joint = plans[0].candidates(self._kg)
@@ -178,9 +172,7 @@ class QueryExecutor:
             return joint
         answers = joint.answers
         for plan in plans[1:]:
-            mask = np.zeros(self._kg.num_nodes, dtype=bool)
-            mask[plan.candidates(self._kg).answers] = True
-            answers = answers[mask[answers]]
+            answers = self._intersect(answers, plan.candidates(self._kg).answers)
         if len(answers) == 0:
             raise QueryError(_EMPTY_JOINT)
         answers.setflags(write=False)
@@ -248,9 +240,6 @@ class QueryExecutor:
             walk_iterations=0,
             confidence_level=confidence_level,
             structure_version=structure_version,
-            support_known=np.zeros(size, dtype=bool),
-            support_correct=np.zeros(size, dtype=bool),
-            support_value=np.zeros(size, dtype=np.float64),
             timers=timers,
         )
 
@@ -268,17 +257,6 @@ class QueryExecutor:
             float(plan.validator.validate_batch([node_id]).similarity[0])
             for plan in components
         )
-
-    def _batch_similarities(
-        self, state: _QueryState, entries: np.ndarray
-    ) -> np.ndarray:
-        """Which joint support ``entries`` every component keeps at
-        ``>= tau``, as a mask over ``entries``."""
-        answers = state.joint.answers[entries]
-        keeps = np.ones(len(entries), dtype=bool)
-        for plan in state.components:
-            keeps &= plan.validator.validate_batch(answers).similarity >= self.config.tau
-        return keeps
 
     def _screen(
         self, aggregate_query: AggregateQuery, node_ids: np.ndarray
@@ -308,38 +286,20 @@ class QueryExecutor:
                 passes &= ~(bounded > filter_.upper)
         return passes, values
 
-    def _validate_entries(self, state: _QueryState, pending: np.ndarray) -> None:
-        """Fill verdicts and values for ``pending`` support entries.
-
-        The attribute/filter screen runs over the whole batch as array
-        operations; everything that survives it is validated in one batch
-        per component, and an answer is correct when every component
-        keeps it.
-        """
-        correct, values = self._screen(
-            state.aggregate_query, state.joint.answers[pending]
-        )
-        if self.config.validate_correctness and correct.any():
-            # every component's verdict on what the screen let through
-            correct[correct] = self._batch_similarities(state, pending[correct])
-        state.support_known[pending] = True
-        state.support_correct[pending] = correct
-        state.support_value[pending] = np.where(correct, values, 0.0)
-
-    def _validate_pending(self, state: _QueryState, pending: np.ndarray) -> None:
-        """One ``validate_batch`` span over ``pending`` (unknown) entries."""
-        if len(pending) == 0:
-            return
+    def _validation_pass(self, state: _QueryState, pending: int, validate):
+        """``validate()``'s result, run as one validation pass over
+        ``pending`` candidates: the ``validate_batch`` fault site and
+        counters, then one ``validate_batch`` span timed as validation."""
         hook = self.fault_hook
         if hook is not None:
-            hook.fire("validate_batch", pending=len(pending))
+            hook.fire("validate_batch", pending=pending)
         metrics = self.obs_metrics
         if metrics is not None:
-            metrics["validated_entries"].inc(int(len(pending)))
-            metrics["validate_batch_pending"].observe(float(len(pending)))
-        with child_span("validate_batch", pending=int(len(pending))):
+            metrics["validated_entries"].inc(pending)
+            metrics["validate_batch_pending"].observe(float(pending))
+        with child_span("validate_batch", pending=pending):
             with state.timers.measure(STAGE_VALIDATION):
-                self._validate_entries(state, pending)
+                return validate()
 
     # ------------------------------------------------------------------
     # The round lifecycle: step / finalise, every kind
@@ -482,40 +442,74 @@ class QueryExecutor:
     ) -> tuple[float, float | None, int, bool]:
         """The exact aggregate over the joint candidate set.
 
-        Every candidate is validated in one batch (one screen plus one
-        validation per component) inside a ``census`` span; the round then
-        reads :func:`census_estimate` off the verdicts — per group for
-        GROUP-BY, whose round carries the widest group like a sampled
-        one.  ``correct_draws`` counts correct draws, and the census takes
-        none: it reads 0, per group too.
+        The answers every component keeps are screened in one validation
+        pass (:meth:`_census_answers`) inside a ``census`` span, which
+        records the candidates (``support``, ``pending``) and the answers
+        screened (``kept``); the round then reads :func:`census_estimate`
+        off the survivors' values — per group for GROUP-BY, each group a
+        contiguous slice of one stable sort of the keys, and the round
+        carries the widest group like a sampled one.  ``correct_draws``
+        counts correct draws, and the census takes none: it reads 0, per
+        group too.
         """
         if state.structure_version != self._kg.structure_version:
             self._replan(state)
         aggregate_query = state.aggregate_query
         function = aggregate_query.function
-        everything = np.arange(state.joint.support_size)
-        with child_span(
-            "census", support=state.joint.support_size, pending=len(everything)
-        ):
-            self._validate_pending(state, everything)
+        support = state.joint.support_size
+        with child_span("census", support=support, pending=support) as span:
+            answers, values = self._validation_pass(
+                state, support, lambda: self._census_answers(state, span)
+            )
         if self.obs_metrics is not None:
             self.obs_metrics["census_queries"].inc()
         with state.timers.measure(STAGE_ESTIMATION):
-            if aggregate_query.group_by is None:
-                correct = state.support_correct
-                value, moe = census_estimate(function, state.support_value[correct])
+            group_by = aggregate_query.group_by
+            if group_by is None:
+                value, moe = census_estimate(function, values)
                 return value, moe, 0, True
-            keys = self._group_keys(state, everything)
+            keys = _keys_of(
+                group_by, self._kg.attribute_column(group_by.attribute)[answers]
+            )
+            grouped = ~np.isnan(keys)
+            keys = keys[grouped]
+            order = np.argsort(keys, kind="stable")
+            by_key = values[grouped][order]
+            unique, starts = np.unique(keys[order], return_index=True)
+            stops = [*starts[1:].tolist(), len(by_key)]
             groups = {
-                float(key): (
-                    *census_estimate(function, state.support_value[keys == key]),
-                    True,
-                    0,
-                    0,
-                )
-                for key in np.unique(keys[~np.isnan(keys)])
+                key: (*census_estimate(function, by_key[start:stop]), True, 0, 0)
+                for key, start, stop in zip(unique.tolist(), starts.tolist(), stops)
             }
         return self._group_round(state, groups, True)
+
+    def _census_answers(
+        self, state: _QueryState, span=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(answers, values)`` a census counts, in id order: the joint
+        candidates every component keeps at ``tau`` — the intersection of
+        their plans' kept sets, or every candidate when
+        ``validate_correctness`` is off — that pass the screen.  ``span``,
+        if any, records how many were screened as ``kept``."""
+        if self.config.validate_correctness:
+            tau = self.config.tau
+            kept = state.components[0].kept(self._kg, tau)
+            for plan in state.components[1:]:
+                kept = self._intersect(kept, plan.kept(self._kg, tau))
+        else:
+            kept = state.joint.answers
+        if span is not None:
+            span.annotate(kept=len(kept))
+        passes, values = self._screen(state.aggregate_query, kept)
+        return kept[passes], values[passes]
+
+    def _intersect(self, answers: np.ndarray, others: np.ndarray) -> np.ndarray:
+        """The ``answers`` that ``others`` holds, in order: ``others``
+        scattered into a node mask that filters ``answers`` (several times
+        faster than a sorted merge or a binary search at 10^5 ids)."""
+        mask = np.zeros(self._kg.num_nodes, dtype=bool)
+        mask[others] = True
+        return answers[mask[answers]]
 
     def _replan(self, state: _QueryState) -> None:
         """Plan ``state``'s query afresh, once, on a graph whose structure
@@ -592,36 +586,15 @@ class QueryExecutor:
                 worst = (rank, result)
         return worst[1] if worst is not None else None
 
-    def _group_keys(self, state: _QueryState, entries: np.ndarray) -> np.ndarray:
-        """Per-support group keys (NaN where ungrouped), built lazily for
-        ``entries``, which must be validated."""
-        group_by = state.aggregate_query.group_by
-        assert group_by is not None
-        if state.support_group is None:
-            state.support_group = np.full(
-                state.joint.support_size, np.nan, dtype=np.float64
-            )
-            state.support_group_known = np.zeros(
-                state.joint.support_size, dtype=bool
-            )
-        assert state.support_group_known is not None
-        known = state.support_group_known
-        pending = entries[~known[entries]]
-        known[pending] = True
-        # only correct entries are keyed, and those went through _screen
-        pending = pending[state.support_correct[pending]]
-        # GroupBy.key_for over the attribute column, the same IEEE
-        # operations: an absent or NaN attribute stays NaN (ungrouped)
-        values = self._kg.attribute_column(group_by.attribute)[
-            state.joint.answers[pending]
-        ]
-        width = group_by.bin_width
-        if width is None:
-            keys = values
-        else:
-            # + 0.0: floor() keeps the sign of a -0.0 quotient, the
-            # integer floor of key_for does not
-            keys = np.floor(values / width) * width + 0.0
-            keys = np.where(keys > values, keys - width, keys)
-        state.support_group[pending] = keys
-        return state.support_group
+
+def _keys_of(group_by: GroupBy, values: np.ndarray) -> np.ndarray:
+    """:meth:`GroupBy.key_for` of each attribute value in ``values``, with
+    the same IEEE operations; an absent or NaN attribute keys NaN
+    (ungrouped)."""
+    width = group_by.bin_width
+    if width is None:
+        return values
+    # + 0.0: floor() keeps the sign of a -0.0 quotient, the integer floor
+    # of key_for does not
+    keys = np.floor(values / width) * width + 0.0
+    return np.where(keys > values, keys - width, keys)

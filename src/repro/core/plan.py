@@ -15,10 +15,11 @@ sample share one plan.
 
 A plan answers a census from its row: its candidates
 (:meth:`QueryPlan.candidates`) are the nodes the row reaches, typed as
-the component's last hop requires; a composite query intersects its
-plans' candidates per query.  A validated row is published whole and
-read-only, so concurrent engines sharing a plan only ever read "not yet"
-or the finished row.  S1 of Algorithm 2 — scope BFS, the Eq. 5/6
+the component's last hop requires, and its kept set at a threshold
+(:meth:`QueryPlan.kept`) those whose similarity clears it; a composite
+query intersects its plans' sets per query.  A validated row is
+published whole and read-only, so concurrent engines sharing a plan only
+ever read "not yet" or the finished row.  S1 of Algorithm 2 — scope BFS, the Eq. 5/6
 stationary distribution, candidate restriction — is needed only to
 draw, and is not part of a plan: :class:`repro.bench.sampled.PlanSampler`
 keeps each sampler's pi_A beside the plan once its first draw built it.
@@ -71,8 +72,8 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """One query component's shareable artefacts: its validator and the
-    census candidates read off the validator's row."""
+    """One query component's shareable artefacts: its validator, and the
+    census candidates and kept sets read off the validator's row."""
 
     component: PathQuery
     #: the resolved mapping node ``us``
@@ -120,6 +121,28 @@ class QueryPlan:
             object.__setattr__(self, "_candidates", candidates)
         return candidates
 
+    def kept(self, kg: KnowledgeGraph, tau: float) -> np.ndarray:
+        """The sorted, read-only ids of the candidates whose row clears
+        ``tau``: what a census validating at ``tau`` counts over, before
+        its screen.
+
+        Built by one ``validate_batch`` over the candidates on the first
+        call at ``tau`` and kept on the plan, one set per ``tau`` asked
+        for (``tau`` is not in the plan key).  It holds node ids only:
+        attribute values and filters are read per query.
+        """
+        memo = self.__dict__.get("_kept")
+        if memo is None:
+            memo = self.__dict__.setdefault("_kept", {})
+        kept = memo.get(tau)
+        if kept is None:
+            # no lock: concurrent callers compute equal sets, one is kept
+            answers = self.candidates(kg).answers
+            kept = answers[self.validator.validate_batch(answers).similarity >= tau]
+            kept.setflags(write=False)
+            memo[tau] = kept
+        return kept
+
 
 def plan_fingerprint(config: EngineConfig) -> tuple:
     """The configuration facets a plan's content depends on: the path
@@ -166,9 +189,11 @@ _ENTRIES_ATTR = "_plan_cache_entries"
 
 #: default per-graph plan bound; a plan's payload is, once validated, its
 #: validator's similarity row (a similarity and a path length per graph
-#: node) and its candidates, plus one pi_A (answers, probabilities) per
-#: sampler that has drawn from it, so the cap bounds resident memory
-#: for long-lived serving processes with many components/configs/tenants
+#: node), its candidates and one kept set per tau a census asked for
+#: (node ids, a subset of the candidates), plus one pi_A (answers,
+#: probabilities) per sampler that has drawn from it, so the cap bounds
+#: resident memory for long-lived serving processes with many
+#: components/configs/tenants
 DEFAULT_MAX_PLANS_PER_GRAPH = 256
 
 

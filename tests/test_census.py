@@ -25,6 +25,7 @@ from repro import (
     AggregateQueryService,
     ApproximateAggregateEngine,
     EngineConfig,
+    Filter,
     LookupEmbedding,
     PredicateVectorSpace,
     QueryGraph,
@@ -35,7 +36,13 @@ from repro.bench.sampled import PaperConfig, PlanSampler, SamplerKind
 from repro.core.plan import shared_plan_cache
 from repro.core.result import STOP_CENSUS, GroupedResult
 from repro.datasets import ALL_PRESETS, standard_workload
-from repro.errors import EmbeddingError, GraphChangedError, NodeNotFoundError
+from repro.errors import (
+    EmbeddingError,
+    GraphChangedError,
+    NodeNotFoundError,
+    QueryError,
+    SamplingError,
+)
 from repro.estimation.estimators import census_estimate
 from repro.kg import KnowledgeGraph
 from repro.query.aggregate import AggregateFunction, AggregateQuery, GroupBy
@@ -398,6 +405,35 @@ def test_census_span_and_counter(toy):
     )
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_census_span_counts_the_answers_it_screened(toy, validate):
+    """``kept`` on the census span is what the census screened: the
+    candidates the plan keeps at tau, or every candidate when S2 does not
+    validate (Fig. 5(b)'s ablation)."""
+    shared_plan_cache().clear()
+    config = EngineConfig(seed=11, validate_correctness=validate)
+    with AggregateQueryService(toy.kg, toy.embedding, config) as service:
+        handle = service.submit(toy.avg_query(), seed=3)
+        handle.result(timeout=30.0)
+        trace = handle.trace()
+        (plan,) = [
+            service.planner.plan_for(component)
+            for component in toy.avg_query().query.components
+        ]
+    (span,) = [
+        child
+        for node in trace["children"] if node["name"] == "round"
+        for child in node["children"] if child["name"] == "census"
+    ]
+    support = span["attributes"]["support"]
+    kept = span["attributes"]["kept"]
+    assert support == plan.candidates(toy.kg).support_size
+    if validate:
+        assert kept == len(plan.kept(toy.kg, config.tau)) < support
+    else:
+        assert kept == support
+
+
 # ----------------------------------------------------------------------
 # a plan whose bound reaches an uncovered predicate
 # ----------------------------------------------------------------------
@@ -546,6 +582,116 @@ def test_census_is_aggregate_over_on_random_small_graphs(drive_lifecycle, world)
     }
     assert kept == _kept_answers(engine, state)
     _assert_census_is_the_oracle(engine, state, result)
+
+
+# ----------------------------------------------------------------------
+# the kept sets: a property over random small graphs, composites, filters,
+# GROUP-BY and tau (SSB's enumeration as the oracle)
+# ----------------------------------------------------------------------
+_COMPONENTS = (
+    QueryGraph.simple("hub", ["Hub"], "product", ["Car"]),
+    QueryGraph.simple("depot", ["Depot"], "maker", ["Car"]),
+)
+
+
+@st.composite
+def kept_set_worlds(draw):
+    kg = KnowledgeGraph()
+    anchors = [kg.add_node("hub", ["Hub"]), kg.add_node("depot", ["Depot"])]
+    for index in range(draw(st.integers(0, 3))):
+        middle = kg.add_node(f"m{index}", ["Firm"])
+        kg.add_edge(
+            draw(st.sampled_from(anchors)),
+            draw(st.sampled_from(sorted(_PREDICATES))),
+            middle,
+        )
+        anchors.append(middle)
+    for index in range(draw(st.integers(1, 14))):
+        attributes = {}
+        price = draw(_VALUES)
+        if price is not None:
+            attributes["price"] = price
+        weight = draw(st.one_of(st.none(), st.integers(0, 3)))
+        if weight is not None:
+            attributes["weight"] = float(weight)
+        answer = kg.add_node(f"a{index}", ["Car"], attributes=attributes)
+        for anchor in draw(
+            st.lists(st.sampled_from(anchors), min_size=1, max_size=3, unique=True)
+        ):
+            predicate = draw(st.sampled_from(sorted(_PREDICATES)))
+            if draw(st.booleans()):
+                kg.add_edge(anchor, predicate, answer)
+            else:
+                kg.add_edge(answer, predicate, anchor)
+    function = draw(st.sampled_from(list(AggregateFunction)))
+    group_by = None
+    if function.has_guarantee and draw(st.booleans()):
+        group_by = GroupBy(
+            draw(st.sampled_from(["price", "weight"])),
+            bin_width=draw(st.sampled_from([None, 0.5, 1e3, 1e7])),
+        )
+    filters = ()
+    if draw(st.booleans()):
+        lower = draw(st.integers(0, 3))
+        filters = (Filter("weight", float(lower), float(draw(st.integers(lower, 3)))),)
+    composite = draw(st.booleans())
+    query = AggregateQuery(
+        query=QueryGraph.compose(_COMPONENTS) if composite else _COMPONENTS[0],
+        function=function,
+        attribute="price" if function.needs_attribute else None,
+        filters=filters,
+        group_by=group_by,
+    )
+    # no tau on a similarity the graphs can reach exactly (1.0, 0.95, 0.3):
+    # SSB's enumeration drifts from the row by ~1e-16 relative there
+    return kg, query, draw(st.sampled_from([0.25, 0.5, 0.85, 0.9, 0.97]))
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(kept_set_worlds())
+def test_the_kept_set_census_is_aggregate_over_at_tau(drive_lifecycle, world):
+    """Each plan's kept set at tau is its candidates whose SSB similarity
+    clears tau; a census — cold, then warm off the kept sets — equals
+    ``aggregate_over`` over the joint candidates every component keeps."""
+    kg, query, tau = world
+    space = PredicateVectorSpace(LookupEmbedding(dict(_PREDICATES)))
+    config = EngineConfig(seed=0, tau=tau)
+    engine = ApproximateAggregateEngine(kg, space, config)
+    try:
+        state, result = drive_lifecycle(engine.executor, query, 1, 0.01)
+    except (QueryError, SamplingError):
+        assume(False)  # no candidate, or no joint one
+    matches = [
+        best_matches_from(
+            kg, space, plan.component.hops[0][0], plan.source, config.n_bound
+        )
+        for plan in state.components
+    ]
+    for plan, found in zip(state.components, matches):
+        candidates = plan.candidates(kg).answers.tolist()
+        kept = plan.kept(kg, tau)
+        assert not kept.flags.writeable
+        assert kept.tolist() == [
+            answer
+            for answer in candidates
+            if answer in found and found[answer].similarity >= tau
+        ]
+    kept = {
+        answer
+        for answer in state.joint.answers.tolist()
+        if all(
+            answer in found and found[answer].similarity >= tau for found in matches
+        )
+        and is_usable_answer(kg, query, answer)
+    }
+    assert kept == _kept_answers(engine, state)
+    if query.group_by is None:
+        assert result.num_candidates == state.joint.support_size
+    _assert_census_is_the_oracle(engine, state, result)
+    _state, warm = drive_lifecycle(engine.executor, query, 2, 0.01)
+    assert _values(warm) == _values(result)
 
 
 # ----------------------------------------------------------------------

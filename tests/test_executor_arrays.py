@@ -41,8 +41,7 @@ from repro.bench.sampled import (
     _SampledState,
     _within_cap,
 )
-from repro.core.executor import QueryExecutor, _QueryState
-from repro.core.plan import CandidateSet
+from repro.core.executor import QueryExecutor, _keys_of
 from repro.datasets import ALL_PRESETS, queries_of_shape, standard_workload
 from repro.errors import EstimationError, NodeNotFoundError, QueryError
 from repro.estimation.accuracy import satisfies_error_bound
@@ -200,10 +199,14 @@ def test_validators_refuse_an_out_of_range_node_id(toy_world_factory, kind):
 
 
 @pytest.mark.parametrize("validate", [True, False])
-def test_round_verdicts_are_screen_and_similarity(toy, drive_lifecycle, validate):
-    """``_validate_entries``: correct = screen, and (when S2 validates) the
-    composite similarity at ``>= tau``; the value is kept only for correct
-    answers."""
+def test_round_verdicts_are_screen_and_similarity(
+    toy, drive_lifecycle, sampled_engine, validate
+):
+    """A candidate is correct when it passes the screen and (when S2
+    validates) its composite similarity is ``>= tau``; only a correct
+    answer's value counts.  The census counts exactly the correct joint
+    candidates, with their values (``_census_answers``), and a sampled
+    round's ``_validate_entries`` records that verdict per drawn entry."""
     config = EngineConfig(seed=7, validate_correctness=validate)
     engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
     query = AggregateQuery(
@@ -212,23 +215,42 @@ def test_round_verdicts_are_screen_and_similarity(toy, drive_lifecycle, validate
         attribute="price",
         filters=(Filter("price", 31_000.0, 91_000.0),),
     )
+
     state, _result = drive_lifecycle(engine.executor, query, 3, 0.001, max_rounds=5)
-    verdicts = set()
-    for index in np.flatnonzero(state.support_known):
-        node_id = int(state.joint.answers[index])
-        node = toy.kg.node(node_id)
-        screened = query.passes_filters(node)
-        expected = screened and (
+    components = state.components
+
+    def expected(node_id: int) -> tuple[bool, bool]:
+        screened = query.passes_filters(toy.kg.node(node_id))
+        return screened, screened and (
             not validate
-            or engine.answer_similarity(state, node_id) >= config.tau
+            or engine.answer_similarity(components, node_id) >= config.tau
         )
-        assert state.support_correct[index] == expected
-        assert state.support_value[index] == (
-            node.attribute("price") if expected else 0.0
-        )
-        verdicts.add((screened, expected))
+
+    answers, values = engine.executor._census_answers(state)
+    counted = dict(zip(answers.tolist(), values.tolist()))
+    verdicts = set()
+    for node_id in state.joint.answers.tolist():
+        screened, correct = expected(node_id)
+        assert (node_id in counted) == correct
+        if correct:
+            assert counted[node_id] == toy.kg.node(node_id).attribute("price")
+        verdicts.add((screened, correct))
     assert {(False, False), (True, True)} <= verdicts
     assert ((True, False) in verdicts) == validate
+
+    sampled = sampled_engine(
+        toy.kg, toy.embedding, PaperConfig(seed=7, validate_correctness=validate)
+    )
+    state, _result = drive_lifecycle(sampled.executor, query, 3, 0.001, max_rounds=5)
+    validated = np.flatnonzero(state.support_known)
+    assert len(validated)
+    for index in validated.tolist():
+        node_id = int(state.joint.answers[index])
+        _screened, correct = expected(node_id)
+        assert state.support_correct[index] == correct
+        assert state.support_value[index] == (
+            toy.kg.node(node_id).attribute("price") if correct else 0.0
+        )
 
 
 # ----------------------------------------------------------------------
@@ -255,15 +277,23 @@ _KEY_VALUE = st.one_of(
 )
 @example(entries=[(-0.0, True), (3, True), (-2.5, True)], width=None)
 def test_group_keys_are_group_by_key_for(entries, width):
+    """The census keys its answers with ``_keys_of``; a sampled round keys
+    its correct drawn entries with ``_group_keys`` through it."""
     kg = _kg_of([(value, None) for value, _correct in entries])
     size = len(entries)
     group_by = GroupBy("price", bin_width=width)
-    state = _QueryState(
+    census_keys = _keys_of(group_by, kg.attribute_column("price")[np.arange(size)])
+    state = _SampledState(
         aggregate_query=AggregateQuery(
             query=_GRAPH, function=AggregateFunction.COUNT, group_by=group_by
         ),
         components=[],
-        joint=CandidateSet(np.arange(size)),
+        joint=AnswerDistribution(
+            answers=np.arange(size), probabilities=np.full(size, 1.0 / size)
+        ),
+        collector=None,
+        little_samples=[],
+        desired_n=size,
         num_candidates=size,
         walk_iterations=0,
         confidence_level=EngineConfig().confidence_level,
@@ -272,14 +302,19 @@ def test_group_keys_are_group_by_key_for(entries, width):
         support_correct=np.asarray([correct for _value, correct in entries]),
         support_value=np.ones(size),
     )
-    keys = _executor(kg)._group_keys(state, np.arange(size))
+    executor = SampledExecutor(kg, None, PaperConfig(), None)
+    keys = executor._group_keys(state, np.arange(size))
     assert state.support_group_known.all()
     for node_id, (_value, correct) in enumerate(entries):
-        expected = group_by.key_for(kg.node(node_id)) if correct else None
-        if expected is None:
-            assert math.isnan(keys[node_id])
-        else:
-            assert float(keys[node_id]).hex() == float(expected).hex()
+        key = group_by.key_for(kg.node(node_id))
+        for got, expected in (
+            (census_keys[node_id], key),
+            (keys[node_id], key if correct else None),
+        ):
+            if expected is None:
+                assert math.isnan(got)
+            else:
+                assert float(got).hex() == float(expected).hex()
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,9 @@ Covers the architectural contracts of the plan layer:
   refinement rounds — sessions never revalidate an answer: a simple
   plan's exact row holds every node, a chain plan's memo each node it
   searched, in the support or not;
+* a plan memoises its kept set per tau (node ids only): engines at two
+  taus share one plan build, racing first censuses read equal sets, and
+  an attribute write reaches the next warm census;
 * a composite query's joint candidate set is intersected per query, so
   a node added under its components reaches the next census;
 * ``PlanCache.get_or_build`` is the only publication path: a raising
@@ -37,6 +40,7 @@ from repro import (
     AggregateQueryService,
     ApproximateAggregateEngine,
     EngineConfig,
+    Filter,
     GroupBy,
     QueryGraph,
 )
@@ -47,7 +51,9 @@ from repro.core.result import STOP_CENSUS
 from repro.core.planner import QueryPlanner
 from repro.server import encode_result
 from repro.kg import csr_snapshot
+from repro.query.evaluate import aggregate_over, is_usable_answer
 from repro.semantics import kernels
+from repro.semantics.matching import best_matches_from
 from repro.semantics.validation import ChainValidator, CorrectnessValidator
 
 
@@ -551,6 +557,132 @@ class TestValidatorMemos:
         assert outcomes[1] == sequential
         # one plan per component, shared by both services
         assert shared_plan_cache().num_plans(world.kg) == 3
+
+
+class TestKeptSets:
+    """A plan memoises, per tau, the sorted ids of its candidates whose
+    row clears tau; a census screens and sums only those, reading
+    attribute values afresh each time."""
+
+    @staticmethod
+    def _oracle(world, plan, tau, query) -> float:
+        """``aggregate_over`` over ``plan``'s candidates that SSB's
+        enumeration keeps at ``tau`` and that pass the screen."""
+        matches = best_matches_from(
+            world.kg, world.space, plan.component.hops[0][0], plan.source,
+            plan.validator.max_length,
+        )
+        kept = {
+            answer
+            for answer in plan.candidates(world.kg).answers.tolist()
+            if answer in matches
+            and matches[answer].similarity >= tau
+            and is_usable_answer(world.kg, query, answer)
+        }
+        return aggregate_over(world.kg, query, kept)[0]
+
+    def test_two_services_at_different_tau_share_one_plan_build(self, world):
+        shared_plan_cache().clear()
+        configs = [EngineConfig(seed=7, tau=0.85), EngineConfig(seed=7, tau=0.9)]
+        queries = [world.count_query(), world.avg_query(), world.sum_query()]
+        answers = {}
+        services = [
+            AggregateQueryService(world.kg, world.embedding, config)
+            for config in configs
+        ]
+        try:
+            for service, config in zip(services, configs):
+                answers[config.tau] = [
+                    service.submit(query, seed=3).result(timeout=60)
+                    for query in queries
+                ]
+            builds = sum(service.planner.build_count for service in services)
+        finally:
+            for service in services:
+                service.close()
+        assert builds == 1
+        plan = _engine(world).planner.plan_for(world.count_query().query.components[0])
+        assert sorted(plan.__dict__["_kept"]) == [0.85, 0.9]
+        for config in configs:
+            for query, result in zip(queries, answers[config.tau]):
+                value = self._oracle(world, plan, config.tau, query)
+                assert result.value.hex() == value.hex()
+        assert answers[0.85][0].value != answers[0.9][0].value
+
+    def test_an_attribute_write_between_warm_censuses_moves_the_answer(
+        self, world, monkeypatch
+    ):
+        """The memo holds ids, not values: the second census reads the
+        written price (and the filter's verdict on it) without
+        revalidating anything."""
+        engine = _engine(world)
+        tau = engine.config.tau
+        query = AggregateQuery(
+            query=world.avg_query().query,
+            function=AggregateFunction.AVG,
+            attribute="price",
+            filters=(Filter("price", upper=40_000.0),),
+        )
+        before = engine.execute(query)
+        (plan,) = [engine.planner.plan_for(c) for c in query.query.components]
+        assert before.value.hex() == self._oracle(world, plan, tau, query).hex()
+        validated: list[int] = []
+        original = CorrectnessValidator.validate_batch
+
+        def recording(self, answers):
+            validated.extend(np.asarray(answers).tolist())
+            return original(self, answers)
+
+        monkeypatch.setattr(CorrectnessValidator, "validate_batch", recording)
+        cheap, dear = world.correct_cars[0], world.correct_cars[1]
+        world.kg.set_attribute(cheap, "price", 1_000.0)
+        world.kg.set_attribute(dear, "price", 99_000.0)  # out of the filter
+        after = engine.execute(query)
+        engine.service.close()
+        assert validated == []
+        assert after.value != before.value
+        assert after.value.hex() == self._oracle(world, plan, tau, query).hex()
+
+    def test_concurrent_first_censuses_build_equal_kept_sets(self, world):
+        """Threads racing on a cold plan at two taus each read one
+        read-only kept set per tau, equal across threads, and the census
+        answers stay each tau's own."""
+        shared_plan_cache().clear()
+        taus = (0.85, 0.9)
+        engines = {tau: _engine(world, tau=tau) for tau in taus}
+        plan = engines[0.85].planner.plan_for(world.count_query().query.components[0])
+        num_threads = 8
+        barrier = threading.Barrier(num_threads)
+        seen: list[tuple[float, np.ndarray, float]] = []
+        errors: list[BaseException] = []
+
+        def race(tau: float) -> None:
+            barrier.wait()
+            try:
+                executor = engines[tau].executor
+                state = executor.initialise(world.count_query(), 1)
+                result = executor.finalise(state, executor.step(state, 0.01))
+                seen.append((tau, plan.kept(world.kg, tau), result.value))
+            except BaseException as exc:  # pragma: no cover - diagnostics
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=race, args=(taus[index % 2],))
+            for index in range(num_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        assert len(seen) == num_threads
+        for tau in taus:
+            kept = [ids for seen_tau, ids, _value in seen if seen_tau == tau]
+            values = {value for seen_tau, _ids, value in seen if seen_tau == tau}
+            assert all(not ids.flags.writeable for ids in kept)
+            assert all(ids.tobytes() == kept[0].tobytes() for ids in kept)
+            assert values == {float(len(kept[0]))}
+        assert len(plan.kept(world.kg, 0.85)) > len(plan.kept(world.kg, 0.9))
 
 
 class TestJointSupports:
