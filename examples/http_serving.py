@@ -9,8 +9,9 @@ whole loop in one process, but across a real socket:
    synthetic graph and wrap it in a :class:`ReproHTTPServer` on an
    ephemeral loopback port (``serve_in_thread`` — the same facade
    ``repro serve --http HOST:PORT`` uses);
-2. ``POST /v1/queries`` an AQL query through the stdlib
-   :class:`ReproClient` and watch its per-round Server-Sent Events:
+2. ``POST /v1/queries`` an AQL query through :class:`ReproClient` (a
+   small HTTP/1.1 codec over a plain socket) and watch its per-round
+   Server-Sent Events:
    each ``round`` frame carries the round's estimate, margin of error
    and Theorem-2 verdict the moment the scheduler finishes the round,
    and the terminal ``result`` frame carries the guaranteed answer;

@@ -6,8 +6,9 @@ only) wrapping one long-lived
 :class:`~repro.core.service.AggregateQueryService`, a synchronous thread
 facade (:class:`ServerThread` / :func:`serve_in_thread`) for the CLI and
 tests, per-client token-bucket admission (:class:`ClientQuota`), and a
-stdlib client (:class:`ReproClient`) that drives the same wire format
-from the outside.
+client (:class:`ReproClient`, its own stdlib-socket HTTP/1.1 codec, no
+code shared with the server's) that drives the same wire format from the
+outside.
 """
 
 from repro.server.app import (

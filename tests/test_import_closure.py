@@ -10,7 +10,9 @@ guarantee machinery may be loaded: no scipy, no networkx, no
 ``repro.estimation.bootstrap`` (the BLB) and no
 ``repro.estimation.extreme`` (the EVT fit).  Each of them only loads
 where a run draws or a figure is drawn, so ``repro serve`` and every CLI
-call start without paying for them.
+call start without paying for them.  Nor may ``http.client`` or the
+``email`` package it parses headers with: ``ReproClient`` speaks HTTP/1.1
+through its own codec.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ _FORBIDDEN = (
     "repro.estimation.accuracy",
     "repro.estimation.bootstrap",
     "repro.estimation.extreme",
+    "http.client",
+    "email",
 )
 
 _PROBE = """

@@ -11,8 +11,9 @@ shutdown draining a live stream.  Under all of it, the wire itself:
 persistent connections (one per client, chunked SSE bodies), malformed
 and smuggling-shaped requests answered with their own 4xx and a close,
 a byte-mutation fuzz of the request parser over a raw socket, and the
-client's own reading of hostile responses (non-JSON error bodies, broken
-event frames, a mutated chunked event stream from a raw-socket stub).
+client's own reading of hostile responses from a raw-socket stub (broken
+HTTP framing, each body framing, non-JSON error bodies, broken event
+frames, mutated JSON responses and a mutated chunked event stream).
 """
 
 from __future__ import annotations
@@ -357,6 +358,19 @@ class TestErrorMapping:
                 with pytest.raises(HttpStatusError) as info:
                     call()
                 assert info.value.status == 404
+
+    def test_an_id_cannot_break_the_request_line(self, world):
+        """An id is percent-encoded into the path: spaces and line breaks
+        in it are part of an unknown id, not a second request."""
+        smuggled = "q1 HTTP/1.1\r\n\r\nDELETE /v1/queries/q1"
+        with _serve(_service(world)) as (client, _runner):
+            accepted = client.submit(COUNT_AQL, error_bound=0.2)
+            with pytest.raises(HttpStatusError) as info:
+                client.status(smuggled)
+            assert info.value.status == 404
+            assert client.wait(accepted["id"])["status"] == "succeeded"
+            server = client.healthz()["server"]
+        assert server["error_responses"] == 1
 
     def test_overload_is_429_with_retry_after(self, world, sampled_service):
         service = _service(
@@ -888,6 +902,33 @@ _SSE_FRAMES = (
 )
 
 
+#: a ``/healthz``-shaped JSON body; one chunk per ``,`` when chunked
+_HEALTHY = b'{"status": "ok", "service": {"live": 0}, "server": {"requests": 1}}\n'
+_JSON_HEAD = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n%s\r\n"
+    b"Cache-Control: no-store\r\nConnection: keep-alive\r\n\r\n"
+)
+
+
+def _mutated(data, raw: bytes) -> bytes:
+    """``raw`` with one to three truncated, duplicated, flipped or
+    spliced spans."""
+    raw = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(raw)))
+        kind = data.draw(st.sampled_from(("flip", "truncate", "duplicate", "insert")))
+        if kind == "flip" and at < len(raw):
+            raw[at] = data.draw(st.integers(0, 255))
+        elif kind == "truncate":
+            del raw[at:]
+        elif kind == "duplicate":
+            end = data.draw(st.integers(at, len(raw)))
+            raw[at:at] = raw[at:end]
+        elif kind == "insert":
+            raw[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+    return bytes(raw)
+
+
 class TestClientHostileResponses:
     """``ReproClient`` raises only ``repro.errors`` errors, whatever the
     bytes a server (or whatever answers in its place) sends back."""
@@ -920,6 +961,81 @@ class TestClientHostileResponses:
         with ReproClient(*stub.address, timeout=2.0) as client:
             with pytest.raises(MalformedResponseError):
                 client.healthz()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"GARBAGE\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nGARBAGE\r\n\r\n",
+            b"",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n" + _HEALTHY[:10],
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (10**15, _HEALTHY),
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"
+            + _HEALTHY + b"\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n" + _HEALTHY,
+            b"HTTP/1.1 200 OK\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\n" + b"X-Many: a\r\n" * 7_000 + b"\r\n",
+        ],
+        ids=[
+            "garbage-status-line", "garbage-header-line", "closed-before-any-byte",
+            "truncated-length-body", "petabyte-length", "bad-chunk-size",
+            "length-not-a-number", "header-line-too-long", "head-too-long",
+        ],
+    )
+    def test_a_response_that_breaks_http_framing_is_malformed(self, stub, reply):
+        stub.reply = reply
+        with ReproClient(*stub.address, timeout=2.0) as client:
+            with pytest.raises(MalformedResponseError):
+                client.healthz()
+
+    @pytest.mark.parametrize(
+        "reply, pooled",
+        [
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(_HEALTHY), _HEALTHY),
+                True,
+            ),
+            (_chunked(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+                      _HEALTHY.replace(b",", b",|")), True),
+            (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + _HEALTHY,
+             False),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+             % (len(_HEALTHY), _HEALTHY), False),
+        ],
+        ids=["content-length", "chunked", "close-delimited", "connection-close"],
+    )
+    def test_each_body_framing_decodes_and_pools_only_when_reusable(
+        self, stub, reply, pooled
+    ):
+        stub.reply = reply
+        with ReproClient(*stub.address, timeout=2.0) as client:
+            assert client.healthz() == json.loads(_HEALTHY)
+            assert len(client._idle) == pooled
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_json_responses_end_in_a_dict_or_an_error(self, stub, data):
+        """Truncated, duplicated, flipped and spliced bytes anywhere in a
+        JSON response, head included, framed either way: the client
+        returns a dict or raises a ``repro.errors`` error, within its
+        timeout."""
+        if data.draw(st.booleans()):
+            framing = b"Transfer-Encoding: chunked"
+            reply = _chunked(_JSON_HEAD % framing, _HEALTHY.replace(b",", b",|"))
+        else:
+            framing = b"Content-Length: %d" % len(_HEALTHY)
+            reply = _JSON_HEAD % framing + _HEALTHY
+        stub.reply = _mutated(data, reply)
+        started = time.monotonic()
+        with ReproClient(*stub.address, timeout=1.0) as client:
+            with contextlib.suppress(ReproError):
+                assert isinstance(client.healthz(), dict)
+        assert time.monotonic() - started < 2.0
 
     def test_a_malformed_event_frame_is_malformed(self, stub):
         stub.reply = _chunked(
