@@ -121,7 +121,6 @@ class PaperPlanner(QueryPlanner):
             },
             repeat_factor=config.repeat_factor,
             max_length=config.n_bound,
-            floor=config.similarity_floor,
             expansion_budget=VALIDATION_EXPANSIONS,
             stop_threshold=config.tau if component.is_simple else None,
         )

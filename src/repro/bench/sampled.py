@@ -139,6 +139,9 @@ class PaperConfig(EngineConfig):
     #: the paper's r: paths its greedy search finds per answer — read only
     #: by the figures' validator (repro.bench.harness)
     repeat_factor: int = 3
+    # Correctness (§IV-B2): the Fig. 5(b) ablation switch; off, every
+    # drawn answer that passes the screen counts as correct
+    validate_correctness: bool = True
     # Walk (§IV-A): Lemma 2's self-loop weight on the mapping node
     self_loop_weight: float = 0.001
     sampler: SamplerKind = SamplerKind.SEMANTIC
@@ -271,13 +274,7 @@ class PlanSampler:
             # the embedding to cover the scope's edges
             weigh = partial(cnarw_entry_weights, self._kg)
         else:
-            weigh = partial(
-                similarity_entry_weights,
-                self._kg,
-                self._space,
-                predicate,
-                config.similarity_floor,
-            )
+            weigh = partial(similarity_entry_weights, self._kg, self._space, predicate)
         self.stage_batches += 1
         self.stage_sources += len(sources)
         with child_span("s1_stage", hop=hop, sources=len(sources)) as span:
@@ -673,7 +670,6 @@ class SampledExecutor(QueryExecutor):
         error_bound: float,
         *,
         run_round: int = 1,
-        max_rounds: int | None = None,
     ) -> StepOutcome:
         """Run round ``run_round`` of a run — grown first (:meth:`grow`)
         unless it is the run's first — append its trace and say why the
@@ -683,8 +679,8 @@ class SampledExecutor(QueryExecutor):
         :meth:`_estimate_guaranteed`, :meth:`_estimate_worst_group` and
         :meth:`_estimate_extremum`.  The first reason that holds ends the
         run: the bound was met, the draws reached ``max_sample_size``, or
-        the budget — ``max_rounds``, else ``config.extreme_rounds`` for
-        MAX/MIN, else ``config.max_rounds`` — was spent.
+        the run spent its budget — ``config.extreme_rounds`` rounds for
+        MAX/MIN, ``config.max_rounds`` for every other kind.
         """
         step_started = time.perf_counter()
         if run_round > 1:
@@ -699,15 +695,12 @@ class SampledExecutor(QueryExecutor):
             round_estimate = self._estimate_guaranteed(state, error_bound)
         trace = self._record_round(state, round_estimate, step_started)
         config = self.config
-        if max_rounds is None:
-            max_rounds = (
-                config.extreme_rounds if kind == KIND_EXTREME else config.max_rounds
-            )
+        budget = config.extreme_rounds if kind == KIND_EXTREME else config.max_rounds
         if trace.satisfied:
             stop_reason = STOP_BOUND_MET
         elif state.total_draws >= config.max_sample_size:
             stop_reason = STOP_SAMPLE_CAP
-        elif run_round >= max_rounds:
+        elif run_round >= budget:
             stop_reason = STOP_ROUND_BUDGET
         else:
             stop_reason = None

@@ -1,9 +1,12 @@
 """Engine configuration: what a census reads.
 
 Defaults match the paper's §VII-A parameter block (eb = 1%, confidence
-95%, tau = 0.85, n = 3).  The knobs of the paper's sampled rounds extend
-this class in :mod:`repro.bench.sampled`, which only the figures and the
-tests of the sampling mechanics run.
+95%, tau = 0.85, n = 3).  Eq. 2's similarity floor is no knob: every
+plan reads :data:`repro.semantics.similarity.SIMILARITY_FLOOR`.  The
+knobs of the paper's sampled rounds — the Fig. 5(b) validation switch
+and the round budget among them — extend this class in
+:mod:`repro.bench.sampled`, which only the figures and the tests of the
+sampling mechanics run.
 """
 
 from __future__ import annotations
@@ -22,10 +25,8 @@ class EngineConfig:
     confidence_level: float = 0.95
     # Correctness (Definition 4, §IV-B2)
     tau: float = 0.85
-    validate_correctness: bool = True  # Fig. 5(b) ablation switch
     # Scope (§IV-A)
     n_bound: int = 3
-    similarity_floor: float = 1e-3
     # Determinism
     seed: int = 0
 
@@ -38,8 +39,6 @@ class EngineConfig:
             raise QueryError("tau must be in (0, 1]")
         if self.n_bound < 1:
             raise QueryError("n_bound must be >= 1")
-        if not 0.0 < self.similarity_floor < 1.0:
-            raise QueryError("similarity_floor must be in (0, 1)")
 
     def with_(self, **changes: object) -> "EngineConfig":
         """A copy with ``changes`` applied (frozen-dataclass convenience)."""

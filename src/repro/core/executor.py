@@ -316,14 +316,14 @@ class QueryExecutor:
         error_bound: float,
         *,
         run_round: int = 1,
-        max_rounds: int | None = None,
     ) -> StepOutcome:
         """Run the census round (:meth:`_census`) and append its trace.
 
         The census is exact, so the round is satisfied and ends its run
-        (``census``) whatever the bound, ``run_round`` or ``max_rounds``;
-        a step on a state whose census already ran (a ``refine``)
-        re-emits that round and appends nothing.
+        (``census``) whatever the bound or ``run_round``; a step on a
+        state whose census already ran (a ``refine``) re-emits that round
+        and appends nothing.  A run's round budget is a sampled run's
+        alone (:class:`repro.bench.sampled.PaperConfig`).
         """
         if not state.rounds:
             started = time.perf_counter()
@@ -488,16 +488,12 @@ class QueryExecutor:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(answers, values)`` a census counts, in id order: the joint
         candidates every component keeps at ``tau`` — the intersection of
-        their plans' kept sets, or every candidate when
-        ``validate_correctness`` is off — that pass the screen.  ``span``,
-        if any, records how many were screened as ``kept``."""
-        if self.config.validate_correctness:
-            tau = self.config.tau
-            kept = state.components[0].kept(self._kg, tau)
-            for plan in state.components[1:]:
-                kept = self._intersect(kept, plan.kept(self._kg, tau))
-        else:
-            kept = state.joint.answers
+        their plans' kept sets — that pass the screen.  ``span``, if any,
+        records how many were screened as ``kept``."""
+        tau = self.config.tau
+        kept = state.components[0].kept(self._kg, tau)
+        for plan in state.components[1:]:
+            kept = self._intersect(kept, plan.kept(self._kg, tau))
         if span is not None:
             span.annotate(kept=len(kept))
         passes, values = self._screen(state.aggregate_query, kept)

@@ -5,9 +5,10 @@ its validator — the exact similarity row of the paper's S2 oracle for
 ``(mapping node, predicate)`` (:mod:`repro.semantics.validation`; the
 figures' r-path search a node-indexed memo), built lazily.  A census
 reads nothing else, so a plan is a function of the component, the
-embedding, ``n_bound`` and ``similarity_floor``, and plans are shared
-across engines through a single :class:`PlanCache` keyed on ``(graph,
-structure_version, component, embedding, n_bound, similarity_floor)``,
+embedding and ``n_bound`` (Eq. 2's similarity floor is the constant
+:data:`~repro.semantics.similarity.SIMILARITY_FLOOR`), and plans are
+shared across engines through a single :class:`PlanCache` keyed on
+``(graph, structure_version, component, embedding, n_bound)``,
 the way approximate-aggregation systems pay for the expensive
 per-predicate ("oracle") work once across a whole workload instead of
 per query.  Engines that differ only in the seed or in how they would
@@ -146,14 +147,15 @@ class QueryPlan:
 
 def plan_fingerprint(config: EngineConfig) -> tuple:
     """The configuration facets a plan's content depends on: the path
-    bound and the similarity floor, all the exact row reads.
+    bound, the one knob the exact row reads (its similarity floor is the
+    constant :data:`~repro.semantics.similarity.SIMILARITY_FLOOR`).
 
     ``tau`` is not among them (each query compares the row's similarities
     with its own threshold), nor is the seed.  The seed and the sampled
     executor's S1 knobs key each sampler's pi_A beside the plan instead
     (:class:`repro.bench.sampled.PlanSampler`).
     """
-    return (config.n_bound, config.similarity_floor)
+    return (config.n_bound,)
 
 
 def plan_key(

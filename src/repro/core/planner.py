@@ -3,8 +3,9 @@
 A :class:`QueryPlanner` turns one query component into its immutable plan
 — the mapping node and a validator bound to it — and publishes it in the
 process-wide :class:`~repro.core.plan.PlanCache`, so that every engine and
-service over the same graph, embedding, path bound and similarity floor
-reuses one plan instead of rebuilding it.  A census reads only the
+service over the same graph, embedding and path bound reuses one plan
+instead of rebuilding it; every plan floors similarities at
+:data:`~repro.semantics.similarity.SIMILARITY_FLOOR` (Eq. 2).  A census reads only the
 validator's row.  S1 — scope, closed-form Eq. 5/6 stationary distribution
 and Theorem-1 answer restriction — is not here: only a run that draws
 needs it, and :class:`repro.bench.sampled.PlanSampler` builds it for a
@@ -113,7 +114,6 @@ class QueryPlanner:
             source,
             component.predicates[0],
             max_length=self.config.n_bound,
-            floor=self.config.similarity_floor,
         )
         return QueryPlan(
             component=component,
@@ -134,5 +134,4 @@ class QueryPlanner:
             component,
             first_leg,
             max_length=self.config.n_bound,
-            floor=self.config.similarity_floor,
         )

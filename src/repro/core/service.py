@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import os
 import threading
 import time
@@ -125,16 +124,22 @@ class _Run:
     """One Theorem-2 run over a record's state (execute or refine)."""
 
     error_bound: float
-    max_rounds: int | None = None
     steps_taken: int = 0
 
 
 def _require_error_bound(error_bound: float) -> None:
-    """:class:`QueryError` unless a per-query ``error_bound`` is finite and
-    > 0 (a NaN or an infinity would only fail at the query's first
-    growth)."""
-    if not (math.isfinite(error_bound) and error_bound > 0.0):
-        raise QueryError(f"error_bound must be finite and > 0, got {error_bound!r}")
+    """:class:`QueryError` unless a per-query ``error_bound`` lies in
+    (0, 1), the range :class:`EngineConfig` takes (NaN included: a census
+    would answer it, a sampled run fail at its first growth)."""
+    if not 0.0 < error_bound < 1.0:
+        raise QueryError(f"error_bound must be in (0, 1), got {error_bound!r}")
+
+
+def _require_deadline(deadline: float | None, name: str = "deadline") -> None:
+    """:class:`QueryError` unless ``deadline`` is None or a number >= 0 (a
+    NaN deadline would never expire)."""
+    if deadline is not None and not deadline >= 0.0:
+        raise QueryError(f"{name} must be a number >= 0, got {deadline!r}")
 
 
 @dataclass(eq=False)  # identity semantics: records live in the scheduler list
@@ -287,11 +292,11 @@ class QueryHandle:
         the bound only costs the incremental sampling Eq. 12 asks for,
         exactly the paper's interactive-refinement behaviour.  Returns
         ``self`` so ``handle.refine(0.01).result()`` reads naturally.
-        An ``error_bound`` that is not finite and > 0 raises
-        :class:`QueryError` before any run is queued.
+        An ``error_bound`` outside (0, 1) raises :class:`QueryError`
+        before any run is queued.
         """
         _require_error_bound(error_bound)
-        return self._service._queue_run(self._record, error_bound, None)
+        return self._service._queue_run(self._record, error_bound)
 
     def cancel(self) -> bool:
         """Request cancellation; True unless the query already finished.
@@ -410,6 +415,7 @@ class AggregateQueryService:
             )
         self._backend = backend if backend is not None else ExecutionBackend()
         self._limits = limits if limits is not None else ServiceLimits()
+        _require_deadline(default_deadline, "default_deadline")
         self._default_deadline = default_deadline
         #: fault-injection schedule; None in production (hooks are inert)
         self._fault_plan = fault_plan
@@ -707,24 +713,22 @@ class AggregateQueryService:
         error_bound: float | None = None,
         confidence: float | None = None,
         seed: int | None = None,
-        max_rounds: int | None = None,
         deadline: float | None = None,
     ) -> QueryHandle:
         """Register a query and return its handle immediately.
 
         ``error_bound`` / ``confidence`` default to the service config
-        (an ``error_bound`` that is not finite and > 0, or a
-        ``confidence`` outside (0, 1), raises :class:`QueryError`);
-        ``seed`` overrides the config seed for this query only;
-        ``max_rounds`` (>= 1, else :class:`QueryError`) caps the first
-        run's rounds.  ``deadline`` (seconds from now; default the
-        service's ``default_deadline``) bounds the query's wall-clock
-        budget: past it the scheduler abandons the run at the next round
-        boundary and the query settles as :class:`DeadlineExceededError`
-        carrying the anytime trace collected so far.  The handle's first
-        run is queued here; :meth:`QueryHandle.refine` queues each later
-        one.  Raises :class:`ServiceOverloadedError` when admission
-        control (``limits.max_pending``) sheds the submission.
+        (one outside (0, 1) raises :class:`QueryError`); ``seed``
+        overrides the config seed for this query only.  ``deadline``
+        (seconds from now, a number >= 0, else :class:`QueryError`;
+        default the service's ``default_deadline``) bounds the query's
+        wall-clock budget: past it the scheduler abandons the run at the
+        next round boundary and the query settles as
+        :class:`DeadlineExceededError` carrying the anytime trace
+        collected so far.  The handle's first run is queued here;
+        :meth:`QueryHandle.refine` queues each later one.  Raises
+        :class:`ServiceOverloadedError` when admission control
+        (``limits.max_pending``) sheds the submission.
         """
         if isinstance(aggregate_query, str):
             from repro.query.parser import parse_query
@@ -734,8 +738,7 @@ class AggregateQueryService:
             _require_error_bound(error_bound)
         if confidence is not None and not 0.0 < confidence < 1.0:
             raise QueryError("confidence_level must be in (0, 1)")
-        if max_rounds is not None and max_rounds < 1:
-            raise QueryError("max_rounds must be >= 1")
+        _require_deadline(deadline)
         kind = kind_for(aggregate_query)
         if deadline is None:
             deadline = self._default_deadline
@@ -776,14 +779,7 @@ class AggregateQueryService:
             self._sequence += 1
             self._records.append(record)
             record.queued_runs.append(
-                _Run(
-                    error_bound=(
-                        self.config.error_bound
-                        if error_bound is None
-                        else error_bound
-                    ),
-                    max_rounds=max_rounds,
-                )
+                _Run(self.config.error_bound if error_bound is None else error_bound)
             )
             self._condition.notify_all()
         self._ensure_scheduler()
@@ -886,12 +882,7 @@ class AggregateQueryService:
     # ------------------------------------------------------------------
     # Internals shared with handles
     # ------------------------------------------------------------------
-    def _queue_run(
-        self,
-        record: _QueryRecord,
-        error_bound: float,
-        max_rounds: int | None,
-    ) -> QueryHandle:
+    def _queue_run(self, record: _QueryRecord, error_bound: float) -> QueryHandle:
         if record.kind != KIND_ROUNDS:
             raise ServiceError(
                 "refine() needs a guaranteed ungrouped aggregate "
@@ -916,9 +907,7 @@ class AggregateQueryService:
                         f"queued/active runs (max_queued_runs={limit}); "
                         "wait for the backlog to drain"
                     )
-            record.queued_runs.append(
-                _Run(error_bound=error_bound, max_rounds=max_rounds)
-            )
+            record.queued_runs.append(_Run(error_bound))
             if record.status is QueryStatus.SUCCEEDED:
                 record.status = QueryStatus.RUNNING
                 # the refined query will settle (and be audited) again
@@ -1142,7 +1131,7 @@ class AggregateQueryService:
         cancellation between rounds, and grow their anytime trace like
         every other query.  Whether the sample grows first and whether
         the run ends there is the executor's business
-        (:meth:`QueryExecutor.step`, told the round and the run's budget).
+        (:meth:`QueryExecutor.step`, told the round).
         """
         # re-checked under the lock: a cancel/close may have landed
         # between cohort selection and this slot
@@ -1163,8 +1152,7 @@ class AggregateQueryService:
             "round", kind=record.kind, round_index=run.steps_taken + 1
         ):
             outcome = self._executor.step(
-                state, run.error_bound, run_round=run.steps_taken + 1,
-                max_rounds=run.max_rounds,
+                state, run.error_bound, run_round=run.steps_taken + 1
             )
         self._finish_slot(record, run, state, outcome)
 

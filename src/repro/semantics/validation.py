@@ -264,7 +264,7 @@ class ChainValidator(_RowValidator):
         first_leg,
         *,
         max_length: int,
-        floor: float,
+        floor: float = SIMILARITY_FLOOR,
     ) -> None:
         super().__init__(kg)
         self._space = space

@@ -25,6 +25,11 @@ Endpoints
                                             service's observability registry
 ==========================================  =====================================
 
+A submit (or a batch entry) carries ``aql`` and, optionally,
+``error_bound``, ``confidence``, ``seed`` and ``deadline``:
+:meth:`AggregateQueryService.submit`'s keywords, which a batch may also
+set as defaults.
+
 SSE streams are *push*, not poll: the handler subscribes to the query's
 round-completion hook (:meth:`QueryHandle.subscribe`), replays the rounds
 already completed from one ``progress()`` snapshot, then forwards each
@@ -34,7 +39,10 @@ handle's trace.  The error taxonomy maps onto status codes
 token buckets shed chatty clients with 429 + ``Retry-After`` before the
 service queue saturates, and graceful shutdown drains live SSE streams —
 waiting for queries to settle, cancelling stragglers so their streams end
-with a terminal event — *before* the service closes.
+with a terminal event — *before* the service closes.  An idle stream
+carries a ``: heartbeat`` comment every :data:`HEARTBEAT_SECONDS`, and the
+server tracks at most :data:`MAX_TRACKED_QUERIES` ids, pruning the oldest
+settled ones first (a pruned id answers 404).
 
 The request handlers run on one event-loop thread and never block on
 query completion: submits/cancels/refines are lock-brief service calls,
@@ -248,8 +256,15 @@ def _http_error_from(error: ReproError) -> HttpError:
 # ---------------------------------------------------------------------------
 _QUERY_PATH = re.compile(r"/v1/queries/([A-Za-z0-9_\-]+)(/events|/refine)?")
 
-#: submit fields forwarded to service.submit (name -> validator)
+#: the optional submit fields, each a keyword of service.submit and a
+#: batch default; every one is a number, and ``seed`` an integer
+_SUBMIT_FIELDS = ("error_bound", "confidence", "deadline", "seed")
 _NUMBER = (int, float)
+
+#: seconds an SSE stream waits for a round before it writes a heartbeat
+HEARTBEAT_SECONDS = 15.0
+#: query ids tracked at once; past it the oldest settled ones are pruned
+MAX_TRACKED_QUERIES = 4096
 
 
 class _ServedQuery:
@@ -282,9 +297,7 @@ class ReproHTTPServer:
         *,
         quota: ClientQuota | None = None,
         drain_timeout: float = 5.0,
-        heartbeat_seconds: float = 15.0,
         request_timeout: float = 10.0,
-        max_tracked_queries: int = 4096,
         owns_service: bool = False,
     ) -> None:
         self._service = service
@@ -292,9 +305,7 @@ class ReproHTTPServer:
         self._port = port
         self._quota = QuotaRegistry(quota) if quota is not None else None
         self._drain_timeout = drain_timeout
-        self._heartbeat_seconds = heartbeat_seconds
         self._request_timeout = request_timeout
-        self._max_tracked_queries = max_tracked_queries
         self._owns_service = owns_service
         self._server: asyncio.base_events.Server | None = None
         self._address: tuple[str, int] | None = None
@@ -305,7 +316,7 @@ class ReproHTTPServer:
         #: then see EOF and the connection loop ends)
         self._idle: set[asyncio.StreamWriter] = set()
         #: insertion-ordered id -> entry; oldest *settled* entries are
-        #: pruned past max_tracked_queries so a long-lived server's memory
+        #: pruned past MAX_TRACKED_QUERIES so a long-lived server's memory
         #: is bounded by its live set, not its history
         self._entries: dict[str, _ServedQuery] = {}
         self._started_at = time.monotonic()
@@ -570,28 +581,18 @@ class ReproHTTPServer:
         if not isinstance(aql, str) or not aql.strip():
             raise HttpError(400, "the 'aql' field (a non-empty string) is required")
         kwargs: dict = {}
-        # the service owns the ranges of error_bound and confidence: its
-        # QueryError reaches the client as a 400 before any query exists
-        for name, requirement in (
-            ("error_bound", "number"),
-            ("confidence", "number"),
-            ("deadline", "non-negative number"),
-            ("seed", "integer"),
-            ("max_rounds", "positive integer"),
-        ):
-            if name not in merged or merged[name] is None:
+        # the service owns the ranges of error_bound, confidence and
+        # deadline: its QueryError reaches the client as a 400 before any
+        # query exists
+        for name in _SUBMIT_FIELDS:
+            value = merged.get(name)
+            if value is None:
                 continue
-            value = merged[name]
-            ok = isinstance(value, _NUMBER) and not isinstance(value, bool)
-            if ok:
-                if name in ("seed", "max_rounds"):
-                    ok = isinstance(value, int) and (
-                        name == "seed" or value >= 1
-                    )
-                elif name == "deadline":
-                    ok = value >= 0.0
-            if not ok:
-                raise HttpError(400, f"field {name!r} must be a {requirement}")
+            kind, requirement = (
+                (int, "an integer") if name == "seed" else (_NUMBER, "a number")
+            )
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise HttpError(400, f"field {name!r} must be {requirement}")
             kwargs[name] = value
         return aql, kwargs
 
@@ -607,10 +608,10 @@ class ReproHTTPServer:
         return entry
 
     def _prune_entries(self) -> None:
-        if len(self._entries) <= self._max_tracked_queries:
+        if len(self._entries) <= MAX_TRACKED_QUERIES:
             return
         for query_id, entry in list(self._entries.items()):
-            if len(self._entries) <= self._max_tracked_queries:
+            if len(self._entries) <= MAX_TRACKED_QUERIES:
                 break
             if entry.handle.status.terminal:
                 del self._entries[query_id]
@@ -642,11 +643,7 @@ class ReproHTTPServer:
             raise HttpError(
                 400, "the 'queries' field (a non-empty array) is required"
             )
-        defaults = {
-            name: body[name]
-            for name in ("error_bound", "confidence", "seed", "deadline")
-            if name in body
-        }
+        defaults = {name: body[name] for name in _SUBMIT_FIELDS if name in body}
         outcomes: list[dict] = []
         accepted = 0
         for spec in specs:
@@ -776,7 +773,7 @@ class ReproHTTPServer:
                 if settled:
                     return
                 try:
-                    async with asyncio.timeout(self._heartbeat_seconds):
+                    async with asyncio.timeout(HEARTBEAT_SECONDS):
                         item = await queue.get()
                 except TimeoutError:
                     stream.comment("heartbeat")

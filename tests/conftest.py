@@ -38,7 +38,7 @@ def toy_world_factory():
     return build_toy_world
 
 
-def _drive_lifecycle(executor, aggregate_query, seed, error_bound, max_rounds=None):
+def _drive_lifecycle(executor, aggregate_query, seed, error_bound):
     """Hand-drive ``initialise``, then ``step`` until its outcome names a
     stop reason, then ``finalise``.
 
@@ -49,9 +49,7 @@ def _drive_lifecycle(executor, aggregate_query, seed, error_bound, max_rounds=No
     run_round, outcome = 0, None
     while outcome is None or outcome.stop_reason is None:
         run_round += 1
-        outcome = executor.step(
-            state, error_bound, run_round=run_round, max_rounds=max_rounds
-        )
+        outcome = executor.step(state, error_bound, run_round=run_round)
     return state, executor.finalise(state, outcome)
 
 

@@ -405,13 +405,11 @@ def test_census_span_and_counter(toy):
     )
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_census_span_counts_the_answers_it_screened(toy, validate):
+def test_census_span_counts_the_answers_it_screened(toy):
     """``kept`` on the census span is what the census screened: the
-    candidates the plan keeps at tau, or every candidate when S2 does not
-    validate (Fig. 5(b)'s ablation)."""
+    candidates the plan keeps at tau."""
     shared_plan_cache().clear()
-    config = EngineConfig(seed=11, validate_correctness=validate)
+    config = EngineConfig(seed=11)
     with AggregateQueryService(toy.kg, toy.embedding, config) as service:
         handle = service.submit(toy.avg_query(), seed=3)
         handle.result(timeout=30.0)
@@ -428,10 +426,7 @@ def test_census_span_counts_the_answers_it_screened(toy, validate):
     support = span["attributes"]["support"]
     kept = span["attributes"]["kept"]
     assert support == plan.candidates(toy.kg).support_size
-    if validate:
-        assert kept == len(plan.kept(toy.kg, config.tau)) < support
-    else:
-        assert kept == support
+    assert kept == len(plan.kept(toy.kg, config.tau)) < support
 
 
 # ----------------------------------------------------------------------

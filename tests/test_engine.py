@@ -125,15 +125,15 @@ class TestSimpleQueries:
         assert text.endswith(f"draws, {status})")
 
     def test_a_one_round_budget_runs_a_single_round(self, toy, sampled_engine):
-        """``submit(max_rounds=1)`` runs the initial round and stops on
-        the budget, however far the bound is."""
+        """``PaperConfig(max_rounds=1)`` runs the initial round and stops
+        on the budget, however far the bound is."""
         engine = sampled_engine(
-            toy.kg, toy.embedding, PaperConfig(seed=11, error_bound=0.0001)
+            toy.kg,
+            toy.embedding,
+            PaperConfig(seed=11, error_bound=0.0001, max_rounds=1),
         )
         with engine.service as service:
-            result = service.submit(toy.count_query(), seed=3, max_rounds=1).result(
-                timeout=60.0
-            )
+            result = service.submit(toy.count_query(), seed=3).result(timeout=60.0)
         assert result.num_rounds == 1 and not result.converged
         assert result.stop_reason == STOP_ROUND_BUDGET
         assert result.total_draws == result.rounds[0].total_draws > 0
@@ -316,10 +316,10 @@ class TestGroupBy:
 
 
 class TestAblationConfigs:
-    def test_without_validation_overestimates(self, toy):
+    def test_without_validation_overestimates(self, toy, sampled_engine):
         """Fig 5(b): skipping validation admits near-miss cars."""
-        config = EngineConfig(seed=7, validate_correctness=False)
-        engine = ApproximateAggregateEngine(toy.kg, toy.embedding, config)
+        config = PaperConfig(seed=7, validate_correctness=False)
+        engine = sampled_engine(toy.kg, toy.embedding, config)
         result = engine.execute(toy.count_query())
         # near-miss cars inflate the count beyond the correct 60
         assert result.value > toy.count_truth * 1.05
@@ -427,12 +427,10 @@ class TestConfigValidation:
             "error_bound",
             "confidence_level",
             "tau",
-            "validate_correctness",
             "n_bound",
-            "similarity_floor",
             "seed",
         ]
-        assert len(fields(PaperConfig)) == 7 + 15
+        assert len(fields(PaperConfig)) == 5 + 16
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -442,10 +440,6 @@ class TestConfigValidation:
             {"confidence_level": 0.0},
             {"tau": 0.0},
             {"n_bound": 0},
-            {"similarity_floor": 0.0},
-            {"similarity_floor": 1.0},
-            {"similarity_floor": 2.0},
-            {"similarity_floor": float("nan")},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -476,6 +470,15 @@ class TestConfigValidation:
     def test_a_sampler_knob_is_not_an_engine_config_field(self):
         with pytest.raises(TypeError):
             EngineConfig(max_rounds=8)
+        with pytest.raises(TypeError):
+            EngineConfig(validate_correctness=False)
+        assert not PaperConfig(validate_correctness=False).validate_correctness
+
+    def test_the_similarity_floor_is_no_knob(self):
+        """Every plan floors Eq. 2's similarities at ``SIMILARITY_FLOOR``."""
+        for config in (EngineConfig, PaperConfig):
+            with pytest.raises(TypeError):
+                config(similarity_floor=0.01)
 
     def test_with_copies(self):
         config = EngineConfig()

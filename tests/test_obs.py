@@ -609,7 +609,7 @@ class TestExecMetrics:
                 PaperConfig(seed=7, max_sample_size=120),
                 "sample_cap",
             ),
-            ({"error_bound": 1e-4, "max_rounds": 2}, PaperConfig(seed=7), "round_budget"),
+            ({"error_bound": 1e-4}, PaperConfig(seed=7, max_rounds=2), "round_budget"),
         ]
         for kwargs, config, reason in runs:
             with sampled_service(world.kg, world.embedding, config) as service:

@@ -305,11 +305,10 @@ class TestPlanSharing:
     def test_engines_differing_only_in_s1_facets_share_one_plan(
         self, world, overrides, sampled_engine
     ):
-        """A plan is what a census reads — the row of ``(n_bound,
-        similarity_floor)`` — so a census engine and a sampled engine that
-        differ from it only in the seed or in what S1 reads build each
-        component's plan once: the draws leave the census byte for byte
-        as it was."""
+        """A plan is what a census reads — the row within ``n_bound`` —
+        so a census engine and a sampled engine that differ from it only
+        in the seed or in what S1 reads build each component's plan once:
+        the draws leave the census byte for byte as it was."""
         first = _engine(world)
         second = _engine(world, make=sampled_engine, **overrides)
         assert plan_fingerprint(first.config) == plan_fingerprint(second.config)
@@ -322,10 +321,9 @@ class TestPlanSharing:
         component = query.query.components[0]
         assert first.planner.plan_for(component) is second.planner.plan_for(component)
 
-    def test_path_bound_and_floor_key_the_plan(self):
-        base = plan_fingerprint(EngineConfig())
-        assert plan_fingerprint(EngineConfig(n_bound=2)) != base
-        assert plan_fingerprint(EngineConfig(similarity_floor=0.01)) != base
+    def test_the_path_bound_keys_the_plan(self):
+        assert plan_fingerprint(EngineConfig()) == (3,)
+        assert plan_fingerprint(EngineConfig(n_bound=2)) == (2,)
 
     def test_plan_key_follows_embedding_identity(self, world, toy_world_factory):
         engine = _engine(world)

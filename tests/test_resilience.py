@@ -171,9 +171,10 @@ class TestDeadlines:
     ):
         clock = _FakeClock()
         service = sampled_service(
-            world.kg, world.embedding, PaperConfig(seed=7, max_rounds=50),
+            world.kg, world.embedding, PaperConfig(seed=7, max_rounds=3),
             backend=_ClockSteppingBackend(clock, step=1.0),
-            default_deadline=2.5,
+            # expires mid-run, before the config's three rounds are spent
+            default_deadline=1.5,
         )
         service._clock = clock
         with service:
@@ -184,8 +185,7 @@ class TestDeadlines:
             assert len(info.value.trace) >= 2
             # an explicit deadline replaces the default for its query
             generous = service.submit(
-                world.avg_query(), seed=5, error_bound=1e-12, max_rounds=3,
-                deadline=1000.0,
+                world.avg_query(), seed=5, error_bound=1e-12, deadline=1000.0,
             )
             assert len(generous.result(timeout=60).rounds) == 3
             assert service.health()["deadline_expiries"] == 1

@@ -59,8 +59,9 @@ GROUPED_AQL = (
     "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile) "
     "GROUP BY price BIN 20000"
 )
-#: an unreachable bound: the query runs until its draw budget is spent
-NEVER = {"error_bound": 1e-12, "max_rounds": 100_000}
+#: an unreachable bound: the query runs until its service's round budget is
+#: spent (or, under a stalling backend, stays live)
+NEVER = {"error_bound": 1e-12}
 
 
 class _StallingBackend(ExecutionBackend):
@@ -329,11 +330,13 @@ class TestErrorMapping:
             assert info.value.status == 400
             assert info.value.payload["error"] == "ParseError"
 
-    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "bound", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 5.0]
+    )
     def test_a_non_finite_error_bound_is_400_with_no_query(self, world, bound):
         """``json.dumps`` writes ``Infinity`` / ``NaN`` and ``json.loads``
-        reads them back: submit and refine refuse them before a query or
-        a run exists."""
+        reads them back: submit and refine refuse them, and every other
+        bound outside (0, 1), before a query or a run exists."""
         with _serve(_service(world)) as (client, _runner):
             with pytest.raises(HttpStatusError) as info:
                 client.submit(COUNT_AQL, error_bound=bound)
@@ -410,8 +413,8 @@ class TestErrorMapping:
                 {"error_bound": -1.0},
                 {"confidence": 1.5},
                 {"seed": "seven"},
-                {"max_rounds": 0},
                 {"deadline": -2.0},
+                {"deadline": math.nan},
             ):
                 with pytest.raises(HttpStatusError) as info:
                     client.submit(COUNT_AQL, **params)
@@ -589,6 +592,69 @@ class TestLifecycle:
             assert payload["status"] in ("pending", "running")
             assert payload["result"] is None and payload["error"] is None
             client.cancel(accepted["id"])
+
+    def test_tracked_ids_prune_the_oldest_settled_first(self, world, monkeypatch):
+        """Past ``MAX_TRACKED_QUERIES`` a submit prunes settled entries,
+        oldest first, and never a live one; a pruned id answers 404."""
+        monkeypatch.setattr("repro.server.app.MAX_TRACKED_QUERIES", 2)
+        service = AggregateQueryService(
+            world.kg, world.embedding, EngineConfig(seed=7), autostart=False
+        )
+        with _serve(service, drain_timeout=0.2) as (client, _runner):
+
+            def submit() -> str:
+                return client.submit(COUNT_AQL)["id"]
+
+            def tracked(query_id: str) -> bool:
+                try:
+                    client.status(query_id)
+                except HttpStatusError as error:
+                    assert error.status == 404
+                    return False
+                return True
+
+            settled = [submit(), submit()]
+            for query_id in settled:
+                client.cancel(query_id)  # a pending query settles at once
+            live = [submit()]
+            assert [tracked(i) for i in settled + live] == [False, True, True]
+            live.append(submit())
+            assert [tracked(i) for i in settled + live] == [False, False, True, True]
+            live.append(submit())  # three live entries: none may go
+            assert [tracked(i) for i in live] == [True, True, True]
+            assert client.healthz()["server"]["queries_tracked"] == 3
+
+    def test_an_idle_stream_carries_a_heartbeat(self, world, monkeypatch):
+        """A stream with no round to send writes a ``: heartbeat`` comment
+        every ``HEARTBEAT_SECONDS``: here, before the first round of a
+        query that the service holds pending."""
+        monkeypatch.setattr("repro.server.app.HEARTBEAT_SECONDS", 0.05)
+        service = AggregateQueryService(
+            world.kg, world.embedding, EngineConfig(seed=7), autostart=False
+        )
+        with _serve(service) as (client, runner):
+            query_id = client.submit(COUNT_AQL)["id"]
+            raw = b""
+            with socket.create_connection(runner.address, timeout=10) as sock:
+                sock.sendall(
+                    b"GET /v1/queries/%s/events HTTP/1.1\r\n\r\n" % query_id.encode()
+                )
+                while b": heartbeat" not in raw:
+                    chunk = sock.recv(4096)
+                    assert chunk, "the stream ended before a heartbeat"
+                    raw += chunk
+                service.start()
+                while b"event: result" not in raw:
+                    chunk = sock.recv(4096)
+                    assert chunk, "the stream ended before its result"
+                    raw += chunk
+        assert b" 200 " in raw.split(b"\r\n", 1)[0]
+        assert raw.index(b": heartbeat") < raw.index(b"event: round")
+
+    @pytest.mark.parametrize("knob", ["heartbeat_seconds", "max_tracked_queries"])
+    def test_the_heartbeat_and_tracking_bound_are_no_keywords(self, world, knob):
+        with _service(world) as service, pytest.raises(TypeError):
+            ReproHTTPServer(service, **{knob: 1})
 
 
 # ---------------------------------------------------------------------------

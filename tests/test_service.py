@@ -881,20 +881,14 @@ class TestStopReasonAndBackend:
     only steps and settles, so a served run equals the hand-driven loop."""
 
     @pytest.mark.parametrize(
-        "overrides, run_max_rounds, expected",
+        "overrides, expected",
         [
-            (dict(max_rounds=30, error_bound=0.05), None, "bound_met"),
-            (dict(max_sample_size=120, error_bound=0.0001), None, "sample_cap"),
-            (dict(max_rounds=1, error_bound=0.0001), None, "round_budget"),
-            (dict(error_bound=0.0001), None, "census"),
-            # a run's own max_rounds overrides the config's 30
-            (dict(max_rounds=30, error_bound=0.0001), 1, "round_budget"),
-            (dict(error_bound=0.0001), 1, "census"),
+            (dict(max_rounds=30, error_bound=0.05), "bound_met"),
+            (dict(max_sample_size=120, error_bound=0.0001), "sample_cap"),
+            (dict(max_rounds=1, error_bound=0.0001), "round_budget"),
+            (dict(error_bound=0.0001), "census"),
         ],
-        ids=[
-            "bound_met", "sample_cap", "round_budget", "census",
-            "run-round_budget", "run-census",
-        ],
+        ids=["bound_met", "sample_cap", "round_budget", "census"],
     )
     def test_stop_reason_on_every_kind(
         self,
@@ -903,7 +897,6 @@ class TestStopReasonAndBackend:
         sampled_engine,
         sampled_service,
         overrides,
-        run_max_rounds,
         expected,
     ):
         """Why the run stopped is decided once, by the executor's last
@@ -912,9 +905,9 @@ class TestStopReasonAndBackend:
         trace for trace.  MAX/MIN never meet a bound, so a sampled extreme
         query's reason is never ``bound_met``; the toy GROUP-BY meets one
         only once its groups hold ``min_group_draws`` correct draws (a thin
-        first round used to read ``bound_met`` whatever the bound).  The
-        sampled runs' budget is the config's unless ``submit`` names one;
-        a census ends its run at its first round whatever the budget."""
+        first round used to read ``bound_met`` whatever the bound).  A
+        sampled run's budget is its config's; a census ends its run at its
+        first round."""
         import io
 
         from repro.core.result import GroupedResult
@@ -927,7 +920,7 @@ class TestStopReasonAndBackend:
         config = (EngineConfig if census else PaperConfig)(seed=7, **overrides)
         with make(world.kg, world.embedding, config, audit_log=sink) as service:
             handles = [
-                service.submit(query, seed=seed, max_rounds=run_max_rounds)
+                service.submit(query, seed=seed)
                 for query, seed in _workload(world)
             ]
             results = [handle.result(timeout=60.0) for handle in handles]
@@ -944,8 +937,6 @@ class TestStopReasonAndBackend:
             if isinstance(result, GroupedResult):
                 # a per-group estimate is not a run of its own
                 assert {g.stop_reason for g in result.groups.values()} == {None}
-            if run_max_rounds is not None:
-                assert len(result.rounds) == run_max_rounds
         count, avg, total, grouped, extreme = reasons
         assert count == avg == total == grouped == expected
         if not census:
@@ -956,7 +947,7 @@ class TestStopReasonAndBackend:
         )
         for (query, seed), served in zip(_workload(world), results):
             _state, direct = drive_lifecycle(
-                engine.executor, query, seed, config.error_bound, run_max_rounds
+                engine.executor, query, seed, config.error_bound
             )
             assert direct.stop_reason == served.stop_reason
             assert _zeroed(direct.rounds) == _zeroed(served.rounds)
@@ -1187,10 +1178,10 @@ class TestHandleSurface:
         finally:
             service.close()
 
-    def test_submit_max_rounds_caps_the_run(self, world, sampled_service):
-        with _service(world, max_rounds=50, make=sampled_service) as service:
+    def test_the_config_max_rounds_caps_the_run(self, world, sampled_service):
+        with _service(world, max_rounds=2, make=sampled_service) as service:
             result = service.submit(
-                world.avg_query(), seed=5, error_bound=1e-12, max_rounds=2
+                world.avg_query(), seed=5, error_bound=1e-12
             ).result(timeout=30.0)
         assert len(result.rounds) == 2
         assert not result.converged
@@ -1275,10 +1266,14 @@ class TestHandleSurface:
             # no record took the first sequence number
             assert service.submit(world.avg_query()).sequence == 0
 
-    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "bound", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 5.0]
+    )
     def test_invalid_error_bound_raises_at_submit(self, world, bound):
-        """NaN and the infinities used to fail the query at its first
-        growth, 0 and -1 in the estimator: now no record exists."""
+        """An ``error_bound`` outside (0, 1), the range ``EngineConfig``
+        takes, leaves no record: NaN and the infinities used to fail the
+        query at its first growth, 0 and -1 in the estimator, and a census
+        answered 1.0 and 5.0."""
         with _service(world, autostart=False) as service:
             with pytest.raises(QueryError, match="error_bound"):
                 service.submit(world.avg_query(), error_bound=bound)
@@ -1286,18 +1281,35 @@ class TestHandleSurface:
             # no record took the first sequence number
             assert service.submit(world.avg_query()).sequence == 0
 
-    @pytest.mark.parametrize("max_rounds", [0, -3])
-    def test_non_positive_max_rounds_raises_at_submit(self, world, max_rounds):
-        """A run needs a round: 0 and -3 used to run one and stop on
-        ``round_budget``; now no record exists."""
+    def test_a_run_budget_is_no_submit_keyword(self, world):
+        """A sampled run's round budget is its config's ``max_rounds``."""
         with _service(world, autostart=False) as service:
-            with pytest.raises(QueryError, match="max_rounds"):
-                service.submit(world.avg_query(), max_rounds=max_rounds)
+            with pytest.raises(TypeError):
+                service.submit(world.avg_query(), max_rounds=2)
             assert service.health()["live_queries"] == 0
-            # no record took the first sequence number
+
+    @pytest.mark.parametrize("deadline", [math.nan, -1.0, -math.inf])
+    def test_invalid_deadline_raises_at_submit(self, world, deadline):
+        """A NaN deadline never expired, a negative one expired at once:
+        both leave no record now, at submit and in a batch."""
+        with _service(world, autostart=False) as service:
+            with pytest.raises(QueryError, match="deadline"):
+                service.submit(world.avg_query(), deadline=deadline)
+            with pytest.raises(QueryError, match="deadline"):
+                service.submit_batch([world.avg_query()], deadline=deadline)
+            assert service.health()["live_queries"] == 0
             assert service.submit(world.avg_query()).sequence == 0
 
-    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("deadline", [math.nan, -1.0])
+    def test_invalid_default_deadline_raises_at_construction(self, world, deadline):
+        with pytest.raises(QueryError, match="default_deadline"):
+            AggregateQueryService(
+                world.kg, world.embedding, default_deadline=deadline
+            )
+
+    @pytest.mark.parametrize(
+        "bound", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 5.0]
+    )
     def test_invalid_error_bound_raises_at_refine(self, world, bound):
         with _service(world) as service:
             handle = service.submit(world.avg_query(), seed=5)
