@@ -1074,8 +1074,8 @@ class StageBucketRule(Rule):
     code = "REP403"
     name = "stage-bucket-attribution"
     summary = (
-        "every STAGE_* constant is attributed somewhere (a timer "
-        "measure, setdefault or stage write) so stage_ms keeps summing "
+        "every STAGE_* constant is attributed somewhere (a Clock "
+        "bucket, setdefault or stage write) so stage_ms keeps summing "
         "to wall clock"
     )
 
@@ -1116,7 +1116,7 @@ class StageBucketRule(Rule):
             self.finding(
                 stage_module, line,
                 f"stage bucket {name} is declared but never attributed "
-                "anywhere (no timer measure, setdefault or stage write "
+                "anywhere (no Clock bucket, setdefault or stage write "
                 "passes it); either attribute the stage or delete the "
                 "bucket — stage_ms must keep summing to wall clock",
             )

@@ -63,7 +63,7 @@ from repro.estimation.estimators import (
 )
 from repro.estimation.extreme import estimate_extreme_evt
 from repro.kg.graph import KnowledgeGraph
-from repro.obs.trace import child_span
+from repro.obs.trace import Clock
 from repro.query.aggregate import AggregateFunction, AggregateQuery
 from repro.query.graph import PathQuery
 from repro.sampling.chain import ChainSampler
@@ -80,7 +80,6 @@ from repro.sampling.strength import (
 )
 from repro.sampling.topology import cnarw_entry_weights, node2vec_visit_distribution
 from repro.utils.rng import derive_seed, ensure_rng
-from repro.utils.timing import StageTimer
 
 #: most elements one ``(groups, draws)`` block of a closed-form GROUP-BY
 #: round may hold; a round with more is reduced a block of groups at a time
@@ -277,7 +276,7 @@ class PlanSampler:
             weigh = partial(similarity_entry_weights, self._kg, self._space, predicate)
         self.stage_batches += 1
         self.stage_sources += len(sources)
-        with child_span("s1_stage", hop=hop, sources=len(sources)) as span:
+        with Clock("s1_stage", hop=hop, sources=len(sources)) as span:
             stages = stage_distributions(
                 self._kg,
                 sources,
@@ -466,7 +465,7 @@ class SampledExecutor(QueryExecutor):
         aggregate_query: AggregateQuery,
         plans: list[QueryPlan],
         structure_version: int,
-        timers: StageTimer,
+        timers: dict[str, float],
         seed: int,
         confidence_level: float,
     ) -> _SampledState:
@@ -474,7 +473,7 @@ class SampledExecutor(QueryExecutor):
         plan runs S1 on this, its first draw — on a generator derived from
         ``seed``."""
         config = self.config
-        with timers.measure(STAGE_SAMPLING):
+        with Clock(None, timers, STAGE_SAMPLING):
             samples = [self.sampler.sample(plan) for plan in plans]
             joint = (
                 samples[0].distribution
@@ -618,7 +617,7 @@ class SampledExecutor(QueryExecutor):
         every round of a run but the first, then validates and estimates
         the grown sample.
         """
-        with state.timers.measure(STAGE_SAMPLING):
+        with Clock(None, state.timers, STAGE_SAMPLING):
             state.desired_n, counts = self._growth(state, last, error_bound)
             room = self.config.max_sample_size - state.total_draws
             self._draw(state, _within_cap(counts, room))
@@ -723,7 +722,7 @@ class SampledExecutor(QueryExecutor):
         ):
             # The future-work extension: extrapolate past the sample
             # extremum with a POT/GPD tail fit (see estimation.extreme).
-            with state.timers.measure(STAGE_GUARANTEE):
+            with Clock(None, state.timers, STAGE_GUARANTEE):
                 combined = self._combined_sample(state)
                 evt = estimate_extreme_evt(
                     combined,
@@ -840,7 +839,7 @@ class SampledExecutor(QueryExecutor):
         config = self.config
         round_index = len(state.rounds) + 1
         point_estimate, moe = 0.0, float("inf")
-        with state.timers.measure(STAGE_ESTIMATION):
+        with Clock(None, state.timers, STAGE_ESTIMATION):
             numerators, denominators, correct = self._contribution_columns(
                 state, np.concatenate(state.little_samples)
             )
@@ -849,7 +848,7 @@ class SampledExecutor(QueryExecutor):
                 point_estimate = self._column_estimate(
                     numerators, denominators, correct
                 )
-        with state.timers.measure(STAGE_GUARANTEE):
+        with Clock(None, state.timers, STAGE_GUARANTEE):
             if correct_draws > 0:
                 # each little sample is a contiguous view of the gather
                 moe = self._column_moe(
@@ -877,13 +876,13 @@ class SampledExecutor(QueryExecutor):
         """Re-estimate every observed group; report the one gating the run
         (:meth:`_group_round`), satisfied when every sufficiently-drawn
         group met the bound (and there is one)."""
-        with state.timers.measure(STAGE_ESTIMATION):
+        with Clock(None, state.timers, STAGE_ESTIMATION):
             keys = self._group_keys(state, state.distinct_support_indices())
             draws = np.concatenate(state.little_samples)
             numerators, denominators, _correct = self._contribution_columns(
                 state, draws
             )
-        with state.timers.measure(STAGE_GUARANTEE):
+        with Clock(None, state.timers, STAGE_GUARANTEE):
             groups, satisfied = self._estimate_groups(
                 state, numerators, denominators, keys[draws], error_bound
             )
@@ -896,7 +895,7 @@ class SampledExecutor(QueryExecutor):
         satisfied — the round budget is the only stop condition besides
         sample exhaustion."""
         function = state.aggregate_query.function
-        with state.timers.measure(STAGE_ESTIMATION):
+        with Clock(None, state.timers, STAGE_ESTIMATION):
             combined = self._combined_sample(state)
             if combined.correct_draws:
                 value = estimate_extreme(combined, function)

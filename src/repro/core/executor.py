@@ -3,7 +3,8 @@
 :class:`QueryExecutor` runs queries over ``(QueryPlan, _QueryState)``
 pairs: plans are the immutable shared artefacts of the planning layer
 (:mod:`repro.core.planner`); a state holds everything mutable about one
-query execution — its joint candidate set, the round trace, stage timers.
+query execution — its joint candidate set, the round trace, its stage
+buckets (seconds per stage, which :class:`~repro.obs.trace.Clock` adds to).
 
 Every production query is answered by **census**: S2 is exact (each
 production validator reads an exact similarity row its plan builds once,
@@ -53,10 +54,9 @@ from repro.errors import GraphChangedError, QueryError
 from repro.estimation.confidence import ConfidenceInterval
 from repro.estimation.estimators import census_estimate
 from repro.kg.graph import KnowledgeGraph
-from repro.obs.trace import child_span
+from repro.obs.trace import Clock
 from repro.query.aggregate import AggregateQuery, GroupBy
 from repro.semantics.validation import require_node_ids
-from repro.utils.timing import StageTimer
 
 STAGE_SAMPLING = "sampling"
 STAGE_VALIDATION = "validation"
@@ -78,6 +78,11 @@ _EMPTY_JOINT = (
     "the query components share no candidate answer; the composite query "
     "has an empty intersection sample"
 )
+
+
+def _stage_ms(state: "_QueryState") -> dict[str, float]:
+    """``state``'s stage buckets in milliseconds, for a result."""
+    return {stage: seconds * 1000.0 for stage, seconds in state.timers.items()}
 
 
 def kind_for(aggregate_query: AggregateQuery) -> str:
@@ -107,7 +112,8 @@ class _QueryState:
     #: over a graph that has moved since re-plans first
     structure_version: int
     rounds: list[RoundTrace] = field(default_factory=list)
-    timers: StageTimer = field(default_factory=StageTimer)
+    #: stage bucket -> seconds, in the order the stages first ran
+    timers: dict[str, float] = field(default_factory=dict)
     #: GROUP-BY only: the latest round's per-group results, refreshed by
     #: every step and packaged by finalise
     grouped_results: dict[float, "ApproximateResult"] | None = None
@@ -191,8 +197,8 @@ class QueryExecutor:
         ``confidence`` default to the config's."""
         config = self.config
         effective_seed = config.seed if seed is None else seed
-        timers = StageTimer()
-        with child_span("initialise", seed=effective_seed):
+        timers: dict[str, float] = {}
+        with Clock("initialise", seed=effective_seed):
             return self._start(
                 aggregate_query,
                 *self._plan(aggregate_query, timers),
@@ -202,12 +208,12 @@ class QueryExecutor:
             )
 
     def _plan(
-        self, aggregate_query: AggregateQuery, timers: StageTimer
+        self, aggregate_query: AggregateQuery, timers: dict[str, float]
     ) -> tuple[list[QueryPlan], int]:
         """Every component's plan, and the structure version read before
         planning: plans keyed on a later one can only re-plan needlessly."""
         version = self._kg.structure_version
-        with timers.measure(STAGE_SAMPLING):
+        with Clock(None, timers, STAGE_SAMPLING):
             plans = [
                 self._planner.plan_for(component)
                 for component in aggregate_query.query.components
@@ -219,7 +225,7 @@ class QueryExecutor:
         aggregate_query: AggregateQuery,
         plans: list[QueryPlan],
         structure_version: int,
-        timers: StageTimer,
+        timers: dict[str, float],
         seed: int,
         confidence_level: float,
     ) -> _QueryState:
@@ -228,7 +234,7 @@ class QueryExecutor:
         is the census, and no plan runs S1.  Reading the candidates builds
         the plans' rows, timed as validation.  A census draws nothing, so
         ``seed`` is unused."""
-        with timers.measure(STAGE_VALIDATION):
+        with Clock(None, timers, STAGE_VALIDATION):
             joint = self._census_support(plans)
         size = joint.support_size
         return _QueryState(
@@ -289,7 +295,8 @@ class QueryExecutor:
     def _validation_pass(self, state: _QueryState, pending: int, validate):
         """``validate()``'s result, run as one validation pass over
         ``pending`` candidates: the ``validate_batch`` fault site and
-        counters, then one ``validate_batch`` span timed as validation."""
+        counters, then one ``validate_batch`` span whose clock is the
+        validation bucket's."""
         hook = self.fault_hook
         if hook is not None:
             hook.fire("validate_batch", pending=pending)
@@ -297,9 +304,10 @@ class QueryExecutor:
         if metrics is not None:
             metrics["validated_entries"].inc(pending)
             metrics["validate_batch_pending"].observe(float(pending))
-        with child_span("validate_batch", pending=pending):
-            with state.timers.measure(STAGE_VALIDATION):
-                return validate()
+        with Clock(
+            "validate_batch", state.timers, STAGE_VALIDATION, pending=pending
+        ):
+            return validate()
 
     # ------------------------------------------------------------------
     # The round lifecycle: step / finalise, every kind
@@ -392,7 +400,7 @@ class QueryExecutor:
                 labels={key: group_by.label_for(key) for key in groups},
                 converged=converged,
                 total_draws=state.total_draws,
-                stage_ms=state.timers.as_dict_ms(),
+                stage_ms=_stage_ms(state),
                 rounds=tuple(state.rounds),
                 stop_reason=stop_reason,
             )
@@ -408,7 +416,7 @@ class QueryExecutor:
             total_draws=state.total_draws,
             distinct_answers=distinct_answers,
             correct_draws=last.correct_draws,
-            stage_ms=state.timers.as_dict_ms(),
+            stage_ms=_stage_ms(state),
             walk_iterations=state.walk_iterations,
             num_candidates=state.num_candidates,
             stop_reason=stop_reason,
@@ -457,13 +465,13 @@ class QueryExecutor:
         aggregate_query = state.aggregate_query
         function = aggregate_query.function
         support = state.joint.support_size
-        with child_span("census", support=support, pending=support) as span:
+        with Clock("census", support=support, pending=support) as span:
             answers, values = self._validation_pass(
                 state, support, lambda: self._census_answers(state, span)
             )
         if self.obs_metrics is not None:
             self.obs_metrics["census_queries"].inc()
-        with state.timers.measure(STAGE_ESTIMATION):
+        with Clock(None, state.timers, STAGE_ESTIMATION):
             group_by = aggregate_query.group_by
             if group_by is None:
                 value, moe = census_estimate(function, values)

@@ -22,7 +22,7 @@ from repro.core.plan import PlanCache, QueryPlan, plan_key, shared_plan_cache
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import MappingNodeNotFoundError
 from repro.kg.graph import KnowledgeGraph
-from repro.obs.trace import child_span
+from repro.obs.trace import Clock
 from repro.query.graph import PathQuery
 from repro.semantics.validation import ChainValidator, CorrectnessValidator
 
@@ -93,9 +93,7 @@ class QueryPlanner:
     def _counted_build(self, component: PathQuery) -> QueryPlan:
         """Build ``component``'s plan, counted once the build returns one:
         a build that raises built nothing."""
-        with child_span(
-            "plan_build", predicates=",".join(component.predicates)
-        ):
+        with Clock("plan_build", predicates=",".join(component.predicates)):
             plan = self._build(component)
         self.build_count += 1
         return plan

@@ -90,7 +90,6 @@ from repro.kg.graph import KnowledgeGraph
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.query.aggregate import AggregateQuery
-from repro.utils.timing import Timer
 
 __all__ = [
     "AggregateQueryService",
@@ -637,8 +636,8 @@ class AggregateQueryService:
             ),
             "stage_ms": (
                 {
-                    stage: round(ms, 3)
-                    for stage, ms in state.timers.as_dict_ms().items()
+                    stage: round(seconds * 1000.0, 3)
+                    for stage, seconds in state.timers.items()
                 }
                 if state is not None
                 else {}
@@ -1068,7 +1067,7 @@ class AggregateQueryService:
 
         # the overhead clock starts after initialisation, which each
         # state's own stage buckets already time
-        overhead_timer = time.perf_counter()
+        overhead_started = time.perf_counter()
         with self._condition:
             cohort = [
                 r
@@ -1083,9 +1082,9 @@ class AggregateQueryService:
             cohort.sort(key=lambda r: (len(r.state.rounds), r.sequence))
 
         if cohort:
-            share = (time.perf_counter() - overhead_timer) / len(cohort)
+            share = (time.perf_counter() - overhead_started) / len(cohort)
             for record in cohort:
-                record.state.timers.stages[STAGE_SCHEDULER].elapsed += share
+                record.state.timers[STAGE_SCHEDULER] += share
 
         self._set_phase("execute cohort")
         self._backend.run_cohort(self, cohort)
@@ -1093,7 +1092,7 @@ class AggregateQueryService:
     def _initialise(self, record: _QueryRecord) -> None:
         """Initialise one record's state: plans, candidates (or draws)."""
         try:
-            with obs_trace.activate(record.span):
+            with obs_trace.Clock(parent=record.span):
                 state = self._executor.initialise(
                     record.aggregate_query, record.seed, confidence=record.confidence
                 )
@@ -1103,7 +1102,7 @@ class AggregateQueryService:
                     self._finish_failed_locked(record, exc)
             return
         # make serving overhead attributable from the very first result
-        state.timers.stages.setdefault(STAGE_SCHEDULER, Timer())
+        state.timers.setdefault(STAGE_SCHEDULER, 0.0)
         with self._condition:
             if record.status in _TERMINAL:
                 # a cancel (or service close) landed while it planned: keep
@@ -1148,8 +1147,11 @@ class AggregateQueryService:
                 round=run.steps_taken + 1,
                 kind=record.kind,
             )
-        with obs_trace.activate(record.span), obs_trace.child_span(
-            "round", kind=record.kind, round_index=run.steps_taken + 1
+        with obs_trace.Clock(
+            "round",
+            parent=record.span,
+            kind=record.kind,
+            round_index=run.steps_taken + 1,
         ):
             outcome = self._executor.step(
                 state, run.error_bound, run_round=run.steps_taken + 1

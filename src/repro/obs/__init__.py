@@ -55,7 +55,12 @@ Span names
 
 The scheduler opens one root span per query (``query``, attributes:
 ``query``/``kind``/``sequence``/``seed``) when observability is enabled
-and activates it around every slot the query holds.  Children:
+and makes it ambient around every slot the query holds.  Every child is
+opened by one :class:`~repro.obs.trace.Clock`, the same primitive that
+adds the interval to the query's ``stage_ms`` bucket where the seam has
+one, so a span and its bucket read one ``perf_counter`` pair (a
+``validate_batch`` span's duration is what that pass added to
+``validation``).  Children:
 
 * ``initialise`` — plans, then the census candidates or S1 and the
   little-sample bootstrap: ``plan_build`` children for plans not
@@ -117,9 +122,10 @@ from repro.obs.metrics import (
     NullRegistry,
     shared_registry,
 )
-from repro.obs.trace import Span, activate, child_span, current_span, start_span
+from repro.obs.trace import Clock, Span, current_span, start_span
 
 __all__ = [
+    "Clock",
     "Counter",
     "Gauge",
     "Histogram",
@@ -128,8 +134,6 @@ __all__ = [
     "NULL_REGISTRY",
     "NullRegistry",
     "Span",
-    "activate",
-    "child_span",
     "current_span",
     "shared_registry",
     "start_span",

@@ -2,11 +2,12 @@
 
 A span is a named, timed tree node with JSON-clean attributes — no I/O,
 no sampling, no globals beyond one :data:`contextvars.ContextVar`
-holding the active span.  The scheduler activates a query's root span
-around each slot it steps (:func:`activate`), and the layers below emit
-children at their existing seams with :func:`child_span`, which is a
-cheap no-op when no span is active (the ``NULL_REGISTRY`` /
-instrumentation-off path never builds a tree at all).
+holding the active span.  One primitive, :class:`Clock`, times every
+stage: the scheduler opens each slot it steps under a query's root span
+with it, and the layers below open children at their existing seams,
+each adding the same ``perf_counter`` pair to the query's stage bucket
+when given one.  Without an active span a stage builds no span at all
+(the ``NULL_REGISTRY`` / instrumentation-off path never builds a tree).
 
 The span tree a query accumulated is retrievable as
 ``QueryHandle.trace()`` (a nested dict via :meth:`Span.as_dict`) and is
@@ -17,14 +18,12 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 __all__ = [
+    "Clock",
     "Span",
-    "activate",
-    "child_span",
     "current_span",
     "start_span",
 ]
@@ -44,10 +43,11 @@ def _json_safe(value):
 class Span:
     """One node of a query's span tree.
 
-    ``duration_s`` is None while the span is open; :meth:`end` stamps it
-    from the monotonic clock.  Children are appended in completion
-    order.  Mutation is single-writer by construction: a query's spans
-    are only touched by whichever thread holds its scheduler slot.
+    ``duration_s`` is None while the span is open; the :class:`Clock`
+    that opened it, or :meth:`end` for a root, stamps it from the
+    monotonic clock.  Children are appended in the order they open.
+    Mutation is single-writer by construction: a query's spans are only
+    touched by whichever thread holds its scheduler slot.
     """
 
     name: str
@@ -60,11 +60,6 @@ class Span:
         if self.duration_s is None:
             self.duration_s = time.perf_counter() - self.started_at
         return self
-
-    def child(self, name: str, **attributes) -> "Span":
-        span = Span(name=name, attributes=attributes)
-        self.children.append(span)
-        return span
 
     def annotate(self, **attributes) -> None:
         self.attributes.update(attributes)
@@ -90,7 +85,7 @@ _CURRENT: ContextVar[Span | None] = ContextVar(
 
 
 def start_span(name: str, **attributes) -> Span:
-    """A fresh root span (not activated; pair with :func:`activate`)."""
+    """A fresh root span, not ambient until a ``Clock(parent=span)`` opens."""
     return Span(name=name, attributes=attributes)
 
 
@@ -98,38 +93,69 @@ def current_span() -> Span | None:
     return _CURRENT.get()
 
 
-@contextmanager
-def activate(span: Span | None):
-    """Make ``span`` the ambient parent for :func:`child_span` calls.
+class Clock:
+    """One interval, one clock: a stage bucket and a span from one
+    ``perf_counter`` pair.
 
-    ``activate(None)`` is a no-op pass-through, so callers can hand over
-    ``record.span`` unconditionally whether or not tracing is on.
+    ``with Clock(name, timers, bucket, **attributes)`` reads the clock on
+    entry and on exit and adds the elapsed seconds to ``timers[bucket]``
+    when given a bucket dict.  With a ``name`` and a span to hang it
+    under — ``parent``, else the ambient one — it also records a child
+    :class:`Span` whose start and duration are that same pair, ambient
+    for the body; without a span it builds none, so the
+    instrumentation-off path costs two clock reads and a ContextVar
+    read.  ``root=True`` opens the named span as a fresh root instead.
+    Without a ``name``, ``parent`` (if not None) is only made ambient for
+    the body.  The elapsed seconds stay readable as :attr:`seconds`, and
+    the bucket and the span are written even when the body raises.
     """
-    if span is None:
-        yield None
-        return
-    token = _CURRENT.set(span)
-    try:
-        yield span
-    finally:
-        _CURRENT.reset(token)
 
+    __slots__ = (
+        "_name", "_timers", "_bucket", "_parent", "_root", "_attributes",
+        "_started", "_token", "_span", "seconds",
+    )
 
-@contextmanager
-def child_span(name: str, **attributes):
-    """Open a child under the ambient span; no-op without one.
+    def __init__(
+        self,
+        name: str | None = None,
+        timers: dict[str, float] | None = None,
+        bucket: str | None = None,
+        /,
+        parent: Span | None = None,
+        root: bool = False,
+        **attributes,
+    ) -> None:
+        self._name = name
+        self._timers = timers
+        self._bucket = bucket
+        self._parent = parent
+        self._root = root
+        self._attributes = attributes
+        self._span: Span | None = None
+        self.seconds = 0.0
 
-    The instrumentation seams call this unconditionally: with tracing
-    off (or outside a slot) the cost is one ContextVar read.
-    """
-    parent = _CURRENT.get()
-    if parent is None:
-        yield None
-        return
-    span = parent.child(name, **attributes)
-    token = _CURRENT.set(span)
-    try:
-        yield span
-    finally:
-        _CURRENT.reset(token)
-        span.end()
+    def __enter__(self) -> Span | None:
+        parent = self._parent
+        if parent is None and not self._root:
+            parent = _CURRENT.get()
+        self._token = None
+        self._started = started = time.perf_counter()
+        if self._name is None:
+            if parent is not None:
+                self._token = _CURRENT.set(parent)
+        elif parent is not None or self._root:
+            span = self._span = Span(self._name, self._attributes, started)
+            if parent is not None:
+                parent.children.append(span)
+            self._token = _CURRENT.set(span)
+        return self._span
+
+    def __exit__(self, *_exc) -> None:
+        self.seconds = seconds = time.perf_counter() - self._started
+        timers = self._timers
+        if timers is not None:
+            timers[self._bucket] = timers.get(self._bucket, 0.0) + seconds
+        if self._token is not None:
+            _CURRENT.reset(self._token)
+        if self._span is not None:
+            self._span.duration_s = seconds

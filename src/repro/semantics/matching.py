@@ -49,7 +49,10 @@ def best_matches_from(
     """Best subgraph match for every node reachable within ``max_length``.
 
     Enumerates all simple paths from ``source`` of length <= ``max_length``
-    by DFS, carrying the running log-similarity so each extension is O(1).
+    by DFS, carrying the running log-similarity so each extension is O(1):
+    a stack of prefix totals, so a path's sum is its edges' log-similarities
+    added in path order and backtracking restores the previous total
+    exactly (subtracting on the way back would leave a rounding residue).
     ``max_expansions`` caps the number of path extensions for callers that
     need bounded latency; hitting the cap can only produce underestimates
     (never false positives), mirroring the paper's false-negative analysis.
@@ -62,8 +65,8 @@ def best_matches_from(
     # Iterative DFS over simple paths; each frame is (node, neighbour index).
     edge_path: list[int] = []
     node_path: list[int] = [source]
-    log_sum = 0.0
-    log_stack: list[float] = []
+    #: log_totals[k]: the log-similarity sum of the path's first k edges
+    log_totals: list[float] = [0.0]
     on_path = {source}
     stack: list[tuple[int, int]] = [(source, 0)]
 
@@ -89,7 +92,7 @@ def best_matches_from(
             if edge_path:
                 edge_path.pop()
                 node_path.pop()
-                log_sum -= log_stack.pop()
+                log_totals.pop()
             if node != source:
                 on_path.discard(node)
             continue
@@ -104,16 +107,15 @@ def best_matches_from(
         )
         edge_path.append(edge_id)
         node_path.append(neighbour)
-        log_sum += log_similarity
-        log_stack.append(log_similarity)
-        consider(neighbour, len(edge_path), log_sum)
+        log_totals.append(log_totals[-1] + log_similarity)
+        consider(neighbour, len(edge_path), log_totals[-1])
         if len(edge_path) < max_length:
             on_path.add(neighbour)
             stack.append((neighbour, 0))
         else:
             edge_path.pop()
             node_path.pop()
-            log_sum -= log_stack.pop()
+            log_totals.pop()
 
     return best
 

@@ -36,7 +36,7 @@ from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import GraphChangedError, NodeNotFoundError
 from repro.kg.csr import csr_snapshot
 from repro.kg.graph import KnowledgeGraph
-from repro.obs.trace import child_span
+from repro.obs.trace import Clock
 from repro.query.graph import PathQuery
 from repro.semantics import kernels
 from repro.semantics.matching import best_sums_by_length
@@ -165,7 +165,7 @@ class _RowValidator:
             with self._row_lock:
                 row = self._row
                 if row is None:
-                    with child_span("similarity_row", kind=self.kind) as span:
+                    with Clock("similarity_row", kind=self.kind) as span:
                         row = self._build_row()
                         if span is not None:
                             span.annotate(reached=int(np.count_nonzero(row[1])))

@@ -28,7 +28,9 @@ Endpoints
 A submit (or a batch entry) carries ``aql`` and, optionally,
 ``error_bound``, ``confidence``, ``seed`` and ``deadline``:
 :meth:`AggregateQueryService.submit`'s keywords, which a batch may also
-set as defaults.
+set as defaults.  Any other field is a 400 that names it: for a single
+submit or a batch's defaults the whole request, for a batch entry that
+entry's outcome.
 
 SSE streams are *push*, not poll: the handler subscribes to the query's
 round-completion hook (:meth:`QueryHandle.subscribe`), replays the rounds
@@ -261,10 +263,27 @@ _QUERY_PATH = re.compile(r"/v1/queries/([A-Za-z0-9_\-]+)(/events|/refine)?")
 _SUBMIT_FIELDS = ("error_bound", "confidence", "deadline", "seed")
 _NUMBER = (int, float)
 
+#: the fields a submit spec may carry, and a batch request
+_SPEC_FIELDS = frozenset(("aql", *_SUBMIT_FIELDS))
+_BATCH_FIELDS = frozenset(("queries", *_SUBMIT_FIELDS))
+
 #: seconds an SSE stream waits for a round before it writes a heartbeat
 HEARTBEAT_SECONDS = 15.0
 #: query ids tracked at once; past it the oldest settled ones are pruned
 MAX_TRACKED_QUERIES = 4096
+#: seconds live queries get to settle on their own at shutdown
+DRAIN_TIMEOUT_SECONDS = 5.0
+#: seconds a connection waits for its next request before it closes
+REQUEST_TIMEOUT_SECONDS = 10.0
+
+
+def _reject_unknown(fields: dict, known: frozenset) -> None:
+    """400 naming every field of ``fields`` that is not ``known``."""
+    unknown = sorted(set(fields).difference(known))
+    if unknown:
+        raise HttpError(
+            400, f"unknown field(s): {', '.join(map(repr, unknown))}"
+        )
 
 
 class _ServedQuery:
@@ -296,16 +315,12 @@ class ReproHTTPServer:
         port: int = 0,
         *,
         quota: ClientQuota | None = None,
-        drain_timeout: float = 5.0,
-        request_timeout: float = 10.0,
         owns_service: bool = False,
     ) -> None:
         self._service = service
         self._host = host
         self._port = port
         self._quota = QuotaRegistry(quota) if quota is not None else None
-        self._drain_timeout = drain_timeout
-        self._request_timeout = request_timeout
         self._owns_service = owns_service
         self._server: asyncio.base_events.Server | None = None
         self._address: tuple[str, int] | None = None
@@ -374,7 +389,7 @@ class ReproHTTPServer:
            submissions get 503, every response says ``Connection:
            close``) and close the kept-alive connections that wait for
            their next request;
-        2. give live queries ``drain_timeout`` seconds to settle on their
+        2. give live queries :data:`DRAIN_TIMEOUT_SECONDS` to settle on their
            own — their SSE streams flush the final rounds + terminal event;
         3. cancel the stragglers (their streams observe the ``cancelled``
            terminal event) and wait for the remaining connections;
@@ -388,7 +403,7 @@ class ReproHTTPServer:
         if self._server is not None:
             self._server.close()
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self._drain_timeout
+        deadline = loop.time() + DRAIN_TIMEOUT_SECONDS
         while loop.time() < deadline and any(
             not entry.handle.status.terminal
             for entry in self._entries.values()
@@ -399,7 +414,7 @@ class ReproHTTPServer:
                 entry.handle.cancel()
         pending = [task for task in self._conn_tasks if not task.done()]
         if pending:
-            await asyncio.wait(pending, timeout=max(1.0, self._drain_timeout))
+            await asyncio.wait(pending, timeout=max(1.0, DRAIN_TIMEOUT_SECONDS))
         for task in list(self._conn_tasks):
             task.cancel()
         if self._server is not None:
@@ -418,7 +433,7 @@ class ReproHTTPServer:
         ``Connection: close``, the request was malformed (past it the
         stream position is unknown), the response was cut, or the server
         is draining.  Between requests it sits in ``_idle`` for at most
-        ``request_timeout`` seconds.
+        :data:`REQUEST_TIMEOUT_SECONDS`.
         """
         task = asyncio.current_task()
         self._conn_tasks.add(task)
@@ -429,7 +444,7 @@ class ReproHTTPServer:
                 if not first:
                     self._idle.add(writer)
                 try:
-                    async with asyncio.timeout(self._request_timeout):
+                    async with asyncio.timeout(REQUEST_TIMEOUT_SECONDS):
                         request = await read_request(reader)
                 except TimeoutError:
                     return
@@ -461,31 +476,30 @@ class ReproHTTPServer:
         response = Responder(
             writer, keep_alive=request.keep_alive and not self._closing
         )
-        handling_started = time.perf_counter()
-        span = (
-            obs_trace.start_span(
-                "http_request", method=request.method, path=request.path
-            )
-            if self._registry.enabled
-            else None
+        handling = obs_trace.Clock(
+            "http_request",
+            root=self._registry.enabled,
+            method=request.method,
+            path=request.path,
         )
         try:
-            with obs_trace.activate(span):
-                await self._dispatch(request, response)
-        except HttpError as error:
-            await self._answer_error(response, error)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            raise
-        except Exception as error:  # defensive: a handler bug is a 500
-            response.keep_alive = False
-            await self._answer_error(
-                response,
-                HttpError(500, str(error), payload={"error": type(error).__name__}),
-            )
+            with handling:
+                try:
+                    await self._dispatch(request, response)
+                except HttpError as error:
+                    await self._answer_error(response, error)
+                except (ConnectionError, asyncio.IncompleteReadError):
+                    raise
+                except Exception as error:  # defensive: a handler bug is a 500
+                    response.keep_alive = False
+                    await self._answer_error(
+                        response,
+                        HttpError(
+                            500, str(error), payload={"error": type(error).__name__}
+                        ),
+                    )
         finally:
-            if span is not None:
-                span.end()
-            self._h_request_seconds.observe(time.perf_counter() - handling_started)
+            self._h_request_seconds.observe(handling.seconds)
         return response.keep_alive
 
     async def _answer_error(self, response: Responder, error: HttpError) -> None:
@@ -573,9 +587,11 @@ class ReproHTTPServer:
 
     # -- submission -----------------------------------------------------
     def _submit_kwargs(self, spec: dict, defaults: dict) -> tuple[str, dict]:
-        """Validate one submit spec; ``(aql, submit kwargs)`` or 400."""
+        """Validate one submit spec; ``(aql, submit kwargs)`` or 400 (a
+        field it does not know included)."""
         if not isinstance(spec, dict):
             raise HttpError(400, "each query spec must be a JSON object")
+        _reject_unknown(spec, _SPEC_FIELDS)
         merged = {**defaults, **spec}
         aql = merged.get("aql")
         if not isinstance(aql, str) or not aql.strip():
@@ -638,6 +654,7 @@ class ReproHTTPServer:
         self, request: HttpRequest, response: Responder
     ) -> None:
         body = request.json()
+        _reject_unknown(body, _BATCH_FIELDS)
         specs = body.get("queries")
         if not isinstance(specs, list) or not specs:
             raise HttpError(

@@ -209,7 +209,9 @@ def unpack_arrays(
             shape = tuple(int(value) for value in entry["shape"])
             offset = int(entry["offset"])
             nbytes = int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # numpy parses a dtype string holding a comma with ast.literal_eval,
+        # so a corrupt one can raise SyntaxError
+        except (KeyError, TypeError, ValueError, OverflowError, SyntaxError) as exc:
             raise StoreError(f"corrupt segment entry: {entry!r}") from exc
         if not isinstance(name, str):
             raise StoreError(f"corrupt segment entry: {entry!r}")

@@ -1,12 +1,12 @@
-"""Small shared utilities: seeded randomness, timers, math helpers."""
+"""Small shared utilities: seeded randomness.
+
+Stage timing lives with the spans, in :class:`repro.obs.trace.Clock`.
+"""
 
 from repro.utils.rng import RandomState, derive_seed, ensure_rng
-from repro.utils.timing import StageTimer, Timer
 
 __all__ = [
     "RandomState",
     "derive_seed",
     "ensure_rng",
-    "StageTimer",
-    "Timer",
 ]

@@ -50,11 +50,13 @@ from repro import (
     QueryGraph,
 )
 from repro.bench.sampled import PaperConfig
-from repro.core.executor import KINDS
+from repro.core.executor import KINDS, STAGE_VALIDATION
 from repro.core.plan import shared_plan_cache
 from repro.core.result import STOP_CENSUS, STOP_ROUND_BUDGET, GroupedResult
 from repro.errors import ServiceError
 from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.obs import trace as obs_trace
+from repro.obs.trace import Clock, current_span, start_span
 from repro.server import ReproClient, serve_in_thread
 
 COUNT_AQL = "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)"
@@ -290,6 +292,55 @@ class TestSpanTrees:
             seen = set().union(*(names(handle.trace()) for handle in handles))
         assert seen <= seams, sorted(seen - seams)
         assert {"query", "initialise", "round", "validate_batch"} <= seen
+
+
+# ---------------------------------------------------------------------------
+# One clock per stage: a span and its stage bucket read one perf_counter pair
+# ---------------------------------------------------------------------------
+class TestOneClock:
+    def test_a_validate_batch_span_lasts_what_its_pass_adds(self, world):
+        shared_plan_cache().clear()
+        engine = ApproximateAggregateEngine(
+            world.kg, world.embedding, EngineConfig(seed=7)
+        )
+        state = engine.executor.initialise(world.count_query(), 3)
+        state.timers.clear()  # keep only what the census round adds
+        root = start_span("query")
+        with Clock(parent=root):
+            engine.executor.step(state, 0.01)
+        (census,) = root.children
+        (validate,) = census.children
+        assert validate.name == "validate_batch"
+        assert validate.duration_s == state.timers[STAGE_VALIDATION]
+
+    def test_a_stage_that_raises_still_adds_and_closes(self):
+        timers: dict[str, float] = {}
+        root = start_span("query")
+        with Clock(parent=root):
+            with pytest.raises(ValueError):
+                with Clock("risky", timers, STAGE_VALIDATION, pending=1):
+                    raise ValueError("boom")
+            assert current_span() is root
+        assert current_span() is None
+        (risky,) = root.children
+        assert risky.duration_s is not None
+        assert risky.duration_s == timers[STAGE_VALIDATION]
+        assert risky.attributes == {"pending": 1}
+
+    def test_without_an_active_span_no_span_is_built(self, world, monkeypatch):
+        def no_span(*args, **kwargs):
+            raise AssertionError("a Span was built with no span active")
+
+        monkeypatch.setattr(obs_trace, "Span", no_span)
+        timers: dict[str, float] = {}
+        with Clock("validate_batch", timers, STAGE_VALIDATION) as span:
+            assert span is None and current_span() is None
+        assert list(timers) == [STAGE_VALIDATION]
+        # the instrumentation-off service neither: every stage of a served
+        # query runs with no span active
+        with _service(world, registry=NULL_REGISTRY) as service:
+            result = service.submit(world.count_query(), seed=3).result(timeout=60)
+        assert STAGE_VALIDATION in result.stage_ms
 
 
 # ---------------------------------------------------------------------------

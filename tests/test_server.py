@@ -375,7 +375,9 @@ class TestErrorMapping:
             server = client.healthz()["server"]
         assert server["error_responses"] == 1
 
-    def test_overload_is_429_with_retry_after(self, world, sampled_service):
+    def test_overload_is_429_with_retry_after(
+        self, world, sampled_service, monkeypatch
+    ):
         service = _service(
             world,
             limits=ServiceLimits(max_pending=1),
@@ -384,7 +386,8 @@ class TestErrorMapping:
         )
         # the stalled query is still live at stop(): drain briefly, the
         # test asserts nothing about shutdown
-        with _serve(service, drain_timeout=0.2) as (client, _runner):
+        monkeypatch.setattr("repro.server.app.DRAIN_TIMEOUT_SECONDS", 0.2)
+        with _serve(service) as (client, _runner):
             client.submit(COUNT_AQL, **NEVER)  # occupies the only slot
             with pytest.raises(HttpStatusError) as info:
                 client.submit(AVG_AQL, error_bound=0.2)
@@ -419,6 +422,39 @@ class TestErrorMapping:
                 with pytest.raises(HttpStatusError) as info:
                     client.submit(COUNT_AQL, **params)
                 assert info.value.status == 400, params
+
+    def test_an_unknown_submit_field_is_400_naming_it(self, world):
+        with _serve(_service(world)) as (client, _runner):
+            with pytest.raises(HttpStatusError) as info:
+                client.submit(COUNT_AQL, max_rounds=0, error_bnd=0.5)
+            assert info.value.status == 400
+            message = info.value.payload["message"]
+            assert "'error_bnd'" in message and "'max_rounds'" in message
+            assert client.healthz()["server"]["queries_submitted"] == 0
+
+    def test_an_unknown_batch_default_rejects_the_whole_batch(self, world):
+        with _serve(_service(world)) as (client, _runner):
+            with pytest.raises(HttpStatusError) as info:
+                client.submit_batch([{"aql": COUNT_AQL}], error_bnd=0.5)
+            assert info.value.status == 400
+            assert "'error_bnd'" in info.value.payload["message"]
+            assert client.healthz()["server"]["queries_submitted"] == 0
+
+    def test_an_unknown_batch_entry_field_rejects_only_that_entry(self, world):
+        with _serve(_service(world)) as (client, _runner):
+            batch = client.submit_batch(
+                [
+                    {"aql": COUNT_AQL, "seed": 1},
+                    {"aql": COUNT_AQL, "max_rounds": 0},
+                    {"aql": AVG_AQL, "seed": 2},
+                ],
+                error_bound=0.2,
+            )
+            assert (batch["accepted"], batch["rejected"]) == (2, 1)
+            first, rejected, last = batch["queries"]
+            assert rejected["status"] == 400
+            assert "'max_rounds'" in rejected["message"]
+            assert "id" in first and "id" in last
 
     def test_refine_wrong_kind_is_400_not_503(self, world):
         with _serve(_service(world)) as (client, _runner):
@@ -529,14 +565,15 @@ class TestLifecycle:
             assert server_health["requests"] >= 2
             client.cancel(accepted["id"])
 
-    def test_graceful_shutdown_drains_a_live_stream(self, world, sampled_service):
+    def test_graceful_shutdown_drains_a_live_stream(
+        self, world, sampled_service, monkeypatch
+    ):
+        monkeypatch.setattr("repro.server.app.DRAIN_TIMEOUT_SECONDS", 0.2)
         service = _service(
             world, backend=_StallingBackend(rounds=1), make=sampled_service
         )
         runner = ServerThread(
-            ReproHTTPServer(
-                service, "127.0.0.1", 0, drain_timeout=0.2, owns_service=True
-            )
+            ReproHTTPServer(service, "127.0.0.1", 0, owns_service=True)
         ).start()
         client = ReproClient(*runner.address)
         accepted = client.submit(COUNT_AQL, **NEVER)
@@ -561,11 +598,10 @@ class TestLifecycle:
         assert service.health()["closed"] is True
         client.close()
 
-    def test_draining_server_rejects_new_work_with_503(self, world):
+    def test_draining_server_rejects_new_work_with_503(self, world, monkeypatch):
+        monkeypatch.setattr("repro.server.app.DRAIN_TIMEOUT_SECONDS", 0.2)
         service = _service(world)
-        server = ReproHTTPServer(
-            service, "127.0.0.1", 0, drain_timeout=0.2, owns_service=True
-        )
+        server = ReproHTTPServer(service, "127.0.0.1", 0, owns_service=True)
         runner = ServerThread(server).start()
         client = ReproClient(*runner.address)
         accepted = client.submit(COUNT_AQL, error_bound=0.2)
@@ -597,10 +633,11 @@ class TestLifecycle:
         """Past ``MAX_TRACKED_QUERIES`` a submit prunes settled entries,
         oldest first, and never a live one; a pruned id answers 404."""
         monkeypatch.setattr("repro.server.app.MAX_TRACKED_QUERIES", 2)
+        monkeypatch.setattr("repro.server.app.DRAIN_TIMEOUT_SECONDS", 0.2)
         service = AggregateQueryService(
             world.kg, world.embedding, EngineConfig(seed=7), autostart=False
         )
-        with _serve(service, drain_timeout=0.2) as (client, _runner):
+        with _serve(service) as (client, _runner):
 
             def submit() -> str:
                 return client.submit(COUNT_AQL)["id"]
@@ -651,7 +688,15 @@ class TestLifecycle:
         assert b" 200 " in raw.split(b"\r\n", 1)[0]
         assert raw.index(b": heartbeat") < raw.index(b"event: round")
 
-    @pytest.mark.parametrize("knob", ["heartbeat_seconds", "max_tracked_queries"])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "heartbeat_seconds",
+            "max_tracked_queries",
+            "drain_timeout",
+            "request_timeout",
+        ],
+    )
     def test_the_heartbeat_and_tracking_bound_are_no_keywords(self, world, knob):
         with _service(world) as service, pytest.raises(TypeError):
             ReproHTTPServer(service, **{knob: 1})
@@ -735,20 +780,22 @@ class TestKeepAlive:
         assert server["requests"] == 2 * asked + 1
         assert server["error_responses"] == 0
 
-    def test_a_connection_the_server_timed_out_is_replaced(self, world):
-        with _serve(_service(world), request_timeout=0.2) as (client, _runner):
+    def test_a_connection_the_server_timed_out_is_replaced(self, world, monkeypatch):
+        monkeypatch.setattr("repro.server.app.REQUEST_TIMEOUT_SECONDS", 0.2)
+        with _serve(_service(world)) as (client, _runner):
             client.healthz()
             time.sleep(0.5)  # the server closes the idle connection
             server = client.healthz()["server"]
         assert server["connections"] == 2
 
     def test_stop_closes_idle_connections_while_a_stream_drains(
-        self, world, sampled_service
+        self, world, sampled_service, monkeypatch
     ):
         service = _service(
             world, backend=_StallingBackend(rounds=1), make=sampled_service
         )
-        runner = serve_in_thread(service, drain_timeout=0.2, owns_service=True)
+        monkeypatch.setattr("repro.server.app.DRAIN_TIMEOUT_SECONDS", 0.2)
+        runner = serve_in_thread(service, owns_service=True)
         with ReproClient(*runner.address) as client:
             accepted = client.submit(COUNT_AQL, **NEVER)
             with ReproClient(*runner.address) as idle_client:
@@ -880,8 +927,9 @@ def _mutated_pipelines(draw) -> bytes:
 
 
 @pytest.fixture
-def fuzz_server(world):
-    with _serve(_service(world), request_timeout=_FUZZ_TIMEOUT) as (client, runner):
+def fuzz_server(world, monkeypatch):
+    monkeypatch.setattr("repro.server.app.REQUEST_TIMEOUT_SECONDS", _FUZZ_TIMEOUT)
+    with _serve(_service(world)) as (client, runner):
         yield client, runner
 
 

@@ -155,6 +155,7 @@ class TestMalformedHeaders:
             _one_segment(name="x", dtype="|O", shape=[1], offset=256, nbytes=8),
             _one_segment(name="x", dtype="<i8", shape=[-1, -1], offset=256, nbytes=8),
             _one_segment(dtype="<i8", shape=[1], offset=256, nbytes=8),
+            _one_segment(name="x", dtype="<,8", shape=[1], offset=256, nbytes=8),
         ],
         ids=[
             "list_header",
@@ -164,6 +165,7 @@ class TestMalformedHeaders:
             "object_dtype",
             "two_negative_dimensions",
             "nameless_segment",
+            "dtype_numpy_cannot_parse",
         ],
     )
     def test_rejected(self, world, tmp_path, data):

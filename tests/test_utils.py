@@ -1,11 +1,8 @@
-"""Tests for the shared utilities (rng, timing)."""
-
-import time
+"""Tests for the shared utilities (rng)."""
 
 import numpy as np
-import pytest
 
-from repro.utils import StageTimer, Timer, derive_seed, ensure_rng
+from repro.utils import derive_seed, ensure_rng
 
 
 class TestRng:
@@ -28,65 +25,3 @@ class TestRng:
 
     def test_derive_seed_accepts_ints(self):
         assert derive_seed(1, 7) == derive_seed(1, "7")
-
-
-class TestTimer:
-    def test_start_stop_accumulates(self):
-        timer = Timer()
-        timer.start()
-        time.sleep(0.01)
-        elapsed = timer.stop()
-        assert elapsed > 0
-        assert timer.elapsed >= elapsed * 0.99
-        assert timer.elapsed_ms == pytest.approx(timer.elapsed * 1000)
-
-    def test_double_start_rejected(self):
-        timer = Timer()
-        timer.start()
-        with pytest.raises(RuntimeError):
-            timer.start()
-        timer.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_running_flag(self):
-        timer = Timer()
-        assert not timer.running
-        timer.start()
-        assert timer.running
-        timer.stop()
-        assert not timer.running
-
-
-class TestStageTimer:
-    def test_measure_context(self):
-        stages = StageTimer()
-        with stages.measure("sampling"):
-            time.sleep(0.005)
-        assert stages.elapsed("sampling") > 0
-        assert stages.elapsed("unknown") == 0.0
-
-    def test_accumulation_across_measures(self):
-        stages = StageTimer()
-        for _ in range(3):
-            with stages.measure("x"):
-                pass
-        assert stages.elapsed("x") >= 0
-        assert stages.total == sum(t.elapsed for t in stages.stages.values())
-
-    def test_as_dict_ms(self):
-        stages = StageTimer()
-        with stages.measure("a"):
-            pass
-        report = stages.as_dict_ms()
-        assert set(report) == {"a"}
-        assert report["a"] >= 0
-
-    def test_exception_still_stops(self):
-        stages = StageTimer()
-        with pytest.raises(ValueError):
-            with stages.measure("risky"):
-                raise ValueError("boom")
-        assert not stages.stages["risky"].running
