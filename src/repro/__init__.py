@@ -31,7 +31,6 @@ from repro.core.resilience import FaultPlan, FaultSpec, ServiceLimits
 from repro.core.result import ApproximateResult, GroupedResult, RoundTrace
 from repro.core.service import (
     AggregateQueryService,
-    ExecutionBackend,
     QueryHandle,
     QueryStatus,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "GroupedResult",
     "RoundTrace",
     "AggregateQueryService",
-    "ExecutionBackend",
     "QueryHandle",
     "QueryStatus",
     "FaultPlan",

@@ -27,13 +27,14 @@ What makes a *batch* cheaper than a loop over ``execute``:
   budget-aware priority (queries with the fewest completed rounds step
   first), so a batch of queries makes even progress and early
   convergers free their slot immediately.  The scheduler slot
-  (``_step_record``: :meth:`QueryExecutor.step` → ``_finish_slot``) is
-  the only driver of the executor's one step/finalise lifecycle: it
-  steps, notifies and finalises once a step names why the run stops,
-  and never asks what kind of query it is stepping (``kind`` is a
-  label for metrics, ``/healthz`` and the audit line), so GROUP-BY and
-  MAX/MIN queries interleave with plain ones, observe cancellation
-  between rounds, and expose a non-empty anytime trace.
+  (``_step_record``, one per cohort record in ``_run_cohort``) is the
+  only driver of the executor's one step/finalise lifecycle: it steps,
+  notifies and finalises once a step names why the run stops, and never
+  asks what kind of query it is stepping (``kind`` is a label for
+  metrics, ``/healthz`` and the audit line), so GROUP-BY and MAX/MIN
+  queries interleave with plain ones, observe cancellation between
+  rounds, and expose a non-empty anytime trace.  A query ends one way,
+  ``_settle_locked``, whether it succeeded, failed or was cancelled.
 
 Everything mutable about one query lives in its
 :class:`~repro.core.executor._QueryState` (a per-query ``confidence``
@@ -93,7 +94,6 @@ from repro.query.aggregate import AggregateQuery
 
 __all__ = [
     "AggregateQueryService",
-    "ExecutionBackend",
     "QueryHandle",
     "QueryStatus",
 ]
@@ -135,10 +135,18 @@ def _require_error_bound(error_bound: float) -> None:
 
 
 def _require_deadline(deadline: float | None, name: str = "deadline") -> None:
-    """:class:`QueryError` unless ``deadline`` is None or a number >= 0 (a
-    NaN deadline would never expire)."""
-    if deadline is not None and not deadline >= 0.0:
-        raise QueryError(f"{name} must be a number >= 0, got {deadline!r}")
+    """:class:`QueryError` unless ``deadline`` is None or a number >= 0
+    that a float holds (a NaN deadline would never expire, and an integer
+    past the float range would overflow the clock it is added to)."""
+    if deadline is None:
+        return
+    if deadline >= 0.0:
+        try:
+            float(deadline)
+            return
+        except OverflowError:
+            pass
+    raise QueryError(f"{name} must be a number >= 0, got {deadline!r}")
 
 
 @dataclass(eq=False)  # identity semantics: records live in the scheduler list
@@ -165,10 +173,8 @@ class _QueryRecord:
     listeners: list = field(default_factory=list)
     #: observability: the query's root span (None when tracing is off)
     span: "obs_trace.Span | None" = None
-    #: exactly-once audit guard; reset when a refine resurrects the query
-    audited: bool = False
     #: perf_counter at submit, for the audit line's duration_ms
-    submitted_monotonic: float = 0.0
+    submitted_monotonic: float = field(default_factory=time.perf_counter)
 
 
 class QueryHandle:
@@ -340,22 +346,6 @@ class QueryHandle:
                 pass
 
 
-class ExecutionBackend:
-    """How a scheduler pass runs its cohort: one slot per record, in order.
-
-    The service owns *what* a slot computes — cohort selection, growth
-    (the only RNG), the round and its completion bookkeeping; this class
-    only calls it.  It is the seam a test subclasses to wrap a pass —
-    stall it, step a fake clock after it, hold it open — without touching
-    the slot itself.
-    """
-
-    def run_cohort(self, service: "AggregateQueryService", cohort) -> None:
-        """Advance every cohort record by one slot."""
-        for record in cohort:
-            service._step_record_safely(record)
-
-
 class AggregateQueryService:
     """Async, batch-first serving facade over the plan/execute split.
 
@@ -365,9 +355,7 @@ class AggregateQueryService:
     submissions until :meth:`start` — useful for assembling a batch (or
     testing pending-state semantics) before any work begins.
 
-    ``planner``/``executor`` share an engine's layers; ``backend`` (an
-    :class:`ExecutionBackend` instance, default a plain one) wraps each
-    scheduler pass.
+    ``planner``/``executor`` share an engine's layers.
     """
 
     def __init__(
@@ -379,7 +367,6 @@ class AggregateQueryService:
         planner: QueryPlanner | None = None,
         executor: QueryExecutor | None = None,
         autostart: bool = True,
-        backend: ExecutionBackend | None = None,
         limits: ServiceLimits | None = None,
         default_deadline: float | None = None,
         fault_plan: FaultPlan | None = None,
@@ -408,11 +395,6 @@ class AggregateQueryService:
             if executor is not None
             else QueryExecutor(kg, self._space, self.config, self._planner)
         )
-        if backend is not None and not isinstance(backend, ExecutionBackend):
-            raise ServiceError(
-                f"backend must be an ExecutionBackend instance, not {backend!r}"
-            )
-        self._backend = backend if backend is not None else ExecutionBackend()
         self._limits = limits if limits is not None else ServiceLimits()
         _require_deadline(default_deadline, "default_deadline")
         self._default_deadline = default_deadline
@@ -553,10 +535,12 @@ class AggregateQueryService:
 
     def _live_query_count(self) -> int:
         with self._condition:
-            return sum(
-                1 for record in self._records
-                if record.status not in _TERMINAL
-            )
+            return len(self._live_locked())
+
+    def _live_locked(self) -> list[_QueryRecord]:
+        """The records not yet settled, in submission order.  Caller holds
+        the service lock."""
+        return [r for r in self._records if r.status not in _TERMINAL]
 
     def _open_audit_sink(self, audit_log, audit_log_max_bytes=None) -> None:
         if audit_log_max_bytes is not None and audit_log_max_bytes < 1:
@@ -592,16 +576,31 @@ class AggregateQueryService:
         os.replace(self._audit_path, self._audit_path + ".1")
         self._audit_sink = open(self._audit_path, "a", encoding="utf-8")
 
-    def _settle_locked(self, record: _QueryRecord, status: QueryStatus) -> None:
-        """Once-per-settlement bookkeeping: metrics, span end, audit line.
+    def _settle_locked(
+        self,
+        record: _QueryRecord,
+        status: QueryStatus,
+        *,
+        exception: BaseException | None = None,
+    ) -> None:
+        """Settle a live record as terminal ``status``; the one settlement
+        path (success, failure with ``exception``, cancellation).
 
-        Called under the service lock from the three settlement sites.
-        ``record.audited`` makes it exactly-once per settlement; a refine
-        that resurrects a succeeded query re-arms it.
+        Drops the record's runs, fires ``("settled", status)`` once,
+        counts it, ends the span, writes one audit line and wakes every
+        waiter.  A record already settled is left alone, so each
+        settlement happens exactly once; a refine that resurrects a
+        succeeded record makes it live, and settleable, again.  Caller
+        holds the service lock.
         """
-        if record.audited:
+        if record.status in _TERMINAL:
             return
-        record.audited = True
+        record.status = status
+        if exception is not None:
+            record.exception = exception
+        record.queued_runs.clear()
+        record.active_run = None
+        self._notify(record, "settled", status)
         self._metric_settled[status].inc()
         if record.span is not None:
             record.span.annotate(status=status.value)
@@ -617,6 +616,7 @@ class AggregateQueryService:
                     self._audit_sink.flush()
             except Exception:  # noqa: BLE001 - a full disk must not
                 pass  # take the scheduler (or the settling query) down
+        self._condition.notify_all()
 
     def _audit_line(self, record: _QueryRecord, status: QueryStatus) -> dict:
         """One settled query as a JSON-clean audit record."""
@@ -672,11 +672,6 @@ class AggregateQueryService:
         return self._planner
 
     @property
-    def backend(self) -> ExecutionBackend:
-        """The execution backend running this service's scheduler passes."""
-        return self._backend
-
-    @property
     def limits(self) -> ServiceLimits:
         """The admission-control limits this service enforces."""
         return self._limits
@@ -690,9 +685,8 @@ class AggregateQueryService:
         """
         with self._condition:
             live_by_kind = dict.fromkeys(KINDS, 0)
-            for record in self._records:
-                if record.status not in _TERMINAL:
-                    live_by_kind[record.kind] += 1
+            for record in self._live_locked():
+                live_by_kind[record.kind] += 1
             return {
                 "closed": self._shutdown,
                 "scheduler_phase": self._phase,
@@ -746,9 +740,7 @@ class AggregateQueryService:
                 raise ServiceError("the query service has been closed")
             limit = self._limits.max_pending
             if limit is not None:
-                pending = sum(
-                    1 for r in self._records if r.status not in _TERMINAL
-                )
+                pending = len(self._live_locked())
                 if pending >= limit:
                     self._metric_sheds.inc()
                     raise ServiceOverloadedError(
@@ -765,7 +757,6 @@ class AggregateQueryService:
                     None if deadline is None else self._clock() + deadline
                 ),
             )
-            record.submitted_monotonic = time.perf_counter()
             if self._obs_enabled:
                 record.span = obs_trace.start_span(
                     "query",
@@ -840,9 +831,8 @@ class AggregateQueryService:
         """
         with self._condition:
             self._shutdown = True
-            for record in self._records:
-                if record.status not in _TERMINAL:
-                    self._finish_cancelled_locked(record)
+            for record in self._live_locked():
+                self._settle_locked(record, QueryStatus.CANCELLED)
             self._condition.notify_all()
         thread = self._thread
         if thread is not None and thread.is_alive():
@@ -855,10 +845,8 @@ class AggregateQueryService:
                     "unblocks"
                 )
         with self._condition:
-            for record in self._records:
-                if record.status not in _TERMINAL:
-                    self._finish_cancelled_locked(record)
-            self._condition.notify_all()
+            for record in self._live_locked():
+                self._settle_locked(record, QueryStatus.CANCELLED)
         if self._audit_owns_sink and self._audit_sink is not None:
             with self._audit_lock:
                 self._audit_sink.close()
@@ -908,9 +896,8 @@ class AggregateQueryService:
                     )
             record.queued_runs.append(_Run(error_bound))
             if record.status is QueryStatus.SUCCEEDED:
-                record.status = QueryStatus.RUNNING
                 # the refined query will settle (and be audited) again
-                record.audited = False
+                record.status = QueryStatus.RUNNING
             if record not in self._records:
                 # the scheduler pruned this record after it finished;
                 # refining resurrects it into the live set
@@ -927,8 +914,7 @@ class AggregateQueryService:
             if record.active_run is None and record.status is QueryStatus.PENDING:
                 # nothing is mid-flight: cancel right here, no scheduler
                 # round-trip (works even on a not-yet-started service)
-                self._finish_cancelled_locked(record)
-            self._condition.notify_all()
+                self._settle_locked(record, QueryStatus.CANCELLED)
         return True
 
     @staticmethod
@@ -945,15 +931,6 @@ class AggregateQueryService:
                 listener(event, payload)
             except Exception:  # noqa: BLE001 - listener bugs stay theirs
                 pass
-
-    def _finish_cancelled_locked(self, record: _QueryRecord) -> None:
-        record.cancel_requested = True
-        record.queued_runs.clear()
-        record.active_run = None
-        record.status = QueryStatus.CANCELLED
-        self._notify(record, "settled", QueryStatus.CANCELLED)
-        self._settle_locked(record, QueryStatus.CANCELLED)
-        self._condition.notify_all()
 
     # ------------------------------------------------------------------
     # Scheduler
@@ -975,21 +952,12 @@ class AggregateQueryService:
                 )
                 self._thread.start()
 
-    def _has_work_locked(self) -> bool:
-        for record in self._records:
-            if record.status in _TERMINAL:
-                continue
-            if record.cancel_requested or record.state is None:
-                return True
-            if record.active_run is not None or record.queued_runs:
-                return True
-        return False
-
     def _loop(self) -> None:
         while True:
             with self._condition:
                 self._phase = "idle"
-                while not self._shutdown and not self._has_work_locked():
+                # a live record always has work: see _complete_run
+                while not self._shutdown and not self._live_locked():
                     self._condition.wait()
                 if self._shutdown:
                     return
@@ -999,62 +967,41 @@ class AggregateQueryService:
                 # A scheduler bug must never strand blocked result()
                 # callers: fail every live query loudly and keep serving.
                 with self._condition:
-                    for record in self._records:
-                        if record.status not in _TERMINAL:
-                            self._finish_failed_locked(record, exc)
-
-    def _finish_failed_locked(
-        self, record: _QueryRecord, exc: BaseException
-    ) -> None:
-        record.exception = exc
-        record.queued_runs.clear()
-        record.active_run = None
-        record.status = QueryStatus.FAILED
-        self._notify(record, "settled", QueryStatus.FAILED)
-        self._settle_locked(record, QueryStatus.FAILED)
-        self._condition.notify_all()
+                    for record in self._live_locked():
+                        self._settle_locked(record, QueryStatus.FAILED, exception=exc)
 
     def _tick(self) -> None:
         """One scheduler pass: cancellations, deadlines, inits, one step per
         cohort member."""
         self._set_phase("cancellation/deadline sweep")
         with self._condition:
-            live = [r for r in self._records if r.status not in _TERMINAL]
-            for record in live:
-                if record.cancel_requested:
-                    self._finish_cancelled_locked(record)
-            # deadline sweep: round boundaries are the cooperative
-            # preemption points, so an expired query settles here — its
-            # anytime trace travels inside the error, preserving the
+            # round boundaries are the cooperative preemption points: a
+            # pending cancel settles here, and so does an expired query,
+            # whose anytime trace travels inside the error, preserving the
             # loosest guaranteed estimate + CI the rounds produced
             now = self._clock()
-            for record in live:
-                if (
-                    record.deadline_at is not None
-                    and record.status not in _TERMINAL
-                    and now >= record.deadline_at
-                ):
-                    trace = (
-                        tuple(record.state.rounds)
-                        if record.state is not None
-                        else ()
-                    )
+            for record in self._live_locked():
+                if record.cancel_requested:
+                    self._settle_locked(record, QueryStatus.CANCELLED)
+                elif record.deadline_at is not None and now >= record.deadline_at:
+                    state = record.state
+                    trace = tuple(state.rounds) if state is not None else ()
                     self._metric_deadline_expiries.inc()
-                    self._finish_failed_locked(
+                    self._settle_locked(
                         record,
-                        DeadlineExceededError(
+                        QueryStatus.FAILED,
+                        exception=DeadlineExceededError(
                             f"query #{record.sequence} exceeded its "
                             f"deadline after {len(trace)} completed "
                             "round(s)",
                             trace=trace,
                         ),
                     )
-            live = [r for r in live if r.status not in _TERMINAL]
             # prune finished records: handles keep their record alive for
             # result()/progress(), but the scheduler must not retain every
             # query state ever served (engine.execute submits one per
             # call) nor rescan them each pass; refine() re-registers
-            self._records = list(live)
+            self._records = live = self._live_locked()
             for record in live:
                 if record.active_run is None and record.queued_runs:
                     record.active_run = record.queued_runs.popleft()
@@ -1087,7 +1034,7 @@ class AggregateQueryService:
                 record.state.timers[STAGE_SCHEDULER] += share
 
         self._set_phase("execute cohort")
-        self._backend.run_cohort(self, cohort)
+        self._run_cohort(cohort)
 
     def _initialise(self, record: _QueryRecord) -> None:
         """Initialise one record's state: plans, candidates (or draws)."""
@@ -1098,8 +1045,7 @@ class AggregateQueryService:
                 )
         except BaseException as exc:
             with self._condition:
-                if record.status not in _TERMINAL:
-                    self._finish_failed_locked(record, exc)
+                self._settle_locked(record, QueryStatus.FAILED, exception=exc)
             return
         # make serving overhead attributable from the very first result
         state.timers.setdefault(STAGE_SCHEDULER, 0.0)
@@ -1112,24 +1058,31 @@ class AggregateQueryService:
             record.state = state
 
     # -- the slot: one round of one record ------------------------------
-    def _step_record_safely(self, record: _QueryRecord) -> None:
-        """One slot with failures contained to the record."""
-        try:
-            self._step_record(record)
-        except BaseException as exc:
-            with self._condition:
-                if record.status not in _TERMINAL:
-                    self._finish_failed_locked(record, exc)
+    def _run_cohort(self, cohort: list[_QueryRecord]) -> None:
+        """Advance every cohort record by one slot, in order, a failure
+        settling only its own record.
+
+        Tests wrap this method on the instance to stall a pass, step a
+        fake clock after it or hold it open, without touching the slot.
+        """
+        for record in cohort:
+            try:
+                self._step_record(record)
+            except BaseException as exc:
+                with self._condition:
+                    self._settle_locked(record, QueryStatus.FAILED, exception=exc)
 
     def _step_record(self, record: _QueryRecord) -> None:
         """Advance one record by exactly one round, in this thread.
 
-        The slot — step, then finish — is the one driver of the
-        executor's round lifecycle, the same for every kind, so grouped
-        and extreme queries interleave with plain aggregates, observe
-        cancellation between rounds, and grow their anytime trace like
-        every other query.  Whether the sample grows first and whether
-        the run ends there is the executor's business
+        The slot — step, count and notify the round, then, once the
+        step names a ``stop_reason``, complete the run with what
+        :meth:`QueryExecutor.finalise` packages — is the one driver of
+        the executor's round lifecycle, the same for every kind, so
+        grouped and extreme queries interleave with plain aggregates,
+        observe cancellation between rounds, and grow their anytime trace
+        like every other query.  Whether the sample grows first and
+        whether the run ends there is the executor's business
         (:meth:`QueryExecutor.step`, told the round).
         """
         # re-checked under the lock: a cancel/close may have landed
@@ -1139,32 +1092,22 @@ class AggregateQueryService:
             state = record.state
             if run is None or state is None or record.cancel_requested:
                 return
+        round_index = run.steps_taken + 1
         fault_plan = self._fault_plan
         if fault_plan is not None:
             fault_plan.fire(
                 "slot",
                 sequence=record.sequence,
-                round=run.steps_taken + 1,
+                round=round_index,
                 kind=record.kind,
             )
         with obs_trace.Clock(
-            "round",
-            parent=record.span,
-            kind=record.kind,
-            round_index=run.steps_taken + 1,
+            "round", parent=record.span, kind=record.kind, round_index=round_index
         ):
             outcome = self._executor.step(
-                state, run.error_bound, run_round=run.steps_taken + 1
+                state, run.error_bound, run_round=round_index
             )
-        self._finish_slot(record, run, state, outcome)
-
-    def _finish_slot(
-        self, record: _QueryRecord, run: _Run, state, outcome
-    ) -> None:
-        """Count and notify one round; once its ``outcome`` names a
-        ``stop_reason``, complete the run with what
-        :meth:`QueryExecutor.finalise` packages."""
-        run.steps_taken += 1
+        run.steps_taken = round_index
         self._metric_rounds.inc()
         self._metric_round_seconds.observe(outcome.trace.seconds)
         # push the fresh anytime trace entry to subscribers (SSE streams)
@@ -1177,13 +1120,17 @@ class AggregateQueryService:
             self._complete_run(record, self._executor.finalise(state, outcome))
 
     def _complete_run(self, record: _QueryRecord, result) -> None:
+        """Store a finished run's result; settle the record as succeeded
+        unless another run is queued or a cancel is pending.
+
+        This keeps the invariant the scheduler's idle wait relies on: a
+        live record always has a pending initialisation, an active or
+        queued run, or a pending cancel, so it is work for the next pass.
+        """
         with self._condition:
             if record.status in _TERMINAL:
                 return
             record.result = result
             record.active_run = None
             if not record.queued_runs and not record.cancel_requested:
-                record.status = QueryStatus.SUCCEEDED
-                self._notify(record, "settled", QueryStatus.SUCCEEDED)
                 self._settle_locked(record, QueryStatus.SUCCEEDED)
-            self._condition.notify_all()

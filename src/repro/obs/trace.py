@@ -104,14 +104,14 @@ class Clock:
     :class:`Span` whose start and duration are that same pair, ambient
     for the body; without a span it builds none, so the
     instrumentation-off path costs two clock reads and a ContextVar
-    read.  ``root=True`` opens the named span as a fresh root instead.
-    Without a ``name``, ``parent`` (if not None) is only made ambient for
-    the body.  The elapsed seconds stay readable as :attr:`seconds`, and
-    the bucket and the span are written even when the body raises.
+    read.  Without a ``name``, ``parent`` (if not None) is only made
+    ambient for the body.  The elapsed seconds stay readable as
+    :attr:`seconds`, and the bucket and the span are written even when
+    the body raises.
     """
 
     __slots__ = (
-        "_name", "_timers", "_bucket", "_parent", "_root", "_attributes",
+        "_name", "_timers", "_bucket", "_parent", "_attributes",
         "_started", "_token", "_span", "seconds",
     )
 
@@ -122,31 +122,28 @@ class Clock:
         bucket: str | None = None,
         /,
         parent: Span | None = None,
-        root: bool = False,
         **attributes,
     ) -> None:
         self._name = name
         self._timers = timers
         self._bucket = bucket
         self._parent = parent
-        self._root = root
         self._attributes = attributes
         self._span: Span | None = None
         self.seconds = 0.0
 
     def __enter__(self) -> Span | None:
         parent = self._parent
-        if parent is None and not self._root:
+        if parent is None:
             parent = _CURRENT.get()
         self._token = None
         self._started = started = time.perf_counter()
         if self._name is None:
             if parent is not None:
                 self._token = _CURRENT.set(parent)
-        elif parent is not None or self._root:
+        elif parent is not None:
             span = self._span = Span(self._name, self._attributes, started)
-            if parent is not None:
-                parent.children.append(span)
+            parent.children.append(span)
             self._token = _CURRENT.set(span)
         return self._span
 

@@ -28,9 +28,9 @@ Endpoints
 A submit (or a batch entry) carries ``aql`` and, optionally,
 ``error_bound``, ``confidence``, ``seed`` and ``deadline``:
 :meth:`AggregateQueryService.submit`'s keywords, which a batch may also
-set as defaults.  Any other field is a 400 that names it: for a single
-submit or a batch's defaults the whole request, for a batch entry that
-entry's outcome.
+set as defaults; a refine carries ``error_bound`` alone.  Any other
+field is a 400 that names it: for a single submit, a refine or a batch's
+defaults the whole request, for a batch entry that entry's outcome.
 
 SSE streams are *push*, not poll: the handler subscribes to the query's
 round-completion hook (:meth:`QueryHandle.subscribe`), replays the rounds
@@ -79,7 +79,6 @@ from repro.errors import (
     ServiceOverloadedError,
     StoreError,
 )
-from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.server.http import (
     HttpError,
@@ -266,6 +265,8 @@ _NUMBER = (int, float)
 #: the fields a submit spec may carry, and a batch request
 _SPEC_FIELDS = frozenset(("aql", *_SUBMIT_FIELDS))
 _BATCH_FIELDS = frozenset(("queries", *_SUBMIT_FIELDS))
+#: the fields a refine request may carry
+_REFINE_FIELDS = frozenset(("error_bound",))
 
 #: seconds an SSE stream waits for a round before it writes a heartbeat
 HEARTBEAT_SECONDS = 15.0
@@ -476,30 +477,21 @@ class ReproHTTPServer:
         response = Responder(
             writer, keep_alive=request.keep_alive and not self._closing
         )
-        handling = obs_trace.Clock(
-            "http_request",
-            root=self._registry.enabled,
-            method=request.method,
-            path=request.path,
-        )
+        started = time.perf_counter()
         try:
-            with handling:
-                try:
-                    await self._dispatch(request, response)
-                except HttpError as error:
-                    await self._answer_error(response, error)
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    raise
-                except Exception as error:  # defensive: a handler bug is a 500
-                    response.keep_alive = False
-                    await self._answer_error(
-                        response,
-                        HttpError(
-                            500, str(error), payload={"error": type(error).__name__}
-                        ),
-                    )
+            await self._dispatch(request, response)
+        except HttpError as error:
+            await self._answer_error(response, error)
+        except (ConnectionError, asyncio.IncompleteReadError):
+            raise
+        except Exception as error:  # defensive: a handler bug is a 500
+            response.keep_alive = False
+            await self._answer_error(
+                response,
+                HttpError(500, str(error), payload={"error": type(error).__name__}),
+            )
         finally:
-            self._h_request_seconds.observe(handling.seconds)
+            self._h_request_seconds.observe(time.perf_counter() - started)
         return response.keep_alive
 
     async def _answer_error(self, response: Responder, error: HttpError) -> None:
@@ -728,11 +720,14 @@ class ReproHTTPServer:
         self, entry: _ServedQuery, request: HttpRequest, response: Responder
     ) -> None:
         body = request.json()
+        _reject_unknown(body, _REFINE_FIELDS)
         error_bound = body.get("error_bound")
         if not isinstance(error_bound, _NUMBER) or isinstance(error_bound, bool):
             raise HttpError(400, "the 'error_bound' field (a number) is required")
         try:
-            entry.handle.refine(float(error_bound))
+            # the service owns the range: an integer (one past the float
+            # range included) lies outside (0, 1), a QueryError, so a 400
+            entry.handle.refine(error_bound)
         except (QueryError, ServiceOverloadedError) as error:
             raise _http_error_from(error)
         except ServiceError as error:
@@ -747,7 +742,7 @@ class ReproHTTPServer:
             {
                 "id": entry.id,
                 "status": entry.handle.status.value,
-                "error_bound": float(error_bound),
+                "error_bound": error_bound,
             },
         )
 

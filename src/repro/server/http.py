@@ -124,7 +124,8 @@ class HttpRequest:
             return {}
         try:
             decoded = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer
+            # literal past the interpreter's digit limit
             raise HttpError(400, f"request body is not valid JSON: {exc}")
         if not isinstance(decoded, dict):
             raise HttpError(400, "request body must be a JSON object")

@@ -42,7 +42,6 @@ from repro import (
 from repro.bench.sampled import PaperConfig
 from repro.core.plan import shared_plan_cache
 from repro.core.resilience import FaultInjected
-from repro.core.service import ExecutionBackend
 from repro.errors import (
     DeadlineExceededError,
     EmbeddingError,
@@ -93,18 +92,20 @@ class _FakeClock:
         return self.now
 
 
-class _ClockSteppingBackend(ExecutionBackend):
-    """Cooperative backend advancing a fake clock after each cohort pass —
-    deadline expiry is driven by completed rounds, not by sleeping."""
+def _step_clock(service, step: float = 1.0) -> None:
+    """Give ``service`` a fake clock that each non-empty scheduler pass
+    advances by ``step`` — deadline expiry is driven by completed rounds,
+    not by sleeping."""
+    clock = _FakeClock()
+    run_cohort = service._run_cohort
 
-    def __init__(self, clock: _FakeClock, step: float):
-        self._clock = clock
-        self._step = step
-
-    def run_cohort(self, service, cohort) -> None:
-        super().run_cohort(service, cohort)
+    def stepping(cohort) -> None:
+        run_cohort(cohort)
         if cohort:
-            self._clock.now += self._step
+            clock.now += step
+
+    service._clock = clock
+    service._run_cohort = stepping
 
 
 class TestDeadlines:
@@ -112,13 +113,9 @@ class TestDeadlines:
     running sample (a census would settle them in their first round)."""
 
     def _expired_handle(self, world, sampled_service):
-        clock = _FakeClock()
         config = PaperConfig(seed=7, max_rounds=50)
-        service = sampled_service(
-            world.kg, world.embedding, config,
-            backend=_ClockSteppingBackend(clock, step=1.0),
-        )
-        service._clock = clock
+        service = sampled_service(world.kg, world.embedding, config)
+        _step_clock(service)
         # an unreachable bound keeps the query running until the deadline
         # (2.5 fake seconds = two completed rounds) expires mid-run
         handle = service.submit(
@@ -169,14 +166,12 @@ class TestDeadlines:
     def test_default_deadline_applies_unless_a_submit_overrides_it(
         self, world, sampled_service
     ):
-        clock = _FakeClock()
         service = sampled_service(
             world.kg, world.embedding, PaperConfig(seed=7, max_rounds=3),
-            backend=_ClockSteppingBackend(clock, step=1.0),
             # expires mid-run, before the config's three rounds are spent
             default_deadline=1.5,
         )
-        service._clock = clock
+        _step_clock(service)
         with service:
             defaulted = service.submit(world.avg_query(), seed=5,
                                        error_bound=1e-12)
@@ -191,12 +186,10 @@ class TestDeadlines:
             assert service.health()["deadline_expiries"] == 1
 
     def test_batch_deadline_bounds_every_query(self, world, sampled_service):
-        clock = _FakeClock()
         service = sampled_service(
-            world.kg, world.embedding, PaperConfig(seed=7, max_rounds=50),
-            backend=_ClockSteppingBackend(clock, step=1.0),
+            world.kg, world.embedding, PaperConfig(seed=7, max_rounds=50)
         )
-        service._clock = clock
+        _step_clock(service)
         with service:
             handles = service.submit_batch(
                 [(world.avg_query(), 5), (world.sum_query(), 6)],
@@ -554,33 +547,35 @@ def _served_outcomes(world, plan: FaultPlan | None) -> list:
 # ---------------------------------------------------------------------------
 # Lifecycle bugfixes
 # ---------------------------------------------------------------------------
-class _StuckBackend(ExecutionBackend):
-    """Blocks inside run_cohort until released (close()-timeout drills)."""
+class _StuckPass:
+    """Holds ``service``'s next non-empty scheduler pass open until
+    released (close()-timeout drills)."""
 
-    def __init__(self):
+    def __init__(self, service):
         self.entered = threading.Event()
         self.release = threading.Event()
+        run_cohort = service._run_cohort
 
-    def run_cohort(self, service, cohort) -> None:
-        if cohort:
-            self.entered.set()
-            assert self.release.wait(timeout=30.0)
-        super().run_cohort(service, cohort)
+        def stuck(cohort) -> None:
+            if cohort:
+                self.entered.set()
+                assert self.release.wait(timeout=30.0)
+            run_cohort(cohort)
+
+        service._run_cohort = stuck
 
 
 class TestLifecycleBugfixes:
     def test_close_names_the_stuck_phase(self, world):
-        backend = _StuckBackend()
         config = EngineConfig(seed=7)
-        service = AggregateQueryService(
-            world.kg, world.embedding, config, backend=backend
-        )
+        service = AggregateQueryService(world.kg, world.embedding, config)
+        stuck = _StuckPass(service)
         service._join_timeout = 0.2
         handle = service.submit(world.count_query(), seed=3)
-        assert backend.entered.wait(timeout=30.0)
+        assert stuck.entered.wait(timeout=30.0)
         with pytest.raises(ServiceError, match="execute cohort"):
             service.close()
-        backend.release.set()
+        stuck.release.set()
         service.close()  # the thread drained: close now succeeds
         assert handle.status.terminal
 

@@ -38,7 +38,6 @@ from repro import (
 from repro.bench.sampled import PaperConfig
 from repro.core.plan import shared_plan_cache
 from repro.core.resilience import ServiceLimits
-from repro.core.service import ExecutionBackend
 from repro.errors import ReproError
 from repro.server import (
     ClientQuota,
@@ -60,29 +59,30 @@ GROUPED_AQL = (
     "GROUP BY price BIN 20000"
 )
 #: an unreachable bound: the query runs until its service's round budget is
-#: spent (or, under a stalling backend, stays live)
+#: spent (or, under a stalled scheduler, stays live)
 NEVER = {"error_bound": 1e-12}
 
 
-class _StallingBackend(ExecutionBackend):
-    """Completes the first ``rounds`` cohort passes normally, then stalls
-    (napping without progress) until cancelled — a query that stays live
-    indefinitely while its early rounds are already streamed.  The draw
-    budget settles even 1e-12-bound queries in well under a second, so
-    liveness for cancel/drain/overload tests needs a backend that holds
-    the door open, not a tighter bound."""
+def _stall(service, rounds: int, nap: float = 0.01):
+    """``service`` with its first ``rounds`` scheduler passes run normally
+    and every later one stalled (napping without progress) until cancelled
+    — a query that stays live indefinitely while its early rounds are
+    already streamed.  The draw budget settles even 1e-12-bound queries in
+    well under a second, so liveness for cancel/drain/overload tests needs
+    a scheduler that holds the door open, not a tighter bound."""
+    run_cohort = service._run_cohort
+    passes = 0
 
-    def __init__(self, rounds: int = 2, nap: float = 0.01):
-        self._rounds = rounds
-        self._nap = nap
-        self._passes = 0
-
-    def run_cohort(self, service, cohort) -> None:
-        if self._passes < self._rounds:
-            self._passes += 1
-            super().run_cohort(service, cohort)
+    def stalling(cohort) -> None:
+        nonlocal passes
+        if passes < rounds:
+            passes += 1
+            run_cohort(cohort)
         elif cohort:
-            time.sleep(self._nap)
+            time.sleep(nap)
+
+    service._run_cohort = stalling
+    return service
 
 
 @pytest.fixture
@@ -92,7 +92,7 @@ def world(toy_world_factory):
 
 
 def _service(
-    world, *, limits=None, backend=None, make=AggregateQueryService
+    world, *, limits=None, make=AggregateQueryService
 ) -> AggregateQueryService:
     """A service over the toy world; ``make`` is its constructor (the
     ``sampled_service`` fixture, under the sampler's config, for a run that
@@ -101,7 +101,7 @@ def _service(
         config = EngineConfig(seed=7)
     else:
         config = PaperConfig(seed=7, max_rounds=8)
-    return make(world.kg, world.embedding, config, backend=backend, limits=limits)
+    return make(world.kg, world.embedding, config, limits=limits)
 
 
 @contextlib.contextmanager
@@ -294,9 +294,7 @@ class TestEvents:
             assert events[-1][0] == "result"
 
     def test_cancel_mid_stream_ends_with_cancelled_event(self, world, sampled_service):
-        service = _service(
-            world, backend=_StallingBackend(rounds=2), make=sampled_service
-        )
+        service = _stall(_service(world, make=sampled_service), rounds=2)
         with _serve(service) as (client, _runner):
             accepted = client.submit(COUNT_AQL, **NEVER)
             seen = threading.Event()
@@ -378,11 +376,11 @@ class TestErrorMapping:
     def test_overload_is_429_with_retry_after(
         self, world, sampled_service, monkeypatch
     ):
-        service = _service(
-            world,
-            limits=ServiceLimits(max_pending=1),
-            backend=_StallingBackend(rounds=1),
-            make=sampled_service,
+        service = _stall(
+            _service(
+                world, limits=ServiceLimits(max_pending=1), make=sampled_service
+            ),
+            rounds=1,
         )
         # the stalled query is still live at stop(): drain briefly, the
         # test asserts nothing about shutdown
@@ -422,6 +420,52 @@ class TestErrorMapping:
                 with pytest.raises(HttpStatusError) as info:
                     client.submit(COUNT_AQL, **params)
                 assert info.value.status == 400, params
+
+    def test_an_integer_past_the_digit_limit_is_400(self, world):
+        body = (
+            '{"aql": %s, "seed": 1%s}' % (json.dumps(COUNT_AQL), "0" * 4300)
+        ).encode()
+        request = (
+            "POST /v1/queries HTTP/1.1\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        with _serve(_service(world)) as (client, runner):
+            ((status, _headers, reply),) = _wire(runner.address, request)
+            assert status == 400
+            assert "not valid JSON" in json.loads(reply)["message"]
+            assert client.healthz()["server"]["queries_submitted"] == 0
+
+    def test_a_deadline_past_the_float_range_is_400(self, world):
+        with _serve(_service(world)) as (client, _runner):
+            with pytest.raises(HttpStatusError) as info:
+                client.submit(COUNT_AQL, deadline=10**400)
+            assert info.value.status == 400
+            assert info.value.payload["error"] == "QueryError"
+            assert client.healthz()["server"]["queries_submitted"] == 0
+
+    def test_a_refine_bound_past_the_float_range_is_400(self, world):
+        with _serve(_service(world)) as (client, _runner):
+            accepted = client.submit(AVG_AQL, error_bound=0.2)
+            client.wait(accepted["id"])
+            with pytest.raises(HttpStatusError) as info:
+                client.refine(accepted["id"], 10**400)
+            assert info.value.status == 400
+            assert info.value.payload["error"] == "QueryError"
+
+    def test_an_unknown_refine_field_is_400_naming_it(self, world):
+        with _serve(_service(world)) as (client, _runner):
+            accepted = client.submit(AVG_AQL, error_bound=0.2)
+            settled = client.wait(accepted["id"])
+            with pytest.raises(HttpStatusError) as info:
+                client._request(
+                    "POST",
+                    f"/v1/queries/{accepted['id']}/refine",
+                    {"error_bound": 0.05, "max_rounds": 3},
+                )
+            assert info.value.status == 400
+            assert "'max_rounds'" in info.value.payload["message"]
+            # nothing was queued: the query is as it settled
+            assert client.status(accepted["id"]) == settled
 
     def test_an_unknown_submit_field_is_400_naming_it(self, world):
         with _serve(_service(world)) as (client, _runner):
@@ -484,29 +528,27 @@ class _FakeClock:
         return self.now
 
 
-class _ClockSteppingBackend(ExecutionBackend):
-    """Cooperative backend advancing a fake clock after each cohort pass —
-    deadline expiry is driven by completed rounds, not by sleeping."""
+def _step_clock(service, step: float = 1.0) -> None:
+    """Give ``service`` a fake clock that each non-empty scheduler pass
+    advances by ``step`` — deadline expiry is driven by completed rounds,
+    not by sleeping."""
+    clock = _FakeClock()
+    run_cohort = service._run_cohort
 
-    def __init__(self, clock: _FakeClock, step: float):
-        self._clock = clock
-        self._step = step
-
-    def run_cohort(self, service, cohort) -> None:
-        super().run_cohort(service, cohort)
+    def stepping(cohort) -> None:
+        run_cohort(cohort)
         if cohort:
-            self._clock.now += self._step
+            clock.now += step
+
+    service._clock = clock
+    service._run_cohort = stepping
 
 
 class TestDeadlines:
     def test_expiry_carries_the_partial_trace_over_http(self, world, sampled_service):
-        clock = _FakeClock()
         config = PaperConfig(seed=7, max_rounds=50)
-        service = sampled_service(
-            world.kg, world.embedding, config,
-            backend=_ClockSteppingBackend(clock, step=1.0),
-        )
-        service._clock = clock
+        service = sampled_service(world.kg, world.embedding, config)
+        _step_clock(service)
         with _serve(service) as (client, _runner):
             accepted = client.submit(
                 AVG_AQL, seed=5, error_bound=1e-12, deadline=2.5
@@ -547,9 +589,7 @@ class TestLifecycle:
             assert second["rounds_completed"] >= first["rounds_completed"]
 
     def test_healthz_surfaces_service_and_server_counters(self, world, sampled_service):
-        service = _service(
-            world, backend=_StallingBackend(rounds=1), make=sampled_service
-        )
+        service = _stall(_service(world, make=sampled_service), rounds=1)
         with _serve(service) as (client, _runner):
             accepted = client.submit(COUNT_AQL, **NEVER)
             health = client.healthz()
@@ -569,9 +609,7 @@ class TestLifecycle:
         self, world, sampled_service, monkeypatch
     ):
         monkeypatch.setattr("repro.server.app.DRAIN_TIMEOUT_SECONDS", 0.2)
-        service = _service(
-            world, backend=_StallingBackend(rounds=1), make=sampled_service
-        )
+        service = _stall(_service(world, make=sampled_service), rounds=1)
         runner = ServerThread(
             ReproHTTPServer(service, "127.0.0.1", 0, owns_service=True)
         ).start()
@@ -619,9 +657,7 @@ class TestLifecycle:
         runner.stop()
 
     def test_status_before_first_round_is_clean(self, world, sampled_service):
-        service = _service(
-            world, backend=_StallingBackend(rounds=1), make=sampled_service
-        )
+        service = _stall(_service(world, make=sampled_service), rounds=1)
         with _serve(service) as (client, _runner):
             accepted = client.submit(COUNT_AQL, **NEVER)
             payload = client.status(accepted["id"])
@@ -791,9 +827,7 @@ class TestKeepAlive:
     def test_stop_closes_idle_connections_while_a_stream_drains(
         self, world, sampled_service, monkeypatch
     ):
-        service = _service(
-            world, backend=_StallingBackend(rounds=1), make=sampled_service
-        )
+        service = _stall(_service(world, make=sampled_service), rounds=1)
         monkeypatch.setattr("repro.server.app.DRAIN_TIMEOUT_SECONDS", 0.2)
         runner = serve_in_thread(service, owns_service=True)
         with ReproClient(*runner.address) as client:

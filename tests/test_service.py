@@ -7,16 +7,19 @@ Covers the architectural contracts of :class:`AggregateQueryService`:
   (``scheduler`` stage bucket present);
 * progressive results: the anytime trace grows round by round, draws never
   shrink, and for a fixed seed the CI width is non-increasing;
-* cancellation and ``result(timeout=...)`` expiry semantics;
+* cancellation and ``result(timeout=...)`` expiry semantics; a scheduler
+  pass is observed by wrapping ``service._run_cohort`` on the instance;
 * N concurrent queries over one component build its plan exactly once —
   both through the service scheduler and through raw planner threads
   hammering one :class:`PlanCache`;
-* every kind reports why its run stopped, and a ready-made
-  :class:`ExecutionBackend` runs the slots like the default one; there
-  are no process-pool knobs, and a result's stage buckets are the
-  in-process stages;
+* every kind reports why its run stopped; there are no process-pool or
+  backend knobs, and a result's stage buckets are the in-process stages;
 * a handle's kind, status, draws and push events before, during and
   after its run, and what ``health()`` counts meanwhile;
+* every way a query ends — success, a fault, a cancel while pending or
+  between rounds, a deadline, ``close()``, a refine's re-settlement —
+  settles it once: one ``settled`` event, one count, an ended span and
+  one audit line;
 * ``close()`` during in-flight queries settles every handle;
 * services, submitting threads and refined handles that run at once
   over shared plans answer like one of them alone.
@@ -24,6 +27,8 @@ Covers the architectural contracts of :class:`AggregateQueryService`:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import threading
@@ -39,6 +44,8 @@ from repro import (
     AggregateQueryService,
     ApproximateAggregateEngine,
     EngineConfig,
+    FaultPlan,
+    FaultSpec,
     GroupBy,
     QueryGraph,
     QueryStatus,
@@ -527,17 +534,7 @@ class TestGroupedAndExtremeSlots:
         """The scheduler steps grouped/extreme records in the same cohort
         as plain aggregates (fewest-completed-rounds-first), instead of
         letting one atomic slot monopolise the scheduler thread."""
-        from repro.core.service import ExecutionBackend
-
-        class RecordingBackend(ExecutionBackend):
-            def __init__(self):
-                self.cohort_kinds: list[tuple[str, ...]] = []
-
-            def run_cohort(self, service, cohort):
-                self.cohort_kinds.append(tuple(r.kind for r in cohort))
-                super().run_cohort(service, cohort)
-
-        backend = RecordingBackend()
+        cohort_kinds: list[tuple[str, ...]] = []
         config = PaperConfig(
             seed=7, max_rounds=8, error_bound=0.001, min_group_draws=1
         )
@@ -545,8 +542,15 @@ class TestGroupedAndExtremeSlots:
         # at a time, so a running scheduler could finish the count query
         # before the grouped one arrives and no pass would hold both
         with sampled_service(
-            world.kg, world.embedding, config, backend=backend, autostart=False
+            world.kg, world.embedding, config, autostart=False
         ) as service:
+            run_cohort = service._run_cohort
+
+            def recording(cohort):
+                cohort_kinds.append(tuple(r.kind for r in cohort))
+                run_cohort(cohort)
+
+            service._run_cohort = recording
             handles = service.submit_batch(
                 [
                     (world.count_query(), 3),
@@ -558,10 +562,10 @@ class TestGroupedAndExtremeSlots:
             for handle in handles:
                 handle.result()
         mixed_passes = [
-            kinds for kinds in backend.cohort_kinds if len(set(kinds)) >= 2
+            kinds for kinds in cohort_kinds if len(set(kinds)) >= 2
         ]
         assert mixed_passes, (
-            f"no scheduler pass stepped several kinds: {backend.cohort_kinds}"
+            f"no scheduler pass stepped several kinds: {cohort_kinds}"
         )
         assert any(
             {"rounds", "grouped"} <= set(kinds) for kinds in mixed_passes
@@ -570,13 +574,13 @@ class TestGroupedAndExtremeSlots:
         # spans SEVERAL scheduler passes (one round per slot); an atomic
         # slot would confine each to exactly one pass
         grouped_passes = sum(
-            1 for kinds in backend.cohort_kinds if "grouped" in kinds
+            1 for kinds in cohort_kinds if "grouped" in kinds
         )
         extreme_passes = sum(
-            1 for kinds in backend.cohort_kinds if "extreme" in kinds
+            1 for kinds in cohort_kinds if "extreme" in kinds
         )
-        assert grouped_passes >= 2, backend.cohort_kinds
-        assert extreme_passes >= 2, backend.cohort_kinds
+        assert grouped_passes >= 2, cohort_kinds
+        assert extreme_passes >= 2, cohort_kinds
 
 
 class TestCancellationAndTimeout:
@@ -810,7 +814,7 @@ class TestClosedServiceIsPlainGarbage:
 
 
 # ---------------------------------------------------------------------------
-# Stop reasons, the backend seam, shutdown ordering, concurrent services
+# Stop reasons, knobs, settlement, shutdown ordering, concurrent services
 # ---------------------------------------------------------------------------
 def _nan_safe(value: float):
     """NaN compares unequal to itself; canonicalise for tuple equality."""
@@ -1018,34 +1022,14 @@ class TestStopReasonAndBackend:
         assert refined[0].total_draws == before.total_draws
         assert len(refined) == 1 or refined[1].total_draws > before.total_draws
 
-    def test_ready_made_backend_runs_the_slots(self, world):
-        from repro.core.service import ExecutionBackend
-
-        backend = ExecutionBackend()
-        shared_plan_cache().clear()
-        with AggregateQueryService(
-            world.kg, world.embedding, EngineConfig(seed=7), backend=backend
-        ) as service:
-            assert service.backend is backend
-            handles = service.submit_batch(_workload(world))
-            results = [_fingerprint(handle.result()) for handle in handles]
-        assert results == _served(world)
-
-    def test_backend_must_be_an_instance(self, world):
-        """A backend name is not a backend: the service says so at
-        construction instead of failing every query in its scheduler."""
-        with pytest.raises(ServiceError, match="ExecutionBackend instance"):
-            AggregateQueryService(
-                world.kg, world.embedding, EngineConfig(seed=7),
-                backend="cooperative",
-            )
-
     @pytest.mark.parametrize(
-        "knob, value", [("workers", 2), ("start_method", "fork"), ("retry", None)]
+        "knob, value",
+        [("workers", 2), ("start_method", "fork"), ("retry", None), ("backend", None)],
     )
     def test_process_pool_knobs_are_not_parameters(self, world, knob, value):
         """The scheduler thread steps every query itself: a worker count,
-        start method or retry policy is a caller error, not ignored."""
+        start method, retry policy or execution backend is a caller error,
+        not ignored."""
         with pytest.raises(TypeError, match=knob):
             AggregateQueryService(
                 world.kg, world.embedding, EngineConfig(seed=7),
@@ -1288,10 +1272,14 @@ class TestHandleSurface:
                 service.submit(world.avg_query(), max_rounds=2)
             assert service.health()["live_queries"] == 0
 
-    @pytest.mark.parametrize("deadline", [math.nan, -1.0, -math.inf])
+    @pytest.mark.parametrize(
+        "deadline",
+        [math.nan, -1.0, -math.inf, pytest.param(10**400, id="past-float-range")],
+    )
     def test_invalid_deadline_raises_at_submit(self, world, deadline):
-        """A NaN deadline never expired, a negative one expired at once:
-        both leave no record now, at submit and in a batch."""
+        """A NaN deadline never expired, a negative one expired at once and
+        one past the float range overflowed the clock: each leaves no
+        record now, at submit and in a batch."""
         with _service(world, autostart=False) as service:
             with pytest.raises(QueryError, match="deadline"):
                 service.submit(world.avg_query(), deadline=deadline)
@@ -1420,6 +1408,140 @@ class TestHandleSurface:
         assert events == [
             ("settled", QueryStatus.CANCELLED, threading.current_thread())
         ]
+
+
+class _Settlement:
+    """One query's settlement as the service reports it: its ``settled``
+    events, the settled counter by status, its audit lines and its span,
+    counted from the moment :meth:`watch` is called."""
+
+    def __init__(self):
+        self.audit = io.StringIO()
+        self.statuses: list[QueryStatus] = []
+
+    def service(self, world, make=AggregateQueryService, config=None, **kwargs):
+        """A held service (``autostart=False``) auditing to this probe."""
+        self.owner = make(
+            world.kg, world.embedding, config or EngineConfig(seed=7),
+            autostart=False, audit_log=self.audit, **kwargs,
+        )
+        return self.owner
+
+    def counts(self) -> dict[str, float]:
+        snapshot = self.owner.registry.snapshot()
+        return {
+            labels: value
+            for labels, value in snapshot["repro_scheduler_queries_settled_total"].items()
+            if labels != "type"
+        }
+
+    def watch(self, handle) -> None:
+        self.handle = handle
+        self.counted = self.counts()
+        self.lines = len(self.audit.getvalue().splitlines())
+
+        def listen(event, payload):
+            if event == "settled":
+                self.statuses.append(payload)
+
+        handle.subscribe(listen)
+
+
+def _succeed(world, sampled_service, probe):
+    service = probe.service(world)
+    probe.watch(service.submit(world.count_query(), seed=3))
+    service.start()
+
+
+def _fail_in_the_slot(world, sampled_service, probe):
+    service = probe.service(world, fault_plan=FaultPlan([FaultSpec(site="slot")]))
+    probe.watch(service.submit(world.count_query(), seed=3))
+    service.start()
+
+
+def _cancel_pending(world, sampled_service, probe):
+    service = probe.service(world)
+    probe.watch(service.submit(world.count_query(), seed=3))
+    probe.handle.cancel()
+
+
+def _cancel_between_rounds(world, sampled_service, probe):
+    """Cancelled as its second round starts: it settles at the next pass."""
+    cancel = FaultSpec(
+        site="slot", action="hang", match={"round": 2},
+        callback=lambda context: probe.handle.cancel(),
+    )
+    service = probe.service(
+        world, sampled_service, PaperConfig(seed=7, max_rounds=50),
+        fault_plan=FaultPlan([cancel]),
+    )
+    probe.watch(service.submit(world.avg_query(), seed=5, error_bound=1e-12))
+    service.start()
+
+
+def _expire(world, sampled_service, probe):
+    service = probe.service(world)
+    probe.watch(service.submit(world.count_query(), seed=3, deadline=0.0))
+    service.start()
+
+
+def _close(world, sampled_service, probe):
+    service = probe.service(world)
+    probe.watch(service.submit(world.count_query(), seed=3))
+    service.close()
+
+
+def _resettle_after_refine(world, sampled_service, probe):
+    service = probe.service(world)
+    handle = service.submit(world.avg_query(), seed=5)
+    service.start()
+    handle.result(timeout=60.0)
+    probe.watch(handle)
+    handle.refine(0.05)
+
+
+class TestOneSettlementPath:
+    """However a query ends, it settles once: one ``settled`` event, one
+    count on ``repro_scheduler_queries_settled_total{status}``, an ended
+    span and one audit line — and closing the service afterwards adds
+    none."""
+
+    @pytest.mark.parametrize(
+        "drive, status",
+        [
+            (_succeed, QueryStatus.SUCCEEDED),
+            (_fail_in_the_slot, QueryStatus.FAILED),
+            (_cancel_pending, QueryStatus.CANCELLED),
+            (_cancel_between_rounds, QueryStatus.CANCELLED),
+            (_expire, QueryStatus.FAILED),
+            (_close, QueryStatus.CANCELLED),
+            (_resettle_after_refine, QueryStatus.SUCCEEDED),
+        ],
+        ids=[
+            "success", "fault", "cancel-pending", "cancel-between-rounds",
+            "deadline", "close", "refine",
+        ],
+    )
+    def test_every_path_settles_once(self, world, sampled_service, drive, status):
+        probe = _Settlement()
+        drive(world, sampled_service, probe)
+        try:
+            with contextlib.suppress(ServiceError):
+                probe.handle.result(timeout=60.0)
+        finally:
+            probe.owner.close()
+        assert probe.handle.status is status
+        assert probe.statuses == [status]
+        counts = probe.counts()
+        label = f'{{status="{status.value}"}}'
+        assert {key: counts[key] - probe.counted.get(key, 0) for key in counts} == {
+            key: int(key == label) for key in counts
+        }
+        span = probe.handle._record.span
+        assert span.duration_s is not None
+        assert span.attributes["status"] == status.value
+        audit = probe.audit.getvalue().splitlines()[probe.lines:]
+        assert [json.loads(line)["status"] for line in audit] == [status.value]
 
 
 class _BlockingExecutor:
