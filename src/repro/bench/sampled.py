@@ -8,8 +8,9 @@ samples: a query draws from its joint pi_A and estimates each round —
 Eq. 7-9 with a BLB interval and the Theorem-2 check, one CI per group
 for GROUP-BY (§V-A), the sample extremum for MAX/MIN (§IV-B1), optionally
 extrapolated by an EVT tail fit.  Its per-draw verdicts and group keys
-are its own (a census keeps none); the screen, the key binning, the
-validation seams and packaging are the production executor's.
+are its own (a census keeps none), as are its validation passes and
+the three ``exec`` instruments it alone increments; the screen, the key
+binning and packaging are the production executor's.
 
 Its knobs are :class:`PaperConfig`'s, plus the module constants below
 for the paper's values no figure varies.  S1 is :class:`PlanSampler`,
@@ -36,6 +37,7 @@ from repro.core.executor import (
     STAGE_ESTIMATION,
     STAGE_GUARANTEE,
     STAGE_SAMPLING,
+    STAGE_VALIDATION,
     QueryExecutor,
     StepOutcome,
     _keys_of,
@@ -431,6 +433,30 @@ class SampledExecutor(QueryExecutor):
         #: sampler already ran it for keeps that run's pi_A)
         self.sampler = PlanSampler(kg, space, config)
 
+    def register_metrics(self, registry) -> None:
+        """The census's instruments, plus a sampled run's validation batch
+        sizes and how each of its sigmas was taken."""
+        super().register_metrics(registry)
+        execution = registry.scope("exec")
+        self.obs_metrics.update(
+            validate_batch_pending=execution.histogram(
+                "validate_batch_pending",
+                "Batch sizes handed to the S2 validation kernels",
+                buckets=(1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0,
+                         250.0, 500.0, 1000.0),
+            ),
+            sigma_closed_form=execution.counter(
+                "sigma_closed_form",
+                "BLB bag and GROUP-BY group sigmas taken in closed form: "
+                "a mean-shaped estimator, COUNT/SUM under SAMPLE (S3)",
+            ),
+            sigma_bootstrap=execution.counter(
+                "sigma_bootstrap",
+                "BLB bag and GROUP-BY group sigmas that paid for a "
+                "bootstrap index stream: AVG and PAPER (S3)",
+            ),
+        )
+
     # ------------------------------------------------------------------
     # Initialisation: plans, the joint pi_A, the first draws
     # ------------------------------------------------------------------
@@ -518,13 +544,19 @@ class SampledExecutor(QueryExecutor):
         return state
 
     def _ensure_validated(self, state: _SampledState) -> None:
-        """Validate every support entry present in the current draws."""
+        """Validate every support entry present in the current draws, in
+        one pass: one ``validate_batch`` span of the validation bucket."""
         drawn = state.distinct_support_indices()
         pending = drawn[~state.support_known[drawn]]
-        if len(pending):
-            self._validation_pass(
-                state, len(pending), partial(self._validate_entries, state, pending)
-            )
+        size = len(pending)
+        if not size:
+            return
+        if self.fault_hook is not None:
+            self.fault_hook.fire("validate_batch", pending=size)
+        if self.obs_metrics is not None:
+            self.obs_metrics["validate_batch_pending"].observe(float(size))
+        with Clock("validate_batch", state.timers, STAGE_VALIDATION, pending=size):
+            self._validate_entries(state, pending)
 
     def _validate_entries(self, state: _SampledState, pending: np.ndarray) -> None:
         """Fill verdicts and values for ``pending`` support entries.

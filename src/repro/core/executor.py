@@ -28,9 +28,10 @@ the sorted ids of its candidates whose row clears it
 (:meth:`~repro.core.plan.QueryPlan.kept`, one ``validate_batch`` call the
 first time a census asks); a census intersects its components' kept
 sets, passes them through one array-valued attribute/filter screen over
-the graph's attribute columns, and sums what survives.  Validation time,
-the row build ``initialise`` triggers included, has its own
-``"validation"`` stage bucket (the paper's Table XII folds it into S2).
+the graph's attribute columns, and sums what survives, under one
+``census`` clock: the round's span and its ``"validation"`` stage time,
+which also holds the row build ``initialise`` triggers (the paper's
+Table XII folds it into S2).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.core.plan import CandidateSet, QueryPlan
 from repro.core.planner import QueryPlanner
 from repro.core.result import (
     STOP_CENSUS,
+    STOP_REASONS,
     ApproximateResult,
     GroupedResult,
     RoundTrace,
@@ -148,8 +150,8 @@ class QueryExecutor:
     #: in production
     fault_hook = None
 
-    #: observability instruments (dict of repro.obs metrics) installed by
-    #: the owning service; None — one attribute check — standalone
+    #: the ``exec`` instruments :meth:`register_metrics` installed, by
+    #: name; None — one attribute check — until a service calls it
     obs_metrics = None
 
     def __init__(
@@ -163,6 +165,22 @@ class QueryExecutor:
         self._space = space
         self.config = config
         self._planner = planner
+
+    def register_metrics(self, registry) -> None:
+        """Register on ``registry`` the instruments this executor
+        increments and count into them: a census only finalises runs."""
+        execution = registry.scope("exec")
+        self.obs_metrics = {
+            "stop_reasons": {
+                reason: execution.counter(
+                    "stop_reasons_total",
+                    "Finalised runs by why they stopped: "
+                    f"{', '.join(STOP_REASONS)} (S3)",
+                    labels={"reason": reason},
+                )
+                for reason in STOP_REASONS
+            },
+        }
 
     # ------------------------------------------------------------------
     # Initialisation: plans, then the joint candidate set
@@ -291,23 +309,6 @@ class QueryExecutor:
             if filter_.upper is not None:
                 passes &= ~(bounded > filter_.upper)
         return passes, values
-
-    def _validation_pass(self, state: _QueryState, pending: int, validate):
-        """``validate()``'s result, run as one validation pass over
-        ``pending`` candidates: the ``validate_batch`` fault site and
-        counters, then one ``validate_batch`` span whose clock is the
-        validation bucket's."""
-        hook = self.fault_hook
-        if hook is not None:
-            hook.fire("validate_batch", pending=pending)
-        metrics = self.obs_metrics
-        if metrics is not None:
-            metrics["validated_entries"].inc(pending)
-            metrics["validate_batch_pending"].observe(float(pending))
-        with Clock(
-            "validate_batch", state.timers, STAGE_VALIDATION, pending=pending
-        ):
-            return validate()
 
     # ------------------------------------------------------------------
     # The round lifecycle: step / finalise, every kind
@@ -450,10 +451,11 @@ class QueryExecutor:
     ) -> tuple[float, float | None, int, bool]:
         """The exact aggregate over the joint candidate set.
 
-        The answers every component keeps are screened in one validation
-        pass (:meth:`_census_answers`) inside a ``census`` span, which
-        records the candidates (``support``, ``pending``) and the answers
-        screened (``kept``); the round then reads :func:`census_estimate`
+        After the ``validate_batch`` fault site, the answers every
+        component keeps are screened (:meth:`_census_answers`) under one
+        ``census`` clock of the validation bucket, whose span records the
+        candidates (``support``) and the answers screened (``kept``).
+        The round then reads :func:`census_estimate`
         off the survivors' values — per group for GROUP-BY, each group a
         contiguous slice of one stable sort of the keys, and the round
         carries the widest group like a sampled one.  ``correct_draws``
@@ -465,12 +467,10 @@ class QueryExecutor:
         aggregate_query = state.aggregate_query
         function = aggregate_query.function
         support = state.joint.support_size
-        with Clock("census", support=support, pending=support) as span:
-            answers, values = self._validation_pass(
-                state, support, lambda: self._census_answers(state, span)
-            )
-        if self.obs_metrics is not None:
-            self.obs_metrics["census_queries"].inc()
+        if self.fault_hook is not None:
+            self.fault_hook.fire("validate_batch", pending=support)
+        with Clock("census", state.timers, STAGE_VALIDATION, support=support) as span:
+            answers, values = self._census_answers(state, span)
         with Clock(None, state.timers, STAGE_ESTIMATION):
             group_by = aggregate_query.group_by
             if group_by is None:

@@ -189,14 +189,14 @@ class _GraphEntry:
 #: cache, so a dropped cache leaves nothing behind on a long-lived graph
 _ENTRIES_ATTR = "_plan_cache_entries"
 
-#: default per-graph plan bound; a plan's payload is, once validated, its
-#: validator's similarity row (a similarity and a path length per graph
-#: node), its candidates and one kept set per tau a census asked for
-#: (node ids, a subset of the candidates), plus one pi_A (answers,
-#: probabilities) per sampler that has drawn from it, so the cap bounds
-#: resident memory for long-lived serving processes with many
+#: per-graph plan bound, read at each eviction; a plan's payload is, once
+#: validated, its validator's similarity row (a similarity and a path
+#: length per graph node), its candidates and one kept set per tau a
+#: census asked for (node ids, a subset of the candidates), plus one pi_A
+#: (answers, probabilities) per sampler that has drawn from it, so the
+#: cap bounds resident memory for long-lived serving processes with many
 #: components/configs/tenants
-DEFAULT_MAX_PLANS_PER_GRAPH = 256
+MAX_PLANS_PER_GRAPH = 256
 
 
 class PlanCache:
@@ -206,18 +206,14 @@ class PlanCache:
     a missing plan outside it, at most once across threads, so a key
     always resolves to one shared object.  A plan built against a
     structure version that moved during construction is returned to its
-    builder but never published.  Each graph's plans are LRU-bounded so
-    a serving process with many components, configs or tenant embeddings
-    cannot grow without bound; eviction only drops the shared reference —
-    engines holding a plan keep using it.
+    builder but never published.  Each graph's plans are LRU-bounded
+    (:data:`MAX_PLANS_PER_GRAPH`) so a serving process with many
+    components, configs or tenant embeddings cannot grow without bound;
+    eviction only drops the shared reference — engines holding a plan
+    keep using it.
     """
 
-    def __init__(
-        self, max_plans_per_graph: int = DEFAULT_MAX_PLANS_PER_GRAPH
-    ) -> None:
-        if max_plans_per_graph < 1:
-            raise ValueError("max_plans_per_graph must be >= 1")
-        self.max_plans_per_graph = max_plans_per_graph
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         #: the graphs holding an entry of this cache, weakly: only
         #: :meth:`clear` walks them
@@ -315,7 +311,7 @@ class PlanCache:
                 return plan
             canonical = entry.plans.pop(key, plan)
             entry.plans[key] = canonical  # most recently used: kept
-            while len(entry.plans) > self.max_plans_per_graph:
+            while len(entry.plans) > MAX_PLANS_PER_GRAPH:
                 del entry.plans[next(iter(entry.plans))]
             return canonical
 

@@ -71,10 +71,11 @@ class FaultSpec:
 
     ``site`` names an injection point: ``"slot"`` (the scheduler, before
     a query's round; context ``sequence``, ``round``, ``kind``) or
-    ``"validate_batch"`` (the executor, before a validation batch;
-    context ``pending``).  ``match`` filters on that context, e.g.
-    ``{"sequence": 3, "round": 2}``; an empty match hits every firing of
-    the site.  ``times`` bounds how often the spec triggers (``None`` =
+    ``"validate_batch"`` (the executor, before a census reads its kept
+    answers or a sampled round validates its new draws; context
+    ``pending``, the census's support or the draws' count).  ``match``
+    filters on that context, e.g. ``{"sequence": 3, "round": 2}``; an
+    empty match hits every firing of the site.  ``times`` bounds how often the spec triggers (``None`` =
     unlimited).  Actions:
 
     * ``"raise"`` — the site raises :attr:`exception` (or

@@ -71,12 +71,7 @@ from repro.core.executor import (
 )
 from repro.core.planner import QueryPlanner
 from repro.core.resilience import FaultPlan, ServiceLimits
-from repro.core.result import (
-    STOP_REASONS,
-    ApproximateResult,
-    GroupedResult,
-    RoundTrace,
-)
+from repro.core.result import ApproximateResult, GroupedResult, RoundTrace
 from repro.embedding.base import PredicateEmbedding
 from repro.embedding.predicate_space import PredicateVectorSpace
 from repro.errors import (
@@ -126,12 +121,23 @@ class _Run:
     steps_taken: int = 0
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, but an integer past the
+    interpreter's digit limit, which has no ``repr``, by its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _require_error_bound(error_bound: float) -> None:
     """:class:`QueryError` unless a per-query ``error_bound`` lies in
     (0, 1), the range :class:`EngineConfig` takes (NaN included: a census
     would answer it, a sampled run fail at its first growth)."""
     if not 0.0 < error_bound < 1.0:
-        raise QueryError(f"error_bound must be in (0, 1), got {error_bound!r}")
+        raise QueryError(
+            f"error_bound must be in (0, 1), got {_shown(error_bound)}"
+        )
 
 
 def _require_deadline(deadline: float | None, name: str = "deadline") -> None:
@@ -146,7 +152,7 @@ def _require_deadline(deadline: float | None, name: str = "deadline") -> None:
             return
         except OverflowError:
             pass
-    raise QueryError(f"{name} must be a number >= 0, got {deadline!r}")
+    raise QueryError(f"{name} must be a number >= 0, got {_shown(deadline)}")
 
 
 @dataclass(eq=False)  # identity semantics: records live in the scheduler list
@@ -409,7 +415,6 @@ class AggregateQueryService:
         if fault_plan is not None:
             # the instance attribute shadows the inert class-level None
             self._executor.fault_hook = fault_plan
-        self._executor.obs_metrics = self._exec_metrics
         self._open_audit_sink(audit_log, audit_log_max_bytes)
         #: what the scheduler thread is doing (named by close() when stuck)
         self._phase = "idle"
@@ -453,9 +458,6 @@ class AggregateQueryService:
             )
             for status in _TERMINAL
         }
-        self._metric_rounds = scheduler.counter(
-            "rounds_total", "Anytime rounds completed across all queries"
-        )
         self._metric_round_seconds = scheduler.histogram(
             "round_seconds", "Wall-clock seconds per completed round"
         )
@@ -490,48 +492,11 @@ class AggregateQueryService:
         ]
         for gauge, provider in self._mirrors:
             gauge.set_function(provider)
+        # the executor registers what it increments; with obs off it
+        # counts nothing
+        self._executor.obs_metrics = None
         if self._obs_enabled:
-            execution = self.registry.scope("exec")
-            self._exec_metrics = {
-                "validated_entries": execution.counter(
-                    "validated_entries_total",
-                    "Candidate answers validated (S2)",
-                ),
-                "validate_batch_pending": execution.histogram(
-                    "validate_batch_pending",
-                    "Batch sizes handed to the S2 validation kernels",
-                    buckets=(1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0,
-                             250.0, 500.0, 1000.0),
-                ),
-                "census_queries": execution.counter(
-                    "census_queries",
-                    "Queries answered by a census: every candidate was "
-                    "validated and the aggregate is exact; every production "
-                    "query is one (S3)",
-                ),
-                "stop_reasons": {
-                    reason: execution.counter(
-                        "stop_reasons_total",
-                        "Finalised runs by why they stopped: "
-                        f"{', '.join(STOP_REASONS)} (S3)",
-                        labels={"reason": reason},
-                    )
-                    for reason in STOP_REASONS
-                },
-                "sigma_closed_form": execution.counter(
-                    "sigma_closed_form",
-                    "BLB bag and GROUP-BY group sigmas taken in closed form: "
-                    "a mean-shaped estimator, COUNT/SUM under SAMPLE (S3)",
-                ),
-                "sigma_bootstrap": execution.counter(
-                    "sigma_bootstrap",
-                    "BLB bag and GROUP-BY group sigmas that paid for a "
-                    "bootstrap index stream: AVG and PAPER (S3)",
-                ),
-            }
-        else:
-            # keep the instrumentation-off hot path at one attribute check
-            self._exec_metrics = None
+            self._executor.register_metrics(self.registry)
 
     def _live_query_count(self) -> int:
         with self._condition:
@@ -1108,7 +1073,6 @@ class AggregateQueryService:
                 state, run.error_bound, run_round=round_index
             )
         run.steps_taken = round_index
-        self._metric_rounds.inc()
         self._metric_round_seconds.observe(outcome.trace.seconds)
         # push the fresh anytime trace entry to subscribers (SSE streams)
         # before any completion bookkeeping, so round events always

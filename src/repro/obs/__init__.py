@@ -18,21 +18,21 @@ metric                                         type       meaning
 ``repro_plan_builds``                          gauge      plans built by this planner
 ``repro_plan_cache_hits`` / ``_misses``        gauge      plan-cache lookups (process-wide
                                                           cache, process-lifetime totals)
-``repro_exec_validated_entries_total``         counter    S2 candidate answers validated
-``repro_exec_validate_batch_pending``          histogram  batch sizes handed to the S2 kernels
-``repro_exec_census_queries``                  counter    queries answered by a census (the
-                                                          exact aggregate over the support)
 ``repro_exec_stop_reasons_total``              counter    finalised runs, ``reason`` label:
                                                           census / bound_met / sample_cap /
                                                           round_budget
-``repro_exec_sigma_closed_form``               counter    bag / group sigmas taken in closed
-                                                          form (COUNT, SUM under SAMPLE)
-``repro_exec_sigma_bootstrap``                 counter    ... that paid for a bootstrap index
-                                                          stream (AVG, PAPER)
+``repro_exec_validate_batch_pending``          histogram  sampled only: batch sizes handed to
+                                                          the S2 kernels (``_sum`` = answers
+                                                          validated)
+``repro_exec_sigma_closed_form``               counter    sampled only: bag / group sigmas taken
+                                                          in closed form (COUNT, SUM under
+                                                          SAMPLE)
+``repro_exec_sigma_bootstrap``                 counter    sampled only: ... that paid for a
+                                                          bootstrap index stream (AVG, PAPER)
 ``repro_scheduler_queries_submitted_total``    counter    accepted submissions
 ``repro_scheduler_queries_settled_total``      counter    settlements, ``status`` label
-``repro_scheduler_rounds_total``               counter    anytime rounds completed (S3)
-``repro_scheduler_round_seconds``              histogram  per-round wall clock
+``repro_scheduler_round_seconds``              histogram  per-round wall clock (``_count`` =
+                                                          rounds stepped)
 ``repro_scheduler_sheds_total``                counter    admission-control rejections
 ``repro_scheduler_deadline_expiries_total``    counter    per-query deadline expiries
 ``repro_scheduler_live_queries``               gauge      current non-terminal queries
@@ -47,8 +47,11 @@ metric                                         type       meaning
 ``repro_server_quota_sheds``                   gauge      per-client token-bucket sheds
 =============================================  =========  ====================================
 
-A service's ``health()`` keys are read-throughs of these instruments
-(key names unchanged), so health and ``/metrics`` can never disagree.
+Each fact has one instrument.  The executor registers the ``exec``
+families it increments (``QueryExecutor.register_metrics``): production
+exports ``stop_reasons_total`` alone.  A service's ``health()`` keys
+are read-throughs of these instruments (key names unchanged), so health
+and ``/metrics`` can never disagree.
 
 Span names
 ----------
@@ -59,7 +62,7 @@ and makes it ambient around every slot the query holds.  Every child is
 opened by one :class:`~repro.obs.trace.Clock`, the same primitive that
 adds the interval to the query's ``stage_ms`` bucket where the seam has
 one, so a span and its bucket read one ``perf_counter`` pair (a
-``validate_batch`` span's duration is what that pass added to
+``census`` or ``validate_batch`` span's duration is what it added to
 ``validation``).  Children:
 
 * ``initialise`` — plans, then the census candidates or S1 and the
@@ -75,12 +78,13 @@ one, so a span and its bucket read one ``perf_counter`` pair (a
   the sources that have a stage): one for a simple plan, one per hop for
   a chain (under ``plan_build`` when the build runs S1 itself, as the
   figures' planner does);
-* ``round`` — one S3 anytime round (``round_index``, ``kind``); it
-  nests ``validate_batch`` spans (S2, attribute ``pending``), and under
-  those the ``similarity_row`` span of a row a sampled query's batch
-  builds.  A census round nests one ``census`` span (``support`` = joint
-  support size, ``pending`` = entries it validated) around its
-  ``validate_batch``.
+* ``round`` — one S3 anytime round (``round_index``, ``kind``).  A
+  census round nests one leaf ``census`` span (``support`` = joint
+  support size, ``kept`` = the kept answers it screened), the
+  intersection and screen it times.  A sampled round nests one
+  ``validate_batch`` span per pass over new draws (S2, attribute
+  ``pending``), and under it the ``similarity_row`` span of a row the
+  batch builds.
 
 ``QueryHandle.trace()`` returns the tree as a nested JSON-clean dict
 (:meth:`repro.obs.trace.Span.as_dict`); it is ``None`` when the service

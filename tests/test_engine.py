@@ -480,6 +480,13 @@ class TestConfigValidation:
             with pytest.raises(TypeError):
                 config(similarity_floor=0.01)
 
+    def test_the_plan_bound_is_no_knob(self):
+        """Every plan cache bounds a graph's plans at ``MAX_PLANS_PER_GRAPH``."""
+        from repro.core.plan import PlanCache
+
+        with pytest.raises(TypeError):
+            PlanCache(max_plans_per_graph=1)
+
     def test_with_copies(self):
         config = EngineConfig()
         updated = config.with_(error_bound=0.05)

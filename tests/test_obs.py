@@ -26,6 +26,10 @@ Covered:
 * the ``/metrics`` endpoint — Prometheus text parse round-trip through
   ``ReproClient``, with families from every layer present, each in one of
   the lint contract's metric scopes;
+* one measurement per fact — a warm census's trace is ``query →
+  {initialise, round → {census}}``, its ``census`` span lasts what its
+  round adds to ``validation``, and a production scrape holds none of the
+  families that restated another or that only a sampled executor moves;
 * ``health()`` key-name byte compatibility after the counter migration,
   and well-formed snapshots while pollers race a live batch.
 """
@@ -272,7 +276,7 @@ class TestSpanTrees:
         a chain included, and no span stands in for a transport hop."""
         seams = {
             "query", "initialise", "plan_build", "s1_stage", "round",
-            "census", "validate_batch", "similarity_row",
+            "census", "similarity_row",
         }
 
         def names(node: dict) -> set[str]:
@@ -291,14 +295,14 @@ class TestSpanTrees:
                 handle.result(timeout=60.0)
             seen = set().union(*(names(handle.trace()) for handle in handles))
         assert seen <= seams, sorted(seen - seams)
-        assert {"query", "initialise", "round", "validate_batch"} <= seen
+        assert {"query", "initialise", "round", "census"} <= seen
 
 
 # ---------------------------------------------------------------------------
 # One clock per stage: a span and its stage bucket read one perf_counter pair
 # ---------------------------------------------------------------------------
 class TestOneClock:
-    def test_a_validate_batch_span_lasts_what_its_pass_adds(self, world):
+    def test_a_census_span_lasts_what_its_round_adds(self, world):
         shared_plan_cache().clear()
         engine = ApproximateAggregateEngine(
             world.kg, world.embedding, EngineConfig(seed=7)
@@ -309,9 +313,31 @@ class TestOneClock:
         with Clock(parent=root):
             engine.executor.step(state, 0.01)
         (census,) = root.children
-        (validate,) = census.children
-        assert validate.name == "validate_batch"
-        assert validate.duration_s == state.timers[STAGE_VALIDATION]
+        assert (census.name, census.children) == ("census", [])
+        assert census.duration_s == state.timers[STAGE_VALIDATION]
+
+    def test_a_validate_batch_span_lasts_what_its_pass_adds(
+        self, world, sampled_service
+    ):
+        """A sampled query validates each round's new draws in one
+        ``validate_batch`` pass; its spans, added in the order they ran,
+        are the validation bucket to the last bit."""
+        shared_plan_cache().clear()
+        config = PaperConfig(seed=7, max_rounds=3)
+        with sampled_service(world.kg, world.embedding, config) as service:
+            handle = service.submit(world.count_query(), seed=3, error_bound=1e-4)
+            result = handle.result(timeout=60.0)
+            root = handle._record.span
+        passes = [
+            span
+            for round_span in root.children if round_span.name == "round"
+            for span in round_span.children if span.name == "validate_batch"
+        ]
+        assert len(passes) > 1
+        added = 0.0
+        for span in passes:
+            added += span.duration_s
+        assert added * 1000.0 == result.stage_ms[STAGE_VALIDATION]
 
     def test_a_stage_that_raises_still_adds_and_closes(self):
         timers: dict[str, float] = {}
@@ -341,6 +367,87 @@ class TestOneClock:
         with _service(world, registry=NULL_REGISTRY) as service:
             result = service.submit(world.count_query(), seed=3).result(timeout=60)
         assert STAGE_VALIDATION in result.stage_ms
+
+
+# ---------------------------------------------------------------------------
+# Each fact is measured once
+# ---------------------------------------------------------------------------
+#: families a production scrape does not hold: three restated another
+#: instrument (census_queries = stop_reasons_total{reason="census"},
+#: validated_entries_total = validate_batch_pending_sum, rounds_total =
+#: round_seconds_count), and three only a sampled executor moves
+NOT_IN_PRODUCTION = (
+    "repro_exec_census_queries",
+    "repro_exec_validated_entries_total",
+    "repro_scheduler_rounds_total",
+    "repro_exec_validate_batch_pending",
+    "repro_exec_sigma_closed_form",
+    "repro_exec_sigma_bootstrap",
+)
+
+
+def _families(exposition: str) -> set[str]:
+    """The metric families a Prometheus text exposition declares."""
+    return {
+        line.split(" ")[2]
+        for line in exposition.splitlines()
+        if line.startswith("# TYPE ")
+    }
+
+
+class TestOneMeasurementPerFact:
+    def test_a_warm_census_is_one_leaf_span_in_its_round(self, world):
+        """Once its plan and row are warm, a served census's whole trace
+        is its root, a leaf ``initialise`` and one ``round`` holding one
+        leaf ``census`` span that records the support and what it kept."""
+
+        def shape(node: dict) -> tuple:
+            return node["name"], [shape(child) for child in node["children"]]
+
+        with _service(world) as service:
+            service.submit(world.count_query(), seed=3).result(timeout=60.0)
+            handle = service.submit(world.count_query(), seed=4)
+            result = handle.result(timeout=60.0)
+            trace = handle.trace()
+        assert shape(trace) == (
+            "query", [("initialise", []), ("round", [("census", [])])]
+        )
+        census = trace["children"][1]["children"][0]
+        assert census["attributes"] == {
+            "support": result.num_candidates,
+            "kept": census["attributes"]["kept"],
+        }
+        assert 0 < census["attributes"]["kept"] <= result.num_candidates
+
+    def test_a_scrape_holds_only_the_families_its_executor_moves(
+        self, world, sampled_service
+    ):
+        with _service(world) as service:
+            service.submit(world.count_query(), seed=3).result(timeout=60.0)
+            production = service.registry.render_prometheus()
+        config = PaperConfig(seed=7)
+        with sampled_service(world.kg, world.embedding, config) as service:
+            service.submit(world.count_query(), seed=3).result(timeout=60.0)
+            sampled = service.registry.render_prometheus()
+        assert not _families(production) & set(NOT_IN_PRODUCTION)
+        assert "repro_exec_stop_reasons_total" in _families(production)
+        assert "repro_exec_validate_batch_pending" in _families(sampled)
+        assert _parse_prometheus(sampled)["repro_exec_validate_batch_pending_sum"] > 0
+
+    def test_an_executor_counts_only_for_an_instrumented_service(self, world):
+        """A service registers its executor's instruments when
+        observability is on and leaves it none when it is off, even an
+        executor another service instrumented before."""
+        engine = ApproximateAggregateEngine(
+            world.kg, world.embedding, EngineConfig(seed=7)
+        )
+        layers = {"planner": engine.planner, "executor": engine.executor}
+        with AggregateQueryService(world.kg, world.embedding, **layers):
+            assert set(engine.executor.obs_metrics) == {"stop_reasons"}
+        with AggregateQueryService(
+            world.kg, world.embedding, registry=NULL_REGISTRY, **layers
+        ):
+            assert engine.executor.obs_metrics is None
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +658,8 @@ class TestMetricsEndpoint:
             runner.stop()
 
         assert samples["repro_plan_builds"] == 1  # S1
-        assert samples["repro_exec_validated_entries_total"] > 0  # S2
-        assert samples["repro_scheduler_rounds_total"] >= 1  # S3/S4
+        assert samples['repro_exec_stop_reasons_total{reason="census"}'] == 1  # S2
+        assert samples["repro_scheduler_round_seconds_count"] == 1  # S3/S4
         assert samples['repro_scheduler_queries_settled_total{status="succeeded"}'] == 1
         assert samples["repro_server_requests_total"] >= 2  # S6
         assert samples["repro_server_queries_submitted_total"] == 1
@@ -604,11 +711,16 @@ class TestMetricsEndpoint:
 
 
 class TestExecMetrics:
-    def test_in_process_rounds_tick_the_validation_counters(self, world):
-        with _service(world) as service:
+    def test_in_process_rounds_tick_the_validation_counters(
+        self, world, sampled_service
+    ):
+        """A sampled round hands its new draws to S2 in one batch, and
+        the batch sizes add up in ``validate_batch_pending``."""
+        config = PaperConfig(seed=7)
+        with sampled_service(world.kg, world.embedding, config) as service:
             service.submit(world.count_query(), seed=3).result(timeout=30.0)
             samples = _parse_prometheus(service.registry.render_prometheus())
-        assert samples["repro_exec_validated_entries_total"] > 0
+        assert samples["repro_exec_validate_batch_pending_sum"] > 0
         assert samples["repro_exec_validate_batch_pending_count"] > 0
         # S2 searches nothing: no conjunction skip or chain DFS counter
         assert not [
@@ -617,18 +729,21 @@ class TestExecMetrics:
             or name.startswith("repro_exec_conjunction_")
         ]
 
-    def test_a_per_query_confidence_still_ticks_the_exec_counters(self, world):
-        """A non-default ``confidence`` steps its query on an executor of
-        its own; that executor reports to the service's registry too, and
-        S2 does the same work at either confidence."""
+    def test_a_per_query_confidence_still_ticks_the_exec_counters(
+        self, world, sampled_service
+    ):
+        """A query's confidence lives on its state, so a non-default one
+        steps on the service's executor and reports to its registry, and
+        a first round validates the same draws at either confidence."""
+        config = PaperConfig(seed=7, max_rounds=1)
         validated = []
         for confidence in (None, 0.9):
-            with _service(world) as service:
+            with sampled_service(world.kg, world.embedding, config) as service:
                 service.submit(
                     world.count_query(), seed=3, confidence=confidence
                 ).result(timeout=30.0)
                 samples = _parse_prometheus(service.registry.render_prometheus())
-            validated.append(samples["repro_exec_validated_entries_total"])
+            validated.append(samples["repro_exec_validate_batch_pending_sum"])
         assert validated[0] > 0
         assert validated[1] == validated[0]
 

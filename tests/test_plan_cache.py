@@ -184,11 +184,13 @@ class TestVersionCounters:
         assert plan.validator.row() is row
         assert len(row[0]) == world.kg.num_nodes - 1
 
-    def test_lru_bound_evicts_oldest_plan(self, world):
+    def test_lru_bound_evicts_oldest_plan(self, world, monkeypatch):
+        from repro.core import plan as plan_module
         from repro.core.plan import PlanCache
         from repro.core.planner import QueryPlanner
 
-        small = PlanCache(max_plans_per_graph=1)
+        monkeypatch.setattr(plan_module, "MAX_PLANS_PER_GRAPH", 1)
+        small = PlanCache()
         config = EngineConfig(seed=7)
         space = ApproximateAggregateEngine(
             world.kg, world.embedding, config

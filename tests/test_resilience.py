@@ -504,8 +504,9 @@ class TestFaultMechanics:
         assert plan.log == []
 
     def test_confidence_override_executor_carries_the_fault_plan(self, world):
-        """A per-query confidence builds its own executor; the plan's
-        ``validate_batch`` hook is installed on it too."""
+        """A query's confidence lives on its state, so a non-default one
+        runs on the service's own executor, which carries the plan's
+        ``validate_batch`` hook."""
         config = EngineConfig(seed=7)
         plan = FaultPlan([FaultSpec(site="validate_batch", action="raise")])
         with AggregateQueryService(

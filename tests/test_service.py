@@ -62,6 +62,9 @@ from repro.errors import (
 )
 from repro.semantics.validation import ChainValidator
 
+#: an integer with no ``repr``: past the interpreter's 4 300-digit limit
+PAST_PRINT_LIMIT = pytest.param(10**5000, id="past-int-print-limit")
+
 
 @pytest.fixture
 def world(toy_world_factory):
@@ -1251,13 +1254,15 @@ class TestHandleSurface:
             assert service.submit(world.avg_query()).sequence == 0
 
     @pytest.mark.parametrize(
-        "bound", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 5.0]
+        "bound",
+        [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 5.0, PAST_PRINT_LIMIT],
     )
     def test_invalid_error_bound_raises_at_submit(self, world, bound):
         """An ``error_bound`` outside (0, 1), the range ``EngineConfig``
         takes, leaves no record: NaN and the infinities used to fail the
         query at its first growth, 0 and -1 in the estimator, and a census
-        answered 1.0 and 5.0."""
+        answered 1.0 and 5.0.  An integer too long to print fails as
+        plainly: its message names its size, not its digits."""
         with _service(world, autostart=False) as service:
             with pytest.raises(QueryError, match="error_bound"):
                 service.submit(world.avg_query(), error_bound=bound)
@@ -1274,7 +1279,11 @@ class TestHandleSurface:
 
     @pytest.mark.parametrize(
         "deadline",
-        [math.nan, -1.0, -math.inf, pytest.param(10**400, id="past-float-range")],
+        [
+            math.nan, -1.0, -math.inf,
+            pytest.param(10**400, id="past-float-range"),
+            PAST_PRINT_LIMIT,
+        ],
     )
     def test_invalid_deadline_raises_at_submit(self, world, deadline):
         """A NaN deadline never expired, a negative one expired at once and
@@ -1288,7 +1297,7 @@ class TestHandleSurface:
             assert service.health()["live_queries"] == 0
             assert service.submit(world.avg_query()).sequence == 0
 
-    @pytest.mark.parametrize("deadline", [math.nan, -1.0])
+    @pytest.mark.parametrize("deadline", [math.nan, -1.0, PAST_PRINT_LIMIT])
     def test_invalid_default_deadline_raises_at_construction(self, world, deadline):
         with pytest.raises(QueryError, match="default_deadline"):
             AggregateQueryService(
@@ -1296,7 +1305,8 @@ class TestHandleSurface:
             )
 
     @pytest.mark.parametrize(
-        "bound", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 5.0]
+        "bound",
+        [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 5.0, PAST_PRINT_LIMIT],
     )
     def test_invalid_error_bound_raises_at_refine(self, world, bound):
         with _service(world) as service:
