@@ -862,6 +862,27 @@ _METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _INSTRUMENT_METHODS = ("counter", "gauge", "histogram")
 
 
+def _name_scopes(tree: ast.Module) -> list[list[ast.AST]]:
+    """``tree``'s nodes grouped by where REP401 resolves scope variables:
+    first the module's own (class bodies included, function bodies not),
+    then each outermost function or method with the functions nested in
+    it.  Each node lies in exactly one group, so each registration is
+    checked once."""
+    module_nodes: list[ast.AST] = []
+    groups = [module_nodes]
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                groups.append(list(ast.walk(child)))
+            else:
+                module_nodes.append(child)
+                visit(child)
+
+    visit(tree)
+    return groups
+
+
 class MetricNameRule(Rule):
     code = "REP401"
     name = "metric-naming"
@@ -876,8 +897,8 @@ class MetricNameRule(Rule):
         for module in project:
             if module.matches("obs/metrics.py"):
                 continue  # the registry itself, not a registration site
-            for scope_node in [module.tree, *_functions(module.tree)]:
-                findings.extend(self._check_scope(module, scope_node))
+            for nodes in _name_scopes(module.tree):
+                findings.extend(self._check_scope(module, nodes))
         return findings
 
     def _scope_literal(self, node: ast.expr) -> str | None:
@@ -893,18 +914,9 @@ class MetricNameRule(Rule):
             return node.args[0].value
         return None
 
-    def _check_scope(self, module, scope_root) -> list[Finding]:
+    def _check_scope(self, module, nodes: list[ast.AST]) -> list[Finding]:
         findings: list[Finding] = []
         scope_vars: dict[str, str] = {}
-        nodes = (
-            list(ast.walk(scope_root))
-            if not isinstance(scope_root, ast.Module)
-            else list(scope_root.body)
-            + [n for stmt in scope_root.body for n in ast.walk(stmt)
-               if not isinstance(
-                   stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
-               )]
-        )
         for node in nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 scope_name = self._scope_literal(node.value)

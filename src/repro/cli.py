@@ -2,10 +2,10 @@
 
 Commands:
 
-* ``query``      — parse AQL string(s) and run them on a synthetic dataset,
-  printing the approximate result (and optionally the exact tau-GT);
-  several queries (or ``--batch``) go through the serving layer, which
-  interleaves their rounds over shared plans.
+* ``query``      — parse AQL string(s) and serve them as one batch through
+  the serving layer on a synthetic dataset, printing each approximate
+  result (and optionally the exact tau-GT); several queries interleave
+  their rounds over shared plans.
 * ``serve``      — read AQL queries from stdin and serve them concurrently
   through :class:`AggregateQueryService`, reporting per-round progress.
 * ``snapshot``   — save/load a dataset's CSR snapshot through a
@@ -157,11 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--error-bound", type=float, default=0.01)
     query.add_argument("--confidence", type=float, default=0.95)
     query.add_argument("--tau", type=float, default=0.85)
-    query.add_argument(
-        "--batch",
-        action="store_true",
-        help="route through the serving layer even for a single query",
-    )
     _add_serving_arguments(query)
     query.add_argument(
         "--ground-truth",
@@ -350,38 +345,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 2
     print(f"dataset: {bundle.name} ({bundle.kg.num_nodes:,} nodes, "
           f"{bundle.kg.num_edges:,} edges)")
-    if (
-        len(queries) > 1
-        or args.batch
-        or args.deadline is not None
-        or args.max_pending is not None
-    ):
-        # the serving limits --deadline/--max-pending always route through
-        # the serving layer: a lone query must not silently ignore them
-        return _run_query_batch(bundle, config, queries, args)
-    aggregate_query = queries[0]
-    engine = ApproximateAggregateEngine(bundle.kg, bundle.embedding, config=config)
-    print(f"query:   {aggregate_query.describe()}")
-    started = time.perf_counter()
-    result = engine.execute(aggregate_query)
-    elapsed_ms = (time.perf_counter() - started) * 1e3
-    if isinstance(result, GroupedResult):
-        print(result.describe())
-        if args.trace:
-            _print_round_trace(result)
-    else:
-        print(f"result:  {result.describe()}")
-        if args.trace:
-            _print_round_trace(result)
-    print(f"time:    {elapsed_ms:,.1f} ms")
-    if args.ground_truth and isinstance(result, ApproximateResult):
-        from repro.baselines.ssb import tau_ground_truth
-
-        truth = tau_ground_truth(bundle.kg, bundle.space(), aggregate_query,
-                                 tau=args.tau)
-        print(f"tau-GT:  {truth.value:,.2f}   "
-              f"error: {result.relative_error(truth.value):.2%}")
-    return 0
+    return _run_query_batch(bundle, config, queries, args)
 
 
 def _run_query_batch(bundle, config: EngineConfig, queries, args) -> int:

@@ -70,7 +70,8 @@ class FaultSpec:
     """One injectable fault: *where* (site + match), *what* (action), *how often*.
 
     ``site`` names an injection point: ``"slot"`` (the scheduler, before
-    a query's round; context ``sequence``, ``round``, ``kind``) or
+    a query's round and, in its first slot, after the record's
+    initialisation; context ``sequence``, ``round``, ``kind``) or
     ``"validate_batch"`` (the executor, before a census reads its kept
     answers or a sampled round validates its new draws; context
     ``pending``, the census's support or the draws' count).  ``match``

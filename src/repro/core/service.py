@@ -25,12 +25,17 @@ What makes a *batch* cheaper than a loop over ``execute``:
   so results stay byte-identical to sequential execution.
 * **Round interleaving** — the scheduler is round-robin with
   budget-aware priority (queries with the fewest completed rounds step
-  first), so a batch of queries makes even progress and early
-  convergers free their slot immediately.  The scheduler slot
-  (``_step_record``, one per cohort record in ``_run_cohort``) is the
-  only driver of the executor's one step/finalise lifecycle: it steps,
-  notifies and finalises once a step names why the run stops, and never
-  asks what kind of query it is stepping (``kind`` is a label for
+  first, a record not yet initialised counting 0), so a batch of
+  queries makes even progress and early convergers free their slot
+  immediately.  A pass is one locked section — settle cancels and
+  expired deadlines, prune, pick and order the cohort — then one slot
+  per cohort record (``_step_record``, in ``_run_cohort``).  The slot is
+  the only driver of the executor's initialise/step/finalise lifecycle:
+  a record's first slot initialises it, then every slot steps the head
+  of the record's run queue, notifies a round the step appended and
+  finalises once a step names why the run stops, so a query settles in
+  its own slot, before the next record's initialisation starts.  It
+  never asks what kind of query it is stepping (``kind`` is a label for
   metrics, ``/healthz`` and the audit line), so GROUP-BY and MAX/MIN
   queries interleave with plain ones, observe cancellation between
   rounds, and expose a non-empty anytime trace.  A query ends one way,
@@ -40,7 +45,7 @@ Everything mutable about one query lives in its
 :class:`~repro.core.executor._QueryState` (a per-query ``confidence``
 included), everything compiled for a component on its plan, so one
 executor, holding neither, serves every query; the scheduler thread steps
-every cohort member itself, one slot per state per pass, so states need
+every cohort member itself, one slot per record per pass, so states need
 no locking.  Each state owns its RNG and validation/estimation/guarantee
 are deterministic, so a fixed seed gives byte-identical results however
 queries interleave.  A query starts one way — :meth:`submit` queues its
@@ -97,7 +102,7 @@ __all__ = [
 class QueryStatus(enum.Enum):
     """Lifecycle of a submitted query."""
 
-    PENDING = "pending"  # submitted, not initialised (planned) yet
+    PENDING = "pending"  # submitted, no scheduler pass has picked it yet
     RUNNING = "running"  # a run is active or queued
     SUCCEEDED = "succeeded"
     FAILED = "failed"
@@ -167,8 +172,11 @@ class _QueryRecord:
     kind: str
     status: QueryStatus = QueryStatus.PENDING
     state: _QueryState | None = None
-    queued_runs: deque[_Run] = field(default_factory=deque)
-    active_run: _Run | None = None
+    #: the record's runs (execute, then each refine); the slot steps the head
+    runs: deque[_Run] = field(default_factory=deque)
+    #: the ``scheduler`` share of the pass that picked the record before its
+    #: first slot initialised it; that slot adds it to the fresh state
+    pending_share: float = 0.0
     result: ApproximateResult | GroupedResult | None = None
     exception: BaseException | None = None
     cancel_requested: bool = False
@@ -288,9 +296,10 @@ class QueryHandle:
         """The query's correlated span tree as a nested JSON-clean dict.
 
         The scheduler grows the tree at the existing seams —
-        ``initialise``/``plan_build`` and one ``round`` child per anytime
-        round with its ``validate_batch`` children — and the tree stays
-        readable after settlement.  ``None`` when the service was
+        ``initialise``/``plan_build`` and one ``round`` child per slot: a
+        census round holds one leaf ``census`` span, a sampled round its
+        ``validate_batch`` children — and the tree stays readable after
+        settlement.  ``None`` when the service was
         built with observability disabled (``registry=NULL_REGISTRY``).
         """
         span = self._record.span
@@ -301,7 +310,9 @@ class QueryHandle:
 
         All draws and verdicts collected so far are reused — tightening
         the bound only costs the incremental sampling Eq. 12 asks for,
-        exactly the paper's interactive-refinement behaviour.  Returns
+        exactly the paper's interactive-refinement behaviour.  A census
+        is exact already: its refine re-finalises the same result and
+        adds no round; only a sampled run grows.  Returns
         ``self`` so ``handle.refine(0.01).result()`` reads naturally.
         An ``error_bound`` outside (0, 1) raises :class:`QueryError`
         before any run is queued.
@@ -563,8 +574,7 @@ class AggregateQueryService:
         record.status = status
         if exception is not None:
             record.exception = exception
-        record.queued_runs.clear()
-        record.active_run = None
+        record.runs.clear()
         self._notify(record, "settled", status)
         self._metric_settled[status].inc()
         if record.span is not None:
@@ -733,7 +743,7 @@ class AggregateQueryService:
             self._metric_submitted.inc()
             self._sequence += 1
             self._records.append(record)
-            record.queued_runs.append(
+            record.runs.append(
                 _Run(self.config.error_bound if error_bound is None else error_bound)
             )
             self._condition.notify_all()
@@ -849,9 +859,7 @@ class AggregateQueryService:
                 )
             limit = self._limits.max_queued_runs
             if limit is not None:
-                backlog = len(record.queued_runs) + (
-                    1 if record.active_run is not None else 0
-                )
+                backlog = len(record.runs)
                 if backlog >= limit:
                     self._metric_sheds.inc()
                     raise ServiceOverloadedError(
@@ -859,7 +867,7 @@ class AggregateQueryService:
                         f"queued/active runs (max_queued_runs={limit}); "
                         "wait for the backlog to drain"
                     )
-            record.queued_runs.append(_Run(error_bound))
+            record.runs.append(_Run(error_bound))
             if record.status is QueryStatus.SUCCEEDED:
                 # the refined query will settle (and be audited) again
                 record.status = QueryStatus.RUNNING
@@ -876,8 +884,8 @@ class AggregateQueryService:
             if record.status in _TERMINAL:
                 return False
             record.cancel_requested = True
-            if record.active_run is None and record.status is QueryStatus.PENDING:
-                # nothing is mid-flight: cancel right here, no scheduler
+            if record.status is QueryStatus.PENDING:
+                # no pass has picked it up: cancel right here, no scheduler
                 # round-trip (works even on a not-yet-started service)
                 self._settle_locked(record, QueryStatus.CANCELLED)
         return True
@@ -900,11 +908,6 @@ class AggregateQueryService:
     # ------------------------------------------------------------------
     # Scheduler
     # ------------------------------------------------------------------
-    def _set_phase(self, phase: str) -> None:
-        """Publish the scheduler's phase for health() readers."""
-        with self._condition:
-            self._phase = phase
-
     def _ensure_scheduler(self) -> None:
         if not self._autostart or self._shutdown:
             return
@@ -921,7 +924,9 @@ class AggregateQueryService:
         while True:
             with self._condition:
                 self._phase = "idle"
-                # a live record always has work: see _complete_run
+                # a live record always has work — a run, whose slot
+                # initialises the record first if need be, or a pending
+                # cancel: see _complete_run
                 while not self._shutdown and not self._live_locked():
                     self._condition.wait()
                 if self._shutdown:
@@ -936,10 +941,11 @@ class AggregateQueryService:
                         self._settle_locked(record, QueryStatus.FAILED, exception=exc)
 
     def _tick(self) -> None:
-        """One scheduler pass: cancellations, deadlines, inits, one step per
+        """One scheduler pass: one locked section settles cancellations
+        and deadlines, prunes and picks the cohort; then one slot per
         cohort member."""
-        self._set_phase("cancellation/deadline sweep")
         with self._condition:
+            self._phase = "cancellation/deadline sweep"
             # round boundaries are the cooperative preemption points: a
             # pending cancel settles here, and so does an expired query,
             # whose anytime trace travels inside the error, preserving the
@@ -967,60 +973,27 @@ class AggregateQueryService:
             # query state ever served (engine.execute submits one per
             # call) nor rescan them each pass; refine() re-registers
             self._records = live = self._live_locked()
+            # every live record is cohort now: the sweep settled each
+            # pending cancel, and a live record always has a run
+            overhead_started = time.perf_counter()
             for record in live:
-                if record.active_run is None and record.queued_runs:
-                    record.active_run = record.queued_runs.popleft()
-                    record.status = QueryStatus.RUNNING
-            to_init = [r for r in live if r.state is None]
-
-        self._set_phase("initialise")
-        for record in to_init:
-            self._initialise(record)
-
-        # the overhead clock starts after initialisation, which each
-        # state's own stage buckets already time
-        overhead_started = time.perf_counter()
-        with self._condition:
-            cohort = [
-                r
-                for r in self._records
-                if r.status is QueryStatus.RUNNING
-                and r.active_run is not None
-                and r.state is not None
-                and not r.cancel_requested
-            ]
+                record.status = QueryStatus.RUNNING
             # Budget-aware round-robin: the query with the fewest
-            # completed rounds steps first; submission order breaks ties.
-            cohort.sort(key=lambda r: (len(r.state.rounds), r.sequence))
+            # completed rounds (0 before its first slot) steps first;
+            # submission order breaks ties.
+            cohort = sorted(live, key=lambda r: (
+                len(r.state.rounds) if r.state else 0, r.sequence))
+            self._phase = "execute cohort"
 
         if cohort:
             share = (time.perf_counter() - overhead_started) / len(cohort)
             for record in cohort:
-                record.state.timers[STAGE_SCHEDULER] += share
+                if record.state is None:
+                    record.pending_share = share
+                else:
+                    record.state.timers[STAGE_SCHEDULER] += share
 
-        self._set_phase("execute cohort")
         self._run_cohort(cohort)
-
-    def _initialise(self, record: _QueryRecord) -> None:
-        """Initialise one record's state: plans, candidates (or draws)."""
-        try:
-            with obs_trace.Clock(parent=record.span):
-                state = self._executor.initialise(
-                    record.aggregate_query, record.seed, confidence=record.confidence
-                )
-        except BaseException as exc:
-            with self._condition:
-                self._settle_locked(record, QueryStatus.FAILED, exception=exc)
-            return
-        # make serving overhead attributable from the very first result
-        state.timers.setdefault(STAGE_SCHEDULER, 0.0)
-        with self._condition:
-            if record.status in _TERMINAL:
-                # a cancel (or service close) landed while it planned: keep
-                # the terminal status — resurrecting the record here left
-                # handles stranded in RUNNING forever
-                return
-            record.state = state
 
     # -- the slot: one round of one record ------------------------------
     def _run_cohort(self, cohort: list[_QueryRecord]) -> None:
@@ -1040,32 +1013,50 @@ class AggregateQueryService:
     def _step_record(self, record: _QueryRecord) -> None:
         """Advance one record by exactly one round, in this thread.
 
-        The slot — step, count and notify the round, then, once the
-        step names a ``stop_reason``, complete the run with what
-        :meth:`QueryExecutor.finalise` packages — is the one driver of
-        the executor's round lifecycle, the same for every kind, so
-        grouped and extreme queries interleave with plain aggregates,
-        observe cancellation between rounds, and grow their anytime trace
-        like every other query.  Whether the sample grows first and
-        whether the run ends there is the executor's business
+        The slot is the one driver of a record's lifecycle, the same for
+        every kind.  A record's first slot initialises its state (plans,
+        candidates or draws: :meth:`QueryExecutor.initialise`); then each
+        slot steps the head run, counts and notifies the round if the
+        step appended one, and once the step names a ``stop_reason``
+        completes the run with what :meth:`QueryExecutor.finalise`
+        packages.  So a query settles in its own slot, and grouped and
+        extreme queries interleave with plain aggregates, observe
+        cancellation between rounds, and grow their anytime trace like
+        every other query.  Whether the sample grows first and whether
+        the run ends there is the executor's business
         (:meth:`QueryExecutor.step`, told the round).
         """
         # re-checked under the lock: a cancel/close may have landed
         # between cohort selection and this slot
         with self._condition:
-            run = record.active_run
-            state = record.state
-            if run is None or state is None or record.cancel_requested:
+            if not record.runs or record.cancel_requested:
                 return
+            run = record.runs[0]
+            state = record.state
+        if state is None:
+            with obs_trace.Clock(parent=record.span):
+                state = self._executor.initialise(
+                    record.aggregate_query, record.seed, confidence=record.confidence
+                )
+            # make serving overhead attributable from the very first result
+            state.timers.setdefault(STAGE_SCHEDULER, 0.0)
+            state.timers[STAGE_SCHEDULER] += record.pending_share
+            with self._condition:
+                if record.status in _TERMINAL:
+                    # close() landed while it planned: keep the terminal
+                    # status — resurrecting the record here left handles
+                    # stranded in RUNNING forever
+                    return
+                record.state = state
+                if record.cancel_requested:
+                    return  # the next sweep settles it
         round_index = run.steps_taken + 1
         fault_plan = self._fault_plan
         if fault_plan is not None:
             fault_plan.fire(
-                "slot",
-                sequence=record.sequence,
-                round=round_index,
-                kind=record.kind,
+                "slot", sequence=record.sequence, round=round_index, kind=record.kind
             )
+        rounds_before = len(state.rounds)
         with obs_trace.Clock(
             "round", parent=record.span, kind=record.kind, round_index=round_index
         ):
@@ -1073,28 +1064,32 @@ class AggregateQueryService:
                 state, run.error_bound, run_round=round_index
             )
         run.steps_taken = round_index
-        self._metric_round_seconds.observe(outcome.trace.seconds)
-        # push the fresh anytime trace entry to subscribers (SSE streams)
-        # before any completion bookkeeping, so round events always
-        # precede the settlement event
-        self._notify(
-            record, "round", (len(state.rounds) - 1, outcome.trace)
-        )
+        if len(state.rounds) > rounds_before:
+            # a census refine re-emits its one round: nothing ran, so
+            # nothing is counted or pushed.  Subscribers (SSE streams) get
+            # the fresh anytime trace entry before any completion
+            # bookkeeping, so round events always precede the settlement
+            self._metric_round_seconds.observe(outcome.trace.seconds)
+            self._notify(
+                record, "round", (len(state.rounds) - 1, outcome.trace)
+            )
         if outcome.stop_reason is not None:
             self._complete_run(record, self._executor.finalise(state, outcome))
 
     def _complete_run(self, record: _QueryRecord, result) -> None:
-        """Store a finished run's result; settle the record as succeeded
-        unless another run is queued or a cancel is pending.
+        """Store a finished run's result and drop the run; settle the
+        record as succeeded unless another run is queued or a cancel is
+        pending.
 
         This keeps the invariant the scheduler's idle wait relies on: a
-        live record always has a pending initialisation, an active or
-        queued run, or a pending cancel, so it is work for the next pass.
+        live record always has a run (whose slot initialises the record
+        first if it has no state yet) or a pending cancel, so it is work
+        for the next pass.
         """
         with self._condition:
             if record.status in _TERMINAL:
                 return
             record.result = result
-            record.active_run = None
-            if not record.queued_runs and not record.cancel_requested:
+            record.runs.popleft()
+            if not record.runs and not record.cancel_requested:
                 self._settle_locked(record, QueryStatus.SUCCEEDED)

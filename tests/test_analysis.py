@@ -551,6 +551,16 @@ class TestMetricNaming:
         assert codes(report) == ["REP401"]
         assert "repro_scheduler_Bad-Name" in report.findings[0].message
 
+    def test_a_method_registration_fires_once(self, tmp_path):
+        report = run_lint(tmp_path, {"core/service.py": """
+            class Service:
+                def wire(self, registry):
+                    scope = registry.scope("scheduler")
+                    scope.counter("Bad-Name")
+                    return scope.gauge("Bad-Name")
+        """})
+        assert codes(report) == ["REP401", "REP401"]
+
     def test_non_literal_metric_name_fires(self, tmp_path):
         report = run_lint(tmp_path, {"core/service.py": """
             def wire(registry, name):

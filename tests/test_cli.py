@@ -73,16 +73,16 @@ def test_query_group_by(capsys):
     assert "groups" in out
 
 
-def test_query_extreme_trace_renders_no_nan(capsys, monkeypatch, sampled_engine):
+def test_query_extreme_trace_renders_no_nan(capsys, monkeypatch, sampled_service):
     """Regression: extreme round traces carried moe=NaN, which the trace
     table rendered as 'nan'; the sentinel renders as the n/a marker.  The
-    engine samples: a census round has a CI, so it has no sentinel."""
+    service samples: a census round has a CI, so it has no sentinel."""
 
-    def sampled(kg, embedding, config):
+    def sampled(kg, embedding, config, **kwargs):
         # the CLI's census config, under the sampler's defaults
-        return sampled_engine(kg, embedding, PaperConfig(**asdict(config)))
+        return sampled_service(kg, embedding, PaperConfig(**asdict(config)), **kwargs)
 
-    monkeypatch.setattr("repro.cli.ApproximateAggregateEngine", sampled)
+    monkeypatch.setattr("repro.cli.AggregateQueryService", sampled)
     code = main(
         [
             "query",
@@ -339,6 +339,16 @@ def test_snapshot_load_without_save_reports_store_error(tmp_path, capsys):
     )
     assert code == 1
     assert "no store file" in capsys.readouterr().err
+
+
+def test_query_has_no_batch_flag(capsys):
+    """Every query goes through the serving layer, so there is no flag to
+    choose it."""
+    aql = "COUNT(*) MATCH (Germany:Country)-[product]->(x:Automobile)"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["query", aql, "--batch"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["backend", "workers"])

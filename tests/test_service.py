@@ -1554,6 +1554,74 @@ class TestOneSettlementPath:
         assert [json.loads(line)["status"] for line in audit] == [status.value]
 
 
+def _round_seconds_count(service) -> int:
+    snapshot = service.registry.snapshot()
+    return snapshot["repro_scheduler_round_seconds"]["{}"]["count"]
+
+
+class TestOneSlotPerRecord:
+    """A record's first slot initialises it, and each slot counts and
+    pushes only a round its step appended."""
+
+    def test_a_warm_query_settles_before_the_next_initialises(self, world):
+        with _service(world) as warm:  # build both queries' plans
+            warm.submit(world.count_query(), seed=3).result(timeout=30.0)
+            warm.submit(world.avg_query(), seed=4).result(timeout=30.0)
+        order: list = []
+        service = _service(world, autostart=False)
+        initialise = service._executor.initialise
+
+        def recording(aggregate_query, seed, **kwargs):
+            order.append(("initialise", seed))
+            return initialise(aggregate_query, seed, **kwargs)
+
+        service._executor.initialise = recording
+        try:
+            first = service.submit(world.count_query(), seed=3)
+            second = service.submit(world.avg_query(), seed=4)
+            first.subscribe(
+                lambda event, payload: order.append((event, 3))
+                if event == "settled"
+                else None
+            )
+            service.start()
+            first.result(timeout=30.0)
+            second.result(timeout=30.0)
+        finally:
+            service.close()
+        assert order.index(("settled", 3)) < order.index(("initialise", 4))
+
+    def test_a_census_refine_emits_no_second_round(self, world):
+        events: list = []
+        with _service(world) as service:
+            handle = service.submit(world.avg_query(), seed=3)
+            first = handle.result(timeout=30.0)
+            handle.subscribe(lambda event, payload: events.append(event))
+            refined = handle.refine(0.5).result(timeout=30.0)
+            counted = _round_seconds_count(service)
+        assert refined.rounds == first.rounds and len(first.rounds) == 1
+        assert counted == 1
+        assert events == ["settled"]
+
+    def test_a_sampled_refine_ticks_once_per_new_round(
+        self, world, sampled_service
+    ):
+        positions: list = []
+        with _service(world, error_bound=0.05, make=sampled_service) as service:
+            handle = service.submit(world.avg_query(), seed=3)
+            first = handle.result(timeout=30.0)
+            handle.subscribe(
+                lambda event, payload: positions.append(payload[0])
+                if event == "round"
+                else None
+            )
+            refined = handle.refine(0.02).result(timeout=30.0)
+            counted = _round_seconds_count(service)
+        assert len(refined.rounds) > len(first.rounds)
+        assert positions == list(range(len(first.rounds), len(refined.rounds)))
+        assert counted == len(refined.rounds)
+
+
 class _BlockingExecutor:
     """Wraps an executor so ``initialise`` blocks until released."""
 
@@ -1616,6 +1684,26 @@ class TestShutdownOrdering:
             assert handle.status.terminal, f"handle stuck {handle.status}"
             with pytest.raises(QueryCancelledError):
                 handle.result(timeout=1.0)
+
+    def test_close_during_initialise_names_the_slot_phase(self, world):
+        """Initialisation runs inside the slot: a pass stuck in it reads
+        ``execute cohort``, never a phase of its own."""
+        service = _service(world, autostart=False)
+        blocking = _BlockingExecutor(service._executor)
+        service._executor = blocking
+        service._join_timeout = 0.2
+        handle = service.submit(world.count_query(), seed=3)
+        service.start()
+        try:
+            assert blocking.entered.wait(timeout=10.0)
+            phases = {service.health()["scheduler_phase"] for _ in range(20)}
+            with pytest.raises(ServiceError, match="execute cohort"):
+                service.close()
+        finally:
+            blocking.release.set()
+        service.close()  # the slot drained: close now succeeds
+        assert phases == {"execute cohort"}
+        assert handle.status is QueryStatus.CANCELLED
 
     def test_close_mid_batch_settles_every_handle(self, world):
         shared_plan_cache().clear()
