@@ -168,6 +168,27 @@ def _functions(tree: ast.AST):
             yield node
 
 
+def _name_scopes(tree: ast.Module) -> list[list[ast.AST]]:
+    """``tree``'s nodes grouped by where a rule resolves local names:
+    first the module's own (class bodies included, function bodies not),
+    then each outermost function or method with the functions nested in
+    it.  Each node lies in exactly one group, so each site is checked
+    once."""
+    module_nodes: list[ast.AST] = []
+    groups = [module_nodes]
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                groups.append(list(ast.walk(child)))
+            else:
+                module_nodes.append(child)
+                visit(child)
+
+    visit(tree)
+    return groups
+
+
 def _parent_map(tree: ast.AST) -> dict[int, ast.AST]:
     parents: dict[int, ast.AST] = {}
     for node in ast.walk(tree):
@@ -727,17 +748,7 @@ class SetIterationRule(Rule):
             ):
                 continue
             parents = _parent_map(module.tree)
-            scopes = list(_functions(module.tree)) + [module.tree]
-            claimed: set[int] = set()
-            for scope in scopes:
-                if isinstance(scope, ast.Module):
-                    body_nodes = [
-                        n for n in ast.walk(scope)
-                        if id(n) not in claimed
-                    ]
-                else:
-                    body_nodes = list(ast.walk(scope))
-                    claimed.update(id(n) for n in body_nodes)
+            for body_nodes in _name_scopes(module.tree):
                 set_vars = self._set_vars(body_nodes)
                 findings.extend(self._check_scope(
                     module, body_nodes, set_vars, parents
@@ -862,27 +873,6 @@ _METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _INSTRUMENT_METHODS = ("counter", "gauge", "histogram")
 
 
-def _name_scopes(tree: ast.Module) -> list[list[ast.AST]]:
-    """``tree``'s nodes grouped by where REP401 resolves scope variables:
-    first the module's own (class bodies included, function bodies not),
-    then each outermost function or method with the functions nested in
-    it.  Each node lies in exactly one group, so each registration is
-    checked once."""
-    module_nodes: list[ast.AST] = []
-    groups = [module_nodes]
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                groups.append(list(ast.walk(child)))
-            else:
-                module_nodes.append(child)
-                visit(child)
-
-    visit(tree)
-    return groups
-
-
 class MetricNameRule(Rule):
     code = "REP401"
     name = "metric-naming"
@@ -897,8 +887,12 @@ class MetricNameRule(Rule):
         for module in project:
             if module.matches("obs/metrics.py"):
                 continue  # the registry itself, not a registration site
-            for nodes in _name_scopes(module.tree):
-                findings.extend(self._check_scope(module, nodes))
+            module_nodes, *functions = _name_scopes(module.tree)
+            module_vars = self._scope_vars(module_nodes)
+            for nodes in [module_nodes, *functions]:
+                # a function sees the module's scope variables too
+                scope_vars = {**module_vars, **self._scope_vars(nodes)}
+                findings.extend(self._check_scope(module, nodes, scope_vars))
         return findings
 
     def _scope_literal(self, node: ast.expr) -> str | None:
@@ -914,8 +908,8 @@ class MetricNameRule(Rule):
             return node.args[0].value
         return None
 
-    def _check_scope(self, module, nodes: list[ast.AST]) -> list[Finding]:
-        findings: list[Finding] = []
+    def _scope_vars(self, nodes: list[ast.AST]) -> dict[str, str]:
+        """Each name in ``nodes`` bound to ``<x>.scope("literal")``."""
         scope_vars: dict[str, str] = {}
         for node in nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -924,6 +918,12 @@ class MetricNameRule(Rule):
                     node.targets[0], ast.Name
                 ):
                     scope_vars[node.targets[0].id] = scope_name
+        return scope_vars
+
+    def _check_scope(
+        self, module, nodes: list[ast.AST], scope_vars: dict[str, str]
+    ) -> list[Finding]:
+        findings: list[Finding] = []
         for node in nodes:
             scope_name = self._scope_literal(node)
             if scope_name is not None:

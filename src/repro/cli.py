@@ -338,6 +338,7 @@ def _print_round_trace(result: ApproximateResult | GroupedResult) -> None:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    """Serve every query as one concurrent batch and print each result."""
     queries = [parse_query(aql) for aql in args.aql]
     config = _query_config(args)
     bundle = _load_bundle(args)
@@ -345,19 +346,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 2
     print(f"dataset: {bundle.name} ({bundle.kg.num_nodes:,} nodes, "
           f"{bundle.kg.num_edges:,} edges)")
-    return _run_query_batch(bundle, config, queries, args)
-
-
-def _run_query_batch(bundle, config: EngineConfig, queries, args) -> int:
-    """Serve ``queries`` as one concurrent batch and print each result."""
     started = time.perf_counter()
-    with AggregateQueryService(
-        bundle.kg,
-        bundle.embedding,
-        config,
-        default_deadline=args.deadline,
-        limits=ServiceLimits(max_pending=args.max_pending),
-    ) as service:
+    with _service_for(bundle, config, args) as service:
         handles = service.submit_batch(queries)
         exit_code = 0
         for position, handle in enumerate(handles):

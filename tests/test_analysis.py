@@ -483,6 +483,15 @@ class TestSetIteration:
         """})
         assert codes(report) == ["REP301"]
 
+    def test_a_nested_function_fires_once(self, tmp_path):
+        report = run_lint(tmp_path, {"semantics/kernels.py": """
+            def export(edges):
+                def heads():
+                    return list({edge.head for edge in edges})
+                return heads()
+        """})
+        assert codes(report) == ["REP301"]
+
     def test_yield_in_set_order_fires(self, tmp_path):
         report = run_lint(tmp_path, {"kg/io.py": """
             def stream(nodes):
@@ -560,6 +569,17 @@ class TestMetricNaming:
                     return scope.gauge("Bad-Name")
         """})
         assert codes(report) == ["REP401", "REP401"]
+
+    def test_a_module_scope_used_in_a_method_fires(self, tmp_path):
+        report = run_lint(tmp_path, {"core/service.py": """
+            S = registry.scope("exec")
+
+            class Service:
+                def wire(self):
+                    return S.counter("Bad-Name")
+        """})
+        assert codes(report) == ["REP401"]
+        assert "repro_exec_Bad-Name" in report.findings[0].message
 
     def test_non_literal_metric_name_fires(self, tmp_path):
         report = run_lint(tmp_path, {"core/service.py": """
